@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt serve clean bench-smoke bench-throughput bench-append bench-plan bench-join bench-metrics-overhead bench-perf bench-perf-baseline bench-approx bench-coldstart alloc-gate
+.PHONY: build test vet fmt serve clean bench-smoke bench-throughput bench-append bench-plan bench-join bench-metrics-overhead bench-perf bench-perf-baseline bench-approx bench-coldstart alloc-gate bench-check
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,15 @@ bench-coldstart:
 # Into entry points must allocate nothing (fails CI otherwise).
 alloc-gate:
 	$(GO) test -run 'TestHotPathZeroAlloc|TestArenaSafetyRace' -count=1 -v ./internal/core
+
+# Build, vet and test the benchmark harness the repository is judged by,
+# then run it end to end at smoke size. benchmark/ is a module of its own,
+# so `go build ./...` and `go test ./...` at the root never compile it: a
+# signature change under internal/ breaks it silently unless this runs.
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	bash benchmark/run.sh --smoke
 
 # Measure the telemetry tax on the bench-plan query mix: the same
 # workload with the metrics registry enabled vs disabled must stay

@@ -31,22 +31,72 @@ func approxDB(t *testing.T, shards int, seed int64) *tsq.DB {
 	return db
 }
 
+// unsharedNNCandidates is the ceiling on what a sharded NN may verify: the
+// sum over shards of the candidates each shard's branch-and-bound verifies
+// on its own, pruning against its private k-th best only. Every shard is
+// rebuilt as a single store holding exactly the series that hash to it.
+func unsharedNNCandidates(t *testing.T, sharded *tsq.DB, name string, k int, tr tsq.Transform) int {
+	t.Helper()
+	all := tsq.RandomWalks(parityCount, parityLength, paritySeed)
+	parts := make([][]tsq.NamedSeries, sharded.Shards())
+	var query []float64
+	for _, s := range all {
+		si := sharded.Engine().ShardOf(s.Name)
+		parts[si] = append(parts[si], s)
+		if s.Name == name {
+			query = s.Values
+		}
+	}
+	total := 0
+	for _, part := range parts {
+		shard, err := tsq.Open(tsq.Options{Length: parityLength})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.InsertBulk(part); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := shard.NN(query, k, tr, tsq.With(tsq.UseIndex))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += st.Candidates
+	}
+	return total
+}
+
 // TestApproxZeroParity: APPROX 0 must be byte-identical to the plain
-// exact path — same matches, same verification counts, no approximate
-// bookkeeping — at shard counts 1 and 4, for RANGE and NN.
+// exact path — same matches, no approximate bookkeeping — at shard counts
+// 1 and 4, for RANGE and NN. Work counters are part of the contract where
+// they are a function of the query alone: everywhere at one shard, and
+// for RANGE at any shard count (a range fan-out shares nothing between
+// shards). A sharded NN shares its k-th-best bound between shard
+// goroutines, so how many candidates each shard verifies depends on when
+// the others' answers arrive; what holds on every schedule is that the
+// shared bound is never looser than a shard's own, so the fan-out never
+// verifies more than the shards would with unshared bounds.
 func TestApproxZeroParity(t *testing.T) {
+	reverseMavg := tsq.Reverse().Then(tsq.MovingAverage(10))
 	for _, shards := range []int{1, 4} {
-		for _, stmt := range []string{
-			"RANGE SERIES 'W0011' EPS 2 TRANSFORM mavg(10)",
-			"RANGE SERIES 'W0011' EPS 100",
-			"RANGE SERIES 'W0011' EPS 3 TRANSFORM mavg(10) BOTH",
-			"NN SERIES 'W0042' K 5",
-			"NN SERIES 'W0042' K 25 TRANSFORM reverse() | mavg(10)",
+		for _, c := range []struct {
+			stmt string
+			// NN statements name their query again for the unshared bound.
+			nnName string
+			nnK    int
+			nnT    tsq.Transform
+		}{
+			{stmt: "RANGE SERIES 'W0011' EPS 2 TRANSFORM mavg(10)"},
+			{stmt: "RANGE SERIES 'W0011' EPS 100"},
+			{stmt: "RANGE SERIES 'W0011' EPS 3 TRANSFORM mavg(10) BOTH"},
+			{stmt: "NN SERIES 'W0042' K 5", nnName: "W0042", nnK: 5, nnT: tsq.Identity()},
+			{stmt: "NN SERIES 'W0042' K 25 TRANSFORM reverse() | mavg(10)", nnName: "W0042", nnK: 25, nnT: reverseMavg},
 		} {
+			stmt := c.stmt
 			// Fresh identical stores for each side: executed queries feed
 			// the planner's EWMAs, so running both on one store would let
 			// feedback — not approximation — change the second plan.
-			exact, err := parityDB(t, shards).Query(stmt)
+			exactDB := parityDB(t, shards)
+			exact, err := exactDB.Query(stmt)
 			if err != nil {
 				t.Fatalf("shards-%d %q: %v", shards, stmt, err)
 			}
@@ -58,11 +108,19 @@ func TestApproxZeroParity(t *testing.T) {
 				t.Fatalf("shards-%d %q: APPROX 0 diverges from exact\n exact %v\n zero  %v",
 					shards, stmt, exact.Matches, zero.Matches)
 			}
-			if zero.Stats.Candidates != exact.Stats.Candidates ||
-				zero.Stats.NodeAccesses != exact.Stats.NodeAccesses {
-				t.Fatalf("shards-%d %q: APPROX 0 cost differs: %d/%d candidates, %d/%d nodes",
-					shards, stmt, zero.Stats.Candidates, exact.Stats.Candidates,
-					zero.Stats.NodeAccesses, exact.Stats.NodeAccesses)
+			if shards == 1 || c.nnName == "" {
+				if zero.Stats.Candidates != exact.Stats.Candidates ||
+					zero.Stats.NodeAccesses != exact.Stats.NodeAccesses {
+					t.Fatalf("shards-%d %q: APPROX 0 cost differs: %d/%d candidates, %d/%d nodes",
+						shards, stmt, zero.Stats.Candidates, exact.Stats.Candidates,
+						zero.Stats.NodeAccesses, exact.Stats.NodeAccesses)
+				}
+			} else {
+				ceiling := unsharedNNCandidates(t, exactDB, c.nnName, c.nnK, c.nnT)
+				if exact.Stats.Candidates > ceiling || zero.Stats.Candidates > ceiling {
+					t.Fatalf("shards-%d %q: verified %d (exact) / %d (APPROX 0) candidates, more than the %d of unshared per-shard bounds",
+						shards, stmt, exact.Stats.Candidates, zero.Stats.Candidates, ceiling)
+				}
 			}
 			if zero.Stats.Delta != 0 || zero.Stats.EarlyAccepts != 0 || zero.Stats.Rung != 0 {
 				t.Fatalf("shards-%d %q: APPROX 0 took the approximate path: %+v",

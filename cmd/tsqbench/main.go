@@ -17,6 +17,17 @@
 // page read (see EXPERIMENTS.md); the paper's wall-clock shapes for the
 // scan-vs-index comparisons were disk-bound and correspond to the modeled
 // column.
+//
+// Page columns are modeled page reads, not the engine's PageReads alone.
+// The engine's own page counts dropped for every method when verification
+// moved onto the resident 16-coefficient spectrum head: an index candidate
+// abandoned inside its head opens no page (before, every candidate cost its
+// record's pages), and a scan sweeps the heads and opens only the records
+// they cannot dismiss — by Lemma 1 the same records the index opens. Left
+// at that, the figures would price a scan of the whole relation like an
+// index probe, so the model charges head reads as pages of a file of their
+// own: one per candidate for index methods, one per sixteen records for
+// scans (experiments.modeledPages).
 package main
 
 import (

@@ -354,6 +354,15 @@ func percentile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
+// headNote annotates a search/scan span with what it resolved in the
+// spectrum heads.
+func headNote(span string, headResolved int) string {
+	if span != "search" && span != "scan" {
+		return ""
+	}
+	return fmt.Sprintf("  (%d candidates resolved in the head)", headResolved)
+}
+
 // printSpanPayloads renders a wire-format span tree, indented by depth.
 func printSpanPayloads(spans []server.SpanPayload, depth int) {
 	for _, sp := range spans {
@@ -361,7 +370,7 @@ func printSpanPayloads(spans []server.SpanPayload, depth int) {
 		if sp.Name == "shard" {
 			name = fmt.Sprintf("shard %d", sp.Shard)
 		}
-		fmt.Printf("%*s%-12s %8.3f ms\n", 2*depth, "", name, sp.DurationUS/1000)
+		fmt.Printf("%*s%-12s %8.3f ms%s\n", 2*depth, "", name, sp.DurationUS/1000, headNote(sp.Name, sp.HeadResolved))
 		printSpanPayloads(sp.Children, depth+1)
 	}
 }
@@ -538,8 +547,8 @@ func printExplain(e *tsq.ExplainInfo) {
 		fmt.Printf("  estimated: selectivity %.4f, %.1f candidates, %.1f nodes (index cost %.1f, scan cost %.1f)\n",
 			e.Selectivity, e.EstCandidates, e.EstNodeAccesses, e.EstIndexCost, e.EstScanCost)
 	}
-	fmt.Printf("  actual:    %d candidates, %d node accesses\n",
-		e.ActualCandidates, e.ActualNodeAccesses)
+	fmt.Printf("  actual:    %d candidates, %d node accesses; %d resolved in the head, %d records opened\n",
+		e.ActualCandidates, e.ActualNodeAccesses, e.ActualHeadResolved, e.ActualCandidates-e.ActualHeadResolved)
 	if e.ApproxDelta > 0 {
 		tight := "no bound feedback yet"
 		if e.ApproxTightness > 0 {
@@ -549,8 +558,8 @@ func printExplain(e *tsq.ExplainInfo) {
 			e.ApproxDelta, e.ApproxRung, e.ApproxEstSpeedup, tight)
 	}
 	for _, sh := range e.PerShard {
-		fmt.Printf("    shard %d: %d candidates, %d nodes, %d pages, %d results\n",
-			sh.Shard, sh.Candidates, sh.NodeAccesses, sh.PageReads, sh.Results)
+		fmt.Printf("    shard %d: %d candidates (%d resolved in the head), %d nodes, %d pages, %d results\n",
+			sh.Shard, sh.Candidates, sh.HeadResolved, sh.NodeAccesses, sh.PageReads, sh.Results)
 	}
 }
 
@@ -566,8 +575,8 @@ func printTrace(tr *tsq.TraceInfo) {
 			if sp.Name == "shard" {
 				name = fmt.Sprintf("shard %d", sp.Shard)
 			}
-			fmt.Printf("%*s%-12s %8.3f ms\n", 2*depth, "", name,
-				float64(sp.Duration.Microseconds())/1000)
+			fmt.Printf("%*s%-12s %8.3f ms%s\n", 2*depth, "", name,
+				float64(sp.Duration.Microseconds())/1000, headNote(sp.Name, sp.HeadResolved))
 			walk(sp.Children, depth+1)
 		}
 	}

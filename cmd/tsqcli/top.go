@@ -337,11 +337,23 @@ func renderFrame(remote string, cur, prev *snapshot) {
 		if cur.byKey["tsq_store_disk_backed"] > 0 {
 			backing = "disk"
 		}
-		fmt.Printf("pool (%s): %.1f%% hit (%.0f hits / %.0f misses), %.0f evictions, %.0f/%.0f resident, %.0f pinned\n",
+		// Records opened per verified candidate, from /stats: the candidates
+		// the resident spectrum heads could not decide are the only ones
+		// that reach the pool at all.
+		candidates, opened := float64(st.Candidates), float64(st.Candidates-st.HeadResolved)
+		if prev != nil {
+			candidates -= float64(prev.stats.Candidates)
+			opened -= float64(prev.stats.Candidates - prev.stats.HeadResolved)
+		}
+		faults := 0.0
+		if candidates > 0 {
+			faults = opened / candidates
+		}
+		fmt.Printf("pool (%s): %.1f%% hit (%.0f hits / %.0f misses), %.0f evictions, %.0f/%.0f resident, %.0f pinned, %.3f page faults/candidate\n",
 			backing, poolHitRate, poolHits, poolMisses,
 			poolDelta("tsq_pool_evictions_total"),
 			cur.byKey["tsq_pool_resident_pages"], capacity,
-			cur.byKey["tsq_pool_pinned_pages"])
+			cur.byKey["tsq_pool_pinned_pages"], faults)
 	}
 
 	// Streaming health.

@@ -113,7 +113,7 @@ type AppendInfo struct {
 //     storage does not grow and no pages are orphaned;
 //   - the full-spectrum record is refreshed with the exact FFT only every
 //     spectrumRefreshEvery appended points; in between it is marked stale
-//     and reads derive the exact spectrum on demand (specViewOf).
+//     and reads derive the exact spectrum on demand (openSpec).
 //
 // Every spectrum a query ever observes — whether decoded from a fresh
 // record or derived on demand from a stale one — is the same canonical
@@ -257,8 +257,11 @@ func (db *DB) CheckWithin(name string, q RangeQuery) (dist float64, within bool,
 		}
 	}
 	var st ExecStats
-	verify := db.verifierFor(p, &st)
-	within, dist, err = verify(id, q.Eps)
+	if q.WarpFactor >= 2 {
+		within, dist, err = db.verifyWarp(p, &st, id, q.Eps)
+	} else {
+		within, dist, err = db.verifyFreq(&st, nil, id, p.a, p.b, p.Q, q.Eps)
+	}
 	if err != nil {
 		return 0, false, err
 	}

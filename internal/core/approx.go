@@ -118,28 +118,34 @@ func defaultRung(n int) int {
 	return r
 }
 
-// verifyFreqApprox is the approximate tier's verification walk: the exact
-// early-abandoning coefficient loop of viewTransformedWithinBuf with
-// residual-energy upper-bound checks at ladder rungs. nnMode selects the
-// accept rule (see the file comment). It returns the candidate's reported
-// distance and its upper bound: for range answers dist is the lower bound
-// at accept (exact distance on a full walk); for NN answers dist is the
-// upper bound, which is what the top-k heap must order by for the
-// guarantee to compose.
+// verifyFreqApprox is the approximate tier's verification of one stored
+// record: it opens the record like verifyFreq (resident head first, pages
+// only past it — the ladder's first rungs, 8 and 16, both fall inside the
+// head) and runs the ladder walk over it.
 func (db *DB) verifyFreqApprox(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64, nnMode bool) (within bool, dist, bound float64, err error) {
-	var view specView
-	if spec, ok := db.staleSpectrum(id); ok {
-		view = specView{vec: spec}
-	} else {
-		pages, perr := db.freqRel.ViewPagesInto(id, ar.pages[:0])
-		if perr != nil {
-			return false, 0, 0, perr
-		}
-		ar.pages = pages
-		// Conditional release: the stale branch above holds no pins.
-		defer db.freqRel.ReleaseView(id)
-		view = specView{pages: pages, ps: db.freqRel.PageSize()}
+	view, err := db.openSpec(id, &ar.pages)
+	if err != nil {
+		return false, 0, 0, err
 	}
+	within, dist, bound = p.ladderWalk(&view, st, eps, nnMode)
+	resident, err := view.release()
+	if err != nil {
+		return false, 0, 0, err
+	}
+	if resident {
+		st.HeadResolved++
+	}
+	return within, dist, bound, nil
+}
+
+// ladderWalk is the approximate tier's verification walk: the exact
+// early-abandoning coefficient loop of verifyFreq with residual-energy
+// upper-bound checks at ladder rungs. nnMode selects the accept rule (see
+// the file comment). It returns the candidate's reported distance and its
+// upper bound: for range answers dist is the lower bound at accept (exact
+// distance on a full walk); for NN answers dist is the upper bound, which
+// is what the top-k heap must order by for the guarantee to compose.
+func (p *rangePlan) ladderWalk(view *specView, st *ExecStats, eps float64, nnMode bool) (within bool, dist, bound float64) {
 	limit := eps * eps
 	n := len(p.Q)
 	next, ord := ladderStart, 0
@@ -150,7 +156,7 @@ func (db *DB) verifyFreqApprox(p *rangePlan, ar *execArena, st *ExecStats, id in
 		sum += real(d)*real(d) + imag(d)*imag(d)
 		if sum > limit {
 			st.DistanceTerms += int64(f + 1)
-			return false, 0, 0, nil
+			return false, 0, 0
 		}
 		ex += real(x)*real(x) + imag(x)*imag(x)
 		if f+1 == next && f+1 < n {
@@ -168,20 +174,20 @@ func (db *DB) verifyFreqApprox(p *rangePlan, ar *execArena, st *ExecStats, id in
 					st.DistanceTerms += int64(f + 1)
 					st.EarlyAccepts++
 					st.BoundTightSum += tightness(math.Sqrt(sum), ub)
-					return ub <= eps, ub, ub, nil
+					return ub <= eps, ub, ub
 				}
 			} else if ub := math.Sqrt(ubSq); ub <= p.relax*eps {
 				lb := math.Sqrt(sum)
 				st.DistanceTerms += int64(f + 1)
 				st.EarlyAccepts++
 				st.BoundTightSum += tightness(lb, ub)
-				return true, lb, ub, nil
+				return true, lb, ub
 			}
 		}
 	}
 	st.DistanceTerms += int64(n)
 	d := math.Sqrt(sum)
-	return true, d, d, nil
+	return true, d, d
 }
 
 // tightness is the realized quality of one early accept: LB/UB in (0, 1],

@@ -201,7 +201,9 @@ func NewDB(length int, opts Options) (*DB, error) {
 // build its replacement pair next to the live one), in-memory otherwise.
 func newRelationPair(opts Options, gen int) (timeRel, freqRel *relation.Relation, err error) {
 	if opts.Backing == "" {
-		return relation.New(opts.PageSize), relation.New(opts.PageSize), nil
+		timeRel, freqRel = relation.New(opts.PageSize), relation.New(opts.PageSize)
+		freqRel.KeepHeads()
+		return timeRel, freqRel, nil
 	}
 	if err := os.MkdirAll(opts.Backing, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("core: creating backing directory: %w", err)
@@ -215,6 +217,7 @@ func newRelationPair(opts Options, gen int) (timeRel, freqRel *relation.Relation
 		timeRel.Close()
 		return nil, nil, err
 	}
+	freqRel.KeepHeads()
 	return timeRel, freqRel, nil
 }
 
@@ -451,65 +454,105 @@ func (db *DB) staleSpectrum(id int64) ([]complex128, bool) {
 }
 
 // spectrum fetches the energy-ordered normal-form spectrum of a stored
-// series, decoding straight off the record's page views — one pass and
-// one allocation instead of the byte-copy + float-decode + complex-pair
-// passes a Get-based decode would take.
+// series, decoding straight off the record's head and page views — one
+// pass and one allocation instead of the byte-copy + float-decode +
+// complex-pair passes a Get-based decode would take.
 func (db *DB) spectrum(id int64) ([]complex128, error) {
 	if spec, ok := db.staleSpectrum(id); ok {
 		return spec, nil
 	}
-	pages, err := db.freqRel.ViewPages(id)
+	view, err := db.openSpec(id, nil)
 	if err != nil {
 		return nil, err
 	}
-	ps := db.freqRel.PageSize()
 	out := make([]complex128, db.length)
 	for f := range out {
-		out[f] = relation.ComplexAt(pages, ps, f)
+		out[f] = view.at(f)
 	}
-	db.freqRel.ReleaseView(id)
+	if _, err := view.release(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// specView abstracts a stored spectrum for distance loops: page views
-// with lazy per-coefficient decoding in the common case, or an in-memory
-// spectrum when the stored record is stale.
+// specView is a stored spectrum as every distance loop reads it: a
+// resident prefix, then the record's pages — faulted in by the first term
+// past the prefix and not before. The prefix is the frequency relation's
+// head (the first relation.HeadCoeffs energy-ordered coefficients), or,
+// for a record whose stored spectrum lags its streamed window, the whole
+// spectrum derived in memory, which never needs pages. A loop that
+// abandons inside the prefix therefore costs one record lookup and a
+// sequential read of the slab: no buffer-pool mutex, no frame map, no
+// pread, no pin. Terms come back in the same order with the same values
+// either way, so a running sum carries across the boundary unchanged.
 type specView struct {
+	rv    relation.View // rv.Head is the resident prefix
+	rel   *relation.Relation
 	pages [][]byte
-	ps    int
-	vec   []complex128
+	ps    int       // page size, once pages are pinned
+	pbuf  *[][]byte // page-view buffer to fault into (an arena's); nil allocates
+	err   error     // a failed page fault, reported by release
+}
+
+// openSpec opens a series' spectrum for a distance loop. The caller must
+// give the view back with release, which also reports a page fault that
+// failed mid-loop.
+func (db *DB) openSpec(id int64, pbuf *[][]byte) (specView, error) {
+	if spec, ok := db.staleSpectrum(id); ok {
+		return specView{rv: relation.View{Head: spec}}, nil
+	}
+	rv, err := db.freqRel.View(id)
+	if err != nil {
+		return specView{}, err
+	}
+	return specView{rv: rv, rel: db.freqRel, pbuf: pbuf}, nil
 }
 
 // at returns the f-th energy-ordered coefficient.
-func (v specView) at(f int) complex128 {
-	if v.vec != nil {
-		return v.vec[f]
+func (v *specView) at(f int) complex128 {
+	if f < len(v.rv.Head) {
+		return v.rv.Head[f]
+	}
+	return v.paged(f)
+}
+
+// paged reads a coefficient past the resident prefix, pinning the record's
+// pages on first use. A failed fault poisons the view: it yields NaN terms
+// (which no threshold test passes or abandons on) and release returns the
+// error, so callers check one place, after the loop.
+func (v *specView) paged(f int) complex128 {
+	if v.pages == nil {
+		if v.err != nil {
+			return complex(math.NaN(), 0)
+		}
+		var buf [][]byte
+		if v.pbuf != nil {
+			buf = (*v.pbuf)[:0]
+		}
+		pages, err := v.rel.ViewPagesInto(v.rv, buf)
+		if err != nil {
+			v.err = err
+			return complex(math.NaN(), 0)
+		}
+		if v.pbuf != nil {
+			*v.pbuf = pages
+		}
+		v.pages, v.ps = pages, v.rel.PageSize()
 	}
 	return relation.ComplexAt(v.pages, v.ps, f)
 }
 
-// specViewOf opens a series' spectrum for a distance loop. The caller must
-// give the view back with releaseSpecView when done with it — on a
-// disk-backed store the page views are pinned buffer-pool frames.
-func (db *DB) specViewOf(id int64) (specView, error) {
-	if spec, ok := db.staleSpectrum(id); ok {
-		return specView{vec: spec}, nil
+// release gives back the pins behind the view, if it took any — a view
+// that stayed inside its prefix holds none, and releasing anyway could
+// drop a pin another goroutine holds on the same record's pages. resident
+// reports that the loop was served without opening the record's pages.
+func (v *specView) release() (resident bool, err error) {
+	if v.pages == nil {
+		return v.err == nil, v.err
 	}
-	pages, err := db.freqRel.ViewPages(id)
-	if err != nil {
-		return specView{}, err
-	}
-	return specView{pages: pages, ps: db.freqRel.PageSize()}, nil
-}
-
-// releaseSpecView gives back the pins behind a specViewOf view. The guard
-// on v.pages matters for correctness, not just cost: a stale-spectrum view
-// took no pins, and releasing anyway could drop a pin another goroutine
-// holds on the same record's pages, allowing eviction mid-read.
-func (db *DB) releaseSpecView(id int64, v specView) {
-	if v.pages != nil {
-		db.freqRel.ReleaseView(id)
-	}
+	v.rel.ReleaseView(v.rv)
+	v.pages = nil
+	return false, nil
 }
 
 // pageReads snapshots the combined relation read counters.
@@ -525,11 +568,18 @@ type ExecStats struct {
 	// "disk accesses" for the index side).
 	NodeAccesses int
 	// PageReads is the number of relation pages read (scan + verification
-	// I/O).
+	// I/O): the accesses the index and the resident head could not avoid.
 	PageReads int64
 	// Candidates is the number of items the filter phase passed to
 	// verification.
 	Candidates int
+	// HeadResolved is the number of those candidates verification decided
+	// from resident memory — abandoned inside the spectrum head (or served
+	// from a streamed record's derived spectrum) — so Candidates minus
+	// HeadResolved is the number of records whose pages were opened.
+	// Time-domain verification (warped queries, the naive scan) reads every
+	// record and resolves none here.
+	HeadResolved int
 	// Results is the number of verified answers.
 	Results int
 	// DistanceTerms counts accumulated squared-difference terms across all
@@ -601,48 +651,45 @@ func (db *DB) querySpectrum(q []float64) []complex128 {
 	return relation.Permute(dft.TransformReal(series.NormalForm(q)), db.perm)
 }
 
-// viewTransformedWithin computes whether D(A*X+B, Q) <= eps over full
-// (energy-ordered) spectra with early abandoning, evaluated lazily
-// straight off the stored record's page views: coefficients deserialize
-// one at a time, so an early-abandoned comparison skips the decoding of
+// verifyFreq computes whether D(A*X+B, Q) <= eps over full (energy-ordered)
+// spectra with early abandoning, evaluated lazily off the stored record:
+// coefficients deserialize one at a time, so an early-abandoned comparison
+// skips the decoding — and, inside the resident head, the page fetch — of
 // everything after the abandonment point. This is what makes the paper's
-// scan method (b) an order of magnitude faster than (a) — the dominant
-// per-record cost is proportional to the terms actually examined. It
-// returns the decision, the exact distance when within, and the number of
-// accumulated terms.
-func (db *DB) viewTransformedWithin(id int64, a, b, q []complex128, eps float64) (bool, float64, int, error) {
-	var buf [][]byte
-	return db.viewTransformedWithinBuf(id, a, b, q, eps, &buf)
-}
-
-// viewTransformedWithinBuf is viewTransformedWithin with a caller-owned
-// page-view buffer (typically an arena's), so the hot verification loop
-// opens stored records without allocating.
-func (db *DB) viewTransformedWithinBuf(id int64, a, b, q []complex128, eps float64, pbuf *[][]byte) (bool, float64, int, error) {
-	var view specView
-	if spec, ok := db.staleSpectrum(id); ok {
-		view = specView{vec: spec}
-	} else {
-		pages, err := db.freqRel.ViewPagesInto(id, (*pbuf)[:0])
-		if err != nil {
-			return false, 0, 0, err
-		}
-		*pbuf = pages
-		// Release only when a view was actually taken: the stale branch
-		// holds no pins, and an unconditional release could drop another
-		// goroutine's pin on the same record.
-		defer db.freqRel.ReleaseView(id)
-		view = specView{pages: pages, ps: db.freqRel.PageSize()}
+// scan method (b) an order of magnitude faster than (a): the dominant
+// per-record cost is proportional to the terms actually examined. It is
+// the one exact verification every index candidate, scan row, join probe
+// and monitor check goes through; it returns the decision and the exact
+// distance when within, and accumulates DistanceTerms and HeadResolved
+// into st. pbuf is a caller-owned page-view buffer (typically an arena's),
+// so the hot loop opens stored records without allocating.
+func (db *DB) verifyFreq(st *ExecStats, pbuf *[][]byte, id int64, a, b, q []complex128, eps float64) (bool, float64, error) {
+	view, err := db.openSpec(id, pbuf)
+	if err != nil {
+		return false, 0, err
 	}
 	limit := eps * eps
 	var sum float64
+	terms, within := len(q), true
 	for f := range q {
 		x := view.at(f)
 		d := a[f]*x + b[f] - q[f]
 		sum += real(d)*real(d) + imag(d)*imag(d)
 		if sum > limit {
-			return false, 0, f + 1, nil
+			terms, within = f+1, false
+			break
 		}
 	}
-	return true, math.Sqrt(sum), len(q), nil
+	resident, err := view.release()
+	if err != nil {
+		return false, 0, err
+	}
+	st.DistanceTerms += int64(terms)
+	if resident {
+		st.HeadResolved++
+	}
+	if !within {
+		return false, 0, nil
+	}
+	return true, math.Sqrt(sum), nil
 }

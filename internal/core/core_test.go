@@ -209,8 +209,21 @@ func TestRangeIndexedPrunesVersusScan(t *testing.T) {
 	if idxSt.Candidates >= scanSt.Candidates/2 {
 		t.Fatalf("index verified %d candidates, scan %d — filtering looks broken", idxSt.Candidates, scanSt.Candidates)
 	}
-	if idxSt.PageReads >= scanSt.PageReads {
-		t.Fatalf("index read %d pages, scan %d", idxSt.PageReads, scanSt.PageReads)
+	// Page reads no longer separate the two: both verify off the resident
+	// spectrum head and open a record's page (one page per record at this
+	// length) only when its first 16 coefficients cannot dismiss it. A
+	// record that survives 16 coefficients survives the index's 2, so by
+	// Lemma 1 both strategies open exactly the same records.
+	for name, st := range map[string]ExecStats{"index": idxSt, "scan": scanSt} {
+		if want := int64(st.Candidates - st.HeadResolved); st.PageReads != want {
+			t.Fatalf("%s read %d pages, want one per record the head could not resolve (%d)", name, st.PageReads, want)
+		}
+	}
+	if idxSt.PageReads != scanSt.PageReads {
+		t.Fatalf("index opened %d records, scan %d", idxSt.PageReads, scanSt.PageReads)
+	}
+	if scanSt.HeadResolved <= scanSt.Candidates/2 {
+		t.Fatalf("scan resolved only %d of %d records in the head", scanSt.HeadResolved, scanSt.Candidates)
 	}
 }
 

@@ -214,7 +214,7 @@ func (db *DB) execJoinTimed(jp *joinPlan, run func(*ExecStats) ([]JoinPair, erro
 	sortPairs(out)
 	st.Results = len(out)
 	st.PageReads = db.pageReads() - reads0
-	st.Spans = []Span{span("search", searchD), span("merge", mergeT.Elapsed())}
+	st.Spans = []Span{workSpan("search", searchD, &st), span("merge", mergeT.Elapsed())}
 	st.Elapsed = timer.Elapsed()
 	return out, st, nil
 }
@@ -226,9 +226,11 @@ func (db *DB) execJoinTimed(jp *joinPlan, run func(*ExecStats) ([]JoinPair, erro
 // — D(L x_i, R x_j) for pair (i, j) and D(L x_j, R x_i) for (j, i) — so
 // the scan answers exactly what the index-nested-loop answers.
 func (db *DB) joinScanInto(jp *joinPlan, earlyAbandon bool, st *ExecStats) ([]JoinPair, error) {
-	limit := jp.q.Eps * jp.q.Eps
 	n := len(db.ids)
-	var out []JoinPair
+	var (
+		out   []JoinPair
+		pages [][]byte
+	)
 	for i := 0; i < n; i++ {
 		X, err := db.spectrum(db.ids[i])
 		if err != nil {
@@ -246,37 +248,57 @@ func (db *DB) joinScanInto(jp *joinPlan, earlyAbandon bool, st *ExecStats) ([]Jo
 			}
 		}
 		for j := i + 1; j < n; j++ {
-			view, err := db.specViewOf(db.ids[j])
-			if err != nil {
+			if out, err = db.scanInner(jp, db.ids[i], db.ids[j], lx, rx, earlyAbandon, &pages, st, out); err != nil {
 				return nil, err
 			}
-			if !jp.q.TwoSided {
-				// One comparison per unordered pair: D(T x_i, T x_j).
-				st.Candidates++
-				sum, terms, ok := scanPairDist(lx, jp.la, jp.lb, view, limit, earlyAbandon)
-				st.DistanceTerms += int64(terms)
-				if ok && sum <= limit {
-					out = append(out, orderedPair(db.ids[i], db.ids[j], math.Sqrt(sum)))
-				}
-				db.releaseSpecView(db.ids[j], view)
-				continue
-			}
-			// Ordered pair (i, j): D(L x_i, R x_j).
-			st.Candidates++
-			sum, terms, ok := scanPairDist(lx, jp.ra, jp.rb, view, limit, earlyAbandon)
-			st.DistanceTerms += int64(terms)
-			if ok && sum <= limit {
-				out = append(out, JoinPair{A: db.ids[i], B: db.ids[j], Dist: math.Sqrt(sum)})
-			}
-			// Ordered pair (j, i): D(L x_j, R x_i).
-			st.Candidates++
-			sum, terms, ok = scanPairDist(rx, jp.la, jp.lb, view, limit, earlyAbandon)
-			st.DistanceTerms += int64(terms)
-			if ok && sum <= limit {
-				out = append(out, JoinPair{A: db.ids[j], B: db.ids[i], Dist: math.Sqrt(sum)})
-			}
-			db.releaseSpecView(db.ids[j], view)
 		}
+	}
+	return out, nil
+}
+
+// scanInner is one inner step of the nested scan join, against the inner
+// record of this store (the outer row may live in another shard): the
+// record is opened once and compared with the outer row's precomputed
+// transformed spectra — lx alone for a self join, whose unordered pair
+// costs one comparison D(T x_i, T x_j); lx and rx for a two-sided join,
+// which verifies both orientations. Matching pairs append to out; the
+// comparisons, their terms and how many were decided without opening the
+// inner record's pages accumulate into st.
+func (db *DB) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128, earlyAbandon bool, pbuf *[][]byte, st *ExecStats, out []JoinPair) ([]JoinPair, error) {
+	view, err := db.openSpec(inner, pbuf)
+	if err != nil {
+		return out, err
+	}
+	limit := jp.q.Eps * jp.q.Eps
+	found, compared := len(out), 1
+	if !jp.q.TwoSided {
+		sum, terms, ok := scanPairDist(lx, jp.la, jp.lb, &view, limit, earlyAbandon)
+		st.DistanceTerms += int64(terms)
+		if ok && sum <= limit {
+			out = append(out, orderedPair(outer, inner, math.Sqrt(sum)))
+		}
+	} else {
+		compared = 2
+		// Ordered pair (i, j): D(L x_i, R x_j).
+		sum, terms, ok := scanPairDist(lx, jp.ra, jp.rb, &view, limit, earlyAbandon)
+		st.DistanceTerms += int64(terms)
+		if ok && sum <= limit {
+			out = append(out, JoinPair{A: outer, B: inner, Dist: math.Sqrt(sum)})
+		}
+		// Ordered pair (j, i): D(L x_j, R x_i).
+		sum, terms, ok = scanPairDist(rx, jp.la, jp.lb, &view, limit, earlyAbandon)
+		st.DistanceTerms += int64(terms)
+		if ok && sum <= limit {
+			out = append(out, JoinPair{A: inner, B: outer, Dist: math.Sqrt(sum)})
+		}
+	}
+	resident, err := view.release()
+	if err != nil {
+		return out[:found], err
+	}
+	st.Candidates += compared
+	if resident {
+		st.HeadResolved += compared
 	}
 	return out, nil
 }
@@ -286,7 +308,7 @@ func (db *DB) joinScanInto(jp *joinPlan, earlyAbandon bool, st *ExecStats) ([]Jo
 // through (a, b), abandoning past limit when earlyAbandon is set. ok is
 // false only on abandonment, so sum <= limit decides membership exactly
 // as the index verifier does.
-func scanPairDist(outer, a, b []complex128, view specView, limit float64, earlyAbandon bool) (sum float64, terms int, ok bool) {
+func scanPairDist(outer, a, b []complex128, view *specView, limit float64, earlyAbandon bool) (sum float64, terms int, ok bool) {
 	for f := range outer {
 		y := view.at(f)
 		d := outer[f] - (a[f]*y + b[f])
@@ -306,7 +328,10 @@ func scanPairDist(outer, a, b []complex128, view specView, limit float64, earlyA
 // higher-to-lower candidates before verification, which also halves the
 // verification work versus the paper's twice-reporting methods c/d.
 func (db *DB) joinIndexInto(jp *joinPlan, selfOnce bool, st *ExecStats) ([]JoinPair, error) {
-	var out []JoinPair
+	var (
+		out   []JoinPair
+		pages [][]byte
+	)
 	for _, qid := range db.ids {
 		qp := db.points[qid]
 		tq := qp
@@ -331,11 +356,10 @@ func (db *DB) joinIndexInto(jp *joinPlan, selfOnce bool, st *ExecStats) ([]JoinP
 				continue
 			}
 			st.Candidates++
-			within, dist, terms, err := db.viewTransformedWithin(c.ID, jp.la, jp.lb, tQ, jp.q.Eps)
+			within, dist, err := db.verifyFreq(st, &pages, c.ID, jp.la, jp.lb, tQ, jp.q.Eps)
 			if err != nil {
 				return nil, err
 			}
-			st.DistanceTerms += int64(terms)
 			if within {
 				if jp.q.TwoSided {
 					out = append(out, JoinPair{A: c.ID, B: qid, Dist: dist})

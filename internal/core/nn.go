@@ -183,7 +183,7 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 	case v.p.approx():
 		within, dist, bound, err = v.db.verifyFreqApprox(v.p, v.ar, v.st, id, eps, true)
 	default:
-		within, dist, err = v.db.verifyFreq(v.p, v.ar, v.st, id, eps)
+		within, dist, err = v.db.verifyFreq(v.st, &v.ar.pages, id, v.p.a, v.p.b, v.p.Q, eps)
 	}
 	if err != nil {
 		v.err = err
@@ -275,7 +275,7 @@ func (db *DB) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats
 		case approx:
 			within, dist, bound, err = db.verifyFreqApprox(p, ar, st, id, best.threshold(), true)
 		default:
-			within, dist, err = db.verifyFreq(p, ar, st, id, best.threshold())
+			within, dist, err = db.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, best.threshold())
 		}
 		if err != nil {
 			return err

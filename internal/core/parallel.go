@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -22,7 +21,8 @@ import (
 // embarrassingly parallel join to use the machine.
 func (db *DB) SelfJoinScanParallel(eps float64, t transform.T, workers int) ([]JoinPair, ExecStats, error) {
 	var st ExecStats
-	if err := db.validateJoin(eps, t); err != nil {
+	jp, err := db.planJoin(selfJoinQuery(eps, t))
+	if err != nil {
 		return nil, st, err
 	}
 	if workers <= 0 {
@@ -30,15 +30,12 @@ func (db *DB) SelfJoinScanParallel(eps float64, t transform.T, workers int) ([]J
 	}
 	timer := stats.StartTimer()
 	reads0 := db.pageReads()
-	a, b := db.permuteTransform(t)
-	limit := eps * eps
 	n := len(db.ids)
 
 	type partial struct {
-		pairs      []JoinPair
-		terms      int64
-		candidates int
-		err        error
+		pairs []JoinPair
+		st    ExecStats
+		err   error
 	}
 	results := make([]partial, workers)
 	var wg sync.WaitGroup
@@ -47,6 +44,7 @@ func (db *DB) SelfJoinScanParallel(eps float64, t transform.T, workers int) ([]J
 		go func(w int) {
 			defer wg.Done()
 			out := &results[w]
+			var pages [][]byte
 			// Strided outer partitioning balances the triangular workload
 			// (early outer rows compare against more inner rows).
 			for i := w; i < n; i += workers {
@@ -57,33 +55,12 @@ func (db *DB) SelfJoinScanParallel(eps float64, t transform.T, workers int) ([]J
 				}
 				tx := make([]complex128, len(X))
 				for f := range X {
-					tx[f] = a[f]*X[f] + b[f]
+					tx[f] = jp.la[f]*X[f] + jp.lb[f]
 				}
 				for j := i + 1; j < n; j++ {
-					view, err := db.specViewOf(db.ids[j])
-					if err != nil {
-						out.err = err
+					if out.pairs, out.err = db.scanInner(jp, db.ids[i], db.ids[j], tx, nil, true, &pages, &out.st, out.pairs); out.err != nil {
 						return
 					}
-					out.candidates++
-					var sum float64
-					terms := 0
-					abandoned := false
-					for f := range tx {
-						y := view.at(f)
-						d := tx[f] - (a[f]*y + b[f])
-						sum += real(d)*real(d) + imag(d)*imag(d)
-						terms++
-						if sum > limit {
-							abandoned = true
-							break
-						}
-					}
-					out.terms += int64(terms)
-					if !abandoned && sum <= limit {
-						out.pairs = append(out.pairs, orderedPair(db.ids[i], db.ids[j], math.Sqrt(sum)))
-					}
-					db.releaseSpecView(db.ids[j], view)
 				}
 			}
 		}(w)
@@ -96,8 +73,9 @@ func (db *DB) SelfJoinScanParallel(eps float64, t transform.T, workers int) ([]J
 			return nil, st, fmt.Errorf("core: parallel join worker: %w", r.err)
 		}
 		out = append(out, r.pairs...)
-		st.DistanceTerms += r.terms
-		st.Candidates += r.candidates
+		st.DistanceTerms += r.st.DistanceTerms
+		st.Candidates += r.st.Candidates
+		st.HeadResolved += r.st.HeadResolved
 	}
 	sortPairs(out)
 	st.Results = len(out)

@@ -46,6 +46,8 @@ type ShardExec struct {
 	NodeAccesses int
 	PageReads    int64
 	Candidates   int
+	// HeadResolved is the shard's share of ExecStats.HeadResolved.
+	HeadResolved int
 	Results      int
 	// Elapsed is this shard's wall time inside the fan-out; zero when the
 	// execution strides workers across shards instead of fanning per shard

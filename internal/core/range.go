@@ -110,11 +110,6 @@ func (db *DB) queryFeaturePoint(q RangeQuery) ([]float64, error) {
 	return p, nil
 }
 
-// verifier checks one candidate exactly against the threshold eps,
-// returning (within, distance). The eps parameter lets nearest-neighbor
-// refinement tighten the abandonment threshold as better answers arrive.
-type verifier func(id int64, eps float64) (bool, float64, error)
-
 // rangePlan is the query-side preprocessing of Algorithm 2: the query
 // feature point, the transformation's affine index action, and the
 // precomputed verification vectors (query spectrum and energy-ordered
@@ -218,41 +213,10 @@ func (db *DB) planRange(q RangeQuery) (*rangePlan, error) {
 	return p, nil
 }
 
-// verifierFor builds the post-processing step of Algorithm 2 from a plan:
-// exact distance on full records with early abandoning. Frequency-domain
-// verification serves every length-preserving transformation; warped
-// queries verify in the time domain on warped normal forms.
-func (db *DB) verifierFor(p *rangePlan, st *ExecStats) verifier {
-	if p.q.WarpFactor >= 2 {
-		m := p.q.WarpFactor
-		qn := p.qn
-		return func(id int64, eps float64) (bool, float64, error) {
-			raw, err := db.Series(id)
-			if err != nil {
-				return false, 0, err
-			}
-			warped := series.Warp(series.NormalForm(raw), m)
-			within, terms := series.EuclideanWithin(warped, qn, eps)
-			st.DistanceTerms += int64(terms)
-			if !within {
-				return false, 0, nil
-			}
-			return true, series.EuclideanDistance(warped, qn), nil
-		}
-	}
-	a, b, Q := p.a, p.b, p.Q
-	return func(id int64, eps float64) (bool, float64, error) {
-		within, dist, terms, err := db.viewTransformedWithin(id, a, b, Q, eps)
-		if err != nil {
-			return false, 0, err
-		}
-		st.DistanceTerms += int64(terms)
-		return within, dist, nil
-	}
-}
-
-// verifyWarp is the warped-query branch of verifierFor as a direct method
-// call, so hot executions verify without building a closure.
+// verifyWarp is the post-processing step of Algorithm 2 for warped
+// queries: exact distance in the time domain on warped normal forms with
+// early abandoning. Every length-preserving transformation verifies in the
+// frequency domain instead (verifyFreq).
 func (db *DB) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) (bool, float64, error) {
 	raw, err := db.Series(id)
 	if err != nil {
@@ -265,18 +229,6 @@ func (db *DB) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) (bo
 		return false, 0, nil
 	}
 	return true, series.EuclideanDistance(warped, p.qn), nil
-}
-
-// verifyFreq is the frequency-domain branch of verifierFor as a direct
-// method call over an arena's page buffer: exact distance off stored page
-// views with early abandoning, allocating nothing.
-func (db *DB) verifyFreq(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64) (bool, float64, error) {
-	within, dist, terms, err := db.viewTransformedWithinBuf(id, p.a, p.b, p.Q, eps, &ar.pages)
-	if err != nil {
-		return false, 0, err
-	}
-	st.DistanceTerms += int64(terms)
-	return within, dist, nil
 }
 
 // rangeIndexedInto runs the search and post-processing phases of
@@ -306,7 +258,7 @@ func (db *DB) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst [
 		case approx:
 			within, dist, bound, err = db.verifyFreqApprox(p, ar, st, id, p.q.Eps, false)
 		default:
-			within, dist, err = db.verifyFreq(p, ar, st, id, p.q.Eps)
+			within, dist, err = db.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, p.q.Eps)
 		}
 		if err != nil {
 			return dst, err
@@ -377,7 +329,7 @@ func (db *DB) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst 
 		case approx:
 			within, dist, bound, err = db.verifyFreqApprox(p, ar, st, id, p.q.Eps, false)
 		default:
-			within, dist, err = db.verifyFreq(p, ar, st, id, p.q.Eps)
+			within, dist, err = db.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, p.q.Eps)
 		}
 		if err != nil {
 			return dst, err

@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/feature"
 	"repro/internal/geom"
@@ -531,6 +529,7 @@ func mergeStats(parts []ExecStats) ExecStats {
 		st.NodeAccesses += p.NodeAccesses
 		st.PageReads += p.PageReads
 		st.Candidates += p.Candidates
+		st.HeadResolved += p.HeadResolved
 		st.DistanceTerms += p.DistanceTerms
 		st.EarlyAccepts += p.EarlyAccepts
 		st.BoundTightSum += p.BoundTightSum
@@ -555,6 +554,7 @@ func shardProvenance(sts []ExecStats, results []int) []ShardExec {
 			NodeAccesses: sts[si].NodeAccesses,
 			PageReads:    sts[si].PageReads,
 			Candidates:   sts[si].Candidates,
+			HeadResolved: sts[si].HeadResolved,
 			Elapsed:      sts[si].Elapsed,
 		}
 		if results != nil {
@@ -655,9 +655,12 @@ func (s *Sharded) RangeScanTime(q RangeQuery) ([]Result, ExecStats, error) {
 // nnFan fans a nearest-neighbor search out to every shard with one shared
 // k-th-best bound: every shard traversal verifies against — and tightens —
 // the same global threshold, the cross-shard analogue of
-// SelfJoinScanParallel's worker partitioning, so the union of shard
-// searches verifies no more candidates than a single-store search would
-// (up to bound-propagation timing).
+// SelfJoinScanParallel's worker partitioning. The contract: Matches are
+// byte-identical to a single-store search on every schedule; Candidates
+// and NodeAccesses depend on when the other shards' answers reach the
+// bound, and are only bounded — the shared k-th best is never looser than
+// a shard's own would be, so no shard verifies more than it would
+// searching alone (TestApproxZeroParity pins both halves).
 func (s *Sharded) nnFan(q NNQuery, run func(*DB, *rangePlan, *topK, *ExecStats) error) ([]Result, ExecStats, error) {
 	p, err := planNN(s.shards[0], q)
 	if err != nil {
@@ -830,7 +833,6 @@ func (s *Sharded) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, Exec
 	defer s.runlockAll()
 	reads0 := s.pageReadsLocked()
 
-	limit := jp.q.Eps * jp.q.Eps
 	n := len(entries)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n && n > 0 {
@@ -841,11 +843,9 @@ func (s *Sharded) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, Exec
 	}
 
 	type partial struct {
-		pairs      []JoinPair
-		terms      int64
-		candidates []int // by outer row's shard
-		results    []int
-		err        error
+		pairs []JoinPair
+		sts   []ExecStats // by outer row's shard
+		err   error
 	}
 	results := make([]partial, workers)
 	var wg sync.WaitGroup
@@ -854,8 +854,8 @@ func (s *Sharded) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, Exec
 		go func(w int) {
 			defer wg.Done()
 			out := &results[w]
-			out.candidates = make([]int, len(s.shards))
-			out.results = make([]int, len(s.shards))
+			out.sts = make([]ExecStats, len(s.shards))
+			var pages [][]byte
 			for i := w; i < n; i += workers {
 				X, err := entries[i].sh.spectrum(entries[i].id)
 				if err != nil {
@@ -873,40 +873,14 @@ func (s *Sharded) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, Exec
 						rx[f] = jp.ra[f]*X[f] + jp.rb[f]
 					}
 				}
-				si := entries[i].si
+				st := &out.sts[entries[i].si]
+				found := len(out.pairs)
 				for j := i + 1; j < n; j++ {
-					view, err := entries[j].sh.specViewOf(entries[j].id)
-					if err != nil {
-						out.err = err
+					if out.pairs, out.err = entries[j].sh.scanInner(jp, entries[i].id, entries[j].id, lx, rx, earlyAbandon, &pages, st, out.pairs); out.err != nil {
 						return
 					}
-					if !jp.q.TwoSided {
-						out.candidates[si]++
-						sum, terms, ok := scanPairDist(lx, jp.la, jp.lb, view, limit, earlyAbandon)
-						out.terms += int64(terms)
-						if ok && sum <= limit {
-							out.pairs = append(out.pairs, orderedPair(entries[i].id, entries[j].id, math.Sqrt(sum)))
-							out.results[si]++
-						}
-						entries[j].sh.releaseSpecView(entries[j].id, view)
-						continue
-					}
-					out.candidates[si]++
-					sum, terms, ok := scanPairDist(lx, jp.ra, jp.rb, view, limit, earlyAbandon)
-					out.terms += int64(terms)
-					if ok && sum <= limit {
-						out.pairs = append(out.pairs, JoinPair{A: entries[i].id, B: entries[j].id, Dist: math.Sqrt(sum)})
-						out.results[si]++
-					}
-					out.candidates[si]++
-					sum, terms, ok = scanPairDist(rx, jp.la, jp.lb, view, limit, earlyAbandon)
-					out.terms += int64(terms)
-					if ok && sum <= limit {
-						out.pairs = append(out.pairs, JoinPair{A: entries[j].id, B: entries[i].id, Dist: math.Sqrt(sum)})
-						out.results[si]++
-					}
-					entries[j].sh.releaseSpecView(entries[j].id, view)
 				}
+				st.Results += len(out.pairs) - found
 			}
 		}(w)
 	}
@@ -925,17 +899,19 @@ func (s *Sharded) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, Exec
 			return nil, st, fmt.Errorf("core: sharded join worker: %w", r.err)
 		}
 		out = append(out, r.pairs...)
-		st.DistanceTerms += r.terms
-		for si := range r.candidates {
-			st.Candidates += r.candidates[si]
-			st.Shards[si].Candidates += r.candidates[si]
-			st.Shards[si].Results += r.results[si]
+		for si, part := range r.sts {
+			st.DistanceTerms += part.DistanceTerms
+			st.Candidates += part.Candidates
+			st.HeadResolved += part.HeadResolved
+			st.Shards[si].Candidates += part.Candidates
+			st.Shards[si].HeadResolved += part.HeadResolved
+			st.Shards[si].Results += part.Results
 		}
 	}
 	sortPairs(out)
 	st.Results = len(out)
 	st.PageReads = s.pageReadsLocked() - reads0
-	st.Spans = []Span{span("scan", scanD), span("merge", mergeT.Elapsed())}
+	st.Spans = []Span{workSpan("scan", scanD, &st), span("merge", mergeT.Elapsed())}
 	st.Elapsed = timer.Elapsed()
 	return out, st, nil
 }
@@ -957,12 +933,9 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 	reads0 := s.pageReadsLocked()
 
 	type partial struct {
-		pairs        []JoinPair
-		nodeAccesses int
-		candidates   int
-		terms        int64
-		elapsed      time.Duration
-		err          error
+		pairs []JoinPair
+		st    ExecStats
+		err   error
 	}
 	results := make([]partial, len(s.shards))
 	var wg sync.WaitGroup
@@ -972,8 +945,9 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 			defer wg.Done()
 			shTimer := stats.StartTimer()
 			out := &results[pi]
-			defer func() { out.elapsed = shTimer.Elapsed() }()
+			defer func() { out.st.Elapsed = shTimer.Elapsed() }()
 			probe := s.shards[pi]
+			var pages [][]byte
 			for _, qid := range probe.ids {
 				qp := probe.points[qid]
 				tq := qp
@@ -991,7 +965,7 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 				}
 				for _, target := range s.shards {
 					cands, searchStats := target.idx.Range(tq, jp.q.Eps, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune)
-					out.nodeAccesses += searchStats.NodesVisited
+					out.st.NodeAccesses += searchStats.NodesVisited
 					for _, c := range cands {
 						if c.ID == qid {
 							continue
@@ -999,13 +973,12 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 						if selfOnce && c.ID < qid {
 							continue
 						}
-						out.candidates++
-						within, dist, terms, err := target.viewTransformedWithin(c.ID, jp.la, jp.lb, tQ, jp.q.Eps)
+						out.st.Candidates++
+						within, dist, err := target.verifyFreq(&out.st, &pages, c.ID, jp.la, jp.lb, tQ, jp.q.Eps)
 						if err != nil {
 							out.err = err
 							return
 						}
-						out.terms += int64(terms)
 						if within {
 							if jp.q.TwoSided {
 								out.pairs = append(out.pairs, JoinPair{A: c.ID, B: qid, Dist: dist})
@@ -1030,15 +1003,17 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 			return nil, ExecStats{}, fmt.Errorf("core: sharded join worker: %w", r.err)
 		}
 		out = append(out, r.pairs...)
-		st.NodeAccesses += r.nodeAccesses
-		st.Candidates += r.candidates
-		st.DistanceTerms += r.terms
+		st.NodeAccesses += r.st.NodeAccesses
+		st.Candidates += r.st.Candidates
+		st.HeadResolved += r.st.HeadResolved
+		st.DistanceTerms += r.st.DistanceTerms
 		st.Shards[pi] = ShardExec{
 			Shard:        pi,
-			NodeAccesses: r.nodeAccesses,
-			Candidates:   r.candidates,
+			NodeAccesses: r.st.NodeAccesses,
+			Candidates:   r.st.Candidates,
+			HeadResolved: r.st.HeadResolved,
 			Results:      len(r.pairs),
-			Elapsed:      r.elapsed,
+			Elapsed:      r.st.Elapsed,
 		}
 	}
 	sortPairs(out)

@@ -23,12 +23,21 @@ type Span struct {
 	Shard int
 	// Duration is the span's wall time.
 	Duration time.Duration
+	// HeadResolved is set on "search" and "scan" spans: the candidates the
+	// step verified without opening their pages (ExecStats.HeadResolved).
+	HeadResolved int
 	// Children are the nested steps, in execution order.
 	Children []Span
 }
 
 func span(name string, d time.Duration, children ...Span) Span {
 	return Span{Name: name, Shard: -1, Duration: d, Children: children}
+}
+
+// workSpan is the span of an execution's filter-and-verify step ("search"
+// or "scan"), carrying what the step resolved in the spectrum heads.
+func workSpan(name string, d time.Duration, st *ExecStats) Span {
+	return Span{Name: name, Shard: -1, Duration: d, HeadResolved: st.HeadResolved}
 }
 
 func shardSpan(shard int, d time.Duration) Span {
@@ -65,7 +74,7 @@ func finishExec(pl *plan.Plan, st *ExecStats, spans []Span) {
 // keeps the steady-state hot path allocation-free.
 func finishExecSpans(pl *plan.Plan, st *ExecStats, searchD, mergeD time.Duration) {
 	if telemetry.Enabled() || pl.Trace {
-		finishExec(pl, st, []Span{span("search", searchD), span("merge", mergeD)})
+		finishExec(pl, st, []Span{workSpan("search", searchD, st), span("merge", mergeD)})
 		return
 	}
 	finishExec(pl, st, nil)

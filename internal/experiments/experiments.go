@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/relation"
 	"repro/internal/transform"
 )
 
@@ -87,6 +88,29 @@ func msPerQuery(queries int, fn func(i int) error) (float64, error) {
 // were I/O-shaped. See EXPERIMENTS.md for the calibration.
 const PageCostMs = 0.05
 
+// headsPerPage is how many resident spectrum heads (relation.HeadCoeffs
+// coefficients of 16 bytes) a 4 KiB page of the 1997 model holds.
+const headsPerPage = 4096 / (16 * relation.HeadCoeffs)
+
+// modeledPages prices one execution's storage reads for the 1997 model.
+// The engine verifies a candidate off the first relation.HeadCoeffs
+// coefficients of its spectrum, which it keeps in memory, and opens the
+// record's pages only when those cannot decide — so ExecStats.PageReads,
+// for index and scan methods alike, now counts little more than the answer
+// set's neighbourhood (by Lemma 1 the same records either way), and on its
+// own would price a scan of the whole relation like an index probe. A 1997
+// system would hold the heads in a page file of their own, so the model
+// charges them as page reads: one page per candidate for an index method,
+// which reaches heads in index order, and one page per headsPerPage
+// candidates for a scan (sequential), which sweeps them in storage order.
+func modeledPages(st core.ExecStats, sequential bool) int64 {
+	heads := int64(st.Candidates)
+	if sequential {
+		heads = (heads + headsPerPage - 1) / headsPerPage
+	}
+	return st.PageReads + heads
+}
+
 // Modeled returns the modeled duration in milliseconds for a measured
 // duration plus page reads.
 func Modeled(measuredMs float64, pages int64) float64 {
@@ -101,7 +125,8 @@ type TimingPoint struct {
 	A, B float64
 	// NodesA and NodesB are mean index node accesses where applicable.
 	NodesA, NodesB float64
-	// PagesA and PagesB are mean relation page reads per query.
+	// PagesA and PagesB are mean modeled page reads per query (see
+	// modeledPages).
 	PagesA, PagesB float64
 }
 
@@ -256,7 +281,7 @@ func indexVsScan(length, count int, cfg Config) (TimingPoint, error) {
 		_, st, err := db.RangeIndexed(core.RangeQuery{
 			Values: vals, Eps: cfg.Eps, Transform: mavg, BothSides: true,
 		})
-		pagesIndex += st.PageReads
+		pagesIndex += modeledPages(st, false)
 		return err
 	})
 	if err != nil {
@@ -270,7 +295,7 @@ func indexVsScan(length, count int, cfg Config) (TimingPoint, error) {
 		_, st, err := db.RangeScanFreq(core.RangeQuery{
 			Values: vals, Eps: cfg.Eps, Transform: mavg, BothSides: true,
 		})
-		pagesScan += st.PageReads
+		pagesScan += modeledPages(st, true)
 		return err
 	})
 	if err != nil {
@@ -332,7 +357,7 @@ func Figure12(epsValues []float64, cfg Config) ([]Figure12Point, error) {
 				Values: vals, Eps: eps, Transform: mavg, BothSides: true,
 			})
 			answers += len(res)
-			pagesIndex += st.PageReads
+			pagesIndex += modeledPages(st, false)
 			return err
 		})
 		if err != nil {
@@ -346,7 +371,7 @@ func Figure12(epsValues []float64, cfg Config) ([]Figure12Point, error) {
 			_, st, err := db.RangeScanFreq(core.RangeQuery{
 				Values: vals, Eps: eps, Transform: mavg, BothSides: true,
 			})
-			pagesScan += st.PageReads
+			pagesScan += modeledPages(st, true)
 			return err
 		})
 		if err != nil {
@@ -370,7 +395,7 @@ type Table1Row struct {
 	Method        string
 	Elapsed       time.Duration
 	AnswerSize    int
-	PageReads     int64
+	PageReads     int64 // modeled, see modeledPages
 	DistanceTerms int64
 }
 
@@ -405,7 +430,7 @@ func Table1(cfg Config) ([]Table1Row, error) {
 			Method:        m.String(),
 			Elapsed:       st.Elapsed,
 			AnswerSize:    len(pairs),
-			PageReads:     st.PageReads,
+			PageReads:     modeledPages(st, m == core.JoinScanNaive || m == core.JoinScanEarlyAbandon),
 			DistanceTerms: st.DistanceTerms,
 		})
 	}

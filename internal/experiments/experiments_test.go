@@ -49,8 +49,9 @@ func TestFigure9Shape(t *testing.T) {
 
 func TestFigure10And11IndexBeatsScan(t *testing.T) {
 	// On modeled (I/O-inclusive) time, the paper's shape: index wins, and
-	// the margin is driven by the scan touching every relation page while
-	// the index touches a few dozen.
+	// the margin is driven by the scan reading every record's spectrum head
+	// (a page per sixteen) while the index reads its candidates' (a page
+	// apiece); the record pages either opens past the heads are the same.
 	pts, err := Figure10([]int{128}, 600, Config{Queries: 10, Seed: 3, Eps: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"sync"
 	"time"
+
+	"repro/internal/relation"
 )
 
 // Calibration probe shapes: sized like the production hot path (a K=2
@@ -14,36 +16,48 @@ import (
 const (
 	calCoeffs    = 64 // spectrum coefficients one full verification walks
 	calAbandon   = 3  // coefficients an early-abandoned check touches
+	calRecords   = 64 // stored spectra the verification probes cycle through
 	calNodeDims  = 6  // feature dimensions per rectangle compare
 	calNodeSlots = 40 // entries per index node (default fan-out)
-	// calBudget bounds one primitive's measurement; three primitives keep
-	// a cold Calibrate call around half a millisecond.
-	calBudget = 150 * time.Microsecond
+	// calBudget is one primitive's share of the measurement; three
+	// primitives keep a cold Calibrate call a little over a millisecond. (A
+	// verification that leaves the head takes several hundred nanoseconds,
+	// so batches of them need this much to repeat often enough for the
+	// minimum to mean something.) calMinBatches is the floor on samples
+	// per primitive however the budget went.
+	calBudget     = 400 * time.Microsecond
+	calMinBatches = 16
 )
 
 // calSink defeats dead-code elimination of the probe loops.
 var calSink float64
 
-// timePrimitive measures op's steady cost in nanoseconds by running
-// batches until the time budget is spent, returning the fastest batch
-// (minimum filters scheduler noise the way benchmark medians do, but
-// cheaper).
-func timePrimitive(op func()) float64 {
-	const batch = 64
-	best := math.Inf(1)
-	deadline := time.Now().Add(calBudget)
-	for {
-		t0 := time.Now()
-		for i := 0; i < batch; i++ {
-			op()
-		}
-		if ns := float64(time.Since(t0).Nanoseconds()) / batch; ns > 0 && ns < best {
-			best = ns
-		}
-		if !time.Now().Before(deadline) {
-			return best
+// timePrimitives measures the ops' steady costs in nanoseconds, returning
+// each one's fastest batch (minimum filters scheduler noise the way
+// benchmark medians do, but cheaper). The ops take turns, batch by batch,
+// until the time budget is spent and every one has been sampled
+// calMinBatches times: whatever else the machine is doing then slows the
+// same stretch of every primitive, not the whole of one, and a batch that
+// sat out a preemption is one sample among many, never the only one.
+func timePrimitives(ops ...func()) []float64 {
+	const batch = 16
+	best := make([]float64, len(ops))
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	deadline := time.Now().Add(time.Duration(len(ops)) * calBudget)
+	for rounds := 0; rounds < calMinBatches || time.Now().Before(deadline); rounds++ {
+		for i, op := range ops {
+			t0 := time.Now()
+			for n := 0; n < batch; n++ {
+				op()
+			}
+			if ns := float64(time.Since(t0).Nanoseconds()) / batch; ns > 0 && ns < best[i] {
+				best[i] = ns
+			}
 		}
 	}
+	return best
 }
 
 // clampRatio bounds a measured cost ratio to [def/2, 2*def]: calibration
@@ -60,26 +74,31 @@ func clampRatio(measured, def float64) float64 {
 
 // Reference probe ratios: what rawProbeRatios measures on the machine
 // the default cost constants were hand-tuned on. Calibration scales each
-// default by measured/reference — the probes time pure inner-loop
-// arithmetic and cannot see the per-operation fixed overheads (record
-// opening, view setup) the defaults price in, so the absolute probe
+// default by measured/reference — the probes run on a 64-record store in
+// cache and cannot see what a real store adds (the id map and slab misses
+// of a large relation, a buffer pool's faults), so the absolute probe
 // ratios mean nothing; only their drift from the reference machine does.
 // On the reference machine itself, Calibrate returns the defaults.
 const (
-	calRefCheckRatio = 0.058 // check/verify probe ratio at default capture
-	calRefNodeRatio  = 2.05  // node/verify probe ratio at default capture
+	calRefCheckRatio = 0.109 // check/verify probe ratio at default capture
+	calRefNodeRatio  = 0.79  // node/verify probe ratio at default capture
 )
 
 // rawProbeRatios times the three primitive probes and returns the full-
 // verification cost in nanoseconds plus the check/verify and node/verify
-// ratios:
+// ratios. Both verification probes read stored spectra the way the engine
+// does — the record's resident head first, its pages only for a term past
+// the head — so the ratio follows what the two outcomes of a candidate
+// really cost here, a head hit against a page view, and not their
+// arithmetic alone:
 //
 //   - full verification: a transformed distance accumulation across all
 //     calCoeffs spectrum coefficients (the a*x+b-q multiply-add loop of
-//     the exact check, ending in a square root);
+//     the exact check, ending in a square root), which walks out of the
+//     head, takes the record's page view and decodes the rest from it;
 //   - early-abandoned check: the same loop abandoning after calAbandon
-//     coefficients — the per-series cost of the frequency-domain scan
-//     and the per-pair cost of the nested scan join;
+//     coefficients, inside the head — the per-series cost of the
+//     frequency-domain scan and the per-pair cost of the nested scan join;
 //   - node access: a rectangle intersect-and-mindist pass over
 //     calNodeSlots entries of calNodeDims dimensions — the per-node cost
 //     of an index traversal.
@@ -91,11 +110,42 @@ func rawProbeRatios() (verifyNS, checkRatio, nodeRatio float64) {
 		qb[i] = complex(0.1*f, -0.05*f)
 		qq[i] = cmplx.Rect(1/f, f)
 	}
+	rel := relation.New(0)
+	rel.KeepHeads()
+	for id := int64(0); id < calRecords; id++ {
+		if err := rel.Insert(id, relation.EncodeComplex(qq[:])); err != nil {
+			return 0, 0, 0
+		}
+	}
+	var (
+		next  int64
+		pages [][]byte
+	)
 	verify := func(stop int) {
-		sum := 0.0
+		v, err := rel.View(next % calRecords)
+		if err != nil {
+			return
+		}
+		next++
+		sum, paged := 0.0, false
 		for f := 0; f < stop; f++ {
-			d := qa[f]*qq[f] + qb[f] - qq[(f+7)%calCoeffs]
+			var x complex128
+			if f < len(v.Head) {
+				x = v.Head[f]
+			} else {
+				if !paged {
+					if pages, err = rel.ViewPagesInto(v, pages[:0]); err != nil {
+						return
+					}
+					paged = true
+				}
+				x = relation.ComplexAt(pages, rel.PageSize(), f)
+			}
+			d := qa[f]*x + qb[f] - qq[(f+7)%calCoeffs]
 			sum += real(d)*real(d) + imag(d)*imag(d)
+		}
+		if paged {
+			rel.ReleaseView(v)
 		}
 		calSink += math.Sqrt(sum)
 	}
@@ -128,13 +178,11 @@ func rawProbeRatios() (verifyNS, checkRatio, nodeRatio float64) {
 		calSink += sum + float64(hits)
 	}
 
-	verifyNS = timePrimitive(func() { verify(calCoeffs) })
-	checkNS := timePrimitive(func() { verify(calAbandon) })
-	nodeNS := timePrimitive(node)
-	if verifyNS <= 0 || math.IsInf(verifyNS, 1) {
+	ns := timePrimitives(func() { verify(calCoeffs) }, func() { verify(calAbandon) }, node)
+	if verifyNS = ns[0]; verifyNS <= 0 || math.IsInf(verifyNS, 1) {
 		return 0, 0, 0
 	}
-	return verifyNS, checkNS / verifyNS, nodeNS / verifyNS
+	return verifyNS, ns[1] / verifyNS, ns[2] / verifyNS
 }
 
 // Calibrate measures the planner's primitive-operation costs on the

@@ -68,7 +68,11 @@ func TestDiskRelationParity(t *testing.T) {
 			}
 		}
 		// Pinned page views must match the copied read too.
-		pages, err := disk.ViewPagesInto(id, nil)
+		v, err := disk.View(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, err := disk.ViewPagesInto(v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +83,7 @@ func TestDiskRelationParity(t *testing.T) {
 		if got != 8*len(a) {
 			t.Fatalf("id %d: view covers %d bytes, want %d", id, got, 8*len(a))
 		}
-		disk.ReleaseView(id)
+		disk.ReleaseView(v)
 	}
 	if info, ok := disk.PoolInfo(); !ok {
 		t.Fatal("disk relation must report pool info")

@@ -7,7 +7,10 @@
 // "within the first few coefficients", Section 5).
 //
 // Records are encoded with encoding/binary (little endian) and may span
-// pages; all access is charged to the underlying pagefile's counters.
+// pages; all page access is charged to the underlying pagefile's counters.
+// The frequency-domain relation also keeps every record's first HeadCoeffs
+// coefficients resident (KeepHeads, View), so a distance computation that
+// abandons "within the first few coefficients" never reaches a page.
 package relation
 
 import (
@@ -20,9 +23,28 @@ import (
 	"repro/internal/pagefile"
 )
 
-// location identifies a stored record.
+// HeadCoeffs is H, the number of leading complex coefficients of every
+// record that a relation keeping heads (KeepHeads) holds resident beside
+// the pages. It is a constant, not a knob, chosen from a measurement on
+// the benchmark's data shape (20,000 x 256 random walks in families of
+// four, NN k = 10): an index candidate accumulates 8 distance terms on
+// average before it is abandoned (p99 17), and a 16-coefficient prefix
+// test against the final k-th distance dismisses all but 169 of 20,000
+// records (711 at 8 coefficients, 52 at 32) — so 256 bytes per record
+// decide nearly every candidate without touching its pages.
+const HeadCoeffs = 16
+
+// headChunkSlots is the number of head slots (HeadCoeffs coefficients
+// apiece) per slab chunk: 64 KiB. The slab grows a chunk at a time and never
+// moves a head, so loading a large store leaves no reallocation garbage
+// behind and a sweep in insertion order still reads memory front to back.
+const headChunkSlots = 256
+
+// location identifies a stored record: its page range and, in a relation
+// keeping heads, its slot in the slab — one map lookup yields both.
 type location struct {
 	firstPage, pageCount int
+	slot, headLen        int32 // the first headLen coefficients of slab slot `slot`
 }
 
 // Relation is an insert-only table of float64 vectors keyed by int64 IDs.
@@ -36,7 +58,8 @@ type location struct {
 // a mandatory buffer pool, views are pinned frames that the reader must
 // give back with ReleaseView). The access surface is identical; only the
 // release discipline differs, and ReleaseView is a no-op for memory
-// relations so callers can always pair view and release.
+// relations so callers can always pair page view and release. The heads of
+// a relation keeping them are memory either way.
 type Relation struct {
 	file pagefile.Backing
 	mem  *pagefile.File     // non-nil iff memory-backed
@@ -44,6 +67,15 @@ type Relation struct {
 	pool *pagefile.BufferPool
 	locs map[int64]location
 	ids  []int64 // insertion order, for deterministic scans
+	// heads is the resident slab of a relation keeping heads: the first
+	// min(HeadCoeffs, n) complex coefficients of every record, one slot per
+	// record in insertion order, in chunks of headChunkSlots slots. It is
+	// derived state — rebuilt from the records on every load, never
+	// persisted — and every write that changes a record's pages rewrites its
+	// head in the same call, so the two cannot disagree.
+	heads     [][]complex128
+	slots     int32 // slots handed out
+	keepHeads bool
 }
 
 // New creates an empty relation over a fresh in-memory page file with the
@@ -88,6 +120,59 @@ func NewDisk(path string, pageSize, cachePages int) (*Relation, error) {
 	}, nil
 }
 
+// KeepHeads makes the relation hold the first HeadCoeffs complex
+// coefficients of every record resident (see View). The store's
+// frequency-domain relation keeps heads; the time-domain relation does not.
+// It must be called before the first insert.
+func (r *Relation) KeepHeads() {
+	if len(r.ids) != 0 {
+		panic("relation: KeepHeads on a non-empty relation")
+	}
+	r.keepHeads = true
+}
+
+// head returns the filled part of a location's slab slot.
+func (r *Relation) head(loc location) []complex128 {
+	if loc.headLen == 0 {
+		return nil
+	}
+	off := int(loc.slot%headChunkSlots) * HeadCoeffs
+	return r.heads[loc.slot/headChunkSlots][off : off+int(loc.headLen) : off+int(loc.headLen)]
+}
+
+// newSlot hands out the next slab slot (0 in a relation keeping no heads).
+func (r *Relation) newSlot() int32 {
+	if !r.keepHeads {
+		return 0
+	}
+	if int(r.slots) == len(r.heads)*headChunkSlots {
+		r.heads = append(r.heads, make([]complex128, headChunkSlots*HeadCoeffs))
+	}
+	r.slots++
+	return r.slots - 1
+}
+
+// place builds the location of an encoded record (little-endian
+// interleaved (re, im) float64 pairs) stored in the given pages and fills
+// its slab slot from the bytes.
+func (r *Relation) place(first, count int, slot int32, data []byte) location {
+	loc := location{firstPage: first, pageCount: count, slot: slot}
+	if r.keepHeads {
+		loc.headLen = int32(min(len(data)/16, HeadCoeffs))
+	}
+	for i, head := 0, r.head(loc); i < len(head); i++ {
+		head[i] = complexOf(data, i)
+	}
+	return loc
+}
+
+// complexOf decodes the i-th (re, im) pair of an encoded record.
+func complexOf(data []byte, i int) complex128 {
+	return complex(
+		math.Float64frombits(binary.LittleEndian.Uint64(data[16*i:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:])))
+}
+
 // Close releases the backing storage (removing the scratch file of a disk
 // relation). The relation must not be used afterwards. No-op for memory
 // relations.
@@ -118,11 +203,16 @@ func (r *Relation) Insert(id int64, vec []float64) error {
 	if _, ok := r.locs[id]; ok {
 		return fmt.Errorf("relation: duplicate id %d", id)
 	}
-	first, count, err := r.file.AppendPages(encodeFloats(vec))
+	return r.insertEncoded(id, encodeFloats(vec))
+}
+
+// insertEncoded appends an encoded record's pages and head under a fresh id.
+func (r *Relation) insertEncoded(id int64, data []byte) error {
+	first, count, err := r.file.AppendPages(data)
 	if err != nil {
 		return err
 	}
-	r.locs[id] = location{firstPage: first, pageCount: count}
+	r.locs[id] = r.place(first, count, r.newSlot(), data)
 	r.ids = append(r.ids, id)
 	return nil
 }
@@ -140,13 +230,7 @@ func (r *Relation) InsertRaw(id int64, data []byte) error {
 	if _, ok := r.locs[id]; ok {
 		return fmt.Errorf("relation: duplicate id %d", id)
 	}
-	first, count, err := r.file.AppendPages(data)
-	if err != nil {
-		return err
-	}
-	r.locs[id] = location{firstPage: first, pageCount: count}
-	r.ids = append(r.ids, id)
-	return nil
+	return r.insertEncoded(id, data)
 }
 
 // InsertOwned is InsertRaw transferring ownership of data's memory to the
@@ -165,7 +249,7 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 		return fmt.Errorf("relation: duplicate id %d", id)
 	}
 	first, count := r.mem.AppendOwned(data)
-	r.locs[id] = location{firstPage: first, pageCount: count}
+	r.locs[id] = r.place(first, count, r.newSlot(), data)
 	r.ids = append(r.ids, id)
 	return nil
 }
@@ -177,7 +261,8 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 // buffer pool stays coherent for free because pool entries reference the
 // same page buffers. A size-changing replacement falls back to appending a
 // fresh copy and repointing the record, leaving the old pages orphaned
-// until Compact (exactly like Delete).
+// until Compact (exactly like Delete). Either way the record keeps its slab
+// slot and the head in it is rewritten in the same call.
 func (r *Relation) Replace(id int64, vec []float64) error {
 	loc, ok := r.locs[id]
 	if !ok {
@@ -192,17 +277,18 @@ func (r *Relation) Replace(id int64, vec []float64) error {
 	} else {
 		err = r.file.Overwrite(loc.firstPage, loc.pageCount, data)
 	}
-	if err == nil {
-		return nil
+	first, count := loc.firstPage, loc.pageCount
+	if errors.Is(err, pagefile.ErrSizeMismatch) {
+		first, count, err = r.file.AppendPages(data)
 	}
-	if !errors.Is(err, pagefile.ErrSizeMismatch) {
-		return err
-	}
-	first, count, err := r.file.AppendPages(data)
 	if err != nil {
 		return err
 	}
-	r.locs[id] = location{firstPage: first, pageCount: count}
+	// An in-place rewrite leaves the location as it was: the streaming
+	// append takes this path on every call and need not touch the map.
+	if placed := r.place(first, count, loc.slot, data); placed != loc {
+		r.locs[id] = placed
+	}
 	return nil
 }
 
@@ -281,41 +367,52 @@ func (r *Relation) Get(id int64) ([]float64, error) {
 // modify the returned slice.
 func (r *Relation) IDs() []int64 { return r.ids }
 
-// ViewPages returns direct (read-only) references to the pages holding the
-// record, charging page reads without copying or decoding. Combined with
-// ComplexAt this lets distance computations deserialize coefficients
-// lazily, so early abandonment skips both arithmetic and decoding — the
-// behavior the paper's scan baseline relies on.
-func (r *Relation) ViewPages(id int64) ([][]byte, error) {
-	return r.ViewPagesInto(id, nil)
+// View is a handle on one stored record: its resident head and the
+// location of its pages. Taking one costs the id lookup and nothing else —
+// a reader that decides within Head never reaches the page file or its
+// buffer pool at all.
+type View struct {
+	// Head holds the record's first min(HeadCoeffs, n) complex coefficients
+	// (read-only; empty in a relation that keeps no heads). It is valid
+	// until the next write to the relation.
+	Head []complex128
+	loc  location
 }
 
-// ViewPagesInto is ViewPages appending the page views to buf (pass buf[:0]
-// to reuse its backing array), so steady-state readers allocate nothing.
-// For a disk relation the returned pages are pinned buffer-pool frames:
-// the caller must call ReleaseView(id) when done (safe and free to call
-// for memory relations too).
-func (r *Relation) ViewPagesInto(id int64, buf [][]byte) ([][]byte, error) {
+// View opens the record stored under id.
+func (r *Relation) View(id int64) (View, error) {
 	loc, ok := r.locs[id]
 	if !ok {
-		return nil, fmt.Errorf("relation: id %d not found", id)
+		return View{}, fmt.Errorf("relation: id %d not found", id)
 	}
-	if r.pool != nil {
-		return r.pool.ViewInto(loc.firstPage, loc.pageCount, buf)
-	}
-	return r.mem.ViewInto(loc.firstPage, loc.pageCount, buf)
+	return View{Head: r.head(loc), loc: loc}, nil
 }
 
-// ReleaseView drops the pins taken by a ViewPages/ViewPagesInto of the
-// same record. No-op (and allocation-free) for memory relations, so hot
-// loops can pair every view with a release unconditionally.
-func (r *Relation) ReleaseView(id int64) {
+// ViewPagesInto appends direct (read-only) references to the pages holding
+// the viewed record to buf (pass buf[:0] to reuse its backing array, so
+// steady-state readers allocate nothing), charging page reads without
+// copying or decoding. Combined with ComplexAt this lets distance
+// computations deserialize coefficients lazily, so early abandonment skips
+// both arithmetic and decoding — the behavior the paper's scan baseline
+// relies on. For a disk relation the returned pages are pinned buffer-pool
+// frames: the caller must call ReleaseView(v) when done (safe and free to
+// call for memory relations too).
+func (r *Relation) ViewPagesInto(v View, buf [][]byte) ([][]byte, error) {
+	if r.pool != nil {
+		return r.pool.ViewInto(v.loc.firstPage, v.loc.pageCount, buf)
+	}
+	return r.mem.ViewInto(v.loc.firstPage, v.loc.pageCount, buf)
+}
+
+// ReleaseView drops the pins taken by a ViewPagesInto of the same view.
+// No-op (and allocation-free) for memory relations. It must be called once
+// per successful ViewPagesInto and not otherwise: releasing a view whose
+// pages were never taken could drop a pin another reader holds on them.
+func (r *Relation) ReleaseView(v View) {
 	if r.disk == nil || r.pool == nil {
 		return
 	}
-	if loc, ok := r.locs[id]; ok {
-		r.pool.Release(loc.firstPage, loc.pageCount)
-	}
+	r.pool.Release(v.loc.firstPage, v.loc.pageCount)
 }
 
 // ComplexAt decodes the i-th complex coefficient from a record's page view

@@ -5,6 +5,20 @@ import (
 	"testing"
 )
 
+// viewPages opens a record and takes its page views in one step.
+func viewPages(t *testing.T, r *Relation, id int64) [][]byte {
+	t.Helper()
+	v, err := r.View(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, err := r.ViewPagesInto(v, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pages
+}
+
 func TestViewPagesAndComplexAt(t *testing.T) {
 	// Page size 64 bytes = 4 complex128 per page; a record of 10
 	// coefficients spans 3 pages.
@@ -17,10 +31,7 @@ func TestViewPagesAndComplexAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.ResetStats()
-	pages, err := r.ViewPages(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pages := viewPages(t, r, 1)
 	if len(pages) != 3 {
 		t.Fatalf("record spans %d pages, want 3", len(pages))
 	}
@@ -43,10 +54,7 @@ func TestComplexAtCrossPageImaginary(t *testing.T) {
 	if err := r.Insert(9, EncodeComplex(coeffs)); err != nil {
 		t.Fatal(err)
 	}
-	pages, err := r.ViewPages(9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pages := viewPages(t, r, 9)
 	for i, want := range coeffs {
 		if got := ComplexAt(pages, 24, i); got != want {
 			t.Fatalf("ComplexAt(%d) = %v, want %v", i, got, want)
@@ -54,9 +62,9 @@ func TestComplexAtCrossPageImaginary(t *testing.T) {
 	}
 }
 
-func TestViewPagesMissing(t *testing.T) {
+func TestViewMissing(t *testing.T) {
 	r := New(0)
-	if _, err := r.ViewPages(42); err == nil {
+	if _, err := r.View(42); err == nil {
 		t.Fatal("missing id should fail")
 	}
 }

@@ -40,7 +40,10 @@ type StatsPayload struct {
 	NodeAccesses int     `json:"node_accesses"`
 	PageReads    int64   `json:"page_reads"`
 	Candidates   int     `json:"candidates"`
-	Cached       bool    `json:"cached"`
+	// HeadResolved is how many of Candidates were decided in the resident
+	// spectrum heads, without opening the record's pages.
+	HeadResolved int  `json:"head_resolved"`
+	Cached       bool `json:"cached"`
 	// RequestID is the execution's correlation ID: the same ID the
 	// response's X-TSQ-Request-ID header, the server's log lines, the
 	// slow-query log, and GET /traces carry for this request.
@@ -62,6 +65,7 @@ func toStatsPayload(st tsq.Stats) StatsPayload {
 		NodeAccesses:   st.NodeAccesses,
 		PageReads:      st.PageReads,
 		Candidates:     st.Candidates,
+		HeadResolved:   st.HeadResolved,
 		Cached:         st.Cached,
 		RequestID:      st.RequestID,
 		Delta:          st.Delta,
@@ -123,9 +127,12 @@ type TracePayload struct {
 type SpanPayload struct {
 	Name string `json:"name"`
 	// Shard is the shard index of per-shard spans; -1 otherwise.
-	Shard      int           `json:"shard"`
-	DurationUS float64       `json:"duration_us"`
-	Children   []SpanPayload `json:"children,omitempty"`
+	Shard      int     `json:"shard"`
+	DurationUS float64 `json:"duration_us"`
+	// HeadResolved, on "search" and "scan" spans, is the candidates the
+	// step verified without opening their pages.
+	HeadResolved int           `json:"head_resolved,omitempty"`
+	Children     []SpanPayload `json:"children,omitempty"`
 }
 
 func toSpanPayloads(spans []tsq.SpanInfo) []SpanPayload {
@@ -135,10 +142,11 @@ func toSpanPayloads(spans []tsq.SpanInfo) []SpanPayload {
 	out := make([]SpanPayload, len(spans))
 	for i, sp := range spans {
 		out[i] = SpanPayload{
-			Name:       sp.Name,
-			Shard:      sp.Shard,
-			DurationUS: float64(sp.Duration) / float64(time.Microsecond),
-			Children:   toSpanPayloads(sp.Children),
+			Name:         sp.Name,
+			Shard:        sp.Shard,
+			DurationUS:   float64(sp.Duration) / float64(time.Microsecond),
+			HeadResolved: sp.HeadResolved,
+			Children:     toSpanPayloads(sp.Children),
 		}
 	}
 	return out
@@ -151,10 +159,11 @@ func fromSpanPayloads(spans []SpanPayload) []tsq.SpanInfo {
 	out := make([]tsq.SpanInfo, len(spans))
 	for i, sp := range spans {
 		out[i] = tsq.SpanInfo{
-			Name:     sp.Name,
-			Shard:    sp.Shard,
-			Duration: time.Duration(sp.DurationUS * float64(time.Microsecond)),
-			Children: fromSpanPayloads(sp.Children),
+			Name:         sp.Name,
+			Shard:        sp.Shard,
+			Duration:     time.Duration(sp.DurationUS * float64(time.Microsecond)),
+			HeadResolved: sp.HeadResolved,
+			Children:     fromSpanPayloads(sp.Children),
 		}
 	}
 	return out
@@ -201,6 +210,7 @@ type ExplainPayload struct {
 	RectHi             []float64          `json:"rect_hi,omitempty"`
 	ActualCandidates   int                `json:"actual_candidates"`
 	ActualNodeAccesses int                `json:"actual_node_accesses"`
+	ActualHeadResolved int                `json:"actual_head_resolved"`
 	PerShard           []ShardExecPayload `json:"per_shard,omitempty"`
 	// Approximate-plan fields (APPROX delta > 0): the guaranteed
 	// (1+delta) error bound, the feature-ladder rung verification starts
@@ -218,6 +228,7 @@ type ShardExecPayload struct {
 	NodeAccesses int   `json:"node_accesses"`
 	PageReads    int64 `json:"page_reads"`
 	Candidates   int   `json:"candidates"`
+	HeadResolved int   `json:"head_resolved"`
 	Results      int   `json:"results"`
 }
 
@@ -243,6 +254,7 @@ func toExplainPayload(e *tsq.ExplainInfo) *ExplainPayload {
 		RectHi:             e.RectHi,
 		ActualCandidates:   e.ActualCandidates,
 		ActualNodeAccesses: e.ActualNodeAccesses,
+		ActualHeadResolved: e.ActualHeadResolved,
 		ApproxDelta:        e.ApproxDelta,
 		ApproxRung:         e.ApproxRung,
 		ApproxEstSpeedup:   e.ApproxEstSpeedup,
@@ -254,6 +266,7 @@ func toExplainPayload(e *tsq.ExplainInfo) *ExplainPayload {
 			NodeAccesses: sh.NodeAccesses,
 			PageReads:    sh.PageReads,
 			Candidates:   sh.Candidates,
+			HeadResolved: sh.HeadResolved,
 			Results:      sh.Results,
 		})
 	}
@@ -282,6 +295,7 @@ func fromExplainPayload(e *ExplainPayload) *tsq.ExplainInfo {
 		RectHi:             e.RectHi,
 		ActualCandidates:   e.ActualCandidates,
 		ActualNodeAccesses: e.ActualNodeAccesses,
+		ActualHeadResolved: e.ActualHeadResolved,
 		ApproxDelta:        e.ApproxDelta,
 		ApproxRung:         e.ApproxRung,
 		ApproxEstSpeedup:   e.ApproxEstSpeedup,
@@ -293,6 +307,7 @@ func fromExplainPayload(e *ExplainPayload) *tsq.ExplainInfo {
 			NodeAccesses: sh.NodeAccesses,
 			PageReads:    sh.PageReads,
 			Candidates:   sh.Candidates,
+			HeadResolved: sh.HeadResolved,
 			Results:      sh.Results,
 		})
 	}
@@ -470,6 +485,7 @@ type StatsResponse struct {
 	NodeAccesses  int64               `json:"node_accesses"`
 	PageReads     int64               `json:"page_reads"`
 	Candidates    int64               `json:"candidates"`
+	HeadResolved  int64               `json:"head_resolved"`
 	ElapsedUS     float64             `json:"elapsed_us"`
 	UptimeSeconds float64             `json:"uptime_seconds"`
 	Plans         []PlanRecordPayload `json:"plans,omitempty"`

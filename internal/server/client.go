@@ -292,6 +292,7 @@ func OutputFromResponse(resp *QueryResponse) *tsq.Output {
 			NodeAccesses:   resp.Stats.NodeAccesses,
 			PageReads:      resp.Stats.PageReads,
 			Candidates:     resp.Stats.Candidates,
+			HeadResolved:   resp.Stats.HeadResolved,
 			Cached:         resp.Stats.Cached,
 			RequestID:      resp.Stats.RequestID,
 			Delta:          resp.Stats.Delta,

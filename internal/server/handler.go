@@ -254,6 +254,7 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 		NodeAccesses:  st.NodeAccesses,
 		PageReads:     st.PageReads,
 		Candidates:    st.Candidates,
+		HeadResolved:  st.HeadResolved,
 		ElapsedUS:     float64(st.Elapsed.Microseconds()),
 		UptimeSeconds: st.Uptime.Seconds(),
 		Plans:         plans,

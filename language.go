@@ -72,9 +72,12 @@ type ExplainInfo struct {
 	RectLo []float64
 	RectHi []float64
 	// ActualCandidates and ActualNodeAccesses echo the execution's
-	// measured cost — EXPLAIN's "estimated vs actual".
+	// measured cost — EXPLAIN's "estimated vs actual" — and
+	// ActualHeadResolved how many of the candidates were decided in the
+	// resident spectrum heads, without a page.
 	ActualCandidates   int
 	ActualNodeAccesses int
+	ActualHeadResolved int
 	// ApproxDelta, ApproxRung, ApproxEstSpeedup, and ApproxTightness
 	// describe an approximate plan (APPROX delta > 0): the guaranteed
 	// (1+delta) error bound, the feature-ladder rung verification starts
@@ -96,6 +99,7 @@ type ShardExecInfo struct {
 	NodeAccesses int
 	PageReads    int64
 	Candidates   int
+	HeadResolved int
 	Results      int
 }
 
@@ -119,6 +123,7 @@ func explainFrom(pl *plan.Plan, st core.ExecStats) *ExplainInfo {
 		EstScanCost:        pl.Est.ScanCost,
 		ActualCandidates:   st.Candidates,
 		ActualNodeAccesses: st.NodeAccesses,
+		ActualHeadResolved: st.HeadResolved,
 	}
 	if pl.Approx != nil {
 		out.ApproxDelta = pl.Approx.Delta
@@ -136,6 +141,7 @@ func explainFrom(pl *plan.Plan, st core.ExecStats) *ExplainInfo {
 			NodeAccesses: sh.NodeAccesses,
 			PageReads:    sh.PageReads,
 			Candidates:   sh.Candidates,
+			HeadResolved: sh.HeadResolved,
 			Results:      sh.Results,
 		})
 	}

@@ -39,6 +39,10 @@ type Stats struct {
 	PageReads int64
 	// Candidates is how many series reached exact verification.
 	Candidates int
+	// HeadResolved is how many of them verification decided from the
+	// resident spectrum heads without opening the record's pages;
+	// Candidates - HeadResolved records had their pages opened.
+	HeadResolved int
 	// Cached reports that the result came from a Server's query cache;
 	// the remaining fields then describe the original execution.
 	Cached bool
@@ -74,6 +78,9 @@ type SpanInfo struct {
 	Shard int
 	// Duration is the span's wall time.
 	Duration time.Duration
+	// HeadResolved, on "search" and "scan" spans, is the candidates the
+	// step verified without opening their pages.
+	HeadResolved int
 	// Children are the nested steps, in execution order.
 	Children []SpanInfo
 }
@@ -85,10 +92,11 @@ func spansFrom(spans []core.Span) []SpanInfo {
 	out := make([]SpanInfo, len(spans))
 	for i, s := range spans {
 		out[i] = SpanInfo{
-			Name:     s.Name,
-			Shard:    s.Shard,
-			Duration: s.Duration,
-			Children: spansFrom(s.Children),
+			Name:         s.Name,
+			Shard:        s.Shard,
+			Duration:     s.Duration,
+			HeadResolved: s.HeadResolved,
+			Children:     spansFrom(s.Children),
 		}
 	}
 	return out
@@ -100,6 +108,7 @@ func fromExec(st core.ExecStats) Stats {
 		NodeAccesses: st.NodeAccesses,
 		PageReads:    st.PageReads,
 		Candidates:   st.Candidates,
+		HeadResolved: st.HeadResolved,
 		Strategy:     st.Strategy,
 		Spans:        spansFrom(st.Spans),
 		Delta:        st.Delta,

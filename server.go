@@ -107,6 +107,7 @@ type Server struct {
 	nodeAccesses atomic.Int64
 	pageReads    atomic.Int64
 	candidates   atomic.Int64
+	headResolved atomic.Int64
 	elapsed      atomic.Int64 // nanoseconds of real query execution
 }
 
@@ -202,6 +203,9 @@ type ServerStats struct {
 	NodeAccesses int64
 	PageReads    int64
 	Candidates   int64
+	// HeadResolved is how many of Candidates were decided in the resident
+	// spectrum heads; the rest had their pages opened.
+	HeadResolved int64
 	Elapsed      time.Duration
 
 	// Plans is the engine's recent executed-plan ring (oldest first):
@@ -271,6 +275,7 @@ func (s *Server) Stats() ServerStats {
 		NodeAccesses: s.nodeAccesses.Load(),
 		PageReads:    s.pageReads.Load(),
 		Candidates:   s.candidates.Load(),
+		HeadResolved: s.headResolved.Load(),
 		Elapsed:      time.Duration(s.elapsed.Load()),
 		Plans:        s.planHistory(),
 		Drift:        s.planDrift(),
@@ -322,6 +327,7 @@ func (s *Server) record(st Stats) {
 	s.nodeAccesses.Add(int64(st.NodeAccesses))
 	s.pageReads.Add(st.PageReads)
 	s.candidates.Add(int64(st.Candidates))
+	s.headResolved.Add(int64(st.HeadResolved))
 	s.elapsed.Add(int64(st.Elapsed))
 }
 
@@ -793,10 +799,21 @@ func cloneSubseq(in []SubseqMatch) []SubseqMatch {
 	return out
 }
 
+// caching reports whether the result cache can hold anything. A server
+// opened with CacheSize < 0 answers every read from the engine, so what a
+// read would pay only to file its answer — hashing a raw query vector into
+// the key, planning the query a second time for the entry's invalidation
+// predicate — is skipped.
+func (s *Server) caching() bool { return s.cache.Capacity() > 0 }
+
 // valuesKey hashes a literal query series for use in cache keys. SHA-256
 // makes accidental (or adversarial) key collisions between different
-// query vectors a non-concern.
-func valuesKey(v []float64) string {
+// query vectors a non-concern. Without a cache the key only labels the
+// query in logs and traces, and the length does that.
+func (s *Server) valuesKey(v []float64) string {
+	if !s.caching() {
+		return strconv.Itoa(len(v)) + ".-"
+	}
 	h := sha256.New()
 	var buf [8]byte
 	for _, x := range v {
@@ -833,7 +850,7 @@ func reqIDOf(opts []QueryOpt) string {
 
 // Range runs DB.Range under the shared lock, with result caching.
 func (s *Server) Range(q []float64, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	key := fmt.Sprintf("range|v=%s|eps=%g|t=%s|%s", valuesKey(q), eps, t.Canonical(), optsKey(opts))
+	key := fmt.Sprintf("range|v=%s|eps=%g|t=%s|%s", s.valuesKey(q), eps, t.Canonical(), optsKey(opts))
 	return s.matchQuery(key, reqIDOf(opts), func() ([]Match, Stats, error) {
 		return s.db.Range(q, eps, t, opts...)
 	}, s.rangeAffected("", q, eps, t, opts))
@@ -850,7 +867,7 @@ func (s *Server) RangeByName(name string, eps float64, t Transform, opts ...Quer
 
 // NN runs DB.NN under the shared lock, with result caching.
 func (s *Server) NN(q []float64, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	key := fmt.Sprintf("nn|v=%s|k=%d|t=%s|%s", valuesKey(q), k, t.Canonical(), optsKey(opts))
+	key := fmt.Sprintf("nn|v=%s|k=%d|t=%s|%s", s.valuesKey(q), k, t.Canonical(), optsKey(opts))
 	return s.matchQuery(key, reqIDOf(opts), func() ([]Match, Stats, error) {
 		return s.db.NN(q, k, t, opts...)
 	}, s.nnAffected("", q, k, t, opts))
@@ -876,7 +893,7 @@ func (s *Server) matchQuery(key, reqID string, run func() ([]Match, Stats, error
 			return cachedResult{}, err
 		}
 		out := cachedResult{matches: m, stats: qst}
-		if affectedFor != nil {
+		if affectedFor != nil && s.caching() {
 			out.affected, out.shards = affectedFor(m)
 		}
 		return out, nil
@@ -944,7 +961,7 @@ func (s *Server) pairsQuery(key, reqID string, run func() ([]Pair, Stats, error)
 			return cachedResult{}, err
 		}
 		out := cachedResult{pairs: p, stats: qst}
-		if affectedFor != nil {
+		if affectedFor != nil && s.caching() {
 			out.affected, out.shards = affectedFor(p)
 		}
 		return out, nil
@@ -958,7 +975,7 @@ func (s *Server) pairsQuery(key, reqID string, run func() ([]Pair, Stats, error)
 // Subsequence runs DB.Subsequence under the shared lock, with result
 // caching.
 func (s *Server) Subsequence(q []float64, eps float64, opts ...QueryOpt) ([]SubseqMatch, Stats, error) {
-	key := fmt.Sprintf("subseq|v=%s|eps=%g", valuesKey(q), eps)
+	key := fmt.Sprintf("subseq|v=%s|eps=%g", s.valuesKey(q), eps)
 	r, st, err := s.readQuery(key, reqIDOf(opts), func() (cachedResult, error) {
 		m, qst, err := s.db.Subsequence(q, eps)
 		if err != nil {

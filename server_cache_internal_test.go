@@ -366,3 +366,69 @@ func TestEntryShardTags(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheOffBuildsNoPredicate: a server opened without a cache must not
+// pay for filing answers it can never store — no invalidation predicate is
+// built (building one plans the query a second time) and raw query vectors
+// are not hashed into the key — while every answer stays what a caching
+// server returns.
+func TestCacheOffBuildsNoPredicate(t *testing.T) {
+	on := cacheFixture(t)
+	off := NewServer(cacheFixture(t).db, ServerOptions{CacheSize: -1})
+	if off.caching() || !on.caching() {
+		t.Fatalf("caching(): off %t, on %t", off.caching(), on.caching())
+	}
+
+	for name, s := range map[string]*Server{"on": on, "off": off} {
+		built := 0
+		_, _, err := s.matchQuery("range|probe", "", func() ([]Match, Stats, error) {
+			return s.db.RangeByName("C00", 0.5, Identity())
+		}, func([]Match) (func(writeEvent) bool, []int) {
+			built++
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[string]int{"on": 1, "off": 0}[name]; built != want {
+			t.Fatalf("cache %s: predicate built %d times, want %d", name, built, want)
+		}
+	}
+	q := clusterSeries(0.0002)
+	if key := off.valuesKey(q); key != "32.-" {
+		t.Fatalf("cache off hashed the query vector into %q", key)
+	}
+	if key := on.valuesKey(q); len(key) != len("32.")+64 {
+		t.Fatalf("cache on did not hash the query vector: %q", key)
+	}
+
+	// Same answers either way, for every match-shaped read, twice over (the
+	// second pass is a cache hit on one side and a fresh execution on the
+	// other).
+	for pass := 0; pass < 2; pass++ {
+		for name, read := range map[string]func(*Server) ([]Match, Stats, error){
+			"Range":       func(s *Server) ([]Match, Stats, error) { return s.Range(q, 0.5, Identity()) },
+			"RangeByName": func(s *Server) ([]Match, Stats, error) { return s.RangeByName("C01", 0.5, MovingAverage(4)) },
+			"NN":          func(s *Server) ([]Match, Stats, error) { return s.NN(q, 3, Identity()) },
+			"NNByName":    func(s *Server) ([]Match, Stats, error) { return s.NNByName("Z02", 4, Identity()) },
+		} {
+			want, _, err := read(on)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := read(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Cached {
+				t.Fatalf("%s: a server without a cache served a cached answer", name)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s pass %d: cache off answered\n %v\ncache on\n %v", name, pass, got, want)
+			}
+		}
+	}
+	if n := cacheLen(off); n != 0 {
+		t.Fatalf("a zero-capacity cache holds %d entries", n)
+	}
+}
