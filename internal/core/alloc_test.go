@@ -145,6 +145,28 @@ func testHotPathZeroAlloc(t *testing.T, opts Options) {
 		})
 	}
 
+	// Under a transformation the index applies the map to leaf points as a
+	// complex multiplication, the factors formed per query in scratch; and
+	// an unforced scan-routed NN runs the count-only exploration probe every
+	// exploreEvery-th time. Both must be allocation-free too.
+	nqT := NNQuery{Values: data[5], K: 8, Transform: transform.MovingAverage(64, 5), BothSides: true}
+	for _, strat := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+		pl, err := db.PlanNN(nqT, plan.Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.Strategy = strat // as the planner would have resolved it: not forced
+		var dst []Result
+		check(fmt.Sprintf("ExecNNInto/mavg/auto-%v", strat), func() int {
+			res, _, err := db.ExecNNInto(nqT, pl, dst[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst = res
+			return len(res)
+		})
+	}
+
 	// An unforced auto plan additionally runs the planner feedback and the
 	// scan-side exploration probe — those must be allocation-free too.
 	pl, err := db.PlanRange(rq, plan.Auto)

@@ -113,7 +113,7 @@ type AppendInfo struct {
 //     storage does not grow and no pages are orphaned;
 //   - the full-spectrum record is refreshed with the exact FFT only every
 //     spectrumRefreshEvery appended points; in between it is marked stale
-//     and reads derive the exact spectrum on demand (openSpec).
+//     and reads derive the exact spectrum on demand (staleSpectrum).
 //
 // Every spectrum a query ever observes — whether decoded from a fresh
 // record or derived on demand from a stale one — is the same canonical
@@ -170,12 +170,12 @@ func (db *DB) Append(name string, points []float64) (AppendInfo, error) {
 	// when it stayed inside its leaf region.
 	mean, std := st.tr.Moments()
 	newPoint := db.schema.Point(mean, std, st.tr.Coeffs())
-	old := db.points[id]
-	inPlace, found := db.idx.Update(id, old, newPoint)
+	rec := db.rec(id)
+	inPlace, found := db.idx.Update(id, rec.point, newPoint)
 	if !found {
 		return AppendInfo{}, fmt.Errorf("core: index entry for %q (id %d) missing", name, id)
 	}
-	db.points[id] = newPoint
+	rec.point = newPoint
 	return AppendInfo{ID: id, Point: newPoint.Clone(), InPlace: inPlace}, nil
 }
 
@@ -200,8 +200,9 @@ func (db *DB) refreshSpectrum(id int64, st *streamState, window []float64) error
 // read records wholesale (Compact) see fresh pages. The caller must hold
 // the DB's write access.
 func (db *DB) flushSpectra() error {
-	for id, st := range db.streams {
-		if !st.specStale {
+	for _, id := range db.ids {
+		st := *db.stream(id)
+		if st == nil || !st.specStale {
 			continue
 		}
 		if err := db.refreshSpectrum(id, st, st.tr.Window()); err != nil {
@@ -215,8 +216,9 @@ func (db *DB) flushSpectra() error {
 // tracker from the stored values on the first append (so series loaded
 // from snapshots or bulk loads are appendable with no special setup).
 func (db *DB) streamStateFor(id int64) (*streamState, error) {
-	if st, ok := db.streams[id]; ok {
-		return st, nil
+	st := db.stream(id)
+	if *st != nil {
+		return *st, nil
 	}
 	values, err := db.timeRel.Get(id)
 	if err != nil {
@@ -226,9 +228,8 @@ func (db *DB) streamStateFor(id int64) (*streamState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &streamState{tr: tr}
-	db.streams[id] = st
-	return st, nil
+	*st = &streamState{tr: tr}
+	return *st, nil
 }
 
 // CheckWithin verifies a single stored series against a range query
@@ -250,7 +251,7 @@ func (db *DB) CheckWithin(name string, q RangeQuery) (dist float64, within bool,
 	if q.Moments != (feature.MomentBounds{}) {
 		// Index answers respect the moment bounds via the search rectangle;
 		// replicate that here so membership semantics agree.
-		mean, std := db.schema.MomentsOf(db.points[id])
+		mean, std := db.schema.MomentsOf(db.rec(id).point)
 		mb := q.Moments
 		if mean < mb.MeanLo || mean > mb.MeanHi || std < mb.StdLo || std > mb.StdHi {
 			return 0, false, nil

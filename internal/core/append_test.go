@@ -408,7 +408,7 @@ func TestPrefilterSound(t *testing.T) {
 				}
 			}
 			// +Inf threshold admits everything.
-			if !pf.Hit(db.points[0], math.Inf(1)) {
+			if !pf.Hit(db.rec(0).point, math.Inf(1)) {
 				t.Fatal("prefilter rejected a point at eps=+Inf")
 			}
 		}

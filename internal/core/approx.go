@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/plan"
+	"repro/internal/relation"
 )
 
 // Approximate query tier: early-stopping search under a guaranteed
@@ -119,75 +120,115 @@ func defaultRung(n int) int {
 }
 
 // verifyFreqApprox is the approximate tier's verification of one stored
-// record: it opens the record like verifyFreq (resident head first, pages
-// only past it — the ladder's first rungs, 8 and 16, both fall inside the
-// head) and runs the ladder walk over it.
+// record: it opens the record like verifyFreq and runs the ladder walk over
+// it — head first, pages only past it (the ladder's first rungs, 8 and 16,
+// both fall inside the head).
 func (db *DB) verifyFreqApprox(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64, nnMode bool) (within bool, dist, bound float64, err error) {
-	view, err := db.openSpec(id, &ar.pages)
+	head, rv, err := db.openSpec(id)
 	if err != nil {
 		return false, 0, 0, err
 	}
-	within, dist, bound = p.ladderWalk(&view, st, eps, nnMode)
-	resident, err := view.release()
-	if err != nil {
-		return false, 0, 0, err
-	}
-	if resident {
-		st.HeadResolved++
-	}
-	return within, dist, bound, nil
+	return db.ladderWalk(p, st, &ar.pages, head, rv, eps, nnMode)
 }
 
-// ladderWalk is the approximate tier's verification walk: the exact
-// early-abandoning coefficient loop of verifyFreq with residual-energy
-// upper-bound checks at ladder rungs. nnMode selects the accept rule (see
-// the file comment). It returns the candidate's reported distance and its
-// upper bound: for range answers dist is the lower bound at accept (exact
-// distance on a full walk); for NN answers dist is the upper bound, which
-// is what the top-k heap must order by for the guarantee to compose.
-func (p *rangePlan) ladderWalk(view *specView, st *ExecStats, eps float64, nnMode bool) (within bool, dist, bound float64) {
+// ladder is the running state of one ladder walk: the squared distance and
+// the stored side's energy accumulated so far, and the next rung.
+type ladder struct {
+	sum, ex   float64
+	next, ord int
+}
+
+// add accumulates coefficient f of the stored spectrum.
+func (w *ladder) add(p *rangePlan, f int, x complex128) {
+	d := p.a[f]*x + p.b[f] - p.Q[f]
+	w.sum += real(d)*real(d) + imag(d)*imag(d)
+	w.ex += real(x)*real(x) + imag(x)*imag(x)
+}
+
+// rung evaluates the residual-energy upper bound after terms coefficients,
+// the checkpoint the walk has just reached, and reports whether it decides
+// the candidate (see the file comment for the two accept rules).
+func (w *ladder) rung(p *rangePlan, st *ExecStats, terms int, eps float64, nnMode bool) (decided, within bool, dist, bound float64) {
+	w.next <<= 1
+	tailE := p.energy - w.ex
+	if tailE < 0 {
+		tailE = 0
+	}
+	tail := math.Sqrt(p.sufA2[w.ord]*tailE) + math.Sqrt(p.sufBQ2[w.ord])
+	w.ord++
+	ubSq := w.sum + tail*tail
+	var lb, ub float64
+	if nnMode {
+		if !(ubSq <= p.relaxSq*w.sum) {
+			return false, false, 0, 0
+		}
+		ub = math.Sqrt(ubSq)
+		lb = math.Sqrt(w.sum)
+		within, dist = ub <= eps, ub
+	} else {
+		if ub = math.Sqrt(ubSq); !(ub <= p.relax*eps) {
+			return false, false, 0, 0
+		}
+		lb = math.Sqrt(w.sum)
+		within, dist = true, lb
+	}
+	st.DistanceTerms += int64(terms)
+	st.EarlyAccepts++
+	st.BoundTightSum += tightness(lb, ub)
+	return true, within, dist, ub
+}
+
+// ladderWalk is the approximate tier's verification walk over an opened
+// record (openSpec): the exact early-abandoning coefficient loop of
+// verifyFreq — resident prefix as a plain slice, then the pinned tail —
+// with residual-energy upper-bound checks at ladder rungs. nnMode selects
+// the accept rule (see the file comment). It returns the candidate's
+// reported distance and its upper bound: for range answers dist is the
+// lower bound at accept (exact distance on a full walk); for NN answers
+// dist is the upper bound, which is what the top-k heap must order by for
+// the guarantee to compose.
+func (db *DB) ladderWalk(p *rangePlan, st *ExecStats, pbuf *[][]byte, head []complex128, rv relation.View, eps float64, nnMode bool) (within bool, dist, bound float64, err error) {
 	limit := eps * eps
 	n := len(p.Q)
-	next, ord := ladderStart, 0
-	var sum, ex float64
-	for f := 0; f < n; f++ {
-		x := view.at(f)
-		d := p.a[f]*x + p.b[f] - p.Q[f]
-		sum += real(d)*real(d) + imag(d)*imag(d)
-		if sum > limit {
+	w := ladder{next: ladderStart}
+	for f, x := range head {
+		w.add(p, f, x)
+		if w.sum > limit {
 			st.DistanceTerms += int64(f + 1)
-			return false, 0, 0
+			st.HeadResolved++
+			return false, 0, 0, nil
 		}
-		ex += real(x)*real(x) + imag(x)*imag(x)
-		if f+1 == next && f+1 < n {
-			next <<= 1
-			tailE := p.energy - ex
-			if tailE < 0 {
-				tailE = 0
-			}
-			tail := math.Sqrt(p.sufA2[ord]*tailE) + math.Sqrt(p.sufBQ2[ord])
-			ord++
-			ubSq := sum + tail*tail
-			if nnMode {
-				if ubSq <= p.relaxSq*sum {
-					ub := math.Sqrt(ubSq)
-					st.DistanceTerms += int64(f + 1)
-					st.EarlyAccepts++
-					st.BoundTightSum += tightness(math.Sqrt(sum), ub)
-					return ub <= eps, ub, ub
-				}
-			} else if ub := math.Sqrt(ubSq); ub <= p.relax*eps {
-				lb := math.Sqrt(sum)
-				st.DistanceTerms += int64(f + 1)
-				st.EarlyAccepts++
-				st.BoundTightSum += tightness(lb, ub)
-				return true, lb, ub
+		if f+1 == w.next && f+1 < n {
+			if decided, within, dist, bound := w.rung(p, st, f+1, eps, nnMode); decided {
+				st.HeadResolved++
+				return within, dist, bound, nil
 			}
 		}
 	}
+	if len(head) < n {
+		cur, err := db.pinTail(rv, pbuf, len(head))
+		if err != nil {
+			return false, 0, 0, err
+		}
+		defer db.freqRel.ReleaseView(rv)
+		for f := len(head); f < n; f++ {
+			w.add(p, f, cur.Next())
+			if w.sum > limit {
+				st.DistanceTerms += int64(f + 1)
+				return false, 0, 0, nil
+			}
+			if f+1 == w.next && f+1 < n {
+				if decided, within, dist, bound := w.rung(p, st, f+1, eps, nnMode); decided {
+					return within, dist, bound, nil
+				}
+			}
+		}
+	} else {
+		st.HeadResolved++
+	}
 	st.DistanceTerms += int64(n)
-	d := math.Sqrt(sum)
-	return true, d, d
+	d := math.Sqrt(w.sum)
+	return true, d, d, nil
 }
 
 // tightness is the realized quality of one early accept: LB/UB in (0, 1],

@@ -24,6 +24,7 @@ type execArena struct {
 	pages [][]byte
 	top   topK
 	nv    nnVisit
+	nc    nearCounter
 	// st is the execution's stats accumulator. It lives in the arena
 	// because the NN visitor (also arena-held) keeps a pointer to it — a
 	// stack-local ExecStats would escape and cost one heap allocation per

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dft"
 	"repro/internal/geom"
@@ -108,6 +109,13 @@ func (db *DB) loadBulk(names []string, values [][]float64, ids []int64, points [
 	} else if err := db.idx.BulkLoad(points, ids); err != nil {
 		return err
 	}
+	// The record count is known: size the per-record tables once, not by
+	// doubling inside the loop.
+	db.timeRel.Reserve(len(names))
+	db.freqRel.Reserve(len(names))
+	db.recs = slices.Grow(db.recs, len(names))
+	db.streams = slices.Grow(db.streams, len(names))
+	db.ids = slices.Grow(db.ids, len(names))
 	// Raw records transfer ownership (InsertOwned): the snapshot read
 	// allocated them for this load, so a memory-backed relation adopts
 	// the buffers as its pages without copying.
@@ -134,14 +142,7 @@ func (db *DB) loadBulk(names []string, values [][]float64, ids []int64, points [
 		if err != nil {
 			return err
 		}
-		db.points[id] = points[i]
-		db.names[id] = name
-		db.byName[name] = id
-		db.idPos[id] = len(db.ids)
-		db.ids = append(db.ids, id)
-		if id >= db.nextID {
-			db.nextID = id + 1
-		}
+		db.addRecord(id, name, points[i])
 	}
 	return nil
 }

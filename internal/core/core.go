@@ -93,11 +93,18 @@ type DB struct {
 	idx     *index.KIndex
 	timeRel *relation.Relation
 	freqRel *relation.Relation
-	points  map[int64]geom.Point
-	names   map[int64]string
+	// recs holds what the store keeps per record beside the relations,
+	// indexed by the record's slot in freqRel (relation.View.Slot): a
+	// candidate's spectrum head, streaming state and name are all one
+	// directory lookup away. streams is the same table's one hot column,
+	// kept apart so the check every candidate makes ("is this record's
+	// stored spectrum current?") reads 8 bytes of a dense array and not a
+	// line of 48-byte records. Like the directory both are derived state,
+	// rebuilt by every load and by Compact.
+	recs    []record
+	streams []*streamState
 	byName  map[string]int64
-	ids     []int64       // live IDs, arbitrary order (swap-delete); see IDs()
-	idPos   map[int64]int // id -> position in ids, for O(1) Delete
+	ids     []int64 // live IDs, arbitrary order (swap-delete); see IDs()
 	nextID  int64
 	perm    []int // energy-order permutation for length-n spectra
 	// identA/identB are the permuted identity-transform coefficient
@@ -105,10 +112,6 @@ type DB struct {
 	// shared read-only by every identity-transform plan so the hot
 	// planning path skips two O(n) allocations per query.
 	identA, identB []complex128
-	// streams holds the incremental sliding-window state of series that
-	// have been appended to (see Append); materialized lazily on the first
-	// append and dropped when the series is deleted or replaced.
-	streams map[int64]*streamState
 	// refreshEvery is the resolved spectrum-refresh cadence (see
 	// Options.SpectrumRefreshEvery).
 	refreshEvery int
@@ -125,9 +128,11 @@ type DB struct {
 	// exploreEvery-th one runs a count-only index probe so the range
 	// calibration keeps learning while scans win (see maybeExploreRange).
 	// joinExploreTick is the same counter for scan-routed joins (see
-	// maybeExploreJoin in join.go).
+	// maybeExploreJoin in join.go), exploreNNTick for scan-routed NN (see
+	// exploreNN in plan.go).
 	exploreTick     atomic.Uint64
 	joinExploreTick atomic.Uint64
+	exploreNNTick   atomic.Uint64
 	// queryCount and appendCount drive the adaptive spectrum-refresh
 	// cadence (see refreshCadence in append.go): hot-path executions bump
 	// queryCount, appends bump appendCount.
@@ -135,6 +140,45 @@ type DB struct {
 	appendCount atomic.Uint64
 	// adaptiveRefresh caches the adaptive cadence between recomputations.
 	adaptiveRefresh atomic.Int64
+}
+
+// record is one stored series' entry in DB.recs. A deleted series keeps
+// its slot (the relations are append-only until Compact) with the zero
+// record in it.
+type record struct {
+	name  string
+	point geom.Point // the indexed feature point; nil once deleted
+	pos   int32      // position in DB.ids, for O(1) Delete
+}
+
+// rec returns the live record stored under id, or nil.
+func (db *DB) rec(id int64) *record {
+	slot, ok := db.freqRel.Slot(id)
+	if !ok || db.recs[slot].point == nil {
+		return nil
+	}
+	return &db.recs[slot]
+}
+
+// stream returns the slot of DB.streams for a live id: the incremental
+// sliding-window state of a series that has been appended to (see Append),
+// materialized lazily on the first append and dropped when the series is
+// deleted or replaced.
+func (db *DB) stream(id int64) **streamState {
+	slot, _ := db.freqRel.Slot(id)
+	return &db.streams[slot]
+}
+
+// addRecord enters a series just stored in both relations: its record
+// takes the slot freqRel gave it, the next one.
+func (db *DB) addRecord(id int64, name string, p geom.Point) {
+	db.recs = append(db.recs, record{name: name, point: p, pos: int32(len(db.ids))})
+	db.streams = append(db.streams, nil)
+	db.byName[name] = id
+	db.ids = append(db.ids, id)
+	if id >= db.nextID {
+		db.nextID = id + 1
+	}
 }
 
 // NewDB creates an empty DB for series of the given length.
@@ -166,14 +210,10 @@ func NewDB(length int, opts Options) (*DB, error) {
 		idx:     ix,
 		timeRel: timeRel,
 		freqRel: freqRel,
-		points:  make(map[int64]geom.Point),
-		names:   make(map[int64]string),
 		byName:  make(map[string]int64),
-		idPos:   make(map[int64]int),
 		perm:    relation.EnergyOrder(length),
 		identA:  transform.Identity(length).A,
 		identB:  transform.Identity(length).B,
-		streams: make(map[int64]*streamState),
 		tracker: plan.NewTracker(),
 		history: plan.NewHistory(0),
 	}
@@ -292,15 +332,20 @@ func (db *DB) IDs() []int64 {
 	return out
 }
 
-// Name returns the name stored for an ID.
-func (db *DB) Name(id int64) string { return db.names[id] }
+// Name returns the name stored for an ID ("" if absent).
+func (db *DB) Name(id int64) string {
+	if r := db.rec(id); r != nil {
+		return r.name
+	}
+	return ""
+}
 
 // Names returns the live series names in insertion order.
 func (db *DB) Names() []string {
 	ids := db.IDs()
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = db.names[id]
+		out[i] = db.Name(id)
 	}
 	return out
 }
@@ -313,8 +358,10 @@ func (db *DB) IDByName(name string) (int64, bool) {
 
 // FeaturePoint returns the indexed feature point of a stored series.
 func (db *DB) FeaturePoint(id int64) (geom.Point, bool) {
-	p, ok := db.points[id]
-	return p, ok
+	if r := db.rec(id); r != nil {
+		return r.point, true
+	}
+	return nil, false
 }
 
 // QueryPrep assembles the stored-record planning artifacts of a series:
@@ -326,7 +373,7 @@ func (db *DB) FeaturePoint(id int64) (geom.Point, bool) {
 // would recompute (see staleSpectrum). ok is false when the id is not a
 // live series.
 func (db *DB) QueryPrep(id int64) (*QueryPrep, bool) {
-	p, ok := db.points[id]
+	p, ok := db.FeaturePoint(id)
 	if !ok {
 		return nil, false
 	}
@@ -387,14 +434,7 @@ func (db *DB) insertAt(id int64, name string, values []float64) error {
 	if err := db.freqRel.Insert(id, relation.EncodeComplex(relation.Permute(spec, db.perm))); err != nil {
 		return err
 	}
-	db.points[id] = p
-	db.names[id] = name
-	db.byName[name] = id
-	db.idPos[id] = len(db.ids)
-	db.ids = append(db.ids, id)
-	if id >= db.nextID {
-		db.nextID = id + 1
-	}
+	db.addRecord(id, name, p)
 	return nil
 }
 
@@ -403,7 +443,7 @@ func (db *DB) insertAt(id int64, name string, values []float64) error {
 // occupied are not reclaimed (the storage substrate is append-only, like
 // a heap file awaiting compaction); page-read accounting of later scans is
 // unaffected because scans iterate live IDs. Removal from the live-ID list
-// is O(1) via the id→position map and swap-delete, so deletes stay cheap
+// is O(1) via the record's position and swap-delete, so deletes stay cheap
 // at scale; scan iteration order is consequently arbitrary, which is
 // harmless because every query re-sorts its results deterministically.
 // Delete reports whether the name was present.
@@ -412,21 +452,15 @@ func (db *DB) Delete(name string) bool {
 	if !ok {
 		return false
 	}
-	if p, ok := db.points[id]; ok {
-		db.idx.Delete(id, p)
-	}
-	delete(db.points, id)
-	delete(db.names, id)
+	r := db.rec(id)
+	db.idx.Delete(id, r.point)
 	delete(db.byName, name)
-	delete(db.streams, id)
-	if pos, ok := db.idPos[id]; ok {
-		last := len(db.ids) - 1
-		moved := db.ids[last]
-		db.ids[pos] = moved
-		db.idPos[moved] = pos
-		db.ids = db.ids[:last]
-		delete(db.idPos, id)
-	}
+	last := len(db.ids) - 1
+	moved := db.ids[last]
+	db.ids[r.pos] = moved
+	db.rec(moved).pos = r.pos
+	db.ids = db.ids[:last]
+	*r, *db.stream(id) = record{}, nil
 	return true
 }
 
@@ -440,9 +474,8 @@ func (db *DB) Series(id int64) ([]float64, error) {
 // FFT refresh), derived on demand with the exact computation the insert
 // path runs — so observed spectra are bit-identical either way. ok is
 // false when the stored record is current.
-func (db *DB) staleSpectrum(id int64) ([]complex128, bool) {
-	st, tracked := db.streams[id]
-	if !tracked || !st.specStale {
+func (db *DB) staleSpectrum(st *streamState) ([]complex128, bool) {
+	if st == nil || !st.specStale {
 		return nil, false
 	}
 	if p := st.derived.Load(); p != nil {
@@ -458,101 +491,67 @@ func (db *DB) staleSpectrum(id int64) ([]complex128, bool) {
 // pass and one allocation instead of the byte-copy + float-decode +
 // complex-pair passes a Get-based decode would take.
 func (db *DB) spectrum(id int64) ([]complex128, error) {
-	if spec, ok := db.staleSpectrum(id); ok {
-		return spec, nil
-	}
-	view, err := db.openSpec(id, nil)
+	rv, err := db.freqRel.View(id)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]complex128, db.length)
-	for f := range out {
-		out[f] = view.at(f)
+	if spec, ok := db.staleSpectrum(db.streams[rv.Slot]); ok {
+		return spec, nil
 	}
-	if _, err := view.release(); err != nil {
+	out := make([]complex128, db.length)
+	if copy(out, rv.Head) == len(out) {
+		return out, nil
+	}
+	cur, err := db.pinTail(rv, nil, len(rv.Head))
+	if err != nil {
 		return nil, err
 	}
+	for f := len(rv.Head); f < len(out); f++ {
+		out[f] = cur.Next()
+	}
+	db.freqRel.ReleaseView(rv)
 	return out, nil
 }
 
-// specView is a stored spectrum as every distance loop reads it: a
-// resident prefix, then the record's pages — faulted in by the first term
-// past the prefix and not before. The prefix is the frequency relation's
-// head (the first relation.HeadCoeffs energy-ordered coefficients), or,
-// for a record whose stored spectrum lags its streamed window, the whole
-// spectrum derived in memory, which never needs pages. A loop that
-// abandons inside the prefix therefore costs one record lookup and a
-// sequential read of the slab: no buffer-pool mutex, no frame map, no
-// pread, no pin. Terms come back in the same order with the same values
-// either way, so a running sum carries across the boundary unchanged.
-type specView struct {
-	rv    relation.View // rv.Head is the resident prefix
-	rel   *relation.Relation
-	pages [][]byte
-	ps    int       // page size, once pages are pinned
-	pbuf  *[][]byte // page-view buffer to fault into (an arena's); nil allocates
-	err   error     // a failed page fault, reported by release
-}
-
-// openSpec opens a series' spectrum for a distance loop. The caller must
-// give the view back with release, which also reports a page fault that
-// failed mid-loop.
-func (db *DB) openSpec(id int64, pbuf *[][]byte) (specView, error) {
-	if spec, ok := db.staleSpectrum(id); ok {
-		return specView{rv: relation.View{Head: spec}}, nil
-	}
-	rv, err := db.freqRel.View(id)
+// openSpec opens a stored spectrum the way every distance loop reads it:
+// a resident prefix to walk as a plain slice, and the view the rest of the
+// record is pinned through (pinTail) by the first term past the prefix and
+// not before. The prefix is the frequency relation's head (the first
+// relation.HeadCoeffs energy-ordered coefficients), or, for a record whose
+// stored spectrum lags its streamed window, the whole spectrum derived in
+// memory, which never needs pages. A loop that abandons inside the prefix
+// therefore costs the directory lookup and a sequential read of the slab:
+// no hash probe, no buffer-pool mutex, no frame map, no pread, no pin.
+// Terms come back in the same order with the same values either way, so a
+// running sum carries across the boundary unchanged.
+func (db *DB) openSpec(id int64) (head []complex128, rv relation.View, err error) {
+	rv, err = db.freqRel.View(id)
 	if err != nil {
-		return specView{}, err
+		return nil, rv, err
 	}
-	return specView{rv: rv, rel: db.freqRel, pbuf: pbuf}, nil
+	if spec, ok := db.staleSpectrum(db.streams[rv.Slot]); ok {
+		return spec, rv, nil
+	}
+	return rv.Head, rv, nil
 }
 
-// at returns the f-th energy-ordered coefficient.
-func (v *specView) at(f int) complex128 {
-	if f < len(v.rv.Head) {
-		return v.rv.Head[f]
+// pinTail pins the pages of an opened record and returns a cursor on its
+// coefficient `from`. pbuf is a caller-owned page-view buffer (typically an
+// arena's) so the hot loop faults records in without allocating; nil
+// allocates. The caller gives the pins back with db.freqRel.ReleaseView(rv).
+func (db *DB) pinTail(rv relation.View, pbuf *[][]byte, from int) (relation.Cursor, error) {
+	var buf [][]byte
+	if pbuf != nil {
+		buf = (*pbuf)[:0]
 	}
-	return v.paged(f)
-}
-
-// paged reads a coefficient past the resident prefix, pinning the record's
-// pages on first use. A failed fault poisons the view: it yields NaN terms
-// (which no threshold test passes or abandons on) and release returns the
-// error, so callers check one place, after the loop.
-func (v *specView) paged(f int) complex128 {
-	if v.pages == nil {
-		if v.err != nil {
-			return complex(math.NaN(), 0)
-		}
-		var buf [][]byte
-		if v.pbuf != nil {
-			buf = (*v.pbuf)[:0]
-		}
-		pages, err := v.rel.ViewPagesInto(v.rv, buf)
-		if err != nil {
-			v.err = err
-			return complex(math.NaN(), 0)
-		}
-		if v.pbuf != nil {
-			*v.pbuf = pages
-		}
-		v.pages, v.ps = pages, v.rel.PageSize()
+	pages, err := db.freqRel.ViewPagesInto(rv, buf)
+	if err != nil {
+		return relation.Cursor{}, err
 	}
-	return relation.ComplexAt(v.pages, v.ps, f)
-}
-
-// release gives back the pins behind the view, if it took any — a view
-// that stayed inside its prefix holds none, and releasing anyway could
-// drop a pin another goroutine holds on the same record's pages. resident
-// reports that the loop was served without opening the record's pages.
-func (v *specView) release() (resident bool, err error) {
-	if v.pages == nil {
-		return v.err == nil, v.err
+	if pbuf != nil {
+		*pbuf = pages
 	}
-	v.rel.ReleaseView(v.rv)
-	v.pages = nil
-	return false, nil
+	return relation.CursorAt(pages, db.freqRel.PageSize(), from), nil
 }
 
 // pageReads snapshots the combined relation read counters.
@@ -653,42 +652,54 @@ func (db *DB) querySpectrum(q []float64) []complex128 {
 
 // verifyFreq computes whether D(A*X+B, Q) <= eps over full (energy-ordered)
 // spectra with early abandoning, evaluated lazily off the stored record:
-// coefficients deserialize one at a time, so an early-abandoned comparison
-// skips the decoding — and, inside the resident head, the page fetch — of
-// everything after the abandonment point. This is what makes the paper's
-// scan method (b) an order of magnitude faster than (a): the dominant
-// per-record cost is proportional to the terms actually examined. It is
-// the one exact verification every index candidate, scan row, join probe
-// and monitor check goes through; it returns the decision and the exact
-// distance when within, and accumulates DistanceTerms and HeadResolved
-// into st. pbuf is a caller-owned page-view buffer (typically an arena's),
-// so the hot loop opens stored records without allocating.
+// the resident head is walked as a plain slice, and only a comparison that
+// survives it pins the record's pages and deserializes the tail one
+// coefficient at a time — so an early-abandoned comparison skips the page
+// fetch and the decoding of everything after the abandonment point. This
+// is what makes the paper's scan method (b) an order of magnitude faster
+// than (a): the dominant per-record cost is proportional to the terms
+// actually examined. It is the one exact verification every index
+// candidate, scan row, join probe and monitor check goes through; it
+// returns the decision and the exact distance when within, and accumulates
+// DistanceTerms and HeadResolved into st. pbuf is the page-view buffer the
+// tail is pinned into (see pinTail).
 func (db *DB) verifyFreq(st *ExecStats, pbuf *[][]byte, id int64, a, b, q []complex128, eps float64) (bool, float64, error) {
-	view, err := db.openSpec(id, pbuf)
+	head, rv, err := db.openSpec(id)
 	if err != nil {
 		return false, 0, err
 	}
 	limit := eps * eps
 	var sum float64
-	terms, within := len(q), true
-	for f := range q {
-		x := view.at(f)
+	for f, x := range head {
 		d := a[f]*x + b[f] - q[f]
 		sum += real(d)*real(d) + imag(d)*imag(d)
 		if sum > limit {
-			terms, within = f+1, false
-			break
+			st.DistanceTerms += int64(f + 1)
+			st.HeadResolved++
+			return false, 0, nil
 		}
 	}
-	resident, err := view.release()
+	if len(head) == len(q) {
+		st.DistanceTerms += int64(len(q))
+		st.HeadResolved++
+		return true, math.Sqrt(sum), nil
+	}
+	cur, err := db.pinTail(rv, pbuf, len(head))
 	if err != nil {
 		return false, 0, err
 	}
-	st.DistanceTerms += int64(terms)
-	if resident {
-		st.HeadResolved++
+	terms := len(q)
+	for f := len(head); f < len(q); f++ {
+		d := a[f]*cur.Next() + b[f] - q[f]
+		sum += real(d)*real(d) + imag(d)*imag(d)
+		if sum > limit {
+			terms = f + 1
+			break
+		}
 	}
-	if !within {
+	db.freqRel.ReleaseView(rv)
+	st.DistanceTerms += int64(terms)
+	if sum > limit {
 		return false, 0, nil
 	}
 	return true, math.Sqrt(sum), nil

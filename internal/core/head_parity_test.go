@@ -144,35 +144,53 @@ func (hs *headStore) bruteAll(sp headSpec, q []float64) []bruteHit {
 // decodes from the record's pages. (A record whose stored spectrum lags
 // its streamed window has no current pages to read; it is served from the
 // derived spectrum, as in the engine.)
-func pageOnlyView(t *testing.T, db *DB, id int64) specView {
+func pageOnlyView(t *testing.T, db *DB, id int64) (head []complex128, rv relation.View) {
 	t.Helper()
-	if spec, ok := db.staleSpectrum(id); ok {
-		return specView{rv: relation.View{Head: spec}}
+	if spec, ok := db.staleSpectrum(*db.stream(id)); ok {
+		return spec, relation.View{}
 	}
 	rv, err := db.freqRel.View(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv.Head = nil
-	return specView{rel: db.freqRel, rv: rv}
+	return nil, rv
+}
+
+// pageOnlySpectrum decodes every coefficient of a record the reference way.
+func pageOnlySpectrum(t *testing.T, db *DB, id int64) []complex128 {
+	t.Helper()
+	head, rv := pageOnlyView(t, db, id)
+	if head != nil {
+		return head
+	}
+	cur, err := db.pinTail(rv, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.freqRel.ReleaseView(rv)
+	out := make([]complex128, db.length)
+	for f := range out {
+		out[f] = cur.Next()
+	}
+	return out
 }
 
 // refVerify is verifyFreq / verifyFreqApprox over a page-only view.
 func refVerify(t *testing.T, db *DB, p *rangePlan, a, b, q []complex128, id int64, eps float64, nnMode bool, st *ExecStats) (within bool, dist, bound float64) {
 	t.Helper()
-	view := pageOnlyView(t, db, id)
-	defer func() {
-		if _, err := view.release(); err != nil {
+	if p != nil && p.approx() {
+		head, rv := pageOnlyView(t, db, id)
+		within, dist, bound, err := db.ladderWalk(p, st, nil, head, rv, eps, nnMode)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}()
-	if p != nil && p.approx() {
-		return p.ladderWalk(&view, st, eps, nnMode)
+		return within, dist, bound
 	}
+	x := pageOnlySpectrum(t, db, id)
 	limit := eps * eps
 	var sum float64
 	for f := range q {
-		d := a[f]*view.at(f) + b[f] - q[f]
+		d := a[f]*x[f] + b[f] - q[f]
 		sum += real(d)*real(d) + imag(d)*imag(d)
 		if sum > limit {
 			st.DistanceTerms += int64(f + 1)
@@ -184,7 +202,7 @@ func refVerify(t *testing.T, db *DB, p *rangePlan, a, b, q []complex128, id int6
 }
 
 func refResult(db *DB, p *rangePlan, id int64, dist, bound float64) Result {
-	r := Result{ID: id, Name: db.names[id], Dist: dist}
+	r := Result{ID: id, Name: db.Name(id), Dist: dist}
 	if p.approx() {
 		r.Bound = bound
 	}
@@ -282,11 +300,10 @@ func refJoin(t *testing.T, db *DB, jq JoinQuery, scan, selfOnce bool) ([]JoinPai
 	}
 	// pairDist is scanPairDist with early abandoning.
 	pairDist := func(outer, a, b []complex128, inner int64) (float64, bool) {
-		view := pageOnlyView(t, db, inner)
-		defer view.release()
+		y := pageOnlySpectrum(t, db, inner)
 		var sum float64
 		for f := range outer {
-			d := outer[f] - (a[f]*view.at(f) + b[f])
+			d := outer[f] - (a[f]*y[f] + b[f])
 			sum += real(d)*real(d) + imag(d)*imag(d)
 			st.DistanceTerms++
 			if sum > limit {
@@ -323,7 +340,7 @@ func refJoin(t *testing.T, db *DB, jq JoinQuery, scan, selfOnce bool) ([]JoinPai
 		return out, st
 	}
 	for _, qid := range db.ids {
-		tq := db.points[qid]
+		tq := db.rec(qid).point
 		if !jp.rm.Identity() {
 			tq = jp.rm.ApplyPoint(tq)
 		}
@@ -380,7 +397,7 @@ func (hs *headStore) checkHeads(t *testing.T) {
 			want = relation.HeadCoeffs
 		}
 		for _, id := range db.ids {
-			if _, stale := db.staleSpectrum(id); stale {
+			if _, stale := db.staleSpectrum(*db.stream(id)); stale {
 				continue
 			}
 			rv, err := db.freqRel.View(id)
@@ -388,15 +405,16 @@ func (hs *headStore) checkHeads(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(rv.Head) != want {
-				t.Fatalf("%s shard %d: %s has a head of %d coefficients, want %d", hs.label, si, db.names[id], len(rv.Head), want)
+				t.Fatalf("%s shard %d: %s has a head of %d coefficients, want %d", hs.label, si, db.Name(id), len(rv.Head), want)
 			}
 			pages, err := db.freqRel.ViewPagesInto(rv, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cur := relation.CursorAt(pages, db.freqRel.PageSize(), 0)
 			for f, h := range rv.Head {
-				if p := relation.ComplexAt(pages, db.freqRel.PageSize(), f); p != h {
-					t.Fatalf("%s shard %d: %s coefficient %d: head %v, page %v", hs.label, si, db.names[id], f, h, p)
+				if p := cur.Next(); p != h {
+					t.Fatalf("%s shard %d: %s coefficient %d: head %v, page %v", hs.label, si, db.Name(id), f, h, p)
 				}
 			}
 			db.freqRel.ReleaseView(rv)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/geom"
 	"repro/internal/plan"
+	"repro/internal/relation"
 	"repro/internal/stats"
 	"repro/internal/transform"
 )
@@ -265,14 +266,15 @@ func (db *DB) joinScanInto(jp *joinPlan, earlyAbandon bool, st *ExecStats) ([]Jo
 // comparisons, their terms and how many were decided without opening the
 // inner record's pages accumulate into st.
 func (db *DB) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128, earlyAbandon bool, pbuf *[][]byte, st *ExecStats, out []JoinPair) ([]JoinPair, error) {
-	view, err := db.openSpec(inner, pbuf)
-	if err != nil {
+	in := innerSpec{db: db, pbuf: pbuf}
+	var err error
+	if in.head, in.rv, err = db.openSpec(inner); err != nil {
 		return out, err
 	}
 	limit := jp.q.Eps * jp.q.Eps
 	found, compared := len(out), 1
 	if !jp.q.TwoSided {
-		sum, terms, ok := scanPairDist(lx, jp.la, jp.lb, &view, limit, earlyAbandon)
+		sum, terms, ok := in.pairDist(lx, jp.la, jp.lb, limit, earlyAbandon)
 		st.DistanceTerms += int64(terms)
 		if ok && sum <= limit {
 			out = append(out, orderedPair(outer, inner, math.Sqrt(sum)))
@@ -280,45 +282,74 @@ func (db *DB) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128, e
 	} else {
 		compared = 2
 		// Ordered pair (i, j): D(L x_i, R x_j).
-		sum, terms, ok := scanPairDist(lx, jp.ra, jp.rb, &view, limit, earlyAbandon)
+		sum, terms, ok := in.pairDist(lx, jp.ra, jp.rb, limit, earlyAbandon)
 		st.DistanceTerms += int64(terms)
 		if ok && sum <= limit {
 			out = append(out, JoinPair{A: outer, B: inner, Dist: math.Sqrt(sum)})
 		}
 		// Ordered pair (j, i): D(L x_j, R x_i).
-		sum, terms, ok = scanPairDist(rx, jp.la, jp.lb, &view, limit, earlyAbandon)
+		sum, terms, ok = in.pairDist(rx, jp.la, jp.lb, limit, earlyAbandon)
 		st.DistanceTerms += int64(terms)
 		if ok && sum <= limit {
 			out = append(out, JoinPair{A: inner, B: outer, Dist: math.Sqrt(sum)})
 		}
 	}
-	resident, err := view.release()
-	if err != nil {
-		return out[:found], err
+	if in.err != nil {
+		return out[:found], in.err
 	}
 	st.Candidates += compared
-	if resident {
+	if in.pages == nil {
 		st.HeadResolved += compared
+	} else {
+		db.freqRel.ReleaseView(in.rv)
 	}
 	return out, nil
 }
 
-// scanPairDist accumulates the squared distance between a precomputed
+// innerSpec is the inner record of one scan-join step, opened once for the
+// one or two comparisons the step makes: its pages are pinned by the first
+// comparison that outlives the resident prefix and shared by the second.
+type innerSpec struct {
+	db    *DB
+	head  []complex128
+	rv    relation.View
+	pbuf  *[][]byte
+	pages [][]byte // non-nil once pinned
+	err   error    // a failed page fault; the step's answers are void
+}
+
+// pairDist accumulates the squared distance between a precomputed
 // transformed outer spectrum and the inner record's coefficients mapped
-// through (a, b), abandoning past limit when earlyAbandon is set. ok is
-// false only on abandonment, so sum <= limit decides membership exactly
-// as the index verifier does.
-func scanPairDist(outer, a, b []complex128, view *specView, limit float64, earlyAbandon bool) (sum float64, terms int, ok bool) {
-	for f := range outer {
-		y := view.at(f)
+// through (a, b) — resident prefix as a plain slice, then the pinned tail —
+// abandoning past limit when earlyAbandon is set. ok is false only on
+// abandonment (or a failed fault, left in in.err), so sum <= limit decides
+// membership exactly as the index verifier does.
+func (in *innerSpec) pairDist(outer, a, b []complex128, limit float64, earlyAbandon bool) (sum float64, terms int, ok bool) {
+	for f, y := range in.head {
 		d := outer[f] - (a[f]*y + b[f])
 		sum += real(d)*real(d) + imag(d)*imag(d)
-		terms++
 		if earlyAbandon && sum > limit {
-			return sum, terms, false
+			return sum, f + 1, false
 		}
 	}
-	return sum, terms, true
+	if len(in.head) == len(outer) || in.err != nil {
+		return sum, len(in.head), in.err == nil
+	}
+	if in.pages == nil {
+		if in.pages, in.err = in.db.freqRel.ViewPagesInto(in.rv, (*in.pbuf)[:0]); in.err != nil {
+			return sum, len(in.head), false
+		}
+		*in.pbuf = in.pages
+	}
+	cur := relation.CursorAt(in.pages, in.db.freqRel.PageSize(), len(in.head))
+	for f := len(in.head); f < len(outer); f++ {
+		d := outer[f] - (a[f]*cur.Next() + b[f])
+		sum += real(d)*real(d) + imag(d)*imag(d)
+		if earlyAbandon && sum > limit {
+			return sum, f + 1, false
+		}
+	}
+	return sum, len(outer), true
 }
 
 // joinIndexInto runs the index-nested-loop join: every stored series, its
@@ -333,7 +364,7 @@ func (db *DB) joinIndexInto(jp *joinPlan, selfOnce bool, st *ExecStats) ([]JoinP
 		pages [][]byte
 	)
 	for _, qid := range db.ids {
-		qp := db.points[qid]
+		qp := db.rec(qid).point
 		tq := qp
 		if !jp.rm.Identity() {
 			tq = jp.rm.ApplyPoint(qp)
@@ -725,7 +756,7 @@ func (db *DB) maybeExploreJoin(pl *plan.Plan, jp *joinPlan) {
 	cand, nodes, probes := 0, 0, 0
 	for i := 0; i < n && probes < joinSampleCap; i += step {
 		qid := db.ids[i]
-		tq := db.points[qid]
+		tq := db.rec(qid).point
 		if !jp.rm.Identity() {
 			tq = jp.rm.ApplyPoint(tq)
 		}

@@ -190,7 +190,7 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 		return false
 	}
 	if within {
-		r := Result{ID: id, Name: v.db.names[id], Dist: dist}
+		r := Result{ID: id, Name: v.db.Name(id), Dist: dist}
 		if v.p.approx() {
 			r.Bound = bound
 		}
@@ -281,7 +281,7 @@ func (db *DB) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats
 			return err
 		}
 		if within {
-			r := Result{ID: id, Name: db.names[id], Dist: dist}
+			r := Result{ID: id, Name: db.Name(id), Dist: dist}
 			if p.approx() {
 				r.Bound = bound
 			}

@@ -361,7 +361,7 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 		if err != nil {
 			return sw.n, err
 		}
-		if err := sw.writeSeries(db.names[id], vals); err != nil {
+		if err := sw.writeSeries(db.Name(id), vals); err != nil {
 			return sw.n, err
 		}
 	}
@@ -370,7 +370,7 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	// derived spectrum, so a reload is bit-identical to a flushed store.
 	err := sw.writeDerived(db.schema.Dims(), len(ids), func(i int) (geom.Point, []complex128, error) {
 		spec, err := db.spectrum(ids[i])
-		return db.points[ids[i]], spec, err
+		return db.rec(ids[i]).point, spec, err
 	})
 	if err != nil {
 		return sw.n, err
@@ -401,7 +401,7 @@ func (db *DB) WriteLegacyTo(w io.Writer) (int64, error) {
 		if err != nil {
 			return sw.n, err
 		}
-		if err := sw.writeSeries(db.names[id], vals); err != nil {
+		if err := sw.writeSeries(db.Name(id), vals); err != nil {
 			return sw.n, err
 		}
 	}
@@ -441,7 +441,7 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	err := sw.writeDerived(s.Schema().Dims(), len(entries), func(i int) (geom.Point, []complex128, error) {
 		e := entries[i]
 		spec, err := e.sh.spectrum(e.id)
-		return e.sh.points[e.id], spec, err
+		return e.sh.rec(e.id).point, spec, err
 	})
 	if err != nil {
 		return sw.n, err

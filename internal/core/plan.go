@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/feature"
@@ -328,9 +329,58 @@ func (db *DB) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, Exec
 		db.tracker.ObserveNN(st.Candidates, st.NodeAccesses, db.Len())
 	}
 	observeApprox(db.tracker, pl, st, db.Len())
+	if exploreNN(pl, &db.exploreNNTick, out) {
+		cand, nodes := db.countNear(rp, ar, out[len(out)-1].Dist)
+		db.tracker.ObserveNN(cand, nodes, db.Len())
+	}
 	db.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
 	finishExecSpans(pl, st, searchD, mergeD)
 	return out, *st, nil
+}
+
+// exploreNN reports whether a finished NN execution should probe the
+// index: the NN analogue of maybeExploreRange. Only indexed NN runs feed
+// tracker.ObserveNN, so once the measured candidate fraction crosses the
+// scan crossover, AUTO would route every later NN to the scan and never
+// measure the index again (benchmark/README, "Surprises" 1). Every
+// exploreEvery-th unforced, exact, scan-routed NN with an answer therefore
+// reports what the index would have done (countNear).
+func exploreNN(pl *plan.Plan, tick *atomic.Uint64, answer []Result) bool {
+	if pl.Strategy == plan.Index || pl.Forced || pl.Approx != nil || len(answer) == 0 {
+		return false
+	}
+	return tick.Add(1)%exploreEvery == 0
+}
+
+// nearCounter is the FlatNNVisitor of a count-only NN traversal: it counts
+// the items whose k-coefficient lower bound is within a known k-th
+// distance. Arena-held, so handing it to the traversal never allocates.
+type nearCounter struct {
+	limit float64 // the k-th distance, squared
+	n     int
+}
+
+func (c *nearCounter) VisitNear(_ int64, partialDistSq float64) bool {
+	if partialDistSq > c.limit {
+		return false
+	}
+	c.n++
+	return true
+}
+
+// countNear measures what an indexed run of an answered NN plan costs here
+// without verifying anything: the candidates it would verify and the nodes
+// it would visit. Candidates reach the branch-and-bound in lower-bound
+// order and it stops at the first bound past its k-th best distance; the k
+// nearest all lie within their own bounds, so by the time every item
+// bounded by the final k-th distance has been verified the bound is final
+// — the indexed run verifies exactly those items, which a traversal told
+// the final distance can simply count. Like the range probe, the cost
+// stays out of the query's ExecStats: planner bookkeeping, not answer work.
+func (db *DB) countNear(rp *rangePlan, ar *execArena, kth float64) (candidates, nodes int) {
+	ar.nc = nearCounter{limit: kth * kth}
+	searchStats := db.idx.NearestIDs(rp.qp, rp.m, &ar.sc, &ar.nc)
+	return ar.nc.n, searchStats.NodesVisited
 }
 
 // featureBounds returns the union of every shard index's MBR plus the
@@ -476,6 +526,23 @@ func (s *Sharded) ExecNN(q NNQuery, pl *plan.Plan) ([]Result, ExecStats, error) 
 		s.tracker.ObserveNN(st.Candidates, st.NodeAccesses, s.Len())
 	}
 	observeApprox(s.tracker, pl, &st, s.Len())
+	if exploreNN(pl, &s.exploreNNTick, out) {
+		// Each shard counts against the global k-th distance, which is the
+		// bound the fan-out's shared top-k converges to.
+		var cand, nodes atomic.Int64
+		kth := out[len(out)-1].Dist
+		err := s.fanOut(func(_ int, sh *DB) error {
+			ar := getArena()
+			defer putArena(ar)
+			c, n := sh.countNear(rp, ar, kth)
+			cand.Add(int64(c))
+			nodes.Add(int64(n))
+			return nil
+		})
+		if err == nil {
+			s.tracker.ObserveNN(int(cand.Load()), int(nodes.Load()), s.Len())
+		}
+	}
 	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
 	finishExec(pl, &st, st.Spans)
 	return out, st, nil

@@ -288,3 +288,103 @@ func TestJoinExplorationProbe(t *testing.T) {
 		t.Fatalf("forced scan joins fed %d join samples, want 0", got)
 	}
 }
+
+// TestNNExplorationReturnsToIndex: only indexed NN runs feed the NN model,
+// so a tracker pushed past the scan crossover used to route every later NN
+// under AUTO to the scan for good. Every exploreEvery-th scan-routed NN now
+// reports what the index would have done, and on a store where the
+// branch-and-bound verifies a few percent of the series AUTO is back on the
+// index within two probes — at shards 1 and 4.
+func TestNNExplorationReturnsToIndex(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			eng := planTestEngine(t, shards, 600)
+			var tracker *plan.Tracker
+			switch e := eng.(type) {
+			case *DB:
+				tracker = e.tracker
+			case *Sharded:
+				tracker = e.tracker
+			}
+			// The shipped prices, not this machine's calibration: the index
+			// wins while 0.25*candFrac + nodeFrac < 0.25. What a run of
+			// wide NN queries leaves behind is just past that; this store's
+			// own traversals verify about a third of it over a thirteenth
+			// of its nodes, well inside.
+			tracker.SetCosts(plan.DefaultCosts())
+			tracker.ObserveNN(eng.Len()/2, eng.Len()*13/100, eng.Len())
+			query := func(i int) NNQuery {
+				return NNQuery{Values: mustSeries(t, eng, fmt.Sprintf("S%04d", i)), K: 5, Transform: transform.Identity(32)}
+			}
+			returned := 0
+			for i := 1; i <= 2*exploreEvery && returned == 0; i++ {
+				q := query(i)
+				pl, err := eng.PlanNN(q, plan.Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case pl.Strategy == plan.Index:
+					returned = i
+				case i == 1 && pl.Strategy != plan.ScanFreq:
+					t.Fatalf("first plan is %v: the tracker was not pushed past the crossover", pl.Strategy)
+				}
+				got, _, err := eng.ExecNN(q, pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, _, err := eng.NNIndexed(q); err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %d under %v: answers diverge from the index (%v)", i, pl.Strategy, err)
+				}
+			}
+			if returned == 0 {
+				t.Fatalf("AUTO still scans after %d NN queries (model %+v)", 2*exploreEvery, eng.PlannerStats())
+			}
+			t.Logf("AUTO back on the index at query %d", returned)
+
+			// Forced scans never probe: the caller pinned the strategy.
+			before := eng.PlannerStats().NNSamples
+			for i := 1; i <= 2*exploreEvery; i++ {
+				q := query(i)
+				pl, err := eng.PlanNN(q, plan.ScanFreq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := eng.ExecNN(q, pl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := eng.PlannerStats().NNSamples; got != before {
+				t.Fatalf("forced scans fed %d NN samples", got-before)
+			}
+		})
+	}
+}
+
+// TestCountNearIsTheIndexedRun pins the probe's claim: a traversal told the
+// final k-th distance counts exactly the candidates and nodes of the
+// indexed run that found it.
+func TestCountNearIsTheIndexedRun(t *testing.T) {
+	db := planTestEngine(t, 1, 600).(*DB)
+	tr := transform.MovingAverage(32, 5)
+	for i, q := range []NNQuery{
+		{Values: mustSeries(t, db, "S0003"), K: 1, Transform: transform.Identity(32)},
+		{Values: mustSeries(t, db, "S0042"), K: 9, Transform: transform.Identity(32)},
+		{Values: queryValues(32, 5), K: 20, Transform: tr, BothSides: true},
+	} {
+		out, st, err := db.NNIndexed(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := planNN(db, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar := getArena()
+		cand, nodes := db.countNear(rp, ar, out[len(out)-1].Dist)
+		putArena(ar)
+		if cand != st.Candidates || nodes != st.NodeAccesses {
+			t.Fatalf("query %d: probe counts %d candidates, %d nodes; the indexed run verified %d over %d", i, cand, nodes, st.Candidates, st.NodeAccesses)
+		}
+	}
+}

@@ -264,7 +264,7 @@ func (db *DB) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst [
 			return dst, err
 		}
 		if within {
-			r := Result{ID: id, Name: db.names[id], Dist: dist}
+			r := Result{ID: id, Name: db.Name(id), Dist: dist}
 			if approx || (warp && p.approx()) {
 				r.Bound = bound
 			}
@@ -335,7 +335,7 @@ func (db *DB) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst 
 			return dst, err
 		}
 		if within {
-			r := Result{ID: id, Name: db.names[id], Dist: dist}
+			r := Result{ID: id, Name: db.Name(id), Dist: dist}
 			if approx || (warp && p.approx()) {
 				r.Bound = bound
 			}
@@ -400,7 +400,7 @@ func (db *DB) RangeScanTime(q RangeQuery) ([]Result, ExecStats, error) {
 			warped := series.Warp(series.NormalForm(raw), q.WarpFactor)
 			st.DistanceTerms += int64(len(warped))
 			if d := series.EuclideanDistance(warped, qn); d <= q.Eps {
-				out = append(out, Result{ID: id, Name: db.names[id], Dist: d})
+				out = append(out, Result{ID: id, Name: db.Name(id), Dist: d})
 			}
 		}
 	} else {
@@ -417,7 +417,7 @@ func (db *DB) RangeScanTime(q RangeQuery) ([]Result, ExecStats, error) {
 			tx := q.Transform.ApplyTime(series.NormalForm(raw))
 			st.DistanceTerms += int64(len(tx))
 			if d := series.EuclideanDistance(tx, qn); d <= q.Eps {
-				out = append(out, Result{ID: id, Name: db.names[id], Dist: d})
+				out = append(out, Result{ID: id, Name: db.Name(id), Dist: d})
 			}
 		}
 	}

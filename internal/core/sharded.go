@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/feature"
 	"repro/internal/geom"
@@ -50,6 +51,9 @@ type Sharded struct {
 	// diagnostics.
 	tracker *plan.Tracker
 	history *plan.History
+	// exploreNNTick counts unforced scan-routed NN executions (see
+	// exploreNN in plan.go).
+	exploreNNTick atomic.Uint64
 
 	// catalog: global ID space. Lock order is shard lock(s) first, then mu.
 	mu     sync.RWMutex
@@ -949,7 +953,7 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 			probe := s.shards[pi]
 			var pages [][]byte
 			for _, qid := range probe.ids {
-				qp := probe.points[qid]
+				qp := probe.rec(qid).point
 				tq := qp
 				if !jp.rm.Identity() {
 					tq = jp.rm.ApplyPoint(qp)

@@ -48,7 +48,7 @@ func (db *DB) SubsequenceScan(q []float64, eps float64) ([]SubseqResult, ExecSta
 		off, dist := series.BestSubsequenceMatch(vals, q)
 		st.DistanceTerms += int64(len(q)) // window sums, order-of-magnitude accounting
 		if dist <= eps {
-			out = append(out, SubseqResult{ID: id, Name: db.names[id], Offset: off, Dist: dist})
+			out = append(out, SubseqResult{ID: id, Name: db.Name(id), Offset: off, Dist: dist})
 		}
 	}
 	sortSubseq(out)
@@ -124,8 +124,13 @@ func (db *DB) Compact() (pagesReclaimed int, err error) {
 			return 0, err
 		}
 	}
+	// The new relations take the live series in db.ids order, so series i
+	// gets slot i: its record moves there (its position in ids is i already).
 	ids := append([]int64(nil), db.ids...)
 	points := make([]geom.Point, len(ids))
+	recs, streams := make([]record, len(ids)), make([]*streamState, len(ids))
+	newTime.Reserve(len(ids))
+	newFreq.Reserve(len(ids))
 	for i, id := range ids {
 		vals, err := db.timeRel.Get(id)
 		if err != nil {
@@ -145,7 +150,8 @@ func (db *DB) Compact() (pagesReclaimed int, err error) {
 			abort()
 			return 0, err
 		}
-		points[i] = db.points[id]
+		recs[i], streams[i] = *db.rec(id), *db.stream(id)
+		points[i] = recs[i].point
 	}
 	ix, err := index.New(db.schema, db.opts.RTree)
 	if err != nil {
@@ -157,7 +163,7 @@ func (db *DB) Compact() (pagesReclaimed int, err error) {
 		return 0, err
 	}
 	oldTime, oldFreq := db.timeRel, db.freqRel
-	db.timeRel, db.freqRel = newTime, newFreq
+	db.timeRel, db.freqRel, db.recs, db.streams = newTime, newFreq, recs, streams
 	db.idx = ix
 	db.gen++
 	oldTime.Close()

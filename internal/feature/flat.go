@@ -31,39 +31,55 @@ func (sc Schema) CoeffsInto(p []float64, out []complex128) {
 			out[i] = complex(a, b)
 		} else {
 			// cmplx.Rect(a, b) inlined: same Sincos, same products.
-			sin, cos := math.Sincos(b)
-			out[i] = complex(a*cos, a*sin)
+			out[i] = complex(geom.PolarToRect(a, b))
 		}
 	}
 }
 
-// CoeffDistSqFlat returns the squared complex-plane coefficient distance
-// between a feature point (given as a raw slab view) and precomputed query
-// coefficients qc (CoeffsInto of the query). renorm re-normalizes the
-// phase-angle dimensions to (-pi, pi] first — the transformed-point path,
-// where the caller's affine map has shifted angles out of range and
-// AffineMap.ApplyPoint would have normalized them; pass false for raw
-// stored points. Bit-identical to CoeffDistSq over the corresponding
-// points.
-func (sc Schema) CoeffDistSqFlat(p []float64, qc []complex128, renorm bool) float64 {
+// PolarActionInto writes the action of a polar-space affine map (C, D) on
+// each complex coefficient into out (length K): by Theorem 3 the map
+// scales coefficient i's magnitude by C and shifts its angle by D, which
+// is multiplication by the complex number with that magnitude and angle.
+func (sc Schema) PolarActionInto(C, D []float64, out []complex128) {
 	off := sc.Skip()
+	for i := range out {
+		out[i] = complex(geom.PolarToRect(C[off+2*i], D[off+2*i+1]))
+	}
+}
+
+// CoeffDistSqFlat returns the squared complex-plane coefficient distance
+// between a leaf point, as the flat traversals hold it, and precomputed
+// query coefficients qc (CoeffsInto of the query).
+//
+// In S_rect pt is the slab view of the (already transformed) point and act
+// is not used. In S_pol pt is the untransformed point's Cartesian image —
+// its K (re, im) pairs, which the k-index's leaves keep beside their slabs
+// — and act the traversal map's action per coefficient (PolarActionInto),
+// nil under the identity: the sum is over |act_i*X_i - Q_i|^2, one complex
+// multiplication per coefficient where mapping the polar point and turning
+// it back would take a sine and a cosine. Under the identity the result is
+// bit-identical to CoeffDistSq over the corresponding points (the image
+// holds exactly the products Coeffs forms); under a map it agrees to
+// rounding, a few ulps.
+func (sc Schema) CoeffDistSqFlat(pt []float64, act, qc []complex128) float64 {
 	var s float64
-	if sc.Space == Rect {
+	if sc.Space == Rect || act == nil {
+		off := 0 // the image holds coefficients only
+		if sc.Space == Rect {
+			off = sc.Skip()
+		}
 		for i := range qc {
-			dr := p[off+2*i] - real(qc[i])
-			di := p[off+2*i+1] - imag(qc[i])
+			dr := pt[off+2*i] - real(qc[i])
+			di := pt[off+2*i+1] - imag(qc[i])
 			s += dr*dr + di*di
 		}
 		return s
 	}
 	for i := range qc {
-		a, b := p[off+2*i], p[off+2*i+1]
-		if renorm {
-			b = geom.NormalizeAngle(b)
-		}
-		sin, cos := math.Sincos(b)
-		dr := a*cos - real(qc[i])
-		di := a*sin - imag(qc[i])
+		xr, xi := pt[2*i], pt[2*i+1]
+		ar, ai := real(act[i]), imag(act[i])
+		dr := ar*xr - ai*xi - real(qc[i])
+		di := ar*xi + ai*xr - imag(qc[i])
 		s += dr*dr + di*di
 	}
 	return s

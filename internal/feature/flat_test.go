@@ -10,7 +10,20 @@ import (
 )
 
 // The flat kernels must be bit-identical to their allocating counterparts:
-// every parity check below compares with ==, not a tolerance.
+// every parity check below compares with ==, not a tolerance — except the
+// polar leaf-point distance under a transformation, which multiplies a
+// complex number where the allocating form takes the sine and cosine of a
+// shifted angle, and is held to a few ulps instead (see there).
+
+// cartesian is the image of p's coefficients a polar index leaf keeps.
+func cartesian(sc Schema, p geom.Point) []float64 {
+	out := make([]float64, 0, 2*sc.K)
+	for i := 0; i < sc.K; i++ {
+		re, im := geom.PolarToRect(p[sc.Skip()+2*i], p[sc.Skip()+2*i+1])
+		out = append(out, re, im)
+	}
+	return out
+}
 
 func randPoint(rng *rand.Rand, sc Schema) geom.Point {
 	p := make(geom.Point, sc.Dims())
@@ -64,7 +77,11 @@ func TestCoeffDistSqFlatParity(t *testing.T) {
 			p := randPoint(rng, sc)
 			sc.CoeffsInto(q, qc)
 			want := sc.CoeffDistSq(p, q)
-			got := sc.CoeffDistSqFlat(p, qc, false)
+			pt := []float64(p)
+			if sc.Space == Polar {
+				pt = cartesian(sc, p)
+			}
+			got := sc.CoeffDistSqFlat(pt, nil, qc)
 			if got != want {
 				t.Fatalf("%v: CoeffDistSqFlat = %v, CoeffDistSq = %v", sc, got, want)
 			}
@@ -72,10 +89,16 @@ func TestCoeffDistSqFlatParity(t *testing.T) {
 	}
 }
 
-// TestCoeffDistSqFlatRenormParity pins the transformed-point path: the flat
-// kernel over a slab-transformed point with renorm must equal CoeffDistSq
-// over AffineMap.ApplyPoint of the raw point (which re-normalizes angles).
-func TestCoeffDistSqFlatRenormParity(t *testing.T) {
+// TestCoeffDistSqFlatMappedParity pins the transformed-point path against
+// CoeffDistSq over AffineMap.ApplyPoint of the raw point. In S_rect the
+// flat kernel reads the slab-transformed point and the two are the same
+// arithmetic: exact. In S_pol the flat kernel multiplies the point's
+// Cartesian image by the map's complex action, where ApplyPoint scales the
+// magnitude, shifts and renormalizes the angle, and Coeffs takes its sine
+// and cosine: the same complex number by two routes, each a few roundings
+// long, so the squared distances agree to 1e-12 of the magnitudes involved
+// and no closer.
+func TestCoeffDistSqFlatMappedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, sc := range []Schema{
 		{Space: Polar, K: 2, Moments: true},
@@ -101,20 +124,33 @@ func TestCoeffDistSqFlatRenormParity(t *testing.T) {
 			t.Fatalf("%v: Map: %v", sc, err)
 		}
 		qc := make([]complex128, sc.K)
+		act := make([]complex128, sc.K)
 		for trial := 0; trial < 200; trial++ {
 			q := randPoint(rng, sc)
 			p := randPoint(rng, sc)
 			sc.CoeffsInto(q, qc)
-			// Slab transform of a degenerate rectangle: c*x + d per dim,
-			// no renormalization (what rtree.transformSlab produces).
-			tp := make([]float64, len(p))
-			for i := range p {
-				tp[i] = m.C[i]*p[i] + m.D[i]
+			tp := m.ApplyPoint(p)
+			want := sc.CoeffDistSq(tp, q)
+			if sc.Space == Rect {
+				// Slab transform of a degenerate rectangle: c*x + d per dim
+				// (what rtree.transformSlab produces).
+				slab := make([]float64, len(p))
+				for i := range p {
+					slab[i] = m.C[i]*p[i] + m.D[i]
+				}
+				if got := sc.CoeffDistSqFlat(slab, nil, qc); got != want {
+					t.Fatalf("%v: mapped CoeffDistSqFlat = %v, CoeffDistSq(ApplyPoint) = %v", sc, got, want)
+				}
+				continue
 			}
-			want := sc.CoeffDistSq(m.ApplyPoint(p), q)
-			got := sc.CoeffDistSqFlat(tp, qc, true)
-			if got != want {
-				t.Fatalf("%v: renorm CoeffDistSqFlat = %v, CoeffDistSq(ApplyPoint) = %v", sc, got, want)
+			sc.PolarActionInto(m.C, m.D, act)
+			got := sc.CoeffDistSqFlat(cartesian(sc, p), act, qc)
+			var scale float64
+			for _, c := range append(sc.Coeffs(tp), qc...) {
+				scale += real(c)*real(c) + imag(c)*imag(c)
+			}
+			if math.Abs(got-want) > 1e-12*scale {
+				t.Fatalf("%v: mapped CoeffDistSqFlat = %v, CoeffDistSq(ApplyPoint) = %v (scale %v)", sc, got, want, scale)
 			}
 		}
 	}

@@ -104,3 +104,12 @@ func ContainsPointMixed(r Rect, p Point, angular []bool) bool {
 	}
 	return true
 }
+
+// PolarToRect returns the Cartesian coordinates (m*cos a, m*sin a) of the
+// complex number with magnitude m and phase angle a. Every place that
+// turns a polar feature dimension pair back into a complex coefficient
+// goes through it, so the results agree bit for bit.
+func PolarToRect(m, a float64) (re, im float64) {
+	sin, cos := math.Sincos(a)
+	return m * cos, m * sin
+}

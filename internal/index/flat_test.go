@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,25 @@ import (
 
 // The batch index search must be bit-identical to the per-entry search:
 // same candidate IDs in the same order, same traversal stats, same partial
-// distances on the NN path.
+// distances on the NN path — everywhere but under a transformation in
+// S_pol, where the batch search reads leaf points from their Cartesian
+// images (one complex multiplication) and the per-entry search maps the
+// polar point and takes its sine and cosine. Those partial distances agree
+// to rounding, pinned here at 1e-12 relative; order may differ only between
+// items whose distances tie that closely.
+
+// exactMap reports whether the batch search owes bit-identity under m.
+func exactMap(sc feature.Schema, m transform.AffineMap) bool {
+	if sc.Space == feature.Rect {
+		return true
+	}
+	for i := range m.C {
+		if m.C[i] != 1 || m.D[i] != 0 {
+			return false
+		}
+	}
+	return true // the identity, forced or not: multiplying by (1, 0) is exact
+}
 
 func flatParityMaps(t *testing.T, sc feature.Schema, n int) []transform.AffineMap {
 	t.Helper()
@@ -121,10 +140,22 @@ func TestNearestIDsParity(t *testing.T) {
 				if len(rec.ids) != len(wantIDs) {
 					t.Fatalf("%d items, want %d", len(rec.ids), len(wantIDs))
 				}
+				exact := exactMap(sc, m)
+				near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(a, b) }
 				for i := range wantIDs {
-					if rec.ids[i] != wantIDs[i] || rec.dists[i] != wantDists[i] {
+					switch {
+					case exact && (rec.ids[i] != wantIDs[i] || rec.dists[i] != wantDists[i]),
+						!near(rec.dists[i], wantDists[i]):
 						t.Fatalf("item %d: (%d, %v), want (%d, %v)",
 							i, rec.ids[i], rec.dists[i], wantIDs[i], wantDists[i])
+					case rec.ids[i] != wantIDs[i]:
+						// Allowed only as a swap inside a run of tied distances.
+						tied := (i > 0 && near(wantDists[i-1], wantDists[i])) ||
+							(i+1 < len(wantDists) && near(wantDists[i], wantDists[i+1])) ||
+							i+1 == len(wantDists) // the tie partner fell past the cut
+						if !tied {
+							t.Fatalf("item %d: id %d, want %d, with no tie at distance %v", i, rec.ids[i], wantIDs[i], wantDists[i])
+						}
 					}
 				}
 			}

@@ -44,7 +44,19 @@ func New(schema feature.Schema, opts rtree.Options) (*KIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KIndex{schema: schema, tree: tree, angular: schema.Angular()}, nil
+	return wrap(schema, tree), nil
+}
+
+// wrap builds the k-index over a tree of the schema's dimensionality. The
+// leaves of a polar index keep their points' Cartesian images: rectangles
+// stay polar, which is what makes a stretch-and-rotate transformation safe
+// (Theorem 3), but a leaf's points are only ever compared as complex
+// numbers, and the images spare every such comparison its sine and cosine.
+func wrap(schema feature.Schema, tree *rtree.Tree) *KIndex {
+	if schema.Space == feature.Polar {
+		tree.KeepCartesian(schema.Skip())
+	}
+	return &KIndex{schema: schema, tree: tree, angular: schema.Angular()}
 }
 
 // Adopt wraps a tree decoded from a snapshot (rtree.DecodeBinary) as the
@@ -64,7 +76,7 @@ func Adopt(schema feature.Schema, tree *rtree.Tree) (*KIndex, error) {
 	if err := tree.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("index: adopted tree invalid: %w", err)
 	}
-	return &KIndex{schema: schema, tree: tree, angular: schema.Angular()}, nil
+	return wrap(schema, tree), nil
 }
 
 // EncodeTree serialises the underlying packed tree in the versioned binary

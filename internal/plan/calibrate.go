@@ -75,13 +75,13 @@ func clampRatio(measured, def float64) float64 {
 // Reference probe ratios: what rawProbeRatios measures on the machine
 // the default cost constants were hand-tuned on. Calibration scales each
 // default by measured/reference — the probes run on a 64-record store in
-// cache and cannot see what a real store adds (the id map and slab misses
+// cache and cannot see what a real store adds (the directory and slab misses
 // of a large relation, a buffer pool's faults), so the absolute probe
 // ratios mean nothing; only their drift from the reference machine does.
 // On the reference machine itself, Calibrate returns the defaults.
 const (
-	calRefCheckRatio = 0.109 // check/verify probe ratio at default capture
-	calRefNodeRatio  = 0.79  // node/verify probe ratio at default capture
+	calRefCheckRatio = 0.0553 // check/verify probe ratio at default capture
+	calRefNodeRatio  = 0.925  // node/verify probe ratio at default capture
 )
 
 // rawProbeRatios times the three primitive probes and returns the full-
@@ -127,24 +127,23 @@ func rawProbeRatios() (verifyNS, checkRatio, nodeRatio float64) {
 			return
 		}
 		next++
-		sum, paged := 0.0, false
-		for f := 0; f < stop; f++ {
-			var x complex128
-			if f < len(v.Head) {
-				x = v.Head[f]
-			} else {
-				if !paged {
-					if pages, err = rel.ViewPagesInto(v, pages[:0]); err != nil {
-						return
-					}
-					paged = true
-				}
-				x = relation.ComplexAt(pages, rel.PageSize(), f)
-			}
+		term := func(f int, x complex128) float64 {
 			d := qa[f]*x + qb[f] - qq[(f+7)%calCoeffs]
-			sum += real(d)*real(d) + imag(d)*imag(d)
+			return real(d)*real(d) + imag(d)*imag(d)
 		}
-		if paged {
+		sum := 0.0
+		head := v.Head[:min(stop, len(v.Head))]
+		for f, x := range head {
+			sum += term(f, x)
+		}
+		if len(head) < stop {
+			if pages, err = rel.ViewPagesInto(v, pages[:0]); err != nil {
+				return
+			}
+			cur := relation.CursorAt(pages, rel.PageSize(), len(head))
+			for f := len(head); f < stop; f++ {
+				sum += term(f, cur.Next())
+			}
 			rel.ReleaseView(v)
 		}
 		calSink += math.Sqrt(sum)

@@ -52,10 +52,12 @@ func TestHeadFollowsPages(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				cur := CursorAt(pages, r.PageSize(), 0)
 				for f, h := range v.Head {
-					if want := complex(vec[2*f], vec[2*f+1]); h != want || ComplexAt(pages, r.PageSize(), f) != want {
+					paged := cur.Next()
+					if want := complex(vec[2*f], vec[2*f+1]); h != want || paged != want {
 						t.Fatalf("disk=%t step %d id %d coefficient %d: head %v, page %v, stored %v",
-							disk, step, id, f, h, ComplexAt(pages, r.PageSize(), f), want)
+							disk, step, id, f, h, paged, want)
 					}
 				}
 				r.ReleaseView(v)

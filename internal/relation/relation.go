@@ -11,6 +11,11 @@
 // The frequency-domain relation also keeps every record's first HeadCoeffs
 // coefficients resident (KeepHeads, View), so a distance computation that
 // abandons "within the first few coefficients" never reaches a page.
+//
+// Records are reached through a dense directory (directory.go): an id
+// resolves to a slot — the record's position in insertion order — with two
+// array loads, and everything kept per record (page range, head) is indexed
+// by that slot.
 package relation
 
 import (
@@ -18,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/pagefile"
@@ -40,11 +46,10 @@ const HeadCoeffs = 16
 // behind and a sweep in insertion order still reads memory front to back.
 const headChunkSlots = 256
 
-// location identifies a stored record: its page range and, in a relation
-// keeping heads, its slot in the slab — one map lookup yields both.
+// location is a stored record's page range. Locations are indexed by the
+// record's slot, as are the heads.
 type location struct {
 	firstPage, pageCount int
-	slot, headLen        int32 // the first headLen coefficients of slab slot `slot`
 }
 
 // Relation is an insert-only table of float64 vectors keyed by int64 IDs.
@@ -65,16 +70,25 @@ type Relation struct {
 	mem  *pagefile.File     // non-nil iff memory-backed
 	disk *pagefile.DiskFile // non-nil iff disk-backed
 	pool *pagefile.BufferPool
-	locs map[int64]location
-	ids  []int64 // insertion order, for deterministic scans
+	// dir resolves an id to its slot; ids and locs are indexed by slot (ids
+	// is also the insertion order of deterministic scans). All three are
+	// derived state: a load rebuilds them record by record and nothing of
+	// them is persisted.
+	dir  directory
+	ids  []int64
+	locs []location
 	// heads is the resident slab of a relation keeping heads: the first
-	// min(HeadCoeffs, n) complex coefficients of every record, one slot per
-	// record in insertion order, in chunks of headChunkSlots slots. It is
-	// derived state — rebuilt from the records on every load, never
-	// persisted — and every write that changes a record's pages rewrites its
-	// head in the same call, so the two cannot disagree.
-	heads     [][]complex128
-	slots     int32 // slots handed out
+	// min(HeadCoeffs, n) complex coefficients of every record, slot by slot,
+	// in chunks of headChunkSlots slots. It is derived state — rebuilt from
+	// the records on every load, never persisted — and every write that
+	// changes a record's pages rewrites its head in the same call, so the two
+	// cannot disagree.
+	heads [][]complex128
+	// headLens is how many coefficients of each slot's head are filled. It
+	// is a column of its own, a byte a record, so that reaching a head
+	// touches the directory, this, and the slab — and not the 16-byte
+	// locations, which only a reader going on to the pages needs.
+	headLens  []uint8
 	keepHeads bool
 }
 
@@ -82,11 +96,7 @@ type Relation struct {
 // given page size (<= 0 selects the default).
 func New(pageSize int) *Relation {
 	mem := pagefile.New(pageSize)
-	return &Relation{
-		file: mem,
-		mem:  mem,
-		locs: make(map[int64]location),
-	}
+	return &Relation{file: mem, mem: mem}
 }
 
 // DefaultDiskCachePages is the buffer-pool size a disk relation gets when
@@ -112,12 +122,7 @@ func NewDisk(path string, pageSize, cachePages int) (*Relation, error) {
 		disk.Close()
 		return nil, err
 	}
-	return &Relation{
-		file: disk,
-		disk: disk,
-		pool: pool,
-		locs: make(map[int64]location),
-	}, nil
+	return &Relation{file: disk, disk: disk, pool: pool}, nil
 }
 
 // KeepHeads makes the relation hold the first HeadCoeffs complex
@@ -131,39 +136,66 @@ func (r *Relation) KeepHeads() {
 	r.keepHeads = true
 }
 
-// head returns the filled part of a location's slab slot.
-func (r *Relation) head(loc location) []complex128 {
-	if loc.headLen == 0 {
+// Reserve sizes the per-record tables for n further records, so a bulk
+// load of known size grows none of them by doubling inside its loop. (The
+// directory and the head slab grow a fixed-size page or chunk at a time
+// and need no reservation.)
+func (r *Relation) Reserve(n int) {
+	r.ids = slices.Grow(r.ids, n)
+	r.locs = slices.Grow(r.locs, n)
+	if r.keepHeads {
+		r.headLens = slices.Grow(r.headLens, n)
+	}
+}
+
+// head returns the filled part of a slot's slab entry.
+func (r *Relation) head(slot int32) []complex128 {
+	if !r.keepHeads {
 		return nil
 	}
-	off := int(loc.slot%headChunkSlots) * HeadCoeffs
-	return r.heads[loc.slot/headChunkSlots][off : off+int(loc.headLen) : off+int(loc.headLen)]
+	off, n := int(slot%headChunkSlots)*HeadCoeffs, int(r.headLens[slot])
+	return r.heads[slot/headChunkSlots][off : off+n : off+n]
 }
 
-// newSlot hands out the next slab slot (0 in a relation keeping no heads).
-func (r *Relation) newSlot() int32 {
+// fillHead writes a slot's head from its encoded record (little-endian
+// interleaved (re, im) float64 pairs).
+func (r *Relation) fillHead(slot int32, data []byte) {
 	if !r.keepHeads {
-		return 0
+		return
 	}
-	if int(r.slots) == len(r.heads)*headChunkSlots {
+	if int(slot) == len(r.heads)*headChunkSlots {
 		r.heads = append(r.heads, make([]complex128, headChunkSlots*HeadCoeffs))
 	}
-	r.slots++
-	return r.slots - 1
-}
-
-// place builds the location of an encoded record (little-endian
-// interleaved (re, im) float64 pairs) stored in the given pages and fills
-// its slab slot from the bytes.
-func (r *Relation) place(first, count int, slot int32, data []byte) location {
-	loc := location{firstPage: first, pageCount: count, slot: slot}
-	if r.keepHeads {
-		loc.headLen = int32(min(len(data)/16, HeadCoeffs))
+	if int(slot) == len(r.headLens) {
+		r.headLens = append(r.headLens, 0)
 	}
-	for i, head := 0, r.head(loc); i < len(head); i++ {
+	r.headLens[slot] = uint8(min(len(data)/16, HeadCoeffs))
+	for i, head := 0, r.head(slot); i < len(head); i++ {
 		head[i] = complexOf(data, i)
 	}
-	return loc
+}
+
+// admit checks that id can take the next slot.
+func (r *Relation) admit(id int64) error {
+	if id < 0 {
+		return fmt.Errorf("relation: negative id %d", id)
+	}
+	if _, ok := r.dir.get(id); ok {
+		return fmt.Errorf("relation: duplicate id %d", id)
+	}
+	if len(r.ids) == math.MaxInt32 {
+		return errors.New("relation: out of slots")
+	}
+	return nil
+}
+
+// enter records a freshly stored record under the next slot.
+func (r *Relation) enter(id int64, first, count int, data []byte) {
+	slot := int32(len(r.ids))
+	r.locs = append(r.locs, location{first, count})
+	r.fillHead(slot, data)
+	r.ids = append(r.ids, id)
+	r.dir.set(id, slot)
 }
 
 // complexOf decodes the i-th (re, im) pair of an encoded record.
@@ -200,20 +232,19 @@ func (r *Relation) ResetStats() { r.file.ResetStats() }
 
 // Insert stores vec under id. Inserting a duplicate ID is an error.
 func (r *Relation) Insert(id int64, vec []float64) error {
-	if _, ok := r.locs[id]; ok {
-		return fmt.Errorf("relation: duplicate id %d", id)
+	if err := r.admit(id); err != nil {
+		return err
 	}
 	return r.insertEncoded(id, encodeFloats(vec))
 }
 
-// insertEncoded appends an encoded record's pages and head under a fresh id.
+// insertEncoded appends an encoded record's pages under an admitted id.
 func (r *Relation) insertEncoded(id int64, data []byte) error {
 	first, count, err := r.file.AppendPages(data)
 	if err != nil {
 		return err
 	}
-	r.locs[id] = r.place(first, count, r.newSlot(), data)
-	r.ids = append(r.ids, id)
+	r.enter(id, first, count, data)
 	return nil
 }
 
@@ -227,8 +258,8 @@ func (r *Relation) InsertRaw(id int64, data []byte) error {
 	if len(data)%8 != 0 {
 		return fmt.Errorf("relation: raw record of %d bytes is not a float64 vector", len(data))
 	}
-	if _, ok := r.locs[id]; ok {
-		return fmt.Errorf("relation: duplicate id %d", id)
+	if err := r.admit(id); err != nil {
+		return err
 	}
 	return r.insertEncoded(id, data)
 }
@@ -245,12 +276,11 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 	if len(data)%8 != 0 {
 		return fmt.Errorf("relation: raw record of %d bytes is not a float64 vector", len(data))
 	}
-	if _, ok := r.locs[id]; ok {
-		return fmt.Errorf("relation: duplicate id %d", id)
+	if err := r.admit(id); err != nil {
+		return err
 	}
 	first, count := r.mem.AppendOwned(data)
-	r.locs[id] = r.place(first, count, r.newSlot(), data)
-	r.ids = append(r.ids, id)
+	r.enter(id, first, count, data)
 	return nil
 }
 
@@ -261,13 +291,14 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 // buffer pool stays coherent for free because pool entries reference the
 // same page buffers. A size-changing replacement falls back to appending a
 // fresh copy and repointing the record, leaving the old pages orphaned
-// until Compact (exactly like Delete). Either way the record keeps its slab
-// slot and the head in it is rewritten in the same call.
+// until Compact (exactly like Delete). Either way the record keeps its slot,
+// and the slot's location and head are rewritten in the same call.
 func (r *Relation) Replace(id int64, vec []float64) error {
-	loc, ok := r.locs[id]
+	slot, ok := r.dir.get(id)
 	if !ok {
 		return fmt.Errorf("relation: id %d not found", id)
 	}
+	loc := r.locs[slot]
 	data := encodeFloats(vec)
 	var err error
 	if r.pool != nil {
@@ -284,11 +315,8 @@ func (r *Relation) Replace(id int64, vec []float64) error {
 	if err != nil {
 		return err
 	}
-	// An in-place rewrite leaves the location as it was: the streaming
-	// append takes this path on every call and need not touch the map.
-	if placed := r.place(first, count, loc.slot, data); placed != loc {
-		r.locs[id] = placed
-	}
+	r.locs[slot] = location{first, count}
+	r.fillHead(slot, data)
 	return nil
 }
 
@@ -344,10 +372,11 @@ func (r *Relation) DiskBacked() bool { return r.disk != nil }
 
 // Get fetches the record stored under id, charging page reads.
 func (r *Relation) Get(id int64) ([]float64, error) {
-	loc, ok := r.locs[id]
+	slot, ok := r.dir.get(id)
 	if !ok {
 		return nil, fmt.Errorf("relation: id %d not found", id)
 	}
+	loc := r.locs[slot]
 	var (
 		data []byte
 		err  error
@@ -367,41 +396,48 @@ func (r *Relation) Get(id int64) ([]float64, error) {
 // modify the returned slice.
 func (r *Relation) IDs() []int64 { return r.ids }
 
-// View is a handle on one stored record: its resident head and the
-// location of its pages. Taking one costs the id lookup and nothing else —
-// a reader that decides within Head never reaches the page file or its
-// buffer pool at all.
+// View is a handle on one stored record: its resident head and the slot
+// its pages are found under. Taking one costs the directory lookup and
+// nothing else — a reader that decides within Head never reaches the page
+// file or its buffer pool at all.
 type View struct {
 	// Head holds the record's first min(HeadCoeffs, n) complex coefficients
 	// (read-only; empty in a relation that keeps no heads). It is valid
 	// until the next write to the relation.
 	Head []complex128
-	loc  location
+	// Slot is the record's position in insertion order: dense, stable
+	// until the relation is rebuilt, and shared by everything else a caller
+	// keeps per record.
+	Slot int32
 }
+
+// Slot resolves an id to its slot.
+func (r *Relation) Slot(id int64) (int32, bool) { return r.dir.get(id) }
 
 // View opens the record stored under id.
 func (r *Relation) View(id int64) (View, error) {
-	loc, ok := r.locs[id]
+	slot, ok := r.dir.get(id)
 	if !ok {
 		return View{}, fmt.Errorf("relation: id %d not found", id)
 	}
-	return View{Head: r.head(loc), loc: loc}, nil
+	return View{Head: r.head(slot), Slot: slot}, nil
 }
 
 // ViewPagesInto appends direct (read-only) references to the pages holding
 // the viewed record to buf (pass buf[:0] to reuse its backing array, so
 // steady-state readers allocate nothing), charging page reads without
-// copying or decoding. Combined with ComplexAt this lets distance
+// copying or decoding. Combined with a Cursor this lets distance
 // computations deserialize coefficients lazily, so early abandonment skips
 // both arithmetic and decoding — the behavior the paper's scan baseline
 // relies on. For a disk relation the returned pages are pinned buffer-pool
 // frames: the caller must call ReleaseView(v) when done (safe and free to
 // call for memory relations too).
 func (r *Relation) ViewPagesInto(v View, buf [][]byte) ([][]byte, error) {
+	loc := r.locs[v.Slot]
 	if r.pool != nil {
-		return r.pool.ViewInto(v.loc.firstPage, v.loc.pageCount, buf)
+		return r.pool.ViewInto(loc.firstPage, loc.pageCount, buf)
 	}
-	return r.mem.ViewInto(v.loc.firstPage, v.loc.pageCount, buf)
+	return r.mem.ViewInto(loc.firstPage, loc.pageCount, buf)
 }
 
 // ReleaseView drops the pins taken by a ViewPagesInto of the same view.
@@ -412,26 +448,43 @@ func (r *Relation) ReleaseView(v View) {
 	if r.disk == nil || r.pool == nil {
 		return
 	}
-	r.pool.Release(v.loc.firstPage, v.loc.pageCount)
+	loc := r.locs[v.Slot]
+	r.pool.Release(loc.firstPage, loc.pageCount)
 }
 
-// ComplexAt decodes the i-th complex coefficient from a record's page view
+// Cursor reads a record's complex coefficients in order off its page view
 // (records are interleaved (re, im) float64 pairs; page sizes are multiples
-// of 8, so floats never straddle pages).
-func ComplexAt(pages [][]byte, pageSize, i int) complex128 {
-	byteOff := 16 * i
-	pg := byteOff / pageSize
-	off := byteOff % pageSize
-	re := math.Float64frombits(binary.LittleEndian.Uint64(pages[pg][off:]))
-	// The imaginary part may start on the next page only if pageSize is
-	// not a multiple of 16; guard for correctness.
-	off += 8
-	if off >= pageSize {
-		pg++
-		off -= pageSize
+// of 8, so floats never straddle pages). It keeps a running (page, offset)
+// position: the one division is in CursorAt, none per coefficient.
+type Cursor struct {
+	pages   [][]byte
+	pg, off int
+}
+
+// CursorAt positions a cursor on the i-th coefficient of a page view.
+func CursorAt(pages [][]byte, pageSize, i int) Cursor {
+	return Cursor{pages: pages, pg: 16 * i / pageSize, off: 16 * i % pageSize}
+}
+
+// Next decodes the coefficient under the cursor and steps past it.
+func (c *Cursor) Next() complex128 {
+	re := c.float()
+	return complex(re, c.float())
+}
+
+// float decodes one float64, moving to the next page at a page's end (the
+// imaginary part opens a new page when the page size is not a multiple of
+// 16).
+func (c *Cursor) float() float64 {
+	page := c.pages[c.pg]
+	if c.off == len(page) {
+		c.pg++
+		c.off = 0
+		page = c.pages[c.pg]
 	}
-	im := math.Float64frombits(binary.LittleEndian.Uint64(pages[pg][off:]))
-	return complex(re, im)
+	v := math.Float64frombits(binary.LittleEndian.Uint64(page[c.off:]))
+	c.off += 8
+	return v
 }
 
 // Scan iterates the relation in insertion order (the sequential access
@@ -441,8 +494,8 @@ func ComplexAt(pages [][]byte, pageSize, i int) complex128 {
 // receives a freshly decoded vector it may retain.
 func (r *Relation) Scan(fn func(id int64, vec []float64) bool) error {
 	var data []byte
-	for _, id := range r.ids {
-		loc := r.locs[id]
+	for slot, id := range r.ids {
+		loc := r.locs[slot]
 		var err error
 		if r.pool != nil {
 			data, err = r.pool.ReadInto(loc.firstPage, loc.pageCount, data[:0])

@@ -19,7 +19,7 @@ func viewPages(t *testing.T, r *Relation, id int64) [][]byte {
 	return pages
 }
 
-func TestViewPagesAndComplexAt(t *testing.T) {
+func TestViewPagesAndCursor(t *testing.T) {
 	// Page size 64 bytes = 4 complex128 per page; a record of 10
 	// coefficients spans 3 pages.
 	r := New(64)
@@ -38,14 +38,19 @@ func TestViewPagesAndComplexAt(t *testing.T) {
 	if got := r.Stats().Reads; got != 3 {
 		t.Fatalf("ViewPages charged %d reads, want 3", got)
 	}
-	for i, want := range coeffs {
-		if got := ComplexAt(pages, r.PageSize(), i); cmplx.Abs(got-want) > 0 {
-			t.Fatalf("ComplexAt(%d) = %v, want %v", i, got, want)
+	// From every starting coefficient: the cursor's one division lands on
+	// the right (page, offset) and the steps from there cross pages.
+	for from := range coeffs {
+		cur := CursorAt(pages, r.PageSize(), from)
+		for i := from; i < len(coeffs); i++ {
+			if got := cur.Next(); cmplx.Abs(got-coeffs[i]) > 0 {
+				t.Fatalf("from %d: coefficient %d = %v, want %v", from, i, got, coeffs[i])
+			}
 		}
 	}
 }
 
-func TestComplexAtCrossPageImaginary(t *testing.T) {
+func TestCursorCrossPageImaginary(t *testing.T) {
 	// Page size 24 bytes = 3 float64s: coefficient 1 has its real part
 	// ending page 0 and imaginary part opening page 1, exercising the
 	// cross-page guard.
@@ -55,9 +60,12 @@ func TestComplexAtCrossPageImaginary(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := viewPages(t, r, 9)
-	for i, want := range coeffs {
-		if got := ComplexAt(pages, 24, i); got != want {
-			t.Fatalf("ComplexAt(%d) = %v, want %v", i, got, want)
+	for from := range coeffs {
+		cur := CursorAt(pages, 24, from)
+		for i := from; i < len(coeffs); i++ {
+			if got := cur.Next(); got != coeffs[i] {
+				t.Fatalf("from %d: coefficient %d = %v, want %v", from, i, got, coeffs[i])
+			}
 		}
 	}
 }

@@ -39,7 +39,7 @@ func (t *Tree) BulkLoad(items []Item) error {
 		level++
 	}
 	t.root = &node{level: level, entries: entries}
-	t.root.syncFlat(t.dims)
+	t.syncFlat(t.root)
 	t.height = level + 1
 	t.size = len(items)
 	return nil
@@ -149,7 +149,7 @@ func (t *Tree) repairUnderfull(nodes []*node) []*node {
 		}
 	}
 	for _, n := range nodes {
-		n.syncFlat(t.dims)
+		t.syncFlat(n)
 	}
 	return nodes
 }

@@ -1,6 +1,10 @@
 package rtree
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/geom"
+)
 
 // CheckInvariants validates the structural invariants of the tree and
 // returns a descriptive error if any is violated. It is exported for tests
@@ -16,7 +20,8 @@ import "fmt"
 //  4. The recorded size matches the number of leaf entries, and the
 //     recorded height matches the root level + 1.
 //  5. Every node's flat MBR slab (the struct-of-arrays copy batch
-//     traversals scan) agrees cell for cell with its entry rectangles.
+//     traversals scan) agrees cell for cell with its entry rectangles, and
+//     every leaf's Cartesian block (KeepCartesian) with its entry points.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		return fmt.Errorf("rtree: nil root")
@@ -44,7 +49,7 @@ func (t *Tree) checkNode(n *node, isRoot bool) (int, error) {
 	if !isRoot && len(n.entries) < t.minEntries {
 		return 0, fmt.Errorf("rtree: node at level %d has %d < min %d entries", n.level, len(n.entries), t.minEntries)
 	}
-	if err := n.checkFlat(t.dims); err != nil {
+	if err := t.checkFlat(n); err != nil {
 		return 0, err
 	}
 	if n.leaf() {
@@ -70,8 +75,10 @@ func (t *Tree) checkNode(n *node, isRoot bool) (int, error) {
 	return total, nil
 }
 
-// checkFlat verifies the flat slab mirrors the entry rectangles exactly.
-func (n *node) checkFlat(dims int) error {
+// checkFlat verifies the flat slab mirrors the entry rectangles exactly,
+// and a leaf's Cartesian block its entry points.
+func (t *Tree) checkFlat(n *node) error {
+	dims := t.dims
 	c := len(n.entries)
 	if len(n.flat) != 2*c*dims {
 		return fmt.Errorf("rtree: flat slab has %d cells, want %d (level %d, %d entries)", len(n.flat), 2*c*dims, n.level, c)
@@ -81,6 +88,20 @@ func (n *node) checkFlat(dims int) error {
 		for j := 0; j < dims; j++ {
 			if lows[i*dims+j] != e.rect.Lo[j] || highs[i*dims+j] != e.rect.Hi[j] {
 				return fmt.Errorf("rtree: stale flat slab at level %d entry %d dim %d", n.level, i, j)
+			}
+		}
+	}
+	if t.polarPairs == 0 || !n.leaf() {
+		return nil
+	}
+	if len(n.cart) != c*2*t.polarPairs {
+		return fmt.Errorf("rtree: Cartesian block has %d cells, want %d (%d entries)", len(n.cart), c*2*t.polarPairs, c)
+	}
+	for i, e := range n.entries {
+		for j := 0; j < t.polarPairs; j++ {
+			re, im := geom.PolarToRect(e.rect.Lo[t.polarFrom+2*j], e.rect.Lo[t.polarFrom+2*j+1])
+			if k := (i*t.polarPairs + j) * 2; n.cart[k] != re || n.cart[k+1] != im {
+				return fmt.Errorf("rtree: stale Cartesian block at entry %d pair %d", i, j)
 			}
 		}
 	}

@@ -16,7 +16,7 @@ func (t *Tree) Delete(r geom.Rect, id int64) bool {
 	}
 	leaf := path[len(path)-1]
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	leaf.syncFlat(t.dims)
+	t.syncFlat(leaf)
 	t.size--
 	t.condense(path)
 	return true
@@ -64,7 +64,7 @@ func (t *Tree) condense(path []*node) {
 			for i := range parent.entries {
 				if parent.entries[i].child == n {
 					parent.entries = append(parent.entries[:i], parent.entries[i+1:]...)
-					parent.syncFlat(t.dims)
+					t.syncFlat(parent)
 					break
 				}
 			}
@@ -76,7 +76,7 @@ func (t *Tree) condense(path []*node) {
 			for i := range parent.entries {
 				if parent.entries[i].child == n {
 					parent.entries[i].rect = n.mbr()
-					parent.syncFlatEntry(i, t.dims)
+					t.syncFlatEntry(parent, i)
 					break
 				}
 			}

@@ -33,10 +33,11 @@ type Scratch struct {
 // FlatVisitor consumes the surviving leaf entries of a batch range
 // traversal. tlo and thi are the entry's transformed corners — views into
 // traversal scratch, valid only for the duration of the call (leaf entries
-// are typically degenerate, making tlo the transformed point). Returning
-// false stops the traversal.
+// are typically degenerate, making tlo the transformed point). cart is the
+// entry's untransformed Cartesian block entry in a tree keeping them
+// (KeepCartesian), nil otherwise. Returning false stops the traversal.
 type FlatVisitor interface {
-	VisitFlat(id int64, tlo, thi []float64) bool
+	VisitFlat(id int64, tlo, thi, cart []float64) bool
 }
 
 // FlatNNVisitor consumes items of a batch nearest-neighbor traversal in
@@ -48,16 +49,20 @@ type FlatNNVisitor interface {
 
 // FlatNNKernel supplies the geometry of a batch nearest-neighbor
 // traversal: batched lower bounds over transformed child rectangles and
-// batched exact (partial) distances over transformed leaf points. Both
-// receive entry-major blocks of count*dims values and must fill
-// out[:count].
+// batched exact (partial) distances over leaf points. Both receive
+// entry-major blocks and must fill out[:count].
 type FlatNNKernel interface {
 	// LowerBatch lower-bounds the distance from the query to anything
-	// inside each transformed rectangle (lo/hi corner blocks).
+	// inside each transformed rectangle (lo/hi corner blocks of count*dims
+	// values).
 	LowerBatch(lo, hi []float64, count, dims int, out []float64)
-	// PointBatch computes the exact per-item distance for each transformed
-	// leaf point (the lo corner of a degenerate rectangle).
-	PointBatch(lo []float64, count, dims int, out []float64)
+	// PointBatch computes the exact per-item distance for each leaf point,
+	// given as count runs of stride values: the leaf's Cartesian block in a
+	// tree keeping them (KeepCartesian) — untransformed; the map acts on a
+	// complex number as one multiplication, which is the kernel's to apply —
+	// and otherwise the transformed points (the lo corners of degenerate
+	// rectangles).
+	PointBatch(pts []float64, count, stride int, out []float64)
 }
 
 // transformSlab maps a node slab through fm into the lows/highs halves of
@@ -111,7 +116,7 @@ func flatOverlaps(lo, hi, qlo, qhi []float64, dims int, angular []bool) bool {
 func (t *Tree) nodeSlabs(n *node, fm *FlatMap, sc *Scratch) (lows, highs []float64) {
 	c := len(n.entries)
 	if len(n.flat) != 2*c*t.dims {
-		n.syncFlat(t.dims)
+		t.syncFlat(n)
 	}
 	if fm.Identity {
 		return n.flat[:c*t.dims], n.flat[c*t.dims:]
@@ -146,13 +151,14 @@ func (t *Tree) FlatRange(qlo, qhi []float64, fm FlatMap, sc *Scratch, v FlatVisi
 		}
 		lows, highs := t.nodeSlabs(n, &fm, sc)
 		if n.leaf() {
+			cw := 2 * t.polarPairs
 			for e := 0; e < c; e++ {
 				st.EntriesTested++
 				off := e * dims
 				if !flatOverlaps(lows[off:off+dims], highs[off:off+dims], qlo, qhi, dims, fm.Angular) {
 					continue
 				}
-				if !v.VisitFlat(n.entries[e].id, lows[off:off+dims], highs[off:off+dims]) {
+				if !v.VisitFlat(n.entries[e].id, lows[off:off+dims], highs[off:off+dims], n.cart[e*cw:(e+1)*cw:(e+1)*cw]) {
 					return st
 				}
 			}
@@ -247,19 +253,24 @@ func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNV
 		if c == 0 {
 			continue
 		}
-		lows, highs := t.nodeSlabs(n, &fm, sc)
 		if cap(sc.dists) < c {
 			sc.dists = make([]float64, c)
 		} else {
 			sc.dists = sc.dists[:c]
 		}
 		if n.leaf() {
-			kern.PointBatch(lows, c, dims, sc.dists)
+			if t.polarPairs > 0 {
+				kern.PointBatch(n.cart, c, 2*t.polarPairs, sc.dists)
+			} else {
+				lows, _ := t.nodeSlabs(n, &fm, sc)
+				kern.PointBatch(lows, c, dims, sc.dists)
+			}
 			for e := 0; e < c; e++ {
 				st.EntriesTested++
 				flatHeapPush(&sc.heap, flatHeapEntry{dist: sc.dists[e], id: n.entries[e].id})
 			}
 		} else {
+			lows, highs := t.nodeSlabs(n, &fm, sc)
 			kern.LowerBatch(lows, highs, c, dims, sc.dists)
 			for e := 0; e < c; e++ {
 				st.EntriesTested++

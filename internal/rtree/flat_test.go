@@ -36,7 +36,7 @@ type collectFlat struct {
 	los [][]float64
 }
 
-func (c *collectFlat) VisitFlat(id int64, tlo, thi []float64) bool {
+func (c *collectFlat) VisitFlat(id int64, tlo, thi, cart []float64) bool {
 	c.ids = append(c.ids, id)
 	c.los = append(c.los, append([]float64(nil), tlo...))
 	return true

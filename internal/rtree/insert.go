@@ -34,7 +34,7 @@ func (t *Tree) insertEntry(e entry, level int) {
 	leafPath := t.choosePath(e.rect, level)
 	n := leafPath[len(leafPath)-1]
 	n.entries = append(n.entries, e)
-	n.syncFlat(t.dims)
+	t.syncFlat(n)
 	t.adjustPath(leafPath, e.rect)
 	if len(n.entries) > t.maxEntries {
 		t.overflow(leafPath)
@@ -49,7 +49,7 @@ func (t *Tree) choosePath(r geom.Rect, level int) []*node {
 	for n.level > level {
 		idx := t.chooseSubtree(n, r)
 		n.entries[idx].rect.UnionInPlace(r)
-		n.syncFlatEntry(idx, t.dims)
+		t.syncFlatEntry(n, idx)
 		n = n.entries[idx].child
 		path = append(path, n)
 	}
@@ -133,7 +133,7 @@ func (t *Tree) overflow(path []*node) {
 				{rect: left.mbr(), child: left},
 				{rect: right.mbr(), child: right},
 			}}
-			newRoot.syncFlat(t.dims)
+			t.syncFlat(newRoot)
 			t.root = newRoot
 			t.height++
 			return
@@ -150,7 +150,7 @@ func (t *Tree) replaceChild(parent, old, left, right *node) {
 		if parent.entries[i].child == old {
 			parent.entries[i] = entry{rect: left.mbr(), child: left}
 			parent.entries = append(parent.entries, entry{rect: right.mbr(), child: right})
-			parent.syncFlat(t.dims)
+			t.syncFlat(parent)
 			return
 		}
 	}
@@ -181,7 +181,7 @@ func (t *Tree) forcedReinsert(n *node, path []*node) {
 	for _, de := range des[:keep] {
 		n.entries = append(n.entries, de.e)
 	}
-	n.syncFlat(t.dims)
+	t.syncFlat(n)
 	// Tighten ancestors' rectangles for the shrunken node.
 	t.recomputePathRects(path)
 
@@ -199,7 +199,7 @@ func (t *Tree) recomputePathRects(path []*node) {
 		for i := range parent.entries {
 			if parent.entries[i].child == child {
 				parent.entries[i].rect = child.mbr()
-				parent.syncFlatEntry(i, t.dims)
+				t.syncFlatEntry(parent, i)
 				break
 			}
 		}

@@ -59,6 +59,11 @@ type Tree struct {
 	height int // number of levels; leaves are level 0
 	size   int
 
+	// polarFrom and polarPairs describe the (magnitude, angle) dimension
+	// pairs whose Cartesian images the leaves keep (see KeepCartesian);
+	// polarPairs is 0 in a tree keeping none.
+	polarFrom, polarPairs int
+
 	// reinsertedAtLevel tracks, within a single insertion, which levels
 	// have already had forced reinsertion applied (R*-tree overflow
 	// treatment is applied once per level per insertion).
@@ -75,6 +80,12 @@ type node struct {
 	// resynchronizes the slab (syncFlat/syncFlatEntry); CheckInvariants
 	// verifies the two views agree.
 	flat []float64
+	// cart is, in a leaf of a tree keeping Cartesian images (KeepCartesian),
+	// the image (m*cos a, m*sin a) of every polar dimension pair of every
+	// entry's point, entry-major: what a leaf point is compared as, kept so
+	// no traversal takes a sine to compare it. It is derived from the
+	// entries at exactly the slab's sync sites and never serialised.
+	cart []float64
 }
 
 type entry struct {
@@ -85,9 +96,29 @@ type entry struct {
 
 func (n *node) leaf() bool { return n.level == 0 }
 
-// syncFlat rebuilds the flat MBR slab from the entries, reusing the slab's
-// backing array when capacity allows.
-func (n *node) syncFlat(dims int) {
+// KeepCartesian makes every leaf keep, beside its slab, the Cartesian image
+// of each (magnitude, angle) dimension pair of its points, for the pairs
+// from dimension `from` to the last (see node.cart): the k-index asks for
+// it over a polar feature schema. Existing leaves are brought up to date.
+func (t *Tree) KeepCartesian(from int) {
+	t.polarFrom, t.polarPairs = from, (t.dims-from)/2
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n.leaf() {
+			t.syncCart(n)
+			return
+		}
+		for i := range n.entries {
+			walk(n.entries[i].child)
+		}
+	}
+	walk(t.root)
+}
+
+// syncFlat rebuilds a node's flat MBR slab (and a leaf's Cartesian block)
+// from the entries, reusing the backing arrays when capacity allows.
+func (t *Tree) syncFlat(n *node) {
+	dims := t.dims
 	c := len(n.entries)
 	need := 2 * c * dims
 	if cap(n.flat) < need {
@@ -100,18 +131,49 @@ func (n *node) syncFlat(dims int) {
 		copy(lows[i*dims:(i+1)*dims], n.entries[i].rect.Lo)
 		copy(highs[i*dims:(i+1)*dims], n.entries[i].rect.Hi)
 	}
+	t.syncCart(n)
 }
 
-// syncFlatEntry rewrites one entry's slab cells after an in-place
-// rectangle change that did not alter the entry count.
-func (n *node) syncFlatEntry(i, dims int) {
+// syncCart rebuilds a leaf's Cartesian block from the entries.
+func (t *Tree) syncCart(n *node) {
+	if t.polarPairs == 0 || !n.leaf() {
+		return
+	}
+	need := len(n.entries) * 2 * t.polarPairs
+	if cap(n.cart) < need {
+		n.cart = make([]float64, need)
+	} else {
+		n.cart = n.cart[:need]
+	}
+	for i := range n.entries {
+		t.syncCartEntry(n, i)
+	}
+}
+
+// syncCartEntry rewrites one leaf entry's cells of the Cartesian block.
+func (t *Tree) syncCartEntry(n *node, i int) {
+	p := n.entries[i].rect.Lo[t.polarFrom:]
+	out := n.cart[i*2*t.polarPairs:]
+	for j := 0; j < t.polarPairs; j++ {
+		out[2*j], out[2*j+1] = geom.PolarToRect(p[2*j], p[2*j+1])
+	}
+}
+
+// syncFlatEntry rewrites one entry's slab cells (and, in a leaf, its
+// Cartesian block entry) after an in-place rectangle change that did not
+// alter the entry count.
+func (t *Tree) syncFlatEntry(n *node, i int) {
+	dims := t.dims
 	c := len(n.entries)
 	if len(n.flat) != 2*c*dims {
-		n.syncFlat(dims)
+		t.syncFlat(n)
 		return
 	}
 	copy(n.flat[i*dims:(i+1)*dims], n.entries[i].rect.Lo)
 	copy(n.flat[(c+i)*dims:(c+i+1)*dims], n.entries[i].rect.Hi)
+	if t.polarPairs > 0 && n.leaf() {
+		t.syncCartEntry(n, i)
+	}
 }
 
 func (n *node) mbr() geom.Rect {

@@ -127,19 +127,21 @@ func (t *Tree) Materialize(transform RectTransform) *Tree {
 		reinsert:   t.reinsert,
 		height:     t.height,
 		size:       t.size,
+		polarFrom:  t.polarFrom,
+		polarPairs: t.polarPairs,
 	}
-	nt.root = materializeNode(t.root, transform, t.dims)
+	nt.root = nt.materializeNode(t.root, transform)
 	return nt
 }
 
-func materializeNode(n *node, transform RectTransform, dims int) *node {
+func (nt *Tree) materializeNode(n *node, transform RectTransform) *node {
 	out := &node{level: n.level, entries: make([]entry, len(n.entries))}
 	for i, e := range n.entries {
 		out.entries[i] = entry{rect: transform(e.rect).Canonical(), id: e.id}
 		if e.child != nil {
-			out.entries[i].child = materializeNode(e.child, transform, dims)
+			out.entries[i].child = nt.materializeNode(e.child, transform)
 		}
 	}
-	out.syncFlat(dims)
+	nt.syncFlat(out)
 	return out
 }

@@ -23,8 +23,8 @@ func (t *Tree) split(n *node) (left, right *node) {
 	copy(re, n.entries[splitAt:])
 	left = &node{level: n.level, entries: le}
 	right = &node{level: n.level, entries: re}
-	left.syncFlat(t.dims)
-	right.syncFlat(t.dims)
+	t.syncFlat(left)
+	t.syncFlat(right)
 	return left, right
 }
 

@@ -29,14 +29,14 @@ func (t *Tree) Update(oldRect, newRect geom.Rect, id int64) (inPlace, found bool
 	leaf := path[len(path)-1]
 	if leaf.mbr().Contains(newRect) {
 		leaf.entries[idx].rect = newRect.Clone()
-		leaf.syncFlatEntry(idx, t.dims)
+		t.syncFlatEntry(leaf, idx)
 		// Dropping the old position may shrink the leaf's bounding
 		// rectangle; retighten every stored MBR along the path.
 		t.recomputePathRects(path)
 		return true, true
 	}
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	leaf.syncFlat(t.dims)
+	t.syncFlat(leaf)
 	t.size--
 	t.condense(path)
 	if err := t.Insert(newRect, id); err != nil {
