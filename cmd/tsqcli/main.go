@@ -63,6 +63,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -524,8 +525,9 @@ func loop(run func(src string) error, queryStr string) error {
 }
 
 // printExplain renders an EXPLAIN plan: the planner's choice and
-// reasoning, the search rectangle, and estimated vs actual cost.
-func printExplain(e *tsq.ExplainInfo) {
+// reasoning, the Lemma 1 filter its index path runs at, the search
+// rectangle, and estimated vs actual cost.
+func printExplain(w io.Writer, e *tsq.ExplainInfo) {
 	forced := ""
 	if e.Forced {
 		forced = " (forced)"
@@ -534,31 +536,34 @@ func printExplain(e *tsq.ExplainInfo) {
 	if e.Method != "" {
 		method = fmt.Sprintf(" (Table 1 method %s)", e.Method)
 	}
-	fmt.Printf("plan: %s via %s%s%s over %d series, %d shard(s)\n",
+	fmt.Fprintf(w, "plan: %s via %s%s%s over %d series, %d shard(s)\n",
 		e.Kind, e.Strategy, method, forced, e.Series, len(e.Shards))
-	fmt.Printf("  reason: %s\n", e.Reason)
+	fmt.Fprintf(w, "  reason: %s\n", e.Reason)
+	if e.Filter != "" {
+		fmt.Fprintf(w, "  filter: %s\n", e.Filter)
+	}
 	if e.Transform != "" {
-		fmt.Printf("  transform: %s\n", e.Transform)
+		fmt.Fprintf(w, "  transform: %s\n", e.Transform)
 	}
 	if len(e.RectLo) > 0 {
-		fmt.Printf("  rectangle: lo=%v hi=%v\n", e.RectLo, e.RectHi)
+		fmt.Fprintf(w, "  rectangle: lo=%v hi=%v\n", e.RectLo, e.RectHi)
 	}
 	if e.EstIndexCost > 0 || e.EstScanCost > 0 {
-		fmt.Printf("  estimated: selectivity %.4f, %.1f candidates, %.1f nodes (index cost %.1f, scan cost %.1f)\n",
+		fmt.Fprintf(w, "  estimated: selectivity %.4f, %.1f candidates, %.1f nodes (index cost %.1f, scan cost %.1f)\n",
 			e.Selectivity, e.EstCandidates, e.EstNodeAccesses, e.EstIndexCost, e.EstScanCost)
 	}
-	fmt.Printf("  actual:    %d candidates, %d node accesses; %d resolved in the head, %d records opened\n",
+	fmt.Fprintf(w, "  actual:    %d candidates, %d node accesses; %d resolved in the head, %d records opened\n",
 		e.ActualCandidates, e.ActualNodeAccesses, e.ActualHeadResolved, e.ActualCandidates-e.ActualHeadResolved)
 	if e.ApproxDelta > 0 {
 		tight := "no bound feedback yet"
 		if e.ApproxTightness > 0 {
 			tight = fmt.Sprintf("tightness EWMA %.2f", e.ApproxTightness)
 		}
-		fmt.Printf("  approx:    guaranteed within (1+%g)x, ladder rung %d, est speedup %.1fx (%s)\n",
+		fmt.Fprintf(w, "  approx:    guaranteed within (1+%g)x, ladder rung %d, est speedup %.1fx (%s)\n",
 			e.ApproxDelta, e.ApproxRung, e.ApproxEstSpeedup, tight)
 	}
 	for _, sh := range e.PerShard {
-		fmt.Printf("    shard %d: %d candidates (%d resolved in the head), %d nodes, %d pages, %d results\n",
+		fmt.Fprintf(w, "    shard %d: %d candidates (%d resolved in the head), %d nodes, %d pages, %d results\n",
 			sh.Shard, sh.Candidates, sh.HeadResolved, sh.NodeAccesses, sh.PageReads, sh.Results)
 	}
 }
@@ -612,7 +617,7 @@ func executeProgressive(run progressor, src string, maxRows int) error {
 // summary, and rows.
 func printOutput(out *tsq.Output, maxRows int) {
 	if out.Explain != nil {
-		printExplain(out.Explain)
+		printExplain(os.Stdout, out.Explain)
 	}
 	if out.Trace != nil {
 		printTrace(out.Trace)

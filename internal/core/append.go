@@ -269,17 +269,18 @@ func (db *DB) CheckWithin(name string, q RangeQuery) (dist float64, within bool,
 	return dist, within, nil
 }
 
-// Prefilter is the query-side geometry of a standing range/NN monitor: the
-// query's feature point, the transformation's affine index action, and the
-// moment bounds — everything needed to run the Lemma 1 rectangle test
-// against a single stored feature point. Building one costs a feature
-// extraction; each Hit costs O(dims).
+// Prefilter is a query's Lemma 1 geometry: its feature point, the
+// transformation's affine index action, the mirror weight, and the moment
+// bounds — everything needed to run the rectangle test against a single
+// stored feature point. Every range and NN plan is built around one; standing
+// monitors and cached answers keep one as their membership test. Building it
+// costs a feature extraction; each Hit costs O(dims).
 type Prefilter struct {
 	schema  feature.Schema
 	m       transform.AffineMap
 	qp      geom.Point
+	mw      mirror
 	moments feature.MomentBounds
-	angular []bool
 }
 
 // PlanPrefilter builds the prefilter for a range-shaped query spec (Eps is
@@ -289,24 +290,56 @@ func (db *DB) PlanPrefilter(q RangeQuery) (*Prefilter, error) {
 	if err := db.validateRange(q); err != nil {
 		return nil, err
 	}
-	qp, err := db.queryFeaturePoint(q)
-	if err != nil {
-		return nil, err
+	return db.planPrefilter(q, nil)
+}
+
+// planPrefilter builds a validated query's Lemma 1 geometry. A stored-record
+// query (prep non-nil) centers on its indexed point instead of extracting
+// one from the values.
+func (db *DB) planPrefilter(q RangeQuery, prep *QueryPrep) (*Prefilter, error) {
+	var qp geom.Point
+	if prep != nil {
+		qp = prep.Point
+	} else {
+		var err error
+		if qp, err = db.queryFeaturePoint(q); err != nil {
+			return nil, err
+		}
 	}
 	m, err := db.schema.Map(q.Transform)
 	if err != nil {
 		return nil, err
 	}
 	if q.BothSides && !m.Identity() {
+		// Two-sided semantics: the search centers on the transformed query
+		// point, so the filter compares T(x) against T(q).
 		qp = m.ApplyPoint(qp)
+	}
+	// A warped query's spectra live on m*n frequencies, where n-f mirrors
+	// nothing: it keeps the paper's bound whatever Transform says.
+	mw := mirrorLopsided
+	if q.WarpFactor < 2 {
+		mw = mirrorWeight(db.schema.K, db.length, q.Transform)
 	}
 	return &Prefilter{
 		schema:  db.schema,
 		m:       m,
 		qp:      qp,
+		mw:      mw,
 		moments: q.Moments,
-		angular: db.schema.Angular(),
 	}, nil
+}
+
+// Unbounded returns the prefilter without its moment bounds (itself when it
+// carries none): the test matching an execution that ignored them, as the
+// scan strategies do.
+func (p *Prefilter) Unbounded() *Prefilter {
+	if p.moments == (feature.MomentBounds{}) {
+		return p
+	}
+	out := *p
+	out.moments = feature.MomentBounds{}
+	return &out
 }
 
 // Hit reports whether a series whose feature point is p could belong to
@@ -324,8 +357,8 @@ func (p *Prefilter) Hit(pt geom.Point, eps float64) bool {
 	if !p.m.Identity() {
 		tp = p.m.ApplyPoint(pt)
 	}
-	rect := p.schema.SearchRect(p.qp, eps, p.moments)
-	return geom.ContainsPointMixed(rect, tp, p.angular)
+	rect := p.schema.SearchRect(p.qp, p.mw.filterRadius(eps), p.moments)
+	return geom.ContainsPointMixed(rect, tp, p.m.Angular)
 }
 
 // IndexableRect returns the prefilter's search rectangle at threshold eps
@@ -341,7 +374,7 @@ func (p *Prefilter) IndexableRect(eps float64) (rect geom.Rect, angular []bool, 
 	if p == nil || !p.m.Identity() || math.IsInf(eps, 1) || eps < 0 {
 		return geom.Rect{}, nil, false
 	}
-	return p.schema.SearchRect(p.qp, eps, p.moments), p.angular, true
+	return p.schema.SearchRect(p.qp, p.mw.filterRadius(eps), p.moments), p.m.Angular, true
 }
 
 // Append slides a series' window forward in its owning shard, taking only

@@ -240,10 +240,12 @@ func tightness(lb, ub float64) float64 {
 	return lb / ub
 }
 
-// markApprox stamps an execution's stats with the tier it ran under (the
-// four strategy run functions call it, so every entry point — planned,
-// pinned, or fanned out per shard — reports its delta and rung).
-func markApprox(p *rangePlan, st *ExecStats) {
+// stampPlan stamps an execution's stats with what its plan decided: the
+// Lemma 1 geometry it filtered with and the approximate tier it ran under
+// (the four strategy run functions call it, so every entry point — planned,
+// pinned, or fanned out per shard — reports them).
+func stampPlan(p *rangePlan, st *ExecStats) {
+	st.Filter = p.Prefilter
 	if p.approx() {
 		st.Delta = p.q.Delta
 		st.Rung = p.rung0

@@ -606,6 +606,13 @@ type ExecStats struct {
 	// EarlyAccepts for the mean; 1 = the bound closed exactly).
 	EarlyAccepts  int
 	BoundTightSum float64
+	// Filter is the Lemma 1 geometry of the range/NN plan that ran — query
+	// feature point, index action, mirror weight — whatever strategy
+	// executed it: the test a later write must pass to be able to change
+	// the answer, which is what the server keeps beside a cached result.
+	// Nil for the time-domain scan and the join kinds, which build no such
+	// plan.
+	Filter *Prefilter
 	// Spans is the execution's trace tree — named wall-time spans for the
 	// plan → fan-out → merge pipeline, with per-shard children. Populated
 	// by planned executions; TRACE statements and the server's slow-query

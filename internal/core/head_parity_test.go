@@ -220,7 +220,10 @@ func refRange(t *testing.T, db *DB, q RangeQuery, scan bool) ([]Result, ExecStat
 	ids := db.ids
 	if !scan {
 		var sc index.Scratch
-		found, search := db.idx.RangeIDs(p.qp, q.Eps, p.m, q.Moments, !db.opts.DisablePartialPrune, &sc, nil)
+		// The plan's filter radius, not Eps: the reference pins the work of
+		// the filter the engine runs (eps/√2 under a mirror-symmetric
+		// transformation), and the filter is not what this suite varies.
+		found, search := db.idx.RangeIDs(p.qp, p.mw.filterRadius(q.Eps), p.m, q.Moments, !db.opts.DisablePartialPrune, &sc, nil)
 		ids, st.NodeAccesses = found, search.NodesVisited
 	}
 	var out []Result
@@ -243,9 +246,15 @@ type refNNVisit struct {
 	st   *ExecStats
 }
 
+// NearBound and VisitNear stop where nnVisit stops — same mirror weight,
+// same push bound — so the reference walk visits the same nodes.
+func (v *refNNVisit) NearBound() float64 {
+	return v.p.stopLine(v.best.threshold())
+}
+
 func (v *refNNVisit) VisitNear(id int64, partialDistSq float64) bool {
 	eps := v.best.threshold()
-	if partialDistSq*v.p.relaxSq > eps*eps {
+	if partialDistSq > v.NearBound() {
 		return false
 	}
 	v.st.Candidates++
@@ -349,7 +358,7 @@ func refJoin(t *testing.T, db *DB, jq JoinQuery, scan, selfOnce bool) ([]JoinPai
 			t.Fatal(err)
 		}
 		tQ := apply(jp.ra, jp.rb, X)
-		cands, search := db.idx.Range(tq, jq.Eps, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
+		cands, search := db.idx.Range(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
 		st.NodeAccesses += search.NodesVisited
 		for _, c := range cands {
 			if c.ID == qid || (selfOnce && c.ID < qid) {
@@ -898,8 +907,15 @@ func TestHeadParity(t *testing.T) {
 // (near-duplicate families of four, the benchmark's data shape) a
 // disk-backed NN k = 10 hands the index's Lemma 1 candidates to
 // verification by the hundreds, and all but a few are dismissed inside
-// their resident heads — the query faults fewer pages than a tenth of its
+// their resident heads — the query faults fewer pages than a fifth of its
 // candidates, where before the heads it faulted one per candidate.
+//
+// The ratio was a tenth (668 pages for 14,886 candidates) until the index
+// learned to count every indexed coefficient twice: the mirror-weighted
+// bound keeps 5,095 of those candidates, and every one it drops is one the
+// heads dismissed — the 668 records that need their page are the near ones,
+// and no filter on the first K coefficients tells them apart. Same pages,
+// a third of the denominator.
 func TestHeadSparesPages(t *testing.T) {
 	const (
 		count  = 12000
@@ -941,10 +957,10 @@ func TestHeadSparesPages(t *testing.T) {
 	if candidates < 400 {
 		t.Fatalf("only %d candidates: the fixture no longer exercises the filter", candidates)
 	}
-	if pages*10 >= int64(candidates) {
-		t.Fatalf("faulted %d pages for %d candidates: not under a tenth", pages, candidates)
+	if pages*5 >= int64(candidates) {
+		t.Fatalf("faulted %d pages for %d candidates: not under a fifth", pages, candidates)
 	}
-	if candidates-resolved >= candidates/10 {
-		t.Fatalf("opened %d of %d candidates' records: not under a tenth", candidates-resolved, candidates)
+	if candidates-resolved >= candidates/5 {
+		t.Fatalf("opened %d of %d candidates' records: not under a fifth", candidates-resolved, candidates)
 	}
 }

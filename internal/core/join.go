@@ -99,6 +99,11 @@ type joinPlan struct {
 	mapErr error
 	la, lb []complex128
 	ra, rb []complex128
+	// mw is the join's mirror weight — 2 only when both sides keep the
+	// conjugate symmetry — and radius the filter radius every index probe,
+	// selectivity sample and invalidation rectangle of the join uses.
+	mw     mirror
+	radius float64
 }
 
 // planJoin validates q and builds its execution plan.
@@ -109,7 +114,8 @@ func (db *DB) planJoin(q JoinQuery) (*joinPlan, error) {
 	if err := db.validateJoin(q.Eps, q.Right); err != nil {
 		return nil, err
 	}
-	jp := &joinPlan{q: q}
+	jp := &joinPlan{q: q, mw: mirrorWeight(db.schema.K, db.length, q.Left, q.Right)}
+	jp.radius = jp.mw.filterRadius(q.Eps)
 	jp.la, jp.lb = db.permuteTransform(q.Left)
 	jp.ra, jp.rb = db.permuteTransform(q.Right)
 	var err error
@@ -377,7 +383,7 @@ func (db *DB) joinIndexInto(jp *joinPlan, selfOnce bool, st *ExecStats) ([]JoinP
 		for f := range QX {
 			tQ[f] = jp.ra[f]*QX[f] + jp.rb[f]
 		}
-		cands, searchStats := db.idx.Range(tq, jp.q.Eps, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
+		cands, searchStats := db.idx.Range(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
 		st.NodeAccesses += searchStats.NodesVisited
 		for _, c := range cands {
 			if c.ID == qid {
@@ -429,7 +435,7 @@ type JoinPrefilter struct {
 	schema   feature.Schema
 	angular  []bool
 	lm, rm   transform.AffineMap
-	eps      float64
+	radius   float64 // the join's filter radius (joinPlan.radius)
 	twoSided bool
 	lB, rB   geom.Rect // left-/right-transformed store extents
 	// absorbed counts the write points folded into the extents since the
@@ -446,7 +452,7 @@ func newJoinPrefilter(schema feature.Schema, jp *joinPlan, bounds geom.Rect) *Jo
 		angular:  schema.Angular(),
 		lm:       jp.lm,
 		rm:       jp.rm,
-		eps:      jp.q.Eps,
+		radius:   jp.radius,
 		twoSided: jp.q.TwoSided,
 		lB:       applyBounds(bounds, jp.lm).Clone(),
 		rB:       applyBounds(bounds, jp.rm).Clone(),
@@ -531,7 +537,7 @@ func (p *JoinPrefilter) rectHit(q geom.Point, bounds geom.Rect) bool {
 	if bounds.Dims() == 0 {
 		return false // empty store: nothing to pair with
 	}
-	rect := p.schema.SearchRect(q, p.eps, feature.MomentBounds{})
+	rect := p.schema.SearchRect(q, p.radius, feature.MomentBounds{})
 	return geom.IntersectsMixed(rect, bounds, p.angular)
 }
 
@@ -584,7 +590,7 @@ func joinSelectivity(ids []int64, point func(int64) (geom.Point, bool), schema f
 		}
 		sum += plan.Selectivity(plan.Input{
 			Series:  series,
-			Rect:    schema.SearchRect(tq, jp.q.Eps, feature.MomentBounds{}),
+			Rect:    schema.SearchRect(tq, jp.radius, feature.MomentBounds{}),
 			Bounds:  bounds,
 			Angular: angular,
 		})
@@ -614,6 +620,7 @@ func buildJoinPlan(q JoinQuery, jp *joinPlan, want plan.Strategy, in plan.JoinIn
 		Strategy:  choice,
 		Method:    plan.JoinMethodLetter(choice, in.Identity),
 		Reason:    reason,
+		Filter:    jp.mw.why,
 		Shards:    shards,
 		Est:       est,
 		Internal:  jp,
@@ -760,7 +767,7 @@ func (db *DB) maybeExploreJoin(pl *plan.Plan, jp *joinPlan) {
 		if !jp.rm.Identity() {
 			tq = jp.rm.ApplyPoint(tq)
 		}
-		cands, searchStats := db.idx.Range(tq, jp.q.Eps, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
+		cands, searchStats := db.idx.Range(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
 		nodes += searchStats.NodesVisited
 		for _, c := range cands {
 			if c.ID != qid {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/stats"
 	"repro/internal/transform"
@@ -46,9 +47,24 @@ type topK struct {
 	mu sync.Mutex
 	k  int
 	h  []Result
+	// kth publishes the bits of the k-th best distance (+Inf while the set
+	// is filling): written under mu whenever the root changes, read
+	// lock-free by threshold, which runs once per candidate on every worker
+	// sharing the set. It is published one ulp up: verification squares the
+	// threshold, and the square of a rounded root can fall an ulp short of
+	// the sum it was the root of — which dismissed an exact tie with the
+	// k-th best before offer could break it by ID, so that which of two
+	// identical series an NN returned depended on which arrived first.
+	kth atomic.Uint64
 }
 
-func newTopK(k int) *topK { return &topK{k: k} }
+var infBits = math.Float64bits(math.Inf(1))
+
+func newTopK(k int) *topK {
+	t := &topK{k: k}
+	t.kth.Store(infBits)
+	return t
+}
 
 // reset reinitializes a (possibly pooled) set for a fresh search of k
 // neighbors, keeping the heap's capacity.
@@ -56,6 +72,7 @@ func (t *topK) reset(k int) {
 	t.mu.Lock()
 	t.k = k
 	t.h = t.h[:0]
+	t.kth.Store(infBits)
 	t.mu.Unlock()
 }
 
@@ -91,16 +108,11 @@ func (t *topK) siftDown(i int) {
 	}
 }
 
-// threshold returns the current k-th best distance, or +Inf while the set
-// is still filling. Verification may use it as an early-abandoning bound;
-// it only ever tightens.
+// threshold returns the current k-th best distance (rounded up; see kth), or
+// +Inf while the set is still filling. Verification may use it as an
+// early-abandoning bound; it only ever tightens.
 func (t *topK) threshold() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.h) < t.k {
-		return math.Inf(1)
-	}
-	return t.h[0].Dist
+	return math.Float64frombits(t.kth.Load())
 }
 
 // offer admits r if it beats the current worst of the k best under the
@@ -108,15 +120,20 @@ func (t *topK) threshold() float64 {
 func (t *topK) offer(r Result) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.h) < t.k {
+	switch {
+	case len(t.h) < t.k:
 		t.h = append(t.h, r)
 		t.siftUp(len(t.h) - 1)
-		return
-	}
-	if resultLess(r, t.h[0]) {
+		if len(t.h) < t.k {
+			return
+		}
+	case resultLess(r, t.h[0]):
 		t.h[0] = r
 		t.siftDown(0)
+	default:
+		return
 	}
+	t.kth.Store(math.Float64bits(math.Nextafter(t.h[0].Dist, math.Inf(1))))
 }
 
 // appendResults appends the final k best to dst and sorts dst ascending by
@@ -158,16 +175,18 @@ type nnVisit struct {
 	err  error
 }
 
+// NearBound is the traversal's stop line at the shared k-th best distance
+// (rangePlan.stopLine); +Inf while the k-set is filling.
+func (v *nnVisit) NearBound() float64 {
+	return v.p.stopLine(v.best.threshold())
+}
+
 func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 	// eps is the shared k-th-best distance: it bounds both the decision
 	// to continue the traversal and the early abandoning inside
-	// verification. +Inf while the k-set is filling. The approximate
-	// tier relaxes the continue test by (1+delta)^2: a skipped candidate
-	// then certifies eps < (1+delta)*D, which keeps every reported rank
-	// within the (1+delta) guarantee. relaxSq is exactly 1 on exact
-	// plans, so the multiplication is an IEEE identity there.
+	// verification.
 	eps := v.best.threshold()
-	if partialDistSq*v.p.relaxSq > eps*eps {
+	if partialDistSq > v.p.stopLine(eps) {
 		return false // no remaining candidate can beat the k-th best
 	}
 	v.st.Candidates++
@@ -209,7 +228,7 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 // bound <= true distance by Parseval, so stopping is exact). Steady state
 // it allocates nothing.
 func (db *DB) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
-	markApprox(p, st)
+	stampPlan(p, st)
 	ar.nv = nnVisit{db: db, p: p, best: best, ar: ar, st: st, warp: p.q.WarpFactor >= 2}
 	searchStats := db.idx.NearestIDs(p.qp, p.m, &ar.sc, &ar.nv)
 	st.NodeAccesses += searchStats.NodesVisited
@@ -258,7 +277,7 @@ func (db *DB) NNIndexed(q NNQuery) ([]Result, ExecStats, error) {
 // stored series, with a pruning threshold that tightens to the (possibly
 // shared) current k-th best distance.
 func (db *DB) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
-	markApprox(p, st)
+	stampPlan(p, st)
 	warp := p.q.WarpFactor >= 2
 	approx := !warp && p.approx()
 	for _, id := range db.ids {

@@ -64,7 +64,7 @@ func (db *DB) plannerInput(p *rangePlan) plan.Input {
 		Height:  db.idx.Tree().Height(),
 		LeafCap: db.opts.RTree.MaxEntries,
 		Angular: db.schema.Angular(),
-		Rect:    db.schema.SearchRect(p.qp, p.q.Eps, p.q.Moments),
+		Rect:    db.schema.SearchRect(p.qp, p.mw.filterRadius(p.q.Eps), p.q.Moments),
 	}
 	in.Bounds = transformedBounds(db.idx.Tree().Bounds(), p)
 	return in
@@ -91,6 +91,7 @@ func buildRangePlan(q RangeQuery, p *rangePlan, want plan.Strategy, in plan.Inpu
 		Eps:       q.Eps,
 		Strategy:  choice,
 		Reason:    reason,
+		Filter:    p.mw.why,
 		Rect:      in.Rect,
 		Shards:    shards,
 		Est:       est,
@@ -233,7 +234,7 @@ func (db *DB) maybeExploreRange(q RangeQuery, pl *plan.Plan, rp *rangePlan, ar *
 	if db.exploreTick.Add(1)%exploreEvery != 0 {
 		return
 	}
-	ids, searchStats := db.idx.RangeIDs(rp.qp, rp.q.Eps, rp.m, rp.q.Moments, !db.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
+	ids, searchStats := db.idx.RangeIDs(rp.qp, rp.mw.filterRadius(rp.q.Eps), rp.m, rp.q.Moments, !db.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
 	ar.ids = ids
 	db.tracker.ObserveRange(pl.Est.Candidates, len(ids), searchStats.NodesVisited, db.Len())
 }
@@ -266,6 +267,7 @@ func buildNNPlan(q NNQuery, p *rangePlan, want plan.Strategy, series int, tr *pl
 		K:         q.K,
 		Strategy:  choice,
 		Reason:    reason,
+		Filter:    p.mw.why,
 		Shards:    shards,
 		Est:       est,
 		Internal:  p,
@@ -356,12 +358,16 @@ func exploreNN(pl *plan.Plan, tick *atomic.Uint64, answer []Result) bool {
 // the items whose k-coefficient lower bound is within a known k-th
 // distance. Arena-held, so handing it to the traversal never allocates.
 type nearCounter struct {
-	limit float64 // the k-th distance, squared
+	// bound is the plan's stopLine at the k-th distance: where nnVisit
+	// stops once its k-set holds the final answer.
+	bound float64
 	n     int
 }
 
+func (c *nearCounter) NearBound() float64 { return c.bound }
+
 func (c *nearCounter) VisitNear(_ int64, partialDistSq float64) bool {
-	if partialDistSq > c.limit {
+	if partialDistSq > c.bound {
 		return false
 	}
 	c.n++
@@ -378,7 +384,7 @@ func (c *nearCounter) VisitNear(_ int64, partialDistSq float64) bool {
 // the final distance can simply count. Like the range probe, the cost
 // stays out of the query's ExecStats: planner bookkeeping, not answer work.
 func (db *DB) countNear(rp *rangePlan, ar *execArena, kth float64) (candidates, nodes int) {
-	ar.nc = nearCounter{limit: kth * kth}
+	ar.nc = nearCounter{bound: rp.stopLine(kth)}
 	searchStats := db.idx.NearestIDs(rp.qp, rp.m, &ar.sc, &ar.nc)
 	return ar.nc.n, searchStats.NodesVisited
 }
@@ -431,7 +437,7 @@ func (s *Sharded) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error
 		Height:  height,
 		LeafCap: s.shards[0].opts.RTree.MaxEntries,
 		Angular: s.Schema().Angular(),
-		Rect:    s.Schema().SearchRect(p.qp, q.Eps, q.Moments),
+		Rect:    s.Schema().SearchRect(p.qp, p.mw.filterRadius(q.Eps), q.Moments),
 		Bounds:  transformedBounds(bounds, p),
 	}
 	return buildRangePlan(q, p, want, in, s.tracker, plan.AllShards(len(s.shards)), "range"), nil

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/feature"
 	"repro/internal/plan"
+	"repro/internal/series"
 	"repro/internal/transform"
 )
 
@@ -363,7 +364,12 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 
 // TestCountNearIsTheIndexedRun pins the probe's claim: a traversal told the
 // final k-th distance counts exactly the candidates and nodes of the
-// indexed run that found it.
+// indexed run that found it. That holds only while the probe stops where
+// the run stops — countNear takes its bound from the plan's stopLine, so it
+// carries the same mirror weight (the first three queries run at w = 2, the
+// warped one at w = 1) and hands the walk the same push bound; a probe still
+// counting against kth^2 would report the 1997 filter's candidates, about
+// half as many again, and mis-steer the planner.
 func TestCountNearIsTheIndexedRun(t *testing.T) {
 	db := planTestEngine(t, 1, 600).(*DB)
 	tr := transform.MovingAverage(32, 5)
@@ -371,6 +377,7 @@ func TestCountNearIsTheIndexedRun(t *testing.T) {
 		{Values: mustSeries(t, db, "S0003"), K: 1, Transform: transform.Identity(32)},
 		{Values: mustSeries(t, db, "S0042"), K: 9, Transform: transform.Identity(32)},
 		{Values: queryValues(32, 5), K: 20, Transform: tr, BothSides: true},
+		{Values: series.Warp(queryValues(32, 7), 2), K: 5, Transform: transform.Warp(32, 2), WarpFactor: 2},
 	} {
 		out, st, err := db.NNIndexed(q)
 		if err != nil {

@@ -119,9 +119,12 @@ func (db *DB) queryFeaturePoint(q RangeQuery) ([]float64, error) {
 // it across every shard's traversal instead of redoing two FFTs and the
 // feature extraction per shard.
 type rangePlan struct {
-	q  RangeQuery
-	qp []float64
-	m  transform.AffineMap
+	q RangeQuery
+	// The plan's Lemma 1 geometry — query feature point qp, index action m,
+	// mirror weight mw — is a Prefilter, so the server can keep exactly the
+	// filter an execution ran as its cached answer's invalidation test
+	// (ExecStats.Filter) instead of planning the query again.
+	*Prefilter
 	// Verification precomputation: qn for warped queries, (a, b, Q) for
 	// frequency-domain verification.
 	qn   []float64
@@ -147,6 +150,19 @@ type rangePlan struct {
 	energy  float64
 }
 
+// stopLine is where an NN traversal of this plan stops at k-th best
+// distance eps, in the units the index hands over: a squared K-coefficient
+// partial distance past it proves a full distance past eps. It is the
+// plan's filter radius squared — the same Lemma 1 filter a range query
+// runs, at a radius that tightens as the search goes — shrunk by the
+// approximate tier's (1+delta), so that a skipped candidate certifies
+// eps < (1+delta)*D and every reported rank stays within the guarantee.
+// Exactly eps^2 on an exact plan at w = 1.
+func (p *rangePlan) stopLine(eps float64) float64 {
+	r := p.mw.filterRadius(eps) / p.relax
+	return r * r
+}
+
 // planRange validates q and builds its execution plan.
 func (db *DB) planRange(q RangeQuery) (*rangePlan, error) {
 	if err := db.validateRange(q); err != nil {
@@ -154,37 +170,21 @@ func (db *DB) planRange(q RangeQuery) (*rangePlan, error) {
 	}
 	p := &rangePlan{q: q, relax: 1, relaxSq: 1}
 	// A stored-record query plans off its indexed point and stored
-	// spectrum; the recomputation below is the fallback for literal
-	// query series (and for warped queries, whose query side is longer
-	// than any stored record).
+	// spectrum; the recomputation is the fallback for literal query series
+	// (and for warped queries, whose query side is longer than any stored
+	// record).
 	prep := q.Prep
 	if prep != nil && (q.WarpFactor >= 2 ||
 		len(prep.Point) != db.schema.Dims() || len(prep.Spectrum) != db.length) {
 		prep = nil
 	}
-	var qp []float64
-	if prep != nil {
-		qp = prep.Point
-	} else {
-		var err error
-		qp, err = db.queryFeaturePoint(q)
-		if err != nil {
-			return nil, err
-		}
-	}
-	m, err := db.schema.Map(q.Transform)
-	if err != nil {
+	var err error
+	if p.Prefilter, err = db.planPrefilter(q, prep); err != nil {
 		return nil, err
 	}
 	if q.ForceTransform {
-		m.Force = true
+		p.m.Force = true
 	}
-	if q.BothSides && !m.Identity() {
-		// Two-sided semantics: the search centers on the transformed query
-		// point, so the filter compares T(x) against T(q).
-		qp = m.ApplyPoint(qp)
-	}
-	p.qp, p.m = qp, m
 	if q.WarpFactor >= 2 {
 		p.qn = series.NormalForm(q.Values)
 		if q.Delta > 0 {
@@ -237,8 +237,8 @@ func (db *DB) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) (bo
 // flat-slab batch traversal into arena scratch; steady state the whole
 // pass allocates nothing.
 func (db *DB) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
-	markApprox(p, st)
-	ids, searchStats := db.idx.RangeIDs(p.qp, p.q.Eps, p.m, p.q.Moments, !db.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
+	stampPlan(p, st)
+	ids, searchStats := db.idx.RangeIDs(p.qp, p.mw.filterRadius(p.q.Eps), p.m, p.q.Moments, !db.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
 	ar.ids = ids
 	st.NodeAccesses += searchStats.NodesVisited
 	st.Candidates += len(ids)
@@ -312,7 +312,7 @@ func (db *DB) RangeIndexed(q RangeQuery) ([]Result, ExecStats, error) {
 // through the arena's page buffer, so the steady-state scan allocates
 // nothing beyond result growth.
 func (db *DB) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
-	markApprox(p, st)
+	stampPlan(p, st)
 	warp := p.q.WarpFactor >= 2
 	approx := !warp && p.approx()
 	for _, id := range db.ids {
@@ -387,6 +387,10 @@ func (db *DB) RangeScanTime(q RangeQuery) ([]Result, ExecStats, error) {
 	}
 	timer := stats.StartTimer()
 	reads0 := db.pageReads()
+	// The baseline builds no plan; its answer is still defended by the
+	// query's Lemma 1 geometry where the transformation has an index action
+	// (nil otherwise: nothing can be proved about a later write).
+	st.Filter, _ = db.planPrefilter(q, nil)
 
 	var out []Result
 	if q.WarpFactor >= 2 {

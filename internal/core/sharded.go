@@ -543,6 +543,9 @@ func mergeStats(parts []ExecStats) ExecStats {
 		if p.Rung > st.Rung {
 			st.Rung = p.Rung
 		}
+		if p.Filter != nil {
+			st.Filter = p.Filter // one plan fans out to every shard
+		}
 	}
 	return st
 }
@@ -968,7 +971,7 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 					tQ[f] = jp.ra[f]*QX[f] + jp.rb[f]
 				}
 				for _, target := range s.shards {
-					cands, searchStats := target.idx.Range(tq, jp.q.Eps, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune)
+					cands, searchStats := target.idx.Range(tq, jp.radius, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune)
 					out.st.NodeAccesses += searchStats.NodesVisited
 					for _, c := range cands {
 						if c.ID == qid {

@@ -48,16 +48,17 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10And11IndexBeatsScan(t *testing.T) {
-	// On modeled (I/O-inclusive) time, the paper's shape: index wins, and
-	// the margin is driven by the scan reading every record's spectrum head
-	// (a page per sixteen) while the index reads its candidates' (a page
-	// apiece); the record pages either opens past the heads are the same.
+	// The paper's shape on the modeled I/O: the index wins, and the margin
+	// is driven by the scan reading every record's spectrum head (a page
+	// per sixteen) while the index reads its candidates' (a page apiece);
+	// the record pages either opens past the heads are the same. Only the
+	// modeled page reads are compared — they are counts, and repeat. The
+	// modeled *time* adds ten queries' wall clock to them, and under -race
+	// on two busy cores that noise once ate the whole margin (0.6 against
+	// 2.3 ms).
 	pts, err := Figure10([]int{128}, 600, Config{Queries: 10, Seed: 3, Eps: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pts[0].ModeledA() >= pts[0].ModeledB() {
-		t.Fatalf("index (%v ms modeled) should beat scan (%v ms modeled)", pts[0].ModeledA(), pts[0].ModeledB())
 	}
 	if pts[0].PagesA >= pts[0].PagesB {
 		t.Fatalf("index read %v pages/query, scan %v — index should read far fewer", pts[0].PagesA, pts[0].PagesB)
@@ -66,8 +67,8 @@ func TestFigure10And11IndexBeatsScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].ModeledA() >= pts[0].ModeledB() {
-		t.Fatalf("index (%v ms modeled) should beat scan (%v ms modeled) at 800 series", pts[0].ModeledA(), pts[0].ModeledB())
+	if pts[0].PagesA >= pts[0].PagesB {
+		t.Fatalf("index read %v pages/query, scan %v at 800 series — index should read far fewer", pts[0].PagesA, pts[0].PagesB)
 	}
 }
 

@@ -94,6 +94,13 @@ type Plan struct {
 	Trace bool
 	// Reason is the planner's human-readable justification.
 	Reason string
+	// Filter names the Lemma 1 filter radius the index strategy runs at:
+	// "eps/√2 (conjugate symmetry)" when every indexed coefficient of a
+	// real series counts twice under the plan's transformation, else "eps"
+	// with the reason it does not ("asymmetric transform", "2K ≥ n"). For
+	// NN plans eps is the k-th best distance. Empty when the plan has no
+	// index path.
+	Filter string
 	// Rect is the Lemma 1 feature-space search rectangle of range-shaped
 	// queries (zero for NN, joins, and subsequence scans, whose thresholds
 	// are unknown or absent at planning time).

@@ -1,6 +1,10 @@
 package rtree
 
-import "repro/internal/geom"
+import (
+	"math"
+
+	"repro/internal/geom"
+)
 
 // This file is the batch read path over the flat node slabs: range and
 // nearest-neighbor traversals that test all <=M entries of a node in one
@@ -27,6 +31,7 @@ type Scratch struct {
 	stack []*node
 	tbuf  []float64
 	heap  []flatHeapEntry
+	runs  []flatRunItem
 	dists []float64
 }
 
@@ -45,6 +50,17 @@ type FlatVisitor interface {
 // stops the traversal.
 type FlatNNVisitor interface {
 	VisitNear(id int64, distSq float64) bool
+}
+
+// FlatNNBounder is a FlatNNVisitor that knows its stop line ahead of the
+// items: NearBound returns the squared distance beyond which VisitNear would
+// stop the traversal right now (+Inf while nothing would). The bound may only
+// tighten while a traversal runs, which is what lets the traversal leave out
+// of its queue whatever already lies beyond it. A visitor without the method
+// is walked as if it always answered +Inf.
+type FlatNNBounder interface {
+	FlatNNVisitor
+	NearBound() float64
 }
 
 // FlatNNKernel supplies the geometry of a batch nearest-neighbor
@@ -177,11 +193,22 @@ func (t *Tree) FlatRange(qlo, qhi []float64, fm FlatMap, sc *Scratch, v FlatVisi
 	return st
 }
 
-// flatHeapEntry is one prioritized node or item of a batch best-first
-// nearest-neighbor traversal.
+// flatHeapEntry is one prioritized node or leaf run of a batch best-first
+// nearest-neighbor traversal. A leaf enters the queue once, as the run
+// runs[pos:end] of its items sorted by distance, keyed by the nearest item
+// not yet visited; popping the entry visits that item and re-keys the entry
+// by the next one. The queue then holds one entry per open leaf instead of
+// one per item, so every sift is over a heap tens of entries deep instead
+// of thousands.
 type flatHeapEntry struct {
+	dist     float64
+	node     *node // nil for a leaf run
+	pos, end int
+}
+
+// flatRunItem is one leaf item of a sorted run.
+type flatRunItem struct {
 	dist float64
-	node *node // nil for leaf items
 	id   int64
 }
 
@@ -199,13 +226,8 @@ func flatHeapPush(h *[]flatHeapEntry, e flatHeapEntry) {
 	}
 }
 
-func flatHeapPop(h *[]flatHeapEntry) flatHeapEntry {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	*h = q
+// flatHeapDown restores the heap order after the root's key grew.
+func flatHeapDown(q []flatHeapEntry) {
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -222,7 +244,15 @@ func flatHeapPop(h *[]flatHeapEntry) flatHeapEntry {
 		q[i], q[m] = q[m], q[i]
 		i = m
 	}
-	return top
+}
+
+func flatHeapPop(h *[]flatHeapEntry) {
+	q := *h
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	*h = q
+	flatHeapDown(q)
 }
 
 // NearestFlat is the batch form of NearestScan: best-first traversal with
@@ -230,24 +260,43 @@ func flatHeapPop(h *[]flatHeapEntry) flatHeapEntry {
 // pass, and per-node batched kernel calls for lower bounds and item
 // distances. Items reach v in non-decreasing distance order, interleaved
 // correctly with node expansion, so stopping early leaves the rest of the
-// tree untouched.
+// tree untouched. The visitor's bound is read once per expanded node: a
+// node beyond it ends the traversal (everything still queued is at least
+// as far), and its entries beyond it are never queued — the bound only
+// tightens, so they could only ever be popped to be refused.
 func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNVisitor) SearchStats {
 	var st SearchStats
 	if t.size == 0 {
 		return st
 	}
 	dims := t.dims
-	sc.heap = sc.heap[:0]
-	flatHeapPush(&sc.heap, flatHeapEntry{dist: 0, node: t.root})
+	bounder, _ := v.(FlatNNBounder)
+	bound := math.Inf(1)
+	sc.runs = sc.runs[:0]
+	sc.heap = append(sc.heap[:0], flatHeapEntry{node: t.root})
 	for len(sc.heap) > 0 {
-		head := flatHeapPop(&sc.heap)
+		head := &sc.heap[0]
 		if head.node == nil {
-			if !v.VisitNear(head.id, head.dist) {
+			it := sc.runs[head.pos]
+			if head.pos++; head.pos < head.end {
+				head.dist = sc.runs[head.pos].dist
+				flatHeapDown(sc.heap)
+			} else {
+				flatHeapPop(&sc.heap)
+			}
+			if !v.VisitNear(it.id, it.dist) {
 				return st
 			}
 			continue
 		}
-		n := head.node
+		n, lower := head.node, head.dist
+		flatHeapPop(&sc.heap)
+		if bounder != nil {
+			bound = bounder.NearBound()
+		}
+		if lower > bound {
+			return st
+		}
 		st.NodesVisited++
 		c := len(n.entries)
 		if c == 0 {
@@ -265,15 +314,32 @@ func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNV
 				lows, _ := t.nodeSlabs(n, &fm, sc)
 				kern.PointBatch(lows, c, dims, sc.dists)
 			}
+			start := len(sc.runs)
 			for e := 0; e < c; e++ {
 				st.EntriesTested++
-				flatHeapPush(&sc.heap, flatHeapEntry{dist: sc.dists[e], id: n.entries[e].id})
+				d := sc.dists[e]
+				if d > bound {
+					continue
+				}
+				// Insertion sort into the run: a leaf holds at most M items.
+				sc.runs = append(sc.runs, flatRunItem{})
+				i := len(sc.runs) - 1
+				for ; i > start && sc.runs[i-1].dist > d; i-- {
+					sc.runs[i] = sc.runs[i-1]
+				}
+				sc.runs[i] = flatRunItem{dist: d, id: n.entries[e].id}
+			}
+			if end := len(sc.runs); end > start {
+				flatHeapPush(&sc.heap, flatHeapEntry{dist: sc.runs[start].dist, pos: start, end: end})
 			}
 		} else {
 			lows, highs := t.nodeSlabs(n, &fm, sc)
 			kern.LowerBatch(lows, highs, c, dims, sc.dists)
 			for e := 0; e < c; e++ {
 				st.EntriesTested++
+				if sc.dists[e] > bound {
+					continue
+				}
 				flatHeapPush(&sc.heap, flatHeapEntry{dist: sc.dists[e], node: n.entries[e].child})
 			}
 		}

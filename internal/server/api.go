@@ -198,6 +198,7 @@ type ExplainPayload struct {
 	Method             string             `json:"method,omitempty"`
 	Forced             bool               `json:"forced,omitempty"`
 	Reason             string             `json:"reason"`
+	Filter             string             `json:"filter,omitempty"`
 	Transform          string             `json:"transform,omitempty"`
 	Series             int                `json:"series"`
 	Shards             []int              `json:"shards,omitempty"`
@@ -242,6 +243,7 @@ func toExplainPayload(e *tsq.ExplainInfo) *ExplainPayload {
 		Method:             e.Method,
 		Forced:             e.Forced,
 		Reason:             e.Reason,
+		Filter:             e.Filter,
 		Transform:          e.Transform,
 		Series:             e.Series,
 		Shards:             e.Shards,
@@ -283,6 +285,7 @@ func fromExplainPayload(e *ExplainPayload) *tsq.ExplainInfo {
 		Method:             e.Method,
 		Forced:             e.Forced,
 		Reason:             e.Reason,
+		Filter:             e.Filter,
 		Transform:          e.Transform,
 		Series:             e.Series,
 		Shards:             e.Shards,

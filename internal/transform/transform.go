@@ -147,6 +147,38 @@ func (t T) SafePolar() bool {
 	return true
 }
 
+// mirrorTolerance bounds |a_{n-f} - conj(a_f)| (relative to 1+|a_f|) for
+// the pair to count as conjugate-symmetric. Spectra of real masks and their
+// products miss exact symmetry by a few ulps of FFT rounding; anything
+// further off is treated as asymmetric, which only costs the caller the
+// tighter bound, never an answer.
+const mirrorTolerance = 1e-13
+
+// MirrorSymmetric reports whether the transformation acts on coefficient
+// n-f as the complex conjugate of its action on coefficient f, for every
+// f = 1..k, with the 2k coefficients involved all distinct (2k < n). That
+// is what a real time-domain operation does — identity, shift, scale,
+// reversal, (weighted) moving averages and their compositions — and it
+// makes T(x) keep the conjugate symmetry X_{n-f} = conj(X_f) of a real
+// series' spectrum on those pairs: each of the first k terms of
+// |T(X) - Q|^2 then has an equal twin at n-f. Warp (whose spectrum lives on
+// m*n frequencies) and hand-built complex (a, b) are not symmetric.
+func (t T) MirrorSymmetric(k int) bool {
+	n := len(t.A)
+	if k < 1 || 2*k >= n {
+		return false
+	}
+	conj := func(x, y complex128) bool {
+		return cmplx.Abs(y-cmplx.Conj(x)) <= mirrorTolerance*(1+cmplx.Abs(x))
+	}
+	for f := 1; f <= k; f++ {
+		if !conj(t.A[f], t.A[n-f]) || !conj(t.B[f], t.B[n-f]) {
+			return false
+		}
+	}
+	return true
+}
+
 // WithCost returns a copy of the transformation with the given cost.
 func (t T) WithCost(c float64) T {
 	out := t

@@ -50,6 +50,12 @@ type ExplainInfo struct {
 	Strategy string
 	Forced   bool
 	Reason   string
+	// Filter names the Lemma 1 filter radius of the plan's index path:
+	// "eps/√2 (conjugate symmetry)" when every indexed coefficient counts
+	// twice under the transformation, else "eps (asymmetric transform)" or
+	// "eps (2K ≥ n)". It is why two look-alike statements can touch
+	// different candidate counts. Empty when the plan has no index path.
+	Filter string
 	// Method is the paper's Table 1 method letter of a join plan ("a",
 	// "b", "d", or "c/d" when the identity action makes c and d
 	// coincide); empty for range/NN plans.
@@ -112,6 +118,7 @@ func explainFrom(pl *plan.Plan, st core.ExecStats) *ExplainInfo {
 		Strategy:           pl.Strategy.String(),
 		Forced:             pl.Forced,
 		Reason:             pl.Reason,
+		Filter:             pl.Filter,
 		Method:             pl.Method,
 		Transform:          pl.Transform,
 		Series:             pl.Est.Series,

@@ -222,14 +222,17 @@ func StdRange(lo, hi float64) QueryOpt {
 	}
 }
 
-func (db *DB) rangeQuery(values []float64, prep *core.QueryPrep, eps float64, t Transform, opts []QueryOpt) ([]Match, Stats, error) {
+// rangeQuery runs one range query. Beside the answer it returns the Lemma 1
+// filter of the plan that produced it (core.ExecStats.Filter), which the
+// Server keeps as the cached answer's invalidation test.
+func (db *DB) rangeQuery(values []float64, prep *core.QueryPrep, eps float64, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
 	var qo queryOpts
 	for _, o := range opts {
 		o(&qo)
 	}
 	tr, warp, err := t.materialize(db.length)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
 	rq := core.RangeQuery{
 		Values:     values,
@@ -261,9 +264,9 @@ func (db *DB) rangeQuery(values []float64, prep *core.QueryPrep, eps float64, t 
 		err = fmt.Errorf("tsq: unknown strategy %d", int(qo.strategy))
 	}
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
-	return toMatches(res), fromExec(st), nil
+	return toMatches(res), fromExec(st), st.Filter, nil
 }
 
 func toMatches(res []core.Result) []Match {
@@ -278,16 +281,22 @@ func toMatches(res []core.Result) []Match {
 // nf is the normal form. For Warp(m) transforms the query must have length
 // m * Length(). Results are sorted by distance.
 func (db *DB) Range(q []float64, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	return db.rangeQuery(q, nil, eps, t, opts)
+	m, st, _, err := db.rangeQuery(q, nil, eps, t, opts)
+	return m, st, err
 }
 
 // RangeByName runs Range with a stored series as the query. Because the
 // query is a stored record, its plan reuses the indexed feature point
 // and stored spectrum instead of recomputing them from the raw values.
 func (db *DB) RangeByName(name string, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
+	m, st, _, err := db.rangeByName(name, eps, t, opts)
+	return m, st, err
+}
+
+func (db *DB) rangeByName(name string, eps float64, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
 	values, prep, err := db.namedQuery(name)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
 	return db.rangeQuery(values, prep, eps, t, opts)
 }
@@ -310,17 +319,20 @@ func (db *DB) namedQuery(name string) ([]float64, *core.QueryPrep, error) {
 // NN finds the k stored series minimizing D(T(nf(x)), nf(q)), sorted by
 // distance.
 func (db *DB) NN(q []float64, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	return db.nnQuery(q, nil, k, t, opts)
+	m, st, _, err := db.nnQuery(q, nil, k, t, opts)
+	return m, st, err
 }
 
-func (db *DB) nnQuery(q []float64, prep *core.QueryPrep, k int, t Transform, opts []QueryOpt) ([]Match, Stats, error) {
+// nnQuery runs one nearest-neighbor query; like rangeQuery it also returns
+// the executed plan's Lemma 1 filter.
+func (db *DB) nnQuery(q []float64, prep *core.QueryPrep, k int, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
 	var qo queryOpts
 	for _, o := range opts {
 		o(&qo)
 	}
 	tr, warp, err := t.materialize(db.length)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
 	nq := core.NNQuery{Values: q, K: k, Delta: qo.delta, Transform: tr, WarpFactor: warp, BothSides: qo.both, Prep: prep}
 	var (
@@ -339,17 +351,22 @@ func (db *DB) nnQuery(q []float64, prep *core.QueryPrep, k int, t Transform, opt
 		res, st, err = db.eng.NNScan(nq)
 	}
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
-	return toMatches(res), fromExec(st), nil
+	return toMatches(res), fromExec(st), st.Filter, nil
 }
 
 // NNByName runs NN with a stored series as the query. Like RangeByName,
 // the plan reuses the stored record's indexed feature point and spectrum.
 func (db *DB) NNByName(name string, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
+	m, st, _, err := db.nnByName(name, k, t, opts)
+	return m, st, err
+}
+
+func (db *DB) nnByName(name string, k int, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
 	values, prep, err := db.namedQuery(name)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
 	return db.nnQuery(values, prep, k, t, opts)
 }

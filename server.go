@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/feature"
 	"repro/internal/flight"
 	"repro/internal/lru"
@@ -802,8 +803,7 @@ func cloneSubseq(in []SubseqMatch) []SubseqMatch {
 // caching reports whether the result cache can hold anything. A server
 // opened with CacheSize < 0 answers every read from the engine, so what a
 // read would pay only to file its answer — hashing a raw query vector into
-// the key, planning the query a second time for the entry's invalidation
-// predicate — is skipped.
+// the key, building the entry's invalidation predicate — is skipped.
 func (s *Server) caching() bool { return s.cache.Capacity() > 0 }
 
 // valuesKey hashes a literal query series for use in cache keys. SHA-256
@@ -851,34 +851,47 @@ func reqIDOf(opts []QueryOpt) string {
 // Range runs DB.Range under the shared lock, with result caching.
 func (s *Server) Range(q []float64, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
 	key := fmt.Sprintf("range|v=%s|eps=%g|t=%s|%s", s.valuesKey(q), eps, t.Canonical(), optsKey(opts))
-	return s.matchQuery(key, reqIDOf(opts), func() ([]Match, Stats, error) {
-		return s.db.Range(q, eps, t, opts...)
-	}, s.rangeAffected("", q, eps, t, opts))
+	return s.filteredQuery(key, opts, func() ([]Match, Stats, *core.Prefilter, error) {
+		return s.db.rangeQuery(q, nil, eps, t, opts)
+	}, s.rangeAffected("", eps, opts))
 }
 
 // RangeByName runs DB.RangeByName under the shared lock, with result
 // caching.
 func (s *Server) RangeByName(name string, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
 	key := fmt.Sprintf("range|n=%q|eps=%g|t=%s|%s", name, eps, t.Canonical(), optsKey(opts))
-	return s.matchQuery(key, reqIDOf(opts), func() ([]Match, Stats, error) {
-		return s.db.RangeByName(name, eps, t, opts...)
-	}, s.rangeAffected(name, nil, eps, t, opts))
+	return s.filteredQuery(key, opts, func() ([]Match, Stats, *core.Prefilter, error) {
+		return s.db.rangeByName(name, eps, t, opts)
+	}, s.rangeAffected(name, eps, opts))
 }
 
 // NN runs DB.NN under the shared lock, with result caching.
 func (s *Server) NN(q []float64, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
 	key := fmt.Sprintf("nn|v=%s|k=%d|t=%s|%s", s.valuesKey(q), k, t.Canonical(), optsKey(opts))
-	return s.matchQuery(key, reqIDOf(opts), func() ([]Match, Stats, error) {
-		return s.db.NN(q, k, t, opts...)
-	}, s.nnAffected("", q, k, t, opts))
+	return s.filteredQuery(key, opts, func() ([]Match, Stats, *core.Prefilter, error) {
+		return s.db.nnQuery(q, nil, k, t, opts)
+	}, s.nnAffected("", k))
 }
 
 // NNByName runs DB.NNByName under the shared lock, with result caching.
 func (s *Server) NNByName(name string, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
 	key := fmt.Sprintf("nn|n=%q|k=%d|t=%s|%s", name, k, t.Canonical(), optsKey(opts))
+	return s.filteredQuery(key, opts, func() ([]Match, Stats, *core.Prefilter, error) {
+		return s.db.nnByName(name, k, t, opts)
+	}, s.nnAffected(name, k))
+}
+
+// filteredQuery serves a range or NN read through matchQuery, handing the
+// Lemma 1 filter of the plan that ran to the builder of the cached entry's
+// invalidation predicate: the entry is defended by exactly the test its
+// execution filtered with, and the query is planned once.
+func (s *Server) filteredQuery(key string, opts []QueryOpt, run func() ([]Match, Stats, *core.Prefilter, error), affectedFor func(*core.Prefilter, []Match) (func(writeEvent) bool, []int)) ([]Match, Stats, error) {
+	var pf *core.Prefilter
 	return s.matchQuery(key, reqIDOf(opts), func() ([]Match, Stats, error) {
-		return s.db.NNByName(name, k, t, opts...)
-	}, s.nnAffected(name, nil, k, t, opts))
+		m, st, f, err := run()
+		pf = f
+		return m, st, err
+	}, func(m []Match) (func(writeEvent) bool, []int) { return affectedFor(pf, m) })
 }
 
 // matchQuery serves a match-shaped query through the cache. affectedFor,

@@ -11,6 +11,9 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/plan"
 )
 
 // cacheFixture builds a sharded server over deterministic series: a tight
@@ -430,5 +433,113 @@ func TestCacheOffBuildsNoPredicate(t *testing.T) {
 	}
 	if n := cacheLen(off); n != 0 {
 		t.Fatalf("a zero-capacity cache holds %d entries", n)
+	}
+}
+
+// planCounter counts what a statement asks of the engine's planning surface:
+// every entry point that plans a range or NN query, and the stand-alone
+// prefilter builder the server used to call for each answer it filed.
+type planCounter struct {
+	core.Engine
+	plans, prefilters int
+}
+
+func (c *planCounter) RangeIndexed(q core.RangeQuery) ([]core.Result, core.ExecStats, error) {
+	c.plans++
+	return c.Engine.RangeIndexed(q)
+}
+
+func (c *planCounter) RangeScanFreq(q core.RangeQuery) ([]core.Result, core.ExecStats, error) {
+	c.plans++
+	return c.Engine.RangeScanFreq(q)
+}
+
+func (c *planCounter) PlanRange(q core.RangeQuery, want plan.Strategy) (*plan.Plan, error) {
+	c.plans++
+	return c.Engine.PlanRange(q, want)
+}
+
+func (c *planCounter) NNIndexed(q core.NNQuery) ([]core.Result, core.ExecStats, error) {
+	c.plans++
+	return c.Engine.NNIndexed(q)
+}
+
+func (c *planCounter) NNScan(q core.NNQuery) ([]core.Result, core.ExecStats, error) {
+	c.plans++
+	return c.Engine.NNScan(q)
+}
+
+func (c *planCounter) PlanNN(q core.NNQuery, want plan.Strategy) (*plan.Plan, error) {
+	c.plans++
+	return c.Engine.PlanNN(q, want)
+}
+
+func (c *planCounter) PlanPrefilter(q core.RangeQuery) (*core.Prefilter, error) {
+	c.prefilters++
+	return c.Engine.PlanPrefilter(q)
+}
+
+// TestCacheOnPlansOncePerStatement is TestCacheOffBuildsNoPredicate's twin:
+// a caching server files every answer with an invalidation predicate, and
+// builds it from the Lemma 1 filter of the plan that ran — one planning call
+// per statement under every strategy, none for the predicate — while the
+// predicate still tells a far write from a near one.
+func TestCacheOnPlansOncePerStatement(t *testing.T) {
+	s := cacheFixture(t)
+	pc := &planCounter{Engine: s.db.eng}
+	s.db.eng = pc
+	q := clusterSeries(0.0002)
+	reads := []struct {
+		name string
+		run  func() ([]Match, Stats, error)
+	}{
+		{"Range", func() ([]Match, Stats, error) { return s.Range(q, 0.5, Identity()) }},
+		{"Range scan", func() ([]Match, Stats, error) { return s.Range(q, 0.5, Identity(), With(UseScan)) }},
+		{"Range auto", func() ([]Match, Stats, error) {
+			return s.Range(q, 0.5, MovingAverage(4), With(UseAuto), TransformBoth())
+		}},
+		{"RangeByName", func() ([]Match, Stats, error) { return s.RangeByName("C01", 0.5, MovingAverage(4)) }},
+		{"NN", func() ([]Match, Stats, error) { return s.NN(q, 3, Identity()) }},
+		{"NN auto", func() ([]Match, Stats, error) { return s.NN(q, 3, Identity(), With(UseAuto)) }},
+		{"NNByName", func() ([]Match, Stats, error) { return s.NNByName("C02", 4, Identity(), With(UseScan)) }},
+	}
+	holdsC00 := map[string]bool{}
+	for _, r := range reads {
+		pc.plans, pc.prefilters = 0, 0
+		filed := cacheLen(s)
+		m, st, err := r.run()
+		if err != nil || st.Cached {
+			t.Fatalf("%s: err %v, cached %t", r.name, err, st.Cached)
+		}
+		for _, hit := range m {
+			holdsC00[r.name] = holdsC00[r.name] || hit.Name == "C00"
+		}
+		if pc.plans != 1 || pc.prefilters != 0 {
+			t.Fatalf("%s: %d planning calls and %d prefilter builds for one statement, want 1 and 0", r.name, pc.plans, pc.prefilters)
+		}
+		if cacheLen(s) != filed+1 {
+			t.Fatalf("%s: the answer was not filed", r.name)
+		}
+	}
+	if len(holdsC00) < 4 {
+		t.Fatalf("only %d of the answers hold C00: the fixture no longer exercises eviction", len(holdsC00))
+	}
+	// The filed predicates are live: an outlier's append keeps every entry,
+	// an append that moves a cluster member drops the ones it belongs to.
+	if err := s.Append("Z03", []float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		if _, st, err := r.run(); err != nil || !st.Cached {
+			t.Fatalf("%s after a far append: err %v, cached %t", r.name, err, st.Cached)
+		}
+	}
+	if err := s.Append("C00", []float64{0.1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		if _, st, err := r.run(); err != nil || (st.Cached && holdsC00[r.name]) {
+			t.Fatalf("%s after a member's append: err %v, cached %t", r.name, err, st.Cached)
+		}
 	}
 }

@@ -69,8 +69,9 @@ func (db *DB) Append(name string, points []float64) error {
 	return err
 }
 
-// planPrefilter builds the engine's Lemma 1 rectangle test for a query
-// spec; shared by monitors and append-aware cache invalidation.
+// planPrefilter builds the engine's Lemma 1 rectangle test for a standing
+// monitor's query spec. (Cached answers keep the filter of the plan that
+// produced them instead; see Server.filteredQuery.)
 func (db *DB) planPrefilter(values []float64, t Transform, qo queryOpts) (*core.Prefilter, error) {
 	tr, warp, err := t.materialize(db.length)
 	if err != nil {
@@ -273,22 +274,17 @@ func affectedPredicate(queryName string, members map[string]bool, memberShards [
 // rangeAffected builds the cached-entry invalidation predicate for a range
 // answer: the entry survives a write unless the written series is the
 // query series, is among the cached matches, was deleted while a member,
-// or lands its new feature point inside the query's search rectangle (in
-// which case it may have entered the answer). A nil return means "cannot
-// prove anything — always invalidate".
-func (s *Server) rangeAffected(queryName string, values []float64, eps float64, t Transform, opts []QueryOpt) func([]Match) (func(writeEvent) bool, []int) {
-	return func(matches []Match) (func(writeEvent) bool, []int) {
+// or lands its new feature point inside the search rectangle of the plan
+// that produced the answer (in which case it may have entered it). A nil
+// return means "cannot prove anything — always invalidate".
+func (s *Server) rangeAffected(queryName string, eps float64, opts []QueryOpt) func(*core.Prefilter, []Match) (func(writeEvent) bool, []int) {
+	return func(pf *core.Prefilter, matches []Match) (func(writeEvent) bool, []int) {
+		if pf == nil {
+			return nil, nil
+		}
 		var qo queryOpts
 		for _, o := range opts {
 			o(&qo)
-		}
-		vals := values
-		if vals == nil {
-			v, err := s.db.Series(queryName)
-			if err != nil {
-				return nil, nil
-			}
-			vals = v
 		}
 		// Scan strategies verify every series without consulting the index,
 		// so their answers ignore moment bounds; widen the prefilter to
@@ -297,11 +293,7 @@ func (s *Server) rangeAffected(queryName string, values []float64, eps float64, 
 		// to a scan when no moment bounds are set, so the widening is a
 		// no-op there.
 		if qo.strategy != UseIndex {
-			qo.moments = feature.MomentBounds{}
-		}
-		pf, err := s.db.planPrefilter(vals, t, qo)
-		if err != nil {
-			return nil, nil
+			pf = pf.Unbounded()
 		}
 		members, shards := s.memberTags(queryName, matches)
 		return affectedPredicate(queryName, members, shards, pf, eps), shards
@@ -368,28 +360,11 @@ const joinRetagEvery = 32
 
 // nnAffected is the NN analogue: the search rectangle's threshold is the
 // cached k-th best distance — a new point outside it provably cannot
-// displace any cached neighbor.
-func (s *Server) nnAffected(queryName string, values []float64, k int, t Transform, opts []QueryOpt) func([]Match) (func(writeEvent) bool, []int) {
-	return func(matches []Match) (func(writeEvent) bool, []int) {
-		if len(matches) < k {
+// displace any cached neighbor. (NN plans carry no moment bounds.)
+func (s *Server) nnAffected(queryName string, k int) func(*core.Prefilter, []Match) (func(writeEvent) bool, []int) {
+	return func(pf *core.Prefilter, matches []Match) (func(writeEvent) bool, []int) {
+		if pf == nil || len(matches) < k {
 			return nil, nil // unfilled answer: any write may enter
-		}
-		var qo queryOpts
-		for _, o := range opts {
-			o(&qo)
-		}
-		qo.moments = feature.MomentBounds{} // NN queries carry no moment bounds
-		vals := values
-		if vals == nil {
-			v, err := s.db.Series(queryName)
-			if err != nil {
-				return nil, nil
-			}
-			vals = v
-		}
-		pf, err := s.db.planPrefilter(vals, t, qo)
-		if err != nil {
-			return nil, nil
 		}
 		kth := matches[len(matches)-1].Distance
 		members, shards := s.memberTags(queryName, matches)

@@ -226,9 +226,14 @@ func TestAppendCacheSelective(t *testing.T) {
 		if cached(join) {
 			t.Fatal("append to a joined member kept the cached join entry")
 		}
-		// Non-append writes still purge everything. (Warm first: the
-		// join-section append evicted the range entry too, B5 being a
-		// member by then.)
+		// An insert goes through the same predicate as an append. (Warm
+		// first: the join-section append evicted the range entry too, B5
+		// being a member by then.) Until the filter counted each indexed
+		// coefficient twice this test inserted a B-shaped series and saw the
+		// entry go — at radius 3 the far cluster's feature point still fell
+		// in the rectangle; at 3/√2 it misses, which proves the series out
+		// of reach, and the entry rightly stays. An A-shaped insert lands
+		// inside the answer and evicts.
 		if _, err := rangeByA0(); err != nil {
 			t.Fatal(err)
 		}
@@ -238,8 +243,14 @@ func TestAppendCacheSelective(t *testing.T) {
 		if err := s.Insert("C0", mk(shapes[1], 55)); err != nil {
 			t.Fatal(err)
 		}
+		if !cached(rangeByA0) {
+			t.Fatal("insert into the far cluster evicted the cached range entry")
+		}
+		if err := s.Insert("C1", mk(shapes[0], 56)); err != nil {
+			t.Fatal(err)
+		}
 		if cached(rangeByA0) {
-			t.Fatal("insert did not purge the cache")
+			t.Fatal("insert into the answer's cluster kept the cached range entry")
 		}
 	}
 }
