@@ -23,6 +23,7 @@ import (
 	"repro/internal/dft"
 	"repro/internal/feature"
 	"repro/internal/index"
+	"repro/internal/plan"
 	"repro/internal/rtree"
 	"repro/internal/transform"
 )
@@ -90,6 +91,16 @@ func queryValues(b *testing.B, db *core.DB, i int) []float64 {
 	return vals
 }
 
+// forcedRange runs a range query under a forced strategy: the figures set
+// index against scan as two plans for one query.
+func forcedRange(db *core.DB, q core.RangeQuery, want plan.Strategy) ([]core.Result, core.ExecStats, error) {
+	pl, err := db.PlanRange(q, want)
+	if err != nil {
+		return nil, core.ExecStats{}, err
+	}
+	return db.ExecRangeInto(q, pl, nil)
+}
+
 // ---------------------------------------------------------------------------
 // Figure 8: range query time vs sequence length (1000 sequences), identity
 // transformation through the transform path vs the plain path.
@@ -100,9 +111,9 @@ func benchmarkFig8(b *testing.B, length int, force bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := db.RangeIndexed(core.RangeQuery{
+		_, _, err := forcedRange(db, core.RangeQuery{
 			Values: queryValues(b, db, i), Eps: 1, Transform: ident, ForceTransform: force,
-		})
+		}, plan.Index)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,9 +141,9 @@ func benchmarkFig9(b *testing.B, count int, force bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := db.RangeIndexed(core.RangeQuery{
+		_, _, err := forcedRange(db, core.RangeQuery{
 			Values: queryValues(b, db, i), Eps: 1, Transform: ident, ForceTransform: force,
-		})
+		}, plan.Index)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,9 +181,9 @@ func benchmarkFig10(b *testing.B, length int, scan bool) {
 		}
 		var err error
 		if scan {
-			_, _, err = db.RangeScanFreq(rq)
+			_, _, err = forcedRange(db, rq, plan.ScanFreq)
 		} else {
-			_, _, err = db.RangeIndexed(rq)
+			_, _, err = forcedRange(db, rq, plan.Index)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -206,9 +217,9 @@ func benchmarkFig11(b *testing.B, count int, scan bool) {
 		}
 		var err error
 		if scan {
-			_, _, err = db.RangeScanFreq(rq)
+			_, _, err = forcedRange(db, rq, plan.ScanFreq)
 		} else {
-			_, _, err = db.RangeIndexed(rq)
+			_, _, err = forcedRange(db, rq, plan.Index)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -243,9 +254,9 @@ func benchmarkFig12(b *testing.B, eps float64, scan bool) {
 		}
 		var err error
 		if scan {
-			_, _, err = db.RangeScanFreq(rq)
+			_, _, err = forcedRange(db, rq, plan.ScanFreq)
 		} else {
-			_, _, err = db.RangeIndexed(rq)
+			_, _, err = forcedRange(db, rq, plan.Index)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -345,17 +356,17 @@ func BenchmarkAblationEarlyAbandon(b *testing.B) {
 	b.Run("abandon", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			db.RangeScanFreq(core.RangeQuery{
+			forcedRange(db, core.RangeQuery{
 				Values: queryValues(b, db, i), Eps: 1, Transform: mavg, BothSides: true,
-			})
+			}, plan.ScanFreq)
 		}
 	})
 	b.Run("full-distance", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			db.RangeScanTime(core.RangeQuery{
+			forcedRange(db, core.RangeQuery{
 				Values: queryValues(b, db, i), Eps: 1, Transform: mavg, BothSides: true,
-			})
+			}, plan.ScanTime)
 		}
 	})
 }
@@ -384,9 +395,9 @@ func BenchmarkAblationPartialPrune(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				db.RangeIndexed(core.RangeQuery{
+				forcedRange(db, core.RangeQuery{
 					Values: queryValues(b, db, i), Eps: 2, Transform: mavg, BothSides: true,
-				})
+				}, plan.Index)
 			}
 		})
 	}
@@ -464,9 +475,9 @@ func BenchmarkWarpQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := db.RangeIndexed(core.RangeQuery{
+		_, _, err := forcedRange(db, core.RangeQuery{
 			Values: warped, Eps: 1, Transform: warp, WarpFactor: 2,
-		})
+		}, plan.Index)
 		if err != nil {
 			b.Fatal(err)
 		}

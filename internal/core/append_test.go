@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/plan"
 	"repro/internal/transform"
 )
 
@@ -123,23 +124,23 @@ func TestAppendParity(t *testing.T) {
 			run   func(Engine) (any, error)
 		}{
 			{"range-identity", func(e Engine) (any, error) {
-				r, _, err := e.RangeIndexed(RangeQuery{Values: q, Eps: 4, Transform: transform.Identity(windowLen)})
+				r, _, err := forcedRange(e, RangeQuery{Values: q, Eps: 4, Transform: transform.Identity(windowLen)}, plan.Index)
 				return r, err
 			}},
 			{"range-mavg-both", func(e Engine) (any, error) {
-				r, _, err := e.RangeIndexed(RangeQuery{Values: q, Eps: 3, Transform: mavg, BothSides: true})
+				r, _, err := forcedRange(e, RangeQuery{Values: q, Eps: 3, Transform: mavg, BothSides: true}, plan.Index)
 				return r, err
 			}},
 			{"range-scan", func(e Engine) (any, error) {
-				r, _, err := e.RangeScanFreq(RangeQuery{Values: q, Eps: 4, Transform: transform.Identity(windowLen)})
+				r, _, err := forcedRange(e, RangeQuery{Values: q, Eps: 4, Transform: transform.Identity(windowLen)}, plan.ScanFreq)
 				return r, err
 			}},
 			{"nn", func(e Engine) (any, error) {
-				r, _, err := e.NNIndexed(NNQuery{Values: q, K: 7, Transform: transform.Identity(windowLen)})
+				r, _, err := forcedNN(e, NNQuery{Values: q, K: 7, Transform: transform.Identity(windowLen)}, plan.Index)
 				return r, err
 			}},
 			{"nn-mavg", func(e Engine) (any, error) {
-				r, _, err := e.NNIndexed(NNQuery{Values: q, K: 5, Transform: mavg})
+				r, _, err := forcedNN(e, NNQuery{Values: q, K: 5, Transform: mavg}, plan.Index)
 				return r, err
 			}},
 			{"subseq", func(e Engine) (any, error) {
@@ -162,50 +163,63 @@ func TestAppendParity(t *testing.T) {
 	}
 }
 
-// TestAppendParityJoins pins the join paths — including the parallel scan
+// newEngine opens an empty store: a DB at shards 1, a Sharded otherwise.
+func newEngine(t *testing.T, length, shards int) Engine {
+	t.Helper()
+	if shards == 1 {
+		db, err := NewDB(length, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	s, err := NewSharded(length, shards, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestAppendParityJoins pins the join paths — including the sharded scan
 // join, which reads spectra from worker goroutines — on stores whose
 // spectrum records are deliberately stale (fewer appended points than the
 // refresh cadence, so every join must derive spectra on demand).
 func TestAppendParityJoins(t *testing.T) {
 	const windowLen = 32
 	walks := appendWalks(24, windowLen+5, 17) // 5 appends < spectrumRefreshEvery
-	streamed, _ := NewDB(windowLen, Options{})
-	whole, _ := NewDB(windowLen, Options{})
-	buildByAppends(t, streamed, walks, windowLen)
-	buildWhole(t, whole, walks, windowLen)
-
 	tr := transform.MovingAverage(windowLen, 4)
-	for _, tc := range []struct {
-		label string
-		run   func(*DB) (any, error)
-	}{
-		{"scan-join", func(db *DB) (any, error) {
-			p, _, err := db.SelfJoin(8, tr, JoinScanEarlyAbandon)
-			return p, err
-		}},
-		{"parallel-scan-join", func(db *DB) (any, error) {
-			p, _, err := db.SelfJoinScanParallel(8, tr, 4)
-			return p, err
-		}},
-		{"index-join", func(db *DB) (any, error) {
-			p, _, err := db.SelfJoin(8, tr, JoinIndexTransform)
-			return p, err
-		}},
-		{"two-sided", func(db *DB) (any, error) {
-			p, _, err := db.JoinTwoSided(8, transform.Reverse(windowLen), tr)
-			return p, err
-		}},
-	} {
-		got, err := tc.run(streamed)
-		if err != nil {
-			t.Fatalf("%s: streamed: %v", tc.label, err)
-		}
-		want, err := tc.run(whole)
-		if err != nil {
-			t.Fatalf("%s: whole: %v", tc.label, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: streamed store diverges on stale spectra:\n got %+v\nwant %+v", tc.label, got, want)
+	for _, shards := range []int{1, 4} {
+		streamed, whole := newEngine(t, windowLen, shards), newEngine(t, windowLen, shards)
+		buildByAppends(t, streamed, walks, windowLen)
+		buildWhole(t, whole, walks, windowLen)
+		for _, tc := range []struct {
+			label string
+			run   func(Engine) (any, error)
+		}{
+			{"scan-join", func(e Engine) (any, error) {
+				p, _, err := e.SelfJoin(8, tr, JoinScanEarlyAbandon)
+				return p, err
+			}},
+			{"index-join", func(e Engine) (any, error) {
+				p, _, err := e.SelfJoin(8, tr, JoinIndexTransform)
+				return p, err
+			}},
+			{"two-sided", func(e Engine) (any, error) {
+				p, _, err := forcedJoinTwoSided(e, 8, transform.Reverse(windowLen), tr)
+				return p, err
+			}},
+		} {
+			got, err := tc.run(streamed)
+			if err != nil {
+				t.Fatalf("shards=%d %s: streamed: %v", shards, tc.label, err)
+			}
+			want, err := tc.run(whole)
+			if err != nil {
+				t.Fatalf("shards=%d %s: whole: %v", shards, tc.label, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d %s: streamed store diverges on stale spectra:\n got %+v\nwant %+v", shards, tc.label, got, want)
+			}
 		}
 	}
 }
@@ -347,7 +361,7 @@ func TestCheckWithinMatchesRange(t *testing.T) {
 			Transform: transform.MovingAverage(windowLen, 8),
 			BothSides: true,
 		}
-		res, _, err := eng.RangeIndexed(q)
+		res, _, err := forcedRange(eng, q, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +408,7 @@ func TestPrefilterSound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, _, err := db.RangeIndexed(q)
+			res, _, err := forcedRange(db, q, plan.Index)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,6 +424,98 @@ func TestPrefilterSound(t *testing.T) {
 			// +Inf threshold admits everything.
 			if !pf.Hit(db.rec(0).point, math.Inf(1)) {
 				t.Fatal("prefilter rejected a point at eps=+Inf")
+			}
+		}
+	}
+}
+
+// TestAdaptiveCadenceSeesEveryRead: the adaptive refresh cadence is retuned
+// from each store's own read/append mix, so a read must be counted by the
+// store that does the work — every shard of a fan-out, under forced plans
+// and planner-chosen ones alike. A read-heavy stream pulls every shard's
+// cadence below its start (10 reads per one-point append: 4 + 252/11 = 26
+// at shards 1, lower at shards 4 where each shard sees every read and a
+// quarter of the appends), an append-only one pushes it to the lazy bound,
+// and the answers are byte-identical either way.
+func TestAdaptiveCadenceSeesEveryRead(t *testing.T) {
+	const (
+		windowLen     = 32
+		series        = 24
+		appends       = 2048 // >= adaptiveRefreshPeriod per shard at shards 4
+		readsPerWrite = 10
+	)
+	walks := appendWalks(series, windowLen+(appends+series-1)/series, 29)
+	id := transform.Identity(windowLen)
+	mavg := transform.MovingAverage(windowLen, 4)
+	shardsOf := func(e Engine) []*DB {
+		if s, ok := e.(*Sharded); ok {
+			return s.shards
+		}
+		return []*DB{e.(*DB)}
+	}
+	for _, shards := range []int{1, 4} {
+		run := func(reads bool) Engine {
+			eng := newEngine(t, windowLen, shards)
+			for i, w := range walks {
+				if _, err := eng.Insert(fmt.Sprintf("W%04d", i), w[:windowLen]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for a := 0; a < appends; a++ {
+				i := a % series
+				var err error
+				if _, err = eng.Append(fmt.Sprintf("W%04d", i), walks[i][windowLen+a/series:][:1]); err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; reads && r < readsPerWrite; r++ {
+					q := walks[(a+r)%series][:windowLen]
+					// Forced index, forced scan and the planner's choice in
+					// turn: all three are reads.
+					want := []plan.Strategy{plan.Index, plan.ScanFreq, plan.Auto}[r%3]
+					if r%2 == 0 {
+						_, _, err = forcedRange(eng, RangeQuery{Values: q, Eps: 2, Transform: id}, want)
+					} else {
+						_, _, err = forcedNN(eng, NNQuery{Values: q, K: 3, Transform: id}, want)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return eng
+		}
+		busy, quiet := run(true), run(false)
+		for si, sh := range shardsOf(busy) {
+			if got := sh.refreshCadence(); got >= spectrumRefreshEvery {
+				t.Errorf("shards=%d shard %d: cadence %d after a %d:1 read:append mix (queries=%d appends=%d), want below the %d start",
+					shards, si, got, readsPerWrite, sh.queryCount.Load(), sh.appendCount.Load(), spectrumRefreshEvery)
+			}
+		}
+		for si, sh := range shardsOf(quiet) {
+			if got := sh.refreshCadence(); got != adaptiveRefreshMax {
+				t.Errorf("shards=%d shard %d: cadence %d after an append-only run, want %d", shards, si, got, adaptiveRefreshMax)
+			}
+		}
+		q := walks[5][:windowLen]
+		for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+			a, _, err := forcedRange(busy, RangeQuery{Values: q, Eps: 6, Transform: mavg, BothSides: true}, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _, err := forcedRange(quiet, RangeQuery{Values: q, Eps: 6, Transform: mavg, BothSides: true}, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			na, _, err := forcedNN(busy, NNQuery{Values: q, K: 7, Transform: id}, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb, _, err := forcedNN(quiet, NNQuery{Values: q, K: 7, Transform: id}, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) == 0 || !reflect.DeepEqual(a, b) || !reflect.DeepEqual(na, nb) {
+				t.Errorf("shards=%d %v: answers differ between the eager and the lazy cadence:\n range %v\n    vs %v\n nn %v\n vs %v", shards, want, a, b, na, nb)
 			}
 		}
 	}

@@ -242,8 +242,8 @@ func tightness(lb, ub float64) float64 {
 
 // stampPlan stamps an execution's stats with what its plan decided: the
 // Lemma 1 geometry it filtered with and the approximate tier it ran under
-// (the four strategy run functions call it, so every entry point — planned,
-// pinned, or fanned out per shard — reports them).
+// (the index and frequency-scan run functions call it, on a DB and on every
+// shard of a fan-out alike).
 func stampPlan(p *rangePlan, st *ExecStats) {
 	st.Filter = p.Prefilter
 	if p.approx() {

@@ -1,37 +1,16 @@
-// Per-operation cost benchmarks for the read hot path: ns/op, B/op and
-// allocs/op per query kind on a warm store, measured as paired-chunk
-// medians under GOMAXPROCS 1 and 4.
-//
-// Three entry points share one workload:
-//
-//   - BenchmarkExecHotPath — standard go-bench surface with ReportAllocs,
-//     exercised once per CI run (-benchtime=1x) so it cannot rot;
-//   - TestPerfBaseline — gated by TSQ_BENCH_BASELINE; captures the
-//     pre-change per-op costs to the given JSON path (run once before a
-//     perf pass, checked in as bench/BENCH6_BASELINE.json);
-//   - TestPerfReport — gated by TSQ_BENCH_OUT; re-measures, merges the
-//     stored baseline, and writes the report `make bench-perf` publishes
-//     as BENCH_6.json.
-//
-// Timing runs with telemetry enabled (the production default, so the
-// numbers include the metrics tax); allocation counts run with telemetry
-// disabled, because the span/metrics surface is the one deliberate
-// steady-state allocator left on the hot path.
+// BenchmarkExecHotPath: ns/op, B/op and allocs/op per query kind on a warm
+// store — pre-planned ops through ExecRangeInto/ExecNNInto, each kind
+// reusing one result buffer. Exercised once per CI run (-benchtime=1x) so it
+// cannot rot; the repository's measurements come from benchmark/.
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
-	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/plan"
-	"repro/internal/telemetry"
 	"repro/internal/transform"
 )
 
@@ -48,7 +27,7 @@ const (
 	perfEpsMavg = 1.5
 )
 
-// perfStore builds the warm store every perf entry point measures against:
+// perfStore builds the warm store the benchmark measures against:
 // seeded random walks with a planted block of near-duplicates so selective
 // range queries have answers.
 func perfStore(tb testing.TB) (*DB, [][]float64) {
@@ -105,7 +84,8 @@ type perfKind struct {
 }
 
 // perfKinds pre-plans the benchmark's query mix against db. Plans are
-// built once per query vector; the hot loop is ExecRange/ExecNN only.
+// built once per query vector; the hot loop is ExecRangeInto/ExecNNInto
+// only.
 func perfKinds(tb testing.TB, db *DB, data [][]float64) []perfKind {
 	tb.Helper()
 	qvecs := perfQueryVecs(data)
@@ -195,245 +175,6 @@ func perfKinds(tb testing.TB, db *DB, data [][]float64) []perfKind {
 	}
 }
 
-// perfPoint is one measured (kind, GOMAXPROCS) cell.
-type perfPoint struct {
-	Kind       string  `json:"kind"`
-	Gomaxprocs int     `json:"gomaxprocs"`
-	NsOp       float64 `json:"ns_op"`
-	BOp        float64 `json:"b_op"`
-	AllocsOp   float64 `json:"allocs_op"`
-	QPS        float64 `json:"qps"`
-	AvgResults float64 `json:"avg_results"`
-}
-
-const (
-	perfChunks     = 15
-	perfChunkMinMs = 4
-)
-
-// measureKind times k as the median of perfChunks chunk means, then counts
-// allocations with telemetry disabled (see the package comment).
-func measureKind(k perfKind, procs int) perfPoint {
-	old := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(old)
-
-	// Warm up: fault pages in, settle pools and caches.
-	results := 0
-	for i := 0; i < 64; i++ {
-		results += k.run(i)
-	}
-
-	// Size a chunk to at least perfChunkMinMs of work.
-	start := time.Now()
-	probeOps := 32
-	for i := 0; i < probeOps; i++ {
-		k.run(i)
-	}
-	perOp := time.Since(start) / time.Duration(probeOps)
-	if perOp <= 0 {
-		perOp = time.Nanosecond
-	}
-	chunkOps := int(time.Duration(perfChunkMinMs)*time.Millisecond/perOp) + 1
-	if chunkOps < 16 {
-		chunkOps = 16
-	}
-	if chunkOps > 4096 {
-		chunkOps = 4096
-	}
-
-	// Chunked timing: median across chunks resists scheduler noise.
-	nsPerOp := make([]float64, perfChunks)
-	n := 0
-	resSum := 0
-	for c := 0; c < perfChunks; c++ {
-		t0 := time.Now()
-		for i := 0; i < chunkOps; i++ {
-			resSum += k.run(n)
-			n++
-		}
-		nsPerOp[c] = float64(time.Since(t0).Nanoseconds()) / float64(chunkOps)
-	}
-	sort.Float64s(nsPerOp)
-	med := nsPerOp[perfChunks/2]
-
-	// Allocation counts: telemetry off so the measured surface is the
-	// engine hot path, not the metrics registry.
-	wasEnabled := telemetry.Enabled()
-	telemetry.SetEnabled(false)
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		k.run(i)
-		i++
-	})
-	var m0, m1 runtime.MemStats
-	const bytesOps = 200
-	runtime.ReadMemStats(&m0)
-	for j := 0; j < bytesOps; j++ {
-		k.run(j)
-	}
-	runtime.ReadMemStats(&m1)
-	telemetry.SetEnabled(wasEnabled)
-	bOp := float64(m1.TotalAlloc-m0.TotalAlloc) / bytesOps
-
-	return perfPoint{
-		Kind:       k.name,
-		Gomaxprocs: procs,
-		NsOp:       med,
-		BOp:        bOp,
-		AllocsOp:   allocs,
-		QPS:        1e9 / med,
-		AvgResults: float64(resSum) / float64(perfChunks*chunkOps),
-	}
-}
-
-func measureAll(tb testing.TB) []perfPoint {
-	db, data := perfStore(tb)
-	kinds := perfKinds(tb, db, data)
-	var pts []perfPoint
-	for _, procs := range []int{1, 4} {
-		for _, k := range kinds {
-			pts = append(pts, measureKind(k, procs))
-		}
-	}
-	return pts
-}
-
-// perfSnapshot is the JSON shape both the baseline file and the
-// before/after halves of BENCH_6.json use.
-type perfSnapshot struct {
-	Bench      string      `json:"bench"`
-	Phase      string      `json:"phase"`
-	Go         string      `json:"go"`
-	Series     int         `json:"series"`
-	Length     int         `json:"length"`
-	Eps        float64     `json:"eps"`
-	K          int         `json:"k"`
-	TimingNote string      `json:"timing_note"`
-	Points     []perfPoint `json:"points"`
-}
-
-func snapshotOf(phase string, pts []perfPoint) perfSnapshot {
-	return perfSnapshot{
-		Bench:      "perf",
-		Phase:      phase,
-		Go:         runtime.Version(),
-		Series:     perfSeries,
-		Length:     perfLen,
-		Eps:        perfEps,
-		K:          perfK,
-		TimingNote: "ns_op is the median of chunk means with telemetry enabled; allocs_op/b_op measured with telemetry disabled",
-		Points:     pts,
-	}
-}
-
-// TestPerfBaseline captures the pre-change per-op costs. Gated by
-// TSQ_BENCH_BASELINE naming the output path.
-func TestPerfBaseline(t *testing.T) {
-	out := os.Getenv("TSQ_BENCH_BASELINE")
-	if out == "" {
-		t.Skip("set TSQ_BENCH_BASELINE=<path> to capture a perf baseline")
-	}
-	snap := snapshotOf("baseline", measureAll(t))
-	buf, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range snap.Points {
-		t.Logf("%-18s gomaxprocs=%d  %10.0f ns/op  %8.0f B/op  %6.1f allocs/op  avg_results=%.1f",
-			p.Kind, p.Gomaxprocs, p.NsOp, p.BOp, p.AllocsOp, p.AvgResults)
-	}
-	t.Logf("baseline written to %s", out)
-}
-
-// perfComparison is one row of BENCH_6.json: a (kind, GOMAXPROCS) cell
-// with its baseline, its current measurement, and the speedup.
-type perfComparison struct {
-	Kind       string     `json:"kind"`
-	Gomaxprocs int        `json:"gomaxprocs"`
-	Before     *perfPoint `json:"before,omitempty"`
-	After      perfPoint  `json:"after"`
-	Speedup    float64    `json:"speedup,omitempty"`
-}
-
-// TestPerfReport measures the current tree and merges the stored baseline
-// into BENCH_6.json. Gated by TSQ_BENCH_OUT.
-func TestPerfReport(t *testing.T) {
-	out := os.Getenv("TSQ_BENCH_OUT")
-	if out == "" {
-		t.Skip("set TSQ_BENCH_OUT=<path> to run the perf report")
-	}
-	baselinePath := os.Getenv("TSQ_BENCH_BASELINE_IN")
-	if baselinePath == "" {
-		baselinePath = "../../bench/BENCH6_BASELINE.json"
-	}
-	var base perfSnapshot
-	if buf, err := os.ReadFile(baselinePath); err == nil {
-		if err := json.Unmarshal(buf, &base); err != nil {
-			t.Fatalf("baseline %s: %v", baselinePath, err)
-		}
-	} else {
-		t.Logf("no baseline at %s; reporting current numbers only", baselinePath)
-	}
-	baseOf := func(kind string, procs int) *perfPoint {
-		for i := range base.Points {
-			if base.Points[i].Kind == kind && base.Points[i].Gomaxprocs == procs {
-				return &base.Points[i]
-			}
-		}
-		return nil
-	}
-
-	after := measureAll(t)
-	rows := make([]perfComparison, 0, len(after))
-	for _, p := range after {
-		row := perfComparison{Kind: p.Kind, Gomaxprocs: p.Gomaxprocs, After: p}
-		if b := baseOf(p.Kind, p.Gomaxprocs); b != nil {
-			row.Before = b
-			row.Speedup = b.NsOp / p.NsOp
-		}
-		rows = append(rows, row)
-		if row.Before != nil {
-			t.Logf("%-18s gomaxprocs=%d  %10.0f -> %10.0f ns/op (%.2fx)  allocs %5.1f -> %5.1f",
-				p.Kind, p.Gomaxprocs, row.Before.NsOp, p.NsOp, row.Speedup, row.Before.AllocsOp, p.AllocsOp)
-		} else {
-			t.Logf("%-18s gomaxprocs=%d  %10.0f ns/op  %6.1f allocs/op", p.Kind, p.Gomaxprocs, p.NsOp, p.AllocsOp)
-		}
-	}
-
-	report := struct {
-		Bench       string           `json:"bench"`
-		Go          string           `json:"go"`
-		Series      int              `json:"series"`
-		Length      int              `json:"length"`
-		Eps         float64          `json:"eps"`
-		K           int              `json:"k"`
-		TimingNote  string           `json:"timing_note"`
-		Comparisons []perfComparison `json:"comparisons"`
-	}{
-		Bench:       "perf",
-		Go:          runtime.Version(),
-		Series:      perfSeries,
-		Length:      perfLen,
-		Eps:         perfEps,
-		K:           perfK,
-		TimingNote:  snapshotOf("", nil).TimingNote,
-		Comparisons: rows,
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("report written to %s", out)
-}
-
-// BenchmarkExecHotPath is the standard go-bench surface over the same
-// kinds, with allocation reporting for `go test -bench -benchmem`.
 func BenchmarkExecHotPath(b *testing.B) {
 	db, data := perfStore(b)
 	kinds := perfKinds(b, db, data)

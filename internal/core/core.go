@@ -590,9 +590,9 @@ type ExecStats struct {
 	// the merged answer. Nil on single-store executions (and on the global
 	// nested scan join, whose workers stride across shards).
 	Shards []ShardExec
-	// Strategy is the resolved execution strategy of a planned run
-	// ("index", "scan", "scantime"); empty when the caller pinned a
-	// method outside the planner.
+	// Strategy is the execution strategy the plan resolved or was forced
+	// to ("index", "scan", "scantime"); empty for SelfJoin(method) and
+	// SubsequenceScan, which run no plan.
 	Strategy string
 	// Delta echoes the approximate tier's guaranteed relative error
 	// bound; 0 on exact executions. Rung is the planner's estimated
@@ -614,9 +614,9 @@ type ExecStats struct {
 	// plan.
 	Filter *Prefilter
 	// Spans is the execution's trace tree — named wall-time spans for the
-	// plan → fan-out → merge pipeline, with per-shard children. Populated
-	// by planned executions; TRACE statements and the server's slow-query
-	// log surface it.
+	// plan → fan-out → merge pipeline, with per-shard children. TRACE
+	// statements, the flight recorder and the server's slow-query log
+	// surface it.
 	Spans []Span
 }
 

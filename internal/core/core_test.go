@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dft"
 	"repro/internal/feature"
+	"repro/internal/plan"
 	"repro/internal/rtree"
 	"repro/internal/series"
 	"repro/internal/transform"
@@ -121,16 +122,16 @@ func TestInsertValidation(t *testing.T) {
 func TestRangeValidation(t *testing.T) {
 	db, _ := newTestDB(t, 20, 1, Options{})
 	q := make([]float64, testLen)
-	if _, _, err := db.RangeIndexed(RangeQuery{Values: q, Eps: -1, Transform: transform.Identity(testLen)}); err == nil {
+	if _, _, err := forcedRange(db, RangeQuery{Values: q, Eps: -1, Transform: transform.Identity(testLen)}, plan.Index); err == nil {
 		t.Error("negative eps should fail")
 	}
-	if _, _, err := db.RangeIndexed(RangeQuery{Values: q, Eps: 1, Transform: transform.Identity(10)}); err == nil {
+	if _, _, err := forcedRange(db, RangeQuery{Values: q, Eps: 1, Transform: transform.Identity(10)}, plan.Index); err == nil {
 		t.Error("wrong transform length should fail")
 	}
-	if _, _, err := db.RangeIndexed(RangeQuery{Values: q[:10], Eps: 1, Transform: transform.Identity(testLen)}); err == nil {
+	if _, _, err := forcedRange(db, RangeQuery{Values: q[:10], Eps: 1, Transform: transform.Identity(testLen)}, plan.Index); err == nil {
 		t.Error("wrong query length should fail")
 	}
-	if _, _, err := db.RangeIndexed(RangeQuery{Values: q, Eps: 1, Transform: transform.Identity(testLen), WarpFactor: 2}); err == nil {
+	if _, _, err := forcedRange(db, RangeQuery{Values: q, Eps: 1, Transform: transform.Identity(testLen), WarpFactor: 2}, plan.Index); err == nil {
 		t.Error("warp query with unwarped length should fail")
 	}
 }
@@ -152,15 +153,15 @@ func TestRangeAllMethodsAgreeWithOracle(t *testing.T) {
 				rq := RangeQuery{Values: q, Eps: eps, Transform: tr}
 				want := bruteRange(data, q, eps, tr, 0)
 
-				idxRes, idxSt, err := db.RangeIndexed(rq)
+				idxRes, idxSt, err := forcedRange(db, rq, plan.Index)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scanRes, _, err := db.RangeScanFreq(rq)
+				scanRes, _, err := forcedRange(db, rq, plan.ScanFreq)
 				if err != nil {
 					t.Fatal(err)
 				}
-				timeRes, _, err := db.RangeScanTime(rq)
+				timeRes, _, err := forcedRange(db, rq, plan.ScanTime)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -198,11 +199,11 @@ func TestRangeIndexedPrunesVersusScan(t *testing.T) {
 	db, data := newTestDB(t, 300, 4, Options{})
 	q := data[0]
 	rq := RangeQuery{Values: q, Eps: 0.8, Transform: transform.Identity(testLen)}
-	_, idxSt, err := db.RangeIndexed(rq)
+	_, idxSt, err := forcedRange(db, rq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, scanSt, err := db.RangeScanFreq(rq)
+	_, scanSt, err := forcedRange(db, rq, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestRangeWithWarp(t *testing.T) {
 		Transform:  transform.Warp(testLen, 2),
 		WarpFactor: 2,
 	}
-	res, st, err := db.RangeIndexed(rq)
+	res, st, err := forcedRange(db, rq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestRangeWithWarp(t *testing.T) {
 		t.Fatal("warp query did not filter at all")
 	}
 	// Scan agrees.
-	scanRes, _, err := db.RangeScanFreq(rq)
+	scanRes, _, err := forcedRange(db, rq, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestRangeMomentBounds(t *testing.T) {
 			StdLo: -math.MaxFloat64, StdHi: math.MaxFloat64,
 		},
 	}
-	res, _, err := db.RangeIndexed(rq)
+	res, _, err := forcedRange(db, rq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +323,11 @@ func TestNNAgreesWithBruteForce(t *testing.T) {
 		for _, tr := range transforms {
 			for _, k := range []int{1, 5, 12} {
 				nq := NNQuery{Values: q, K: k, Transform: tr}
-				idxRes, idxSt, err := db.NNIndexed(nq)
+				idxRes, idxSt, err := forcedNN(db, nq, plan.Index)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scanRes, _, err := db.NNScan(nq)
+				scanRes, _, err := forcedNN(db, nq, plan.ScanFreq)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -364,13 +365,13 @@ func TestNNAgreesWithBruteForce(t *testing.T) {
 func TestNNValidation(t *testing.T) {
 	db, _ := newTestDB(t, 20, 9, Options{})
 	q := make([]float64, testLen)
-	if _, _, err := db.NNIndexed(NNQuery{Values: q, K: 0, Transform: transform.Identity(testLen)}); err == nil {
+	if _, _, err := forcedNN(db, NNQuery{Values: q, K: 0, Transform: transform.Identity(testLen)}, plan.Index); err == nil {
 		t.Error("K=0 should fail")
 	}
-	if _, _, err := db.NNScan(NNQuery{Values: q, K: 0, Transform: transform.Identity(testLen)}); err == nil {
+	if _, _, err := forcedNN(db, NNQuery{Values: q, K: 0, Transform: transform.Identity(testLen)}, plan.ScanFreq); err == nil {
 		t.Error("scan K=0 should fail")
 	}
-	if _, _, err := db.NNIndexed(NNQuery{Values: q[:3], K: 1, Transform: transform.Identity(testLen)}); err == nil {
+	if _, _, err := forcedNN(db, NNQuery{Values: q[:3], K: 1, Transform: transform.Identity(testLen)}, plan.Index); err == nil {
 		t.Error("bad length should fail")
 	}
 }
@@ -381,7 +382,7 @@ func TestNNMoreThanStored(t *testing.T) {
 	for i := range q {
 		q[i] = float64(i)
 	}
-	res, _, err := db.NNIndexed(NNQuery{Values: q, K: 50, Transform: transform.Identity(testLen)})
+	res, _, err := forcedNN(db, NNQuery{Values: q, K: 50, Transform: transform.Identity(testLen)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +519,7 @@ func TestJoinTwoSidedFindsReversedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, _, err := db.JoinTwoSided(ens.Epsilon, revMavg, mavg)
+	pairs, _, err := forcedJoinTwoSided(db, ens.Epsilon, revMavg, mavg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,11 +540,11 @@ func TestDisablePartialPruneStillExact(t *testing.T) {
 	db2, _ := newTestDB(t, 120, 14, Options{DisablePartialPrune: true})
 	q := data[3]
 	rq := RangeQuery{Values: q, Eps: 1.5, Transform: transform.MovingAverage(testLen, 5)}
-	r1, s1, err := db1.RangeIndexed(rq)
+	r1, s1, err := forcedRange(db1, rq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, s2, err := db2.RangeIndexed(rq)
+	r2, s2, err := forcedRange(db2, rq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}

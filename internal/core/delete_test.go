@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/transform"
 )
 
@@ -26,9 +27,9 @@ func TestDeleteRemovesFromAllQueryPaths(t *testing.T) {
 	q := data[0]
 	rq := RangeQuery{Values: q, Eps: 1000, Transform: transform.Identity(testLen)}
 	for name, run := range map[string]func(RangeQuery) ([]Result, ExecStats, error){
-		"indexed":  db.RangeIndexed,
-		"scanFreq": db.RangeScanFreq,
-		"scanTime": db.RangeScanTime,
+		"indexed":  pinRange(db, plan.Index),
+		"scanFreq": pinRange(db, plan.ScanFreq),
+		"scanTime": pinRange(db, plan.ScanTime),
 	} {
 		res, _, err := run(rq)
 		if err != nil {
@@ -43,7 +44,7 @@ func TestDeleteRemovesFromAllQueryPaths(t *testing.T) {
 			}
 		}
 	}
-	nn, _, err := db.NNIndexed(NNQuery{Values: q, K: 99, Transform: transform.Identity(testLen)})
+	nn, _, err := forcedNN(db, NNQuery{Values: q, K: 99, Transform: transform.Identity(testLen)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}

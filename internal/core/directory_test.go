@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dft"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/series"
 	"repro/internal/transform"
@@ -148,7 +149,7 @@ func (hs *headStore) churnChecked(t *testing.T, n int, rng *rand.Rand, steps int
 		id := before[name]
 		prep, _ := hs.eng.QueryPrep(id)
 		q := NNQuery{Values: hs.live[name], K: 1, Transform: transform.Identity(n), Prep: prep}
-		for _, run := range []func(NNQuery) ([]Result, ExecStats, error){hs.eng.NNIndexed, hs.eng.NNScan} {
+		for _, run := range []func(NNQuery) ([]Result, ExecStats, error){pinNN(hs.eng, plan.Index), pinNN(hs.eng, plan.ScanFreq)} {
 			got, _, err := run(q)
 			if err != nil || len(got) != 1 || got[0].ID != id || got[0].Name != name || got[0].Dist > 1e-9 {
 				t.Fatalf("%s: %s (id %d) does not find itself: %v (%v)", hs.label, name, id, got, err)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/plan"
 	"repro/internal/transform"
 )
 
@@ -64,25 +65,25 @@ func allKindsParity(t *testing.T, resident, disk Engine, length int) {
 
 	rq := RangeQuery{Values: q, Eps: 6, Transform: mavg}
 	compareEngines(t, "range/indexed", resident, disk, func(e Engine) ([]Result, error) {
-		r, _, err := e.RangeIndexed(rq)
+		r, _, err := forcedRange(e, rq, plan.Index)
 		return r, err
 	})
 	compareEngines(t, "range/scanfreq", resident, disk, func(e Engine) ([]Result, error) {
-		r, _, err := e.RangeScanFreq(rq)
+		r, _, err := forcedRange(e, rq, plan.ScanFreq)
 		return r, err
 	})
 	compareEngines(t, "range/scantime", resident, disk, func(e Engine) ([]Result, error) {
-		r, _, err := e.RangeScanTime(rq)
+		r, _, err := forcedRange(e, rq, plan.ScanTime)
 		return r, err
 	})
 
 	nq := NNQuery{Values: q, K: 7, Transform: mavg}
 	compareEngines(t, "nn/indexed", resident, disk, func(e Engine) ([]Result, error) {
-		r, _, err := e.NNIndexed(nq)
+		r, _, err := forcedNN(e, nq, plan.Index)
 		return r, err
 	})
 	compareEngines(t, "nn/scan", resident, disk, func(e Engine) ([]Result, error) {
-		r, _, err := e.NNScan(nq)
+		r, _, err := forcedNN(e, nq, plan.ScanFreq)
 		return r, err
 	})
 
@@ -94,7 +95,7 @@ func allKindsParity(t *testing.T, resident, disk Engine, length int) {
 		})
 	}
 	compareEngines(t, "join-two-sided", resident, disk, func(e Engine) ([]JoinPair, error) {
-		p, _, err := e.JoinTwoSided(3.0, revMavg, mavg)
+		p, _, err := forcedJoinTwoSided(e, 3.0, revMavg, mavg)
 		return p, err
 	})
 
@@ -321,11 +322,11 @@ func TestSnapshotAdoptsTree(t *testing.T) {
 	// IDs re-densify on load (the writer's remap), so compare answers by
 	// name and distance rather than full Result structs.
 	rq := RangeQuery{Values: queryValues(length, 7), Eps: 6, Transform: transform.MovingAverage(length, 5)}
-	want, _, err := src.RangeIndexed(rq)
+	want, _, err := forcedRange(src, rq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, _, err := db.RangeIndexed(rq)
+	have, _, err := forcedRange(db, rq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,22 +76,22 @@ type Engine interface {
 	// Persistence.
 	WriteTo(w io.Writer) (int64, error)
 
-	// Plan-first execution. PlanRange/PlanNN build a first-class plan.Plan
-	// — resolving the index-vs-scan decision per query from maintained
-	// store statistics when asked for plan.Auto — and ExecRange/ExecNN run
-	// it, reusing the plan's precomputed transforms and spectra and (on
-	// sharded stores) recording per-shard provenance in ExecStats.Shards.
-	// Plans are engine-specific: execute a plan only on the engine that
-	// built it. PlannerStats exposes the feedback the planner decides from.
+	// Plan-first execution: the one path a range or NN read takes. PlanRange/
+	// PlanNN build a first-class plan.Plan — resolving the index-vs-scan
+	// decision per query from maintained store statistics when asked for
+	// plan.Auto, recording the caller's choice as a forced plan otherwise —
+	// and ExecRangeInto/ExecNNInto run it, reusing the plan's precomputed
+	// transforms and spectra and (on sharded stores) recording per-shard
+	// provenance in ExecStats.Shards. Timing, ordering, page accounting,
+	// planner feedback, plan history and telemetry happen there and nowhere
+	// else, so a forced strategy is observable exactly as a chosen one is.
+	// Answers append to dst (pass a [:0] slice to reuse its backing array);
+	// on a single-store DB a warm call whose dst has capacity allocates
+	// nothing. Plans are engine-specific: execute a plan only on the engine
+	// that built it. PlannerStats exposes the feedback the planner decides
+	// from.
 	PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error)
-	ExecRange(q RangeQuery, pl *plan.Plan) ([]Result, ExecStats, error)
 	PlanNN(q NNQuery, want plan.Strategy) (*plan.Plan, error)
-	ExecNN(q NNQuery, pl *plan.Plan) ([]Result, ExecStats, error)
-	// ExecRangeInto/ExecNNInto are the zero-allocation forms of
-	// ExecRange/ExecNN: answers append to dst (pass a [:0] slice to reuse
-	// its backing array). On a single-store DB a warm call whose dst has
-	// capacity allocates nothing; repeated callers (monitors, benchmarks,
-	// tight server loops) should prefer them.
 	ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error)
 	ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error)
 	// PlanJoin/ExecJoin are the planned all-pairs path: the planner prices
@@ -115,17 +115,12 @@ type Engine interface {
 	PlanHistory() []plan.Record
 	PlanDrift() []plan.DriftPoint
 
-	// Queries. Result orderings are deterministic: (distance, ID) for
-	// range/NN/subsequence answers, (A, B) for join pairs. The Range*/NN*
-	// methods are the strategy-pinned primitives plans dispatch to; they
-	// answer byte-identically to the planned paths.
-	RangeIndexed(q RangeQuery) ([]Result, ExecStats, error)
-	RangeScanFreq(q RangeQuery) ([]Result, ExecStats, error)
-	RangeScanTime(q RangeQuery) ([]Result, ExecStats, error)
-	NNIndexed(q NNQuery) ([]Result, ExecStats, error)
-	NNScan(q NNQuery) ([]Result, ExecStats, error)
+	// Result orderings are deterministic: (distance, ID) for range/NN/
+	// subsequence answers, (A, B) for join pairs. SelfJoin is the one
+	// method-pinned query left: the paper's Table 1 accounting is part of
+	// its answer (index methods report each pair twice, method c ignores the
+	// transformation), which no plan expresses.
 	SelfJoin(eps float64, t transform.T, method JoinMethod) ([]JoinPair, ExecStats, error)
-	JoinTwoSided(eps float64, left, right transform.T) ([]JoinPair, ExecStats, error)
 	SubsequenceScan(q []float64, eps float64) ([]SubseqResult, ExecStats, error)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dft"
+	"repro/internal/plan"
 	"repro/internal/series"
 	"repro/internal/transform"
 )
@@ -20,11 +21,11 @@ func TestNNBothSidesMatchesOracle(t *testing.T) {
 	q := dataset.RandomWalk(r, testLen)
 	tr := transform.MovingAverage(testLen, 10)
 
-	res, _, err := db.NNIndexed(NNQuery{Values: q, K: 7, Transform: tr, BothSides: true})
+	res, _, err := forcedNN(db, NNQuery{Values: q, K: 7, Transform: tr, BothSides: true}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, _, err := db.NNScan(NNQuery{Values: q, K: 7, Transform: tr, BothSides: true})
+	scan, _, err := forcedNN(db, NNQuery{Values: q, K: 7, Transform: tr, BothSides: true}, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +68,9 @@ func TestRangeBothSidesMatchesOracle(t *testing.T) {
 	}
 	rq := RangeQuery{Values: q, Eps: eps, Transform: tr, BothSides: true}
 	for name, run := range map[string]func(RangeQuery) ([]Result, ExecStats, error){
-		"indexed":  db.RangeIndexed,
-		"scanFreq": db.RangeScanFreq,
-		"scanTime": db.RangeScanTime,
+		"indexed":  pinRange(db, plan.Index),
+		"scanFreq": pinRange(db, plan.ScanFreq),
+		"scanTime": pinRange(db, plan.ScanTime),
 	} {
 		res, _, err := run(rq)
 		if err != nil {
@@ -89,9 +90,9 @@ func TestRangeBothSidesMatchesOracle(t *testing.T) {
 func TestBothSidesIncompatibleWithWarp(t *testing.T) {
 	db, _ := newTestDB(t, 10, 24, Options{})
 	q := make([]float64, 2*testLen)
-	_, _, err := db.RangeIndexed(RangeQuery{
+	_, _, err := forcedRange(db, RangeQuery{
 		Values: q, Eps: 1, Transform: transform.Warp(testLen, 2), WarpFactor: 2, BothSides: true,
-	})
+	}, plan.Index)
 	if err == nil {
 		t.Fatal("BothSides + warp should be rejected")
 	}
@@ -101,7 +102,7 @@ func TestRangeScanTimeWarp(t *testing.T) {
 	db, data := newTestDB(t, 50, 25, Options{})
 	q := series.Warp(data[3], 2)
 	rq := RangeQuery{Values: q, Eps: 0.1, Transform: transform.Warp(testLen, 2), WarpFactor: 2}
-	res, st, err := db.RangeScanTime(rq)
+	res, st, err := forcedRange(db, rq, plan.ScanTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +123,11 @@ func TestRangeScanTimeWarp(t *testing.T) {
 func TestForceTransformSameResults(t *testing.T) {
 	db, data := newTestDB(t, 100, 26, Options{})
 	q := data[0]
-	plain, pStats, err := db.RangeIndexed(RangeQuery{Values: q, Eps: 2, Transform: transform.Identity(testLen)})
+	plain, pStats, err := forcedRange(db, RangeQuery{Values: q, Eps: 2, Transform: transform.Identity(testLen)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, fStats, err := db.RangeIndexed(RangeQuery{Values: q, Eps: 2, Transform: transform.Identity(testLen), ForceTransform: true})
+	forced, fStats, err := forcedRange(db, RangeQuery{Values: q, Eps: 2, Transform: transform.Identity(testLen), ForceTransform: true}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestForceTransformSameResults(t *testing.T) {
 
 func TestExecStatsPageAccounting(t *testing.T) {
 	db, data := newTestDB(t, 80, 27, Options{})
-	_, st, err := db.RangeScanFreq(RangeQuery{Values: data[0], Eps: 0.5, Transform: transform.Identity(testLen)})
+	_, st, err := forcedRange(db, RangeQuery{Values: data[0], Eps: 0.5, Transform: transform.Identity(testLen)}, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +162,13 @@ func TestExecStatsPageAccounting(t *testing.T) {
 
 func TestJoinTwoSidedValidation(t *testing.T) {
 	db, _ := newTestDB(t, 10, 28, Options{})
-	if _, _, err := db.JoinTwoSided(-1, transform.Identity(testLen), transform.Identity(testLen)); err == nil {
+	if _, _, err := forcedJoinTwoSided(db, -1, transform.Identity(testLen), transform.Identity(testLen)); err == nil {
 		t.Error("negative eps should fail")
 	}
-	if _, _, err := db.JoinTwoSided(1, transform.Identity(5), transform.Identity(testLen)); err == nil {
+	if _, _, err := forcedJoinTwoSided(db, 1, transform.Identity(5), transform.Identity(testLen)); err == nil {
 		t.Error("short left transform should fail")
 	}
-	if _, _, err := db.JoinTwoSided(1, transform.Identity(testLen), transform.Identity(5)); err == nil {
+	if _, _, err := forcedJoinTwoSided(db, 1, transform.Identity(testLen), transform.Identity(5)); err == nil {
 		t.Error("short right transform should fail")
 	}
 }
@@ -179,7 +180,7 @@ func TestJoinTwoSidedIdentityMatchesSelfJoinD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, _, err := db.JoinTwoSided(1.2, tr, tr)
+	two, _, err := forcedJoinTwoSided(db, 1.2, tr, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +211,11 @@ func TestAccessorsAndEmptyQueries(t *testing.T) {
 	for i := range q {
 		q[i] = float64(i % 7)
 	}
-	res, _, err := db.RangeIndexed(RangeQuery{Values: q, Eps: 1, Transform: transform.Identity(testLen)})
+	res, _, err := forcedRange(db, RangeQuery{Values: q, Eps: 1, Transform: transform.Identity(testLen)}, plan.Index)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty DB range: %v %v", res, err)
 	}
-	nn, _, err := db.NNIndexed(NNQuery{Values: q, K: 3, Transform: transform.Identity(testLen)})
+	nn, _, err := forcedNN(db, NNQuery{Values: q, K: 3, Transform: transform.Identity(testLen)}, plan.Index)
 	if err != nil || len(nn) != 0 {
 		t.Fatalf("empty DB NN: %v %v", nn, err)
 	}
@@ -237,7 +238,7 @@ func TestNNIndexedPrunesHarderWithClusteredData(t *testing.T) {
 	// The incremental refinement must stop long before verifying the whole
 	// relation when close neighbors exist.
 	db, data := newTestDB(t, 400, 30, Options{})
-	_, st, err := db.NNIndexed(NNQuery{Values: data[0], K: 1, Transform: transform.Identity(testLen)})
+	_, st, err := forcedNN(db, NNQuery{Values: data[0], K: 1, Transform: transform.Identity(testLen)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}

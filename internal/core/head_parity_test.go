@@ -284,7 +284,7 @@ func refNN(t *testing.T, db *DB, q NNQuery, scan bool) ([]Result, ExecStats) {
 		var sc index.Scratch
 		st.NodeAccesses = db.idx.NearestIDs(p.qp, p.m, &sc, v).NodesVisited
 	}
-	return v.best.results(), st
+	return v.best.appendResults(nil), st
 }
 
 // refJoin is joinScanInto (early abandoning) / joinIndexInto over
@@ -480,15 +480,15 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 			name string
 			run  func(RangeQuery) ([]Result, ExecStats, error)
 		}
-		runs := []rangeRun{{"RangeIndexed", hs.eng.RangeIndexed}}
+		runs := []rangeRun{{"range index", pinRange(hs.eng, plan.Index)}}
 		if !sp.moments { // the scans ignore moment bounds by design
-			runs = append(runs, rangeRun{"RangeScanFreq", hs.eng.RangeScanFreq},
-				rangeRun{"ExecRange(auto)", func(q RangeQuery) ([]Result, ExecStats, error) {
+			runs = append(runs, rangeRun{"range scan", pinRange(hs.eng, plan.ScanFreq)},
+				rangeRun{"range auto", func(q RangeQuery) ([]Result, ExecStats, error) {
 					pl, err := hs.eng.PlanRange(q, plan.Auto)
 					if err != nil {
 						return nil, ExecStats{}, err
 					}
-					return hs.eng.ExecRange(q, pl)
+					return hs.eng.ExecRangeInto(q, pl, nil)
 				}})
 		}
 		for _, r := range runs {
@@ -524,14 +524,14 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 			name string
 			run  func(NNQuery) ([]Result, ExecStats, error)
 		}{
-			{"NNIndexed", hs.eng.NNIndexed},
-			{"NNScan", hs.eng.NNScan},
-			{"ExecNN(auto)", func(q NNQuery) ([]Result, ExecStats, error) {
+			{"nn index", pinNN(hs.eng, plan.Index)},
+			{"nn scan", pinNN(hs.eng, plan.ScanFreq)},
+			{"nn auto", func(q NNQuery) ([]Result, ExecStats, error) {
 				pl, err := hs.eng.PlanNN(q, plan.Auto)
 				if err != nil {
 					return nil, ExecStats{}, err
 				}
-				return hs.eng.ExecNN(q, pl)
+				return hs.eng.ExecNNInto(q, pl, nil)
 			}},
 		} {
 			res, _, err := r.run(nq)
@@ -565,9 +565,9 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 				if scan && sp.moments {
 					continue
 				}
-				run, kind := db.RangeIndexed, "RangeIndexed"
+				run, kind := pinRange(db, plan.Index), "range index"
 				if scan {
-					run, kind = db.RangeScanFreq, "RangeScanFreq"
+					run, kind = pinRange(db, plan.ScanFreq), "range scan"
 				}
 				got, gotSt, err := run(sq)
 				if err != nil {
@@ -586,9 +586,9 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 			snq := nq
 			snq.Prep = nil
 			for _, scan := range []bool{false, true} {
-				run, kind := db.NNIndexed, "NNIndexed"
+				run, kind := pinNN(db, plan.Index), "nn index"
 				if scan {
-					run, kind = db.NNScan, "NNScan"
+					run, kind = pinNN(db, plan.ScanFreq), "nn scan"
 				}
 				got, gotSt, err := run(snq)
 				if err != nil {
@@ -669,7 +669,7 @@ func (hs *headStore) checkJoins(t *testing.T, n int) {
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].d < ordered[j].d })
 	eps2 := (ordered[5].d + ordered[6].d) / 2
-	pairs, _, err := hs.eng.JoinTwoSided(eps2, revMavg.tr, mavg.tr)
+	pairs, _, err := forcedJoinTwoSided(hs.eng, eps2, revMavg.tr, mavg.tr)
 	if err != nil {
 		t.Fatalf("%s join2: %v", label, err)
 	}
@@ -706,7 +706,7 @@ func (hs *headStore) checkJoins(t *testing.T, n int) {
 				return db.SelfJoin(eps, mavg.tr, JoinIndexTransform)
 			}},
 			{"join2 index", JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}, false, func() ([]JoinPair, ExecStats, error) {
-				return db.JoinTwoSided(eps2, revMavg.tr, mavg.tr)
+				return forcedJoinTwoSided(db, eps2, revMavg.tr, mavg.tr)
 			}},
 			{"join2 scan", JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}, true, func() ([]JoinPair, ExecStats, error) {
 				jq := JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}
@@ -942,7 +942,7 @@ func TestHeadSparesPages(t *testing.T) {
 	var candidates, resolved int
 	var pages int64
 	for _, subject := range []int{3, 4001, 8002, 11999} {
-		_, st, err := db.NNIndexed(NNQuery{Values: values[subject], K: 10, Transform: transform.Identity(length)})
+		_, st, err := forcedNN(db, NNQuery{Values: values[subject], K: 10, Transform: transform.Identity(length)}, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -187,25 +187,6 @@ func (db *DB) selfJoinIndex(eps float64, t transform.T) ([]JoinPair, ExecStats, 
 	})
 }
 
-// JoinTwoSided finds all ordered pairs (x, y), x != y, with
-// D(L(nf(x)), R(nf(y))) <= eps: the generalized all-pairs query of
-// Section 4 where both join sides carry (possibly different)
-// transformations — e.g. L = mavg20 ∘ reverse, R = mavg20 expresses
-// Example 2.2's "stocks moving opposite to each other". The index side
-// evaluates L on the fly; the probe side applies R to each query point.
-func (db *DB) JoinTwoSided(eps float64, left, right transform.T) ([]JoinPair, ExecStats, error) {
-	jp, err := db.planJoin(JoinQuery{Eps: eps, Left: left, Right: right, TwoSided: true})
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	if jp.mapErr != nil {
-		return nil, ExecStats{}, jp.mapErr
-	}
-	return db.execJoinTimed(jp, func(st *ExecStats) ([]JoinPair, error) {
-		return db.joinIndexInto(jp, false, st)
-	})
-}
-
 // execJoinTimed wraps a join body with the shared timing, sorting, and
 // page-read accounting.
 func (db *DB) execJoinTimed(jp *joinPlan, run func(*ExecStats) ([]JoinPair, error)) ([]JoinPair, ExecStats, error) {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dft"
 	"repro/internal/index"
+	"repro/internal/plan"
 	"repro/internal/series"
 	"repro/internal/transform"
 )
@@ -376,7 +377,7 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 
 	// The neighbour on the boundary: the subject's own twin where it has
 	// one, otherwise whichever neighbour ranks (si mod 9)+2 in a scan.
-	all, _, err := eng.NNScan(NNQuery{Values: q, K: len(names), Transform: sp.tr, BothSides: sp.both, Prep: prep})
+	all, _, err := forcedNN(eng, NNQuery{Values: q, K: len(names), Transform: sp.tr, BothSides: sp.both, Prep: prep}, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,11 +408,11 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 		}
 	}
 
-	idx, _, err := eng.RangeIndexed(rq)
+	idx, _, err := forcedRange(eng, rq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, _, err := eng.RangeScanFreq(rq)
+	scan, _, err := forcedRange(eng, rq, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,7 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 		t.Fatalf("%s: no tie in the ranking", label)
 	}
 	nq := NNQuery{Values: q, K: k, Transform: sp.tr, BothSides: sp.both, Prep: prep}
-	nnIdx, _, err := eng.NNIndexed(nq)
+	nnIdx, _, err := forcedNN(eng, nq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 		if p.mw.w != 1 || p.mw.why != pr.why || p.mw.filterRadius(pr.rq.Eps) != pr.rq.Eps {
 			t.Fatalf("%s: mirror %+v, filter radius %v for eps %v", pr.label, p.mw, p.mw.filterRadius(pr.rq.Eps), pr.rq.Eps)
 		}
-		_, st, err := db.RangeIndexed(pr.rq)
+		_, st, err := forcedRange(db, pr.rq, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -579,7 +580,7 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 			continue // the reference visitor below verifies in the frequency domain
 		}
 		nq := NNQuery{Values: pr.rq.Values, K: 7, Transform: pr.rq.Transform}
-		got, nst, err := db.NNIndexed(nq)
+		got, nst, err := forcedNN(db, nq, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,9 +591,9 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 		var ref ExecStats
 		v := &unboundedNear{db: db, p: np, best: newTopK(nq.K), st: &ref}
 		ref.NodeAccesses = db.idx.NearestIDs(np.qp, np.m, &sc, v).NodesVisited
-		if fmt.Sprint(got) != fmt.Sprint(v.best.results()) || nst.Candidates != ref.Candidates || nst.NodeAccesses > ref.NodeAccesses {
+		if fmt.Sprint(got) != fmt.Sprint(v.best.appendResults(nil)) || nst.Candidates != ref.Candidates || nst.NodeAccesses > ref.NodeAccesses {
 			t.Fatalf("%s NN: %v with %d candidates over %d nodes; the unbounded walk finds %v with %d over %d",
-				pr.label, got, nst.Candidates, nst.NodeAccesses, v.best.results(), ref.Candidates, ref.NodeAccesses)
+				pr.label, got, nst.Candidates, nst.NodeAccesses, v.best.appendResults(nil), ref.Candidates, ref.NodeAccesses)
 		}
 		spared += ref.NodeAccesses - nst.NodeAccesses
 	}

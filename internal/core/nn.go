@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/stats"
+	"repro/internal/plan"
 	"repro/internal/transform"
 )
 
@@ -147,11 +147,6 @@ func (t *topK) appendResults(dst []Result) []Result {
 	return dst
 }
 
-// results returns the final k best, sorted ascending by (Dist, ID).
-func (t *topK) results() []Result {
-	return t.appendResults(nil)
-}
-
 // planNN validates q and builds the plan of its equivalent open-threshold
 // range query.
 func planNN(db *DB, q NNQuery) (*rangePlan, error) {
@@ -219,7 +214,9 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 }
 
 // nnIndexedArena runs the transform-aware branch-and-bound of Section 4
-// against this DB over the flat-slab batch traversal, feeding verified
+// ("as we go down the tree, we apply T to all entries of the node we visit
+// ... use any kind of metric such as MINDIST for pruning") against this DB
+// over the flat-slab batch traversal, feeding verified
 // answers into best — which may be shared with searches over sibling
 // shards — and accumulating filter-side costs into st (NodeAccesses,
 // Candidates, DistanceTerms). Candidates stream out of the index in order
@@ -235,42 +232,6 @@ func (db *DB) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecSt
 	err := ar.nv.err
 	ar.nv = nnVisit{}
 	return err
-}
-
-// nnIndexedInto is nnIndexedArena over a pooled arena — the form the
-// sharded fan-out and the method-pinned entry points use.
-func (db *DB) nnIndexedInto(p *rangePlan, best *topK, st *ExecStats) error {
-	ar := getArena()
-	defer putArena(ar)
-	return db.nnIndexedArena(p, best, ar, st)
-}
-
-// NNIndexed answers the query with the transform-aware branch-and-bound of
-// Section 4 ("as we go down the tree, we apply T to all entries of the node
-// we visit ... use any kind of metric such as MINDIST for pruning"),
-// refined incrementally: candidates stream out of the index in order of
-// their k-coefficient lower bound; each is verified against its full
-// record; the search stops as soon as the next lower bound exceeds the
-// k-th best verified distance. Lower bound <= true distance (Parseval), so
-// the result is exact. Results sort by (distance, ID).
-func (db *DB) NNIndexed(q NNQuery) ([]Result, ExecStats, error) {
-	var st ExecStats
-	p, err := planNN(db, q)
-	if err != nil {
-		return nil, st, err
-	}
-	timer := stats.StartTimer()
-	reads0 := db.pageReads()
-
-	best := newTopK(q.K)
-	if err := db.nnIndexedInto(p, best, &st); err != nil {
-		return nil, st, err
-	}
-	out := best.results()
-	st.Results = len(out)
-	st.PageReads = db.pageReads() - reads0
-	st.Elapsed = timer.Elapsed()
-	return out, st, nil
 }
 
 // nnScanArena is the scan analogue of nnIndexedArena: it verifies every
@@ -310,32 +271,17 @@ func (db *DB) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats
 	return nil
 }
 
-// nnScanInto is nnScanArena over a pooled arena.
-func (db *DB) nnScanInto(p *rangePlan, best *topK, st *ExecStats) error {
-	ar := getArena()
-	defer putArena(ar)
-	return db.nnScanArena(p, best, ar, st)
-}
-
-// NNScan is the sequential-scan baseline for nearest-neighbor queries: it
-// verifies every stored series, with a pruning threshold that tightens to
-// the current k-th best distance (the scan analogue of early abandoning).
-func (db *DB) NNScan(q NNQuery) ([]Result, ExecStats, error) {
-	var st ExecStats
-	p, err := planNN(db, q)
-	if err != nil {
-		return nil, st, err
+// runNN is runRange's nearest-neighbor twin: it runs an NN plan's resolved
+// strategy against this store, feeding verified answers into best — private
+// to a DB's search, shared across a Sharded's partitions.
+func (db *DB) runNN(strategy plan.Strategy, p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
+	db.queryCount.Add(1)
+	switch strategy {
+	case plan.Index:
+		return db.nnIndexedArena(p, best, ar, st)
+	case plan.ScanFreq:
+		return db.nnScanArena(p, best, ar, st)
+	default:
+		return fmt.Errorf("core: plan carries unresolved strategy %v", strategy)
 	}
-	timer := stats.StartTimer()
-	reads0 := db.pageReads()
-
-	best := newTopK(q.K)
-	if err := db.nnScanInto(p, best, &st); err != nil {
-		return nil, st, err
-	}
-	out := best.results()
-	st.Results = len(out)
-	st.PageReads = db.pageReads() - reads0
-	st.Elapsed = timer.Elapsed()
-	return out, st, nil
 }

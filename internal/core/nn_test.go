@@ -47,7 +47,7 @@ func TestTopKThresholdConcurrent(t *testing.T) {
 		flat = append(flat, part...)
 	}
 	sortResults(flat)
-	got := best.results()
+	got := best.appendResults(nil)
 	for i := range got {
 		if got[i] != flat[i] {
 			t.Fatalf("rank %d: %v, want %v", i, got[i], flat[i])

@@ -50,11 +50,11 @@ func TestInsertBulkMatchesIncremental(t *testing.T) {
 		id, _ := inc.IDByName(qn)
 		vals, _ := inc.Series(id)
 		rq := RangeQuery{Values: vals, Eps: 4, Transform: mavg, BothSides: true}
-		a, _, err := inc.RangeIndexed(rq)
+		a, _, err := forcedRange(inc, rq, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := bulk.RangeIndexed(rq)
+		b, _, err := forcedRange(bulk, rq, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +143,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		// Queries identical.
 		vals, _ := src.Series(src.IDs()[7])
 		rq := RangeQuery{Values: vals, Eps: 3, Transform: transform.Identity(64)}
-		a, _, err := src.RangeIndexed(rq)
+		a, _, err := forcedRange(src, rq, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := got.RangeIndexed(rq)
+		b, _, err := forcedRange(got, rq, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestSnapshotHistoryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := eng.ExecRange(RangeQuery{Values: vals, Eps: 2 + float64(i), Transform: mavg, BothSides: true}, pl); err != nil {
+			if _, _, err := eng.ExecRangeInto(RangeQuery{Values: vals, Eps: 2 + float64(i), Transform: mavg, BothSides: true}, pl, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -224,7 +224,7 @@ func TestSnapshotHistoryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := got.ExecRange(RangeQuery{Values: vals, Eps: 2, Transform: mavg, BothSides: true}, pl); err != nil {
+		if _, _, err := got.ExecRangeInto(RangeQuery{Values: vals, Eps: 2, Transform: mavg, BothSides: true}, pl, nil); err != nil {
 			t.Fatal(err)
 		}
 		recs := got.PlanHistory()

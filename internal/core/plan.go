@@ -8,7 +8,6 @@ import (
 	"repro/internal/feature"
 	"repro/internal/geom"
 	"repro/internal/plan"
-	"repro/internal/telemetry"
 )
 
 // This file is the engine half of plan-first query execution: both store
@@ -21,8 +20,8 @@ import (
 // store's feature-space extent (the k-index root MBR, mapped through the
 // query transformation — the exact space the traversal intersects in) and
 // calibrates the geometric estimate with an EWMA of measured candidate
-// counts fed back after every planned indexed execution. See package plan
-// for the cost model.
+// counts fed back after every indexed execution, forced or chosen. See
+// package plan for the cost model.
 
 // Shards returns 1: a DB is a single partition. (Sharded returns its
 // partition count; the shared method lets every Engine consumer speak the
@@ -113,9 +112,11 @@ func buildRangePlan(q RangeQuery, p *rangePlan, want plan.Strategy, in plan.Inpu
 // attachApprox prices the approximate tier on a built plan and installs
 // the planner-selected first ladder rung on the engine-side
 // precomputation (planRange seeds a cold default; the planner refines it
-// from measured resolve depths).
+// from measured resolve depths). The time-domain scan has no approximate
+// tier — it answers exactly whatever delta the query carries — so its plan
+// prices none and its executions teach that model nothing.
 func attachApprox(pl *plan.Plan, p *rangePlan, delta float64, tr *plan.Tracker) {
-	if delta <= 0 {
+	if delta <= 0 || pl.Strategy == plan.ScanTime {
 		return
 	}
 	length := 0
@@ -131,7 +132,7 @@ func attachApprox(pl *plan.Plan, p *rangePlan, delta float64, tr *plan.Tracker) 
 // PlanRange validates a range query and builds its execution plan; want
 // plan.Auto defers the index-vs-scan choice to the planner. The returned
 // plan carries this engine's precomputed query spectrum and transformation
-// coefficients — execute it on the same engine with ExecRange.
+// coefficients — execute it on the same engine with ExecRangeInto.
 func (db *DB) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error) {
 	p, err := db.planRange(q)
 	if err != nil {
@@ -150,50 +151,25 @@ func (db *DB) rangePlanOf(q RangeQuery, pl *plan.Plan) (*rangePlan, error) {
 	return db.planRange(q)
 }
 
-// ExecRange executes a plan built by PlanRange, feeding measured
-// selectivity back to the planner after indexed executions.
-func (db *DB) ExecRange(q RangeQuery, pl *plan.Plan) ([]Result, ExecStats, error) {
-	return db.ExecRangeInto(q, pl, nil)
-}
-
-// ExecRangeInto is ExecRange appending answers to dst (pass a [:0] slice
-// to reuse its backing array). This is the engine's zero-allocation hot
-// path: the whole execution — batch index traversal, page-view
+// ExecRangeInto executes a plan built by PlanRange — whatever strategy it
+// resolved or was forced to — appending answers to dst (pass a [:0] slice
+// to reuse its backing array) and feeding measured selectivity back to the
+// planner after indexed executions. This is the engine's zero-allocation
+// hot path: the whole execution — batch index traversal, page-view
 // verification, sorting, planner feedback, history, metrics bookkeeping —
-// runs inside a pooled arena, so a warm call whose dst has capacity
-// allocates nothing.
+// runs inside a pooled arena, so a warm index or frequency-scan call whose
+// dst has capacity allocates nothing.
 func (db *DB) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
-	if pl.Strategy == plan.ScanTime {
-		out, st, err := db.RangeScanTime(q)
-		if err == nil {
-			if telemetry.Enabled() || pl.Trace {
-				finishExec(pl, &st, []Span{span("search", st.Elapsed)})
-			} else {
-				finishExec(pl, &st, nil)
-			}
-			out = append(dst, out...)
-		}
-		return out, st, err
-	}
 	rp, err := db.rangePlanOf(q, pl)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	db.queryCount.Add(1)
 	ar := getArena()
 	defer putArena(ar)
 	var st ExecStats
 	start := time.Now()
 	reads0 := db.pageReads()
-	out := dst
-	switch pl.Strategy {
-	case plan.Index:
-		out, err = db.rangeIndexedInto(rp, ar, &st, out)
-	case plan.ScanFreq:
-		out, err = db.rangeScanFreqInto(rp, ar, &st, out)
-	default:
-		err = fmt.Errorf("core: plan carries unresolved strategy %v", pl.Strategy)
-	}
+	out, err := db.runRange(pl.Strategy, rp, ar, &st, dst)
 	searchD := time.Since(start)
 	if err != nil {
 		return nil, st, err
@@ -259,7 +235,13 @@ func (db *DB) PlanNN(q NNQuery, want plan.Strategy) (*plan.Plan, error) {
 	return buildNNPlan(q, p, want, db.Len(), db.tracker, plan.AllShards(1)), nil
 }
 
+// buildNNPlan resolves the strategy for a validated NN query. There is no
+// time-domain NN baseline: a plan.ScanTime request — USING SCANTIME in the
+// language, UseScanTime in the library — selects the frequency scan.
 func buildNNPlan(q NNQuery, p *rangePlan, want plan.Strategy, series int, tr *plan.Tracker, shards []int) *plan.Plan {
+	if want == plan.ScanTime {
+		want = plan.ScanFreq
+	}
 	choice, est, reason := plan.ChooseNN(series, q.Delta, tr)
 	pl := &plan.Plan{
 		Kind:      "nn",
@@ -281,24 +263,22 @@ func buildNNPlan(q NNQuery, p *rangePlan, want plan.Strategy, series int, tr *pl
 	return pl
 }
 
-// ExecNN executes a plan built by PlanNN.
-func (db *DB) ExecNN(q NNQuery, pl *plan.Plan) ([]Result, ExecStats, error) {
-	return db.ExecNNInto(q, pl, nil)
+// nnPlanOf is rangePlanOf for NN plans.
+func (db *DB) nnPlanOf(q NNQuery, pl *plan.Plan) (*rangePlan, error) {
+	if rp, ok := pl.Internal.(*rangePlan); ok && rp != nil {
+		return rp, nil
+	}
+	return planNN(db, q)
 }
 
-// ExecNNInto is ExecNN appending answers to dst (pass a [:0] slice to
-// reuse its backing array). Like ExecRangeInto, a warm call whose dst has
-// capacity for k results allocates nothing.
+// ExecNNInto executes a plan built by PlanNN, appending answers to dst
+// (pass a [:0] slice to reuse its backing array). Like ExecRangeInto, a
+// warm call whose dst has capacity for k results allocates nothing.
 func (db *DB) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
-	rp, ok := pl.Internal.(*rangePlan)
-	if !ok || rp == nil {
-		var err error
-		rp, err = planNN(db, q)
-		if err != nil {
-			return nil, ExecStats{}, err
-		}
+	rp, err := db.nnPlanOf(q, pl)
+	if err != nil {
+		return nil, ExecStats{}, err
 	}
-	db.queryCount.Add(1)
 	ar := getArena()
 	defer putArena(ar)
 	st := ar.resetStats()
@@ -306,15 +286,7 @@ func (db *DB) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, Exec
 	reads0 := db.pageReads()
 	best := &ar.top
 	best.reset(q.K)
-	var err error
-	switch pl.Strategy {
-	case plan.Index:
-		err = db.nnIndexedArena(rp, best, ar, st)
-	case plan.ScanFreq, plan.ScanTime:
-		err = db.nnScanArena(rp, best, ar, st)
-	default:
-		err = fmt.Errorf("core: plan carries unresolved strategy %v", pl.Strategy)
-	}
+	err = db.runNN(pl.Strategy, rp, best, ar, st)
 	searchD := time.Since(start)
 	if err != nil {
 		return nil, *st, err
@@ -443,34 +415,30 @@ func (s *Sharded) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error
 	return buildRangePlan(q, p, want, in, s.tracker, plan.AllShards(len(s.shards)), "range"), nil
 }
 
-// ExecRange executes a range plan with the planned strategy fanned out to
-// every shard, recording per-shard provenance in the merged ExecStats.
-func (s *Sharded) ExecRange(q RangeQuery, pl *plan.Plan) ([]Result, ExecStats, error) {
-	if pl.Strategy == plan.ScanTime {
-		out, st, err := s.RangeScanTime(q)
-		if err == nil {
-			finishExec(pl, &st, st.Spans)
+// ExecRangeInto executes a range plan with its strategy fanned out to every
+// shard, appending the merged answers to dst and recording per-shard
+// provenance in the merged ExecStats. The fan-out's per-shard buffers
+// allocate (parallel workers need private slices); on a single-store DB the
+// same call is the zero-allocation path.
+func (s *Sharded) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
+	rp, err := s.shards[0].rangePlanOf(q, pl)
+	if err != nil {
+		return nil, ExecStats{}, err
+	}
+	parts := make([][]Result, len(s.shards))
+	st, err := s.fan(func(si int, sh *DB, pst *ExecStats) (err error) {
+		ar := getArena()
+		defer putArena(ar)
+		parts[si], err = sh.runRange(pl.Strategy, rp, ar, pst, nil)
+		return err
+	}, func(counts []int) int {
+		for si, part := range parts {
+			counts[si] = len(part)
+			dst = append(dst, part...)
 		}
-		return out, st, err
-	}
-	rp, ok := pl.Internal.(*rangePlan)
-	if !ok || rp == nil {
-		var err error
-		rp, err = s.shards[0].planRange(q)
-		if err != nil {
-			return nil, ExecStats{}, err
-		}
-	}
-	var run func(*DB, *rangePlan, *ExecStats) ([]Result, error)
-	switch pl.Strategy {
-	case plan.Index:
-		run = (*DB).rangeIndexedPlanned
-	case plan.ScanFreq:
-		run = (*DB).rangeScanFreqPlanned
-	default:
-		return nil, ExecStats{}, fmt.Errorf("core: plan carries unresolved strategy %v", pl.Strategy)
-	}
-	out, st, err := s.rangeFanWith(rp, run)
+		sortResults(dst)
+		return len(dst)
+	})
 	if err != nil {
 		return nil, st, err
 	}
@@ -480,19 +448,7 @@ func (s *Sharded) ExecRange(q RangeQuery, pl *plan.Plan) ([]Result, ExecStats, e
 	observeApprox(s.tracker, pl, &st, s.Len())
 	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
 	finishExec(pl, &st, st.Spans)
-	return out, st, nil
-}
-
-// ExecRangeInto is ExecRange appending answers to dst. The fan-out's
-// per-shard buffers still allocate (parallel workers need private
-// slices); the Into form exists so Engine consumers can program against
-// one vocabulary — on a single-store DB it is the zero-allocation path.
-func (s *Sharded) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
-	out, st, err := s.ExecRange(q, pl)
-	if err != nil {
-		return nil, st, err
-	}
-	return append(dst, out...), st, nil
+	return dst, st, nil
 }
 
 // PlanNN plans a nearest-neighbor query across the sharded store.
@@ -504,27 +460,37 @@ func (s *Sharded) PlanNN(q NNQuery, want plan.Strategy) (*plan.Plan, error) {
 	return buildNNPlan(q, p, want, s.Len(), s.tracker, plan.AllShards(len(s.shards))), nil
 }
 
-// ExecNN executes an NN plan with the planned strategy fanned out to every
-// shard under one shared k-th-best bound.
-func (s *Sharded) ExecNN(q NNQuery, pl *plan.Plan) ([]Result, ExecStats, error) {
-	rp, ok := pl.Internal.(*rangePlan)
-	if !ok || rp == nil {
-		var err error
-		rp, err = planNN(s.shards[0], q)
-		if err != nil {
-			return nil, ExecStats{}, err
+// ExecNNInto executes an NN plan with its strategy fanned out to every
+// shard under one shared k-th-best bound: every shard traversal verifies
+// against — and tightens — the same global threshold, so sharding does not
+// inflate candidate counts. The contract: Matches are byte-identical to a
+// single-store search on every schedule; Candidates and NodeAccesses depend
+// on when the other shards' answers reach the bound, and are only bounded —
+// the shared k-th best is never looser than a shard's own would be, so no
+// shard verifies more than it would searching alone (TestApproxZeroParity
+// pins both halves). The merged answer's per-shard provenance attributes
+// each neighbor to its owning shard through the catalog.
+func (s *Sharded) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
+	rp, err := s.shards[0].nnPlanOf(q, pl)
+	if err != nil {
+		return nil, ExecStats{}, err
+	}
+	best := newTopK(q.K)
+	st, err := s.fan(func(_ int, sh *DB, pst *ExecStats) error {
+		ar := getArena()
+		defer putArena(ar)
+		return sh.runNN(pl.Strategy, rp, best, ar, pst)
+	}, func(counts []int) int {
+		dst = best.appendResults(dst)
+		s.mu.RLock()
+		for _, r := range dst {
+			if si, ok := s.owner[r.ID]; ok {
+				counts[si]++
+			}
 		}
-	}
-	var run func(*DB, *rangePlan, *topK, *ExecStats) error
-	switch pl.Strategy {
-	case plan.Index:
-		run = (*DB).nnIndexedInto
-	case plan.ScanFreq, plan.ScanTime:
-		run = (*DB).nnScanInto
-	default:
-		return nil, ExecStats{}, fmt.Errorf("core: plan carries unresolved strategy %v", pl.Strategy)
-	}
-	out, st, err := s.nnFanWith(q.K, rp, run)
+		s.mu.RUnlock()
+		return len(dst)
+	})
 	if err != nil {
 		return nil, st, err
 	}
@@ -532,11 +498,11 @@ func (s *Sharded) ExecNN(q NNQuery, pl *plan.Plan) ([]Result, ExecStats, error) 
 		s.tracker.ObserveNN(st.Candidates, st.NodeAccesses, s.Len())
 	}
 	observeApprox(s.tracker, pl, &st, s.Len())
-	if exploreNN(pl, &s.exploreNNTick, out) {
+	if exploreNN(pl, &s.exploreNNTick, dst) {
 		// Each shard counts against the global k-th distance, which is the
 		// bound the fan-out's shared top-k converges to.
 		var cand, nodes atomic.Int64
-		kth := out[len(out)-1].Dist
+		kth := dst[len(dst)-1].Dist
 		err := s.fanOut(func(_ int, sh *DB) error {
 			ar := getArena()
 			defer putArena(ar)
@@ -551,16 +517,7 @@ func (s *Sharded) ExecNN(q NNQuery, pl *plan.Plan) ([]Result, ExecStats, error) 
 	}
 	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
 	finishExec(pl, &st, st.Spans)
-	return out, st, nil
-}
-
-// ExecNNInto is ExecNN appending answers to dst (see ExecRangeInto).
-func (s *Sharded) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
-	out, st, err := s.ExecNN(q, pl)
-	if err != nil {
-		return nil, st, err
-	}
-	return append(dst, out...), st, nil
+	return dst, st, nil
 }
 
 // PlanJoin plans an all-pairs query across the whole sharded store: one

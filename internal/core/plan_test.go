@@ -56,15 +56,15 @@ func TestPlannedRangeParity(t *testing.T) {
 				if pl.Strategy == plan.Auto {
 					t.Fatal("plan left strategy unresolved")
 				}
-				got, _, err := eng.ExecRange(q, pl)
+				got, _, err := eng.ExecRangeInto(q, pl, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantIdx, _, err := eng.RangeIndexed(q)
+				wantIdx, _, err := forcedRange(eng, q, plan.Index)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantScan, _, err := eng.RangeScanFreq(q)
+				wantScan, _, err := forcedRange(eng, q, plan.ScanFreq)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,23 +129,23 @@ func TestPlannedNNParityAndFeedback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := eng.ExecNN(q, pl)
+		got, _, err := eng.ExecNNInto(q, pl, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := eng.NNIndexed(q)
+		if eng.PlannerStats().NNSamples == 0 {
+			t.Fatalf("shards=%d: planned NN execution left no feedback", shards)
+		}
+		want, _, err := forcedNN(eng, q, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantScan, _, err := eng.NNScan(q)
+		wantScan, _, err := forcedNN(eng, q, plan.ScanFreq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, wantScan) {
 			t.Fatalf("shards=%d: planned NN diverges", shards)
-		}
-		if eng.PlannerStats().NNSamples == 0 {
-			t.Fatalf("shards=%d: planned NN execution left no feedback", shards)
 		}
 	}
 }
@@ -174,7 +174,7 @@ func TestMomentBoundsPinIndex(t *testing.T) {
 func TestShardProvenance(t *testing.T) {
 	eng := planTestEngine(t, 4, 100)
 	q := RangeQuery{Values: mustSeries(t, eng, "S0004"), Eps: 3, Transform: transform.Identity(32)}
-	res, st, err := eng.RangeIndexed(q)
+	res, st, err := forcedRange(eng, q, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestShardProvenance(t *testing.T) {
 	}
 
 	nn := NNQuery{Values: mustSeries(t, eng, "S0004"), K: 5, Transform: transform.Identity(32)}
-	nres, nst, err := eng.NNIndexed(nn)
+	nres, nst, err := forcedNN(eng, nn, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +237,11 @@ func TestRefreshCadenceOption(t *testing.T) {
 		t.Fatalf("cadences resolved to %d and %d", base.refreshCadence(), eager.refreshCadence())
 	}
 	q := RangeQuery{Values: mustSeries(t, base, "A05"), Eps: 5, Transform: transform.Identity(16)}
-	r1, _, err := base.RangeScanFreq(q)
+	r1, _, err := forcedRange(base, q, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := eager.RangeScanFreq(q)
+	r2, _, err := forcedRange(eager, q, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +300,10 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			eng := planTestEngine(t, shards, 600)
+			// The indexed reference answers come from a twin store: a forced
+			// index read feeds the NN model like any indexed execution, and
+			// on eng it would return AUTO to the index without any probe.
+			twin := planTestEngine(t, shards, 600)
 			var tracker *plan.Tracker
 			switch e := eng.(type) {
 			case *DB:
@@ -330,11 +334,11 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 				case i == 1 && pl.Strategy != plan.ScanFreq:
 					t.Fatalf("first plan is %v: the tracker was not pushed past the crossover", pl.Strategy)
 				}
-				got, _, err := eng.ExecNN(q, pl)
+				got, _, err := eng.ExecNNInto(q, pl, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want, _, err := eng.NNIndexed(q); err != nil || !reflect.DeepEqual(got, want) {
+				if want, _, err := forcedNN(twin, q, plan.Index); err != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("query %d under %v: answers diverge from the index (%v)", i, pl.Strategy, err)
 				}
 			}
@@ -351,7 +355,7 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := eng.ExecNN(q, pl); err != nil {
+				if _, _, err := eng.ExecNNInto(q, pl, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -379,7 +383,7 @@ func TestCountNearIsTheIndexedRun(t *testing.T) {
 		{Values: queryValues(32, 5), K: 20, Transform: tr, BothSides: true},
 		{Values: series.Warp(queryValues(32, 7), 2), K: 5, Transform: transform.Warp(32, 2), WarpFactor: 2},
 	} {
-		out, st, err := db.NNIndexed(q)
+		out, st, err := forcedNN(db, q, plan.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,6 +396,37 @@ func TestCountNearIsTheIndexedRun(t *testing.T) {
 		putArena(ar)
 		if cand != st.Candidates || nodes != st.NodeAccesses {
 			t.Fatalf("query %d: probe counts %d candidates, %d nodes; the indexed run verified %d over %d", i, cand, nodes, st.Candidates, st.NodeAccesses)
+		}
+	}
+}
+
+// TestScanTimeTeachesTheApproxModelNothing: the time-domain scan answers
+// exactly whatever APPROX delta its plan priced, so after it runs under the
+// shared bookkeeping the approximate tier's model must price the next plan
+// exactly as a store that never ran it does.
+func TestScanTimeTeachesTheApproxModelNothing(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		eng, cold := planTestEngine(t, shards, 120), planTestEngine(t, shards, 120)
+		q := RangeQuery{Values: mustSeries(t, eng, "S0005"), Eps: 3, Transform: transform.Identity(32), Delta: 0.1}
+		for i := 0; i < 4; i++ {
+			res, st, err := forcedRange(eng, q, plan.ScanTime)
+			if err != nil || len(res) == 0 {
+				t.Fatalf("shards=%d: %d answers, err %v", shards, len(res), err)
+			}
+			if st.Delta != 0 || st.Strategy != "scantime" {
+				t.Fatalf("shards=%d: scantime reported delta %g under strategy %q", shards, st.Delta, st.Strategy)
+			}
+		}
+		got, err := eng.PlanRange(q, plan.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.PlanRange(q, plan.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Approx == nil || !reflect.DeepEqual(got.Approx, want.Approx) {
+			t.Fatalf("shards=%d: approximate pricing moved after exact scans:\n got  %+v\n cold %+v", shards, got.Approx, want.Approx)
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"repro/internal/feature"
+	"repro/internal/plan"
 	"repro/internal/series"
-	"repro/internal/stats"
 	"repro/internal/transform"
 )
 
@@ -231,11 +231,13 @@ func (db *DB) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) (bo
 	return true, series.EuclideanDistance(warped, p.qn), nil
 }
 
-// rangeIndexedInto runs the search and post-processing phases of
-// Algorithm 2 against this store, accumulating filter costs into st and
-// appending verified answers to dst. The filter runs over the index's
-// flat-slab batch traversal into arena scratch; steady state the whole
-// pass allocates nothing.
+// rangeIndexedInto runs the search and post-processing phases of the
+// paper's Algorithm 2 against this store — traverse the index applying the
+// transformation to every rectangle on the fly, then verify every candidate
+// against its full record (the preprocessing phase is the rangePlan) —
+// accumulating filter costs into st and appending verified answers to dst.
+// The filter runs over the index's flat-slab batch traversal into arena
+// scratch; steady state the whole pass allocates nothing.
 func (db *DB) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
 	stampPlan(p, st)
 	ids, searchStats := db.idx.RangeIDs(p.qp, p.mw.filterRadius(p.q.Eps), p.m, p.q.Moments, !db.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
@@ -274,43 +276,13 @@ func (db *DB) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst [
 	return dst, nil
 }
 
-// rangeIndexedPlanned is rangeIndexedInto over a pooled arena — the form
-// the sharded fan-out and the method-pinned entry points use.
-func (db *DB) rangeIndexedPlanned(p *rangePlan, st *ExecStats) ([]Result, error) {
-	ar := getArena()
-	defer putArena(ar)
-	return db.rangeIndexedInto(p, ar, st, nil)
-}
-
-// RangeIndexed answers a range query with the paper's Algorithm 2:
-// (1) preprocessing — extract the query feature point and the
-// transformation's affine index action; (2) search — traverse the index
-// applying the transformation to every rectangle on the fly; (3)
-// post-processing — verify every candidate against its full record.
-// Results are sorted by (distance, ID).
-func (db *DB) RangeIndexed(q RangeQuery) ([]Result, ExecStats, error) {
-	var st ExecStats
-	p, err := db.planRange(q)
-	if err != nil {
-		return nil, st, err
-	}
-	timer := stats.StartTimer()
-	reads0 := db.pageReads()
-	out, err := db.rangeIndexedPlanned(p, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	sortResults(out)
-	st.Results = len(out)
-	st.PageReads = db.pageReads() - reads0
-	st.Elapsed = timer.Elapsed()
-	return out, st, nil
-}
-
 // rangeScanFreqInto runs the frequency-domain scan against this store,
-// appending verified answers to dst. Like rangeIndexedInto it verifies
-// through the arena's page buffer, so the steady-state scan allocates
-// nothing beyond result growth.
+// appending verified answers to dst — the stronger of the paper's two scan
+// baselines ("we do the sequential scanning on the relation that stores the
+// series in the frequency domain ... the distance computation process can
+// skip many sequences within the first few coefficients"). Like
+// rangeIndexedInto it verifies through the arena's page buffer, so the
+// steady-state scan allocates nothing beyond result growth.
 func (db *DB) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
 	stampPlan(p, st)
 	warp := p.q.WarpFactor >= 2
@@ -345,89 +317,54 @@ func (db *DB) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst 
 	return dst, nil
 }
 
-// rangeScanFreqPlanned is rangeScanFreqInto over a pooled arena.
-func (db *DB) rangeScanFreqPlanned(p *rangePlan, st *ExecStats) ([]Result, error) {
-	ar := getArena()
-	defer putArena(ar)
-	return db.rangeScanFreqInto(p, ar, st, nil)
+// rangeScanTimeInto is the naive baseline: sequentially scan the raw
+// time-domain relation, reconstruct each normal form, apply the
+// transformation in the time domain, and compute the full distance with no
+// early abandoning. It has no approximate tier: answers are exact whatever
+// Delta the plan carries.
+func (db *DB) rangeScanTimeInto(p *rangePlan, st *ExecStats, dst []Result) ([]Result, error) {
+	st.Filter = p.Prefilter
+	q := p.q
+	warp := q.WarpFactor >= 2
+	qn := series.NormalForm(q.Values)
+	if q.BothSides {
+		qn = q.Transform.ApplyTime(qn)
+	}
+	for _, id := range db.ids {
+		st.Candidates++
+		raw, err := db.Series(id)
+		if err != nil {
+			return dst, err
+		}
+		var tx []float64
+		if warp {
+			tx = series.Warp(series.NormalForm(raw), q.WarpFactor)
+		} else {
+			tx = q.Transform.ApplyTime(series.NormalForm(raw))
+		}
+		st.DistanceTerms += int64(len(tx))
+		if d := series.EuclideanDistance(tx, qn); d <= q.Eps {
+			dst = append(dst, Result{ID: id, Name: db.Name(id), Dist: d})
+		}
+	}
+	return dst, nil
 }
 
-// RangeScanFreq answers the same query by sequentially scanning the
-// frequency-domain relation with early abandoning — the stronger of the
-// paper's two scan baselines ("we do the sequential scanning on the
-// relation that stores the series in the frequency domain ... the distance
-// computation process can skip many sequences within the first few
-// coefficients").
-func (db *DB) RangeScanFreq(q RangeQuery) ([]Result, ExecStats, error) {
-	var st ExecStats
-	p, err := db.planRange(q)
-	if err != nil {
-		return nil, st, err
+// runRange runs a range plan's resolved strategy against this store — the
+// whole store of a DB, one partition of a Sharded — appending verified
+// answers to dst and accumulating costs into st. It is where a store counts
+// a read for its adaptive refresh cadence: where the work is done, not where
+// the plan was dispatched.
+func (db *DB) runRange(strategy plan.Strategy, p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
+	db.queryCount.Add(1)
+	switch strategy {
+	case plan.Index:
+		return db.rangeIndexedInto(p, ar, st, dst)
+	case plan.ScanFreq:
+		return db.rangeScanFreqInto(p, ar, st, dst)
+	case plan.ScanTime:
+		return db.rangeScanTimeInto(p, st, dst)
+	default:
+		return dst, fmt.Errorf("core: plan carries unresolved strategy %v", strategy)
 	}
-	timer := stats.StartTimer()
-	reads0 := db.pageReads()
-	out, err := db.rangeScanFreqPlanned(p, &st)
-	if err != nil {
-		return nil, st, err
-	}
-	sortResults(out)
-	st.Results = len(out)
-	st.PageReads = db.pageReads() - reads0
-	st.Elapsed = timer.Elapsed()
-	return out, st, nil
-}
-
-// RangeScanTime is the naive baseline: sequentially scan the raw
-// time-domain relation, reconstruct each normal form's spectrum, apply the
-// transformation, and compute the full distance with no early abandoning.
-func (db *DB) RangeScanTime(q RangeQuery) ([]Result, ExecStats, error) {
-	var st ExecStats
-	if err := db.validateRange(q); err != nil {
-		return nil, st, err
-	}
-	timer := stats.StartTimer()
-	reads0 := db.pageReads()
-	// The baseline builds no plan; its answer is still defended by the
-	// query's Lemma 1 geometry where the transformation has an index action
-	// (nil otherwise: nothing can be proved about a later write).
-	st.Filter, _ = db.planPrefilter(q, nil)
-
-	var out []Result
-	if q.WarpFactor >= 2 {
-		qn := series.NormalForm(q.Values)
-		for _, id := range db.ids {
-			st.Candidates++
-			raw, err := db.Series(id)
-			if err != nil {
-				return nil, st, err
-			}
-			warped := series.Warp(series.NormalForm(raw), q.WarpFactor)
-			st.DistanceTerms += int64(len(warped))
-			if d := series.EuclideanDistance(warped, qn); d <= q.Eps {
-				out = append(out, Result{ID: id, Name: db.Name(id), Dist: d})
-			}
-		}
-	} else {
-		qn := series.NormalForm(q.Values)
-		if q.BothSides {
-			qn = q.Transform.ApplyTime(qn)
-		}
-		for _, id := range db.ids {
-			st.Candidates++
-			raw, err := db.Series(id)
-			if err != nil {
-				return nil, st, err
-			}
-			tx := q.Transform.ApplyTime(series.NormalForm(raw))
-			st.DistanceTerms += int64(len(tx))
-			if d := series.EuclideanDistance(tx, qn); d <= q.Eps {
-				out = append(out, Result{ID: id, Name: db.Name(id), Dist: d})
-			}
-		}
-	}
-	sortResults(out)
-	st.Results = len(out)
-	st.PageReads = db.pageReads() - reads0
-	st.Elapsed = timer.Elapsed()
-	return out, st, nil
 }

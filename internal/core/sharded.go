@@ -563,194 +563,63 @@ func shardProvenance(sts []ExecStats, results []int) []ShardExec {
 			Candidates:   sts[si].Candidates,
 			HeadResolved: sts[si].HeadResolved,
 			Elapsed:      sts[si].Elapsed,
-		}
-		if results != nil {
-			out[si].Results = results[si]
+			Results:      results[si],
 		}
 	}
 	return out
 }
 
-// rangeFanPlanned plans a range-shaped query once — the plan depends only
-// on the schema and length, which every shard shares — and fans the
-// planned execution out to every shard, merging answers and costs.
-func (s *Sharded) rangeFanPlanned(q RangeQuery, run func(*DB, *rangePlan, *ExecStats) ([]Result, error)) ([]Result, ExecStats, error) {
-	p, err := s.shards[0].planRange(q)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return s.rangeFanWith(p, run)
-}
-
-// rangeFanWith fans a preplanned range-shaped execution out to every
-// shard, merging answers, costs, and per-shard provenance.
-func (s *Sharded) rangeFanWith(p *rangePlan, run func(*DB, *rangePlan, *ExecStats) ([]Result, error)) ([]Result, ExecStats, error) {
+// fan is the one fan-out-and-merge every per-shard execution goes through:
+// run executes on every shard in parallel (fanOut), accumulating that
+// shard's costs into its own ExecStats; merge then gathers the per-shard
+// answers — sorting them under the deterministic order — and reports how
+// many each shard contributed (counts) and the merged total. fan times both
+// steps, charges each shard its page reads and wall time, and folds it all
+// into one ExecStats with per-shard provenance and the fanout/merge spans.
+func (s *Sharded) fan(run func(si int, sh *DB, st *ExecStats) error, merge func(counts []int) (results int)) (ExecStats, error) {
 	timer := stats.StartTimer()
-	parts := make([][]Result, len(s.shards))
 	sts := make([]ExecStats, len(s.shards))
 	if err := s.fanOut(func(si int, sh *DB) error {
 		shTimer := stats.StartTimer()
 		reads0 := sh.pageReads()
-		r, err := run(sh, p, &sts[si])
-		sts[si].PageReads = sh.pageReads() - reads0
-		sts[si].Elapsed = shTimer.Elapsed()
-		parts[si] = r
-		return err
-	}); err != nil {
-		return nil, ExecStats{}, err
-	}
-	fanD := timer.Elapsed()
-	mergeT := stats.StartTimer()
-	var out []Result
-	counts := make([]int, len(parts))
-	for si, part := range parts {
-		counts[si] = len(part)
-		out = append(out, part...)
-	}
-	sortResults(out)
-	st := mergeStats(sts)
-	st.Results = len(out)
-	st.Shards = shardProvenance(sts, counts)
-	st.Spans = fanSpans(fanD, mergeT.Elapsed(), st.Shards)
-	st.Elapsed = timer.Elapsed()
-	return out, st, nil
-}
-
-// RangeIndexed answers a range query with Algorithm 2 on every shard in
-// parallel, merging verified answers.
-func (s *Sharded) RangeIndexed(q RangeQuery) ([]Result, ExecStats, error) {
-	return s.rangeFanPlanned(q, (*DB).rangeIndexedPlanned)
-}
-
-// RangeScanFreq runs the frequency-domain scan baseline on every shard in
-// parallel.
-func (s *Sharded) RangeScanFreq(q RangeQuery) ([]Result, ExecStats, error) {
-	return s.rangeFanPlanned(q, (*DB).rangeScanFreqPlanned)
-}
-
-// RangeScanTime runs the naive time-domain scan baseline on every shard
-// in parallel (the baseline carries no reusable plan — it transforms in
-// the time domain per record).
-func (s *Sharded) RangeScanTime(q RangeQuery) ([]Result, ExecStats, error) {
-	timer := stats.StartTimer()
-	parts := make([][]Result, len(s.shards))
-	sts := make([]ExecStats, len(s.shards))
-	if err := s.fanOut(func(si int, sh *DB) error {
-		r, pst, err := sh.RangeScanTime(q)
-		parts[si], sts[si] = r, pst
-		return err
-	}); err != nil {
-		return nil, ExecStats{}, err
-	}
-	fanD := timer.Elapsed()
-	mergeT := stats.StartTimer()
-	var out []Result
-	counts := make([]int, len(parts))
-	for si, part := range parts {
-		counts[si] = len(part)
-		out = append(out, part...)
-	}
-	sortResults(out)
-	st := mergeStats(sts)
-	st.Results = len(out)
-	st.Shards = shardProvenance(sts, counts)
-	st.Spans = fanSpans(fanD, mergeT.Elapsed(), st.Shards)
-	st.Elapsed = timer.Elapsed()
-	return out, st, nil
-}
-
-// nnFan fans a nearest-neighbor search out to every shard with one shared
-// k-th-best bound: every shard traversal verifies against — and tightens —
-// the same global threshold, the cross-shard analogue of
-// SelfJoinScanParallel's worker partitioning. The contract: Matches are
-// byte-identical to a single-store search on every schedule; Candidates
-// and NodeAccesses depend on when the other shards' answers reach the
-// bound, and are only bounded — the shared k-th best is never looser than
-// a shard's own would be, so no shard verifies more than it would
-// searching alone (TestApproxZeroParity pins both halves).
-func (s *Sharded) nnFan(q NNQuery, run func(*DB, *rangePlan, *topK, *ExecStats) error) ([]Result, ExecStats, error) {
-	p, err := planNN(s.shards[0], q)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return s.nnFanWith(q.K, p, run)
-}
-
-// nnFanWith fans a preplanned nearest-neighbor search out to every shard.
-// The merged answer's per-shard provenance attributes each neighbor to its
-// owning shard through the catalog.
-func (s *Sharded) nnFanWith(k int, p *rangePlan, run func(*DB, *rangePlan, *topK, *ExecStats) error) ([]Result, ExecStats, error) {
-	timer := stats.StartTimer()
-	best := newTopK(k)
-	sts := make([]ExecStats, len(s.shards))
-	if err := s.fanOut(func(si int, sh *DB) error {
-		shTimer := stats.StartTimer()
-		reads0 := sh.pageReads()
-		err := run(sh, p, best, &sts[si])
+		err := run(si, sh, &sts[si])
 		sts[si].PageReads = sh.pageReads() - reads0
 		sts[si].Elapsed = shTimer.Elapsed()
 		return err
 	}); err != nil {
-		return nil, ExecStats{}, err
+		return ExecStats{}, err
 	}
 	fanD := timer.Elapsed()
 	mergeT := stats.StartTimer()
-	out := best.results()
 	counts := make([]int, len(s.shards))
-	s.mu.RLock()
-	for _, r := range out {
-		if si, ok := s.owner[r.ID]; ok {
-			counts[si]++
-		}
-	}
-	s.mu.RUnlock()
+	results := merge(counts)
 	st := mergeStats(sts)
-	st.Results = len(out)
+	st.Results = results
 	st.Shards = shardProvenance(sts, counts)
 	st.Spans = fanSpans(fanD, mergeT.Elapsed(), st.Shards)
 	st.Elapsed = timer.Elapsed()
-	return out, st, nil
-}
-
-// NNIndexed answers a k-nearest-neighbor query with the branch-and-bound
-// traversal on every shard in parallel, sharing the k-th-best bound.
-func (s *Sharded) NNIndexed(q NNQuery) ([]Result, ExecStats, error) {
-	return s.nnFan(q, (*DB).nnIndexedInto)
-}
-
-// NNScan runs the scan baseline on every shard in parallel, sharing the
-// k-th-best bound.
-func (s *Sharded) NNScan(q NNQuery) ([]Result, ExecStats, error) {
-	return s.nnFan(q, (*DB).nnScanInto)
+	return st, nil
 }
 
 // SubsequenceScan runs the time-domain subsequence scan on every shard in
 // parallel.
 func (s *Sharded) SubsequenceScan(q []float64, eps float64) ([]SubseqResult, ExecStats, error) {
-	timer := stats.StartTimer()
 	parts := make([][]SubseqResult, len(s.shards))
-	sts := make([]ExecStats, len(s.shards))
-	if err := s.fanOut(func(si int, sh *DB) error {
-		r, pst, err := sh.SubsequenceScan(q, eps)
-		parts[si], sts[si] = r, pst
+	var out []SubseqResult
+	st, err := s.fan(func(si int, sh *DB, pst *ExecStats) (err error) {
+		parts[si], *pst, err = sh.SubsequenceScan(q, eps)
 		return err
-	}); err != nil {
+	}, func(counts []int) int {
+		for si, p := range parts {
+			counts[si] = len(p)
+			out = append(out, p...)
+		}
+		sortSubseq(out)
+		return len(out)
+	})
+	if err != nil {
 		return nil, ExecStats{}, err
 	}
-	fanD := timer.Elapsed()
-	mergeT := stats.StartTimer()
-	var out []SubseqResult
-	counts := make([]int, len(parts))
-	for si, p := range parts {
-		counts[si] = len(p)
-		out = append(out, p...)
-	}
-	sortSubseq(out)
-	st := mergeStats(sts)
-	st.Results = len(out)
-	st.Shards = shardProvenance(sts, counts)
-	st.Spans = fanSpans(fanD, mergeT.Elapsed(), st.Shards)
-	st.Elapsed = timer.Elapsed()
 	return out, st, nil
 }
 
@@ -816,24 +685,11 @@ func (s *Sharded) SelfJoin(eps float64, t transform.T, method JoinMethod) ([]Joi
 	return s.joinIndexFan(jp, false)
 }
 
-// JoinTwoSided finds all ordered pairs (x, y), x != y, with
-// D(L(nf(x)), R(nf(y))) <= eps across all shards.
-func (s *Sharded) JoinTwoSided(eps float64, left, right transform.T) ([]JoinPair, ExecStats, error) {
-	jp, err := s.shards[0].planJoin(JoinQuery{Eps: eps, Left: left, Right: right, TwoSided: true})
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	if jp.mapErr != nil {
-		return nil, ExecStats{}, jp.mapErr
-	}
-	return s.joinIndexFan(jp, false)
-}
-
-// joinScanFan is the global nested scan (methods a and b): outer rows are
-// strided across workers like SelfJoinScanParallel, but rows come from
-// every shard. All shard locks are held in shared mode for the duration.
-// Costs and results are attributed to the outer row's owning shard in the
-// merged per-shard provenance.
+// joinScanFan is the global nested scan (methods a and b): outer rows —
+// from every shard — are strided across GOMAXPROCS workers, each emitting
+// into a private buffer. All shard locks are held in shared mode for the
+// duration. Costs and results are attributed to the outer row's owning
+// shard in the merged per-shard provenance.
 func (s *Sharded) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, ExecStats, error) {
 	timer := stats.StartTimer()
 	entries := s.pinAll()
@@ -924,12 +780,12 @@ func (s *Sharded) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, Exec
 }
 
 // joinIndexFan is the index-nested-loop join over a sharded store
-// (self-join methods c/d, the two-sided join, and planned index joins):
+// (self-join methods c/d and planned index joins, two-sided ones included):
 // every stored series, in parallel batches partitioned by its owning
 // shard, probes every shard's index with the right-side transformation
 // applied to its point, and candidates verify in their owning shard
-// against the left-side transformation. jp.q.TwoSided selects
-// JoinTwoSided's (candidate, probe) pair orientation; otherwise pairs are
+// against the left-side transformation. jp.q.TwoSided selects the two-sided
+// join's (candidate, probe) pair orientation; otherwise pairs are
 // (probe, candidate) as in selfJoinIndex. selfOnce emits each unordered
 // pair exactly once (from its lower-ID probe), the planned self join's
 // canonical accounting.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/plan"
 	"repro/internal/transform"
 )
 
@@ -147,15 +148,15 @@ func TestShardedParityAllQueryKinds(t *testing.T) {
 	for _, c := range rangeCases {
 		rq := c.rq
 		checkParity(t, c.label+"/indexed", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := e.RangeIndexed(rq)
+			r, _, err := forcedRange(e, rq, plan.Index)
 			return r, err
 		})
 		checkParity(t, c.label+"/scanfreq", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := e.RangeScanFreq(rq)
+			r, _, err := forcedRange(e, rq, plan.ScanFreq)
 			return r, err
 		})
 		checkParity(t, c.label+"/scantime", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := e.RangeScanTime(rq)
+			r, _, err := forcedRange(e, rq, plan.ScanTime)
 			return r, err
 		})
 	}
@@ -174,11 +175,11 @@ func TestShardedParityAllQueryKinds(t *testing.T) {
 	for _, c := range nnCases {
 		nq := c.nq
 		checkParity(t, c.label+"/indexed", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := e.NNIndexed(nq)
+			r, _, err := forcedNN(e, nq, plan.Index)
 			return r, err
 		})
 		checkParity(t, c.label+"/scan", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := e.NNScan(nq)
+			r, _, err := forcedNN(e, nq, plan.ScanFreq)
 			return r, err
 		})
 	}
@@ -191,7 +192,7 @@ func TestShardedParityAllQueryKinds(t *testing.T) {
 		})
 	}
 	checkParity(t, "join-two-sided", db, shs, func(e Engine) ([]JoinPair, error) {
-		p, _, err := e.JoinTwoSided(3.0, revMavg, mavg)
+		p, _, err := forcedJoinTwoSided(e, 3.0, revMavg, mavg)
 		return p, err
 	})
 
@@ -238,11 +239,11 @@ func TestShardedParityBulkLoad(t *testing.T) {
 	}
 	q := queryValues(length, 3)
 	checkParity(t, "bulk/range", db, shs, func(e Engine) ([]Result, error) {
-		r, _, err := e.RangeIndexed(RangeQuery{Values: q, Eps: 8, Transform: transform.Identity(length)})
+		r, _, err := forcedRange(e, RangeQuery{Values: q, Eps: 8, Transform: transform.Identity(length)}, plan.Index)
 		return r, err
 	})
 	checkParity(t, "bulk/nn", db, shs, func(e Engine) ([]Result, error) {
-		r, _, err := e.NNIndexed(NNQuery{Values: q, K: 5, Transform: transform.Identity(length)})
+		r, _, err := forcedNN(e, NNQuery{Values: q, K: 5, Transform: transform.Identity(length)}, plan.Index)
 		return r, err
 	})
 }
@@ -265,7 +266,7 @@ func TestShardedInsertBulkAllOrNothing(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("failed bulk load left %d series", s.Len())
 	}
-	res, _, err := s.RangeIndexed(RangeQuery{Values: good, Eps: 100, Transform: transform.Identity(length)})
+	res, _, err := forcedRange(s, RangeQuery{Values: good, Eps: 100, Transform: transform.Identity(length)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 
 	q := queryValues(length, 11)
-	want, _, err := db.RangeIndexed(RangeQuery{Values: q, Eps: 8, Transform: transform.Identity(length)})
+	want, _, err := forcedRange(db, RangeQuery{Values: q, Eps: 8, Transform: transform.Identity(length)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		"recorded": recorded, "resharded": resharded, "single": single,
 		"fromV1": fromV1, "v1Recorded": v1Recorded,
 	} {
-		got, _, err := e.RangeIndexed(RangeQuery{Values: q, Eps: 8, Transform: transform.Identity(length)})
+		got, _, err := forcedRange(e, RangeQuery{Values: q, Eps: 8, Transform: transform.Identity(length)}, plan.Index)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -378,7 +379,7 @@ func TestShardedNNSharedBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := s.NNIndexed(NNQuery{Values: vals, K: 3, Transform: transform.Identity(length)})
+	res, st, err := forcedNN(s, NNQuery{Values: vals, K: 3, Transform: transform.Identity(length)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,12 +424,12 @@ func TestShardedConcurrentReadsWrites(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch i % 4 {
 				case 0:
-					if _, _, err := s.RangeIndexed(RangeQuery{Values: q, Eps: 6, Transform: id}); err != nil {
+					if _, _, err := forcedRange(s, RangeQuery{Values: q, Eps: 6, Transform: id}, plan.Index); err != nil {
 						errs <- err
 						return
 					}
 				case 1:
-					if _, _, err := s.NNIndexed(NNQuery{Values: q, K: 3, Transform: id}); err != nil {
+					if _, _, err := forcedNN(s, NNQuery{Values: q, K: 3, Transform: id}, plan.Index); err != nil {
 						errs <- err
 						return
 					}

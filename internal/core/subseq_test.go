@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/series"
 	"repro/internal/transform"
 )
@@ -95,7 +96,7 @@ func TestUpdateReindexes(t *testing.T) {
 	if db.Len() != 30 {
 		t.Fatalf("Len = %d after update", db.Len())
 	}
-	res, _, err := db.RangeIndexed(RangeQuery{Values: data[9], Eps: 0.5, Transform: transform.Identity(testLen)})
+	res, _, err := forcedRange(db, RangeQuery{Values: data[9], Eps: 0.5, Transform: transform.Identity(testLen)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestCompactReclaimsPages(t *testing.T) {
 		t.Fatalf("compaction reclaimed %d pages", reclaimed)
 	}
 	// Everything still works after compaction.
-	res, _, err := db.RangeIndexed(RangeQuery{Values: data[1], Eps: 1000, Transform: transform.Identity(testLen)})
+	res, _, err := forcedRange(db, RangeQuery{Values: data[1], Eps: 1000, Transform: transform.Identity(testLen)}, plan.Index)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/geom"
 	"repro/internal/index"
+	"repro/internal/plan"
 	"repro/internal/rtree"
 	"repro/internal/transform"
 )
@@ -150,17 +151,17 @@ func AblationEarlyAbandon(cfg Config) (AblationResult, error) {
 			return AblationResult{}, err
 		}
 		// Early abandoning scan.
-		_, st, err := db.RangeScanFreq(core.RangeQuery{
+		_, st, err := forcedRange(db, core.RangeQuery{
 			Values: vals, Eps: cfg.Eps, Transform: mavg, BothSides: true,
-		})
+		}, plan.ScanFreq)
 		if err != nil {
 			return AblationResult{}, err
 		}
 		withTerms += st.DistanceTerms
 		// Full-distance scan: the time-domain baseline computes every term.
-		_, st2, err := db.RangeScanTime(core.RangeQuery{
+		_, st2, err := forcedRange(db, core.RangeQuery{
 			Values: vals, Eps: cfg.Eps, Transform: mavg, BothSides: true,
-		})
+		}, plan.ScanTime)
 		if err != nil {
 			return AblationResult{}, err
 		}
@@ -210,12 +211,12 @@ func AblationPartialPrune(cfg Config) (AblationResult, error) {
 			return AblationResult{}, err
 		}
 		rq := core.RangeQuery{Values: vals, Eps: cfg.Eps, Transform: mavg, BothSides: true}
-		_, st1, err := dbOn.RangeIndexed(rq)
+		_, st1, err := forcedRange(dbOn, rq, plan.Index)
 		if err != nil {
 			return AblationResult{}, err
 		}
 		on += st1.Candidates
-		_, st2, err := dbOff.RangeIndexed(rq)
+		_, st2, err := forcedRange(dbOff, rq, plan.Index)
 		if err != nil {
 			return AblationResult{}, err
 		}
@@ -267,9 +268,9 @@ func AblationK(ks []int, cfg Config) ([]KTradeoffRow, error) {
 			if err != nil {
 				return err
 			}
-			_, st, err := db.RangeIndexed(core.RangeQuery{
+			_, st, err := forcedRange(db, core.RangeQuery{
 				Values: vals, Eps: cfg.Eps, Transform: mavg, BothSides: true,
-			})
+			}, plan.Index)
 			cands += st.Candidates
 			nodes += st.NodeAccesses
 			return err

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/transform"
 )
@@ -65,6 +66,17 @@ func buildDB(seriesList []dataset.Series, length int) (*core.DB, error) {
 		}
 	}
 	return db, nil
+}
+
+// forcedRange runs a range query under a forced strategy — the figures set
+// index against scan as two plans for one query, executed through the one
+// entry point so both sides carry identical bookkeeping.
+func forcedRange(db *core.DB, q core.RangeQuery, want plan.Strategy) ([]core.Result, core.ExecStats, error) {
+	pl, err := db.PlanRange(q, want)
+	if err != nil {
+		return nil, core.ExecStats{}, err
+	}
+	return db.ExecRangeInto(q, pl, nil)
 }
 
 // msPerQuery runs fn once per query repetition and returns the mean
@@ -191,9 +203,9 @@ func rangeIdentityComparison(length, count int, cfg Config) (TimingPoint, error)
 		if err != nil {
 			return err
 		}
-		_, st, err := db.RangeIndexed(core.RangeQuery{
+		_, st, err := forcedRange(db, core.RangeQuery{
 			Values: vals, Eps: cfg.Eps, Transform: ident, ForceTransform: true,
-		})
+		}, plan.Index)
 		nodesWith += st.NodeAccesses
 		return err
 	})
@@ -205,9 +217,9 @@ func rangeIdentityComparison(length, count int, cfg Config) (TimingPoint, error)
 		if err != nil {
 			return err
 		}
-		_, st, err := db.RangeIndexed(core.RangeQuery{
+		_, st, err := forcedRange(db, core.RangeQuery{
 			Values: vals, Eps: cfg.Eps, Transform: ident,
-		})
+		}, plan.Index)
 		nodesPlain += st.NodeAccesses
 		return err
 	})
@@ -278,9 +290,9 @@ func indexVsScan(length, count int, cfg Config) (TimingPoint, error) {
 		if err != nil {
 			return err
 		}
-		_, st, err := db.RangeIndexed(core.RangeQuery{
+		_, st, err := forcedRange(db, core.RangeQuery{
 			Values: vals, Eps: cfg.Eps, Transform: mavg, BothSides: true,
-		})
+		}, plan.Index)
 		pagesIndex += modeledPages(st, false)
 		return err
 	})
@@ -292,9 +304,9 @@ func indexVsScan(length, count int, cfg Config) (TimingPoint, error) {
 		if err != nil {
 			return err
 		}
-		_, st, err := db.RangeScanFreq(core.RangeQuery{
+		_, st, err := forcedRange(db, core.RangeQuery{
 			Values: vals, Eps: cfg.Eps, Transform: mavg, BothSides: true,
-		})
+		}, plan.ScanFreq)
 		pagesScan += modeledPages(st, true)
 		return err
 	})
@@ -353,9 +365,9 @@ func Figure12(epsValues []float64, cfg Config) ([]Figure12Point, error) {
 			if err != nil {
 				return err
 			}
-			res, st, err := db.RangeIndexed(core.RangeQuery{
+			res, st, err := forcedRange(db, core.RangeQuery{
 				Values: vals, Eps: eps, Transform: mavg, BothSides: true,
-			})
+			}, plan.Index)
 			answers += len(res)
 			pagesIndex += modeledPages(st, false)
 			return err
@@ -368,9 +380,9 @@ func Figure12(epsValues []float64, cfg Config) ([]Figure12Point, error) {
 			if err != nil {
 				return err
 			}
-			_, st, err := db.RangeScanFreq(core.RangeQuery{
+			_, st, err := forcedRange(db, core.RangeQuery{
 				Values: vals, Eps: eps, Transform: mavg, BothSides: true,
-			})
+			}, plan.ScanFreq)
 			pagesScan += modeledPages(st, true)
 			return err
 		})

@@ -236,7 +236,7 @@ func execRange(db core.Engine, stmt *Statement, tr transform.T, warp int) (*Outp
 	}
 	planD := time.Since(planT)
 	pl.Trace = stmt.Trace
-	res, st, err := db.ExecRange(rq, pl)
+	res, st, err := db.ExecRangeInto(rq, pl, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -261,11 +261,6 @@ func execNN(db core.Engine, stmt *Statement, tr transform.T, warp int) (*Output,
 	if err != nil {
 		return nil, err
 	}
-	if want == plan.ScanTime {
-		// The language has no time-domain NN baseline; SCANTIME selects the
-		// frequency scan, as before.
-		want = plan.ScanFreq
-	}
 	planT := time.Now()
 	pl, err := db.PlanNN(nq, want)
 	if err != nil {
@@ -273,7 +268,7 @@ func execNN(db core.Engine, stmt *Statement, tr transform.T, warp int) (*Output,
 	}
 	planD := time.Since(planT)
 	pl.Trace = stmt.Trace
-	res, st, err := db.ExecNN(nq, pl)
+	res, st, err := db.ExecNNInto(nq, pl, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/plan"
 	"repro/internal/series"
 	"repro/internal/transform"
 )
@@ -235,6 +236,21 @@ func seriesName(i int) string {
 	return string(rune('A'+i/26)) + string(rune('A'+i%26))
 }
 
+// indexRange is the engine call a range statement must reduce to: the same
+// query planned and executed directly, forced onto the index.
+func indexRange(t *testing.T, db *core.DB, q core.RangeQuery) []core.Result {
+	t.Helper()
+	pl, err := db.PlanRange(q, plan.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := db.ExecRangeInto(q, pl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunRangeMatchesEngine(t *testing.T) {
 	db, data := testDB(t)
 	out, err := Run(db, "RANGE SERIES 'AA' EPS 2 TRANSFORM mavg(5) USING INDEX")
@@ -242,10 +258,7 @@ func TestRunRangeMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	rq := core.RangeQuery{Values: data[0], Eps: 2, Transform: transform.MovingAverage(64, 5)}
-	want, _, err := db.RangeIndexed(rq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := indexRange(t, db, rq)
 	if len(out.Results) != len(want) {
 		t.Fatalf("query returned %d, engine %d", len(out.Results), len(want))
 	}
@@ -400,10 +413,7 @@ func TestComposedPipelineMatchesManualCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := db.RangeIndexed(core.RangeQuery{Values: data[0], Eps: 5, Transform: comp})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := indexRange(t, db, core.RangeQuery{Values: data[0], Eps: 5, Transform: comp})
 	if len(out.Results) != len(want) {
 		t.Fatalf("pipeline %d vs manual %d", len(out.Results), len(want))
 	}

@@ -415,8 +415,8 @@ func TestTraceStatement(t *testing.T) {
 	}
 }
 
-// TestMetricsOverhead measures the telemetry tax on the bench-plan
-// workload: the same query mix with the registry enabled vs disabled
+// TestMetricsOverhead measures the telemetry tax on an uncached range + NN
+// mix over 4 shards: the same queries with the registry enabled vs disabled
 // must differ by less than 3%. Timing-sensitive, so it only runs when
 // TSQ_BENCH_OVERHEAD=1 (make bench-metrics-overhead).
 func TestMetricsOverhead(t *testing.T) {

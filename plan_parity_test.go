@@ -1,8 +1,9 @@
 package tsq_test
 
-// Parity tests for plan-first execution: every query kind answered
-// through the planner must be byte-identical to the strategy-pinned
-// paths, at shard counts 1 and 4, and across shard counts.
+// Parity tests for plan-first execution: every query kind must answer
+// byte-identically whichever strategy its plan resolves or is forced to —
+// index == scan == the planner's choice — at shard counts 1 and 4, and
+// across shard counts.
 
 import (
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	tsq "repro"
+	"repro/internal/series"
 )
 
 const (
@@ -87,8 +89,12 @@ func TestPlanRangeNNParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(autoB, idxB) {
-				t.Fatalf("shards-%d/%s: BOTH-sided auto diverges", shards, tr.name)
+			scanB, _, err := db.RangeByName("W0011", 3, tr.t, tsq.With(tsq.UseScan), tsq.TransformBoth())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(autoB, idxB) || !reflect.DeepEqual(idxB, scanB) {
+				t.Fatalf("shards-%d/%s: BOTH-sided strategies disagree", shards, tr.name)
 			}
 
 			for _, k := range []int{1, 5, 25} {
@@ -113,27 +119,44 @@ func TestPlanRangeNNParity(t *testing.T) {
 }
 
 // TestPlanMomentBoundParity: moment-bounded queries pin the index under
-// auto — answers must match the forced-index path exactly.
+// auto (the scans ignore the bounds), and the bounded answer is the
+// unbounded one with the series outside the bounds removed.
 func TestPlanMomentBoundParity(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		db := parityDB(t, shards)
-		auto, _, err := db.RangeByName("W0001", 50, tsq.Identity(),
+		auto, st, err := db.RangeByName("W0001", 50, tsq.Identity(),
 			tsq.With(tsq.UseAuto), tsq.MeanRange(30, 90), tsq.StdRange(0, 20))
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, _, err := db.RangeByName("W0001", 50, tsq.Identity(),
-			tsq.MeanRange(30, 90), tsq.StdRange(0, 20))
+		if st.Strategy != "index" {
+			t.Fatalf("shards-%d: moment-bounded auto ran %q, want the index", shards, st.Strategy)
+		}
+		all, _, err := db.RangeByName("W0001", 50, tsq.Identity(), tsq.With(tsq.UseScan))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(auto, idx) {
-			t.Fatalf("shards-%d: moment-bounded auto diverges from index", shards)
+		var want []tsq.Match
+		for _, m := range all {
+			v, err := db.Series(m.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mean, std := series.Mean(v), series.Std(v); mean >= 30 && mean <= 90 && std <= 20 {
+				want = append(want, m)
+			}
+		}
+		if len(want) == 0 || len(want) == len(all) {
+			t.Fatalf("shards-%d: the bounds keep %d of %d answers: the fixture no longer exercises them", shards, len(want), len(all))
+		}
+		if !reflect.DeepEqual(auto, want) {
+			t.Fatalf("shards-%d: moment-bounded answer diverges from the filtered scan\n got  %v\n want %v", shards, auto, want)
 		}
 	}
 }
 
-// TestPlanWarpParity: warped queries plan and execute identically.
+// TestPlanWarpParity: warped queries answer identically under every
+// strategy.
 func TestPlanWarpParity(t *testing.T) {
 	db := parityDB(t, 4)
 	warped := tsq.RandomWalks(1, 2*parityLength, 7)[0].Values
@@ -145,8 +168,12 @@ func TestPlanWarpParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(auto, idx) {
-		t.Fatal("warped auto diverges from index")
+	scan, _, err := db.Range(warped, 8, tsq.Warp(2), tsq.With(tsq.UseScan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(auto, idx) || !reflect.DeepEqual(idx, scan) {
+		t.Fatalf("warped strategies disagree\n auto %v\n idx  %v\n scan %v", auto, idx, scan)
 	}
 }
 

@@ -46,11 +46,12 @@ type Stats struct {
 	// Cached reports that the result came from a Server's query cache;
 	// the remaining fields then describe the original execution.
 	Cached bool
-	// Strategy is the resolved execution strategy of a planned run
-	// ("index", "scan", "scantime"); empty on method-pinned paths.
+	// Strategy is the execution strategy the plan resolved or was forced to
+	// ("index", "scan", "scantime"); empty only for the method-pinned
+	// SelfJoin and for Subsequence, which run no plan.
 	Strategy string
 	// Spans is the execution's trace tree (plan → fan-out → merge with
-	// per-shard timings), recorded by planned executions.
+	// per-shard timings).
 	Spans []SpanInfo
 	// RequestID is the query's correlation ID, stamped by the Server
 	// layer: the same ID appears in slow-log entries, retained traces
@@ -121,7 +122,9 @@ func fromExec(st core.ExecStats) Stats {
 	return out
 }
 
-// Strategy selects the execution plan for Range and NN queries.
+// Strategy selects the execution plan for Range and NN queries. Naming one
+// forces the plan, it does not bypass it: a forced read is planned, traced,
+// recorded in the plan history and fed back to the planner like any other.
 type Strategy int
 
 const (
@@ -132,7 +135,8 @@ const (
 	// UseScan runs the frequency-domain sequential scan with early
 	// abandoning (the paper's stronger baseline).
 	UseScan
-	// UseScanTime runs the naive time-domain scan.
+	// UseScanTime runs the naive time-domain scan. NN queries have no
+	// time-domain baseline and run the frequency scan instead.
 	UseScanTime
 	// UseAuto lets the query planner choose between UseIndex and UseScan
 	// per query from maintained per-store statistics (series count,
@@ -222,9 +226,11 @@ func StdRange(lo, hi float64) QueryOpt {
 	}
 }
 
-// rangeQuery runs one range query. Beside the answer it returns the Lemma 1
-// filter of the plan that produced it (core.ExecStats.Filter), which the
-// Server keeps as the cached answer's invalidation test.
+// rangeQuery runs one range query the way every read runs: plan — the
+// caller's strategy forced, or UseAuto left to the planner — then execute.
+// Beside the answer it returns the Lemma 1 filter of the plan that produced
+// it (core.ExecStats.Filter), which the Server keeps as the cached answer's
+// invalidation test.
 func (db *DB) rangeQuery(values []float64, prep *core.QueryPrep, eps float64, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
 	var qo queryOpts
 	for _, o := range opts {
@@ -244,25 +250,15 @@ func (db *DB) rangeQuery(values []float64, prep *core.QueryPrep, eps float64, t 
 		BothSides:  qo.both,
 		Prep:       prep,
 	}
-	var (
-		res []core.Result
-		st  core.ExecStats
-	)
-	switch qo.strategy {
-	case UseIndex:
-		res, st, err = db.eng.RangeIndexed(rq)
-	case UseScan:
-		res, st, err = db.eng.RangeScanFreq(rq)
-	case UseScanTime:
-		res, st, err = db.eng.RangeScanTime(rq)
-	case UseAuto:
-		var pl *plan.Plan
-		if pl, err = db.eng.PlanRange(rq, plan.Auto); err == nil {
-			res, st, err = db.eng.ExecRange(rq, pl)
-		}
-	default:
-		err = fmt.Errorf("tsq: unknown strategy %d", int(qo.strategy))
+	want, err := planWant(qo.strategy)
+	if err != nil {
+		return nil, Stats{}, nil, err
 	}
+	pl, err := db.eng.PlanRange(rq, want)
+	if err != nil {
+		return nil, Stats{}, nil, err
+	}
+	res, st, err := db.eng.ExecRangeInto(rq, pl, nil)
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
@@ -335,21 +331,15 @@ func (db *DB) nnQuery(q []float64, prep *core.QueryPrep, k int, t Transform, opt
 		return nil, Stats{}, nil, err
 	}
 	nq := core.NNQuery{Values: q, K: k, Delta: qo.delta, Transform: tr, WarpFactor: warp, BothSides: qo.both, Prep: prep}
-	var (
-		res []core.Result
-		st  core.ExecStats
-	)
-	switch qo.strategy {
-	case UseIndex:
-		res, st, err = db.eng.NNIndexed(nq)
-	case UseAuto:
-		var pl *plan.Plan
-		if pl, err = db.eng.PlanNN(nq, plan.Auto); err == nil {
-			res, st, err = db.eng.ExecNN(nq, pl)
-		}
-	default:
-		res, st, err = db.eng.NNScan(nq)
+	want, err := planWant(qo.strategy)
+	if err != nil {
+		return nil, Stats{}, nil, err
 	}
+	pl, err := db.eng.PlanNN(nq, want)
+	if err != nil {
+		return nil, Stats{}, nil, err
+	}
+	res, st, err := db.eng.ExecNNInto(nq, pl, nil)
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}

@@ -29,18 +29,20 @@ import (
 // bounds), so repeated queries — the common shape of dashboard and
 // monitoring traffic — skip the engine entirely.
 //
-// Locking depends on the store. Over an unsharded DB the Server provides
-// the synchronization itself: one RWMutex serializes writers against the
-// whole store, and the cache stays exactly consistent because purges and
-// adds are ordered by that lock. Over a sharded DB (Options.Shards > 1)
-// the engine synchronizes internally with one lock per shard, so the
-// Server takes no lock at all: a writer to one shard no longer blocks
-// readers of the others, and only the written shard's portion of a
-// concurrent fan-out query waits. Cache consistency then comes from a
-// write-version counter: every mutation — appends included — bumps the
-// version and evicts from the cache, and a query result is cached only if
-// no write landed between the query starting and finishing, so a reader
-// that overlapped an eviction can never re-insert a stale answer.
+// There is one read discipline and one write discipline, whatever the
+// store. Cache consistency comes from a write-version counter: every
+// mutation — appends included — bumps the version, logs the write and
+// evicts from the cache in one step under cacheGuard, and a query result is
+// cached only if no write it cannot account for landed between the query
+// starting and finishing, so a reader that overlapped an eviction can never
+// re-insert a stale answer (see readQuery). The store's own synchronization
+// sits underneath and has no part in that: a sharded engine
+// (Options.Shards > 1) locks per shard internally, so a writer to one shard
+// never blocks readers of the others; an unsharded core.DB has no lock of
+// its own, and the Server lends it one (mu, behind rlock/wlock), held by a
+// reader for its computation and by a writer from its mutation through the
+// eviction — so over an unsharded store nobody can compute on the new state
+// before the entries it outdates are gone.
 //
 // The cache is dependency-tagged. Every cached range or NN answer carries
 // an invalidation predicate built from its own plan geometry — the
@@ -62,24 +64,28 @@ import (
 // Server is the session layer behind cmd/tsqd's HTTP API, and equally
 // usable embedded in any concurrent program.
 type Server struct {
-	mu      sync.RWMutex // unsharded stores only; unused when sharded
+	// mu is the unsharded store's lock: a core.DB needs external
+	// synchronization around writes, a core.Sharded brings its own per-shard
+	// locks. Taken only through rlock/runlock and wlock/wunlock, which are
+	// no-ops over a sharded store.
+	mu      sync.RWMutex
 	sharded bool
-	version atomic.Int64 // write-version guard for the sharded cache
-	// cacheGuard makes a sharded reader's version re-check and cache Add
-	// one atomic step relative to a writer's purge; without it a reader
-	// could pass the check, lose the CPU across an entire
-	// mutate+bump+purge, and then re-insert its stale result.
+	version atomic.Int64 // write-version guard for the cache
+	// cacheGuard makes a reader's version re-check and cache Add one atomic
+	// step relative to a writer's bump+log+purge; without it a reader could
+	// pass the check, lose the CPU across an entire mutate+bump+purge, and
+	// then re-insert its stale result.
 	cacheGuard sync.Mutex
 	// writeLog holds the recent committed writes (guarded by cacheGuard):
-	// a sharded reader that overlapped writes replays them against its
-	// entry's affected predicate, so an append burst that provably cannot
+	// a reader that overlapped writes replays them against its entry's
+	// affected predicate, so an append burst that provably cannot
 	// change a result no longer starves the cache (see readQuery).
 	writeLog []loggedWrite
 	db       *DB
 	cache    *lru.Cache
 	hub      *stream.Hub // standing-query monitors (tsqlive)
 
-	// testHookAfterCompute, when set, runs between a sharded cache-miss
+	// testHookAfterCompute, when set, runs between a cache-miss
 	// computation and the version re-check — test instrumentation for the
 	// write-overlap window.
 	testHookAfterCompute func()
@@ -333,15 +339,9 @@ func (s *Server) record(st Stats) {
 }
 
 // write runs fn — which must report whether it (possibly) mutated the
-// store — and on mutation bumps the write counter and invalidates the
-// result cache according to the event evf describes; a rejected insert or
-// a delete of a missing name is a no-op and must not evict cached
-// results. Over an unsharded store fn runs under the Server's exclusive
-// lock. Over a sharded store the engine locks only the shard fn touches;
-// the version bump is ordered after the mutation and before the
-// invalidation, so any query that read pre-mutation data observes the
-// changed version before it could cache a stale result (or proves itself
-// unaffected against the write log — see readQuery).
+// store — under the store's write lock and on mutation bumps the write
+// counter and publishes the event evf describes; a rejected insert or a
+// delete of a missing name is a no-op and must not evict cached results.
 //
 // evf runs after the mutation commits, so the event carries the
 // committed feature point. Under concurrent writes to the same name the
@@ -358,29 +358,35 @@ func (s *Server) write(fn func() (mutated bool, err error), evf func() writeEven
 // one event per series, each with its own version, so the cache can
 // defend entries against the batch selectively instead of purging.
 func (s *Server) writeEvents(fn func() (mutated bool, err error), evsf func() []writeEvent) error {
-	if !s.sharded {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
+	s.wlock()
+	defer s.wunlock()
 	mutated, err := fn()
 	if mutated {
 		s.writes.Add(1)
-		evs := evsf()
-		if s.sharded {
-			s.cacheGuard.Lock()
-			for _, ev := range evs {
-				v := s.version.Add(1)
-				s.logWriteLocked(v, ev)
-				s.invalidateFor(ev)
-			}
-			s.cacheGuard.Unlock()
-		} else {
-			for _, ev := range evs {
-				s.invalidateFor(ev)
-			}
-		}
+		s.publish(evsf()...)
 	}
 	return err
+}
+
+// publish is the write half of the cache discipline, run by every committed
+// mutation after it is visible in the store: per event, bump the version,
+// log the write and evict what it could have changed, all under cacheGuard.
+// The bump is ordered after the mutation and before the eviction, so any
+// query that read pre-mutation data either finishes its re-check first —
+// and has its entry evicted here if the write affects it — or observes the
+// changed version before it could cache a stale result (and must then prove
+// itself unaffected against the write log — see readQuery).
+func (s *Server) publish(evs ...writeEvent) {
+	s.cacheGuard.Lock()
+	defer s.cacheGuard.Unlock()
+	for _, ev := range evs {
+		v := s.version.Add(1)
+		if len(s.writeLog) >= writeLogCap {
+			s.writeLog = append(s.writeLog[:0], s.writeLog[1:]...)
+		}
+		s.writeLog = append(s.writeLog, loggedWrite{version: v, ev: ev})
+		s.invalidateFor(ev)
+	}
 }
 
 // barrier is the whole-store write event: purge everything, cache nothing
@@ -416,18 +422,9 @@ type loggedWrite struct {
 	ev      writeEvent
 }
 
-// logWriteLocked records a committed write (caller holds cacheGuard).
-func (s *Server) logWriteLocked(version int64, ev writeEvent) {
-	if len(s.writeLog) >= writeLogCap {
-		s.writeLog = append(s.writeLog[:0], s.writeLog[1:]...)
-	}
-	s.writeLog = append(s.writeLog, loggedWrite{version: version, ev: ev})
-}
-
 // writesSince returns the events of versions (v0, v1] when the log still
 // holds every one of them, in version order (caller holds cacheGuard).
-// complete is false when any were evicted — or not yet logged, which a
-// writer between its version bump and its log append looks like.
+// complete is false when any were evicted.
 func (s *Server) writesSince(v0, v1 int64) (events []writeEvent, complete bool) {
 	want := v1 - v0
 	if want <= 0 || int64(len(s.writeLog)) < want {
@@ -569,8 +566,9 @@ func (s *Server) Compact() (int, error) {
 	return n, err
 }
 
-// rlock / runlock take the Server's shared lock for unsharded stores;
-// sharded engines synchronize internally, so they are no-ops there.
+// rlock/runlock and wlock/wunlock take the unsharded store's lock (see
+// Server.mu) in shared and exclusive mode; sharded engines synchronize
+// internally, so all four are no-ops there.
 func (s *Server) rlock() {
 	if !s.sharded {
 		s.mu.RLock()
@@ -580,6 +578,18 @@ func (s *Server) rlock() {
 func (s *Server) runlock() {
 	if !s.sharded {
 		s.mu.RUnlock()
+	}
+}
+
+func (s *Server) wlock() {
+	if !s.sharded {
+		s.mu.Lock()
+	}
+}
+
+func (s *Server) wunlock() {
+	if !s.sharded {
+		s.mu.Unlock()
 	}
 }
 
@@ -645,27 +655,23 @@ type cachedResult struct {
 
 // readQuery serves one query, consulting the result cache first.
 //
-// Unsharded: the query runs under the shared lock and the cache Add
-// happens while the read lock is still held, so a concurrent writer's
-// purge can never leave a stale entry behind — purge runs under the
-// exclusive lock, strictly before or after this critical section.
-//
-// Sharded: the engine takes its own per-shard read locks during the
-// fan-out, so the Server takes none. The result is cached only if no
-// write it cannot account for landed during the computation: a writer
-// bumps the version after mutating and before invalidating, so a query
-// that read any pre-mutation shard state started before the bump and
-// fails the version comparison — but when the write log still holds every
-// overlapped write and the entry's own affected predicate proves each one
-// could not change this answer (the Lemma 1 rectangle/membership proof,
-// the same test invalidation runs on entries already cached), the result
-// is cached anyway. That is what keeps the cache warm under append
-// bursts: an append to a far-away series no longer blocks every in-flight
-// query from caching. The re-check and the Add happen as one atomic step
-// under cacheGuard — the same mutex the writer's invalidation takes — so
-// the check cannot go stale between passing and the Add landing; an
-// eviction cannot be undone by a slow reader whose overlapped writes did
+// On a miss the query computes under the store's shared lock (a sharded
+// engine takes its own per-shard read locks during the fan-out instead) and
+// the result is cached only if no write it cannot account for landed since
+// the computation began: a writer bumps the version after mutating and
+// before invalidating, so a query that read any pre-mutation state started
+// before the bump and fails the version comparison — but when the write log
+// still holds every overlapped write and the entry's own affected predicate
+// proves each one could not change this answer (the Lemma 1
+// rectangle/membership proof, the same test invalidation runs on entries
+// already cached), the result is cached anyway. That is what keeps the cache
+// warm under append bursts: an append to a far-away series no longer blocks
+// every in-flight query from caching. The re-check and the Add happen as one
+// atomic step under cacheGuard — the same mutex the writer's invalidation
+// takes — so the check cannot go stale between passing and the Add landing;
+// an eviction cannot be undone by a slow reader whose overlapped writes did
 // affect it.
+//
 // Every served query also carries a correlation ID (reqID, minted here
 // when the caller supplied none via WithRequest): it is stamped on the
 // returned Stats, on any slow-log entry, and on the flight-recorder
@@ -678,51 +684,6 @@ func (s *Server) readQuery(key, reqID string, compute func() (cachedResult, erro
 	if reqID == "" {
 		reqID = flight.NewID()
 	}
-	if s.sharded {
-		if v, ok := s.cache.Get(key); ok {
-			r := v.(cachedResult)
-			st := r.stats
-			st.Cached = true
-			st.RequestID = reqID
-			if telemetry.Enabled() {
-				mCacheHits.Inc()
-			}
-			elapsed := time.Since(start)
-			observeQuery(kind, st.Strategy, "cached", elapsed)
-			s.flightRecord(reqID, kind, st.Strategy, flight.OutcomeCached, key, "", elapsed, st.Spans)
-			return r, st, nil
-		}
-		if telemetry.Enabled() {
-			mCacheMisses.Inc()
-		}
-		v0 := s.version.Load()
-		r, err := compute()
-		if err != nil {
-			elapsed := time.Since(start)
-			observeQuery(kind, "", "error", elapsed)
-			s.flightRecord(reqID, kind, "", flight.OutcomeError, key, err.Error(), elapsed, nil)
-			return cachedResult{}, Stats{}, err
-		}
-		if s.testHookAfterCompute != nil {
-			s.testHookAfterCompute()
-		}
-		tagStart := time.Now()
-		s.cacheGuard.Lock()
-		if s.cacheableLocked(v0, &r) {
-			s.cache.Add(key, r)
-		}
-		s.cacheGuard.Unlock()
-		st := withCacheTag(r.stats, time.Since(tagStart))
-		st.RequestID = reqID
-		s.record(r.stats)
-		elapsed := time.Since(start)
-		observeQuery(kind, st.Strategy, "ok", elapsed)
-		s.slowRecord(key, elapsed, st.Spans, reqID)
-		s.flightRecord(reqID, kind, st.Strategy, flight.OutcomeOK, key, "", elapsed, st.Spans)
-		return r, st, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if v, ok := s.cache.Get(key); ok {
 		r := v.(cachedResult)
 		st := r.stats
@@ -739,15 +700,25 @@ func (s *Server) readQuery(key, reqID string, compute func() (cachedResult, erro
 	if telemetry.Enabled() {
 		mCacheMisses.Inc()
 	}
+	v0 := s.version.Load()
+	s.rlock()
 	r, err := compute()
+	s.runlock()
 	if err != nil {
 		elapsed := time.Since(start)
 		observeQuery(kind, "", "error", elapsed)
 		s.flightRecord(reqID, kind, "", flight.OutcomeError, key, err.Error(), elapsed, nil)
 		return cachedResult{}, Stats{}, err
 	}
+	if s.testHookAfterCompute != nil {
+		s.testHookAfterCompute()
+	}
 	tagStart := time.Now()
-	s.cache.Add(key, r)
+	s.cacheGuard.Lock()
+	if s.cacheableLocked(v0, &r) {
+		s.cache.Add(key, r)
+	}
+	s.cacheGuard.Unlock()
 	st := withCacheTag(r.stats, time.Since(tagStart))
 	st.RequestID = reqID
 	s.record(r.stats)

@@ -16,13 +16,23 @@ import (
 	"repro/internal/plan"
 )
 
-// cacheFixture builds a sharded server over deterministic series: a tight
+// cacheFixture builds a 4-shard server over deterministic series: a tight
 // cluster (identical shapes "C*") and far-away outliers ("Z*"), so range
 // rectangles around a cluster member never contain an outlier's feature
 // point.
-func cacheFixture(t *testing.T) *Server {
+func cacheFixture(t *testing.T) *Server { return cacheFixtureShards(t, 4) }
+
+// bothShardCounts runs a cache test over an unsharded and a sharded fixture:
+// the read and write disciplines are the same code either way.
+func bothShardCounts(t *testing.T, test func(t *testing.T, s *Server)) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) { test(t, cacheFixtureShards(t, shards)) })
+	}
+}
+
+func cacheFixtureShards(t *testing.T, shards int) *Server {
 	t.Helper()
-	db, err := Open(Options{Length: 32, Shards: 4})
+	db, err := Open(Options{Length: 32, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +76,10 @@ func cacheLen(s *Server) int { return s.cache.Len() }
 // an append the Lemma 1 proof shows irrelevant must still cache its
 // result (the write-log replay); one the append could affect must not.
 func TestAppendBurstDoesNotStarveCache(t *testing.T) {
-	s := cacheFixture(t)
+	bothShardCounts(t, testAppendBurstDoesNotStarveCache)
+}
 
+func testAppendBurstDoesNotStarveCache(t *testing.T, s *Server) {
 	// Irrelevant overlap: mid-compute, append to a far-away outlier.
 	s.testHookAfterCompute = func() {
 		s.testHookAfterCompute = nil // fire once
@@ -118,7 +130,10 @@ func TestAppendBurstDoesNotStarveCache(t *testing.T) {
 // entry's rectangle, membership, and shard tags prove irrelevant retain
 // the entry; related writes evict it.
 func TestTaggedCacheSurvivesUnrelatedWrites(t *testing.T) {
-	s := cacheFixture(t)
+	bothShardCounts(t, testTaggedCacheSurvivesUnrelatedWrites)
+}
+
+func testTaggedCacheSurvivesUnrelatedWrites(t *testing.T, s *Server) {
 	warm := func() []Match {
 		m, _, err := s.RangeByName("C00", 0.5, Identity())
 		if err != nil {
@@ -437,36 +452,16 @@ func TestCacheOffBuildsNoPredicate(t *testing.T) {
 }
 
 // planCounter counts what a statement asks of the engine's planning surface:
-// every entry point that plans a range or NN query, and the stand-alone
+// the two entry points that plan a range or NN query, and the stand-alone
 // prefilter builder the server used to call for each answer it filed.
 type planCounter struct {
 	core.Engine
 	plans, prefilters int
 }
 
-func (c *planCounter) RangeIndexed(q core.RangeQuery) ([]core.Result, core.ExecStats, error) {
-	c.plans++
-	return c.Engine.RangeIndexed(q)
-}
-
-func (c *planCounter) RangeScanFreq(q core.RangeQuery) ([]core.Result, core.ExecStats, error) {
-	c.plans++
-	return c.Engine.RangeScanFreq(q)
-}
-
 func (c *planCounter) PlanRange(q core.RangeQuery, want plan.Strategy) (*plan.Plan, error) {
 	c.plans++
 	return c.Engine.PlanRange(q, want)
-}
-
-func (c *planCounter) NNIndexed(q core.NNQuery) ([]core.Result, core.ExecStats, error) {
-	c.plans++
-	return c.Engine.NNIndexed(q)
-}
-
-func (c *planCounter) NNScan(q core.NNQuery) ([]core.Result, core.ExecStats, error) {
-	c.plans++
-	return c.Engine.NNScan(q)
 }
 
 func (c *planCounter) PlanNN(q core.NNQuery, want plan.Strategy) (*plan.Plan, error) {
@@ -485,7 +480,10 @@ func (c *planCounter) PlanPrefilter(q core.RangeQuery) (*core.Prefilter, error) 
 // per statement under every strategy, none for the predicate — while the
 // predicate still tells a far write from a near one.
 func TestCacheOnPlansOncePerStatement(t *testing.T) {
-	s := cacheFixture(t)
+	bothShardCounts(t, testCacheOnPlansOncePerStatement)
+}
+
+func testCacheOnPlansOncePerStatement(t *testing.T, s *Server) {
 	pc := &planCounter{Engine: s.db.eng}
 	s.db.eng = pc
 	q := clusterSeries(0.0002)

@@ -135,39 +135,18 @@ type writeEvent struct {
 }
 
 // Append slides a stored series' window forward through the Server: the
-// engine append commits under the write locking, the result cache is
-// invalidated selectively (see the file comment), and monitors are
+// engine append commits under the store's write lock, its event — carrying
+// the new feature point — is published to the cache like any other write's
+// (see publish; the file comment says what survives), and monitors are
 // notified. See DB.Append for the storage semantics.
 func (s *Server) Append(name string, points []float64) error {
-	var info core.AppendInfo
-	var err error
-	ev := writeEvent{kind: writeAppend, name: name, shard: s.db.eng.ShardOf(name)}
-	if !s.sharded {
-		s.mu.Lock()
-		info, err = s.db.eng.Append(name, points)
-		if err == nil {
-			s.appends.Add(1)
-			ev.point = info.Point
-			s.invalidateFor(ev)
-		}
-		s.mu.Unlock()
-	} else {
-		info, err = s.db.eng.Append(name, points)
-		if err == nil {
-			s.appends.Add(1)
-			ev.point = info.Point
-			// Same discipline as write(): the version bump is ordered after
-			// the mutation and before the eviction, so a query that read any
-			// pre-append state fails the version re-check — unless the write
-			// log proves the append could not have affected it (see
-			// readQuery's replay).
-			v := s.version.Add(1)
-			s.cacheGuard.Lock()
-			s.logWriteLocked(v, ev)
-			s.invalidateFor(ev)
-			s.cacheGuard.Unlock()
-		}
+	s.wlock()
+	info, err := s.db.eng.Append(name, points)
+	if err == nil {
+		s.appends.Add(1)
+		s.publish(writeEvent{kind: writeAppend, name: name, shard: s.db.eng.ShardOf(name), point: info.Point})
 	}
+	s.wunlock()
 	if err != nil {
 		return err
 	}
