@@ -322,11 +322,13 @@ func BenchmarkAblationMaterializedIndex(b *testing.B) {
 	}
 	idm := transform.IdentityMap(sc.Dims(), sc.Angular())
 
+	var scr index.Scratch
+	var ids []int64
 	b.Run("on-the-fly", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			q, _ := sc.Extract(queryValues(b, db, i))
-			db.Index().Range(m.ApplyPoint(q), 1, m, feature.MomentBounds{}, true)
+			ids, _ = db.Index().RangeIDs(m.ApplyPoint(q), 1, m, feature.MomentBounds{}, true, &scr, ids[:0])
 		}
 	})
 	b.Run("materialize-then-search", func(b *testing.B) {
@@ -334,7 +336,7 @@ func BenchmarkAblationMaterializedIndex(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mat := db.Index().Materialize(m) // paid per transformation change
 			q, _ := sc.Extract(queryValues(b, db, i))
-			mat.Range(m.ApplyPoint(q), 1, idm, feature.MomentBounds{}, true)
+			ids, _ = mat.RangeIDs(m.ApplyPoint(q), 1, idm, feature.MomentBounds{}, true, &scr, ids[:0])
 		}
 	})
 	b.Run("search-premat", func(b *testing.B) {
@@ -343,7 +345,7 @@ func BenchmarkAblationMaterializedIndex(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q, _ := sc.Extract(queryValues(b, db, i))
-			mat.Range(m.ApplyPoint(q), 1, idm, feature.MomentBounds{}, true)
+			ids, _ = mat.RangeIDs(m.ApplyPoint(q), 1, idm, feature.MomentBounds{}, true, &scr, ids[:0])
 		}
 	})
 }

@@ -358,18 +358,19 @@ func refJoin(t *testing.T, db *DB, jq JoinQuery, scan, selfOnce bool) ([]JoinPai
 			t.Fatal(err)
 		}
 		tQ := apply(jp.ra, jp.rb, X)
-		cands, search := db.idx.Range(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
+		var sc index.Scratch
+		cands, search := db.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune, &sc, nil)
 		st.NodeAccesses += search.NodesVisited
-		for _, c := range cands {
-			if c.ID == qid || (selfOnce && c.ID < qid) {
+		for _, id := range cands {
+			if id == qid || (selfOnce && id < qid) {
 				continue
 			}
 			st.Candidates++
-			if within, dist, _ := refVerify(t, db, nil, jp.la, jp.lb, tQ, c.ID, jq.Eps, false, &st); within {
+			if within, dist, _ := refVerify(t, db, nil, jp.la, jp.lb, tQ, id, jq.Eps, false, &st); within {
 				if jq.TwoSided {
-					out = append(out, JoinPair{A: c.ID, B: qid, Dist: dist})
+					out = append(out, JoinPair{A: id, B: qid, Dist: dist})
 				} else {
-					out = append(out, JoinPair{A: qid, B: c.ID, Dist: dist})
+					out = append(out, JoinPair{A: qid, B: id, Dist: dist})
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/feature"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/stats"
@@ -349,6 +350,8 @@ func (db *DB) joinIndexInto(jp *joinPlan, selfOnce bool, st *ExecStats) ([]JoinP
 	var (
 		out   []JoinPair
 		pages [][]byte
+		sc    index.Scratch
+		buf   []int64
 	)
 	for _, qid := range db.ids {
 		qp := db.rec(qid).point
@@ -364,25 +367,26 @@ func (db *DB) joinIndexInto(jp *joinPlan, selfOnce bool, st *ExecStats) ([]JoinP
 		for f := range QX {
 			tQ[f] = jp.ra[f]*QX[f] + jp.rb[f]
 		}
-		cands, searchStats := db.idx.Range(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
+		cands, searchStats := db.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune, &sc, buf[:0])
+		buf = cands
 		st.NodeAccesses += searchStats.NodesVisited
-		for _, c := range cands {
-			if c.ID == qid {
+		for _, id := range cands {
+			if id == qid {
 				continue
 			}
-			if selfOnce && c.ID < qid {
+			if selfOnce && id < qid {
 				continue
 			}
 			st.Candidates++
-			within, dist, err := db.verifyFreq(st, &pages, c.ID, jp.la, jp.lb, tQ, jp.q.Eps)
+			within, dist, err := db.verifyFreq(st, &pages, id, jp.la, jp.lb, tQ, jp.q.Eps)
 			if err != nil {
 				return nil, err
 			}
 			if within {
 				if jp.q.TwoSided {
-					out = append(out, JoinPair{A: c.ID, B: qid, Dist: dist})
+					out = append(out, JoinPair{A: id, B: qid, Dist: dist})
 				} else {
-					out = append(out, JoinPair{A: qid, B: c.ID, Dist: dist})
+					out = append(out, JoinPair{A: qid, B: id, Dist: dist})
 				}
 			}
 		}
@@ -742,16 +746,21 @@ func (db *DB) maybeExploreJoin(pl *plan.Plan, jp *joinPlan) {
 		step = 1
 	}
 	cand, nodes, probes := 0, 0, 0
+	var (
+		sc  index.Scratch
+		buf []int64
+	)
 	for i := 0; i < n && probes < joinSampleCap; i += step {
 		qid := db.ids[i]
 		tq := db.rec(qid).point
 		if !jp.rm.Identity() {
 			tq = jp.rm.ApplyPoint(tq)
 		}
-		cands, searchStats := db.idx.Range(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune)
+		cands, searchStats := db.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune, &sc, buf[:0])
+		buf = cands
 		nodes += searchStats.NodesVisited
-		for _, c := range cands {
-			if c.ID != qid {
+		for _, id := range cands {
+			if id != qid {
 				cand++
 			}
 		}

@@ -403,7 +403,13 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 		if !p.m.Identity() {
 			tp = p.m.ApplyPoint(np)
 		}
-		if partial := eng.Schema().CoeffDistSq(tp, p.qp); math.Abs(2*partial/(eps*eps)-1) < 1e-9 {
+		var partial float64
+		qc := eng.Schema().Coeffs(p.qp)
+		for i, c := range eng.Schema().Coeffs(tp) {
+			d := c - qc[i]
+			partial += real(d)*real(d) + imag(d)*imag(d)
+		}
+		if math.Abs(2*partial/(eps*eps)-1) < 1e-9 {
 			tight = 1
 		}
 	}

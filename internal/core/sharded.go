@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/feature"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/rtree"
 	"repro/internal/stats"
@@ -810,7 +811,11 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 			out := &results[pi]
 			defer func() { out.st.Elapsed = shTimer.Elapsed() }()
 			probe := s.shards[pi]
-			var pages [][]byte
+			var (
+				pages [][]byte
+				sc    index.Scratch
+				buf   []int64
+			)
 			for _, qid := range probe.ids {
 				qp := probe.rec(qid).point
 				tq := qp
@@ -827,26 +832,27 @@ func (s *Sharded) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecSta
 					tQ[f] = jp.ra[f]*QX[f] + jp.rb[f]
 				}
 				for _, target := range s.shards {
-					cands, searchStats := target.idx.Range(tq, jp.radius, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune)
+					cands, searchStats := target.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune, &sc, buf[:0])
+					buf = cands
 					out.st.NodeAccesses += searchStats.NodesVisited
-					for _, c := range cands {
-						if c.ID == qid {
+					for _, id := range cands {
+						if id == qid {
 							continue
 						}
-						if selfOnce && c.ID < qid {
+						if selfOnce && id < qid {
 							continue
 						}
 						out.st.Candidates++
-						within, dist, err := target.verifyFreq(&out.st, &pages, c.ID, jp.la, jp.lb, tQ, jp.q.Eps)
+						within, dist, err := target.verifyFreq(&out.st, &pages, id, jp.la, jp.lb, tQ, jp.q.Eps)
 						if err != nil {
 							out.err = err
 							return
 						}
 						if within {
 							if jp.q.TwoSided {
-								out.pairs = append(out.pairs, JoinPair{A: c.ID, B: qid, Dist: dist})
+								out.pairs = append(out.pairs, JoinPair{A: id, B: qid, Dist: dist})
 							} else {
-								out.pairs = append(out.pairs, JoinPair{A: qid, B: c.ID, Dist: dist})
+								out.pairs = append(out.pairs, JoinPair{A: qid, B: id, Dist: dist})
 							}
 						}
 					}

@@ -47,12 +47,13 @@ func AblationReinsert(cfg Config) (AblationResult, error) {
 		}
 		idm := transform.IdentityMap(sc.Dims(), sc.Angular())
 		total := 0
+		var scr index.Scratch
 		for i := 0; i < cfg.Queries; i++ {
 			q, err := sc.Extract(walks[(i*37)%count].Values)
 			if err != nil {
 				return 0, err
 			}
-			_, st := ix.Range(q, cfg.Eps, idm, feature.MomentBounds{}, true)
+			_, st := ix.RangeIDs(q, cfg.Eps, idm, feature.MomentBounds{}, true, &scr, nil)
 			total += st.NodesVisited
 		}
 		return float64(total) / float64(cfg.Queries), nil
@@ -114,11 +115,12 @@ func AblationBulkLoad(cfg Config) (AblationResult, error) {
 
 	idm := transform.IdentityMap(sc.Dims(), sc.Angular())
 	var incNodes, bulkNodes int
+	var scr index.Scratch
 	for i := 0; i < cfg.Queries; i++ {
 		q := points[(i*41)%count]
-		_, st := inc.Range(q, cfg.Eps, idm, feature.MomentBounds{}, true)
+		_, st := inc.RangeIDs(q, cfg.Eps, idm, feature.MomentBounds{}, true, &scr, nil)
 		incNodes += st.NodesVisited
-		_, st = bulk.Range(q, cfg.Eps, idm, feature.MomentBounds{}, true)
+		_, st = bulk.RangeIDs(q, cfg.Eps, idm, feature.MomentBounds{}, true, &scr, nil)
 		bulkNodes += st.NodesVisited
 	}
 	return AblationResult{
@@ -318,6 +320,7 @@ func AblationAngularSeam(cfg Config) (AblationResult, error) {
 	}
 
 	missed, total := 0, 0
+	var scr index.Scratch
 	for i := 0; i < count; i += count / (cfg.Queries * 2) {
 		q, err := sc.Extract(walks[i].Values)
 		if err != nil {
@@ -326,18 +329,18 @@ func AblationAngularSeam(cfg Config) (AblationResult, error) {
 		tq := m.ApplyPoint(q)
 		// Seam-aware candidates (reference).
 		ix.SetPlainOverlap(false)
-		ref, _ := ix.Range(tq, 2.0, m, feature.MomentBounds{}, false)
+		ref, _ := ix.RangeIDs(tq, 2.0, m, feature.MomentBounds{}, false, &scr, nil)
 		// Seam-unaware.
 		ix.SetPlainOverlap(true)
-		plain, _ := ix.Range(tq, 2.0, m, feature.MomentBounds{}, false)
+		plain, _ := ix.RangeIDs(tq, 2.0, m, feature.MomentBounds{}, false, &scr, nil)
 		ix.SetPlainOverlap(false)
 		got := map[int64]bool{}
-		for _, c := range plain {
-			got[c.ID] = true
+		for _, id := range plain {
+			got[id] = true
 		}
-		for _, c := range ref {
+		for _, id := range ref {
 			total++
-			if !got[c.ID] {
+			if !got[id] {
 				missed++
 			}
 		}

@@ -150,19 +150,8 @@ func (sc Schema) Point(mean, std float64, coeffs []complex128) geom.Point {
 // Coeffs reconstructs the complex coefficients X_1..X_K from a feature
 // point. It panics if the point does not match the schema dimensionality.
 func (sc Schema) Coeffs(p geom.Point) []complex128 {
-	if len(p) != sc.Dims() {
-		panic(fmt.Sprintf("feature: point has %d dims, schema has %d", len(p), sc.Dims()))
-	}
 	out := make([]complex128, sc.K)
-	off := sc.Skip()
-	for i := 0; i < sc.K; i++ {
-		a, b := p[off+2*i], p[off+2*i+1]
-		if sc.Space == Rect {
-			out[i] = complex(a, b)
-		} else {
-			out[i] = cmplx.Rect(a, b)
-		}
-	}
+	sc.CoeffsInto(p, out)
 	return out
 }
 
@@ -173,21 +162,6 @@ func (sc Schema) MomentsOf(p geom.Point) (mean, std float64) {
 		return 0, 0
 	}
 	return p[0], p[1]
-}
-
-// CoeffDistSq returns the squared Euclidean distance between the complex
-// coefficient vectors of two feature points (the complex-plane distance,
-// regardless of decomposition). Moment dimensions do not contribute: they
-// are index-only metadata, not part of the similarity distance.
-func (sc Schema) CoeffDistSq(a, b geom.Point) float64 {
-	ca := sc.Coeffs(a)
-	cb := sc.Coeffs(b)
-	var s float64
-	for i := range ca {
-		d := ca[i] - cb[i]
-		s += real(d)*real(d) + imag(d)*imag(d)
-	}
-	return s
 }
 
 // MomentBounds optionally constrains the mean/std dimensions of a search
@@ -242,55 +216,4 @@ func (sc Schema) Map(t transform.T) (transform.AffineMap, error) {
 		return transform.RectMap(sliced, sc.Skip(), sc.K)
 	}
 	return transform.PolarMap(sliced, sc.Skip(), sc.K)
-}
-
-// LowerBoundDistSq returns a lower bound on the squared complex-plane
-// coefficient distance between query point q and any feature point inside
-// rectangle r, for nearest-neighbor pruning. In the rectangular space this
-// is plain MINDIST restricted to coefficient dimensions; in the polar space
-// it is the exact point-to-annular-sector distance. Moment dimensions are
-// ignored (they carry no distance semantics).
-func (sc Schema) LowerBoundDistSq(q geom.Point, r geom.Rect) float64 {
-	skip := sc.Skip()
-	if sc.Space == Polar {
-		return transform.PolarMinDistSq(maskMoments(q, skip), maskRect(r, skip), skip)
-	}
-	var s float64
-	for i := skip; i < len(q); i++ {
-		switch {
-		case q[i] < r.Lo[i]:
-			d := r.Lo[i] - q[i]
-			s += d * d
-		case q[i] > r.Hi[i]:
-			d := q[i] - r.Hi[i]
-			s += d * d
-		}
-	}
-	return s
-}
-
-// maskMoments zeroes the moment dimensions of a copy of p so they cannot
-// contribute to distance bounds.
-func maskMoments(p geom.Point, skip int) geom.Point {
-	if skip == 0 {
-		return p
-	}
-	out := p.Clone()
-	for i := 0; i < skip; i++ {
-		out[i] = 0
-	}
-	return out
-}
-
-// maskRect widens the moment dimensions of a copy of r to cover any value.
-func maskRect(r geom.Rect, skip int) geom.Rect {
-	if skip == 0 {
-		return r
-	}
-	out := r.Clone()
-	for i := 0; i < skip; i++ {
-		out.Lo[i] = -math.MaxFloat64
-		out.Hi[i] = math.MaxFloat64
-	}
-	return out
 }

@@ -154,21 +154,20 @@ func TestCoeffDistSqAcrossSpaces(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	rectSc := Schema{Space: Rect, K: 2, Moments: true}
 	polSc := Schema{Space: Polar, K: 2, Moments: true}
+	qc := make([]complex128, 2)
 	for trial := 0; trial < 30; trial++ {
 		c1 := []complex128{complex(r.NormFloat64(), r.NormFloat64()), complex(r.NormFloat64(), r.NormFloat64())}
 		c2 := []complex128{complex(r.NormFloat64(), r.NormFloat64()), complex(r.NormFloat64(), r.NormFloat64())}
-		p1r := rectSc.Point(1, 2, c1)
-		p2r := rectSc.Point(3, 4, c2)
-		p1p := polSc.Point(1, 2, c1)
-		p2p := polSc.Point(3, 4, c2)
-		dr := rectSc.CoeffDistSq(p1r, p2r)
-		dp := polSc.CoeffDistSq(p1p, p2p)
+		rectSc.CoeffsInto(rectSc.Point(3, 4, c2), qc)
+		dr := rectSc.CoeffDistSqFlat(rectSc.Point(1, 2, c1), nil, qc)
+		polSc.CoeffsInto(polSc.Point(3, 4, c2), qc)
+		dp := polSc.CoeffDistSqFlat(cartesian(polSc, polSc.Point(1, 2, c1)), nil, qc)
 		if math.Abs(dr-dp) > 1e-9*(1+dr) {
 			t.Fatalf("distances differ across spaces: %v vs %v", dr, dp)
 		}
 		// Moments must not contribute.
-		p3r := rectSc.Point(100, 200, c2)
-		if d := rectSc.CoeffDistSq(p2r, p3r); d != 0 {
+		rectSc.CoeffsInto(rectSc.Point(3, 4, c2), qc)
+		if d := rectSc.CoeffDistSqFlat(rectSc.Point(100, 200, c2), nil, qc); d != 0 {
 			t.Fatalf("moment dims leaked into distance: %v", d)
 		}
 	}
@@ -195,7 +194,7 @@ func TestSearchRectContainsEpsBall(t *testing.T) {
 		eps := d * (1 + r.Float64()) // any eps >= d must admit x
 		qr, _ := rectSc.Extract(q)
 		xr, _ := rectSc.Extract(x)
-		if rect := rectSc.SearchRect(qr, eps, MomentBounds{}); !rect.ContainsPoint(xr) {
+		if rect := rectSc.SearchRect(qr, eps, MomentBounds{}); !geom.ContainsPointMixed(rect, xr, nil) {
 			t.Fatalf("trial %d: S_rect search rectangle missed a true answer (d=%g eps=%g)", trial, d, eps)
 		}
 		qp, _ := polSc.Extract(q)
@@ -321,7 +320,7 @@ func TestLowerBoundDistSqRect(t *testing.T) {
 	q := sc.Point(0, 0, []complex128{complex(5, 5)})
 	r := geom.NewRect(geom.Point{-100, -100, 0, 0}, geom.Point{100, 100, 1, 1})
 	// Nearest coefficient corner is (1, 1): distance^2 = 16+16.
-	if d := sc.LowerBoundDistSq(q, r); math.Abs(d-32) > 1e-9 {
+	if d := sc.LowerBoundDistSqFlat(q, r.Lo, r.Hi); math.Abs(d-32) > 1e-9 {
 		t.Fatalf("lower bound = %v, want 32", d)
 	}
 }
@@ -346,9 +345,11 @@ func TestLowerBoundIsLowerBoundProperty(t *testing.T) {
 				lo[i] -= r.Float64()
 				hi[i] += r.Float64()
 			}
-			rect := geom.Rect{Lo: lo, Hi: hi}
-			bound := sc.LowerBoundDistSq(q, rect)
-			exact := sc.CoeffDistSq(q, p)
+			bound := sc.LowerBoundDistSqFlat(q, lo, hi)
+			var exact float64
+			for i := range qc {
+				exact += real(qc[i]-pc[i])*real(qc[i]-pc[i]) + imag(qc[i]-pc[i])*imag(qc[i]-pc[i])
+			}
 			if bound > exact+1e-9 {
 				t.Fatalf("space %v trial %d: bound %v > exact %v", sc.Space, trial, bound, exact)
 			}

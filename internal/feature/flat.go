@@ -8,15 +8,13 @@ import (
 	"repro/internal/transform"
 )
 
-// This file is the batch/zero-allocation form of the feature-space
-// geometry: the same arithmetic as Coeffs/CoeffDistSq/LowerBoundDistSq/
-// SearchRect, restated over caller-supplied buffers and flat slab views so
-// the hot query path never allocates. Every function here is bit-identical
-// to its allocating counterpart (the flat parity tests pin this).
+// This file is the feature-space geometry the index traversals run on:
+// coefficient distances, rectangle lower bounds and search rectangles over
+// caller-supplied buffers and views of the tree's columns, so the hot query
+// path never allocates.
 
 // CoeffsInto reconstructs the complex coefficients X_1..X_K from a feature
-// point into out, which must have length K. It is Coeffs without the
-// allocation.
+// point into out, which must have length K.
 func (sc Schema) CoeffsInto(p []float64, out []complex128) {
 	if len(p) != sc.Dims() {
 		panic(fmt.Sprintf("feature: point has %d dims, schema has %d", len(p), sc.Dims()))
@@ -30,7 +28,6 @@ func (sc Schema) CoeffsInto(p []float64, out []complex128) {
 		if sc.Space == Rect {
 			out[i] = complex(a, b)
 		} else {
-			// cmplx.Rect(a, b) inlined: same Sincos, same products.
 			out[i] = complex(geom.PolarToRect(a, b))
 		}
 	}
@@ -48,8 +45,10 @@ func (sc Schema) PolarActionInto(C, D []float64, out []complex128) {
 }
 
 // CoeffDistSqFlat returns the squared complex-plane coefficient distance
-// between a leaf point, as the flat traversals hold it, and precomputed
-// query coefficients qc (CoeffsInto of the query).
+// between a leaf point, as the traversals hold it, and precomputed query
+// coefficients qc (CoeffsInto of the query). Moment dimensions do not
+// contribute: they are index-only metadata, not part of the similarity
+// distance.
 //
 // In S_rect pt is the slab view of the (already transformed) point and act
 // is not used. In S_pol pt is the untransformed point's Cartesian image —
@@ -57,9 +56,8 @@ func (sc Schema) PolarActionInto(C, D []float64, out []complex128) {
 // — and act the traversal map's action per coefficient (PolarActionInto),
 // nil under the identity: the sum is over |act_i*X_i - Q_i|^2, one complex
 // multiplication per coefficient where mapping the polar point and turning
-// it back would take a sine and a cosine. Under the identity the result is
-// bit-identical to CoeffDistSq over the corresponding points (the image
-// holds exactly the products Coeffs forms); under a map it agrees to
+// it back would take a sine and a cosine. Under the identity the image holds
+// exactly the products CoeffsInto forms; under a map the two routes agree to
 // rounding, a few ulps.
 func (sc Schema) CoeffDistSqFlat(pt []float64, act, qc []complex128) float64 {
 	var s float64
@@ -85,47 +83,34 @@ func (sc Schema) CoeffDistSqFlat(pt []float64, act, qc []complex128) float64 {
 	return s
 }
 
-// LowerBoundDistSqFlat is LowerBoundDistSq over slab corner views: a lower
-// bound on the squared coefficient distance from query point q to any
-// feature point inside the rectangle [lo, hi]. Moment dimensions are
-// skipped rather than masked — arithmetically identical, since masked
-// dimensions contribute exactly zero in LowerBoundDistSq (the query is
-// zeroed inside an all-covering interval).
+// LowerBoundDistSqFlat returns a lower bound on the squared complex-plane
+// coefficient distance between query point q and any feature point inside
+// the rectangle with corners lo and hi, for nearest-neighbor pruning. In the
+// rectangular space this is plain MINDIST restricted to coefficient
+// dimensions; in the polar space it is the exact point-to-annular-sector
+// distance. Moment dimensions are skipped (they carry no distance
+// semantics).
 func (sc Schema) LowerBoundDistSqFlat(q, lo, hi []float64) float64 {
 	skip := sc.Skip()
 	if sc.Space == Polar {
 		return transform.PolarCoeffMinDistSq(q, lo, hi, skip)
 	}
 	var s float64
-	i := skip
-	// 4-wide unrolled MINDIST with one accumulator in index order —
-	// bit-identical to the per-dimension loop.
-	for ; i+3 < len(q); i += 4 {
-		s += mindistTerm(q[i], lo[i], hi[i])
-		s += mindistTerm(q[i+1], lo[i+1], hi[i+1])
-		s += mindistTerm(q[i+2], lo[i+2], hi[i+2])
-		s += mindistTerm(q[i+3], lo[i+3], hi[i+3])
-	}
-	for ; i < len(q); i++ {
-		s += mindistTerm(q[i], lo[i], hi[i])
+	for i := skip; i < len(q); i++ {
+		switch {
+		case q[i] < lo[i]:
+			d := lo[i] - q[i]
+			s += d * d
+		case q[i] > hi[i]:
+			d := q[i] - hi[i]
+			s += d * d
+		}
 	}
 	return s
 }
 
-func mindistTerm(q, lo, hi float64) float64 {
-	switch {
-	case q < lo:
-		d := lo - q
-		return d * d
-	case q > hi:
-		d := q - hi
-		return d * d
-	}
-	return 0
-}
-
 // SearchRectInto is SearchRect writing into caller-supplied corner buffers
-// (each of length Dims()) instead of allocating a rectangle.
+// (each of length Dims()).
 func (sc Schema) SearchRectInto(q geom.Point, eps float64, mb MomentBounds, lo, hi []float64) {
 	if len(q) != sc.Dims() {
 		panic(fmt.Sprintf("feature: query point has %d dims, schema has %d", len(q), sc.Dims()))

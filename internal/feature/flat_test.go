@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -9,11 +10,12 @@ import (
 	"repro/internal/transform"
 )
 
-// The flat kernels must be bit-identical to their allocating counterparts:
-// every parity check below compares with ==, not a tolerance — except the
-// polar leaf-point distance under a transformation, which multiplies a
-// complex number where the allocating form takes the sine and cosine of a
-// shifted angle, and is held to a few ulps instead (see there).
+// The geometry the traversals run on, held to complex arithmetic written out
+// here: points are built from known coefficient vectors, and what the
+// kernels return is compared with what those vectors say — exactly in
+// S_rect, where a point holds its coefficients' parts verbatim, and to
+// 1e-12 of the magnitudes in S_pol, where a coefficient goes through
+// (magnitude, angle) and back.
 
 // cartesian is the image of p's coefficients a polar index leaf keeps.
 func cartesian(sc Schema, p geom.Point) []float64 {
@@ -46,22 +48,55 @@ func schemasUnderTest() []Schema {
 		{Space: Rect, K: 2, Moments: true},
 		{Space: Polar, K: 3, Moments: false},
 		{Space: Rect, K: 1, Moments: false},
-		{Space: Rect, K: 5, Moments: true}, // coefficient dims not a multiple of 4: remainder path
+		{Space: Rect, K: 5, Moments: true},
 		{Space: Polar, K: 4, Moments: true},
 	}
+}
+
+// randCoeffs draws K complex coefficients.
+func randCoeffs(rng *rand.Rand, k int) []complex128 {
+	out := make([]complex128, k)
+	for i := range out {
+		out[i] = complex(rng.NormFloat64()*3, rng.NormFloat64()*3)
+	}
+	return out
+}
+
+// leafForm is a point as a leaf hands it to CoeffDistSqFlat: the point
+// itself in S_rect, its Cartesian image in S_pol.
+func leafForm(sc Schema, p geom.Point) []float64 {
+	if sc.Space == Polar {
+		return cartesian(sc, p)
+	}
+	return p
+}
+
+// magnitudes is the sum of |c|^2 over the given vectors: the scale rounding
+// errors are measured against.
+func magnitudes(vs ...[]complex128) float64 {
+	var s float64
+	for _, v := range vs {
+		for _, c := range v {
+			s += real(c)*real(c) + imag(c)*imag(c)
+		}
+	}
+	return s
 }
 
 func TestCoeffsIntoParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, sc := range schemasUnderTest() {
 		for trial := 0; trial < 200; trial++ {
-			p := randPoint(rng, sc)
-			want := sc.Coeffs(p)
+			want := randCoeffs(rng, sc.K)
+			p := sc.Point(rng.NormFloat64(), rng.Float64(), want)
 			got := make([]complex128, sc.K)
 			sc.CoeffsInto(p, got)
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v: CoeffsInto[%d] = %v, Coeffs = %v", sc, i, got[i], want[i])
+				if sc.Space == Rect && got[i] != want[i] || cmplx.Abs(got[i]-want[i]) > 1e-12*(1+cmplx.Abs(want[i])) {
+					t.Fatalf("%v: CoeffsInto[%d] = %v, the point was built from %v", sc, i, got[i], want[i])
+				}
+				if c := sc.Coeffs(p)[i]; c != got[i] {
+					t.Fatalf("%v: Coeffs[%d] = %v, CoeffsInto %v", sc, i, c, got[i])
 				}
 			}
 		}
@@ -73,31 +108,32 @@ func TestCoeffDistSqFlatParity(t *testing.T) {
 	for _, sc := range schemasUnderTest() {
 		qc := make([]complex128, sc.K)
 		for trial := 0; trial < 200; trial++ {
-			q := randPoint(rng, sc)
-			p := randPoint(rng, sc)
-			sc.CoeffsInto(q, qc)
-			want := sc.CoeffDistSq(p, q)
-			pt := []float64(p)
-			if sc.Space == Polar {
-				pt = cartesian(sc, p)
+			X, Q := randCoeffs(rng, sc.K), randCoeffs(rng, sc.K)
+			var want float64
+			for i := range X {
+				d := X[i] - Q[i]
+				want += real(d)*real(d) + imag(d)*imag(d)
 			}
-			got := sc.CoeffDistSqFlat(pt, nil, qc)
-			if got != want {
-				t.Fatalf("%v: CoeffDistSqFlat = %v, CoeffDistSq = %v", sc, got, want)
+			// The moments differ wildly and must not count.
+			p := sc.Point(rng.NormFloat64()*100, rng.Float64()*100, X)
+			q := sc.Point(rng.NormFloat64()*100, rng.Float64()*100, Q)
+			sc.CoeffsInto(q, qc)
+			got := sc.CoeffDistSqFlat(leafForm(sc, p), nil, qc)
+			if sc.Space == Rect && got != want || math.Abs(got-want) > 1e-12*magnitudes(X, Q) {
+				t.Fatalf("%v: CoeffDistSqFlat = %v, sum |X - Q|^2 = %v", sc, got, want)
 			}
 		}
 	}
 }
 
-// TestCoeffDistSqFlatMappedParity pins the transformed-point path against
-// CoeffDistSq over AffineMap.ApplyPoint of the raw point. In S_rect the
-// flat kernel reads the slab-transformed point and the two are the same
-// arithmetic: exact. In S_pol the flat kernel multiplies the point's
-// Cartesian image by the map's complex action, where ApplyPoint scales the
-// magnitude, shifts and renormalizes the angle, and Coeffs takes its sine
-// and cosine: the same complex number by two routes, each a few roundings
-// long, so the squared distances agree to 1e-12 of the magnitudes involved
-// and no closer.
+// TestCoeffDistSqFlatMappedParity holds the transformed-point path to the
+// transformation itself: sum |a_i*X_i + b_i - Q_i|^2 in complex arithmetic,
+// against the schema's map (Theorem 2 or 3) applied the way the traversal
+// applies it — c*x + d per dimension of the point in S_rect, which is the
+// same arithmetic and so exact; one complex multiplication of the point's
+// Cartesian image by the map's action in S_pol, which reaches the same
+// number through a magnitude, an angle, a sine and a cosine, a few
+// roundings long: 1e-12 of the magnitudes involved and no closer.
 func TestCoeffDistSqFlatMappedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, sc := range []Schema{
@@ -114,8 +150,9 @@ func TestCoeffDistSqFlatMappedParity(t *testing.T) {
 				// S_pol safety (Theorem 3): zero translation, any stretch.
 				tr.A[i] = complex(1+rng.Float64(), rng.NormFloat64()*4)
 			} else {
-				// S_rect safety (Theorem 2): real stretch, any translation.
-				tr.A[i] = complex(1+rng.Float64(), 0)
+				// S_rect safety (Theorem 2): real stretch of either sign,
+				// any translation.
+				tr.A[i] = complex((1+rng.Float64())*float64(1-2*(i%2)), 0)
 				tr.B[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
 		}
@@ -124,38 +161,42 @@ func TestCoeffDistSqFlatMappedParity(t *testing.T) {
 			t.Fatalf("%v: Map: %v", sc, err)
 		}
 		qc := make([]complex128, sc.K)
-		act := make([]complex128, sc.K)
-		for trial := 0; trial < 200; trial++ {
-			q := randPoint(rng, sc)
-			p := randPoint(rng, sc)
-			sc.CoeffsInto(q, qc)
-			tp := m.ApplyPoint(p)
-			want := sc.CoeffDistSq(tp, q)
-			if sc.Space == Rect {
-				// Slab transform of a degenerate rectangle: c*x + d per dim
-				// (what rtree.transformSlab produces).
-				slab := make([]float64, len(p))
-				for i := range p {
-					slab[i] = m.C[i]*p[i] + m.D[i]
-				}
-				if got := sc.CoeffDistSqFlat(slab, nil, qc); got != want {
-					t.Fatalf("%v: mapped CoeffDistSqFlat = %v, CoeffDistSq(ApplyPoint) = %v", sc, got, want)
-				}
-				continue
-			}
+		var act []complex128
+		if sc.Space == Polar {
+			act = make([]complex128, sc.K)
 			sc.PolarActionInto(m.C, m.D, act)
-			got := sc.CoeffDistSqFlat(cartesian(sc, p), act, qc)
-			var scale float64
-			for _, c := range append(sc.Coeffs(tp), qc...) {
-				scale += real(c)*real(c) + imag(c)*imag(c)
+		}
+		for trial := 0; trial < 200; trial++ {
+			X, Q := randCoeffs(rng, sc.K), randCoeffs(rng, sc.K)
+			TX := make([]complex128, sc.K)
+			var want float64
+			for i := range X {
+				TX[i] = tr.A[i+1]*X[i] + tr.B[i+1] // the point drops X_0
+				d := TX[i] - Q[i]
+				want += real(d)*real(d) + imag(d)*imag(d)
 			}
-			if math.Abs(got-want) > 1e-12*scale {
-				t.Fatalf("%v: mapped CoeffDistSqFlat = %v, CoeffDistSq(ApplyPoint) = %v (scale %v)", sc, got, want, scale)
+			p := sc.Point(rng.NormFloat64(), rng.Float64(), X)
+			sc.CoeffsInto(sc.Point(0, 0, Q), qc)
+			pt := leafForm(sc, p)
+			if sc.Space == Rect {
+				// What rtree.transformSlab hands the visitor.
+				pt = make([]float64, len(p))
+				for i := range p {
+					pt[i] = m.C[i]*p[i] + m.D[i]
+				}
+			}
+			got := sc.CoeffDistSqFlat(pt, act, qc)
+			if math.Abs(got-want) > 1e-12*magnitudes(TX, Q) {
+				t.Fatalf("%v: mapped CoeffDistSqFlat = %v, sum |a*X + b - Q|^2 = %v", sc, got, want)
 			}
 		}
 	}
 }
 
+// TestLowerBoundDistSqFlatParity: in S_rect the bound is MINDIST over the
+// coefficient dimensions, written out here and owed to the bit; in S_pol it
+// is the distance to the nearest point of the annular sectors, found here by
+// sampling them densely in the complex plane.
 func TestLowerBoundDistSqFlatParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for _, sc := range schemasUnderTest() {
@@ -168,11 +209,40 @@ func TestLowerBoundDistSqFlatParity(t *testing.T) {
 			for i := range lo {
 				lo[i], hi[i] = math.Min(a[i], b[i]), math.Max(a[i], b[i])
 			}
-			r := geom.Rect{Lo: lo, Hi: hi}
-			want := sc.LowerBoundDistSq(q, r)
 			got := sc.LowerBoundDistSqFlat(q, lo, hi)
-			if got != want {
-				t.Fatalf("%v: LowerBoundDistSqFlat = %v, LowerBoundDistSq = %v", sc, got, want)
+			if sc.Space == Rect {
+				var want float64
+				for i := sc.Skip(); i < sc.Dims(); i++ {
+					if d := math.Max(lo[i]-q[i], q[i]-hi[i]); d > 0 {
+						want += d * d
+					}
+				}
+				if got != want {
+					t.Fatalf("%v: LowerBoundDistSqFlat = %v, MINDIST^2 = %v", sc, got, want)
+				}
+				continue
+			}
+			if trial%10 != 0 {
+				continue // sampling is the slow part
+			}
+			var want float64
+			const steps = 60
+			for i := sc.Skip(); i < sc.Dims(); i += 2 {
+				qx := cmplx.Rect(q[i], q[i+1])
+				best := math.Inf(1)
+				for u := 0; u <= steps; u++ {
+					for v := 0; v <= steps; v++ {
+						m := lo[i] + (hi[i]-lo[i])*float64(u)/steps
+						ang := lo[i+1] + (hi[i+1]-lo[i+1])*float64(v)/steps
+						best = math.Min(best, cmplx.Abs(qx-cmplx.Rect(m, ang)))
+					}
+				}
+				want += best * best
+			}
+			// The sampled minimum overshoots the true one by at most a grid
+			// cell's reach (here well under 0.6).
+			if got > want+1e-9 || got < want-0.6*(1+math.Sqrt(want)) {
+				t.Fatalf("%v: LowerBoundDistSqFlat = %v, sampled sector distance^2 = %v", sc, got, want)
 			}
 		}
 	}

@@ -1,9 +1,8 @@
 // Package geom provides the n-dimensional point and rectangle machinery
 // underlying the R*-tree and the feature spaces of the reproduction of
-// Rafiei & Mendelzon (SIGMOD 1997): minimum bounding rectangles, the
-// MINDIST and MINMAXDIST metrics of Roussopoulos et al. (RKV95) used for
-// nearest-neighbor pruning, and angular (wrap-around) interval overlap for
-// the polar feature space S_pol of the paper's Section 3.1.
+// Rafiei & Mendelzon (SIGMOD 1997): minimum bounding rectangles and angular
+// (wrap-around) interval overlap for the polar feature space S_pol of the
+// paper's Section 3.1.
 package geom
 
 import (
@@ -140,19 +139,6 @@ func (r Rect) Contains(o Rect) bool {
 	return true
 }
 
-// ContainsPoint reports whether p lies inside r (boundary inclusive).
-func (r Rect) ContainsPoint(p Point) bool {
-	if r.Dims() != len(p) {
-		return false
-	}
-	for i := range p {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether r and o overlap (boundary touch counts).
 func (r Rect) Intersects(o Rect) bool {
 	if r.Dims() != o.Dims() {
@@ -229,11 +215,6 @@ func (r Rect) OverlapArea(o Rect) float64 {
 	return a
 }
 
-// Enlargement returns the increase in area needed for r to cover o.
-func (r Rect) Enlargement(o Rect) float64 {
-	return r.Union(o).Area() - r.Area()
-}
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	c := make(Point, r.Dims())
@@ -241,19 +222,6 @@ func (r Rect) Center() Point {
 		c[i] = (r.Lo[i] + r.Hi[i]) / 2
 	}
 	return c
-}
-
-// Expand returns r grown by eps in every direction of every dimension: the
-// minimum bounding rectangle of the eps-ball around each point of r in the
-// L-infinity sense. Expanding a point rectangle by eps yields the search
-// rectangle of the paper's Section 3.1 for the rectangular space S_rect.
-func (r Rect) Expand(eps float64) Rect {
-	out := r.Clone()
-	for i := range out.Lo {
-		out.Lo[i] -= eps
-		out.Hi[i] += eps
-	}
-	return out
 }
 
 func (r Rect) String() string {

@@ -2,6 +2,10 @@ package geom
 
 import "math"
 
+// Reference geometry no traversal calls any more — the MINDIST and
+// MINMAXDIST metrics of Roussopoulos et al. (RKV95) as written in the paper,
+// and three rectangle helpers — kept beside the suite that specifies them.
+
 // MinDistSq returns MINDIST^2(p, r) of Roussopoulos, Kelley & Vincent
 // (SIGMOD 1995): the squared Euclidean distance from point p to the nearest
 // point of rectangle r. It is zero when p lies inside r. MINDIST is a lower
@@ -76,4 +80,35 @@ func MinMaxDistSq(p Point, r Rect) float64 {
 // MinMaxDist returns MINMAXDIST(p, r). See MinMaxDistSq.
 func MinMaxDist(p Point, r Rect) float64 {
 	return math.Sqrt(MinMaxDistSq(p, r))
+}
+
+// ContainsPoint reports whether p lies inside r (boundary inclusive).
+func (r Rect) ContainsPoint(p Point) bool {
+	if r.Dims() != len(p) {
+		return false
+	}
+	for i := range p {
+		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Enlargement returns the increase in area needed for r to cover o.
+func (r Rect) Enlargement(o Rect) float64 {
+	return r.Union(o).Area() - r.Area()
+}
+
+// Expand returns r grown by eps in every direction of every dimension: the
+// minimum bounding rectangle of the eps-ball around each point of r in the
+// L-infinity sense. Expanding a point rectangle by eps yields the search
+// rectangle of the paper's Section 3.1 for the rectangular space S_rect.
+func (r Rect) Expand(eps float64) Rect {
+	out := r.Clone()
+	for i := range out.Lo {
+		out.Lo[i] -= eps
+		out.Hi[i] += eps
+	}
+	return out
 }

@@ -1,36 +1,22 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/feature"
+	"repro/internal/geom"
 	"repro/internal/series"
 	"repro/internal/transform"
 )
 
-// The batch index search must be bit-identical to the per-entry search:
-// same candidate IDs in the same order, same traversal stats, same partial
-// distances on the NN path — everywhere but under a transformation in
-// S_pol, where the batch search reads leaf points from their Cartesian
-// images (one complex multiplication) and the per-entry search maps the
-// polar point and takes its sine and cosine. Those partial distances agree
-// to rounding, pinned here at 1e-12 relative; order may differ only between
-// items whose distances tie that closely.
-
-// exactMap reports whether the batch search owes bit-identity under m.
-func exactMap(sc feature.Schema, m transform.AffineMap) bool {
-	if sc.Space == feature.Rect {
-		return true
-	}
-	for i := range m.C {
-		if m.C[i] != 1 || m.D[i] != 0 {
-			return false
-		}
-	}
-	return true // the identity, forced or not: multiplying by (1, 0) is exact
-}
+// The index search against a linear scan of the feature points: the exact
+// candidate set of the filter, and the exact order of the nearest-neighbor
+// walk, under the identity, a transformation safe in the schema's space, and
+// the identity forced down the transformation path.
 
 func flatParityMaps(t *testing.T, sc feature.Schema, n int) []transform.AffineMap {
 	t.Helper()
@@ -50,6 +36,11 @@ func flatParityMaps(t *testing.T, sc feature.Schema, n int) []transform.AffineMa
 	return []transform.AffineMap{identity, mavg, forced}
 }
 
+// TestRangeIDsParity: RangeIDs returns exactly the points whose mapped
+// image lies in the search rectangle — angles compared around the circle,
+// or as plain intervals under SetPlainOverlap — and, when pruning, whose
+// partial distance is within eps; and the forced identity costs the plain
+// search's node accesses (Figure 8/9's premise).
 func TestRangeIDsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	n := 64
@@ -62,9 +53,13 @@ func TestRangeIDsParity(t *testing.T) {
 		{Space: feature.Rect, K: 2, Moments: true},
 	} {
 		ix := buildIndex(t, sc, data)
+		points := make([]geom.Point, len(data))
+		for i, s := range data {
+			points[i], _ = sc.Extract(s)
+		}
 		for _, plain := range []bool{false, true} {
 			ix.SetPlainOverlap(plain)
-			for _, m := range flatParityMaps(t, sc, n) {
+			for mi, m := range flatParityMaps(t, sc, n) {
 				var scr Scratch
 				var ids []int64
 				for trial := 0; trial < 10; trial++ {
@@ -74,19 +69,40 @@ func TestRangeIDsParity(t *testing.T) {
 					}
 					eps := rng.Float64() * 8
 					prune := trial%2 == 0
-					want, wantSt := ix.Range(q, eps, m, feature.MomentBounds{}, prune)
-					ids, _ = ids[:0], wantSt
-					got, gotSt := ix.RangeIDs(q, eps, m, feature.MomentBounds{}, prune, &scr, ids)
+					got, st := ix.RangeIDs(q, eps, m, feature.MomentBounds{}, prune, &scr, ids[:0])
 					ids = got
-					if gotSt != wantSt {
-						t.Fatalf("stats %+v, want %+v", gotSt, wantSt)
+					in := map[int64]bool{}
+					for _, id := range got {
+						in[id] = true
 					}
-					if len(got) != len(want) {
-						t.Fatalf("%d ids, want %d", len(got), len(want))
+					if len(in) != len(got) {
+						t.Fatalf("%v map %d: an id came back twice", sc, mi)
 					}
-					for i := range want {
-						if got[i] != want[i].ID {
-							t.Fatalf("id[%d] = %d, want %d", i, got[i], want[i].ID)
+					rect := sc.SearchRect(q, eps, feature.MomentBounds{})
+					angular := sc.Angular()
+					if plain {
+						angular = nil
+					}
+					for i, p := range points {
+						tp := p
+						if !m.Identity() {
+							// No renormalization: the traversal compares the
+							// shifted angle as it stands.
+							tp = m.ApplyRect(geom.PointRect(p)).Lo
+						}
+						partial := coeffDistSq(sc, tp, q)
+						if prune && math.Abs(partial-eps*eps) < 1e-9*eps*eps {
+							continue // on the prune line, to rounding
+						}
+						want := geom.ContainsPointMixed(rect, tp, angular) && (!prune || partial <= eps*eps)
+						if want != in[int64(i)] {
+							t.Fatalf("%v plain=%t map %d eps=%v prune=%t: id %d returned %t, the scan says %t", sc, plain, mi, eps, prune, i, in[int64(i)], want)
+						}
+					}
+					if m.Force {
+						same, plainSt := rangeIDs(ix, q, eps, transform.IdentityMap(sc.Dims(), sc.Angular()), feature.MomentBounds{}, prune)
+						if plainSt != st || fmt.Sprint(same) != fmt.Sprint(got) {
+							t.Fatalf("%v: the forced identity found %v (%+v), the plain search %v (%+v)", sc, got, st, same, plainSt)
 						}
 					}
 				}
@@ -108,6 +124,12 @@ func (r *nearRecorder) VisitNear(id int64, distSq float64) bool {
 	return len(r.ids) < r.limit
 }
 
+// TestNearestIDsParity: NearestIDs hands over the k smallest partial
+// distances of the scan, in order — exactly where the traversal and the scan
+// do the same arithmetic (S_rect, and the identity anywhere), and to 1e-12
+// under a transformation in S_pol, where the traversal multiplies a leaf
+// point's Cartesian image by the map's action and the scan maps the polar
+// point and takes its sine and cosine.
 func TestNearestIDsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	n := 64
@@ -120,43 +142,43 @@ func TestNearestIDsParity(t *testing.T) {
 		{Space: feature.Rect, K: 2, Moments: true},
 	} {
 		ix := buildIndex(t, sc, data)
+		points := make([]geom.Point, len(data))
+		for i, s := range data {
+			points[i], _ = sc.Extract(s)
+		}
 		for _, m := range flatParityMaps(t, sc, n) {
-			var scr Scratch
+			exact := sc.Space == feature.Rect || m.Identity() || m.Force
 			for trial := 0; trial < 10; trial++ {
 				q, err := sc.Extract(series.NormalForm(data[rng.Intn(len(data))]))
 				if err != nil {
 					t.Fatal(err)
 				}
 				k := 1 + rng.Intn(20)
-				var wantIDs []int64
-				var wantDists []float64
-				ix.NearestFunc(q, m, func(c Candidate) bool {
-					wantIDs = append(wantIDs, c.ID)
-					wantDists = append(wantDists, c.PartialDistSq)
-					return len(wantIDs) < k
-				})
-				rec := nearRecorder{limit: k}
-				ix.NearestIDs(q, m, &scr, &rec)
-				if len(rec.ids) != len(wantIDs) {
-					t.Fatalf("%d items, want %d", len(rec.ids), len(wantIDs))
-				}
-				exact := exactMap(sc, m)
-				near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(a, b) }
-				for i := range wantIDs {
-					switch {
-					case exact && (rec.ids[i] != wantIDs[i] || rec.dists[i] != wantDists[i]),
-						!near(rec.dists[i], wantDists[i]):
-						t.Fatalf("item %d: (%d, %v), want (%d, %v)",
-							i, rec.ids[i], rec.dists[i], wantIDs[i], wantDists[i])
-					case rec.ids[i] != wantIDs[i]:
-						// Allowed only as a swap inside a run of tied distances.
-						tied := (i > 0 && near(wantDists[i-1], wantDists[i])) ||
-							(i+1 < len(wantDists) && near(wantDists[i], wantDists[i+1])) ||
-							i+1 == len(wantDists) // the tie partner fell past the cut
-						if !tied {
-							t.Fatalf("item %d: id %d, want %d, with no tie at distance %v", i, rec.ids[i], wantIDs[i], wantDists[i])
-						}
+				partial := func(id int64) float64 {
+					if m.Identity() || m.Force {
+						return coeffDistSq(sc, points[id], q)
 					}
+					return coeffDistSq(sc, m.ApplyPoint(points[id]), q)
+				}
+				all := make([]float64, len(points))
+				for i := range points {
+					all[i] = partial(int64(i))
+				}
+				sort.Float64s(all)
+				ids, dists := nearestK(ix, q, m, k)
+				if len(ids) != k {
+					t.Fatalf("%d items, want %d", len(ids), k)
+				}
+				seen := map[int64]bool{}
+				for i, id := range ids {
+					tol := 0.0
+					if !exact {
+						tol = 1e-12 * (1 + all[i])
+					}
+					if math.Abs(dists[i]-all[i]) > tol || math.Abs(partial(id)-dists[i]) > tol || seen[id] {
+						t.Fatalf("%v item %d: (%d, %v); the scan's distance is %v, the point's %v", sc, i, id, dists[i], all[i], partial(id))
+					}
+					seen[id] = true
 				}
 			}
 		}

@@ -141,104 +141,163 @@ func (ix *KIndex) Update(id int64, old, new geom.Point) (inPlace, found bool) {
 	return ix.tree.Update(geom.PointRect(old), geom.PointRect(new), id)
 }
 
-// Candidate is one index hit from the filter phase of Algorithm 2: a stored
-// feature point whose transformed image falls in the query's search
-// rectangle, together with the (squared) partial distance computed from the
-// k retained coefficients. PartialDistSq lower-bounds the true full-series
-// distance (Parseval), so candidates with PartialDistSq > eps^2 are pruned
-// before any record fetch.
-type Candidate struct {
-	ID            int64
-	Point         geom.Point
-	Transformed   geom.Point
-	PartialDistSq float64
+// The read path — the filter phase of the paper's Algorithm 2 — is RangeIDs
+// and NearestIDs: the R*-tree's two traversals under the affine action of a
+// safe transformation, with caller-owned scratch so a steady-state query
+// allocates nothing. In S_pol a leaf point's partial distance comes from its
+// Cartesian image and one complex multiplication per coefficient; mapping
+// the polar point and taking its sine and cosine gives the same number to
+// rounding (a few ulps).
+
+// Scratch is the reusable working memory of one batch index search: the
+// tree traversal scratch plus the query-side buffers (search-rectangle
+// corners and reconstructed query coefficients) and the embedded visitor
+// and kernel state, so interface conversions at the rtree boundary never
+// allocate. A Scratch may be reused across queries, never concurrently.
+type Scratch struct {
+	tree     rtree.Scratch
+	qc, act  []complex128
+	qlo, qhi []float64
+	rc       rangeCollector
+	kern     nnKernel
 }
 
-// overlap returns the schema-appropriate rectangle intersection predicate:
-// plain intersection in S_rect, seam-aware modulo-2*pi intersection on the
-// phase-angle dimensions in S_pol.
-func (ix *KIndex) overlap() rtree.Overlap {
-	if ix.angular == nil || ix.plainOverlap {
-		return nil
+// rangeCollector is the FlatVisitor of a range search: it applies the
+// partial-distance prune and collects surviving IDs.
+type rangeCollector struct {
+	schema  feature.Schema
+	act, qc []complex128
+	limit   float64 // epsSq * (1 + 1e-12), the prune threshold
+	prune   bool
+	ids     []int64
+}
+
+func (rc *rangeCollector) VisitFlat(id int64, tlo, thi, cart []float64) bool {
+	if rc.prune && rc.schema.CoeffDistSqFlat(leafPoint(rc.schema, tlo, cart), rc.act, rc.qc) > rc.limit {
+		return true
 	}
-	ang := ix.angular
-	return func(tr, q geom.Rect) bool { return geom.IntersectsMixed(tr, q, ang) }
+	rc.ids = append(rc.ids, id)
+	return true
 }
 
-// Range runs the filter phase of the paper's Algorithm 2: traverse the
+// leafPoint picks the form of a leaf point CoeffDistSqFlat reads in the
+// schema's space: the transformed slab view in S_rect, the Cartesian image
+// in S_pol.
+func leafPoint(schema feature.Schema, tlo, cart []float64) []float64 {
+	if schema.Space == feature.Polar {
+		return cart
+	}
+	return tlo
+}
+
+// nnKernel supplies the feature-space geometry of a nearest-neighbor
+// traversal: LowerBoundDistSqFlat over transformed child rectangles and
+// CoeffDistSqFlat over leaf points (the leaves of a polar index hand over
+// their Cartesian blocks; see rtree.FlatNNKernel).
+type nnKernel struct {
+	schema  feature.Schema
+	q       []float64
+	act, qc []complex128
+}
+
+func (k *nnKernel) LowerBatch(lo, hi []float64, count, dims int, out []float64) {
+	for e := 0; e < count; e++ {
+		off := e * dims
+		out[e] = k.schema.LowerBoundDistSqFlat(k.q, lo[off:off+dims], hi[off:off+dims])
+	}
+}
+
+func (k *nnKernel) PointBatch(pts []float64, count, stride int, out []float64) {
+	for e := 0; e < count; e++ {
+		off := e * stride
+		out[e] = k.schema.CoeffDistSqFlat(pts[off:off+stride], k.act, k.qc)
+	}
+}
+
+// flatMap builds the tree-level affine action for m, attaching the angular
+// flags — in S_pol the phase-angle dimensions overlap modulo 2*pi, unless
+// the seam ablation switched that off. In S_pol it also returns m's action
+// per complex coefficient, which is what a leaf point is mapped by, formed
+// here once per query (nil under the identity).
+func (ix *KIndex) flatMap(m transform.AffineMap, sc *Scratch) (fm rtree.FlatMap, act []complex128) {
+	fm = rtree.FlatMap{C: m.C, D: m.D, Identity: m.Identity()}
+	if ix.angular != nil && !ix.plainOverlap {
+		fm.Angular = ix.angular
+	}
+	if ix.schema.Space == feature.Polar && !fm.Identity {
+		if cap(sc.act) < ix.schema.K {
+			sc.act = make([]complex128, ix.schema.K)
+		}
+		act = sc.act[:ix.schema.K]
+		ix.schema.PolarActionInto(m.C, m.D, act)
+	}
+	return fm, act
+}
+
+// RangeIDs runs the filter phase of the paper's Algorithm 2: traverse the
 // index applying m (the affine action of a safe transformation) to every
-// rectangle, collect the data points whose transformed image lies in the
-// search rectangle around q, and compute their partial distances. When
-// prune is true, candidates whose k-coefficient distance already exceeds
-// eps are dropped (sound by Lemma 1's inequality chain).
+// rectangle and collect the data points whose transformed image lies in the
+// search rectangle around q — by Lemma 1 a superset of the true answers.
+// When prune is true, candidates whose k-coefficient distance already
+// exceeds eps are dropped (sound by Lemma 1's inequality chain: the partial
+// distance lower-bounds the full one). The survivors' IDs are appended to
+// out, in traversal order, and the extended slice returned. Steady state it
+// allocates nothing: scratch is caller-owned and out is reused across
+// queries.
 //
 // Pass transform.IdentityMap (or any map reporting Identity) for plain,
 // untransformed range queries.
-func (ix *KIndex) Range(q geom.Point, eps float64, m transform.AffineMap, mb feature.MomentBounds, prune bool) ([]Candidate, rtree.SearchStats) {
+func (ix *KIndex) RangeIDs(q geom.Point, eps float64, m transform.AffineMap, mb feature.MomentBounds, prune bool, sc *Scratch, out []int64) ([]int64, rtree.SearchStats) {
 	if len(q) != ix.schema.Dims() {
 		panic(fmt.Sprintf("index: query point has %d dims, schema has %d", len(q), ix.schema.Dims()))
 	}
-	qrect := ix.schema.SearchRect(q, eps, mb)
-	epsSq := eps * eps
-	var out []Candidate
-
-	identity := m.Identity()
-	rectTransform := func(r geom.Rect) geom.Rect { return r }
-	if !identity {
-		rectTransform = m.ApplyRect
+	dims := ix.schema.Dims()
+	if cap(sc.qlo) < dims {
+		sc.qlo = make([]float64, dims)
+		sc.qhi = make([]float64, dims)
 	}
+	sc.qlo, sc.qhi = sc.qlo[:dims], sc.qhi[:dims]
+	ix.schema.SearchRectInto(q, eps, mb, sc.qlo, sc.qhi)
+	if cap(sc.qc) < ix.schema.K {
+		sc.qc = make([]complex128, ix.schema.K)
+	}
+	sc.qc = sc.qc[:ix.schema.K]
+	ix.schema.CoeffsInto(q, sc.qc)
 
-	st := ix.tree.TransformedSearch(qrect, rectTransform, ix.overlap(), func(it rtree.Item, tr geom.Rect) bool {
-		p := it.Rect.Lo
-		// Leaf rectangles are degenerate, so the transformed rectangle's
-		// low corner *is* the transformed point. Phase angles may sit
-		// outside [-pi, pi) here; CoeffDistSq reconstructs coefficients
-		// with cmplx.Rect, which is angle-periodic, so no renormalization
-		// is needed.
-		tp := tr.Lo
-		dSq := ix.schema.CoeffDistSq(tp, q)
-		if prune && dSq > epsSq*(1+1e-12) {
-			return true
-		}
-		out = append(out, Candidate{ID: it.ID, Point: p, Transformed: tp, PartialDistSq: dSq})
-		return true
-	})
+	epsSq := eps * eps
+	fm, act := ix.flatMap(m, sc)
+	sc.rc = rangeCollector{
+		schema: ix.schema,
+		act:    act,
+		qc:     sc.qc,
+		limit:  epsSq * (1 + 1e-12),
+		prune:  prune,
+		ids:    out,
+	}
+	st := ix.tree.FlatRange(sc.qlo, sc.qhi, fm, &sc.tree, &sc.rc)
+	out = sc.rc.ids
+	sc.rc.ids = nil // do not retain the caller's buffer across queries
 	return out, st
 }
 
-// NearestFunc visits stored points in increasing order of the lower bound
-// on the transformed coefficient distance to q, calling fn with each item's
-// transformed point and its *exact k-coefficient* distance (squared). The
-// visit order is by lower bound; fn receives exact partial distances and
-// should stop (return false) once its own termination condition holds —
-// typically when the bound of the next item exceeds the k-th best verified
-// full distance.
-func (ix *KIndex) NearestFunc(q geom.Point, m transform.AffineMap, fn func(c Candidate) bool) rtree.SearchStats {
+// NearestIDs visits stored IDs in increasing order of their exact
+// k-coefficient (squared) partial distance to q under m, which it hands v
+// with each; v should stop (return false) once its own termination
+// condition holds — typically when the next item's partial distance exceeds
+// the k-th best verified full distance. Steady state it allocates nothing.
+func (ix *KIndex) NearestIDs(q geom.Point, m transform.AffineMap, sc *Scratch, v rtree.FlatNNVisitor) rtree.SearchStats {
 	if len(q) != ix.schema.Dims() {
 		panic(fmt.Sprintf("index: query point has %d dims, schema has %d", len(q), ix.schema.Dims()))
 	}
-	identity := m.Identity()
-	lower := func(r geom.Rect) float64 {
-		if !identity {
-			r = m.ApplyRect(r)
-		}
-		return ix.schema.LowerBoundDistSq(q, r)
+	if cap(sc.qc) < ix.schema.K {
+		sc.qc = make([]complex128, ix.schema.K)
 	}
-	itemDist := func(it rtree.Item) float64 {
-		p := it.Rect.Lo
-		if !identity {
-			p = m.ApplyPoint(p)
-		}
-		return ix.schema.CoeffDistSq(p, q)
-	}
-	return ix.tree.NearestScan(lower, itemDist, func(it rtree.Item, dist float64) bool {
-		p := it.Rect.Lo
-		tp := p
-		if !identity {
-			tp = m.ApplyPoint(p)
-		}
-		return fn(Candidate{ID: it.ID, Point: p, Transformed: tp, PartialDistSq: dist})
-	})
+	sc.qc = sc.qc[:ix.schema.K]
+	ix.schema.CoeffsInto(q, sc.qc)
+
+	fm, act := ix.flatMap(m, sc)
+	sc.kern = nnKernel{schema: ix.schema, q: q, act: act, qc: sc.qc}
+	return ix.tree.NearestFlat(fm, &sc.kern, &sc.tree, v)
 }
 
 // Materialize eagerly builds the transformed index I' of Algorithm 1 (for
@@ -246,7 +305,7 @@ func (ix *KIndex) NearestFunc(q geom.Point, m transform.AffineMap, fn func(c Can
 func (ix *KIndex) Materialize(m transform.AffineMap) *KIndex {
 	return &KIndex{
 		schema:       ix.schema,
-		tree:         ix.tree.Materialize(m.ApplyRect),
+		tree:         ix.tree.Materialize(rtree.FlatMap{C: m.C, D: m.D, Identity: m.Identity()}),
 		angular:      ix.angular,
 		plainOverlap: ix.plainOverlap,
 	}

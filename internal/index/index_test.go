@@ -32,6 +32,34 @@ func fullNFDistance(t transform.T, x, q []float64) float64 {
 	return dft.Distance(t.Apply(X), Q)
 }
 
+// coeffDistSq is the squared complex-plane distance between the coefficient
+// vectors of two feature points, written out: the partial distance of
+// Lemma 1, whichever space stores the points.
+func coeffDistSq(sc feature.Schema, a, b geom.Point) float64 {
+	ca, cb := sc.Coeffs(a), sc.Coeffs(b)
+	var s float64
+	for i := range ca {
+		d := ca[i] - cb[i]
+		s += real(d)*real(d) + imag(d)*imag(d)
+	}
+	return s
+}
+
+// rangeIDs runs one range search with scratch of its own.
+func rangeIDs(ix *KIndex, q geom.Point, eps float64, m transform.AffineMap, mb feature.MomentBounds, prune bool) ([]int64, rtree.SearchStats) {
+	var sc Scratch
+	return ix.RangeIDs(q, eps, m, mb, prune, &sc, nil)
+}
+
+// nearestK returns the first k items of a nearest-neighbor search and their
+// squared partial distances.
+func nearestK(ix *KIndex, q geom.Point, m transform.AffineMap, k int) ([]int64, []float64) {
+	var sc Scratch
+	rec := nearRecorder{limit: k}
+	ix.NearestIDs(q, m, &sc, &rec)
+	return rec.ids, rec.dists
+}
+
 func buildIndex(t *testing.T, sc feature.Schema, data [][]float64) *KIndex {
 	t.Helper()
 	ix, err := New(sc, rtree.Options{MaxEntries: 8})
@@ -111,10 +139,10 @@ func TestRangeNoFalseDismissalsLemma1(t *testing.T) {
 			q := data[r.Intn(len(data))]
 			qp, _ := tc.sc.Extract(q)
 			for _, eps := range []float64{0.3, 1.0, 5.0} {
-				cands, _ := ix.Range(qp, eps, m, feature.MomentBounds{}, true)
+				cands, _ := rangeIDs(ix, qp, eps, m, feature.MomentBounds{}, true)
 				got := map[int64]bool{}
-				for _, c := range cands {
-					got[c.ID] = true
+				for _, id := range cands {
+					got[id] = true
 				}
 				for i, x := range data {
 					if fullNFDistance(tc.tr, x, q) <= eps {
@@ -145,13 +173,13 @@ func TestRangeIdentityMatchesBruteForcePartial(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		q := points[r.Intn(len(points))]
 		eps := 0.5 + r.Float64()*2
-		cands, _ := ix.Range(q, eps, id, feature.MomentBounds{}, true)
+		cands, _ := rangeIDs(ix, q, eps, id, feature.MomentBounds{}, true)
 		got := map[int64]bool{}
 		for _, c := range cands {
-			got[c.ID] = true
+			got[c] = true
 		}
 		for i, p := range points {
-			want := sc.CoeffDistSq(p, q) <= eps*eps
+			want := coeffDistSq(sc, p, q) <= eps*eps
 			if want != got[int64(i)] {
 				t.Fatalf("trial %d: candidate set mismatch at %d (want %v)", trial, i, want)
 			}
@@ -172,15 +200,14 @@ func TestRangeMomentBounds(t *testing.T) {
 	ix := buildIndex(t, sc, data)
 	id := transform.IdentityMap(sc.Dims(), sc.Angular())
 	q, _ := sc.Extract(data[0])
-	all, _ := ix.Range(q, 100, id, feature.MomentBounds{}, false)
+	all, _ := rangeIDs(ix, q, 100, id, feature.MomentBounds{}, false)
 	if len(all) != len(data) {
 		t.Fatalf("unbounded wide query returned %d of %d", len(all), len(data))
 	}
 	mb := feature.MomentBounds{MeanLo: 40, MeanHi: 60, StdLo: -math.MaxFloat64, StdHi: math.MaxFloat64}
-	bounded, _ := ix.Range(q, 100, id, mb, false)
+	bounded, _ := rangeIDs(ix, q, 100, id, mb, false)
 	for _, c := range bounded {
-		mean, _ := sc.MomentsOf(c.Point)
-		if mean < 40 || mean > 60 {
+		if mean := series.Mean(data[c]); mean < 40 || mean > 60 {
 			t.Fatalf("moment bound violated: mean %v", mean)
 		}
 	}
@@ -202,7 +229,7 @@ func TestRangePanicsOnWrongDims(t *testing.T) {
 			t.Fatal("wrong query dims did not panic")
 		}
 	}()
-	ix.Range(geom.Point{1}, 1, transform.IdentityMap(6, nil), feature.MomentBounds{}, true)
+	rangeIDs(ix, geom.Point{1}, 1, transform.IdentityMap(6, nil), feature.MomentBounds{}, true)
 }
 
 func TestBulkLoadAgreesWithInserts(t *testing.T) {
@@ -229,16 +256,8 @@ func TestBulkLoadAgreesWithInserts(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		q := points[r.Intn(len(points))]
 		eps := 0.5 + r.Float64()*3
-		a, _ := inc.Range(q, eps, id, feature.MomentBounds{}, true)
-		b, _ := bulk.Range(q, eps, id, feature.MomentBounds{}, true)
-		ai := make([]int64, len(a))
-		bi := make([]int64, len(b))
-		for i := range a {
-			ai[i] = a[i].ID
-		}
-		for i := range b {
-			bi[i] = b[i].ID
-		}
+		ai, _ := rangeIDs(inc, q, eps, id, feature.MomentBounds{}, true)
+		bi, _ := rangeIDs(bulk, q, eps, id, feature.MomentBounds{}, true)
 		sort.Slice(ai, func(i, j int) bool { return ai[i] < ai[j] })
 		sort.Slice(bi, func(i, j int) bool { return bi[i] < bi[j] })
 		if len(ai) != len(bi) {
@@ -297,18 +316,12 @@ func TestNearestFuncOrderedByPartialDistance(t *testing.T) {
 		ix := buildIndex(t, sc, data)
 		q, _ := sc.Extract(randomWalk(r, n))
 		id := transform.IdentityMap(sc.Dims(), sc.Angular())
-		var dists []float64
-		var ids []int64
-		ix.NearestFunc(q, id, func(c Candidate) bool {
-			dists = append(dists, c.PartialDistSq)
-			ids = append(ids, c.ID)
-			return len(dists) < 20
-		})
+		_, dists := nearestK(ix, q, id, 20)
 		if len(dists) != 20 {
 			t.Fatalf("visited %d", len(dists))
 		}
 		for i := 1; i < len(dists); i++ {
-			if dists[i] < dists[i-1]-1e-12 {
+			if dists[i] < dists[i-1] {
 				t.Fatalf("space %v: distances not monotone: %v", sc.Space, dists)
 			}
 		}
@@ -320,7 +333,7 @@ func TestNearestFuncOrderedByPartialDistance(t *testing.T) {
 		all := make([]pd, len(data))
 		for i, s := range data {
 			p, _ := sc.Extract(s)
-			all[i] = pd{int64(i), sc.CoeffDistSq(p, q)}
+			all[i] = pd{int64(i), coeffDistSq(sc, p, q)}
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
 		for i := 0; i < 20; i++ {
@@ -348,15 +361,14 @@ func TestNearestFuncWithTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := sc.Extract(randomWalk(r, n))
-	var got []float64
-	ix.NearestFunc(q, m, func(c Candidate) bool {
-		got = append(got, c.PartialDistSq)
-		return len(got) < 10
-	})
+	_, got := nearestK(ix, q, m, 10)
+	if len(got) != 10 {
+		t.Fatalf("visited %d", len(got))
+	}
 	var oracle []float64
 	for _, s := range data {
 		p, _ := sc.Extract(s)
-		oracle = append(oracle, sc.CoeffDistSq(m.ApplyPoint(p), q))
+		oracle = append(oracle, coeffDistSq(sc, m.ApplyPoint(p), q))
 	}
 	sort.Float64s(oracle)
 	for i := range got {
@@ -383,18 +395,18 @@ func TestMaterializeEquivalence(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		q, _ := sc.Extract(data[r.Intn(len(data))])
 		eps := 0.3 + r.Float64()*2
-		a, _ := ix.Range(q, eps, m, feature.MomentBounds{}, false)
-		b, _ := mat.Range(q, eps, idm, feature.MomentBounds{}, false)
+		a, ast := rangeIDs(ix, q, eps, m, feature.MomentBounds{}, false)
+		b, bst := rangeIDs(mat, q, eps, idm, feature.MomentBounds{}, false)
 		am := map[int64]bool{}
 		for _, c := range a {
-			am[c.ID] = true
+			am[c] = true
 		}
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: %d on-the-fly vs %d materialized", trial, len(a), len(b))
+		if len(a) != len(b) || ast != bst {
+			t.Fatalf("trial %d: %d on-the-fly (%+v) vs %d materialized (%+v)", trial, len(a), ast, len(b), bst)
 		}
 		for _, c := range b {
-			if !am[c.ID] {
-				t.Fatalf("trial %d: materialized found %d missing on the fly", trial, c.ID)
+			if !am[c] {
+				t.Fatalf("trial %d: materialized found %d missing on the fly", trial, c)
 			}
 		}
 	}

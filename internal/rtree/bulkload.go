@@ -25,21 +25,22 @@ func (t *Tree) BulkLoad(items []Item) error {
 		return nil
 	}
 
-	entries := make([]entry, len(items))
+	// The packed nodes copy the bounds, so the branches can view the
+	// caller's items; only this slice is reordered.
+	bs := make([]branch, len(items))
 	for i, it := range items {
-		entries[i] = entry{rect: it.Rect.Clone(), id: it.ID}
+		bs[i] = branch{rect: it.Rect, id: it.ID}
 	}
 	level := 0
-	for len(entries) > t.maxEntries {
-		nodes := t.strPack(entries, level)
-		entries = make([]entry, 0, len(nodes))
+	for len(bs) > t.maxEntries {
+		nodes := t.strPack(bs, level)
+		bs = make([]branch, 0, len(nodes))
 		for _, n := range nodes {
-			entries = append(entries, entry{rect: n.mbr(), child: n})
+			bs = append(bs, branch{rect: t.mbr(n), kid: n})
 		}
 		level++
 	}
-	t.root = &node{level: level, entries: entries}
-	t.syncFlat(t.root)
+	t.root = t.fill(t.newNode(level), bs)
 	t.height = level + 1
 	t.size = len(items)
 	return nil
@@ -50,52 +51,51 @@ func (t *Tree) BulkLoad(items []Item) error {
 // sized so that roughly nodeCount^(1/dims) divisions happen per dimension,
 // then chunk the final groups into nodes. A repair pass rebalances any
 // under-full trailing node so the R*-tree minimum fill holds everywhere.
-func (t *Tree) strPack(entries []entry, level int) []*node {
-	nodeCount := (len(entries) + t.maxEntries - 1) / t.maxEntries
+func (t *Tree) strPack(bs []branch, level int) []*node {
+	nodeCount := (len(bs) + t.maxEntries - 1) / t.maxEntries
 	slabsPerDim := int(math.Ceil(math.Pow(float64(nodeCount), 1/float64(t.dims))))
 	if slabsPerDim < 1 {
 		slabsPerDim = 1
 	}
+	byCenter := func(g []branch, d int) {
+		sort.SliceStable(g, func(i, j int) bool {
+			return g[i].rect.Lo[d]+g[i].rect.Hi[d] < g[j].rect.Lo[d]+g[j].rect.Hi[d]
+		})
+	}
 
-	groups := [][]entry{entries}
+	groups := [][]branch{bs}
 	for dim := 0; dim < t.dims-1; dim++ {
-		var next [][]entry
+		var next [][]branch
 		for _, g := range groups {
-			d := dim
-			sort.SliceStable(g, func(i, j int) bool {
-				return g[i].rect.Lo[d]+g[i].rect.Hi[d] < g[j].rect.Lo[d]+g[j].rect.Hi[d]
-			})
+			byCenter(g, dim)
 			next = append(next, splitBalanced(g, slabsPerDim)...)
 		}
 		groups = next
 	}
 
-	var nodes []*node
+	var chunks [][]branch
 	for _, g := range groups {
-		d := t.dims - 1
-		sort.SliceStable(g, func(i, j int) bool {
-			return g[i].rect.Lo[d]+g[i].rect.Hi[d] < g[j].rect.Lo[d]+g[j].rect.Hi[d]
-		})
-		chunks := (len(g) + t.maxEntries - 1) / t.maxEntries
-		for _, c := range splitBalanced(g, chunks) {
-			chunk := make([]entry, len(c))
-			copy(chunk, c)
-			nodes = append(nodes, &node{level: level, entries: chunk})
-		}
+		byCenter(g, t.dims-1)
+		chunks = append(chunks, splitBalanced(g, (len(g)+t.maxEntries-1)/t.maxEntries)...)
 	}
-	return t.repairUnderfull(nodes)
+	chunks = t.repairUnderfull(chunks)
+	nodes := make([]*node, len(chunks))
+	for i, c := range chunks {
+		nodes[i] = t.fill(t.newNode(level), c)
+	}
+	return nodes
 }
 
 // splitBalanced cuts s into at most parts contiguous pieces whose sizes
 // differ by at most one. Empty pieces are never produced.
-func splitBalanced(s []entry, parts int) [][]entry {
+func splitBalanced(s []branch, parts int) [][]branch {
 	if parts < 1 {
 		parts = 1
 	}
 	if parts > len(s) {
 		parts = len(s)
 	}
-	out := make([][]entry, 0, parts)
+	out := make([][]branch, 0, parts)
 	base := len(s) / parts
 	extra := len(s) % parts
 	off := 0
@@ -111,45 +111,41 @@ func splitBalanced(s []entry, parts int) [][]entry {
 }
 
 // repairUnderfull enforces the minimum fill on a freshly packed level: an
-// under-full node either merges with its predecessor (if the union fits in
+// under-full chunk either merges with its predecessor (if the union fits in
 // one node) or the two rebalance evenly (each half then meets the minimum
-// because MinEntries <= MaxEntries/2). A single under-full node with no
+// because MinEntries <= MaxEntries/2). A single under-full chunk with no
 // predecessor is legal only as the root, which BulkLoad handles by never
-// packing a level with a single node.
-func (t *Tree) repairUnderfull(nodes []*node) []*node {
-	for i := 1; i < len(nodes); i++ {
-		n := nodes[i]
-		if len(n.entries) >= t.minEntries {
+// packing a level with a single node. Merged chunks are fresh slices: the
+// chunks handed in are windows of one array.
+func (t *Tree) repairUnderfull(chunks [][]branch) [][]branch {
+	join := func(a, b []branch) []branch {
+		return append(append(make([]branch, 0, len(a)+len(b)), a...), b...)
+	}
+	for i := 1; i < len(chunks); i++ {
+		if len(chunks[i]) >= t.minEntries {
 			continue
 		}
-		prev := nodes[i-1]
-		combined := append(prev.entries, n.entries...)
+		combined := join(chunks[i-1], chunks[i])
 		if len(combined) <= t.maxEntries {
-			prev.entries = combined
-			nodes = append(nodes[:i], nodes[i+1:]...)
+			chunks[i-1] = combined
+			chunks = append(chunks[:i], chunks[i+1:]...)
 			i--
 			continue
 		}
 		half := len(combined) / 2
-		prev.entries = combined[:half]
-		n.entries = append([]entry(nil), combined[half:]...)
+		chunks[i-1], chunks[i] = combined[:half], combined[half:]
 	}
-	// A leading under-full node can only be followed by full ones; merge it
+	// A leading under-full chunk can only be followed by full ones; merge it
 	// forward symmetrically.
-	if len(nodes) > 1 && len(nodes[0].entries) < t.minEntries {
-		first, second := nodes[0], nodes[1]
-		combined := append(first.entries, second.entries...)
+	if len(chunks) > 1 && len(chunks[0]) < t.minEntries {
+		combined := join(chunks[0], chunks[1])
 		if len(combined) <= t.maxEntries {
-			second.entries = combined
-			nodes = nodes[1:]
+			chunks[1] = combined
+			chunks = chunks[1:]
 		} else {
 			half := len(combined) / 2
-			first.entries = append([]entry(nil), combined[:half]...)
-			second.entries = combined[half:]
+			chunks[0], chunks[1] = combined[:half], combined[half:]
 		}
 	}
-	for _, n := range nodes {
-		t.syncFlat(n)
-	}
-	return nodes
+	return chunks
 }

@@ -9,14 +9,6 @@ import (
 	"repro/internal/geom"
 )
 
-// blockCollector gathers every leaf entry's Cartesian block entry.
-type blockCollector struct{ blocks map[int64][]float64 }
-
-func (c *blockCollector) VisitFlat(id int64, tlo, thi, cart []float64) bool {
-	c.blocks[id] = append([]float64(nil), cart...)
-	return true
-}
-
 // checkBlocks requires a tree keeping Cartesian images to hold, for every
 // point of the oracle, exactly the image of that point — checked twice: by
 // CheckInvariants against the entries, and through a whole-space FlatRange
@@ -31,13 +23,13 @@ func checkBlocks(t *testing.T, label string, tree *Tree, from int, want map[int6
 		lo[j], hi[j] = math.Inf(-1), math.Inf(1)
 	}
 	var sc Scratch
-	got := blockCollector{blocks: map[int64][]float64{}}
-	tree.FlatRange(lo, hi, FlatMap{Identity: true}, &sc, &got)
-	if len(got.blocks) != len(want) {
-		t.Fatalf("%s: %d leaf entries visited, want %d", label, len(got.blocks), len(want))
+	got := leafCollector{pts: map[int64][]float64{}, carts: map[int64][]float64{}}
+	tree.FlatRange(lo, hi, identity, &sc, &got)
+	if len(got.carts) != len(want) {
+		t.Fatalf("%s: %d leaf entries visited, want %d", label, len(got.carts), len(want))
 	}
 	for id, p := range want {
-		block := got.blocks[id]
+		block := got.carts[id]
 		if len(block) != tree.Dims()-from {
 			t.Fatalf("%s: id %d has a block entry of %d cells, want %d", label, id, len(block), tree.Dims()-from)
 		}
@@ -170,17 +162,20 @@ func TestCartesianBlockCoherence(t *testing.T) {
 
 	// Materialize maps every rectangle; the copy's blocks are the images of
 	// the mapped points.
-	shift := func(r geom.Rect) geom.Rect {
-		out := r.Clone()
-		for j := from; j < dims; j += 2 {
-			out.Lo[j], out.Hi[j] = 2*out.Lo[j], 2*out.Hi[j]
-			out.Lo[j+1], out.Hi[j+1] = out.Lo[j+1]+0.5, out.Hi[j+1]+0.5
-		}
-		return out
+	shift := FlatMap{C: make([]float64, dims), D: make([]float64, dims)}
+	for j := range shift.C {
+		shift.C[j] = 1
+	}
+	for j := from; j < dims; j += 2 {
+		shift.C[j], shift.D[j+1] = 2, 0.5
 	}
 	mapped := map[int64]geom.Point{}
 	for id, p := range want {
-		mapped[id] = shift(geom.PointRect(p)).Lo
+		q := p.Clone()
+		for j := range q {
+			q[j] = shift.C[j]*q[j] + shift.D[j]
+		}
+		mapped[id] = q
 	}
 	checkBlocks(t, "materialized", decoded.Materialize(shift), from, mapped)
 }

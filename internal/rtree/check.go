@@ -19,9 +19,9 @@ import (
 //     edge.
 //  4. The recorded size matches the number of leaf entries, and the
 //     recorded height matches the root level + 1.
-//  5. Every node's flat MBR slab (the struct-of-arrays copy batch
-//     traversals scan) agrees cell for cell with its entry rectangles, and
-//     every leaf's Cartesian block (KeepCartesian) with its entry points.
+//  5. Every node's columns have one cell per entry and dimension, no
+//     entry's bounds are inverted or NaN, and every leaf's Cartesian block
+//     (KeepCartesian) holds the images of its points.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		return fmt.Errorf("rtree: nil root")
@@ -29,8 +29,8 @@ func (t *Tree) CheckInvariants() error {
 	if t.height != t.root.level+1 {
 		return fmt.Errorf("rtree: height %d != root level+1 %d", t.height, t.root.level+1)
 	}
-	if !t.root.leaf() && len(t.root.entries) < 2 {
-		return fmt.Errorf("rtree: internal root has %d entries", len(t.root.entries))
+	if !t.root.leaf() && t.root.count() < 2 {
+		return fmt.Errorf("rtree: internal root has %d entries", t.root.count())
 	}
 	count, err := t.checkNode(t.root, true)
 	if err != nil {
@@ -43,52 +43,50 @@ func (t *Tree) CheckInvariants() error {
 }
 
 func (t *Tree) checkNode(n *node, isRoot bool) (int, error) {
-	if len(n.entries) > t.maxEntries {
-		return 0, fmt.Errorf("rtree: node at level %d has %d > max %d entries", n.level, len(n.entries), t.maxEntries)
+	c := n.count()
+	if c > t.maxEntries {
+		return 0, fmt.Errorf("rtree: node at level %d has %d > max %d entries", n.level, c, t.maxEntries)
 	}
-	if !isRoot && len(n.entries) < t.minEntries {
-		return 0, fmt.Errorf("rtree: node at level %d has %d < min %d entries", n.level, len(n.entries), t.minEntries)
+	if !isRoot && c < t.minEntries {
+		return 0, fmt.Errorf("rtree: node at level %d has %d < min %d entries", n.level, c, t.minEntries)
 	}
-	if err := t.checkFlat(n); err != nil {
+	if err := t.checkColumns(n); err != nil {
 		return 0, err
 	}
 	if n.leaf() {
-		return len(n.entries), nil
+		return c, nil
 	}
 	total := 0
-	for i, e := range n.entries {
-		if e.child == nil {
+	for i, kid := range n.kids {
+		if kid == nil {
 			return 0, fmt.Errorf("rtree: internal entry %d at level %d has nil child", i, n.level)
 		}
-		if e.child.level != n.level-1 {
-			return 0, fmt.Errorf("rtree: child level %d under node level %d", e.child.level, n.level)
+		if kid.level != n.level-1 {
+			return 0, fmt.Errorf("rtree: child level %d under node level %d", kid.level, n.level)
 		}
-		if want := e.child.mbr(); !e.rect.Equal(want) {
-			return 0, fmt.Errorf("rtree: stale MBR at level %d entry %d: have %v want %v", n.level, i, e.rect, want)
-		}
-		c, err := t.checkNode(e.child, false)
+		sub, err := t.checkNode(kid, false)
 		if err != nil {
 			return 0, err
 		}
-		total += c
+		if have, want := t.rect(n, i), t.mbr(kid); !have.Equal(want) {
+			return 0, fmt.Errorf("rtree: stale MBR at level %d entry %d: have %v want %v", n.level, i, have, want)
+		}
+		total += sub
 	}
 	return total, nil
 }
 
-// checkFlat verifies the flat slab mirrors the entry rectangles exactly,
-// and a leaf's Cartesian block its entry points.
-func (t *Tree) checkFlat(n *node) error {
-	dims := t.dims
-	c := len(n.entries)
-	if len(n.flat) != 2*c*dims {
-		return fmt.Errorf("rtree: flat slab has %d cells, want %d (level %d, %d entries)", len(n.flat), 2*c*dims, n.level, c)
+// checkColumns verifies a node's columns are the size its entry count says,
+// its bounds well formed, and a leaf's Cartesian block the image of its
+// points.
+func (t *Tree) checkColumns(n *node) error {
+	c := n.count()
+	if len(n.lo) != c*t.dims || len(n.hi) != c*t.dims {
+		return fmt.Errorf("rtree: bounds columns have %d and %d cells, want %d (level %d, %d entries)", len(n.lo), len(n.hi), c*t.dims, n.level, c)
 	}
-	lows, highs := n.flat[:c*dims], n.flat[c*dims:]
-	for i, e := range n.entries {
-		for j := 0; j < dims; j++ {
-			if lows[i*dims+j] != e.rect.Lo[j] || highs[i*dims+j] != e.rect.Hi[j] {
-				return fmt.Errorf("rtree: stale flat slab at level %d entry %d dim %d", n.level, i, j)
-			}
+	for k := range n.lo {
+		if !(n.lo[k] <= n.hi[k]) {
+			return fmt.Errorf("rtree: bounds [%g, %g] at level %d entry %d dim %d", n.lo[k], n.hi[k], n.level, k/t.dims, k%t.dims)
 		}
 	}
 	if t.polarPairs == 0 || !n.leaf() {
@@ -97,9 +95,10 @@ func (t *Tree) checkFlat(n *node) error {
 	if len(n.cart) != c*2*t.polarPairs {
 		return fmt.Errorf("rtree: Cartesian block has %d cells, want %d (%d entries)", len(n.cart), c*2*t.polarPairs, c)
 	}
-	for i, e := range n.entries {
+	for i := 0; i < c; i++ {
+		p := t.rect(n, i).Lo[t.polarFrom:]
 		for j := 0; j < t.polarPairs; j++ {
-			re, im := geom.PolarToRect(e.rect.Lo[t.polarFrom+2*j], e.rect.Lo[t.polarFrom+2*j+1])
+			re, im := geom.PolarToRect(p[2*j], p[2*j+1])
 			if k := (i*t.polarPairs + j) * 2; n.cart[k] != re || n.cart[k+1] != im {
 				return fmt.Errorf("rtree: stale Cartesian block at entry %d pair %d", i, j)
 			}

@@ -14,9 +14,7 @@ func (t *Tree) Delete(r geom.Rect, id int64) bool {
 	if path == nil {
 		return false
 	}
-	leaf := path[len(path)-1]
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	t.syncFlat(leaf)
+	t.removeEntry(path[len(path)-1], idx)
 	t.size--
 	t.condense(path)
 	return true
@@ -27,8 +25,8 @@ func (t *Tree) Delete(r geom.Rect, id int64) bool {
 func (t *Tree) findLeaf(n *node, path []*node, r geom.Rect, id int64) ([]*node, int) {
 	path = append(path, n)
 	if n.leaf() {
-		for i, e := range n.entries {
-			if e.id == id && e.rect.Equal(r) {
+		for i, stored := range n.ids {
+			if stored == id && t.rect(n, i).Equal(r) {
 				out := make([]*node, len(path))
 				copy(out, path)
 				return out, i
@@ -36,9 +34,9 @@ func (t *Tree) findLeaf(n *node, path []*node, r geom.Rect, id int64) ([]*node, 
 		}
 		return nil, -1
 	}
-	for _, e := range n.entries {
-		if e.rect.Contains(r) {
-			if found, idx := t.findLeaf(e.child, path, r, id); found != nil {
+	for i, kid := range n.kids {
+		if t.rect(n, i).Contains(r) {
+			if found, idx := t.findLeaf(kid, path, r, id); found != nil {
 				return found, idx
 			}
 		}
@@ -51,7 +49,7 @@ func (t *Tree) findLeaf(n *node, path []*node, r geom.Rect, id int64) ([]*node, 
 // shrinks a root left with a single child.
 func (t *Tree) condense(path []*node) {
 	type orphan struct {
-		e     entry
+		b     branch
 		level int
 	}
 	var orphans []orphan
@@ -59,27 +57,16 @@ func (t *Tree) condense(path []*node) {
 	for depth := len(path) - 1; depth >= 1; depth-- {
 		n := path[depth]
 		parent := path[depth-1]
-		if len(n.entries) < t.minEntries {
-			// Dissolve n: remove from parent, orphan its entries.
-			for i := range parent.entries {
-				if parent.entries[i].child == n {
-					parent.entries = append(parent.entries[:i], parent.entries[i+1:]...)
-					t.syncFlat(parent)
-					break
-				}
-			}
-			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e: e, level: n.level})
+		if n.count() < t.minEntries {
+			// Dissolve n: remove from parent, orphan its entries. n leaves
+			// the tree here, so the orphans can stay views of it.
+			t.removeEntry(parent, childIndex(parent, n))
+			for _, b := range t.branches(n) {
+				orphans = append(orphans, orphan{b: b, level: n.level})
 			}
 		} else {
 			// Tighten the parent's rectangle for n.
-			for i := range parent.entries {
-				if parent.entries[i].child == n {
-					parent.entries[i].rect = n.mbr()
-					t.syncFlatEntry(parent, i)
-					break
-				}
-			}
+			t.setEntry(parent, childIndex(parent, n), branch{rect: t.mbr(n), kid: n})
 		}
 	}
 
@@ -93,17 +80,17 @@ func (t *Tree) condense(path []*node) {
 	}
 	for _, o := range orphans {
 		if o.level < t.root.level {
-			t.insertEntry(o.e, o.level)
+			t.insertEntry(o.b, o.level)
 		} else {
 			// The tree restructured underneath us; splice leaf entries
 			// back individually (rare, but keeps invariants).
-			t.reinsertSubtreeLeaves(o.e.child)
+			t.reinsertSubtreeLeaves(o.b.kid)
 		}
 	}
 
 	// Shrink the root while it is a non-leaf with a single child.
-	for !t.root.leaf() && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
+	for !t.root.leaf() && len(t.root.kids) == 1 {
+		t.root = t.root.kids[0]
 		t.height--
 	}
 }
@@ -112,12 +99,12 @@ func (t *Tree) condense(path []*node) {
 // entry individually.
 func (t *Tree) reinsertSubtreeLeaves(n *node) {
 	if n.leaf() {
-		for _, e := range n.entries {
-			t.insertEntry(e, 0)
+		for _, b := range t.branches(n) {
+			t.insertEntry(b, 0)
 		}
 		return
 	}
-	for _, e := range n.entries {
-		t.reinsertSubtreeLeaves(e.child)
+	for _, kid := range n.kids {
+		t.reinsertSubtreeLeaves(kid)
 	}
 }

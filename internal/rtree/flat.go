@@ -6,17 +6,24 @@ import (
 	"repro/internal/geom"
 )
 
-// This file is the batch read path over the flat node slabs: range and
-// nearest-neighbor traversals that test all <=M entries of a node in one
-// tight loop over contiguous float64 blocks, with caller-owned scratch so
-// steady-state queries allocate nothing.
+// This file is the read path: the range and nearest-neighbor traversals,
+// which test all <=M entries of a node in one tight loop over its bounds
+// columns, with caller-owned scratch so steady-state queries allocate
+// nothing; the full scan All; and Materialize.
 
-// FlatMap is the per-dimension affine action y_i = C[i]*x_i + D[i] a batch
-// traversal applies to every node slab — the same map transform.AffineMap
+// SearchStats counts the work done by one traversal. NodesVisited is the
+// number the paper reports as "disk accesses": one node is one page.
+type SearchStats struct {
+	NodesVisited  int
+	EntriesTested int
+}
+
+// FlatMap is the per-dimension affine action y_i = C[i]*x_i + D[i] a
+// traversal applies to every node's bounds — the same map transform.AffineMap
 // describes, restated here so the tree stays free of transform imports.
 // Angular flags circle-valued dimensions for the overlap predicate (tested
 // modulo 2*pi); Identity short-circuits the transform entirely, letting
-// traversals read node slabs in place.
+// traversals read the nodes' columns in place.
 type FlatMap struct {
 	C, D     []float64
 	Angular  []bool
@@ -81,12 +88,11 @@ type FlatNNKernel interface {
 	PointBatch(pts []float64, count, stride int, out []float64)
 }
 
-// transformSlab maps a node slab through fm into the lows/highs halves of
-// dst, mirroring transform.AffineMap.ApplyRect exactly: per dimension
-// y = c*x + d with corner swap where a negative stretch flips the
-// interval, and no angular renormalization.
-func transformSlab(slab, dstLo, dstHi []float64, count, dims int, C, D []float64) {
-	srcLo, srcHi := slab[:count*dims], slab[count*dims:]
+// transformSlab maps a node's bounds columns through (C, D), mirroring
+// transform.AffineMap.ApplyRect exactly: per dimension y = c*x + d with
+// corner swap where a negative stretch flips the interval, and no angular
+// renormalization.
+func transformSlab(srcLo, srcHi, dstLo, dstHi []float64, count, dims int, C, D []float64) {
 	for e := 0; e < count; e++ {
 		off := e * dims
 		for j := 0; j < dims; j++ {
@@ -126,33 +132,26 @@ func flatOverlaps(lo, hi, qlo, qhi []float64, dims int, angular []bool) bool {
 }
 
 // nodeSlabs resolves a node's transformed corner blocks: the node's own
-// slab under an identity map, the scratch buffer otherwise. The fallback
-// rebuild covers a slab that somehow went stale — correctness never
-// depends on the sync sites, only speed does.
+// columns under an identity map, the scratch buffer otherwise.
 func (t *Tree) nodeSlabs(n *node, fm *FlatMap, sc *Scratch) (lows, highs []float64) {
-	c := len(n.entries)
-	if len(n.flat) != 2*c*t.dims {
-		t.syncFlat(n)
-	}
 	if fm.Identity {
-		return n.flat[:c*t.dims], n.flat[c*t.dims:]
+		return n.lo, n.hi
 	}
-	need := 2 * c * t.dims
-	if cap(sc.tbuf) < need {
-		sc.tbuf = make([]float64, need)
-	} else {
-		sc.tbuf = sc.tbuf[:need]
+	half := len(n.lo)
+	if cap(sc.tbuf) < 2*half {
+		sc.tbuf = make([]float64, 2*half)
 	}
-	lows, highs = sc.tbuf[:c*t.dims], sc.tbuf[c*t.dims:]
-	transformSlab(n.flat, lows, highs, c, t.dims, fm.C, fm.D)
+	lows, highs = sc.tbuf[:half], sc.tbuf[half:2*half]
+	transformSlab(n.lo, n.hi, lows, highs, n.count(), t.dims, fm.C, fm.D)
 	return lows, highs
 }
 
-// FlatRange is the batch form of TransformedSearch: a depth-first
-// traversal that transforms each node's slab in one pass, tests all
-// entries against the query box [qlo, qhi] in one tight loop, and emits
-// surviving leaf entries to v. It visits exactly the nodes and entries
-// the per-entry traversal visits, in the same order.
+// FlatRange implements the search phase of the paper's Algorithm 2: a
+// depth-first traversal of the index as if fm had been applied to every
+// node rectangle and leaf point — the transformed index I' of Algorithm 1,
+// built one node at a time in scratch — that tests all of a node's entries
+// against the query box [qlo, qhi] in one tight loop and emits the leaf
+// entries whose transformed rectangle overlaps it to v, first entry first.
 func (t *Tree) FlatRange(qlo, qhi []float64, fm FlatMap, sc *Scratch, v FlatVisitor) SearchStats {
 	var st SearchStats
 	dims := t.dims
@@ -161,7 +160,7 @@ func (t *Tree) FlatRange(qlo, qhi []float64, fm FlatMap, sc *Scratch, v FlatVisi
 		n := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
 		st.NodesVisited++
-		c := len(n.entries)
+		c := n.count()
 		if c == 0 {
 			continue
 		}
@@ -174,19 +173,19 @@ func (t *Tree) FlatRange(qlo, qhi []float64, fm FlatMap, sc *Scratch, v FlatVisi
 				if !flatOverlaps(lows[off:off+dims], highs[off:off+dims], qlo, qhi, dims, fm.Angular) {
 					continue
 				}
-				if !v.VisitFlat(n.entries[e].id, lows[off:off+dims], highs[off:off+dims], n.cart[e*cw:(e+1)*cw:(e+1)*cw]) {
+				if !v.VisitFlat(n.ids[e], lows[off:off+dims], highs[off:off+dims], n.cart[e*cw:(e+1)*cw:(e+1)*cw]) {
 					return st
 				}
 			}
 			continue
 		}
-		// Push children in reverse so pop order matches the recursive
-		// traversal's first-entry-first descent.
+		// Push children in reverse so the first overlapping entry is the
+		// next node popped.
 		for e := c - 1; e >= 0; e-- {
 			st.EntriesTested++
 			off := e * dims
 			if flatOverlaps(lows[off:off+dims], highs[off:off+dims], qlo, qhi, dims, fm.Angular) {
-				sc.stack = append(sc.stack, n.entries[e].child)
+				sc.stack = append(sc.stack, n.kids[e])
 			}
 		}
 	}
@@ -255,9 +254,9 @@ func flatHeapPop(h *[]flatHeapEntry) {
 	flatHeapDown(q)
 }
 
-// NearestFlat is the batch form of NearestScan: best-first traversal with
-// a typed binary heap in caller scratch, node slabs transformed in one
-// pass, and per-node batched kernel calls for lower bounds and item
+// NearestFlat is the incremental best-first nearest-neighbor traversal: a
+// typed binary heap in caller scratch, each node's bounds transformed in
+// one pass, and per-node batched kernel calls for lower bounds and item
 // distances. Items reach v in non-decreasing distance order, interleaved
 // correctly with node expansion, so stopping early leaves the rest of the
 // tree untouched. The visitor's bound is read once per expanded node: a
@@ -298,7 +297,7 @@ func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNV
 			return st
 		}
 		st.NodesVisited++
-		c := len(n.entries)
+		c := n.count()
 		if c == 0 {
 			continue
 		}
@@ -327,7 +326,7 @@ func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNV
 				for ; i > start && sc.runs[i-1].dist > d; i-- {
 					sc.runs[i] = sc.runs[i-1]
 				}
-				sc.runs[i] = flatRunItem{dist: d, id: n.entries[e].id}
+				sc.runs[i] = flatRunItem{dist: d, id: n.ids[e]}
 			}
 			if end := len(sc.runs); end > start {
 				flatHeapPush(&sc.heap, flatHeapEntry{dist: sc.runs[start].dist, pos: start, end: end})
@@ -340,9 +339,67 @@ func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNV
 				if sc.dists[e] > bound {
 					continue
 				}
-				flatHeapPush(&sc.heap, flatHeapEntry{dist: sc.dists[e], node: n.entries[e].child})
+				flatHeapPush(&sc.heap, flatHeapEntry{dist: sc.dists[e], node: n.kids[e]})
 			}
 		}
 	}
 	return st
+}
+
+// All calls visit for every stored item, until it returns false. The
+// item's rectangle is a view of the tree, good until the tree's next write.
+func (t *Tree) All(visit func(Item) bool) {
+	if t.size == 0 {
+		return
+	}
+	t.all(t.root, visit)
+}
+
+func (t *Tree) all(n *node, visit func(Item) bool) bool {
+	for _, kid := range n.kids {
+		if !t.all(kid, visit) {
+			return false
+		}
+	}
+	for i, id := range n.ids {
+		if !visit(Item{Rect: t.rect(n, i), ID: id}) {
+			return false
+		}
+	}
+	return true
+}
+
+// Materialize applies the paper's Algorithm 1 eagerly: it returns a new
+// tree whose every node rectangle and data rectangle is the image of this
+// tree's under fm, preserving the node structure exactly (same fan-outs,
+// same entry order). Used to validate that the on-the-fly traversal visits
+// the same candidates, and by the materialized-index ablation benchmark.
+func (t *Tree) Materialize(fm FlatMap) *Tree {
+	nt := &Tree{
+		dims:       t.dims,
+		maxEntries: t.maxEntries,
+		minEntries: t.minEntries,
+		reinsert:   t.reinsert,
+		height:     t.height,
+		size:       t.size,
+		polarFrom:  t.polarFrom,
+		polarPairs: t.polarPairs,
+	}
+	var sc Scratch
+	nt.root = t.materializeNode(nt, t.root, &fm, &sc)
+	return nt
+}
+
+func (t *Tree) materializeNode(nt *Tree, n *node, fm *FlatMap, sc *Scratch) *node {
+	out := nt.newNode(n.level)
+	lows, highs := t.nodeSlabs(n, fm, sc) // consumed before the scratch is reused below
+	for i, c := 0, n.count(); i < c; i++ {
+		b := t.branchAt(n, i)
+		b.rect = geom.Rect{Lo: lows[i*t.dims : (i+1)*t.dims], Hi: highs[i*t.dims : (i+1)*t.dims]}
+		nt.appendEntry(out, b)
+	}
+	for i, kid := range n.kids {
+		out.kids[i] = t.materializeNode(nt, kid, fm, sc)
+	}
+	return out
 }

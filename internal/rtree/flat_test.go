@@ -2,33 +2,48 @@ package rtree
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
 )
 
-// Batch traversals must visit the same entries, in the same order, with the
-// same stats, and hand the same transformed coordinates to the visitor as
-// the per-entry traversals they replace.
+// The traversals under a per-dimension affine map, against a linear scan of
+// the stored points mapped one by one.
 
-func randFlatTree(t *testing.T, rng *rand.Rand, n, dims int) *Tree {
+func randFlatTree(t *testing.T, rng *rand.Rand, n, dims int) (*Tree, []geom.Point) {
 	tree, err := New(dims, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < n; i++ {
+	pts := make([]geom.Point, n)
+	for i := range pts {
 		p := make(geom.Point, dims)
 		for j := range p {
 			p[j] = rng.NormFloat64() * 5
 		}
-		if err := tree.Insert(geom.Rect{Lo: p, Hi: p.Clone()}, int64(i)); err != nil {
+		pts[i] = p
+		if err := tree.Insert(geom.PointRect(p), int64(i)); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants: %v", err)
 	}
-	return tree
+	return tree, pts
+}
+
+// randFlatMap draws a map with stretches of either sign (a negative one
+// flips the corners), or the identity every fourth trial.
+func randFlatMap(rng *rand.Rand, trial, dims int) FlatMap {
+	fm := FlatMap{C: make([]float64, dims), D: make([]float64, dims), Identity: trial%4 == 0}
+	for j := range fm.C {
+		fm.C[j] = 1
+		if !fm.Identity {
+			fm.C[j], fm.D[j] = rng.NormFloat64(), rng.NormFloat64()
+		}
+	}
+	return fm
 }
 
 type collectFlat struct {
@@ -42,83 +57,62 @@ func (c *collectFlat) VisitFlat(id int64, tlo, thi, cart []float64) bool {
 	return true
 }
 
+// TestFlatRangeParity: the range traversal under a map emits exactly the
+// points whose image lies in the query box, each once, and hands the
+// visitor that image — c*x + d, to the bit.
 func TestFlatRangeParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const dims = 4
 	for _, n := range []int{0, 1, 7, 60, 400} {
-		tree := randFlatTree(t, rng, n, dims)
+		tree, pts := randFlatTree(t, rng, n, dims)
 		for trial := 0; trial < 20; trial++ {
-			C := make([]float64, dims)
-			D := make([]float64, dims)
-			identity := trial%4 == 0
-			for j := range C {
-				if identity {
-					C[j] = 1
-				} else {
-					C[j] = rng.NormFloat64() // negative stretches flip corners
-					D[j] = rng.NormFloat64()
-				}
-			}
-			q := make(geom.Point, dims)
-			for j := range q {
-				q[j] = rng.NormFloat64() * 5
-			}
+			fm := randFlatMap(rng, trial, dims)
 			eps := rng.Float64() * 4
 			qlo := make([]float64, dims)
 			qhi := make([]float64, dims)
-			for j := range q {
-				qlo[j], qhi[j] = q[j]-eps, q[j]+eps
+			for j := range qlo {
+				c := rng.NormFloat64() * 5
+				qlo[j], qhi[j] = c-eps, c+eps
 			}
-			qr := geom.Rect{Lo: qlo, Hi: qhi}
-
-			apply := func(r geom.Rect) geom.Rect {
-				lo := make(geom.Point, dims)
-				hi := make(geom.Point, dims)
-				for j := 0; j < dims; j++ {
-					a, b := C[j]*r.Lo[j]+D[j], C[j]*r.Hi[j]+D[j]
-					if a > b {
-						a, b = b, a
-					}
-					lo[j], hi[j] = a, b
+			image := func(p geom.Point) geom.Point {
+				out := make(geom.Point, dims)
+				for j := range out {
+					out[j] = fm.C[j]*p[j] + fm.D[j]
 				}
-				return geom.Rect{Lo: lo, Hi: hi}
+				return out
 			}
-			var wantIDs []int64
-			var wantLos [][]float64
-			wantSt := tree.TransformedSearch(qr, apply, nil, func(it Item, tr geom.Rect) bool {
-				wantIDs = append(wantIDs, it.ID)
-				wantLos = append(wantLos, append([]float64(nil), tr.Lo...))
-				return true
-			})
+			want := map[int64]geom.Point{}
+			for i, p := range pts {
+				if tp := image(p); geom.PointRect(tp).Intersects(geom.Rect{Lo: qlo, Hi: qhi}) {
+					want[int64(i)] = tp
+				}
+			}
 
 			var got collectFlat
 			var sc Scratch
-			gotSt := tree.FlatRange(qlo, qhi, FlatMap{C: C, D: D, Identity: identity}, &sc, &got)
-
-			if gotSt != wantSt {
-				t.Fatalf("n=%d trial=%d: stats %+v, want %+v", n, trial, gotSt, wantSt)
+			st := tree.FlatRange(qlo, qhi, fm, &sc, &got)
+			if len(got.ids) != len(want) {
+				t.Fatalf("n=%d trial=%d: %d hits, want %d", n, trial, len(got.ids), len(want))
 			}
-			if len(got.ids) != len(wantIDs) {
-				t.Fatalf("n=%d trial=%d: %d hits, want %d", n, trial, len(got.ids), len(wantIDs))
+			if st.NodesVisited < 1 || st.EntriesTested < len(want) {
+				t.Fatalf("n=%d trial=%d: stats %+v for %d hits", n, trial, st, len(want))
 			}
-			for i := range wantIDs {
-				if got.ids[i] != wantIDs[i] {
-					t.Fatalf("n=%d trial=%d hit %d: id %d, want %d", n, trial, i, got.ids[i], wantIDs[i])
+			for i, id := range got.ids {
+				tp, ok := want[id]
+				if !ok {
+					t.Fatalf("n=%d trial=%d: id %d emitted twice or outside the box", n, trial, id)
 				}
-				for j := 0; j < dims; j++ {
-					if got.los[i][j] != wantLos[i][j] {
-						t.Fatalf("n=%d trial=%d hit %d dim %d: tlo %v, want %v",
-							n, trial, i, j, got.los[i][j], wantLos[i][j])
-					}
+				delete(want, id)
+				if !tp.Equal(got.los[i]) {
+					t.Fatalf("n=%d trial=%d id %d: visitor got %v, image is %v", n, trial, id, got.los[i], tp)
 				}
 			}
 		}
 	}
 }
 
-// flatTestKernel bounds distances against transformed slabs with plain
-// MINDIST / Euclidean arithmetic, written to match the reference closures
-// in TestNearestFlatParity operation for operation.
+// flatTestKernel is plain Euclidean geometry: MINDIST to a transformed
+// rectangle, squared distance to a transformed point.
 type flatTestKernel struct {
 	q []float64
 }
@@ -165,75 +159,50 @@ func (c *collectNear) VisitNear(id int64, distSq float64) bool {
 	return len(c.ids) < c.limit
 }
 
+// TestNearestFlatParity: the nearest-neighbor traversal under a map hands
+// over the k smallest distances of a linear scan, in order, each with an id
+// that lies at that distance.
 func TestNearestFlatParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	const dims = 4
 	for _, n := range []int{0, 1, 7, 60, 400} {
-		tree := randFlatTree(t, rng, n, dims)
+		tree, pts := randFlatTree(t, rng, n, dims)
 		for trial := 0; trial < 20; trial++ {
-			C := make([]float64, dims)
-			D := make([]float64, dims)
-			identity := trial%4 == 0
-			for j := range C {
-				if identity {
-					C[j] = 1
-				} else {
-					C[j] = rng.NormFloat64()
-					D[j] = rng.NormFloat64()
-				}
-			}
+			fm := randFlatMap(rng, trial, dims)
 			q := make([]float64, dims)
 			for j := range q {
 				q[j] = rng.NormFloat64() * 5
 			}
 			k := 1 + rng.Intn(10)
 
-			lower := func(r geom.Rect) float64 {
+			// The kernel's own arithmetic, point by point.
+			distOf := func(p geom.Point) float64 {
 				var s float64
 				for j := 0; j < dims; j++ {
-					a, b := C[j]*r.Lo[j]+D[j], C[j]*r.Hi[j]+D[j]
-					if a > b {
-						a, b = b, a
-					}
-					switch {
-					case q[j] < a:
-						d := a - q[j]
-						s += d * d
-					case q[j] > b:
-						d := q[j] - b
-						s += d * d
-					}
-				}
-				return s
-			}
-			itemDist := func(it Item) float64 {
-				var s float64
-				for j := 0; j < dims; j++ {
-					d := q[j] - (C[j]*it.Rect.Lo[j] + D[j])
+					d := q[j] - (fm.C[j]*p[j] + fm.D[j])
 					s += d * d
 				}
 				return s
 			}
-			var wantIDs []int64
-			var wantDists []float64
-			tree.NearestScan(lower, itemDist, func(it Item, dist float64) bool {
-				wantIDs = append(wantIDs, it.ID)
-				wantDists = append(wantDists, dist)
-				return len(wantIDs) < k
-			})
+			all := make([]float64, len(pts))
+			for i, p := range pts {
+				all[i] = distOf(p)
+			}
+			sort.Float64s(all)
 
 			var sc Scratch
 			got := collectNear{limit: k}
-			tree.NearestFlat(FlatMap{C: C, D: D, Identity: identity}, &flatTestKernel{q: q}, &sc, &got)
-
-			if len(got.ids) != len(wantIDs) {
-				t.Fatalf("n=%d trial=%d: %d items, want %d", n, trial, len(got.ids), len(wantIDs))
+			tree.NearestFlat(fm, &flatTestKernel{q: q}, &sc, &got)
+			if len(got.ids) != min(k, n) {
+				t.Fatalf("n=%d trial=%d: %d items, want %d", n, trial, len(got.ids), min(k, n))
 			}
-			for i := range wantIDs {
-				if got.ids[i] != wantIDs[i] || got.dists[i] != wantDists[i] {
-					t.Fatalf("n=%d trial=%d item %d: (%d, %v), want (%d, %v)",
-						n, trial, i, got.ids[i], got.dists[i], wantIDs[i], wantDists[i])
+			seen := map[int64]bool{}
+			for i, id := range got.ids {
+				if got.dists[i] != all[i] || distOf(pts[id]) != all[i] || seen[id] {
+					t.Fatalf("n=%d trial=%d item %d: (%d, %v), scan's distance %v, the point's %v",
+						n, trial, i, id, got.dists[i], all[i], distOf(pts[id]))
 				}
+				seen[id] = true
 			}
 		}
 	}

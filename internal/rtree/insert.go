@@ -22,45 +22,37 @@ func (t *Tree) Insert(r geom.Rect, id int64) error {
 	} else {
 		clear(t.reinsertedAtLevel)
 	}
-	t.insertEntry(entry{rect: r.Clone(), id: id}, 0)
+	t.insertEntry(branch{rect: r, id: id}, 0)
 	t.size++
 	return nil
 }
 
 // insertEntry inserts an entry at the given target level (0 = leaf level for
 // data entries; higher levels receive orphaned subtrees during reinsertion
-// and condensation).
-func (t *Tree) insertEntry(e entry, level int) {
-	leafPath := t.choosePath(e.rect, level)
-	n := leafPath[len(leafPath)-1]
-	n.entries = append(n.entries, e)
-	t.syncFlat(n)
-	t.adjustPath(leafPath, e.rect)
-	if len(n.entries) > t.maxEntries {
-		t.overflow(leafPath)
+// and condensation). The chosen node copies the bounds; b's rectangle may be
+// a view of a node no longer in the tree.
+func (t *Tree) insertEntry(b branch, level int) {
+	path := t.choosePath(b.rect, level)
+	n := path[len(path)-1]
+	t.appendEntry(n, b)
+	if n.count() > t.maxEntries {
+		t.overflow(path)
 	}
 }
 
 // choosePath returns the root-to-target-level path chosen by the R*-tree
-// ChooseSubtree heuristic.
+// ChooseSubtree heuristic, growing the bounds stored along it to cover r.
 func (t *Tree) choosePath(r geom.Rect, level int) []*node {
 	path := []*node{t.root}
 	n := t.root
 	for n.level > level {
 		idx := t.chooseSubtree(n, r)
-		n.entries[idx].rect.UnionInPlace(r)
-		t.syncFlatEntry(n, idx)
-		n = n.entries[idx].child
+		t.setEntry(n, idx, branch{rect: t.rect(n, idx).Union(r), kid: n.kids[idx]})
+		n = n.kids[idx]
 		path = append(path, n)
 	}
 	return path
 }
-
-// adjustPath grows the stored child MBRs along the path; choosePath already
-// enlarged them, so this is a no-op today, retained as the single place to
-// recompute if insertion strategies change. (Entries at the root itself have
-// no parent rectangle to maintain.)
-func (t *Tree) adjustPath(path []*node, r geom.Rect) {}
 
 // chooseSubtree implements BKSS90: when the children are leaves, pick the
 // entry whose rectangle needs the least *overlap* enlargement to include r
@@ -70,23 +62,25 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 	childrenAreLeaves := n.level == 1
 	best := -1
 	var bestOverlapInc, bestAreaInc, bestArea float64
-	for i := range n.entries {
-		e := &n.entries[i]
-		union := e.rect.Union(r)
-		areaInc := union.Area() - e.rect.Area()
-		area := e.rect.Area()
+	c := n.count()
+	for i := 0; i < c; i++ {
+		rect := t.rect(n, i)
+		union := rect.Union(r)
+		areaInc := union.Area() - rect.Area()
+		area := rect.Area()
 
 		var overlapInc float64
 		if childrenAreLeaves {
 			// Overlap of this entry with its siblings, before and after
 			// enlargement.
 			var before, after float64
-			for j := range n.entries {
+			for j := 0; j < c; j++ {
 				if j == i {
 					continue
 				}
-				before += e.rect.OverlapArea(n.entries[j].rect)
-				after += union.OverlapArea(n.entries[j].rect)
+				sibling := t.rect(n, j)
+				before += rect.OverlapArea(sibling)
+				after += union.OverlapArea(sibling)
 			}
 			overlapInc = after - before
 		}
@@ -116,7 +110,7 @@ func (t *Tree) chooseSubtree(n *node, r geom.Rect) int {
 func (t *Tree) overflow(path []*node) {
 	for depth := len(path) - 1; depth >= 0; depth-- {
 		n := path[depth]
-		if len(n.entries) <= t.maxEntries {
+		if n.count() <= t.maxEntries {
 			return
 		}
 		isRoot := depth == 0
@@ -128,47 +122,35 @@ func (t *Tree) overflow(path []*node) {
 			return
 		}
 		left, right := t.split(n)
+		halves := []branch{{rect: t.mbr(left), kid: left}, {rect: t.mbr(right), kid: right}}
 		if isRoot {
-			newRoot := &node{level: n.level + 1, entries: []entry{
-				{rect: left.mbr(), child: left},
-				{rect: right.mbr(), child: right},
-			}}
-			t.syncFlat(newRoot)
-			t.root = newRoot
+			t.root = t.fill(t.newNode(n.level+1), halves)
 			t.height++
 			return
 		}
+		// The left half takes the split node's place among its parent's
+		// entries, the right half goes last.
 		parent := path[depth-1]
-		t.replaceChild(parent, n, left, right)
+		t.setEntry(parent, childIndex(parent, n), halves[0])
+		t.appendEntry(parent, halves[1])
 	}
-}
-
-// replaceChild swaps the entry of parent pointing at old for two entries
-// pointing at the split halves.
-func (t *Tree) replaceChild(parent, old, left, right *node) {
-	for i := range parent.entries {
-		if parent.entries[i].child == old {
-			parent.entries[i] = entry{rect: left.mbr(), child: left}
-			parent.entries = append(parent.entries, entry{rect: right.mbr(), child: right})
-			t.syncFlat(parent)
-			return
-		}
-	}
-	panic("rtree: internal error: split child not found in parent")
 }
 
 // forcedReinsert removes the p entries of n whose centers lie farthest from
 // the node MBR's center and reinserts them (close-reinsert order: nearest
 // removed entry first), tightening n's bounding rectangle in its parent.
 func (t *Tree) forcedReinsert(n *node, path []*node) {
-	center := n.mbr().Center()
-	type distEntry struct {
-		e entry
+	center := t.mbr(n).Center()
+	// The node is rewritten below, so the entries are taken out as copies.
+	type distBranch struct {
+		b branch
 		d float64
 	}
-	des := make([]distEntry, len(n.entries))
-	for i, e := range n.entries {
-		des[i] = distEntry{e: e, d: center.DistSq(e.rect.Center())}
+	des := make([]distBranch, n.count())
+	for i := range des {
+		b := t.branchAt(n, i)
+		b.rect = b.rect.Clone()
+		des[i] = distBranch{b: b, d: center.DistSq(b.rect.Center())}
 	}
 	sort.Slice(des, func(i, j int) bool { return des[i].d < des[j].d })
 
@@ -177,17 +159,15 @@ func (t *Tree) forcedReinsert(n *node, path []*node) {
 		p = 1
 	}
 	keep := len(des) - p
-	n.entries = n.entries[:0]
-	for _, de := range des[:keep] {
-		n.entries = append(n.entries, de.e)
+	t.resize(n, keep)
+	for i, de := range des[:keep] {
+		t.setEntry(n, i, de.b)
 	}
-	t.syncFlat(n)
 	// Tighten ancestors' rectangles for the shrunken node.
 	t.recomputePathRects(path)
 
-	level := n.level
 	for _, de := range des[keep:] {
-		t.insertEntry(de.e, level)
+		t.insertEntry(de.b, n.level)
 	}
 }
 
@@ -196,12 +176,6 @@ func (t *Tree) forcedReinsert(n *node, path []*node) {
 func (t *Tree) recomputePathRects(path []*node) {
 	for depth := len(path) - 2; depth >= 0; depth-- {
 		parent, child := path[depth], path[depth+1]
-		for i := range parent.entries {
-			if parent.entries[i].child == child {
-				parent.entries[i].rect = child.mbr()
-				t.syncFlatEntry(parent, i)
-				break
-			}
-		}
+		t.setEntry(parent, childIndex(parent, child), branch{rect: t.mbr(child), kid: child})
 	}
 }

@@ -93,9 +93,8 @@ func TestQuickSearchMatchesOracle(t *testing.T) {
 			}
 		}
 		for trial := 0; trial < 5; trial++ {
-			q := randomRect(r, 3).Expand(r.Float64() * 10)
-			got, _ := tr.SearchCollect(q)
-			ids := collectIDs(got)
+			q := expand(randomRect(r, 3), r.Float64()*10)
+			ids, _ := searchIDs(tr, q, identity)
 			var want []int64
 			for i, rect := range rects {
 				if rect.Intersects(q) {
@@ -130,14 +129,17 @@ func TestQuickNNMatchesOracle(t *testing.T) {
 		}
 		q := geom.Point{r.Float64()*120 - 60, r.Float64()*120 - 60}
 		k := 1 + r.Intn(10)
-		got, _ := tr.Nearest(q, k)
+		_, got, _ := nearest(tr, q, k)
+		if len(got) != k {
+			return false
+		}
 		dists := make([]float64, n)
 		for i, p := range pts {
 			dists[i] = q.Dist(p)
 		}
 		sort.Float64s(dists)
 		for i := range got {
-			if got[i].Dist-dists[i] > 1e-9 || dists[i]-got[i].Dist > 1e-9 {
+			if got[i]-dists[i] > 1e-9 || dists[i]-got[i] > 1e-9 {
 				return false
 			}
 		}

@@ -3,12 +3,11 @@
 // implemented our method on top of Norbert Beckmann's Version 2
 // implementation of the R*-tree"). It provides insertion with forced
 // reinsertion, margin-driven node splitting, deletion with tree
-// condensation, range search, nearest-neighbor search with the
-// MINDIST/MINMAXDIST pruning of Roussopoulos et al. (RKV95), spatial joins,
-// STR bulk loading, and — the piece specific to this paper — transformed
-// traversal: searching the index as if a safe transformation had been
-// applied to every bounding rectangle and data point, without materializing
-// the transformed index (paper Section 4, Algorithms 1 and 2).
+// condensation, in-place moves, STR bulk loading, and one traversal each
+// for range and best-first nearest-neighbor search (flat.go) — the piece
+// specific to this paper: both walk the index as if a safe transformation
+// had been applied to every bounding rectangle and data point, without
+// materializing the transformed index (paper Section 4, Algorithms 1 and 2).
 //
 // Every traversal counts node accesses, the unit the paper uses for "disk
 // accesses": one node corresponds to one disk page in the original system.
@@ -70,33 +69,182 @@ type Tree struct {
 	reinsertedAtLevel map[int]bool
 }
 
+// node is one page of the tree, held as columns. lo and hi are its only
+// geometry: entry e's bounds are lo[e*dims:(e+1)*dims] and the same run of
+// hi, entry-major, which is what the traversals scan, what ChooseSubtree and
+// the split read (through zero-copy geom.Rect views) and what EncodeBinary
+// writes. A leaf carries ids, an internal node kids, one per entry.
 type node struct {
-	level   int // 0 for leaves
-	entries []entry
-	// flat is the node's child MBRs as one contiguous struct-of-arrays
-	// slab: all low corners (entry-major), then all high corners. Batch
-	// traversals scan this cache-resident block instead of chasing the
-	// per-entry geom.Rect headers. Every mutation that changes entries
-	// resynchronizes the slab (syncFlat/syncFlatEntry); CheckInvariants
-	// verifies the two views agree.
-	flat []float64
+	level  int // 0 for leaves
+	lo, hi []float64
+	ids    []int64
+	kids   []*node
 	// cart is, in a leaf of a tree keeping Cartesian images (KeepCartesian),
 	// the image (m*cos a, m*sin a) of every polar dimension pair of every
 	// entry's point, entry-major: what a leaf point is compared as, kept so
-	// no traversal takes a sine to compare it. It is derived from the
-	// entries at exactly the slab's sync sites and never serialised.
+	// no traversal takes a sine to compare it. It is one more column,
+	// written where the bounds are (setEntry) and never serialised.
 	cart []float64
 }
 
-type entry struct {
-	rect  geom.Rect
-	child *node // non-nil for internal nodes
-	id    int64 // meaningful for leaf entries
+// branch is an entry outside a node — what an insertion brings, what a
+// split, a forced reinsertion, a condensation and a bulk load carry from
+// node to node. Its rectangle is a view (of a node's columns, of the
+// caller's item) or a private copy; no node keeps one.
+type branch struct {
+	rect geom.Rect
+	kid  *node // non-nil above the leaves
+	id   int64 // meaningful at the leaves
 }
 
 func (n *node) leaf() bool { return n.level == 0 }
 
-// KeepCartesian makes every leaf keep, beside its slab, the Cartesian image
+// count returns the number of entries in the node.
+func (n *node) count() int {
+	if n.leaf() {
+		return len(n.ids)
+	}
+	return len(n.kids)
+}
+
+// newNode returns an empty node whose columns have room for the M+1
+// entries a node holds at the moment it overflows, so filling it never
+// reallocates.
+func (t *Tree) newNode(level int) *node {
+	room := t.maxEntries + 1
+	n := &node{
+		level: level,
+		lo:    make([]float64, 0, room*t.dims),
+		hi:    make([]float64, 0, room*t.dims),
+	}
+	if level > 0 {
+		n.kids = make([]*node, 0, room)
+		return n
+	}
+	n.ids = make([]int64, 0, room)
+	if t.polarPairs > 0 {
+		n.cart = make([]float64, 0, room*2*t.polarPairs)
+	}
+	return n
+}
+
+// rect returns entry i's bounds as a view of the node's columns: reading
+// it reads the node, and it is only good until the node's next write.
+func (t *Tree) rect(n *node, i int) geom.Rect {
+	a, b := i*t.dims, (i+1)*t.dims
+	return geom.Rect{Lo: n.lo[a:b:b], Hi: n.hi[a:b:b]}
+}
+
+// branchAt returns entry i of n as a branch whose rectangle is a view.
+func (t *Tree) branchAt(n *node, i int) branch {
+	b := branch{rect: t.rect(n, i)}
+	if n.leaf() {
+		b.id = n.ids[i]
+	} else {
+		b.kid = n.kids[i]
+	}
+	return b
+}
+
+// branches returns every entry of n, in order, as views.
+func (t *Tree) branches(n *node) []branch {
+	out := make([]branch, n.count())
+	for i := range out {
+		out[i] = t.branchAt(n, i)
+	}
+	return out
+}
+
+// setEntry writes entry i of n — bounds, id or child and, in a leaf of a
+// tree keeping them, the Cartesian image. It is the only place an entry is
+// written, so the columns cannot disagree. b's rectangle must not be a view
+// of another entry of n.
+func (t *Tree) setEntry(n *node, i int, b branch) {
+	copy(n.lo[i*t.dims:(i+1)*t.dims], b.rect.Lo)
+	copy(n.hi[i*t.dims:(i+1)*t.dims], b.rect.Hi)
+	if !n.leaf() {
+		n.kids[i] = b.kid
+		return
+	}
+	n.ids[i] = b.id
+	if t.polarPairs > 0 {
+		p := b.rect.Lo[t.polarFrom:]
+		out := n.cart[i*2*t.polarPairs:]
+		for j := 0; j < t.polarPairs; j++ {
+			out[2*j], out[2*j+1] = geom.PolarToRect(p[2*j], p[2*j+1])
+		}
+	}
+}
+
+// resize sets the number of entries n holds, keeping the first c of them
+// when it shrinks and leaving the new ones to setEntry when it grows.
+func (t *Tree) resize(n *node, c int) {
+	n.lo = grow(n.lo, c*t.dims)
+	n.hi = grow(n.hi, c*t.dims)
+	if !n.leaf() {
+		n.kids = grow(n.kids, c)
+		return
+	}
+	n.ids = grow(n.ids, c)
+	if t.polarPairs > 0 {
+		n.cart = grow(n.cart, c*2*t.polarPairs)
+	}
+}
+
+// grow returns s with length n, reallocating only when a node that was
+// decoded at its exact size takes its first new entry.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// appendEntry adds b as n's last entry.
+func (t *Tree) appendEntry(n *node, b branch) {
+	c := n.count()
+	t.resize(n, c+1)
+	t.setEntry(n, c, b)
+}
+
+// fill makes bs the entries of n, in order. The rectangles may be views of
+// another node, not of n.
+func (t *Tree) fill(n *node, bs []branch) *node {
+	t.resize(n, len(bs))
+	for i, b := range bs {
+		t.setEntry(n, i, b)
+	}
+	return n
+}
+
+// removeEntry deletes entry i of n, keeping the order of the rest.
+func (t *Tree) removeEntry(n *node, i int) {
+	c := n.count()
+	copy(n.lo[i*t.dims:], n.lo[(i+1)*t.dims:])
+	copy(n.hi[i*t.dims:], n.hi[(i+1)*t.dims:])
+	if n.leaf() {
+		copy(n.ids[i:], n.ids[i+1:])
+		if cw := 2 * t.polarPairs; cw > 0 {
+			copy(n.cart[i*cw:], n.cart[(i+1)*cw:])
+		}
+	} else {
+		copy(n.kids[i:], n.kids[i+1:])
+		n.kids[c-1] = nil
+	}
+	t.resize(n, c-1)
+}
+
+// childIndex returns the position of child among parent's entries.
+func childIndex(parent, child *node) int {
+	for i, k := range parent.kids {
+		if k == child {
+			return i
+		}
+	}
+	panic("rtree: internal error: child not found in its parent")
+}
+
+// KeepCartesian makes every leaf keep, beside its bounds, the Cartesian image
 // of each (magnitude, angle) dimension pair of its points, for the pairs
 // from dimension `from` to the last (see node.cart): the k-index asks for
 // it over a polar feature schema. Existing leaves are brought up to date.
@@ -104,85 +252,30 @@ func (t *Tree) KeepCartesian(from int) {
 	t.polarFrom, t.polarPairs = from, (t.dims-from)/2
 	var walk func(n *node)
 	walk = func(n *node) {
-		if n.leaf() {
-			t.syncCart(n)
+		if !n.leaf() {
+			for _, k := range n.kids {
+				walk(k)
+			}
 			return
 		}
-		for i := range n.entries {
-			walk(n.entries[i].child)
+		c, cw := n.count(), 2*t.polarPairs
+		n.cart = make([]float64, c*cw, (t.maxEntries+1)*cw)
+		for i := 0; i < c; i++ {
+			t.setEntry(n, i, t.branchAt(n, i))
 		}
 	}
 	walk(t.root)
 }
 
-// syncFlat rebuilds a node's flat MBR slab (and a leaf's Cartesian block)
-// from the entries, reusing the backing arrays when capacity allows.
-func (t *Tree) syncFlat(n *node) {
-	dims := t.dims
-	c := len(n.entries)
-	need := 2 * c * dims
-	if cap(n.flat) < need {
-		n.flat = make([]float64, need)
-	} else {
-		n.flat = n.flat[:need]
-	}
-	lows, highs := n.flat[:c*dims], n.flat[c*dims:]
-	for i := range n.entries {
-		copy(lows[i*dims:(i+1)*dims], n.entries[i].rect.Lo)
-		copy(highs[i*dims:(i+1)*dims], n.entries[i].rect.Hi)
-	}
-	t.syncCart(n)
-}
-
-// syncCart rebuilds a leaf's Cartesian block from the entries.
-func (t *Tree) syncCart(n *node) {
-	if t.polarPairs == 0 || !n.leaf() {
-		return
-	}
-	need := len(n.entries) * 2 * t.polarPairs
-	if cap(n.cart) < need {
-		n.cart = make([]float64, need)
-	} else {
-		n.cart = n.cart[:need]
-	}
-	for i := range n.entries {
-		t.syncCartEntry(n, i)
-	}
-}
-
-// syncCartEntry rewrites one leaf entry's cells of the Cartesian block.
-func (t *Tree) syncCartEntry(n *node, i int) {
-	p := n.entries[i].rect.Lo[t.polarFrom:]
-	out := n.cart[i*2*t.polarPairs:]
-	for j := 0; j < t.polarPairs; j++ {
-		out[2*j], out[2*j+1] = geom.PolarToRect(p[2*j], p[2*j+1])
-	}
-}
-
-// syncFlatEntry rewrites one entry's slab cells (and, in a leaf, its
-// Cartesian block entry) after an in-place rectangle change that did not
-// alter the entry count.
-func (t *Tree) syncFlatEntry(n *node, i int) {
-	dims := t.dims
-	c := len(n.entries)
-	if len(n.flat) != 2*c*dims {
-		t.syncFlat(n)
-		return
-	}
-	copy(n.flat[i*dims:(i+1)*dims], n.entries[i].rect.Lo)
-	copy(n.flat[(c+i)*dims:(c+i+1)*dims], n.entries[i].rect.Hi)
-	if t.polarPairs > 0 && n.leaf() {
-		t.syncCartEntry(n, i)
-	}
-}
-
-func (n *node) mbr() geom.Rect {
-	if len(n.entries) == 0 {
+// mbr returns the minimum bounding rectangle of n's entries, a fresh copy.
+func (t *Tree) mbr(n *node) geom.Rect {
+	c := n.count()
+	if c == 0 {
 		return geom.Rect{}
 	}
-	r := n.entries[0].rect.Clone()
-	for _, e := range n.entries[1:] {
-		r.UnionInPlace(e.rect)
+	r := t.rect(n, 0).Clone()
+	for i := 1; i < c; i++ {
+		r.UnionInPlace(t.rect(n, i))
 	}
 	return r
 }
@@ -210,14 +303,15 @@ func New(dims int, opts Options) (*Tree, error) {
 	if minE < 1 || minE > maxE/2 {
 		return nil, fmt.Errorf("rtree: MinEntries %d out of range [1, %d]", minE, maxE/2)
 	}
-	return &Tree{
+	t := &Tree{
 		dims:       dims,
 		maxEntries: maxE,
 		minEntries: minE,
 		reinsert:   !opts.DisableReinsert,
-		root:       &node{level: 0},
 		height:     1,
-	}, nil
+	}
+	t.root = t.newNode(0)
+	return t, nil
 }
 
 // MustNew is New for static configurations known to be valid; it panics on
@@ -245,7 +339,7 @@ func (t *Tree) Bounds() geom.Rect {
 	if t.size == 0 {
 		return geom.Rect{}
 	}
-	return t.root.mbr()
+	return t.mbr(t.root)
 }
 
 func (t *Tree) checkRect(r geom.Rect) error {

@@ -82,21 +82,60 @@ func TestInsertSearchSmall(t *testing.T) {
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	got, _ := tr.SearchCollect(geom.NewRect(pt(0, 0), pt(2, 2)))
-	ids := collectIDs(got)
+	ids, _ := searchIDs(tr, geom.NewRect(pt(0, 0), pt(2, 2)), identity)
 	want := []int64{0, 1, 3}
 	if !equalIDs(ids, want) {
 		t.Fatalf("search ids = %v, want %v", ids, want)
 	}
 }
 
-func collectIDs(items []Item) []int64 {
-	ids := make([]int64, len(items))
-	for i, it := range items {
-		ids[i] = it.ID
+// expand returns r grown by eps in every direction.
+func expand(r geom.Rect, eps float64) geom.Rect {
+	out := r.Clone()
+	for i := range out.Lo {
+		out.Lo[i] -= eps
+		out.Hi[i] += eps
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return out
+}
+
+// idCollector gathers the ids a range traversal emits, stopping after limit
+// of them (0: never).
+type idCollector struct {
+	ids   []int64
+	limit int
+}
+
+func (c *idCollector) VisitFlat(id int64, tlo, thi, cart []float64) bool {
+	c.ids = append(c.ids, id)
+	return len(c.ids) != c.limit
+}
+
+// searchIDs runs the range traversal for q under fm and returns the ids it
+// emits, sorted.
+func searchIDs(tr *Tree, q geom.Rect, fm FlatMap) ([]int64, SearchStats) {
+	var (
+		sc  Scratch
+		got idCollector
+	)
+	st := tr.FlatRange(q.Lo, q.Hi, fm, &sc, &got)
+	sort.Slice(got.ids, func(i, j int) bool { return got.ids[i] < got.ids[j] })
+	return got.ids, st
+}
+
+var identity = FlatMap{Identity: true}
+
+// nearest runs the nearest-neighbor traversal around p with Euclidean
+// geometry (flatTestKernel) and returns the first k items' ids and
+// distances.
+func nearest(tr *Tree, p geom.Point, k int) ([]int64, []float64, SearchStats) {
+	var sc Scratch
+	got := collectNear{limit: k}
+	st := tr.NearestFlat(identity, &flatTestKernel{q: p}, &sc, &got)
+	for i, d := range got.dists {
+		got.dists[i] = math.Sqrt(d)
+	}
+	return got.ids, got.dists, st
 }
 
 func equalIDs(a, b []int64) bool {
@@ -138,9 +177,8 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 20; trial++ {
-			q := randomRect(r, dims)
-			q = q.Expand(3)
-			got, _ := tr.SearchCollect(q)
+			q := expand(randomRect(r, dims), 3)
+			got, _ := searchIDs(tr, q, identity)
 			var want []int64
 			for i, rect := range rects {
 				if rect.Intersects(q) {
@@ -148,7 +186,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 				}
 			}
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if !equalIDs(collectIDs(got), want) {
+			if !equalIDs(got, want) {
 				t.Fatalf("dims=%d trial=%d: mismatch", dims, trial)
 			}
 		}
@@ -158,13 +196,17 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 func TestSearchEarlyStop(t *testing.T) {
 	tr := MustNew(2, Options{})
 	buildRandom(t, tr, 200, 5, false)
-	count := 0
-	tr.Search(tr.Bounds(), func(Item) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Fatalf("early stop visited %d, want 10", count)
+	var sc Scratch
+	got := idCollector{limit: 10}
+	b := tr.Bounds()
+	tr.FlatRange(b.Lo, b.Hi, identity, &sc, &got)
+	if len(got.ids) != 10 {
+		t.Fatalf("early stop visited %d, want 10", len(got.ids))
+	}
+	near := collectNear{limit: 10}
+	tr.NearestFlat(identity, &flatTestKernel{q: b.Lo}, &sc, &near)
+	if len(near.ids) != 10 {
+		t.Fatalf("early stop visited %d nearest items, want 10", len(near.ids))
 	}
 }
 
@@ -219,10 +261,10 @@ func TestDelete(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tr.SearchCollect(tr.Bounds())
-	for _, it := range got {
-		if it.ID%2 == 0 {
-			t.Fatalf("deleted item %d still present", it.ID)
+	got, _ := searchIDs(tr, tr.Bounds(), identity)
+	for _, id := range got {
+		if id%2 == 0 {
+			t.Fatalf("deleted item %d still present", id)
 		}
 	}
 	if len(got) != 150 {
@@ -233,7 +275,7 @@ func TestDelete(t *testing.T) {
 		t.Fatal("delete of absent item returned true")
 	}
 	// Rect must match exactly, not just the ID.
-	if tr.Delete(rects[1].Expand(0.1), 1) {
+	if tr.Delete(expand(rects[1], 0.1), 1) {
 		t.Fatal("delete with wrong rect returned true")
 	}
 }
@@ -299,6 +341,17 @@ func TestRandomizedInsertDeleteProperty(t *testing.T) {
 				t.Fatalf("round %d: live item %d missing", round, id)
 			}
 		}
+		q := expand(randomRect(r, 2), 10)
+		var want []int64
+		for id, rect := range live {
+			if rect.Intersects(q) {
+				want = append(want, id)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if ids, _ := searchIDs(tr, q, identity); !equalIDs(ids, want) {
+			t.Fatalf("round %d: range search found %v, oracle %v", round, ids, want)
+		}
 	}
 }
 
@@ -312,9 +365,9 @@ func TestNearestMatchesLinearScan(t *testing.T) {
 			q[i] = r.Float64()*120 - 60
 		}
 		for _, k := range []int{1, 5, 17} {
-			got, _ := tr.Nearest(q, k)
+			_, got, _ := nearest(tr, q, k)
 			if len(got) != k {
-				t.Fatalf("Nearest returned %d, want %d", len(got), k)
+				t.Fatalf("nearest returned %d, want %d", len(got), k)
 			}
 			// Oracle: sort all by distance.
 			type dr struct {
@@ -327,13 +380,13 @@ func TestNearestMatchesLinearScan(t *testing.T) {
 			}
 			sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
 			for i := 0; i < k; i++ {
-				if math.Abs(got[i].Dist-all[i].d) > 1e-9 {
-					t.Fatalf("trial=%d k=%d rank=%d: dist %v != oracle %v", trial, k, i, got[i].Dist, all[i].d)
+				if math.Abs(got[i]-all[i].d) > 1e-9 {
+					t.Fatalf("trial=%d k=%d rank=%d: dist %v != oracle %v", trial, k, i, got[i], all[i].d)
 				}
 			}
 			// Results must be sorted by distance.
 			for i := 1; i < k; i++ {
-				if got[i].Dist < got[i-1].Dist-1e-12 {
+				if got[i] < got[i-1] {
 					t.Fatal("results not sorted by distance")
 				}
 			}
@@ -343,45 +396,13 @@ func TestNearestMatchesLinearScan(t *testing.T) {
 
 func TestNearestEdgeCases(t *testing.T) {
 	tr := MustNew(2, Options{})
-	if got, _ := tr.Nearest(pt(0, 0), 3); got != nil {
-		t.Fatal("empty tree should return nil")
+	if ids, _, st := nearest(tr, pt(0, 0), 3); ids != nil || st != (SearchStats{}) {
+		t.Fatalf("empty tree: visited %v, stats %+v", ids, st)
 	}
 	tr.Insert(geom.PointRect(pt(1, 1)), 7)
-	if got, _ := tr.Nearest(pt(0, 0), 0); got != nil {
-		t.Fatal("k=0 should return nil")
-	}
-	got, _ := tr.Nearest(pt(0, 0), 5)
-	if len(got) != 1 || got[0].Item.ID != 7 {
-		t.Fatalf("k beyond size: %v", got)
-	}
-}
-
-func TestNearestDFSMatchesBestFirst(t *testing.T) {
-	tr := MustNew(3, Options{MaxEntries: 6})
-	buildRandom(t, tr, 600, 13, true)
-	r := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 30; trial++ {
-		q := make(geom.Point, 3)
-		for i := range q {
-			q[i] = r.Float64()*120 - 60
-		}
-		bf, bfStats := tr.Nearest(q, 1)
-		dfs, dfsStats := tr.NearestDFS(q)
-		if math.Abs(bf[0].Dist-dfs.Dist) > 1e-9 {
-			t.Fatalf("DFS %v != best-first %v", dfs.Dist, bf[0].Dist)
-		}
-		if bfStats.NodesVisited > dfsStats.NodesVisited {
-			t.Errorf("best-first visited %d nodes, DFS %d — best-first should not do worse",
-				bfStats.NodesVisited, dfsStats.NodesVisited)
-		}
-	}
-}
-
-func TestNearestDFSEmpty(t *testing.T) {
-	tr := MustNew(2, Options{})
-	nb, _ := tr.NearestDFS(pt(0, 0))
-	if !math.IsInf(nb.Dist, 1) {
-		t.Fatal("empty DFS NN should return +inf distance")
+	ids, dists, _ := nearest(tr, pt(0, 0), 5)
+	if len(ids) != 1 || ids[0] != 7 || dists[0] != math.Sqrt2 {
+		t.Fatalf("k beyond size: %v at %v", ids, dists)
 	}
 }
 
@@ -391,157 +412,72 @@ func TestTransformedSearchEquivalentToMaterialize(t *testing.T) {
 	// the transformed index and searching it.
 	tr := MustNew(2, Options{MaxEntries: 6})
 	buildRandom(t, tr, 400, 15, true)
-	shiftScale := func(r geom.Rect) geom.Rect {
-		out := r.Clone()
-		for i := range out.Lo {
-			out.Lo[i] = out.Lo[i]*2 - 3
-			out.Hi[i] = out.Hi[i]*2 - 3
-		}
-		return out.Canonical()
-	}
+	shiftScale := FlatMap{C: []float64{2, -2}, D: []float64{-3, 1}}
 	mat := tr.Materialize(shiftScale)
+	if err := mat.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 20; trial++ {
-		q := randomRect(r, 2).Expand(5)
-		var onTheFly []int64
-		tr.TransformedSearch(q, shiftScale, nil, func(it Item, _ geom.Rect) bool {
-			onTheFly = append(onTheFly, it.ID)
-			return true
-		})
-		matGot, _ := mat.SearchCollect(q)
-		matIDs := collectIDs(matGot)
-		sort.Slice(onTheFly, func(i, j int) bool { return onTheFly[i] < onTheFly[j] })
+		q := expand(randomRect(r, 2), 5)
+		onTheFly, flySt := searchIDs(tr, q, shiftScale)
+		matIDs, matSt := searchIDs(mat, q, identity)
 		if !equalIDs(onTheFly, matIDs) {
 			t.Fatalf("trial %d: on-the-fly %v != materialized %v", trial, onTheFly, matIDs)
+		}
+		if flySt != matSt {
+			t.Fatalf("trial %d: on-the-fly stats %+v != materialized %+v", trial, flySt, matSt)
 		}
 	}
 }
 
 func TestTransformedSearchNegativeScale(t *testing.T) {
-	// Negative stretch factors (the paper's T_rev) flip rectangles; both
-	// traversals must agree after canonicalization.
-	tr := MustNew(2, Options{MaxEntries: 5})
-	rects := buildRandom(t, tr, 300, 17, true)
-	neg := func(r geom.Rect) geom.Rect {
-		out := r.Clone()
-		for i := range out.Lo {
-			out.Lo[i], out.Hi[i] = -out.Hi[i], -out.Lo[i]
+	// Negative stretch factors (the paper's T_rev) flip rectangles: the
+	// traversal must swap the corners back, on rectangles with extent as on
+	// points.
+	for _, points := range []bool{true, false} {
+		tr := MustNew(2, Options{MaxEntries: 5})
+		rects := buildRandom(t, tr, 300, 17, points)
+		neg := func(r geom.Rect) geom.Rect {
+			out := r.Clone()
+			for i := range out.Lo {
+				out.Lo[i], out.Hi[i] = -out.Hi[i], -out.Lo[i]
+			}
+			return out
 		}
-		return out
-	}
-	q := geom.NewRect(pt(-10, -10), pt(10, 10))
-	var got []int64
-	tr.TransformedSearch(q, neg, nil, func(it Item, _ geom.Rect) bool {
-		got = append(got, it.ID)
-		return true
-	})
-	var want []int64
-	for i, r := range rects {
-		if neg(r).Intersects(q) {
-			want = append(want, int64(i))
+		q := geom.NewRect(pt(-10, -10), pt(10, 10))
+		got, _ := searchIDs(tr, q, FlatMap{C: []float64{-1, -1}, D: []float64{0, 0}})
+		var want []int64
+		for i, r := range rects {
+			if neg(r).Intersects(q) {
+				want = append(want, int64(i))
+			}
 		}
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	if !equalIDs(got, want) {
-		t.Fatalf("negative-scale transformed search: got %v want %v", got, want)
+		if len(want) == 0 || !equalIDs(got, want) {
+			t.Fatalf("negative-scale transformed search: got %v want %v", got, want)
+		}
 	}
 }
 
 func TestTransformedSearchIdentityEqualsSearch(t *testing.T) {
-	// Figure 8/9's premise: with the identity transformation the traversal
-	// visits exactly the same nodes as the plain search.
+	// Figure 8/9's premise: the identity transformation processed as a
+	// transformation — every node mapped through c = 1, d = 0 — visits
+	// exactly the nodes, and finds exactly the items, the plain search does
+	// reading the nodes in place.
 	tr := MustNew(2, Options{MaxEntries: 8})
 	buildRandom(t, tr, 500, 18, true)
-	ident := func(r geom.Rect) geom.Rect { return r }
+	forced := FlatMap{C: []float64{1, 1}, D: []float64{0, 0}}
 	r := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 10; trial++ {
-		q := randomRect(r, 2).Expand(4)
-		plain, plainStats := tr.SearchCollect(q)
-		var ids []int64
-		tstats := tr.TransformedSearch(q, ident, nil, func(it Item, _ geom.Rect) bool {
-			ids = append(ids, it.ID)
-			return true
-		})
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if !equalIDs(ids, collectIDs(plain)) {
+		q := expand(randomRect(r, 2), 4)
+		plain, plainStats := searchIDs(tr, q, identity)
+		ids, tstats := searchIDs(tr, q, forced)
+		if !equalIDs(ids, plain) {
 			t.Fatal("identity transformed search differs from plain search")
 		}
-		if tstats.NodesVisited != plainStats.NodesVisited {
-			t.Fatalf("node accesses differ: %d vs %d (paper: identical disk accesses)",
-				tstats.NodesVisited, plainStats.NodesVisited)
+		if tstats != plainStats {
+			t.Fatalf("work differs: %+v vs %+v (paper: identical disk accesses)", tstats, plainStats)
 		}
-	}
-}
-
-func TestJoinMatchesBruteForce(t *testing.T) {
-	a := MustNew(2, Options{MaxEntries: 5})
-	b := MustNew(2, Options{MaxEntries: 7})
-	ra := buildRandom(t, a, 120, 20, false)
-	rb := buildRandom(t, b, 80, 21, false)
-	var got [][2]int64
-	a.Join(b, nil, nil, nil, func(p JoinPair) bool {
-		got = append(got, [2]int64{p.Left.ID, p.Right.ID})
-		return true
-	})
-	var want [][2]int64
-	for i, x := range ra {
-		for j, y := range rb {
-			if x.Intersects(y) {
-				want = append(want, [2]int64{int64(i), int64(j)})
-			}
-		}
-	}
-	sortPairs := func(ps [][2]int64) {
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i][0] != ps[j][0] {
-				return ps[i][0] < ps[j][0]
-			}
-			return ps[i][1] < ps[j][1]
-		})
-	}
-	sortPairs(got)
-	sortPairs(want)
-	if len(got) != len(want) {
-		t.Fatalf("join found %d pairs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("pair %d: %v != %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestJoinEmpty(t *testing.T) {
-	a := MustNew(2, Options{})
-	b := MustNew(2, Options{})
-	b.Insert(geom.PointRect(pt(0, 0)), 1)
-	called := false
-	a.Join(b, nil, nil, nil, func(JoinPair) bool { called = true; return true })
-	if called {
-		t.Fatal("join with empty side should emit nothing")
-	}
-}
-
-func TestSelfJoinDeduplicates(t *testing.T) {
-	tr := MustNew(2, Options{MaxEntries: 4})
-	// Three mutually overlapping rects plus one isolated.
-	rects := []geom.Rect{
-		geom.NewRect(pt(0, 0), pt(2, 2)),
-		geom.NewRect(pt(1, 1), pt(3, 3)),
-		geom.NewRect(pt(1.5, 1.5), pt(2.5, 2.5)),
-		geom.NewRect(pt(100, 100), pt(101, 101)),
-	}
-	for i, r := range rects {
-		tr.Insert(r, int64(i))
-	}
-	var pairs [][2]int64
-	tr.SelfJoin(nil, nil, func(p JoinPair) bool {
-		pairs = append(pairs, [2]int64{p.Left.ID, p.Right.ID})
-		return true
-	})
-	if len(pairs) != 3 {
-		t.Fatalf("self join found %d pairs, want 3 (0-1, 0-2, 1-2): %v", len(pairs), pairs)
 	}
 }
 
@@ -562,8 +498,8 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 		t.Fatalf("bulk Len = %d", bulk.Len())
 	}
 	for trial := 0; trial < 15; trial++ {
-		q := randomRect(r, 4).Expand(8)
-		got, _ := bulk.SearchCollect(q)
+		q := expand(randomRect(r, 4), 8)
+		got, _ := searchIDs(bulk, q, identity)
 		var want []int64
 		for _, it := range items {
 			if it.Rect.Intersects(q) {
@@ -571,7 +507,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 			}
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if !equalIDs(collectIDs(got), want) {
+		if !equalIDs(got, want) {
 			t.Fatalf("trial %d: bulk-loaded search mismatch", trial)
 		}
 	}
@@ -626,9 +562,9 @@ func TestDisableReinsert(t *testing.T) {
 	}
 	// Both must answer queries identically.
 	q := geom.NewRect(pt(-20, -20), pt(20, 20))
-	a, _ := with.SearchCollect(q)
-	b, _ := without.SearchCollect(q)
-	if !equalIDs(collectIDs(a), collectIDs(b)) {
+	a, _ := searchIDs(with, q, identity)
+	b, _ := searchIDs(without, q, identity)
+	if len(a) == 0 || !equalIDs(a, b) {
 		t.Fatal("reinsert on/off changed query results")
 	}
 }
@@ -643,7 +579,7 @@ func TestBoundsEmpty(t *testing.T) {
 func TestStatsCountNodes(t *testing.T) {
 	tr := MustNew(2, Options{MaxEntries: 4})
 	buildRandom(t, tr, 200, 24, true)
-	_, st := tr.SearchCollect(tr.Bounds())
+	_, st := searchIDs(tr, tr.Bounds(), identity)
 	if st.NodesVisited < tr.Height() {
 		t.Fatalf("NodesVisited=%d below height %d", st.NodesVisited, tr.Height())
 	}

@@ -6,14 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"repro/internal/geom"
+	"slices"
 )
 
 // Versioned binary encoding of a packed tree. The on-disk form of a node
-// is exactly its flat SoA slab (all low corners, then all high corners)
-// plus leaf IDs, so a snapshot round-trip is byte-for-byte stable and
-// decode is a single sequential read: no sorting, no reinsertion, no
+// is exactly its columns — all low corners, then all high corners, then the
+// leaf IDs — so a snapshot round-trip is byte-for-byte stable and decode
+// reads each node straight into place: no sorting, no reinsertion, no
 // feature recomputation — the "read + validate + adopt" cold-start path.
 //
 // Layout (little endian throughout, matching the snapshot format):
@@ -42,6 +41,9 @@ const (
 // to translate live IDs (which have gaps after deletes) into the dense
 // record positions the loader will assign.
 func (t *Tree) EncodeBinary(w io.Writer, remap func(id int64) (int64, bool)) error {
+	if t.dims > math.MaxUint8 {
+		return fmt.Errorf("rtree: %d dimensions too many to serialise", t.dims)
+	}
 	if t.maxEntries > math.MaxUint16 {
 		return fmt.Errorf("rtree: MaxEntries %d too large to serialise", t.maxEntries)
 	}
@@ -75,41 +77,28 @@ func (t *Tree) EncodeBinary(w io.Writer, remap func(id int64) (int64, bool)) err
 func (t *Tree) encodeNode(bw *bufio.Writer, n *node, remap func(int64) (int64, bool)) error {
 	bw.WriteByte(uint8(n.level))
 	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(n.entries)))
+	binary.LittleEndian.PutUint16(u16[:], uint16(n.count()))
 	bw.Write(u16[:])
 	var u64 [8]byte
-	// Slab: lows of every entry, then highs — written from the entry
-	// rects (the authoritative view), which is what the decoded node's
-	// flat slab will hold verbatim.
-	for _, e := range n.entries {
-		for _, v := range e.rect.Lo {
+	for _, column := range [2][]float64{n.lo, n.hi} {
+		for _, v := range column {
 			binary.LittleEndian.PutUint64(u64[:], math.Float64bits(v))
 			bw.Write(u64[:])
 		}
 	}
-	for _, e := range n.entries {
-		for _, v := range e.rect.Hi {
-			binary.LittleEndian.PutUint64(u64[:], math.Float64bits(v))
-			bw.Write(u64[:])
-		}
-	}
-	if n.leaf() {
-		for _, e := range n.entries {
-			id := e.id
-			if remap != nil {
-				mapped, ok := remap(id)
-				if !ok {
-					return fmt.Errorf("rtree: no remapping for stored id %d", id)
-				}
-				id = mapped
+	for _, id := range n.ids {
+		if remap != nil {
+			mapped, ok := remap(id)
+			if !ok {
+				return fmt.Errorf("rtree: no remapping for stored id %d", id)
 			}
-			binary.LittleEndian.PutUint64(u64[:], uint64(id))
-			bw.Write(u64[:])
+			id = mapped
 		}
-		return nil
+		binary.LittleEndian.PutUint64(u64[:], uint64(id))
+		bw.Write(u64[:])
 	}
-	for i := range n.entries {
-		if err := t.encodeNode(bw, n.entries[i].child, remap); err != nil {
+	for _, kid := range n.kids {
+		if err := t.encodeNode(bw, kid, remap); err != nil {
 			return err
 		}
 	}
@@ -146,6 +135,9 @@ func DecodeBinary(r io.Reader) (*Tree, error) {
 	}
 	if height < 1 {
 		return nil, fmt.Errorf("rtree: decoded height %d invalid", height)
+	}
+	if flags&^1 != 0 {
+		return nil, fmt.Errorf("rtree: decoded flags %#x unknown", flags)
 	}
 	t := &Tree{
 		dims:       dims,
@@ -187,34 +179,23 @@ func (t *Tree) decodeNode(d *serialDecoder, wantLevel int) (*node, int, error) {
 	if count > t.maxEntries {
 		return nil, 0, fmt.Errorf("rtree: node with %d entries exceeds M=%d", count, t.maxEntries)
 	}
+	// The stream holds the node's columns verbatim. They are sized by what
+	// arrives, not by the header's count (see serialDecoder.floats).
 	n := &node{level: level}
-	dims := t.dims
-	// The stream holds the node's flat slab verbatim; read it once, then
-	// carve the entry rects out of a separate backing block (rects must
-	// not alias the slab: tree mutations resynchronise slab cells from
-	// the rects, which would corrupt under aliasing when entries are
-	// reordered).
-	n.flat = make([]float64, 2*count*dims)
-	if err := d.floats(n.flat); err != nil {
-		return nil, 0, fmt.Errorf("rtree: decode slab: %w", err)
+	n.lo = d.floats(count * t.dims)
+	n.hi = d.floats(count * t.dims)
+	if d.err != nil {
+		return nil, 0, fmt.Errorf("rtree: decode slab: %w", d.err)
 	}
-	backing := make([]float64, 2*count*dims)
-	copy(backing, n.flat)
-	lows, highs := backing[:count*dims], backing[count*dims:]
-	n.entries = make([]entry, count)
-	for i := 0; i < count; i++ {
-		lo := lows[i*dims : (i+1)*dims : (i+1)*dims]
-		hi := highs[i*dims : (i+1)*dims : (i+1)*dims]
-		for k := 0; k < dims; k++ {
-			if lo[k] > hi[k] || math.IsNaN(lo[k]) || math.IsNaN(hi[k]) {
-				return nil, 0, fmt.Errorf("rtree: decoded rect not canonical in dim %d", k)
-			}
+	for k := range n.lo {
+		if n.lo[k] > n.hi[k] || math.IsNaN(n.lo[k]) || math.IsNaN(n.hi[k]) {
+			return nil, 0, fmt.Errorf("rtree: decoded rect not canonical in dim %d", k%t.dims)
 		}
-		n.entries[i] = entry{rect: geom.Rect{Lo: lo, Hi: hi}}
 	}
 	if level == 0 {
-		for i := 0; i < count; i++ {
-			n.entries[i].id = int64(d.u64())
+		n.ids = make([]int64, count)
+		for i := range n.ids {
+			n.ids[i] = int64(d.u64())
 		}
 		if d.err != nil {
 			return nil, 0, fmt.Errorf("rtree: decode leaf ids: %w", d.err)
@@ -225,12 +206,13 @@ func (t *Tree) decodeNode(d *serialDecoder, wantLevel int) (*node, int, error) {
 		return nil, 0, fmt.Errorf("rtree: internal node at level %d with no children", level)
 	}
 	var leaves int
-	for i := 0; i < count; i++ {
+	n.kids = make([]*node, count)
+	for i := range n.kids {
 		child, sub, err := t.decodeNode(d, level-1)
 		if err != nil {
 			return nil, 0, err
 		}
-		n.entries[i].child = child
+		n.kids[i] = child
 		leaves += sub
 	}
 	return n, leaves, nil
@@ -238,10 +220,9 @@ func (t *Tree) decodeNode(d *serialDecoder, wantLevel int) (*node, int, error) {
 
 // serialDecoder wraps sticky-error little-endian reads.
 type serialDecoder struct {
-	r    io.Reader
-	err  error
-	buf  [8]byte
-	fbuf []byte
+	r   io.Reader
+	err error
+	buf [4096]byte
 }
 
 func (d *serialDecoder) bytes(n int) []byte {
@@ -259,22 +240,23 @@ func (d *serialDecoder) u16() uint16 { return binary.LittleEndian.Uint16(d.bytes
 func (d *serialDecoder) u32() uint32 { return binary.LittleEndian.Uint32(d.bytes(4)) }
 func (d *serialDecoder) u64() uint64 { return binary.LittleEndian.Uint64(d.bytes(8)) }
 
-// floats fills dst with len(dst) little-endian float64s in one read.
-func (d *serialDecoder) floats(dst []float64) error {
-	if d.err != nil {
-		return d.err
+// floats reads n little-endian float64s, a buffer at a time, growing the
+// result as they arrive: a header may promise 65,535 entries of 255
+// dimensions in a stream a few bytes long, and what is allocated has to
+// follow the bytes, not the promise. A node of the usual size is one read
+// and one allocation.
+func (d *serialDecoder) floats(n int) []float64 {
+	var out []float64
+	for len(out) < n {
+		k := min(n-len(out), len(d.buf)/8)
+		b := d.bytes(8 * k)
+		if d.err != nil {
+			return nil
+		}
+		out = slices.Grow(out, k)
+		for i := 0; i < k; i++ {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+		}
 	}
-	need := 8 * len(dst)
-	if cap(d.fbuf) < need {
-		d.fbuf = make([]byte, need)
-	}
-	b := d.fbuf[:need]
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = err
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return nil
+	return out
 }

@@ -3,6 +3,7 @@ package rtree
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -23,7 +24,27 @@ func randomItems(n, dims int, seed int64) []Item {
 	return items
 }
 
-func encodeTree(t *testing.T, tr *Tree, remap func(int64) (int64, bool)) []byte {
+// mutatedTree is 400 inserts and 40 deletes at M = 8: splits, reinsertion,
+// condensation. It returns the items inserted; every third of the first 120
+// is gone again.
+func mutatedTree(t testing.TB) (*Tree, []Item) {
+	t.Helper()
+	tr := MustNew(3, Options{MaxEntries: 8})
+	items := randomItems(400, 3, 99)
+	for _, it := range items {
+		if err := tr.Insert(it.Rect, it.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 120; i += 3 {
+		if !tr.Delete(items[i].Rect, items[i].ID) {
+			t.Fatalf("delete %d failed", i)
+		}
+	}
+	return tr, items
+}
+
+func encodeTree(t testing.TB, tr *Tree, remap func(int64) (int64, bool)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.EncodeBinary(&buf, remap); err != nil {
@@ -84,18 +105,7 @@ func TestSerialRoundTrip(t *testing.T) {
 // insert/delete traffic (splits, reinsertion, condensation), not just a
 // packed bulk load.
 func TestSerialRoundTripAfterMutation(t *testing.T) {
-	tr := MustNew(3, Options{MaxEntries: 8})
-	items := randomItems(400, 3, 99)
-	for _, it := range items {
-		if err := tr.Insert(it.Rect, it.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 120; i += 3 {
-		if !tr.Delete(items[i].Rect, items[i].ID) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
+	tr, items := mutatedTree(t)
 	enc := encodeTree(t, tr, nil)
 	got, err := DecodeBinary(bytes.NewReader(enc))
 	if err != nil {
@@ -179,4 +189,37 @@ func TestSerialDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeBinary(bytes.NewReader(bad)); err == nil {
 		t.Fatal("decode with corrupted height succeeded")
 	}
+	// Unknown flag bits: nothing this package wrote ever set them.
+	bad = append(bad[:0], enc...)
+	bad[9] |= 0x80
+	if _, err := DecodeBinary(bytes.NewReader(bad)); err == nil {
+		t.Fatal("decode with unknown flags succeeded")
+	}
+	// A header that promises far more than the stream holds is refused for
+	// what is missing, at the price of what was there.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBinary(bytes.NewReader(hugeClaim))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decode of an 18-byte stream claiming 65,535 entries of 255 dimensions succeeded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decode of an 18-byte stream allocated %d bytes before failing with %q", got, err)
+	}
+}
+
+// hugeClaim is a well-formed header and root-node header — 255 dimensions,
+// M = 65,535, m = 1, one leaf of 65,535 entries — followed by nothing: 18
+// bytes that ask for a 267 MB slab.
+var hugeClaim = []byte{
+	'R', 'T', 'S', '1',
+	255,        // dims
+	0xff, 0xff, // M
+	1, 0, // m
+	1,                // flags
+	1,                // height
+	0xff, 0xff, 0, 0, // size
+	0,          // root level
+	0xff, 0xff, // root count
 }

@@ -13,24 +13,18 @@ import (
 // choose the distribution minimizing overlap between the two groups (ties
 // broken by combined area).
 func (t *Tree) split(n *node) (left, right *node) {
-	axis := t.chooseSplitAxis(n)
-	sortEntriesByAxis(n.entries, axis)
-	splitAt := t.chooseSplitIndex(n.entries)
-
-	le := make([]entry, splitAt)
-	copy(le, n.entries[:splitAt])
-	re := make([]entry, len(n.entries)-splitAt)
-	copy(re, n.entries[splitAt:])
-	left = &node{level: n.level, entries: le}
-	right = &node{level: n.level, entries: re}
-	t.syncFlat(left)
-	t.syncFlat(right)
+	// The halves are new nodes, so the entries can stay views of n.
+	bs := t.branches(n)
+	sortBranchesByAxis(bs, t.chooseSplitAxis(bs))
+	splitAt := t.chooseSplitIndex(bs)
+	left = t.fill(t.newNode(n.level), bs[:splitAt])
+	right = t.fill(t.newNode(n.level), bs[splitAt:])
 	return left, right
 }
 
-// sortEntriesByAxis orders entries by lower value then upper value along
+// sortBranchesByAxis orders entries by lower value then upper value along
 // one axis, the ordering BKSS90 uses for distribution generation.
-func sortEntriesByAxis(es []entry, axis int) {
+func sortBranchesByAxis(es []branch, axis int) {
 	sort.SliceStable(es, func(i, j int) bool {
 		if es[i].rect.Lo[axis] != es[j].rect.Lo[axis] {
 			return es[i].rect.Lo[axis] < es[j].rect.Lo[axis]
@@ -41,12 +35,12 @@ func sortEntriesByAxis(es []entry, axis int) {
 
 // chooseSplitAxis returns the axis with the minimum sum of group margins
 // over all legal distributions.
-func (t *Tree) chooseSplitAxis(n *node) int {
+func (t *Tree) chooseSplitAxis(bs []branch) int {
 	bestAxis, bestMargin := 0, math.Inf(1)
-	scratch := make([]entry, len(n.entries))
+	scratch := make([]branch, len(bs))
 	for axis := 0; axis < t.dims; axis++ {
-		copy(scratch, n.entries)
-		sortEntriesByAxis(scratch, axis)
+		copy(scratch, bs)
+		sortBranchesByAxis(scratch, axis)
 		margin := t.marginSum(scratch)
 		if margin < bestMargin {
 			bestMargin, bestAxis = margin, axis
@@ -57,7 +51,7 @@ func (t *Tree) chooseSplitAxis(n *node) int {
 
 // marginSum accumulates margin(group1)+margin(group2) over every legal
 // distribution of the sorted entries.
-func (t *Tree) marginSum(es []entry) float64 {
+func (t *Tree) marginSum(es []branch) float64 {
 	total := 0.0
 	forEachDistribution(es, t.minEntries, func(k int, g1, g2 geom.Rect) {
 		total += g1.Margin() + g2.Margin()
@@ -68,7 +62,7 @@ func (t *Tree) marginSum(es []entry) float64 {
 // chooseSplitIndex picks, among the legal distributions of the (already
 // axis-sorted) entries, the split position minimizing overlap between the
 // group rectangles, breaking ties by total area.
-func (t *Tree) chooseSplitIndex(es []entry) int {
+func (t *Tree) chooseSplitIndex(es []branch) int {
 	bestK, bestOverlap, bestArea := -1, math.Inf(1), math.Inf(1)
 	forEachDistribution(es, t.minEntries, func(k int, g1, g2 geom.Rect) {
 		overlap := g1.OverlapArea(g2)
@@ -83,7 +77,7 @@ func (t *Tree) chooseSplitIndex(es []entry) int {
 // forEachDistribution calls fn for every legal split position k (first
 // group takes es[:k]); group MBRs are computed incrementally with prefix and
 // suffix unions so the whole enumeration is O(n·d).
-func forEachDistribution(es []entry, minEntries int, fn func(k int, g1, g2 geom.Rect)) {
+func forEachDistribution(es []branch, minEntries int, fn func(k int, g1, g2 geom.Rect)) {
 	n := len(es)
 	prefix := make([]geom.Rect, n+1)
 	suffix := make([]geom.Rect, n+1)

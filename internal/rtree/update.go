@@ -27,16 +27,14 @@ func (t *Tree) Update(oldRect, newRect geom.Rect, id int64) (inPlace, found bool
 		return false, false
 	}
 	leaf := path[len(path)-1]
-	if leaf.mbr().Contains(newRect) {
-		leaf.entries[idx].rect = newRect.Clone()
-		t.syncFlatEntry(leaf, idx)
+	if t.mbr(leaf).Contains(newRect) {
+		t.setEntry(leaf, idx, branch{rect: newRect, id: id})
 		// Dropping the old position may shrink the leaf's bounding
 		// rectangle; retighten every stored MBR along the path.
 		t.recomputePathRects(path)
 		return true, true
 	}
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	t.syncFlat(leaf)
+	t.removeEntry(leaf, idx)
 	t.size--
 	t.condense(path)
 	if err := t.Insert(newRect, id); err != nil {

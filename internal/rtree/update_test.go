@@ -26,10 +26,10 @@ func TestUpdateInPlace(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.searchIDs(pointRect(5.1, 5.1)); len(got) != 1 || got[0] != 5 {
+	if got := findAt(tr, pointRect(5.1, 5.1)); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("moved item not found at new position: %v", got)
 	}
-	if got := tr.searchIDs(pointRect(5, 5)); len(got) != 0 {
+	if got := findAt(tr, pointRect(5, 5)); len(got) != 0 {
 		t.Fatalf("item still present at old position: %v", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestUpdateRandomized(t *testing.T) {
 			t.Fatalf("round %d: Len = %d, want %d", round, tr.Len(), n)
 		}
 		for i := int64(0); i < n; i++ {
-			ids := tr.searchIDs(geom.PointRect(pos[i]))
+			ids := findAt(tr, geom.PointRect(pos[i]))
 			ok := false
 			for _, id := range ids {
 				if id == i {
@@ -110,12 +110,8 @@ func TestUpdateRandomized(t *testing.T) {
 	}
 }
 
-// searchIDs collects the IDs of items intersecting r.
-func (t *Tree) searchIDs(r geom.Rect) []int64 {
-	var out []int64
-	t.Search(r, func(it Item) bool {
-		out = append(out, it.ID)
-		return true
-	})
-	return out
+// findAt returns the ids of the items intersecting r.
+func findAt(tr *Tree, r geom.Rect) []int64 {
+	ids, _ := searchIDs(tr, r, identity)
+	return ids
 }

@@ -446,19 +446,10 @@ func (h *Hub) writeTargets(name string, p []float64) []*Monitor {
 				seen[id] = im.m
 			}
 		} else {
-			q := geom.PointRect(geom.Point(p))
-			var overlap rtree.Overlap
-			if h.angular != nil {
-				ang := h.angular
-				overlap = func(tr, qr geom.Rect) bool { return geom.IntersectsMixed(tr, qr, ang) }
-			}
-			identity := func(r geom.Rect) geom.Rect { return r }
-			h.idx.TransformedSearch(q, identity, overlap, func(it rtree.Item, _ geom.Rect) bool {
-				if im, ok := h.indexed[it.ID]; ok {
-					seen[it.ID] = im.m
-				}
-				return true
-			})
+			// The written point as a degenerate query box, the monitors'
+			// rectangles read in place, angles compared modulo 2*pi.
+			var sc rtree.Scratch
+			h.idx.FlatRange(p, p, rtree.FlatMap{Identity: true, Angular: h.angular}, &sc, probeHits{h, seen})
 		}
 	}
 	h.idxMu.RUnlock()
@@ -468,6 +459,20 @@ func (h *Hub) writeTargets(name string, p []float64) []*Monitor {
 	}
 	h.memMu.Unlock()
 	return sortedMonitors(seen)
+}
+
+// probeHits is the spatial probe's visitor: every indexed monitor whose
+// rectangle holds the written point joins the write's targets.
+type probeHits struct {
+	h    *Hub
+	seen map[int64]*Monitor
+}
+
+func (v probeHits) VisitFlat(id int64, tlo, thi, cart []float64) bool {
+	if im, ok := v.h.indexed[id]; ok {
+		v.seen[id] = im.m
+	}
+	return true
 }
 
 func sortedMonitors(set map[int64]*Monitor) []*Monitor {

@@ -152,41 +152,14 @@ func PolarMap(t T, skip, coeffs int) (AffineMap, error) {
 	return m, nil
 }
 
-// PolarMinDistSq returns a lower bound on the squared Euclidean distance —
-// in the complex plane, per coefficient — between the feature point q and
-// any feature point inside the polar-space rectangle r. Leading skip
-// dimensions are compared linearly; each subsequent (magnitude, angle) pair
-// is treated as an annular sector, and the exact point-to-sector distance
-// is accumulated. This is the MINDIST analogue that lets nearest-neighbor
-// search run on the polar index with true Euclidean semantics.
-func PolarMinDistSq(q geom.Point, r geom.Rect, skip int) float64 {
-	if len(q) != r.Dims() {
-		panic(fmt.Sprintf("transform: polar mindist dimension mismatch %d vs %d", len(q), r.Dims()))
-	}
-	var total float64
-	for i := 0; i < skip; i++ {
-		switch {
-		case q[i] < r.Lo[i]:
-			d := r.Lo[i] - q[i]
-			total += d * d
-		case q[i] > r.Hi[i]:
-			d := q[i] - r.Hi[i]
-			total += d * d
-		}
-	}
-	for i := skip; i+1 < len(q); i += 2 {
-		total += sectorDistSq(q[i], q[i+1], r.Lo[i], r.Hi[i], r.Lo[i+1], r.Hi[i+1])
-	}
-	return total
-}
-
-// PolarCoeffMinDistSq is the slab-view form of PolarMinDistSq restricted to
-// the coefficient dimensions: the moment dimensions (below skip) contribute
-// nothing, matching PolarMinDistSq over a query with zeroed moments and a
-// rectangle widened to the whole real line there (the masking
-// feature.LowerBoundDistSq applies). lo and hi are the rectangle's corner
-// views; the sector terms accumulate in the same order as PolarMinDistSq,
-// so the bound is bit-identical.
+// PolarCoeffMinDistSq returns a lower bound on the squared Euclidean
+// distance — in the complex plane, per coefficient — between the feature
+// point q and any feature point inside the polar-space rectangle with
+// corners lo and hi. The leading skip dimensions (the moments) contribute
+// nothing; each subsequent (magnitude, angle) pair is treated as an annular
+// sector, and the exact point-to-sector distance is accumulated. This is
+// the MINDIST analogue that lets nearest-neighbor search run on the polar
+// index with true Euclidean semantics.
 func PolarCoeffMinDistSq(q, lo, hi []float64, skip int) float64 {
 	var total float64
 	for i := skip; i+1 < len(q); i += 2 {

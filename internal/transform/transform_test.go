@@ -263,7 +263,7 @@ func TestPaperTheorem2Counterexample(t *testing.T) {
 		geom.Point{real(ps), imag(ps)},
 		geom.Point{real(qs), imag(qs)},
 	)
-	if rect.ContainsPoint(geom.Point{real(rs), imag(rs)}) {
+	if geom.ContainsPointMixed(rect, geom.Point{real(rs), imag(rs)}, nil) {
 		t.Fatal("paper's counterexample should place r*s outside the transformed rectangle")
 	}
 	// And indeed a transformation with this stretch is flagged unsafe.
@@ -316,9 +316,9 @@ func TestRectMapTheorem2Property(t *testing.T) {
 			for i := range pnt {
 				pnt[i] = r.NormFloat64() * 15
 			}
-			inside := rect.ContainsPoint(pnt)
+			inside := geom.ContainsPointMixed(rect, pnt, nil)
 			mapped := m.ApplyPoint(pnt)
-			if inside != trRect.ContainsPoint(mapped) {
+			if inside != geom.ContainsPointMixed(trRect, mapped, nil) {
 				t.Fatalf("safety violated: inside=%v flipped after transformation", inside)
 			}
 		}
@@ -437,7 +437,6 @@ func TestAffinePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { m.ApplyPoint(geom.Point{1}) },
 		func() { m.ApplyRect(geom.NewRect(geom.Point{0}, geom.Point{1})) },
-		func() { PolarMinDistSq(geom.Point{1}, geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), 0) },
 	} {
 		func() {
 			defer func() {
@@ -454,21 +453,38 @@ func TestPolarMinDistInsideSector(t *testing.T) {
 	// Query inside the sector: distance 0.
 	q := geom.Point{2, 0} // magnitude 2, angle 0
 	r := geom.NewRect(geom.Point{1, -0.5}, geom.Point{3, 0.5})
-	if d := PolarMinDistSq(q, r, 0); d != 0 {
+	if d := PolarCoeffMinDistSq(q, r.Lo, r.Hi, 0); d != 0 {
 		t.Fatalf("inside sector: %v, want 0", d)
+	}
+	// A sector drawn across the +/- pi seam holds the angles on both sides
+	// of it, and the moment dimensions below skip count for nothing.
+	seam := geom.Rect{Lo: geom.Point{-50, -50, 1, math.Pi - 0.5}, Hi: geom.Point{-40, -40, 3, math.Pi + 0.5}}
+	for _, angle := range []float64{math.Pi - 0.4, -math.Pi + 0.4, -math.Pi} {
+		if d := PolarCoeffMinDistSq(geom.Point{7, 7, 2, angle}, seam.Lo, seam.Hi, 2); d != 0 {
+			t.Fatalf("angle %v inside a sector across the seam: %v, want 0", angle, d)
+		}
 	}
 }
 
 func TestPolarMinDistRadial(t *testing.T) {
 	q := geom.Point{5, 0}
 	r := geom.NewRect(geom.Point{1, -0.5}, geom.Point{3, 0.5})
-	if d := PolarMinDistSq(q, r, 0); math.Abs(d-4) > 1e-12 {
+	if d := PolarCoeffMinDistSq(q, r.Lo, r.Hi, 0); math.Abs(d-4) > 1e-12 {
 		t.Fatalf("radial distance = %v, want 4 (=(5-3)^2)", d)
+	}
+	// Beside the sector: the nearest point is on its edge ray at angle 0.5,
+	// where the query (magnitude 3, a quarter turn on) projects to
+	// 3*cos(pi/2 - 0.5) = 1.44 — inside the radius range — so the distance
+	// is the height of the query above that ray.
+	q = geom.Point{3, math.Pi / 2}
+	want := 3 * math.Sin(math.Pi/2-0.5)
+	if d := PolarCoeffMinDistSq(q, r.Lo, r.Hi, 0); math.Abs(d-want*want) > 1e-12 {
+		t.Fatalf("distance to the edge ray = %v, want %v", d, want*want)
 	}
 }
 
 func TestPolarMinDistLowerBoundProperty(t *testing.T) {
-	// PolarMinDistSq must lower-bound the true complex-plane distance to
+	// PolarCoeffMinDistSq must lower-bound the true complex-plane distance to
 	// every point of the sector (sampled densely).
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 60; trial++ {
@@ -480,7 +496,7 @@ func TestPolarMinDistLowerBoundProperty(t *testing.T) {
 		qa := r.Float64()*2*math.Pi - math.Pi
 		rect := geom.Rect{Lo: geom.Point{rLo, aLo}, Hi: geom.Point{rHi, aHi}}
 		q := geom.Point{qr, qa}
-		bound := PolarMinDistSq(q, rect, 0)
+		bound := PolarCoeffMinDistSq(q, rect.Lo, rect.Hi, 0)
 
 		qx, qy := qr*math.Cos(qa), qr*math.Sin(qa)
 		truth := math.Inf(1)
