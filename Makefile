@@ -36,6 +36,8 @@ vet:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
+	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/query | grep '^repro/'; then \
+		echo "internal/query is syntax only: it must import the standard library only"; exit 1; fi
 
 fmt:
 	gofmt -w .

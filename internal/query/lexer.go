@@ -1,5 +1,5 @@
-// Package query implements a small declarative query language over the
-// similarity engine — the "query language" framing of the paper's
+// Package query is the syntax of a small declarative query language over
+// the similarity engine — the "query language" framing of the paper's
 // Section 3, where transformations are first-class expressions a user
 // composes inside range, nearest-neighbor, and join queries:
 //
@@ -11,6 +11,10 @@
 //
 // Keywords are case-insensitive; series names are single-quoted strings;
 // transformations compose left-to-right with '|'.
+//
+// The package is lexer, parser and AST only and imports nothing but the
+// standard library: a Statement is given its meaning by the root package,
+// which compiles it to the same read its typed methods build.
 package query
 
 import (

@@ -1,17 +1,6 @@
 package query
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/plan"
-	"repro/internal/series"
-	"repro/internal/transform"
-)
+import "testing"
 
 func TestLexBasics(t *testing.T) {
 	toks, err := lex("RANGE SERIES 'IBM' EPS 2.5 TRANSFORM mavg(20)")
@@ -160,32 +149,34 @@ func TestParseCaseInsensitive(t *testing.T) {
 	}
 }
 
+// parseErrorCases is what Parse must refuse; FuzzParse seeds from it too.
+var parseErrorCases = []string{
+	"",
+	"FROB SERIES 'x' EPS 1",
+	"RANGE SERIES 'x'",
+	"RANGE SERIES 'x' EPS",
+	"RANGE VALUES () EPS 1",
+	"RANGE VALUES (1 2) EPS 1",
+	"NN SERIES 'x' K 0",
+	"NN SERIES 'x' K 1.5",
+	"SELFJOIN EPS 1 METHOD z",
+	"SELFJOIN EPS 1 METHOD b USING SCAN",
+	"SELFJOIN EPS 1 USING SCAN METHOD b",
+	"RANGE SERIES 'x' EPS 1 METHOD a",
+	"RANGE SERIES 'x' EPS 1 LEFT mavg(3)",
+	"JOIN EPS 1 TRANSFORM mavg(3)",
+	"JOIN EPS 1 METHOD b",
+	"JOIN EPS 1 BOTH",
+	"RANGE SERIES 'x' EPS 1 MEAN [5, 1]",
+	"RANGE SERIES 'x' EPS 1 USING TURBO",
+	"RANGE SERIES 'x' EPS 1 TRANSFORM mavg",
+	"RANGE SERIES 'x' EPS 1 TRANSFORM mavg(3",
+	"RANGE SERIES 'x' EPS 1 extra",
+	"RANGE SERIES 'x' EPS 1 TRANSFORM mavg(3) |",
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"FROB SERIES 'x' EPS 1",
-		"RANGE SERIES 'x'",
-		"RANGE SERIES 'x' EPS",
-		"RANGE VALUES () EPS 1",
-		"RANGE VALUES (1 2) EPS 1",
-		"NN SERIES 'x' K 0",
-		"NN SERIES 'x' K 1.5",
-		"SELFJOIN EPS 1 METHOD z",
-		"SELFJOIN EPS 1 METHOD b USING SCAN",
-		"SELFJOIN EPS 1 USING SCAN METHOD b",
-		"RANGE SERIES 'x' EPS 1 METHOD a",
-		"RANGE SERIES 'x' EPS 1 LEFT mavg(3)",
-		"JOIN EPS 1 TRANSFORM mavg(3)",
-		"JOIN EPS 1 METHOD b",
-		"JOIN EPS 1 BOTH",
-		"RANGE SERIES 'x' EPS 1 MEAN [5, 1]",
-		"RANGE SERIES 'x' EPS 1 USING TURBO",
-		"RANGE SERIES 'x' EPS 1 TRANSFORM mavg",
-		"RANGE SERIES 'x' EPS 1 TRANSFORM mavg(3",
-		"RANGE SERIES 'x' EPS 1 extra",
-		"RANGE SERIES 'x' EPS 1 TRANSFORM mavg(3) |",
-	}
-	for _, src := range bad {
+	for _, src := range parseErrorCases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
@@ -201,221 +192,6 @@ func TestStatementKindStrings(t *testing.T) {
 	}
 	if StatementKind(9).String() != "UNKNOWN" || ExecStrategy(9).String() != "UNKNOWN" {
 		t.Fatal("unknown strings wrong")
-	}
-}
-
-// testDB builds a small engine DB for execution tests.
-func testDB(t *testing.T) (*core.DB, [][]float64) {
-	t.Helper()
-	const n = 64
-	db, err := core.NewDB(n, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(1))
-	data := make([][]float64, 60)
-	for i := range data {
-		if i >= 40 {
-			src := data[i-40]
-			dup := make([]float64, n)
-			for j := range dup {
-				dup[j] = src[j] + r.NormFloat64()*0.2
-			}
-			data[i] = dup
-		} else {
-			data[i] = dataset.RandomWalk(r, n)
-		}
-		if _, err := db.Insert(seriesName(i), data[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return db, data
-}
-
-func seriesName(i int) string {
-	return string(rune('A'+i/26)) + string(rune('A'+i%26))
-}
-
-// indexRange is the engine call a range statement must reduce to: the same
-// query planned and executed directly, forced onto the index.
-func indexRange(t *testing.T, db *core.DB, q core.RangeQuery) []core.Result {
-	t.Helper()
-	pl, err := db.PlanRange(q, plan.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := db.ExecRangeInto(q, pl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func TestRunRangeMatchesEngine(t *testing.T) {
-	db, data := testDB(t)
-	out, err := Run(db, "RANGE SERIES 'AA' EPS 2 TRANSFORM mavg(5) USING INDEX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rq := core.RangeQuery{Values: data[0], Eps: 2, Transform: transform.MovingAverage(64, 5)}
-	want := indexRange(t, db, rq)
-	if len(out.Results) != len(want) {
-		t.Fatalf("query returned %d, engine %d", len(out.Results), len(want))
-	}
-	for i := range want {
-		if out.Results[i].ID != want[i].ID || math.Abs(out.Results[i].Dist-want[i].Dist) > 1e-12 {
-			t.Fatalf("result %d differs", i)
-		}
-	}
-}
-
-func TestRunScanStrategiesAgree(t *testing.T) {
-	db, _ := testDB(t)
-	q := "RANGE SERIES 'AB' EPS 1.5 TRANSFORM mavg(5)"
-	idx, err := Run(db, q+" USING INDEX")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := Run(db, q+" USING SCAN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanTime, err := Run(db, q+" USING SCANTIME")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.Results) != len(scan.Results) || len(idx.Results) != len(scanTime.Results) {
-		t.Fatalf("strategies disagree: %d / %d / %d", len(idx.Results), len(scan.Results), len(scanTime.Results))
-	}
-}
-
-func TestRunNN(t *testing.T) {
-	db, _ := testDB(t)
-	out, err := Run(db, "NN SERIES 'AC' K 3 TRANSFORM identity()")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 3 {
-		t.Fatalf("NN returned %d", len(out.Results))
-	}
-	// The series itself is its own nearest neighbor at distance 0.
-	if out.Results[0].Name != "AC" || out.Results[0].Dist > 1e-9 {
-		t.Fatalf("self should be nearest: %+v", out.Results[0])
-	}
-}
-
-func TestRunNNScanStrategy(t *testing.T) {
-	db, _ := testDB(t)
-	idx, err := Run(db, "NN SERIES 'AD' K 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := Run(db, "NN SERIES 'AD' K 5 USING SCAN")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range idx.Results {
-		if math.Abs(idx.Results[i].Dist-scan.Results[i].Dist) > 1e-9 {
-			t.Fatalf("NN strategies disagree at rank %d", i)
-		}
-	}
-}
-
-func TestRunSelfJoin(t *testing.T) {
-	db, _ := testDB(t)
-	outD, err := Run(db, "SELFJOIN EPS 0.8 TRANSFORM mavg(5) METHOD d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB, err := Run(db, "SELFJOIN EPS 0.8 TRANSFORM mavg(5) METHOD b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outD.Pairs) != 2*len(outB.Pairs) {
-		t.Fatalf("method d found %d, method b %d (want exactly double)", len(outD.Pairs), len(outB.Pairs))
-	}
-	if len(outB.Pairs) == 0 {
-		t.Fatal("join found nothing despite planted duplicates")
-	}
-}
-
-func TestRunWarp(t *testing.T) {
-	db, data := testDB(t)
-	warped := series.Warp(data[5], 2)
-	// Build a VALUES literal query.
-	stmt := &Statement{
-		Kind:      StmtRange,
-		Literal:   warped,
-		Eps:       0.2,
-		Transform: []TransformCall{{Name: "warp", Args: []float64{2}}},
-	}
-	out, err := Exec(db, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range out.Results {
-		if int(r.ID) == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("warp query missed planted series: %+v", out.Results)
-	}
-}
-
-func TestRunMomentBounds(t *testing.T) {
-	db, data := testDB(t)
-	mean := series.Mean(data[0])
-	lo, hi := mean-0.01, mean+0.01
-	out, err := Run(db, fmt.Sprintf("RANGE SERIES 'AA' EPS 100 MEAN [%g, %g]", lo, hi))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range out.Results {
-		m := series.Mean(data[r.ID])
-		if m < lo || m > hi {
-			t.Fatalf("moment bound violated: mean %v", m)
-		}
-	}
-	if len(out.Results) == 0 {
-		t.Fatal("self should match its own moment bounds")
-	}
-}
-
-func TestRunErrors(t *testing.T) {
-	db, _ := testDB(t)
-	bad := []string{
-		"RANGE SERIES 'NOPE' EPS 1",
-		"RANGE SERIES 'AA' EPS 1 TRANSFORM frobnicate()",
-		"RANGE SERIES 'AA' EPS 1 TRANSFORM mavg(0)",
-		"RANGE SERIES 'AA' EPS 1 TRANSFORM mavg(3.5)",
-		"RANGE SERIES 'AA' EPS 1 TRANSFORM mavg(3, 4)",
-		"RANGE SERIES 'AA' EPS 1 TRANSFORM warp(2) | mavg(3)",
-		"RANGE SERIES 'AA' EPS 1 TRANSFORM wmavg()",
-		"SELFJOIN EPS 1 TRANSFORM warp(2)",
-		"lex error '",
-	}
-	for _, src := range bad {
-		if _, err := Run(db, src); err == nil {
-			t.Errorf("Run(%q) should fail", src)
-		}
-	}
-}
-
-func TestComposedPipelineMatchesManualCompose(t *testing.T) {
-	db, data := testDB(t)
-	out, err := Run(db, "RANGE SERIES 'AA' EPS 5 TRANSFORM reverse() | mavg(5)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := transform.Reverse(64).Compose(transform.MovingAverage(64, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := indexRange(t, db, core.RangeQuery{Values: data[0], Eps: 5, Transform: comp})
-	if len(out.Results) != len(want) {
-		t.Fatalf("pipeline %d vs manual %d", len(out.Results), len(want))
 	}
 }
 
@@ -435,44 +211,5 @@ func TestParseLimit(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
-	}
-}
-
-func TestRunLimit(t *testing.T) {
-	db, _ := testDB(t)
-	all, err := Run(db, "RANGE SERIES 'AA' EPS 1000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all.Results) != 60 {
-		t.Fatalf("unlimited query returned %d", len(all.Results))
-	}
-	limited, err := Run(db, "RANGE SERIES 'AA' EPS 1000 LIMIT 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited.Results) != 5 {
-		t.Fatalf("LIMIT 5 returned %d", len(limited.Results))
-	}
-	// Distance-sorted, so the limited prefix matches the full head.
-	for i := range limited.Results {
-		if limited.Results[i].ID != all.Results[i].ID {
-			t.Fatal("LIMIT changed result ordering")
-		}
-	}
-	// LIMIT applies to joins too.
-	joined, err := Run(db, "SELFJOIN EPS 1000 TRANSFORM mavg(5) METHOD b LIMIT 7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(joined.Pairs) != 7 {
-		t.Fatalf("join LIMIT returned %d", len(joined.Pairs))
-	}
-	nn, err := Run(db, "NN SERIES 'AA' K 10 LIMIT 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nn.Results) != 2 {
-		t.Fatalf("NN LIMIT returned %d", len(nn.Results))
 	}
 }

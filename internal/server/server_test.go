@@ -392,6 +392,9 @@ func TestErrorStatuses(t *testing.T) {
 		{"malformed json", "POST", "/query", `{"q": `, http.StatusBadRequest},
 		{"empty query", "POST", "/query", `{"q": ""}`, http.StatusBadRequest},
 		{"parse error", "POST", "/query", `{"q": "FROB ALL THE THINGS"}`, http.StatusBadRequest},
+		{"moment bounds on NN", "POST", "/query", `{"q": "NN SERIES 'W0000' K 3 MEAN [1e9, 2e9]"}`, http.StatusBadRequest},
+		{"moment bounds on SELFJOIN", "POST", "/query", `{"q": "SELFJOIN EPS 1 STD [0, 1]"}`, http.StatusBadRequest},
+		{"unknown series in a statement", "POST", "/query", `{"q": "RANGE SERIES 'NOPE' EPS 1"}`, http.StatusNotFound},
 		{"unknown series in query", "POST", "/query", `{"q": "RANGE SERIES 'NOPE' EPS 1"}`, http.StatusNotFound},
 		{"duplicate insert", "POST", "/series", `{"name": "W0000", "values": [1,2,3]}`, http.StatusConflict},
 		{"bad transform", "POST", "/query/range", `{"series": "W0000", "eps": 1, "transform": "frobnicate(3)"}`, http.StatusBadRequest},
@@ -486,9 +489,13 @@ func TestWritePurgesCache(t *testing.T) {
 	if !repeat.Stats.Cached {
 		t.Fatal("repeat not cached")
 	}
+	// A statement is filed under its plan's invalidation test, like the typed
+	// call it compiles to, so the write has to be one that can change the
+	// answer: a shifted copy of the query series has the same normal form and
+	// enters the top 4 at distance 0.
 	extra := make([]float64, testLength)
-	for i := range extra {
-		extra[i] = float64(i%7) + 30
+	for i, v := range fx.walks[11].Values {
+		extra[i] = v + 30
 	}
 	if err := fx.client.Insert("EXTRA", extra); err != nil {
 		t.Fatal(err)
@@ -499,6 +506,9 @@ func TestWritePurgesCache(t *testing.T) {
 	}
 	if after.Stats.Cached {
 		t.Fatal("cache survived a write")
+	}
+	if after.Matches[0].Name != "EXTRA" && after.Matches[1].Name != "EXTRA" {
+		t.Fatalf("the fresh answer misses the inserted twin: %+v", after.Matches)
 	}
 }
 

@@ -2,6 +2,7 @@ package tsq
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -171,6 +172,8 @@ func explainFrom(pl *plan.Plan, st core.ExecStats) *ExplainInfo {
 // the planner chooses the execution per query from per-store statistics —
 // index vs scan for RANGE/NN, the Table 1 join method for joins), INDEX,
 // SCAN (frequency-domain sequential scan), or SCANTIME (naive scan).
+// MEAN and STD bound a RANGE query's answers by the stored series' moments;
+// every other statement kind refuses them.
 // Planned joins report each qualifying pair once; SELFJOIN's METHOD
 // clause instead pins one of Table 1's a, b, c, d with the paper's exact
 // per-method accounting (index methods report pairs twice). JOIN is the
@@ -180,36 +183,86 @@ func explainFrom(pl *plan.Plan, st core.ExecStats) *ExplainInfo {
 // plan — strategy, join method, planner reasoning, search rectangle,
 // estimated vs actual cost, per-shard provenance — as Output.Explain.
 func (db *DB) Query(src string) (*Output, error) {
-	out, err := query.Run(db.eng, src)
-	if err != nil {
-		return nil, err
-	}
-	return db.convertOutput(out), nil
+	return db.read(compileText(src, nil))
 }
 
-// convertOutput renders one executed statement into the public Output
-// shape — shared by Query and the progressive delivery path.
-func (db *DB) convertOutput(out *query.Output) *Output {
-	res := &Output{
-		Kind:    out.Kind.String(),
-		Matches: toMatches(out.Results),
-		Pairs:   db.toPairs(out.Pairs),
-		Stats:   fromExec(out.Stats),
-		Explain: explainFrom(out.Plan, out.Stats),
+// compileText parses and compiles one statement, timing the two as the
+// read's parse span. A statement that fails either step still yields a spec
+// — kind readInvalid, carrying the error — so the failure runs through the
+// same read path, and is counted and recorded by a Server like any other.
+func compileText(src string, opts []QueryOpt) readSpec {
+	start := time.Now()
+	stmt, err := query.Parse(src)
+	var sp readSpec
+	if err == nil {
+		sp, err = compile(stmt)
 	}
-	if out.Traced {
-		// Stats.Elapsed is engine execution only; fold the plan span back
-		// in so Total covers the statement end to end.
-		total := out.Stats.Elapsed
-		spans := spansFrom(out.Stats.Spans)
-		for _, sp := range spans {
-			if sp.Name == "plan" {
-				total += sp.Duration
-			}
+	if err != nil {
+		sp = readSpec{kind: readInvalid, err: err}
+	}
+	sp.text = strings.TrimSpace(src)
+	sp.opts.reqID = applyOpts(opts).reqID
+	sp.parse = time.Since(start)
+	return sp
+}
+
+// usingStrategy maps the USING clause onto the library's Strategy
+// vocabulary.
+var usingStrategy = [...]Strategy{
+	query.ExecIndex:    UseIndex,
+	query.ExecScan:     UseScan,
+	query.ExecScanTime: UseScanTime,
+	query.ExecAuto:     UseAuto,
+}
+
+// compile translates a parsed statement into the read the typed methods
+// state for the same query: the language is given its meaning by this
+// translation, not by an evaluator of its own.
+func compile(stmt *query.Statement) (readSpec, error) {
+	if stmt.Exec < 0 || int(stmt.Exec) >= len(usingStrategy) {
+		return readSpec{}, fmt.Errorf("tsq: unknown execution strategy %v", stmt.Exec)
+	}
+	qo := queryOpts{strategy: usingStrategy[stmt.Exec], both: stmt.Both, delta: stmt.Delta}
+	if b := stmt.MeanBounds; b != nil {
+		MeanRange(b[0], b[1])(&qo)
+	}
+	if b := stmt.StdBounds; b != nil {
+		StdRange(b[0], b[1])(&qo)
+	}
+	t, err := transformOf(stmt.Transform)
+	if err != nil {
+		return readSpec{}, err
+	}
+	var sp readSpec
+	switch stmt.Kind {
+	case query.StmtRange:
+		sp = newSpec(readRange, stmt.SeriesName, stmt.Literal, t, qo)
+		sp.eps = stmt.Eps
+	case query.StmtNN:
+		sp = newSpec(readNN, stmt.SeriesName, stmt.Literal, t, qo)
+		sp.k = stmt.K
+	case query.StmtSelfJoin:
+		sp = newSpec(readSelfJoin, "", nil, t, qo)
+		sp.eps = stmt.Eps
+		if m := stmt.JoinMethod; m != "" {
+			sp.method = JoinMethod(m[0] - 'a') // the parser admits a..d
 		}
-		res.Trace = &TraceInfo{Total: total, Spans: spans}
+	case query.StmtJoin:
+		left, err := transformOf(stmt.LeftTransform)
+		if err != nil {
+			return readSpec{}, err
+		}
+		right, err := transformOf(stmt.RightTransform)
+		if err != nil {
+			return readSpec{}, err
+		}
+		sp = newSpec(readJoin, "", nil, left, qo)
+		sp.eps, sp.right = stmt.Eps, right
+	default:
+		return readSpec{}, fmt.Errorf("tsq: unknown statement kind %v", stmt.Kind)
 	}
-	return res
+	sp.limit, sp.explain, sp.trace = stmt.Limit, stmt.Explain, stmt.Trace
+	return sp, sp.err
 }
 
 // DefaultProgressiveDelta is the approximation slack of the first stage
@@ -235,31 +288,31 @@ type ProgressiveStage struct {
 // independently, so the exact refinement reflects writes that landed
 // between the stages.
 func (db *DB) QueryProgressive(src string, emit func(ProgressiveStage) error) error {
-	stmt, err := query.Parse(src)
+	return progressive(compileText(src, nil), db.read, emit)
+}
+
+// progressive delivers one compiled statement in two reads of the same
+// spec: at the approximate stage's delta, then at delta 0. Both bypass any
+// cache — their value is the live two-stage delivery.
+func progressive(sp readSpec, read func(readSpec) (*Output, error), emit func(ProgressiveStage) error) error {
+	if sp.err == nil && sp.kind != readRange && sp.kind != readNN {
+		sp.err = fmt.Errorf("tsq: progressive execution applies to RANGE and NN statements, not %s", readKindNames[sp.kind].keyword)
+	}
+	sp.bypass = true
+	approx := sp
+	if approx.opts.delta == 0 {
+		approx.opts.delta = DefaultProgressiveDelta
+	}
+	out, err := read(approx)
 	if err != nil {
 		return err
 	}
-	if stmt.Kind != query.StmtRange && stmt.Kind != query.StmtNN {
-		return fmt.Errorf("tsq: progressive execution applies to RANGE and NN statements, not %s", stmt.Kind)
-	}
-	delta := stmt.Delta
-	if delta == 0 {
-		delta = DefaultProgressiveDelta
-	}
-	approx := *stmt
-	approx.Delta = delta
-	out, err := query.Exec(db.eng, &approx)
-	if err != nil {
+	if err := emit(ProgressiveStage{Phase: "approximate", Output: out}); err != nil {
 		return err
 	}
-	if err := emit(ProgressiveStage{Phase: "approximate", Output: db.convertOutput(out)}); err != nil {
+	sp.opts.delta = 0
+	if out, err = read(sp); err != nil {
 		return err
 	}
-	exact := *stmt
-	exact.Delta = 0
-	out, err = query.Exec(db.eng, &exact)
-	if err != nil {
-		return err
-	}
-	return emit(ProgressiveStage{Phase: "exact", Output: db.convertOutput(out), Final: true})
+	return emit(ProgressiveStage{Phase: "exact", Output: out, Final: true})
 }

@@ -3,7 +3,6 @@ package tsq
 import (
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -120,33 +119,6 @@ func (s *Server) SlowQueries() []SlowQuery {
 	out := make([]SlowQuery, len(s.slow))
 	copy(out, s.slow)
 	return out
-}
-
-// queryKindFromKey recovers the query kind from a cache key's prefix
-// ("range|...", "nn|...", "join2|...") for metric labels. Language
-// statements ("q|RANGE SERIES ...") are labeled by their leading
-// keyword, so typed and language-driven queries of the same kind share
-// one label value.
-func queryKindFromKey(key string) string {
-	i := strings.IndexByte(key, '|')
-	if i < 0 {
-		return "unknown"
-	}
-	switch k := key[:i]; k {
-	case "join2":
-		return "join"
-	case "q":
-		f := strings.Fields(key[i+1:])
-		if len(f) > 0 {
-			switch kw := strings.ToLower(f[0]); kw {
-			case "range", "nn", "selfjoin", "join":
-				return kw
-			}
-		}
-		return "statement"
-	default:
-		return k
-	}
 }
 
 // observeQuery feeds one served query into the registry. outcome is "ok",

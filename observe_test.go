@@ -386,11 +386,44 @@ func TestTraceStatement(t *testing.T) {
 		t.Fatalf("got %d shard spans, want 4 (one per shard)", shardSpans)
 	}
 
-	// The plan span is part of the total (total is end-to-end wall time).
+	// The plan span is part of the total (total is planning plus execution;
+	// reading the statement text comes before both and is reported beside it).
 	for _, sp := range out.Trace.Spans {
-		if sp.Duration > out.Trace.Total {
+		if sp.Name != "parse" && sp.Duration > out.Trace.Total {
 			t.Fatalf("span %s (%v) exceeds trace total %v", sp.Name, sp.Duration, out.Trace.Total)
 		}
+	}
+
+	// Total is planning plus execution — the parse span a statement now
+	// opens with is reported, not folded in.
+	if len(out.Trace.Spans) < 2 || out.Trace.Spans[0].Name != "parse" || out.Trace.Spans[1].Name != "plan" {
+		t.Fatalf("a statement's spans should open parse, plan: %+v", out.Trace.Spans)
+	}
+	if want := out.Trace.Spans[1].Duration + out.Stats.Elapsed; out.Trace.Total != want {
+		t.Fatalf("trace total %v, want plan %v + exec %v", out.Trace.Total, out.Trace.Spans[1].Duration, out.Stats.Elapsed)
+	}
+
+	// The typed call runs the same read: its spans open with the plan step
+	// (it has no text to parse), and both arrivals carry one kind label and
+	// are retained under what the caller wrote.
+	_, tst, err := s.RangeByName("W0002", 2, tsq.MovingAverage(20), tsq.WithRequest("typed-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tst.Spans) == 0 || tst.Spans[0].Name != "plan" {
+		t.Fatalf("a typed read's spans should open with plan: %+v", tst.Spans)
+	}
+	const plainStmt = "RANGE SERIES 'W0003' EPS 2 TRANSFORM mavg(20)"
+	if _, err := s.Query("  "+plainStmt+" ", tsq.WithRequest("stmt-1")); err != nil {
+		t.Fatal(err)
+	}
+	typedTrace, ok1 := s.TraceByID("typed-1")
+	stmtTrace, ok2 := s.TraceByID("stmt-1")
+	if !ok1 || !ok2 || typedTrace.Kind != "range" || stmtTrace.Kind != "range" {
+		t.Fatalf("retained kinds: typed %+v (%t), statement %+v (%t)", typedTrace.Kind, ok1, stmtTrace.Kind, ok2)
+	}
+	if stmtTrace.Query != plainStmt {
+		t.Fatalf("a statement is retained as %q, want its text", stmtTrace.Query)
 	}
 
 	// TRACE statements never come from (or land in) the result cache.

@@ -51,7 +51,7 @@ type Stats struct {
 	// SelfJoin and for Subsequence, which run no plan.
 	Strategy string
 	// Spans is the execution's trace tree (plan → fan-out → merge with
-	// per-shard timings).
+	// per-shard timings; a statement's opens with its parse span).
 	Spans []SpanInfo
 	// RequestID is the query's correlation ID, stamped by the Server
 	// layer: the same ID appears in slow-log entries, retained traces
@@ -72,8 +72,8 @@ type Stats struct {
 
 // SpanInfo is one timed step of a query execution's trace tree.
 type SpanInfo struct {
-	// Name identifies the step: "plan", "fanout", "shard", "search",
-	// "merge", "cache-tag".
+	// Name identifies the step: "parse" (statements only), "plan",
+	// "fanout", "shard", "search", "merge", "cache-tag".
 	Name string
 	// Shard is the shard a shard-scoped span ran on; -1 otherwise.
 	Shard int
@@ -103,7 +103,9 @@ func spansFrom(spans []core.Span) []SpanInfo {
 	return out
 }
 
-func fromExec(st core.ExecStats) Stats {
+// fromExec renders an execution's cost; lead is what ran before the engine
+// (parse, plan) and opens the span tree.
+func fromExec(st core.ExecStats, lead ...SpanInfo) Stats {
 	out := Stats{
 		Elapsed:      st.Elapsed,
 		NodeAccesses: st.NodeAccesses,
@@ -111,7 +113,7 @@ func fromExec(st core.ExecStats) Stats {
 		Candidates:   st.Candidates,
 		HeadResolved: st.HeadResolved,
 		Strategy:     st.Strategy,
-		Spans:        spansFrom(st.Spans),
+		Spans:        append(lead, spansFrom(st.Spans)...),
 		Delta:        st.Delta,
 		Rung:         st.Rung,
 		EarlyAccepts: st.EarlyAccepts,
@@ -226,45 +228,6 @@ func StdRange(lo, hi float64) QueryOpt {
 	}
 }
 
-// rangeQuery runs one range query the way every read runs: plan — the
-// caller's strategy forced, or UseAuto left to the planner — then execute.
-// Beside the answer it returns the Lemma 1 filter of the plan that produced
-// it (core.ExecStats.Filter), which the Server keeps as the cached answer's
-// invalidation test.
-func (db *DB) rangeQuery(values []float64, prep *core.QueryPrep, eps float64, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
-	var qo queryOpts
-	for _, o := range opts {
-		o(&qo)
-	}
-	tr, warp, err := t.materialize(db.length)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	rq := core.RangeQuery{
-		Values:     values,
-		Eps:        eps,
-		Delta:      qo.delta,
-		Transform:  tr,
-		Moments:    qo.moments,
-		WarpFactor: warp,
-		BothSides:  qo.both,
-		Prep:       prep,
-	}
-	want, err := planWant(qo.strategy)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	pl, err := db.eng.PlanRange(rq, want)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	res, st, err := db.eng.ExecRangeInto(rq, pl, nil)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return toMatches(res), fromExec(st), st.Filter, nil
-}
-
 func toMatches(res []core.Result) []Match {
 	out := make([]Match, len(res))
 	for i, r := range res {
@@ -277,88 +240,27 @@ func toMatches(res []core.Result) []Match {
 // nf is the normal form. For Warp(m) transforms the query must have length
 // m * Length(). Results are sorted by distance.
 func (db *DB) Range(q []float64, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	m, st, _, err := db.rangeQuery(q, nil, eps, t, opts)
-	return m, st, err
+	return matchesOf(db.read(rangeSpec("", q, eps, t, opts)))
 }
 
 // RangeByName runs Range with a stored series as the query. Because the
 // query is a stored record, its plan reuses the indexed feature point
 // and stored spectrum instead of recomputing them from the raw values.
 func (db *DB) RangeByName(name string, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	m, st, _, err := db.rangeByName(name, eps, t, opts)
-	return m, st, err
-}
-
-func (db *DB) rangeByName(name string, eps float64, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
-	values, prep, err := db.namedQuery(name)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return db.rangeQuery(values, prep, eps, t, opts)
-}
-
-// namedQuery resolves a stored series into its raw values plus the
-// stored-record planning artifacts the by-name entry points hand to the
-// planner.
-func (db *DB) namedQuery(name string) ([]float64, *core.QueryPrep, error) {
-	values, err := db.Series(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	var prep *core.QueryPrep
-	if id, ok := db.eng.IDByName(name); ok {
-		prep, _ = db.eng.QueryPrep(id)
-	}
-	return values, prep, nil
+	return matchesOf(db.read(rangeSpec(name, nil, eps, t, opts)))
 }
 
 // NN finds the k stored series minimizing D(T(nf(x)), nf(q)), sorted by
-// distance.
+// distance. Moment bounds (MeanRange, StdRange) apply to range queries
+// only and are rejected here.
 func (db *DB) NN(q []float64, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	m, st, _, err := db.nnQuery(q, nil, k, t, opts)
-	return m, st, err
-}
-
-// nnQuery runs one nearest-neighbor query; like rangeQuery it also returns
-// the executed plan's Lemma 1 filter.
-func (db *DB) nnQuery(q []float64, prep *core.QueryPrep, k int, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
-	var qo queryOpts
-	for _, o := range opts {
-		o(&qo)
-	}
-	tr, warp, err := t.materialize(db.length)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	nq := core.NNQuery{Values: q, K: k, Delta: qo.delta, Transform: tr, WarpFactor: warp, BothSides: qo.both, Prep: prep}
-	want, err := planWant(qo.strategy)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	pl, err := db.eng.PlanNN(nq, want)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	res, st, err := db.eng.ExecNNInto(nq, pl, nil)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return toMatches(res), fromExec(st), st.Filter, nil
+	return matchesOf(db.read(nnSpec("", q, k, t, opts)))
 }
 
 // NNByName runs NN with a stored series as the query. Like RangeByName,
 // the plan reuses the stored record's indexed feature point and spectrum.
 func (db *DB) NNByName(name string, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	m, st, _, err := db.nnByName(name, k, t, opts)
-	return m, st, err
-}
-
-func (db *DB) nnByName(name string, k int, t Transform, opts []QueryOpt) ([]Match, Stats, *core.Prefilter, error) {
-	values, prep, err := db.namedQuery(name)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return db.nnQuery(values, prep, k, t, opts)
+	return matchesOf(db.read(nnSpec(name, nil, k, t, opts)))
 }
 
 // JoinMethod selects the Table 1 self-join strategy.
@@ -388,62 +290,70 @@ const (
 	JoinAuto
 )
 
-func (m JoinMethod) engineMethod() (core.JoinMethod, error) {
-	switch m {
-	case JoinScanNaive:
-		return core.JoinScanNaive, nil
-	case JoinScanEarlyAbandon:
-		return core.JoinScanEarlyAbandon, nil
-	case JoinIndexPlain:
-		return core.JoinIndexPlain, nil
-	case JoinIndexTransform:
-		return core.JoinIndexTransform, nil
-	default:
-		return 0, fmt.Errorf("tsq: unknown join method %d", int(m))
-	}
-}
-
-// planWant maps the library's Strategy vocabulary onto the planner's.
-func planWant(s Strategy) (plan.Strategy, error) {
-	switch s {
-	case UseAuto:
-		return plan.Auto, nil
-	case UseIndex:
-		return plan.Index, nil
-	case UseScan:
-		return plan.ScanFreq, nil
-	case UseScanTime:
-		return plan.ScanTime, nil
-	default:
-		return plan.Auto, fmt.Errorf("tsq: unknown strategy %d", int(s))
-	}
-}
-
 // SelfJoin finds all pairs of distinct stored series (x, y) with
 // D(T(nf(x)), T(nf(y))) <= eps using the chosen method. Scan methods
 // report each unordered pair once; index methods report each pair twice
 // (Table 1's accounting); JoinAuto defers the method to the planner and
 // reports each pair once (the planned joins' canonical accounting).
 func (db *DB) SelfJoin(eps float64, t Transform, method JoinMethod) ([]Pair, Stats, error) {
-	if method == JoinAuto {
-		return db.SelfJoinPlanned(eps, t, UseAuto)
+	return pairsOf(db.read(selfJoinSpec(eps, t, method, nil)))
+}
+
+// selfJoinSpec states SelfJoin's read: the planned self join under JoinAuto,
+// else the join pinned to one of Table 1's methods.
+func selfJoinSpec(eps float64, t Transform, method JoinMethod, opts []QueryOpt) readSpec {
+	sp := joinSpec(readSelfJoin, eps, t, Transform{}, UseAuto, opts)
+	sp.method = method
+	return sp
+}
+
+// runPinnedSelfJoin executes a self join pinned to a Table 1 method. It
+// runs no plan — the paper's per-method accounting (index methods report
+// pairs twice, method c ignores the transformation) is part of its answer —
+// so what EXPLAIN gets is descriptive: what ran, where, at what measured
+// cost.
+func (db *DB) runPinnedSelfJoin(sp readSpec) (result, error) {
+	if sp.method < 0 || int(sp.method) >= len(pinnedJoinMethods) {
+		return result{}, fmt.Errorf("tsq: unknown join method %d", int(sp.method))
 	}
-	tr, warp, err := t.materialize(db.length)
+	m := pinnedJoinMethods[sp.method]
+	jq, err := db.joinQuery(sp)
 	if err != nil {
-		return nil, Stats{}, err
+		return result{}, err
 	}
-	if warp != 0 {
-		return nil, Stats{}, fmt.Errorf("tsq: warp is not supported in self joins")
-	}
-	em, err := method.engineMethod()
+	pairs, st, err := db.eng.SelfJoin(sp.eps, jq.Left, m.engine)
 	if err != nil {
-		return nil, Stats{}, err
+		return result{}, err
 	}
-	pairs, st, err := db.eng.SelfJoin(eps, tr, em)
-	if err != nil {
-		return nil, Stats{}, err
+	out := result{pairs: db.toPairs(pairs), stats: fromExec(st, sp.leadSpans()...)}
+	if sp.explain {
+		letter := string(rune('a' + int(sp.method)))
+		out.explain = explainFrom(&plan.Plan{
+			Kind:      "selfjoin",
+			Transform: jq.Left.String(),
+			Eps:       sp.eps,
+			Strategy:  m.strategy,
+			Method:    letter,
+			Forced:    true,
+			Reason:    fmt.Sprintf("Table 1 method (%s): %s", letter, m.name),
+			Shards:    plan.AllShards(db.shards),
+			Est:       plan.Estimate{Series: db.eng.Len()},
+		}, st)
 	}
-	return db.toPairs(pairs), fromExec(st), nil
+	return out, nil
+}
+
+// pinnedJoinMethods names, per Table 1 method, the engine's method, the
+// mechanism it runs on and what the paper calls it.
+var pinnedJoinMethods = [...]struct {
+	engine   core.JoinMethod
+	strategy plan.Strategy
+	name     string
+}{
+	JoinScanNaive:        {core.JoinScanNaive, plan.ScanTime, "nested sequential scan, no early abandoning"},
+	JoinScanEarlyAbandon: {core.JoinScanEarlyAbandon, plan.ScanFreq, "nested scan with early abandoning"},
+	JoinIndexPlain:       {core.JoinIndexPlain, plan.Index, "index-nested-loop without the transformation"},
+	JoinIndexTransform:   {core.JoinIndexTransform, plan.Index, "index-nested-loop with the transformation"},
 }
 
 // SelfJoinPlanned runs the planned self join: the planner prices the
@@ -453,14 +363,7 @@ func (db *DB) SelfJoin(eps float64, t Transform, method JoinMethod) ([]Pair, Sta
 // strategy answers identically: each qualifying unordered pair once,
 // A < B, sorted.
 func (db *DB) SelfJoinPlanned(eps float64, t Transform, strategy Strategy) ([]Pair, Stats, error) {
-	tr, warp, err := t.materialize(db.length)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if warp != 0 {
-		return nil, Stats{}, fmt.Errorf("tsq: warp is not supported in self joins")
-	}
-	return db.execJoinQuery(core.JoinQuery{Eps: eps, Left: tr, Right: tr}, strategy)
+	return pairsOf(db.read(joinSpec(readSelfJoin, eps, t, Transform{}, strategy, nil)))
 }
 
 // JoinTwoSided finds all ordered pairs (x, y), x != y, with
@@ -476,35 +379,7 @@ func (db *DB) JoinTwoSided(eps float64, left, right Transform) ([]Pair, Stats, e
 // JoinTwoSidedPlanned is JoinTwoSided with an explicit strategy request
 // (UseAuto lets the planner choose).
 func (db *DB) JoinTwoSidedPlanned(eps float64, left, right Transform, strategy Strategy) ([]Pair, Stats, error) {
-	lt, lw, err := left.materialize(db.length)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	rt, rw, err := right.materialize(db.length)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if lw != 0 || rw != 0 {
-		return nil, Stats{}, fmt.Errorf("tsq: warp is not supported in joins")
-	}
-	return db.execJoinQuery(core.JoinQuery{Eps: eps, Left: lt, Right: rt, TwoSided: true}, strategy)
-}
-
-// execJoinQuery plans and executes one all-pairs query.
-func (db *DB) execJoinQuery(jq core.JoinQuery, strategy Strategy) ([]Pair, Stats, error) {
-	want, err := planWant(strategy)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	pl, err := db.eng.PlanJoin(jq, want)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	pairs, st, err := db.eng.ExecJoin(jq, pl)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return db.toPairs(pairs), fromExec(st), nil
+	return pairsOf(db.read(joinSpec(readJoin, eps, left, right, strategy, nil)))
 }
 
 func (db *DB) toPairs(pairs []core.JoinPair) []Pair {

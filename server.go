@@ -1,23 +1,14 @@
 package tsq
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/feature"
 	"repro/internal/flight"
 	"repro/internal/lru"
-	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -57,9 +48,10 @@ import (
 // join's transformed store extent expanded by eps (see joinAffected).
 // Only whole-store writes (large batch inserts, bulk loads, compaction)
 // still purge everything — batches of at most smallBatchThreshold series
-// emit per-name events instead (see InsertAll). Subsequence and
-// query-language entries carry no predicate and are evicted on any write
-// (see stream.go).
+// emit per-name events instead (see InsertAll). Subsequence entries carry
+// no predicate and are evicted on any write (see stream.go). A
+// query-language statement is filed as the typed call it compiles to, under
+// the same key and the same predicate.
 //
 // Server is the session layer behind cmd/tsqd's HTTP API, and equally
 // usable embedded in any concurrent program.
@@ -640,7 +632,6 @@ type cachedResult struct {
 	matches []Match
 	pairs   []Pair
 	subseq  []SubseqMatch
-	output  *Output
 	stats   Stats
 	// affected decides whether one committed write could change this
 	// result (see invalidateFor); nil means the entry is always evicted on
@@ -651,6 +642,14 @@ type cachedResult struct {
 	// it for member-removal writes; nil means untagged (depends on the
 	// whole store).
 	shards []int
+}
+
+// readID names one read for readQuery: the cache key, the kind label of its
+// metrics, what the slow log and retained traces show for it, the caller's
+// correlation ID, and whether it skips the cache.
+type readID struct {
+	key, kind, label, reqID string
+	uncached                bool
 }
 
 // readQuery serves one query, consulting the result cache first.
@@ -672,60 +671,70 @@ type cachedResult struct {
 // an eviction cannot be undone by a slow reader whose overlapped writes did
 // affect it.
 //
-// Every served query also carries a correlation ID (reqID, minted here
-// when the caller supplied none via WithRequest): it is stamped on the
-// returned Stats, on any slow-log entry, and on the flight-recorder
-// trace, so one ID resolves to the same execution across /stats?slow=1,
-// /traces, and the server's log lines.
-func (s *Server) readQuery(key, reqID string, compute func() (cachedResult, error)) (cachedResult, Stats, error) {
+// An uncached read (EXPLAIN, TRACE, a progressive stage, a statement that
+// did not compile) is the same read with the lookup and the filing skipped.
+//
+// Every served query also carries a correlation ID (minted here when the
+// caller supplied none via WithRequest): it is stamped on the returned
+// Stats, on any slow-log entry, and on the flight-recorder trace, so one ID
+// resolves to the same execution across /stats?slow=1, /traces, and the
+// server's log lines. The count → observe → slow-log → flight-record
+// epilogue below is the only one: every read of every kind, however it
+// arrived, ends in done.
+func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cachedResult, Stats, error) {
 	s.queries.Add(1)
 	start := time.Now()
-	kind := queryKindFromKey(key)
-	if reqID == "" {
-		reqID = flight.NewID()
+	if id.reqID == "" {
+		id.reqID = flight.NewID()
 	}
-	if v, ok := s.cache.Get(key); ok {
-		r := v.(cachedResult)
-		st := r.stats
-		st.Cached = true
-		st.RequestID = reqID
-		if telemetry.Enabled() {
-			mCacheHits.Inc()
-		}
+	done := func(strategy, outcome, errMsg string, spans []SpanInfo) {
 		elapsed := time.Since(start)
-		observeQuery(kind, st.Strategy, "cached", elapsed)
-		s.flightRecord(reqID, kind, st.Strategy, flight.OutcomeCached, key, "", elapsed, st.Spans)
-		return r, st, nil
+		observeQuery(id.kind, strategy, outcome, elapsed)
+		if outcome == flight.OutcomeOK {
+			s.slowRecord(id.label, elapsed, spans, id.reqID)
+		}
+		s.flightRecord(id.reqID, id.kind, strategy, outcome, id.label, errMsg, elapsed, spans)
 	}
-	if telemetry.Enabled() {
-		mCacheMisses.Inc()
+	if !id.uncached {
+		if v, ok := s.cache.Get(id.key); ok {
+			r := v.(cachedResult)
+			st := r.stats
+			st.Cached = true
+			st.RequestID = id.reqID
+			if telemetry.Enabled() {
+				mCacheHits.Inc()
+			}
+			done(st.Strategy, flight.OutcomeCached, "", st.Spans)
+			return r, st, nil
+		}
+		if telemetry.Enabled() {
+			mCacheMisses.Inc()
+		}
 	}
 	v0 := s.version.Load()
 	s.rlock()
 	r, err := compute()
 	s.runlock()
 	if err != nil {
-		elapsed := time.Since(start)
-		observeQuery(kind, "", "error", elapsed)
-		s.flightRecord(reqID, kind, "", flight.OutcomeError, key, err.Error(), elapsed, nil)
+		done("", flight.OutcomeError, err.Error(), nil)
 		return cachedResult{}, Stats{}, err
 	}
 	if s.testHookAfterCompute != nil {
 		s.testHookAfterCompute()
 	}
-	tagStart := time.Now()
-	s.cacheGuard.Lock()
-	if s.cacheableLocked(v0, &r) {
-		s.cache.Add(key, r)
+	st := r.stats
+	if !id.uncached {
+		tagStart := time.Now()
+		s.cacheGuard.Lock()
+		if s.cacheableLocked(v0, &r) {
+			s.cache.Add(id.key, r)
+		}
+		s.cacheGuard.Unlock()
+		st = withCacheTag(st, time.Since(tagStart))
 	}
-	s.cacheGuard.Unlock()
-	st := withCacheTag(r.stats, time.Since(tagStart))
-	st.RequestID = reqID
+	st.RequestID = id.reqID
 	s.record(r.stats)
-	elapsed := time.Since(start)
-	observeQuery(kind, st.Strategy, "ok", elapsed)
-	s.slowRecord(key, elapsed, st.Spans, reqID)
-	s.flightRecord(reqID, kind, st.Strategy, flight.OutcomeOK, key, "", elapsed, st.Spans)
+	done(st.Strategy, flight.OutcomeOK, "", st.Spans)
 	return r, st, nil
 }
 
@@ -753,20 +762,9 @@ func (s *Server) cacheableLocked(v0 int64, r *cachedResult) bool {
 	return true
 }
 
-func cloneMatches(in []Match) []Match {
-	out := make([]Match, len(in))
-	copy(out, in)
-	return out
-}
-
-func clonePairs(in []Pair) []Pair {
-	out := make([]Pair, len(in))
-	copy(out, in)
-	return out
-}
-
-func cloneSubseq(in []SubseqMatch) []SubseqMatch {
-	out := make([]SubseqMatch, len(in))
+// clone copies a filed answer for handing out (never nil, like a fresh one).
+func clone[T any](in []T) []T {
+	out := make([]T, len(in))
 	copy(out, in)
 	return out
 }
@@ -777,115 +775,61 @@ func cloneSubseq(in []SubseqMatch) []SubseqMatch {
 // the key, building the entry's invalidation predicate — is skipped.
 func (s *Server) caching() bool { return s.cache.Capacity() > 0 }
 
-// valuesKey hashes a literal query series for use in cache keys. SHA-256
-// makes accidental (or adversarial) key collisions between different
-// query vectors a non-concern. Without a cache the key only labels the
-// query in logs and traces, and the length does that.
-func (s *Server) valuesKey(v []float64) string {
-	if !s.caching() {
-		return strconv.Itoa(len(v)) + ".-"
+// read serves one spec — a typed call's or a compiled statement's, the two
+// are the same value — through readQuery: the cache key and the filed
+// entry's invalidation predicate both derive from the spec's kind, and the
+// predicate is built from the Lemma 1 filter of the plan that ran (inside
+// the compute critical section, so it observes the same store state the
+// answer did), so the query is planned once. What is handed out is a clone
+// of the filed answer, cut to the spec's LIMIT.
+func (s *Server) read(sp readSpec) (*Output, error) {
+	id := readID{key: sp.key(s.caching()), kind: sp.kind.String(), label: sp.text, reqID: sp.opts.reqID, uncached: sp.uncached()}
+	if id.label == "" {
+		id.label = id.key // a typed call is logged under its key, a statement as written
 	}
-	h := sha256.New()
-	var buf [8]byte
-	for _, x := range v {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		h.Write(buf[:])
+	var explain *ExplainInfo
+	r, st, err := s.readQuery(id, func() (cachedResult, error) {
+		res, err := s.db.run(sp)
+		if err != nil {
+			return cachedResult{}, err
+		}
+		explain = res.explain
+		out := cachedResult{matches: res.matches, pairs: res.pairs, stats: res.stats}
+		if s.caching() && !sp.uncached() {
+			out.affected, out.shards = s.affectedFor(sp, res)
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return strconv.Itoa(len(v)) + "." + hex.EncodeToString(h.Sum(nil))
-}
-
-func momentsKey(m feature.MomentBounds) string {
-	if m == (feature.MomentBounds{}) {
-		return "-"
-	}
-	return fmt.Sprintf("%g:%g:%g:%g", m.MeanLo, m.MeanHi, m.StdLo, m.StdHi)
-}
-
-func optsKey(opts []QueryOpt) string {
-	var qo queryOpts
-	for _, o := range opts {
-		o(&qo)
-	}
-	return fmt.Sprintf("s%d.b%t.d%g.m%s", int(qo.strategy), qo.both, qo.delta, momentsKey(qo.moments))
-}
-
-// reqIDOf extracts the WithRequest correlation ID from opts ("" when the
-// caller supplied none — readQuery then mints one).
-func reqIDOf(opts []QueryOpt) string {
-	var qo queryOpts
-	for _, o := range opts {
-		o(&qo)
-	}
-	return qo.reqID
+	return sp.output(result{
+		matches: clone(head(r.matches, sp.limit)),
+		pairs:   clone(head(r.pairs, sp.limit)),
+		stats:   st,
+		explain: explain,
+	}), nil
 }
 
 // Range runs DB.Range under the shared lock, with result caching.
 func (s *Server) Range(q []float64, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	key := fmt.Sprintf("range|v=%s|eps=%g|t=%s|%s", s.valuesKey(q), eps, t.Canonical(), optsKey(opts))
-	return s.filteredQuery(key, opts, func() ([]Match, Stats, *core.Prefilter, error) {
-		return s.db.rangeQuery(q, nil, eps, t, opts)
-	}, s.rangeAffected("", eps, opts))
+	return matchesOf(s.read(rangeSpec("", q, eps, t, opts)))
 }
 
 // RangeByName runs DB.RangeByName under the shared lock, with result
 // caching.
 func (s *Server) RangeByName(name string, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	key := fmt.Sprintf("range|n=%q|eps=%g|t=%s|%s", name, eps, t.Canonical(), optsKey(opts))
-	return s.filteredQuery(key, opts, func() ([]Match, Stats, *core.Prefilter, error) {
-		return s.db.rangeByName(name, eps, t, opts)
-	}, s.rangeAffected(name, eps, opts))
+	return matchesOf(s.read(rangeSpec(name, nil, eps, t, opts)))
 }
 
 // NN runs DB.NN under the shared lock, with result caching.
 func (s *Server) NN(q []float64, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	key := fmt.Sprintf("nn|v=%s|k=%d|t=%s|%s", s.valuesKey(q), k, t.Canonical(), optsKey(opts))
-	return s.filteredQuery(key, opts, func() ([]Match, Stats, *core.Prefilter, error) {
-		return s.db.nnQuery(q, nil, k, t, opts)
-	}, s.nnAffected("", k))
+	return matchesOf(s.read(nnSpec("", q, k, t, opts)))
 }
 
 // NNByName runs DB.NNByName under the shared lock, with result caching.
 func (s *Server) NNByName(name string, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
-	key := fmt.Sprintf("nn|n=%q|k=%d|t=%s|%s", name, k, t.Canonical(), optsKey(opts))
-	return s.filteredQuery(key, opts, func() ([]Match, Stats, *core.Prefilter, error) {
-		return s.db.nnByName(name, k, t, opts)
-	}, s.nnAffected(name, k))
-}
-
-// filteredQuery serves a range or NN read through matchQuery, handing the
-// Lemma 1 filter of the plan that ran to the builder of the cached entry's
-// invalidation predicate: the entry is defended by exactly the test its
-// execution filtered with, and the query is planned once.
-func (s *Server) filteredQuery(key string, opts []QueryOpt, run func() ([]Match, Stats, *core.Prefilter, error), affectedFor func(*core.Prefilter, []Match) (func(writeEvent) bool, []int)) ([]Match, Stats, error) {
-	var pf *core.Prefilter
-	return s.matchQuery(key, reqIDOf(opts), func() ([]Match, Stats, error) {
-		m, st, f, err := run()
-		pf = f
-		return m, st, err
-	}, func(m []Match) (func(writeEvent) bool, []int) { return affectedFor(pf, m) })
-}
-
-// matchQuery serves a match-shaped query through the cache. affectedFor,
-// when non-nil, builds the entry's write-invalidation predicate and shard
-// dependency tags from the computed matches (inside the compute critical
-// section, so the predicate observes the same store state the answer
-// did).
-func (s *Server) matchQuery(key, reqID string, run func() ([]Match, Stats, error), affectedFor func([]Match) (func(writeEvent) bool, []int)) ([]Match, Stats, error) {
-	r, st, err := s.readQuery(key, reqID, func() (cachedResult, error) {
-		m, qst, err := run()
-		if err != nil {
-			return cachedResult{}, err
-		}
-		out := cachedResult{matches: m, stats: qst}
-		if affectedFor != nil && s.caching() {
-			out.affected, out.shards = affectedFor(m)
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return cloneMatches(r.matches), st, nil
+	return matchesOf(s.read(nnSpec(name, nil, k, t, opts)))
 }
 
 // SelfJoin runs DB.SelfJoin under the shared lock, with result caching.
@@ -896,28 +840,13 @@ func (s *Server) matchQuery(key, reqID string, run func() ([]Match, Stats, error
 // options only (WithRequest); strategy/moment options are meaningless
 // here and ignored.
 func (s *Server) SelfJoin(eps float64, t Transform, method JoinMethod, opts ...QueryOpt) ([]Pair, Stats, error) {
-	if method == JoinAuto {
-		return s.SelfJoinPlanned(eps, t, UseAuto, opts...)
-	}
-	// Method c ignores the transformation, so its dependency geometry is
-	// the identity join's.
-	pt := t
-	if method == JoinIndexPlain {
-		pt = Identity()
-	}
-	key := fmt.Sprintf("selfjoin|eps=%g|t=%s|m=%d", eps, t.Canonical(), int(method))
-	return s.pairsQuery(key, reqIDOf(opts), func() ([]Pair, Stats, error) {
-		return s.db.SelfJoin(eps, t, method)
-	}, s.joinAffected(eps, pt, pt, false))
+	return pairsOf(s.read(selfJoinSpec(eps, t, method, opts)))
 }
 
 // SelfJoinPlanned runs DB.SelfJoinPlanned (cost-based join method
 // selection under UseAuto) with result caching.
 func (s *Server) SelfJoinPlanned(eps float64, t Transform, strategy Strategy, opts ...QueryOpt) ([]Pair, Stats, error) {
-	key := fmt.Sprintf("selfjoin|eps=%g|t=%s|u=%d", eps, t.Canonical(), int(strategy))
-	return s.pairsQuery(key, reqIDOf(opts), func() ([]Pair, Stats, error) {
-		return s.db.SelfJoinPlanned(eps, t, strategy)
-	}, s.joinAffected(eps, t, t, false))
+	return pairsOf(s.read(joinSpec(readSelfJoin, eps, t, Transform{}, strategy, opts)))
 }
 
 // JoinTwoSided runs DB.JoinTwoSided under the shared lock, with result
@@ -929,38 +858,14 @@ func (s *Server) JoinTwoSided(eps float64, left, right Transform, opts ...QueryO
 // JoinTwoSidedPlanned is JoinTwoSided with an explicit strategy request,
 // with result caching.
 func (s *Server) JoinTwoSidedPlanned(eps float64, left, right Transform, strategy Strategy, opts ...QueryOpt) ([]Pair, Stats, error) {
-	key := fmt.Sprintf("join2|eps=%g|l=%s|r=%s|u=%d", eps, left.Canonical(), right.Canonical(), int(strategy))
-	return s.pairsQuery(key, reqIDOf(opts), func() ([]Pair, Stats, error) {
-		return s.db.JoinTwoSidedPlanned(eps, left, right, strategy)
-	}, s.joinAffected(eps, left, right, true))
-}
-
-// pairsQuery serves a join-shaped query through the cache. affectedFor,
-// when non-nil, builds the entry's write-invalidation predicate and shard
-// tags from the computed pairs.
-func (s *Server) pairsQuery(key, reqID string, run func() ([]Pair, Stats, error), affectedFor func([]Pair) (func(writeEvent) bool, []int)) ([]Pair, Stats, error) {
-	r, st, err := s.readQuery(key, reqID, func() (cachedResult, error) {
-		p, qst, err := run()
-		if err != nil {
-			return cachedResult{}, err
-		}
-		out := cachedResult{pairs: p, stats: qst}
-		if affectedFor != nil && s.caching() {
-			out.affected, out.shards = affectedFor(p)
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return clonePairs(r.pairs), st, nil
+	return pairsOf(s.read(joinSpec(readJoin, eps, left, right, strategy, opts)))
 }
 
 // Subsequence runs DB.Subsequence under the shared lock, with result
 // caching.
 func (s *Server) Subsequence(q []float64, eps float64, opts ...QueryOpt) ([]SubseqMatch, Stats, error) {
-	key := fmt.Sprintf("subseq|v=%s|eps=%g", s.valuesKey(q), eps)
-	r, st, err := s.readQuery(key, reqIDOf(opts), func() (cachedResult, error) {
+	key := fmt.Sprintf("subseq|v=%s|eps=%g", valuesKey(q, s.caching()), eps)
+	r, st, err := s.readQuery(readID{key: key, kind: "subseq", label: key, reqID: applyOpts(opts).reqID}, func() (cachedResult, error) {
 		m, qst, err := s.db.Subsequence(q, eps)
 		if err != nil {
 			return cachedResult{}, err
@@ -970,134 +875,32 @@ func (s *Server) Subsequence(q []float64, eps float64, opts ...QueryOpt) ([]Subs
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return cloneSubseq(r.subseq), st, nil
+	return clone(r.subseq), st, nil
 }
 
-// Query parses and executes one statement of the query language under the
-// shared lock, with result caching keyed by the statement text. Only
-// leading/trailing space is trimmed: interior whitespace can be
-// significant inside quoted series names, so two statements share a cache
-// entry only when they are literally the same statement. EXPLAIN and
-// TRACE statements bypass the cache: their value is the live plan (and
-// the estimated-vs-actual comparison) or the live span timings, which a
-// cached answer would fossilize.
+// Query parses and executes one statement of the query language. The
+// statement compiles to the read the typed methods state for the same query
+// (see compile), so it shares their cache entries — whatever its spelling,
+// case, whitespace or LIMIT — and their plan-derived invalidation: a cached
+// RANGE or NN statement survives every write that provably cannot change
+// its answer. EXPLAIN and TRACE statements bypass the cache: their value is
+// the live plan (and the estimated-vs-actual comparison) or the live span
+// timings, which a cached answer would fossilize. Of opts only WithRequest
+// applies.
 func (s *Server) Query(src string, opts ...QueryOpt) (*Output, error) {
-	if isUncachedStatement(src) {
-		s.queries.Add(1)
-		reqID := reqIDOf(opts)
-		if reqID == "" {
-			reqID = flight.NewID()
-		}
-		start := time.Now()
-		s.rlock()
-		out, err := s.db.Query(src)
-		s.runlock()
-		elapsed := time.Since(start)
-		stmt := strings.TrimSpace(src)
-		if err != nil {
-			observeQuery("statement", "", "error", elapsed)
-			s.flightRecord(reqID, "statement", "", flight.OutcomeError, stmt, err.Error(), elapsed, nil)
-			return nil, err
-		}
-		s.record(out.Stats)
-		out.Stats.RequestID = reqID
-		kind := strings.ToLower(out.Kind)
-		observeQuery(kind, out.Stats.Strategy, "ok", elapsed)
-		s.slowRecord(stmt, elapsed, out.Stats.Spans, reqID)
-		s.flightRecord(reqID, kind, out.Stats.Strategy, flight.OutcomeOK, stmt, "", elapsed, out.Stats.Spans)
-		return out, nil
-	}
-	key := "q|" + strings.TrimSpace(src)
-	r, st, err := s.readQuery(key, reqIDOf(opts), func() (cachedResult, error) {
-		out, err := s.db.Query(src)
-		if err != nil {
-			return cachedResult{}, err
-		}
-		return cachedResult{output: out, stats: out.Stats}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Output{
-		Kind:    r.output.Kind,
-		Matches: cloneMatches(r.output.Matches),
-		Pairs:   clonePairs(r.output.Pairs),
-		Stats:   st,
-	}, nil
+	return s.read(compileText(src, opts))
 }
 
 // QueryProgressive executes a RANGE or NN statement progressively: the
 // approximate stage (the statement's APPROX delta, or
 // DefaultProgressiveDelta when it carries none) is computed and emitted
 // first, then the exact refinement follows as the final stage. Each
-// stage executes under its own shared-lock acquisition, so writers are
+// stage is a read of its own — counted, recorded under the request's one
+// ID, and executed under its own shared-lock acquisition — so writers are
 // never blocked while a stage is being delivered to a slow consumer; the
 // exact refinement reflects writes that landed between the stages.
 // Progressive results bypass the cache — their value is the live
 // two-stage delivery.
 func (s *Server) QueryProgressive(src string, emit func(ProgressiveStage) error, opts ...QueryOpt) error {
-	s.queries.Add(1)
-	reqID := reqIDOf(opts)
-	if reqID == "" {
-		reqID = flight.NewID()
-	}
-	start := time.Now()
-	trimmed := strings.TrimSpace(src)
-	fail := func(err error) error {
-		elapsed := time.Since(start)
-		observeQuery("progressive", "", "error", elapsed)
-		s.flightRecord(reqID, "progressive", "", flight.OutcomeError, trimmed, err.Error(), elapsed, nil)
-		return err
-	}
-	stmt, err := query.Parse(src)
-	if err != nil {
-		return fail(err)
-	}
-	if stmt.Kind != query.StmtRange && stmt.Kind != query.StmtNN {
-		return fail(fmt.Errorf("tsq: progressive execution applies to RANGE and NN statements, not %s", stmt.Kind))
-	}
-	delta := stmt.Delta
-	if delta == 0 {
-		delta = DefaultProgressiveDelta
-	}
-	run := func(d float64) (*Output, error) {
-		stage := *stmt
-		stage.Delta = d
-		s.rlock()
-		out, err := query.Exec(s.db.eng, &stage)
-		s.runlock()
-		if err != nil {
-			return nil, err
-		}
-		res := s.db.convertOutput(out)
-		res.Stats.RequestID = reqID
-		s.record(res.Stats)
-		return res, nil
-	}
-	approxOut, err := run(delta)
-	if err != nil {
-		return fail(err)
-	}
-	if err := emit(ProgressiveStage{Phase: "approximate", Output: approxOut}); err != nil {
-		return err
-	}
-	exactOut, err := run(0)
-	if err != nil {
-		return fail(err)
-	}
-	err = emit(ProgressiveStage{Phase: "exact", Output: exactOut, Final: true})
-	elapsed := time.Since(start)
-	observeQuery("progressive", exactOut.Stats.Strategy, "ok", elapsed)
-	s.slowRecord(trimmed, elapsed, exactOut.Stats.Spans, reqID)
-	s.flightRecord(reqID, "progressive", exactOut.Stats.Strategy, flight.OutcomeOK, trimmed, "", elapsed, exactOut.Stats.Spans)
-	return err
-}
-
-// isUncachedStatement reports whether a statement's first word is EXPLAIN
-// or TRACE (case-insensitive), without parsing it. The prefixes compose
-// in either order, so testing the first word catches every such
-// statement.
-func isUncachedStatement(src string) bool {
-	f := strings.Fields(src)
-	return len(f) > 0 && (strings.EqualFold(f[0], "EXPLAIN") || strings.EqualFold(f[0], "TRACE"))
+	return progressive(compileText(src, opts), s.read, emit)
 }

@@ -10,6 +10,8 @@ package tsq
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -397,26 +399,34 @@ func TestCacheOffBuildsNoPredicate(t *testing.T) {
 		t.Fatalf("caching(): off %t, on %t", off.caching(), on.caching())
 	}
 
+	// Building a range or NN predicate asks the engine which shard each
+	// member lives in; building a join's asks it for a JoinPrefilter. Neither
+	// happens anywhere else on the read path, so counting them counts
+	// predicates built.
 	for name, s := range map[string]*Server{"on": on, "off": off} {
-		built := 0
-		_, _, err := s.matchQuery("range|probe", "", func() ([]Match, Stats, error) {
-			return s.db.RangeByName("C00", 0.5, Identity())
-		}, func([]Match) (func(writeEvent) bool, []int) {
-			built++
-			return nil, nil
-		})
-		if err != nil {
+		pc := &planCounter{Engine: s.db.eng}
+		s.db.eng = pc
+		if _, _, err := s.RangeByName("C00", 0.5, Identity()); err != nil {
 			t.Fatal(err)
 		}
-		if want := map[string]int{"on": 1, "off": 0}[name]; built != want {
-			t.Fatalf("cache %s: predicate built %d times, want %d", name, built, want)
+		if _, err := s.Query("NN SERIES 'C00' K 3"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.SelfJoinPlanned(0.5, Identity(), UseAuto); err != nil {
+			t.Fatal(err)
+		}
+		s.db.eng = pc.Engine
+		built := map[string]bool{"on": true, "off": false}[name]
+		if (pc.shardLookups > 0) != built || (pc.joinPrefilters > 0) != built || pc.prefilters != 0 {
+			t.Fatalf("cache %s: %d member-shard lookups, %d join prefilters, %d stand-alone prefilters; predicates built should be %t",
+				name, pc.shardLookups, pc.joinPrefilters, pc.prefilters, built)
 		}
 	}
 	q := clusterSeries(0.0002)
-	if key := off.valuesKey(q); key != "32.-" {
+	if key := valuesKey(q, off.caching()); key != "32.-" {
 		t.Fatalf("cache off hashed the query vector into %q", key)
 	}
-	if key := on.valuesKey(q); len(key) != len("32.")+64 {
+	if key := valuesKey(q, on.caching()); len(key) != len("32.")+64 {
 		t.Fatalf("cache on did not hash the query vector: %q", key)
 	}
 
@@ -456,7 +466,18 @@ func TestCacheOffBuildsNoPredicate(t *testing.T) {
 // prefilter builder the server used to call for each answer it filed.
 type planCounter struct {
 	core.Engine
-	plans, prefilters int
+	plans, prefilters            int
+	shardLookups, joinPrefilters int
+}
+
+func (c *planCounter) ShardOf(name string) int {
+	c.shardLookups++
+	return c.Engine.ShardOf(name)
+}
+
+func (c *planCounter) JoinPrefilter(q core.JoinQuery) (*core.JoinPrefilter, error) {
+	c.joinPrefilters++
+	return c.Engine.JoinPrefilter(q)
 }
 
 func (c *planCounter) PlanRange(q core.RangeQuery, want plan.Strategy) (*plan.Plan, error) {
@@ -478,28 +499,59 @@ func (c *planCounter) PlanPrefilter(q core.RangeQuery) (*core.Prefilter, error) 
 // a caching server files every answer with an invalidation predicate, and
 // builds it from the Lemma 1 filter of the plan that ran — one planning call
 // per statement under every strategy, none for the predicate — while the
-// predicate still tells a far write from a near one.
+// predicate still tells a far write from a near one. Each read is issued as
+// the typed call and, against a fresh server, spelled as a statement: the
+// two are one path, so they owe the same counts and the same verdicts.
 func TestCacheOnPlansOncePerStatement(t *testing.T) {
-	bothShardCounts(t, testCacheOnPlansOncePerStatement)
+	bothShardCounts(t, func(t *testing.T, s *Server) {
+		t.Run("typed", func(t *testing.T) { testCacheOnPlansOncePerStatement(t, s, false) })
+		t.Run("statement", func(t *testing.T) {
+			testCacheOnPlansOncePerStatement(t, cacheFixtureShards(t, s.Shards()), true)
+		})
+	})
 }
 
-func testCacheOnPlansOncePerStatement(t *testing.T, s *Server) {
+// valuesLiteral spells a query vector as a VALUES clause that parses back to
+// the same floats.
+func valuesLiteral(q []float64) string {
+	parts := make([]string, len(q))
+	for i, v := range q {
+		parts[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return "VALUES (" + strings.Join(parts, ", ") + ")"
+}
+
+func testCacheOnPlansOncePerStatement(t *testing.T, s *Server, asStatement bool) {
 	pc := &planCounter{Engine: s.db.eng}
 	s.db.eng = pc
 	q := clusterSeries(0.0002)
+	lit := valuesLiteral(q)
 	reads := []struct {
 		name string
 		run  func() ([]Match, Stats, error)
+		stmt string
 	}{
-		{"Range", func() ([]Match, Stats, error) { return s.Range(q, 0.5, Identity()) }},
-		{"Range scan", func() ([]Match, Stats, error) { return s.Range(q, 0.5, Identity(), With(UseScan)) }},
+		{"Range", func() ([]Match, Stats, error) { return s.Range(q, 0.5, Identity()) },
+			"RANGE " + lit + " EPS 0.5 USING INDEX"},
+		{"Range scan", func() ([]Match, Stats, error) { return s.Range(q, 0.5, Identity(), With(UseScan)) },
+			"RANGE " + lit + " EPS 0.5 USING SCAN"},
 		{"Range auto", func() ([]Match, Stats, error) {
 			return s.Range(q, 0.5, MovingAverage(4), With(UseAuto), TransformBoth())
-		}},
-		{"RangeByName", func() ([]Match, Stats, error) { return s.RangeByName("C01", 0.5, MovingAverage(4)) }},
-		{"NN", func() ([]Match, Stats, error) { return s.NN(q, 3, Identity()) }},
-		{"NN auto", func() ([]Match, Stats, error) { return s.NN(q, 3, Identity(), With(UseAuto)) }},
-		{"NNByName", func() ([]Match, Stats, error) { return s.NNByName("C02", 4, Identity(), With(UseScan)) }},
+		}, "RANGE " + lit + " EPS 0.5 TRANSFORM mavg(4) BOTH"},
+		{"RangeByName", func() ([]Match, Stats, error) { return s.RangeByName("C01", 0.5, MovingAverage(4)) },
+			"RANGE SERIES 'C01' EPS 0.5 TRANSFORM mavg(4) USING INDEX"},
+		{"NN", func() ([]Match, Stats, error) { return s.NN(q, 3, Identity()) },
+			"NN " + lit + " K 3 USING INDEX"},
+		{"NN auto", func() ([]Match, Stats, error) { return s.NN(q, 3, Identity(), With(UseAuto)) },
+			"NN " + lit + " K 3"},
+		{"NNByName", func() ([]Match, Stats, error) { return s.NNByName("C02", 4, Identity(), With(UseScan)) },
+			"NN SERIES 'C02' K 4 USING SCAN"},
+	}
+	if asStatement {
+		for i := range reads {
+			stmt := reads[i].stmt
+			reads[i].run = func() ([]Match, Stats, error) { return matchesOf(s.Query(stmt)) }
+		}
 	}
 	holdsC00 := map[string]bool{}
 	for _, r := range reads {
@@ -539,5 +591,206 @@ func testCacheOnPlansOncePerStatement(t *testing.T, s *Server) {
 		if _, st, err := r.run(); err != nil || (st.Cached && holdsC00[r.name]) {
 			t.Fatalf("%s after a member's append: err %v, cached %t", r.name, err, st.Cached)
 		}
+	}
+}
+
+// TestStatementSharesTypedEntry: a statement compiles to the typed call, so
+// the two file one answer under one key and one invalidation test — whichever
+// arrives first, however the statement is spelled, whatever its LIMIT — while
+// EXPLAIN and TRACE neither read nor write the cache and a Table 1 method
+// keeps an entry of its own.
+func TestStatementSharesTypedEntry(t *testing.T) {
+	bothShardCounts(t, testStatementSharesTypedEntry)
+}
+
+func testStatementSharesTypedEntry(t *testing.T, s *Server) {
+	q := clusterSeries(0.0002)
+	query := func(stmt string) (*Output, Stats, error) {
+		out, err := s.Query(stmt)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		return out, out.Stats, nil
+	}
+	typed := func(m []Match, st Stats, err error) (*Output, Stats, error) { return &Output{Matches: m}, st, err }
+	joined := func(p []Pair, st Stats, err error) (*Output, Stats, error) { return &Output{Pairs: p}, st, err }
+	pairs := []struct {
+		name  string
+		stmt  string
+		typed func() (*Output, Stats, error)
+	}{
+		{"range by name", "RANGE SERIES 'C01' EPS 0.5 TRANSFORM mavg(4) USING AUTO",
+			func() (*Output, Stats, error) {
+				return typed(s.RangeByName("C01", 0.5, MovingAverage(4), With(UseAuto)))
+			}},
+		{"range values both", "RANGE " + valuesLiteral(q) + " EPS 0.25 TRANSFORM reverse() | mavg(4) BOTH USING INDEX",
+			func() (*Output, Stats, error) {
+				return typed(s.Range(q, 0.25, Reverse().Then(MovingAverage(4)), TransformBoth()))
+			}},
+		{"range moments approx", "RANGE SERIES 'C02' EPS 2 MEAN [-1, 1] STD [0, 50] APPROX 0.05 USING INDEX",
+			func() (*Output, Stats, error) {
+				return typed(s.RangeByName("C02", 2, Identity(), MeanRange(-1, 1), StdRange(0, 50), WithApprox(0.05)))
+			}},
+		{"nn values", "NN " + valuesLiteral(q) + " K 3 USING SCAN",
+			func() (*Output, Stats, error) { return typed(s.NN(q, 3, Identity(), With(UseScan))) }},
+		{"nn by name", "NN SERIES 'Z01' K 2 TRANSFORM scale(2)",
+			func() (*Output, Stats, error) { return typed(s.NNByName("Z01", 2, Scale(2), With(UseAuto))) }},
+		{"selfjoin planned", "SELFJOIN EPS 0.5 TRANSFORM mavg(4)",
+			func() (*Output, Stats, error) { return joined(s.SelfJoinPlanned(0.5, MovingAverage(4), UseAuto)) }},
+		{"selfjoin method", "SELFJOIN EPS 0.5 TRANSFORM mavg(4) METHOD b",
+			func() (*Output, Stats, error) { return joined(s.SelfJoin(0.5, MovingAverage(4), JoinScanEarlyAbandon)) }},
+		{"join", "JOIN EPS 0.5 LEFT reverse() RIGHT identity() USING SCAN",
+			func() (*Output, Stats, error) {
+				return joined(s.JoinTwoSidedPlanned(0.5, Reverse(), Identity(), UseScan))
+			}},
+	}
+	for i, p := range pairs {
+		first, second := func() (*Output, Stats, error) { return query(p.stmt) }, p.typed
+		if i%2 == 1 { // the reverse order on every other row
+			first, second = second, first
+		}
+		filed := cacheLen(s)
+		a, st, err := first()
+		if err != nil || st.Cached {
+			t.Fatalf("%s: first arrival: err %v, cached %t", p.name, err, st.Cached)
+		}
+		b, st, err := second()
+		if err != nil || !st.Cached {
+			t.Fatalf("%s: second arrival: err %v, cached %t — the statement and its typed call filed apart", p.name, err, st.Cached)
+		}
+		if cacheLen(s) != filed+1 {
+			t.Fatalf("%s: %d entries for one answer", p.name, cacheLen(s)-filed)
+		}
+		if fmt.Sprint(a.Matches, a.Pairs) != fmt.Sprint(b.Matches, b.Pairs) {
+			t.Fatalf("%s: the two arrivals answered differently:\n %v\n %v", p.name, a, b)
+		}
+	}
+
+	// Spelling is not identity: case, whitespace, a trailing semicolon and a
+	// float spelled another way all compile to the entry filed above.
+	for _, stmt := range []string{
+		"range  series 'C01'\teps 0.50 transform MAVG( 4 ) using auto ;",
+		"Range Series 'C01' Within 5e-1 Transform identity() | mavg(4.0)",
+	} {
+		filed := cacheLen(s)
+		if _, st, err := query(stmt); err != nil || !st.Cached || cacheLen(s) != filed {
+			t.Fatalf("%q: err %v, cached %t, %d new entries", stmt, err, st.Cached, cacheLen(s)-filed)
+		}
+	}
+
+	// LIMIT cuts the clone handed out, not the entry: two limits and the
+	// unlimited typed call share one entry and each gets its own prefix.
+	filed := cacheLen(s)
+	ten, _, err := query("RANGE SERIES 'C00' EPS 1000 USING INDEX LIMIT 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	five, st, err := query("RANGE SERIES 'C00' EPS 1000 USING INDEX LIMIT 5")
+	if err != nil || !st.Cached {
+		t.Fatalf("LIMIT 5 after LIMIT 10: err %v, cached %t", err, st.Cached)
+	}
+	all, st, err := s.RangeByName("C00", 1000, Identity())
+	if err != nil || !st.Cached {
+		t.Fatalf("the typed call after its LIMITed statements: err %v, cached %t", err, st.Cached)
+	}
+	if len(ten.Matches) != 10 || len(five.Matches) != 5 || len(all) != 12 || cacheLen(s) != filed+1 {
+		t.Fatalf("LIMIT 10 / LIMIT 5 / unlimited returned %d / %d / %d matches from %d entries",
+			len(ten.Matches), len(five.Matches), len(all), cacheLen(s)-filed)
+	}
+	if fmt.Sprint(ten.Matches) != fmt.Sprint(all[:10]) || fmt.Sprint(five.Matches) != fmt.Sprint(all[:5]) {
+		t.Fatal("a LIMITed answer is not the prefix of the full one")
+	}
+	pair, _, err := query("SELFJOIN EPS 1000 LIMIT 7")
+	if err != nil || len(pair.Pairs) != 7 {
+		t.Fatalf("join LIMIT 7: err %v, %d pairs", err, len(pair.Pairs))
+	}
+
+	// EXPLAIN and TRACE execute every time and leave nothing behind, even
+	// with the plain statement's answer sitting in the cache.
+	for _, prefix := range []string{"EXPLAIN ", "TRACE ", "TRACE EXPLAIN "} {
+		for pass := 0; pass < 2; pass++ {
+			filed, hits := cacheLen(s), s.Stats().CacheHits
+			out, st, err := query(prefix + pairs[0].stmt)
+			if err != nil || st.Cached || cacheLen(s) != filed || s.Stats().CacheHits != hits {
+				t.Fatalf("%spass %d: err %v, cached %t, %d new entries, %d lookups hit",
+					prefix, pass, err, st.Cached, cacheLen(s)-filed, s.Stats().CacheHits-hits)
+			}
+			if (out.Explain != nil) != strings.Contains(prefix, "EXPLAIN") || (out.Trace != nil) != strings.Contains(prefix, "TRACE") {
+				t.Fatalf("%s: explain %t, trace %t", prefix, out.Explain != nil, out.Trace != nil)
+			}
+		}
+	}
+
+	// A Table 1 method is part of the answer (index methods report each pair
+	// twice), so it is part of the key.
+	filed = cacheLen(s)
+	planned, _, err := query("SELFJOIN EPS 0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	methodD, st, err := query("SELFJOIN EPS 0.25 METHOD d")
+	if err != nil || st.Cached || cacheLen(s) != filed+2 {
+		t.Fatalf("METHOD d after the planned self join: err %v, cached %t, %d new entries", err, st.Cached, cacheLen(s)-filed)
+	}
+	if len(planned.Pairs) == 0 || len(methodD.Pairs) != 2*len(planned.Pairs) {
+		t.Fatalf("planned self join %d pairs, METHOD d %d (want double)", len(planned.Pairs), len(methodD.Pairs))
+	}
+	if _, st, err := s.SelfJoin(0.25, Identity(), JoinIndexTransform); err != nil || !st.Cached {
+		t.Fatalf("typed method-d join after its statement: err %v, cached %t", err, st.Cached)
+	}
+}
+
+// TestMomentBoundsScope: mean/std bounds restrict a range query's search
+// rectangle and mean nothing anywhere else, so every other read refuses them
+// where its spec is built — statement, typed call and standing monitor alike
+// — instead of answering as if unbounded.
+func TestMomentBoundsScope(t *testing.T) {
+	s := cacheFixture(t)
+	db := s.db
+	q := clusterSeries(0.0002)
+	bounded := []QueryOpt{MeanRange(1e9, 2e9)}
+	rows := []struct {
+		name    string
+		run     func() error
+		refused bool
+	}{
+		{"RANGE statement", func() error { _, err := s.Query("RANGE SERIES 'C00' EPS 1 MEAN [-1, 1] STD [0, 50]"); return err }, false},
+		{"NN statement", func() error { _, err := s.Query("NN SERIES 'C00' K 3 MEAN [1e9, 2e9]"); return err }, true},
+		{"SELFJOIN statement", func() error { _, err := s.Query("SELFJOIN EPS 1 STD [0, 1]"); return err }, true},
+		{"JOIN statement", func() error { _, err := s.Query("JOIN EPS 1 LEFT reverse() MEAN [0, 1]"); return err }, true},
+		{"EXPLAIN NN statement on DB", func() error { _, err := db.Query("EXPLAIN NN SERIES 'C00' K 3 STD [0, 1]"); return err }, true},
+		{"progressive NN", func() error {
+			return s.QueryProgressive("NN SERIES 'C00' K 3 MEAN [0, 1]", func(ProgressiveStage) error { return nil })
+		}, true},
+		{"DB.Range", func() error { _, _, err := db.Range(q, 1, Identity(), MeanRange(-1, 1)); return err }, false},
+		{"DB.NN", func() error { _, _, err := db.NN(q, 3, Identity(), bounded...); return err }, true},
+		{"DB.NNByName", func() error { _, _, err := db.NNByName("C00", 3, Identity(), StdRange(0, 1)); return err }, true},
+		{"Server.NN", func() error { _, _, err := s.NN(q, 3, Identity(), bounded...); return err }, true},
+		{"Server.NNByName", func() error { _, _, err := s.NNByName("C00", 3, Identity(), bounded...); return err }, true},
+		{"Server.MonitorRange", func() error { _, _, err := s.MonitorRange(q, 1, Identity(), MeanRange(-1, 1)); return err }, false},
+		{"Server.MonitorNN", func() error { _, _, err := s.MonitorNN(q, 3, Identity(), bounded...); return err }, true},
+		{"Server.MonitorNNByName", func() error { _, _, err := s.MonitorNNByName("C00", 3, Identity(), bounded...); return err }, true},
+	}
+	for _, r := range rows {
+		err := r.run()
+		switch {
+		case !r.refused && err != nil:
+			t.Errorf("%s: %v", r.name, err)
+		case r.refused && (err == nil || !strings.Contains(err.Error(), "moment bounds apply to RANGE queries only")):
+			t.Errorf("%s: err %v, want the moment-bounds refusal", r.name, err)
+		}
+	}
+	if n := len(s.Monitors()); n != 1 {
+		t.Fatalf("%d monitors registered, want the one range monitor", n)
+	}
+	// The refused NN files nothing, so it cannot sit beside the unbounded
+	// answer under a second key.
+	filed := cacheLen(s)
+	if _, _, err := s.NN(q, 3, Identity()); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _ = s.NN(q, 3, Identity(), bounded...)
+	if cacheLen(s) != filed+1 {
+		t.Fatalf("%d entries for one NN answer", cacheLen(s)-filed)
 	}
 }

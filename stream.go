@@ -56,8 +56,9 @@ import (
 // query's search rectangle — the Lemma 1 test proving the answer
 // unchanged. A cached join answer survives when the appended series joins
 // no pair and its new point misses the join's eps-expanded store extent
-// (see joinAffected). Subsequence and query-language entries are always
-// evicted. The write-version guard is unchanged: an append bumps the
+// (see joinAffected). A query-language statement is filed as the typed call
+// it compiles to, so it survives the same writes; subsequence entries are
+// always evicted. The write-version guard is unchanged: an append bumps the
 // version, so any query racing the append can never cache a stale answer.
 
 // Append slides a stored series' window forward by the given points. Like
@@ -67,39 +68,6 @@ import (
 func (db *DB) Append(name string, points []float64) error {
 	_, err := db.eng.Append(name, points)
 	return err
-}
-
-// planPrefilter builds the engine's Lemma 1 rectangle test for a standing
-// monitor's query spec. (Cached answers keep the filter of the plan that
-// produced them instead; see Server.filteredQuery.)
-func (db *DB) planPrefilter(values []float64, t Transform, qo queryOpts) (*core.Prefilter, error) {
-	tr, warp, err := t.materialize(db.length)
-	if err != nil {
-		return nil, err
-	}
-	return db.eng.PlanPrefilter(core.RangeQuery{
-		Values:     values,
-		Transform:  tr,
-		Moments:    qo.moments,
-		WarpFactor: warp,
-		BothSides:  qo.both,
-	})
-}
-
-// checkWithin verifies one stored series against a range query exactly.
-func (db *DB) checkWithin(name string, values []float64, eps float64, t Transform, qo queryOpts) (float64, bool, error) {
-	tr, warp, err := t.materialize(db.length)
-	if err != nil {
-		return 0, false, err
-	}
-	return db.eng.CheckWithin(name, core.RangeQuery{
-		Values:     values,
-		Eps:        eps,
-		Transform:  tr,
-		Moments:    qo.moments,
-		WarpFactor: warp,
-		BothSides:  qo.both,
-	})
 }
 
 // writeKind discriminates committed writes for cache invalidation.
@@ -158,8 +126,8 @@ func (s *Server) Append(name string, points []float64) error {
 }
 
 // invalidateFor evicts the cached results one committed write could have
-// changed. Entries without an affected predicate (joins, subsequence
-// scans, raw statements) always go; barriers purge everything.
+// changed. Entries without an affected predicate (subsequence scans, answers
+// nothing could be proved about) always go; barriers purge everything.
 func (s *Server) invalidateFor(ev writeEvent) {
 	if ev.kind == writeBarrier {
 		n := s.cache.Len()
@@ -250,106 +218,109 @@ func affectedPredicate(queryName string, members map[string]bool, memberShards [
 	}
 }
 
-// rangeAffected builds the cached-entry invalidation predicate for a range
-// answer: the entry survives a write unless the written series is the
-// query series, is among the cached matches, was deleted while a member,
-// or lands its new feature point inside the search rectangle of the plan
-// that produced the answer (in which case it may have entered it). A nil
-// return means "cannot prove anything — always invalidate".
-func (s *Server) rangeAffected(queryName string, eps float64, opts []QueryOpt) func(*core.Prefilter, []Match) (func(writeEvent) bool, []int) {
-	return func(pf *core.Prefilter, matches []Match) (func(writeEvent) bool, []int) {
-		if pf == nil {
-			return nil, nil
-		}
-		var qo queryOpts
-		for _, o := range opts {
-			o(&qo)
-		}
-		// Scan strategies verify every series without consulting the index,
-		// so their answers ignore moment bounds; widen the prefilter to
-		// match, or a moment-filtered rectangle could wrongly retain an
-		// entry the scan answer would include. UseAuto only ever resolves
-		// to a scan when no moment bounds are set, so the widening is a
-		// no-op there.
-		if qo.strategy != UseIndex {
-			pf = pf.Unbounded()
-		}
-		members, shards := s.memberTags(queryName, matches)
-		return affectedPredicate(queryName, members, shards, pf, eps), shards
+// affectedFor builds a filed answer's invalidation predicate and shard tags,
+// as the spec's kind names them, from the Lemma 1 filter of the plan that
+// ran. A nil predicate means "cannot prove anything — always invalidate".
+func (s *Server) affectedFor(sp readSpec, res result) (func(writeEvent) bool, []int) {
+	switch sp.kind {
+	case readRange:
+		return s.rangeAffected(sp, res.filter, res.matches)
+	case readNN:
+		return s.nnAffected(sp, res.filter, res.matches)
+	default:
+		return s.joinAffected(sp, res.pairs)
 	}
 }
 
-// joinAffected builds the cached-entry invalidation predicate for a join
-// answer. A join depends on every stored series, so the entry's shard tag
-// is the whole shard set and deletes decide on pair membership alone (a
-// deleted series in no pair removed nothing). For writes that commit a
-// feature point, the engine's JoinPrefilter tests the point against the
-// join's transformed store extent expanded by eps (Lemma 1 both ways): a
-// miss proves no stored series can pair with the written one, and the
-// missed point is absorbed into the extent so a later nearby write still
-// evicts. Absorbing only ever grows the extent, so a long run of misses
-// from an outlier-heavy write stream would dilate it toward "everything
-// hits"; after joinRetagEvery absorbed misses the prefilter re-anchors
-// to the live store's feature bounds, shedding the accumulated growth.
-// A nil return means "cannot prove anything — always invalidate"
-// (e.g. an index-unsafe transformation with no affine action).
-func (s *Server) joinAffected(eps float64, left, right Transform, twoSided bool) func([]Pair) (func(writeEvent) bool, []int) {
-	return func(pairs []Pair) (func(writeEvent) bool, []int) {
-		lt, lw, err := left.materialize(s.db.length)
-		if err != nil || lw != 0 {
-			return nil, nil
-		}
-		rt, rw, err := right.materialize(s.db.length)
-		if err != nil || rw != 0 {
-			return nil, nil
-		}
-		jp, err := s.db.eng.JoinPrefilter(core.JoinQuery{Eps: eps, Left: lt, Right: rt, TwoSided: twoSided})
-		if err != nil {
-			return nil, nil
-		}
-		members := make(map[string]bool, 2*len(pairs))
-		for _, p := range pairs {
-			members[p.A] = true
-			members[p.B] = true
-		}
-		shards := plan.AllShards(s.db.Shards())
-		return func(ev writeEvent) bool {
-			switch ev.kind {
-			case writeDelete:
-				return members[ev.name]
-			case writeAppend, writeInsert, writeUpdate:
-				if members[ev.name] || ev.point == nil {
-					return true
-				}
-				hit := jp.Hit(ev.point)
-				if !hit && jp.Absorbed() >= joinRetagEvery {
-					jp.Retag(s.db.eng.FeatureBounds())
-				}
-				return hit
-			default:
+// rangeAffected is the invalidation predicate of a range answer: the entry
+// survives a write unless the written series is the query series, is among
+// the cached matches, was deleted while a member, or lands its new feature
+// point inside the search rectangle of the plan that produced the answer
+// (in which case it may have entered it).
+func (s *Server) rangeAffected(sp readSpec, pf *core.Prefilter, matches []Match) (func(writeEvent) bool, []int) {
+	if pf == nil {
+		return nil, nil
+	}
+	// Scan strategies verify every series without consulting the index,
+	// so their answers ignore moment bounds; widen the prefilter to
+	// match, or a moment-filtered rectangle could wrongly retain an
+	// entry the scan answer would include. UseAuto only ever resolves
+	// to a scan when no moment bounds are set, so the widening is a
+	// no-op there.
+	if sp.opts.strategy != UseIndex {
+		pf = pf.Unbounded()
+	}
+	members, shards := s.memberTags(sp.name, matches)
+	return affectedPredicate(sp.name, members, shards, pf, sp.eps), shards
+}
+
+// nnAffected is the NN analogue: the search rectangle's threshold is the
+// cached k-th best distance — a new point outside it provably cannot
+// displace any cached neighbor. (NN plans carry no moment bounds.)
+func (s *Server) nnAffected(sp readSpec, pf *core.Prefilter, matches []Match) (func(writeEvent) bool, []int) {
+	if pf == nil || len(matches) < sp.k {
+		return nil, nil // unfilled answer: any write may enter
+	}
+	kth := matches[len(matches)-1].Distance
+	members, shards := s.memberTags(sp.name, matches)
+	return affectedPredicate(sp.name, members, shards, pf, kth), shards
+}
+
+// joinAffected is the invalidation predicate of a join answer. A join
+// depends on every stored series, so the entry's shard tag is the whole
+// shard set and deletes decide on pair membership alone (a deleted series
+// in no pair removed nothing). For writes that commit a feature point, the
+// engine's JoinPrefilter tests the point against the join's transformed
+// store extent expanded by eps (Lemma 1 both ways): a miss proves no
+// stored series can pair with the written one, and the missed point is
+// absorbed into the extent so a later nearby write still evicts.
+// Absorbing only ever grows the extent, so a long run of misses from an
+// outlier-heavy write stream would dilate it toward "everything hits";
+// after joinRetagEvery absorbed misses the prefilter re-anchors to the
+// live store's feature bounds, shedding the accumulated growth. Nothing
+// can be proved for, e.g., an index-unsafe transformation with no affine
+// action.
+func (s *Server) joinAffected(sp readSpec, pairs []Pair) (func(writeEvent) bool, []int) {
+	// Method c ignores the transformation, so its dependency geometry is
+	// the identity join's.
+	if sp.method == JoinIndexPlain {
+		sp.t = Identity()
+	}
+	jq, err := s.db.joinQuery(sp)
+	if err != nil {
+		return nil, nil
+	}
+	jp, err := s.db.eng.JoinPrefilter(jq)
+	if err != nil {
+		return nil, nil
+	}
+	members := make(map[string]bool, 2*len(pairs))
+	for _, p := range pairs {
+		members[p.A] = true
+		members[p.B] = true
+	}
+	return func(ev writeEvent) bool {
+		switch ev.kind {
+		case writeDelete:
+			return members[ev.name]
+		case writeAppend, writeInsert, writeUpdate:
+			if members[ev.name] || ev.point == nil {
 				return true
 			}
-		}, shards
-	}
+			hit := jp.Hit(ev.point)
+			if !hit && jp.Absorbed() >= joinRetagEvery {
+				jp.Retag(s.db.eng.FeatureBounds())
+			}
+			return hit
+		default:
+			return true
+		}
+	}, plan.AllShards(s.db.Shards())
 }
 
 // joinRetagEvery is how many absorbed prefilter misses a cached join
 // entry tolerates before its extent re-anchors to the live store bounds.
 const joinRetagEvery = 32
-
-// nnAffected is the NN analogue: the search rectangle's threshold is the
-// cached k-th best distance — a new point outside it provably cannot
-// displace any cached neighbor. (NN plans carry no moment bounds.)
-func (s *Server) nnAffected(queryName string, k int) func(*core.Prefilter, []Match) (func(writeEvent) bool, []int) {
-	return func(pf *core.Prefilter, matches []Match) (func(writeEvent) bool, []int) {
-		if pf == nil || len(matches) < k {
-			return nil, nil // unfilled answer: any write may enter
-		}
-		kth := matches[len(matches)-1].Distance
-		members, shards := s.memberTags(queryName, matches)
-		return affectedPredicate(queryName, members, shards, pf, kth), shards
-	}
-}
 
 // MonitorEvent is one membership change of a monitored query.
 type MonitorEvent struct {
@@ -400,30 +371,21 @@ type MonitorInfo struct {
 // set. The initial membership is returned. q is captured by reference; do
 // not mutate it afterwards.
 func (s *Server) MonitorRange(q []float64, eps float64, t Transform, opts ...QueryOpt) (int64, []Match, error) {
-	var qo queryOpts
-	for _, o := range opts {
-		o(&qo)
-	}
-	pf, pfErr := s.db.planPrefilter(q, t, qo)
-	// Scan strategies verify every series without consulting the index, so
-	// their answers ignore moment bounds; align the prefilter and the
-	// per-series check with Eval or membership verdicts would flip-flop.
-	qoCheck := qo
-	if qo.strategy != UseIndex {
-		qoCheck.moments = feature.MomentBounds{}
-		if qo.moments != (feature.MomentBounds{}) {
+	sp := rangeSpec("", q, eps, t, opts)
+	pf, pfErr := s.monitorPrefilter(sp)
+	// The per-series check is exact, and aligned with Eval: scan strategies
+	// verify every series without consulting the index, so their answers
+	// ignore moment bounds, and membership verdicts would flip-flop if the
+	// prefilter and the check kept them.
+	check := sp
+	check.opts.delta = 0
+	if sp.opts.strategy != UseIndex {
+		check.opts.moments = feature.MomentBounds{}
+		if sp.opts.moments != (feature.MomentBounds{}) {
 			pf = nil // conservative: re-verify every write
 		}
 	}
-	eval := func() ([]stream.Member, error) {
-		s.rlock()
-		defer s.runlock()
-		matches, _, err := s.db.Range(q, eps, t, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return matchesToMembers(matches), nil
-	}
+	eval := s.monitorEval(sp)
 	if pfErr != nil {
 		// Validate eagerly: a spec the prefilter rejects would also fail
 		// every evaluation.
@@ -434,7 +396,11 @@ func (s *Server) MonitorRange(q []float64, eps float64, t Transform, opts ...Que
 	checkOne := func(name string) (stream.Member, bool, error) {
 		s.rlock()
 		defer s.runlock()
-		dist, within, err := s.db.checkWithin(name, q, eps, t, qoCheck)
+		rq, err := s.db.rangeQuery(check)
+		if err != nil {
+			return stream.Member{}, false, err
+		}
+		dist, within, err := s.db.eng.CheckWithin(name, rq)
 		return stream.Member{Name: name, Dist: dist}, within, err
 	}
 	relevant := func(p []float64, _ float64) bool {
@@ -459,6 +425,32 @@ func (s *Server) MonitorRange(q []float64, eps float64, t Transform, opts ...Que
 	return m.ID, membersToMatches(m.Members()), nil
 }
 
+// monitorPrefilter builds the engine's Lemma 1 rectangle test for a standing
+// monitor's spec — a range spec's, or an NN spec's read as range-shaped (the
+// threshold is supplied per test). (Cached answers keep the filter of the
+// plan that produced them instead; see Server.read.)
+func (s *Server) monitorPrefilter(sp readSpec) (*core.Prefilter, error) {
+	rq, err := s.db.rangeQuery(sp)
+	if err != nil {
+		return nil, err
+	}
+	return s.db.eng.PlanPrefilter(rq)
+}
+
+// monitorEval is a monitor's full evaluation: the spec's read, run against
+// the store under the shared lock (never through the cache).
+func (s *Server) monitorEval(sp readSpec) func() ([]stream.Member, error) {
+	return func() ([]stream.Member, error) {
+		s.rlock()
+		defer s.runlock()
+		r, err := s.db.run(sp)
+		if err != nil {
+			return nil, err
+		}
+		return matchesToMembers(r.matches), nil
+	}
+}
+
 // MonitorRangeByName is MonitorRange with a stored series as the query;
 // the query values are snapshotted at registration (later appends to the
 // query series do not re-center the monitor).
@@ -480,21 +472,12 @@ func (s *Server) MonitorNN(q []float64, k int, t Transform, opts ...QueryOpt) (i
 	if k < 1 {
 		return 0, nil, fmt.Errorf("tsq: monitor k must be >= 1, got %d", k)
 	}
-	var qo queryOpts
-	for _, o := range opts {
-		o(&qo)
+	sp := nnSpec("", q, k, t, opts)
+	if sp.err != nil {
+		return 0, nil, sp.err
 	}
-	qo.moments = feature.MomentBounds{}
-	pf, pfErr := s.db.planPrefilter(q, t, qo)
-	eval := func() ([]stream.Member, error) {
-		s.rlock()
-		defer s.runlock()
-		matches, _, err := s.db.NN(q, k, t, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return matchesToMembers(matches), nil
-	}
+	pf, pfErr := s.monitorPrefilter(sp)
+	eval := s.monitorEval(sp)
 	if pfErr != nil {
 		if _, err := eval(); err != nil {
 			return 0, nil, err

@@ -172,6 +172,15 @@ func ParseTransform(spec string) (Transform, error) {
 	if err != nil {
 		return Transform{}, err
 	}
+	return transformOf(calls)
+}
+
+// transformOf builds the Transform a parsed pipeline names — a
+// ParseTransform spec or a statement's TRANSFORM, LEFT or RIGHT clause. It
+// is the one place a transformation name and its argument list are checked;
+// what depends on the series length (a window longer than the series) is
+// materialize's to reject.
+func transformOf(calls []query.TransformCall) (Transform, error) {
 	var t Transform
 	for _, c := range calls {
 		var step Transform
@@ -214,7 +223,6 @@ func ParseTransform(spec string) (Transform, error) {
 			if err := wantTransformArgs(c, 1); err != nil {
 				return Transform{}, err
 			}
-			// Same bounds as the query language's TRANSFORM clause.
 			v := c.Args[0]
 			if v != math.Trunc(v) || v < 2 || v > 64 {
 				return Transform{}, fmt.Errorf("tsq: warp argument must be an integer in [2, 64], got %g", v)
@@ -240,7 +248,7 @@ func wantTransformArgs(c query.TransformCall, n int) error {
 
 func positiveIntArg(c query.TransformCall, i int) (int, error) {
 	v := c.Args[i]
-	if v != math.Trunc(v) || v < 1 {
+	if v != math.Trunc(v) || v < 1 || v > math.MaxInt32 {
 		return 0, fmt.Errorf("tsq: %s argument must be a positive integer, got %g", c.Name, v)
 	}
 	return int(v), nil
@@ -282,7 +290,7 @@ func (t Transform) materialize(n int) (transform.T, int, error) {
 		default:
 			return transform.T{}, 0, fmt.Errorf("tsq: unknown transformation step %q", s.kind)
 		}
-		if i == 0 && len(t.steps) == 1 {
+		if i == 0 {
 			out = step
 		} else {
 			var err error

@@ -8,24 +8,53 @@ import (
 	tsq "repro"
 )
 
-func TestParseTransformRoundTrip(t *testing.T) {
-	cases := []struct {
-		spec string
-		want tsq.Transform
-	}{
-		{"", tsq.Identity()},
-		{"identity()", tsq.Identity()},
-		{"mavg(20)", tsq.MovingAverage(20)},
-		{"reverse()", tsq.Reverse()},
-		{"scale(-1.5)", tsq.Scale(-1.5)},
-		{"shift(3)", tsq.Shift(3)},
-		{"wmavg(0.5, 0.3, 0.2)", tsq.WeightedMovingAverage(0.5, 0.3, 0.2)},
-		{"reverse()|mavg(20)", tsq.Reverse().Then(tsq.MovingAverage(20))},
-		{"mavg(4)|scale(2)|shift(-1)", tsq.MovingAverage(4).Then(tsq.Scale(2)).Then(tsq.Shift(-1))},
-		{"warp(2)", tsq.Warp(2)},
-		{"MAVG(20)", tsq.MovingAverage(20)}, // keywords are case-insensitive
+// FuzzParseTransform: ParseTransform never panics on outside bytes, and what
+// it accepts round-trips — Canonical() parses back to the same Canonical(),
+// which is what lets it serve as a cache-key component.
+func FuzzParseTransform(f *testing.F) {
+	for _, tc := range roundTripCases {
+		f.Add(tc.spec)
+		f.Add(tc.want.Canonical())
 	}
-	for _, tc := range cases {
+	for _, spec := range badTransformSpecs {
+		f.Add(spec)
+	}
+	f.Add("wmavg(1e308, -0, 5e-324)|scale(-1e-7)")
+	f.Fuzz(func(t *testing.T, spec string) {
+		tr, err := tsq.ParseTransform(spec)
+		if err != nil {
+			return
+		}
+		canon := tr.Canonical()
+		back, err := tsq.ParseTransform(canon)
+		if err != nil {
+			t.Fatalf("ParseTransform(%q) = %q, which does not parse back: %v", spec, canon, err)
+		}
+		if got := back.Canonical(); got != canon {
+			t.Fatalf("ParseTransform(%q): round trip drifted %q -> %q", spec, canon, got)
+		}
+	})
+}
+
+var roundTripCases = []struct {
+	spec string
+	want tsq.Transform
+}{
+	{"", tsq.Identity()},
+	{"identity()", tsq.Identity()},
+	{"mavg(20)", tsq.MovingAverage(20)},
+	{"reverse()", tsq.Reverse()},
+	{"scale(-1.5)", tsq.Scale(-1.5)},
+	{"shift(3)", tsq.Shift(3)},
+	{"wmavg(0.5, 0.3, 0.2)", tsq.WeightedMovingAverage(0.5, 0.3, 0.2)},
+	{"reverse()|mavg(20)", tsq.Reverse().Then(tsq.MovingAverage(20))},
+	{"mavg(4)|scale(2)|shift(-1)", tsq.MovingAverage(4).Then(tsq.Scale(2)).Then(tsq.Shift(-1))},
+	{"warp(2)", tsq.Warp(2)},
+	{"MAVG(20)", tsq.MovingAverage(20)}, // keywords are case-insensitive
+}
+
+func TestParseTransformRoundTrip(t *testing.T) {
+	for _, tc := range roundTripCases {
 		got, err := tsq.ParseTransform(tc.spec)
 		if err != nil {
 			t.Fatalf("ParseTransform(%q): %v", tc.spec, err)
@@ -45,23 +74,24 @@ func TestParseTransformRoundTrip(t *testing.T) {
 	}
 }
 
+var badTransformSpecs = []string{
+	"frobnicate(3)",
+	"mavg()",
+	"mavg(2.5)",
+	"mavg(0)",
+	"mavg(3",
+	"wmavg()",
+	"warp(2)|mavg(3)",
+	"mavg(3)|warp(2)",
+	"warp(1)",  // query language requires m in [2, 64]
+	"warp(70)", // ... and the typed endpoints must agree
+	"identity(1)",
+	"reverse(1)",
+	"mavg(3) extra",
+}
+
 func TestParseTransformErrors(t *testing.T) {
-	specs := []string{
-		"frobnicate(3)",
-		"mavg()",
-		"mavg(2.5)",
-		"mavg(0)",
-		"mavg(3",
-		"wmavg()",
-		"warp(2)|mavg(3)",
-		"mavg(3)|warp(2)",
-		"warp(1)",  // query language requires m in [2, 64]
-		"warp(70)", // ... and the typed endpoints must agree
-		"identity(1)",
-		"reverse(1)",
-		"mavg(3) extra",
-	}
-	for _, spec := range specs {
+	for _, spec := range badTransformSpecs {
 		if _, err := tsq.ParseTransform(spec); err == nil {
 			t.Errorf("ParseTransform(%q) succeeded, want error", spec)
 		}
