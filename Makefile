@@ -38,6 +38,10 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/query | grep '^repro/'; then \
 		echo "internal/query is syntax only: it must import the standard library only"; exit 1; fi
+	@for m in ExecRangeInto ExecNNInto ExecJoin SelfJoin WriteTo; do \
+		n=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | grep -c "^func (.*) $$m("); \
+		if [ "$$n" -ne 1 ]; then \
+			echo "internal/core declares $$n methods named $$m: there is one store, and it implements Engine once"; exit 1; fi; done
 
 fmt:
 	gofmt -w .

@@ -21,11 +21,12 @@ import (
 	"repro/internal/transform"
 )
 
-// allocStore builds a small warm store with planted near-duplicates so
-// selective queries have non-empty answers.
-func allocStore(tb testing.TB, n, length int, opts Options) (*DB, [][]float64) {
+// allocStore builds a small warm one-shard store — the Store itself, so the
+// gate runs the store's own ExecRangeInto/ExecNNInto — with planted
+// near-duplicates so selective queries have non-empty answers.
+func allocStore(tb testing.TB, n, length int, opts Options) (*Store, [][]float64) {
 	tb.Helper()
-	db, err := NewDB(length, opts)
+	db, err := NewStore(length, 1, opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -54,8 +55,8 @@ func allocStore(tb testing.TB, n, length int, opts Options) (*DB, [][]float64) {
 
 // TestHotPathZeroAlloc pins warm planned executions at zero allocations
 // per operation. The contract it states: with telemetry off, a plan in
-// hand, and a result buffer with capacity, ExecRangeInto and ExecNNInto
-// touch only pooled arena scratch — every byte of per-query state lives
+// hand, and a result buffer with capacity, a one-shard store's
+// ExecRangeInto and ExecNNInto touch only pooled arena scratch — every byte of per-query state lives
 // in the arena or the caller's buffer. The disk-backed variant extends
 // the contract to the buffer pool: a warm execution whose working set is
 // resident (all pool hits — pin, view, release) allocates nothing either.

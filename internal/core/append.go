@@ -38,22 +38,22 @@ const (
 	adaptiveRefreshPeriod = 256
 )
 
-// refreshCadence returns the store's current spectrum-refresh bound: the
+// refreshCadence returns the shard's current spectrum-refresh bound: the
 // pinned Options.SpectrumRefreshEvery when positive, otherwise the
 // adaptive cadence.
-func (db *DB) refreshCadence() int {
-	if db.refreshEvery > 0 {
-		return db.refreshEvery
+func (sh *shard) refreshCadence() int {
+	if sh.refreshEvery > 0 {
+		return sh.refreshEvery
 	}
-	return int(db.adaptiveRefresh.Load())
+	return int(sh.adaptiveRefresh.Load())
 }
 
 // retuneRefreshCadence recomputes the adaptive cadence from the observed
 // workload mix: the append share of all hot-path operations interpolates
 // the cadence between the eager and lazy bounds.
-func (db *DB) retuneRefreshCadence() {
-	a := float64(db.appendCount.Load())
-	q := float64(db.queryCount.Load())
+func (sh *shard) retuneRefreshCadence() {
+	a := float64(sh.appendCount.Load())
+	q := float64(sh.queryCount.Load())
 	if a+q <= 0 {
 		return
 	}
@@ -64,7 +64,7 @@ func (db *DB) retuneRefreshCadence() {
 	if every > adaptiveRefreshMax {
 		every = adaptiveRefreshMax
 	}
-	db.adaptiveRefresh.Store(int64(every))
+	sh.adaptiveRefresh.Store(int64(every))
 }
 
 // streamState is the per-series streaming bookkeeping: the incremental
@@ -98,7 +98,7 @@ type AppendInfo struct {
 	InPlace bool
 }
 
-// Append slides a stored series' window forward by the given points: the
+// appendPoints slides a stored series' window forward by the given points: the
 // oldest len(points) values fall off the front, the new points arrive at
 // the back, and the series keeps its length, name, and ID. This is the
 // streaming-ingest fast path the whole-series Insert/Update pair cannot
@@ -123,10 +123,9 @@ type AppendInfo struct {
 //
 // Appending more points than the window holds is allowed; only the last
 // n survive, but every point still passes through the tracker so the
-// recurrence state stays exact. Like all DB writes, Append requires
-// external synchronization on an unsharded store.
-func (db *DB) Append(name string, points []float64) (AppendInfo, error) {
-	id, ok := db.byName[name]
+// recurrence state stays exact.
+func (sh *shard) appendPoints(name string, points []float64) (AppendInfo, error) {
+	id, ok := sh.byName[name]
 	if !ok {
 		return AppendInfo{}, fmt.Errorf("core: unknown series %q", name)
 	}
@@ -138,7 +137,7 @@ func (db *DB) Append(name string, points []float64) (AppendInfo, error) {
 			return AppendInfo{}, fmt.Errorf("core: append to %q has non-finite value at position %d", name, i)
 		}
 	}
-	st, err := db.streamStateFor(id)
+	st, err := sh.streamStateFor(id)
 	if err != nil {
 		return AppendInfo{}, err
 	}
@@ -150,18 +149,18 @@ func (db *DB) Append(name string, points []float64) (AppendInfo, error) {
 	// Commit the raw window in place (same-length records never change
 	// size), then the spectrum record — eagerly on the refresh cadence,
 	// otherwise just mark it stale.
-	if err := db.timeRel.Replace(id, window); err != nil {
+	if err := sh.timeRel.Replace(id, window); err != nil {
 		return AppendInfo{}, err
 	}
 	st.specStale = true
 	st.derived.Store(nil)
 	st.sinceRefresh += len(points)
-	total := db.appendCount.Add(uint64(len(points)))
-	if db.refreshEvery <= 0 && total%adaptiveRefreshPeriod < uint64(len(points)) {
-		db.retuneRefreshCadence()
+	total := sh.appendCount.Add(uint64(len(points)))
+	if sh.refreshEvery <= 0 && total%adaptiveRefreshPeriod < uint64(len(points)) {
+		sh.retuneRefreshCadence()
 	}
-	if st.sinceRefresh >= db.refreshCadence() {
-		if err := db.refreshSpectrum(id, st, window); err != nil {
+	if st.sinceRefresh >= sh.refreshCadence() {
+		if err := sh.refreshSpectrum(id, st, window); err != nil {
 			return AppendInfo{}, err
 		}
 	}
@@ -169,9 +168,9 @@ func (db *DB) Append(name string, points []float64) (AppendInfo, error) {
 	// Commit the index: incremental feature point, in-place entry move
 	// when it stayed inside its leaf region.
 	mean, std := st.tr.Moments()
-	newPoint := db.schema.Point(mean, std, st.tr.Coeffs())
-	rec := db.rec(id)
-	inPlace, found := db.idx.Update(id, rec.point, newPoint)
+	newPoint := sh.schema.Point(mean, std, st.tr.Coeffs())
+	rec := sh.rec(id)
+	inPlace, found := sh.idx.Update(id, rec.point, newPoint)
 	if !found {
 		return AppendInfo{}, fmt.Errorf("core: index entry for %q (id %d) missing", name, id)
 	}
@@ -180,11 +179,10 @@ func (db *DB) Append(name string, points []float64) (AppendInfo, error) {
 }
 
 // refreshSpectrum rewrites the stored spectrum record from the window —
-// the exact computation the insert path runs — and clears staleness. The
-// caller must hold the DB's write access.
-func (db *DB) refreshSpectrum(id int64, st *streamState, window []float64) error {
+// the exact computation the insert path runs — and clears staleness.
+func (sh *shard) refreshSpectrum(id int64, st *streamState, window []float64) error {
 	spec := dft.TransformReal(series.NormalForm(window))
-	if err := db.freqRel.Replace(id, relation.EncodeComplex(relation.Permute(spec, db.perm))); err != nil {
+	if err := sh.freqRel.Replace(id, relation.EncodeComplex(relation.Permute(spec, sh.perm))); err != nil {
 		return err
 	}
 	st.specStale = false
@@ -197,15 +195,14 @@ func (db *DB) refreshSpectrum(id int64, st *streamState, window []float64) error
 }
 
 // flushSpectra rewrites every stale spectrum record, so operations that
-// read records wholesale (Compact) see fresh pages. The caller must hold
-// the DB's write access.
-func (db *DB) flushSpectra() error {
-	for _, id := range db.ids {
-		st := *db.stream(id)
+// read records wholesale (compact) see fresh pages.
+func (sh *shard) flushSpectra() error {
+	for _, id := range sh.ids {
+		st := *sh.stream(id)
 		if st == nil || !st.specStale {
 			continue
 		}
-		if err := db.refreshSpectrum(id, st, st.tr.Window()); err != nil {
+		if err := sh.refreshSpectrum(id, st, st.tr.Window()); err != nil {
 			return err
 		}
 	}
@@ -215,16 +212,16 @@ func (db *DB) flushSpectra() error {
 // streamStateFor returns the series' streaming state, materializing the
 // tracker from the stored values on the first append (so series loaded
 // from snapshots or bulk loads are appendable with no special setup).
-func (db *DB) streamStateFor(id int64) (*streamState, error) {
-	st := db.stream(id)
+func (sh *shard) streamStateFor(id int64) (*streamState, error) {
+	st := sh.stream(id)
 	if *st != nil {
 		return *st, nil
 	}
-	values, err := db.timeRel.Get(id)
+	values, err := sh.timeRel.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := stream.NewTracker(values, db.schema.K)
+	tr, err := stream.NewTracker(values, sh.schema.K)
 	if err != nil {
 		return nil, err
 	}
@@ -232,26 +229,26 @@ func (db *DB) streamStateFor(id int64) (*streamState, error) {
 	return *st, nil
 }
 
-// CheckWithin verifies a single stored series against a range query
+// checkWithin verifies a single stored series against a range query
 // exactly — the same planning, moment filtering, and full-spectrum
 // early-abandoning distance the indexed range query applies to its
 // candidates, addressed to one name. The standing-query monitors use it to
 // re-verify a series after an append without running the whole query. A
 // name not currently stored is simply not within (dist 0, within false):
 // monitor semantics treat deletion as leaving the answer set.
-func (db *DB) CheckWithin(name string, q RangeQuery) (dist float64, within bool, err error) {
-	p, err := db.planRange(q)
+func (sh *shard) checkWithin(name string, q RangeQuery) (dist float64, within bool, err error) {
+	p, err := sh.planRange(q)
 	if err != nil {
 		return 0, false, err
 	}
-	id, ok := db.byName[name]
+	id, ok := sh.byName[name]
 	if !ok {
 		return 0, false, nil
 	}
 	if q.Moments != (feature.MomentBounds{}) {
 		// Index answers respect the moment bounds via the search rectangle;
 		// replicate that here so membership semantics agree.
-		mean, std := db.schema.MomentsOf(db.rec(id).point)
+		mean, std := sh.schema.MomentsOf(sh.rec(id).point)
 		mb := q.Moments
 		if mean < mb.MeanLo || mean > mb.MeanHi || std < mb.StdLo || std > mb.StdHi {
 			return 0, false, nil
@@ -259,9 +256,9 @@ func (db *DB) CheckWithin(name string, q RangeQuery) (dist float64, within bool,
 	}
 	var st ExecStats
 	if q.WarpFactor >= 2 {
-		within, dist, err = db.verifyWarp(p, &st, id, q.Eps)
+		within, dist, err = sh.verifyWarp(p, &st, id, q.Eps)
 	} else {
-		within, dist, err = db.verifyFreq(&st, nil, id, p.a, p.b, p.Q, q.Eps)
+		within, dist, err = sh.verifyFreq(&st, nil, id, p.a, p.b, p.Q, q.Eps)
 	}
 	if err != nil {
 		return 0, false, err
@@ -283,30 +280,20 @@ type Prefilter struct {
 	moments feature.MomentBounds
 }
 
-// PlanPrefilter builds the prefilter for a range-shaped query spec (Eps is
-// ignored — the threshold is supplied per Hit, which is what lets NN
-// monitors reuse one prefilter as their k-th-best distance tightens).
-func (db *DB) PlanPrefilter(q RangeQuery) (*Prefilter, error) {
-	if err := db.validateRange(q); err != nil {
-		return nil, err
-	}
-	return db.planPrefilter(q, nil)
-}
-
 // planPrefilter builds a validated query's Lemma 1 geometry. A stored-record
 // query (prep non-nil) centers on its indexed point instead of extracting
 // one from the values.
-func (db *DB) planPrefilter(q RangeQuery, prep *QueryPrep) (*Prefilter, error) {
+func (sh *shard) planPrefilter(q RangeQuery, prep *QueryPrep) (*Prefilter, error) {
 	var qp geom.Point
 	if prep != nil {
 		qp = prep.Point
 	} else {
 		var err error
-		if qp, err = db.queryFeaturePoint(q); err != nil {
+		if qp, err = sh.queryFeaturePoint(q); err != nil {
 			return nil, err
 		}
 	}
-	m, err := db.schema.Map(q.Transform)
+	m, err := sh.schema.Map(q.Transform)
 	if err != nil {
 		return nil, err
 	}
@@ -319,10 +306,10 @@ func (db *DB) planPrefilter(q RangeQuery, prep *QueryPrep) (*Prefilter, error) {
 	// nothing: it keeps the paper's bound whatever Transform says.
 	mw := mirrorLopsided
 	if q.WarpFactor < 2 {
-		mw = mirrorWeight(db.schema.K, db.length, q.Transform)
+		mw = mirrorWeight(sh.schema.K, sh.length, q.Transform)
 	}
 	return &Prefilter{
-		schema:  db.schema,
+		schema:  sh.schema,
 		m:       m,
 		qp:      qp,
 		mw:      mw,
@@ -375,58 +362,4 @@ func (p *Prefilter) IndexableRect(eps float64) (rect geom.Rect, angular []bool, 
 		return geom.Rect{}, nil, false
 	}
 	return p.schema.SearchRect(p.qp, p.mw.filterRadius(eps), p.moments), p.m.Angular, true
-}
-
-// Append slides a series' window forward in its owning shard, taking only
-// that shard's exclusive lock. The global ID is stable across appends, so
-// the catalog needs no update — an appender to one shard never touches
-// another shard's locks or the catalog mutex. See DB.Append for the
-// committed state.
-func (s *Sharded) Append(name string, points []float64) (AppendInfo, error) {
-	si := s.shardFor(name)
-	s.locks[si].Lock()
-	defer s.locks[si].Unlock()
-	return s.shards[si].Append(name, points)
-}
-
-// CheckWithin verifies one stored series against a range query under its
-// shard's shared lock. See DB.CheckWithin.
-func (s *Sharded) CheckWithin(name string, q RangeQuery) (float64, bool, error) {
-	si := s.shardFor(name)
-	s.locks[si].RLock()
-	defer s.locks[si].RUnlock()
-	return s.shards[si].CheckWithin(name, q)
-}
-
-// PlanPrefilter builds a monitor prefilter; planning depends only on the
-// schema and length shared by every shard, so no locks are taken.
-func (s *Sharded) PlanPrefilter(q RangeQuery) (*Prefilter, error) {
-	return s.shards[0].PlanPrefilter(q)
-}
-
-// FeaturePoint returns the indexed feature point stored under a global ID.
-func (s *Sharded) FeaturePoint(id int64) (geom.Point, bool) {
-	s.mu.RLock()
-	si, ok := s.owner[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	s.locks[si].RLock()
-	defer s.locks[si].RUnlock()
-	return s.shards[si].FeaturePoint(id)
-}
-
-// QueryPrep assembles the stored-record planning artifacts of a global
-// ID from its owning shard; see DB.QueryPrep.
-func (s *Sharded) QueryPrep(id int64) (*QueryPrep, bool) {
-	s.mu.RLock()
-	si, ok := s.owner[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	s.locks[si].RLock()
-	defer s.locks[si].RUnlock()
-	return s.shards[si].QueryPrep(id)
 }

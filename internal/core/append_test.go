@@ -87,7 +87,7 @@ func TestAppendParity(t *testing.T) {
 		return db
 	}
 	mkSharded := func() Engine {
-		s, err := NewSharded(windowLen, 4, Options{})
+		s, err := NewStore(windowLen, 4, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func newEngine(t *testing.T, length, shards int) Engine {
 		}
 		return db
 	}
-	s, err := NewSharded(length, shards, Options{})
+	s, err := NewStore(length, shards, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestAppendInPlaceShare(t *testing.T) {
 	if inPlace*2 < total {
 		t.Fatalf("in-place share too low: %d of %d", inPlace, total)
 	}
-	if err := db.idx.Tree().CheckInvariants(); err != nil {
+	if err := db.only().idx.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -274,15 +274,15 @@ func TestAppendStorageStable(t *testing.T) {
 	if _, err := db.Insert("W", w[:windowLen]); err != nil {
 		t.Fatal(err)
 	}
-	timePages, freqPages := db.timeRel.Pages(), db.freqRel.Pages()
+	timePages, freqPages := db.only().timeRel.Pages(), db.only().freqRel.Pages()
 	for _, x := range w[windowLen:] {
 		if _, err := db.Append("W", []float64{x}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if db.timeRel.Pages() != timePages || db.freqRel.Pages() != freqPages {
+	if db.only().timeRel.Pages() != timePages || db.only().freqRel.Pages() != freqPages {
 		t.Fatalf("appends grew storage: time %d->%d, freq %d->%d pages",
-			timePages, db.timeRel.Pages(), freqPages, db.freqRel.Pages())
+			timePages, db.only().timeRel.Pages(), freqPages, db.only().freqRel.Pages())
 	}
 }
 
@@ -350,7 +350,7 @@ func TestCheckWithinMatchesRange(t *testing.T) {
 			db, _ := NewDB(windowLen, Options{})
 			eng = db
 		} else {
-			s, _ := NewSharded(windowLen, shards, Options{})
+			s, _ := NewStore(windowLen, shards, Options{})
 			eng = s
 		}
 		buildByAppends(t, eng, walks, windowLen)
@@ -422,7 +422,7 @@ func TestPrefilterSound(t *testing.T) {
 				}
 			}
 			// +Inf threshold admits everything.
-			if !pf.Hit(db.rec(0).point, math.Inf(1)) {
+			if !pf.Hit(db.only().rec(0).point, math.Inf(1)) {
 				t.Fatal("prefilter rejected a point at eps=+Inf")
 			}
 		}
@@ -447,12 +447,6 @@ func TestAdaptiveCadenceSeesEveryRead(t *testing.T) {
 	walks := appendWalks(series, windowLen+(appends+series-1)/series, 29)
 	id := transform.Identity(windowLen)
 	mavg := transform.MovingAverage(windowLen, 4)
-	shardsOf := func(e Engine) []*DB {
-		if s, ok := e.(*Sharded); ok {
-			return s.shards
-		}
-		return []*DB{e.(*DB)}
-	}
 	for _, shards := range []int{1, 4} {
 		run := func(reads bool) Engine {
 			eng := newEngine(t, windowLen, shards)

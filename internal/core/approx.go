@@ -123,12 +123,12 @@ func defaultRung(n int) int {
 // record: it opens the record like verifyFreq and runs the ladder walk over
 // it — head first, pages only past it (the ladder's first rungs, 8 and 16,
 // both fall inside the head).
-func (db *DB) verifyFreqApprox(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64, nnMode bool) (within bool, dist, bound float64, err error) {
-	head, rv, err := db.openSpec(id)
+func (sh *shard) verifyFreqApprox(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64, nnMode bool) (within bool, dist, bound float64, err error) {
+	head, rv, err := sh.openSpec(id)
 	if err != nil {
 		return false, 0, 0, err
 	}
-	return db.ladderWalk(p, st, &ar.pages, head, rv, eps, nnMode)
+	return sh.ladderWalk(p, st, &ar.pages, head, rv, eps, nnMode)
 }
 
 // ladder is the running state of one ladder walk: the squared distance and
@@ -187,7 +187,7 @@ func (w *ladder) rung(p *rangePlan, st *ExecStats, terms int, eps float64, nnMod
 // lower bound at accept (exact distance on a full walk); for NN answers
 // dist is the upper bound, which is what the top-k heap must order by for
 // the guarantee to compose.
-func (db *DB) ladderWalk(p *rangePlan, st *ExecStats, pbuf *[][]byte, head []complex128, rv relation.View, eps float64, nnMode bool) (within bool, dist, bound float64, err error) {
+func (sh *shard) ladderWalk(p *rangePlan, st *ExecStats, pbuf *[][]byte, head []complex128, rv relation.View, eps float64, nnMode bool) (within bool, dist, bound float64, err error) {
 	limit := eps * eps
 	n := len(p.Q)
 	w := ladder{next: ladderStart}
@@ -206,11 +206,11 @@ func (db *DB) ladderWalk(p *rangePlan, st *ExecStats, pbuf *[][]byte, head []com
 		}
 	}
 	if len(head) < n {
-		cur, err := db.pinTail(rv, pbuf, len(head))
+		cur, err := sh.pinTail(rv, pbuf, len(head))
 		if err != nil {
 			return false, 0, 0, err
 		}
-		defer db.freqRel.ReleaseView(rv)
+		defer sh.freqRel.ReleaseView(rv)
 		for f := len(head); f < n; f++ {
 			w.add(p, f, cur.Next())
 			if w.sum > limit {
@@ -242,8 +242,7 @@ func tightness(lb, ub float64) float64 {
 
 // stampPlan stamps an execution's stats with what its plan decided: the
 // Lemma 1 geometry it filtered with and the approximate tier it ran under
-// (the index and frequency-scan run functions call it, on a DB and on every
-// shard of a fan-out alike).
+// (the index and frequency-scan run functions call it on every shard).
 func stampPlan(p *rangePlan, st *ExecStats) {
 	st.Filter = p.Prefilter
 	if p.approx() {

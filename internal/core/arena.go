@@ -13,7 +13,7 @@ import (
 // borrows one, runs entirely inside it, copies answers out into the
 // caller's result slice (results hold only value types — int64, string
 // header, float64 — so nothing aliases arena memory), and returns it.
-// Steady state, a planned single-store execution allocates nothing.
+// Steady state, a planned one-shard execution allocates nothing.
 //
 // An arena is never shared: each borrower owns it exclusively between
 // getArena and putArena, which is what makes the buffers race-free under

@@ -43,7 +43,7 @@ func BenchmarkCandidateReach(b *testing.B) {
 		if disk {
 			opts.Backing = b.TempDir()
 		}
-		sharded, err := NewSharded(length, 4, opts)
+		sharded, err := NewStore(length, 4, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,8 +53,8 @@ func BenchmarkCandidateReach(b *testing.B) {
 		}
 		for _, c := range []struct {
 			pattern string
-			db      *DB
-		}{{"dense", dense}, {"mod4", sharded.shards[0]}} {
+			db      *shard
+		}{{"dense", dense.only()}, {"mod4", sharded.shards[0]}} {
 			ids := append([]int64(nil), c.db.ids...)
 			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 			b.Run(c.pattern+"/"+backing, func(b *testing.B) {

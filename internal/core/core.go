@@ -6,7 +6,8 @@
 // each available both through the index (Algorithm 2) and through the
 // sequential-scan baselines the experiments compare against (Section 5).
 //
-// A DB holds, for one fixed series length n:
+// A Store is a slice of hash-partitioned shards (one shard is the plain,
+// unpartitioned store). Each shard holds, for one fixed series length n:
 //
 //   - the time-domain relation: raw series, used by warp verification and
 //     examples;
@@ -27,7 +28,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -35,14 +36,13 @@ import (
 	"repro/internal/feature"
 	"repro/internal/geom"
 	"repro/internal/index"
-	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/rtree"
 	"repro/internal/series"
 	"repro/internal/transform"
 )
 
-// Options configures a DB.
+// Options configures a Store; every shard gets the same.
 type Options struct {
 	// Schema is the feature layout; the zero value selects the paper's
 	// six-dimensional polar schema.
@@ -67,7 +67,7 @@ type Options struct {
 	// through a buffer pool on demand, so the store can exceed RAM. The
 	// directory is created if needed; the page files are process scratch
 	// (snapshots remain the durability format) and are removed by Close.
-	// A Sharded store gives each shard its own subdirectory.
+	// Each shard gets its own subdirectory.
 	Backing string
 	// CachePages is the per-relation buffer-pool capacity (in pages) when
 	// Backing is set; <= 0 selects relation.DefaultDiskCachePages. The
@@ -85,15 +85,21 @@ type Options struct {
 	SpectrumRefreshEvery int
 }
 
-// DB is an indexed collection of equal-length time series.
-type DB struct {
+// shard is one partition of a Store: a k-index, the two paged relations and
+// the record directory over a hash-assigned subset of the series, behind its
+// own lock. It is the storage unit — everything Algorithm 2 touches for one
+// partition — and nothing above that: plans, planner feedback, history and the
+// global ID space belong to the Store. Methods assume the caller holds mu in
+// the mode the operation needs.
+type shard struct {
+	mu      sync.RWMutex
 	schema  feature.Schema
 	length  int
 	opts    Options
 	idx     *index.KIndex
 	timeRel *relation.Relation
 	freqRel *relation.Relation
-	// recs holds what the store keeps per record beside the relations,
+	// recs holds what the shard keeps per record beside the relations,
 	// indexed by the record's slot in freqRel (relation.View.Slot): a
 	// candidate's spectrum head, streaming state and name are all one
 	// directory lookup away. streams is the same table's one hot column,
@@ -104,9 +110,8 @@ type DB struct {
 	recs    []record
 	streams []*streamState
 	byName  map[string]int64
-	ids     []int64 // live IDs, arbitrary order (swap-delete); see IDs()
-	nextID  int64
-	perm    []int // energy-order permutation for length-n spectra
+	ids     []int64 // live IDs, arbitrary order (swap-delete)
+	perm    []int   // energy-order permutation for length-n spectra
 	// identA/identB are the permuted identity-transform coefficient
 	// vectors (all ones / all zeros — invariant under any permutation),
 	// shared read-only by every identity-transform plan so the hot
@@ -115,24 +120,10 @@ type DB struct {
 	// refreshEvery is the resolved spectrum-refresh cadence (see
 	// Options.SpectrumRefreshEvery).
 	refreshEvery int
-	// gen numbers the relation generations of a disk-backed store: Compact
+	// gen numbers the relation generations of a disk-backed shard: Compact
 	// builds generation gen+1's page files alongside the live pair before
 	// swapping, so scratch file names never collide.
 	gen int
-	// tracker feeds measured selectivity back to the query planner;
-	// history keeps the recent executed plans for est-vs-actual
-	// diagnostics.
-	tracker *plan.Tracker
-	history *plan.History
-	// exploreTick counts unforced scan-routed range executions; every
-	// exploreEvery-th one runs a count-only index probe so the range
-	// calibration keeps learning while scans win (see maybeExploreRange).
-	// joinExploreTick is the same counter for scan-routed joins (see
-	// maybeExploreJoin in join.go), exploreNNTick for scan-routed NN (see
-	// exploreNN in plan.go).
-	exploreTick     atomic.Uint64
-	joinExploreTick atomic.Uint64
-	exploreNNTick   atomic.Uint64
 	// queryCount and appendCount drive the adaptive spectrum-refresh
 	// cadence (see refreshCadence in append.go): hot-path executions bump
 	// queryCount, appends bump appendCount.
@@ -142,47 +133,44 @@ type DB struct {
 	adaptiveRefresh atomic.Int64
 }
 
-// record is one stored series' entry in DB.recs. A deleted series keeps
+// record is one stored series' entry in shard.recs. A deleted series keeps
 // its slot (the relations are append-only until Compact) with the zero
 // record in it.
 type record struct {
 	name  string
 	point geom.Point // the indexed feature point; nil once deleted
-	pos   int32      // position in DB.ids, for O(1) Delete
+	pos   int32      // position in shard.ids, for O(1) delete
 }
 
 // rec returns the live record stored under id, or nil.
-func (db *DB) rec(id int64) *record {
-	slot, ok := db.freqRel.Slot(id)
-	if !ok || db.recs[slot].point == nil {
+func (sh *shard) rec(id int64) *record {
+	slot, ok := sh.freqRel.Slot(id)
+	if !ok || sh.recs[slot].point == nil {
 		return nil
 	}
-	return &db.recs[slot]
+	return &sh.recs[slot]
 }
 
-// stream returns the slot of DB.streams for a live id: the incremental
+// stream returns the slot of shard.streams for a live id: the incremental
 // sliding-window state of a series that has been appended to (see Append),
 // materialized lazily on the first append and dropped when the series is
 // deleted or replaced.
-func (db *DB) stream(id int64) **streamState {
-	slot, _ := db.freqRel.Slot(id)
-	return &db.streams[slot]
+func (sh *shard) stream(id int64) **streamState {
+	slot, _ := sh.freqRel.Slot(id)
+	return &sh.streams[slot]
 }
 
 // addRecord enters a series just stored in both relations: its record
 // takes the slot freqRel gave it, the next one.
-func (db *DB) addRecord(id int64, name string, p geom.Point) {
-	db.recs = append(db.recs, record{name: name, point: p, pos: int32(len(db.ids))})
-	db.streams = append(db.streams, nil)
-	db.byName[name] = id
-	db.ids = append(db.ids, id)
-	if id >= db.nextID {
-		db.nextID = id + 1
-	}
+func (sh *shard) addRecord(id int64, name string, p geom.Point) {
+	sh.recs = append(sh.recs, record{name: name, point: p, pos: int32(len(sh.ids))})
+	sh.streams = append(sh.streams, nil)
+	sh.byName[name] = id
+	sh.ids = append(sh.ids, id)
 }
 
-// NewDB creates an empty DB for series of the given length.
-func NewDB(length int, opts Options) (*DB, error) {
+// newShard creates an empty partition for series of the given length.
+func newShard(length int, opts Options) (*shard, error) {
 	if length < 4 {
 		return nil, fmt.Errorf("core: series length %d too short", length)
 	}
@@ -203,7 +191,7 @@ func NewDB(length int, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{
+	sh := &shard{
 		schema:  opts.Schema,
 		length:  length,
 		opts:    opts,
@@ -214,28 +202,23 @@ func NewDB(length int, opts Options) (*DB, error) {
 		perm:    relation.EnergyOrder(length),
 		identA:  transform.Identity(length).A,
 		identB:  transform.Identity(length).B,
-		tracker: plan.NewTracker(),
-		history: plan.NewHistory(0),
 	}
-	// Price plans with machine-measured cost constants (one calibration
-	// per process; see plan.Calibrate).
-	db.tracker.SetCosts(plan.Calibrated())
 	// refreshEvery <= 0 keeps the adaptive cadence (refreshCadence);
 	// positive values pin it.
-	db.refreshEvery = opts.SpectrumRefreshEvery
-	db.adaptiveRefresh.Store(spectrumRefreshEvery)
+	sh.refreshEvery = opts.SpectrumRefreshEvery
+	sh.adaptiveRefresh.Store(spectrumRefreshEvery)
 	if opts.BufferPoolPages > 0 && opts.Backing == "" {
-		if err := db.timeRel.AttachPool(opts.BufferPoolPages); err != nil {
+		if err := sh.timeRel.AttachPool(opts.BufferPoolPages); err != nil {
 			return nil, err
 		}
-		if err := db.freqRel.AttachPool(opts.BufferPoolPages); err != nil {
+		if err := sh.freqRel.AttachPool(opts.BufferPoolPages); err != nil {
 			return nil, err
 		}
 	}
-	return db, nil
+	return sh, nil
 }
 
-// newRelationPair builds a store's time- and frequency-domain relations
+// newRelationPair builds a shard's time- and frequency-domain relations
 // per the options: disk-backed page files under opts.Backing when set
 // (gen picks the generation-suffixed scratch names, so a compaction can
 // build its replacement pair next to the live one), in-memory otherwise.
@@ -261,20 +244,19 @@ func newRelationPair(opts Options, gen int) (timeRel, freqRel *relation.Relation
 	return timeRel, freqRel, nil
 }
 
-// Close releases the store's backing storage, removing the disk scratch
-// files of a disk-backed store (snapshots are the durability format). The
-// DB must not be used afterwards. No-op for memory-backed stores.
-func (db *DB) Close() error {
-	err := db.timeRel.Close()
-	if ferr := db.freqRel.Close(); err == nil {
+// close releases the shard's backing storage, removing the disk scratch
+// files of a disk-backed store (snapshots are the durability format).
+func (sh *shard) close() error {
+	err := sh.timeRel.Close()
+	if ferr := sh.freqRel.Close(); err == nil {
 		err = ferr
 	}
 	return err
 }
 
 // PoolStats aggregates buffer-pool counters across a store's relations
-// (time- and frequency-domain pools summed; shards summed on a Sharded
-// store). Zero-valued with DiskBacked false when no pools are attached.
+// (time- and frequency-domain pools of every shard summed). Zero-valued
+// with DiskBacked false when no pools are attached.
 type PoolStats struct {
 	Hits, Misses, Evictions int64
 	Resident, Pinned        int
@@ -282,7 +264,12 @@ type PoolStats struct {
 	DiskBacked              bool
 }
 
-func (p *PoolStats) add(info relation.PoolInfo) {
+// add folds in one relation's pool counters, if it has a pool.
+func (p *PoolStats) add(rel *relation.Relation) {
+	info, ok := rel.PoolInfo()
+	if !ok {
+		return
+	}
 	p.Hits += info.Hits
 	p.Misses += info.Misses
 	p.Evictions += info.Evictions
@@ -291,80 +278,15 @@ func (p *PoolStats) add(info relation.PoolInfo) {
 	p.Capacity += info.Capacity
 }
 
-// PoolStats reports the combined buffer-pool state of the DB's relations.
-func (db *DB) PoolStats() PoolStats {
-	var out PoolStats
-	if info, ok := db.timeRel.PoolInfo(); ok {
-		out.add(info)
-	}
-	if info, ok := db.freqRel.PoolInfo(); ok {
-		out.add(info)
-	}
-	out.DiskBacked = db.timeRel.DiskBacked()
-	return out
-}
-
-// FeatureBounds returns the store's feature-space MBR (the zero rect when
-// empty) — the extent JoinPrefilter.Retag re-anchors cached join geometry
-// to.
-func (db *DB) FeatureBounds() geom.Rect { return db.idx.Tree().Bounds() }
-
-// Len returns the number of stored series.
-func (db *DB) Len() int { return len(db.ids) }
-
-// Length returns the fixed series length.
-func (db *DB) Length() int { return db.length }
-
-// Schema returns the feature schema.
-func (db *DB) Schema() feature.Schema { return db.schema }
-
-// Index exposes the underlying k-index (diagnostics, ablations).
-func (db *DB) Index() *index.KIndex { return db.idx }
-
-// IDs returns the live stored IDs in insertion order. IDs are assigned
-// monotonically, so ascending ID order is insertion order; the returned
-// slice is a fresh copy the caller may keep. (Internally the live-ID list
-// is kept in arbitrary order so Delete can swap-delete in O(1).)
-func (db *DB) IDs() []int64 {
-	out := make([]int64, len(db.ids))
-	copy(out, db.ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Name returns the name stored for an ID ("" if absent).
-func (db *DB) Name(id int64) string {
-	if r := db.rec(id); r != nil {
+// name returns the name stored for an ID ("" if absent).
+func (sh *shard) name(id int64) string {
+	if r := sh.rec(id); r != nil {
 		return r.name
 	}
 	return ""
 }
 
-// Names returns the live series names in insertion order.
-func (db *DB) Names() []string {
-	ids := db.IDs()
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = db.Name(id)
-	}
-	return out
-}
-
-// IDByName resolves a series name.
-func (db *DB) IDByName(name string) (int64, bool) {
-	id, ok := db.byName[name]
-	return id, ok
-}
-
-// FeaturePoint returns the indexed feature point of a stored series.
-func (db *DB) FeaturePoint(id int64) (geom.Point, bool) {
-	if r := db.rec(id); r != nil {
-		return r.point, true
-	}
-	return nil, false
-}
-
-// QueryPrep assembles the stored-record planning artifacts of a series:
+// queryPrep assembles the stored-record planning artifacts of a series:
 // a private copy of its indexed feature point plus its energy-ordered
 // spectrum. Planning a by-name query from these skips the normal form,
 // the feature extraction, and the query FFT that a literal query series
@@ -372,73 +294,59 @@ func (db *DB) FeaturePoint(id int64) (geom.Point, bool) {
 // indexed under, and the spectrum is bit-identical to what querySpectrum
 // would recompute (see staleSpectrum). ok is false when the id is not a
 // live series.
-func (db *DB) QueryPrep(id int64) (*QueryPrep, bool) {
-	p, ok := db.FeaturePoint(id)
-	if !ok {
+func (sh *shard) queryPrep(id int64) (*QueryPrep, bool) {
+	r := sh.rec(id)
+	if r == nil {
 		return nil, false
 	}
-	spec, err := db.spectrum(id)
+	spec, err := sh.spectrum(id)
 	if err != nil {
 		return nil, false
 	}
-	return &QueryPrep{Point: append([]float64(nil), p...), Spectrum: spec}, true
-}
-
-// Insert adds a named series, indexing its features and storing both
-// relations. Names must be unique and non-empty; lengths must match the DB.
-func (db *DB) Insert(name string, values []float64) (int64, error) {
-	id := db.nextID
-	if err := db.insertAt(id, name, values); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return &QueryPrep{Point: append([]float64(nil), r.point...), Spectrum: spec}, true
 }
 
 // validateInsert runs the cheap structural checks of an insert — name
-// present and unique, length matching — without touching storage, so a
-// caller can reject bad inserts before committing resources (a Sharded
-// store uses it to avoid burning a global ID on a doomed insert).
-func (db *DB) validateInsert(name string, values []float64) error {
+// present and unique, length matching — without touching storage, so the
+// store can reject a doomed insert before burning a global ID on it.
+func (sh *shard) validateInsert(name string, values []float64) error {
 	if name == "" {
 		return fmt.Errorf("core: empty series name")
 	}
-	if _, dup := db.byName[name]; dup {
+	if _, dup := sh.byName[name]; dup {
 		return fmt.Errorf("core: duplicate series name %q", name)
 	}
-	if len(values) != db.length {
-		return fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values), db.length)
+	if len(values) != sh.length {
+		return fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values), sh.length)
 	}
 	return nil
 }
 
-// insertAt stores a series under a caller-chosen ID, which must be unused
-// and unique across the DB's lifetime. A Sharded store uses it to assign
-// globally unique IDs across its shards; DB.Insert uses it with the DB's
-// own counter. nextID advances past id so later plain Inserts never
-// collide.
-func (db *DB) insertAt(id int64, name string, values []float64) error {
-	if err := db.validateInsert(name, values); err != nil {
+// insertAt indexes and stores a series under the ID the store assigned it —
+// unused, and unique across every shard for the store's lifetime.
+func (sh *shard) insertAt(id int64, name string, values []float64) error {
+	if err := sh.validateInsert(name, values); err != nil {
 		return err
 	}
-	p, err := db.schema.Extract(values)
+	p, err := sh.schema.Extract(values)
 	if err != nil {
 		return err
 	}
-	if err := db.idx.Insert(id, p); err != nil {
+	if err := sh.idx.Insert(id, p); err != nil {
 		return err
 	}
-	if err := db.timeRel.Insert(id, values); err != nil {
+	if err := sh.timeRel.Insert(id, values); err != nil {
 		return err
 	}
 	spec := dft.TransformReal(series.NormalForm(values))
-	if err := db.freqRel.Insert(id, relation.EncodeComplex(relation.Permute(spec, db.perm))); err != nil {
+	if err := sh.freqRel.Insert(id, relation.EncodeComplex(relation.Permute(spec, sh.perm))); err != nil {
 		return err
 	}
-	db.addRecord(id, name, p)
+	sh.addRecord(id, name, p)
 	return nil
 }
 
-// Delete removes a series by name: its feature point leaves the index and
+// remove deletes a series by name: its feature point leaves the index and
 // it disappears from all query and scan results. The relation pages it
 // occupied are not reclaimed (the storage substrate is append-only, like
 // a heap file awaiting compaction); page-read accounting of later scans is
@@ -446,27 +354,22 @@ func (db *DB) insertAt(id int64, name string, values []float64) error {
 // is O(1) via the record's position and swap-delete, so deletes stay cheap
 // at scale; scan iteration order is consequently arbitrary, which is
 // harmless because every query re-sorts its results deterministically.
-// Delete reports whether the name was present.
-func (db *DB) Delete(name string) bool {
-	id, ok := db.byName[name]
+// It reports the removed ID, or false when the name was not stored.
+func (sh *shard) remove(name string) (int64, bool) {
+	id, ok := sh.byName[name]
 	if !ok {
-		return false
+		return 0, false
 	}
-	r := db.rec(id)
-	db.idx.Delete(id, r.point)
-	delete(db.byName, name)
-	last := len(db.ids) - 1
-	moved := db.ids[last]
-	db.ids[r.pos] = moved
-	db.rec(moved).pos = r.pos
-	db.ids = db.ids[:last]
-	*r, *db.stream(id) = record{}, nil
-	return true
-}
-
-// Series fetches the raw values of a stored series (charges page reads).
-func (db *DB) Series(id int64) ([]float64, error) {
-	return db.timeRel.Get(id)
+	r := sh.rec(id)
+	sh.idx.Delete(id, r.point)
+	delete(sh.byName, name)
+	last := len(sh.ids) - 1
+	moved := sh.ids[last]
+	sh.ids[r.pos] = moved
+	sh.rec(moved).pos = r.pos
+	sh.ids = sh.ids[:last]
+	*r, *sh.stream(id) = record{}, nil
+	return id, true
 }
 
 // staleSpectrum returns the energy-ordered normal-form spectrum of a
@@ -474,14 +377,14 @@ func (db *DB) Series(id int64) ([]float64, error) {
 // FFT refresh), derived on demand with the exact computation the insert
 // path runs — so observed spectra are bit-identical either way. ok is
 // false when the stored record is current.
-func (db *DB) staleSpectrum(st *streamState) ([]complex128, bool) {
+func (sh *shard) staleSpectrum(st *streamState) ([]complex128, bool) {
 	if st == nil || !st.specStale {
 		return nil, false
 	}
 	if p := st.derived.Load(); p != nil {
 		return *p, true
 	}
-	spec := relation.Permute(dft.TransformReal(series.NormalForm(st.tr.Window())), db.perm)
+	spec := relation.Permute(dft.TransformReal(series.NormalForm(st.tr.Window())), sh.perm)
 	st.derived.Store(&spec)
 	return spec, true
 }
@@ -490,26 +393,26 @@ func (db *DB) staleSpectrum(st *streamState) ([]complex128, bool) {
 // series, decoding straight off the record's head and page views — one
 // pass and one allocation instead of the byte-copy + float-decode +
 // complex-pair passes a Get-based decode would take.
-func (db *DB) spectrum(id int64) ([]complex128, error) {
-	rv, err := db.freqRel.View(id)
+func (sh *shard) spectrum(id int64) ([]complex128, error) {
+	rv, err := sh.freqRel.View(id)
 	if err != nil {
 		return nil, err
 	}
-	if spec, ok := db.staleSpectrum(db.streams[rv.Slot]); ok {
+	if spec, ok := sh.staleSpectrum(sh.streams[rv.Slot]); ok {
 		return spec, nil
 	}
-	out := make([]complex128, db.length)
+	out := make([]complex128, sh.length)
 	if copy(out, rv.Head) == len(out) {
 		return out, nil
 	}
-	cur, err := db.pinTail(rv, nil, len(rv.Head))
+	cur, err := sh.pinTail(rv, nil, len(rv.Head))
 	if err != nil {
 		return nil, err
 	}
 	for f := len(rv.Head); f < len(out); f++ {
 		out[f] = cur.Next()
 	}
-	db.freqRel.ReleaseView(rv)
+	sh.freqRel.ReleaseView(rv)
 	return out, nil
 }
 
@@ -524,12 +427,12 @@ func (db *DB) spectrum(id int64) ([]complex128, error) {
 // no hash probe, no buffer-pool mutex, no frame map, no pread, no pin.
 // Terms come back in the same order with the same values either way, so a
 // running sum carries across the boundary unchanged.
-func (db *DB) openSpec(id int64) (head []complex128, rv relation.View, err error) {
-	rv, err = db.freqRel.View(id)
+func (sh *shard) openSpec(id int64) (head []complex128, rv relation.View, err error) {
+	rv, err = sh.freqRel.View(id)
 	if err != nil {
 		return nil, rv, err
 	}
-	if spec, ok := db.staleSpectrum(db.streams[rv.Slot]); ok {
+	if spec, ok := sh.staleSpectrum(sh.streams[rv.Slot]); ok {
 		return spec, rv, nil
 	}
 	return rv.Head, rv, nil
@@ -538,25 +441,25 @@ func (db *DB) openSpec(id int64) (head []complex128, rv relation.View, err error
 // pinTail pins the pages of an opened record and returns a cursor on its
 // coefficient `from`. pbuf is a caller-owned page-view buffer (typically an
 // arena's) so the hot loop faults records in without allocating; nil
-// allocates. The caller gives the pins back with db.freqRel.ReleaseView(rv).
-func (db *DB) pinTail(rv relation.View, pbuf *[][]byte, from int) (relation.Cursor, error) {
+// allocates. The caller gives the pins back with freqRel.ReleaseView(rv).
+func (sh *shard) pinTail(rv relation.View, pbuf *[][]byte, from int) (relation.Cursor, error) {
 	var buf [][]byte
 	if pbuf != nil {
 		buf = (*pbuf)[:0]
 	}
-	pages, err := db.freqRel.ViewPagesInto(rv, buf)
+	pages, err := sh.freqRel.ViewPagesInto(rv, buf)
 	if err != nil {
 		return relation.Cursor{}, err
 	}
 	if pbuf != nil {
 		*pbuf = pages
 	}
-	return relation.CursorAt(pages, db.freqRel.PageSize(), from), nil
+	return relation.CursorAt(pages, sh.freqRel.PageSize(), from), nil
 }
 
 // pageReads snapshots the combined relation read counters.
-func (db *DB) pageReads() int64 {
-	return db.timeRel.Stats().Reads + db.freqRel.Stats().Reads
+func (sh *shard) pageReads() int64 {
+	return sh.timeRel.Stats().Reads + sh.freqRel.Stats().Reads
 }
 
 // ExecStats reports the cost of one query execution.
@@ -587,8 +490,8 @@ type ExecStats struct {
 	DistanceTerms int64
 	// Shards is the per-shard provenance of a fan-out execution: one entry
 	// per shard with its share of the filter cost and its contribution to
-	// the merged answer. Nil on single-store executions (and on the global
-	// nested scan join, whose workers stride across shards).
+	// the merged answer. Nil on a one-shard store, whose execution is the
+	// whole of it.
 	Shards []ShardExec
 	// Strategy is the execution strategy the plan resolved or was forced
 	// to ("index", "scan", "scantime"); empty for SelfJoin(method) and
@@ -639,22 +542,22 @@ type Result struct {
 	Bound float64
 }
 
-// permuteTransform returns t's coefficient vectors in the DB's energy
+// permuteTransform returns t's coefficient vectors in the store's energy
 // order, for verification against stored spectra.
-func (db *DB) permuteTransform(t transform.T) (a, b []complex128) {
+func (sh *shard) permuteTransform(t transform.T) (a, b []complex128) {
 	// The identity's coefficient vectors are constant, hence fixed points
 	// of the permutation: serve the shared pre-permuted pair instead of
 	// allocating fresh copies on every plan.
-	if t.Name == "identity" && len(t.A) == db.length {
-		return db.identA, db.identB
+	if t.Name == "identity" && len(t.A) == sh.length {
+		return sh.identA, sh.identB
 	}
-	return relation.Permute(t.A, db.perm), relation.Permute(t.B, db.perm)
+	return relation.Permute(t.A, sh.perm), relation.Permute(t.B, sh.perm)
 }
 
 // querySpectrum returns the energy-ordered spectrum of the normal form of
-// q (which must have the DB's length).
-func (db *DB) querySpectrum(q []float64) []complex128 {
-	return relation.Permute(dft.TransformReal(series.NormalForm(q)), db.perm)
+// q (which must have the store's length).
+func (sh *shard) querySpectrum(q []float64) []complex128 {
+	return relation.Permute(dft.TransformReal(series.NormalForm(q)), sh.perm)
 }
 
 // verifyFreq computes whether D(A*X+B, Q) <= eps over full (energy-ordered)
@@ -670,8 +573,8 @@ func (db *DB) querySpectrum(q []float64) []complex128 {
 // returns the decision and the exact distance when within, and accumulates
 // DistanceTerms and HeadResolved into st. pbuf is the page-view buffer the
 // tail is pinned into (see pinTail).
-func (db *DB) verifyFreq(st *ExecStats, pbuf *[][]byte, id int64, a, b, q []complex128, eps float64) (bool, float64, error) {
-	head, rv, err := db.openSpec(id)
+func (sh *shard) verifyFreq(st *ExecStats, pbuf *[][]byte, id int64, a, b, q []complex128, eps float64) (bool, float64, error) {
+	head, rv, err := sh.openSpec(id)
 	if err != nil {
 		return false, 0, err
 	}
@@ -691,7 +594,7 @@ func (db *DB) verifyFreq(st *ExecStats, pbuf *[][]byte, id int64, a, b, q []comp
 		st.HeadResolved++
 		return true, math.Sqrt(sum), nil
 	}
-	cur, err := db.pinTail(rv, pbuf, len(head))
+	cur, err := sh.pinTail(rv, pbuf, len(head))
 	if err != nil {
 		return false, 0, err
 	}
@@ -704,7 +607,7 @@ func (db *DB) verifyFreq(st *ExecStats, pbuf *[][]byte, id int64, a, b, q []comp
 			break
 		}
 	}
-	db.freqRel.ReleaseView(rv)
+	sh.freqRel.ReleaseView(rv)
 	st.DistanceTerms += int64(terms)
 	if sum > limit {
 		return false, 0, nil

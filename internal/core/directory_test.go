@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -184,26 +183,14 @@ func TestRecordDirectory(t *testing.T) {
 				// A reload assigns dense ids afresh, so nothing is retired in
 				// the loaded store; it must take further writes like any other.
 				other := 5 - shards // 1 <-> 4
-				legacy := func(w io.Writer) (int64, error) {
-					switch e := hs.eng.(type) {
-					case *DB:
-						return e.WriteLegacyTo(w) // TSQ1
-					case *Sharded:
-						return e.WriteLegacyTo(w) // TSQ2
-					}
-					return 0, fmt.Errorf("unknown engine %T", hs.eng)
-				}
 				for _, c := range []struct {
 					label  string
-					write  func(io.Writer) (int64, error)
 					shards int
 				}{
-					{"tsq3 same shards", hs.eng.WriteTo, shards},
-					{"tsq3 resharded", hs.eng.WriteTo, other},
-					{"legacy same shards", legacy, shards},
-					{"legacy resharded", legacy, other},
+					{"tsq3 same shards", shards},
+					{"tsq3 resharded", other},
 				} {
-					ld := hs.reload(t, c.label, c.write, c.shards, opts)
+					ld := hs.reload(t, c.label, hs.eng.WriteTo, c.shards, opts)
 					// The loaded store gets a mirror of its own to churn.
 					ld.live = make(map[string][]float64, len(hs.live))
 					for name, w := range hs.live {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -19,20 +20,12 @@ import (
 // options, registering Close on test cleanup.
 func newTestEngine(t *testing.T, length, shards int, opts Options) Engine {
 	t.Helper()
-	var (
-		e   Engine
-		err error
-	)
-	if shards > 1 {
-		e, err = NewSharded(length, shards, opts)
-	} else {
-		e, err = NewDB(length, opts)
-	}
+	s, err := NewStore(length, shards, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
-	return e
+	t.Cleanup(func() { s.Close() })
+	return s.Engine()
 }
 
 // compareEngines asserts two engines answer a query identically.
@@ -213,12 +206,12 @@ func TestDiskBackedLowCacheParity(t *testing.T) {
 	}
 }
 
-// TestSnapshotCompatVersions is the snapshot compatibility gate: a TSQ3
-// reader must load every format version — TSQ1 (legacy single-store),
-// TSQ2 (legacy sharded), and TSQ3 with its derived sections — at shard
-// counts 1 and 4, and answer queries identically to the store that wrote
-// the snapshot. It also pins down when the packed trees are adopted
-// versus re-packed.
+// TestSnapshotCompatVersions is the snapshot load-path gate: a TSQ3
+// snapshot written at shard count 1 or 4 must load at shard counts 1 and 4
+// — adopting its packed trees where the counts match, re-sharding from DERV
+// where they do not — and so must one cut short before its derived
+// sections, which rebuilds everything; each answers queries identically to
+// the store that wrote the snapshot.
 func TestSnapshotCompatVersions(t *testing.T) {
 	const (
 		count  = 150
@@ -238,17 +231,32 @@ func TestSnapshotCompatVersions(t *testing.T) {
 		}
 		return e
 	}
-	srcDB := build(t, 1).(*DB)
-	srcSharded := build(t, 4).(*Sharded)
+	srcDB := build(t, 1)
+	// bare keeps the header and the series records only: what a writer
+	// without the derived sections (or a truncated stream) leaves.
+	bare := func(w io.Writer) (int64, error) {
+		var buf bytes.Buffer
+		if _, err := srcDB.WriteTo(&buf); err != nil {
+			return 0, err
+		}
+		end := 18 // magic, space, k, moments, length, shards, count
+		for _, name := range names {
+			end += 2 + len(name) + 8*length
+		}
+		if !bytes.HasPrefix(buf.Bytes()[end:], derivedMagic[:]) {
+			return 0, fmt.Errorf("series records do not end at byte %d", end)
+		}
+		n, err := w.Write(buf.Bytes()[:end])
+		return int64(n), err
+	}
 
 	fixtures := []struct {
 		label string
 		write func(io.Writer) (int64, error)
 	}{
-		{"tsq1", srcDB.WriteLegacyTo},
-		{"tsq2-shards4", srcSharded.WriteLegacyTo},
 		{"tsq3-shards1", srcDB.WriteTo},
-		{"tsq3-shards4", srcSharded.WriteTo},
+		{"tsq3-shards4", build(t, 4).WriteTo},
+		{"tsq3-bare", bare},
 	}
 	for _, fx := range fixtures {
 		var buf bytes.Buffer
@@ -274,10 +282,10 @@ func TestSnapshotCompatVersions(t *testing.T) {
 	}
 }
 
-// TestSnapshotAdoptsTree pins the adopt-versus-rebuild dispatch: loading
-// a TSQ3 snapshot at its recorded shard count must reproduce the writer's
-// index byte-for-byte (the serialized form of the adopted tree equals the
-// slab that was written), whereas a TSQ1 load rebuilds with STR.
+// TestSnapshotAdoptsTree pins the adopt half of the adopt-versus-rebuild
+// dispatch: loading a TSQ3 snapshot at its recorded shard count must
+// reproduce the writer's index byte-for-byte (the serialized form of the
+// adopted tree equals the slab that was written).
 func TestSnapshotAdoptsTree(t *testing.T) {
 	const (
 		count  = 80
@@ -336,6 +344,44 @@ func TestSnapshotAdoptsTree(t *testing.T) {
 	for i := range want {
 		if have[i].Name != want[i].Name || have[i].Dist != want[i].Dist {
 			t.Fatalf("result %d: got %s@%g, want %s@%g", i, have[i].Name, have[i].Dist, want[i].Name, want[i].Dist)
+		}
+	}
+}
+
+// TestRetiredSnapshotVersions: the series-only TSQ1 and TSQ2 formats are
+// refused at the header, by name, at every requested shard count — no
+// panic and no partial store.
+func TestRetiredSnapshotVersions(t *testing.T) {
+	src := newTestEngine(t, 32, 1, Options{})
+	for _, d := range dataset.RandomWalks(8, 32, 5) {
+		if _, err := src.Insert(d.Name, d.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if _, err := src.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, magic := range []string{"TSQ1", "TSQ2"} {
+		for _, c := range []struct {
+			label string
+			raw   []byte
+		}{
+			{"full stream", append([]byte(magic), snap.Bytes()[4:]...)},
+			{"magic only", []byte(magic)},
+		} {
+			for _, shards := range []int{0, 1, 4} {
+				eng, err := ReadEngine(bytes.NewReader(c.raw), Options{}, shards)
+				if err == nil || eng != nil {
+					t.Fatalf("%s %s at shards=%d: loaded (engine %v, err %v)", magic, c.label, shards, eng, err)
+				}
+				if !strings.Contains(err.Error(), magic) {
+					t.Errorf("%s %s at shards=%d: error does not name the version: %v", magic, c.label, shards, err)
+				}
+			}
+		}
+		if db, err := ReadFrom(bytes.NewReader([]byte(magic)), Options{}); err == nil || db != nil {
+			t.Errorf("%s: ReadFrom loaded (%v, %v)", magic, db, err)
 		}
 	}
 }

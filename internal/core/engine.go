@@ -9,23 +9,23 @@ import (
 	"repro/internal/transform"
 )
 
-// Engine is the query-processor surface shared by the single-store DB and
-// the hash-partitioned Sharded store. The public tsq layer, the query
-// language, and the HTTP server all program against this interface, so a
-// store can be swapped from one R*-tree behind one lock to N independent
-// shards with parallel fan-out without touching any caller.
+// Engine is the query-processor surface of a Store, as the public tsq layer
+// and the benchmark harness call it. It has one implementation; it is an
+// interface only so that the dynamic type can say how many partitions sit
+// behind it — a *DB at one shard, a *Store otherwise (Store.Engine decides)
+// — which benchmark/'s replay asserts on before reaching for the k-index.
 //
-// Concurrency contracts differ by implementation and are part of each
-// type's documentation: a *DB is safe for concurrent readers but needs
-// external synchronization around writes; a *Sharded synchronizes
-// internally with one RWMutex per shard.
+// There is one concurrency contract, at every shard count: every method is
+// safe for concurrent use. The store synchronizes internally with one
+// RWMutex per shard — writes take the owning shard's lock exclusively,
+// reads each shard's in shared mode for that shard's part of the work.
 type Engine interface {
 	// Store shape.
 	Len() int
 	Length() int
 	Schema() feature.Schema
-	// Shards reports the partition count (1 for a single-store DB);
-	// ShardOf maps a series name to its hash-assigned partition. Together
+	// Shards reports the partition count; ShardOf maps a series name to its
+	// hash-assigned partition. Together
 	// they give every consumer — plans, per-shard provenance, the server's
 	// dependency-tagged cache — one shard vocabulary.
 	Shards() int
@@ -34,7 +34,6 @@ type Engine interface {
 	// Catalog access. IDs are unique across the whole store (global across
 	// shards) and assigned in insertion order. Names returns a consistent
 	// snapshot of the live names in insertion order.
-	IDs() []int64
 	Names() []string
 	Name(id int64) string
 	IDByName(name string) (int64, bool)
@@ -81,15 +80,14 @@ type Engine interface {
 	// decision per query from maintained store statistics when asked for
 	// plan.Auto, recording the caller's choice as a forced plan otherwise —
 	// and ExecRangeInto/ExecNNInto run it, reusing the plan's precomputed
-	// transforms and spectra and (on sharded stores) recording per-shard
+	// transforms and spectra and (across shards) recording per-shard
 	// provenance in ExecStats.Shards. Timing, ordering, page accounting,
 	// planner feedback, plan history and telemetry happen there and nowhere
 	// else, so a forced strategy is observable exactly as a chosen one is.
 	// Answers append to dst (pass a [:0] slice to reuse its backing array);
-	// on a single-store DB a warm call whose dst has capacity allocates
+	// on a one-shard store a warm call whose dst has capacity allocates
 	// nothing. Plans are engine-specific: execute a plan only on the engine
-	// that built it. PlannerStats exposes the feedback the planner decides
-	// from.
+	// that built it.
 	PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error)
 	PlanNN(q NNQuery, want plan.Strategy) (*plan.Plan, error)
 	ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error)
@@ -106,7 +104,6 @@ type Engine interface {
 	PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error)
 	ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, error)
 	JoinPrefilter(q JoinQuery) (*JoinPrefilter, error)
-	PlannerStats() plan.Snapshot
 	// PlanHistory returns the recent executed plans (oldest first): every
 	// planned range/NN/join execution records its estimated-vs-actual
 	// cost, so drift and mispredictions stay observable behind /stats.
@@ -125,6 +122,6 @@ type Engine interface {
 }
 
 var (
+	_ Engine = (*Store)(nil)
 	_ Engine = (*DB)(nil)
-	_ Engine = (*Sharded)(nil)
 )

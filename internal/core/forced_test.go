@@ -5,6 +5,20 @@ import (
 	"repro/internal/transform"
 )
 
+// storeOf reaches behind an Engine to the one store type, shardsOf to its
+// partitions, and only to the partition of a one-shard store: where a suite
+// checks what a partition holds, it looks there.
+func storeOf(e Engine) *Store {
+	if db, ok := e.(*DB); ok {
+		return db.Store
+	}
+	return e.(*Store)
+}
+
+func shardsOf(e Engine) []*shard { return storeOf(e).shards }
+
+func (db *DB) only() *shard { return db.shards[0] }
+
 // The suites pin a strategy the way every caller does: a forced plan,
 // executed through the one entry point per query kind.
 

@@ -88,14 +88,24 @@ type headStore struct {
 	fresh int // names handed to churn's inserts
 }
 
-func (hs *headStore) dbs() []*DB {
-	switch e := hs.eng.(type) {
-	case *DB:
-		return []*DB{e}
-	case *Sharded:
-		return e.shards
+func (hs *headStore) dbs() []*shard { return shardsOf(hs.eng) }
+
+// soloStore views one shard as a one-shard store of its own, with a cold
+// planner: the reference walks compare shard by shard, where the work
+// counters are a function of the query alone. Read-only.
+func soloStore(sh *shard) *Store {
+	s := &Store{
+		length:  sh.length,
+		shards:  []*shard{sh},
+		tracker: plan.NewTracker(),
+		history: plan.NewHistory(0),
+		owner:   make(map[int64]int),
+		idPos:   make(map[int64]int),
 	}
-	return nil
+	for _, id := range sh.ids {
+		s.register(id, 0)
+	}
+	return s
 }
 
 func (hs *headStore) names() []string {
@@ -144,7 +154,7 @@ func (hs *headStore) bruteAll(sp headSpec, q []float64) []bruteHit {
 // decodes from the record's pages. (A record whose stored spectrum lags
 // its streamed window has no current pages to read; it is served from the
 // derived spectrum, as in the engine.)
-func pageOnlyView(t *testing.T, db *DB, id int64) (head []complex128, rv relation.View) {
+func pageOnlyView(t *testing.T, db *shard, id int64) (head []complex128, rv relation.View) {
 	t.Helper()
 	if spec, ok := db.staleSpectrum(*db.stream(id)); ok {
 		return spec, relation.View{}
@@ -157,7 +167,7 @@ func pageOnlyView(t *testing.T, db *DB, id int64) (head []complex128, rv relatio
 }
 
 // pageOnlySpectrum decodes every coefficient of a record the reference way.
-func pageOnlySpectrum(t *testing.T, db *DB, id int64) []complex128 {
+func pageOnlySpectrum(t *testing.T, db *shard, id int64) []complex128 {
 	t.Helper()
 	head, rv := pageOnlyView(t, db, id)
 	if head != nil {
@@ -176,7 +186,7 @@ func pageOnlySpectrum(t *testing.T, db *DB, id int64) []complex128 {
 }
 
 // refVerify is verifyFreq / verifyFreqApprox over a page-only view.
-func refVerify(t *testing.T, db *DB, p *rangePlan, a, b, q []complex128, id int64, eps float64, nnMode bool, st *ExecStats) (within bool, dist, bound float64) {
+func refVerify(t *testing.T, db *shard, p *rangePlan, a, b, q []complex128, id int64, eps float64, nnMode bool, st *ExecStats) (within bool, dist, bound float64) {
 	t.Helper()
 	if p != nil && p.approx() {
 		head, rv := pageOnlyView(t, db, id)
@@ -201,8 +211,8 @@ func refVerify(t *testing.T, db *DB, p *rangePlan, a, b, q []complex128, id int6
 	return true, math.Sqrt(sum), 0
 }
 
-func refResult(db *DB, p *rangePlan, id int64, dist, bound float64) Result {
-	r := Result{ID: id, Name: db.Name(id), Dist: dist}
+func refResult(db *shard, p *rangePlan, id int64, dist, bound float64) Result {
+	r := Result{ID: id, Name: db.name(id), Dist: dist}
 	if p.approx() {
 		r.Bound = bound
 	}
@@ -210,7 +220,7 @@ func refResult(db *DB, p *rangePlan, id int64, dist, bound float64) Result {
 }
 
 // refRange is rangeIndexedInto / rangeScanFreqInto over page-only views.
-func refRange(t *testing.T, db *DB, q RangeQuery, scan bool) ([]Result, ExecStats) {
+func refRange(t *testing.T, db *shard, q RangeQuery, scan bool) ([]Result, ExecStats) {
 	t.Helper()
 	p, err := db.planRange(q)
 	if err != nil {
@@ -240,7 +250,7 @@ func refRange(t *testing.T, db *DB, q RangeQuery, scan bool) ([]Result, ExecStat
 // refNNVisit is nnVisit over page-only views.
 type refNNVisit struct {
 	t    *testing.T
-	db   *DB
+	db   *shard
 	p    *rangePlan
 	best *topK
 	st   *ExecStats
@@ -265,9 +275,9 @@ func (v *refNNVisit) VisitNear(id int64, partialDistSq float64) bool {
 }
 
 // refNN is nnIndexedArena / nnScanArena over page-only views.
-func refNN(t *testing.T, db *DB, q NNQuery, scan bool) ([]Result, ExecStats) {
+func refNN(t *testing.T, db *shard, q NNQuery, scan bool) ([]Result, ExecStats) {
 	t.Helper()
-	p, err := planNN(db, q)
+	p, err := db.planNN(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +297,9 @@ func refNN(t *testing.T, db *DB, q NNQuery, scan bool) ([]Result, ExecStats) {
 	return v.best.appendResults(nil), st
 }
 
-// refJoin is joinScanInto (early abandoning) / joinIndexInto over
+// refJoin is joinScanFan (early abandoning) / joinIndexFan over
 // page-only views.
-func refJoin(t *testing.T, db *DB, jq JoinQuery, scan, selfOnce bool) ([]JoinPair, ExecStats) {
+func refJoin(t *testing.T, db *shard, jq JoinQuery, scan, selfOnce bool) ([]JoinPair, ExecStats) {
 	t.Helper()
 	jp, err := db.planJoin(jq)
 	if err != nil {
@@ -415,7 +425,7 @@ func (hs *headStore) checkHeads(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(rv.Head) != want {
-				t.Fatalf("%s shard %d: %s has a head of %d coefficients, want %d", hs.label, si, db.Name(id), len(rv.Head), want)
+				t.Fatalf("%s shard %d: %s has a head of %d coefficients, want %d", hs.label, si, db.name(id), len(rv.Head), want)
 			}
 			pages, err := db.freqRel.ViewPagesInto(rv, nil)
 			if err != nil {
@@ -424,7 +434,7 @@ func (hs *headStore) checkHeads(t *testing.T) {
 			cur := relation.CursorAt(pages, db.freqRel.PageSize(), 0)
 			for f, h := range rv.Head {
 				if p := cur.Next(); p != h {
-					t.Fatalf("%s shard %d: %s coefficient %d: head %v, page %v", hs.label, si, db.Name(id), f, h, p)
+					t.Fatalf("%s shard %d: %s coefficient %d: head %v, page %v", hs.label, si, db.name(id), f, h, p)
 				}
 			}
 			db.freqRel.ReleaseView(rv)
@@ -553,12 +563,13 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 			}
 		}
 
-		// Reference walk, shard by shard: each shard's DB on its own, where
-		// the work counters are a function of the query alone.
+		// Reference walk, shard by shard: each shard on its own, where the
+		// work counters are a function of the query alone.
 		for si, db := range hs.dbs() {
-			if db.Len() == 0 {
+			if len(db.ids) == 0 {
 				continue
 			}
+			solo := soloStore(db)
 			shLabel := fmt.Sprintf("%s shard %d", label, si)
 			sq := rq
 			sq.Prep = nil // a stored-record plan belongs to the store that built it
@@ -566,9 +577,9 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 				if scan && sp.moments {
 					continue
 				}
-				run, kind := pinRange(db, plan.Index), "range index"
+				run, kind := pinRange(solo, plan.Index), "range index"
 				if scan {
-					run, kind = pinRange(db, plan.ScanFreq), "range scan"
+					run, kind = pinRange(solo, plan.ScanFreq), "range scan"
 				}
 				got, gotSt, err := run(sq)
 				if err != nil {
@@ -587,9 +598,9 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 			snq := nq
 			snq.Prep = nil
 			for _, scan := range []bool{false, true} {
-				run, kind := pinNN(db, plan.Index), "nn index"
+				run, kind := pinNN(solo, plan.Index), "nn index"
 				if scan {
-					run, kind = pinNN(db, plan.ScanFreq), "nn scan"
+					run, kind = pinNN(solo, plan.ScanFreq), "nn scan"
 				}
 				got, gotSt, err := run(snq)
 				if err != nil {
@@ -606,8 +617,8 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 }
 
 // checkJoins compares the self join (scan and index) and the two-sided
-// join with an O(n^2) brute force, and on each shard's DB with the
-// page-only reference walk.
+// join with an O(n^2) brute force, and on each shard with the page-only
+// reference walk.
 func (hs *headStore) checkJoins(t *testing.T, n int) {
 	t.Helper()
 	specs := headSpecs(t, n)
@@ -690,9 +701,10 @@ func (hs *headStore) checkJoins(t *testing.T, n int) {
 	}
 
 	for si, db := range hs.dbs() {
-		if db.Len() < 2 {
+		if len(db.ids) < 2 {
 			continue
 		}
+		solo := soloStore(db)
 		shLabel := fmt.Sprintf("%s shard %d", label, si)
 		for _, c := range []struct {
 			kind string
@@ -701,21 +713,21 @@ func (hs *headStore) checkJoins(t *testing.T, n int) {
 			run  func() ([]JoinPair, ExecStats, error)
 		}{
 			{"selfjoin scan", selfJoinQuery(eps, mavg.tr), true, func() ([]JoinPair, ExecStats, error) {
-				return db.SelfJoin(eps, mavg.tr, JoinScanEarlyAbandon)
+				return solo.SelfJoin(eps, mavg.tr, JoinScanEarlyAbandon)
 			}},
 			{"selfjoin index", selfJoinQuery(eps, mavg.tr), false, func() ([]JoinPair, ExecStats, error) {
-				return db.SelfJoin(eps, mavg.tr, JoinIndexTransform)
+				return solo.SelfJoin(eps, mavg.tr, JoinIndexTransform)
 			}},
 			{"join2 index", JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}, false, func() ([]JoinPair, ExecStats, error) {
-				return forcedJoinTwoSided(db, eps2, revMavg.tr, mavg.tr)
+				return forcedJoinTwoSided(solo, eps2, revMavg.tr, mavg.tr)
 			}},
 			{"join2 scan", JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}, true, func() ([]JoinPair, ExecStats, error) {
 				jq := JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}
-				pl, err := db.PlanJoin(jq, plan.ScanFreq)
+				pl, err := solo.PlanJoin(jq, plan.ScanFreq)
 				if err != nil {
 					return nil, ExecStats{}, err
 				}
-				return db.ExecJoin(jq, pl)
+				return solo.ExecJoin(jq, pl)
 			}},
 		} {
 			got, gotSt, err := c.run()
@@ -881,20 +893,9 @@ func TestHeadParity(t *testing.T) {
 					hs.checkHeads(t)
 
 					other := 5 - shards // 1 <-> 4
-					legacy := func(w io.Writer) (int64, error) {
-						switch e := hs.eng.(type) {
-						case *DB:
-							return e.WriteLegacyTo(w) // TSQ1
-						case *Sharded:
-							return e.WriteLegacyTo(w) // TSQ2
-						}
-						return 0, fmt.Errorf("unknown engine %T", hs.eng)
-					}
 					for _, ld := range []*headStore{
 						hs.reload(t, "tsq3 same shards", hs.eng.WriteTo, shards, opts),
 						hs.reload(t, "tsq3 resharded", hs.eng.WriteTo, other, opts),
-						hs.reload(t, "legacy same shards", legacy, shards, opts),
-						hs.reload(t, "legacy resharded", legacy, other, opts),
 					} {
 						ld.check(t, n, rng)
 					}
@@ -936,7 +937,7 @@ func TestHeadSparesPages(t *testing.T) {
 		}
 	}
 	// One page per spectrum; a pool of a quarter of them.
-	db := newTestEngine(t, length, 1, Options{Backing: t.TempDir(), CachePages: count / 4}).(*DB)
+	db := newTestEngine(t, length, 1, Options{Backing: t.TempDir(), CachePages: count / 4})
 	if err := db.InsertBulk(names, values); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/relation"
-	"repro/internal/stats"
 	"repro/internal/transform"
 )
 
@@ -87,7 +86,7 @@ type JoinQuery struct {
 
 // joinPlan is the query-side preprocessing of a planned join: both sides'
 // affine index actions and energy-permuted spectrum coefficients. Like
-// rangePlan it depends only on the shared schema and length, so a sharded
+// rangePlan it depends only on the shared schema and length, so an
 // execution computes one and reuses it across every shard.
 //
 // mapErr records a transformation with no affine action in this feature
@@ -108,21 +107,21 @@ type joinPlan struct {
 }
 
 // planJoin validates q and builds its execution plan.
-func (db *DB) planJoin(q JoinQuery) (*joinPlan, error) {
-	if err := db.validateJoin(q.Eps, q.Left); err != nil {
+func (sh *shard) planJoin(q JoinQuery) (*joinPlan, error) {
+	if err := sh.validateJoin(q.Eps, q.Left); err != nil {
 		return nil, err
 	}
-	if err := db.validateJoin(q.Eps, q.Right); err != nil {
+	if err := sh.validateJoin(q.Eps, q.Right); err != nil {
 		return nil, err
 	}
-	jp := &joinPlan{q: q, mw: mirrorWeight(db.schema.K, db.length, q.Left, q.Right)}
+	jp := &joinPlan{q: q, mw: mirrorWeight(sh.schema.K, sh.length, q.Left, q.Right)}
 	jp.radius = jp.mw.filterRadius(q.Eps)
-	jp.la, jp.lb = db.permuteTransform(q.Left)
-	jp.ra, jp.rb = db.permuteTransform(q.Right)
+	jp.la, jp.lb = sh.permuteTransform(q.Left)
+	jp.ra, jp.rb = sh.permuteTransform(q.Right)
 	var err error
-	if jp.lm, err = db.schema.Map(q.Left); err != nil {
+	if jp.lm, err = sh.schema.Map(q.Left); err != nil {
 		jp.mapErr = err
-	} else if jp.rm, err = db.schema.Map(q.Right); err != nil {
+	} else if jp.rm, err = sh.schema.Map(q.Right); err != nil {
 		jp.mapErr = err
 	}
 	return jp, nil
@@ -134,129 +133,18 @@ func selfJoinQuery(eps float64, t transform.T) JoinQuery {
 	return JoinQuery{Eps: eps, Left: t, Right: t}
 }
 
-// SelfJoin finds all pairs (x, y) of distinct stored series with
-// D(T(nf(x)), T(nf(y))) <= eps, using the given Table 1 method. Scan
-// methods (a, b) report each unordered pair once; index methods (c, d)
-// report each pair twice — the paper's Table 1 counts preserved exactly.
-// Method (c) ignores the transformation by construction. For cost-based
-// method selection use PlanJoin/ExecJoin instead.
-func (db *DB) SelfJoin(eps float64, t transform.T, method JoinMethod) ([]JoinPair, ExecStats, error) {
-	switch method {
-	case JoinScanNaive:
-		return db.selfJoinScan(eps, t, false)
-	case JoinScanEarlyAbandon:
-		return db.selfJoinScan(eps, t, true)
-	case JoinIndexPlain:
-		return db.selfJoinIndex(eps, transform.Identity(db.length))
-	case JoinIndexTransform:
-		return db.selfJoinIndex(eps, t)
-	default:
-		return nil, ExecStats{}, fmt.Errorf("core: unknown join method %d", method)
-	}
-}
-
-// selfJoinScan implements methods (a) and (b): a nested scan over the
-// frequency-domain relation. The outer record is fetched once per outer
-// step; each inner record fetch is charged, mirroring the block-less
-// nested-loop cost profile that made method (a) cost 20 minutes in the
-// paper.
-func (db *DB) selfJoinScan(eps float64, t transform.T, earlyAbandon bool) ([]JoinPair, ExecStats, error) {
-	jp, err := db.planJoin(selfJoinQuery(eps, t))
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	return db.execJoinTimed(jp, func(st *ExecStats) ([]JoinPair, error) {
-		return db.joinScanInto(jp, earlyAbandon, st)
-	})
-}
-
-// selfJoinIndex implements methods (c) and (d): an index-nested-loop join.
-// For every stored series, its (transformed) feature point becomes a range
-// query against the (transformed) index; candidates verify against full
-// records. Pairs are emitted in both directions, and self-matches are
-// skipped.
-func (db *DB) selfJoinIndex(eps float64, t transform.T) ([]JoinPair, ExecStats, error) {
-	jp, err := db.planJoin(selfJoinQuery(eps, t))
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	if jp.mapErr != nil {
-		return nil, ExecStats{}, jp.mapErr
-	}
-	return db.execJoinTimed(jp, func(st *ExecStats) ([]JoinPair, error) {
-		return db.joinIndexInto(jp, false, st)
-	})
-}
-
-// execJoinTimed wraps a join body with the shared timing, sorting, and
-// page-read accounting.
-func (db *DB) execJoinTimed(jp *joinPlan, run func(*ExecStats) ([]JoinPair, error)) ([]JoinPair, ExecStats, error) {
-	var st ExecStats
-	timer := stats.StartTimer()
-	reads0 := db.pageReads()
-	out, err := run(&st)
-	searchD := timer.Elapsed()
-	if err != nil {
-		return nil, st, err
-	}
-	mergeT := stats.StartTimer()
-	sortPairs(out)
-	st.Results = len(out)
-	st.PageReads = db.pageReads() - reads0
-	st.Spans = []Span{workSpan("search", searchD, &st), span("merge", mergeT.Elapsed())}
-	st.Elapsed = timer.Elapsed()
-	return out, st, nil
-}
-
-// joinScanInto runs the nested scan over the frequency-domain relation:
-// every unordered pair of stored series is compared once, with (method b)
-// or without (method a) early abandoning. Self joins emit the pair's
-// single D(T x, T y) comparison; two-sided joins verify both orientations
-// — D(L x_i, R x_j) for pair (i, j) and D(L x_j, R x_i) for (j, i) — so
-// the scan answers exactly what the index-nested-loop answers.
-func (db *DB) joinScanInto(jp *joinPlan, earlyAbandon bool, st *ExecStats) ([]JoinPair, error) {
-	n := len(db.ids)
-	var (
-		out   []JoinPair
-		pages [][]byte
-	)
-	for i := 0; i < n; i++ {
-		X, err := db.spectrum(db.ids[i])
-		if err != nil {
-			return nil, err
-		}
-		lx := make([]complex128, len(X))
-		for f := range X {
-			lx[f] = jp.la[f]*X[f] + jp.lb[f]
-		}
-		var rx []complex128
-		if jp.q.TwoSided {
-			rx = make([]complex128, len(X))
-			for f := range X {
-				rx[f] = jp.ra[f]*X[f] + jp.rb[f]
-			}
-		}
-		for j := i + 1; j < n; j++ {
-			if out, err = db.scanInner(jp, db.ids[i], db.ids[j], lx, rx, earlyAbandon, &pages, st, out); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // scanInner is one inner step of the nested scan join, against the inner
-// record of this store (the outer row may live in another shard): the
+// record of this shard (the outer row may live in another): the
 // record is opened once and compared with the outer row's precomputed
 // transformed spectra — lx alone for a self join, whose unordered pair
 // costs one comparison D(T x_i, T x_j); lx and rx for a two-sided join,
 // which verifies both orientations. Matching pairs append to out; the
 // comparisons, their terms and how many were decided without opening the
 // inner record's pages accumulate into st.
-func (db *DB) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128, earlyAbandon bool, pbuf *[][]byte, st *ExecStats, out []JoinPair) ([]JoinPair, error) {
-	in := innerSpec{db: db, pbuf: pbuf}
+func (sh *shard) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128, earlyAbandon bool, pbuf *[][]byte, st *ExecStats, out []JoinPair) ([]JoinPair, error) {
+	in := innerSpec{sh: sh, pbuf: pbuf}
 	var err error
-	if in.head, in.rv, err = db.openSpec(inner); err != nil {
+	if in.head, in.rv, err = sh.openSpec(inner); err != nil {
 		return out, err
 	}
 	limit := jp.q.Eps * jp.q.Eps
@@ -289,7 +177,7 @@ func (db *DB) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128, e
 	if in.pages == nil {
 		st.HeadResolved += compared
 	} else {
-		db.freqRel.ReleaseView(in.rv)
+		sh.freqRel.ReleaseView(in.rv)
 	}
 	return out, nil
 }
@@ -298,7 +186,7 @@ func (db *DB) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128, e
 // one or two comparisons the step makes: its pages are pinned by the first
 // comparison that outlives the resident prefix and shared by the second.
 type innerSpec struct {
-	db    *DB
+	sh    *shard
 	head  []complex128
 	rv    relation.View
 	pbuf  *[][]byte
@@ -324,12 +212,12 @@ func (in *innerSpec) pairDist(outer, a, b []complex128, limit float64, earlyAban
 		return sum, len(in.head), in.err == nil
 	}
 	if in.pages == nil {
-		if in.pages, in.err = in.db.freqRel.ViewPagesInto(in.rv, (*in.pbuf)[:0]); in.err != nil {
+		if in.pages, in.err = in.sh.freqRel.ViewPagesInto(in.rv, (*in.pbuf)[:0]); in.err != nil {
 			return sum, len(in.head), false
 		}
 		*in.pbuf = in.pages
 	}
-	cur := relation.CursorAt(in.pages, in.db.freqRel.PageSize(), len(in.head))
+	cur := relation.CursorAt(in.pages, in.sh.freqRel.PageSize(), len(in.head))
 	for f := len(in.head); f < len(outer); f++ {
 		d := outer[f] - (a[f]*cur.Next() + b[f])
 		sum += real(d)*real(d) + imag(d)*imag(d)
@@ -340,66 +228,12 @@ func (in *innerSpec) pairDist(outer, a, b []complex128, limit float64, earlyAban
 	return sum, len(outer), true
 }
 
-// joinIndexInto runs the index-nested-loop join: every stored series, its
-// right-transformed feature point posed to the left-transformed index as
-// a range query, candidates verified against full records. selfOnce emits
-// each unordered pair exactly once — from its lower-ID probe, skipping
-// higher-to-lower candidates before verification, which also halves the
-// verification work versus the paper's twice-reporting methods c/d.
-func (db *DB) joinIndexInto(jp *joinPlan, selfOnce bool, st *ExecStats) ([]JoinPair, error) {
-	var (
-		out   []JoinPair
-		pages [][]byte
-		sc    index.Scratch
-		buf   []int64
-	)
-	for _, qid := range db.ids {
-		qp := db.rec(qid).point
-		tq := qp
-		if !jp.rm.Identity() {
-			tq = jp.rm.ApplyPoint(qp)
-		}
-		QX, err := db.spectrum(qid)
-		if err != nil {
-			return nil, err
-		}
-		tQ := make([]complex128, len(QX))
-		for f := range QX {
-			tQ[f] = jp.ra[f]*QX[f] + jp.rb[f]
-		}
-		cands, searchStats := db.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune, &sc, buf[:0])
-		buf = cands
-		st.NodeAccesses += searchStats.NodesVisited
-		for _, id := range cands {
-			if id == qid {
-				continue
-			}
-			if selfOnce && id < qid {
-				continue
-			}
-			st.Candidates++
-			within, dist, err := db.verifyFreq(st, &pages, id, jp.la, jp.lb, tQ, jp.q.Eps)
-			if err != nil {
-				return nil, err
-			}
-			if within {
-				if jp.q.TwoSided {
-					out = append(out, JoinPair{A: id, B: qid, Dist: dist})
-				} else {
-					out = append(out, JoinPair{A: qid, B: id, Dist: dist})
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-func (db *DB) validateJoin(eps float64, t transform.T) error {
+func (sh *shard) validateJoin(eps float64, t transform.T) error {
 	if eps < 0 {
 		return fmt.Errorf("core: negative eps %g", eps)
 	}
-	if t.Dims() != db.length {
-		return fmt.Errorf("core: transformation %s spans %d coefficients, DB length is %d", t, t.Dims(), db.length)
+	if t.Dims() != sh.length {
+		return fmt.Errorf("core: transformation %s spans %d coefficients, DB length is %d", t, t.Dims(), sh.length)
 	}
 	return nil
 }
@@ -444,21 +278,9 @@ func newJoinPrefilter(schema feature.Schema, jp *joinPlan, bounds geom.Rect) *Jo
 	}
 }
 
-// JoinPrefilter builds the cached-join invalidation geometry for q.
-func (db *DB) JoinPrefilter(q JoinQuery) (*JoinPrefilter, error) {
-	jp, err := db.planJoin(q)
-	if err != nil {
-		return nil, err
-	}
-	if jp.mapErr != nil {
-		return nil, jp.mapErr
-	}
-	return newJoinPrefilter(db.schema, jp, db.idx.Tree().Bounds()), nil
-}
-
 // JoinPrefilter builds the cached-join invalidation geometry across all
 // shards (the union of the shard extents).
-func (s *Sharded) JoinPrefilter(q JoinQuery) (*JoinPrefilter, error) {
+func (s *Store) JoinPrefilter(q JoinQuery) (*JoinPrefilter, error) {
 	jp, err := s.shards[0].planJoin(q)
 	if err != nil {
 		return nil, err
@@ -649,75 +471,6 @@ func scanOnlyJoinPlan(q JoinQuery, jp *joinPlan, want plan.Strategy, series int,
 	return pl, nil
 }
 
-// PlanJoin validates an all-pairs query and builds its execution plan,
-// pricing the paper's Table 1 methods from store cardinality, sampled eps
-// selectivity against the transformed store extent, and measured join
-// feedback; want plan.Auto defers the method choice to the planner.
-func (db *DB) PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error) {
-	jp, err := db.planJoin(q)
-	if err != nil {
-		return nil, err
-	}
-	if jp.mapErr != nil {
-		return scanOnlyJoinPlan(q, jp, want, db.Len(), plan.AllShards(1))
-	}
-	bounds := applyBounds(db.idx.Tree().Bounds(), jp.lm)
-	sel := joinSelectivity(db.IDs(), db.FeaturePoint, db.schema, jp, bounds, db.Len())
-	in := plan.JoinInput{
-		Series:      db.Len(),
-		Height:      db.idx.Tree().Height(),
-		LeafCap:     db.opts.RTree.MaxEntries,
-		Selectivity: sel,
-		TwoSided:    q.TwoSided,
-		Identity:    jp.lm.Identity() && jp.rm.Identity(),
-	}
-	return buildJoinPlan(q, jp, want, in, db.tracker, plan.AllShards(1)), nil
-}
-
-// joinPlanOf recovers the engine-side precomputation from a plan,
-// replanning when the plan came from elsewhere.
-func (db *DB) joinPlanOf(q JoinQuery, pl *plan.Plan) (*joinPlan, error) {
-	if jp, ok := pl.Internal.(*joinPlan); ok && jp != nil {
-		return jp, nil
-	}
-	return db.planJoin(q)
-}
-
-// ExecJoin executes a plan built by PlanJoin, feeding measured candidate
-// counts back to the join calibrator after indexed executions and
-// recording the executed plan in the store's history ring.
-func (db *DB) ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, error) {
-	jp, err := db.joinPlanOf(q, pl)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	out, st, err := db.execJoinTimed(jp, func(st *ExecStats) ([]JoinPair, error) {
-		switch pl.Strategy {
-		case plan.Index:
-			if jp.mapErr != nil {
-				return nil, jp.mapErr
-			}
-			return db.joinIndexInto(jp, !jp.q.TwoSided, st)
-		case plan.ScanFreq:
-			return db.joinScanInto(jp, true, st)
-		case plan.ScanTime:
-			return db.joinScanInto(jp, false, st)
-		default:
-			return nil, fmt.Errorf("core: plan carries unresolved strategy %v", pl.Strategy)
-		}
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	if pl.Strategy == plan.Index {
-		db.tracker.ObserveJoin(pl.Est.Candidates, st.Candidates, st.NodeAccesses, db.Len())
-	}
-	db.maybeExploreJoin(pl, jp)
-	db.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
-	finishExec(pl, &st, st.Spans)
-	return out, st, nil
-}
-
 // joinExploreEvery is the sampling period of the planner's join
 // exploration probes: every joinExploreEvery-th unforced scan-routed join
 // re-measures the index side with sampled count-only probes.
@@ -726,48 +479,46 @@ const joinExploreEvery = 8
 // maybeExploreJoin occasionally probes the index after scan-routed joins.
 // Like maybeExploreRange, this keeps the join calibration learning while
 // scans win the pricing: up to joinSampleCap stored series (evenly spaced
-// over the live set) pose their transformed feature points to the index
-// as count-only range probes, and the scaled candidate and node counts
+// over the live set) pose their transformed feature points to every shard's
+// index as count-only range probes, and the scaled candidate and node counts
 // feed the join calibrator. Probe costs stay out of the join's ExecStats
 // — planner bookkeeping, not answer work.
-func (db *DB) maybeExploreJoin(pl *plan.Plan, jp *joinPlan) {
+func (s *Store) maybeExploreJoin(pl *plan.Plan, jp *joinPlan) {
 	if pl.Strategy == plan.Index || pl.Forced || jp.mapErr != nil {
 		return
 	}
-	if db.joinExploreTick.Add(1)%joinExploreEvery != 0 {
+	if s.joinExploreTick.Add(1)%joinExploreEvery != 0 {
 		return
 	}
-	n := len(db.ids)
+	entries := s.pinAll()
+	defer s.runlockAll()
+	n := len(entries)
 	if n < 2 {
 		return
 	}
-	step := n / joinSampleCap
-	if step < 1 {
-		step = 1
-	}
+	step := max(1, n/joinSampleCap)
 	cand, nodes, probes := 0, 0, 0
 	var (
 		sc  index.Scratch
 		buf []int64
 	)
 	for i := 0; i < n && probes < joinSampleCap; i += step {
-		qid := db.ids[i]
-		tq := db.rec(qid).point
+		qid := entries[i].id
+		tq := entries[i].sh.rec(qid).point
 		if !jp.rm.Identity() {
 			tq = jp.rm.ApplyPoint(tq)
 		}
-		cands, searchStats := db.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune, &sc, buf[:0])
-		buf = cands
-		nodes += searchStats.NodesVisited
-		for _, id := range cands {
-			if id != qid {
-				cand++
+		for _, target := range s.shards {
+			cands, searchStats := target.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune, &sc, buf[:0])
+			buf = cands
+			nodes += searchStats.NodesVisited
+			for _, id := range cands {
+				if id != qid {
+					cand++
+				}
 			}
 		}
 		probes++
-	}
-	if probes == 0 {
-		return
 	}
 	// Scale the sample to a full index-nested-loop run: n probes instead
 	// of `probes`. Self joins verify each unordered pair once, so their
@@ -777,5 +528,5 @@ func (db *DB) maybeExploreJoin(pl *plan.Plan, jp *joinPlan) {
 	if !jp.q.TwoSided {
 		scaledCand /= 2
 	}
-	db.tracker.ObserveJoin(pl.Est.Candidates, int(scaledCand), int(float64(nodes)*scale), n)
+	s.tracker.ObserveJoin(pl.Est.Candidates, int(scaledCand), int(float64(nodes)*scale), n)
 }

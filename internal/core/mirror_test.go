@@ -480,13 +480,7 @@ func mustID(t *testing.T, eng Engine, name string) int64 {
 // planRangeOn plans q the way eng's executions do (the plan depends only on
 // the schema and the length, which every shard shares).
 func planRangeOn(eng Engine, q RangeQuery) (*rangePlan, error) {
-	switch e := eng.(type) {
-	case *DB:
-		return e.planRange(q)
-	case *Sharded:
-		return e.shards[0].planRange(q)
-	}
-	return nil, fmt.Errorf("unknown engine %T", eng)
+	return shardsOf(eng)[0].planRange(q)
 }
 
 // ---- w = 1 is the paper's filter ----
@@ -494,7 +488,7 @@ func planRangeOn(eng Engine, q RangeQuery) (*rangePlan, error) {
 // unboundedNear is nnVisit's stop rule at w = 1 as the walk stood before it
 // had a push bound: no NearBound method, so the traversal queues everything.
 type unboundedNear struct {
-	db   *DB
+	db   *shard
 	p    *rangePlan
 	best *topK
 	st   *ExecStats
@@ -508,7 +502,7 @@ func (v *unboundedNear) VisitNear(id int64, partialDistSq float64) bool {
 	v.st.Candidates++
 	within, dist, err := v.db.verifyFreq(v.st, nil, id, v.p.a, v.p.b, v.p.Q, eps)
 	if err == nil && within {
-		v.best.offer(Result{ID: id, Name: v.db.Name(id), Dist: dist})
+		v.best.offer(Result{ID: id, Name: v.db.name(id), Dist: dist})
 	}
 	return err == nil
 }
@@ -564,8 +558,8 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 	}
 	spared := 0
 	for _, pr := range probes {
-		db := pr.db
-		p, err := db.planRange(pr.rq)
+		db, sh := pr.db, pr.db.only()
+		p, err := sh.planRange(pr.rq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -577,7 +571,7 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sc index.Scratch
-		ids, search := db.idx.RangeIDs(p.qp, pr.rq.Eps, p.m, pr.rq.Moments, true, &sc, nil)
+		ids, search := sh.idx.RangeIDs(p.qp, pr.rq.Eps, p.m, pr.rq.Moments, true, &sc, nil)
 		if st.Candidates != len(ids) || st.NodeAccesses != search.NodesVisited || len(ids) == 0 {
 			t.Fatalf("%s range: %d candidates over %d nodes, the k-index at eps gives %d over %d",
 				pr.label, st.Candidates, st.NodeAccesses, len(ids), search.NodesVisited)
@@ -590,13 +584,13 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		np, err := planNN(db, nq)
+		np, err := sh.planNN(nq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ref ExecStats
-		v := &unboundedNear{db: db, p: np, best: newTopK(nq.K), st: &ref}
-		ref.NodeAccesses = db.idx.NearestIDs(np.qp, np.m, &sc, v).NodesVisited
+		v := &unboundedNear{db: sh, p: np, best: newTopK(nq.K), st: &ref}
+		ref.NodeAccesses = sh.idx.NearestIDs(np.qp, np.m, &sc, v).NodesVisited
 		if fmt.Sprint(got) != fmt.Sprint(v.best.appendResults(nil)) || nst.Candidates != ref.Candidates || nst.NodeAccesses > ref.NodeAccesses {
 			t.Fatalf("%s NN: %v with %d candidates over %d nodes; the unbounded walk finds %v with %d over %d",
 				pr.label, got, nst.Candidates, nst.NodeAccesses, v.best.appendResults(nil), ref.Candidates, ref.NodeAccesses)

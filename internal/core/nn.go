@@ -31,10 +31,10 @@ type NNQuery struct {
 }
 
 // topK is the current k-best set of a nearest-neighbor search, safe for
-// concurrent use. A single-DB search owns one privately (usually an
-// arena's); a sharded search shares one instance across all shard workers,
-// so every worker prunes against the globally best k-th distance and
-// sharding does not inflate candidate counts.
+// concurrent use. A one-shard search owns an arena's privately; a fan-out
+// shares one instance across all shard workers, so every worker prunes
+// against the globally best k-th distance and sharding does not inflate
+// candidate counts.
 //
 // The set is a typed max-heap of Results under the (Dist, ID) total
 // order: the root is the worst of the current k best, so it is the first
@@ -149,19 +149,19 @@ func (t *topK) appendResults(dst []Result) []Result {
 
 // planNN validates q and builds the plan of its equivalent open-threshold
 // range query.
-func planNN(db *DB, q NNQuery) (*rangePlan, error) {
+func (sh *shard) planNN(q NNQuery) (*rangePlan, error) {
 	if q.K < 1 {
 		return nil, fmt.Errorf("core: K must be >= 1, got %d", q.K)
 	}
 	rq := RangeQuery{Values: q.Values, Eps: math.Inf(1), Transform: q.Transform, WarpFactor: q.WarpFactor, BothSides: q.BothSides, Delta: q.Delta, Prep: q.Prep}
-	return db.planRange(rq)
+	return sh.planRange(rq)
 }
 
 // nnVisit is the FlatNNVisitor of a batch nearest-neighbor execution: the
 // per-candidate refinement step of the branch-and-bound, held in the
 // arena so handing it to the traversal as an interface never allocates.
 type nnVisit struct {
-	db   *DB
+	sh   *shard
 	p    *rangePlan
 	best *topK
 	ar   *execArena
@@ -192,19 +192,19 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 	)
 	switch {
 	case v.warp:
-		within, dist, err = v.db.verifyWarp(v.p, v.st, id, eps)
+		within, dist, err = v.sh.verifyWarp(v.p, v.st, id, eps)
 		bound = dist
 	case v.p.approx():
-		within, dist, bound, err = v.db.verifyFreqApprox(v.p, v.ar, v.st, id, eps, true)
+		within, dist, bound, err = v.sh.verifyFreqApprox(v.p, v.ar, v.st, id, eps, true)
 	default:
-		within, dist, err = v.db.verifyFreq(v.st, &v.ar.pages, id, v.p.a, v.p.b, v.p.Q, eps)
+		within, dist, err = v.sh.verifyFreq(v.st, &v.ar.pages, id, v.p.a, v.p.b, v.p.Q, eps)
 	}
 	if err != nil {
 		v.err = err
 		return false
 	}
 	if within {
-		r := Result{ID: id, Name: v.db.Name(id), Dist: dist}
+		r := Result{ID: id, Name: v.sh.name(id), Dist: dist}
 		if v.p.approx() {
 			r.Bound = bound
 		}
@@ -215,7 +215,7 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 
 // nnIndexedArena runs the transform-aware branch-and-bound of Section 4
 // ("as we go down the tree, we apply T to all entries of the node we visit
-// ... use any kind of metric such as MINDIST for pruning") against this DB
+// ... use any kind of metric such as MINDIST for pruning") against this shard
 // over the flat-slab batch traversal, feeding verified
 // answers into best — which may be shared with searches over sibling
 // shards — and accumulating filter-side costs into st (NodeAccesses,
@@ -224,10 +224,10 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 // next lower bound exceeds the current k-th best verified distance (lower
 // bound <= true distance by Parseval, so stopping is exact). Steady state
 // it allocates nothing.
-func (db *DB) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
+func (sh *shard) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
 	stampPlan(p, st)
-	ar.nv = nnVisit{db: db, p: p, best: best, ar: ar, st: st, warp: p.q.WarpFactor >= 2}
-	searchStats := db.idx.NearestIDs(p.qp, p.m, &ar.sc, &ar.nv)
+	ar.nv = nnVisit{sh: sh, p: p, best: best, ar: ar, st: st, warp: p.q.WarpFactor >= 2}
+	searchStats := sh.idx.NearestIDs(p.qp, p.m, &ar.sc, &ar.nv)
 	st.NodeAccesses += searchStats.NodesVisited
 	err := ar.nv.err
 	ar.nv = nnVisit{}
@@ -237,11 +237,11 @@ func (db *DB) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecSt
 // nnScanArena is the scan analogue of nnIndexedArena: it verifies every
 // stored series, with a pruning threshold that tightens to the (possibly
 // shared) current k-th best distance.
-func (db *DB) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
+func (sh *shard) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
 	stampPlan(p, st)
 	warp := p.q.WarpFactor >= 2
 	approx := !warp && p.approx()
-	for _, id := range db.ids {
+	for _, id := range sh.ids {
 		st.Candidates++
 		var (
 			within      bool
@@ -250,18 +250,18 @@ func (db *DB) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats
 		)
 		switch {
 		case warp:
-			within, dist, err = db.verifyWarp(p, st, id, best.threshold())
+			within, dist, err = sh.verifyWarp(p, st, id, best.threshold())
 			bound = dist
 		case approx:
-			within, dist, bound, err = db.verifyFreqApprox(p, ar, st, id, best.threshold(), true)
+			within, dist, bound, err = sh.verifyFreqApprox(p, ar, st, id, best.threshold(), true)
 		default:
-			within, dist, err = db.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, best.threshold())
+			within, dist, err = sh.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, best.threshold())
 		}
 		if err != nil {
 			return err
 		}
 		if within {
-			r := Result{ID: id, Name: db.Name(id), Dist: dist}
+			r := Result{ID: id, Name: sh.name(id), Dist: dist}
 			if p.approx() {
 				r.Bound = bound
 			}
@@ -272,15 +272,15 @@ func (db *DB) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats
 }
 
 // runNN is runRange's nearest-neighbor twin: it runs an NN plan's resolved
-// strategy against this store, feeding verified answers into best — private
-// to a DB's search, shared across a Sharded's partitions.
-func (db *DB) runNN(strategy plan.Strategy, p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
-	db.queryCount.Add(1)
+// strategy against this shard, feeding verified answers into best — shared
+// across the store's partitions.
+func (sh *shard) runNN(strategy plan.Strategy, p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
+	sh.queryCount.Add(1)
 	switch strategy {
 	case plan.Index:
-		return db.nnIndexedArena(p, best, ar, st)
+		return sh.nnIndexedArena(p, best, ar, st)
 	case plan.ScanFreq:
-		return db.nnScanArena(p, best, ar, st)
+		return sh.nnScanArena(p, best, ar, st)
 	default:
 		return fmt.Errorf("core: plan carries unresolved strategy %v", strategy)
 	}

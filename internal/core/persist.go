@@ -16,41 +16,25 @@ import (
 	"repro/internal/rtree"
 )
 
-// Snapshot formats: small self-describing binary layouts (little endian).
+// The snapshot format, "TSQ3": a small self-describing binary layout
+// (little endian).
 //
-// Version 1 ("TSQ1"), written by single-store DBs:
-//
-//	magic   [4]byte  "TSQ1"
+//	magic   [4]byte  "TSQ3"
 //	space   uint8    0 = rect, 1 = polar
 //	k       uint16
 //	moments uint8    0/1
 //	length  uint32   series length
+//	shards  uint16   shard count the store ran with (>= 1)
 //	count   uint32   number of series
 //	repeat count times:
 //	  nameLen uint16, name [nameLen]byte
 //	  values  [length]float64
 //
-// Version 2 ("TSQ2"), written by Sharded stores, is identical except one
-// field — the shard count — inserted between length and count:
-//
-//	...
-//	length  uint32
-//	shards  uint16   shard count the store ran with
-//	count   uint32
-//	...
-//
-// In TSQ1/TSQ2 only the raw series are stored: normal forms, spectra,
-// feature points, and the indexes are all derived data and are rebuilt
-// (with bulk loading) on read. Shard *assignment* is likewise derived — it
-// is a pure hash of the series name — so any snapshot can be loaded at any
-// shard count; the recorded count is only the default when the loader does
-// not override it. Every reader accepts all versions.
-//
-// Version 3 ("TSQ3"), the current write format, uses the TSQ2 header
-// layout (the shards field is always present; 1 for a single DB) and
-// appends two derived-data sections between the series records and the
-// planner trailers, making cold start O(bytes read) instead of
-// O(n log n) recomputation:
+// Shard *assignment* is derived — a pure hash of the series name — so a
+// snapshot can be loaded at any shard count; the recorded count is only the
+// default when the loader does not override it. Two derived-data sections
+// follow the series records, before the planner trailers, making cold start
+// O(bytes read) instead of O(n log n) recomputation:
 //
 //	magic   [4]byte "DERV"
 //	repeat count times, in record order:
@@ -68,20 +52,22 @@ import (
 // count matches the slab count validates and adopts each packed tree
 // as-is (no feature extraction, no FFT, no STR sort). At any other shard
 // count the loader still skips extraction and the FFT using DERV and only
-// re-packs the trees. Readers accept snapshots without these sections
-// (including truncated-to-TSQ2 streams) by falling back to full rebuild.
+// re-packs the trees. Readers accept snapshots without these sections by
+// falling back to full rebuild.
+//
+// The series-only TSQ1 and TSQ2 formats (written by this repository's first
+// nine PRs, never by a release) are retired: their magic is recognised and
+// refused by name.
 
 var (
-	snapshotMagic   = [4]byte{'T', 'S', 'Q', '1'}
-	snapshotMagicV2 = [4]byte{'T', 'S', 'Q', '2'}
-	snapshotMagicV3 = [4]byte{'T', 'S', 'Q', '3'}
+	snapshotMagic = [4]byte{'T', 'S', 'Q', '3'}
 
-	// derivedMagic and slabMagic introduce the TSQ3 derived-data sections.
+	// derivedMagic and slabMagic introduce the derived-data sections.
 	derivedMagic = [4]byte{'D', 'E', 'R', 'V'}
 	slabMagic    = [4]byte{'S', 'L', 'A', 'B'}
 
 	// historyMagic introduces the optional plan-history trailer appended
-	// after the series records by either version:
+	// after the derived sections:
 	//
 	//	magic [4]byte "PLNH"
 	//	seq   int64   history sequence counter
@@ -108,13 +94,12 @@ var (
 	costsMagic = [4]byte{'C', 'C', 'A', 'L'}
 )
 
-// snapshotHeader is the decoded fixed-size prefix of any format version.
+// snapshotHeader is the decoded fixed-size prefix.
 type snapshotHeader struct {
 	schema feature.Schema
 	length int
-	shards int // 1 for TSQ1 snapshots
+	shards int
 	count  int
-	v3     bool // derived-data sections may follow the series records
 }
 
 // countingWriter tracks bytes through binary.Write.
@@ -172,14 +157,9 @@ func readFloats(br *bufio.Reader, dst []float64, scratch *[]byte) error {
 	return nil
 }
 
-// writeHeader emits the fixed-size prefix under the given magic. The TSQ1
-// layout omits the shards field; TSQ2/TSQ3 include it (and require
-// shards >= 1).
-func (w *snapshotWriter) writeHeader(magic [4]byte, sc feature.Schema, length, shards, count int) error {
-	if magic != snapshotMagic && shards < 1 {
-		return fmt.Errorf("core: %q snapshot needs a shard count, got %d", magic[:], shards)
-	}
-	if err := w.write(magic); err != nil {
+// writeHeader emits the fixed-size prefix.
+func (w *snapshotWriter) writeHeader(sc feature.Schema, length, shards, count int) error {
+	if err := w.write(snapshotMagic); err != nil {
 		return err
 	}
 	var space uint8
@@ -202,10 +182,8 @@ func (w *snapshotWriter) writeHeader(magic [4]byte, sc feature.Schema, length, s
 	if err := w.write(uint32(length)); err != nil {
 		return err
 	}
-	if magic != snapshotMagic {
-		if err := w.write(uint16(shards)); err != nil {
-			return err
-		}
+	if err := w.write(uint16(shards)); err != nil {
+		return err
 	}
 	return w.write(uint32(count))
 }
@@ -346,98 +324,35 @@ func (w *snapshotWriter) writeCosts(c plan.Costs) error {
 	})
 }
 
-// WriteTo serializes the DB's contents in the TSQ3 format: raw series
-// plus the DERV and SLAB derived sections, so a reload validates and
-// adopts the packed index instead of rebuilding it. It returns the number
-// of bytes written.
-func (db *DB) WriteTo(w io.Writer) (int64, error) {
-	sw := &snapshotWriter{bw: bufio.NewWriter(w)}
-	ids := db.IDs()
-	if err := sw.writeHeader(snapshotMagicV3, db.schema, db.length, 1, len(ids)); err != nil {
-		return sw.n, err
-	}
-	for _, id := range ids {
-		vals, err := db.Series(id)
-		if err != nil {
-			return sw.n, err
-		}
-		if err := sw.writeSeries(db.Name(id), vals); err != nil {
-			return sw.n, err
-		}
-	}
-	// Spectra come from db.spectrum, not the stored record: a streamed
-	// series whose stored spectrum lags its window serialises the exact
-	// derived spectrum, so a reload is bit-identical to a flushed store.
-	err := sw.writeDerived(db.schema.Dims(), len(ids), func(i int) (geom.Point, []complex128, error) {
-		spec, err := db.spectrum(ids[i])
-		return db.rec(ids[i]).point, spec, err
-	})
-	if err != nil {
-		return sw.n, err
-	}
-	if err := sw.writeSlabs([]*index.KIndex{db.idx}, densePositions(ids)); err != nil {
-		return sw.n, err
-	}
-	if err := sw.writeHistory(db.history); err != nil {
-		return sw.n, err
-	}
-	if err := sw.writeCosts(db.tracker.Costs()); err != nil {
-		return sw.n, err
-	}
-	return sw.n, sw.bw.Flush()
-}
-
-// WriteLegacyTo serializes the DB's contents in the series-only TSQ1
-// format — the downgrade-interop path (and the fixture generator for the
-// snapshot-compat tests): any TSQ3-capable reader rebuilds derived state
-// from it with bulk loading.
-func (db *DB) WriteLegacyTo(w io.Writer) (int64, error) {
-	sw := &snapshotWriter{bw: bufio.NewWriter(w)}
-	if err := sw.writeHeader(snapshotMagic, db.schema, db.length, 0, len(db.ids)); err != nil {
-		return sw.n, err
-	}
-	for _, id := range db.IDs() {
-		vals, err := db.Series(id)
-		if err != nil {
-			return sw.n, err
-		}
-		if err := sw.writeSeries(db.Name(id), vals); err != nil {
-			return sw.n, err
-		}
-	}
-	if err := sw.writeHistory(db.history); err != nil {
-		return sw.n, err
-	}
-	if err := sw.writeCosts(db.tracker.Costs()); err != nil {
-		return sw.n, err
-	}
-	return sw.n, sw.bw.Flush()
-}
-
-// WriteTo serializes the sharded store's contents in the TSQ3 format,
-// recording the shard count, every series in global insertion order — so
-// a snapshot round-trip reproduces the exact ID assignment — and one
-// packed tree per shard. All shard locks are held in shared mode for the
-// duration: the snapshot is a consistent cut of the whole store.
-func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
+// WriteTo serializes the store's contents: the shard count, every series in
+// global insertion order — so a snapshot round-trip reproduces the exact ID
+// assignment — plus the DERV and SLAB derived sections (one packed tree per
+// shard), so a reload validates and adopts the packed indexes instead of
+// rebuilding them. All shard locks are held in shared mode for the
+// duration: the snapshot is a consistent cut of the whole store. It returns
+// the number of bytes written.
+func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	entries := s.pinAll()
 	defer s.runlockAll()
 
 	sw := &snapshotWriter{bw: bufio.NewWriter(w)}
-	if err := sw.writeHeader(snapshotMagicV3, s.Schema(), s.length, len(s.shards), len(entries)); err != nil {
+	if err := sw.writeHeader(s.Schema(), s.length, len(s.shards), len(entries)); err != nil {
 		return sw.n, err
 	}
 	ids := make([]int64, len(entries))
 	for i, e := range entries {
 		ids[i] = e.id
-		vals, err := e.sh.Series(e.id)
+		vals, err := e.sh.timeRel.Get(e.id)
 		if err != nil {
 			return sw.n, err
 		}
-		if err := sw.writeSeries(e.sh.Name(e.id), vals); err != nil {
+		if err := sw.writeSeries(e.sh.name(e.id), vals); err != nil {
 			return sw.n, err
 		}
 	}
+	// Spectra come from shard.spectrum, not the stored record: a streamed
+	// series whose stored spectrum lags its window serialises the exact
+	// derived spectrum, so a reload is bit-identical to a flushed store.
 	err := sw.writeDerived(s.Schema().Dims(), len(entries), func(i int) (geom.Point, []complex128, error) {
 		e := entries[i]
 		spec, err := e.sh.spectrum(e.id)
@@ -462,35 +377,7 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	return sw.n, sw.bw.Flush()
 }
 
-// WriteLegacyTo serializes the sharded store's contents in the
-// series-only TSQ2 format (downgrade interop and compat-test fixtures).
-func (s *Sharded) WriteLegacyTo(w io.Writer) (int64, error) {
-	entries := s.pinAll()
-	defer s.runlockAll()
-
-	sw := &snapshotWriter{bw: bufio.NewWriter(w)}
-	if err := sw.writeHeader(snapshotMagicV2, s.Schema(), s.length, len(s.shards), len(entries)); err != nil {
-		return sw.n, err
-	}
-	for _, e := range entries {
-		vals, err := e.sh.Series(e.id)
-		if err != nil {
-			return sw.n, err
-		}
-		if err := sw.writeSeries(e.sh.Name(e.id), vals); err != nil {
-			return sw.n, err
-		}
-	}
-	if err := sw.writeHistory(s.history); err != nil {
-		return sw.n, err
-	}
-	if err := sw.writeCosts(s.tracker.Costs()); err != nil {
-		return sw.n, err
-	}
-	return sw.n, sw.bw.Flush()
-}
-
-// readHeader decodes either snapshot version's fixed-size prefix.
+// readHeader decodes the fixed-size prefix.
 func readHeader(br *bufio.Reader) (snapshotHeader, error) {
 	var h snapshotHeader
 	read := func(data interface{}) error {
@@ -500,9 +387,11 @@ func readHeader(br *bufio.Reader) (snapshotHeader, error) {
 	if err := read(&magic); err != nil {
 		return h, fmt.Errorf("core: reading snapshot header: %w", err)
 	}
-	h.v3 = magic == snapshotMagicV3
-	hasShards := magic == snapshotMagicV2 || h.v3
-	if magic != snapshotMagic && !hasShards {
+	switch magic {
+	case snapshotMagic:
+	case [4]byte{'T', 'S', 'Q', '1'}, [4]byte{'T', 'S', 'Q', '2'}:
+		return h, fmt.Errorf("core: %s snapshots are no longer supported (this build reads TSQ3)", magic[:])
+	default:
 		return h, fmt.Errorf("core: not a tsq snapshot (magic %q)", magic[:])
 	}
 	var space, moments uint8
@@ -520,15 +409,11 @@ func readHeader(br *bufio.Reader) (snapshotHeader, error) {
 	if err := read(&length); err != nil {
 		return h, err
 	}
-	if hasShards {
-		if err := read(&shards); err != nil {
-			return h, err
-		}
-		if shards == 0 {
-			return h, fmt.Errorf("core: snapshot records zero shards")
-		}
-	} else {
-		shards = 1
+	if err := read(&shards); err != nil {
+		return h, err
+	}
+	if shards == 0 {
+		return h, fmt.Errorf("core: snapshot records zero shards")
 	}
 	if err := read(&count); err != nil {
 		return h, err
@@ -546,50 +431,32 @@ func readHeader(br *bufio.Reader) (snapshotHeader, error) {
 	return h, nil
 }
 
-// readSeries decodes the record section following a header. When keepRaw
-// is set it returns each record's value bytes exactly as stored (one
-// backing array, sliced per record) and skips the float decode entirely:
-// the snapshot layout is the page-file record layout, so the cold-start
-// load hands those bytes to Relation.InsertRaw, and a caller that does
-// need floats (a rebuild load) recovers them with decodeRawSeries.
-// Exactly one of the values/raw returns is non-nil.
-func readSeries(br *bufio.Reader, h snapshotHeader, keepRaw bool) ([]string, [][]float64, [][]byte, error) {
+// readSeries decodes the record section following a header. It returns
+// each record's value bytes exactly as stored (one backing array, sliced
+// per record) and skips the float decode entirely: the snapshot layout is
+// the page-file record layout, so the cold-start load hands those bytes to
+// Relation.InsertOwned, and a load that does need floats (a rebuild)
+// recovers them with decodeRawSeries.
+func readSeries(br *bufio.Reader, h snapshotHeader) ([]string, [][]byte, error) {
 	names := make([]string, h.count)
-	var values [][]float64
-	var raw [][]byte
-	var rawBuf []byte
-	if keepRaw {
-		raw = make([][]byte, h.count)
-		rawBuf = make([]byte, h.count*8*h.length)
-	} else {
-		values = make([][]float64, h.count)
-	}
-	var scratch []byte
+	raw := make([][]byte, h.count)
+	rawBuf := make([]byte, h.count*8*h.length)
 	var lenBuf [2]byte
 	for i := 0; i < h.count; i++ {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: reading series %d: %w", i, err)
+			return nil, nil, fmt.Errorf("core: reading series %d: %w", i, err)
 		}
 		nameBuf := make([]byte, binary.LittleEndian.Uint16(lenBuf[:]))
 		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: reading series %d name: %w", i, err)
+			return nil, nil, fmt.Errorf("core: reading series %d name: %w", i, err)
 		}
 		names[i] = string(nameBuf)
-		if keepRaw {
-			rec := rawBuf[i*8*h.length : (i+1)*8*h.length]
-			if _, err := io.ReadFull(br, rec); err != nil {
-				return nil, nil, nil, fmt.Errorf("core: reading series %q values: %w", names[i], err)
-			}
-			raw[i] = rec
-		} else {
-			vals := make([]float64, h.length)
-			if err := readFloats(br, vals, &scratch); err != nil {
-				return nil, nil, nil, fmt.Errorf("core: reading series %q values: %w", names[i], err)
-			}
-			values[i] = vals
+		raw[i] = rawBuf[i*8*h.length : (i+1)*8*h.length]
+		if _, err := io.ReadFull(br, raw[i]); err != nil {
+			return nil, nil, fmt.Errorf("core: reading series %q values: %w", names[i], err)
 		}
 	}
-	return names, values, raw, nil
+	return names, raw, nil
 }
 
 // decodeRawSeries converts raw series records kept by readSeries back to
@@ -606,7 +473,7 @@ func decodeRawSeries(raw [][]byte, length int) [][]float64 {
 	return values
 }
 
-// derivedSections carries a TSQ3 snapshot's precomputed derived data.
+// derivedSections carries a snapshot's precomputed derived data.
 // Fields are nil when the corresponding section is absent. Spectra stay
 // in their on-disk encoding — little-endian float64 bytes of the
 // energy-ordered interleaved (re, im) record, identical to the page-file
@@ -629,7 +496,7 @@ func peekMagic(br *bufio.Reader, magic [4]byte) bool {
 }
 
 // readDerivedSections decodes the optional DERV and SLAB sections of a
-// TSQ3 snapshot. Either may be absent (the stream then continues with the
+// snapshot. Either may be absent (the stream then continues with the
 // planner trailers); section order is fixed.
 func readDerivedSections(br *bufio.Reader, h snapshotHeader) (derivedSections, error) {
 	var der derivedSections
@@ -779,22 +646,28 @@ func readCosts(br *bufio.Reader) (c plan.Costs, ok bool, err error) {
 	return c, true, nil
 }
 
-// ReadEngine deserializes a snapshot (any version) into a fresh store.
-// shards selects the partitioning of the loaded store: 0 honors the count
-// recorded in the snapshot (1 for TSQ1 snapshots), 1 forces a single
-// unsharded DB, and n > 1 forces an n-way Sharded store — re-sharding is
-// always possible because partition assignment is a pure hash of the
-// series name. The opts' Schema is ignored (the snapshot records its own)
-// but storage options apply to every shard.
+// ReadEngine deserializes a snapshot into a fresh store. shards selects the
+// partitioning of the loaded store: 0 honors the count recorded in the
+// snapshot, n >= 1 forces an n-way store — re-sharding is always possible
+// because partition assignment is a pure hash of the series name. The opts'
+// Schema is ignored (the snapshot records its own) but storage options apply
+// to every shard.
 //
-// Derived state loads by the cheapest sound path the snapshot allows:
-// a TSQ3 snapshot whose slab count matches the effective shard count
-// validates and adopts the packed trees as-is (no extraction, no FFT, no
-// STR sort — cold start is O(bytes read)); a TSQ3 snapshot loaded at a
-// different shard count reuses the DERV points and spectra and only
-// re-packs the trees; TSQ1/TSQ2 snapshots rebuild everything with bulk
-// loading.
+// Derived state loads by the cheapest sound path the snapshot allows: a
+// snapshot whose slab count matches the effective shard count validates and
+// adopts the packed trees as-is (no extraction, no FFT, no STR sort — cold
+// start is O(bytes read)); one loaded at a different shard count reuses the
+// DERV points and spectra and only re-packs the trees; one without the
+// derived sections rebuilds everything with bulk loading.
 func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
+	s, err := readStore(r, opts, shards)
+	if err != nil {
+		return nil, err
+	}
+	return s.Engine(), nil
+}
+
+func readStore(r io.Reader, opts Options, shards int) (*Store, error) {
 	br := bufio.NewReaderSize(r, 1<<18)
 	h, err := readHeader(br)
 	if err != nil {
@@ -806,21 +679,20 @@ func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("core: shard count %d must be >= 0", shards)
 	}
-	names, values, rawVals, err := readSeries(br, h, h.v3)
+	names, rawVals, err := readSeries(br, h)
 	if err != nil {
 		return nil, err
 	}
-	var der derivedSections
-	if h.v3 {
-		if der, err = readDerivedSections(br, h); err != nil {
-			return nil, err
-		}
-		if der.points == nil {
-			// No DERV section: this load rebuilds derived state from the
-			// values, so decode them after all (the adopt path below never
-			// needs the floats and skips this).
-			values = decodeRawSeries(rawVals, h.length)
-		}
+	der, err := readDerivedSections(br, h)
+	if err != nil {
+		return nil, err
+	}
+	var values [][]float64
+	if der.points == nil {
+		// No DERV section: this load rebuilds derived state from the
+		// values, so decode them after all (the adopt path never needs the
+		// floats).
+		values = decodeRawSeries(rawVals, h.length)
 	}
 	seq, recs, haveHist, err := readHistory(br)
 	if err != nil {
@@ -840,37 +712,7 @@ func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
 		trees = nil
 	}
 	opts.Schema = h.schema
-	if shards == 1 {
-		db, err := NewDB(h.length, opts)
-		if err != nil {
-			return nil, err
-		}
-		ids := make([]int64, len(names))
-		for i := range ids {
-			ids[i] = int64(i)
-		}
-		var tree *rtree.Tree
-		if trees != nil {
-			tree = trees[0]
-		}
-		if der.points != nil {
-			err = db.loadBulk(names, values, ids, der.points, rawVals, der.specs, tree)
-		} else {
-			err = db.InsertBulk(names, values)
-		}
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		if haveHist {
-			db.history.Import(seq, recs)
-		}
-		if haveCosts {
-			db.tracker.SetCosts(costs)
-		}
-		return db, nil
-	}
-	s, err := NewSharded(h.length, shards, opts)
+	s, err := NewStore(h.length, shards, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -887,14 +729,14 @@ func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
 	return s, nil
 }
 
-// ReadFrom deserializes a snapshot (either version) into a fresh single
-// DB, regardless of any shard count the snapshot records. The opts'
-// Schema is ignored — the snapshot records its own — but storage options
-// (page size, R-tree capacity) apply.
+// ReadFrom deserializes a snapshot into a fresh one-shard store, regardless
+// of the shard count the snapshot records. The opts' Schema is ignored — the
+// snapshot records its own — but storage options (page size, R-tree
+// capacity) apply.
 func ReadFrom(r io.Reader, opts Options) (*DB, error) {
-	eng, err := ReadEngine(r, opts, 1)
+	s, err := readStore(r, opts, 1)
 	if err != nil {
 		return nil, err
 	}
-	return eng.(*DB), nil
+	return &DB{s}, nil
 }

@@ -188,7 +188,7 @@ func TestSnapshotHistoryRoundTrip(t *testing.T) {
 		}
 		mavg := transform.MovingAverage(64, 8)
 		for i := 0; i < 5; i++ {
-			vals, _ := eng.Series(eng.IDs()[i])
+			vals, _ := eng.Series(storeOf(eng).IDs()[i])
 			pl, err := eng.PlanRange(RangeQuery{Values: vals, Eps: 2 + float64(i), Transform: mavg, BothSides: true}, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -219,7 +219,7 @@ func TestSnapshotHistoryRoundTrip(t *testing.T) {
 			}
 		}
 		// The restored ring keeps counting from the persisted sequence.
-		vals, _ := got.Series(got.IDs()[0])
+		vals, _ := got.Series(storeOf(got).IDs()[0])
 		pl, err := got.PlanRange(RangeQuery{Values: vals, Eps: 2, Transform: mavg, BothSides: true}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -242,7 +242,7 @@ func TestSnapshotHistoryRoundTrip(t *testing.T) {
 		})
 	})
 	t.Run("sharded", func(t *testing.T) {
-		s, err := NewSharded(64, 3, Options{})
+		s, err := NewStore(64, 3, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,49 +256,58 @@ func TestSnapshotHistoryRoundTrip(t *testing.T) {
 // constants across a snapshot round-trip, so a restored store keeps the
 // break-even points it priced plans with when written.
 func TestSnapshotCostsRoundTrip(t *testing.T) {
-	run := func(t *testing.T, eng Engine, tracker *plan.Tracker, read func(*bytes.Buffer) (Engine, error), restored func(Engine) *plan.Tracker) {
-		walks := dataset.RandomWalks(20, 32, 13)
-		for _, w := range walks {
-			if _, err := eng.Insert(w.Name, w.Values); err != nil {
+	for label, shards := range map[string]int{"db": 1, "sharded": 3} {
+		t.Run(label, func(t *testing.T) {
+			eng := newTestEngine(t, 32, shards, Options{})
+			for _, w := range dataset.RandomWalks(20, 32, 13) {
+				if _, err := eng.Insert(w.Name, w.Values); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := plan.DefaultCosts()
+			want.ScanUnit = 0.31
+			want.NodeUnit = 1.25
+			want.JoinScanUnit = 0.11
+			storeOf(eng).tracker.SetCosts(want)
+
+			var buf bytes.Buffer
+			if _, err := eng.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-		}
-		want := plan.DefaultCosts()
-		want.ScanUnit = 0.31
-		want.NodeUnit = 1.25
-		want.JoinScanUnit = 0.11
-		tracker.SetCosts(want)
-
-		var buf bytes.Buffer
-		if _, err := eng.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if have := restored(got).Costs(); have != want {
-			t.Fatalf("restored costs = %+v, want %+v", have, want)
-		}
+			got, err := ReadEngine(&buf, Options{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if have := storeOf(got).tracker.Costs(); have != want {
+				t.Fatalf("restored costs = %+v, want %+v", have, want)
+			}
+		})
 	}
-	t.Run("db", func(t *testing.T) {
-		db, err := NewDB(32, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(t, db, db.tracker, func(buf *bytes.Buffer) (Engine, error) {
-			return ReadEngine(buf, Options{}, 0)
-		}, func(e Engine) *plan.Tracker { return e.(*DB).tracker })
-	})
-	t.Run("sharded", func(t *testing.T) {
-		s, err := NewSharded(32, 3, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(t, s, s.tracker, func(buf *bytes.Buffer) (Engine, error) {
-			return ReadEngine(buf, Options{}, 3)
-		}, func(e Engine) *plan.Tracker { return e.(*Sharded).tracker })
-	})
+}
+
+// TestSnapshotLengthOneShard pins the snapshot of a fixed 64-series store at
+// one shard to the byte count the single-store writer produced before the
+// stores were merged: one WriteTo, byte-for-byte the old one (the
+// benchmark's snapshot_bytes_per_user_byte has a 1 % bound).
+func TestSnapshotLengthOneShard(t *testing.T) {
+	data := dataset.RandomWalks(64, 64, 7)
+	names, values := make([]string, len(data)), make([][]float64, len(data))
+	for i, d := range data {
+		names[i], values[i] = d.Name, d.Values
+	}
+	eng := newTestEngine(t, 64, 1, Options{})
+	if err := eng.InsertBulk(names, values); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	n, err := eng.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 108891
+	if n != want || buf.Len() != want {
+		t.Fatalf("one-shard snapshot is %d bytes (%d reported), want %d", buf.Len(), n, want)
+	}
 }
 
 // TestSnapshotPreCostsTrailer: a snapshot ending after the history

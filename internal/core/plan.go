@@ -10,33 +10,18 @@ import (
 	"repro/internal/plan"
 )
 
-// This file is the engine half of plan-first query execution: both store
-// implementations build first-class plan.Plan values — resolving the
-// index-vs-scan decision per query from the store's own statistics — and
-// execute them, reusing the plan's precomputed transforms and spectra so
-// planning is paid once per query, not once per strategy probe or shard.
+// This file is the engine half of plan-first query execution: the store
+// builds first-class plan.Plan values — resolving the index-vs-scan decision
+// per query from its own statistics — and executes them, reusing the plan's
+// precomputed transforms and spectra so planning is paid once per query, not
+// once per strategy probe or shard.
 //
 // The planner compares the query's Lemma 1 search rectangle against the
-// store's feature-space extent (the k-index root MBR, mapped through the
-// query transformation — the exact space the traversal intersects in) and
-// calibrates the geometric estimate with an EWMA of measured candidate
-// counts fed back after every indexed execution, forced or chosen. See
-// package plan for the cost model.
-
-// Shards returns 1: a DB is a single partition. (Sharded returns its
-// partition count; the shared method lets every Engine consumer speak the
-// shard-target vocabulary of plans, provenance, and cache tags.)
-func (db *DB) Shards() int { return 1 }
-
-// ShardOf returns 0: every series of a single-store DB lives in the one
-// partition.
-func (db *DB) ShardOf(name string) int { return 0 }
-
-// ShardOf returns the hash-assigned shard index of a series name (whether
-// or not the name is currently stored — partition assignment is a pure
-// hash, which is what lets the server tag cached results with shard sets
-// without consulting the catalog).
-func (s *Sharded) ShardOf(name string) int { return s.shardFor(name) }
+// store's feature-space extent (the union of the shards' k-index root MBRs,
+// mapped through the query transformation — the exact space the traversal
+// intersects in) and calibrates the geometric estimate with an EWMA of
+// measured candidate counts fed back after every indexed execution, forced
+// or chosen. See package plan for the cost model.
 
 // ShardExec is one shard's share of a fan-out execution — the per-shard
 // provenance the merge step records so EXPLAIN can show where cost and
@@ -53,27 +38,6 @@ type ShardExec struct {
 	// execution strides workers across shards instead of fanning per shard
 	// (the global nested-scan join).
 	Elapsed time.Duration
-}
-
-// plannerInput assembles the planner's view of this store for a planned
-// range query.
-func (db *DB) plannerInput(p *rangePlan) plan.Input {
-	in := plan.Input{
-		Series:  db.Len(),
-		Height:  db.idx.Tree().Height(),
-		LeafCap: db.opts.RTree.MaxEntries,
-		Angular: db.schema.Angular(),
-		Rect:    db.schema.SearchRect(p.qp, p.mw.filterRadius(p.q.Eps), p.q.Moments),
-	}
-	in.Bounds = transformedBounds(db.idx.Tree().Bounds(), p)
-	return in
-}
-
-// transformedBounds maps a store's feature-space MBR through the query
-// transformation — the space the index traversal compares rectangles in.
-// The zero rect (empty store) passes through.
-func transformedBounds(b geom.Rect, p *rangePlan) geom.Rect {
-	return applyBounds(b, p.m)
 }
 
 // buildRangePlan resolves the strategy for a validated range query. want
@@ -129,65 +93,119 @@ func attachApprox(pl *plan.Plan, p *rangePlan, delta float64, tr *plan.Tracker) 
 	}
 }
 
-// PlanRange validates a range query and builds its execution plan; want
-// plan.Auto defers the index-vs-scan choice to the planner. The returned
-// plan carries this engine's precomputed query spectrum and transformation
-// coefficients — execute it on the same engine with ExecRangeInto.
-func (db *DB) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error) {
-	p, err := db.planRange(q)
+// PlanRange validates a range query and builds its execution plan — one
+// plan for the whole store (the preprocessing depends only on the shared
+// schema and length), priced against the union of the shards' feature-space
+// extents and the store's own execution feedback; want plan.Auto defers the
+// index-vs-scan choice to the planner. The returned plan carries this
+// store's precomputed query spectrum and transformation coefficients —
+// execute it on the same store with ExecRangeInto.
+func (s *Store) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error) {
+	p, err := s.shards[0].planRange(q)
 	if err != nil {
 		return nil, err
 	}
-	return buildRangePlan(q, p, want, db.plannerInput(p), db.tracker, plan.AllShards(1), "range"), nil
-}
-
-// rangePlanOf recovers the engine-side precomputation from a plan,
-// replanning when the plan came from elsewhere (defensive; plans are
-// documented engine-specific).
-func (db *DB) rangePlanOf(q RangeQuery, pl *plan.Plan) (*rangePlan, error) {
-	if rp, ok := pl.Internal.(*rangePlan); ok && rp != nil {
-		return rp, nil
+	bounds, height := s.featureBounds()
+	in := plan.Input{
+		Series:  s.Len(),
+		Height:  height,
+		LeafCap: s.shards[0].opts.RTree.MaxEntries,
+		Angular: s.Schema().Angular(),
+		Rect:    s.Schema().SearchRect(p.qp, p.mw.filterRadius(q.Eps), q.Moments),
+		Bounds:  applyBounds(bounds, p.m),
 	}
-	return db.planRange(q)
+	return buildRangePlan(q, p, want, in, s.tracker, plan.AllShards(len(s.shards)), "range"), nil
 }
 
 // ExecRangeInto executes a plan built by PlanRange — whatever strategy it
-// resolved or was forced to — appending answers to dst (pass a [:0] slice
-// to reuse its backing array) and feeding measured selectivity back to the
-// planner after indexed executions. This is the engine's zero-allocation
-// hot path: the whole execution — batch index traversal, page-view
-// verification, sorting, planner feedback, history, metrics bookkeeping —
-// runs inside a pooled arena, so a warm index or frequency-scan call whose
-// dst has capacity allocates nothing.
-func (db *DB) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
-	rp, err := db.rangePlanOf(q, pl)
-	if err != nil {
-		return nil, ExecStats{}, err
+// resolved or was forced to — fanned out to every shard, appending the
+// merged answers to dst (pass a [:0] slice to reuse its backing array),
+// recording per-shard provenance in the merged ExecStats and feeding
+// measured selectivity back to the planner after indexed executions. On a
+// one-shard store this is the engine's zero-allocation hot path: the whole
+// execution — batch index traversal, page-view verification, sorting,
+// planner feedback, history, metrics bookkeeping — runs inside a pooled
+// arena on the caller's goroutine (inline), so a warm index or
+// frequency-scan call whose dst has capacity allocates nothing. Across
+// shards the fan-out's per-shard buffers allocate (parallel workers need
+// private slices).
+func (s *Store) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
+	rp, ok := pl.Internal.(*rangePlan)
+	if !ok || rp == nil {
+		// The plan came from elsewhere: replan (defensive; plans are
+		// documented store-specific).
+		var err error
+		if rp, err = s.shards[0].planRange(q); err != nil {
+			return nil, ExecStats{}, err
+		}
 	}
-	ar := getArena()
-	defer putArena(ar)
-	var st ExecStats
-	start := time.Now()
-	reads0 := db.pageReads()
-	out, err := db.runRange(pl.Strategy, rp, ar, &st, dst)
-	searchD := time.Since(start)
+	var (
+		st  ExecStats
+		err error
+	)
+	if len(s.shards) == 1 {
+		ar := getArena()
+		defer putArena(ar)
+		err = s.inline(&st, pl.Trace, func(sh *shard) (err error) {
+			dst, err = sh.runRange(pl.Strategy, rp, ar, &st, dst)
+			return err
+		}, func() int {
+			sortResults(dst)
+			return len(dst)
+		})
+	} else {
+		dst, st, err = s.fanRange(pl, rp, dst)
+	}
 	if err != nil {
 		return nil, st, err
 	}
-	mergeT := time.Now()
-	sortResults(out)
-	st.Results = len(out)
-	st.PageReads = db.pageReads() - reads0
-	mergeD := time.Since(mergeT)
-	st.Elapsed = time.Since(start)
+	series := s.Len()
 	if feedRange(q, pl) {
-		db.tracker.ObserveRange(pl.Est.Candidates, st.Candidates, st.NodeAccesses, db.Len())
+		s.tracker.ObserveRange(pl.Est.Candidates, st.Candidates, st.NodeAccesses, series)
 	}
-	observeApprox(db.tracker, pl, &st, db.Len())
-	db.maybeExploreRange(q, pl, rp, ar)
-	db.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
-	finishExecSpans(pl, &st, searchD, mergeD)
-	return out, st, nil
+	observeApprox(s.tracker, pl, &st, series)
+	s.maybeExploreRange(q, pl, rp, series)
+	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
+	finishExec(pl, &st)
+	return dst, st, nil
+}
+
+// fanRange is ExecRangeInto's fan-out across shards (in a function of its
+// own so that the buffers its closures share stay off the one-shard path).
+func (s *Store) fanRange(pl *plan.Plan, rp *rangePlan, dst []Result) ([]Result, ExecStats, error) {
+	parts := make([][]Result, len(s.shards))
+	st, err := s.fan(func(si int, sh *shard, pst *ExecStats) (err error) {
+		ar := getArena()
+		defer putArena(ar)
+		parts[si], err = sh.runRange(pl.Strategy, rp, ar, pst, nil)
+		return err
+	}, func(counts []int) int {
+		for si, part := range parts {
+			counts[si] = len(part)
+			dst = append(dst, part...)
+		}
+		sortResults(dst)
+		return len(dst)
+	})
+	return dst, st, err
+}
+
+// probe sums a count-only index probe over every shard, one after the
+// other on the caller's goroutine, each under its shared lock: what the
+// planner's exploration measures the index with. It is bookkeeping beside
+// a read, not the read — it takes no second core and allocates nothing —
+// and its costs stay out of the query's ExecStats.
+func (s *Store) probe(count func(sh *shard, ar *execArena) (candidates, nodes int)) (candidates, nodes int) {
+	ar := getArena()
+	defer putArena(ar)
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		c, n := count(sh, ar)
+		sh.mu.RUnlock()
+		candidates += c
+		nodes += n
+	}
+	return candidates, nodes
 }
 
 // exploreEvery is the sampling period of the planner's range exploration
@@ -199,20 +217,22 @@ const exploreEvery = 16
 // queries. Scan executions produce no index feedback, so a planner that
 // settles on scans would otherwise never notice the index becoming
 // cheaper again (store shrinkage, eps drift, calibration overshoot); the
-// probe runs the batch traversal without verification — node accesses and
-// a candidate count only — and feeds the measurement to the range
-// calibrator. Probe costs stay out of the query's ExecStats: they are
-// planner bookkeeping, not answer work.
-func (db *DB) maybeExploreRange(q RangeQuery, pl *plan.Plan, rp *rangePlan, ar *execArena) {
+// probe runs every shard's batch traversal without verification — node
+// accesses and a candidate count only — and feeds the sums to the range
+// calibrator.
+func (s *Store) maybeExploreRange(q RangeQuery, pl *plan.Plan, rp *rangePlan, series int) {
 	if pl.Strategy != plan.ScanFreq || pl.Forced || q.Moments != (feature.MomentBounds{}) {
 		return
 	}
-	if db.exploreTick.Add(1)%exploreEvery != 0 {
+	if s.exploreTick.Add(1)%exploreEvery != 0 {
 		return
 	}
-	ids, searchStats := db.idx.RangeIDs(rp.qp, rp.mw.filterRadius(rp.q.Eps), rp.m, rp.q.Moments, !db.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
-	ar.ids = ids
-	db.tracker.ObserveRange(pl.Est.Candidates, len(ids), searchStats.NodesVisited, db.Len())
+	cand, nodes := s.probe(func(sh *shard, ar *execArena) (int, int) {
+		ids, searchStats := sh.idx.RangeIDs(rp.qp, rp.mw.filterRadius(rp.q.Eps), rp.m, rp.q.Moments, !sh.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
+		ar.ids = ids
+		return len(ids), searchStats.NodesVisited
+	})
+	s.tracker.ObserveRange(pl.Est.Candidates, cand, nodes, series)
 }
 
 // feedRange reports whether an execution's measured costs may calibrate
@@ -227,12 +247,12 @@ func feedRange(q RangeQuery, pl *plan.Plan) bool {
 // PlanNN validates a nearest-neighbor query and builds its plan. NN
 // queries carry no threshold at planning time, so the decision comes from
 // measured NN feedback (index is the cold default).
-func (db *DB) PlanNN(q NNQuery, want plan.Strategy) (*plan.Plan, error) {
-	p, err := planNN(db, q)
+func (s *Store) PlanNN(q NNQuery, want plan.Strategy) (*plan.Plan, error) {
+	p, err := s.shards[0].planNN(q)
 	if err != nil {
 		return nil, err
 	}
-	return buildNNPlan(q, p, want, db.Len(), db.tracker, plan.AllShards(1)), nil
+	return buildNNPlan(q, p, want, s.Len(), s.tracker, plan.AllShards(len(s.shards))), nil
 }
 
 // buildNNPlan resolves the strategy for a validated NN query. There is no
@@ -263,53 +283,89 @@ func buildNNPlan(q NNQuery, p *rangePlan, want plan.Strategy, series int, tr *pl
 	return pl
 }
 
-// nnPlanOf is rangePlanOf for NN plans.
-func (db *DB) nnPlanOf(q NNQuery, pl *plan.Plan) (*rangePlan, error) {
-	if rp, ok := pl.Internal.(*rangePlan); ok && rp != nil {
-		return rp, nil
+// ExecNNInto executes a plan built by PlanNN with its strategy fanned out to
+// every shard under one shared k-th-best bound, appending answers to dst
+// (pass a [:0] slice to reuse its backing array): every shard traversal
+// verifies against — and tightens — the same global threshold, so sharding
+// does not inflate candidate counts. The contract: Matches are
+// byte-identical at every shard count on every schedule; Candidates and
+// NodeAccesses depend on when the other shards' answers reach the bound,
+// and are only bounded — the shared k-th best is never looser than a
+// shard's own would be, so no shard verifies more than it would searching
+// alone (TestApproxZeroParity pins both halves). The merged answer's
+// per-shard provenance attributes each neighbor to its owning shard through
+// the catalog. Like ExecRangeInto, a warm one-shard call whose dst has
+// capacity for k results allocates nothing.
+func (s *Store) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
+	rp, ok := pl.Internal.(*rangePlan)
+	if !ok || rp == nil {
+		var err error
+		if rp, err = s.shards[0].planNN(q); err != nil {
+			return nil, ExecStats{}, err
+		}
 	}
-	return planNN(db, q)
-}
-
-// ExecNNInto executes a plan built by PlanNN, appending answers to dst
-// (pass a [:0] slice to reuse its backing array). Like ExecRangeInto, a
-// warm call whose dst has capacity for k results allocates nothing.
-func (db *DB) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
-	rp, err := db.nnPlanOf(q, pl)
+	var (
+		st  ExecStats
+		err error
+	)
+	if len(s.shards) == 1 {
+		// The arena's stats, not a local's: the arena-held NN visitor keeps
+		// a pointer to them, which a stack value would escape through.
+		ar := getArena()
+		defer putArena(ar)
+		ast := ar.resetStats()
+		ar.top.reset(q.K)
+		err = s.inline(ast, pl.Trace, func(sh *shard) error {
+			return sh.runNN(pl.Strategy, rp, &ar.top, ar, ast)
+		}, func() int {
+			dst = ar.top.appendResults(dst)
+			return len(dst)
+		})
+		st = *ast
+	} else {
+		dst, st, err = s.fanNN(pl, rp, q.K, dst)
+	}
 	if err != nil {
-		return nil, ExecStats{}, err
+		return nil, st, err
 	}
-	ar := getArena()
-	defer putArena(ar)
-	st := ar.resetStats()
-	start := time.Now()
-	reads0 := db.pageReads()
-	best := &ar.top
-	best.reset(q.K)
-	err = db.runNN(pl.Strategy, rp, best, ar, st)
-	searchD := time.Since(start)
-	if err != nil {
-		return nil, *st, err
-	}
-	mergeT := time.Now()
-	out := best.appendResults(dst)
-	st.Results = len(out)
-	st.PageReads = db.pageReads() - reads0
-	mergeD := time.Since(mergeT)
-	st.Elapsed = time.Since(start)
+	series := s.Len()
 	// Approximate runs feed their own model: the relaxed traversal's
 	// shrunken candidate counts would corrupt the exact NN estimate.
 	if pl.Strategy == plan.Index && pl.Approx == nil {
-		db.tracker.ObserveNN(st.Candidates, st.NodeAccesses, db.Len())
+		s.tracker.ObserveNN(st.Candidates, st.NodeAccesses, series)
 	}
-	observeApprox(db.tracker, pl, st, db.Len())
-	if exploreNN(pl, &db.exploreNNTick, out) {
-		cand, nodes := db.countNear(rp, ar, out[len(out)-1].Dist)
-		db.tracker.ObserveNN(cand, nodes, db.Len())
+	observeApprox(s.tracker, pl, &st, series)
+	if exploreNN(pl, &s.exploreNNTick, dst) {
+		// Each shard counts against the global k-th distance, which is the
+		// bound the fan-out's shared top-k converges to.
+		kth := dst[len(dst)-1].Dist
+		cand, nodes := s.probe(func(sh *shard, ar *execArena) (int, int) { return sh.countNear(rp, ar, kth) })
+		s.tracker.ObserveNN(cand, nodes, series)
 	}
-	db.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
-	finishExecSpans(pl, st, searchD, mergeD)
-	return out, *st, nil
+	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
+	finishExec(pl, &st)
+	return dst, st, nil
+}
+
+// fanNN is ExecNNInto's fan-out across shards (see fanRange).
+func (s *Store) fanNN(pl *plan.Plan, rp *rangePlan, k int, dst []Result) ([]Result, ExecStats, error) {
+	best := newTopK(k)
+	st, err := s.fan(func(_ int, sh *shard, pst *ExecStats) error {
+		ar := getArena()
+		defer putArena(ar)
+		return sh.runNN(pl.Strategy, rp, best, ar, pst)
+	}, func(counts []int) int {
+		dst = best.appendResults(dst)
+		s.mu.RLock()
+		for _, r := range dst {
+			if si, ok := s.owner[r.ID]; ok {
+				counts[si]++
+			}
+		}
+		s.mu.RUnlock()
+		return len(dst)
+	})
+	return dst, st, err
 }
 
 // exploreNN reports whether a finished NN execution should probe the
@@ -346,8 +402,8 @@ func (c *nearCounter) VisitNear(_ int64, partialDistSq float64) bool {
 	return true
 }
 
-// countNear measures what an indexed run of an answered NN plan costs here
-// without verifying anything: the candidates it would verify and the nodes
+// countNear measures what an indexed run of an answered NN plan costs this
+// shard without verifying anything: the candidates it would verify and the nodes
 // it would visit. Candidates reach the branch-and-bound in lower-bound
 // order and it stops at the first bound past its k-th best distance; the k
 // nearest all lie within their own bounds, so by the time every item
@@ -355,176 +411,43 @@ func (c *nearCounter) VisitNear(_ int64, partialDistSq float64) bool {
 // — the indexed run verifies exactly those items, which a traversal told
 // the final distance can simply count. Like the range probe, the cost
 // stays out of the query's ExecStats: planner bookkeeping, not answer work.
-func (db *DB) countNear(rp *rangePlan, ar *execArena, kth float64) (candidates, nodes int) {
+func (sh *shard) countNear(rp *rangePlan, ar *execArena, kth float64) (candidates, nodes int) {
 	ar.nc = nearCounter{bound: rp.stopLine(kth)}
-	searchStats := db.idx.NearestIDs(rp.qp, rp.m, &ar.sc, &ar.nc)
+	searchStats := sh.idx.NearestIDs(rp.qp, rp.m, &ar.sc, &ar.nc)
 	return ar.nc.n, searchStats.NodesVisited
 }
 
 // featureBounds returns the union of every shard index's MBR plus the
-// maximum index height — the sharded store's feature-space extent, taken
-// under each shard's shared lock in turn (per-shard consistency, like the
-// fan-out itself).
-func (s *Sharded) featureBounds() (geom.Rect, int) {
+// maximum index height — the store's feature-space extent, taken under each
+// shard's shared lock in turn (per-shard consistency, like the fan-out
+// itself).
+func (s *Store) featureBounds() (geom.Rect, int) {
 	var union geom.Rect
 	height := 0
-	for si := range s.shards {
-		s.locks[si].RLock()
-		b := s.shards[si].idx.Tree().Bounds()
-		if h := s.shards[si].idx.Tree().Height(); h > height {
-			height = h
-		}
-		s.locks[si].RUnlock()
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		b := sh.idx.Tree().Bounds()
+		height = max(height, sh.idx.Tree().Height())
+		sh.mu.RUnlock()
 		if b.Dims() == 0 {
 			continue
 		}
 		if union.Dims() == 0 {
-			union = b.Clone()
+			union = b // Bounds hands out a fresh copy
 			continue
 		}
-		for d := range union.Lo {
-			if b.Lo[d] < union.Lo[d] {
-				union.Lo[d] = b.Lo[d]
-			}
-			if b.Hi[d] > union.Hi[d] {
-				union.Hi[d] = b.Hi[d]
-			}
-		}
+		union.UnionInPlace(b)
 	}
 	return union, height
 }
 
-// PlanRange plans a range query across the whole sharded store: one plan
-// (the preprocessing depends only on the shared schema and length), priced
-// against the union of the shards' feature-space extents and the store's
-// own execution feedback.
-func (s *Sharded) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error) {
-	p, err := s.shards[0].planRange(q)
-	if err != nil {
-		return nil, err
-	}
-	bounds, height := s.featureBounds()
-	in := plan.Input{
-		Series:  s.Len(),
-		Height:  height,
-		LeafCap: s.shards[0].opts.RTree.MaxEntries,
-		Angular: s.Schema().Angular(),
-		Rect:    s.Schema().SearchRect(p.qp, p.mw.filterRadius(q.Eps), q.Moments),
-		Bounds:  transformedBounds(bounds, p),
-	}
-	return buildRangePlan(q, p, want, in, s.tracker, plan.AllShards(len(s.shards)), "range"), nil
-}
-
-// ExecRangeInto executes a range plan with its strategy fanned out to every
-// shard, appending the merged answers to dst and recording per-shard
-// provenance in the merged ExecStats. The fan-out's per-shard buffers
-// allocate (parallel workers need private slices); on a single-store DB the
-// same call is the zero-allocation path.
-func (s *Sharded) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
-	rp, err := s.shards[0].rangePlanOf(q, pl)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	parts := make([][]Result, len(s.shards))
-	st, err := s.fan(func(si int, sh *DB, pst *ExecStats) (err error) {
-		ar := getArena()
-		defer putArena(ar)
-		parts[si], err = sh.runRange(pl.Strategy, rp, ar, pst, nil)
-		return err
-	}, func(counts []int) int {
-		for si, part := range parts {
-			counts[si] = len(part)
-			dst = append(dst, part...)
-		}
-		sortResults(dst)
-		return len(dst)
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	if feedRange(q, pl) {
-		s.tracker.ObserveRange(pl.Est.Candidates, st.Candidates, st.NodeAccesses, s.Len())
-	}
-	observeApprox(s.tracker, pl, &st, s.Len())
-	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
-	finishExec(pl, &st, st.Spans)
-	return dst, st, nil
-}
-
-// PlanNN plans a nearest-neighbor query across the sharded store.
-func (s *Sharded) PlanNN(q NNQuery, want plan.Strategy) (*plan.Plan, error) {
-	p, err := planNN(s.shards[0], q)
-	if err != nil {
-		return nil, err
-	}
-	return buildNNPlan(q, p, want, s.Len(), s.tracker, plan.AllShards(len(s.shards))), nil
-}
-
-// ExecNNInto executes an NN plan with its strategy fanned out to every
-// shard under one shared k-th-best bound: every shard traversal verifies
-// against — and tightens — the same global threshold, so sharding does not
-// inflate candidate counts. The contract: Matches are byte-identical to a
-// single-store search on every schedule; Candidates and NodeAccesses depend
-// on when the other shards' answers reach the bound, and are only bounded —
-// the shared k-th best is never looser than a shard's own would be, so no
-// shard verifies more than it would searching alone (TestApproxZeroParity
-// pins both halves). The merged answer's per-shard provenance attributes
-// each neighbor to its owning shard through the catalog.
-func (s *Sharded) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
-	rp, err := s.shards[0].nnPlanOf(q, pl)
-	if err != nil {
-		return nil, ExecStats{}, err
-	}
-	best := newTopK(q.K)
-	st, err := s.fan(func(_ int, sh *DB, pst *ExecStats) error {
-		ar := getArena()
-		defer putArena(ar)
-		return sh.runNN(pl.Strategy, rp, best, ar, pst)
-	}, func(counts []int) int {
-		dst = best.appendResults(dst)
-		s.mu.RLock()
-		for _, r := range dst {
-			if si, ok := s.owner[r.ID]; ok {
-				counts[si]++
-			}
-		}
-		s.mu.RUnlock()
-		return len(dst)
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	if pl.Strategy == plan.Index && pl.Approx == nil {
-		s.tracker.ObserveNN(st.Candidates, st.NodeAccesses, s.Len())
-	}
-	observeApprox(s.tracker, pl, &st, s.Len())
-	if exploreNN(pl, &s.exploreNNTick, dst) {
-		// Each shard counts against the global k-th distance, which is the
-		// bound the fan-out's shared top-k converges to.
-		var cand, nodes atomic.Int64
-		kth := dst[len(dst)-1].Dist
-		err := s.fanOut(func(_ int, sh *DB) error {
-			ar := getArena()
-			defer putArena(ar)
-			c, n := sh.countNear(rp, ar, kth)
-			cand.Add(int64(c))
-			nodes.Add(int64(n))
-			return nil
-		})
-		if err == nil {
-			s.tracker.ObserveNN(int(cand.Load()), int(nodes.Load()), s.Len())
-		}
-	}
-	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
-	finishExec(pl, &st, st.Spans)
-	return dst, st, nil
-}
-
-// PlanJoin plans an all-pairs query across the whole sharded store: one
-// plan (the preprocessing depends only on the shared schema and length),
-// priced against the union of the shards' transformed extents and the
-// store's measured join feedback.
-func (s *Sharded) PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error) {
+// PlanJoin validates an all-pairs query and builds its execution plan — one
+// plan for the whole store (the preprocessing depends only on the shared
+// schema and length) — pricing the paper's Table 1 methods from store
+// cardinality, sampled eps selectivity against the union of the shards'
+// transformed extents, and measured join feedback; want plan.Auto defers the
+// method choice to the planner.
+func (s *Store) PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error) {
 	jp, err := s.shards[0].planJoin(q)
 	if err != nil {
 		return nil, err
@@ -546,12 +469,13 @@ func (s *Sharded) PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error) 
 	return buildJoinPlan(q, jp, want, in, s.tracker, plan.AllShards(len(s.shards))), nil
 }
 
-// ExecJoin executes a join plan with the planned method fanned out across
-// all shards — index probes partitioned by owning shard, scans striding
-// workers over the pinned catalog — recording per-shard provenance in the
-// merged ExecStats and feeding measured candidates back to the join
-// calibrator.
-func (s *Sharded) ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, error) {
+// ExecJoin executes a plan built by PlanJoin with the planned method fanned
+// out across all shards — index probes partitioned by owning shard, scans
+// striding workers over the pinned catalog — recording per-shard provenance
+// in the merged ExecStats, feeding measured candidate counts back to the
+// join calibrator after indexed executions and recording the executed plan
+// in the store's history ring.
+func (s *Store) ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, error) {
 	jp, ok := pl.Internal.(*joinPlan)
 	if !ok || jp == nil {
 		var err error
@@ -584,27 +508,19 @@ func (s *Sharded) ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, e
 	if pl.Strategy == plan.Index {
 		s.tracker.ObserveJoin(pl.Est.Candidates, st.Candidates, st.NodeAccesses, s.Len())
 	}
+	s.maybeExploreJoin(pl, jp)
 	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
-	finishExec(pl, &st, st.Spans)
+	finishExec(pl, &st)
 	return out, st, nil
 }
 
 // PlannerStats exposes the store's planner feedback (diagnostics, tests).
-func (db *DB) PlannerStats() plan.Snapshot { return db.tracker.Stats() }
-
-// PlannerStats exposes the sharded store's planner feedback.
-func (s *Sharded) PlannerStats() plan.Snapshot { return s.tracker.Stats() }
+func (s *Store) PlannerStats() plan.Snapshot { return s.tracker.Stats() }
 
 // PlanHistory returns the store's recent executed plans, oldest first.
-func (db *DB) PlanHistory() []plan.Record { return db.history.Recent() }
-
-// PlanHistory returns the sharded store's recent executed plans.
-func (s *Sharded) PlanHistory() []plan.Record { return s.history.Recent() }
+func (s *Store) PlanHistory() []plan.Record { return s.history.Recent() }
 
 // PlanDrift returns the store's per-kind cost-error percentile
 // checkpoints — planner calibration drift over time, where PlanHistory
 // shows only the current ring.
-func (db *DB) PlanDrift() []plan.DriftPoint { return db.history.Drift() }
-
-// PlanDrift returns the sharded store's cost-error drift checkpoints.
-func (s *Sharded) PlanDrift() []plan.DriftPoint { return s.history.Drift() }
+func (s *Store) PlanDrift() []plan.DriftPoint { return s.history.Drift() }

@@ -15,16 +15,7 @@ import (
 // planTestEngine builds an engine of n random-walk series (length 32).
 func planTestEngine(t *testing.T, shards, n int) Engine {
 	t.Helper()
-	var eng Engine
-	var err error
-	if shards > 1 {
-		eng, err = NewSharded(32, shards, Options{})
-	} else {
-		eng, err = NewDB(32, Options{})
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newTestEngine(t, 32, shards, Options{})
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < n; i++ {
 		vals := make([]float64, 32)
@@ -133,7 +124,7 @@ func TestPlannedNNParityAndFeedback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eng.PlannerStats().NNSamples == 0 {
+		if storeOf(eng).PlannerStats().NNSamples == 0 {
 			t.Fatalf("shards=%d: planned NN execution left no feedback", shards)
 		}
 		want, _, err := forcedNN(eng, q, plan.Index)
@@ -233,8 +224,8 @@ func TestRefreshCadenceOption(t *testing.T) {
 	}
 	base := build(0)  // adaptive cadence (starts at the old default, 32)
 	eager := build(1) // refresh on every append
-	if base.refreshCadence() != 32 || eager.refreshCadence() != 1 {
-		t.Fatalf("cadences resolved to %d and %d", base.refreshCadence(), eager.refreshCadence())
+	if base.only().refreshCadence() != 32 || eager.only().refreshCadence() != 1 {
+		t.Fatalf("cadences resolved to %d and %d", base.only().refreshCadence(), eager.only().refreshCadence())
 	}
 	q := RangeQuery{Values: mustSeries(t, base, "A05"), Eps: 5, Transform: transform.Identity(16)}
 	r1, _, err := forcedRange(base, q, plan.ScanFreq)
@@ -250,43 +241,109 @@ func TestRefreshCadenceOption(t *testing.T) {
 	}
 }
 
+// TestRangeExplorationProbe: scan-routed range reads leave no index
+// feedback by themselves, so every exploreEvery-th unforced one runs a
+// count-only index probe that feeds the range calibrator — at every shard
+// count (before the one store, a sharded one never probed: once AUTO settled
+// on scans there it stopped re-measuring the index for good). The probe is
+// planner bookkeeping: none of its cost shows in the read's ExecStats.
+func TestRangeExplorationProbe(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			eng := planTestEngine(t, shards, 600)
+			rq := RangeQuery{Values: queryValues(32, 3), Eps: 500, Transform: transform.Identity(32)}
+			pl, err := eng.PlanRange(rq, plan.Auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.Strategy != plan.ScanFreq || pl.Forced {
+				t.Fatalf("a range query wider than the store planned %v (forced %v), not an unforced scan", pl.Strategy, pl.Forced)
+			}
+			before := storeOf(eng).PlannerStats().RangeSamples
+			var first ExecStats
+			for i := 1; i <= exploreEvery; i++ {
+				_, st, err := eng.ExecRangeInto(rq, pl, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 {
+					first = st
+				}
+				// Read exploreEvery is the one that probed.
+				if st.NodeAccesses != 0 || st.Candidates != first.Candidates || st.DistanceTerms != first.DistanceTerms || st.PageReads != first.PageReads {
+					t.Fatalf("read %d: stats %+v differ from the first scan's %+v: probe cost leaked into the read", i, st, first)
+				}
+			}
+			if got := storeOf(eng).PlannerStats().RangeSamples; got != before+1 {
+				t.Fatalf("%d unforced scan-routed reads moved RangeSamples %d -> %d, want one probe", exploreEvery, before, got)
+			}
+
+			// Forced scans never probe: the caller pinned the strategy.
+			fpl, err := eng.PlanRange(rq, plan.ScanFreq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2*exploreEvery; i++ {
+				if _, _, err := eng.ExecRangeInto(rq, fpl, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := storeOf(eng).PlannerStats().RangeSamples; got != before+1 {
+				t.Fatalf("forced scans fed range samples: %d, want %d", got, before+1)
+			}
+		})
+	}
+}
+
 // TestJoinExplorationProbe: scan-routed joins leave no index feedback by
 // themselves, so every joinExploreEvery-th unforced one must run sampled
-// index probes that feed the join calibrator.
+// index probes that feed the join calibrator — at every shard count, and
+// outside the join's own ExecStats.
 func TestJoinExplorationProbe(t *testing.T) {
-	eng := planTestEngine(t, 1, 60)
-	db := eng.(*DB)
-	jq := JoinQuery{Eps: 500, Left: transform.Identity(32), Right: transform.Identity(32)}
-	pl, err := db.PlanJoin(jq, plan.Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Strategy != plan.ScanFreq {
-		t.Skipf("wide join planned %v, not scan; probe not reachable", pl.Strategy)
-	}
-	for i := 0; i < joinExploreEvery; i++ {
-		if _, _, err := db.ExecJoin(jq, pl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := db.PlannerStats().JoinSamples; got == 0 {
-		t.Fatalf("%d scan joins left no join feedback; exploration probe never fired", joinExploreEvery)
-	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			eng := planTestEngine(t, shards, 60)
+			jq := JoinQuery{Eps: 500, Left: transform.Identity(32), Right: transform.Identity(32)}
+			pl, err := eng.PlanJoin(jq, plan.Auto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.Strategy != plan.ScanFreq {
+				t.Skipf("wide join planned %v, not scan; probe not reachable", pl.Strategy)
+			}
+			var first ExecStats
+			for i := 1; i <= joinExploreEvery; i++ {
+				_, st, err := eng.ExecJoin(jq, pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 {
+					first = st
+				}
+				if st.NodeAccesses != 0 || st.Candidates != first.Candidates || st.DistanceTerms != first.DistanceTerms {
+					t.Fatalf("join %d: stats %+v differ from the first scan join's %+v: probe cost leaked into the join", i, st, first)
+				}
+			}
+			if got := storeOf(eng).PlannerStats().JoinSamples; got != 1 {
+				t.Fatalf("%d scan joins left %d join samples, want the one exploration probe", joinExploreEvery, got)
+			}
 
-	// Forced scans never probe: the caller pinned the strategy, so the
-	// planner is not being asked to reconsider.
-	db2 := planTestEngine(t, 1, 60).(*DB)
-	fpl, err := db2.PlanJoin(jq, plan.ScanFreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*joinExploreEvery; i++ {
-		if _, _, err := db2.ExecJoin(jq, fpl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := db2.PlannerStats().JoinSamples; got != 0 {
-		t.Fatalf("forced scan joins fed %d join samples, want 0", got)
+			// Forced scans never probe: the caller pinned the strategy, so the
+			// planner is not being asked to reconsider.
+			eng2 := planTestEngine(t, shards, 60)
+			fpl, err := eng2.PlanJoin(jq, plan.ScanFreq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2*joinExploreEvery; i++ {
+				if _, _, err := eng2.ExecJoin(jq, fpl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := storeOf(eng2).PlannerStats().JoinSamples; got != 0 {
+				t.Fatalf("forced scan joins fed %d join samples, want 0", got)
+			}
+		})
 	}
 }
 
@@ -304,13 +361,7 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 			// index read feeds the NN model like any indexed execution, and
 			// on eng it would return AUTO to the index without any probe.
 			twin := planTestEngine(t, shards, 600)
-			var tracker *plan.Tracker
-			switch e := eng.(type) {
-			case *DB:
-				tracker = e.tracker
-			case *Sharded:
-				tracker = e.tracker
-			}
+			tracker := storeOf(eng).tracker
 			// The shipped prices, not this machine's calibration: the index
 			// wins while 0.25*candFrac + nodeFrac < 0.25. What a run of
 			// wide NN queries leaves behind is just past that; this store's
@@ -343,12 +394,12 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 				}
 			}
 			if returned == 0 {
-				t.Fatalf("AUTO still scans after %d NN queries (model %+v)", 2*exploreEvery, eng.PlannerStats())
+				t.Fatalf("AUTO still scans after %d NN queries (model %+v)", 2*exploreEvery, storeOf(eng).PlannerStats())
 			}
 			t.Logf("AUTO back on the index at query %d", returned)
 
 			// Forced scans never probe: the caller pinned the strategy.
-			before := eng.PlannerStats().NNSamples
+			before := storeOf(eng).PlannerStats().NNSamples
 			for i := 1; i <= 2*exploreEvery; i++ {
 				q := query(i)
 				pl, err := eng.PlanNN(q, plan.ScanFreq)
@@ -359,7 +410,7 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := eng.PlannerStats().NNSamples; got != before {
+			if got := storeOf(eng).PlannerStats().NNSamples; got != before {
 				t.Fatalf("forced scans fed %d NN samples", got-before)
 			}
 		})
@@ -387,12 +438,12 @@ func TestCountNearIsTheIndexedRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := planNN(db, q)
+		rp, err := db.only().planNN(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ar := getArena()
-		cand, nodes := db.countNear(rp, ar, out[len(out)-1].Dist)
+		cand, nodes := db.only().countNear(rp, ar, out[len(out)-1].Dist)
 		putArena(ar)
 		if cand != st.Candidates || nodes != st.NodeAccesses {
 			t.Fatalf("query %d: probe counts %d candidates, %d nodes; the indexed run verified %d over %d", i, cand, nodes, st.Candidates, st.NodeAccesses)

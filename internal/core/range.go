@@ -15,13 +15,13 @@ import (
 // transformation (paper Section 4's "Query" statement with the pattern
 // expression denoting the whole relation).
 type RangeQuery struct {
-	// Values is the raw query series. Its length must be the DB length,
+	// Values is the raw query series. Its length must be the store length,
 	// except for warped queries where it must be WarpFactor * length.
 	Values []float64
 	// Eps is the similarity threshold.
 	Eps float64
 	// Transform is the safe transformation to apply to the stored side;
-	// use transform.Identity(n) for plain queries. It must span the DB
+	// use transform.Identity(n) for plain queries. It must span the store
 	// length (n coefficients).
 	Transform transform.T
 	// Moments optionally restricts the mean/std index dimensions
@@ -75,19 +75,19 @@ type QueryPrep struct {
 	Spectrum []complex128
 }
 
-func (db *DB) validateRange(q RangeQuery) error {
+func (sh *shard) validateRange(q RangeQuery) error {
 	if q.Eps < 0 {
 		return fmt.Errorf("core: negative eps %g", q.Eps)
 	}
 	if q.Delta < 0 || math.IsNaN(q.Delta) {
 		return fmt.Errorf("core: approx delta must be >= 0, got %g", q.Delta)
 	}
-	if q.Transform.Dims() != db.length {
-		return fmt.Errorf("core: transformation %s spans %d coefficients, DB length is %d", q.Transform, q.Transform.Dims(), db.length)
+	if q.Transform.Dims() != sh.length {
+		return fmt.Errorf("core: transformation %s spans %d coefficients, DB length is %d", q.Transform, q.Transform.Dims(), sh.length)
 	}
-	wantLen := db.length
+	wantLen := sh.length
 	if q.WarpFactor >= 2 {
-		wantLen = db.length * q.WarpFactor
+		wantLen = sh.length * q.WarpFactor
 		if q.BothSides {
 			return fmt.Errorf("core: BothSides is not compatible with warped queries")
 		}
@@ -99,11 +99,11 @@ func (db *DB) validateRange(q RangeQuery) error {
 }
 
 // queryFeaturePoint extracts the index-space feature point of the query
-// series. For warped queries the query series is longer than the DB length;
+// series. For warped queries the query series is longer than the store length;
 // its own normal-form coefficients X_1..X_K are directly comparable to the
 // warp-transformed stored coefficients (Appendix A, Equation 18).
-func (db *DB) queryFeaturePoint(q RangeQuery) ([]float64, error) {
-	p, err := db.schema.Extract(q.Values)
+func (sh *shard) queryFeaturePoint(q RangeQuery) ([]float64, error) {
+	p, err := sh.schema.Extract(q.Values)
 	if err != nil {
 		return nil, err
 	}
@@ -164,8 +164,8 @@ func (p *rangePlan) stopLine(eps float64) float64 {
 }
 
 // planRange validates q and builds its execution plan.
-func (db *DB) planRange(q RangeQuery) (*rangePlan, error) {
-	if err := db.validateRange(q); err != nil {
+func (sh *shard) planRange(q RangeQuery) (*rangePlan, error) {
+	if err := sh.validateRange(q); err != nil {
 		return nil, err
 	}
 	p := &rangePlan{q: q, relax: 1, relaxSq: 1}
@@ -175,11 +175,11 @@ func (db *DB) planRange(q RangeQuery) (*rangePlan, error) {
 	// record).
 	prep := q.Prep
 	if prep != nil && (q.WarpFactor >= 2 ||
-		len(prep.Point) != db.schema.Dims() || len(prep.Spectrum) != db.length) {
+		len(prep.Point) != sh.schema.Dims() || len(prep.Spectrum) != sh.length) {
 		prep = nil
 	}
 	var err error
-	if p.Prefilter, err = db.planPrefilter(q, prep); err != nil {
+	if p.Prefilter, err = sh.planPrefilter(q, prep); err != nil {
 		return nil, err
 	}
 	if q.ForceTransform {
@@ -188,16 +188,16 @@ func (db *DB) planRange(q RangeQuery) (*rangePlan, error) {
 	if q.WarpFactor >= 2 {
 		p.qn = series.NormalForm(q.Values)
 		if q.Delta > 0 {
-			p.initApprox(db.length)
+			p.initApprox(sh.length)
 		}
 		return p, nil
 	}
-	p.a, p.b = db.permuteTransform(q.Transform)
+	p.a, p.b = sh.permuteTransform(q.Transform)
 	var Q []complex128
 	if prep != nil {
 		Q = prep.Spectrum
 	} else {
-		Q = db.querySpectrum(q.Values)
+		Q = sh.querySpectrum(q.Values)
 	}
 	if q.BothSides {
 		tQ := make([]complex128, len(Q))
@@ -208,7 +208,7 @@ func (db *DB) planRange(q RangeQuery) (*rangePlan, error) {
 	}
 	p.Q = Q
 	if q.Delta > 0 {
-		p.initApprox(db.length)
+		p.initApprox(sh.length)
 	}
 	return p, nil
 }
@@ -217,8 +217,8 @@ func (db *DB) planRange(q RangeQuery) (*rangePlan, error) {
 // queries: exact distance in the time domain on warped normal forms with
 // early abandoning. Every length-preserving transformation verifies in the
 // frequency domain instead (verifyFreq).
-func (db *DB) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) (bool, float64, error) {
-	raw, err := db.Series(id)
+func (sh *shard) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) (bool, float64, error) {
+	raw, err := sh.timeRel.Get(id)
 	if err != nil {
 		return false, 0, err
 	}
@@ -232,15 +232,15 @@ func (db *DB) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) (bo
 }
 
 // rangeIndexedInto runs the search and post-processing phases of the
-// paper's Algorithm 2 against this store — traverse the index applying the
+// paper's Algorithm 2 against this shard — traverse the index applying the
 // transformation to every rectangle on the fly, then verify every candidate
 // against its full record (the preprocessing phase is the rangePlan) —
 // accumulating filter costs into st and appending verified answers to dst.
 // The filter runs over the index's flat-slab batch traversal into arena
 // scratch; steady state the whole pass allocates nothing.
-func (db *DB) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
+func (sh *shard) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
 	stampPlan(p, st)
-	ids, searchStats := db.idx.RangeIDs(p.qp, p.mw.filterRadius(p.q.Eps), p.m, p.q.Moments, !db.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
+	ids, searchStats := sh.idx.RangeIDs(p.qp, p.mw.filterRadius(p.q.Eps), p.m, p.q.Moments, !sh.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
 	ar.ids = ids
 	st.NodeAccesses += searchStats.NodesVisited
 	st.Candidates += len(ids)
@@ -255,18 +255,18 @@ func (db *DB) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst [
 		)
 		switch {
 		case warp:
-			within, dist, err = db.verifyWarp(p, st, id, p.q.Eps)
+			within, dist, err = sh.verifyWarp(p, st, id, p.q.Eps)
 			bound = dist
 		case approx:
-			within, dist, bound, err = db.verifyFreqApprox(p, ar, st, id, p.q.Eps, false)
+			within, dist, bound, err = sh.verifyFreqApprox(p, ar, st, id, p.q.Eps, false)
 		default:
-			within, dist, err = db.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, p.q.Eps)
+			within, dist, err = sh.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, p.q.Eps)
 		}
 		if err != nil {
 			return dst, err
 		}
 		if within {
-			r := Result{ID: id, Name: db.Name(id), Dist: dist}
+			r := Result{ID: id, Name: sh.name(id), Dist: dist}
 			if approx || (warp && p.approx()) {
 				r.Bound = bound
 			}
@@ -276,18 +276,18 @@ func (db *DB) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst [
 	return dst, nil
 }
 
-// rangeScanFreqInto runs the frequency-domain scan against this store,
+// rangeScanFreqInto runs the frequency-domain scan against this shard,
 // appending verified answers to dst — the stronger of the paper's two scan
 // baselines ("we do the sequential scanning on the relation that stores the
 // series in the frequency domain ... the distance computation process can
 // skip many sequences within the first few coefficients"). Like
 // rangeIndexedInto it verifies through the arena's page buffer, so the
 // steady-state scan allocates nothing beyond result growth.
-func (db *DB) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
+func (sh *shard) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
 	stampPlan(p, st)
 	warp := p.q.WarpFactor >= 2
 	approx := !warp && p.approx()
-	for _, id := range db.ids {
+	for _, id := range sh.ids {
 		st.Candidates++
 		var (
 			within      bool
@@ -296,18 +296,18 @@ func (db *DB) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst 
 		)
 		switch {
 		case warp:
-			within, dist, err = db.verifyWarp(p, st, id, p.q.Eps)
+			within, dist, err = sh.verifyWarp(p, st, id, p.q.Eps)
 			bound = dist
 		case approx:
-			within, dist, bound, err = db.verifyFreqApprox(p, ar, st, id, p.q.Eps, false)
+			within, dist, bound, err = sh.verifyFreqApprox(p, ar, st, id, p.q.Eps, false)
 		default:
-			within, dist, err = db.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, p.q.Eps)
+			within, dist, err = sh.verifyFreq(st, &ar.pages, id, p.a, p.b, p.Q, p.q.Eps)
 		}
 		if err != nil {
 			return dst, err
 		}
 		if within {
-			r := Result{ID: id, Name: db.Name(id), Dist: dist}
+			r := Result{ID: id, Name: sh.name(id), Dist: dist}
 			if approx || (warp && p.approx()) {
 				r.Bound = bound
 			}
@@ -322,7 +322,7 @@ func (db *DB) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst 
 // transformation in the time domain, and compute the full distance with no
 // early abandoning. It has no approximate tier: answers are exact whatever
 // Delta the plan carries.
-func (db *DB) rangeScanTimeInto(p *rangePlan, st *ExecStats, dst []Result) ([]Result, error) {
+func (sh *shard) rangeScanTimeInto(p *rangePlan, st *ExecStats, dst []Result) ([]Result, error) {
 	st.Filter = p.Prefilter
 	q := p.q
 	warp := q.WarpFactor >= 2
@@ -330,9 +330,9 @@ func (db *DB) rangeScanTimeInto(p *rangePlan, st *ExecStats, dst []Result) ([]Re
 	if q.BothSides {
 		qn = q.Transform.ApplyTime(qn)
 	}
-	for _, id := range db.ids {
+	for _, id := range sh.ids {
 		st.Candidates++
-		raw, err := db.Series(id)
+		raw, err := sh.timeRel.Get(id)
 		if err != nil {
 			return dst, err
 		}
@@ -344,26 +344,25 @@ func (db *DB) rangeScanTimeInto(p *rangePlan, st *ExecStats, dst []Result) ([]Re
 		}
 		st.DistanceTerms += int64(len(tx))
 		if d := series.EuclideanDistance(tx, qn); d <= q.Eps {
-			dst = append(dst, Result{ID: id, Name: db.Name(id), Dist: d})
+			dst = append(dst, Result{ID: id, Name: sh.name(id), Dist: d})
 		}
 	}
 	return dst, nil
 }
 
-// runRange runs a range plan's resolved strategy against this store — the
-// whole store of a DB, one partition of a Sharded — appending verified
-// answers to dst and accumulating costs into st. It is where a store counts
-// a read for its adaptive refresh cadence: where the work is done, not where
-// the plan was dispatched.
-func (db *DB) runRange(strategy plan.Strategy, p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
-	db.queryCount.Add(1)
+// runRange runs a range plan's resolved strategy against this shard,
+// appending verified answers to dst and accumulating costs into st. It is
+// where a shard counts a read for its adaptive refresh cadence: where the
+// work is done, not where the plan was dispatched.
+func (sh *shard) runRange(strategy plan.Strategy, p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
+	sh.queryCount.Add(1)
 	switch strategy {
 	case plan.Index:
-		return db.rangeIndexedInto(p, ar, st, dst)
+		return sh.rangeIndexedInto(p, ar, st, dst)
 	case plan.ScanFreq:
-		return db.rangeScanFreqInto(p, ar, st, dst)
+		return sh.rangeScanFreqInto(p, ar, st, dst)
 	case plan.ScanTime:
-		return db.rangeScanTimeInto(p, st, dst)
+		return sh.rangeScanTimeInto(p, st, dst)
 	default:
 		return dst, fmt.Errorf("core: plan carries unresolved strategy %v", strategy)
 	}

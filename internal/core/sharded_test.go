@@ -13,19 +13,19 @@ import (
 	"repro/internal/transform"
 )
 
-// buildParityStores loads the same batch into one unsharded DB and
-// Sharded stores of each requested width, via plain inserts so IDs are
-// assigned identically everywhere.
-func buildParityStores(t *testing.T, count, length int, widths []int) (*DB, []*Sharded) {
+// buildParityStores loads the same batch into a one-shard store and
+// stores of each requested width, via plain inserts so IDs are assigned
+// identically everywhere.
+func buildParityStores(t *testing.T, count, length int, widths []int) (*DB, []*Store) {
 	t.Helper()
 	data := dataset.RandomWalks(count, length, 42)
 	db, err := NewDB(length, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shs []*Sharded
+	var shs []*Store
 	for _, w := range widths {
-		s, err := NewSharded(length, w, Options{})
+		s, err := NewStore(length, w, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func buildParityStores(t *testing.T, count, length int, widths []int) (*DB, []*S
 // mutateParityStores applies the same deletes and updates everywhere, so
 // parity holds on stores that have seen churn (swap-deleted ID lists,
 // reassigned IDs).
-func mutateParityStores(t *testing.T, db *DB, shs []*Sharded, count, length int) {
+func mutateParityStores(t *testing.T, db *DB, shs []*Store, count, length int) {
 	t.Helper()
 	for i := 0; i < count; i += 7 {
 		name := fmt.Sprintf("W%04d", i)
@@ -96,7 +96,7 @@ func queryValues(length int, seed int64) []float64 {
 
 // checkParity asserts that every Sharded store returns exactly the
 // unsharded slice.
-func checkParity[T any](t *testing.T, label string, db *DB, shs []*Sharded, run func(Engine) (T, error)) {
+func checkParity[T any](t *testing.T, label string, db *DB, shs []*Store, run func(Engine) (T, error)) {
 	t.Helper()
 	want, err := run(db)
 	if err != nil {
@@ -223,9 +223,9 @@ func TestShardedParityBulkLoad(t *testing.T) {
 	if err := db.InsertBulk(names, values); err != nil {
 		t.Fatal(err)
 	}
-	var shs []*Sharded
+	var shs []*Store
 	for _, w := range []int{1, 2, 8} {
-		s, err := NewSharded(length, w, Options{})
+		s, err := NewStore(length, w, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestShardedParityBulkLoad(t *testing.T) {
 // retry succeeds.
 func TestShardedInsertBulkAllOrNothing(t *testing.T) {
 	const length = 32
-	s, err := NewSharded(length, 4, Options{})
+	s, err := NewStore(length, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +281,10 @@ func TestShardedInsertBulkAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRoundTrip writes a sharded store to the TSQ2 format
-// and loads it back at the recorded width, a different width, and as a
-// single DB — all must answer identically. A TSQ1 snapshot must load into
-// a sharded store the same way.
+// TestShardedSnapshotRoundTrip writes a four-shard store's snapshot and
+// loads it back at the recorded width, a different width, and at one shard
+// — all must answer identically. A one-shard store's snapshot must load
+// into a four-shard store the same way.
 func TestShardedSnapshotRoundTrip(t *testing.T) {
 	const (
 		count  = 60
@@ -303,7 +303,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, ok := recorded.(*Sharded); !ok || s.Shards() != 4 {
+	if s, ok := recorded.(*Store); !ok || s.Shards() != 4 {
 		t.Fatalf("recorded load: want 4-shard store, got %T", recorded)
 	}
 	resharded, err := ReadEngine(bytes.NewReader(snap), Options{}, 2)
@@ -318,7 +318,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("single load: want *DB, got %T", single)
 	}
 
-	// Old-format snapshot into a sharded store.
+	// A one-shard store's snapshot into a sharded store.
 	var v1 bytes.Buffer
 	if _, err := db.WriteTo(&v1); err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := v1Recorded.(*DB); !ok {
-		t.Fatalf("TSQ1 default load: want *DB, got %T", v1Recorded)
+		t.Fatalf("one-shard default load: want *DB, got %T", v1Recorded)
 	}
 
 	q := queryValues(length, 11)
@@ -363,7 +363,7 @@ func TestShardedNNSharedBound(t *testing.T) {
 		length = 64
 	)
 	data := dataset.RandomWalks(count, length, 21)
-	s, err := NewSharded(length, 4, Options{})
+	s, err := NewStore(length, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,16 +394,22 @@ func TestShardedNNSharedBound(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentReadsWrites hammers one sharded store directly
-// with concurrent queries and writes; run with -race.
+// TestShardedConcurrentReadsWrites hammers one store directly with
+// concurrent queries and writes, at one shard and at four; run with -race.
 func TestShardedConcurrentReadsWrites(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) { hammerStore(t, shards) })
+	}
+}
+
+func hammerStore(t *testing.T, shards int) {
 	const (
 		count  = 64
 		length = 32
 		iters  = 60
 	)
 	data := dataset.RandomWalks(count, length, 13)
-	s, err := NewSharded(length, 4, Options{})
+	s, err := NewStore(length, shards, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,6 +461,10 @@ func TestShardedConcurrentReadsWrites(t *testing.T) {
 				name := fmt.Sprintf("churn-%d-%d", w, i)
 				vals := queryValues(length, int64(100+w*iters+i))
 				if _, err := s.Insert(name, vals); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := s.Append(data[(w*31+i)%count].Name, vals[:2]); err != nil {
 					errs <- err
 					return
 				}

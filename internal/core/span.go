@@ -59,32 +59,24 @@ func init() {
 }
 
 // finishExec stamps a completed planned execution with its resolved
-// strategy and span tree, then reports it to the metrics registry. Every
-// Exec* implementation calls it last, beside history.Observe.
-func finishExec(pl *plan.Plan, st *ExecStats, spans []Span) {
+// strategy, then reports it to the metrics registry. Every Exec* calls it
+// last, beside history.Observe.
+func finishExec(pl *plan.Plan, st *ExecStats) {
 	st.Strategy = pl.Strategy.String()
-	st.Spans = spans
 	observeExec(pl, st)
 }
 
-// finishExecSpans stamps a hot-path execution, building the two-span
-// search/merge trace only when something will read it — the process
-// metrics registry or a TRACE statement (pl.Trace). observeExec never
-// reads st.Spans, so skipping construction otherwise loses nothing and
-// keeps the steady-state hot path allocation-free.
-func finishExecSpans(pl *plan.Plan, st *ExecStats, searchD, mergeD time.Duration) {
-	if telemetry.Enabled() || pl.Trace {
-		finishExec(pl, st, []Span{workSpan("search", searchD, st), span("merge", mergeD)})
-		return
+// fanSpans builds the span forest of a finished fan-out from its per-shard
+// provenance: a "fanout" span with one child per shard, followed by the
+// merge step. A one-shard store carries no provenance — its one partition
+// ran on the caller's goroutine — and its tree is the plain search + merge
+// pair: one shard is the inline case of the same box.
+func fanSpans(st *ExecStats, fan, merge time.Duration) []Span {
+	if st.Shards == nil {
+		return []Span{workSpan("search", fan, st), span("merge", merge)}
 	}
-	finishExec(pl, st, nil)
-}
-
-// fanSpans builds the span forest of a per-shard fan-out: a "fanout"
-// span with one child per shard, followed by the merge step.
-func fanSpans(fan, merge time.Duration, shards []ShardExec) []Span {
-	children := make([]Span, len(shards))
-	for i, sh := range shards {
+	children := make([]Span, len(st.Shards))
+	for i, sh := range st.Shards {
 		children[i] = shardSpan(sh.Shard, sh.Elapsed)
 	}
 	return []Span{span("fanout", fan, children...), span("merge", merge)}

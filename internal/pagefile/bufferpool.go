@@ -124,9 +124,10 @@ func (bp *BufferPool) page(i int, pin bool) ([]byte, error) {
 			f.pin++
 			bp.pinned++
 		}
+		buf := f.buf // read under the lock: a fault may recycle the frame
 		bp.mu.Unlock()
 		bp.hits.Add(1)
-		return f.buf, nil
+		return buf, nil
 	}
 	f := bp.victimLocked()
 	// Fault the page in while holding the pool lock: concurrent misses on

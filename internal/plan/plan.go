@@ -1,6 +1,6 @@
 // Package plan is the query planner of the reproduction: one first-class
 // Plan value shared by every layer that answers similarity queries — the
-// core engine (single-store and sharded), the query language, the HTTP
+// core engine (at every shard count), the query language, the HTTP
 // server, the result cache, and the standing-query monitors.
 //
 // The paper's query answering is one pipeline: build the Section 3.1
@@ -65,8 +65,8 @@ func (s Strategy) String() string {
 }
 
 // Plan is one query's execution plan: what will run, where, and what the
-// planner expects it to cost. Plans are built by an engine (core.DB or
-// core.Sharded) and are engine-specific — Internal carries the engine's
+// planner expects it to cost. Plans are built by an engine (a core.Store)
+// and are engine-specific — Internal carries the engine's
 // precomputed transforms and spectra, so executing a plan never redoes the
 // planning FFTs.
 type Plan struct {
@@ -464,8 +464,8 @@ const ewmaAlpha = 0.2
 // Tracker accumulates per-store execution feedback for the planner: an
 // EWMA calibration of the geometric selectivity estimate (observed over
 // predicted candidates) and EWMA node/candidate fractions. One Tracker
-// lives on each store (every core.DB and each core.Sharded as a whole);
-// all methods are safe for concurrent use.
+// lives on each core.Store (the store as a whole, never a shard); all
+// methods are safe for concurrent use.
 type Tracker struct {
 	mu sync.Mutex
 

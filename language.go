@@ -95,8 +95,8 @@ type ExplainInfo struct {
 	ApproxRung       int
 	ApproxEstSpeedup float64
 	ApproxTightness  float64
-	// PerShard is the fan-out's per-shard provenance (nil on single-store
-	// executions).
+	// PerShard is the fan-out's per-shard provenance (nil on a one-shard
+	// store).
 	PerShard []ShardExecInfo
 }
 

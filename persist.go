@@ -31,22 +31,21 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	return db.eng.WriteTo(w)
 }
 
-// ReadFrom loads a snapshot produced by WriteTo. All snapshot versions
-// load: TSQ3 adopts its serialized indexes (or, when re-sharded, reuses
-// its precomputed spectra and feature points and only re-packs the
-// trees), while the older TSQ2/TSQ1 formats rebuild derived state with
-// bulk loading. The snapshot records its own feature schema and shard
-// count; storage options of the returned DB take defaults.
+// ReadFrom loads a snapshot produced by WriteTo, adopting its serialized
+// indexes (or, when re-sharded, reusing its precomputed spectra and feature
+// points and only re-packing the trees). The snapshot records its own
+// feature schema and shard count; storage options of the returned DB take
+// defaults. The retired series-only TSQ1/TSQ2 formats are refused by name.
 func ReadFrom(r io.Reader) (*DB, error) {
 	return ReadFromShards(r, 0)
 }
 
 // ReadFromShards is ReadFrom with an explicit shard count: 0 honors the
-// count recorded in the snapshot (1 for old single-store snapshots), any
-// n >= 1 re-partitions the store to n shards on load — always possible,
-// because shard assignment is a pure hash of the series name, so the
-// snapshot format carries no per-shard layout the target count must
-// match (though only a matching count can adopt TSQ3 trees as-is).
+// count recorded in the snapshot, any n >= 1 re-partitions the store to n
+// shards on load — always possible, because shard assignment is a pure hash
+// of the series name, so the snapshot format carries no per-shard layout
+// the target count must match (though only a matching count can adopt the
+// packed trees as-is).
 func ReadFromShards(r io.Reader, shards int) (*DB, error) {
 	return readEngine(r, core.Options{}, shards)
 }
@@ -72,9 +71,5 @@ func readEngine(r io.Reader, coreOpts core.Options, shards int) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := 1
-	if s, ok := eng.(*core.Sharded); ok {
-		n = s.Shards()
-	}
-	return &DB{eng: eng, length: eng.Length(), shards: n}, nil
+	return &DB{eng: eng}, nil
 }

@@ -2,8 +2,7 @@ package tsq_test
 
 // Snapshot re-sharding coverage: a store serialized at one shard count and
 // loaded at another must answer every query kind identically to a fresh
-// batch build at the target count. The 1-shard writer emits the original
-// single-store TSQ1 format, so 1->4 also covers TSQ1 -> TSQ2-era load.
+// batch build at the target count.
 
 import (
 	"bytes"
@@ -34,8 +33,8 @@ func TestSnapshotReshardAllKinds(t *testing.T) {
 	probe := tsq.RandomWalks(1, 16, 3)[0].Values
 
 	for _, tc := range []struct{ from, to int }{
-		{1, 4}, // TSQ1 snapshot re-partitioned on load
-		{4, 1}, // sharded snapshot collapsed to a single store
+		{1, 4}, // one-shard snapshot re-partitioned on load
+		{4, 1}, // four-shard snapshot collapsed to one shard
 		{4, 3}, // shard count changed outright
 	} {
 		t.Run(fmt.Sprintf("%d-to-%d", tc.from, tc.to), func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	tsq "repro"
+	"repro/internal/core"
 )
 
 func TestInsertBulkPublicAPI(t *testing.T) {
@@ -92,10 +93,39 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestEngineAccessor: the engine a DB hands out says by its type how
+// many partitions it has — a *core.DB, whose Index() is the one shard's
+// k-index over every stored series, iff there is exactly one — whether the
+// DB was opened or loaded. benchmark/'s --trace replay asserts on it.
 func TestEngineAccessor(t *testing.T) {
-	db := tsq.MustOpen(tsq.Options{Length: 64})
-	if db.Engine() == nil || db.Engine().Length() != 64 {
-		t.Fatal("Engine accessor broken")
+	for _, shards := range []int{0, 1, 4} {
+		opened := tsq.MustOpen(tsq.Options{Length: 64, Shards: shards})
+		if err := opened.InsertAll(tsq.RandomWalks(40, 64, 3)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := opened.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := tsq.ReadFrom(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, db := range []*tsq.DB{opened, loaded} {
+			eng := db.Engine()
+			if eng.Length() != 64 || eng.Shards() != max(shards, 1) || db.Shards() != eng.Shards() {
+				t.Fatalf("shards=%d: engine has length %d, %d shards (DB says %d)", shards, eng.Length(), eng.Shards(), db.Shards())
+			}
+			cdb, isDB := eng.(*core.DB)
+			if isDB != (shards <= 1) {
+				t.Fatalf("shards=%d: Engine() is a %T", shards, eng)
+			}
+			if isDB {
+				if ix := cdb.Index(); ix == nil || ix.Tree().Len() != db.Len() {
+					t.Fatalf("shards=%d: Index() = %v, want the k-index over all %d series", shards, ix, db.Len())
+				}
+			}
+		}
 	}
 }
 

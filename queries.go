@@ -336,7 +336,7 @@ func (db *DB) runPinnedSelfJoin(sp readSpec) (result, error) {
 			Method:    letter,
 			Forced:    true,
 			Reason:    fmt.Sprintf("Table 1 method (%s): %s", letter, m.name),
-			Shards:    plan.AllShards(db.shards),
+			Shards:    plan.AllShards(db.Shards()),
 			Est:       plan.Estimate{Series: db.eng.Len()},
 		}, st)
 	}

@@ -197,7 +197,7 @@ type result struct {
 // the plan reuses the indexed feature point and the stored spectrum instead
 // of recomputing both.
 func (db *DB) source(sp readSpec) (values []float64, prep *core.QueryPrep, tr transform.T, warp int, err error) {
-	if tr, warp, err = sp.t.materialize(db.length); err != nil {
+	if tr, warp, err = sp.t.materialize(db.Length()); err != nil {
 		return nil, nil, tr, 0, err
 	}
 	if sp.name == "" {
@@ -244,13 +244,13 @@ func (db *DB) nnQuery(sp readSpec) (core.NNQuery, error) {
 
 // joinQuery is the engine's all-pairs query for a join spec.
 func (db *DB) joinQuery(sp readSpec) (core.JoinQuery, error) {
-	lt, lw, err := sp.t.materialize(db.length)
+	lt, lw, err := sp.t.materialize(db.Length())
 	if err != nil {
 		return core.JoinQuery{}, err
 	}
 	rt, rw := lt, lw // a self join has the one transformation on both sides
 	if sp.kind == readJoin {
-		if rt, rw, err = sp.right.materialize(db.length); err != nil {
+		if rt, rw, err = sp.right.materialize(db.Length()); err != nil {
 			return core.JoinQuery{}, err
 		}
 	}

@@ -27,13 +27,9 @@ import (
 // cached only if no write it cannot account for landed between the query
 // starting and finishing, so a reader that overlapped an eviction can never
 // re-insert a stale answer (see readQuery). The store's own synchronization
-// sits underneath and has no part in that: a sharded engine
-// (Options.Shards > 1) locks per shard internally, so a writer to one shard
-// never blocks readers of the others; an unsharded core.DB has no lock of
-// its own, and the Server lends it one (mu, behind rlock/wlock), held by a
-// reader for its computation and by a writer from its mutation through the
-// eviction — so over an unsharded store nobody can compute on the new state
-// before the entries it outdates are gone.
+// sits underneath and has no part in that: it locks per shard internally at
+// every shard count, so a writer to one shard never blocks readers of the
+// others, and the Server adds no lock of its own around the engine.
 //
 // The cache is dependency-tagged. Every cached range or NN answer carries
 // an invalidation predicate built from its own plan geometry — the
@@ -56,12 +52,6 @@ import (
 // Server is the session layer behind cmd/tsqd's HTTP API, and equally
 // usable embedded in any concurrent program.
 type Server struct {
-	// mu is the unsharded store's lock: a core.DB needs external
-	// synchronization around writes, a core.Sharded brings its own per-shard
-	// locks. Taken only through rlock/runlock and wlock/wunlock, which are
-	// no-ops over a sharded store.
-	mu      sync.RWMutex
-	sharded bool
 	version atomic.Int64 // write-version guard for the cache
 	// cacheGuard makes a reader's version re-check and cache Add one atomic
 	// step relative to a writer's bump+log+purge; without it a reader could
@@ -164,7 +154,6 @@ func NewServer(db *DB, opts ServerOptions) *Server {
 	}
 	s := &Server{
 		db:            db,
-		sharded:       db.Shards() > 1,
 		cache:         lru.New(size),
 		hub:           stream.NewHub(retain),
 		slowThreshold: slow,
@@ -331,8 +320,8 @@ func (s *Server) record(st Stats) {
 }
 
 // write runs fn — which must report whether it (possibly) mutated the
-// store — under the store's write lock and on mutation bumps the write
-// counter and publishes the event evf describes; a rejected insert or a
+// store — and on mutation bumps the write counter and publishes the event
+// evf describes; a rejected insert or a
 // delete of a missing name is a no-op and must not evict cached results.
 //
 // evf runs after the mutation commits, so the event carries the
@@ -350,8 +339,6 @@ func (s *Server) write(fn func() (mutated bool, err error), evf func() writeEven
 // one event per series, each with its own version, so the cache can
 // defend entries against the batch selectively instead of purging.
 func (s *Server) writeEvents(fn func() (mutated bool, err error), evsf func() []writeEvent) error {
-	s.wlock()
-	defer s.wunlock()
 	mutated, err := fn()
 	if mutated {
 		s.writes.Add(1)
@@ -471,12 +458,12 @@ func (s *Server) InsertAll(batch []NamedSeries) error {
 				for j := i - 1; j >= 0; j-- {
 					s.db.Delete(batch[j].Name)
 				}
-				// The store is back to its pre-batch state, but on a
-				// sharded engine the rolled-back inserts were visible to
-				// concurrent queries (writes lock per shard, not the
-				// store), so the rollback must still count as a mutation
-				// — otherwise a mid-batch reader could cache a result
-				// containing a rolled-back series.
+				// The store is back to its pre-batch state, but the
+				// rolled-back inserts were visible to concurrent queries
+				// (writes lock per shard, not the store), so the rollback
+				// must still count as a mutation — otherwise a mid-batch
+				// reader could cache a result containing a rolled-back
+				// series.
 				return i > 0, err
 			}
 		}
@@ -508,8 +495,8 @@ func (s *Server) InsertBulk(batch []NamedSeries) error {
 	// Conservatively treat even a failed bulk load as a mutation: unlike
 	// Insert/Update, a late error can leave partial state behind.
 	err := s.write(func() (bool, error) { return true, s.db.InsertBulk(batch) }, barrier)
-	// Re-read the store size under the lock: a failed bulk load may have
-	// left partial state.
+	// Re-read the store size: a failed bulk load may have left partial
+	// state.
 	s.seriesCount.Store(int64(s.Len()))
 	// Rebuild every monitor's membership from scratch — the store was
 	// rewritten wholesale.
@@ -558,73 +545,26 @@ func (s *Server) Compact() (int, error) {
 	return n, err
 }
 
-// rlock/runlock and wlock/wunlock take the unsharded store's lock (see
-// Server.mu) in shared and exclusive mode; sharded engines synchronize
-// internally, so all four are no-ops there.
-func (s *Server) rlock() {
-	if !s.sharded {
-		s.mu.RLock()
-	}
-}
-
-func (s *Server) runlock() {
-	if !s.sharded {
-		s.mu.RUnlock()
-	}
-}
-
-func (s *Server) wlock() {
-	if !s.sharded {
-		s.mu.Lock()
-	}
-}
-
-func (s *Server) wunlock() {
-	if !s.sharded {
-		s.mu.Unlock()
-	}
-}
-
 // Len returns the number of stored series.
-func (s *Server) Len() int {
-	s.rlock()
-	defer s.runlock()
-	return s.db.Len()
-}
+func (s *Server) Len() int { return s.db.Len() }
 
 // Length returns the fixed series length.
-func (s *Server) Length() int {
-	s.rlock()
-	defer s.runlock()
-	return s.db.Length()
-}
+func (s *Server) Length() int { return s.db.Length() }
 
 // Shards returns the number of hash partitions the wrapped store runs
-// with (1 for the classic single-store engine).
+// with.
 func (s *Server) Shards() int { return s.db.Shards() }
 
 // Names returns the stored series names in insertion order.
-func (s *Server) Names() []string {
-	s.rlock()
-	defer s.runlock()
-	return s.db.Names()
-}
+func (s *Server) Names() []string { return s.db.Names() }
 
 // Series returns a copy of the stored values for a name.
-func (s *Server) Series(name string) ([]float64, error) {
-	s.rlock()
-	defer s.runlock()
-	return s.db.Series(name)
-}
+func (s *Server) Series(name string) ([]float64, error) { return s.db.Series(name) }
 
-// WriteTo serializes a consistent snapshot of the DB. See DB.WriteTo (a
-// sharded store pins every shard for the duration, so the snapshot is a
-// consistent cut even under concurrent writers).
-func (s *Server) WriteTo(w io.Writer) (int64, error) {
-	s.rlock()
-	defer s.runlock()
-	return s.db.WriteTo(w)
-}
+// WriteTo serializes a consistent snapshot of the DB. See DB.WriteTo (the
+// store pins every shard for the duration, so the snapshot is a consistent
+// cut even under concurrent writers).
+func (s *Server) WriteTo(w io.Writer) (int64, error) { return s.db.WriteTo(w) }
 
 // cachedResult is the value stored in the LRU cache — at most one of the
 // payload fields is set, matching the query kind.
@@ -654,9 +594,8 @@ type readID struct {
 
 // readQuery serves one query, consulting the result cache first.
 //
-// On a miss the query computes under the store's shared lock (a sharded
-// engine takes its own per-shard read locks during the fan-out instead) and
-// the result is cached only if no write it cannot account for landed since
+// On a miss the query computes (the store takes its own per-shard read locks
+// during the fan-out) and the result is cached only if no write it cannot account for landed since
 // the computation began: a writer bumps the version after mutating and
 // before invalidating, so a query that read any pre-mutation state started
 // before the bump and fails the version comparison — but when the write log
@@ -712,9 +651,7 @@ func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cac
 		}
 	}
 	v0 := s.version.Load()
-	s.rlock()
 	r, err := compute()
-	s.runlock()
 	if err != nil {
 		done("", flight.OutcomeError, err.Error(), nil)
 		return cachedResult{}, Stats{}, err
@@ -778,9 +715,8 @@ func (s *Server) caching() bool { return s.cache.Capacity() > 0 }
 // read serves one spec — a typed call's or a compiled statement's, the two
 // are the same value — through readQuery: the cache key and the filed
 // entry's invalidation predicate both derive from the spec's kind, and the
-// predicate is built from the Lemma 1 filter of the plan that ran (inside
-// the compute critical section, so it observes the same store state the
-// answer did), so the query is planned once. What is handed out is a clone
+// predicate is built from the Lemma 1 filter of the plan that ran, so the
+// query is planned once. What is handed out is a clone
 // of the filed answer, cut to the spec's LIMIT.
 func (s *Server) read(sp readSpec) (*Output, error) {
 	id := readID{key: sp.key(s.caching()), kind: sp.kind.String(), label: sp.text, reqID: sp.opts.reqID, uncached: sp.uncached()}
@@ -811,28 +747,27 @@ func (s *Server) read(sp readSpec) (*Output, error) {
 	}), nil
 }
 
-// Range runs DB.Range under the shared lock, with result caching.
+// Range runs DB.Range with result caching.
 func (s *Server) Range(q []float64, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
 	return matchesOf(s.read(rangeSpec("", q, eps, t, opts)))
 }
 
-// RangeByName runs DB.RangeByName under the shared lock, with result
-// caching.
+// RangeByName runs DB.RangeByName with result caching.
 func (s *Server) RangeByName(name string, eps float64, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
 	return matchesOf(s.read(rangeSpec(name, nil, eps, t, opts)))
 }
 
-// NN runs DB.NN under the shared lock, with result caching.
+// NN runs DB.NN with result caching.
 func (s *Server) NN(q []float64, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
 	return matchesOf(s.read(nnSpec("", q, k, t, opts)))
 }
 
-// NNByName runs DB.NNByName under the shared lock, with result caching.
+// NNByName runs DB.NNByName with result caching.
 func (s *Server) NNByName(name string, k int, t Transform, opts ...QueryOpt) ([]Match, Stats, error) {
 	return matchesOf(s.read(nnSpec(name, nil, k, t, opts)))
 }
 
-// SelfJoin runs DB.SelfJoin under the shared lock, with result caching.
+// SelfJoin runs DB.SelfJoin with result caching.
 // Cached join entries are dependency-tagged with the join's transformed
 // store extent: single-series writes provably out of eps reach of every
 // stored series retain them (see joinAffected).
@@ -849,8 +784,7 @@ func (s *Server) SelfJoinPlanned(eps float64, t Transform, strategy Strategy, op
 	return pairsOf(s.read(joinSpec(readSelfJoin, eps, t, Transform{}, strategy, opts)))
 }
 
-// JoinTwoSided runs DB.JoinTwoSided under the shared lock, with result
-// caching.
+// JoinTwoSided runs DB.JoinTwoSided with result caching.
 func (s *Server) JoinTwoSided(eps float64, left, right Transform, opts ...QueryOpt) ([]Pair, Stats, error) {
 	return s.JoinTwoSidedPlanned(eps, left, right, UseAuto, opts...)
 }
@@ -861,8 +795,7 @@ func (s *Server) JoinTwoSidedPlanned(eps float64, left, right Transform, strateg
 	return pairsOf(s.read(joinSpec(readJoin, eps, left, right, strategy, opts)))
 }
 
-// Subsequence runs DB.Subsequence under the shared lock, with result
-// caching.
+// Subsequence runs DB.Subsequence with result caching.
 func (s *Server) Subsequence(q []float64, eps float64, opts ...QueryOpt) ([]SubseqMatch, Stats, error) {
 	key := fmt.Sprintf("subseq|v=%s|eps=%g", valuesKey(q, s.caching()), eps)
 	r, st, err := s.readQuery(readID{key: key, kind: "subseq", label: key, reqID: applyOpts(opts).reqID}, func() (cachedResult, error) {
@@ -896,7 +829,7 @@ func (s *Server) Query(src string, opts ...QueryOpt) (*Output, error) {
 // DefaultProgressiveDelta when it carries none) is computed and emitted
 // first, then the exact refinement follows as the final stage. Each
 // stage is a read of its own — counted, recorded under the request's one
-// ID, and executed under its own shared-lock acquisition — so writers are
+// ID, and holding shard locks only while it executes — so writers are
 // never blocked while a stage is being delivered to a slow consumer; the
 // exact refinement reflects writes that landed between the stages.
 // Progressive results bypass the cache — their value is the live

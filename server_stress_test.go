@@ -11,9 +11,9 @@ import (
 
 // TestServerConcurrentReadsAndWrites hammers one Server with parallel
 // Range/NN/Query readers while writers insert, update, and delete — the
-// acceptance stress test for the session layer, run over both engines: the
-// single store behind the Server's RWMutex, and the sharded store with its
-// per-shard locks and version-guarded cache. Run with -race.
+// acceptance stress test for the session layer, at one shard and at four:
+// the store's per-shard locks under the version-guarded cache. Run with
+// -race.
 func TestServerConcurrentReadsAndWrites(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
@@ -146,6 +146,86 @@ func stressServer(t *testing.T, shards int) {
 		if _, err := s.Series(fmt.Sprintf("W%04d", i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBareDBConcurrentUse pins the one concurrency contract: a DB with no
+// Server around it — one shard, the default, included — takes concurrent
+// Insert/Append/Delete/Range/NN as it is, because the store locks itself at
+// every shard count. Run with -race (at one shard this raced before the
+// store had its own lock: an unsharded DB needed external write locking).
+func TestBareDBConcurrentUse(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			const (
+				stable  = 32 // series the writers only append to
+				length  = 64
+				readers = 3
+				writers = 2
+				iters   = 90
+			)
+			walks := tsq.RandomWalks(stable+writers, length, 23)
+			db, err := tsq.Open(tsq.Options{Length: length, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.InsertAll(walks[:stable]); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, readers+writers)
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						name := fmt.Sprintf("W%04d", (r*11+i)%stable)
+						var err error
+						switch i % 3 {
+						case 0:
+							_, _, err = db.RangeByName(name, 2, tsq.MovingAverage(10))
+						case 1:
+							_, _, err = db.NN(walks[stable].Values, 3, tsq.Identity(), tsq.With(tsq.UseAuto))
+						case 2:
+							_, _, err = db.Range(walks[stable+1].Values, 3, tsq.Identity(), tsq.With(tsq.UseScan))
+						}
+						if err != nil {
+							errs <- fmt.Errorf("reader %d: %w", r, err)
+							return
+						}
+					}
+				}(r)
+			}
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						name := fmt.Sprintf("churn-%d-%d", w, i)
+						if err := db.Insert(name, walks[stable+w].Values); err != nil {
+							errs <- fmt.Errorf("writer %d insert: %w", w, err)
+							return
+						}
+						if err := db.Append(fmt.Sprintf("W%04d", (w*7+i)%stable), []float64{float64(i), float64(w)}); err != nil {
+							errs <- fmt.Errorf("writer %d append: %w", w, err)
+							return
+						}
+						if i%2 == 0 && !db.Delete(name) {
+							errs <- fmt.Errorf("writer %d: lost %s", w, name)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if got, want := db.Len(), stable+writers*iters/2; got != want {
+				t.Fatalf("Len = %d after the churn, want %d", got, want)
+			}
+		})
 	}
 }
 

@@ -62,9 +62,8 @@ import (
 // version, so any query racing the append can never cache a stale answer.
 
 // Append slides a stored series' window forward by the given points. Like
-// every DB write, it requires external synchronization on an unsharded
-// store (wrap the DB in a Server); a sharded DB locks only the owning
-// shard.
+// every DB write it locks only the owning shard, and is safe beside
+// concurrent reads and writes.
 func (db *DB) Append(name string, points []float64) error {
 	_, err := db.eng.Append(name, points)
 	return err
@@ -103,21 +102,17 @@ type writeEvent struct {
 }
 
 // Append slides a stored series' window forward through the Server: the
-// engine append commits under the store's write lock, its event — carrying
+// engine append commits under its shard's write lock, its event — carrying
 // the new feature point — is published to the cache like any other write's
 // (see publish; the file comment says what survives), and monitors are
 // notified. See DB.Append for the storage semantics.
 func (s *Server) Append(name string, points []float64) error {
-	s.wlock()
 	info, err := s.db.eng.Append(name, points)
-	if err == nil {
-		s.appends.Add(1)
-		s.publish(writeEvent{kind: writeAppend, name: name, shard: s.db.eng.ShardOf(name), point: info.Point})
-	}
-	s.wunlock()
 	if err != nil {
 		return err
 	}
+	s.appends.Add(1)
+	s.publish(writeEvent{kind: writeAppend, name: name, shard: s.db.eng.ShardOf(name), point: info.Point})
 	if telemetry.Enabled() {
 		mAppends.Inc()
 	}
@@ -153,13 +148,11 @@ func (s *Server) invalidateFor(ev writeEvent) {
 // handing them its current feature point for prefiltering.
 func (s *Server) notifyWrite(name string) {
 	var p geom.Point
-	s.rlock()
 	if id, ok := s.db.eng.IDByName(name); ok {
 		if fp, ok := s.db.eng.FeaturePoint(id); ok {
 			p = fp.Clone()
 		}
 	}
-	s.runlock()
 	s.hub.NotifyWrite(name, p)
 }
 
@@ -394,8 +387,6 @@ func (s *Server) MonitorRange(q []float64, eps float64, t Transform, opts ...Que
 		}
 	}
 	checkOne := func(name string) (stream.Member, bool, error) {
-		s.rlock()
-		defer s.runlock()
 		rq, err := s.db.rangeQuery(check)
 		if err != nil {
 			return stream.Member{}, false, err
@@ -438,11 +429,9 @@ func (s *Server) monitorPrefilter(sp readSpec) (*core.Prefilter, error) {
 }
 
 // monitorEval is a monitor's full evaluation: the spec's read, run against
-// the store under the shared lock (never through the cache).
+// the store (never through the cache).
 func (s *Server) monitorEval(sp readSpec) func() ([]stream.Member, error) {
 	return func() ([]stream.Member, error) {
-		s.rlock()
-		defer s.runlock()
 		r, err := s.db.run(sp)
 		if err != nil {
 			return nil, err

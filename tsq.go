@@ -32,20 +32,18 @@
 //
 // # Serving and sharding
 //
-// An unsharded DB is safe for concurrent readers but not for writes. For
-// a long-lived concurrent service, wrap it in a Server: queries run in
-// parallel under a shared lock while inserts, updates, and deletes take
-// an exclusive lock, and an LRU cache absorbs repeated queries:
+// A DB is safe for concurrent use as-is, at every shard count: the store
+// locks itself, one read-write lock per shard. For a long-lived concurrent
+// service, wrap it in a Server, which adds an LRU cache that absorbs
+// repeated queries, traffic counters and standing queries on top:
 //
 //	srv := tsq.NewServer(db, tsq.ServerOptions{})
 //	matches, stats, _ := srv.RangeByName("BBA", 2.75, tsq.MovingAverage(20))
 //
 // Options.Shards > 1 partitions the store into hash-partitioned shards
 // (by series name), each with its own index and lock: queries fan out to
-// every shard in parallel and merge — answers are identical to an
-// unsharded store — while a writer blocks only its own shard. A sharded
-// DB synchronizes internally and is safe for concurrent use as-is;
-// wrapping it in a Server adds the cache and traffic counters on top.
+// every shard in parallel and merge — answers are identical at every shard
+// count — while a writer blocks only its own shard.
 //
 // # Streaming (tsqlive)
 //
@@ -128,7 +126,7 @@ type Options struct {
 	// under this directory instead of in memory, so the store can exceed
 	// RAM. All page reads go through a fixed-size clock buffer pool of
 	// CachePages frames per relation; only the pool and the index are
-	// resident. Sharded stores give each shard its own subdirectory. The
+	// resident. Each shard gets its own subdirectory. The
 	// files are scratch storage owned by the DB — recreated on Open,
 	// removed as generations are compacted away — not a persistence
 	// format; use WriteTo/ReadFrom snapshots for durability.
@@ -150,22 +148,19 @@ type Options struct {
 	// Shards partitions the store into this many hash-partitioned shards
 	// (by series name), each with its own index, storage, and lock.
 	// Queries fan out to every shard in parallel and merge; answers are
-	// identical to an unsharded store holding the same series. A sharded
-	// DB is safe for concurrent use without a Server (writes lock only the
-	// owning shard). 0 or 1 selects the classic single-store engine.
+	// identical at every shard count, and so is the concurrency contract
+	// (writes lock only the owning shard). 0 selects 1: the same store with
+	// a single partition, whose share of every fan-out runs inline on the
+	// caller's goroutine.
 	Shards int
 }
 
-// DB is an indexed time-series store. An unsharded DB (Options.Shards <=
-// 1) is safe for concurrent reads but writes require external
-// synchronization — wrap it in a Server, which provides it. A sharded DB
-// (Options.Shards > 1) synchronizes internally with one lock per shard
-// and is safe for concurrent use as-is; wrapping it in a Server adds
-// result caching and traffic counters without re-serializing access.
+// DB is an indexed time-series store, safe for concurrent use at every
+// shard count: it synchronizes internally with one lock per shard.
+// Wrapping it in a Server adds result caching, traffic counters and
+// standing queries without re-serializing access.
 type DB struct {
-	eng    core.Engine
-	length int
-	shards int
+	eng core.Engine
 }
 
 // Open creates an empty DB.
@@ -195,18 +190,11 @@ func Open(opts Options) (*DB, error) {
 		Backing:              opts.Backing,
 		CachePages:           opts.CachePages,
 	}
-	if opts.Shards > 1 {
-		eng, err := core.NewSharded(opts.Length, opts.Shards, coreOpts)
-		if err != nil {
-			return nil, err
-		}
-		return &DB{eng: eng, length: opts.Length, shards: opts.Shards}, nil
-	}
-	eng, err := core.NewDB(opts.Length, coreOpts)
+	s, err := core.NewStore(opts.Length, max(opts.Shards, 1), coreOpts)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{eng: eng, length: opts.Length, shards: 1}, nil
+	return &DB{eng: s.Engine()}, nil
 }
 
 // MustOpen is Open for static configurations; it panics on error.
@@ -229,10 +217,10 @@ func (db *DB) Insert(name string, values []float64) error {
 func (db *DB) Len() int { return db.eng.Len() }
 
 // Length returns the fixed series length.
-func (db *DB) Length() int { return db.length }
+func (db *DB) Length() int { return db.eng.Length() }
 
 // Names returns the stored series names in insertion order (a consistent
-// snapshot, also on sharded stores under concurrent writes).
+// snapshot, also under concurrent writes).
 func (db *DB) Names() []string {
 	return db.eng.Names()
 }
@@ -254,20 +242,19 @@ func (db *DB) Delete(name string) bool {
 }
 
 // Engine exposes the underlying query engine for advanced use (experiment
-// harnesses, ablations) — a *core.DB for unsharded stores, a
-// *core.Sharded for sharded ones. Most callers should use the DB methods.
+// harnesses, ablations). Its dynamic type is *core.DB iff the store has one
+// shard. Most callers should use the DB methods.
 func (db *DB) Engine() core.Engine { return db.eng }
 
-// Shards returns the number of hash partitions the store runs with
-// (1 for the classic single-store engine).
-func (db *DB) Shards() int { return db.shards }
+// Shards returns the number of hash partitions the store runs with.
+func (db *DB) Shards() int { return db.eng.Shards() }
 
 // Compact rebuilds the storage pages, reclaiming space left behind by
 // Delete and Update, and re-packs the index with STR bulk loading. On a
 // disk-backed store it rewrites the page files into a fresh generation
-// and removes the old one. It returns the number of pages reclaimed. A
-// sharded store compacts shard by shard, stalling writers on at most one
-// shard at a time.
+// and removes the old one. It returns the number of pages reclaimed. The
+// store compacts shard by shard, stalling writers on at most one shard at a
+// time.
 func (db *DB) Compact() (int, error) {
 	return db.eng.Compact()
 }
