@@ -70,7 +70,6 @@ func main() {
 		cache    = flag.Int("cache", tsq.DefaultCacheSize, "query result cache entries (0 disables)")
 		shards   = flag.Int("shards", 0, "hash-partitioned shards; queries fan out in parallel and writers lock only their shard (0 = a loaded snapshot's count, else 1)")
 		retain   = flag.Int("retain", tsq.DefaultMonitorRetain, "events retained per monitor so reconnecting /watch clients can resume gaplessly (0 disables replay)")
-		refresh  = flag.Int("refresh", 0, "appends a series may accumulate before its stored spectrum is refreshed with the exact FFT (0 = default 32; applies to stores built from -data or empty — snapshots load with the default); lower favors read-heavy workloads, higher favors ingest bursts — answers are identical either way")
 		pprof    = flag.String("pprof", "", "address of a net/http/pprof side listener (e.g. localhost:6060; empty disables) — profiling stays off the query port")
 		slow     = flag.Duration("slow", 0, "slow-query threshold: queries at or above it are retained with their trace spans in /stats?slow=1 and GET /traces (0 = default 25ms; negative disables)")
 		logLevel = flag.String("log-level", "info", "minimum log severity: debug, info, warn, or error")
@@ -87,14 +86,14 @@ func main() {
 	tlog.SetLevel(min)
 	tlog.SetOutput(os.Stderr)
 
-	if err := run(*addr, *dataPath, *snapPath, *length, *k, *space, *cache, *shards, *retain, *refresh, *pprof, *slow, *backing, *cachePgs); err != nil {
+	if err := run(*addr, *dataPath, *snapPath, *length, *k, *space, *cache, *shards, *retain, *pprof, *slow, *backing, *cachePgs); err != nil {
 		fmt.Fprintln(os.Stderr, "tsqd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize, shards, retain, refresh int, pprofAddr string, slow time.Duration, backing string, cachePages int) error {
-	db, origin, err := loadDB(dataPath, snapPath, length, k, space, shards, refresh, backing, cachePages)
+func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize, shards, retain int, pprofAddr string, slow time.Duration, backing string, cachePages int) error {
+	db, origin, err := loadDB(dataPath, snapPath, length, k, space, shards, backing, cachePages)
 	if err != nil {
 		return err
 	}
@@ -173,7 +172,7 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 // shard count (and means 1 for fresh stores); n >= 1 forces n shards —
 // re-sharding a snapshot on load is always possible because partition
 // assignment is a pure hash of the series name.
-func loadDB(dataPath, snapPath string, length, k int, space string, shards, refresh int, backing string, cachePages int) (*tsq.DB, string, error) {
+func loadDB(dataPath, snapPath string, length, k int, space string, shards int, backing string, cachePages int) (*tsq.DB, string, error) {
 	if snapPath != "" {
 		f, err := os.Open(snapPath)
 		switch {
@@ -196,7 +195,7 @@ func loadDB(dataPath, snapPath string, length, k int, space string, shards, refr
 		if err != nil {
 			return nil, "", err
 		}
-		db, err := openEmpty(len(batch[0].Values), k, space, shards, refresh, backing, cachePages)
+		db, err := openEmpty(len(batch[0].Values), k, space, shards, backing, cachePages)
 		if err != nil {
 			return nil, "", err
 		}
@@ -210,20 +209,20 @@ func loadDB(dataPath, snapPath string, length, k int, space string, shards, refr
 	if length <= 0 {
 		return nil, "", fmt.Errorf("-length is required when starting without -data or an existing snapshot")
 	}
-	db, err := openEmpty(length, k, space, shards, refresh, backing, cachePages)
+	db, err := openEmpty(length, k, space, shards, backing, cachePages)
 	if err != nil {
 		return nil, "", err
 	}
 	return db, "empty store", nil
 }
 
-func openEmpty(length, k int, space string, shards, refresh int, backing string, cachePages int) (*tsq.DB, error) {
+func openEmpty(length, k int, space string, shards int, backing string, cachePages int) (*tsq.DB, error) {
 	sp, err := tsq.ParseSpace(space)
 	if err != nil {
 		return nil, err
 	}
 	return tsq.Open(tsq.Options{
-		Length: length, K: k, Space: sp, Shards: shards, RefreshEvery: refresh,
+		Length: length, K: k, Space: sp, Shards: shards,
 		Backing: backing, CachePages: cachePages,
 	})
 }

@@ -3,85 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
-	"repro/internal/dft"
 	"repro/internal/feature"
 	"repro/internal/geom"
-	"repro/internal/relation"
-	"repro/internal/series"
-	"repro/internal/stream"
-	"repro/internal/telemetry"
 	"repro/internal/transform"
 )
-
-// spectrumRefreshEvery is the default bound on how many appended points a
-// series' stored spectrum record may lag behind its window before Append
-// rewrites it with the exact FFT (Options.SpectrumRefreshEvery overrides
-// it). Between refreshes the record is marked stale and every read of the
-// series' spectrum derives it on demand from the window (the same
-// canonical computation, so answers never change) — the ingest path thus
-// amortizes the O(n log n) FFT over many O(K) appends.
-const spectrumRefreshEvery = 32
-
-// Bounds and recomputation period of the adaptive refresh cadence (the
-// default when Options.SpectrumRefreshEvery is not pinned). The cadence
-// slides between eager (4, read-heavy stores: reads then always hit fresh
-// records and skip on-demand derivation) and lazy (256, append-heavy
-// stores: the O(n log n) FFT amortizes over many O(K) appends), retuned
-// from the store's cumulative query/append counters every
-// adaptiveRefreshPeriod appended points. Answers are byte-identical at
-// any cadence — only where the FFT cost lands changes.
-const (
-	adaptiveRefreshMin    = 4
-	adaptiveRefreshMax    = 256
-	adaptiveRefreshPeriod = 256
-)
-
-// refreshCadence returns the shard's current spectrum-refresh bound: the
-// pinned Options.SpectrumRefreshEvery when positive, otherwise the
-// adaptive cadence.
-func (sh *shard) refreshCadence() int {
-	if sh.refreshEvery > 0 {
-		return sh.refreshEvery
-	}
-	return int(sh.adaptiveRefresh.Load())
-}
-
-// retuneRefreshCadence recomputes the adaptive cadence from the observed
-// workload mix: the append share of all hot-path operations interpolates
-// the cadence between the eager and lazy bounds.
-func (sh *shard) retuneRefreshCadence() {
-	a := float64(sh.appendCount.Load())
-	q := float64(sh.queryCount.Load())
-	if a+q <= 0 {
-		return
-	}
-	every := adaptiveRefreshMin + int(a/(a+q)*float64(adaptiveRefreshMax-adaptiveRefreshMin))
-	if every < adaptiveRefreshMin {
-		every = adaptiveRefreshMin
-	}
-	if every > adaptiveRefreshMax {
-		every = adaptiveRefreshMax
-	}
-	sh.adaptiveRefresh.Store(int64(every))
-}
-
-// streamState is the per-series streaming bookkeeping: the incremental
-// window tracker plus the staleness of the stored spectrum record.
-type streamState struct {
-	tr *stream.Tracker
-	// specStale marks the freqRel record as lagging the window.
-	specStale bool
-	// sinceRefresh counts appended points since the record was rewritten.
-	sinceRefresh int
-	// derived memoizes the on-demand spectrum of the current window while
-	// the record is stale, so repeated reads between appends pay the FFT
-	// once. Atomic because readers under shared locks memoize
-	// concurrently; racing derivations store identical bits, so whichever
-	// pointer wins is equivalent. Cleared by every append.
-	derived atomic.Pointer[[]complex128]
-}
 
 // AppendInfo reports what one Append committed.
 type AppendInfo struct {
@@ -100,30 +26,23 @@ type AppendInfo struct {
 
 // appendPoints slides a stored series' window forward by the given points: the
 // oldest len(points) values fall off the front, the new points arrive at
-// the back, and the series keeps its length, name, and ID. This is the
-// streaming-ingest fast path the whole-series Insert/Update pair cannot
-// provide:
+// the back, and the series keeps its length, name, and ID. It is the
+// in-place form of an insert: the committed window is read back from the
+// time relation, shifted, and put through derive — the one derivation
+// insertAt runs, on the same bits — so every stored artifact of the record
+// (window, spectrum pages, resident head, feature point) is current and
+// history-free after every append, and a series built by appends is
+// bit-identical to the same window inserted whole. What the append saves
+// over Update's remove + insert is the storage and the index work:
 //
-//   - the feature point (mean, std, X_1..X_K of the normal form) is
-//     maintained incrementally by a sliding-DFT recurrence in O(K) per
-//     point (stream.Tracker), not re-extracted with O(n*K) trigonometry;
+//   - both records are overwritten in place (relation.Replace), so storage
+//     does not grow and no pages are orphaned;
 //   - the R*-tree entry moves in place when the feature drifted little
-//     (rtree.Tree.Update), instead of a delete + reinsert;
-//   - the raw window is overwritten in place (relation.Replace), so
-//     storage does not grow and no pages are orphaned;
-//   - the full-spectrum record is refreshed with the exact FFT only every
-//     spectrumRefreshEvery appended points; in between it is marked stale
-//     and reads derive the exact spectrum on demand (staleSpectrum).
-//
-// Every spectrum a query ever observes — whether decoded from a fresh
-// record or derived on demand from a stale one — is the same canonical
-// computation the insert path runs on the same window bits, so a series
-// built by appends answers every query byte-identically to the same
-// window inserted whole.
+//     (rtree.Tree.Update), instead of a delete + reinsert — the index move
+//     is about three fifths of an append's cost, the derivation a third.
 //
 // Appending more points than the window holds is allowed; only the last
-// n survive, but every point still passes through the tracker so the
-// recurrence state stays exact.
+// n survive.
 func (sh *shard) appendPoints(name string, points []float64) (AppendInfo, error) {
 	id, ok := sh.byName[name]
 	if !ok {
@@ -137,38 +56,30 @@ func (sh *shard) appendPoints(name string, points []float64) (AppendInfo, error)
 			return AppendInfo{}, fmt.Errorf("core: append to %q has non-finite value at position %d", name, i)
 		}
 	}
-	st, err := sh.streamStateFor(id)
+	window, err := sh.timeRel.Get(id)
 	if err != nil {
 		return AppendInfo{}, err
 	}
-	for _, x := range points {
-		st.tr.Append(x)
+	if n := len(window); len(points) >= n {
+		copy(window, points[len(points)-n:])
+	} else {
+		copy(window, window[len(points):])
+		copy(window[n-len(points):], points)
 	}
-	window := st.tr.Window()
+	newPoint, spec, err := sh.derive(window)
+	if err != nil {
+		return AppendInfo{}, err
+	}
 
-	// Commit the raw window in place (same-length records never change
-	// size), then the spectrum record — eagerly on the refresh cadence,
-	// otherwise just mark it stale.
+	// Commit both records in place (same-length records never change
+	// size), then the index: an in-place entry move when the point stayed
+	// inside its leaf region.
 	if err := sh.timeRel.Replace(id, window); err != nil {
 		return AppendInfo{}, err
 	}
-	st.specStale = true
-	st.derived.Store(nil)
-	st.sinceRefresh += len(points)
-	total := sh.appendCount.Add(uint64(len(points)))
-	if sh.refreshEvery <= 0 && total%adaptiveRefreshPeriod < uint64(len(points)) {
-		sh.retuneRefreshCadence()
+	if err := sh.freqRel.Replace(id, spec); err != nil {
+		return AppendInfo{}, err
 	}
-	if st.sinceRefresh >= sh.refreshCadence() {
-		if err := sh.refreshSpectrum(id, st, window); err != nil {
-			return AppendInfo{}, err
-		}
-	}
-
-	// Commit the index: incremental feature point, in-place entry move
-	// when it stayed inside its leaf region.
-	mean, std := st.tr.Moments()
-	newPoint := sh.schema.Point(mean, std, st.tr.Coeffs())
 	rec := sh.rec(id)
 	inPlace, found := sh.idx.Update(id, rec.point, newPoint)
 	if !found {
@@ -176,57 +87,6 @@ func (sh *shard) appendPoints(name string, points []float64) (AppendInfo, error)
 	}
 	rec.point = newPoint
 	return AppendInfo{ID: id, Point: newPoint.Clone(), InPlace: inPlace}, nil
-}
-
-// refreshSpectrum rewrites the stored spectrum record from the window —
-// the exact computation the insert path runs — and clears staleness.
-func (sh *shard) refreshSpectrum(id int64, st *streamState, window []float64) error {
-	spec := dft.TransformReal(series.NormalForm(window))
-	if err := sh.freqRel.Replace(id, relation.EncodeComplex(relation.Permute(spec, sh.perm))); err != nil {
-		return err
-	}
-	st.specStale = false
-	st.sinceRefresh = 0
-	st.derived.Store(nil)
-	if telemetry.Enabled() {
-		telemetry.Count("tsq_spectrum_refreshes_total").Inc()
-	}
-	return nil
-}
-
-// flushSpectra rewrites every stale spectrum record, so operations that
-// read records wholesale (compact) see fresh pages.
-func (sh *shard) flushSpectra() error {
-	for _, id := range sh.ids {
-		st := *sh.stream(id)
-		if st == nil || !st.specStale {
-			continue
-		}
-		if err := sh.refreshSpectrum(id, st, st.tr.Window()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// streamStateFor returns the series' streaming state, materializing the
-// tracker from the stored values on the first append (so series loaded
-// from snapshots or bulk loads are appendable with no special setup).
-func (sh *shard) streamStateFor(id int64) (*streamState, error) {
-	st := sh.stream(id)
-	if *st != nil {
-		return *st, nil
-	}
-	values, err := sh.timeRel.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := stream.NewTracker(values, sh.schema.K)
-	if err != nil {
-		return nil, err
-	}
-	*st = &streamState{tr: tr}
-	return *st, nil
 }
 
 // checkWithin verifies a single stored series against a range query

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/plan"
+	"repro/internal/relation"
 	"repro/internal/transform"
 )
 
@@ -182,11 +184,10 @@ func newEngine(t *testing.T, length, shards int) Engine {
 
 // TestAppendParityJoins pins the join paths — including the sharded scan
 // join, which reads spectra from worker goroutines — on stores whose
-// spectrum records are deliberately stale (fewer appended points than the
-// refresh cadence, so every join must derive spectra on demand).
+// spectrum records were rewritten by appends.
 func TestAppendParityJoins(t *testing.T) {
 	const windowLen = 32
-	walks := appendWalks(24, windowLen+5, 17) // 5 appends < spectrumRefreshEvery
+	walks := appendWalks(24, windowLen+5, 17)
 	tr := transform.MovingAverage(windowLen, 4)
 	for _, shards := range []int{1, 4} {
 		streamed, whole := newEngine(t, windowLen, shards), newEngine(t, windowLen, shards)
@@ -218,7 +219,7 @@ func TestAppendParityJoins(t *testing.T) {
 				t.Fatalf("shards=%d %s: whole: %v", shards, tc.label, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d %s: streamed store diverges on stale spectra:\n got %+v\nwant %+v", shards, tc.label, got, want)
+				t.Errorf("shards=%d %s: streamed store diverges from whole-insert store:\n got %+v\nwant %+v", shards, tc.label, got, want)
 			}
 		}
 	}
@@ -429,88 +430,150 @@ func TestPrefilterSound(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCadenceSeesEveryRead: the adaptive refresh cadence is retuned
-// from each store's own read/append mix, so a read must be counted by the
-// store that does the work — every shard of a fan-out, under forced plans
-// and planner-chosen ones alike. A read-heavy stream pulls every shard's
-// cadence below its start (10 reads per one-point append: 4 + 252/11 = 26
-// at shards 1, lower at shards 4 where each shard sees every read and a
-// quarter of the appends), an append-only one pushes it to the lazy bound,
-// and the answers are byte-identical either way.
-func TestAdaptiveCadenceSeesEveryRead(t *testing.T) {
-	const (
-		windowLen     = 32
-		series        = 24
-		appends       = 2048 // >= adaptiveRefreshPeriod per shard at shards 4
-		readsPerWrite = 10
-	)
-	walks := appendWalks(series, windowLen+(appends+series-1)/series, 29)
-	id := transform.Identity(windowLen)
-	mavg := transform.MovingAverage(windowLen, 4)
-	for _, shards := range []int{1, 4} {
-		run := func(reads bool) Engine {
-			eng := newEngine(t, windowLen, shards)
-			for i, w := range walks {
-				if _, err := eng.Insert(fmt.Sprintf("W%04d", i), w[:windowLen]); err != nil {
+// TestAppendBoundaryParity is TestMirrorBoundaryParity on a store whose
+// every series reached its window through appends, from a past it must not
+// remember: each is inserted as 1e5*N(0,1) junk, takes 0, 64 or 186 more
+// junk points one at a time, and then its 64 real values one at a time. A
+// feature point carried forward across those slides — rather than derived
+// from the window it describes — sits 1e-7 from the spectrum verification
+// reads, and at eps on a twin's own distance the index then dismisses what
+// the scan returns.
+func TestAppendBoundaryParity(t *testing.T) {
+	boundarySuite(t, func(t *testing.T, eng Engine, names []string, values [][]float64) {
+		rng := rand.New(rand.NewSource(mirrorSeed + 1))
+		junk := func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = 1e5 * rng.NormFloat64()
+			}
+			return out
+		}
+		for _, name := range names {
+			if _, err := eng.Insert(name, junk(boundaryLen)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, name := range names {
+			for _, x := range append(junk([]int{0, 64, 186}[i%3]), values[i]...) {
+				if _, err := eng.Append(name, []float64{x}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for a := 0; a < appends; a++ {
-				i := a % series
-				var err error
-				if _, err = eng.Append(fmt.Sprintf("W%04d", i), walks[i][windowLen+a/series:][:1]); err != nil {
-					t.Fatal(err)
-				}
-				for r := 0; reads && r < readsPerWrite; r++ {
-					q := walks[(a+r)%series][:windowLen]
-					// Forced index, forced scan and the planner's choice in
-					// turn: all three are reads.
-					want := []plan.Strategy{plan.Index, plan.ScanFreq, plan.Auto}[r%3]
-					if r%2 == 0 {
-						_, _, err = forcedRange(eng, RangeQuery{Values: q, Eps: 2, Transform: id}, want)
-					} else {
-						_, _, err = forcedNN(eng, NNQuery{Values: q, K: 3, Transform: id}, want)
+		}
+	})
+}
+
+// TestAppendEqualsInsert: an append is an insert of the new window, in
+// place. After a random script of appends of 1..600 points, everything the
+// store holds about a series — window, feature point, spectrum, resident
+// head — has the bits a fresh store given the final windows by Insert has,
+// and the two snapshots agree byte for byte up to the packed trees (whose
+// shape is the one thing that remembers the route).
+func TestAppendEqualsInsert(t *testing.T) {
+	seed := int64(20261003)
+	t.Logf("seed %d", seed)
+	const count, n = 40, 64
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	cbits := func(v []complex128) []uint64 { return bits(relation.EncodeComplex(v)) }
+	for _, shards := range []int{1, 4} {
+		for _, disk := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/disk=%t", shards, disk), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed + int64(shards)))
+				open := func() Engine {
+					opts := Options{PageSize: 256}
+					if disk {
+						opts.Backing, opts.CachePages = t.TempDir(), 16
 					}
-					if err != nil {
+					return newTestEngine(t, n, shards, opts)
+				}
+				appended, fresh := open(), open()
+				names := make([]string, count)
+				final := make(map[string][]float64, count)
+				for i := range names {
+					names[i] = fmt.Sprintf("S%03d", i)
+					final[names[i]] = dataset.RandomWalk(rng, n)
+					if _, err := appended.Insert(names[i], final[names[i]]); err != nil {
 						t.Fatal(err)
 					}
 				}
-			}
-			return eng
-		}
-		busy, quiet := run(true), run(false)
-		for si, sh := range shardsOf(busy) {
-			if got := sh.refreshCadence(); got >= spectrumRefreshEvery {
-				t.Errorf("shards=%d shard %d: cadence %d after a %d:1 read:append mix (queries=%d appends=%d), want below the %d start",
-					shards, si, got, readsPerWrite, sh.queryCount.Load(), sh.appendCount.Load(), spectrumRefreshEvery)
-			}
-		}
-		for si, sh := range shardsOf(quiet) {
-			if got := sh.refreshCadence(); got != adaptiveRefreshMax {
-				t.Errorf("shards=%d shard %d: cadence %d after an append-only run, want %d", shards, si, got, adaptiveRefreshMax)
-			}
-		}
-		q := walks[5][:windowLen]
-		for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
-			a, _, err := forcedRange(busy, RangeQuery{Values: q, Eps: 6, Transform: mavg, BothSides: true}, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _, err := forcedRange(quiet, RangeQuery{Values: q, Eps: 6, Transform: mavg, BothSides: true}, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			na, _, err := forcedNN(busy, NNQuery{Values: q, K: 7, Transform: id}, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nb, _, err := forcedNN(quiet, NNQuery{Values: q, K: 7, Transform: id}, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) == 0 || !reflect.DeepEqual(a, b) || !reflect.DeepEqual(na, nb) {
-				t.Errorf("shards=%d %v: answers differ between the eager and the lazy cadence:\n range %v\n    vs %v\n nn %v\n vs %v", shards, want, a, b, na, nb)
-			}
+				for step := 0; step < 400; step++ {
+					name := names[rng.Intn(count)]
+					size := 1 + rng.Intn(8)
+					if rng.Intn(10) == 0 {
+						size = 1 + rng.Intn(600)
+					}
+					pts, last := make([]float64, size), final[name][n-1]
+					for i := range pts {
+						last += rng.NormFloat64()
+						pts[i] = last
+					}
+					if _, err := appended.Append(name, pts); err != nil {
+						t.Fatal(err)
+					}
+					w := append(final[name], pts...)
+					final[name] = w[len(w)-n:]
+				}
+				for _, name := range names {
+					if _, err := fresh.Insert(name, final[name]); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				head := func(e Engine, name string, id int64) []complex128 {
+					rv, err := shardsOf(e)[e.ShardOf(name)].freqRel.View(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rv.Head
+				}
+				for i, name := range names {
+					id := mustID(t, appended, name)
+					if fid := mustID(t, fresh, name); id != int64(i) || fid != id {
+						t.Fatalf("%s has id %d after appends, %d inserted fresh", name, id, fid)
+					}
+					a, _ := appended.Series(id)
+					f, _ := fresh.Series(id)
+					if !reflect.DeepEqual(bits(a), bits(f)) || !reflect.DeepEqual(bits(a), bits(final[name])) {
+						t.Fatalf("%s: window differs:\n appended %v\n fresh    %v", name, a, f)
+					}
+					ap, _ := appended.FeaturePoint(id)
+					fp, _ := fresh.FeaturePoint(id)
+					if !reflect.DeepEqual(bits(ap), bits(fp)) {
+						t.Fatalf("%s: feature point differs:\n appended %v\n fresh    %v", name, ap, fp)
+					}
+					aq, _ := appended.QueryPrep(id)
+					fq, _ := fresh.QueryPrep(id)
+					if !reflect.DeepEqual(cbits(aq.Spectrum), cbits(fq.Spectrum)) {
+						t.Fatalf("%s: stored spectrum differs", name)
+					}
+					ah, fh := head(appended, name, id), head(fresh, name, id)
+					if len(ah) != relation.HeadCoeffs || !reflect.DeepEqual(cbits(ah), cbits(fh)) {
+						t.Fatalf("%s: resident head differs:\n appended %v\n fresh    %v", name, ah, fh)
+					}
+				}
+
+				// Header, series records and DERV: everything before "SLAB".
+				prefix := 18 + 4 + count*(2+len(names[0])+8*n) + count*8*(appended.Schema().Dims()+2*n)
+				var ab, fb bytes.Buffer
+				if _, err := appended.WriteTo(&ab); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fresh.WriteTo(&fb); err != nil {
+					t.Fatal(err)
+				}
+				if string(ab.Bytes()[prefix:prefix+4]) != "SLAB" {
+					t.Fatalf("byte %d of the snapshot is not where SLAB starts", prefix)
+				}
+				if !bytes.Equal(ab.Bytes()[:prefix], fb.Bytes()[:prefix]) {
+					t.Fatal("snapshots differ in the series or DERV sections")
+				}
+			})
 		}
 	}
 }

@@ -124,11 +124,11 @@ func defaultRung(n int) int {
 // it — head first, pages only past it (the ladder's first rungs, 8 and 16,
 // both fall inside the head).
 func (sh *shard) verifyFreqApprox(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64, nnMode bool) (within bool, dist, bound float64, err error) {
-	head, rv, err := sh.openSpec(id)
+	rv, err := sh.freqRel.View(id)
 	if err != nil {
 		return false, 0, 0, err
 	}
-	return sh.ladderWalk(p, st, &ar.pages, head, rv, eps, nnMode)
+	return sh.ladderWalk(p, st, &ar.pages, rv.Head, rv, eps, nnMode)
 }
 
 // ladder is the running state of one ladder walk: the squared distance and
@@ -179,7 +179,7 @@ func (w *ladder) rung(p *rangePlan, st *ExecStats, terms int, eps float64, nnMod
 }
 
 // ladderWalk is the approximate tier's verification walk over an opened
-// record (openSpec): the exact early-abandoning coefficient loop of
+// record: the exact early-abandoning coefficient loop of
 // verifyFreq — resident prefix as a plain slice, then the pinned tail —
 // with residual-energy upper-bound checks at ladder rungs. nnMode selects
 // the accept rule (see the file comment). It returns the candidate's

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkCandidateReach times the path from a candidate's id to its
-// spectrum head — directory, slot, staleness check, slab — which is what
+// spectrum head — directory, slot, slab — which is what
 // every Lemma 1 candidate and every scanned row pays before its first
 // distance term. Ids arrive in random order, as an index traversal hands
 // them over. "dense" is a single store holding every id; "mod4" is one
@@ -60,11 +60,11 @@ func BenchmarkCandidateReach(b *testing.B) {
 			b.Run(c.pattern+"/"+backing, func(b *testing.B) {
 				var sum float64
 				for i := 0; i < b.N; i++ {
-					head, _, err := c.db.openSpec(ids[i%len(ids)])
+					rv, err := c.db.freqRel.View(ids[i%len(ids)])
 					if err != nil {
 						b.Fatal(err)
 					}
-					sum += real(head[0])
+					sum += real(rv.Head[0])
 				}
 				reachSink = sum
 			})

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/dft"
 	"repro/internal/geom"
 	"repro/internal/index"
-	"repro/internal/relation"
 	"repro/internal/rtree"
-	"repro/internal/series"
 )
 
 // loadBulk fills an empty shard with its partition of a bulk load, which
@@ -39,7 +36,6 @@ func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, point
 	sh.timeRel.Reserve(len(names))
 	sh.freqRel.Reserve(len(names))
 	sh.recs = slices.Grow(sh.recs, len(names))
-	sh.streams = slices.Grow(sh.streams, len(names))
 	sh.ids = slices.Grow(sh.ids, len(names))
 	// Raw records transfer ownership (InsertOwned): the snapshot read
 	// allocated them for this load, so a memory-backed relation adopts
@@ -61,8 +57,7 @@ func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, point
 			}
 			err = sh.freqRel.InsertOwned(id, specs[i])
 		} else {
-			spec := dft.TransformReal(series.NormalForm(values[i]))
-			err = sh.freqRel.Insert(id, relation.EncodeComplex(relation.Permute(spec, sh.perm)))
+			err = sh.freqRel.Insert(id, sh.encodeSpectrum(values[i]))
 		}
 		if err != nil {
 			return err

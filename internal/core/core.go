@@ -29,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dft"
@@ -55,7 +54,7 @@ type Options struct {
 	// index candidates (ablation; Lemma 1 soundness is unaffected either
 	// way, only the number of verified candidates changes).
 	DisablePartialPrune bool
-	// BufferPoolPages, when positive, routes relation reads through LRU
+	// BufferPoolPages, when positive, routes relation reads through clock
 	// buffer pools of this many pages each (time- and frequency-domain
 	// relations get one pool apiece). ExecStats.PageReads then counts
 	// physical reads — pool misses — as a 1997 buffer manager would.
@@ -73,16 +72,6 @@ type Options struct {
 	// Backing is set; <= 0 selects relation.DefaultDiskCachePages. The
 	// time- and frequency-domain relations get one pool apiece.
 	CachePages int
-	// SpectrumRefreshEvery bounds how many appended points a series'
-	// stored spectrum record may lag its window before Append rewrites it
-	// with the exact FFT. 1 refreshes on every append — cheapest reads,
-	// costliest ingest; larger values amortize the O(n log n) FFT over
-	// more O(K) appends at the price of on-demand spectrum derivation for
-	// reads of stale series. <= 0 (the default) selects the adaptive
-	// cadence: the store watches its own query/append mix and slides the
-	// bound between 4 (read-heavy) and 256 (append-heavy), starting from
-	// 32. Answers are byte-identical at any cadence.
-	SpectrumRefreshEvery int
 }
 
 // shard is one partition of a Store: a k-index, the two paged relations and
@@ -101,36 +90,22 @@ type shard struct {
 	freqRel *relation.Relation
 	// recs holds what the shard keeps per record beside the relations,
 	// indexed by the record's slot in freqRel (relation.View.Slot): a
-	// candidate's spectrum head, streaming state and name are all one
-	// directory lookup away. streams is the same table's one hot column,
-	// kept apart so the check every candidate makes ("is this record's
-	// stored spectrum current?") reads 8 bytes of a dense array and not a
-	// line of 48-byte records. Like the directory both are derived state,
-	// rebuilt by every load and by Compact.
-	recs    []record
-	streams []*streamState
-	byName  map[string]int64
-	ids     []int64 // live IDs, arbitrary order (swap-delete)
-	perm    []int   // energy-order permutation for length-n spectra
+	// candidate's spectrum head and name are both one directory lookup
+	// away. Like the directory it is derived state, rebuilt by every load
+	// and by Compact.
+	recs   []record
+	byName map[string]int64
+	ids    []int64 // live IDs, arbitrary order (swap-delete)
+	perm   []int   // energy-order permutation for length-n spectra
 	// identA/identB are the permuted identity-transform coefficient
 	// vectors (all ones / all zeros — invariant under any permutation),
 	// shared read-only by every identity-transform plan so the hot
 	// planning path skips two O(n) allocations per query.
 	identA, identB []complex128
-	// refreshEvery is the resolved spectrum-refresh cadence (see
-	// Options.SpectrumRefreshEvery).
-	refreshEvery int
 	// gen numbers the relation generations of a disk-backed shard: Compact
 	// builds generation gen+1's page files alongside the live pair before
 	// swapping, so scratch file names never collide.
 	gen int
-	// queryCount and appendCount drive the adaptive spectrum-refresh
-	// cadence (see refreshCadence in append.go): hot-path executions bump
-	// queryCount, appends bump appendCount.
-	queryCount  atomic.Uint64
-	appendCount atomic.Uint64
-	// adaptiveRefresh caches the adaptive cadence between recomputations.
-	adaptiveRefresh atomic.Int64
 }
 
 // record is one stored series' entry in shard.recs. A deleted series keeps
@@ -151,20 +126,10 @@ func (sh *shard) rec(id int64) *record {
 	return &sh.recs[slot]
 }
 
-// stream returns the slot of shard.streams for a live id: the incremental
-// sliding-window state of a series that has been appended to (see Append),
-// materialized lazily on the first append and dropped when the series is
-// deleted or replaced.
-func (sh *shard) stream(id int64) **streamState {
-	slot, _ := sh.freqRel.Slot(id)
-	return &sh.streams[slot]
-}
-
 // addRecord enters a series just stored in both relations: its record
 // takes the slot freqRel gave it, the next one.
 func (sh *shard) addRecord(id int64, name string, p geom.Point) {
 	sh.recs = append(sh.recs, record{name: name, point: p, pos: int32(len(sh.ids))})
-	sh.streams = append(sh.streams, nil)
 	sh.byName[name] = id
 	sh.ids = append(sh.ids, id)
 }
@@ -203,10 +168,6 @@ func newShard(length int, opts Options) (*shard, error) {
 		identA:  transform.Identity(length).A,
 		identB:  transform.Identity(length).B,
 	}
-	// refreshEvery <= 0 keeps the adaptive cadence (refreshCadence);
-	// positive values pin it.
-	sh.refreshEvery = opts.SpectrumRefreshEvery
-	sh.adaptiveRefresh.Store(spectrumRefreshEvery)
 	if opts.BufferPoolPages > 0 && opts.Backing == "" {
 		if err := sh.timeRel.AttachPool(opts.BufferPoolPages); err != nil {
 			return nil, err
@@ -292,7 +253,7 @@ func (sh *shard) name(id int64) string {
 // the feature extraction, and the query FFT that a literal query series
 // pays, without changing the plan — the point is the one the record is
 // indexed under, and the spectrum is bit-identical to what querySpectrum
-// would recompute (see staleSpectrum). ok is false when the id is not a
+// would recompute. ok is false when the id is not a
 // live series.
 func (sh *shard) queryPrep(id int64) (*QueryPrep, bool) {
 	r := sh.rec(id)
@@ -322,13 +283,32 @@ func (sh *shard) validateInsert(name string, values []float64) error {
 	return nil
 }
 
+// derive computes everything a shard stores about a window beside the
+// window: the feature point it is indexed under and the encoded
+// energy-ordered spectrum record. insertAt and appendPoints both write what
+// it returns, which is why an appended series equals the same window
+// inserted whole bit for bit.
+func (sh *shard) derive(values []float64) (geom.Point, []float64, error) {
+	p, err := sh.schema.Extract(values)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, sh.encodeSpectrum(values), nil
+}
+
+// encodeSpectrum returns the frequency relation's record for a series: its
+// querySpectrum, encoded.
+func (sh *shard) encodeSpectrum(values []float64) []float64 {
+	return relation.EncodeComplex(sh.querySpectrum(values))
+}
+
 // insertAt indexes and stores a series under the ID the store assigned it —
 // unused, and unique across every shard for the store's lifetime.
 func (sh *shard) insertAt(id int64, name string, values []float64) error {
 	if err := sh.validateInsert(name, values); err != nil {
 		return err
 	}
-	p, err := sh.schema.Extract(values)
+	p, spec, err := sh.derive(values)
 	if err != nil {
 		return err
 	}
@@ -338,8 +318,7 @@ func (sh *shard) insertAt(id int64, name string, values []float64) error {
 	if err := sh.timeRel.Insert(id, values); err != nil {
 		return err
 	}
-	spec := dft.TransformReal(series.NormalForm(values))
-	if err := sh.freqRel.Insert(id, relation.EncodeComplex(relation.Permute(spec, sh.perm))); err != nil {
+	if err := sh.freqRel.Insert(id, spec); err != nil {
 		return err
 	}
 	sh.addRecord(id, name, p)
@@ -368,25 +347,8 @@ func (sh *shard) remove(name string) (int64, bool) {
 	sh.ids[r.pos] = moved
 	sh.rec(moved).pos = r.pos
 	sh.ids = sh.ids[:last]
-	*r, *sh.stream(id) = record{}, nil
+	*r = record{}
 	return id, true
-}
-
-// staleSpectrum returns the energy-ordered normal-form spectrum of a
-// series whose stored record lags its window (streaming appends defer the
-// FFT refresh), derived on demand with the exact computation the insert
-// path runs — so observed spectra are bit-identical either way. ok is
-// false when the stored record is current.
-func (sh *shard) staleSpectrum(st *streamState) ([]complex128, bool) {
-	if st == nil || !st.specStale {
-		return nil, false
-	}
-	if p := st.derived.Load(); p != nil {
-		return *p, true
-	}
-	spec := relation.Permute(dft.TransformReal(series.NormalForm(st.tr.Window())), sh.perm)
-	st.derived.Store(&spec)
-	return spec, true
 }
 
 // spectrum fetches the energy-ordered normal-form spectrum of a stored
@@ -397,9 +359,6 @@ func (sh *shard) spectrum(id int64) ([]complex128, error) {
 	rv, err := sh.freqRel.View(id)
 	if err != nil {
 		return nil, err
-	}
-	if spec, ok := sh.staleSpectrum(sh.streams[rv.Slot]); ok {
-		return spec, nil
 	}
 	out := make([]complex128, sh.length)
 	if copy(out, rv.Head) == len(out) {
@@ -416,32 +375,18 @@ func (sh *shard) spectrum(id int64) ([]complex128, error) {
 	return out, nil
 }
 
-// openSpec opens a stored spectrum the way every distance loop reads it:
-// a resident prefix to walk as a plain slice, and the view the rest of the
-// record is pinned through (pinTail) by the first term past the prefix and
-// not before. The prefix is the frequency relation's head (the first
-// relation.HeadCoeffs energy-ordered coefficients), or, for a record whose
-// stored spectrum lags its streamed window, the whole spectrum derived in
-// memory, which never needs pages. A loop that abandons inside the prefix
-// therefore costs the directory lookup and a sequential read of the slab:
-// no hash probe, no buffer-pool mutex, no frame map, no pread, no pin.
-// Terms come back in the same order with the same values either way, so a
-// running sum carries across the boundary unchanged.
-func (sh *shard) openSpec(id int64) (head []complex128, rv relation.View, err error) {
-	rv, err = sh.freqRel.View(id)
-	if err != nil {
-		return nil, rv, err
-	}
-	if spec, ok := sh.staleSpectrum(sh.streams[rv.Slot]); ok {
-		return spec, rv, nil
-	}
-	return rv.Head, rv, nil
-}
-
-// pinTail pins the pages of an opened record and returns a cursor on its
-// coefficient `from`. pbuf is a caller-owned page-view buffer (typically an
-// arena's) so the hot loop faults records in without allocating; nil
-// allocates. The caller gives the pins back with freqRel.ReleaseView(rv).
+// pinTail pins the pages of a viewed record and returns a cursor on its
+// coefficient `from`. Every distance loop reads a stored spectrum the same
+// way: the view's resident head (the first relation.HeadCoeffs
+// energy-ordered coefficients) as a plain slice, and the rest through
+// pinTail by the first term past the head and not before — so a loop that
+// abandons inside the head costs the directory lookup and a sequential read
+// of the slab: no hash probe, no buffer-pool mutex, no frame map, no pread,
+// no pin. Terms come back in the same order with the same values either
+// way, so a running sum carries across the boundary unchanged. pbuf is a
+// caller-owned page-view buffer (typically an arena's) so the hot loop
+// faults records in without allocating; nil allocates. The caller gives the
+// pins back with freqRel.ReleaseView(rv).
 func (sh *shard) pinTail(rv relation.View, pbuf *[][]byte, from int) (relation.Cursor, error) {
 	var buf [][]byte
 	if pbuf != nil {
@@ -476,9 +421,9 @@ type ExecStats struct {
 	// verification.
 	Candidates int
 	// HeadResolved is the number of those candidates verification decided
-	// from resident memory — abandoned inside the spectrum head (or served
-	// from a streamed record's derived spectrum) — so Candidates minus
-	// HeadResolved is the number of records whose pages were opened.
+	// from resident memory — abandoned inside the spectrum head — so
+	// Candidates minus HeadResolved is the number of records whose pages
+	// were opened.
 	// Time-domain verification (warped queries, the naive scan) reads every
 	// record and resolves none here.
 	HeadResolved int
@@ -574,10 +519,11 @@ func (sh *shard) querySpectrum(q []float64) []complex128 {
 // DistanceTerms and HeadResolved into st. pbuf is the page-view buffer the
 // tail is pinned into (see pinTail).
 func (sh *shard) verifyFreq(st *ExecStats, pbuf *[][]byte, id int64, a, b, q []complex128, eps float64) (bool, float64, error) {
-	head, rv, err := sh.openSpec(id)
+	rv, err := sh.freqRel.View(id)
 	if err != nil {
 		return false, 0, err
 	}
+	head := rv.Head
 	limit := eps * eps
 	var sum float64
 	for f, x := range head {

@@ -1,8 +1,8 @@
 package core
 
 // The record directory at the store level. Everything a store keeps per
-// record — page ranges and heads in the relations, name, feature point,
-// position and streaming state in DB.recs/DB.streams — is indexed by the
+// record — page ranges and heads in the relations, name, feature point
+// and position in shard.recs — is indexed by the
 // record's slot, and an id reaches its slot through the frequency
 // relation's directory. These tests churn a store at random and, after
 // every single operation, compare every live series' resolved state with a
@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -54,24 +53,19 @@ func (hs *headStore) checkRecords(t *testing.T, n int, retired map[int64]bool) {
 		if !ok {
 			t.Fatalf("%s: %s (id %d) has no stored-record artifacts", hs.label, name, id)
 		}
-		// The spectrum a query observes — decoded from a current record or
-		// derived from a stale one's window — is the insert path's
-		// computation on the mirror's bits.
+		// The spectrum a query observes is the insert path's computation on
+		// the mirror's bits.
 		if want := relation.Permute(dft.TransformReal(series.NormalForm(window)), perm); !reflect.DeepEqual(prep.Spectrum, want) {
 			t.Fatalf("%s: %s (id %d) serves another record's spectrum", hs.label, name, id)
 		}
-		// The feature point is maintained incrementally under appends:
-		// equal to a fresh extraction up to the recurrence's rounding.
+		// So is the feature point, appended to or not.
 		p, _ := hs.eng.FeaturePoint(id)
 		want, err := schema.Extract(window)
 		if err != nil || !reflect.DeepEqual([]float64(p), prep.Point) {
 			t.Fatalf("%s: %s (id %d) feature point disagrees with its own prep (%v)", hs.label, name, id, err)
 		}
-		got, fresh := schema.Coeffs(p), schema.Coeffs(want)
-		for i := range got {
-			if d := got[i] - fresh[i]; math.Hypot(real(d), imag(d)) > 1e-6 {
-				t.Fatalf("%s: %s (id %d) is indexed at coefficient %d = %v, its window extracts to %v", hs.label, name, id, i, got[i], fresh[i])
-			}
+		if !reflect.DeepEqual(p, want) {
+			t.Fatalf("%s: %s (id %d) is indexed at %v, its window extracts to %v", hs.label, name, id, p, want)
 		}
 	}
 	for id := range retired {
@@ -88,15 +82,15 @@ func (hs *headStore) checkRecords(t *testing.T, n int, retired map[int64]bool) {
 	// Inside each store: the slot tables line up with the relations and with
 	// each other.
 	for si, db := range hs.dbs() {
-		if len(db.recs) != db.freqRel.Len() || len(db.streams) != len(db.recs) || len(db.byName) != len(db.ids) {
-			t.Fatalf("%s shard %d: %d records, %d stream slots, %d spectra stored; %d names for %d live ids",
-				hs.label, si, len(db.recs), len(db.streams), db.freqRel.Len(), len(db.byName), len(db.ids))
+		if len(db.recs) != db.freqRel.Len() || len(db.byName) != len(db.ids) {
+			t.Fatalf("%s shard %d: %d records, %d spectra stored; %d names for %d live ids",
+				hs.label, si, len(db.recs), db.freqRel.Len(), len(db.byName), len(db.ids))
 		}
 		live := 0
 		for slot, id := range db.freqRel.IDs() {
 			r := db.recs[slot]
 			if r.point == nil {
-				if r.name != "" || r.pos != 0 || db.streams[slot] != nil {
+				if r.name != "" || r.pos != 0 {
 					t.Fatalf("%s shard %d: dead slot %d (id %d) keeps state", hs.label, si, slot, id)
 				}
 				continue
@@ -105,9 +99,6 @@ func (hs *headStore) checkRecords(t *testing.T, n int, retired map[int64]bool) {
 			if db.byName[r.name] != id || db.ids[r.pos] != id {
 				t.Fatalf("%s shard %d: slot %d holds %s at position %d, but the catalog has id %d there and %d under that name",
 					hs.label, si, slot, r.name, r.pos, db.ids[r.pos], db.byName[r.name])
-			}
-			if st := db.streams[slot]; st != nil && !reflect.DeepEqual(st.tr.Window(), hs.live[r.name]) {
-				t.Fatalf("%s shard %d: slot %d (%s) carries another series' stream state", hs.label, si, slot, r.name)
 			}
 		}
 		if live != len(db.ids) {

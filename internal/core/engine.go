@@ -45,9 +45,9 @@ type Engine interface {
 	QueryPrep(id int64) (*QueryPrep, bool)
 
 	// Writes. Append is the streaming path: it slides a series' window
-	// forward in place (stable ID, incremental feature maintenance, in-place
-	// index and storage updates) where Update is a delete + reinsert under a
-	// fresh ID.
+	// forward in place (stable ID, in-place index and storage updates)
+	// where Update is a delete + reinsert under a fresh ID; both derive
+	// what they store exactly as Insert does.
 	Insert(name string, values []float64) (int64, error)
 	InsertBulk(names []string, values [][]float64) error
 	Update(name string, values []float64) (int64, error)

@@ -14,7 +14,7 @@ package core
 //
 // over random stores x transforms, at shards 1 and 4, resident and
 // disk-backed behind a pool of a tenth of the pages, before and after an
-// interleaving of appends (stale, then refreshed spectra), deletes,
+// interleaving of appends, deletes,
 // updates and inserts, a compaction, and snapshot round trips in every
 // format at the same and at a different shard count. Lengths 4 and 8 are
 // shorter than the head and take the H = n path. Seeds are printed for
@@ -151,28 +151,20 @@ func (hs *headStore) bruteAll(sp headSpec, q []float64) []bruteHit {
 
 // pageOnlyView opens a record the way every distance loop did before the
 // heads existed: with no resident prefix, so the first term already
-// decodes from the record's pages. (A record whose stored spectrum lags
-// its streamed window has no current pages to read; it is served from the
-// derived spectrum, as in the engine.)
-func pageOnlyView(t *testing.T, db *shard, id int64) (head []complex128, rv relation.View) {
+// decodes from the record's pages.
+func pageOnlyView(t *testing.T, db *shard, id int64) relation.View {
 	t.Helper()
-	if spec, ok := db.staleSpectrum(*db.stream(id)); ok {
-		return spec, relation.View{}
-	}
 	rv, err := db.freqRel.View(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return nil, rv
+	return rv
 }
 
 // pageOnlySpectrum decodes every coefficient of a record the reference way.
 func pageOnlySpectrum(t *testing.T, db *shard, id int64) []complex128 {
 	t.Helper()
-	head, rv := pageOnlyView(t, db, id)
-	if head != nil {
-		return head
-	}
+	rv := pageOnlyView(t, db, id)
 	cur, err := db.pinTail(rv, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +181,7 @@ func pageOnlySpectrum(t *testing.T, db *shard, id int64) []complex128 {
 func refVerify(t *testing.T, db *shard, p *rangePlan, a, b, q []complex128, id int64, eps float64, nnMode bool, st *ExecStats) (within bool, dist, bound float64) {
 	t.Helper()
 	if p != nil && p.approx() {
-		head, rv := pageOnlyView(t, db, id)
-		within, dist, bound, err := db.ladderWalk(p, st, nil, head, rv, eps, nnMode)
+		within, dist, bound, err := db.ladderWalk(p, st, nil, nil, pageOnlyView(t, db, id), eps, nnMode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,8 +398,8 @@ func sameWork(t *testing.T, label string, got, want ExecStats) {
 
 // ---- the checks ----
 
-// checkHeads is the property itself: every current record's resident head
-// is the head of its pages.
+// checkHeads is the property itself: every record's resident head is the
+// head of its pages.
 func (hs *headStore) checkHeads(t *testing.T) {
 	t.Helper()
 	for si, db := range hs.dbs() {
@@ -417,9 +408,6 @@ func (hs *headStore) checkHeads(t *testing.T) {
 			want = relation.HeadCoeffs
 		}
 		for _, id := range db.ids {
-			if _, stale := db.staleSpectrum(*db.stream(id)); stale {
-				continue
-			}
 			rv, err := db.freqRel.View(id)
 			if err != nil {
 				t.Fatal(err)
@@ -755,11 +743,10 @@ func (hs *headStore) check(t *testing.T, n int, rng *rand.Rand) {
 // ---- the stores and what happens to them ----
 
 // headOptions sizes a store for the test: small pages so records span
-// several, a pinned refresh cadence so appends leave both stale and
-// refreshed spectra behind, and — disk-backed — a pool of about a tenth of
-// each relation's pages.
+// several, and — disk-backed — a pool of about a tenth of each relation's
+// pages.
 func headOptions(t *testing.T, disk bool, count, n int) Options {
-	opts := Options{PageSize: 256, SpectrumRefreshEvery: 3}
+	opts := Options{PageSize: 256}
 	if disk {
 		perRecord := (16*n + opts.PageSize - 1) / opts.PageSize
 		opts.Backing = t.TempDir()
@@ -799,7 +786,7 @@ func (hs *headStore) churn(t *testing.T, n int, rng *rand.Rand, steps int) {
 		names := hs.names()
 		name := names[rng.Intn(len(names))]
 		switch op := rng.Intn(10); {
-		case op < 6: // append 1..5 points: some records go stale, some cross the cadence and refresh
+		case op < 6: // append 1..5 points
 			pts := make([]float64, 1+rng.Intn(5))
 			last := hs.live[name][n-1]
 			for i := range pts {
@@ -887,7 +874,7 @@ func TestHeadParity(t *testing.T) {
 					hs.check(t, n, rng)
 
 					// More churn on the compacted generation, so the
-					// snapshots below carry stale spectra to flush.
+					// snapshots below carry appended records.
 					hs.churn(t, n, rng, 40)
 					hs.label = label + " rechurned"
 					hs.checkHeads(t)

@@ -142,11 +142,11 @@ func selfJoinQuery(eps float64, t transform.T) JoinQuery {
 // comparisons, their terms and how many were decided without opening the
 // inner record's pages accumulate into st.
 func (sh *shard) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128, earlyAbandon bool, pbuf *[][]byte, st *ExecStats, out []JoinPair) ([]JoinPair, error) {
-	in := innerSpec{sh: sh, pbuf: pbuf}
-	var err error
-	if in.head, in.rv, err = sh.openSpec(inner); err != nil {
+	rv, err := sh.freqRel.View(inner)
+	if err != nil {
 		return out, err
 	}
+	in := innerSpec{sh: sh, rv: rv, pbuf: pbuf}
 	limit := jp.q.Eps * jp.q.Eps
 	found, compared := len(out), 1
 	if !jp.q.TwoSided {
@@ -187,8 +187,7 @@ func (sh *shard) scanInner(jp *joinPlan, outer, inner int64, lx, rx []complex128
 // comparison that outlives the resident prefix and shared by the second.
 type innerSpec struct {
 	sh    *shard
-	head  []complex128
-	rv    relation.View
+	rv    relation.View // its Head is the resident prefix
 	pbuf  *[][]byte
 	pages [][]byte // non-nil once pinned
 	err   error    // a failed page fault; the step's answers are void
@@ -201,24 +200,24 @@ type innerSpec struct {
 // abandonment (or a failed fault, left in in.err), so sum <= limit decides
 // membership exactly as the index verifier does.
 func (in *innerSpec) pairDist(outer, a, b []complex128, limit float64, earlyAbandon bool) (sum float64, terms int, ok bool) {
-	for f, y := range in.head {
+	for f, y := range in.rv.Head {
 		d := outer[f] - (a[f]*y + b[f])
 		sum += real(d)*real(d) + imag(d)*imag(d)
 		if earlyAbandon && sum > limit {
 			return sum, f + 1, false
 		}
 	}
-	if len(in.head) == len(outer) || in.err != nil {
-		return sum, len(in.head), in.err == nil
+	if len(in.rv.Head) == len(outer) || in.err != nil {
+		return sum, len(in.rv.Head), in.err == nil
 	}
 	if in.pages == nil {
 		if in.pages, in.err = in.sh.freqRel.ViewPagesInto(in.rv, (*in.pbuf)[:0]); in.err != nil {
-			return sum, len(in.head), false
+			return sum, len(in.rv.Head), false
 		}
 		*in.pbuf = in.pages
 	}
-	cur := relation.CursorAt(in.pages, in.sh.freqRel.PageSize(), len(in.head))
-	for f := len(in.head); f < len(outer); f++ {
+	cur := relation.CursorAt(in.pages, in.sh.freqRel.PageSize(), len(in.rv.Head))
+	for f := len(in.rv.Head); f < len(outer); f++ {
 		d := outer[f] - (a[f]*cur.Next() + b[f])
 		sum += real(d)*real(d) + imag(d)*imag(d)
 		if earlyAbandon && sum > limit {

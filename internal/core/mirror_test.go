@@ -255,14 +255,14 @@ const boundaryLen = 64
 
 // boundaryData builds 200 series in four families: random walks; exact
 // copies of some of them under other names (every distance to a copy ties
-// with the distance to its original); and "first-harmonic twins" — a walk
-// plus c*cos(2*pi*t/n + phi) with c chosen so the twin keeps the walk's
-// standard deviation. A twin's normal form then differs from its walk's on
+// with the distance to its original); and first-harmonic twins
+// (dataset.HarmonicTwin), whose normal form differs from their walk's on
 // coefficients 1 and n-1 alone, so 2 * (the indexed partial distance)
 // equals the full squared distance: the mirror-weighted bound holds with
-// equality, under the identity and under any moving average of both. phi
-// steers how far the twin sits, from ~1 down to ~1e-4, where the distance
-// is five orders of magnitude below the coefficients it is taken between.
+// equality, under the identity and under any moving average of both. The
+// offset steers how far the twin sits, from ~1 down to ~1e-4, where the
+// distance is five orders of magnitude below the coefficients it is taken
+// between.
 func boundaryData(rng *rand.Rand) (names []string, values [][]float64) {
 	add := func(name string, v []float64) {
 		names, values = append(names, name), append(values, v)
@@ -275,22 +275,7 @@ func boundaryData(rng *rand.Rand) (names []string, values [][]float64) {
 		add(fmt.Sprintf("C%03d", i), append([]float64(nil), values[2*i]...))
 	}
 	for i := 0; len(values) < 200; i++ {
-		base := values[i%walks]
-		mu := series.Mean(base)
-		var cc, cs float64
-		for t, v := range base {
-			ang := 2 * math.Pi * float64(t) / boundaryLen
-			cc += (v - mu) * math.Cos(ang) / boundaryLen
-			cs += (v - mu) * math.Sin(ang) / boundaryLen
-		}
-		// cov(base, cos(.+phi)) = cc*cos(phi) - cs*sin(phi); it vanishes at
-		// phi0, and grows with the offset from it.
-		phi := math.Atan2(cc, cs) + []float64{1, 1e-2, 1e-4}[i%3]
-		c := -4 * (cc*math.Cos(phi) - cs*math.Sin(phi))
-		twin := make([]float64, boundaryLen)
-		for t, v := range base {
-			twin[t] = v + c*math.Cos(2*math.Pi*float64(t)/boundaryLen+phi)
-		}
+		twin := dataset.HarmonicTwin(values[i%walks], []float64{1, 1e-2, 1e-4}[i%3])
 		add(fmt.Sprintf("T%03d", i), twin)
 	}
 	return names, values
@@ -315,6 +300,16 @@ type boundarySpec struct {
 // under the identity and under mavg BOTH. Half the subjects choose the
 // neighbour that makes the bound tight: their own first-harmonic twin.
 func TestMirrorBoundaryParity(t *testing.T) {
+	boundarySuite(t, func(t *testing.T, eng Engine, names []string, values [][]float64) {
+		if err := eng.InsertBulk(names, values); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// boundarySuite runs the boundary checks over boundaryData at shards 1 and
+// 4, resident and disk-backed, on stores that fill brings to that data.
+func boundarySuite(t *testing.T, fill func(t *testing.T, eng Engine, names []string, values [][]float64)) {
 	t.Logf("seed %d", mirrorSeed)
 	names, values := boundaryData(rand.New(rand.NewSource(mirrorSeed)))
 	byName := make(map[string][]float64, len(names))
@@ -333,9 +328,7 @@ func TestMirrorBoundaryParity(t *testing.T) {
 					opts.Backing, opts.CachePages = t.TempDir(), 8
 				}
 				eng := newTestEngine(t, boundaryLen, shards, opts)
-				if err := eng.InsertBulk(names, values); err != nil {
-					t.Fatal(err)
-				}
+				fill(t, eng, names, values)
 				tight := 0
 				for _, sp := range specs {
 					for si, subject := range names {

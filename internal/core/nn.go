@@ -275,7 +275,6 @@ func (sh *shard) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecSt
 // strategy against this shard, feeding verified answers into best — shared
 // across the store's partitions.
 func (sh *shard) runNN(strategy plan.Strategy, p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
-	sh.queryCount.Add(1)
 	switch strategy {
 	case plan.Index:
 		return sh.nnIndexedArena(p, best, ar, st)

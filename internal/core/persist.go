@@ -350,9 +350,6 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 			return sw.n, err
 		}
 	}
-	// Spectra come from shard.spectrum, not the stored record: a streamed
-	// series whose stored spectrum lags its window serialises the exact
-	// derived spectrum, so a reload is bit-identical to a flushed store.
 	err := sw.writeDerived(s.Schema().Dims(), len(entries), func(i int) (geom.Point, []complex128, error) {
 		e := entries[i]
 		spec, err := e.sh.spectrum(e.id)

@@ -196,51 +196,6 @@ func TestShardProvenance(t *testing.T) {
 	}
 }
 
-// TestRefreshCadenceOption checks a custom spectrum-refresh cadence
-// answers byte-identically to the default.
-func TestRefreshCadenceOption(t *testing.T) {
-	build := func(every int) *DB {
-		db, err := NewDB(16, Options{SpectrumRefreshEvery: every})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(9))
-		for i := 0; i < 20; i++ {
-			vals := make([]float64, 16)
-			for j := range vals {
-				vals[j] = rng.Float64() * 10
-			}
-			if _, err := db.Insert(fmt.Sprintf("A%02d", i), vals); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for step := 0; step < 40; step++ {
-			name := fmt.Sprintf("A%02d", step%20)
-			if _, err := db.Append(name, []float64{float64(step) * 0.7}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	}
-	base := build(0)  // adaptive cadence (starts at the old default, 32)
-	eager := build(1) // refresh on every append
-	if base.only().refreshCadence() != 32 || eager.only().refreshCadence() != 1 {
-		t.Fatalf("cadences resolved to %d and %d", base.only().refreshCadence(), eager.only().refreshCadence())
-	}
-	q := RangeQuery{Values: mustSeries(t, base, "A05"), Eps: 5, Transform: transform.Identity(16)}
-	r1, _, err := forcedRange(base, q, plan.ScanFreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _, err := forcedRange(eager, q, plan.ScanFreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("refresh cadences answer differently:\n %v\n %v", r1, r2)
-	}
-}
-
 // TestRangeExplorationProbe: scan-routed range reads leave no index
 // feedback by themselves, so every exploreEvery-th unforced one runs a
 // count-only index probe that feeds the range calibrator — at every shard

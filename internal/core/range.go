@@ -351,11 +351,8 @@ func (sh *shard) rangeScanTimeInto(p *rangePlan, st *ExecStats, dst []Result) ([
 }
 
 // runRange runs a range plan's resolved strategy against this shard,
-// appending verified answers to dst and accumulating costs into st. It is
-// where a shard counts a read for its adaptive refresh cadence: where the
-// work is done, not where the plan was dispatched.
+// appending verified answers to dst and accumulating costs into st.
 func (sh *shard) runRange(strategy plan.Strategy, p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
-	sh.queryCount.Add(1)
 	switch strategy {
 	case plan.Index:
 		return sh.rangeIndexedInto(p, ar, st, dst)

@@ -53,7 +53,6 @@ func init() {
 	telemetry.Describe("tsq_shard_results_total", "Merged answers contributed per shard across fan-out executions.")
 	telemetry.Describe("tsq_pair_checks_total", "Candidate pair checks per shard across join executions.")
 	telemetry.Describe("tsq_fanout_imbalance_ratio", "Max/mean per-shard candidate counts of multi-shard executions.")
-	telemetry.Describe("tsq_spectrum_refreshes_total", "Exact-FFT spectrum record rewrites on the append path.")
 	telemetry.Describe("tsq_approx_queries_total", "Approximate-tier (APPROX delta > 0) executions by query kind.")
 	telemetry.Describe("tsq_approx_bound_tightness", "Realized mean bound tightness LB/UB of approximate executions (1 = bound closed exactly).")
 }

@@ -45,11 +45,6 @@ func (sh *shard) subsequenceScan(q []float64, eps float64, st *ExecStats) ([]Sub
 // success. Memory stores keep their configured buffer pools across the
 // rebuild. Returns the number of pages reclaimed.
 func (sh *shard) compact() (pagesReclaimed int, err error) {
-	// Materialize any spectra deferred by streaming appends, so the
-	// rebuilt relation holds current records.
-	if err := sh.flushSpectra(); err != nil {
-		return 0, err
-	}
 	before := sh.timeRel.Pages() + sh.freqRel.Pages()
 	newTime, newFreq, err := newRelationPair(sh.opts, sh.gen+1)
 	if err != nil {
@@ -73,7 +68,7 @@ func (sh *shard) compact() (pagesReclaimed int, err error) {
 	// gets slot i: its record moves there (its position in ids is i already).
 	ids := append([]int64(nil), sh.ids...)
 	points := make([]geom.Point, len(ids))
-	recs, streams := make([]record, len(ids)), make([]*streamState, len(ids))
+	recs := make([]record, len(ids))
 	newTime.Reserve(len(ids))
 	newFreq.Reserve(len(ids))
 	for i, id := range ids {
@@ -95,7 +90,7 @@ func (sh *shard) compact() (pagesReclaimed int, err error) {
 			abort()
 			return 0, err
 		}
-		recs[i], streams[i] = *sh.rec(id), *sh.stream(id)
+		recs[i] = *sh.rec(id)
 		points[i] = recs[i].point
 	}
 	ix, err := index.New(sh.schema, sh.opts.RTree)
@@ -108,7 +103,7 @@ func (sh *shard) compact() (pagesReclaimed int, err error) {
 		return 0, err
 	}
 	oldTime, oldFreq := sh.timeRel, sh.freqRel
-	sh.timeRel, sh.freqRel, sh.recs, sh.streams = newTime, newFreq, recs, streams
+	sh.timeRel, sh.freqRel, sh.recs = newTime, newFreq, recs
 	sh.idx = ix
 	sh.gen++
 	oldTime.Close()

@@ -58,6 +58,33 @@ func RandomWalkGaussian(r *rand.Rand, length int) []float64 {
 	return s
 }
 
+// HarmonicTwin returns base plus c*cos(2*pi*t/n + phi), with c chosen so
+// the twin keeps base's standard deviation: the two normal forms then
+// differ on DFT coefficients 1 and n-1 alone, which makes the twin the
+// neighbour whose Lemma 1 bound holds with equality. phi sits offset
+// radians from the phase at which the cosine is uncorrelated with base
+// (c = 0), so offset steers the distance between the two: ~1 for offset 1,
+// ~1e-4 for offset 1e-4.
+func HarmonicTwin(base []float64, offset float64) []float64 {
+	n := float64(len(base))
+	mu := series.Mean(base)
+	var cc, cs float64
+	for t, v := range base {
+		ang := 2 * math.Pi * float64(t) / n
+		cc += (v - mu) * math.Cos(ang) / n
+		cs += (v - mu) * math.Sin(ang) / n
+	}
+	// cov(base, cos(.+phi)) = cc*cos(phi) - cs*sin(phi); it vanishes at
+	// atan2(cc, cs), and grows with the offset from it.
+	phi := math.Atan2(cc, cs) + offset
+	c := -4 * (cc*math.Cos(phi) - cs*math.Sin(phi))
+	twin := make([]float64, len(base))
+	for t, v := range base {
+		twin[t] = v + c*math.Cos(2*math.Pi*float64(t)/n+phi)
+	}
+	return twin
+}
+
 // RandomWalks generates count independent random-walk series with
 // deterministic naming ("W0000", "W0001", ...).
 func RandomWalks(count, length int, seed int64) []Series {

@@ -1,3 +1,10 @@
+// Package stream is the engine-independent half of tsqlive, the streaming
+// subsystem: a standing-query registry with enter/leave event delivery
+// (Hub). Appends themselves are the engine's business — internal/core
+// rewrites a record in place with the derivation an insert runs, and keeps
+// no streaming state beside it. The tsq server layer owns one Hub and wires
+// its monitors to the engine through closures, so this package never
+// imports the engine.
 package stream
 
 import (

@@ -15,7 +15,7 @@ import (
 // process-wide telemetry registry, the bounded slow-query log, and
 // WriteMetrics — the Prometheus text exposition behind tsqd's
 // GET /metrics. Engine- and planner-level metrics (plan executions,
-// cost-model error, per-shard fan-out counters, spectrum refreshes) are
+// cost-model error, per-shard fan-out counters) are
 // emitted by internal/core; this layer adds the session view: queries by
 // kind/strategy/outcome, cache traffic, and scrape-time store gauges.
 

@@ -21,13 +21,11 @@ import (
 //
 // Append slides a stored series' fixed-length window forward: the oldest
 // points fall off, the new points arrive at the back, and the series keeps
-// its name and internal ID. Per appended point the engine maintains the
-// indexed feature point with a sliding-DFT recurrence in O(K) (instead of
-// re-extracting in O(n*K)), moves the R*-tree entry in place when the
-// feature drifted little, and rewrites both storage records in place. The
-// full spectrum used for exact verification is recomputed exactly, so a
-// series built by appends answers every query byte-identically to the
-// same window inserted whole.
+// its name and internal ID. The engine derives the new window's feature
+// point and full spectrum exactly as an insert would, rewrites both
+// storage records in place, and moves the R*-tree entry in place when the
+// feature drifted little — so a series built by appends is bit-identical
+// to the same window inserted whole, and answers every query identically.
 //
 // # Monitors
 //

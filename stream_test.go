@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	tsq "repro"
+	"repro/internal/dataset"
 )
 
 const (
@@ -538,5 +539,106 @@ func TestStreamStress(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.Appends == 0 || st.Monitors != 2 {
 		t.Fatalf("stats = %+v, want appends > 0 and 2 monitors", st)
+	}
+}
+
+// TestAppendedPointOnTheBoundary: the feature point an append commits is
+// also what monitors and cached answers are tested against
+// (Prefilter.Hit on AppendInfo.Point). On internal/core's boundary data — a
+// walk and its first-harmonic twin, whose Lemma 1 bound holds with equality
+// — with eps on the twin's own distance and every series slid to its window
+// from 1e5-scale junk, the append that completes the twin must emit its
+// enter and must evict the walk's cached answer: the point has to be the
+// one the final window extracts to, to the last bit. T001 sits 0.12 from
+// W001, where the index's partial-distance prune is what has no margin;
+// T005 sits 1e-3 from W005, where the search rectangle has none either.
+func TestAppendedPointOnTheBoundary(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(20260927)) // core's mirrorSeed: these are boundaryData's first walks
+	final := map[string][]float64{}
+	for i := 0; i < 6; i++ {
+		final[fmt.Sprintf("W%03d", i)] = dataset.RandomWalk(rng, n)
+	}
+	final["T001"] = dataset.HarmonicTwin(final["W001"], 1e-2)
+	final["T005"] = dataset.HarmonicTwin(final["W005"], 1e-4)
+	pairs := []struct{ walk, twin string }{{"W001", "T001"}, {"W005", "T005"}}
+
+	whole := tsq.NewServer(tsq.MustOpen(tsq.Options{Length: n}), tsq.ServerOptions{})
+	for name, w := range final {
+		if err := whole.Insert(name, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eps := map[string]float64{}
+	for _, p := range pairs {
+		nn, _, err := whole.NNByName(p.walk, 2, tsq.Identity())
+		if err != nil || len(nn) != 2 || nn[1].Name != p.twin {
+			t.Fatalf("%s's nearest neighbours are %v (%v), want itself and %s", p.walk, nn, err, p.twin)
+		}
+		eps[p.walk] = nn[1].Distance
+	}
+
+	for _, shards := range []int{1, 4} {
+		s := tsq.NewServer(tsq.MustOpen(tsq.Options{Length: n, Shards: shards}), tsq.ServerOptions{})
+		junk := func(count int) []float64 {
+			out := make([]float64, count)
+			for i := range out {
+				out[i] = 1e5 * rng.NormFloat64()
+			}
+			return out
+		}
+		slide := func(name string, points []float64) {
+			t.Helper()
+			for _, x := range points {
+				if err := s.Append(name, []float64{x}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for name := range final {
+			if err := s.Insert(name, junk(n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Everyone reaches their window but the twins, who stop one point
+		// short of it.
+		for name, w := range final {
+			if name[0] == 'T' {
+				w = w[:n-1]
+			}
+			slide(name, append(junk(n), w...))
+		}
+		for _, p := range pairs {
+			label := fmt.Sprintf("shards=%d %s", shards, p.walk)
+			e := eps[p.walk]
+			id, initial, err := s.MonitorRangeByName(p.walk, e, tsq.Identity())
+			if err != nil || len(initial) != 1 || initial[0].Name != p.walk {
+				t.Fatalf("%s: initial members %v (%v), want %s alone", label, initial, err, p.walk)
+			}
+			w, err := s.Watch(id, -1, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []bool{false, true} {
+				if _, st, err := s.RangeByName(p.walk, e, tsq.Identity()); err != nil || st.Cached != want {
+					t.Fatalf("%s: read %d of its range: cached %v (%v)", label, i, st.Cached, err)
+				}
+			}
+
+			slide(p.twin, final[p.twin][n-1:])
+			// Membership is settled when Append returns; the event follows
+			// it through the watch's forwarder.
+			if members, err := s.MonitorMembers(id); err != nil || len(members) != 2 || members[1].Name != p.twin {
+				t.Fatalf("%s: %s reached its window at distance %v = eps and the monitor holds %v (%v)", label, p.twin, e, members, err)
+			}
+			if ev := <-w.Events; ev.Kind != "enter" || ev.Name != p.twin || ev.Distance != e {
+				t.Fatalf("%s: event %+v, want enter %s at %v", label, ev, p.twin, e)
+			}
+			matches, st, err := s.RangeByName(p.walk, e, tsq.Identity())
+			if err != nil || st.Cached || len(matches) != 2 || matches[1].Name != p.twin {
+				t.Fatalf("%s: after %s arrived the range answers %v (cached %v, %v), want a fresh answer with both", label, p.twin, matches, st.Cached, err)
+			}
+			w.Cancel()
+		}
 	}
 }

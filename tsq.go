@@ -48,9 +48,10 @@
 // # Streaming (tsqlive)
 //
 // Live series ingest goes through Append rather than whole-series
-// updates: appending points slides a series' fixed-length window forward,
-// maintaining the indexed feature point with an O(K)-per-point
-// sliding-DFT recurrence and updating index and storage in place. A
+// updates: appending points slides a series' fixed-length window forward
+// and rewrites its feature point, storage records and index entry in place
+// with the derivation an insert runs, so an appended series equals the
+// same window inserted whole, bit for bit. A
 // Server additionally hosts standing queries — MonitorRange and MonitorNN
 // register a query whose answer set is kept current as writes land, with
 // enter/leave events delivered to Watch subscribers (and over HTTP as a
@@ -116,7 +117,7 @@ type Options struct {
 	PageSize int
 	// NodeCapacity is the R*-tree fan-out M (default 40).
 	NodeCapacity int
-	// BufferPoolPages, when positive, routes storage reads through LRU
+	// BufferPoolPages, when positive, routes storage reads through clock
 	// buffer pools of this many pages, so Stats.PageReads counts physical
 	// reads (pool misses) as a real buffer manager would. Default off.
 	// Ignored when Backing is set (disk stores always run a real pool,
@@ -135,16 +136,6 @@ type Options struct {
 	// store (default 1024 pages, i.e. 4 MiB per relation at the default
 	// page size). Ignored when Backing is empty.
 	CachePages int
-	// RefreshEvery bounds how many appended points a series' stored
-	// spectrum record may lag its sliding window before the streaming
-	// ingest path rewrites it with the exact FFT. Smaller values favor
-	// read-heavy workloads (records stay fresh, no on-demand derivation);
-	// larger values favor ingest bursts (the O(n log n) FFT amortizes
-	// over more O(K) appends). 0 (the default) lets each store adapt the
-	// cadence to its own observed query/append mix, sliding between 4 and
-	// 256 from a starting value of 32. Answers are byte-identical at any
-	// cadence — only where the FFT is paid moves.
-	RefreshEvery int
 	// Shards partitions the store into this many hash-partitioned shards
 	// (by series name), each with its own index, storage, and lock.
 	// Queries fan out to every shard in parallel and merge; answers are
@@ -182,13 +173,12 @@ func Open(opts Options) (*DB, error) {
 		return nil, fmt.Errorf("tsq: unknown space %d", int(opts.Space))
 	}
 	coreOpts := core.Options{
-		Schema:               feature.Schema{Space: space, K: k, Moments: !opts.NoMoments},
-		PageSize:             opts.PageSize,
-		RTree:                rtree.Options{MaxEntries: opts.NodeCapacity},
-		BufferPoolPages:      opts.BufferPoolPages,
-		SpectrumRefreshEvery: opts.RefreshEvery,
-		Backing:              opts.Backing,
-		CachePages:           opts.CachePages,
+		Schema:          feature.Schema{Space: space, K: k, Moments: !opts.NoMoments},
+		PageSize:        opts.PageSize,
+		RTree:           rtree.Options{MaxEntries: opts.NodeCapacity},
+		BufferPoolPages: opts.BufferPoolPages,
+		Backing:         opts.Backing,
+		CachePages:      opts.CachePages,
 	}
 	s, err := core.NewStore(opts.Length, max(opts.Shards, 1), coreOpts)
 	if err != nil {
