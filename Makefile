@@ -38,10 +38,18 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	@if $(GO) list -f '{{join .Imports "\n"}}' ./internal/query | grep '^repro/'; then \
 		echo "internal/query is syntax only: it must import the standard library only"; exit 1; fi
-	@for m in ExecRangeInto ExecNNInto ExecJoin SelfJoin WriteTo; do \
+	@for m in ExecRangeInto ExecNNInto ExecJoin SelfJoin WriteTo Update Append; do \
 		n=$$(cat $$(ls internal/core/*.go | grep -v _test.go) | grep -c "^func (.*) $$m("); \
 		if [ "$$n" -ne 1 ]; then \
 			echo "internal/core declares $$n methods named $$m: there is one store, and it implements Engine once"; exit 1; fi; done
+	@if [ -e internal/lru ]; then \
+		echo "internal/lru is back: the result cache is one type, resultCache in the root package"; exit 1; fi
+	@n=$$(awk '/^func /{fn=$$0} /hub\.(Notify|RefreshAll)/{print fn}' $$(ls *.go | grep -v _test.go) | sort -u | wc -l); \
+		if [ "$$n" -ne 1 ]; then \
+			echo "$$n root-package functions notify the monitor hub: every write ends in Server.commit, and only there"; exit 1; fi
+	@if grep -n 'cacheGuard\|writeLog\b\|namedEvent\|notifyWrite\|seriesCount\|BufferPoolPages\|AttachPool' \
+		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
+		echo "a retired piece of the write path is back (see ARCHITECTURE, Write path)"; exit 1; fi
 
 fmt:
 	gofmt -w .

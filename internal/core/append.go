@@ -9,56 +9,72 @@ import (
 	"repro/internal/transform"
 )
 
-// AppendInfo reports what one Append committed.
-type AppendInfo struct {
-	// ID is the series' stable internal ID: unlike Update, Append never
-	// reassigns it.
+// Committed is what one single-series write — Insert, Update, Append — left
+// in the store, taken under the owning shard's write lock: the one fact a
+// write owes the layers above. By Lemma 1 a series sitting at Point can change
+// a cached answer or a standing monitor only if Point lands in that answer's
+// search rectangle, so the server decides what a write invalidates from this
+// value alone and never reads the store back.
+type Committed struct {
+	// ID is the series' internal ID: fresh for an Insert, unchanged by an
+	// Update or an Append.
 	ID int64
-	// Point is the committed feature point after the append (a copy the
-	// caller may keep; the server layer feeds it to monitor prefilters and
-	// cache invalidation).
+	// Shard is the partition the series lives in.
+	Shard int
+	// Point is the feature point the index now holds for it (a copy the
+	// caller may keep).
 	Point geom.Point
-	// InPlace reports that the index entry was rewritten in place rather
-	// than deleted and reinserted — the cheap path, taken whenever the
-	// feature point moved little.
-	InPlace bool
+}
+
+// overwrite replaces the window stored under a live id, in place: derive —
+// the one derivation insertAt runs, on the same bits — then both records
+// rewritten where they lie (relation.Replace: same-length records never
+// change size, so storage does not grow and no page is orphaned) and the
+// R*-tree entry moved, in place when the point stayed inside its leaf region
+// (rtree.Tree.Update). The record keeps its id and its slot, and every stored
+// artifact (window, spectrum pages, resident head, feature point) is exactly
+// what an insert of the same window writes. A window derive rejects leaves
+// the record untouched. It returns the point now indexed.
+func (sh *shard) overwrite(id int64, window []float64) (geom.Point, error) {
+	p, spec, err := sh.derive(window)
+	if err != nil {
+		return nil, err
+	}
+	if err := sh.timeRel.Replace(id, window); err != nil {
+		return nil, err
+	}
+	if err := sh.freqRel.Replace(id, spec); err != nil {
+		return nil, err
+	}
+	rec := sh.rec(id)
+	if _, found := sh.idx.Update(id, rec.point, p); !found {
+		return nil, fmt.Errorf("core: index entry for %q (id %d) missing", rec.name, id)
+	}
+	rec.point = p
+	return p, nil
 }
 
 // appendPoints slides a stored series' window forward by the given points: the
 // oldest len(points) values fall off the front, the new points arrive at
-// the back, and the series keeps its length, name, and ID. It is the
-// in-place form of an insert: the committed window is read back from the
-// time relation, shifted, and put through derive — the one derivation
-// insertAt runs, on the same bits — so every stored artifact of the record
-// (window, spectrum pages, resident head, feature point) is current and
-// history-free after every append, and a series built by appends is
-// bit-identical to the same window inserted whole. What the append saves
-// over Update's remove + insert is the storage and the index work:
-//
-//   - both records are overwritten in place (relation.Replace), so storage
-//     does not grow and no pages are orphaned;
-//   - the R*-tree entry moves in place when the feature drifted little
-//     (rtree.Tree.Update), instead of a delete + reinsert — the index move
-//     is about three fifths of an append's cost, the derivation a third.
+// the back, and the series keeps its length, name, and ID. The committed
+// window is read back from the time relation, shifted, and overwritten in
+// place — so a series built by appends is bit-identical to the same window
+// inserted whole, with no history in any stored artifact. The index move is
+// about three fifths of an append's cost, the derivation a third.
 //
 // Appending more points than the window holds is allowed; only the last
 // n survive.
-func (sh *shard) appendPoints(name string, points []float64) (AppendInfo, error) {
+func (sh *shard) appendPoints(name string, points []float64) (int64, geom.Point, error) {
 	id, ok := sh.byName[name]
 	if !ok {
-		return AppendInfo{}, fmt.Errorf("core: unknown series %q", name)
+		return 0, nil, fmt.Errorf("core: unknown series %q", name)
 	}
 	if len(points) == 0 {
-		return AppendInfo{}, fmt.Errorf("core: append to %q carries no points", name)
-	}
-	for i, x := range points {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return AppendInfo{}, fmt.Errorf("core: append to %q has non-finite value at position %d", name, i)
-		}
+		return 0, nil, fmt.Errorf("core: append to %q carries no points", name)
 	}
 	window, err := sh.timeRel.Get(id)
 	if err != nil {
-		return AppendInfo{}, err
+		return 0, nil, err
 	}
 	if n := len(window); len(points) >= n {
 		copy(window, points[len(points)-n:])
@@ -66,27 +82,8 @@ func (sh *shard) appendPoints(name string, points []float64) (AppendInfo, error)
 		copy(window, window[len(points):])
 		copy(window[n-len(points):], points)
 	}
-	newPoint, spec, err := sh.derive(window)
-	if err != nil {
-		return AppendInfo{}, err
-	}
-
-	// Commit both records in place (same-length records never change
-	// size), then the index: an in-place entry move when the point stayed
-	// inside its leaf region.
-	if err := sh.timeRel.Replace(id, window); err != nil {
-		return AppendInfo{}, err
-	}
-	if err := sh.freqRel.Replace(id, spec); err != nil {
-		return AppendInfo{}, err
-	}
-	rec := sh.rec(id)
-	inPlace, found := sh.idx.Update(id, rec.point, newPoint)
-	if !found {
-		return AppendInfo{}, fmt.Errorf("core: index entry for %q (id %d) missing", name, id)
-	}
-	rec.point = newPoint
-	return AppendInfo{ID: id, Point: newPoint.Clone(), InPlace: inPlace}, nil
+	p, err := sh.overwrite(id, window)
+	return id, p, err
 }
 
 // checkWithin verifies a single stored series against a range query

@@ -9,8 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/relation"
+	"repro/internal/rtree"
 	"repro/internal/transform"
 )
 
@@ -227,7 +230,9 @@ func TestAppendParityJoins(t *testing.T) {
 
 // TestAppendInPlaceShare checks that the in-place index path actually
 // carries the bulk of streaming updates (single-point drifts rarely leave
-// their leaf).
+// their leaf). The store does not report which path an index move took, so
+// the test replays every committed point into a twin k-index — built by the
+// same inserts, hence the same tree — and counts there.
 func TestAppendInPlaceShare(t *testing.T) {
 	const windowLen = 64
 	walks := appendWalks(30, windowLen+100, 7)
@@ -235,24 +240,39 @@ func TestAppendInPlaceShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin, err := index.New(db.Schema(), rtree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := make([]geom.Point, len(walks))
 	for i, w := range walks {
-		if _, err := db.Insert(fmt.Sprintf("W%04d", i), w[:windowLen]); err != nil {
+		c, err := db.Insert(fmt.Sprintf("W%04d", i), w[:windowLen])
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := twin.Insert(c.ID, c.Point); err != nil {
+			t.Fatal(err)
+		}
+		at[i] = c.Point
 	}
 	var inPlace, total int
 	for i, w := range walks {
 		for _, x := range w[windowLen:] {
-			info, err := db.Append(fmt.Sprintf("W%04d", i), []float64{x})
+			c, err := db.Append(fmt.Sprintf("W%04d", i), []float64{x})
 			if err != nil {
 				t.Fatal(err)
 			}
 			total++
-			if info.InPlace {
+			moved, found := twin.Update(c.ID, at[i], c.Point)
+			if !found {
+				t.Fatalf("twin index lost id %d", c.ID)
+			}
+			if moved {
 				inPlace++
 			}
-			if info.ID != int64(i) {
-				t.Fatalf("append reassigned ID: got %d want %d", info.ID, i)
+			at[i] = c.Point
+			if c.ID != int64(i) {
+				t.Fatalf("append reassigned ID: got %d want %d", c.ID, i)
 			}
 		}
 	}
@@ -284,6 +304,102 @@ func TestAppendStorageStable(t *testing.T) {
 	if db.only().timeRel.Pages() != timePages || db.only().freqRel.Pages() != freqPages {
 		t.Fatalf("appends grew storage: time %d->%d, freq %d->%d pages",
 			timePages, db.only().timeRel.Pages(), freqPages, db.only().freqRel.Pages())
+	}
+}
+
+// TestUpdateInPlace: an update overwrites where the record lies. A thousand
+// of them leave both relations of every shard at the page count they had
+// and Compact with nothing to reclaim; a rejected one — wrong length, a
+// non-finite value, an unknown name — leaves every stored bit of the record
+// as it was.
+func TestUpdateInPlace(t *testing.T) {
+	const count, n = 40, 64
+	for _, shards := range []int{1, 4} {
+		for _, disk := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/disk=%t", shards, disk), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(20261004))
+				opts := Options{PageSize: 256}
+				if disk {
+					opts.Backing, opts.CachePages = t.TempDir(), 16
+				}
+				eng := newTestEngine(t, n, shards, opts)
+				names := make([]string, count)
+				for i := range names {
+					names[i] = fmt.Sprintf("S%03d", i)
+					if _, err := eng.Insert(names[i], dataset.RandomWalk(rng, n)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				pages := func() (out []int) {
+					for _, sh := range shardsOf(eng) {
+						out = append(out, sh.timeRel.Pages(), sh.freqRel.Pages())
+					}
+					return out
+				}
+				before := pages()
+				for step := 0; step < 1000; step++ {
+					i := rng.Intn(count)
+					c, err := eng.Update(names[i], dataset.RandomWalk(rng, n))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p, _ := eng.FeaturePoint(c.ID); c.ID != int64(i) || c.Shard != eng.ShardOf(names[i]) || !reflect.DeepEqual(c.Point, p) {
+						t.Fatalf("update of %s committed %+v; it is id %d in shard %d at %v", names[i], c, i, eng.ShardOf(names[i]), p)
+					}
+				}
+				if after := pages(); !reflect.DeepEqual(after, before) {
+					t.Fatalf("1000 updates moved the page counts from %v to %v", before, after)
+				}
+
+				// Everything stored about one record, as bits.
+				stored := func(name string) []uint64 {
+					id := mustID(t, eng, name)
+					w, err := eng.Series(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p, _ := eng.FeaturePoint(id)
+					prep, _ := eng.QueryPrep(id)
+					rv, err := shardsOf(eng)[eng.ShardOf(name)].freqRel.View(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var out []uint64
+					for _, v := range [][]float64{w, p, relation.EncodeComplex(prep.Spectrum), relation.EncodeComplex(rv.Head)} {
+						for _, x := range v {
+							out = append(out, math.Float64bits(x))
+						}
+					}
+					return append(out, uint64(id), uint64(rv.Slot))
+				}
+				was := stored(names[7])
+				bad := dataset.RandomWalk(rng, n)
+				for label, vals := range map[string][]float64{
+					"short": bad[:n-1],
+					"long":  append(append([]float64(nil), bad...), 1),
+					"NaN":   append(append([]float64(nil), bad[:n-1]...), math.NaN()),
+					"+Inf":  append([]float64{math.Inf(1)}, bad[1:]...),
+				} {
+					if _, err := eng.Update(names[7], vals); err == nil {
+						t.Fatalf("%s update accepted", label)
+					}
+					if !reflect.DeepEqual(stored(names[7]), was) {
+						t.Fatalf("rejected %s update changed the stored record", label)
+					}
+				}
+				if _, err := eng.Update("nope", bad); err == nil {
+					t.Fatal("update of an unknown name accepted")
+				}
+				// The check is derive's, so an insert is refused the same way.
+				if _, err := eng.Insert("fresh", append([]float64{math.NaN()}, bad[1:]...)); err == nil || eng.Len() != count {
+					t.Fatalf("NaN insert: err %v, %d series stored", err, eng.Len())
+				}
+
+				if reclaimed, err := eng.Compact(); err != nil || reclaimed != 0 {
+					t.Fatalf("Compact after updates alone reclaimed %d pages (%v)", reclaimed, err)
+				}
+			})
+		}
 	}
 }
 
@@ -431,13 +547,13 @@ func TestPrefilterSound(t *testing.T) {
 }
 
 // TestAppendBoundaryParity is TestMirrorBoundaryParity on a store whose
-// every series reached its window through appends, from a past it must not
-// remember: each is inserted as 1e5*N(0,1) junk, takes 0, 64 or 186 more
-// junk points one at a time, and then its 64 real values one at a time. A
-// feature point carried forward across those slides — rather than derived
-// from the window it describes — sits 1e-7 from the spectrum verification
-// reads, and at eps on a twin's own distance the index then dismisses what
-// the scan returns.
+// every series reached its window through in-place overwrites, from a past
+// it must not remember: each is inserted as 1e5*N(0,1) junk, takes 0, 64 or
+// 186 more junk points one at a time, and then its 64 real values — one at
+// a time, or (every fourth series) in one Update. A feature point carried
+// forward across those writes — rather than derived from the window it
+// describes — sits 1e-7 from the spectrum verification reads, and at eps on
+// a twin's own distance the index then dismisses what the scan returns.
 func TestAppendBoundaryParity(t *testing.T) {
 	boundarySuite(t, func(t *testing.T, eng Engine, names []string, values [][]float64) {
 		rng := rand.New(rand.NewSource(mirrorSeed + 1))
@@ -454,8 +570,17 @@ func TestAppendBoundaryParity(t *testing.T) {
 			}
 		}
 		for i, name := range names {
-			for _, x := range append(junk([]int{0, 64, 186}[i%3]), values[i]...) {
+			slide := junk([]int{0, 64, 186}[i%3])
+			if i%4 != 3 {
+				slide = append(slide, values[i]...)
+			}
+			for _, x := range slide {
 				if _, err := eng.Append(name, []float64{x}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i%4 == 3 {
+				if _, err := eng.Update(name, values[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -463,12 +588,14 @@ func TestAppendBoundaryParity(t *testing.T) {
 	})
 }
 
-// TestAppendEqualsInsert: an append is an insert of the new window, in
-// place. After a random script of appends of 1..600 points, everything the
-// store holds about a series — window, feature point, spectrum, resident
-// head — has the bits a fresh store given the final windows by Insert has,
-// and the two snapshots agree byte for byte up to the packed trees (whose
-// shape is the one thing that remembers the route).
+// TestAppendEqualsInsert: an append or an update is an insert of the new
+// window, in place. After a random script of appends of 1..600 points and
+// updates to fresh walks, everything the store holds about a series —
+// window, feature point, spectrum, resident head — has the bits a fresh
+// store given the final windows by Insert has, under the same id; the two
+// snapshots agree byte for byte up to the packed trees (whose shape is the
+// one thing that remembers the route); and neither relation has grown a
+// page.
 func TestAppendEqualsInsert(t *testing.T) {
 	seed := int64(20261003)
 	t.Logf("seed %d", seed)
@@ -502,8 +629,22 @@ func TestAppendEqualsInsert(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				pages := func(e Engine) (n int) {
+					for _, sh := range shardsOf(e) {
+						n += sh.timeRel.Pages() + sh.freqRel.Pages()
+					}
+					return n
+				}
+				pages0 := pages(appended)
 				for step := 0; step < 400; step++ {
 					name := names[rng.Intn(count)]
+					if rng.Intn(4) == 0 {
+						final[name] = dataset.RandomWalk(rng, n)
+						if _, err := appended.Update(name, final[name]); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
 					size := 1 + rng.Intn(8)
 					if rng.Intn(10) == 0 {
 						size = 1 + rng.Intn(600)
@@ -524,6 +665,9 @@ func TestAppendEqualsInsert(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				if got := pages(appended); got != pages0 || got != pages(fresh) {
+					t.Fatalf("%d pages after the script, %d before it, %d in the fresh store", got, pages0, pages(fresh))
+				}
 
 				head := func(e Engine, name string, id int64) []complex128 {
 					rv, err := shardsOf(e)[e.ShardOf(name)].freqRel.View(id)
@@ -535,7 +679,7 @@ func TestAppendEqualsInsert(t *testing.T) {
 				for i, name := range names {
 					id := mustID(t, appended, name)
 					if fid := mustID(t, fresh, name); id != int64(i) || fid != id {
-						t.Fatalf("%s has id %d after appends, %d inserted fresh", name, id, fid)
+						t.Fatalf("%s has id %d after the script, %d inserted fresh", name, id, fid)
 					}
 					a, _ := appended.Series(id)
 					f, _ := fresh.Series(id)

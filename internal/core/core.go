@@ -54,13 +54,6 @@ type Options struct {
 	// index candidates (ablation; Lemma 1 soundness is unaffected either
 	// way, only the number of verified candidates changes).
 	DisablePartialPrune bool
-	// BufferPoolPages, when positive, routes relation reads through clock
-	// buffer pools of this many pages each (time- and frequency-domain
-	// relations get one pool apiece). ExecStats.PageReads then counts
-	// physical reads — pool misses — as a 1997 buffer manager would.
-	// Ignored when Backing is set: a disk-backed store's mandatory pool is
-	// sized by CachePages instead.
-	BufferPoolPages int
 	// Backing, when non-empty, stores the relations in disk-backed page
 	// files under this directory instead of in memory: pages fault in
 	// through a buffer pool on demand, so the store can exceed RAM. The
@@ -156,7 +149,7 @@ func newShard(length int, opts Options) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &shard{
+	return &shard{
 		schema:  opts.Schema,
 		length:  length,
 		opts:    opts,
@@ -167,16 +160,7 @@ func newShard(length int, opts Options) (*shard, error) {
 		perm:    relation.EnergyOrder(length),
 		identA:  transform.Identity(length).A,
 		identB:  transform.Identity(length).B,
-	}
-	if opts.BufferPoolPages > 0 && opts.Backing == "" {
-		if err := sh.timeRel.AttachPool(opts.BufferPoolPages); err != nil {
-			return nil, err
-		}
-		if err := sh.freqRel.AttachPool(opts.BufferPoolPages); err != nil {
-			return nil, err
-		}
-	}
-	return sh, nil
+	}, nil
 }
 
 // newRelationPair builds a shard's time- and frequency-domain relations
@@ -285,10 +269,16 @@ func (sh *shard) validateInsert(name string, values []float64) error {
 
 // derive computes everything a shard stores about a window beside the
 // window: the feature point it is indexed under and the encoded
-// energy-ordered spectrum record. insertAt and appendPoints both write what
-// it returns, which is why an appended series equals the same window
-// inserted whole bit for bit.
+// energy-ordered spectrum record. insertAt and overwrite both write what it
+// returns, which is why an updated or appended series equals the same window
+// inserted whole bit for bit. A non-finite value is rejected here, before
+// either writer has touched storage: NaN has no place in the index's order.
 func (sh *shard) derive(values []float64) (geom.Point, []float64, error) {
+	for i, x := range values {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, nil, fmt.Errorf("core: non-finite value at position %d", i)
+		}
+	}
 	p, err := sh.schema.Extract(values)
 	if err != nil {
 		return nil, nil, err
@@ -302,16 +292,10 @@ func (sh *shard) encodeSpectrum(values []float64) []float64 {
 	return relation.EncodeComplex(sh.querySpectrum(values))
 }
 
-// insertAt indexes and stores a series under the ID the store assigned it —
+// insertAt indexes and stores a validated series — values with the point and
+// spectrum record derive gave for them — under the ID the store assigned it:
 // unused, and unique across every shard for the store's lifetime.
-func (sh *shard) insertAt(id int64, name string, values []float64) error {
-	if err := sh.validateInsert(name, values); err != nil {
-		return err
-	}
-	p, spec, err := sh.derive(values)
-	if err != nil {
-		return err
-	}
+func (sh *shard) insertAt(id int64, name string, values []float64, p geom.Point, spec []float64) error {
 	if err := sh.idx.Insert(id, p); err != nil {
 		return err
 	}

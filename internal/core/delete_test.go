@@ -81,7 +81,7 @@ func TestDeleteThenReinsertSameName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Series(id)
+	got, err := db.Series(id.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

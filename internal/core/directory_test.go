@@ -8,8 +8,8 @@ package core
 // every single operation, compare every live series' resolved state with a
 // name-keyed mirror that knows nothing of ids or slots; retired ids must
 // resolve to nothing. They fail the moment a write moves a record without
-// moving its slot's entries — an append that rewrites pages, a delete's
-// swap, an update's new id, Compact's renumbering, a reload.
+// moving its slot's entries — an append or an update that rewrites pages, a
+// delete's swap, Compact's renumbering, a reload.
 
 import (
 	"fmt"
@@ -108,25 +108,37 @@ func (hs *headStore) checkRecords(t *testing.T, n int, retired map[int64]bool) {
 }
 
 // churnChecked is churn one operation at a time, checking after each and
-// retiring the ids deletes and updates leave behind. Every few steps one
-// series also finds itself by name through the index and the scan: the
-// whole path from a candidate id to a verdict.
+// retiring the ids deletes leave behind. A name that survives an operation
+// keeps its id and its slot, whatever the operation: an update is the
+// in-place overwrite an append is (until PR 23 it was delete + insert, and
+// this test pinned "new id, new slot" for it). Every few steps one series
+// also finds itself by name through the index and the scan: the whole path
+// from a candidate id to a verdict.
 func (hs *headStore) churnChecked(t *testing.T, n int, rng *rand.Rand, steps int, retired map[int64]bool) {
 	t.Helper()
-	ids := func() map[string]int64 {
-		out := make(map[string]int64, len(hs.live))
+	type place struct {
+		id   int64
+		slot int32
+	}
+	places := func() map[string]place {
+		out := make(map[string]place, len(hs.live))
 		for name := range hs.live {
-			out[name], _ = hs.eng.IDByName(name)
+			id, _ := hs.eng.IDByName(name)
+			slot, _ := shardsOf(hs.eng)[hs.eng.ShardOf(name)].freqRel.Slot(id)
+			out[name] = place{id, slot}
 		}
 		return out
 	}
-	before := ids()
+	before := places()
 	for step := 0; step < steps; step++ {
 		hs.churn(t, n, rng, 1)
-		after := ids()
-		for name, id := range before {
-			if now, ok := after[name]; !ok || now != id {
-				retired[id] = true
+		after := places()
+		for name, was := range before {
+			now, ok := after[name]
+			if !ok {
+				retired[was.id] = true
+			} else if now != was {
+				t.Fatalf("%s: %s moved from id %d slot %d to id %d slot %d", hs.label, name, was.id, was.slot, now.id, now.slot)
 			}
 		}
 		before = after
@@ -136,7 +148,7 @@ func (hs *headStore) churnChecked(t *testing.T, n int, rng *rand.Rand, steps int
 		}
 		names := hs.names()
 		name := names[rng.Intn(len(names))]
-		id := before[name]
+		id := before[name].id
 		prep, _ := hs.eng.QueryPrep(id)
 		q := NNQuery{Values: hs.live[name], K: 1, Transform: transform.Identity(n), Prep: prep}
 		for _, run := range []func(NNQuery) ([]Result, ExecStats, error){pinNN(hs.eng, plan.Index), pinNN(hs.eng, plan.ScanFreq)} {

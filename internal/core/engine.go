@@ -44,14 +44,17 @@ type Engine interface {
 	// recomputing them from raw values.
 	QueryPrep(id int64) (*QueryPrep, bool)
 
-	// Writes. Append is the streaming path: it slides a series' window
-	// forward in place (stable ID, in-place index and storage updates)
-	// where Update is a delete + reinsert under a fresh ID; both derive
-	// what they store exactly as Insert does.
-	Insert(name string, values []float64) (int64, error)
+	// Writes. Insert, Update and Append each report the one thing the layers
+	// above need of a single-series write: the Committed (id, shard, indexed
+	// feature point), taken under the shard's write lock. Update and Append
+	// are the same in-place overwrite — same ID, same slot, no storage
+	// growth — the latter after sliding the stored window forward; all three
+	// derive what they store the same way, so a series is bit-identical
+	// however it got its window.
+	Insert(name string, values []float64) (Committed, error)
 	InsertBulk(names []string, values [][]float64) error
-	Update(name string, values []float64) (int64, error)
-	Append(name string, points []float64) (AppendInfo, error)
+	Update(name string, values []float64) (Committed, error)
+	Append(name string, points []float64) (Committed, error)
 	Delete(name string) bool
 	Compact() (pagesReclaimed int, err error)
 	// Close releases backing storage (the scratch page files of a

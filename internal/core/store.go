@@ -309,23 +309,26 @@ func (s *Store) register(id int64, si int) {
 // Insert stores a named series in its hash-assigned shard under a fresh
 // global ID, taking only that shard's exclusive lock. Names must be unique
 // and non-empty; lengths must match the store.
-func (s *Store) Insert(name string, values []float64) (int64, error) {
+func (s *Store) Insert(name string, values []float64) (Committed, error) {
 	si := s.ShardOf(name)
 	sh := s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := sh.validateInsert(name, values); err != nil {
-		return 0, err
+		return Committed{}, err
+	}
+	p, spec, err := sh.derive(values)
+	if err != nil {
+		return Committed{}, err
 	}
 	id := s.reserveID()
-	if err := sh.insertAt(id, name, values); err != nil {
-		// Unreachable after validateInsert for well-formed input (e.g. a
-		// non-finite series rejected by feature extraction); the reserved
-		// ID stays burned — a gap in the ID space, never a collision.
-		return 0, err
+	if err := sh.insertAt(id, name, values, p, spec); err != nil {
+		// A storage failure (a disk-backed page write); the reserved ID
+		// stays burned — a gap in the ID space, never a collision.
+		return Committed{}, err
 	}
 	s.register(id, si)
-	return id, nil
+	return Committed{ID: id, Shard: si, Point: p.Clone()}, nil
 }
 
 // InsertBulk loads a batch into an empty store, bulk-loading every shard's
@@ -452,58 +455,44 @@ func (s *Store) insertBulkPrepared(names []string, values [][]float64, rawVals [
 	return nil
 }
 
-// Update replaces the values stored under an existing name, reindexing the
-// series in its shard under a fresh global ID (Delete + Insert semantics,
-// preserving the name). It returns the new ID.
-func (s *Store) Update(name string, values []float64) (int64, error) {
+// Update replaces the window stored under an existing name, in place: the
+// series keeps its ID and its slot, storage does not grow, and the store is
+// left exactly as an insert of the same values leaves it (shard.overwrite).
+// A rejected replacement — wrong length, a non-finite value — leaves the
+// stored series untouched.
+func (s *Store) Update(name string, values []float64) (Committed, error) {
 	si := s.ShardOf(name)
 	sh := s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	oldID, ok := sh.byName[name]
+	id, ok := sh.byName[name]
 	if !ok {
-		return 0, fmt.Errorf("core: unknown series %q", name)
+		return Committed{}, fmt.Errorf("core: unknown series %q", name)
 	}
-	// Validate the replacement before touching the stored series, so a
-	// rejected update cannot destroy data.
 	if len(values) != s.length {
-		return 0, fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values), s.length)
+		return Committed{}, fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values), s.length)
 	}
-	if _, err := sh.schema.Extract(values); err != nil {
-		return 0, err
-	}
-	old, err := sh.timeRel.Get(oldID)
+	p, err := sh.overwrite(id, values)
 	if err != nil {
-		return 0, err
+		return Committed{}, err
 	}
-	sh.remove(name)
-	s.mu.Lock()
-	s.dropLocked(oldID)
-	s.mu.Unlock()
-	id := s.reserveID()
-	if err := sh.insertAt(id, name, values); err != nil {
-		// Should be unreachable after validation; restore the old series.
-		id = s.reserveID()
-		if rerr := sh.insertAt(id, name, old); rerr != nil {
-			return 0, fmt.Errorf("core: update of %q failed (%v) and restore failed: %w", name, err, rerr)
-		}
-		s.register(id, si)
-		return 0, err
-	}
-	s.register(id, si)
-	return id, nil
+	return Committed{ID: id, Shard: si, Point: p.Clone()}, nil
 }
 
-// Append slides a series' window forward in its owning shard, taking only
-// that shard's exclusive lock. The global ID is stable across appends, so
-// the catalog needs no update — an appender to one shard never touches
-// another shard's locks or the catalog mutex. See shard.appendPoints for
-// the committed state.
-func (s *Store) Append(name string, points []float64) (AppendInfo, error) {
-	sh := s.shards[s.ShardOf(name)]
+// Append slides a series' window forward in its owning shard — shift, then
+// the overwrite Update runs (shard.appendPoints). Neither touches the
+// catalog: the global ID is stable, so a writer to one shard never takes
+// another shard's lock or the catalog mutex.
+func (s *Store) Append(name string, points []float64) (Committed, error) {
+	si := s.ShardOf(name)
+	sh := s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.appendPoints(name, points)
+	id, p, err := sh.appendPoints(name, points)
+	if err != nil {
+		return Committed{}, err
+	}
+	return Committed{ID: id, Shard: si, Point: p.Clone()}, nil
 }
 
 // Delete removes a series by name, taking only its shard's exclusive

@@ -36,14 +36,13 @@ func (sh *shard) subsequenceScan(q []float64, eps float64, st *ExecStats) ([]Sub
 }
 
 // compact rebuilds the shard's paged relations — dropping records orphaned
-// by Delete and Update — and repacks its k-index with an STR bulk load over
+// by Delete — and repacks its k-index with an STR bulk load over
 // the live feature points, undoing the node-occupancy decay of a long
 // insert/delete history. Live IDs, names, and feature points are
 // untouched. A disk-backed store builds the next relation generation's
 // page files alongside the live pair and swaps atomically from the
 // caller's perspective; the old generation's scratch files are removed on
-// success. Memory stores keep their configured buffer pools across the
-// rebuild. Returns the number of pages reclaimed.
+// success. Returns the number of pages reclaimed.
 func (sh *shard) compact() (pagesReclaimed int, err error) {
 	before := sh.timeRel.Pages() + sh.freqRel.Pages()
 	newTime, newFreq, err := newRelationPair(sh.opts, sh.gen+1)
@@ -53,16 +52,6 @@ func (sh *shard) compact() (pagesReclaimed int, err error) {
 	abort := func() {
 		newTime.Close()
 		newFreq.Close()
-	}
-	if sh.opts.BufferPoolPages > 0 && sh.opts.Backing == "" {
-		if err := newTime.AttachPool(sh.opts.BufferPoolPages); err != nil {
-			abort()
-			return 0, err
-		}
-		if err := newFreq.AttachPool(sh.opts.BufferPoolPages); err != nil {
-			abort()
-			return 0, err
-		}
 	}
 	// The new relations take the live series in sh.ids order, so series i
 	// gets slot i: its record moves there (its position in ids is i already).

@@ -7,10 +7,8 @@ import (
 )
 
 // frame is one buffer-pool slot: a cached page plus its replacement
-// state. Over a Stable backing the frame borrows the backing's own page
-// buffer (zero copy, automatically coherent with in-place Overwrite);
-// over a DiskFile the frame owns a pageSize buffer that is refilled on
-// every miss, which is why readers pin frames for the duration of use.
+// state. The frame owns a pageSize buffer that is refilled on every miss,
+// which is why readers pin frames for the duration of use.
 type frame struct {
 	page int  // page index currently cached, -1 if empty
 	ref  bool // clock reference bit: set on access, cleared by the sweep
@@ -31,20 +29,16 @@ type frame struct {
 // after the first pass. The buffer-pool ablation quantifies exactly that:
 // logical page requests vs physical reads.
 //
-// Pinning: over a non-stable backing ViewInto pins every page of the
-// record and the views stay valid until the matching Release; pinned
-// frames are never chosen for eviction. If every frame is pinned when a
-// miss needs a victim, the pool temporarily overflows capacity rather
-// than failing — residency is bounded by capacity plus the peak number of
-// concurrently pinned pages. Over a Stable backing pinning is a no-op
-// (views reference the backing's own long-lived buffers), which keeps
-// memory-pool callers that never Release working unchanged.
+// Pinning: ViewInto pins every page of the record and the views stay valid
+// until the matching Release; pinned frames are never chosen for eviction.
+// If every frame is pinned when a miss needs a victim, the pool temporarily
+// overflows capacity rather than failing — residency is bounded by capacity
+// plus the peak number of concurrently pinned pages.
 //
 // BufferPool is safe for concurrent reads; Overwrite requires the same
 // external write synchronization as the backing itself.
 type BufferPool struct {
 	backing  Backing
-	stable   bool
 	capacity int
 
 	mu     sync.Mutex
@@ -68,7 +62,6 @@ func NewBufferPool(b Backing, capacity int) (*BufferPool, error) {
 	}
 	return &BufferPool{
 		backing:  b,
-		stable:   b.Stable(),
 		capacity: capacity,
 		frames:   make(map[int]*frame, capacity),
 		clock:    make([]*frame, 0, capacity),
@@ -111,8 +104,8 @@ func (bp *BufferPool) ResetStats() {
 }
 
 // page returns the cached contents of page i, faulting it in on a miss.
-// With pin set (and a non-stable backing) the frame's pin count is raised
-// and the caller must release it.
+// With pin set the frame's pin count is raised and the caller must release
+// it.
 func (bp *BufferPool) page(i int, pin bool) ([]byte, error) {
 	if i < 0 || i >= bp.backing.NumPages() {
 		return nil, fmt.Errorf("pagefile: page %d out of range of %d pages", i, bp.backing.NumPages())
@@ -120,7 +113,7 @@ func (bp *BufferPool) page(i int, pin bool) ([]byte, error) {
 	bp.mu.Lock()
 	if f, ok := bp.frames[i]; ok {
 		f.ref = true
-		if pin && !bp.stable {
+		if pin {
 			f.pin++
 			bp.pinned++
 		}
@@ -144,7 +137,7 @@ func (bp *BufferPool) page(i int, pin bool) ([]byte, error) {
 	f.page = i
 	f.ref = true
 	f.pin = 0
-	if pin && !bp.stable {
+	if pin {
 		f.pin = 1
 		bp.pinned++
 	}
@@ -187,22 +180,15 @@ func (bp *BufferPool) victimLocked() *frame {
 }
 
 func (bp *BufferPool) newFrame() *frame {
-	f := &frame{page: -1}
-	if !bp.stable {
-		f.buf = make([]byte, 0, bp.backing.PageSize())
-	}
-	return f
+	return &frame{page: -1, buf: make([]byte, 0, bp.backing.PageSize())}
 }
 
-// release drops one pin reference on page i. No-op over Stable backings
-// and for pages that hold no pin (robust against double release). When
+// release drops one pin reference on page i. No-op for pages that hold no
+// pin (robust against double release). When
 // the pool has overflowed capacity (every frame was pinned at some miss),
 // fully released frames are retired immediately so residency shrinks back
 // to capacity.
 func (bp *BufferPool) release(i int) {
-	if bp.stable {
-		return
-	}
 	bp.mu.Lock()
 	if f, ok := bp.frames[i]; ok && f.pin > 0 {
 		f.pin--
@@ -236,24 +222,23 @@ func (bp *BufferPool) retireLocked(f *frame) {
 }
 
 // Page returns a read-only view of one page through the pool without
-// pinning it. Over a non-stable backing the buffer is only guaranteed
-// until the next pool operation; prefer ViewInto + Release for held
-// reads.
+// pinning it: the buffer is only guaranteed until the next pool operation;
+// prefer ViewInto + Release for held reads.
 func (bp *BufferPool) Page(i int) ([]byte, error) {
 	return bp.page(i, false)
 }
 
 // View returns read-only views of a record's pages through the pool,
-// charging physical reads only for misses. Over a non-stable backing the
-// pages are pinned until Release(firstPage, pageCount).
+// charging physical reads only for misses. The pages are pinned until
+// Release(firstPage, pageCount).
 func (bp *BufferPool) View(firstPage, pageCount int) ([][]byte, error) {
 	return bp.ViewInto(firstPage, pageCount, nil)
 }
 
 // ViewInto is View appending the page views to buf (pass buf[:0] to reuse
-// its backing array), so steady-state readers allocate nothing. Over a
-// non-stable backing every returned page is pinned; the caller must call
-// Release(firstPage, pageCount) when done with the views.
+// its backing array), so steady-state readers allocate nothing. Every
+// returned page is pinned; the caller must call Release(firstPage,
+// pageCount) when done with the views.
 func (bp *BufferPool) ViewInto(firstPage, pageCount int, buf [][]byte) ([][]byte, error) {
 	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > bp.backing.NumPages() {
 		return nil, fmt.Errorf("pagefile: view [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, bp.backing.NumPages())
@@ -273,11 +258,8 @@ func (bp *BufferPool) ViewInto(firstPage, pageCount int, buf [][]byte) ([][]byte
 }
 
 // Release drops the pins taken by a ViewInto over the same page range.
-// The views must not be used after Release. No-op over Stable backings.
+// The views must not be used after Release.
 func (bp *BufferPool) Release(firstPage, pageCount int) {
-	if bp.stable {
-		return
-	}
 	for i := firstPage; i < firstPage+pageCount; i++ {
 		bp.release(i)
 	}
@@ -314,10 +296,6 @@ func (bp *BufferPool) ReadInto(firstPage, pageCount int, buf []byte) ([]byte, er
 func (bp *BufferPool) Overwrite(firstPage, pageCount int, data []byte) error {
 	if err := bp.backing.Overwrite(firstPage, pageCount, data); err != nil {
 		return err
-	}
-	if bp.stable {
-		// Frames alias the backing's own page buffers; already coherent.
-		return nil
 	}
 	bp.mu.Lock()
 	off := 0

@@ -55,10 +55,6 @@ func (d *DiskFile) NumPages() int { return len(d.lens) }
 // PageLen returns the payload length of page i.
 func (d *DiskFile) PageLen(i int) int { return int(d.lens[i]) }
 
-// Stable reports that DiskFile reads land in caller buffers, which are
-// reused; readers must pin pages through a BufferPool while using them.
-func (d *DiskFile) Stable() bool { return false }
-
 // Path returns the backing file's path.
 func (d *DiskFile) Path() string { return d.path }
 

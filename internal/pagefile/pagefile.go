@@ -50,13 +50,10 @@ type Backing interface {
 	Overwrite(firstPage, pageCount int, data []byte) error
 	// ReadPage returns the contents of page i, charging one physical
 	// read. A memory File returns its live page buffer (zero copy, dst
-	// ignored); a DiskFile fills dst (grown as needed) and returns it.
+	// ignored); a DiskFile fills dst (grown as needed) and returns it, so
+	// the bytes are only valid until the caller reuses dst — a BufferPool's
+	// frame in practice, which is why readers hold pages pinned.
 	ReadPage(i int, dst []byte) ([]byte, error)
-	// Stable reports whether ReadPage returns long-lived references into
-	// the backing itself (true for File). When false, returned buffers
-	// are only valid until the caller reuses dst — a BufferPool's frames
-	// in practice — so readers must hold pages pinned while using them.
-	Stable() bool
 }
 
 // File is an append-only in-memory collection of fixed-size pages. Reads
@@ -95,9 +92,6 @@ func (f *File) NumPages() int { return len(f.pages) }
 
 // PageLen returns the payload length of page i.
 func (f *File) PageLen(i int) int { return len(f.pages[i]) }
-
-// Stable reports that File pages are long-lived in-memory buffers.
-func (f *File) Stable() bool { return true }
 
 // Stats returns the accumulated I/O counters.
 func (f *File) Stats() Stats {
@@ -179,7 +173,7 @@ func (f *File) AppendPages(data []byte) (firstPage, pageCount int, err error) {
 }
 
 // ReadPage returns the live buffer of page i, charging one read. dst is
-// ignored (File is a Stable backing).
+// ignored.
 func (f *File) ReadPage(i int, dst []byte) ([]byte, error) {
 	if i < 0 || i >= len(f.pages) {
 		return nil, fmt.Errorf("pagefile: page %d out of range of %d pages", i, len(f.pages))

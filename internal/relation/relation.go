@@ -54,22 +54,21 @@ type location struct {
 
 // Relation is an insert-only table of float64 vectors keyed by int64 IDs.
 // Complex spectra are stored as interleaved (real, imaginary) floats via
-// the EncodeComplex / DecodeComplex helpers. An optional buffer pool
-// (AttachPool) absorbs repeated reads, so the file's read counter then
-// reports physical I/O (pool misses) rather than logical requests.
+// the EncodeComplex / DecodeComplex helpers.
 //
 // A relation is either memory-backed (New — every page resident, views
 // are stable references) or disk-backed (NewDisk — pages fault in through
-// a mandatory buffer pool, views are pinned frames that the reader must
-// give back with ReleaseView). The access surface is identical; only the
+// a mandatory buffer pool, so the file's read counter reports physical I/O,
+// pool misses, and views are pinned frames that the reader must give back
+// with ReleaseView). The access surface is identical; only the
 // release discipline differs, and ReleaseView is a no-op for memory
 // relations so callers can always pair page view and release. The heads of
 // a relation keeping them are memory either way.
 type Relation struct {
 	file pagefile.Backing
-	mem  *pagefile.File     // non-nil iff memory-backed
-	disk *pagefile.DiskFile // non-nil iff disk-backed
-	pool *pagefile.BufferPool
+	mem  *pagefile.File       // non-nil iff memory-backed
+	disk *pagefile.DiskFile   // non-nil iff disk-backed
+	pool *pagefile.BufferPool // non-nil iff disk-backed
 	// dir resolves an id to its slot; ids and locs are indexed by slot (ids
 	// is also the insertion order of deterministic scans). All three are
 	// derived state: a load rebuilds them record by record and nothing of
@@ -286,13 +285,12 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 
 // Replace overwrites the record stored under id. When the new encoding has
 // the record's existing byte size — always true for the fixed-length
-// series and spectra of a streaming append — the pages are rewritten in
-// place: the record keeps its location, no storage grows, and any attached
-// buffer pool stays coherent for free because pool entries reference the
-// same page buffers. A size-changing replacement falls back to appending a
-// fresh copy and repointing the record, leaving the old pages orphaned
-// until Compact (exactly like Delete). Either way the record keeps its slot,
-// and the slot's location and head are rewritten in the same call.
+// series and spectra of an update or a streaming append — the pages are
+// rewritten in place: the record keeps its location and no storage grows. A
+// size-changing replacement falls back to appending a fresh copy and
+// repointing the record, leaving the old pages orphaned until Compact
+// (exactly like Delete). Either way the record keeps its slot, and the
+// slot's location and head are rewritten in the same call.
 func (r *Relation) Replace(id int64, vec []float64) error {
 	slot, ok := r.dir.get(id)
 	if !ok {
@@ -302,8 +300,7 @@ func (r *Relation) Replace(id int64, vec []float64) error {
 	data := encodeFloats(vec)
 	var err error
 	if r.pool != nil {
-		// Write through the pool so cached disk frames refresh in place
-		// (memory frames alias the file's pages and need no refresh).
+		// Write through the pool so cached disk frames refresh in place.
 		err = r.pool.Overwrite(loc.firstPage, loc.pageCount, data)
 	} else {
 		err = r.file.Overwrite(loc.firstPage, loc.pageCount, data)
@@ -317,19 +314,6 @@ func (r *Relation) Replace(id int64, vec []float64) error {
 	}
 	r.locs[slot] = location{first, count}
 	r.fillHead(slot, data)
-	return nil
-}
-
-// AttachPool routes all reads through a buffer pool of the given page
-// capacity. After attaching, Stats().Reads counts physical reads (misses);
-// PoolStats exposes the hit/miss split. Attaching replaces any previous
-// pool.
-func (r *Relation) AttachPool(pages int) error {
-	bp, err := pagefile.NewBufferPool(r.file, pages)
-	if err != nil {
-		return err
-	}
-	r.pool = bp
 	return nil
 }
 
@@ -445,7 +429,7 @@ func (r *Relation) ViewPagesInto(v View, buf [][]byte) ([][]byte, error) {
 // per successful ViewPagesInto and not otherwise: releasing a view whose
 // pages were never taken could drop a pin another reader holds on them.
 func (r *Relation) ReleaseView(v View) {
-	if r.disk == nil || r.pool == nil {
+	if r.pool == nil {
 		return
 	}
 	loc := r.locs[v.Slot]

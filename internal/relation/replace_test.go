@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"path/filepath"
 	"testing"
 )
 
@@ -68,15 +69,16 @@ func TestReplaceUnknownID(t *testing.T) {
 }
 
 func TestReplaceCoherentWithPool(t *testing.T) {
-	r := New(64)
+	r, err := NewDisk(filepath.Join(t.TempDir(), "rel.pages"), 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 	vec := make([]float64, 16)
 	for i := range vec {
 		vec[i] = float64(i)
 	}
 	if err := r.Insert(1, vec); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.AttachPool(4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Get(1); err != nil { // warm the pool

@@ -434,7 +434,7 @@ func (h *Hub) snapshotMonitors() []*Monitor {
 // monitors converge on the store's current answer sets.
 func (h *Hub) NotifyWrite(name string, p []float64) {
 	for _, m := range h.writeTargets(name, p) {
-		m.notifyWrite(name, p)
+		m.onWrite(name, p)
 	}
 }
 
@@ -504,7 +504,7 @@ func (h *Hub) NotifyDelete(name string) {
 	}
 	h.memMu.Unlock()
 	for _, m := range sortedMonitors(set) {
-		m.notifyDelete(name)
+		m.onDelete(name)
 	}
 }
 
@@ -538,7 +538,7 @@ func (m *Monitor) kthLocked() float64 {
 	return worst
 }
 
-func (m *Monitor) notifyWrite(name string, p []float64) {
+func (m *Monitor) onWrite(name string, p []float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -570,7 +570,7 @@ func (m *Monitor) notifyWrite(name string, p []float64) {
 	}
 }
 
-func (m *Monitor) notifyDelete(name string) {
+func (m *Monitor) onDelete(name string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {

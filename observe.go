@@ -287,11 +287,12 @@ func withCacheTag(st Stats, d time.Duration) Stats {
 // scrape-time store gauges first. This is the body of tsqd's
 // GET /metrics; embedded programs can serve it from any handler.
 func (s *Server) WriteMetrics(w io.Writer) error {
-	telemetry.GaugeOf("tsq_series").Set(float64(s.seriesCount.Load()))
+	telemetry.GaugeOf("tsq_series").Set(float64(s.db.Len()))
 	telemetry.GaugeOf("tsq_series_length").Set(float64(s.db.Length()))
 	telemetry.GaugeOf("tsq_shards").Set(float64(s.db.Shards()))
-	telemetry.GaugeOf("tsq_cache_entries").Set(float64(s.cache.Len()))
-	telemetry.GaugeOf("tsq_cache_capacity").Set(float64(s.cache.Capacity()))
+	_, _, cached := s.cache.counts()
+	telemetry.GaugeOf("tsq_cache_entries").Set(float64(cached))
+	telemetry.GaugeOf("tsq_cache_capacity").Set(float64(s.cache.capacity))
 	infos := s.hub.List()
 	subs, events := 0, 0
 	for _, in := range infos {

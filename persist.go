@@ -57,10 +57,9 @@ func ReadFromShards(r io.Reader, shards int) (*DB, error) {
 // in ReadFromShards (0 honors the snapshot).
 func ReadFromOptions(r io.Reader, opts Options) (*DB, error) {
 	coreOpts := core.Options{
-		PageSize:        opts.PageSize,
-		BufferPoolPages: opts.BufferPoolPages,
-		Backing:         opts.Backing,
-		CachePages:      opts.CachePages,
+		PageSize:   opts.PageSize,
+		Backing:    opts.Backing,
+		CachePages: opts.CachePages,
 	}
 	return readEngine(r, coreOpts, opts.Shards)
 }

@@ -254,36 +254,3 @@ func TestCompactPublicAPI(t *testing.T) {
 		t.Fatalf("post-compaction query: %d results, %v", len(m), err)
 	}
 }
-
-func TestBufferPoolOptionPublicAPI(t *testing.T) {
-	pooled := tsq.MustOpen(tsq.Options{Length: 64, BufferPoolPages: 4096})
-	plain := tsq.MustOpen(tsq.Options{Length: 64})
-	batch := tsq.RandomWalks(60, 64, 56)
-	if err := pooled.InsertAll(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.InsertAll(batch); err != nil {
-		t.Fatal(err)
-	}
-	// Same answers either way; repeated scans cost fewer physical reads
-	// with the pool.
-	var pooledReads, plainReads int64
-	for i := 0; i < 3; i++ {
-		a, sa, err := pooled.RangeByName("W0009", 2, tsq.Identity(), tsq.With(tsq.UseScan))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, sb, err := plain.RangeByName("W0009", 2, tsq.Identity(), tsq.With(tsq.UseScan))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("pooled and plain answers differ: %d vs %d", len(a), len(b))
-		}
-		pooledReads += sa.PageReads
-		plainReads += sb.PageReads
-	}
-	if pooledReads >= plainReads/2 {
-		t.Fatalf("pool saved too little: %d physical vs %d plain reads", pooledReads, plainReads)
-	}
-}

@@ -439,8 +439,10 @@ func (db *DB) Subsequence(q []float64, eps float64) ([]SubseqMatch, Stats, error
 	return out, fromExec(st), nil
 }
 
-// Update replaces the values stored under an existing name, reindexing the
-// series.
+// Update replaces the values stored under an existing name, in place: the
+// series keeps its internal ID and its storage, and is left exactly as an
+// insert of the same values would leave it. A replacement of the wrong length
+// or with a non-finite value is rejected with the stored series untouched.
 func (db *DB) Update(name string, values []float64) error {
 	_, err := db.eng.Update(name, values)
 	return err

@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flight"
-	"repro/internal/lru"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -21,15 +21,16 @@ import (
 // monitoring traffic — skip the engine entirely.
 //
 // There is one read discipline and one write discipline, whatever the
-// store. Cache consistency comes from a write-version counter: every
-// mutation — appends included — bumps the version, logs the write and
-// evicts from the cache in one step under cacheGuard, and a query result is
-// cached only if no write it cannot account for landed between the query
-// starting and finishing, so a reader that overlapped an eviction can never
-// re-insert a stale answer (see readQuery). The store's own synchronization
-// sits underneath and has no part in that: it locks per shard internally at
-// every shard count, so a writer to one shard never blocks readers of the
-// others, and the Server adds no lock of its own around the engine.
+// store. Every write ends in commit, fed by what the engine returned for it
+// under the shard's write lock: the event is published to the cache — version
+// bump, write log and eviction in one step under the cache's lock — and then
+// handed to the monitors. A query result is filed only if no write it cannot
+// account for was published between the query starting and finishing, so a
+// reader that overlapped an eviction can never re-insert a stale answer (see
+// resultCache). The store's own synchronization sits underneath and has no
+// part in that: it locks per shard internally at every shard count, so a
+// writer to one shard never blocks readers of the others, and the Server adds
+// no lock of its own around the engine.
 //
 // The cache is dependency-tagged. Every cached range or NN answer carries
 // an invalidation predicate built from its own plan geometry — the
@@ -37,46 +38,31 @@ import (
 // those members live in — and every single-series write (insert, update,
 // delete, append) is checked against it: an entry survives when the
 // written series is not the query series, is not among the cached
-// matches, and (for writes that move a feature point) the committed point
+// matches, and (for writes that leave a feature point) the committed point
 // misses the rectangle; a delete in a shard outside the entry's tag set
 // is dismissed by the tag alone. Cached join answers carry the analogous
 // proof over the whole store: the written point is tested against the
 // join's transformed store extent expanded by eps (see joinAffected).
-// Only whole-store writes (large batch inserts, bulk loads, compaction)
-// still purge everything — batches of at most smallBatchThreshold series
+// Only barriers (large batch inserts, bulk loads, compaction) still purge
+// everything — batches of at most smallBatchThreshold series
 // emit per-name events instead (see InsertAll). Subsequence entries carry
-// no predicate and are evicted on any write (see stream.go). A
+// no predicate and are evicted on any write. A
 // query-language statement is filed as the typed call it compiles to, under
 // the same key and the same predicate.
 //
 // Server is the session layer behind cmd/tsqd's HTTP API, and equally
 // usable embedded in any concurrent program.
 type Server struct {
-	version atomic.Int64 // write-version guard for the cache
-	// cacheGuard makes a reader's version re-check and cache Add one atomic
-	// step relative to a writer's bump+log+purge; without it a reader could
-	// pass the check, lose the CPU across an entire mutate+bump+purge, and
-	// then re-insert its stale result.
-	cacheGuard sync.Mutex
-	// writeLog holds the recent committed writes (guarded by cacheGuard):
-	// a reader that overlapped writes replays them against its entry's
-	// affected predicate, so an append burst that provably cannot
-	// change a result no longer starves the cache (see readQuery).
-	writeLog []loggedWrite
-	db       *DB
-	cache    *lru.Cache
-	hub      *stream.Hub // standing-query monitors (tsqlive)
+	db    *DB
+	cache *resultCache
+	hub   *stream.Hub // standing-query monitors (tsqlive)
 
 	// testHookAfterCompute, when set, runs between a cache-miss
-	// computation and the version re-check — test instrumentation for the
+	// computation and its filing — test instrumentation for the
 	// write-overlap window.
 	testHookAfterCompute func()
 
 	started time.Time
-
-	// seriesCount mirrors the store's series count so Stats can report it
-	// without taking any lock (see Stats).
-	seriesCount atomic.Int64
 
 	// slow is the bounded slow-query log (newest slowLogCap entries),
 	// guarded by slowMu; slowThreshold <= 0 disables it.
@@ -135,9 +121,6 @@ func NewServer(db *DB, opts ServerOptions) *Server {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
-	if size < 0 {
-		size = 0
-	}
 	retain := opts.MonitorRetain
 	if retain == 0 {
 		retain = DefaultMonitorRetain
@@ -154,7 +137,7 @@ func NewServer(db *DB, opts ServerOptions) *Server {
 	}
 	s := &Server{
 		db:            db,
-		cache:         lru.New(size),
+		cache:         newResultCache(size),
 		hub:           stream.NewHub(retain),
 		slowThreshold: slow,
 		started:       time.Now(),
@@ -165,7 +148,6 @@ func NewServer(db *DB, opts ServerOptions) *Server {
 			SlowestN: opts.TraceRetain,
 		})
 	}
-	s.seriesCount.Store(int64(db.Len()))
 	return s
 }
 
@@ -240,16 +222,16 @@ type PlanRecord struct {
 	ElapsedUS          float64
 }
 
-// Stats returns the Server's cumulative counters. It takes no lock: the
-// series count is mirrored in an atomic maintained by the write paths,
-// the window length and shard count are immutable after Open, and every
-// other field is an atomic counter or internally synchronized — so a
-// stats scrape never contends with queries or writers, and a scrape
-// arriving during a writer's critical section cannot deadlock or stall.
+// Stats returns the Server's cumulative counters. It takes no shard lock —
+// the series count is one shared acquisition of the store's catalog lock,
+// which no writer holds across storage work, the window length and shard
+// count are immutable after Open, and every other field is an atomic counter
+// or internally synchronized — so a stats scrape never waits behind a query
+// or a writer's critical section.
 func (s *Server) Stats() ServerStats {
-	hits, misses := s.cache.HitsMisses()
+	hits, misses, cached := s.cache.counts()
 	return ServerStats{
-		Series:       int(s.seriesCount.Load()),
+		Series:       s.db.Len(),
 		Length:       s.db.Length(),
 		Shards:       s.db.Shards(),
 		Queries:      s.queries.Load(),
@@ -258,8 +240,8 @@ func (s *Server) Stats() ServerStats {
 		Monitors:     len(s.hub.List()),
 		CacheHits:    hits,
 		CacheMisses:  misses,
-		CacheLen:     s.cache.Len(),
-		CacheCap:     s.cache.Capacity(),
+		CacheLen:     cached,
+		CacheCap:     s.cache.capacity,
 		NodeAccesses: s.nodeAccesses.Load(),
 		PageReads:    s.pageReads.Load(),
 		Candidates:   s.candidates.Load(),
@@ -319,105 +301,34 @@ func (s *Server) record(st Stats) {
 	s.elapsed.Add(int64(st.Elapsed))
 }
 
-// write runs fn — which must report whether it (possibly) mutated the
-// store — and on mutation bumps the write counter and publishes the event
-// evf describes; a rejected insert or a
-// delete of a missing name is a no-op and must not evict cached results.
-//
-// evf runs after the mutation commits, so the event carries the
-// committed feature point. Under concurrent writes to the same name the
-// point may belong to a later write; that is sound: each racing write
-// issues its own event, and an entry is retained only if unaffected by
-// every final state — transiently stale reads in the commit-to-invalidate
-// window are the same linearization the whole-cache purge already had.
-func (s *Server) write(fn func() (mutated bool, err error), evf func() writeEvent) error {
-	return s.writeEvents(fn, func() []writeEvent { return []writeEvent{evf()} })
-}
-
-// writeEvents is write's multi-event form: a mutation that commits as
-// several independent single-series writes (a small batch insert) emits
-// one event per series, each with its own version, so the cache can
-// defend entries against the batch selectively instead of purging.
-func (s *Server) writeEvents(fn func() (mutated bool, err error), evsf func() []writeEvent) error {
-	mutated, err := fn()
-	if mutated {
-		s.writes.Add(1)
-		s.publish(evsf()...)
-	}
-	return err
-}
-
-// publish is the write half of the cache discipline, run by every committed
-// mutation after it is visible in the store: per event, bump the version,
-// log the write and evict what it could have changed, all under cacheGuard.
-// The bump is ordered after the mutation and before the eviction, so any
-// query that read pre-mutation data either finishes its re-check first —
-// and has its entry evicted here if the write affects it — or observes the
-// changed version before it could cache a stale result (and must then prove
-// itself unaffected against the write log — see readQuery).
-func (s *Server) publish(evs ...writeEvent) {
-	s.cacheGuard.Lock()
-	defer s.cacheGuard.Unlock()
+// commit is where every write ends, once its mutation is visible in the
+// store: the events are published to the cache (resultCache.publish: bump,
+// log, evict — in that order, after the mutation, so a reader of
+// pre-mutation state cannot file across it) and then handed to the monitors.
+// It is the only function that does either. A put carries the core.Committed
+// the engine took under the shard's write lock, so nothing is read back from
+// the store; a rejected insert or a delete of a missing name commits nothing
+// and evicts nothing. A barrier means one thing, whoever raises it —
+// InsertBulk, an InsertAll past smallBatchThreshold or rolled back, Compact:
+// nothing can be proved about what readers and monitor evaluations saw, so
+// the cache is purged and every monitor re-evaluated in full.
+func (s *Server) commit(evs ...writeEvent) {
+	s.cache.publish(evs...)
 	for _, ev := range evs {
-		v := s.version.Add(1)
-		if len(s.writeLog) >= writeLogCap {
-			s.writeLog = append(s.writeLog[:0], s.writeLog[1:]...)
+		switch ev.kind {
+		case writePut:
+			s.hub.NotifyWrite(ev.name, ev.point)
+		case writeDelete:
+			s.hub.NotifyDelete(ev.name)
+		default:
+			s.hub.RefreshAll()
 		}
-		s.writeLog = append(s.writeLog, loggedWrite{version: v, ev: ev})
-		s.invalidateFor(ev)
 	}
 }
 
-// barrier is the whole-store write event: purge everything, cache nothing
-// across it.
-func barrier() writeEvent { return writeEvent{kind: writeBarrier} }
-
-// namedEvent builds the write event of a committed single-series write,
-// reading the committed feature point (nil for deletes and when the name
-// vanished again).
-func (s *Server) namedEvent(kind writeKind, name string) func() writeEvent {
-	return func() writeEvent {
-		ev := writeEvent{kind: kind, name: name, shard: s.db.eng.ShardOf(name)}
-		if kind == writeDelete {
-			return ev
-		}
-		if id, ok := s.db.eng.IDByName(name); ok {
-			if fp, ok := s.db.eng.FeaturePoint(id); ok {
-				ev.point = fp.Clone()
-			}
-		}
-		return ev
-	}
-}
-
-// writeLogCap bounds the recent-write log used by readQuery's replay; a
-// query overlapping more writes than this simply isn't cached.
-const writeLogCap = 128
-
-// loggedWrite is one committed write with its version, kept under
-// cacheGuard so an in-flight query can replay the writes it overlapped.
-type loggedWrite struct {
-	version int64
-	ev      writeEvent
-}
-
-// writesSince returns the events of versions (v0, v1] when the log still
-// holds every one of them, in version order (caller holds cacheGuard).
-// complete is false when any were evicted.
-func (s *Server) writesSince(v0, v1 int64) (events []writeEvent, complete bool) {
-	want := v1 - v0
-	if want <= 0 || int64(len(s.writeLog)) < want {
-		return nil, false
-	}
-	events = make([]writeEvent, want)
-	found := int64(0)
-	for _, lw := range s.writeLog {
-		if lw.version > v0 && lw.version <= v1 {
-			events[lw.version-v0-1] = lw.ev
-			found++
-		}
-	}
-	return events, found == want
+// put is the event of a committed insert, update or append.
+func put(name string, c core.Committed) writeEvent {
+	return writeEvent{kind: writePut, name: name, shard: c.Shard, point: c.Point}
 }
 
 // Insert stores a named series. See DB.Insert. The cache is invalidated
@@ -425,123 +336,114 @@ func (s *Server) writesSince(v0, v1 int64) (events []writeEvent, complete bool) 
 // series' reach — its feature point misses the answer's Lemma 1 search
 // rectangle — survives.
 func (s *Server) Insert(name string, values []float64) error {
-	err := s.write(func() (bool, error) {
-		err := s.db.Insert(name, values)
-		return err == nil, err
-	}, s.namedEvent(writeInsert, name))
-	if err == nil {
-		s.seriesCount.Add(1)
-		s.notifyWrite(name)
+	c, err := s.db.eng.Insert(name, values)
+	if err != nil {
+		return err
 	}
-	return err
+	s.writes.Add(1)
+	s.commit(put(name, c))
+	return nil
 }
 
 // smallBatchThreshold is the batch size up to which InsertAll emits
-// per-name write events instead of purging the whole cache: each event
-// costs one predicate pass over the cache, so a small batch stays cheap
-// while a bulk load (whose events would mostly purge everything anyway)
-// keeps the single barrier.
+// per-name write events instead of a barrier: each event costs one predicate
+// pass over the cache, so a small batch stays cheap while a bulk load (whose
+// events would mostly purge everything anyway) keeps the single barrier.
 const smallBatchThreshold = 16
 
 // InsertAll inserts a batch atomically: on any error (duplicate name,
 // wrong length) every series inserted so far is rolled back and the store
 // is unchanged — unlike DB.InsertAll, which stops at the first error and
 // keeps the prefix. Atomicity makes failed uploads cleanly retryable.
-// Batches of at most smallBatchThreshold series invalidate the cache
-// selectively (one per-name event per series, like Insert); larger
-// batches purge it.
+// Batches of at most smallBatchThreshold series commit one event per series,
+// like Insert; larger ones commit a barrier.
 func (s *Server) InsertAll(batch []NamedSeries) error {
-	committed := false
-	err := s.writeEvents(func() (bool, error) {
-		for i, b := range batch {
-			if err := s.db.Insert(b.Name, b.Values); err != nil {
-				for j := i - 1; j >= 0; j-- {
-					s.db.Delete(batch[j].Name)
-				}
-				// The store is back to its pre-batch state, but the
-				// rolled-back inserts were visible to concurrent queries
-				// (writes lock per shard, not the store), so the rollback
-				// must still count as a mutation — otherwise a mid-batch
-				// reader could cache a result containing a rolled-back
-				// series.
-				return i > 0, err
+	evs := make([]writeEvent, 0, len(batch))
+	for _, b := range batch {
+		c, err := s.db.eng.Insert(b.Name, b.Values)
+		if err != nil {
+			for j := len(evs) - 1; j >= 0; j-- {
+				s.db.Delete(evs[j].name)
 			}
+			// The store is back to its pre-batch state, but the rolled-back
+			// inserts were visible to concurrent queries and monitor
+			// evaluations (writes lock per shard, not the store), with no
+			// committed point left to defend against.
+			if len(evs) > 0 {
+				s.writes.Add(1)
+				s.commit(barrier)
+			}
+			return err
 		}
-		committed = true
-		return len(batch) > 0, nil
-	}, func() []writeEvent {
-		if !committed || len(batch) > smallBatchThreshold {
-			// A rolled-back batch exposed transient state with no committed
-			// points to defend against: purge.
-			return []writeEvent{barrier()}
-		}
-		evs := make([]writeEvent, len(batch))
-		for i, b := range batch {
-			evs[i] = s.namedEvent(writeInsert, b.Name)()
-		}
-		return evs
-	})
-	if err == nil {
-		s.seriesCount.Add(int64(len(batch)))
-		for _, b := range batch {
-			s.notifyWrite(b.Name)
-		}
+		evs = append(evs, put(b.Name, c))
 	}
-	return err
+	if len(evs) == 0 {
+		return nil
+	}
+	if len(evs) > smallBatchThreshold {
+		evs = []writeEvent{barrier}
+	}
+	s.writes.Add(1)
+	s.commit(evs...)
+	return nil
 }
 
-// InsertBulk bulk-loads a batch into an empty DB. See DB.InsertBulk.
+// InsertBulk bulk-loads a batch into an empty DB. See DB.InsertBulk. Even a
+// failed bulk load commits its barrier: unlike Insert/Update, a late error
+// can leave partial state behind.
 func (s *Server) InsertBulk(batch []NamedSeries) error {
-	// Conservatively treat even a failed bulk load as a mutation: unlike
-	// Insert/Update, a late error can leave partial state behind.
-	err := s.write(func() (bool, error) { return true, s.db.InsertBulk(batch) }, barrier)
-	// Re-read the store size: a failed bulk load may have left partial
-	// state.
-	s.seriesCount.Store(int64(s.Len()))
-	// Rebuild every monitor's membership from scratch — the store was
-	// rewritten wholesale.
-	s.hub.RefreshAll()
+	err := s.db.InsertBulk(batch)
+	s.writes.Add(1)
+	s.commit(barrier)
 	return err
 }
 
-// Update replaces the values stored under an existing name. Cached
+// Update replaces the values stored under an existing name, in place. Cached
 // entries survive when the replaced series was not among their answers
 // and its new feature point misses their search rectangles.
 func (s *Server) Update(name string, values []float64) error {
-	err := s.write(func() (bool, error) {
-		err := s.db.Update(name, values)
-		return err == nil, err
-	}, s.namedEvent(writeUpdate, name))
-	if err == nil {
-		s.notifyWrite(name)
+	c, err := s.db.eng.Update(name, values)
+	if err != nil {
+		return err
 	}
-	return err
+	s.writes.Add(1)
+	s.commit(put(name, c))
+	return nil
+}
+
+// Append slides a stored series' window forward — an Update of the shifted
+// window, so it commits the same event (the file comment of stream.go says
+// what survives it). See DB.Append for the storage semantics.
+func (s *Server) Append(name string, points []float64) error {
+	c, err := s.db.eng.Append(name, points)
+	if err != nil {
+		return err
+	}
+	s.appends.Add(1)
+	if telemetry.Enabled() {
+		mAppends.Inc()
+	}
+	s.commit(put(name, c))
+	return nil
 }
 
 // Delete removes a series by name, reporting whether it was present.
 // Cached entries whose answers the deleted series did not appear in —
 // checked through their shard tags first — survive.
 func (s *Server) Delete(name string) bool {
-	var present bool
-	_ = s.write(func() (bool, error) {
-		present = s.db.Delete(name)
-		return present, nil
-	}, s.namedEvent(writeDelete, name))
-	if present {
-		s.seriesCount.Add(-1)
-		s.hub.NotifyDelete(name)
+	if !s.db.Delete(name) {
+		return false
 	}
-	return present
+	s.writes.Add(1)
+	s.commit(writeEvent{kind: writeDelete, name: name, shard: s.db.eng.ShardOf(name)})
+	return true
 }
 
 // Compact rebuilds the storage pages. See DB.Compact.
 func (s *Server) Compact() (int, error) {
-	var n int
-	err := s.write(func() (bool, error) {
-		var err error
-		n, err = s.db.Compact()
-		return true, err
-	}, barrier)
+	n, err := s.db.Compact()
+	s.writes.Add(1)
+	s.commit(barrier)
 	return n, err
 }
 
@@ -566,24 +468,6 @@ func (s *Server) Series(name string) ([]float64, error) { return s.db.Series(nam
 // cut even under concurrent writers).
 func (s *Server) WriteTo(w io.Writer) (int64, error) { return s.db.WriteTo(w) }
 
-// cachedResult is the value stored in the LRU cache — at most one of the
-// payload fields is set, matching the query kind.
-type cachedResult struct {
-	matches []Match
-	pairs   []Pair
-	subseq  []SubseqMatch
-	stats   Stats
-	// affected decides whether one committed write could change this
-	// result (see invalidateFor); nil means the entry is always evicted on
-	// any write.
-	affected func(writeEvent) bool
-	// shards is the entry's dependency tag: every shard a cached member or
-	// the query series lives in (sorted). The affected predicate consults
-	// it for member-removal writes; nil means untagged (depends on the
-	// whole store).
-	shards []int
-}
-
 // readID names one read for readQuery: the cache key, the kind label of its
 // metrics, what the slow log and retained traces show for it, the caller's
 // correlation ID, and whether it skips the cache.
@@ -595,20 +479,10 @@ type readID struct {
 // readQuery serves one query, consulting the result cache first.
 //
 // On a miss the query computes (the store takes its own per-shard read locks
-// during the fan-out) and the result is cached only if no write it cannot account for landed since
-// the computation began: a writer bumps the version after mutating and
-// before invalidating, so a query that read any pre-mutation state started
-// before the bump and fails the version comparison — but when the write log
-// still holds every overlapped write and the entry's own affected predicate
-// proves each one could not change this answer (the Lemma 1
-// rectangle/membership proof, the same test invalidation runs on entries
-// already cached), the result is cached anyway. That is what keeps the cache
-// warm under append bursts: an append to a far-away series no longer blocks
-// every in-flight query from caching. The re-check and the Add happen as one
-// atomic step under cacheGuard — the same mutex the writer's invalidation
-// takes — so the check cannot go stale between passing and the Add landing;
-// an eviction cannot be undone by a slow reader whose overlapped writes did
-// affect it.
+// during the fan-out) and hands its answer to the cache with the write version
+// the miss reported; the cache files it unless a write published since could
+// have changed it (resultCache.file) — which is what keeps the cache warm under
+// append bursts and still never lets a slow reader undo an eviction.
 //
 // An uncached read (EXPLAIN, TRACE, a progressive stage, a statement that
 // did not compile) is the same read with the lookup and the filing skipped.
@@ -634,9 +508,10 @@ func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cac
 		}
 		s.flightRecord(id.reqID, id.kind, strategy, outcome, id.label, errMsg, elapsed, spans)
 	}
+	var v0 int64
 	if !id.uncached {
-		if v, ok := s.cache.Get(id.key); ok {
-			r := v.(cachedResult)
+		r, v, ok := s.cache.get(id.key)
+		if ok {
 			st := r.stats
 			st.Cached = true
 			st.RequestID = id.reqID
@@ -649,8 +524,8 @@ func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cac
 		if telemetry.Enabled() {
 			mCacheMisses.Inc()
 		}
+		v0 = v
 	}
-	v0 := s.version.Load()
 	r, err := compute()
 	if err != nil {
 		done("", flight.OutcomeError, err.Error(), nil)
@@ -662,41 +537,13 @@ func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cac
 	st := r.stats
 	if !id.uncached {
 		tagStart := time.Now()
-		s.cacheGuard.Lock()
-		if s.cacheableLocked(v0, &r) {
-			s.cache.Add(id.key, r)
-		}
-		s.cacheGuard.Unlock()
+		s.cache.file(id.key, v0, r)
 		st = withCacheTag(st, time.Since(tagStart))
 	}
 	st.RequestID = id.reqID
 	s.record(r.stats)
 	done(st.Strategy, flight.OutcomeOK, "", st.Spans)
 	return r, st, nil
-}
-
-// cacheableLocked decides whether a result computed while the version
-// moved from v0 to the current value may still enter the cache (caller
-// holds cacheGuard): either nothing was written, or every overlapped
-// write is in the log and provably cannot affect this entry.
-func (s *Server) cacheableLocked(v0 int64, r *cachedResult) bool {
-	v1 := s.version.Load()
-	if v1 == v0 {
-		return true
-	}
-	if r.affected == nil {
-		return false
-	}
-	events, complete := s.writesSince(v0, v1)
-	if !complete {
-		return false
-	}
-	for _, ev := range events {
-		if ev.kind == writeBarrier || r.affected(ev) {
-			return false
-		}
-	}
-	return true
 }
 
 // clone copies a filed answer for handing out (never nil, like a fresh one).
@@ -710,7 +557,7 @@ func clone[T any](in []T) []T {
 // opened with CacheSize < 0 answers every read from the engine, so what a
 // read would pay only to file its answer — hashing a raw query vector into
 // the key, building the entry's invalidation predicate — is skipped.
-func (s *Server) caching() bool { return s.cache.Capacity() > 0 }
+func (s *Server) caching() bool { return s.cache.capacity > 0 }
 
 // read serves one spec — a typed call's or a compiled statement's, the two
 // are the same value — through readQuery: the cache key and the filed

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -72,7 +73,20 @@ func clusterSeries(delta float64) []float64 {
 	return vals
 }
 
-func cacheLen(s *Server) int { return s.cache.Len() }
+// outlier is a pure high-frequency sine like the fixture's "Z*" series: far
+// outside any cluster rectangle.
+func outlier(i int) []float64 {
+	vals := make([]float64, 32)
+	for j := range vals {
+		vals[j] = 20 * sin(float64(8*j)/32+float64(100+i))
+	}
+	return vals
+}
+
+func cacheLen(s *Server) int {
+	_, _, n := s.cache.counts()
+	return n
+}
 
 // TestAppendBurstDoesNotStarveCache: a query whose computation overlaps
 // an append the Lemma 1 proof shows irrelevant must still cache its
@@ -312,14 +326,6 @@ func TestSmallBatchInsertAllSelective(t *testing.T) {
 		}
 		return st.Cached
 	}
-	outlier := func(i int) []float64 {
-		vals := make([]float64, 32)
-		for j := range vals {
-			vals[j] = 20 * sin(float64(8*j)/32+float64(100+i))
-		}
-		return vals
-	}
-
 	// Small batch of far-away series: retained.
 	warm()
 	if !warm() {
@@ -373,10 +379,9 @@ func TestEntryShardTags(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tagged []int
-	s.cache.RemoveIf(func(_ string, v any) bool {
-		tagged = v.(cachedResult).shards
-		return false
-	})
+	for _, e := range s.cache.entries {
+		tagged = e.result.shards
+	}
 	if len(tagged) == 0 {
 		t.Fatal("cached entry carries no shard tags")
 	}
@@ -792,5 +797,96 @@ func TestMomentBoundsScope(t *testing.T) {
 	_, _, _ = s.NN(q, 3, Identity(), bounded...)
 	if cacheLen(s) != filed+1 {
 		t.Fatalf("%d entries for one NN answer", cacheLen(s)-filed)
+	}
+}
+
+// TestBarrierPurgesAndRefreshes: a barrier means one thing, whoever raises
+// it — the cache is purged and every monitor re-evaluated in full. The
+// monitor half is what a rolled-back InsertAll used to skip: its transient
+// inserts are visible to a monitor evaluation racing it just as they are to
+// a reader, and an NN monitor that picked one up kept it, with no leave,
+// after the rollback. The race is staged: a ghost series is in the store
+// only while the hub evaluates, so the monitor is stale by the time the
+// barrier is raised.
+func TestBarrierPurgesAndRefreshes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		raise func(t *testing.T, s *Server)
+	}{
+		{"rolled-back InsertAll", func(t *testing.T, s *Server) {
+			err := s.InsertAll([]NamedSeries{{Name: "T00", Values: outlier(0)}, {Name: "C00", Values: outlier(1)}})
+			if err == nil || s.Len() != 12 {
+				t.Fatalf("duplicate in the batch: err %v, %d series stored", err, s.Len())
+			}
+		}},
+		{"large InsertAll", func(t *testing.T, s *Server) {
+			big := make([]NamedSeries, smallBatchThreshold+1)
+			for i := range big {
+				big[i] = NamedSeries{Name: fmt.Sprintf("B%02d", i), Values: outlier(i)}
+			}
+			if err := s.InsertAll(big); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Compact", func(t *testing.T, s *Server) {
+			if _, err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := cacheFixture(t)
+			id, _, err := s.MonitorNN(clusterSeries(0), 3, Identity())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := s.Watch(id, -1, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Cancel()
+			if err := s.db.Insert("ghost", clusterSeries(0.0001)); err != nil {
+				t.Fatal(err)
+			}
+			s.hub.RefreshAll()
+			s.db.Delete("ghost")
+			haunted := func() bool {
+				members, err := s.MonitorMembers(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range members {
+					if m.Name == "ghost" {
+						return true
+					}
+				}
+				return false
+			}
+			if !haunted() {
+				t.Fatal("the staged evaluation did not pick the transient series up")
+			}
+			if _, _, err := s.RangeByName("C00", 0.5, Identity()); err != nil || cacheLen(s) != 1 {
+				t.Fatalf("warming query: %v, %d entries", err, cacheLen(s))
+			}
+
+			tc.raise(t, s)
+
+			if n := cacheLen(s); n != 0 {
+				t.Fatalf("%d cache entries survived the barrier", n)
+			}
+			if haunted() {
+				t.Fatal("the monitor still holds a series that is not in the store")
+			}
+			for timeout := time.After(5 * time.Second); ; {
+				select {
+				case ev := <-w.Events:
+					if ev.Name == "ghost" && ev.Kind == "leave" {
+						return
+					}
+				case <-timeout:
+					t.Fatal("no leave event for the series the refresh dropped")
+				}
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/plan"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 )
 
 // This file is the public surface of tsqlive, the streaming subsystem:
@@ -48,16 +47,18 @@ import (
 //
 // # Cache interaction
 //
-// An append evicts from the result cache selectively: a cached range or
-// NN answer survives when the appended series is not the query series, is
-// not among the cached matches, and its new feature point misses the
-// query's search rectangle — the Lemma 1 test proving the answer
-// unchanged. A cached join answer survives when the appended series joins
-// no pair and its new point misses the join's eps-expanded store extent
-// (see joinAffected). A query-language statement is filed as the typed call
-// it compiles to, so it survives the same writes; subsequence entries are
-// always evicted. The write-version guard is unchanged: an append bumps the
-// version, so any query racing the append can never cache a stale answer.
+// An append commits the event an update commits — "this series now sits at
+// this feature point", taken under the shard's write lock — and evicts from
+// the result cache selectively: a cached range or NN answer survives when
+// the appended series is not the query series, is not among the cached
+// matches, and its new feature point misses the query's search rectangle —
+// the Lemma 1 test proving the answer unchanged. A cached join answer
+// survives when the appended series joins no pair and its new point misses
+// the join's eps-expanded store extent (see joinAffected). A query-language
+// statement is filed as the typed call it compiles to, so it survives the
+// same writes; subsequence entries are always evicted. Like every write an
+// append bumps the cache's write version, so a query racing it can never
+// file a stale answer (see resultCache).
 
 // Append slides a stored series' window forward by the given points. Like
 // every DB write it locks only the owning shard, and is safe beside
@@ -65,93 +66,6 @@ import (
 func (db *DB) Append(name string, points []float64) error {
 	_, err := db.eng.Append(name, points)
 	return err
-}
-
-// writeKind discriminates committed writes for cache invalidation.
-type writeKind int
-
-const (
-	// writeAppend slid a series' window forward (point carries the new
-	// feature point).
-	writeAppend writeKind = iota
-	// writeInsert added a new series; writeUpdate replaced one in place
-	// (point carries the committed feature point for both).
-	writeInsert
-	writeUpdate
-	// writeDelete removed a series (no point: only membership matters — a
-	// deleted non-member cannot change any cached answer).
-	writeDelete
-	// writeBarrier is a whole-store mutation (bulk loads, batch inserts,
-	// compaction): every cached entry is invalidated and no in-flight
-	// query may cache across it.
-	writeBarrier
-)
-
-// writeEvent describes one committed write for the dependency-tagged
-// cache: what happened, to which series, in which shard, and where its
-// feature point landed. Cached entries carry an affected predicate over
-// these events (Lemma 1 rectangle tests plus membership and shard tags),
-// so a write purges only the entries it could actually have changed.
-type writeEvent struct {
-	kind  writeKind
-	name  string
-	shard int
-	point geom.Point // committed feature point; nil when unknown
-}
-
-// Append slides a stored series' window forward through the Server: the
-// engine append commits under its shard's write lock, its event — carrying
-// the new feature point — is published to the cache like any other write's
-// (see publish; the file comment says what survives), and monitors are
-// notified. See DB.Append for the storage semantics.
-func (s *Server) Append(name string, points []float64) error {
-	info, err := s.db.eng.Append(name, points)
-	if err != nil {
-		return err
-	}
-	s.appends.Add(1)
-	s.publish(writeEvent{kind: writeAppend, name: name, shard: s.db.eng.ShardOf(name), point: info.Point})
-	if telemetry.Enabled() {
-		mAppends.Inc()
-	}
-	s.hub.NotifyWrite(name, info.Point)
-	return nil
-}
-
-// invalidateFor evicts the cached results one committed write could have
-// changed. Entries without an affected predicate (subsequence scans, answers
-// nothing could be proved about) always go; barriers purge everything.
-func (s *Server) invalidateFor(ev writeEvent) {
-	if ev.kind == writeBarrier {
-		n := s.cache.Len()
-		s.cache.Purge()
-		if n > 0 && telemetry.Enabled() {
-			telemetry.Count("tsq_cache_evictions_total", "reason", "purge").Add(int64(n))
-		}
-		return
-	}
-	n := s.cache.RemoveIf(func(_ string, v any) bool {
-		r := v.(cachedResult)
-		if r.affected == nil {
-			return true
-		}
-		return r.affected(ev)
-	})
-	if n > 0 && telemetry.Enabled() {
-		telemetry.Count("tsq_cache_evictions_total", "reason", "selective").Add(int64(n))
-	}
-}
-
-// notifyWrite tells the monitors a series was inserted or replaced,
-// handing them its current feature point for prefiltering.
-func (s *Server) notifyWrite(name string) {
-	var p geom.Point
-	if id, ok := s.db.eng.IDByName(name); ok {
-		if fp, ok := s.db.eng.FeaturePoint(id); ok {
-			p = fp.Clone()
-		}
-	}
-	s.hub.NotifyWrite(name, p)
 }
 
 // memberTags collects a cached answer's membership map and shard tags:
@@ -189,23 +103,14 @@ func affectedPredicate(queryName string, members map[string]bool, memberShards [
 		inShards[sh] = true
 	}
 	return func(ev writeEvent) bool {
-		switch ev.kind {
-		case writeDelete:
-			if ev.name == queryName {
-				return true
-			}
-			if !inShards[ev.shard] {
-				return false // shard tag: no member lives there
-			}
-			return members[ev.name]
-		case writeAppend, writeInsert, writeUpdate:
-			if ev.name == queryName || members[ev.name] || ev.point == nil {
-				return true
-			}
-			return pf.Hit(ev.point, eps)
-		default:
+		if ev.name == queryName {
 			return true
 		}
+		if ev.kind == writeDelete {
+			// The shard tag first: no member lives in an untagged shard.
+			return inShards[ev.shard] && members[ev.name]
+		}
+		return members[ev.name] || pf.Hit(ev.point, eps)
 	}
 }
 
@@ -291,21 +196,17 @@ func (s *Server) joinAffected(sp readSpec, pairs []Pair) (func(writeEvent) bool,
 		members[p.B] = true
 	}
 	return func(ev writeEvent) bool {
-		switch ev.kind {
-		case writeDelete:
-			return members[ev.name]
-		case writeAppend, writeInsert, writeUpdate:
-			if members[ev.name] || ev.point == nil {
-				return true
-			}
-			hit := jp.Hit(ev.point)
-			if !hit && jp.Absorbed() >= joinRetagEvery {
-				jp.Retag(s.db.eng.FeatureBounds())
-			}
-			return hit
-		default:
+		if members[ev.name] {
 			return true
 		}
+		if ev.kind == writeDelete {
+			return false
+		}
+		hit := jp.Hit(ev.point)
+		if !hit && jp.Absorbed() >= joinRetagEvery {
+			jp.Retag(s.db.eng.FeatureBounds())
+		}
+		return hit
 	}, plan.AllShards(s.db.Shards())
 }
 

@@ -117,12 +117,6 @@ type Options struct {
 	PageSize int
 	// NodeCapacity is the R*-tree fan-out M (default 40).
 	NodeCapacity int
-	// BufferPoolPages, when positive, routes storage reads through clock
-	// buffer pools of this many pages, so Stats.PageReads counts physical
-	// reads (pool misses) as a real buffer manager would. Default off.
-	// Ignored when Backing is set (disk stores always run a real pool,
-	// sized by CachePages).
-	BufferPoolPages int
 	// Backing, when non-empty, stores series and spectrum pages in files
 	// under this directory instead of in memory, so the store can exceed
 	// RAM. All page reads go through a fixed-size clock buffer pool of
@@ -173,12 +167,11 @@ func Open(opts Options) (*DB, error) {
 		return nil, fmt.Errorf("tsq: unknown space %d", int(opts.Space))
 	}
 	coreOpts := core.Options{
-		Schema:          feature.Schema{Space: space, K: k, Moments: !opts.NoMoments},
-		PageSize:        opts.PageSize,
-		RTree:           rtree.Options{MaxEntries: opts.NodeCapacity},
-		BufferPoolPages: opts.BufferPoolPages,
-		Backing:         opts.Backing,
-		CachePages:      opts.CachePages,
+		Schema:     feature.Schema{Space: space, K: k, Moments: !opts.NoMoments},
+		PageSize:   opts.PageSize,
+		RTree:      rtree.Options{MaxEntries: opts.NodeCapacity},
+		Backing:    opts.Backing,
+		CachePages: opts.CachePages,
 	}
 	s, err := core.NewStore(opts.Length, max(opts.Shards, 1), coreOpts)
 	if err != nil {
@@ -197,7 +190,7 @@ func MustOpen(opts Options) *DB {
 }
 
 // Insert stores a named series. Names must be unique; the length must
-// match Options.Length.
+// match Options.Length and every value must be finite.
 func (db *DB) Insert(name string, values []float64) error {
 	_, err := db.eng.Insert(name, values)
 	return err
@@ -240,7 +233,7 @@ func (db *DB) Engine() core.Engine { return db.eng }
 func (db *DB) Shards() int { return db.eng.Shards() }
 
 // Compact rebuilds the storage pages, reclaiming space left behind by
-// Delete and Update, and re-packs the index with STR bulk loading. On a
+// Delete, and re-packs the index with STR bulk loading. On a
 // disk-backed store it rewrites the page files into a fresh generation
 // and removes the old one. It returns the number of pages reclaimed. The
 // store compacts shard by shard, stalling writers on at most one shard at a
@@ -255,7 +248,7 @@ func (db *DB) Compact() (int, error) {
 func (db *DB) Close() error { return db.eng.Close() }
 
 // PoolStats aggregates buffer-pool counters across the store's relations
-// (and shards). All fields are zero when no pool is configured.
+// (and shards). All fields are zero on a memory store, which has no pool.
 type PoolStats = core.PoolStats
 
 // PoolStats reports the store's aggregated buffer-pool counters: cache
