@@ -13,9 +13,10 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Allocation-regression gate: warm planned range/NN executions through the
-# Into entry points must allocate nothing (fails CI otherwise).
+# Into entry points must allocate nothing, and a write's derivation no more
+# than its point and its record (fails CI otherwise).
 alloc-gate:
-	$(GO) test -run 'TestHotPathZeroAlloc|TestArenaSafetyRace' -count=1 -v ./internal/core
+	$(GO) test -run 'TestHotPathZeroAlloc|TestArenaSafetyRace|TestDeriveAllocs' -count=1 -v ./internal/core
 
 # Build, vet and test the benchmark harness the repository is judged by,
 # then run it end to end at smoke size. benchmark/ is a module of its own,
@@ -53,6 +54,9 @@ vet:
 	@if grep -n 'EnergyOrder\|InversePermutation\|relation\.Permute\|sh\.perm' \
 		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
 		echo "the frequency relation stores the half spectrum in natural order: the permutation machinery is gone"; exit 1; fi
+	@if grep -nE 'FirstK|CoefficientReal|NormalFormCoeffs|halfSpectrum|encodeSpectrum|queryFeaturePoint' \
+		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
+		echo "a series is derived by one real-input transform (feature.Schema.Derive): the direct sums and the second FFT are gone"; exit 1; fi
 
 fmt:
 	gofmt -w .

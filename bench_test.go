@@ -20,7 +20,6 @@ import (
 	tsq "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dft"
 	"repro/internal/feature"
 	"repro/internal/index"
 	"repro/internal/plan"
@@ -403,34 +402,6 @@ func BenchmarkAblationPartialPrune(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationGoertzelVsFFT measures the first-k coefficient
-// extraction strategies used by feature extraction (DESIGN.md: direct
-// O(n*k) evaluation below a size threshold, full FFT above).
-func BenchmarkAblationGoertzelVsFFT(b *testing.B) {
-	walks := dataset.RandomWalks(1, 1024, 7)
-	s := walks[0].Values
-	b.Run("direct-k3", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for f := 0; f < 3; f++ {
-				dft.CoefficientReal(s, f)
-			}
-		}
-	})
-	b.Run("fft-truncate", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dft.Transform(dft.ToComplex(s))
-		}
-	})
-	b.Run("adaptive-FirstK", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dft.FirstK(s, 3)
-		}
-	})
 }
 
 // BenchmarkAblationReinsert measures R*-tree build cost with and without

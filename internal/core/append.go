@@ -28,7 +28,7 @@ type Committed struct {
 
 // overwrite replaces the window stored under a live id, in place: derive —
 // the one derivation insertAt runs, on the same bits — then both records
-// rewritten where they lie (relation.Replace: same-length records never
+// rewritten where they lie (relation.ReplaceRaw: same-length records never
 // change size, so storage does not grow and no page is orphaned) and the
 // R*-tree entry moved, in place when the point stayed inside its leaf region
 // (rtree.Tree.Update). The record keeps its id and its slot, and every stored
@@ -36,21 +36,21 @@ type Committed struct {
 // what an insert of the same window writes. A window derive rejects leaves
 // the record untouched. It returns the point now indexed.
 func (sh *shard) overwrite(id int64, window []float64) (geom.Point, error) {
-	p, spec, err := sh.derive(window)
+	r := sh.rec(id)
+	p, spec, err := sh.derive(r.name, window, nil)
 	if err != nil {
 		return nil, err
 	}
 	if err := sh.timeRel.Replace(id, window); err != nil {
 		return nil, err
 	}
-	if err := sh.freqRel.Replace(id, spec); err != nil {
+	if err := sh.freqRel.ReplaceRaw(id, spec); err != nil {
 		return nil, err
 	}
-	rec := sh.rec(id)
-	if _, found := sh.idx.Update(id, rec.point, p); !found {
-		return nil, fmt.Errorf("core: index entry for %q (id %d) missing", rec.name, id)
+	if _, found := sh.idx.Update(id, r.point, p); !found {
+		return nil, fmt.Errorf("core: index entry for %q (id %d) missing", r.name, id)
 	}
-	rec.point = p
+	r.point = p
 	return p, nil
 }
 
@@ -141,19 +141,9 @@ type Prefilter struct {
 	moments feature.MomentBounds
 }
 
-// planPrefilter builds a validated query's Lemma 1 geometry. A stored-record
-// query (prep non-nil) centers on its indexed point instead of extracting
-// one from the values.
-func (sh *shard) planPrefilter(q RangeQuery, prep *QueryPrep) (*Prefilter, error) {
-	var qp geom.Point
-	if prep != nil {
-		qp = prep.Point
-	} else {
-		var err error
-		if qp, err = sh.queryFeaturePoint(q); err != nil {
-			return nil, err
-		}
-	}
+// planPrefilter builds a validated query's Lemma 1 geometry around its
+// feature point qp (prepOf).
+func (sh *shard) planPrefilter(q RangeQuery, qp geom.Point) (*Prefilter, error) {
 	m, err := sh.schema.Map(q.Transform)
 	if err != nil {
 		return nil, err

@@ -14,16 +14,15 @@ import (
 // right) before any shard loads: the index is built with STR bulk loading
 // instead of one-at-a-time insertion — for the larger experimental relations
 // (12,000 sequences in Figures 9/11) an order of magnitude faster to build,
-// and better packed (see the bulk-load ablation). specs == nil computes
-// spectra with the insert path's FFT, while non-nil specs are
-// already-encoded half-spectrum records (the snapshot's DERV bytes,
-// little-endian float64s) stored verbatim; rawVals, when non-nil, are the
+// and better packed (see the bulk-load ablation). points and specs are what
+// derive gave for each series, or a snapshot's DERV section: feature points
+// and encoded half-spectrum records (little-endian float64s), the records
+// stored verbatim and owned from here on; rawVals, when non-nil, are the
 // series values in the same encoding and stored verbatim too (values may
-// then be nil: the
-// adopt fast path never decodes a float). tree, when non-nil, is a
-// snapshot's packed tree for exactly this partition, validated and adopted
-// instead of STR bulk loading — the whole load is then O(bytes read) plus
-// one validation pass.
+// then be nil: the adopt fast path never decodes a float). tree, when
+// non-nil, is a snapshot's packed tree for exactly this partition, validated
+// and adopted instead of STR bulk loading — the whole load is then O(bytes
+// read) plus one validation pass.
 func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, points []geom.Point, rawVals, specs [][]byte, tree *rtree.Tree) error {
 	if tree != nil {
 		if err := sh.adoptTree(tree, ids); err != nil {
@@ -38,9 +37,9 @@ func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, point
 	sh.freqRel.Reserve(len(names))
 	sh.recs = slices.Grow(sh.recs, len(names))
 	sh.ids = slices.Grow(sh.ids, len(names))
-	// Raw records transfer ownership (InsertOwned): the snapshot read
-	// allocated them for this load, so a memory-backed relation adopts
-	// the buffers as its pages without copying.
+	// Raw records transfer ownership (InsertOwned): the snapshot read or the
+	// derivation allocated them for this load, so a memory-backed relation
+	// adopts the buffers as its pages without copying.
 	for i, name := range names {
 		id := ids[i]
 		var err error
@@ -52,15 +51,10 @@ func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, point
 		if err != nil {
 			return err
 		}
-		if specs != nil {
-			if want := 16 * halfLen(sh.length); len(specs[i]) != want {
-				return fmt.Errorf("core: series %q spectrum record has %d bytes, DB expects %d", name, len(specs[i]), want)
-			}
-			err = sh.freqRel.InsertOwned(id, specs[i])
-		} else {
-			err = sh.freqRel.Insert(id, encodeSpectrum(values[i]))
+		if want := 16 * halfLen(sh.length); len(specs[i]) != want {
+			return fmt.Errorf("core: series %q spectrum record has %d bytes, DB expects %d", name, len(specs[i]), want)
 		}
-		if err != nil {
+		if err := sh.freqRel.InsertOwned(id, specs[i]); err != nil {
 			return err
 		}
 		sh.addRecord(id, name, points[i])

@@ -93,6 +93,10 @@ type shard struct {
 	// builds generation gen+1's page files alongside the live pair before
 	// swapping, so scratch file names never collide.
 	gen int
+	// scratch and recBuf are derive's working memory, used under the write
+	// lock.
+	scratch feature.Scratch
+	recBuf  []byte
 }
 
 // record is one stored series' entry in shard.recs. A deleted series keeps
@@ -224,12 +228,10 @@ func (sh *shard) name(id int64) string {
 
 // queryPrep assembles the stored-record planning artifacts of a series:
 // a private copy of its indexed feature point plus its stored half
-// spectrum. Planning a by-name query from these skips the normal form,
-// the feature extraction, and the query FFT that a literal query series
-// pays, without changing the plan — the point is the one the record is
-// indexed under, and the spectrum is bit-identical to what halfSpectrum
-// would recompute. ok is false when the id is not a
-// live series.
+// spectrum. Planning a by-name query from these skips the derivation a
+// literal query series pays, without changing the plan — the point and the
+// spectrum are bit-identical to what deriving the stored window again would
+// give. ok is false when the id is not a live series.
 func (sh *shard) queryPrep(id int64) (*QueryPrep, bool) {
 	r := sh.rec(id)
 	if r == nil {
@@ -259,41 +261,44 @@ func (sh *shard) validateInsert(name string, values []float64) error {
 }
 
 // derive computes everything a shard stores about a window beside the
-// window: the feature point it is indexed under and the encoded half
-// spectrum record. insertAt and overwrite both write what it
-// returns, which is why an updated or appended series equals the same window
-// inserted whole bit for bit. A non-finite value is rejected here, before
-// either writer has touched storage: NaN has no place in the index's order.
-func (sh *shard) derive(values []float64) (geom.Point, []float64, error) {
+// window, from one real-input transform (feature.Schema.Derive): the feature
+// point it is indexed under and the frequency relation's record — the stored
+// half of the normal form's spectrum, appended to rec or, with rec nil,
+// written in the shard's scratch until the next derive (the relations copy
+// what they store). insertAt, overwrite and a bulk load all store what it
+// returns, so an updated or appended series equals the same window inserted
+// whole bit for bit, and a point's coefficients are its record's X_1 … X_K.
+// A non-finite value is rejected here, before any writer has touched
+// storage: NaN has no place in the index's order. The caller holds the write
+// lock.
+func (sh *shard) derive(name string, values []float64, rec []byte) (geom.Point, []byte, error) {
 	for i, x := range values {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, nil, fmt.Errorf("core: non-finite value at position %d", i)
+			return nil, nil, fmt.Errorf("core: series %q has a non-finite value at position %d", name, i)
 		}
 	}
-	p, err := sh.schema.Extract(values)
+	p, half, err := sh.schema.Derive(values, &sh.scratch)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p, encodeSpectrum(values), nil
-}
-
-// encodeSpectrum returns the frequency relation's record for a series: its
-// halfSpectrum, encoded.
-func encodeSpectrum(values []float64) []float64 {
-	return relation.EncodeComplex(halfSpectrum(values))
+	if rec == nil {
+		sh.recBuf = relation.AppendComplex(sh.recBuf[:0], half)
+		return p, sh.recBuf, nil
+	}
+	return p, relation.AppendComplex(rec, half), nil
 }
 
 // insertAt indexes and stores a validated series — values with the point and
 // spectrum record derive gave for them — under the ID the store assigned it:
 // unused, and unique across every shard for the store's lifetime.
-func (sh *shard) insertAt(id int64, name string, values []float64, p geom.Point, spec []float64) error {
+func (sh *shard) insertAt(id int64, name string, values []float64, p geom.Point, rec []byte) error {
 	if err := sh.idx.Insert(id, p); err != nil {
 		return err
 	}
 	if err := sh.timeRel.Insert(id, values); err != nil {
 		return err
 	}
-	if err := sh.freqRel.Insert(id, spec); err != nil {
+	if err := sh.freqRel.InsertRaw(id, rec); err != nil {
 		return err
 	}
 	sh.addRecord(id, name, p)

@@ -53,9 +53,12 @@ func (hs *headStore) checkRecords(t *testing.T, n int, retired map[int64]bool) {
 		}
 		// The spectrum a query observes is the insert path's computation on
 		// the mirror's bits. Re-pinned from the full permuted spectrum to its
-		// first n/2+1 coefficients: the store keeps the half since PR 25 (the
-		// rest are their conjugates), so the half is what a query observes.
-		if want := dft.TransformReal(series.NormalForm(window))[:n/2+1]; !reflect.DeepEqual(prep.Spectrum, want) {
+		// first n/2+1 coefficients when the store began keeping the half (the
+		// rest are their conjugates), and then from the complex FFT's bits to
+		// the real-input transform's, dft.HalfInto: every writer derives its
+		// record with that one transform, which agrees with the complex FFT
+		// to a few ulps, not bit for bit.
+		if want := dft.HalfInto(nil, series.NormalForm(window)); !reflect.DeepEqual(prep.Spectrum, want) {
 			t.Fatalf("%s: %s (id %d) serves another record's spectrum", hs.label, name, id)
 		}
 		// So is the feature point, appended to or not.

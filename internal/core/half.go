@@ -4,8 +4,6 @@ import (
 	"math/cmplx"
 	"slices"
 
-	"repro/internal/dft"
-	"repro/internal/series"
 	"repro/internal/transform"
 )
 
@@ -28,14 +26,6 @@ import (
 // halfLen is how many coefficients of a length-n spectrum the frequency
 // relation stores: ⌊n/2⌋+1.
 func halfLen(n int) int { return n/2 + 1 }
-
-// halfSpectrum returns the stored half of the spectrum of the normal form of
-// values: what the frequency relation keeps for the series, and the query
-// side of every plan built from a literal query series.
-func halfSpectrum(values []float64) []complex128 {
-	h := halfLen(len(values))
-	return dft.TransformReal(series.NormalForm(values))[:h:h]
-}
 
 // twin is one stored coefficient's share of a frequency-domain distance
 // |A·X + B - Q|² over the full spectrum: with x the stored coefficient at f,

@@ -99,16 +99,23 @@ func (sh *shard) validateRange(q RangeQuery) error {
 	return nil
 }
 
-// queryFeaturePoint extracts the index-space feature point of the query
-// series. For warped queries the query series is longer than the store length;
-// its own normal-form coefficients X_1..X_K are directly comparable to the
-// warp-transformed stored coefficients (Appendix A, Equation 18).
-func (sh *shard) queryFeaturePoint(q RangeQuery) ([]float64, error) {
-	p, err := sh.schema.Extract(q.Values)
+// prepOf returns what a validated query plans from: the stored record's
+// point and half spectrum when the query is one (q.Prep, if it fits this
+// store), else one derivation of the literal query series — its feature
+// point and the half of its normal form's spectrum, from one transform. A
+// warped query derives from its longer series: its own normal-form
+// coefficients X_1..X_K are directly comparable to the warp-transformed
+// stored coefficients (Appendix A, Equation 18).
+func (sh *shard) prepOf(q RangeQuery) (*QueryPrep, error) {
+	if p := q.Prep; p != nil && q.WarpFactor < 2 &&
+		len(p.Point) == sh.schema.Dims() && len(p.Spectrum) == halfLen(sh.length) {
+		return p, nil
+	}
+	point, half, err := sh.schema.Derive(q.Values, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &QueryPrep{Point: point, Spectrum: half}, nil
 }
 
 // rangePlan is the query-side preprocessing of Algorithm 2: the query
@@ -172,17 +179,11 @@ func (sh *shard) planRange(q RangeQuery) (*rangePlan, error) {
 		return nil, err
 	}
 	p := &rangePlan{q: q, relax: 1, relaxSq: 1}
-	// A stored-record query plans off its indexed point and stored
-	// spectrum; the recomputation is the fallback for literal query series
-	// (and for warped queries, whose query side is longer than any stored
-	// record).
-	prep := q.Prep
-	if prep != nil && (q.WarpFactor >= 2 ||
-		len(prep.Point) != sh.schema.Dims() || len(prep.Spectrum) != halfLen(sh.length)) {
-		prep = nil
+	prep, err := sh.prepOf(q)
+	if err != nil {
+		return nil, err
 	}
-	var err error
-	if p.Prefilter, err = sh.planPrefilter(q, prep); err != nil {
+	if p.Prefilter, err = sh.planPrefilter(q, prep.Point); err != nil {
 		return nil, err
 	}
 	if q.ForceTransform {
@@ -195,11 +196,7 @@ func (sh *shard) planRange(q RangeQuery) (*rangePlan, error) {
 		}
 		return p, nil
 	}
-	if prep != nil {
-		p.Q = prep.Spectrum
-	} else {
-		p.Q = halfSpectrum(q.Values)
-	}
+	p.Q = prep.Spectrum
 	if q.Delta > 0 {
 		p.initApprox(sh.length)
 	}

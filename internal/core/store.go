@@ -317,12 +317,12 @@ func (s *Store) Insert(name string, values []float64) (Committed, error) {
 	if err := sh.validateInsert(name, values); err != nil {
 		return Committed{}, err
 	}
-	p, spec, err := sh.derive(values)
+	p, rec, err := sh.derive(name, values, nil)
 	if err != nil {
 		return Committed{}, err
 	}
 	id := s.reserveID()
-	if err := sh.insertAt(id, name, values, p, spec); err != nil {
+	if err := sh.insertAt(id, name, values, p, rec); err != nil {
 		// A storage failure (a disk-backed page write); the reserved ID
 		// stays burned — a gap in the ID space, never a collision.
 		return Committed{}, err
@@ -343,15 +343,15 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 // from a snapshot: feature points, raw encoded series and spectrum
 // records (the snapshot's byte layout is the page-file record layout, so
 // shards store them verbatim), and per-shard packed trees. points == nil
-// runs the full validation + extraction here (the plain InsertBulk path);
-// with points the extraction is skipped and only the cheap structural
-// checks run. trees, when non-nil, must hold one decoded tree per shard,
+// derives points and records here, the way an insert does (the plain
+// InsertBulk path); with them only the cheap structural checks run. trees,
+// when non-nil, must hold one decoded tree per shard,
 // partitioned exactly as this store partitions (same shard count,
 // hash-of-name assignment) — each shard then adopts its tree instead of
 // STR bulk loading.
 func (s *Store) insertBulkPrepared(names []string, values [][]float64, rawVals [][]byte, points []geom.Point, specs [][]byte, trees []*rtree.Tree) error {
-	if values == nil && (rawVals == nil || points == nil || specs == nil) {
-		return fmt.Errorf("core: a raw-only bulk load needs raw records, points, and spectra")
+	if (points == nil) != (specs == nil) || values == nil && (rawVals == nil || points == nil) {
+		return fmt.Errorf("core: a bulk load needs values or raw records, and points and spectra together or neither")
 	}
 	if values != nil && len(names) != len(values) {
 		return fmt.Errorf("core: %d names but %d series", len(names), len(values))
@@ -370,15 +370,18 @@ func (s *Store) insertBulkPrepared(names []string, values [][]float64, rawVals [
 	if len(s.ids) > 0 || s.nextID != 0 {
 		return fmt.Errorf("core: InsertBulk requires a fresh store (have %d live series, %d ever inserted)", len(s.ids), s.nextID)
 	}
-	// Validate the entire batch — including feature extraction, the only
-	// check that can fail on well-formed names — before any shard loads,
-	// so a bad series cannot leave sibling shards populated behind an
-	// empty catalog. The extracted points ride along to the shard loads, so
-	// the dominant bulk-load cost runs once per series. Snapshot loads hand
-	// the points in and skip straight to the structural checks.
-	extract := points == nil
-	if extract {
-		points = make([]geom.Point, len(values))
+	// Validate the entire batch — including the derivation, which refuses
+	// a non-finite value — before any shard loads, so a bad series cannot
+	// leave sibling shards populated behind an empty catalog. The derived
+	// points and records ride along to the shard loads, so the dominant
+	// bulk-load cost runs once per series: records are carved from blocks
+	// the frequency relations then own. Every shard lock is held, so shard
+	// 0's scratch is free for the derivation. Snapshot loads hand points and
+	// records in and skip straight to the structural checks.
+	derive, size := points == nil, 16*halfLen(s.length)
+	var blocks records
+	if derive {
+		points, specs = make([]geom.Point, len(values)), make([][]byte, len(values))
 	}
 	seen := make(map[string]bool, len(names))
 	for i, name := range names {
@@ -395,12 +398,12 @@ func (s *Store) insertBulkPrepared(names []string, values [][]float64, rawVals [
 		if rawVals != nil && len(rawVals[i]) != 8*s.length {
 			return fmt.Errorf("core: series %q raw record has %d bytes, DB expects %d", name, len(rawVals[i]), 8*s.length)
 		}
-		if extract {
-			p, err := s.Schema().Extract(values[i])
+		if derive {
+			p, rec, err := s.shards[0].derive(name, values[i], blocks.take(size, len(names)-i)[:0])
 			if err != nil {
 				return err
 			}
-			points[i] = p
+			points[i], specs[i] = p, rec
 		}
 	}
 	// part is one shard's slice of the batch; a column the load does not
@@ -419,14 +422,12 @@ func (s *Store) insertBulkPrepared(names []string, values [][]float64, rawVals [
 		p.names = append(p.names, name)
 		p.ids = append(p.ids, int64(i))
 		p.points = append(p.points, points[i])
+		p.specs = append(p.specs, specs[i])
 		if values != nil {
 			p.values = append(p.values, values[i])
 		}
 		if rawVals != nil {
 			p.raw = append(p.raw, rawVals[i])
-		}
-		if specs != nil {
-			p.specs = append(p.specs, specs[i])
 		}
 	}
 	errs := make([]error, len(s.shards))
@@ -563,7 +564,11 @@ func (s *Store) PlanPrefilter(q RangeQuery) (*Prefilter, error) {
 	if err := sh.validateRange(q); err != nil {
 		return nil, err
 	}
-	return sh.planPrefilter(q, nil)
+	prep, err := sh.prepOf(q)
+	if err != nil {
+		return nil, err
+	}
+	return sh.planPrefilter(q, prep.Point)
 }
 
 // lockAll / unlockAll take every shard's exclusive lock in ascending

@@ -20,12 +20,12 @@ func Convolve(x, y []complex128) []complex128 {
 	b := make([]complex128, n)
 	copy(a, x)
 	copy(b, y)
-	fftInPlace(a, false)
-	fftInPlace(b, false)
+	fft(a)
+	fft(b)
 	for i := range a {
 		a[i] *= b[i]
 	}
-	fftInPlace(a, true)
+	ifft(a)
 	scale := complex(1/float64(n), 0)
 	for i := range a {
 		a[i] *= scale
@@ -76,7 +76,7 @@ func Spectrum(m []float64) []complex128 {
 		return nil
 	}
 	out := ToComplex(m)
-	fftInPlace(out, false)
+	fft(out)
 	return out
 }
 

@@ -14,120 +14,61 @@
 // (Equation 8). Those two properties are load-bearing for the paper's
 // Lemma 1 (no false dismissals when indexing only the first k coefficients).
 //
-// Transform sizes need not be powers of two: power-of-two sizes use an
-// iterative radix-2 FFT, everything else uses Bluestein's chirp-z algorithm.
-// Both run in O(n log n).
+// There is one FFT kernel: an iterative radix-2 transform whose twiddle
+// factors come from a table computed once per size with math.Sincos. Other
+// sizes reduce to it through Bluestein's chirp-z algorithm, and the inverse
+// is the forward transform of the conjugate. A real series — every stored
+// series and every query — goes through HalfInto, which packs its n values
+// as n/2 complex ones, runs one n/2-point FFT and splits the result into
+// the half of the spectrum that determines the rest. All of it runs in
+// O(n log n).
 package dft
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 )
 
 // Transform returns the unitary DFT of x. The input is not modified.
 // An empty input yields an empty output.
-func Transform(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	fftInPlace(out, false)
-	scale := complex(1/math.Sqrt(float64(n)), 0)
-	for i := range out {
-		out[i] *= scale
-	}
-	return out
-}
+func Transform(x []complex128) []complex128 { return unitary(x, false) }
 
 // Inverse returns the unitary inverse DFT of X. Inverse(Transform(x))
 // reconstructs x up to floating-point error.
-func Inverse(X []complex128) []complex128 {
-	n := len(X)
-	if n == 0 {
+func Inverse(X []complex128) []complex128 { return unitary(X, true) }
+
+// unitary transforms a copy of x forward or back and scales it by
+// 1/sqrt(n).
+func unitary(x []complex128, inverse bool) []complex128 {
+	if len(x) == 0 {
 		return nil
 	}
-	out := make([]complex128, n)
-	copy(out, X)
-	fftInPlace(out, true)
-	scale := complex(1/math.Sqrt(float64(n)), 0)
-	for i := range out {
-		out[i] *= scale
+	out := slices.Clone(x)
+	if inverse {
+		ifft(out)
+	} else {
+		fft(out)
+	}
+	scale := 1 / math.Sqrt(float64(len(out)))
+	for i, v := range out {
+		out[i] = complex(real(v)*scale, imag(v)*scale)
 	}
 	return out
 }
 
-// TransformReal is a convenience wrapper converting a real-valued series to
-// complex and returning its unitary DFT.
+// TransformReal returns the unitary DFT of a real series: HalfInto's half,
+// completed by its conjugate mirror X_{n-f} = conj(X_f).
 func TransformReal(x []float64) []complex128 {
-	return Transform(ToComplex(x))
-}
-
-// Coefficient computes the single unitary DFT coefficient X_f of x in O(n)
-// time without materializing the full spectrum. It is the method of choice
-// when only the first few coefficients are needed for feature extraction
-// (the paper keeps k coefficients, typically 2 or 3).
-//
-// Coefficient panics if f is outside [0, len(x)).
-func Coefficient(x []complex128, f int) complex128 {
 	n := len(x)
-	if f < 0 || f >= n {
-		panic(fmt.Sprintf("dft: coefficient index %d out of range [0,%d)", f, n))
-	}
-	// Goertzel-style evaluation specialized to complex input: run the
-	// second-order real recurrence on the real and imaginary parts
-	// independently. For numerical robustness at large n we fall back to
-	// direct summation with per-step trigonometry, which is O(n) with a
-	// bounded error independent of n.
-	var sum complex128
-	w := -2 * math.Pi * float64(f) / float64(n)
-	for t := 0; t < n; t++ {
-		s, c := math.Sincos(w * float64(t))
-		sum += x[t] * complex(c, s)
-	}
-	return sum * complex(1/math.Sqrt(float64(n)), 0)
-}
-
-// CoefficientReal computes the single unitary DFT coefficient of a
-// real-valued series. See Coefficient.
-func CoefficientReal(x []float64, f int) complex128 {
-	n := len(x)
-	if f < 0 || f >= n {
-		panic(fmt.Sprintf("dft: coefficient index %d out of range [0,%d)", f, n))
-	}
-	var re, im float64
-	w := -2 * math.Pi * float64(f) / float64(n)
-	for t := 0; t < n; t++ {
-		s, c := math.Sincos(w * float64(t))
-		re += x[t] * c
-		im += x[t] * s
-	}
-	inv := 1 / math.Sqrt(float64(n))
-	return complex(re*inv, im*inv)
-}
-
-// FirstK returns the first k unitary DFT coefficients of the real series x.
-// For small k relative to n it computes them directly in O(n*k); once k
-// grows past the point where a full FFT is cheaper it transforms the whole
-// series and truncates. k is clamped to len(x).
-func FirstK(x []float64, k int) []complex128 {
-	n := len(x)
-	if k > n {
-		k = n
-	}
-	if k <= 0 {
+	if n == 0 {
 		return nil
 	}
-	// Cost of direct extraction is ~n*k trig ops; FFT is ~n log n complex
-	// ops. Cross over around k ≈ 2*log2(n).
-	if n > 0 && float64(k) > 2*math.Log2(float64(n))+2 {
-		return Transform(ToComplex(x))[:k]
-	}
-	out := make([]complex128, k)
-	for f := 0; f < k; f++ {
-		out[f] = CoefficientReal(x, f)
+	out := make([]complex128, n)
+	h := len(HalfInto(out[:0], x))
+	for f := h; f < n; f++ {
+		v := out[n-f]
+		out[f] = complex(real(v), -imag(v))
 	}
 	return out
 }

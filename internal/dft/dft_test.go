@@ -209,76 +209,101 @@ func TestLinearityProperty(t *testing.T) {
 	}
 }
 
-func TestCoefficientMatchesTransform(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for _, n := range []int{1, 2, 7, 16, 100, 128, 1024} {
-		x := randomComplexVec(r, n)
-		X := Transform(x)
-		for f := 0; f < n && f < 8; f++ {
-			got := Coefficient(x, f)
-			if !complexApproxEq(got, X[f], 1e-7*float64(n)) {
-				t.Errorf("n=%d f=%d: Coefficient=%v Transform=%v", n, f, got, X[f])
-			}
+// checkHalf compares HalfInto with the definition: within 1e-12·√n of
+// every coefficient of Slow's X_0 … X_{⌊n/2⌋}, with Im X_0 exactly 0 and,
+// for even n, Im X_{n/2} exactly 0.
+func checkHalf(t *testing.T, x []float64) {
+	t.Helper()
+	n := len(x)
+	got := HalfInto(nil, x)
+	want := Slow(ToComplex(x))
+	if len(got) != n/2+1 {
+		t.Fatalf("n=%d: %d coefficients, want %d", n, len(got), n/2+1)
+	}
+	scale := 1.0
+	for _, v := range x {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	tol := 1e-12 * math.Sqrt(float64(n)) * scale
+	for f, v := range got {
+		if !complexApproxEq(v, want[f], tol) {
+			t.Errorf("n=%d f=%d: HalfInto=%v Slow=%v (|diff| %g > %g)", n, f, v, want[f], cmplx.Abs(v-want[f]), tol)
 		}
+	}
+	if imag(got[0]) != 0 {
+		t.Errorf("n=%d: Im X_0 = %g, want exactly 0", n, imag(got[0]))
+	}
+	if n%2 == 0 && imag(got[n/2]) != 0 {
+		t.Errorf("n=%d: Im X_{n/2} = %g, want exactly 0", n, imag(got[n/2]))
 	}
 }
 
-func TestCoefficientRealMatchesTransform(t *testing.T) {
+// TestHalfAgainstSlow holds the real-input transform to the O(n²)
+// definition at odd lengths (full complex Bluestein), at even lengths whose
+// half is a power of two (packed radix-2) and at even lengths whose half is
+// not (packed Bluestein).
+func TestHalfAgainstSlow(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 12, 63, 64, 100, 256, 257} {
+		checkHalf(t, randomRealVec(r, n))
+	}
+}
+
+// TestTransformRealMatchesSlow: the full spectrum of a real series is the
+// half and its conjugate mirror, and agrees with the definition and with
+// the complex transform.
+func TestTransformRealMatchesSlow(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 3, 16, 128, 500} {
 		x := randomRealVec(r, n)
 		X := TransformReal(x)
-		for f := 0; f < n && f < 6; f++ {
-			got := CoefficientReal(x, f)
-			if !complexApproxEq(got, X[f], 1e-7*float64(n)) {
-				t.Errorf("n=%d f=%d: CoefficientReal=%v Transform=%v", n, f, got, X[f])
+		if !vecApproxEq(X, Slow(ToComplex(x)), 1e-9*float64(n)) {
+			t.Errorf("n=%d: TransformReal does not match the slow DFT", n)
+		}
+		if !vecApproxEq(X, Transform(ToComplex(x)), 1e-9*float64(n)) {
+			t.Errorf("n=%d: TransformReal does not match Transform", n)
+		}
+		for f := 1; f < n; f++ {
+			if X[n-f] != cmplx.Conj(X[f]) {
+				t.Fatalf("n=%d: X_%d is not the conjugate of X_%d", n, n-f, f)
 			}
 		}
 	}
 }
 
-func TestCoefficientPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Coefficient with out-of-range index did not panic")
-		}
-	}()
-	Coefficient([]complex128{1, 2}, 2)
-}
-
-func TestCoefficientRealPanicsNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CoefficientReal with negative index did not panic")
-		}
-	}()
-	CoefficientReal([]float64{1, 2}, -1)
-}
-
-func TestFirstK(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for _, n := range []int{1, 4, 16, 128, 400} {
-		x := randomRealVec(r, n)
-		full := TransformReal(x)
-		for _, k := range []int{0, 1, 2, 3, n / 2, n, n + 5} {
-			got := FirstK(x, k)
-			wantLen := k
-			if wantLen > n {
-				wantLen = n
-			}
-			if wantLen < 0 {
-				wantLen = 0
-			}
-			if len(got) != wantLen {
-				t.Fatalf("n=%d k=%d: len=%d want %d", n, k, len(got), wantLen)
-			}
-			for f := range got {
-				if !complexApproxEq(got[f], full[f], 1e-7*float64(n)) {
-					t.Errorf("n=%d k=%d f=%d mismatch: %v vs %v", n, k, f, got[f], full[f])
-				}
-			}
-		}
+// TestHalfIntoReusesDst: a destination with the capacity is written in
+// place: at a power-of-two length HalfInto allocates nothing.
+func TestHalfIntoReusesDst(t *testing.T) {
+	x := randomRealVec(rand.New(rand.NewSource(9)), 256)
+	dst := make([]complex128, 0, 129)
+	HalfInto(dst, x) // grow the twiddle table
+	if allocs := testing.AllocsPerRun(50, func() { dst = HalfInto(dst, x) }); allocs != 0 {
+		t.Errorf("HalfInto at n=256 with room in dst: %.1f allocs, want 0", allocs)
 	}
+	if got := HalfInto(nil, nil); len(got) != 0 {
+		t.Errorf("HalfInto of nothing = %v", got)
+	}
+}
+
+// FuzzHalf holds HalfInto to the definition on arbitrary series of up to
+// 64 values.
+func FuzzHalf(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(make([]byte, 63))
+	f.Add([]byte{255, 0, 255, 0, 128})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 64 {
+			raw = raw[:64]
+		}
+		if len(raw) == 0 {
+			return
+		}
+		x := make([]float64, len(raw))
+		for i, b := range raw {
+			x[i] = float64(int(b) - 128)
+		}
+		checkHalf(t, x)
+	})
 }
 
 func TestConvolveMatchesSlowOracle(t *testing.T) {
@@ -459,12 +484,12 @@ func BenchmarkTransformBluestein(b *testing.B) {
 	}
 }
 
-func BenchmarkFirstK3(b *testing.B) {
-	r := rand.New(rand.NewSource(14))
-	x := randomRealVec(r, 128)
+func BenchmarkHalfInto256(b *testing.B) {
+	x := randomRealVec(rand.New(rand.NewSource(14)), 256)
+	dst := HalfInto(nil, x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FirstK(x, 3)
+		dst = HalfInto(dst, x)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"repro/internal/dft"
 	"repro/internal/geom"
@@ -104,27 +105,52 @@ func (sc Schema) Angular() []bool {
 	return flags
 }
 
-// NormalFormCoeffs returns the unitary DFT coefficients X_1..X_k of the
-// normal form of s (X_0 is zero by construction and omitted). It panics if
-// the series is shorter than k+1.
-func NormalFormCoeffs(s []float64, k int) []complex128 {
-	if len(s) < k+1 {
-		panic(fmt.Sprintf("feature: series length %d too short for %d coefficients", len(s), k))
-	}
-	nf := series.NormalForm(s)
-	return dft.FirstK(nf, k+1)[1:]
+// Scratch is the working memory of Derive: the normal form and the half
+// spectrum Derive returns. The zero value is ready; a Scratch serves one
+// derivation at a time.
+type Scratch struct {
+	nf   []float64
+	half []complex128
 }
 
-// Extract maps a time series to its feature point under the schema.
-func (sc Schema) Extract(s []float64) (geom.Point, error) {
+// Derive is the one derivation of a series: its mean and standard deviation
+// (each computed once), its normal form (into scr) and the stored half of
+// the normal form's unitary spectrum, X_0 … X_{⌊n/2⌋} — one real-input
+// transform (dft.HalfInto). The feature point is Point(mean, std, X_1 …
+// X_K) of that same half, so a point and the spectrum stored beside it
+// agree bit for bit. The half lives in scr until its next use; a nil scr
+// allocates a fresh one, and the half is then the caller's.
+func (sc Schema) Derive(s []float64, scr *Scratch) (geom.Point, []complex128, error) {
 	if err := sc.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(s) < sc.K+1 {
-		return nil, fmt.Errorf("feature: series length %d too short for K=%d", len(s), sc.K)
+	n := len(s)
+	if n < sc.K+1 {
+		return nil, nil, fmt.Errorf("feature: series length %d too short for K=%d", n, sc.K)
 	}
-	coeffs := NormalFormCoeffs(s, sc.K)
-	return sc.Point(series.Mean(s), series.Std(s), coeffs), nil
+	if scr == nil {
+		scr = new(Scratch)
+	}
+	scr.nf = slices.Grow(scr.nf[:0], n)[:n]
+	mean, std := series.NormalFormInto(scr.nf, s)
+	scr.half = dft.HalfInto(scr.half, scr.nf)
+	coeffs := scr.half[1:min(sc.K+1, len(scr.half))]
+	if len(coeffs) < sc.K {
+		// A series shorter than 2K: the coefficients past the middle are the
+		// conjugates of the ones before it.
+		coeffs = append(make([]complex128, 0, sc.K), coeffs...)
+		for f := len(coeffs) + 1; f <= sc.K; f++ {
+			coeffs = append(coeffs, cmplx.Conj(scr.half[n-f]))
+		}
+	}
+	return sc.Point(mean, std, coeffs), scr.half, nil
+}
+
+// Extract maps a time series to its feature point under the schema (Derive,
+// keeping only the point).
+func (sc Schema) Extract(s []float64) (geom.Point, error) {
+	p, _, err := sc.Derive(s, nil)
+	return p, err
 }
 
 // Point lays out a feature point from precomputed moments and coefficients.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dft"
@@ -87,7 +88,7 @@ func TestExtractLayout(t *testing.T) {
 				t.Fatalf("moments wrong: %v", p[:2])
 			}
 		}
-		coeffs := NormalFormCoeffs(s, sc.K)
+		coeffs := slowCoeffs(s, sc.K)
 		got := sc.Coeffs(p)
 		for i := range coeffs {
 			if cmplx.Abs(got[i]-coeffs[i]) > 1e-9 {
@@ -106,28 +107,69 @@ func TestExtractErrors(t *testing.T) {
 	}
 }
 
-func TestNormalFormCoeffsDropsZeroth(t *testing.T) {
+// slowCoeffs is the reference for a point's coefficient dimensions: X_1 …
+// X_k of the normal form's spectrum by the O(n²) definition.
+func slowCoeffs(s []float64, k int) []complex128 {
+	return dft.Slow(dft.ToComplex(series.NormalForm(s)))[1 : k+1]
+}
+
+// TestDeriveDropsZeroth: the point holds X_1 … X_K of the half Derive
+// returns, bit for bit, and the half is the normal form's spectrum up to
+// its middle — including schemas whose K reaches past the middle of a short
+// series, where the point takes the mirrored coefficients.
+func TestDeriveDropsZeroth(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	s := randomWalk(r, 64)
-	coeffs := NormalFormCoeffs(s, 3)
-	if len(coeffs) != 3 {
-		t.Fatalf("len = %d", len(coeffs))
-	}
-	full := dft.TransformReal(series.NormalForm(s))
-	for i := 0; i < 3; i++ {
-		if cmplx.Abs(coeffs[i]-full[i+1]) > 1e-9 {
-			t.Fatalf("coefficient %d should be X_%d", i, i+1)
+	var scr Scratch
+	for _, tc := range []struct {
+		n  int
+		sc Schema
+	}{
+		{64, Schema{Space: Rect, K: 3}},
+		{64, Schema{Space: Polar, K: 2, Moments: true}},
+		{63, Schema{Space: Rect, K: 3, Moments: true}},
+		{4, Schema{Space: Rect, K: 3}},
+		{5, Schema{Space: Rect, K: 4}},
+	} {
+		s := randomWalk(r, tc.n)
+		p, half, err := tc.sc.Derive(s, &scr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(half) != tc.n/2+1 {
+			t.Fatalf("n=%d: half has %d coefficients", tc.n, len(half))
+		}
+		full := dft.Slow(dft.ToComplex(series.NormalForm(s)))
+		for f, v := range half {
+			if cmplx.Abs(v-full[f]) > 1e-9 {
+				t.Fatalf("n=%d: X_%d = %v, want %v", tc.n, f, v, full[f])
+			}
+		}
+		got := tc.sc.Coeffs(p)
+		for i := 0; i < tc.sc.K; i++ {
+			if cmplx.Abs(got[i]-full[i+1]) > 1e-9 {
+				t.Fatalf("n=%d: coefficient %d should be X_%d: %v vs %v", tc.n, i, i+1, got[i], full[i+1])
+			}
+		}
+		if tc.n >= 2*tc.sc.K {
+			if want := tc.sc.Point(series.Mean(s), series.Std(s), half[1:tc.sc.K+1]); !slices.Equal(p, want) {
+				t.Fatalf("n=%d: point %v is not Point of the half's X_1..X_K %v", tc.n, p, want)
+			}
+		}
+		if q, _ := tc.sc.Extract(s); !slices.Equal(p, q) {
+			t.Fatalf("n=%d: Extract %v and Derive %v disagree", tc.n, q, p)
 		}
 	}
 }
 
-func TestNormalFormCoeffsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short series did not panic")
-		}
-	}()
-	NormalFormCoeffs([]float64{1, 2}, 3)
+// TestDeriveRejectsShortSeries: a series without K+1 values has no K
+// coefficients past X_0.
+func TestDeriveRejectsShortSeries(t *testing.T) {
+	if _, _, err := (Schema{Space: Rect, K: 3}).Derive([]float64{1, 2}, nil); err == nil {
+		t.Fatal("short series derived")
+	}
+	if _, _, err := (Schema{Space: Rect, K: 0}).Derive([]float64{1, 2, 3}, nil); err == nil {
+		t.Fatal("invalid schema derived")
+	}
 }
 
 func TestPointPanicsOnWrongK(t *testing.T) {
@@ -258,7 +300,7 @@ func TestMapMatchesCoefficientTransformation(t *testing.T) {
 	}
 	p, _ := polSc.Extract(s)
 	got := m.ApplyPoint(p)
-	coeffs := NormalFormCoeffs(s, polSc.K)
+	coeffs := slowCoeffs(s, polSc.K)
 	for i := 0; i < polSc.K; i++ {
 		want := tr.A[i+1] * coeffs[i]
 		if math.Abs(got[2+2*i]-cmplx.Abs(want)) > 1e-9 {

@@ -113,7 +113,7 @@ func rawProbeRatios() (verifyNS, checkRatio, nodeRatio float64) {
 	rel := relation.New(0)
 	rel.KeepHeads()
 	for id := int64(0); id < calRecords; id++ {
-		if err := rel.Insert(id, relation.EncodeComplex(qq[:])); err != nil {
+		if err := rel.InsertRaw(id, relation.AppendComplex(nil, qq[:])); err != nil {
 			return 0, 0, 0
 		}
 	}

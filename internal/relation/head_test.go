@@ -30,11 +30,11 @@ func TestHeadFollowsPages(t *testing.T) {
 		r.KeepHeads()
 
 		record := func() []float64 {
-			coeffs := make([]complex128, 1+rng.Intn(40))
-			for i := range coeffs {
-				coeffs[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			vec := make([]float64, 2*(1+rng.Intn(40))) // (re, im) pairs
+			for i := range vec {
+				vec[i] = rng.NormFloat64()
 			}
-			return EncodeComplex(coeffs)
+			return vec
 		}
 		want := map[int64][]float64{}
 		check := func(step int) {

@@ -60,8 +60,8 @@ type location struct {
 }
 
 // Relation is an insert-only table of float64 vectors keyed by int64 IDs.
-// Complex spectra are stored as interleaved (real, imaginary) floats via
-// the EncodeComplex / DecodeComplex helpers.
+// Complex spectra are stored as interleaved (real, imaginary) floats: a
+// record built by AppendComplex, read back by DecodeComplex.
 //
 // A relation is either memory-backed (New — every page resident, views
 // are stable references) or disk-backed (NewDisk — pages fault in through
@@ -181,8 +181,11 @@ func (r *Relation) fillHead(slot int32, data []byte) {
 	}
 }
 
-// admit checks that id can take the next slot.
-func (r *Relation) admit(id int64) error {
+// admit checks that id can take the next slot with the encoded record data.
+func (r *Relation) admit(id int64, data []byte) error {
+	if len(data)%8 != 0 {
+		return fmt.Errorf("relation: raw record of %d bytes is not a float64 vector", len(data))
+	}
 	if id < 0 {
 		return fmt.Errorf("relation: negative id %d", id)
 	}
@@ -238,20 +241,7 @@ func (r *Relation) ResetStats() { r.file.ResetStats() }
 
 // Insert stores vec under id. Inserting a duplicate ID is an error.
 func (r *Relation) Insert(id int64, vec []float64) error {
-	if err := r.admit(id); err != nil {
-		return err
-	}
-	return r.insertEncoded(id, encodeFloats(vec))
-}
-
-// insertEncoded appends an encoded record's pages under an admitted id.
-func (r *Relation) insertEncoded(id int64, data []byte) error {
-	first, count, err := r.file.AppendPages(data)
-	if err != nil {
-		return err
-	}
-	r.enter(id, first, count, data)
-	return nil
+	return r.InsertRaw(id, encodeFloats(vec))
 }
 
 // InsertRaw stores an already-encoded record — the exact byte layout
@@ -261,13 +251,15 @@ func (r *Relation) insertEncoded(id int64, data []byte) error {
 // record layout, so adopting a snapshot never round-trips bytes through
 // float64 or complex128 values.
 func (r *Relation) InsertRaw(id int64, data []byte) error {
-	if len(data)%8 != 0 {
-		return fmt.Errorf("relation: raw record of %d bytes is not a float64 vector", len(data))
-	}
-	if err := r.admit(id); err != nil {
+	if err := r.admit(id, data); err != nil {
 		return err
 	}
-	return r.insertEncoded(id, data)
+	first, count, err := r.file.AppendPages(data)
+	if err != nil {
+		return err
+	}
+	r.enter(id, first, count, data)
+	return nil
 }
 
 // InsertOwned is InsertRaw transferring ownership of data's memory to the
@@ -279,10 +271,7 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 	if r.mem == nil {
 		return r.InsertRaw(id, data)
 	}
-	if len(data)%8 != 0 {
-		return fmt.Errorf("relation: raw record of %d bytes is not a float64 vector", len(data))
-	}
-	if err := r.admit(id); err != nil {
+	if err := r.admit(id, data); err != nil {
 		return err
 	}
 	first, count := r.mem.AppendOwned(data)
@@ -299,12 +288,16 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 // (exactly like Delete). Either way the record keeps its slot, and the
 // slot's location and head are rewritten in the same call.
 func (r *Relation) Replace(id int64, vec []float64) error {
+	return r.ReplaceRaw(id, encodeFloats(vec))
+}
+
+// ReplaceRaw is Replace with an already-encoded record (see InsertRaw).
+func (r *Relation) ReplaceRaw(id int64, data []byte) error {
 	slot, ok := r.dir.get(id)
 	if !ok {
 		return fmt.Errorf("relation: id %d not found", id)
 	}
 	loc := r.locs[slot]
-	data := encodeFloats(vec)
 	var err error
 	if r.pool != nil {
 		// Write through the pool so cached disk frames refresh in place.
@@ -526,18 +519,22 @@ func decodeFloats(data []byte) ([]float64, error) {
 	return out, nil
 }
 
-// EncodeComplex interleaves a complex vector as (re, im) float pairs for
-// storage.
-func EncodeComplex(vec []complex128) []float64 {
-	out := make([]float64, 2*len(vec))
+// AppendComplex appends vec to dst as a complex record — (re, im) pairs of
+// little-endian float64s, the one definition of that layout — for
+// InsertRaw, InsertOwned or ReplaceRaw, in memory of the caller's choosing.
+func AppendComplex(dst []byte, vec []complex128) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, 16*len(vec))[:off+16*len(vec)]
 	for i, c := range vec {
-		out[2*i] = real(c)
-		out[2*i+1] = imag(c)
+		b := dst[off+16*i : off+16*i+16]
+		binary.LittleEndian.PutUint64(b, math.Float64bits(real(c)))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(c)))
 	}
-	return out
+	return dst
 }
 
-// DecodeComplex reverses EncodeComplex.
+// DecodeComplex turns a complex record, as Get returns it, back into its
+// values.
 func DecodeComplex(vec []float64) ([]complex128, error) {
 	if len(vec)%2 != 0 {
 		return nil, fmt.Errorf("relation: complex record with odd length %d", len(vec))

@@ -3,6 +3,7 @@ package relation
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dft"
@@ -91,16 +92,40 @@ func TestScanCountsPageReads(t *testing.T) {
 	}
 }
 
+// TestComplexRoundTrip: a record AppendComplex builds reads back through Get
+// and DecodeComplex as the same values, AppendComplex appends to what dst
+// holds, and ReplaceRaw overwrites a record in place.
 func TestComplexRoundTrip(t *testing.T) {
-	in := []complex128{1 + 2i, -3.5, 0, 4i}
-	out, err := DecodeComplex(EncodeComplex(in))
-	if err != nil {
+	in := []complex128{1 + 2i, -3.5, 0, 4i, complex(math.Inf(-1), math.SmallestNonzeroFloat64)}
+	r := New(64)
+	if err := r.InsertRaw(1, AppendComplex(make([]byte, 0, 16*len(in)), in)); err != nil {
 		t.Fatal(err)
 	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("complex round trip failed at %d", i)
+	get := func() []complex128 {
+		t.Helper()
+		vec, err := r.Get(1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		out, err := DecodeComplex(vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if got := get(); !reflect.DeepEqual(got, in) {
+		t.Fatalf("complex round trip: %v, want %v", got, in)
+	}
+	if got := AppendComplex([]byte{9}, in[:1]); len(got) != 17 || got[0] != 9 {
+		t.Fatalf("AppendComplex did not append: %v", got)
+	}
+	pages := r.Pages()
+	repl := []complex128{5, 6i, -7, 8 + 8i, 0}
+	if err := r.ReplaceRaw(1, AppendComplex(nil, repl)); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(); !reflect.DeepEqual(got, repl) || r.Pages() != pages {
+		t.Fatalf("ReplaceRaw: record %v, %d pages (was %d)", got, r.Pages(), pages)
 	}
 	if _, err := DecodeComplex([]float64{1, 2, 3}); err == nil {
 		t.Fatal("odd-length decode should fail")

@@ -27,7 +27,7 @@ func TestViewPagesAndCursor(t *testing.T) {
 	for i := range coeffs {
 		coeffs[i] = complex(float64(i), float64(-i))
 	}
-	if err := r.Insert(1, EncodeComplex(coeffs)); err != nil {
+	if err := r.InsertRaw(1, AppendComplex(nil, coeffs)); err != nil {
 		t.Fatal(err)
 	}
 	r.ResetStats()
@@ -56,7 +56,7 @@ func TestCursorCrossPageImaginary(t *testing.T) {
 	// cross-page guard.
 	r := New(24)
 	coeffs := []complex128{1 + 2i, 3 + 4i, 5 + 6i}
-	if err := r.Insert(9, EncodeComplex(coeffs)); err != nil {
+	if err := r.InsertRaw(9, AppendComplex(nil, coeffs)); err != nil {
 		t.Fatal(err)
 	}
 	pages := viewPages(t, r, 9)

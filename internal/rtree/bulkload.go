@@ -1,9 +1,10 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // BulkLoad builds the tree from scratch with Sort-Tile-Recursive (STR)
@@ -57,10 +58,25 @@ func (t *Tree) strPack(bs []branch, level int) []*node {
 	if slabsPerDim < 1 {
 		slabsPerDim = 1
 	}
+	// byCenter sorts a group stably by the center of dimension d: each
+	// (doubled) center is computed once, the (center, position) keys are
+	// sorted — the position breaking ties, which is stability — and the
+	// branches permuted into that order.
+	type key struct {
+		c float64
+		i int
+	}
+	keys, tmp := make([]key, len(bs)), make([]branch, len(bs))
 	byCenter := func(g []branch, d int) {
-		sort.SliceStable(g, func(i, j int) bool {
-			return g[i].rect.Lo[d]+g[i].rect.Hi[d] < g[j].rect.Lo[d]+g[j].rect.Hi[d]
-		})
+		ks := keys[:len(g)]
+		for i := range g {
+			ks[i] = key{g[i].rect.Lo[d] + g[i].rect.Hi[d], i}
+		}
+		slices.SortFunc(ks, func(a, b key) int { return cmp.Or(cmp.Compare(a.c, b.c), cmp.Compare(a.i, b.i)) })
+		for j, k := range ks {
+			tmp[j] = g[k.i]
+		}
+		copy(g, tmp[:len(g)])
 	}
 
 	groups := [][]branch{bs}

@@ -30,16 +30,21 @@ func Mean(s []float64) float64 {
 // normal-form convention of GK95 where std is the population standard
 // deviation).
 func Var(s []float64) float64 {
+	_, v := meanVar(s)
+	return v
+}
+
+// meanVar returns the mean and the population variance of s.
+func meanVar(s []float64) (mean, variance float64) {
 	if len(s) == 0 {
-		return 0
+		return 0, 0
 	}
-	m := Mean(s)
-	var sum float64
+	mean = Mean(s)
 	for _, v := range s {
-		d := v - m
-		sum += d * d
+		d := v - mean
+		variance += d * d
 	}
-	return sum / float64(len(s))
+	return mean, variance / float64(len(s))
 }
 
 // Std returns the population standard deviation of s.
@@ -59,15 +64,25 @@ func Std(s []float64) float64 {
 // s = mean + std * normalform exact.
 func NormalForm(s []float64) []float64 {
 	out := make([]float64, len(s))
-	m := Mean(s)
-	sd := Std(s)
-	if sd == 0 {
-		return out
+	NormalFormInto(out, s)
+	return out
+}
+
+// NormalFormInto writes the normal form of s into dst (len(dst) >= len(s))
+// and returns the mean and the standard deviation it divided by — each
+// computed once, bit for bit what Mean and Std return.
+func NormalFormInto(dst, s []float64) (mean, std float64) {
+	mean, variance := meanVar(s)
+	std = math.Sqrt(variance)
+	dst = dst[:len(s)]
+	if std == 0 {
+		clear(dst)
+		return mean, std
 	}
 	for i, v := range s {
-		out[i] = (v - m) / sd
+		dst[i] = (v - mean) / std
 	}
-	return out
+	return mean, std
 }
 
 // Shift returns s with c added to every value.

@@ -66,9 +66,31 @@ func TestNormalFormFirstDFTCoefficientIsZero(t *testing.T) {
 	// The paper stores normal forms precisely because X_0 (proportional to
 	// the mean) vanishes and can be dropped from the index.
 	nf := NormalForm(ex11s1)
-	c0 := dft.CoefficientReal(nf, 0)
+	c0 := dft.Slow(dft.ToComplex(nf))[0]
 	if math.Hypot(real(c0), imag(c0)) > 1e-9 {
 		t.Fatalf("X_0 of normal form = %v, want 0", c0)
+	}
+}
+
+func TestNormalFormIntoMatches(t *testing.T) {
+	// The one-pass variant writes the same bits into a reused buffer —
+	// zeros over stale contents for a constant series — and returns the
+	// moments Mean and Std compute.
+	r := rand.New(rand.NewSource(2))
+	buf := make([]float64, 64)
+	for _, s := range [][]float64{ex11s1, {7, 7, 7}, nil} {
+		for i := range buf {
+			buf[i] = r.NormFloat64()
+		}
+		mean, std := NormalFormInto(buf, s)
+		if mean != Mean(s) || std != Std(s) {
+			t.Fatalf("moments (%v, %v), want (%v, %v)", mean, std, Mean(s), Std(s))
+		}
+		for i, v := range NormalForm(s) {
+			if buf[i] != v {
+				t.Fatalf("value %d: %v, NormalForm has %v", i, buf[i], v)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,6 +45,41 @@ func TestInsertBulkPublicAPI(t *testing.T) {
 	// Bulk insert into a non-empty DB fails.
 	if err := bulk.InsertBulk(batch[:1]); err == nil {
 		t.Fatal("bulk insert into non-empty DB should fail")
+	}
+}
+
+// TestInsertBulkRefusesNaNFromCSV: a CSV cell spelled NaN parses, and the
+// bulk load — tsqd -data's path — refuses it as an insert does, naming the
+// series and the position, and loads nothing.
+func TestInsertBulkRefusesNaNFromCSV(t *testing.T) {
+	const n = 8
+	var csv strings.Builder
+	for i, row := range []string{"1,2,3,4,5,6,7,8", "1,2,3,NaN,5,6,7,8", "8,7,6,5,4,3,2,1"} {
+		fmt.Fprintf(&csv, "S%d,%s\n", i, row)
+	}
+	path := filepath.Join(t.TempDir(), "nan.csv")
+	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := tsq.ReadCSVFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		db := tsq.MustOpen(tsq.Options{Length: n, Shards: shards})
+		err := db.InsertBulk(batch)
+		if err == nil || !strings.Contains(err.Error(), `"S1"`) || !strings.Contains(err.Error(), "position 3") {
+			t.Fatalf("shards=%d: bulk load of a NaN cell: %v", shards, err)
+		}
+		if ierr := db.Insert(batch[1].Name, batch[1].Values); ierr == nil {
+			t.Fatalf("shards=%d: insert accepted the NaN the bulk load refused", shards)
+		}
+		if db.Len() != 0 {
+			t.Fatalf("shards=%d: refused bulk load left %d series", shards, db.Len())
+		}
+		if err := db.InsertBulk([]tsq.NamedSeries{batch[0], batch[2]}); err != nil {
+			t.Fatalf("shards=%d: valid bulk load after the refusal: %v", shards, err)
+		}
 	}
 }
 
