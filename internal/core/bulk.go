@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/index"
+	"repro/internal/relation"
 	"repro/internal/rtree"
 )
 
@@ -15,20 +16,11 @@ import (
 // instead of one-at-a-time insertion — for the larger experimental relations
 // (12,000 sequences in Figures 9/11) an order of magnitude faster to build,
 // and better packed (see the bulk-load ablation). points and specs are what
-// derive gave for each series, or a snapshot's DERV section: feature points
-// and encoded half-spectrum records (little-endian float64s), the records
-// stored verbatim and owned from here on; rawVals, when non-nil, are the
-// series values in the same encoding and stored verbatim too (values may
-// then be nil: the adopt fast path never decodes a float). tree, when
-// non-nil, is a snapshot's packed tree for exactly this partition, validated
-// and adopted instead of STR bulk loading — the whole load is then O(bytes
-// read) plus one validation pass.
-func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, points []geom.Point, rawVals, specs [][]byte, tree *rtree.Tree) error {
-	if tree != nil {
-		if err := sh.adoptTree(tree, ids); err != nil {
-			return err
-		}
-	} else if err := sh.idx.BulkLoad(points, ids); err != nil {
+// derive gave for each series: feature points and encoded half-spectrum
+// records, the records owned from here on (a memory relation adopts them as
+// its pages). A disk-backed shard writes both relations' pages in runs.
+func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, points []geom.Point, specs [][]byte) error {
+	if err := sh.idx.BulkLoad(points, ids); err != nil {
 		return err
 	}
 	// The record count is known: size the per-record tables once, not by
@@ -37,29 +29,29 @@ func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, point
 	sh.freqRel.Reserve(len(names))
 	sh.recs = slices.Grow(sh.recs, len(names))
 	sh.ids = slices.Grow(sh.ids, len(names))
-	// Raw records transfer ownership (InsertOwned): the snapshot read or the
-	// derivation allocated them for this load, so a memory-backed relation
-	// adopts the buffers as its pages without copying.
+	sh.timeRel.StartRun(nil)
+	sh.freqRel.StartRun(nil)
 	for i, name := range names {
-		id := ids[i]
-		var err error
-		if rawVals != nil {
-			err = sh.timeRel.InsertOwned(id, rawVals[i])
-		} else {
-			err = sh.timeRel.Insert(id, values[i])
+		err := sh.timeRel.Insert(ids[i], values[i])
+		if err == nil {
+			err = sh.freqRel.InsertOwned(ids[i], specs[i])
 		}
 		if err != nil {
+			endRuns(sh.timeRel, sh.freqRel)
 			return err
 		}
-		if want := 16 * halfLen(sh.length); len(specs[i]) != want {
-			return fmt.Errorf("core: series %q spectrum record has %d bytes, DB expects %d", name, len(specs[i]), want)
-		}
-		if err := sh.freqRel.InsertOwned(id, specs[i]); err != nil {
-			return err
-		}
-		sh.addRecord(id, name, points[i])
+		sh.addRecord(ids[i], name, points[i])
 	}
-	return nil
+	return endRuns(sh.timeRel, sh.freqRel)
+}
+
+// endRuns ends the page runs of a relation pair, returning the first error.
+func endRuns(timeRel, freqRel *relation.Relation) error {
+	_, err := timeRel.EndRun()
+	if _, ferr := freqRel.EndRun(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // adoptTree validates a decoded packed tree against the load — structural

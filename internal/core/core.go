@@ -26,7 +26,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -91,8 +93,10 @@ type shard struct {
 	ids    []int64 // live IDs, arbitrary order (swap-delete)
 	// gen numbers the relation generations of a disk-backed shard: Compact
 	// builds generation gen+1's page files alongside the live pair before
-	// swapping, so scratch file names never collide.
-	gen int
+	// swapping, so scratch file names never collide. madeDir is whether the
+	// shard created its backing directory, and so removes it on close.
+	gen     int
+	madeDir bool
 	// scratch and recBuf are derive's working memory, used under the write
 	// lock.
 	scratch feature.Scratch
@@ -143,23 +147,52 @@ func newShard(length int, opts Options) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	timeRel, freqRel, err := newRelationPair(opts, 0)
-	if err != nil {
+	sh := &shard{
+		schema: opts.Schema,
+		length: length,
+		opts:   opts,
+		idx:    ix,
+		byName: make(map[string]int64),
+	}
+	if opts.Backing != "" {
+		if sh.madeDir, err = makeDir(opts.Backing); err != nil {
+			return nil, err
+		}
+	}
+	if sh.timeRel, sh.freqRel, err = newRelationPair(opts, 0); err != nil {
+		sh.removeDir()
 		return nil, err
 	}
-	return &shard{
-		schema:  opts.Schema,
-		length:  length,
-		opts:    opts,
-		idx:     ix,
-		timeRel: timeRel,
-		freqRel: freqRel,
-		byName:  make(map[string]int64),
-	}, nil
+	return sh, nil
+}
+
+// makeDir creates directory dir, and its parent if need be, reporting
+// whether it made dir itself (false: it was there already).
+func makeDir(dir string) (bool, error) {
+	if err := os.MkdirAll(filepath.Dir(dir), 0o755); err != nil {
+		return false, fmt.Errorf("core: creating backing directory: %w", err)
+	}
+	switch err := os.Mkdir(dir, 0o755); {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, fs.ErrExist):
+		return false, nil
+	default:
+		return false, fmt.Errorf("core: creating backing directory: %w", err)
+	}
+}
+
+// removeDir removes the shard's backing directory if the shard made it.
+// os.Remove never removes a directory that still holds something.
+func (sh *shard) removeDir() error {
+	if !sh.madeDir {
+		return nil
+	}
+	return os.Remove(sh.opts.Backing)
 }
 
 // newRelationPair builds a shard's time- and frequency-domain relations
-// per the options: disk-backed page files under opts.Backing when set
+// per the options: disk-backed page files in the opts.Backing directory when set
 // (gen picks the generation-suffixed scratch names, so a compaction can
 // build its replacement pair next to the live one), in-memory otherwise.
 func newRelationPair(opts Options, gen int) (timeRel, freqRel *relation.Relation, err error) {
@@ -167,9 +200,6 @@ func newRelationPair(opts Options, gen int) (timeRel, freqRel *relation.Relation
 		timeRel, freqRel = relation.New(opts.PageSize), relation.New(opts.PageSize)
 		freqRel.KeepHeads()
 		return timeRel, freqRel, nil
-	}
-	if err := os.MkdirAll(opts.Backing, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("core: creating backing directory: %w", err)
 	}
 	timeRel, err = relation.NewDisk(filepath.Join(opts.Backing, fmt.Sprintf("time-g%03d.pages", gen)), opts.PageSize, opts.CachePages)
 	if err != nil {
@@ -185,11 +215,15 @@ func newRelationPair(opts Options, gen int) (timeRel, freqRel *relation.Relation
 }
 
 // close releases the shard's backing storage, removing the disk scratch
-// files of a disk-backed store (snapshots are the durability format).
+// files of a disk-backed store (snapshots are the durability format) and
+// the directory the shard made for them.
 func (sh *shard) close() error {
 	err := sh.timeRel.Close()
 	if ferr := sh.freqRel.Close(); err == nil {
 		err = ferr
+	}
+	if derr := sh.removeDir(); err == nil {
+		err = derr
 	}
 	return err
 }

@@ -9,10 +9,12 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/feature"
 	"repro/internal/geom"
 	"repro/internal/plan"
+	"repro/internal/relation"
 	"repro/internal/rtree"
 )
 
@@ -57,11 +59,17 @@ import (
 // cost constants the store priced plans with, so a reloaded store keeps its
 // drift diagnostics and its index-vs-scan break-even points.
 //
-// A reader trusts nothing it has not checked: a section's checksum is
-// verified before anything in it is adopted, and no count or length in the
-// file sizes an allocation — buffers grow with the bytes that actually
-// arrive (decoder.appendN, records), so a corrupt or hostile header costs an
-// error, not the process.
+// A reader streams: each series record goes to its shard's time relation as
+// it is decoded, and each DERV spectrum to its shard's frequency relation,
+// so a load holds the names and feature points in memory and nothing else
+// of the records (loader). Bytes may reach the scratch page files before
+// their section's checksum has been checked; no store is returned until
+// every section has passed its size and checksum checks, and on any error
+// the partly built store is closed and every file and directory it created
+// is removed. No count or length in the file sizes an allocation — buffers
+// grow with the bytes that actually arrive (decoder.appendN, records), and a
+// shard is built when its first record arrives — so a corrupt or hostile
+// header costs an error, not the process.
 //
 // The one legacy format read is TSQ3, the format until PR 25: the same
 // header after its own magic, the same series records, then DERV, SLAB, PLNH
@@ -434,84 +442,6 @@ func readHeader(d *decoder) (snapshotHeader, error) {
 	return h, nil
 }
 
-// readSeries decodes the series records. It returns each record's value
-// bytes exactly as stored and skips the float decode entirely: the snapshot
-// layout is the page-file record layout, so the cold-start load hands those
-// bytes to Relation.InsertOwned, and a load that does need floats (a
-// rebuild) recovers them with decodeRawSeries.
-func readSeries(d *decoder, h snapshotHeader) (names []string, raw [][]byte, err error) {
-	var rs records
-	var name []byte
-	for i := 0; i < h.count; i++ {
-		name = d.appendN(name[:0], int(d.u16()))
-		rec := rs.next(d, 8*h.length, h.count-i)
-		if d.err != nil {
-			return nil, nil, fmt.Errorf("reading series %d: %w", i, d.err)
-		}
-		names = append(names, string(name))
-		raw = append(raw, rec)
-	}
-	return names, raw, nil
-}
-
-// decodeRawSeries converts raw series records kept by readSeries back to
-// float values, for loads that must rebuild derived state from them.
-func decodeRawSeries(raw [][]byte, length int) [][]float64 {
-	values := make([][]float64, len(raw))
-	for i, rec := range raw {
-		vals := make([]float64, length)
-		for j := range vals {
-			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(rec[8*j:]))
-		}
-		values[i] = vals
-	}
-	return values
-}
-
-// readDerived decodes the DERV records: feature points, and spectrum records
-// left in their on-disk encoding — the page-file record layout — so the load
-// moves them into pages with no decode/re-encode round trip. A TSQ3 record
-// (legacy) holds all n coefficients interleaved with their mirrors; stored
-// coefficient f sits at position 2f-1 there (position 0 for f = 0), and the
-// rest are dropped.
-func readDerived(d *decoder, h snapshotHeader, legacy bool) (points []geom.Point, specs [][]byte, err error) {
-	dims, size := h.schema.Dims(), 16*halfLen(h.length)
-	var (
-		rs      records
-		scratch []byte
-	)
-	for i := 0; i < h.count; i++ {
-		scratch = d.appendN(scratch[:0], 8*dims)
-		p := make(geom.Point, 0, dims)
-		for j := 0; j < len(scratch); j += 8 {
-			p = append(p, math.Float64frombits(binary.LittleEndian.Uint64(scratch[j:])))
-		}
-		var rec []byte
-		if legacy {
-			scratch = d.appendN(scratch[:0], 16*h.length)
-			if d.err == nil {
-				if size > readChunk {
-					rec = make([]byte, size) // no more than has just been read
-				} else {
-					rec = rs.take(size, h.count-i)
-				}
-				copy(rec, scratch[:16])
-				for at := 16; at < size; at += 16 {
-					copy(rec[at:at+16], scratch[2*at-16:])
-				}
-			}
-		} else {
-			rec = rs.next(d, size, h.count-i)
-		}
-		if d.err != nil {
-			return nil, nil, fmt.Errorf("reading derived record %d: %w", i, d.err)
-		}
-		points = append(points, p)
-		specs = append(specs, rec)
-	}
-	return points, specs, nil
-}
-
 // readSlab decodes the packed trees. Each must fill exactly the bytes its
 // length prefix claims.
 func readSlab(d *decoder) ([]*rtree.Tree, error) {
@@ -592,20 +522,36 @@ func readCosts(d *decoder) (plan.Costs, error) {
 	}, nil
 }
 
-// snapshot is everything a reader took from a snapshot, checked and not yet
-// adopted. A field is nil (a flag false) when its section was absent.
-type snapshot struct {
-	h         snapshotHeader
-	names     []string
-	raw       [][]byte
-	points    []geom.Point
-	specs     [][]byte
-	trees     []*rtree.Tree
-	seq       int64
-	history   []plan.Record
-	haveHist  bool
-	costs     plan.Costs
-	haveCosts bool
+// loader builds a store while a snapshot is read. Each series record goes
+// to its shard's time relation as it arrives, and each DERV spectrum to its
+// shard's frequency relation; what stays in memory is the names and the
+// feature points. A shard is built when its first record arrives. finish
+// turns the parts into a store once every section has been read and
+// checked; a load that fails before then closes every shard it built
+// (closeShards), removing their files and directories.
+type loader struct {
+	opts Options
+	want int // the caller's shard count; 0 takes the snapshot's
+	h    snapshotHeader
+	// shards is the store's partition, a shard nil until a record hashes to
+	// it; names are the series in record (ID) order.
+	shards []*shard
+	names  []string
+	// haveDerived is set once DERV has entered every record; trees is
+	// SLAB.
+	haveDerived bool
+	trees       []*rtree.Tree
+	seq         int64
+	history     []plan.Record
+	haveHist    bool
+	costs       plan.Costs
+	haveCosts   bool
+	// blocks carves the records a memory relation adopts as its pages;
+	// scratch holds one on its way into a disk relation's page run, and
+	// name, point and wide are one record's name, feature point and TSQ3
+	// full spectrum as read.
+	blocks                     records
+	scratch, name, point, wide []byte
 }
 
 // sectionBody is one section a snapshot may carry and the decoder of its
@@ -616,36 +562,265 @@ type sectionBody struct {
 	read     func(d *decoder) error
 }
 
-// bodies lists the sections in file order, each decoding into snap.
-func (snap *snapshot) bodies() []sectionBody {
+// bodies lists the sections in file order, each decoding into the load.
+func (l *loader) bodies() []sectionBody {
 	return []sectionBody{
-		{headTag, true, func(d *decoder) (err error) {
-			snap.h, err = readHeader(d)
-			return err
-		}},
-		{seriesTag, true, func(d *decoder) (err error) {
-			snap.names, snap.raw, err = readSeries(d, snap.h)
-			return err
-		}},
-		{derivedTag, false, func(d *decoder) (err error) {
-			snap.points, snap.specs, err = readDerived(d, snap.h, false)
-			return err
-		}},
+		{headTag, true, l.head},
+		{seriesTag, true, l.series},
+		{derivedTag, false, func(d *decoder) error { return l.derived(d, false) }},
 		{slabTag, false, func(d *decoder) (err error) {
-			snap.trees, err = readSlab(d)
+			l.trees, err = readSlab(d)
 			return err
 		}},
 		{historyTag, false, func(d *decoder) (err error) {
-			snap.seq, snap.history, err = readHistory(d)
-			snap.haveHist = err == nil
+			l.seq, l.history, err = readHistory(d)
+			l.haveHist = err == nil
 			return err
 		}},
 		{costsTag, false, func(d *decoder) (err error) {
-			snap.costs, err = readCosts(d)
-			snap.haveCosts = err == nil
+			l.costs, err = readCosts(d)
+			l.haveCosts = err == nil
 			return err
 		}},
 	}
+}
+
+// head decodes the header and settles the shard count: the caller's, else
+// the recorded one up to one shard per series (shards the file only
+// promises cost a pointer each until a record arrives).
+func (l *loader) head(d *decoder) (err error) {
+	if l.h, err = readHeader(d); err != nil {
+		return err
+	}
+	l.opts.Schema = l.h.schema
+	n := l.want
+	if n == 0 {
+		n = min(l.h.shards, max(1, l.h.count))
+	}
+	l.shards = make([]*shard, n)
+	return nil
+}
+
+// shard returns shard si, building it — and opening its time relation's
+// page run — when its first record arrives.
+func (l *loader) shard(si int) (*shard, error) {
+	if sh := l.shards[si]; sh != nil {
+		return sh, nil
+	}
+	sh, err := newShard(l.h.length, shardOptions(l.opts, si))
+	if err != nil {
+		return nil, err
+	}
+	sh.timeRel.StartRun(nil)
+	l.shards[si] = sh
+	return sh, nil
+}
+
+// read reads the next size-byte record for rel off d: into a block a memory
+// relation adopts as its pages, or into scratch, which a disk relation
+// copies into its page run. left is how many records the section still
+// promises, this one included.
+func (l *loader) read(d *decoder, rel *relation.Relation, size, left int) []byte {
+	if rel.DiskBacked() {
+		l.scratch = d.appendN(l.scratch[:0], size)
+		return l.scratch
+	}
+	return l.blocks.next(d, size, left)
+}
+
+// alloc is read's memory for a record built rather than read (a TSQ3
+// spectrum, a rebuilt one), once bytes enough to bound size have arrived.
+func (l *loader) alloc(rel *relation.Relation, size, left int) []byte {
+	if rel.DiskBacked() {
+		l.scratch = slices.Grow(l.scratch[:0], size)[:size]
+		return l.scratch
+	}
+	return l.blocks.take(size, left)
+}
+
+// series routes each series record to its shard's time relation. When all
+// are in, each time relation's run ends and hands its memory to the
+// frequency relation's, and the per-record tables of what follows are sized
+// to the records that arrived.
+func (l *loader) series(d *decoder) error {
+	size := 8 * l.h.length
+	for i := 0; i < l.h.count; i++ {
+		l.name = d.appendN(l.name[:0], int(d.u16()))
+		if d.err != nil {
+			return fmt.Errorf("reading series %d: %w", i, d.err)
+		}
+		name := string(l.name)
+		sh, err := l.shard(shardOf(name, len(l.shards)))
+		if err != nil {
+			return err
+		}
+		rec := l.read(d, sh.timeRel, size, l.h.count-i)
+		if d.err != nil {
+			return fmt.Errorf("reading series %d: %w", i, d.err)
+		}
+		if err := sh.timeRel.InsertOwned(int64(i), rec); err != nil {
+			return err
+		}
+		l.names = append(l.names, name)
+	}
+	for _, sh := range l.shards {
+		if sh == nil {
+			continue
+		}
+		buf, err := sh.timeRel.EndRun()
+		if err != nil {
+			return err
+		}
+		sh.freqRel.StartRun(buf)
+		n := sh.timeRel.Len()
+		sh.freqRel.Reserve(n)
+		sh.recs = slices.Grow(sh.recs, n)
+		sh.ids = slices.Grow(sh.ids, n)
+		sh.byName = make(map[string]int64, n)
+	}
+	return nil
+}
+
+// derived routes each DERV record to its series' shard: the spectrum to the
+// frequency relation, the feature point to the record directory. A TSQ3
+// (legacy) record holds all n coefficients interleaved with their mirrors;
+// stored coefficient f sits at position 2f-1 there (position 0 for f = 0),
+// and the rest are dropped.
+func (l *loader) derived(d *decoder, legacy bool) error {
+	dims, size := l.h.schema.Dims(), 16*halfLen(l.h.length)
+	coords := make([]float64, len(l.names)*dims)
+	for i, name := range l.names {
+		sh := l.shards[shardOf(name, len(l.shards))]
+		l.point = d.appendN(l.point[:0], 8*dims)
+		p := geom.Point(coords[i*dims : (i+1)*dims : (i+1)*dims])
+		for j := range p {
+			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(l.point[8*j:]))
+		}
+		var rec []byte
+		if legacy {
+			l.wide = d.appendN(l.wide[:0], 16*l.h.length)
+			if d.err == nil {
+				rec = l.alloc(sh.freqRel, size, len(l.names)-i)
+				copy(rec, l.wide[:16])
+				for at := 16; at < size; at += 16 {
+					copy(rec[at:at+16], l.wide[2*at-16:])
+				}
+			}
+		} else {
+			rec = l.read(d, sh.freqRel, size, len(l.names)-i)
+		}
+		if d.err != nil {
+			return fmt.Errorf("reading derived record %d: %w", i, d.err)
+		}
+		if err := sh.freqRel.InsertOwned(int64(i), rec); err != nil {
+			return err
+		}
+		if err := enter(sh, int64(i), name, p); err != nil {
+			return err
+		}
+	}
+	l.haveDerived = true
+	return nil
+}
+
+// enter files a series whose records are stored under id in the shard's
+// record directory, refusing a name no store holds: empty, or stored twice
+// (both copies hash to this shard).
+func enter(sh *shard, id int64, name string, p geom.Point) error {
+	if name == "" {
+		return fmt.Errorf("core: empty series name at position %d", id)
+	}
+	if _, dup := sh.byName[name]; dup {
+		return fmt.Errorf("core: duplicate series name %q", name)
+	}
+	sh.addRecord(id, name, p)
+	return nil
+}
+
+// rebuild derives each record of a snapshot without DERV from the window
+// just stored, read back in order — the derivation an insert runs.
+func (l *loader) rebuild() error {
+	size, left := 16*halfLen(l.h.length), len(l.names)
+	for _, sh := range l.shards {
+		var err error
+		if serr := sh.timeRel.Scan(func(id int64, vals []float64) bool {
+			var (
+				p   geom.Point
+				rec []byte
+			)
+			name := l.names[id]
+			if p, rec, err = sh.derive(name, vals, l.alloc(sh.freqRel, size, left)[:0]); err == nil {
+				if err = sh.freqRel.InsertOwned(id, rec); err == nil {
+					err = enter(sh, id, name, p)
+				}
+			}
+			left--
+			return err == nil
+		}); serr != nil {
+			return serr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finish turns a load whose every section has been read and checked into a
+// store: the shards no series hashed to are built, a snapshot without DERV
+// derives its records, every page run is written, each shard adopts its
+// packed tree (or STR-packs its points), and the catalog takes the names.
+func (l *loader) finish() (*Store, error) {
+	for si, sh := range l.shards {
+		if sh != nil {
+			continue
+		}
+		sh, err := newShard(l.h.length, shardOptions(l.opts, si))
+		if err != nil {
+			return nil, err
+		}
+		l.shards[si] = sh
+	}
+	if !l.haveDerived {
+		if err := l.rebuild(); err != nil {
+			return nil, err
+		}
+	}
+	for _, sh := range l.shards {
+		if _, err := sh.freqRel.EndRun(); err != nil {
+			return nil, err
+		}
+	}
+	// The packed trees partition records exactly as the writing store did;
+	// they are adoptable only when this load partitions the same way.
+	adopt := l.haveDerived && len(l.trees) == len(l.shards)
+	errs := make([]error, len(l.shards))
+	each(len(l.shards), func(si int) {
+		sh := l.shards[si]
+		if adopt {
+			errs[si] = sh.adoptTree(l.trees[si], sh.ids)
+			return
+		}
+		points := make([]geom.Point, len(sh.recs))
+		for i := range sh.recs {
+			points[i] = sh.recs[i].point
+		}
+		errs[si] = sh.idx.BulkLoad(points, sh.ids)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	s := newStore(l.h.length, l.shards)
+	s.catalog(l.names)
+	if l.haveHist {
+		s.history.Import(l.seq, l.history)
+	}
+	if l.haveCosts {
+		s.tracker.SetCosts(l.costs)
+	}
+	return s, nil
 }
 
 // checksummed is one TSQ4 section's payload as a reader: it stops at the
@@ -661,35 +836,33 @@ func (c *checksummed) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readTSQ4 reads the sections following a TSQ4 magic. Every section's
-// payload is decoded, found to fill exactly its framed size and checked
-// against its checksum before the next is read; nothing is adopted until
-// all of them have been.
-func readTSQ4(br *bufio.Reader) (*snapshot, error) {
-	snap := &snapshot{}
-	bodies := snap.bodies()
+// readTSQ4 reads the sections following a TSQ4 magic into the load. Every
+// section's payload is decoded, found to fill exactly its framed size and
+// checked against its checksum before the next is read.
+func readTSQ4(br *bufio.Reader, l *loader) error {
+	bodies := l.bodies()
 	next := 0
 	for {
 		var frame [12]byte
 		if _, err := io.ReadFull(br, frame[:]); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("core: reading a snapshot section frame: %w", err)
+			return fmt.Errorf("core: reading a snapshot section frame: %w", err)
 		}
 		tag := [4]byte(frame[:4])
 		i := next
 		for i < len(bodies) && bodies[i].tag != tag {
 			if bodies[i].required {
-				return nil, fmt.Errorf("core: snapshot has no %s section (found %q)", bodies[i].tag[:], tag[:])
+				return fmt.Errorf("core: snapshot has no %s section (found %q)", bodies[i].tag[:], tag[:])
 			}
 			i++
 		}
 		if i == len(bodies) {
-			return nil, fmt.Errorf("core: snapshot section %q is unknown or out of order", tag[:])
+			return fmt.Errorf("core: snapshot section %q is unknown or out of order", tag[:])
 		}
 		size := binary.LittleEndian.Uint64(frame[4:])
 		if size > math.MaxInt64 {
-			return nil, fmt.Errorf("core: snapshot section %s claims %d bytes", tag[:], size)
+			return fmt.Errorf("core: snapshot section %s claims %d bytes", tag[:], size)
 		}
 		sec := &checksummed{lr: io.LimitedReader{R: br, N: int64(size)}, crc: crc32.Update(0, castagnoli, frame[:])}
 		err := bodies[i].read(&decoder{r: sec})
@@ -706,31 +879,29 @@ func readTSQ4(br *bufio.Reader) (*snapshot, error) {
 			err = fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", stored, sec.crc)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: snapshot section %s: %w", tag[:], err)
+			return fmt.Errorf("core: snapshot section %s: %w", tag[:], err)
 		}
 		next = i + 1
 	}
 	for _, b := range bodies[next:] {
 		if b.required {
-			return nil, fmt.Errorf("core: snapshot has no %s section", b.tag[:])
+			return fmt.Errorf("core: snapshot has no %s section", b.tag[:])
 		}
 	}
-	return snap, nil
+	return nil
 }
 
-// readTSQ3 reads what follows a TSQ3 magic: header, series records, then the
-// optional DERV and SLAB sections and PLNH and CCAL trailers, each announced
-// by its tag alone. A clean EOF after the derived sections or the history
-// trailer ends the snapshot.
-func readTSQ3(br *bufio.Reader) (*snapshot, error) {
-	snap := &snapshot{}
+// readTSQ3 reads what follows a TSQ3 magic into the load: header, series
+// records, then the optional DERV and SLAB sections and PLNH and CCAL
+// trailers, each announced by its tag alone. A clean EOF after the derived
+// sections or the history trailer ends the snapshot.
+func readTSQ3(br *bufio.Reader, l *loader) error {
 	d := &decoder{r: br}
-	var err error
-	if snap.h, err = readHeader(d); err != nil {
-		return nil, fmt.Errorf("core: reading snapshot header: %w", err)
+	if err := l.head(d); err != nil {
+		return fmt.Errorf("core: reading snapshot header: %w", err)
 	}
-	if snap.names, snap.raw, err = readSeries(d, snap.h); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	if err := l.series(d); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	announced := func(tag [4]byte) bool {
 		b, err := br.Peek(4)
@@ -741,46 +912,50 @@ func readTSQ3(br *bufio.Reader) (*snapshot, error) {
 		return true
 	}
 	if announced(derivedTag) {
-		if snap.points, snap.specs, err = readDerived(d, snap.h, true); err != nil {
-			return nil, fmt.Errorf("core: snapshot section DERV: %w", err)
+		if err := l.derived(d, true); err != nil {
+			return fmt.Errorf("core: snapshot section DERV: %w", err)
 		}
 	}
 	if announced(slabTag) {
-		if snap.trees, err = readSlab(d); err != nil {
-			return nil, fmt.Errorf("core: snapshot section SLAB: %w", err)
+		var err error
+		if l.trees, err = readSlab(d); err != nil {
+			return fmt.Errorf("core: snapshot section SLAB: %w", err)
 		}
 	}
-	for _, trailer := range snap.bodies()[4:] { // PLNH, then CCAL
+	for _, trailer := range l.bodies()[4:] { // PLNH, then CCAL
 		var tag [4]byte
 		if _, err := io.ReadFull(br, tag[:]); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("core: reading snapshot trailer: %w", err)
+			return fmt.Errorf("core: reading snapshot trailer: %w", err)
 		}
 		if tag != trailer.tag {
-			return nil, fmt.Errorf("core: unexpected snapshot trailer (magic %q)", tag[:])
+			return fmt.Errorf("core: unexpected snapshot trailer (magic %q)", tag[:])
 		}
 		if err := trailer.read(d); err != nil {
-			return nil, fmt.Errorf("core: snapshot section %s: %w", tag[:], err)
+			return fmt.Errorf("core: snapshot section %s: %w", tag[:], err)
 		}
 	}
-	return snap, nil
+	return nil
 }
 
 // ReadEngine deserializes a snapshot into a fresh store. shards selects the
 // partitioning of the loaded store: 0 honors the count recorded in the
 // snapshot (up to one shard per stored series), n >= 1 forces an n-way
 // store — re-sharding is always possible because partition assignment is a
-// pure hash of the series name. The opts'
-// Schema is ignored (the snapshot records its own) but storage options apply
-// to every shard.
+// pure hash of the series name. The opts' Schema is ignored (the snapshot
+// records its own) but storage options apply to every shard.
 //
-// Derived state loads by the cheapest sound path the snapshot allows: a
-// snapshot whose slab count matches the effective shard count validates and
-// adopts the packed trees as-is (no extraction, no FFT, no STR sort — cold
-// start is O(bytes read)); one loaded at a different shard count reuses the
-// DERV points and spectra and only re-packs the trees; one without the
-// derived sections rebuilds everything with bulk loading.
+// The records stream into the shards' relations as they are read — a
+// disk-backed load holds none of them in memory and writes its pages in
+// runs — and derived state loads by the cheapest sound path the snapshot
+// allows: a snapshot whose slab count matches the effective shard count
+// validates and adopts the packed trees as-is (no extraction, no FFT, no
+// STR sort — cold start is O(bytes read)); one loaded at a different shard
+// count adopts the DERV points and spectra and only re-packs the trees; one
+// without the derived sections derives every record from its stored window
+// and bulk-loads the trees. A load that fails leaves nothing behind: no
+// store, no scratch file, no shard directory.
 func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
 	s, err := readStore(r, opts, shards)
 	if err != nil {
@@ -790,64 +965,33 @@ func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
 }
 
 func readStore(r io.Reader, opts Options, shards int) (*Store, error) {
+	if shards < 0 {
+		return nil, fmt.Errorf("core: shard count %d must be >= 0", shards)
+	}
 	br := bufio.NewReaderSize(r, 1<<18)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: reading snapshot header: %w", err)
 	}
-	var (
-		snap *snapshot
-		err  error
-	)
+	l := &loader{opts: opts, want: shards}
+	var err error
 	switch magic {
 	case snapshotMagic:
-		snap, err = readTSQ4(br)
+		err = readTSQ4(br, l)
 	case legacyMagic:
-		snap, err = readTSQ3(br)
+		err = readTSQ3(br, l)
 	case [4]byte{'T', 'S', 'Q', '1'}, [4]byte{'T', 'S', 'Q', '2'}:
 		err = fmt.Errorf("core: %s snapshots are no longer supported (this build reads TSQ4 and TSQ3)", magic[:])
 	default:
 		err = fmt.Errorf("core: not a tsq snapshot (magic %q)", magic[:])
 	}
+	var s *Store
+	if err == nil {
+		s, err = l.finish()
+	}
 	if err != nil {
+		closeShards(l.shards)
 		return nil, err
-	}
-	if shards == 0 {
-		// The recorded count is a default, honored up to one shard per
-		// series read: shards the file only promises cost a header's worth of
-		// bytes, and several kilobytes of empty index and relations apiece.
-		shards = min(snap.h.shards, max(1, len(snap.names)))
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("core: shard count %d must be >= 0", shards)
-	}
-	var values [][]float64
-	if snap.points == nil {
-		// No DERV section: this load rebuilds derived state from the
-		// values, so decode them after all (the adopt path never needs the
-		// floats).
-		values = decodeRawSeries(snap.raw, snap.h.length)
-	}
-	// The packed trees partition records exactly as the writing store did;
-	// they are adoptable only when this load partitions the same way.
-	trees := snap.trees
-	if len(trees) != shards || snap.points == nil {
-		trees = nil
-	}
-	opts.Schema = snap.h.schema
-	s, err := NewStore(snap.h.length, shards, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.insertBulkPrepared(snap.names, values, snap.raw, snap.points, snap.specs, trees); err != nil {
-		s.Close()
-		return nil, err
-	}
-	if snap.haveHist {
-		s.history.Import(snap.seq, snap.history)
-	}
-	if snap.haveCosts {
-		s.tracker.SetCosts(snap.costs)
 	}
 	return s, nil
 }

@@ -35,6 +35,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -180,14 +181,47 @@ func readTestdata(t testing.TB, name string) []byte {
 	return b
 }
 
+// loadBoth loads a snapshot at the given shard count twice — into memory
+// and onto disk behind a small buffer pool — and closes both at cleanup.
+func loadBoth(t *testing.T, raw []byte, shards int) (mem, disk Engine) {
+	t.Helper()
+	mem, err := ReadEngine(bytes.NewReader(raw), Options{}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mem.Close() })
+	disk, err = ReadEngine(bytes.NewReader(raw), Options{Backing: t.TempDir(), CachePages: 4}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	return mem, disk
+}
+
+// diskAnswersLikeMemory requires a disk-backed load to answer every query
+// kind bit for bit like the memory load of the same snapshot, and again
+// after both compact.
+func diskAnswersLikeMemory(t *testing.T, mem, disk Engine, length int) {
+	t.Helper()
+	allKindsParity(t, mem, disk, length)
+	for _, e := range []Engine{mem, disk} {
+		if _, err := e.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allKindsParity(t, mem, disk, length)
+}
+
 // TestSnapshotCompatVersions is the snapshot load-path gate. The legacy
 // TSQ3 fixtures — written at one shard and at four, and the first one cut
-// short before its derived sections — load at shard counts 1 and 4 (adopting
-// the packed trees where the counts match, re-sharding from DERV where they
-// do not, rebuilding without it) and answer within 1e-12 of the build that
-// wrote them; written back, they are TSQ4 and load at 1 and 4 the same way.
-// TSQ4 snapshots of this build, at one shard, at four and bare, load at 1
-// and 4 and answer identically to the store that wrote them.
+// short before its derived sections — load at shard counts 0 (the recorded
+// one), 1 and 4 (adopting the packed trees where the counts match,
+// re-sharding from DERV where they do not, rebuilding without it) and answer
+// within 1e-12 of the build that wrote them; written back, they are TSQ4 and
+// load at 1 and 4 the same way. TSQ4 snapshots of this build, at one shard,
+// at four and bare, load at 0, 1 and 4 and answer identically to the store
+// that wrote them. Every load runs onto disk too, and answers bit for bit
+// like the memory load, before and after a Compact.
 func TestSnapshotCompatVersions(t *testing.T) {
 	var golden map[string][]compatAnswer
 	if err := json.Unmarshal(readTestdata(t, "tsq3-answers.json"), &golden); err != nil {
@@ -201,22 +235,20 @@ func TestSnapshotCompatVersions(t *testing.T) {
 		t.Fatal("the TSQ3 fixture's series records do not end where DERV begins")
 	}
 	for _, fx := range []struct {
-		label string
-		raw   []byte
+		label    string
+		raw      []byte
+		recorded int
 	}{
-		{"tsq3-shards1", tsq3},
-		{"tsq3-shards4", readTestdata(t, "tsq3-shards4.snap")},
-		{"tsq3-bare", bare3},
+		{"tsq3-shards1", tsq3, 1},
+		{"tsq3-shards4", readTestdata(t, "tsq3-shards4.snap"), 4},
+		{"tsq3-bare", bare3, 1},
 	} {
-		for _, shards := range []int{1, 4} {
+		for _, shards := range []int{0, 1, 4} {
 			t.Run(fmt.Sprintf("%s/load-shards=%d", fx.label, shards), func(t *testing.T) {
-				got, err := ReadEngine(bytes.NewReader(fx.raw), Options{}, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { got.Close() })
-				if got.Len() != 30 || got.Shards() != shards {
-					t.Fatalf("loaded %d series over %d shards, want 30 over %d", got.Len(), got.Shards(), shards)
+				got, disk := loadBoth(t, fx.raw, shards)
+				want := cmp.Or(shards, fx.recorded)
+				if got.Len() != 30 || got.Shards() != want || disk.Len() != 30 || disk.Shards() != want {
+					t.Fatalf("loaded %d and %d series over %d and %d shards, want 30 over %d", got.Len(), disk.Len(), got.Shards(), disk.Shards(), want)
 				}
 				answersWithin(t, "loaded", compatAnswers(t, got), golden, 1e-12)
 				rewritten := writeSnapshot(t, got)
@@ -228,6 +260,7 @@ func TestSnapshotCompatVersions(t *testing.T) {
 					t.Cleanup(func() { back.Close() })
 					answersWithin(t, fmt.Sprintf("rewritten as TSQ4, loaded at %d shards", to), compatAnswers(t, back), golden, 1e-12)
 				}
+				diskAnswersLikeMemory(t, got, disk, 32)
 			})
 		}
 	}
@@ -253,24 +286,23 @@ func TestSnapshotCompatVersions(t *testing.T) {
 	srcDB := build(t, 1)
 	one := writeSnapshot(t, srcDB)
 	for _, fx := range []struct {
-		label string
-		raw   []byte
+		label    string
+		raw      []byte
+		recorded int
 	}{
-		{"tsq4-shards1", one},
-		{"tsq4-shards4", writeSnapshot(t, build(t, 4))},
-		{"tsq4-bare", bareTSQ4(t, one)},
+		{"tsq4-shards1", one, 1},
+		{"tsq4-shards4", writeSnapshot(t, build(t, 4)), 4},
+		{"tsq4-bare", bareTSQ4(t, one), 1},
 	} {
-		for _, shards := range []int{1, 4} {
+		for _, shards := range []int{0, 1, 4} {
 			t.Run(fmt.Sprintf("%s/load-shards=%d", fx.label, shards), func(t *testing.T) {
-				got, err := ReadEngine(bytes.NewReader(fx.raw), Options{}, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { got.Close() })
-				if got.Len() != count || got.Shards() != shards {
-					t.Fatalf("loaded %d series over %d shards, want %d over %d", got.Len(), got.Shards(), count, shards)
+				got, disk := loadBoth(t, fx.raw, shards)
+				want := cmp.Or(shards, fx.recorded)
+				if got.Len() != count || got.Shards() != want || disk.Len() != count || disk.Shards() != want {
+					t.Fatalf("loaded %d and %d series over %d and %d shards, want %d over %d", got.Len(), disk.Len(), got.Shards(), disk.Shards(), count, want)
 				}
 				allKindsParity(t, srcDB, got, length)
+				diskAnswersLikeMemory(t, got, disk, length)
 			})
 		}
 	}
@@ -306,34 +338,56 @@ func smallSnapshotStore(t testing.TB, shards, count, length int) Engine {
 
 // TestSnapshotChecksumNamesTheSection: one flipped byte in the payload of
 // any TSQ4 section — header, series, DERV, SLAB, PLNH, CCAL — or in a
-// section's checksum is refused, and the error names the section.
+// section's checksum is refused, and so is a snapshot cut where a section's
+// payload begins or one byte before its end; the error names the section.
+// Snapshots written at one shard and at four load into memory and onto disk,
+// and a disk load that fails leaves its backing directory as it found it.
 func TestSnapshotChecksumNamesTheSection(t *testing.T) {
-	snap := writeSnapshot(t, smallSnapshotStore(t, 2, 24, 32))
-	var tags []string
-	for _, sec := range sectionsOf(t, snap) {
-		tags = append(tags, sec.tag)
-		for _, at := range []struct {
-			where string
-			off   int
-		}{
-			{"payload", (sec.payload + sec.end - 4) / 2},
-			{"checksum", sec.end - 1},
-		} {
-			bad := bytes.Clone(snap)
-			bad[at.off] ^= 0x20
-			eng, err := ReadEngine(bytes.NewReader(bad), Options{}, 0)
-			if err == nil {
-				eng.Close()
-				t.Errorf("%s: a flipped %s byte loaded", sec.tag, at.where)
-				continue
+	for _, shards := range []int{1, 4} {
+		snap := writeSnapshot(t, smallSnapshotStore(t, shards, 24, 32))
+		var tags []string
+		for _, sec := range sectionsOf(t, snap) {
+			tags = append(tags, sec.tag)
+			flip := func(off int) []byte {
+				bad := bytes.Clone(snap)
+				bad[off] ^= 0x20
+				return bad
 			}
-			if !strings.Contains(err.Error(), sec.tag) {
-				t.Errorf("%s: a flipped %s byte fails without naming the section: %v", sec.tag, at.where, err)
+			for _, c := range []struct {
+				what string
+				raw  []byte
+			}{
+				{"a flipped payload byte", flip((sec.payload + sec.end - 4) / 2)},
+				{"a flipped checksum byte", flip(sec.end - 1)},
+				{"a cut where the payload begins", snap[:sec.payload]},
+				{"a cut one byte before the end", snap[:sec.end-1]},
+			} {
+				for _, disk := range []bool{false, true} {
+					label := fmt.Sprintf("shards=%d %s: %s (disk %t)", shards, sec.tag, c.what, disk)
+					opts := Options{}
+					if disk {
+						opts.Backing = t.TempDir()
+					}
+					eng, err := ReadEngine(bytes.NewReader(c.raw), opts, 0)
+					if err == nil {
+						eng.Close()
+						t.Errorf("%s loaded", label)
+						continue
+					}
+					if !strings.Contains(err.Error(), sec.tag) {
+						t.Errorf("%s fails without naming the section: %v", label, err)
+					}
+					if disk {
+						if left := listDir(t, opts.Backing); len(left) != 0 {
+							t.Errorf("%s leaves %v in the backing directory", label, left)
+						}
+					}
+				}
 			}
 		}
-	}
-	if got := strings.Join(tags, " "); got != "HEAD SERS DERV SLAB PLNH CCAL" {
-		t.Fatalf("the snapshot's sections are %s", got)
+		if got := strings.Join(tags, " "); got != "HEAD SERS DERV SLAB PLNH CCAL" {
+			t.Fatalf("the snapshot's sections are %s", got)
+		}
 	}
 }
 
@@ -379,6 +433,7 @@ func TestSnapshotHeaderCannotSizeAnAllocation(t *testing.T) {
 		{"TSQ4 history count 2^32-1", tsq4(frame("HEAD", 14, empty), frame("SERS", 0, nil),
 			frame("PLNH", 12, append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff)))},
 		{"TSQ4 2^20 series in an empty section", tsq4(frame("HEAD", 14, header(2, 64, 1, 1<<20)), frame("SERS", 0, nil))},
+		{"TSQ4 65,535 shards over an empty SERS", tsq4(frame("HEAD", 14, header(2, 64, math.MaxUint16, math.MaxUint32)), frame("SERS", 0, nil))},
 	} {
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -396,7 +451,9 @@ func TestSnapshotHeaderCannotSizeAnAllocation(t *testing.T) {
 }
 
 // FuzzReadSnapshot: whatever the bytes, the reader returns a store or an
-// error — never a panic. Seeded with TSQ4 snapshots at one shard, at four
+// error — never a panic — into memory and onto disk alike, and the backing
+// directory of a disk load is empty again once the load has failed or its
+// store has been closed. Seeded with TSQ4 snapshots at one shard, at four
 // and bare, and the TSQ3 fixture.
 func FuzzReadSnapshot(f *testing.F) {
 	one := writeSnapshot(f, smallSnapshotStore(f, 1, 6, 8))
@@ -405,9 +462,15 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(bareTSQ4(f, one))
 	f.Add(readTestdata(f, "tsq3-shards1.snap"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		eng, err := ReadEngine(bytes.NewReader(raw), Options{}, 0)
-		if err == nil {
-			eng.Close()
+		dir := t.TempDir()
+		for _, opts := range []Options{{}, {Backing: dir}} {
+			eng, err := ReadEngine(bytes.NewReader(raw), opts, 0)
+			if err == nil {
+				eng.Close()
+			}
+			if left := listDir(t, dir); len(left) != 0 {
+				t.Fatalf("after a load (error %v) the backing directory holds %v", err, left)
+			}
 		}
 	})
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,7 +14,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/plan"
-	"repro/internal/rtree"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/transform"
@@ -109,9 +108,32 @@ func NewStore(length, n int, opts Options) (*Store, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: shard count %d must be >= 1", n)
 	}
+	shards := make([]*shard, n)
+	for i := range shards {
+		sh, err := newShard(length, shardOptions(opts, i))
+		if err != nil {
+			closeShards(shards)
+			return nil, err
+		}
+		shards[i] = sh
+	}
+	return newStore(length, shards), nil
+}
+
+// shardOptions are shard i's options: a disk-backed shard gets its own
+// backing subdirectory, so the shards' scratch page files never collide.
+func shardOptions(opts Options, i int) Options {
+	if opts.Backing != "" {
+		opts.Backing = filepath.Join(opts.Backing, fmt.Sprintf("shard-%03d", i))
+	}
+	return opts
+}
+
+// newStore assembles an empty catalog around built shards.
+func newStore(length int, shards []*shard) *Store {
 	s := &Store{
 		length:  length,
-		shards:  make([]*shard, n),
+		shards:  shards,
 		tracker: plan.NewTracker(),
 		history: plan.NewHistory(0),
 		owner:   make(map[int64]int),
@@ -120,27 +142,21 @@ func NewStore(length, n int, opts Options) (*Store, error) {
 	// Price plans with machine-measured cost constants (one calibration
 	// per process; see plan.Calibrate).
 	s.tracker.SetCosts(plan.Calibrated())
-	for i := range s.shards {
-		shOpts := opts
-		if opts.Backing != "" {
-			// Each shard gets its own backing subdirectory so the shards'
-			// scratch page files never collide.
-			shOpts.Backing = filepath.Join(opts.Backing, fmt.Sprintf("shard-%03d", i))
-		}
-		sh, err := newShard(length, shOpts)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				s.shards[j].close()
-			}
-			return nil, err
-		}
-		s.shards[i] = sh
-	}
-	return s, nil
+	return s
 }
 
-// Close releases every shard's backing storage (removing disk scratch
-// files). The store must not be used afterwards.
+// closeShards releases the built shards of a store that is not returned.
+func closeShards(shards []*shard) {
+	for _, sh := range shards {
+		if sh != nil {
+			sh.close()
+		}
+	}
+}
+
+// Close releases every shard's backing storage, removing the disk scratch
+// files and the shard directories the store created. The store must not be
+// used afterwards.
 func (s *Store) Close() error {
 	s.lockAll()
 	defer s.unlockAll()
@@ -176,10 +192,16 @@ func (s *Store) FeatureBounds() geom.Rect {
 // or not the name is currently stored — partition assignment is a pure
 // hash, which is what lets the server tag cached results with shard sets
 // without consulting the catalog).
-func (s *Store) ShardOf(name string) int {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return int(h.Sum32() % uint32(len(s.shards)))
+func (s *Store) ShardOf(name string) int { return shardOf(name, len(s.shards)) }
+
+// shardOf is the partition of a name among n shards: FNV-1a of its bytes,
+// modulo n.
+func shardOf(name string, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint32(name[i])) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // Shards returns the number of shards.
@@ -336,34 +358,8 @@ func (s *Store) Insert(name string, values []float64) (Committed, error) {
 // is ID-identical at every shard count. The store must be fresh; names must
 // be unique and non-empty; all series must have the store's length.
 func (s *Store) InsertBulk(names []string, values [][]float64) error {
-	return s.insertBulkPrepared(names, values, nil, nil, nil, nil)
-}
-
-// insertBulkPrepared is InsertBulk with optional precomputed derived data
-// from a snapshot: feature points, raw encoded series and spectrum
-// records (the snapshot's byte layout is the page-file record layout, so
-// shards store them verbatim), and per-shard packed trees. points == nil
-// derives points and records here, the way an insert does (the plain
-// InsertBulk path); with them only the cheap structural checks run. trees,
-// when non-nil, must hold one decoded tree per shard,
-// partitioned exactly as this store partitions (same shard count,
-// hash-of-name assignment) — each shard then adopts its tree instead of
-// STR bulk loading.
-func (s *Store) insertBulkPrepared(names []string, values [][]float64, rawVals [][]byte, points []geom.Point, specs [][]byte, trees []*rtree.Tree) error {
-	if (points == nil) != (specs == nil) || values == nil && (rawVals == nil || points == nil) {
-		return fmt.Errorf("core: a bulk load needs values or raw records, and points and spectra together or neither")
-	}
-	if values != nil && len(names) != len(values) {
+	if len(names) != len(values) {
 		return fmt.Errorf("core: %d names but %d series", len(names), len(values))
-	}
-	if rawVals != nil && len(rawVals) != len(names) {
-		return fmt.Errorf("core: %d names but %d raw value records", len(names), len(rawVals))
-	}
-	if specs != nil && len(specs) != len(names) {
-		return fmt.Errorf("core: %d names but %d spectra", len(names), len(specs))
-	}
-	if trees != nil && len(trees) != len(s.shards) {
-		return fmt.Errorf("core: %d packed trees for %d shards", len(trees), len(s.shards))
 	}
 	s.lockAll()
 	defer s.unlockAll()
@@ -376,13 +372,10 @@ func (s *Store) insertBulkPrepared(names []string, values [][]float64, rawVals [
 	// points and records ride along to the shard loads, so the dominant
 	// bulk-load cost runs once per series: records are carved from blocks
 	// the frequency relations then own. Every shard lock is held, so shard
-	// 0's scratch is free for the derivation. Snapshot loads hand points and
-	// records in and skip straight to the structural checks.
-	derive, size := points == nil, 16*halfLen(s.length)
+	// 0's scratch is free for the derivation.
+	size := 16 * halfLen(s.length)
 	var blocks records
-	if derive {
-		points, specs = make([]geom.Point, len(values)), make([][]byte, len(values))
-	}
+	points, specs := make([]geom.Point, len(values)), make([][]byte, len(values))
 	seen := make(map[string]bool, len(names))
 	for i, name := range names {
 		if name == "" {
@@ -392,68 +385,60 @@ func (s *Store) insertBulkPrepared(names []string, values [][]float64, rawVals [
 			return fmt.Errorf("core: duplicate series name %q", name)
 		}
 		seen[name] = true
-		if values != nil && len(values[i]) != s.length {
+		if len(values[i]) != s.length {
 			return fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values[i]), s.length)
 		}
-		if rawVals != nil && len(rawVals[i]) != 8*s.length {
-			return fmt.Errorf("core: series %q raw record has %d bytes, DB expects %d", name, len(rawVals[i]), 8*s.length)
+		p, rec, err := s.shards[0].derive(name, values[i], blocks.take(size, len(names)-i)[:0])
+		if err != nil {
+			return err
 		}
-		if derive {
-			p, rec, err := s.shards[0].derive(name, values[i], blocks.take(size, len(names)-i)[:0])
-			if err != nil {
-				return err
-			}
-			points[i], specs[i] = p, rec
-		}
+		points[i], specs[i] = p, rec
 	}
-	// part is one shard's slice of the batch; a column the load does not
-	// carry stays nil there too.
+	// part is one shard's slice of the batch.
 	type part struct {
 		names  []string
 		values [][]float64
 		ids    []int64
 		points []geom.Point
-		raw    [][]byte
 		specs  [][]byte
 	}
 	parts := make([]part, len(s.shards))
 	for i, name := range names {
 		p := &parts[s.ShardOf(name)]
 		p.names = append(p.names, name)
+		p.values = append(p.values, values[i])
 		p.ids = append(p.ids, int64(i))
 		p.points = append(p.points, points[i])
 		p.specs = append(p.specs, specs[i])
-		if values != nil {
-			p.values = append(p.values, values[i])
-		}
-		if rawVals != nil {
-			p.raw = append(p.raw, rawVals[i])
-		}
 	}
 	errs := make([]error, len(s.shards))
 	each(len(s.shards), func(si int) {
-		var tree *rtree.Tree
-		if trees != nil {
-			tree = trees[si]
-		}
 		p := parts[si]
-		errs[si] = s.shards[si].loadBulk(p.names, p.values, p.ids, p.points, p.raw, p.specs, tree)
+		errs[si] = s.shards[si].loadBulk(p.names, p.values, p.ids, p.points, p.specs)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
+	s.catalog(names)
+	return nil
+}
+
+// catalog enters a bulk load's series — the names in ID order, each stored
+// in its hash-assigned shard — in the catalog of a fresh store.
+func (s *Store) catalog(names []string) {
 	s.mu.Lock()
-	for i := range names {
+	defer s.mu.Unlock()
+	s.owner, s.idPos = make(map[int64]int, len(names)), make(map[int64]int, len(names))
+	s.ids = slices.Grow(s.ids, len(names))
+	for i, name := range names {
 		id := int64(i)
-		s.owner[id] = s.ShardOf(names[i])
+		s.owner[id] = s.ShardOf(name)
 		s.idPos[id] = len(s.ids)
 		s.ids = append(s.ids, id)
 	}
 	s.nextID = int64(len(names))
-	s.mu.Unlock()
-	return nil
 }
 
 // Update replaces the window stored under an existing name, in place: the

@@ -53,6 +53,8 @@ func (sh *shard) compact() (pagesReclaimed int, err error) {
 		newTime.Close()
 		newFreq.Close()
 	}
+	newTime.StartRun(nil)
+	newFreq.StartRun(nil)
 	// The new relations take the live series in sh.ids order, so series i
 	// gets slot i: its record moves there (its position in ids is i already).
 	ids := append([]int64(nil), sh.ids...)
@@ -81,6 +83,10 @@ func (sh *shard) compact() (pagesReclaimed int, err error) {
 		}
 		recs[i] = *sh.rec(id)
 		points[i] = recs[i].point
+	}
+	if err := endRuns(newTime, newFreq); err != nil {
+		abort()
+		return 0, err
 	}
 	ix, err := index.New(sh.schema, sh.opts.RTree)
 	if err != nil {

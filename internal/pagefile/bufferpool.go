@@ -41,7 +41,9 @@ type BufferPool struct {
 	backing  Backing
 	capacity int
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// frames and clock are sized to the capacity at the first fault, so a
+	// pool nothing has read yet — a store being loaded — holds no table.
 	frames map[int]*frame // page index -> resident frame
 	clock  []*frame
 	hand   int
@@ -60,12 +62,7 @@ func NewBufferPool(b Backing, capacity int) (*BufferPool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("pagefile: buffer pool capacity must be >= 1, got %d", capacity)
 	}
-	return &BufferPool{
-		backing:  b,
-		capacity: capacity,
-		frames:   make(map[int]*frame, capacity),
-		clock:    make([]*frame, 0, capacity),
-	}, nil
+	return &BufferPool{backing: b, capacity: capacity}, nil
 }
 
 // Capacity returns the pool's page capacity.
@@ -150,6 +147,10 @@ func (bp *BufferPool) page(i int, pin bool) ([]byte, error) {
 // victimLocked returns a free frame, evicting an unpinned page via the
 // clock sweep when the pool is full. Called with bp.mu held.
 func (bp *BufferPool) victimLocked() *frame {
+	if bp.frames == nil {
+		bp.frames = make(map[int]*frame, bp.capacity)
+		bp.clock = make([]*frame, 0, bp.capacity)
+	}
 	if len(bp.clock) < bp.capacity {
 		f := bp.newFrame()
 		bp.clock = append(bp.clock, f)

@@ -14,6 +14,11 @@ import (
 // resident (4 bytes/page), everything else pages in through ReadPage —
 // which callers reach through a BufferPool, never directly.
 //
+// Page i occupies the pageSize slot at offset i*pageSize; a short page
+// leaves its slot's tail unread. A single append writes its record's slots
+// with one pwrite. A bulk write (StartRun … EndRun) gathers its slots in
+// memory and writes them runPages at a time.
+//
 // The file is process-scratch, not a durability format: Open truncates,
 // and the snapshot (TSQ4) remains the way a store persists. Disk backing
 // exists so a running store can exceed RAM.
@@ -21,21 +26,28 @@ type DiskFile struct {
 	f        *os.File
 	path     string
 	pageSize int
-	// lens[i] is the payload length of page i; the slot on disk is
-	// always pageSize bytes, tail pages are simply short. Appends grow
-	// lens under the writer's external lock; readers only index pages
-	// that were fully written before they learned the page number, so
-	// the append-only slice is safe to read concurrently.
+	// lens[i] is the payload length of page i. Appends grow lens under the
+	// writer's external lock; readers only index pages that were fully
+	// written before they learned the page number, so the append-only slice
+	// is safe to read concurrently.
 	lens []int32
-	// pad is the writer's slot buffer: a short payload is zero-padded into
-	// it so that one write fills the slot (externally synchronized, like
-	// every write).
-	pad    []byte
-	reads  atomic.Int64
-	writes atomic.Int64
+	// written is how many pages are in the file. Pages from written on are
+	// in run, the slots of the open bulk write, and nowhere else yet.
+	written int
+	// running is whether a bulk write is open, and run its memory — the
+	// slots of pages written … len(lens)-1, back to back — allocated when
+	// its first page arrives.
+	running bool
+	run     []byte
+	reads   atomic.Int64
+	writes  atomic.Int64
 }
 
 var _ Backing = (*DiskFile)(nil)
+
+// runPages is how many page slots a bulk write gathers before it writes
+// them with one pwrite: 1 MiB at the default page size.
+const runPages = 256
 
 // OpenDisk creates (truncating) the scratch page file at path.
 // pageSize <= 0 selects DefaultPageSize.
@@ -73,8 +85,10 @@ func (d *DiskFile) ResetStats() {
 	d.writes.Store(0)
 }
 
-// Close closes and removes the scratch file.
+// Close closes and removes the scratch file. An open run is dropped
+// unwritten.
 func (d *DiskFile) Close() error {
+	d.running, d.run = false, nil
 	err := d.f.Close()
 	if rmErr := os.Remove(d.path); err == nil {
 		err = rmErr
@@ -83,53 +97,73 @@ func (d *DiskFile) Close() error {
 }
 
 // AppendPages writes data across as many fresh pages as needed and
-// returns the index of the first page and the number of pages used. Each
-// page occupies a full pageSize slot on disk; a short tail page is
-// zero-padded so page offsets stay a pure multiply.
+// returns the index of the first page and the number of pages used (one
+// for an empty record). Outside a run the record goes out with one pwrite;
+// if that fails, nothing is appended. Inside a run its slots join the run,
+// which is written when full.
 func (d *DiskFile) AppendPages(data []byte) (firstPage, pageCount int, err error) {
-	firstPage = len(d.lens)
-	if len(data) == 0 {
-		if err := d.writeSlot(firstPage, nil); err != nil {
+	firstPage, pageCount = len(d.lens), max(1, (len(data)+d.pageSize-1)/d.pageSize)
+	switch {
+	case !d.running || pageCount > runPages:
+		if err := d.flush(); err != nil {
 			return 0, 0, err
 		}
-		d.lens = append(d.lens, 0)
-		d.writes.Add(1)
-		return firstPage, 1, nil
-	}
-	for off := 0; off < len(data); off += d.pageSize {
-		end := off + d.pageSize
-		if end > len(data) {
-			end = len(data)
+		if _, err := d.f.WriteAt(data, int64(firstPage)*int64(d.pageSize)); err != nil {
+			return 0, 0, fmt.Errorf("pagefile: write pages [%d, %d): %w", firstPage, firstPage+pageCount, err)
 		}
-		if err := d.writeSlot(firstPage+pageCount, data[off:end]); err != nil {
-			// Roll back the half-appended record so the next append
-			// reuses the slots.
+		d.written += pageCount
+	case len(d.lens)-d.written+pageCount > runPages:
+		if err := d.flush(); err != nil {
 			return 0, 0, err
 		}
-		d.lens = append(d.lens, int32(end-off))
-		d.writes.Add(1)
-		pageCount++
+		fallthrough
+	default:
+		if d.run == nil {
+			d.run = make([]byte, runPages*d.pageSize)
+		}
+		at := (len(d.lens) - d.written) * d.pageSize
+		clear(d.run[at+copy(d.run[at:], data) : at+pageCount*d.pageSize])
 	}
+	for off := 0; off < pageCount; off++ {
+		d.lens = append(d.lens, int32(min(d.pageSize, len(data)-off*d.pageSize)))
+	}
+	d.writes.Add(int64(pageCount))
 	return firstPage, pageCount, nil
 }
 
-// writeSlot writes payload into page slot i as one full pageSize write — a
-// short payload zero-padded — so later slots start at i*pageSize. One write,
-// not a write and a truncate to the slot's end: most records end in a short
-// page (a 2,064-byte half spectrum, a 2,048-byte series at n = 256), and a
-// second system call apiece is most of what a bulk load pays per page.
-func (d *DiskFile) writeSlot(i int, payload []byte) error {
-	slot := payload
-	if len(payload) < d.pageSize {
-		if d.pad == nil {
-			d.pad = make([]byte, d.pageSize)
-		}
-		clear(d.pad[copy(d.pad, payload):])
-		slot = d.pad
+// StartRun opens a bulk write: the appends that follow gather their slots
+// in memory and go out runPages at a time, until EndRun. buf is memory the
+// run may gather in — what an earlier EndRun handed back; without room for
+// a run, the run allocates its own when its first page arrives.
+func (d *DiskFile) StartRun(buf []byte) {
+	d.running = true
+	if cap(buf) >= runPages*d.pageSize {
+		d.run = buf[:runPages*d.pageSize]
 	}
-	if _, err := d.f.WriteAt(slot, int64(i)*int64(d.pageSize)); err != nil {
-		return fmt.Errorf("pagefile: write page %d: %w", i, err)
+}
+
+// EndRun writes what the run still holds and returns the file to
+// write-through appends. It hands back the run's memory, for another run
+// to start in. If the write fails, the pages the run held are dropped
+// (NumPages no longer counts them) and the error is returned.
+func (d *DiskFile) EndRun() ([]byte, error) {
+	err := d.flush()
+	buf := d.run
+	d.running, d.run = false, nil
+	return buf, err
+}
+
+// flush writes the run's gathered slots with one pwrite.
+func (d *DiskFile) flush() error {
+	n := len(d.lens) - d.written
+	if n == 0 {
+		return nil
 	}
+	if _, err := d.f.WriteAt(d.run[:n*d.pageSize], int64(d.written)*int64(d.pageSize)); err != nil {
+		d.lens = d.lens[:d.written]
+		return fmt.Errorf("pagefile: write pages [%d, %d): %w", d.written, d.written+n, err)
+	}
+	d.written += n
 	return nil
 }
 
@@ -137,8 +171,8 @@ func (d *DiskFile) writeSlot(i int, payload []byte) error {
 // charging one write per page. The payload must match the record's byte
 // size exactly (ErrSizeMismatch otherwise), mirroring File.Overwrite.
 func (d *DiskFile) Overwrite(firstPage, pageCount int, data []byte) error {
-	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > len(d.lens) {
-		return fmt.Errorf("pagefile: overwrite [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, len(d.lens))
+	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > d.written {
+		return fmt.Errorf("pagefile: overwrite [%d, %d) out of range of %d written pages", firstPage, firstPage+pageCount, d.written)
 	}
 	var size int
 	for i := firstPage; i < firstPage+pageCount; i++ {
@@ -162,10 +196,11 @@ func (d *DiskFile) Overwrite(firstPage, pageCount int, data []byte) error {
 }
 
 // ReadPage fills dst (grown as needed) with the payload of page i,
-// charging one physical read.
+// charging one physical read. A page an open run still holds is not in
+// the file yet and cannot be read.
 func (d *DiskFile) ReadPage(i int, dst []byte) ([]byte, error) {
-	if i < 0 || i >= len(d.lens) {
-		return nil, fmt.Errorf("pagefile: page %d out of range of %d pages", i, len(d.lens))
+	if i < 0 || i >= d.written {
+		return nil, fmt.Errorf("pagefile: page %d out of range of %d written pages", i, d.written)
 	}
 	n := int(d.lens[i])
 	if cap(dst) < n {

@@ -3,6 +3,7 @@ package pagefile
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -296,5 +297,89 @@ func TestBufferPoolEvictionStressRace(t *testing.T) {
 	}
 	if r := pool.Resident(); r > 8+workers*span {
 		t.Fatalf("resident %d far exceeds capacity+pin bound", r)
+	}
+}
+
+// TestDiskFileRun: appends inside a run — records of every size, one larger
+// than the run itself, an empty one — read back exactly as write-through
+// appends do once EndRun has written them; the run never holds more than
+// runPages pages; a page the open run holds cannot be read yet; and a run
+// whose write fails drops its pages.
+func TestDiskFileRun(t *testing.T) {
+	const pageSize = 64
+	sizes := []int{1, 63, 64, 65, 200, 0, runPages*pageSize + 5, 300}
+	for i := 0; i < 3*runPages; i++ {
+		sizes = append(sizes, 100+i%50)
+	}
+	run := newDisk(t, pageSize)
+	through := newDisk(t, pageSize)
+	type loc struct{ first, count int }
+	var locs []loc
+	run.StartRun(nil)
+	for i, n := range sizes {
+		first, count, err := run.AppendPages(record(byte(i), n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f2, c2, err := through.AppendPages(record(byte(i), n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != f2 || count != c2 {
+			t.Fatalf("record %d: run placed it at [%d, +%d), write-through at [%d, +%d)", i, first, count, f2, c2)
+		}
+		locs = append(locs, loc{first, count})
+	}
+	if held := run.NumPages() - run.written; held == 0 || held > runPages {
+		t.Fatalf("the open run holds %d of %d pages, want 1 to %d", held, run.NumPages(), runPages)
+	}
+	if _, err := run.ReadPage(run.NumPages()-1, nil); err == nil {
+		t.Fatal("a page the open run holds was read")
+	}
+	buf, err := run.EndRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(buf) != runPages*pageSize {
+		t.Fatalf("EndRun handed back %d bytes, want a run of %d", len(buf), runPages*pageSize)
+	}
+	if run.written != run.NumPages() {
+		t.Fatalf("after EndRun %d of %d pages are written", run.written, run.NumPages())
+	}
+	pool, err := NewBufferPool(run, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range sizes {
+		got, err := pool.Read(locs[i].first, locs[i].count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, record(byte(i), n)) {
+			t.Fatalf("record %d (%d bytes) reads back wrong after the run", i, n)
+		}
+	}
+
+	// A failed run write drops exactly the pages the run held.
+	before := run.NumPages()
+	run.StartRun(buf)
+	for i := 0; i < 3; i++ {
+		if _, _, err := run.AppendPages(record(byte(i), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := run.f
+	ro, err := os.Open(run.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.f = ro
+	if _, err := run.EndRun(); err == nil {
+		t.Fatal("a run written to a read-only file ended without an error")
+	}
+	run.f = f
+	ro.Close()
+	if run.NumPages() != before {
+		t.Fatalf("after a failed run NumPages = %d, want %d", run.NumPages(), before)
 	}
 }

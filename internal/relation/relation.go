@@ -246,9 +246,9 @@ func (r *Relation) Insert(id int64, vec []float64) error {
 
 // InsertRaw stores an already-encoded record — the exact byte layout
 // encodeFloats produces (little-endian float64s) — under id without
-// re-encoding. The snapshot cold-start load uses it to move spectra from
-// the snapshot straight into pages: the on-disk DERV section shares the
-// record layout, so adopting a snapshot never round-trips bytes through
+// re-encoding. A snapshot load uses it to copy records from the snapshot
+// straight into a disk relation's pages: the SERS and DERV sections share
+// the record layout, so adopting a snapshot never round-trips bytes through
 // float64 or complex128 values.
 func (r *Relation) InsertRaw(id int64, data []byte) error {
 	if err := r.admit(id, data); err != nil {
@@ -264,9 +264,9 @@ func (r *Relation) InsertRaw(id int64, data []byte) error {
 
 // InsertOwned is InsertRaw transferring ownership of data's memory to the
 // relation: a memory-backed relation adopts the bytes as its pages in
-// place (no page allocation, no copy), a disk-backed one falls back to
-// the copying append (its write path copies regardless). The caller must
-// not read or write data afterwards.
+// place (no page allocation, no copy), a disk-backed one copies them into
+// its page file (its open run, in a bulk write). The caller must not read
+// or write data afterwards.
 func (r *Relation) InsertOwned(id int64, data []byte) error {
 	if r.mem == nil {
 		return r.InsertRaw(id, data)
@@ -277,6 +277,26 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 	first, count := r.mem.AppendOwned(data)
 	r.enter(id, first, count, data)
 	return nil
+}
+
+// StartRun opens a bulk write on a disk relation: the inserts that follow
+// reach the page file runs of pages at a time, until EndRun (see
+// pagefile.DiskFile.StartRun; buf is memory an earlier EndRun handed back,
+// or nil). Between the two the relation takes inserts only. A memory
+// relation ignores both.
+func (r *Relation) StartRun(buf []byte) {
+	if r.disk != nil {
+		r.disk.StartRun(buf)
+	}
+}
+
+// EndRun writes what the open run still holds and hands back its memory.
+// An error means the relation's last records never reached the file.
+func (r *Relation) EndRun() ([]byte, error) {
+	if r.disk == nil {
+		return nil, nil
+	}
+	return r.disk.EndRun()
 }
 
 // Replace overwrites the record stored under id. When the new encoding has
