@@ -119,6 +119,57 @@ func TestDiskAdoptHoldsNoRecords(t *testing.T) {
 	}
 }
 
+// TestDiskLoadOverManyShards: a snapshot of 1,000 series of four values,
+// recorded at 1,000 shards, loads onto disk at its recorded shard count
+// within the 64 MiB TotalAlloc budget of
+// TestSnapshotHeaderCannotSizeAnAllocation (it allocates about 22 MiB). A
+// shard's page runs take memory only once its bulk write has seen a quarter
+// run of pages, its buffer pools only once a page is read, and its first
+// head chunk is 4 KiB, so what the load allocates follows the records, not
+// the shard count the file records.
+func TestDiskLoadOverManyShards(t *testing.T) {
+	const count, length = 1000, 4
+	names, values := walks(count, length, 9)
+	src, err := NewStore(length, count, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.InsertBulk(names, values); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := src.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng, err := ReadEngine(bytes.NewReader(snap.Bytes()), Options{Backing: dir}, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.Len() != count || eng.Shards() != count {
+		t.Fatalf("loaded %d series over %d shards, want %d over %d", eng.Len(), eng.Shards(), count, count)
+	}
+	if !slices.Equal(eng.Names(), names) {
+		t.Fatal("the loaded store lists other names")
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d series at %d shards (a %d-byte snapshot): the disk load allocated %.1f MiB", count, count, snap.Len(), float64(grew)/(1<<20))
+	if grew > 64<<20 && !raceEnabled {
+		t.Errorf("the disk load allocated %d MiB, want at most 64", grew>>20)
+	}
+	if left := listDir(t, dir); len(left) != 0 {
+		t.Errorf("closing the store left %d entries in the backing directory", len(left))
+	}
+}
+
 // TestCloseLeavesBackingAsFound: a disk-backed store removes what it
 // created in its backing directory — page files and shard directories —
 // and nothing else, whether it is closed after a bulk load, after churn and

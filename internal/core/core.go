@@ -228,6 +228,25 @@ func (sh *shard) close() error {
 	return err
 }
 
+// reset empties a shard whose bulk load failed part way: an empty relation
+// pair of the next generation replaces the live one, and the index and the
+// record directory start over.
+func (sh *shard) reset() error {
+	ix, err := index.New(sh.schema, sh.opts.RTree)
+	if err != nil {
+		return err
+	}
+	timeRel, freqRel, err := newRelationPair(sh.opts, sh.gen+1)
+	if err != nil {
+		return err
+	}
+	sh.timeRel.Close()
+	sh.freqRel.Close()
+	sh.timeRel, sh.freqRel, sh.idx, sh.gen = timeRel, freqRel, ix, sh.gen+1
+	sh.recs, sh.ids, sh.byName = nil, nil, make(map[string]int64)
+	return nil
+}
+
 // PoolStats aggregates buffer-pool counters across a store's relations
 // (time- and frequency-domain pools of every shard summed). Zero-valued
 // with DiskBacked false when no pools are attached.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -197,11 +199,9 @@ func (s *Store) ShardOf(name string) int { return shardOf(name, len(s.shards)) }
 // shardOf is the partition of a name among n shards: FNV-1a of its bytes,
 // modulo n.
 func shardOf(name string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
-	}
-	return int(h % uint32(n))
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	return int(h.Sum32() % uint32(n))
 }
 
 // Shards returns the number of shards.
@@ -416,10 +416,15 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 		p := parts[si]
 		errs[si] = s.shards[si].loadBulk(p.names, p.values, p.ids, p.points, p.specs)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+	if err := errors.Join(errs...); err != nil {
+		// A page write failed: empty every shard, leaving the store as fresh
+		// as the call found it.
+		for _, sh := range s.shards {
+			if rerr := sh.reset(); rerr != nil {
+				err = errors.Join(err, rerr)
+			}
 		}
+		return err
 	}
 	s.catalog(names)
 	return nil

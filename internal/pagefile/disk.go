@@ -16,8 +16,9 @@ import (
 //
 // Page i occupies the pageSize slot at offset i*pageSize; a short page
 // leaves its slot's tail unread. A single append writes its record's slots
-// with one pwrite. A bulk write (StartRun … EndRun) gathers its slots in
-// memory and writes them runPages at a time.
+// with one pwrite. A bulk write (StartRun … EndRun) writes its first
+// runPages/4 pages the same way, then gathers slots in memory and writes
+// them runPages at a time.
 //
 // The file is process-scratch, not a durability format: Open truncates,
 // and the snapshot (TSQ4) remains the way a store persists. Disk backing
@@ -34,19 +35,25 @@ type DiskFile struct {
 	// written is how many pages are in the file. Pages from written on are
 	// in run, the slots of the open bulk write, and nowhere else yet.
 	written int
-	// running is whether a bulk write is open, and run its memory — the
-	// slots of pages written … len(lens)-1, back to back — allocated when
-	// its first page arrives.
-	running bool
-	run     []byte
-	reads   atomic.Int64
-	writes  atomic.Int64
+	// running is whether a bulk write is open and runStart the page it
+	// opened at. run holds the slots of pages written … len(lens)-1, back
+	// to back up to the last payload byte, in memory of runPages slots that
+	// is nil until the bulk write gathers.
+	running  bool
+	runStart int
+	run      []byte
+	reads    atomic.Int64
+	writes   atomic.Int64
 }
 
 var _ Backing = (*DiskFile)(nil)
 
 // runPages is how many page slots a bulk write gathers before it writes
-// them with one pwrite: 1 MiB at the default page size.
+// them with one pwrite: 1 MiB at the default page size. A bulk write given
+// no memory gathers only once runPages/4 of its pages have gone out one
+// record at a time, so one that stays small — a shard's share of a load
+// over many shards — takes none, and a run's memory is at most four times
+// the pages the bulk write has seen.
 const runPages = 256
 
 // OpenDisk creates (truncating) the scratch page file at path.
@@ -98,13 +105,14 @@ func (d *DiskFile) Close() error {
 
 // AppendPages writes data across as many fresh pages as needed and
 // returns the index of the first page and the number of pages used (one
-// for an empty record). Outside a run the record goes out with one pwrite;
-// if that fails, nothing is appended. Inside a run its slots join the run,
-// which is written when full.
+// for an empty record). Written through, the record goes out with one
+// pwrite, and if that fails nothing is appended. Gathered, its slots join
+// the run, which is written when full; if that write fails, the pages the
+// run held — earlier records' too — are dropped and the error is returned.
 func (d *DiskFile) AppendPages(data []byte) (firstPage, pageCount int, err error) {
 	firstPage, pageCount = len(d.lens), max(1, (len(data)+d.pageSize-1)/d.pageSize)
-	switch {
-	case !d.running || pageCount > runPages:
+	gather := d.running && pageCount <= runPages && (d.run != nil || firstPage-d.runStart >= runPages/4)
+	if !gather {
 		if err := d.flush(); err != nil {
 			return 0, 0, err
 		}
@@ -112,17 +120,21 @@ func (d *DiskFile) AppendPages(data []byte) (firstPage, pageCount int, err error
 			return 0, 0, fmt.Errorf("pagefile: write pages [%d, %d): %w", firstPage, firstPage+pageCount, err)
 		}
 		d.written += pageCount
-	case len(d.lens)-d.written+pageCount > runPages:
-		if err := d.flush(); err != nil {
-			return 0, 0, err
+	} else {
+		if firstPage-d.written+pageCount > runPages {
+			if err := d.flush(); err != nil {
+				return 0, 0, err
+			}
 		}
-		fallthrough
-	default:
 		if d.run == nil {
-			d.run = make([]byte, runPages*d.pageSize)
+			d.run = make([]byte, 0, runPages*d.pageSize)
 		}
-		at := (len(d.lens) - d.written) * d.pageSize
-		clear(d.run[at+copy(d.run[at:], data) : at+pageCount*d.pageSize])
+		// The run ends at the last payload byte: pad the slot tail of its
+		// last page before this record's first.
+		at, end := (firstPage-d.written)*d.pageSize, len(d.run)
+		d.run = d.run[:at+len(data)]
+		clear(d.run[end:at])
+		copy(d.run[at:], data)
 	}
 	for off := 0; off < pageCount; off++ {
 		d.lens = append(d.lens, int32(min(d.pageSize, len(data)-off*d.pageSize)))
@@ -131,21 +143,23 @@ func (d *DiskFile) AppendPages(data []byte) (firstPage, pageCount int, err error
 	return firstPage, pageCount, nil
 }
 
-// StartRun opens a bulk write: the appends that follow gather their slots
-// in memory and go out runPages at a time, until EndRun. buf is memory the
-// run may gather in — what an earlier EndRun handed back; without room for
-// a run, the run allocates its own when its first page arrives.
+// StartRun opens a bulk write: the appends that follow go out runPages at
+// a time, until EndRun. buf is memory the run may gather in from its first
+// page — what an earlier EndRun handed back — or nil: then the first
+// runPages/4 pages go out singly and the run allocates its memory after
+// them.
 func (d *DiskFile) StartRun(buf []byte) {
-	d.running = true
+	d.running, d.runStart = true, len(d.lens)
 	if cap(buf) >= runPages*d.pageSize {
-		d.run = buf[:runPages*d.pageSize]
+		d.run = buf[:0]
 	}
 }
 
 // EndRun writes what the run still holds and returns the file to
-// write-through appends. It hands back the run's memory, for another run
-// to start in. If the write fails, the pages the run held are dropped
-// (NumPages no longer counts them) and the error is returned.
+// write-through appends. It hands back the run's memory (nil if it never
+// gathered), for another run to start in. If the write fails, the pages the
+// run held are dropped (NumPages no longer counts them) and the error is
+// returned.
 func (d *DiskFile) EndRun() ([]byte, error) {
 	err := d.flush()
 	buf := d.run
@@ -159,7 +173,9 @@ func (d *DiskFile) flush() error {
 	if n == 0 {
 		return nil
 	}
-	if _, err := d.f.WriteAt(d.run[:n*d.pageSize], int64(d.written)*int64(d.pageSize)); err != nil {
+	_, err := d.f.WriteAt(d.run, int64(d.written)*int64(d.pageSize))
+	d.run = d.run[:0]
+	if err != nil {
 		d.lens = d.lens[:d.written]
 		return fmt.Errorf("pagefile: write pages [%d, %d): %w", d.written, d.written+n, err)
 	}

@@ -302,33 +302,49 @@ func TestBufferPoolEvictionStressRace(t *testing.T) {
 
 // TestDiskFileRun: appends inside a run — records of every size, one larger
 // than the run itself, an empty one — read back exactly as write-through
-// appends do once EndRun has written them; the run never holds more than
+// appends do once EndRun has written them; a run given no memory takes none
+// for its first runPages/4 pages, and one given the memory an earlier run
+// handed back gathers from its first page; a run never holds more than
 // runPages pages; a page the open run holds cannot be read yet; and a run
-// whose write fails drops its pages.
+// whose write fails drops the pages it held and keeps those it had written.
 func TestDiskFileRun(t *testing.T) {
 	const pageSize = 64
-	sizes := []int{1, 63, 64, 65, 200, 0, runPages*pageSize + 5, 300}
+	var sizes []int
+	for i := 0; i < 100; i++ {
+		sizes = append(sizes, 100+i%50)
+	}
+	sizes = append(sizes, 1, 63, 64, 65, 200, 0, runPages*pageSize+5, 300)
 	for i := 0; i < 3*runPages; i++ {
 		sizes = append(sizes, 100+i%50)
 	}
 	run := newDisk(t, pageSize)
 	through := newDisk(t, pageSize)
-	type loc struct{ first, count int }
-	var locs []loc
-	run.StartRun(nil)
-	for i, n := range sizes {
-		first, count, err := run.AppendPages(record(byte(i), n))
+	type stored struct {
+		first, count int
+		data         []byte
+	}
+	var recs []stored
+	appendRun := func(data []byte) {
+		t.Helper()
+		first, count, err := run.AppendPages(data)
 		if err != nil {
 			t.Fatal(err)
 		}
+		recs = append(recs, stored{first, count, data})
+	}
+	run.StartRun(nil)
+	for i, n := range sizes {
+		if run.run != nil && run.NumPages() < runPages/4 {
+			t.Fatalf("the run took memory after %d pages", run.NumPages())
+		}
+		appendRun(record(byte(i), n))
 		f2, c2, err := through.AppendPages(record(byte(i), n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first != f2 || count != c2 {
-			t.Fatalf("record %d: run placed it at [%d, +%d), write-through at [%d, +%d)", i, first, count, f2, c2)
+		if r := recs[i]; r.first != f2 || r.count != c2 {
+			t.Fatalf("record %d: run placed it at [%d, +%d), write-through at [%d, +%d)", i, r.first, r.count, f2, c2)
 		}
-		locs = append(locs, loc{first, count})
 	}
 	if held := run.NumPages() - run.written; held == 0 || held > runPages {
 		t.Fatalf("the open run holds %d of %d pages, want 1 to %d", held, run.NumPages(), runPages)
@@ -340,33 +356,43 @@ func TestDiskFileRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != runPages*pageSize {
-		t.Fatalf("EndRun handed back %d bytes, want a run of %d", len(buf), runPages*pageSize)
+	if cap(buf) != runPages*pageSize || run.written != run.NumPages() {
+		t.Fatalf("EndRun handed back %d bytes of memory and wrote %d of %d pages, want a run of %d and every page", cap(buf), run.written, run.NumPages(), runPages*pageSize)
 	}
-	if run.written != run.NumPages() {
-		t.Fatalf("after EndRun %d of %d pages are written", run.written, run.NumPages())
+
+	before := run.NumPages()
+	run.StartRun(buf)
+	for i := 0; i < 3; i++ {
+		appendRun(record(byte(i), 100))
+	}
+	if run.written != before {
+		t.Fatalf("a run given memory wrote %d of its pages singly", run.written-before)
+	}
+	if _, err := run.EndRun(); err != nil {
+		t.Fatal(err)
 	}
 	pool, err := NewBufferPool(run, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, n := range sizes {
-		got, err := pool.Read(locs[i].first, locs[i].count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, record(byte(i), n)) {
-			t.Fatalf("record %d (%d bytes) reads back wrong after the run", i, n)
+	for i, r := range recs {
+		if got, err := pool.Read(r.first, r.count); err != nil || !bytes.Equal(got, r.data) {
+			t.Fatalf("record %d (%d bytes) reads back wrong after the run (err %v)", i, len(r.data), err)
 		}
 	}
 
-	// A failed run write drops exactly the pages the run held.
-	before := run.NumPages()
-	run.StartRun(buf)
-	for i := 0; i < 3; i++ {
-		if _, _, err := run.AppendPages(record(byte(i), 100)); err != nil {
+	// A failed run write drops exactly the pages the run held: the first
+	// runPages/4 went out singly and stay.
+	before = run.NumPages()
+	run.StartRun(nil)
+	for i := 0; i < runPages/4; i++ {
+		if _, _, err := run.AppendPages(record(byte(i), 100)); err != nil { // two pages
 			t.Fatal(err)
 		}
+	}
+	written := run.written
+	if held := run.NumPages() - written; held != runPages/4 || written-before != runPages/4 {
+		t.Fatalf("of %d pages appended, %d went out singly and the run holds %d; want %d of each", run.NumPages()-before, written-before, held, runPages/4)
 	}
 	f := run.f
 	ro, err := os.Open(run.path)
@@ -379,7 +405,7 @@ func TestDiskFileRun(t *testing.T) {
 	}
 	run.f = f
 	ro.Close()
-	if run.NumPages() != before {
-		t.Fatalf("after a failed run NumPages = %d, want %d", run.NumPages(), before)
+	if run.NumPages() != written {
+		t.Fatalf("after a failed run NumPages = %d, want the %d written pages", run.NumPages(), written)
 	}
 }

@@ -35,3 +35,8 @@ func (d *directory) set(id int64, slot int32) {
 	}
 	d.pages[p][id&(1<<dirPageBits-1)] = slot + 1
 }
+
+// drop forgets a stored id.
+func (d *directory) drop(id int64) {
+	d.pages[id>>dirPageBits][id&(1<<dirPageBits-1)] = 0
+}

@@ -49,8 +49,11 @@ const HeadCoeffs = 16
 
 // headChunkSlots is the number of head slots (HeadCoeffs coefficients
 // apiece) per slab chunk: 64 KiB. The slab grows a chunk at a time and never
-// moves a head, so loading a large store leaves no reallocation garbage
-// behind and a sweep in insertion order still reads memory front to back.
+// moves a head once its first chunk is full, so loading a large store leaves
+// 4 KiB of reallocation garbage behind and a sweep in insertion order still
+// reads memory front to back. The first chunk starts at a sixteenth of its
+// size, so a relation of a few records — a shard's share of a store split
+// many ways — holds 4 KiB of heads, not 64.
 const headChunkSlots = 256
 
 // location is a stored record's page range. Locations are indexed by the
@@ -169,8 +172,14 @@ func (r *Relation) fillHead(slot int32, data []byte) {
 	if !r.keepHeads {
 		return
 	}
-	if int(slot) == len(r.heads)*headChunkSlots {
-		r.heads = append(r.heads, make([]complex128, headChunkSlots*HeadCoeffs))
+	const chunk = headChunkSlots * HeadCoeffs
+	switch c := int(slot / headChunkSlots); {
+	case c == len(r.heads) && c == 0:
+		r.heads = append(r.heads, make([]complex128, chunk/16))
+	case c == len(r.heads):
+		r.heads = append(r.heads, make([]complex128, chunk))
+	case int(slot%headChunkSlots)*HeadCoeffs == len(r.heads[c]):
+		r.heads[c] = append(r.heads[c], make([]complex128, chunk-len(r.heads[c]))...)
 	}
 	if int(slot) == len(r.headLens) {
 		r.headLens = append(r.headLens, 0)
@@ -256,6 +265,7 @@ func (r *Relation) InsertRaw(id int64, data []byte) error {
 	}
 	first, count, err := r.file.AppendPages(data)
 	if err != nil {
+		r.unwind()
 		return err
 	}
 	r.enter(id, first, count, data)
@@ -291,12 +301,34 @@ func (r *Relation) StartRun(buf []byte) {
 }
 
 // EndRun writes what the open run still holds and hands back its memory.
-// An error means the relation's last records never reached the file.
+// If the write fails, the records the run held are forgotten, as if never
+// inserted, and the error is returned.
 func (r *Relation) EndRun() ([]byte, error) {
 	if r.disk == nil {
 		return nil, nil
 	}
-	return r.disk.EndRun()
+	buf, err := r.disk.EndRun()
+	if err != nil {
+		r.unwind()
+	}
+	return buf, err
+}
+
+// unwind forgets the records whose pages a failed page write dropped from
+// the file: the last ones inserted, since within a run the relation takes
+// inserts only. Their ids may be inserted again.
+func (r *Relation) unwind() {
+	n := len(r.ids)
+	for ; n > 0; n-- {
+		if loc := r.locs[n-1]; loc.firstPage+loc.pageCount <= r.file.NumPages() {
+			break
+		}
+		r.dir.drop(r.ids[n-1])
+	}
+	r.ids, r.locs = r.ids[:n], r.locs[:n]
+	if r.keepHeads {
+		r.headLens = r.headLens[:n]
+	}
 }
 
 // Replace overwrites the record stored under id. When the new encoding has
