@@ -12,6 +12,11 @@
 //	          - S_rect: (Re, Im)        — safe for real stretches (Thm 2)
 //	          - S_pol:  (Abs, Angle)    — safe for zero translations (Thm 3)
 //
+// The moments are indexed but not tiled: the k-index's rectangles carry
+// them, so a moment-bounded range read prunes on them, but a bulk load
+// sorts and slices only the coefficient dimensions from Skip() on, the
+// ones the distance bounds read (rtree.Tree.Coefficients).
+//
 // The package also builds the search rectangles of Section 3.1 (Figure 7):
 // a +/- eps box around the query in S_rect, and per coefficient a
 // magnitude range [m-eps, m+eps] with an angle arc alpha +/- asin(eps/m) in

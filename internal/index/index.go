@@ -47,15 +47,16 @@ func New(schema feature.Schema, opts rtree.Options) (*KIndex, error) {
 	return wrap(schema, tree), nil
 }
 
-// wrap builds the k-index over a tree of the schema's dimensionality. The
-// leaves of a polar index keep their points' Cartesian images: rectangles
-// stay polar, which is what makes a stretch-and-rotate transformation safe
-// (Theorem 3), but a leaf's points are only ever compared as complex
-// numbers, and the images spare every such comparison its sine and cosine.
+// wrap builds the k-index over a tree of the schema's dimensionality and
+// declares the tree's coefficient dimensions: everything after the mean and
+// std, which no distance bound reads, so a bulk load tiles only the space
+// where the filter prunes. The leaves of a polar index keep their points'
+// Cartesian images: rectangles stay polar, which is what makes a
+// stretch-and-rotate transformation safe (Theorem 3), but a leaf's points
+// are only ever compared as complex numbers, and the images spare every such
+// comparison its sine and cosine.
 func wrap(schema feature.Schema, tree *rtree.Tree) *KIndex {
-	if schema.Space == feature.Polar {
-		tree.KeepCartesian(schema.Skip())
-	}
+	tree.Coefficients(schema.Skip(), schema.Space == feature.Polar)
 	return &KIndex{schema: schema, tree: tree, angular: schema.Angular()}
 }
 

@@ -8,11 +8,11 @@ import (
 )
 
 // BulkLoad builds the tree from scratch with Sort-Tile-Recursive (STR)
-// packing. The tree must be empty. Bulk loading produces tightly packed,
-// low-overlap leaves and is dramatically faster than one-at-a-time
-// insertion for the paper's larger experiments (up to 12,000 sequences in
-// Figure 9/11); the bulk-vs-incremental ablation benchmark quantifies the
-// difference.
+// packing over its coefficient dimensions (see strPack). The tree must be
+// empty. Bulk loading produces nearly full, low-overlap leaves and is
+// dramatically faster than one-at-a-time insertion for the paper's larger
+// experiments (up to 12,000 sequences in Figure 9/11); the
+// bulk-vs-incremental ablation benchmark quantifies the difference.
 func (t *Tree) BulkLoad(items []Item) error {
 	if t.size != 0 {
 		return fmt.Errorf("rtree: BulkLoad requires an empty tree, have %d items", t.size)
@@ -47,17 +47,23 @@ func (t *Tree) BulkLoad(items []Item) error {
 	return nil
 }
 
-// strPack tiles the entries into nodes of capacity maxEntries: recursively
-// sort by the center of each dimension in turn, slicing into balanced slabs
-// sized so that roughly nodeCount^(1/dims) divisions happen per dimension,
-// then chunk the final groups into nodes. A repair pass rebalances any
-// under-full trailing node so the R*-tree minimum fill holds everywhere.
+// strPack tiles the entries into nodes of capacity maxEntries over the
+// coefficient dimensions [coeffFrom, dims) only (see Coefficients): sort by
+// the center of each of them in turn, cutting every one but the last into s
+// balanced slabs, then sort each final group by the last and chunk it into
+// as few balanced nodes as hold it. For P nodes' worth of entries over d
+// tiled dimensions s is ⌊P^(1/d)⌋, at least 1. Rounded down, the slabs
+// multiply to at most P, so a final group holds s or more nodes' worth and
+// its chunks come out nearly full; rounded up (the textbook ⌈P^(1/d)⌉) they
+// multiplied to more than P, and each group of one to two nodes' worth split
+// into half-full nodes. The chunks share a group evenly rather than filling
+// M and leaving a remainder: packed to capacity, every leaf splits on the
+// first point a moving update reinserts into it. A repair pass
+// rebalances any under-full trailing node so the R*-tree minimum fill holds
+// everywhere.
 func (t *Tree) strPack(bs []branch, level int) []*node {
 	nodeCount := (len(bs) + t.maxEntries - 1) / t.maxEntries
-	slabsPerDim := int(math.Ceil(math.Pow(float64(nodeCount), 1/float64(t.dims))))
-	if slabsPerDim < 1 {
-		slabsPerDim = 1
-	}
+	slabsPerDim := slabCount(nodeCount, t.dims-t.coeffFrom)
 	// byCenter sorts a group stably by the center of dimension d: each
 	// (doubled) center is computed once, the (center, position) keys are
 	// sorted — the position breaking ties, which is stability — and the
@@ -80,7 +86,7 @@ func (t *Tree) strPack(bs []branch, level int) []*node {
 	}
 
 	groups := [][]branch{bs}
-	for dim := 0; dim < t.dims-1; dim++ {
+	for dim := t.coeffFrom; dim < t.dims-1; dim++ {
 		var next [][]branch
 		for _, g := range groups {
 			byCenter(g, dim)
@@ -100,6 +106,32 @@ func (t *Tree) strPack(bs []branch, level int) []*node {
 		nodes[i] = t.fill(t.newNode(level), c)
 	}
 	return nodes
+}
+
+// slabCount returns ⌊p^(1/d)⌋, at least 1: the floating-point root only
+// estimates it (125^(1/3) evaluates to 4.999…), so the integer powers settle
+// it.
+func slabCount(p, d int) int {
+	s := max(1, int(math.Pow(float64(p), 1/float64(d))))
+	for powAtMost(s+1, d, p) {
+		s++
+	}
+	for s > 1 && !powAtMost(s, d, p) {
+		s--
+	}
+	return s
+}
+
+// powAtMost reports whether s^d <= p, for s >= 1, without overflowing.
+func powAtMost(s, d, p int) bool {
+	v := 1
+	for ; d > 0; d-- {
+		if v > p/s {
+			return false
+		}
+		v *= s
+	}
+	return true
 }
 
 // splitBalanced cuts s into at most parts contiguous pieces whose sizes

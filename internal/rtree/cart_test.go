@@ -48,14 +48,14 @@ func checkBlocks(t *testing.T, label string, tree *Tree, from int, want map[int6
 // reinsert) and deletes (condensation, orphan reinsertion), checking after
 // every operation that each leaf's block is the image of its entries; then
 // the same for a bulk-loaded tree, a decoded one brought up to date by
-// KeepCartesian — the adopt path — and a materialized one. The seed is
+// Coefficients — the adopt path — and a materialized one. The seed is
 // logged for replay.
 func TestCartesianBlockCoherence(t *testing.T) {
 	const seed, dims, from = 20260927, 6, 2
 	t.Logf("seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 	tree := MustNew(dims, Options{MaxEntries: 8})
-	tree.KeepCartesian(from)
+	tree.Coefficients(from, true)
 	point := func() geom.Point {
 		p := make(geom.Point, dims)
 		for j := range p {
@@ -129,7 +129,7 @@ func TestCartesianBlockCoherence(t *testing.T) {
 		items = append(items, Item{Rect: geom.PointRect(p), ID: id})
 	}
 	bulk := MustNew(dims, Options{MaxEntries: 8})
-	bulk.KeepCartesian(from)
+	bulk.Coefficients(from, true)
 	if err := bulk.BulkLoad(items); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCartesianBlockCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded.KeepCartesian(from)
+	decoded.Coefficients(from, true)
 	checkBlocks(t, "decoded", decoded, from, want)
 
 	// And it takes writes like the tree it was saved from.

@@ -21,7 +21,7 @@ import (
 //     recorded height matches the root level + 1.
 //  5. Every node's columns have one cell per entry and dimension, no
 //     entry's bounds are inverted or NaN, and every leaf's Cartesian block
-//     (KeepCartesian) holds the images of its points.
+//     (Coefficients) holds the images of its points.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		return fmt.Errorf("rtree: nil root")
@@ -76,6 +76,27 @@ func (t *Tree) checkNode(n *node, isRoot bool) (int, error) {
 	return total, nil
 }
 
+// levelFill returns the mean fill of each level's nodes — entries over
+// nodes × MaxEntries — leaves first, root last: how full a bulk load or a
+// churn left the tree.
+func (t *Tree) levelFill() []float64 {
+	nodes, entries := make([]int, t.height), make([]int, t.height)
+	var walk func(n *node)
+	walk = func(n *node) {
+		nodes[n.level]++
+		entries[n.level] += n.count()
+		for _, k := range n.kids {
+			walk(k)
+		}
+	}
+	walk(t.root)
+	fill := make([]float64, t.height)
+	for l := range fill {
+		fill[l] = float64(entries[l]) / float64(nodes[l]*t.maxEntries)
+	}
+	return fill
+}
+
 // checkColumns verifies a node's columns are the size its entry count says,
 // its bounds well formed, and a leaf's Cartesian block the image of its
 // points.
@@ -96,7 +117,7 @@ func (t *Tree) checkColumns(n *node) error {
 		return fmt.Errorf("rtree: Cartesian block has %d cells, want %d (%d entries)", len(n.cart), c*2*t.polarPairs, c)
 	}
 	for i := 0; i < c; i++ {
-		p := t.rect(n, i).Lo[t.polarFrom:]
+		p := t.rect(n, i).Lo[t.coeffFrom:]
 		for j := 0; j < t.polarPairs; j++ {
 			re, im := geom.PolarToRect(p[2*j], p[2*j+1])
 			if k := (i*t.polarPairs + j) * 2; n.cart[k] != re || n.cart[k+1] != im {

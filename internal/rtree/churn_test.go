@@ -42,7 +42,7 @@ func TestChurnAgainstLinearScan(t *testing.T) {
 			from = 2
 		}
 		tree := MustNew(dims, Options{MaxEntries: 8})
-		tree.KeepCartesian(from)
+		tree.Coefficients(from, true)
 		point := func() geom.Point {
 			p := make(geom.Point, dims)
 			for j := range p {
@@ -183,7 +183,7 @@ func TestChurnAgainstLinearScan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dims %d step %d: %v", dims, step, err)
 				}
-				decoded.KeepCartesian(from)
+				decoded.Coefficients(from, true)
 				tree = decoded
 				counts["reload"]++
 			}

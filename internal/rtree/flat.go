@@ -47,7 +47,7 @@ type Scratch struct {
 // traversal scratch, valid only for the duration of the call (leaf entries
 // are typically degenerate, making tlo the transformed point). cart is the
 // entry's untransformed Cartesian block entry in a tree keeping them
-// (KeepCartesian), nil otherwise. Returning false stops the traversal.
+// (Coefficients), nil otherwise. Returning false stops the traversal.
 type FlatVisitor interface {
 	VisitFlat(id int64, tlo, thi, cart []float64) bool
 }
@@ -81,7 +81,7 @@ type FlatNNKernel interface {
 	LowerBatch(lo, hi []float64, count, dims int, out []float64)
 	// PointBatch computes the exact per-item distance for each leaf point,
 	// given as count runs of stride values: the leaf's Cartesian block in a
-	// tree keeping them (KeepCartesian) — untransformed; the map acts on a
+	// tree keeping them (Coefficients) — untransformed; the map acts on a
 	// complex number as one multiplication, which is the kernel's to apply —
 	// and otherwise the transformed points (the lo corners of degenerate
 	// rectangles).
@@ -382,7 +382,7 @@ func (t *Tree) Materialize(fm FlatMap) *Tree {
 		reinsert:   t.reinsert,
 		height:     t.height,
 		size:       t.size,
-		polarFrom:  t.polarFrom,
+		coeffFrom:  t.coeffFrom,
 		polarPairs: t.polarPairs,
 	}
 	var sc Scratch

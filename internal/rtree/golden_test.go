@@ -17,9 +17,15 @@ import (
 // build the same tree: ChooseSubtree, the R* split, forced reinsertion,
 // condensation, the in-place Update and STR packing kept their arithmetic
 // and their tie-breaks.
+//
+// The two bulk digests were re-recorded deliberately when STR packing began
+// rounding its slab count down (⌊P^(1/d)⌋ slabs a dimension, not ⌈⌉): the
+// 5,000 points now pack into 128 leaves of about 39 entries instead of 243
+// of about 21. The trees here declare no coefficient dimensions, so all six
+// are still tiled; the insert and churn digests did not move.
 var goldenShapes = map[string]string{
-	"bulk/reinsert":      "2603caa4cc0ab8ee335b54b77a917b553d3b234ca5068449c93b883a724202e3",
-	"bulk/split-only":    "7a0280507089c59e81a7742862b8c07a360bfad9df1a135686c3f4fcdfe2078f",
+	"bulk/reinsert":      "460824abb98f56744ed155254afd7675ff18383189b2e65f3de6243b4f835751", // re-recorded: slab count rounded down
+	"bulk/split-only":    "ab7295ffa3b8fa7341f297e0abb1683123ea580a7bdb40c2ab0853e18616d551", // re-recorded: slab count rounded down
 	"inserts/reinsert":   "eba78fab7935961554880607571062334f45fd3afd1bea56f38685158af556fd",
 	"inserts/split-only": "f487ecb4b9ea7c436a8b4b42f221b81ee97d25b4da137f8b4a7bc242ff3611d4",
 	"churn/reinsert":     "782f84e9f2517f9897b26d46b79b9184be1c8ce1eae31ffde3306643f3a4d83b",

@@ -9,6 +9,13 @@
 // had been applied to every bounding rectangle and data point, without
 // materializing the transformed index (paper Section 4, Algorithms 1 and 2).
 //
+// STR bulk loading (bulkload.go) tiles only the dimensions the distance
+// bounds read: a tree told where its coefficient dimensions start
+// (Coefficients) leaves the leading ones — the k-index's mean and std —
+// out of the sort, so every slab cut separates leaves where pruning
+// happens, and it rounds the slab count down so the nodes come out nearly
+// full.
+//
 // Every traversal counts node accesses, the unit the paper uses for "disk
 // accesses": one node corresponds to one disk page in the original system.
 package rtree
@@ -58,10 +65,11 @@ type Tree struct {
 	height int // number of levels; leaves are level 0
 	size   int
 
-	// polarFrom and polarPairs describe the (magnitude, angle) dimension
-	// pairs whose Cartesian images the leaves keep (see KeepCartesian);
-	// polarPairs is 0 in a tree keeping none.
-	polarFrom, polarPairs int
+	// coeffFrom is the first coefficient dimension (see Coefficients): STR
+	// tiles dimensions [coeffFrom, dims). polarPairs is the number of
+	// (magnitude, angle) pairs from there on whose Cartesian images the
+	// leaves keep, 0 in a tree keeping none.
+	coeffFrom, polarPairs int
 
 	// reinsertedAtLevel tracks, within a single insertion, which levels
 	// have already had forced reinsertion applied (R*-tree overflow
@@ -79,7 +87,7 @@ type node struct {
 	lo, hi []float64
 	ids    []int64
 	kids   []*node
-	// cart is, in a leaf of a tree keeping Cartesian images (KeepCartesian),
+	// cart is, in a leaf of a tree keeping Cartesian images (Coefficients),
 	// the image (m*cos a, m*sin a) of every polar dimension pair of every
 	// entry's point, entry-major: what a leaf point is compared as, kept so
 	// no traversal takes a sine to compare it. It is one more column,
@@ -168,7 +176,7 @@ func (t *Tree) setEntry(n *node, i int, b branch) {
 	}
 	n.ids[i] = b.id
 	if t.polarPairs > 0 {
-		p := b.rect.Lo[t.polarFrom:]
+		p := b.rect.Lo[t.coeffFrom:]
 		out := n.cart[i*2*t.polarPairs:]
 		for j := 0; j < t.polarPairs; j++ {
 			out[2*j], out[2*j+1] = geom.PolarToRect(p[2*j], p[2*j+1])
@@ -244,12 +252,24 @@ func childIndex(parent, child *node) int {
 	panic("rtree: internal error: child not found in its parent")
 }
 
-// KeepCartesian makes every leaf keep, beside its bounds, the Cartesian image
-// of each (magnitude, angle) dimension pair of its points, for the pairs
-// from dimension `from` to the last (see node.cart): the k-index asks for
-// it over a polar feature schema. Existing leaves are brought up to date.
-func (t *Tree) KeepCartesian(from int) {
-	t.polarFrom, t.polarPairs = from, (t.dims-from)/2
+// Coefficients declares dimensions [from, dims) the coefficient dimensions,
+// the ones distance bounds read; the ones before them are carried but
+// bounded by no traversal's geometry. BulkLoad then tiles only the
+// coefficient dimensions. With polar set, the coefficient dimensions are
+// (magnitude, angle) pairs and every leaf keeps, beside its bounds, the
+// Cartesian image of each pair of its points (see node.cart); existing
+// leaves are brought up to date. The k-index declares its schema's
+// coefficients once, when it wraps the tree. A tree with no declaration
+// tiles every dimension and keeps no images.
+func (t *Tree) Coefficients(from int, polar bool) {
+	if from < 0 || from >= t.dims {
+		panic(fmt.Sprintf("rtree: coefficient dimensions from %d in a %d-dimensional tree", from, t.dims))
+	}
+	t.coeffFrom, t.polarPairs = from, 0
+	if !polar {
+		return
+	}
+	t.polarPairs = (t.dims - from) / 2
 	var walk func(n *node)
 	walk = func(n *node) {
 		if !n.leaf() {

@@ -194,17 +194,18 @@ func sectorDistSq(qr, qa, rLo, rHi, aLo, aHi float64) float64 {
 	}
 	// Nearest point lies on one of the two bounding radii segments; compute
 	// the distance to each via the law of cosines, minimizing over the
-	// radius range (the optimum is qr*cos(delta) clamped to [rLo, rHi]).
+	// radius range (the optimum is qr*cos(delta) clamped to [rLo, rHi]). The
+	// one cosine per edge serves both.
 	best := math.Inf(1)
 	for _, edge := range [2]float64{aLo, aHi} {
-		delta := math.Abs(geom.NormalizeAngle(qa - edge))
-		m := qr * math.Cos(delta)
+		cos := math.Cos(math.Abs(geom.NormalizeAngle(qa - edge)))
+		m := qr * cos
 		if m < rLo {
 			m = rLo
 		} else if m > rHi {
 			m = rHi
 		}
-		d := qr*qr + m*m - 2*qr*m*math.Cos(delta)
+		d := qr*qr + m*m - 2*qr*m*cos
 		if d < best {
 			best = d
 		}

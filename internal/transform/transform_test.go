@@ -520,6 +520,97 @@ func TestPolarMinDistLowerBoundProperty(t *testing.T) {
 	}
 }
 
+// twoCosineSectorDistSq is sectorDistSq as it was written before it took one
+// cosine per sector edge: the cosine computed again for the law-of-cosines
+// term. The reference TestSectorDistOneCosine holds the kernel to.
+func twoCosineSectorDistSq(qr, qa, rLo, rHi, aLo, aHi float64) float64 {
+	if rLo < 0 {
+		rLo = 0
+	}
+	if rHi < rLo {
+		rHi = rLo
+	}
+	if geom.AngularIntervalContains(aLo, aHi, qa) {
+		switch {
+		case qr < rLo:
+			return (rLo - qr) * (rLo - qr)
+		case qr > rHi:
+			return (qr - rHi) * (qr - rHi)
+		default:
+			return 0
+		}
+	}
+	best := math.Inf(1)
+	for _, edge := range [2]float64{aLo, aHi} {
+		delta := math.Abs(geom.NormalizeAngle(qa - edge))
+		m := qr * math.Cos(delta)
+		if m < rLo {
+			m = rLo
+		} else if m > rHi {
+			m = rHi
+		}
+		d := qr*qr + m*m - 2*qr*m*math.Cos(delta)
+		if d < best {
+			best = d
+		}
+	}
+	if best < 0 {
+		best = 0
+	}
+	return best
+}
+
+// TestSectorDistOneCosine: the point-to-sector distance is bit for bit the
+// two-cosine formula over random sectors — narrow and wide arcs, arcs drawn
+// across the ±π seam, arcs of a full turn or more (the whole annulus),
+// negative and inverted radius ranges, queries inside, beside and opposite
+// the arc — so taking the cosine once moved no bound. The seed is logged for
+// replay.
+func TestSectorDistOneCosine(t *testing.T) {
+	const seed = 20261015
+	t.Logf("seed %d", seed)
+	r := rand.New(rand.NewSource(seed))
+	kinds := map[string]int{}
+	for trial := 0; trial < 200000; trial++ {
+		rLo := r.Float64()*4 - 0.5
+		rHi := rLo + r.Float64()*3 - 0.2
+		aLo := r.Float64()*2*math.Pi - math.Pi
+		var width float64
+		switch trial % 4 {
+		case 0: // narrow
+			width = r.Float64() * 0.3
+		case 1: // wide
+			width = r.Float64() * 2 * math.Pi
+		case 2: // across the seam
+			aLo = math.Pi - r.Float64()*0.5
+			width = 0.5 + r.Float64()
+		case 3: // a full turn or more
+			width = 2*math.Pi + r.Float64()
+		}
+		qr, qa := r.Float64()*6, r.Float64()*2*math.Pi-math.Pi
+		got := sectorDistSq(qr, qa, rLo, rHi, aLo, aLo+width)
+		want := twoCosineSectorDistSq(qr, qa, rLo, rHi, aLo, aLo+width)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: sector r [%v, %v] arc [%v, %v], query (%v, %v): %v, the two-cosine formula %v",
+				trial, rLo, rHi, aLo, aLo+width, qr, qa, got, want)
+		}
+		switch {
+		case width >= 2*math.Pi:
+			kinds["annulus"]++
+		case aLo+width > math.Pi:
+			kinds["seam"]++
+		}
+		if !geom.AngularIntervalContains(aLo, aLo+width, qa) {
+			kinds["edge"]++
+		}
+	}
+	for _, k := range []string{"annulus", "seam", "edge"} {
+		if kinds[k] < 1000 {
+			t.Fatalf("the sectors covered %q %d times: %v", k, kinds[k], kinds)
+		}
+	}
+}
+
 func TestStringAndWithCost(t *testing.T) {
 	tr := MovingAverage(8, 3)
 	if tr.String() != "mavg(3)" {
