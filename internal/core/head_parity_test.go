@@ -252,7 +252,8 @@ type refNNVisit struct {
 }
 
 // NearBound and VisitNear stop where nnVisit stops — same mirror weight,
-// same push bound — so the reference walk visits the same nodes.
+// same push bound, an item past it not a candidate — so the reference walk
+// visits the same nodes and verifies the same items.
 func (v *refNNVisit) NearBound() float64 {
 	return v.p.stopLine(v.best.threshold())
 }
@@ -260,7 +261,7 @@ func (v *refNNVisit) NearBound() float64 {
 func (v *refNNVisit) VisitNear(id int64, partialDistSq float64) bool {
 	eps := v.best.threshold()
 	if partialDistSq > v.NearBound() {
-		return false
+		return true
 	}
 	v.st.Candidates++
 	if within, dist, bound := refVerify(v.t, v.db, v.p, v.k, id, eps, true, v.st); within {

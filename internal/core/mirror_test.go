@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -478,35 +479,14 @@ func planRangeOn(eng Engine, q RangeQuery) (*rangePlan, error) {
 
 // ---- w = 1 is the paper's filter ----
 
-// unboundedNear is nnVisit's stop rule at w = 1 as the walk stood before it
-// had a push bound: no NearBound method, so the traversal queues everything.
-type unboundedNear struct {
-	db   *shard
-	p    *rangePlan
-	best *topK
-	st   *ExecStats
-}
-
-func (v *unboundedNear) VisitNear(id int64, partialDistSq float64) bool {
-	eps := v.best.threshold()
-	if partialDistSq*v.p.relaxSq > eps*eps {
-		return false
-	}
-	v.st.Candidates++
-	within, dist, err := v.db.verifyFreq(v.st, nil, id, v.p.kernelInto(nil), eps)
-	if err == nil && within {
-		v.best.offer(Result{ID: id, Name: v.db.name(id), Dist: dist})
-	}
-	return err == nil
-}
-
 // TestMirrorWeightOneIsThePapersFilter: where the symmetry is missing — a
 // warped query, a one-sided complex stretch, a store with 2K >= n — plans
 // get w = 1 and run the paper's filter untouched: a range query's
 // candidates and node accesses are those of the k-index searched at eps
-// itself, an NN's candidates those of the branch-and-bound stopping at
-// partial > kth^2, with not one node more (the push bound can only spare
-// the nodes the old walk expanded after its last candidate).
+// itself; an NN finds the brute-force answer, visits exactly the nodes of a
+// walk told to stop at partial > kth^2, and verifies at least the items that
+// walk counts (countNear's floor: every item within the paper's bound at the
+// final k-th distance).
 func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 	t.Logf("seed %d", mirrorSeed)
 	rng := rand.New(rand.NewSource(mirrorSeed))
@@ -538,18 +518,19 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 	type probe struct {
 		label string
 		db    *DB
+		vals  [][]float64
 		rq    RangeQuery
 		why   string
 	}
 	var probes []probe
 	for i := 0; i < 12; i++ {
 		probes = append(probes,
-			probe{"warp", long, RangeQuery{Values: series.Warp(longVals[i], 2), Eps: 6, Transform: transform.Warp(32, 2), WarpFactor: 2}, mirrorLopsided.why},
-			probe{"spin", long, RangeQuery{Values: longVals[i], Eps: 5, Transform: lopsided}, mirrorLopsided.why},
-			probe{"2K>=n", short, RangeQuery{Values: shortVals[i], Eps: 0.4, Transform: transform.Identity(4)}, mirrorShort.why},
+			probe{"warp", long, longVals, RangeQuery{Values: series.Warp(longVals[i], 2), Eps: 6, Transform: transform.Warp(32, 2), WarpFactor: 2}, mirrorLopsided.why},
+			probe{"spin", long, longVals, RangeQuery{Values: longVals[i], Eps: 5, Transform: lopsided}, mirrorLopsided.why},
+			probe{"2K>=n", short, shortVals, RangeQuery{Values: shortVals[i], Eps: 0.4, Transform: transform.Identity(4)}, mirrorShort.why},
 		)
 	}
-	spared := 0
+	extra, floor := 0, 0
 	for _, pr := range probes {
 		db, sh := pr.db, pr.db.only()
 		p, err := sh.planRange(pr.rq)
@@ -577,18 +558,35 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		brute := bruteRange(pr.vals, nq.Values, math.Inf(1), nq.Transform, 0)
+		want := make([]int, 0, len(brute))
+		for id := range brute {
+			want = append(want, id)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			return brute[a] < brute[b] || brute[a] == brute[b] && a < b
+		})
+		for i, r := range got {
+			if d := brute[want[i]]; r.ID != int64(want[i]) || math.Abs(r.Dist-d) > 1e-9*(1+d) {
+				t.Fatalf("%s NN rank %d: %s at %v; brute force has S%03d at %v", pr.label, i, r.Name, r.Dist, want[i], d)
+			}
+		}
 		np, err := sh.planNN(nq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ref ExecStats
-		v := &unboundedNear{db: sh, p: np, best: newTopK(nq.K), st: &ref}
-		ref.NodeAccesses = sh.idx.NearestIDs(np.qp, np.m, &sc, v).NodesVisited
-		if fmt.Sprint(got) != fmt.Sprint(v.best.appendResults(nil)) || nst.Candidates != ref.Candidates || nst.NodeAccesses > ref.NodeAccesses {
-			t.Fatalf("%s NN: %v with %d candidates over %d nodes; the unbounded walk finds %v with %d over %d",
-				pr.label, got, nst.Candidates, nst.NodeAccesses, v.best.appendResults(nil), ref.Candidates, ref.NodeAccesses)
+		if kth := got[len(got)-1].Dist; np.stopLine(kth) != kth*kth {
+			t.Fatalf("%s NN: stop line %v at the k-th distance %v, not its square", pr.label, np.stopLine(kth), kth)
 		}
-		spared += ref.NodeAccesses - nst.NodeAccesses
+		ar := getArena()
+		cand, nodes := sh.countNear(np, ar, got[len(got)-1].Dist)
+		putArena(ar)
+		if len(got) != nq.K || nst.Candidates < cand || nst.NodeAccesses != nodes {
+			t.Fatalf("%s NN: %d answers, %d candidates over %d nodes; the walk told the final k-th distance counts %d over %d",
+				pr.label, len(got), nst.Candidates, nst.NodeAccesses, cand, nodes)
+		}
+		extra, floor = extra+nst.Candidates-cand, floor+cand
 	}
-	t.Logf("the push bound spared %d node accesses over %d NN probes", spared, 2*len(probes)/3)
+	t.Logf("NN verified %d candidates beyond the floor of %d over %d probes", extra, floor, 2*len(probes)/3)
 }

@@ -176,13 +176,16 @@ func (v *nnVisit) NearBound() float64 {
 	return v.p.stopLine(v.best.threshold())
 }
 
+// VisitNear verifies one item. It returns false only on error: the walk
+// hands over an item only while it is within NearBound, and one that is not
+// by the time it arrives — a sibling shard tightened the shared k-th best
+// in between — is simply not a candidate.
 func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 	// eps is the shared k-th-best distance: it bounds both the decision
-	// to continue the traversal and the early abandoning inside
-	// verification.
+	// to verify and the early abandoning inside verification.
 	eps := v.best.threshold()
 	if partialDistSq > v.p.stopLine(eps) {
-		return false // no remaining candidate can beat the k-th best
+		return true
 	}
 	v.st.Candidates++
 	var (
@@ -219,11 +222,15 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 // over the flat-slab batch traversal, feeding verified
 // answers into best — which may be shared with searches over sibling
 // shards — and accumulating filter-side costs into st (NodeAccesses,
-// Candidates, DistanceTerms). Candidates stream out of the index in order
-// of their k-coefficient lower bound; the traversal stops as soon as the
-// next lower bound exceeds the current k-th best verified distance (lower
-// bound <= true distance by Parseval, so stopping is exact). Steady state
-// it allocates nothing.
+// Candidates, DistanceTerms). Leaves come out of the index in order of
+// their lower bound, and each leaf's items in order of their k-coefficient
+// partial distance; a leaf is closed at its first item past the stop line at
+// the current k-th best verified distance, and the traversal stops at the
+// first node past it (lower bound <= true distance by Parseval, so stopping
+// is exact). An item can be verified against a k-th best that a leaf
+// expanded later would have tightened, so the candidates may be a few more
+// than the items within the final k-th distance (countNear); the nodes are
+// the same. Steady state it allocates nothing.
 func (sh *shard) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
 	stampPlan(p, st)
 	ar.nv = nnVisit{sh: sh, p: p, best: best, ar: ar, st: st, warp: p.q.WarpFactor >= 2}

@@ -403,14 +403,17 @@ func (c *nearCounter) VisitNear(_ int64, partialDistSq float64) bool {
 }
 
 // countNear measures what an indexed run of an answered NN plan costs this
-// shard without verifying anything: the candidates it would verify and the nodes
-// it would visit. Candidates reach the branch-and-bound in lower-bound
-// order and it stops at the first bound past its k-th best distance; the k
-// nearest all lie within their own bounds, so by the time every item
-// bounded by the final k-th distance has been verified the bound is final
-// — the indexed run verifies exactly those items, which a traversal told
-// the final distance can simply count. Like the range probe, the cost
-// stays out of the query's ExecStats: planner bookkeeping, not answer work.
+// shard without verifying anything: the nodes it would visit, and a floor
+// under the candidates it would verify. A traversal told the final k-th
+// distance counts the items within its stop line. The indexed run verifies
+// every one of them — each lies in a leaf whose lower bound is no larger, and
+// is checked against a k-th best no better than the final one — plus the few
+// items of leaves it expanded while its k-th best was still looser (about 4 %
+// more on family walks, TestNNCandidatesNearTheCount). It visits exactly the
+// probe's nodes: every node within the final stop line, and when it pops the
+// first one past it, the leaves holding the answer lay nearer, were expanded,
+// and the k-th best is final. Like the range probe, the cost stays out of
+// the query's ExecStats: planner bookkeeping, not answer work.
 func (sh *shard) countNear(rp *rangePlan, ar *execArena, kth float64) (candidates, nodes int) {
 	ar.nc = nearCounter{bound: rp.stopLine(kth)}
 	searchStats := sh.idx.NearestIDs(rp.qp, rp.m, &ar.sc, &ar.nc)

@@ -373,13 +373,16 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 }
 
 // TestCountNearIsTheIndexedRun pins the probe's claim: a traversal told the
-// final k-th distance counts exactly the candidates and nodes of the
-// indexed run that found it. That holds only while the probe stops where
-// the run stops — countNear takes its bound from the plan's stopLine, so it
-// carries the same mirror weight (the first three queries run at w = 2, the
-// warped one at w = 1) and hands the walk the same push bound; a probe still
-// counting against kth^2 would report the 1997 filter's candidates, about
-// half as many again, and mis-steer the planner.
+// final k-th distance visits exactly the nodes of the indexed run that found
+// it, and counts no more candidates than that run verified. The probe is a
+// floor, not an exact count, since the run verifies a leaf's items when it
+// expands the leaf, against a k-th best the leaves still queued may yet
+// tighten. That holds only while the probe stops where the run stops —
+// countNear takes its bound from the plan's stopLine, so it carries the same
+// mirror weight (the first three queries run at w = 2, the warped one at
+// w = 1) and hands the walk the same push bound; a probe still counting
+// against kth^2 would report the 1997 filter's candidates, about half as
+// many again, and mis-steer the planner.
 func TestCountNearIsTheIndexedRun(t *testing.T) {
 	db := planTestEngine(t, 1, 600).(*DB)
 	tr := transform.MovingAverage(32, 5)
@@ -400,7 +403,7 @@ func TestCountNearIsTheIndexedRun(t *testing.T) {
 		ar := getArena()
 		cand, nodes := db.only().countNear(rp, ar, out[len(out)-1].Dist)
 		putArena(ar)
-		if cand != st.Candidates || nodes != st.NodeAccesses {
+		if cand > st.Candidates || nodes != st.NodeAccesses {
 			t.Fatalf("query %d: probe counts %d candidates, %d nodes; the indexed run verified %d over %d", i, cand, nodes, st.Candidates, st.NodeAccesses)
 		}
 	}

@@ -13,9 +13,19 @@ import "math"
 
 const twoPi = 2 * math.Pi
 
+// turn is math.Mod(x, 2*pi) to the bit. Mod returns x itself when |x| < 2*pi,
+// which is where nearly every angle a traversal tests already lies, so turn
+// answers those without calling it.
+func turn(x float64) float64 {
+	if -twoPi < x && x < twoPi {
+		return x
+	}
+	return math.Mod(x, twoPi)
+}
+
 // NormalizeAngle maps an angle to the canonical range [-pi, pi).
 func NormalizeAngle(a float64) float64 {
-	a = math.Mod(a+math.Pi, twoPi)
+	a = turn(a + math.Pi)
 	if a < 0 {
 		a += twoPi
 	}
@@ -37,7 +47,7 @@ func AngularIntervalsOverlap(aLo, aHi, bLo, bHi float64) bool {
 		return true
 	}
 	// b's start relative to a's start, in [0, 2*pi).
-	rel := math.Mod(bLo-aLo, twoPi)
+	rel := turn(bLo - aLo)
 	if rel < 0 {
 		rel += twoPi
 	}
@@ -56,7 +66,7 @@ func AngularIntervalContains(lo, hi, x float64) bool {
 	if w < 0 {
 		return false
 	}
-	rel := math.Mod(x-lo, twoPi)
+	rel := turn(x - lo)
 	if rel < 0 {
 		rel += twoPi
 	}

@@ -338,6 +338,26 @@ func TestNormalizeAngle(t *testing.T) {
 	}
 }
 
+// TestTurnMatchesMod: turn is math.Mod(x, 2*pi) bit for bit — on random x
+// within four turns either way, at ±2*pi and the ulps beside them, at ±0,
+// and on ±Inf and NaN (NaN both ways).
+func TestTurnMatchesMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261015))
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, edge := range []float64{twoPi, -twoPi} {
+		xs = append(xs, edge, math.Nextafter(edge, 0), math.Nextafter(edge, 2*edge))
+	}
+	for i := 0; i < 100000; i++ {
+		xs = append(xs, (2*rng.Float64()-1)*4*twoPi)
+	}
+	for _, x := range xs {
+		got, want := turn(x), math.Mod(x, twoPi)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("turn(%v) = %v (%#x), math.Mod gives %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestAngularIntervalsOverlap(t *testing.T) {
 	p := math.Pi
 	tests := []struct {

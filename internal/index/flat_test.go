@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,9 +15,9 @@ import (
 )
 
 // The index search against a linear scan of the feature points: the exact
-// candidate set of the filter, and the exact order of the nearest-neighbor
-// walk, under the identity, a transformation safe in the schema's space, and
-// the identity forced down the transformation path.
+// candidate set of the filter, and the exact k nearest of the
+// nearest-neighbor walk, under the identity, a transformation safe in the
+// schema's space, and the identity forced down the transformation path.
 
 func flatParityMaps(t *testing.T, sc feature.Schema, n int) []transform.AffineMap {
 	t.Helper()
@@ -112,20 +113,36 @@ func TestRangeIDsParity(t *testing.T) {
 	}
 }
 
-type nearRecorder struct {
+// topNear is a bounded top-k visitor: it keeps the k nearest items it is
+// handed, ascending, and its stop line is its current k-th best (+Inf while
+// it holds fewer), so the walk hands it every item that could still enter.
+type topNear struct {
+	k     int
 	ids   []int64
 	dists []float64
-	limit int
 }
 
-func (r *nearRecorder) VisitNear(id int64, distSq float64) bool {
-	r.ids = append(r.ids, id)
-	r.dists = append(r.dists, distSq)
-	return len(r.ids) < r.limit
+func (c *topNear) NearBound() float64 {
+	if len(c.dists) < c.k {
+		return math.Inf(1)
+	}
+	return c.dists[c.k-1]
 }
 
-// TestNearestIDsParity: NearestIDs hands over the k smallest partial
-// distances of the scan, in order — exactly where the traversal and the scan
+func (c *topNear) VisitNear(id int64, distSq float64) bool {
+	if len(c.dists) == c.k {
+		if distSq >= c.dists[c.k-1] {
+			return true
+		}
+		c.ids, c.dists = c.ids[:c.k-1], c.dists[:c.k-1]
+	}
+	i := sort.Search(len(c.dists), func(i int) bool { return c.dists[i] > distSq })
+	c.ids, c.dists = slices.Insert(c.ids, i, id), slices.Insert(c.dists, i, distSq)
+	return true
+}
+
+// TestNearestIDsParity: NearestIDs hands a top-k visitor the k smallest
+// partial distances of the scan — exactly where the traversal and the scan
 // do the same arithmetic (S_rect, and the identity anywhere), and to 1e-12
 // under a transformation in S_pol, where the traversal multiplies a leaf
 // point's Cartesian image by the map's action and the scan maps the polar

@@ -281,11 +281,13 @@ func (ix *KIndex) RangeIDs(q geom.Point, eps float64, m transform.AffineMap, mb 
 	return out, st
 }
 
-// NearestIDs visits stored IDs in increasing order of their exact
-// k-coefficient (squared) partial distance to q under m, which it hands v
-// with each; v should stop (return false) once its own termination
-// condition holds — typically when the next item's partial distance exceeds
-// the k-th best verified full distance. Steady state it allocates nothing.
+// NearestIDs runs the best-first nearest-neighbor walk around q under m and
+// hands v each stored ID with its exact k-coefficient (squared) partial
+// distance, leaf by leaf: leaves in increasing order of their lower bound, a
+// leaf's IDs in increasing partial distance (see rtree.FlatNNVisitor). A v
+// with a NearBound — typically the stop line at its k-th best verified full
+// distance — sees only IDs within it, and the walk ends at the first node
+// beyond it; returning false ends it too. Steady state it allocates nothing.
 func (ix *KIndex) NearestIDs(q geom.Point, m transform.AffineMap, sc *Scratch, v rtree.FlatNNVisitor) rtree.SearchStats {
 	if len(q) != ix.schema.Dims() {
 		panic(fmt.Sprintf("index: query point has %d dims, schema has %d", len(q), ix.schema.Dims()))

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -51,13 +52,13 @@ func rangeIDs(ix *KIndex, q geom.Point, eps float64, m transform.AffineMap, mb f
 	return ix.RangeIDs(q, eps, m, mb, prune, &sc, nil)
 }
 
-// nearestK returns the first k items of a nearest-neighbor search and their
-// squared partial distances.
+// nearestK returns the k nearest items of a nearest-neighbor search and
+// their squared partial distances, ascending.
 func nearestK(ix *KIndex, q geom.Point, m transform.AffineMap, k int) ([]int64, []float64) {
 	var sc Scratch
-	rec := nearRecorder{limit: k}
-	ix.NearestIDs(q, m, &sc, &rec)
-	return rec.ids, rec.dists
+	top := topNear{k: k}
+	ix.NearestIDs(q, m, &sc, &top)
+	return top.ids, top.dists
 }
 
 func buildIndex(t *testing.T, sc feature.Schema, data [][]float64) *KIndex {
@@ -302,6 +303,39 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// leafRuns records every item of a nearest-neighbor walk and where each
+// expanded leaf begins. The walk reads NearBound before each item it hands
+// over and once at each node it pops, so an item after two or more reads
+// since the last one opens a new leaf; unread counts items after none.
+type leafRuns struct {
+	reads, unread int
+	ids           []int64
+	dists         []float64
+	starts        []int
+}
+
+func (r *leafRuns) NearBound() float64 {
+	r.reads++
+	return math.Inf(1)
+}
+
+func (r *leafRuns) VisitNear(id int64, distSq float64) bool {
+	switch {
+	case r.reads == 0:
+		r.unread++
+	case r.reads >= 2:
+		r.starts = append(r.starts, len(r.ids))
+	}
+	r.reads = 0
+	r.ids, r.dists = append(r.ids, id), append(r.dists, distSq)
+	return true
+}
+
+// TestNearestFuncOrderedByPartialDistance: the walk hands over each leaf's
+// items together and in ascending partial distance — every item once, each
+// after a read of the bound, in no more runs than it visited nodes, none
+// longer than M = 8 — and a top-20 visitor keeps the global 20 smallest
+// partial distances.
 func TestNearestFuncOrderedByPartialDistance(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	n := 64
@@ -316,16 +350,31 @@ func TestNearestFuncOrderedByPartialDistance(t *testing.T) {
 		ix := buildIndex(t, sc, data)
 		q, _ := sc.Extract(randomWalk(r, n))
 		id := transform.IdentityMap(sc.Dims(), sc.Angular())
+		var scr Scratch
+		var runs leafRuns
+		st := ix.NearestIDs(q, id, &scr, &runs)
+		seen := map[int64]bool{}
+		for _, v := range runs.ids {
+			seen[v] = true
+		}
+		if len(runs.ids) != len(data) || len(seen) != len(data) || runs.unread != 0 || len(runs.starts) == 0 || runs.starts[0] != 0 || len(runs.starts) > st.NodesVisited {
+			t.Fatalf("space %v: %d items (%d distinct, %d without a bound read first) in %d leaf runs over %d nodes",
+				sc.Space, len(runs.ids), len(seen), runs.unread, len(runs.starts), st.NodesVisited)
+		}
+		for j, from := range runs.starts {
+			to := len(runs.ids)
+			if j+1 < len(runs.starts) {
+				to = runs.starts[j+1]
+			}
+			if leaf := runs.dists[from:to]; len(leaf) > 8 || !slices.IsSorted(leaf) {
+				t.Fatalf("space %v: leaf run %d hands over %v", sc.Space, j, leaf)
+			}
+		}
 		_, dists := nearestK(ix, q, id, 20)
 		if len(dists) != 20 {
 			t.Fatalf("visited %d", len(dists))
 		}
-		for i := 1; i < len(dists); i++ {
-			if dists[i] < dists[i-1] {
-				t.Fatalf("space %v: distances not monotone: %v", sc.Space, dists)
-			}
-		}
-		// First 20 must be the global 20 smallest partial distances.
+		// The 20 kept must be the global 20 smallest partial distances.
 		type pd struct {
 			id int64
 			d  float64
@@ -345,8 +394,8 @@ func TestNearestFuncOrderedByPartialDistance(t *testing.T) {
 }
 
 func TestNearestFuncWithTransform(t *testing.T) {
-	// NN under mavg: visiting order must match brute-force transformed
-	// partial distances.
+	// NN under mavg: the 10 a top-10 visitor keeps must be the brute-force
+	// transformed partial distances' 10 smallest.
 	r := rand.New(rand.NewSource(7))
 	n := 64
 	sc := feature.Schema{Space: feature.Polar, K: 2, Moments: true}

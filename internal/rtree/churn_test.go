@@ -27,8 +27,8 @@ func (c *leafCollector) VisitFlat(id int64, tlo, thi, cart []float64) bool {
 // EncodeBinary/DecodeBinary after which the churn goes on in the decoded
 // tree — and after every single step holds it to CheckInvariants and to a
 // linear scan of an oracle map: All() lists exactly the oracle's items, a
-// random range query and a random nearest-neighbor query answer as the scan
-// does, and every leaf point reaches the visitor with its own Cartesian
+// random range query and a random top-k nearest-neighbor query answer as the
+// scan does, and every leaf point reaches the visitor with its own Cartesian
 // image. The tree keeps Cartesian images throughout, and M = 8 makes splits,
 // forced reinsertions and condensations common. The seed is logged for
 // replay.
@@ -109,8 +109,9 @@ func TestChurnAgainstLinearScan(t *testing.T) {
 				t.Fatalf("dims %d step %d: %d ids emitted, %d stored", dims, step, len(got.pts), len(want))
 			}
 
-			// Nearest: the k smallest distances of the scan, in order. The
-			// kernel reads what the leaves hand it — their Cartesian blocks.
+			// Nearest: a top-k visitor keeps the k smallest distances of the
+			// scan. The kernel reads what the leaves hand it — their
+			// Cartesian blocks.
 			k := 1 + rng.Intn(12)
 			kern := &cartTestKernel{q: c, from: from}
 			all := make([]float64, 0, len(want))
@@ -118,7 +119,7 @@ func TestChurnAgainstLinearScan(t *testing.T) {
 				all = append(all, kern.dist(p))
 			}
 			sort.Float64s(all)
-			near := collectNear{limit: k}
+			near := topNear{k: k}
 			tree.NearestFlat(identity, kern, &sc, &near)
 			if len(near.ids) != min(k, len(want)) {
 				t.Fatalf("dims %d step %d: %d nearest items, want %d", dims, step, len(near.ids), min(k, len(want)))

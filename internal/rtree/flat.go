@@ -31,14 +31,15 @@ type FlatMap struct {
 }
 
 // Scratch is the reusable working memory of one batch traversal: the DFS
-// stack, the transformed-slab buffer, the NN priority queue, and the batch
-// distance buffer. A Scratch may be reused across any number of
-// traversals, but never concurrently.
+// stack, the transformed-slab buffer, the NN node queue, the sorted items of
+// the leaf the NN walk is expanding (at most M), and the batch distance
+// buffer. A Scratch may be reused across any number of traversals, but never
+// concurrently.
 type Scratch struct {
 	stack []*node
 	tbuf  []float64
 	heap  []flatHeapEntry
-	runs  []flatRunItem
+	leaf  []flatLeafItem
 	dists []float64
 }
 
@@ -52,19 +53,21 @@ type FlatVisitor interface {
 	VisitFlat(id int64, tlo, thi, cart []float64) bool
 }
 
-// FlatNNVisitor consumes items of a batch nearest-neighbor traversal in
-// non-decreasing order of their (lower-bounded) distance. Returning false
-// stops the traversal.
+// FlatNNVisitor consumes the items of a batch nearest-neighbor traversal
+// leaf by leaf: leaves arrive in ascending order of their lower bound, and a
+// leaf's items in ascending order of their distance. Returning false ends
+// the traversal. A visitor without NearBound (FlatNNBounder) sees every item
+// of each leaf the traversal expands until it returns false.
 type FlatNNVisitor interface {
 	VisitNear(id int64, distSq float64) bool
 }
 
-// FlatNNBounder is a FlatNNVisitor that knows its stop line ahead of the
-// items: NearBound returns the squared distance beyond which VisitNear would
-// stop the traversal right now (+Inf while nothing would). The bound may only
-// tighten while a traversal runs, which is what lets the traversal leave out
-// of its queue whatever already lies beyond it. A visitor without the method
-// is walked as if it always answered +Inf.
+// FlatNNBounder is a FlatNNVisitor that knows its stop line: NearBound
+// returns the squared distance beyond which nothing is of use to it right
+// now (+Inf while everything is). The bound may only tighten while a
+// traversal runs. An item reaches VisitNear only while it is within the
+// bound, read before each item; a node beyond it is never queued, and the
+// first one popped beyond it ends the traversal.
 type FlatNNBounder interface {
 	FlatNNVisitor
 	NearBound() float64
@@ -192,21 +195,15 @@ func (t *Tree) FlatRange(qlo, qhi []float64, fm FlatMap, sc *Scratch, v FlatVisi
 	return st
 }
 
-// flatHeapEntry is one prioritized node or leaf run of a batch best-first
-// nearest-neighbor traversal. A leaf enters the queue once, as the run
-// runs[pos:end] of its items sorted by distance, keyed by the nearest item
-// not yet visited; popping the entry visits that item and re-keys the entry
-// by the next one. The queue then holds one entry per open leaf instead of
-// one per item, so every sift is over a heap tens of entries deep instead
-// of thousands.
+// flatHeapEntry is one queued node of a batch best-first nearest-neighbor
+// traversal, keyed by the lower bound of its transformed rectangle.
 type flatHeapEntry struct {
-	dist     float64
-	node     *node // nil for a leaf run
-	pos, end int
+	dist float64
+	node *node
 }
 
-// flatRunItem is one leaf item of a sorted run.
-type flatRunItem struct {
+// flatLeafItem is one item of the leaf being expanded, with its distance.
+type flatLeafItem struct {
 	dist float64
 	id   int64
 }
@@ -225,10 +222,15 @@ func flatHeapPush(h *[]flatHeapEntry, e flatHeapEntry) {
 	}
 }
 
-// flatHeapDown restores the heap order after the root's key grew.
-func flatHeapDown(q []flatHeapEntry) {
-	i := 0
-	for {
+// flatHeapPop removes the root: the last entry takes its place and sifts
+// down.
+func flatHeapPop(h *[]flatHeapEntry) {
+	q := *h
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	*h = q
+	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		if l >= len(q) {
 			break
@@ -245,24 +247,17 @@ func flatHeapDown(q []flatHeapEntry) {
 	}
 }
 
-func flatHeapPop(h *[]flatHeapEntry) {
-	q := *h
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	*h = q
-	flatHeapDown(q)
-}
-
-// NearestFlat is the incremental best-first nearest-neighbor traversal: a
-// typed binary heap in caller scratch, each node's bounds transformed in
-// one pass, and per-node batched kernel calls for lower bounds and item
-// distances. Items reach v in non-decreasing distance order, interleaved
-// correctly with node expansion, so stopping early leaves the rest of the
-// tree untouched. The visitor's bound is read once per expanded node: a
-// node beyond it ends the traversal (everything still queued is at least
-// as far), and its entries beyond it are never queued — the bound only
-// tightens, so they could only ever be popped to be refused.
+// NearestFlat is the best-first nearest-neighbor traversal of the paper's
+// Section 4 branch-and-bound: a typed binary heap of nodes in caller scratch,
+// each node's bounds transformed in one pass, and per-node batched kernel
+// calls for lower bounds and item distances. Nodes are popped in ascending
+// lower bound. A popped leaf is verified on the spot: its items within the
+// visitor's bound, sorted by distance in scratch, reach v nearest first, and
+// the first one past the bound (re-read before each item) closes the leaf,
+// since the rest of it is farther still. The bound is also read once per
+// popped node: a node beyond it ends the traversal (everything still queued
+// is at least as far), and its entries beyond it are never queued — the
+// bound only tightens, so they could only ever be popped to be refused.
 func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNVisitor) SearchStats {
 	var st SearchStats
 	if t.size == 0 {
@@ -271,24 +266,9 @@ func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNV
 	dims := t.dims
 	bounder, _ := v.(FlatNNBounder)
 	bound := math.Inf(1)
-	sc.runs = sc.runs[:0]
 	sc.heap = append(sc.heap[:0], flatHeapEntry{node: t.root})
 	for len(sc.heap) > 0 {
-		head := &sc.heap[0]
-		if head.node == nil {
-			it := sc.runs[head.pos]
-			if head.pos++; head.pos < head.end {
-				head.dist = sc.runs[head.pos].dist
-				flatHeapDown(sc.heap)
-			} else {
-				flatHeapPop(&sc.heap)
-			}
-			if !v.VisitNear(it.id, it.dist) {
-				return st
-			}
-			continue
-		}
-		n, lower := head.node, head.dist
+		n, lower := sc.heap[0].node, sc.heap[0].dist
 		flatHeapPop(&sc.heap)
 		if bounder != nil {
 			bound = bounder.NearBound()
@@ -313,23 +293,31 @@ func (t *Tree) NearestFlat(fm FlatMap, kern FlatNNKernel, sc *Scratch, v FlatNNV
 				lows, _ := t.nodeSlabs(n, &fm, sc)
 				kern.PointBatch(lows, c, dims, sc.dists)
 			}
-			start := len(sc.runs)
+			sc.leaf = sc.leaf[:0]
 			for e := 0; e < c; e++ {
 				st.EntriesTested++
 				d := sc.dists[e]
 				if d > bound {
 					continue
 				}
-				// Insertion sort into the run: a leaf holds at most M items.
-				sc.runs = append(sc.runs, flatRunItem{})
-				i := len(sc.runs) - 1
-				for ; i > start && sc.runs[i-1].dist > d; i-- {
-					sc.runs[i] = sc.runs[i-1]
+				// Insertion sort: a leaf holds at most M items.
+				sc.leaf = append(sc.leaf, flatLeafItem{})
+				i := len(sc.leaf) - 1
+				for ; i > 0 && sc.leaf[i-1].dist > d; i-- {
+					sc.leaf[i] = sc.leaf[i-1]
 				}
-				sc.runs[i] = flatRunItem{dist: d, id: n.ids[e]}
+				sc.leaf[i] = flatLeafItem{dist: d, id: n.ids[e]}
 			}
-			if end := len(sc.runs); end > start {
-				flatHeapPush(&sc.heap, flatHeapEntry{dist: sc.runs[start].dist, pos: start, end: end})
+			for _, it := range sc.leaf {
+				if bounder != nil {
+					bound = bounder.NearBound()
+				}
+				if it.dist > bound {
+					break
+				}
+				if !v.VisitNear(it.id, it.dist) {
+					return st
+				}
 			}
 		} else {
 			lows, highs := t.nodeSlabs(n, &fm, sc)

@@ -126,11 +126,11 @@ func searchIDs(tr *Tree, q geom.Rect, fm FlatMap) ([]int64, SearchStats) {
 var identity = FlatMap{Identity: true}
 
 // nearest runs the nearest-neighbor traversal around p with Euclidean
-// geometry (flatTestKernel) and returns the first k items' ids and
-// distances.
+// geometry (flatTestKernel) and a top-k visitor, and returns the k nearest
+// items' ids and distances, ascending.
 func nearest(tr *Tree, p geom.Point, k int) ([]int64, []float64, SearchStats) {
 	var sc Scratch
-	got := collectNear{limit: k}
+	got := topNear{k: k}
 	st := tr.NearestFlat(identity, &flatTestKernel{q: p}, &sc, &got)
 	for i, d := range got.dists {
 		got.dists[i] = math.Sqrt(d)
@@ -203,10 +203,12 @@ func TestSearchEarlyStop(t *testing.T) {
 	if len(got.ids) != 10 {
 		t.Fatalf("early stop visited %d, want 10", len(got.ids))
 	}
-	near := collectNear{limit: 10}
-	tr.NearestFlat(identity, &flatTestKernel{q: b.Lo}, &sc, &near)
-	if len(near.ids) != 10 {
-		t.Fatalf("early stop visited %d nearest items, want 10", len(near.ids))
+	// The nearest-neighbor walk stops where a top-10 visitor's bound says
+	// nothing more can enter: short of the whole tree.
+	near := topNear{k: 10}
+	st := tr.NearestFlat(identity, &flatTestKernel{q: b.Lo}, &sc, &near)
+	if nodes, _ := treeNodes(tr); len(near.ids) != 10 || st.NodesVisited >= nodes {
+		t.Fatalf("the top-10 walk kept %d items over %d of %d nodes", len(near.ids), st.NodesVisited, nodes)
 	}
 }
 
