@@ -57,6 +57,9 @@ vet:
 	@if grep -nE 'FirstK|CoefficientReal|NormalFormCoeffs|halfSpectrum|encodeSpectrum|queryFeaturePoint' \
 		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
 		echo "a series is derived by one real-input transform (feature.Schema.Derive): the direct sums and the second FFT are gone"; exit 1; fi
+	@if grep -nE 'rangeScanFreqInto|nnScanArena|pairDist|observeDrift|PlanDrift' \
+		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
+		echo "one verify step per candidate (shard.verify, recordSum): the per-strategy copies and the plan-drift checkpoints are gone"; exit 1; fi
 
 fmt:
 	gofmt -w .

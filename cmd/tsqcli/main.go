@@ -275,13 +275,6 @@ func runStats(remote string, args []string) error {
 				p.Results, p.ElapsedUS/1000, drift)
 		}
 		printCostErrors(st.Plans)
-		if len(st.Drift) > 0 {
-			fmt.Println("cost-error drift over time (p50/p95 per 16-plan window, oldest first):")
-			for _, d := range st.Drift {
-				fmt.Printf("  %-8s thru #%-5d p50 %.2f  p95 %.2f  (n=%d)\n",
-					d.Kind, d.Seq, d.P50, d.P95, d.Samples)
-			}
-		}
 	}
 	if *slow {
 		if len(st.Slow) == 0 {

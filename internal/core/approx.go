@@ -253,7 +253,8 @@ func tightness(lb, ub float64) float64 {
 
 // stampPlan stamps an execution's stats with what its plan decided: the
 // Lemma 1 geometry it filtered with and the approximate tier it ran under
-// (the index and frequency-scan run functions call it on every shard).
+// (runRange and runNN call it once per run, whichever candidate list the
+// run verifies).
 func stampPlan(p *rangePlan, st *ExecStats) {
 	st.Filter = p.Prefilter
 	if p.approx() {

@@ -557,37 +557,52 @@ func (sh *shard) verifyFreq(st *ExecStats, pbuf *[][]byte, id int64, k []twin, e
 	if err != nil {
 		return false, 0, err
 	}
-	head := rv.Head
 	limit := eps * eps
-	terms, sum := headSum(k, head, limit)
-	if sum > limit {
-		st.DistanceTerms += int64(terms)
-		st.HeadResolved++
-		return false, 0, nil
-	}
-	if len(head) == len(k) {
-		st.DistanceTerms += int64(len(k))
-		st.HeadResolved++
-		return true, math.Sqrt(sum), nil
-	}
-	cur, err := sh.pinTail(rv, pbuf, len(head))
+	var pinned bool
+	terms, sum, err := sh.recordSum(rv, k, limit, pbuf, &pinned)
 	if err != nil {
 		return false, 0, err
 	}
-	terms = len(k)
-	for f := len(head); f < len(k); f++ {
-		sum += k[f].term(cur.Next())
-		if sum > limit {
-			terms = f + 1
-			break
-		}
-	}
-	sh.freqRel.ReleaseView(rv)
 	st.DistanceTerms += int64(terms)
+	if pinned {
+		sh.freqRel.ReleaseView(rv)
+	} else {
+		st.HeadResolved++
+	}
 	if sum > limit {
 		return false, 0, nil
 	}
 	return true, math.Sqrt(sum), nil
+}
+
+// recordSum is the one walk of an exact distance over an opened record:
+// headSum over the resident head, then — only if the sum is still within
+// limit and the record is longer than its head — the tail, pinned into pbuf
+// (pinTail) and decoded one coefficient at a time, stopping at the first
+// coefficient that takes the sum past limit. It returns the terms read and
+// the sum, past limit exactly when the walk stopped early; limit +Inf reads
+// every term. *pinned records whether the tail's pages are pinned: a walk
+// that finds it set reads the pages already in pbuf, so a second walk over
+// the same record (a two-sided scan-join step) shares the first one's pin.
+// The caller releases it (freqRel.ReleaseView) once, when *pinned.
+func (sh *shard) recordSum(rv relation.View, k []twin, limit float64, pbuf *[][]byte, pinned *bool) (terms int, sum float64, err error) {
+	head := rv.Head
+	if terms, sum = headSum(k, head, limit); sum > limit || len(head) == len(k) {
+		return terms, sum, nil
+	}
+	var cur relation.Cursor
+	if *pinned {
+		cur = relation.CursorAt(*pbuf, sh.freqRel.PageSize(), len(head))
+	} else if cur, err = sh.pinTail(rv, pbuf, len(head)); err != nil {
+		return terms, sum, err
+	}
+	*pinned = true
+	for f := len(head); f < len(k); f++ {
+		if sum += k[f].term(cur.Next()); sum > limit {
+			return f + 1, sum, nil
+		}
+	}
+	return len(k), sum, nil
 }
 
 // headSum is verification's walk over the start of a record's stored half:

@@ -110,10 +110,7 @@ type Engine interface {
 	// PlanHistory returns the recent executed plans (oldest first): every
 	// planned range/NN/join execution records its estimated-vs-actual
 	// cost, so drift and mispredictions stay observable behind /stats.
-	// PlanDrift returns per-kind p50/p95 cost-error checkpoints over
-	// time — longer-horizon calibration drift than the ring alone shows.
 	PlanHistory() []plan.Record
-	PlanDrift() []plan.DriftPoint
 
 	// Result orderings are deterministic: (distance, ID) for range/NN/
 	// subsequence answers, (A, B) for join pairs. SelfJoin is the one

@@ -8,7 +8,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/plan"
-	"repro/internal/relation"
 	"repro/internal/transform"
 )
 
@@ -133,94 +132,55 @@ func selfJoinQuery(eps float64, t transform.T) JoinQuery {
 
 // scanInner is one inner step of the nested scan join, against the inner
 // record of this shard (the outer row may live in another): the record is
-// opened once and compared through the outer row's kernels — lx alone for a
-// self join, whose unordered pair costs one comparison D(T x_i, T x_j); lx
-// for D(L x_i, R x_j) and rx for D(L x_j, R x_i) in a two-sided join, which
-// verifies both orientations. Matching pairs append to out; the comparisons,
-// their terms and how many were decided without opening the inner record's
-// pages accumulate into st.
+// opened once and walked through the outer row's kernels by recordSum, the
+// walk verifyFreq makes — lx alone for a self join, whose unordered pair
+// costs one comparison D(T x_i, T x_j); lx for D(L x_i, R x_j) and rx for
+// D(L x_j, R x_i) in a two-sided join, which verifies both orientations and
+// pins the record's pages at most once for the two. Method b abandons each
+// walk past eps²; method a reads every term (limit +Inf) and decides on the
+// full sum. Matching pairs append to out; the comparisons, their terms and
+// — when neither walk opened the record's pages — how many were decided in
+// the head accumulate into st.
 func (sh *shard) scanInner(jp *joinPlan, outer, inner int64, lx, rx []twin, earlyAbandon bool, pbuf *[][]byte, st *ExecStats, out []JoinPair) ([]JoinPair, error) {
 	rv, err := sh.freqRel.View(inner)
 	if err != nil {
 		return out, err
 	}
-	in := innerSpec{sh: sh, rv: rv, pbuf: pbuf}
-	limit := jp.q.Eps * jp.q.Eps
-	found, compared := len(out), 1
-	if !jp.q.TwoSided {
-		sum, terms, ok := in.pairDist(lx, limit, earlyAbandon)
-		st.DistanceTerms += int64(terms)
-		if ok && sum <= limit {
-			out = append(out, orderedPair(outer, inner, math.Sqrt(sum)))
-		}
-	} else {
-		compared = 2
-		// Ordered pair (i, j): D(L x_i, R x_j).
-		sum, terms, ok := in.pairDist(lx, limit, earlyAbandon)
-		st.DistanceTerms += int64(terms)
-		if ok && sum <= limit {
-			out = append(out, JoinPair{A: outer, B: inner, Dist: math.Sqrt(sum)})
-		}
-		// Ordered pair (j, i): D(L x_j, R x_i).
-		sum, terms, ok = in.pairDist(rx, limit, earlyAbandon)
-		st.DistanceTerms += int64(terms)
-		if ok && sum <= limit {
-			out = append(out, JoinPair{A: inner, B: outer, Dist: math.Sqrt(sum)})
-		}
+	eps2, limit := jp.q.Eps*jp.q.Eps, math.Inf(1)
+	if earlyAbandon {
+		limit = eps2
 	}
-	if in.err != nil {
-		return out[:found], in.err
+	kernels, compared := [2][]twin{lx, rx}, 1
+	if jp.q.TwoSided {
+		compared = 2
+	}
+	found := len(out)
+	var pinned bool
+	for c, k := range kernels[:compared] {
+		terms, sum, err := sh.recordSum(rv, k, limit, pbuf, &pinned)
+		st.DistanceTerms += int64(terms)
+		if err != nil {
+			return out[:found], err
+		}
+		if sum > eps2 {
+			continue
+		}
+		switch d := math.Sqrt(sum); {
+		case !jp.q.TwoSided:
+			out = append(out, orderedPair(outer, inner, d))
+		case c == 0: // ordered pair (i, j): D(L x_i, R x_j)
+			out = append(out, JoinPair{A: outer, B: inner, Dist: d})
+		default: // ordered pair (j, i): D(L x_j, R x_i)
+			out = append(out, JoinPair{A: inner, B: outer, Dist: d})
+		}
 	}
 	st.Candidates += compared
-	if in.pages == nil {
-		st.HeadResolved += compared
+	if pinned {
+		sh.freqRel.ReleaseView(rv)
 	} else {
-		sh.freqRel.ReleaseView(in.rv)
+		st.HeadResolved += compared
 	}
 	return out, nil
-}
-
-// innerSpec is the inner record of one scan-join step, opened once for the
-// one or two comparisons the step makes: its pages are pinned by the first
-// comparison that outlives the resident prefix and shared by the second.
-type innerSpec struct {
-	sh    *shard
-	rv    relation.View // its Head is the resident prefix
-	pbuf  *[][]byte
-	pages [][]byte // non-nil once pinned
-	err   error    // a failed page fault; the step's answers are void
-}
-
-// pairDist accumulates the inner record's squared distance through the
-// kernel k — resident prefix as a plain slice, then the pinned tail, each
-// stored coefficient's term and its twin's (half.go) — abandoning past limit
-// when earlyAbandon is set. ok is false only on abandonment (or a failed
-// fault, left in in.err), so sum <= limit decides membership exactly as the
-// index verifier does.
-func (in *innerSpec) pairDist(k []twin, limit float64, earlyAbandon bool) (sum float64, terms int, ok bool) {
-	for f, y := range in.rv.Head {
-		sum += k[f].term(y)
-		if earlyAbandon && sum > limit {
-			return sum, f + 1, false
-		}
-	}
-	if len(in.rv.Head) == len(k) || in.err != nil {
-		return sum, len(in.rv.Head), in.err == nil
-	}
-	if in.pages == nil {
-		if in.pages, in.err = in.sh.freqRel.ViewPagesInto(in.rv, (*in.pbuf)[:0]); in.err != nil {
-			return sum, len(in.rv.Head), false
-		}
-		*in.pbuf = in.pages
-	}
-	cur := relation.CursorAt(in.pages, in.sh.freqRel.PageSize(), len(in.rv.Head))
-	for f := len(in.rv.Head); f < len(k); f++ {
-		sum += k[f].term(cur.Next())
-		if earlyAbandon && sum > limit {
-			return sum, f + 1, false
-		}
-	}
-	return sum, len(k), true
 }
 
 func (sh *shard) validateJoin(eps float64, t transform.T) error {

@@ -167,7 +167,6 @@ type nnVisit struct {
 	ar   *execArena
 	st   *ExecStats
 	lt   *leafTest // nil on warped and approximate plans
-	warp bool
 	err  error
 }
 
@@ -190,10 +189,12 @@ func (v *nnVisit) NearBound() float64 {
 	return v.p.stopLine(v.best.threshold())
 }
 
-// VisitNear verifies one item. It returns false only on error: the walk
-// hands over an item only while it is within NearBound, and one that is not
-// by the time it arrives — a sibling shard tightened the shared k-th best
-// in between — is simply not a candidate.
+// VisitNear verifies one item (verify, under the NN accept rule). It
+// returns false only on error: the walk hands over an item only while it is
+// within NearBound, and one that is not by the time it arrives — a sibling
+// shard tightened the shared k-th best in between — is simply not a
+// candidate. The scan hands over every stored id at partial distance 0,
+// which is within any stop line.
 func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 	// eps is the shared k-th-best distance: it bounds both the decision
 	// to verify and the early abandoning inside verification.
@@ -202,29 +203,12 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 		return true
 	}
 	v.st.Candidates++
-	var (
-		within      bool
-		dist, bound float64
-		err         error
-	)
-	switch {
-	case v.warp:
-		within, dist, err = v.sh.verifyWarp(v.p, v.st, id, eps)
-		bound = dist
-	case v.p.approx():
-		within, dist, bound, err = v.sh.verifyFreqApprox(v.p, v.ar, v.st, id, eps, true)
-	default:
-		within, dist, err = v.sh.verifyFreq(v.st, &v.ar.pages, id, v.ar.k, eps)
-	}
+	r, within, err := v.sh.verify(v.p, v.ar, v.st, id, eps, true)
 	if err != nil {
 		v.err = err
 		return false
 	}
 	if within {
-		r := Result{ID: id, Name: v.sh.name(id), Dist: dist}
-		if v.p.approx() {
-			r.Bound = bound
-		}
 		v.best.offer(r)
 	}
 	return true
@@ -233,10 +217,11 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 // nnIndexedArena runs the transform-aware branch-and-bound of Section 4
 // ("as we go down the tree, we apply T to all entries of the node we visit
 // ... use any kind of metric such as MINDIST for pruning") against this shard
-// over the flat-slab batch traversal, feeding verified
-// answers into best — which may be shared with searches over sibling
-// shards — and accumulating filter-side costs into st (NodeAccesses,
-// Candidates, DistanceTerms). Leaves come out of the index in order of
+// over the flat-slab batch traversal, handing its items to the arena's
+// visitor (runNN states it), which feeds verified answers into best — which
+// may be shared with searches over sibling shards — and accumulating
+// filter-side costs into st (NodeAccesses, Candidates, DistanceTerms).
+// Leaves come out of the index in order of
 // their lower bound, and each leaf's items in order of their k-coefficient
 // partial distance; a leaf is closed at its first item past the stop line at
 // the current k-th best verified distance, and the traversal stops at the
@@ -250,69 +235,37 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 // that a leaf expanded later would have tightened, so the candidates may be
 // a few more than the items within the final k-th distance (countNear); the
 // nodes are the same. Steady state it allocates nothing.
-func (sh *shard) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
-	stampPlan(p, st)
-	warp := p.q.WarpFactor >= 2
-	ar.nv = nnVisit{sh: sh, p: p, best: best, ar: ar, st: st, warp: warp}
-	if !warp && !p.approx() {
+func (sh *shard) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) {
+	if p.q.WarpFactor < 2 && !p.approx() {
 		ar.lt = leafTest{k: ar.k, best: best, st: st}
 		ar.nv.lt = &ar.lt
 	}
-	searchStats := sh.idx.NearestIDs(p.qp, p.m, &ar.sc, &ar.nv)
-	st.NodeAccesses += searchStats.NodesVisited
-	err := ar.nv.err
-	ar.nv, ar.lt = nnVisit{}, leafTest{}
-	return err
-}
-
-// nnScanArena is the scan analogue of nnIndexedArena: it verifies every
-// stored series, with a pruning threshold that tightens to the (possibly
-// shared) current k-th best distance.
-func (sh *shard) nnScanArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
-	stampPlan(p, st)
-	warp := p.q.WarpFactor >= 2
-	approx := !warp && p.approx()
-	for _, id := range sh.ids {
-		st.Candidates++
-		var (
-			within      bool
-			dist, bound float64
-			err         error
-		)
-		switch {
-		case warp:
-			within, dist, err = sh.verifyWarp(p, st, id, best.threshold())
-			bound = dist
-		case approx:
-			within, dist, bound, err = sh.verifyFreqApprox(p, ar, st, id, best.threshold(), true)
-		default:
-			within, dist, err = sh.verifyFreq(st, &ar.pages, id, ar.k, best.threshold())
-		}
-		if err != nil {
-			return err
-		}
-		if within {
-			r := Result{ID: id, Name: sh.name(id), Dist: dist}
-			if p.approx() {
-				r.Bound = bound
-			}
-			best.offer(r)
-		}
-	}
-	return nil
+	st.NodeAccesses += sh.idx.NearestIDs(p.qp, p.m, &ar.sc, &ar.nv).NodesVisited
 }
 
 // runNN is runRange's nearest-neighbor twin: it runs an NN plan's resolved
 // strategy against this shard, feeding verified answers into best — shared
-// across the store's partitions.
+// across the store's partitions. The index walk and the frequency scan hand
+// their candidates to the same visitor: the scan gives it every stored id,
+// at partial distance 0, so each one is verified against the (possibly
+// shared) k-th best distance as it tightens.
 func (sh *shard) runNN(strategy plan.Strategy, p *rangePlan, best *topK, ar *execArena, st *ExecStats) error {
-	ar.k = p.kernelInto(ar.k)
-	switch strategy {
-	case plan.Index:
-		return sh.nnIndexedArena(p, best, ar, st)
-	case plan.ScanFreq:
-		return sh.nnScanArena(p, best, ar, st)
-	default:
+	if strategy != plan.Index && strategy != plan.ScanFreq {
 		return fmt.Errorf("core: plan carries unresolved strategy %v", strategy)
 	}
+	ar.k = p.kernelInto(ar.k)
+	stampPlan(p, st)
+	ar.nv = nnVisit{sh: sh, p: p, best: best, ar: ar, st: st}
+	if strategy == plan.Index {
+		sh.nnIndexedArena(p, best, ar, st)
+	} else {
+		for _, id := range sh.ids {
+			if !ar.nv.VisitNear(id, 0) {
+				break
+			}
+		}
+	}
+	err := ar.nv.err
+	ar.nv, ar.lt = nnVisit{}, leafTest{}
+	return err
 }

@@ -526,8 +526,3 @@ func (s *Store) PlannerStats() plan.Snapshot { return s.tracker.Stats() }
 
 // PlanHistory returns the store's recent executed plans, oldest first.
 func (s *Store) PlanHistory() []plan.Record { return s.history.Recent() }
-
-// PlanDrift returns the store's per-kind cost-error percentile
-// checkpoints — planner calibration drift over time, where PlanHistory
-// shows only the current ring.
-func (s *Store) PlanDrift() []plan.DriftPoint { return s.history.Drift() }

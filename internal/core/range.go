@@ -236,98 +236,57 @@ func (sh *shard) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) 
 	return true, series.EuclideanDistance(warped, p.qn), nil
 }
 
-// rangeIndexedInto runs the search and post-processing phases of the
-// paper's Algorithm 2 against this shard — traverse the index applying the
-// transformation to every rectangle on the fly, then verify every candidate
-// against its full record (the preprocessing phase is the rangePlan) —
-// accumulating filter costs into st and appending verified answers to dst.
-// The filter runs over the index's flat-slab batch traversal into arena
-// scratch, and on an exact frequency-domain plan the leaf prefix test
-// (leafTest) resolves the candidates verification would dismiss within
-// their first stored coefficients before their IDs are collected; steady
-// state the whole pass allocates nothing.
-func (sh *shard) rangeIndexedInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
-	stampPlan(p, st)
-	warp := p.q.WarpFactor >= 2
-	approx := !warp && p.approx()
+// verify is the post-processing step of Algorithm 2 for one candidate,
+// whichever strategy found it: an exact, early-abandoning distance within
+// eps over the stored record — in the time domain for a warped plan
+// (verifyWarp), down the approximate tier's ladder for an approximate one
+// (verifyFreqApprox, under the NN accept rule when nn is set), over the
+// stored spectrum through the arena's kernel otherwise (verifyFreq). It is
+// the one place a range or NN read chooses among them, and the one place it
+// sets Result.Bound: exactly when the plan is approximate.
+func (sh *shard) verify(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64, nn bool) (Result, bool, error) {
+	var (
+		within      bool
+		dist, bound float64
+		err         error
+	)
+	switch {
+	case p.q.WarpFactor >= 2:
+		within, dist, err = sh.verifyWarp(p, st, id, eps)
+		bound = dist
+	case p.approx():
+		within, dist, bound, err = sh.verifyFreqApprox(p, ar, st, id, eps, nn)
+	default:
+		within, dist, err = sh.verifyFreq(st, &ar.pages, id, ar.k, eps)
+	}
+	if err != nil || !within {
+		return Result{}, false, err
+	}
+	r := Result{ID: id, Name: sh.name(id), Dist: dist}
+	if p.approx() {
+		r.Bound = bound
+	}
+	return r, true, nil
+}
+
+// rangeIDs is the search phase of the paper's Algorithm 2 against this
+// shard: the index traversal, applying the transformation to every
+// rectangle on the fly (the preprocessing phase is the rangePlan), over the
+// index's flat-slab batch traversal into arena scratch. On an exact
+// frequency-domain plan the leaf prefix test (leafTest) resolves the
+// candidates verification would dismiss within their first stored
+// coefficients before their IDs are collected. Steady state it allocates
+// nothing.
+func (sh *shard) rangeIDs(p *rangePlan, ar *execArena, st *ExecStats) []int64 {
 	var far rtree.PrefixTest
-	if !warp && !approx {
+	if p.q.WarpFactor < 2 && !p.approx() {
 		ar.lt = leafTest{k: ar.k, limit: p.q.Eps * p.q.Eps, st: st}
 		far = &ar.lt
 	}
 	ids, searchStats := sh.idx.RangeIDsTested(p.qp, p.mw.filterRadius(p.q.Eps), p.m, p.q.Moments, !sh.opts.DisablePartialPrune, far, &ar.sc, ar.ids[:0])
 	ar.ids, ar.lt = ids, leafTest{}
 	st.NodeAccesses += searchStats.NodesVisited
-	st.Candidates += len(ids)
-
-	for _, id := range ids {
-		var (
-			within      bool
-			dist, bound float64
-			err         error
-		)
-		switch {
-		case warp:
-			within, dist, err = sh.verifyWarp(p, st, id, p.q.Eps)
-			bound = dist
-		case approx:
-			within, dist, bound, err = sh.verifyFreqApprox(p, ar, st, id, p.q.Eps, false)
-		default:
-			within, dist, err = sh.verifyFreq(st, &ar.pages, id, ar.k, p.q.Eps)
-		}
-		if err != nil {
-			return dst, err
-		}
-		if within {
-			r := Result{ID: id, Name: sh.name(id), Dist: dist}
-			if approx || (warp && p.approx()) {
-				r.Bound = bound
-			}
-			dst = append(dst, r)
-		}
-	}
-	return dst, nil
-}
-
-// rangeScanFreqInto runs the frequency-domain scan against this shard,
-// appending verified answers to dst — the stronger of the paper's two scan
-// baselines ("we do the sequential scanning on the relation that stores the
-// series in the frequency domain ... the distance computation process can
-// skip many sequences within the first few coefficients"). Like
-// rangeIndexedInto it verifies through the arena's page buffer, so the
-// steady-state scan allocates nothing beyond result growth.
-func (sh *shard) rangeScanFreqInto(p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
-	stampPlan(p, st)
-	warp := p.q.WarpFactor >= 2
-	approx := !warp && p.approx()
-	for _, id := range sh.ids {
-		st.Candidates++
-		var (
-			within      bool
-			dist, bound float64
-			err         error
-		)
-		switch {
-		case warp:
-			within, dist, err = sh.verifyWarp(p, st, id, p.q.Eps)
-			bound = dist
-		case approx:
-			within, dist, bound, err = sh.verifyFreqApprox(p, ar, st, id, p.q.Eps, false)
-		default:
-			within, dist, err = sh.verifyFreq(st, &ar.pages, id, ar.k, p.q.Eps)
-		}
-		if err != nil {
-			return dst, err
-		}
-		if within {
-			r := Result{ID: id, Name: sh.name(id), Dist: dist}
-			if approx || (warp && p.approx()) {
-				r.Bound = bound
-			}
-			dst = append(dst, r)
-		}
-	}
-	return dst, nil
+	return ids
 }
 
 // rangeScanTimeInto is the naive baseline: sequentially scan the raw
@@ -365,18 +324,36 @@ func (sh *shard) rangeScanTimeInto(p *rangePlan, st *ExecStats, dst []Result) ([
 
 // runRange runs a range plan's resolved strategy against this shard,
 // appending verified answers to dst and accumulating costs into st. The
-// frequency-domain strategies verify through the arena's kernel, stated
-// here (empty for a warped plan, which verifies in the time domain).
+// index and the frequency-domain scan — the stronger of the paper's two
+// scan baselines ("the distance computation process can skip many
+// sequences within the first few coefficients") — are one read that
+// differs only in its candidate list: the index's (rangeIDs) or every
+// stored id. Each candidate is verified once (verify), through the arena's
+// kernel, stated here (empty for a warped plan, which verifies in the time
+// domain).
 func (sh *shard) runRange(strategy plan.Strategy, p *rangePlan, ar *execArena, st *ExecStats, dst []Result) ([]Result, error) {
 	ar.k = p.kernelInto(ar.k)
+	var ids []int64
 	switch strategy {
 	case plan.Index:
-		return sh.rangeIndexedInto(p, ar, st, dst)
+		ids = sh.rangeIDs(p, ar, st)
 	case plan.ScanFreq:
-		return sh.rangeScanFreqInto(p, ar, st, dst)
+		ids = sh.ids
 	case plan.ScanTime:
 		return sh.rangeScanTimeInto(p, st, dst)
 	default:
 		return dst, fmt.Errorf("core: plan carries unresolved strategy %v", strategy)
 	}
+	stampPlan(p, st)
+	st.Candidates += len(ids)
+	for _, id := range ids {
+		r, within, err := sh.verify(p, ar, st, id, p.q.Eps, false)
+		if err != nil {
+			return dst, err
+		}
+		if within {
+			dst = append(dst, r)
+		}
+	}
+	return dst, nil
 }

@@ -631,37 +631,55 @@ func (s *Store) fanOut(fn func(si int, sh *shard) error) error {
 // elapsed times would double-count parallel work.
 func mergeStats(parts []ExecStats) ExecStats {
 	var st ExecStats
-	for _, p := range parts {
-		st.NodeAccesses += p.NodeAccesses
-		st.PageReads += p.PageReads
-		st.Candidates += p.Candidates
-		st.HeadResolved += p.HeadResolved
-		st.LeafResolved += p.LeafResolved
-		st.DistanceTerms += p.DistanceTerms
-		st.EarlyAccepts += p.EarlyAccepts
-		st.BoundTightSum += p.BoundTightSum
-		if p.Delta > st.Delta {
-			st.Delta = p.Delta
-		}
-		if p.Rung > st.Rung {
-			st.Rung = p.Rung
-		}
-		if p.Filter != nil {
-			st.Filter = p.Filter // one plan fans out to every shard
-		}
+	for i := range parts {
+		st.add(&parts[i])
 	}
 	return st
 }
 
-// provenance returns a finished execution's per-shard breakdown — what
-// EXPLAIN's per-shard table, the shard metrics and the fanout span's
-// children are built from — or nil on a one-shard store, whose one
-// partition's costs are the execution's own.
-func (s *Store) provenance(shards []ShardExec) []ShardExec {
-	if len(s.shards) == 1 {
-		return nil
+// add folds one part's costs into st (see mergeStats).
+func (st *ExecStats) add(p *ExecStats) {
+	st.NodeAccesses += p.NodeAccesses
+	st.PageReads += p.PageReads
+	st.Candidates += p.Candidates
+	st.HeadResolved += p.HeadResolved
+	st.LeafResolved += p.LeafResolved
+	st.DistanceTerms += p.DistanceTerms
+	st.EarlyAccepts += p.EarlyAccepts
+	st.BoundTightSum += p.BoundTightSum
+	st.Delta = max(st.Delta, p.Delta)
+	st.Rung = max(st.Rung, p.Rung)
+	if p.Filter != nil {
+		st.Filter = p.Filter // one plan fans out to every shard
 	}
-	return shards
+}
+
+// gather folds a finished execution's per-shard costs sts into one
+// ExecStats (mergeStats) carrying its per-shard provenance: each shard's
+// costs beside counts[si], its contribution to the merged answer. The
+// provenance is what EXPLAIN's per-shard table, the shard metrics and the
+// fanout span's children are built from; a one-shard store carries none,
+// its one partition's costs being the execution's own. Every fan-out —
+// Store.fan, the join fans — ends here; Results, Elapsed and the spans are
+// the caller's.
+func (s *Store) gather(sts []ExecStats, counts []int) ExecStats {
+	st := mergeStats(sts)
+	if len(s.shards) == 1 {
+		return st
+	}
+	st.Shards = make([]ShardExec, len(sts))
+	for si := range sts {
+		st.Shards[si] = ShardExec{
+			Shard:        si,
+			NodeAccesses: sts[si].NodeAccesses,
+			PageReads:    sts[si].PageReads,
+			Candidates:   sts[si].Candidates,
+			HeadResolved: sts[si].HeadResolved,
+			Elapsed:      sts[si].Elapsed,
+			Results:      counts[si],
+		}
+	}
+	return st
 }
 
 // fan is the one fan-out-and-merge every per-shard execution goes through:
@@ -688,21 +706,8 @@ func (s *Store) fan(run func(si int, sh *shard, st *ExecStats) error, merge func
 	mergeT := stats.StartTimer()
 	counts := make([]int, len(s.shards))
 	results := merge(counts)
-	st := mergeStats(sts)
+	st := s.gather(sts, counts)
 	st.Results = results
-	shards := make([]ShardExec, len(sts))
-	for si := range sts {
-		shards[si] = ShardExec{
-			Shard:        si,
-			NodeAccesses: sts[si].NodeAccesses,
-			PageReads:    sts[si].PageReads,
-			Candidates:   sts[si].Candidates,
-			HeadResolved: sts[si].HeadResolved,
-			Elapsed:      sts[si].Elapsed,
-			Results:      counts[si],
-		}
-	}
-	st.Shards = s.provenance(shards)
 	st.Spans = fanSpans(&st, fanD, mergeT.Elapsed())
 	st.Elapsed = timer.Elapsed()
 	return st, nil
@@ -902,30 +907,24 @@ func (s *Store) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, ExecSt
 	scanD := timer.Elapsed()
 	mergeT := stats.StartTimer()
 
-	var st ExecStats
 	var out []JoinPair
-	shards := make([]ShardExec, len(s.shards))
-	for si := range shards {
-		shards[si].Shard = si
-	}
+	sts, counts := make([]ExecStats, len(s.shards)), make([]int, len(s.shards))
 	for _, r := range results {
 		if r.err != nil {
-			return nil, st, fmt.Errorf("core: join worker: %w", r.err)
+			return nil, ExecStats{}, fmt.Errorf("core: join worker: %w", r.err)
 		}
 		out = append(out, r.pairs...)
-		for si, part := range r.sts {
-			st.DistanceTerms += part.DistanceTerms
-			st.Candidates += part.Candidates
-			st.HeadResolved += part.HeadResolved
-			shards[si].Candidates += part.Candidates
-			shards[si].HeadResolved += part.HeadResolved
-			shards[si].Results += part.Results
+		for si := range r.sts {
+			sts[si].add(&r.sts[si])
+			counts[si] += r.sts[si].Results
 		}
 	}
 	sortPairs(out)
+	st := s.gather(sts, counts)
 	st.Results = len(out)
 	st.PageReads = s.pageReadsLocked() - reads0
-	st.Shards = s.provenance(shards)
+	// The workers stride outer rows, not shards: no shard has a wall time of
+	// its own, so the scan is one step.
 	st.Spans = []Span{workSpan("scan", scanD, &st), span("merge", mergeT.Elapsed())}
 	st.Elapsed = timer.Elapsed()
 	return out, st, nil
@@ -1010,31 +1009,19 @@ func (s *Store) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecStats
 	fanD := timer.Elapsed()
 	mergeT := stats.StartTimer()
 
-	var st ExecStats
 	var out []JoinPair
-	shards := make([]ShardExec, len(results))
+	sts, counts := make([]ExecStats, len(results)), make([]int, len(results))
 	for pi, r := range results {
 		if r.err != nil {
 			return nil, ExecStats{}, fmt.Errorf("core: join worker: %w", r.err)
 		}
 		out = append(out, r.pairs...)
-		st.NodeAccesses += r.st.NodeAccesses
-		st.Candidates += r.st.Candidates
-		st.HeadResolved += r.st.HeadResolved
-		st.DistanceTerms += r.st.DistanceTerms
-		shards[pi] = ShardExec{
-			Shard:        pi,
-			NodeAccesses: r.st.NodeAccesses,
-			Candidates:   r.st.Candidates,
-			HeadResolved: r.st.HeadResolved,
-			Results:      len(r.pairs),
-			Elapsed:      r.st.Elapsed,
-		}
+		sts[pi], counts[pi] = r.st, len(r.pairs)
 	}
 	sortPairs(out)
+	st := s.gather(sts, counts)
 	st.Results = len(out)
 	st.PageReads = s.pageReadsLocked() - reads0
-	st.Shards = s.provenance(shards)
 	st.Spans = fanSpans(&st, fanD, mergeT.Elapsed())
 	st.Elapsed = timer.Elapsed()
 	return out, st, nil

@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // This file is the planner's approximate tier: the quality knob that
 // trades recall for latency under an explicit, guaranteed error bound.
@@ -174,112 +170,4 @@ func (t *Tracker) nnApproxModel() (candFrac, nodeFrac float64, ok bool) {
 		return 0, 0, false
 	}
 	return t.apxNNCandFrac, t.apxNNNodeFrac, true
-}
-
-// DriftPoint is one per-kind percentile checkpoint of planner cost error:
-// every driftWindow executed plans of a kind, the history ring freezes
-// the window's p50/p95 of |actual-est|/max(est,1) candidate error. The
-// retained sequence shows calibration drift over time where the ring
-// alone shows only the current population.
-type DriftPoint struct {
-	// Kind is the query kind the checkpoint covers.
-	Kind string
-	// Seq is the history sequence number at checkpoint time.
-	Seq int64
-	// Samples is the number of executions in the window (a trailing
-	// point with Samples < driftWindow covers the still-open window).
-	Samples int
-	// P50 and P95 are the window's cost-error percentiles.
-	P50 float64
-	P95 float64
-}
-
-const (
-	// driftWindow is the executions-per-kind each checkpoint covers.
-	driftWindow = 16
-	// driftKeep is the checkpoints retained per kind.
-	driftKeep = 32
-)
-
-// driftAccum is one kind's in-progress window and frozen checkpoints.
-type driftAccum struct {
-	window []float64
-	points []DriftPoint
-}
-
-// observeDrift records one execution's cost error under h.mu, freezing a
-// checkpoint when the kind's window fills.
-func (h *History) observeDrift(qkind string, errRatio float64) {
-	if h.drift == nil {
-		h.drift = make(map[string]*driftAccum)
-	}
-	acc := h.drift[qkind]
-	if acc == nil {
-		acc = &driftAccum{}
-		h.drift[qkind] = acc
-	}
-	acc.window = append(acc.window, errRatio)
-	if len(acc.window) < driftWindow {
-		return
-	}
-	acc.points = append(acc.points, driftPoint(qkind, h.seq, acc.window))
-	if len(acc.points) > driftKeep {
-		acc.points = acc.points[len(acc.points)-driftKeep:]
-	}
-	acc.window = acc.window[:0]
-}
-
-// driftPoint freezes one window into a checkpoint.
-func driftPoint(qkind string, seq int64, window []float64) DriftPoint {
-	sorted := make([]float64, len(window))
-	copy(sorted, window)
-	sort.Float64s(sorted)
-	return DriftPoint{
-		Kind:    qkind,
-		Seq:     seq,
-		Samples: len(window),
-		P50:     percentileOf(sorted, 0.50),
-		P95:     percentileOf(sorted, 0.95),
-	}
-}
-
-// Drift returns every kind's retained checkpoints (oldest first per kind,
-// kinds in sorted order), with a trailing partial point for any window
-// that has accumulated at least one execution since the last checkpoint.
-func (h *History) Drift() []DriftPoint {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	kinds := make([]string, 0, len(h.drift))
-	for k := range h.drift {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	var out []DriftPoint
-	for _, k := range kinds {
-		acc := h.drift[k]
-		out = append(out, acc.points...)
-		if len(acc.window) > 0 {
-			out = append(out, driftPoint(k, h.seq, acc.window))
-		}
-	}
-	return out
-}
-
-// percentileOf reads percentile p from an ascending-sorted slice by
-// nearest-rank interpolation (matching tsqcli's client-side percentile).
-func percentileOf(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := p * float64(len(sorted)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := idx - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -697,10 +697,6 @@ type History struct {
 	buf  []Record
 	next int
 	full bool
-	// drift accumulates per-kind cost-error percentile checkpoints (see
-	// DriftPoint); in-memory only, rebuilt by live traffic after a
-	// restart.
-	drift map[string]*driftAccum
 }
 
 // NewHistory returns an empty ring holding up to n records (n <= 0
@@ -744,7 +740,6 @@ func (h *History) Observe(pl *Plan, candidates, nodes, results int, elapsed time
 	if h.next == 0 {
 		h.full = true
 	}
-	h.observeDrift(pl.Kind, math.Abs(float64(candidates)-pl.Est.Candidates)/math.Max(pl.Est.Candidates, 1))
 }
 
 // Recent returns the retained records, oldest first.

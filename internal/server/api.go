@@ -492,23 +492,9 @@ type StatsResponse struct {
 	ElapsedUS     float64             `json:"elapsed_us"`
 	UptimeSeconds float64             `json:"uptime_seconds"`
 	Plans         []PlanRecordPayload `json:"plans,omitempty"`
-	// Drift is the per-kind cost-error percentile history (oldest first),
-	// included alongside Plans (GET /stats?plans=1): each point freezes
-	// one 16-execution window's p50/p95 of |actual-est|/max(est,1).
-	Drift []DriftPointPayload `json:"drift,omitempty"`
 	// Slow is the retained slow-query log, oldest first; included only
 	// when the request asks for it (GET /stats?slow=1).
 	Slow []SlowQueryPayload `json:"slow,omitempty"`
-}
-
-// DriftPointPayload is one per-kind planner cost-error checkpoint on the
-// wire.
-type DriftPointPayload struct {
-	Kind    string  `json:"kind"`
-	Seq     int64   `json:"seq"`
-	Samples int     `json:"samples"`
-	P50     float64 `json:"p50"`
-	P95     float64 `json:"p95"`
 }
 
 // SlowQueryPayload is one slow-query log entry on the wire: the query

@@ -196,17 +196,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	st := h.s.Stats()
 	var plans []PlanRecordPayload
-	var drift []DriftPointPayload
 	if r.URL.Query().Get("plans") == "1" {
-		for _, d := range st.Drift {
-			drift = append(drift, DriftPointPayload{
-				Kind:    d.Kind,
-				Seq:     d.Seq,
-				Samples: d.Samples,
-				P50:     d.P50,
-				P95:     d.P95,
-			})
-		}
 		plans = make([]PlanRecordPayload, len(st.Plans))
 		for i, p := range st.Plans {
 			plans[i] = PlanRecordPayload{
@@ -258,7 +248,6 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 		ElapsedUS:     float64(st.Elapsed.Microseconds()),
 		UptimeSeconds: st.Uptime.Seconds(),
 		Plans:         plans,
-		Drift:         drift,
 		Slow:          slow,
 	})
 }

@@ -186,7 +186,10 @@ type TraceEntry struct {
 	Err     string
 	When    time.Time
 	Elapsed time.Duration
-	Spans   []SpanInfo
+	// Spans is the execution's span tree; a cache hit's is one "cache"
+	// span of its own wall time (Elapsed), not the tree of the execution
+	// that filed the answer.
+	Spans []SpanInfo
 }
 
 // TraceFilter narrows Server.Traces. Zero fields match everything;

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -267,8 +268,19 @@ func TestTraceRetention(t *testing.T) {
 	if !st2.Cached || st2.RequestID != "req-hit-1" {
 		t.Fatalf("cache hit stats: %+v", st2)
 	}
-	if hit, ok := s.TraceByID("req-hit-1"); !ok || hit.Outcome != "cached" {
+	hit, ok := s.TraceByID("req-hit-1")
+	if !ok || hit.Outcome != "cached" {
 		t.Fatalf("cache hit trace: %+v (ok=%v)", hit, ok)
+	}
+	// Its span tree is the hit's own — one cache lookup of the hit's wall
+	// time — not the tree of the execution that filed the answer, whose
+	// durations would sum past the hit's Elapsed. The hit's Stats still
+	// describe that execution.
+	if len(hit.Spans) != 1 || hit.Spans[0].Name != "cache" || hit.Spans[0].Duration != hit.Elapsed || len(hit.Spans[0].Children) != 0 {
+		t.Fatalf("cache hit trace spans %+v, want one cache span of the hit's %v", hit.Spans, hit.Elapsed)
+	}
+	if n := len(st.Spans); n == 0 || !reflect.DeepEqual(st2.Spans, st.Spans[:n-1]) {
+		t.Fatalf("cache hit Stats.Spans %+v, want the filing execution's %+v without its cache-tag", st2.Spans, st.Spans)
 	}
 
 	// Without WithRequest the server mints an ID and still retains.

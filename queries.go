@@ -73,7 +73,8 @@ type Stats struct {
 // SpanInfo is one timed step of a query execution's trace tree.
 type SpanInfo struct {
 	// Name identifies the step: "parse" (statements only), "plan",
-	// "fanout", "shard", "search", "merge", "cache-tag".
+	// "fanout", "shard", "search", "scan", "merge", "cache-tag" — or
+	// "cache", the one span of a flight-recorded cache hit.
 	Name string
 	// Shard is the shard a shard-scoped span ran on; -1 otherwise.
 	Shard int

@@ -184,24 +184,7 @@ type ServerStats struct {
 	// /stats.
 	Plans []PlanRecord
 
-	// Drift is the engine's per-kind cost-error percentile history
-	// (oldest first): every 16 executed plans of a kind freeze that
-	// window's p50/p95 of |actual-est|/max(est,1), so calibration drift
-	// over time stays visible where the ring alone shows only the
-	// current population.
-	Drift []PlanDriftPoint
-
 	Uptime time.Duration
-}
-
-// PlanDriftPoint is one per-kind percentile checkpoint of planner cost
-// error over time.
-type PlanDriftPoint struct {
-	Kind    string
-	Seq     int64
-	Samples int
-	P50     float64
-	P95     float64
 }
 
 // PlanRecord is one executed plan from the engine's history ring.
@@ -248,23 +231,8 @@ func (s *Server) Stats() ServerStats {
 		HeadResolved: s.headResolved.Load(),
 		Elapsed:      time.Duration(s.elapsed.Load()),
 		Plans:        s.planHistory(),
-		Drift:        s.planDrift(),
 		Uptime:       time.Since(s.started),
 	}
-}
-
-// planDrift converts the engine's cost-error checkpoint history to the
-// public type.
-func (s *Server) planDrift() []PlanDriftPoint {
-	pts := s.db.eng.PlanDrift()
-	if len(pts) == 0 {
-		return nil
-	}
-	out := make([]PlanDriftPoint, len(pts))
-	for i, p := range pts {
-		out[i] = PlanDriftPoint{Kind: p.Kind, Seq: p.Seq, Samples: p.Samples, P50: p.P50, P95: p.P95}
-	}
-	return out
 }
 
 // planHistory converts the engine's executed-plan ring to the public
@@ -502,6 +470,11 @@ func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cac
 	}
 	done := func(strategy, outcome, errMsg string, spans []SpanInfo) {
 		elapsed := time.Since(start)
+		if outcome == flight.OutcomeCached {
+			// A hit's own work is the lookup. The filed answer's span tree
+			// timed the execution that computed it, not this one.
+			spans = []SpanInfo{{Name: "cache", Shard: -1, Duration: elapsed}}
+		}
 		observeQuery(id.kind, strategy, outcome, elapsed)
 		if outcome == flight.OutcomeOK {
 			s.slowRecord(id.label, elapsed, spans, id.reqID)
@@ -518,7 +491,7 @@ func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cac
 			if telemetry.Enabled() {
 				mCacheHits.Inc()
 			}
-			done(st.Strategy, flight.OutcomeCached, "", st.Spans)
+			done(st.Strategy, flight.OutcomeCached, "", nil)
 			return r, st, nil
 		}
 		if telemetry.Enabled() {
