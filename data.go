@@ -175,7 +175,9 @@ func ReadCSVFile(path string) ([]NamedSeries, error) {
 	return batch, nil
 }
 
-// WriteCSV writes series as CSV rows of the form "name,v1,v2,...".
+// WriteCSV writes series as CSV rows of the form "name,v1,v2,...". It
+// refuses a name ReadCSV would not give back: empty, holding a comma or a
+// newline, starting with '#' or with white space at either end.
 func WriteCSV(w io.Writer, batch []NamedSeries) error {
 	out := make([]dataset.Series, len(batch))
 	for i, s := range batch {

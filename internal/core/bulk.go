@@ -18,12 +18,26 @@ import (
 // and better packed (see the bulk-load ablation). points and specs are what
 // derive gave for each series: feature points and encoded half-spectrum
 // records, the records owned from here on (a memory relation adopts them as
-// its pages). A disk-backed shard writes both relations' pages in runs. The
-// index's leaf prefixes are filled from the heads once the records are in.
+// its pages). A disk-backed shard writes both relations' pages in runs. STR
+// packs the index on a goroutine of its own while the records go in, and the
+// index's leaf prefixes are filled from the heads once both are done.
 func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, points []geom.Point, specs [][]byte) error {
-	if err := sh.idx.BulkLoad(points, ids); err != nil {
+	packed := make(chan error, 1)
+	go func() { packed <- sh.idx.BulkLoad(points, ids) }()
+	err := sh.storeBulk(names, values, ids, points, specs)
+	if perr := <-packed; perr != nil {
+		return perr
+	}
+	if err != nil {
 		return err
 	}
+	sh.idx.FillPrefix(sh.leafPrefix)
+	return nil
+}
+
+// storeBulk stores a bulk load's records in both relations' page runs and
+// enters them in the record directory.
+func (sh *shard) storeBulk(names []string, values [][]float64, ids []int64, points []geom.Point, specs [][]byte) error {
 	// The record count is known: size the per-record tables once, not by
 	// doubling inside the loop.
 	sh.timeRel.Reserve(len(names))
@@ -43,7 +57,6 @@ func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, point
 		}
 		sh.addRecord(ids[i], name, points[i])
 	}
-	sh.idx.FillPrefix(sh.leafPrefix)
 	return endRuns(sh.timeRel, sh.freqRel)
 }
 

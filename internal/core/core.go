@@ -97,10 +97,8 @@ type shard struct {
 	// shard created its backing directory, and so removes it on close.
 	gen     int
 	madeDir bool
-	// scratch and recBuf are derive's working memory, used under the write
-	// lock.
-	scratch feature.Scratch
-	recBuf  []byte
+	// dv is derive's working memory, used under the write lock.
+	dv deriver
 }
 
 // record is one stored series' entry in shard.recs. A deleted series keeps
@@ -313,32 +311,45 @@ func (sh *shard) validateInsert(name string, values []float64) error {
 	return nil
 }
 
+// deriver is the working memory of derive: the transform's scratch and the
+// record of a write that stores a copy. A shard's write path uses the
+// shard's own under its write lock; each worker of a bulk load has its own.
+type deriver struct {
+	scratch feature.Scratch
+	recBuf  []byte
+}
+
 // derive computes everything a shard stores about a window beside the
 // window, from one real-input transform (feature.Schema.Derive): the feature
 // point it is indexed under and the frequency relation's record — the stored
 // half of the normal form's spectrum, appended to rec or, with rec nil,
-// written in the shard's scratch until the next derive (the relations copy
-// what they store). insertAt, overwrite and a bulk load all store what it
-// returns, so an updated or appended series equals the same window inserted
-// whole bit for bit, and a point's coefficients are its record's X_1 … X_K.
-// A non-finite value is rejected here, before any writer has touched
-// storage: NaN has no place in the index's order. The caller holds the write
-// lock.
-func (sh *shard) derive(name string, values []float64, rec []byte) (geom.Point, []byte, error) {
+// written in dv until its next derive (the relations copy what they store).
+// insertAt, overwrite and a bulk load all store what it returns, so an
+// updated or appended series equals the same window inserted whole bit for
+// bit, and a point's coefficients are its record's X_1 … X_K. A non-finite
+// value is rejected here, before any writer has touched storage: NaN has no
+// place in the index's order.
+func (dv *deriver) derive(schema feature.Schema, name string, values []float64, rec []byte) (geom.Point, []byte, error) {
 	for i, x := range values {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return nil, nil, fmt.Errorf("core: series %q has a non-finite value at position %d", name, i)
 		}
 	}
-	p, half, err := sh.schema.Derive(values, &sh.scratch)
+	p, half, err := schema.Derive(values, &dv.scratch)
 	if err != nil {
 		return nil, nil, err
 	}
 	if rec == nil {
-		sh.recBuf = relation.AppendComplex(sh.recBuf[:0], half)
-		return p, sh.recBuf, nil
+		dv.recBuf = relation.AppendComplex(dv.recBuf[:0], half)
+		return p, dv.recBuf, nil
 	}
 	return p, relation.AppendComplex(rec, half), nil
+}
+
+// derive is the shard's deriver at its schema. The caller holds the write
+// lock.
+func (sh *shard) derive(name string, values []float64, rec []byte) (geom.Point, []byte, error) {
+	return sh.dv.derive(sh.schema, name, values, rec)
 }
 
 // insertAt stores and indexes a validated series — values with the point and

@@ -137,7 +137,7 @@ func TestInsertBulkRefusesNonFinite(t *testing.T) {
 // the benchmark serves: the feature point, and the record when the caller
 // asks for memory of its own (a bulk load's records are carved from blocks
 // instead). The normal form, the FFT and a single write's record live in
-// the shard's scratch.
+// the shard's deriver.
 func TestDeriveAllocs(t *testing.T) {
 	if testing.CoverMode() != "" || raceEnabled {
 		t.Skip("instrumentation allocates")

@@ -368,31 +368,33 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 	}
 	// Validate the entire batch — including the derivation, which refuses
 	// a non-finite value — before any shard loads, so a bad series cannot
-	// leave sibling shards populated behind an empty catalog. The derived
-	// points and records ride along to the shard loads, so the dominant
-	// bulk-load cost runs once per series: records are carved from blocks
-	// the frequency relations then own. Every shard lock is held, so shard
-	// 0's scratch is free for the derivation.
-	size := 16 * halfLen(s.length)
-	var blocks records
-	points, specs := make([]geom.Point, len(values)), make([][]byte, len(values))
+	// leave sibling shards populated behind an empty catalog. The checks of
+	// names and lengths run first, in batch order; the series before the
+	// first they refuse are derived, and the error reported is the first in
+	// batch order either way.
+	bad, badErr := len(names), error(nil)
 	seen := make(map[string]bool, len(names))
 	for i, name := range names {
-		if name == "" {
-			return fmt.Errorf("core: empty series name at position %d", i)
+		switch {
+		case name == "":
+			badErr = fmt.Errorf("core: empty series name at position %d", i)
+		case seen[name]:
+			badErr = fmt.Errorf("core: duplicate series name %q", name)
+		case len(values[i]) != s.length:
+			badErr = fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values[i]), s.length)
 		}
-		if seen[name] {
-			return fmt.Errorf("core: duplicate series name %q", name)
+		if badErr != nil {
+			bad = i
+			break
 		}
 		seen[name] = true
-		if len(values[i]) != s.length {
-			return fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values[i]), s.length)
-		}
-		p, rec, err := s.shards[0].derive(name, values[i], blocks.take(size, len(names)-i)[:0])
-		if err != nil {
-			return err
-		}
-		points[i], specs[i] = p, rec
+	}
+	points, specs, err := s.deriveBulk(names[:bad], values[:bad])
+	if err != nil {
+		return err
+	}
+	if badErr != nil {
+		return badErr
 	}
 	// part is one shard's slice of the batch.
 	type part struct {
@@ -428,6 +430,39 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 	}
 	s.catalog(names)
 	return nil
+}
+
+// deriveBulk derives a batch's points and records — the dominant cost of a
+// bulk load, run once per series: the points and records ride along to the
+// shard loads. It runs on min(GOMAXPROCS, n/256) workers, each over a
+// contiguous range of the batch with its own deriver and carving its records
+// from blocks of its own, which the frequency relations then own. A worker
+// stops at its first error; the lowest range's is the first in batch order.
+func (s *Store) deriveBulk(names []string, values [][]float64) ([]geom.Point, [][]byte, error) {
+	n, schema, size := len(names), s.shards[0].schema, 16*halfLen(s.length)
+	points, specs := make([]geom.Point, n), make([][]byte, n)
+	workers := max(1, min(runtime.GOMAXPROCS(0), n/256))
+	errs := make([]error, workers)
+	each(workers, func(w int) {
+		var (
+			dv     deriver
+			blocks records
+		)
+		for i, end := w*n/workers, (w+1)*n/workers; i < end; i++ {
+			p, rec, err := dv.derive(schema, names[i], values[i], blocks.take(size, end-i)[:0])
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			points[i], specs[i] = p, rec
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return points, specs, nil
 }
 
 // catalog enters a bulk load's series — the names in ID order, each stored

@@ -2,18 +2,25 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
-// WriteCSV emits series one per row: name,v1,v2,...,vn.
+// WriteCSV emits series one per row: name,v1,v2,...,vn. It refuses a name
+// ReadCSV would not give back: empty, holding a comma or a newline, starting
+// with '#' (the row would read back as a comment) or with white space at
+// either end (it would read back trimmed).
 func WriteCSV(w io.Writer, series []Series) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range series {
-		if strings.ContainsAny(s.Name, ",\n") {
-			return fmt.Errorf("dataset: name %q contains a delimiter", s.Name)
+		if err := writableName(s.Name); err != nil {
+			return err
 		}
 		if _, err := bw.WriteString(s.Name); err != nil {
 			return err
@@ -30,35 +37,199 @@ func WriteCSV(w io.Writer, series []Series) error {
 	return bw.Flush()
 }
 
+// writableName reports why ReadCSV would not give name back, if it would not.
+func writableName(name string) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("dataset: empty series name")
+	case strings.ContainsAny(name, ",\n"):
+		return fmt.Errorf("dataset: name %q contains a delimiter", name)
+	case name[0] == '#':
+		return fmt.Errorf("dataset: name %q starts with '#', which marks a comment", name)
+	case strings.TrimSpace(name) != name:
+		return fmt.Errorf("dataset: name %q has white space at an end, which reads back trimmed", name)
+	}
+	return nil
+}
+
+const (
+	// blockSize is about how much input one parse worker takes at a time.
+	blockSize = 1 << 20
+	// maxRow bounds a row (its newline included): the token limit of the
+	// bufio.Scanner this reader replaced, so the same rows are refused.
+	maxRow = 1 << 24
+)
+
 // ReadCSV parses the format written by WriteCSV. Blank lines and lines
-// starting with '#' are skipped.
-func ReadCSV(r io.Reader) ([]Series, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var out []Series
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("dataset: line %d: need a name and at least one value", lineNo)
-		}
-		vals := make([]float64, len(fields)-1)
-		for i, f := range fields[1:] {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d field %d: %v", lineNo, i+2, err)
+// starting with '#' are skipped; white space around a name or a value and a
+// "\r" before the newline are dropped. One reader cuts the input into blocks
+// of whole lines, GOMAXPROCS workers parse them and the rows join in file
+// order, so the rows — and the error, the first one in the file — are the
+// same at every GOMAXPROCS. No more blocks are held than there are workers.
+func ReadCSV(r io.Reader) ([]Series, error) { return readCSV(r, blockSize) }
+
+// readCSV is ReadCSV cutting blocks of about size bytes.
+func readCSV(r io.Reader, size int) ([]Series, error) {
+	workers := runtime.GOMAXPROCS(0)
+	work := make(chan *block)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				b.parse()
+				close(b.done)
 			}
-			vals[i] = v
+		}()
+	}
+	defer func() {
+		close(work)
+		wg.Wait()
+	}()
+
+	var (
+		rows    [][]Series
+		pending []*block // sent to the workers, in file order
+		spare   []byte   // the buffer of the last block joined, for the next cut
+	)
+	join := func() error {
+		b := pending[0]
+		pending = pending[1:]
+		<-b.done
+		rows, spare = append(rows, b.rows), b.buf[:0]
+		return b.err
+	}
+	c := cutter{r: r, size: size, line: 1}
+	for {
+		if len(pending) == workers {
+			if err := join(); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, Series{Name: strings.TrimSpace(fields[0]), Values: vals})
+		b := c.next(spare)
+		if b == nil {
+			break
+		}
+		spare = nil
+		pending = append(pending, b)
+		work <- b
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	for len(pending) > 0 {
+		if err := join(); err != nil {
+			return nil, err
+		}
 	}
-	return out, nil
+	if c.err != io.EOF {
+		return nil, c.err
+	}
+	return slices.Concat(rows...), nil
+}
+
+// block is a run of whole lines and what parsing them gave.
+type block struct {
+	buf  []byte // the lines; the last lacks its newline only at the end of the input
+	line int    // number of the first line
+	rows []Series
+	err  error
+	done chan struct{} // closed once rows and err are set
+}
+
+// parse parses the block's lines in order, stopping at the first error.
+func (b *block) parse() {
+	line := b.line
+	for raw := range bytes.Lines(b.buf) {
+		s, ok, err := parseRow(raw, line)
+		if err != nil {
+			b.err = err
+			return
+		}
+		if ok {
+			b.rows = append(b.rows, s)
+		}
+		line++
+	}
+}
+
+// parseRow parses line number lineNo; ok is false for a blank line or a
+// comment. A row allocates its name and its values and nothing else.
+func parseRow(raw []byte, lineNo int) (s Series, ok bool, err error) {
+	line := bytes.TrimSpace(raw)
+	if len(line) == 0 || line[0] == '#' {
+		return Series{}, false, nil
+	}
+	comma := bytes.IndexByte(line, ',')
+	if comma < 0 {
+		return Series{}, false, fmt.Errorf("dataset: line %d: need a name and at least one value", lineNo)
+	}
+	vals := make([]float64, bytes.Count(line[comma:], []byte{','}))
+	rest := line[comma+1:]
+	for i := range vals {
+		field := rest
+		if j := bytes.IndexByte(rest, ','); j >= 0 {
+			field, rest = rest[:j], rest[j+1:]
+		}
+		v, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
+		if err != nil {
+			return Series{}, false, fmt.Errorf("dataset: line %d field %d: %v", lineNo, i+2, err)
+		}
+		vals[i] = v
+	}
+	return Series{Name: string(bytes.TrimSpace(line[:comma])), Values: vals}, true, nil
+}
+
+// cutter reads the input a block of whole lines at a time.
+type cutter struct {
+	r    io.Reader
+	size int    // the least buffer a block is read into
+	rest []byte // the partial line after the last block's final newline
+	line int    // number of the next block's first line
+	err  error  // why the input ended: io.EOF, a read error or bufio.ErrTooLong
+}
+
+// next reads the next block into buf's memory (a fresh buffer if it is too
+// small), or returns nil once the input has ended. A block ends at the last
+// newline read; the partial line after it starts the next block. At the end
+// of the input the block takes what is left, as bufio.Scanner's last token
+// does, after a read error too; a row of maxRow bytes or more ends the input
+// with bufio.ErrTooLong before it.
+func (c *cutter) next(buf []byte) *block {
+	if c.err != nil {
+		return nil
+	}
+	if want := max(c.size, min(2*len(c.rest), maxRow)); cap(buf) < want {
+		buf = make([]byte, 0, want)
+	}
+	// copy, not append: with one worker the rest may lie in buf itself.
+	buf = buf[:copy(buf[:cap(buf)], c.rest)]
+	c.rest = nil
+	for {
+		for len(buf) < cap(buf) && c.err == nil {
+			n, err := c.r.Read(buf[len(buf):cap(buf)])
+			buf, c.err = buf[:len(buf)+n], err
+		}
+		if c.err != nil {
+			return c.cut(buf)
+		}
+		if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
+			c.rest = buf[i+1:]
+			return c.cut(buf[:i+1])
+		}
+		if len(buf) == maxRow {
+			c.err = bufio.ErrTooLong
+			return nil
+		}
+		buf = append(make([]byte, 0, min(2*len(buf), maxRow)), buf...)
+	}
+}
+
+// cut makes the next block of lines, nil if there are none.
+func (c *cutter) cut(lines []byte) *block {
+	if len(lines) == 0 {
+		return nil
+	}
+	n := bytes.Count(lines, []byte{'\n'})
+	b := &block{buf: lines, line: c.line, rows: make([]Series, 0, n+1), done: make(chan struct{})}
+	c.line += n
+	return b
 }
