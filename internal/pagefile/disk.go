@@ -3,6 +3,7 @@ package pagefile
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync/atomic"
 )
 
@@ -10,35 +11,42 @@ import (
 // read on demand, so the store's working set — not the store — has to fit
 // in RAM. It exposes the same page-addressed surface as the in-memory
 // File, and the same concurrency contract (concurrent reads, externally
-// synchronized writes). Only the per-page payload lengths are kept
-// resident (4 bytes/page), everything else pages in through ReadPage —
-// which callers reach through a BufferPool, never directly.
+// synchronized writes). Only the page offsets are kept resident (4
+// bytes/page), everything else pages in through ReadPage — which callers
+// reach through a BufferPool, never directly.
 //
-// Page i occupies the pageSize slot at offset i*pageSize; a short page
-// leaves its slot's tail unread. A single append writes its record's slots
+// The file holds payload only: page i starts where page i-1's payload
+// ends, so a record's pages are one contiguous byte range and the file is
+// as long as the payloads written to it. A single append writes its record
 // with one pwrite. A bulk write (StartRun … EndRun) writes its first
-// runPages/4 pages the same way, then gathers slots in memory and writes
-// them runPages at a time.
+// runPages/4 pages the same way, then gathers records back to back in
+// memory and writes them a run (runPages·pageSize bytes) at a time.
 //
 // The file is process-scratch, not a durability format: Open truncates,
 // and the snapshot (TSQ4) remains the way a store persists. Disk backing
-// exists so a running store can exceed RAM.
+// exists so a running store can exceed RAM. An open DiskFile holds an
+// exclusive lock on its file, so a second one cannot open — and truncate —
+// a path the first still holds.
 type DiskFile struct {
 	f        *os.File
 	path     string
 	pageSize int
-	// lens[i] is the payload length of page i. Appends grow lens under the
-	// writer's external lock; readers only index pages that were fully
-	// written before they learned the page number, so the append-only slice
-	// is safe to read concurrently.
-	lens []int32
+	// ends[i] is the low 32 bits of the byte offset where page i's payload
+	// ends (see end); the page starts where page i-1's ends (0 for page 0).
+	// wraps lists, ascending, the pages whose end lies in a higher 4 GiB
+	// than their start: none in a file under 4 GiB. Appends grow both under
+	// the writer's external lock; readers only index pages that were fully
+	// written before they learned the page number, so the append-only
+	// slices are safe to read concurrently.
+	ends  []uint32
+	wraps []int
 	// written is how many pages are in the file. Pages from written on are
-	// in run, the slots of the open bulk write, and nowhere else yet.
+	// in run, the payloads of the open bulk write, and nowhere else yet.
 	written int
 	// running is whether a bulk write is open and runStart the page it
-	// opened at. run holds the slots of pages written … len(lens)-1, back
-	// to back up to the last payload byte, in memory of runPages slots that
-	// is nil until the bulk write gathers.
+	// opened at. run holds the payloads of pages written … len(ends)-1, back
+	// to back, in memory of runPages·pageSize bytes that is nil until the
+	// bulk write gathers.
 	running  bool
 	runStart int
 	run      []byte
@@ -48,23 +56,31 @@ type DiskFile struct {
 
 var _ Backing = (*DiskFile)(nil)
 
-// runPages is how many page slots a bulk write gathers before it writes
-// them with one pwrite: 1 MiB at the default page size. A bulk write given
-// no memory gathers only once runPages/4 of its pages have gone out one
-// record at a time, so one that stays small — a shard's share of a load
-// over many shards — takes none, and a run's memory is at most four times
-// the pages the bulk write has seen.
+// runPages sizes a bulk write's memory: it gathers up to runPages·pageSize
+// bytes of payload (1 MiB at the default page size) before it writes them
+// with one pwrite. A bulk write given no memory gathers only once
+// runPages/4 of its pages have gone out one record at a time, so one that
+// stays small — a shard's share of a load over many shards — takes none.
 const runPages = 256
 
-// OpenDisk creates (truncating) the scratch page file at path.
-// pageSize <= 0 selects DefaultPageSize.
+// OpenDisk creates (truncating) the scratch page file at path, locked for
+// as long as it is open. pageSize <= 0 selects DefaultPageSize. A path
+// another open DiskFile holds is refused, and left as it is.
 func OpenDisk(path string, pageSize int) (*DiskFile, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, openFlags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: open disk backing: %w", err)
+	}
+	if err := lock(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("pagefile: disk backing %s is held by another open page file: %w", path, err)
+	}
+	if err := f.Truncate(0); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("pagefile: truncate disk backing: %w", err)
 	}
 	return &DiskFile{f: f, path: path, pageSize: pageSize}, nil
 }
@@ -73,10 +89,44 @@ func OpenDisk(path string, pageSize int) (*DiskFile, error) {
 func (d *DiskFile) PageSize() int { return d.pageSize }
 
 // NumPages returns the number of allocated pages.
-func (d *DiskFile) NumPages() int { return len(d.lens) }
+func (d *DiskFile) NumPages() int { return len(d.ends) }
+
+// end is the byte offset where page i's payload ends: its low 32 bits from
+// ends, and one 4 GiB for every wrap at a page up to i.
+func (d *DiskFile) end(i int) int64 {
+	hi, _ := slices.BinarySearch(d.wraps, i+1)
+	return int64(hi)<<32 | int64(d.ends[i])
+}
+
+// start is the byte offset page i starts at: where page i-1's payload
+// ends. start(NumPages()) is the end of the last page.
+func (d *DiskFile) start(i int) int64 {
+	if i == 0 {
+		return 0
+	}
+	return d.end(i - 1)
+}
+
+// push appends a page whose payload ends at byte offset end.
+func (d *DiskFile) push(end int64) {
+	if i := len(d.ends); end>>32 != d.start(i)>>32 {
+		d.wraps = append(d.wraps, i)
+	}
+	d.ends = append(d.ends, uint32(end))
+}
+
+// forget drops the pages from n on, whose write failed, and cuts from the
+// file what part of them the write left, so the file stays its pages'
+// payload (if the cut fails too, the next write covers those bytes).
+func (d *DiskFile) forget(n int) {
+	at := d.start(n)
+	w, _ := slices.BinarySearch(d.wraps, n)
+	d.ends, d.wraps = d.ends[:n], d.wraps[:w]
+	_ = d.f.Truncate(at)
+}
 
 // PageLen returns the payload length of page i.
-func (d *DiskFile) PageLen(i int) int { return int(d.lens[i]) }
+func (d *DiskFile) PageLen(i int) int { return int(d.end(i) - d.start(i)) }
 
 // Path returns the backing file's path.
 func (d *DiskFile) Path() string { return d.path }
@@ -92,8 +142,8 @@ func (d *DiskFile) ResetStats() {
 	d.writes.Store(0)
 }
 
-// Close closes and removes the scratch file. An open run is dropped
-// unwritten.
+// Close closes and removes the scratch file, releasing its lock. An open
+// run is dropped unwritten.
 func (d *DiskFile) Close() error {
 	d.running, d.run = false, nil
 	err := d.f.Close()
@@ -106,50 +156,49 @@ func (d *DiskFile) Close() error {
 // AppendPages writes data across as many fresh pages as needed and
 // returns the index of the first page and the number of pages used (one
 // for an empty record). Written through, the record goes out with one
-// pwrite, and if that fails nothing is appended. Gathered, its slots join
-// the run, which is written when full; if that write fails, the pages the
-// run held — earlier records' too — are dropped and the error is returned.
+// pwrite, and if that fails nothing is appended. Gathered, it joins the
+// run, which is written when full; if that write fails, the pages the run
+// held — earlier records' too — are dropped and the error is returned.
 func (d *DiskFile) AppendPages(data []byte) (firstPage, pageCount int, err error) {
-	firstPage, pageCount = len(d.lens), max(1, (len(data)+d.pageSize-1)/d.pageSize)
-	gather := d.running && pageCount <= runPages && (d.run != nil || firstPage-d.runStart >= runPages/4)
+	firstPage, pageCount = len(d.ends), max(1, (len(data)+d.pageSize-1)/d.pageSize)
+	runBytes := runPages * d.pageSize
+	gather := d.running && len(data) <= runBytes && (d.run != nil || firstPage-d.runStart >= runPages/4)
 	if !gather {
 		if err := d.flush(); err != nil {
 			return 0, 0, err
 		}
-		if _, err := d.f.WriteAt(data, int64(firstPage)*int64(d.pageSize)); err != nil {
+		if _, err := d.f.WriteAt(data, d.start(firstPage)); err != nil {
+			d.forget(firstPage)
 			return 0, 0, fmt.Errorf("pagefile: write pages [%d, %d): %w", firstPage, firstPage+pageCount, err)
 		}
 		d.written += pageCount
 	} else {
-		if firstPage-d.written+pageCount > runPages {
+		if len(d.run)+len(data) > runBytes {
 			if err := d.flush(); err != nil {
 				return 0, 0, err
 			}
 		}
 		if d.run == nil {
-			d.run = make([]byte, 0, runPages*d.pageSize)
+			d.run = make([]byte, 0, runBytes)
 		}
-		// The run ends at the last payload byte: pad the slot tail of its
-		// last page before this record's first.
-		at, end := (firstPage-d.written)*d.pageSize, len(d.run)
-		d.run = d.run[:at+len(data)]
-		clear(d.run[end:at])
-		copy(d.run[at:], data)
+		d.run = append(d.run, data...)
 	}
+	end := d.start(firstPage)
 	for off := 0; off < pageCount; off++ {
-		d.lens = append(d.lens, int32(min(d.pageSize, len(data)-off*d.pageSize)))
+		end += int64(min(d.pageSize, len(data)-off*d.pageSize))
+		d.push(end)
 	}
 	d.writes.Add(int64(pageCount))
 	return firstPage, pageCount, nil
 }
 
-// StartRun opens a bulk write: the appends that follow go out runPages at
-// a time, until EndRun. buf is memory the run may gather in from its first
+// StartRun opens a bulk write: the appends that follow go out a run at a
+// time, until EndRun. buf is memory the run may gather in from its first
 // page — what an earlier EndRun handed back — or nil: then the first
 // runPages/4 pages go out singly and the run allocates its memory after
 // them.
 func (d *DiskFile) StartRun(buf []byte) {
-	d.running, d.runStart = true, len(d.lens)
+	d.running, d.runStart = true, len(d.ends)
 	if cap(buf) >= runPages*d.pageSize {
 		d.run = buf[:0]
 	}
@@ -167,47 +216,38 @@ func (d *DiskFile) EndRun() ([]byte, error) {
 	return buf, err
 }
 
-// flush writes the run's gathered slots with one pwrite.
+// flush writes the run's gathered payloads with one pwrite.
 func (d *DiskFile) flush() error {
-	n := len(d.lens) - d.written
+	n := len(d.ends) - d.written
 	if n == 0 {
 		return nil
 	}
-	_, err := d.f.WriteAt(d.run, int64(d.written)*int64(d.pageSize))
+	_, err := d.f.WriteAt(d.run, d.start(d.written))
 	d.run = d.run[:0]
 	if err != nil {
-		d.lens = d.lens[:d.written]
-		return fmt.Errorf("pagefile: write pages [%d, %d): %w", d.written, d.written+n, err)
+		d.forget(d.written)
+		return fmt.Errorf("pagefile: write run of pages [%d, %d): %w", d.written, d.written+n, err)
 	}
 	d.written += n
 	return nil
 }
 
-// Overwrite replaces the contents of an existing record's pages in place,
-// charging one write per page. The payload must match the record's byte
-// size exactly (ErrSizeMismatch otherwise), mirroring File.Overwrite.
+// Overwrite replaces the contents of an existing record's pages in place
+// with one pwrite, charging one write per page. The payload must match the
+// record's byte size exactly (ErrSizeMismatch otherwise), mirroring
+// File.Overwrite.
 func (d *DiskFile) Overwrite(firstPage, pageCount int, data []byte) error {
 	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > d.written {
 		return fmt.Errorf("pagefile: overwrite [%d, %d) out of range of %d written pages", firstPage, firstPage+pageCount, d.written)
 	}
-	var size int
-	for i := firstPage; i < firstPage+pageCount; i++ {
-		size += int(d.lens[i])
-	}
-	if size != len(data) {
+	at := d.start(firstPage)
+	if size := d.end(firstPage+pageCount-1) - at; size != int64(len(data)) {
 		return fmt.Errorf("%w: record holds %d bytes, payload has %d", ErrSizeMismatch, size, len(data))
 	}
-	off := 0
-	for i := firstPage; i < firstPage+pageCount; i++ {
-		n := int(d.lens[i])
-		if n > 0 {
-			if _, err := d.f.WriteAt(data[off:off+n], int64(i)*int64(d.pageSize)); err != nil {
-				return fmt.Errorf("pagefile: overwrite page %d: %w", i, err)
-			}
-		}
-		off += n
-		d.writes.Add(1)
+	if _, err := d.f.WriteAt(data, at); err != nil {
+		return fmt.Errorf("pagefile: overwrite pages [%d, %d): %w", firstPage, firstPage+pageCount, err)
 	}
+	d.writes.Add(int64(pageCount))
 	return nil
 }
 
@@ -218,13 +258,13 @@ func (d *DiskFile) ReadPage(i int, dst []byte) ([]byte, error) {
 	if i < 0 || i >= d.written {
 		return nil, fmt.Errorf("pagefile: page %d out of range of %d written pages", i, d.written)
 	}
-	n := int(d.lens[i])
+	n := d.PageLen(i)
 	if cap(dst) < n {
 		dst = make([]byte, n, d.pageSize)
 	}
 	dst = dst[:n]
 	if n > 0 {
-		if _, err := d.f.ReadAt(dst, int64(i)*int64(d.pageSize)); err != nil {
+		if _, err := d.f.ReadAt(dst, d.start(i)); err != nil {
 			return nil, fmt.Errorf("pagefile: read page %d: %w", i, err)
 		}
 	}

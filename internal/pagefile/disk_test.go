@@ -305,8 +305,9 @@ func TestBufferPoolEvictionStressRace(t *testing.T) {
 // appends do once EndRun has written them; a run given no memory takes none
 // for its first runPages/4 pages, and one given the memory an earlier run
 // handed back gathers from its first page; a run never holds more than
-// runPages pages; a page the open run holds cannot be read yet; and a run
-// whose write fails drops the pages it held and keeps those it had written.
+// runPages·pageSize bytes of payload; a page the open run holds cannot be
+// read yet; and a run whose write fails drops the pages it held and keeps
+// those it had written.
 func TestDiskFileRun(t *testing.T) {
 	const pageSize = 64
 	var sizes []int
@@ -346,8 +347,8 @@ func TestDiskFileRun(t *testing.T) {
 			t.Fatalf("record %d: run placed it at [%d, +%d), write-through at [%d, +%d)", i, r.first, r.count, f2, c2)
 		}
 	}
-	if held := run.NumPages() - run.written; held == 0 || held > runPages {
-		t.Fatalf("the open run holds %d of %d pages, want 1 to %d", held, run.NumPages(), runPages)
+	if held := run.start(run.NumPages()) - run.start(run.written); held == 0 || held > runPages*pageSize {
+		t.Fatalf("the open run holds %d bytes in %d of %d pages, want 1 to %d bytes", held, run.NumPages()-run.written, run.NumPages(), runPages*pageSize)
 	}
 	if _, err := run.ReadPage(run.NumPages()-1, nil); err == nil {
 		t.Fatal("a page the open run holds was read")

@@ -8,9 +8,11 @@
 // Two backings implement the same page-addressed surface: the in-memory
 // File (the original simulation, every page resident) and the disk-backed
 // DiskFile (pages live in an os.File and are read on demand, so a store
-// can exceed RAM). A BufferPool caches pages of either backing with clock
-// eviction and pin counts; over a DiskFile it is the only safe read path,
-// because page frames are reused after eviction.
+// can exceed RAM). A page is a unit of account, not of storage: a DiskFile
+// writes each page's payload where the previous page's ends, so its file
+// is as long as the payloads written to it. A BufferPool caches pages of
+// either backing with clock eviction and pin counts; over a DiskFile it is
+// the only safe read path, because page frames are reused after eviction.
 package pagefile
 
 import (
