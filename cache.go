@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/telemetry"
 )
 
 // writeKind discriminates committed writes for the cache and the monitors.
@@ -190,20 +189,11 @@ func (c *resultCache) publish(evs ...writeEvent) {
 			c.log = append(c.log[:0], c.log[1:]...)
 		}
 		c.log = append(c.log, ev)
-		n := 0
 		for e := c.root.next; e != &c.root; e = e.next {
 			if e.result.touches(ev) {
 				c.unlink(e) // e keeps its own next: the walk goes on
 				delete(c.entries, e.key)
-				n++
 			}
-		}
-		if n > 0 && telemetry.Enabled() {
-			reason := "selective"
-			if ev.kind == writeBarrier {
-				reason = "purge"
-			}
-			telemetry.Count("tsq_cache_evictions_total", "reason", reason).Add(int64(n))
 		}
 	}
 }

@@ -5,9 +5,8 @@
 // server: `append` slides series windows forward, `watch` follows a
 // standing query's enter/leave events, `stats` prints the server's
 // counters (`stats -plans` adds the recent executed-plan ring with
-// estimated-vs-actual cost and per-kind error percentiles, `stats
-// -slow` the slow-query log with trace spans), `metrics` scrapes
-// and validates the /metrics Prometheus exposition, `traces` fetches
+// estimated-vs-actual cost and per-kind error percentiles), `metrics`
+// scrapes and validates the /metrics Prometheus exposition, `traces` fetches
 // retained execution traces from the server's flight recorder (by
 // request ID, kind, strategy, or outcome — span trees included even
 // when TRACE was never requested), and `top` renders a refreshing
@@ -35,7 +34,6 @@
 //	tsqcli -remote http://localhost:8080 watch -kind range -series W0007 -eps 2 -transform "mavg(20)"
 //	tsqcli -remote http://localhost:8080 watch -kind nn -series W0007 -k 5
 //	tsqcli -remote http://localhost:8080 stats -plans
-//	tsqcli -remote http://localhost:8080 stats -slow
 //	tsqcli -remote http://localhost:8080 metrics
 //	tsqcli -remote http://localhost:8080 traces -outcome error
 //	tsqcli -remote http://localhost:8080 traces -id 6fe2a1b3-1x
@@ -222,7 +220,6 @@ func runStats(remote string, args []string) error {
 	}
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	plans := fs.Bool("plans", false, "print the recent executed plans (est vs actual) with per-kind cost-error percentiles")
-	slow := fs.Bool("slow", false, "print the server's slow-query log with trace spans")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -231,12 +228,9 @@ func runStats(remote string, args []string) error {
 		st  *server.StatsResponse
 		err error
 	)
-	switch {
-	case *plans:
+	if *plans {
 		st, err = client.StatsWithPlans()
-	case *slow:
-		st, err = client.StatsWithSlow()
-	default:
+	} else {
 		st, err = client.Stats()
 	}
 	if err != nil {
@@ -275,17 +269,6 @@ func runStats(remote string, args []string) error {
 				p.Results, p.ElapsedUS/1000, drift)
 		}
 		printCostErrors(st.Plans)
-	}
-	if *slow {
-		if len(st.Slow) == 0 {
-			fmt.Println("no slow queries recorded")
-			return nil
-		}
-		fmt.Printf("slow-query log (%d entries, oldest first):\n", len(st.Slow))
-		for _, q := range st.Slow {
-			fmt.Printf("  %s  %.2f ms  %s\n", q.When.Format("15:04:05"), q.ElapsedUS/1000, q.Query)
-			printSpanPayloads(q.Spans, 2)
-		}
 	}
 	return nil
 }

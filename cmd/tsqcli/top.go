@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -20,8 +21,8 @@ import (
 // runTraces fetches retained execution traces — the tail-sampled
 // slowest/most-recent/error set the server keeps per {kind, strategy} —
 // and prints them with their span trees. -id fetches one trace by the
-// request ID found in a slow-log entry, an error response, a log line,
-// or a tsq_query_worst_recent_seconds label.
+// request ID found in a response, an error response, a log line, or a
+// tsq_query_worst_recent_seconds label.
 func runTraces(remote string, args []string) error {
 	if remote == "" {
 		return fmt.Errorf("traces requires -remote")
@@ -189,9 +190,9 @@ func parseLE(s string) (float64, error) {
 	return v, err
 }
 
-// renderFrame prints one dashboard frame. With prev == nil the counters
-// are cumulative since server start; otherwise they are per-interval.
-func renderFrame(remote string, cur, prev *snapshot) {
+// renderFrame writes one dashboard frame to w. With prev == nil the
+// counters are cumulative since server start; otherwise per-interval.
+func renderFrame(w io.Writer, remote string, cur, prev *snapshot) {
 	st := cur.stats
 	dt := 0.0
 	if prev != nil {
@@ -202,8 +203,8 @@ func renderFrame(remote string, cur, prev *snapshot) {
 	if prev != nil {
 		mode = fmt.Sprintf("last %.1fs", dt)
 	}
-	fmt.Printf("tsq top — %s — %s (%s)\n", remote, time.Now().Format("15:04:05"), mode)
-	fmt.Printf("series %d (length %d, %d shard(s)), uptime %.0fs\n",
+	fmt.Fprintf(w, "tsq top — %s — %s (%s)\n", remote, time.Now().Format("15:04:05"), mode)
+	fmt.Fprintf(w, "series %d (length %d, %d shard(s)), uptime %.0fs\n",
 		st.Series, st.Length, st.Shards, st.UptimeSeconds)
 
 	// Query traffic and latency per kind.
@@ -220,12 +221,12 @@ func renderFrame(remote string, cur, prev *snapshot) {
 	sort.Strings(kinds)
 	counts, les := kindLatency(cur, prev)
 	if len(kinds) == 0 {
-		fmt.Println("no queries observed yet")
+		fmt.Fprintln(w, "no queries observed yet")
 	} else {
 		if prev != nil {
-			fmt.Printf("  %-10s %9s %10s %10s\n", "kind", "qps", "p50 ms", "p95 ms")
+			fmt.Fprintf(w, "  %-10s %9s %10s %10s\n", "kind", "qps", "p50 ms", "p95 ms")
 		} else {
-			fmt.Printf("  %-10s %9s %10s %10s\n", "kind", "queries", "p50 ms", "p95 ms")
+			fmt.Fprintf(w, "  %-10s %9s %10s %10s\n", "kind", "queries", "p50 ms", "p95 ms")
 		}
 		for _, k := range kinds {
 			rate := qcount[k]
@@ -234,7 +235,7 @@ func renderFrame(remote string, cur, prev *snapshot) {
 			}
 			p50 := histPercentile(les[k], counts[k], 0.50) * 1000
 			p95 := histPercentile(les[k], counts[k], 0.95) * 1000
-			fmt.Printf("  %-10s %9.1f %10.2f %10.2f\n", k, rate, p50, p95)
+			fmt.Fprintf(w, "  %-10s %9.1f %10.2f %10.2f\n", k, rate, p50, p95)
 		}
 	}
 
@@ -243,7 +244,7 @@ func renderFrame(remote string, cur, prev *snapshot) {
 	if st.CacheHits+st.CacheMisses > 0 {
 		hitRate = 100 * float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
 	}
-	fmt.Printf("cache: %.1f%% hit (%d hits / %d misses), %d/%d entries\n",
+	fmt.Fprintf(w, "cache: %.1f%% hit (%d hits / %d misses), %d/%d entries\n",
 		hitRate, st.CacheHits, st.CacheMisses, st.CacheLen, st.CacheCap)
 
 	// Planner drift: mean |actual-est|/max(est,1) per kind.
@@ -268,7 +269,7 @@ func renderFrame(remote string, cur, prev *snapshot) {
 		}
 	}
 	if len(driftParts) > 0 {
-		fmt.Printf("planner drift |actual-est|/max(est,1): %s\n", strings.Join(driftParts, "  "))
+		fmt.Fprintf(w, "planner drift |actual-est|/max(est,1): %s\n", strings.Join(driftParts, "  "))
 	}
 
 	// Approximate tier: APPROX executions and realized bound tightness
@@ -302,18 +303,22 @@ func renderFrame(remote string, cur, prev *snapshot) {
 		apxParts = append(apxParts, part)
 	}
 	if len(apxParts) > 0 {
-		fmt.Printf("approx queries: %s\n", strings.Join(apxParts, "  "))
+		fmt.Fprintf(w, "approx queries: %s\n", strings.Join(apxParts, "  "))
 	}
 
-	// Shard imbalance: mean max/mean candidate ratio of fan-out runs.
-	imbSum := cur.byKey["tsq_fanout_imbalance_ratio_sum"]
-	imbCount := cur.byKey["tsq_fanout_imbalance_ratio_count"]
-	if prev != nil {
-		imbSum -= prev.byKey["tsq_fanout_imbalance_ratio_sum"]
-		imbCount -= prev.byKey["tsq_fanout_imbalance_ratio_count"]
+	// Shard imbalance: mean max/mean candidate ratio of fan-out runs,
+	// summed over the kinds that fanned out.
+	imbSum, imbCount := 0.0, 0.0
+	for _, row := range cur.rows {
+		switch row.name {
+		case "tsq_fanout_imbalance_ratio_sum":
+			imbSum += cur.delta(prev, row)
+		case "tsq_fanout_imbalance_ratio_count":
+			imbCount += cur.delta(prev, row)
+		}
 	}
 	if imbCount > 0 {
-		fmt.Printf("shard imbalance (max/mean candidates): %.2f over %.0f fan-out(s)\n",
+		fmt.Fprintf(w, "shard imbalance (max/mean candidates): %.2f over %.0f fan-out(s)\n",
 			imbSum/imbCount, imbCount)
 	}
 
@@ -349,7 +354,7 @@ func renderFrame(remote string, cur, prev *snapshot) {
 		if candidates > 0 {
 			faults = opened / candidates
 		}
-		fmt.Printf("pool (%s): %.1f%% hit (%.0f hits / %.0f misses), %.0f evictions, %.0f/%.0f resident, %.0f pinned, %.3f page faults/candidate\n",
+		fmt.Fprintf(w, "pool (%s): %.1f%% hit (%.0f hits / %.0f misses), %.0f evictions, %.0f/%.0f resident, %.0f pinned, %.3f page faults/candidate\n",
 			backing, poolHitRate, poolHits, poolMisses,
 			poolDelta("tsq_pool_evictions_total"),
 			cur.byKey["tsq_pool_resident_pages"], capacity,
@@ -358,7 +363,7 @@ func renderFrame(remote string, cur, prev *snapshot) {
 
 	// Streaming health.
 	dropped := cur.byKey["tsq_watch_dropped_events_total"]
-	fmt.Printf("monitors %d, subscribers %.0f, dropped watch events %.0f\n",
+	fmt.Fprintf(w, "monitors %d, subscribers %.0f, dropped watch events %.0f\n",
 		st.Monitors, cur.byKey["tsq_monitor_subscribers"], dropped)
 
 	// Worst retained executions, with the trace IDs to pull them by.
@@ -370,12 +375,12 @@ func renderFrame(remote string, cur, prev *snapshot) {
 	}
 	sort.Slice(worst, func(i, j int) bool { return worst[i].value > worst[j].value })
 	if len(worst) > 0 {
-		fmt.Println("worst recent (tsqcli traces -id ...):")
+		fmt.Fprintln(w, "worst recent (tsqcli traces -id ...):")
 		for i, row := range worst {
 			if i == 4 {
 				break
 			}
-			fmt.Printf("  %-8s via %-8s %8.2f ms  id %s\n",
+			fmt.Fprintf(w, "  %-8s via %-8s %8.2f ms  id %s\n",
 				row.labels["kind"], row.labels["strategy"],
 				row.value*1000, row.labels["request_id"])
 		}
@@ -405,7 +410,7 @@ func runTop(remote string, args []string) error {
 		return err
 	}
 	if *once {
-		renderFrame(remote, cur, nil)
+		renderFrame(os.Stdout, remote, cur, nil)
 		return nil
 	}
 	if *interval <= 0 {
@@ -414,7 +419,7 @@ func runTop(remote string, args []string) error {
 	// First frame is cumulative; subsequent frames show per-interval
 	// rates from counter deltas.
 	fmt.Print("\x1b[2J\x1b[H")
-	renderFrame(remote, cur, nil)
+	renderFrame(os.Stdout, remote, cur, nil)
 	for {
 		time.Sleep(*interval)
 		next, err := takeSnapshot(client)
@@ -423,7 +428,7 @@ func runTop(remote string, args []string) error {
 			continue
 		}
 		fmt.Print("\x1b[2J\x1b[H")
-		renderFrame(remote, next, cur)
+		renderFrame(os.Stdout, remote, next, cur)
 		cur = next
 	}
 }

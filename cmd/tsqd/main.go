@@ -6,16 +6,17 @@
 // the /watch SSE event stream — and on shutdown (SIGINT/SIGTERM) writes
 // the snapshot back if -snapshot was given. -retain bounds the events
 // kept per monitor for gapless /watch reconnects. GET /metrics exposes
-// the process's telemetry registry (query, cache, planner, shard, and
-// stream counters plus runtime gauges) in the Prometheus text format,
-// and -pprof mounts net/http/pprof on a side listener so profiling
-// stays off the query port.
+// the process's telemetry registry (query, cache, planner, shard, pool
+// and stream families) in the Prometheus text format, and -pprof mounts
+// net/http/pprof on a side listener, which is where the runtime (heap,
+// goroutines, GC) is looked at, off the query port.
 //
 // Logging is structured: every line is one JSON object on stderr,
 // leveled by -log-level, and request lines carry the request's
 // correlation ID (X-TSQ-Request-ID). The newest lines are also kept in
-// memory and served from GET /logs. -slow sets the slow-query threshold
-// behind /stats?slow=1 and GET /traces.
+// memory and served from GET /logs. GET /traces serves the flight
+// recorder: each {kind, strategy}'s slowest and most recent executions
+// and every error, with their span trees.
 //
 // Usage:
 //
@@ -26,7 +27,6 @@
 //	tsqd -data walks.csv -retain 1024        # deeper /watch replay buffer
 //	tsqd -data big.csv -backing /var/tsq -cache-pages 2048  # larger-than-RAM store
 //	tsqd -data walks.csv -pprof localhost:6060  # profiling side listener
-//	tsqd -data walks.csv -slow 5ms           # lower slow-query threshold
 //	tsqd -data walks.csv -log-level debug    # verbose JSON logs
 //
 //	curl localhost:8080/healthz
@@ -55,7 +55,6 @@ import (
 
 	tsq "repro"
 	"repro/internal/server"
-	"repro/internal/telemetry"
 	"repro/internal/tlog"
 )
 
@@ -71,7 +70,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "hash-partitioned shards; queries fan out in parallel and writers lock only their shard (0 = a loaded snapshot's count, else 1)")
 		retain   = flag.Int("retain", tsq.DefaultMonitorRetain, "events retained per monitor so reconnecting /watch clients can resume gaplessly (0 disables replay)")
 		pprof    = flag.String("pprof", "", "address of a net/http/pprof side listener (e.g. localhost:6060; empty disables) — profiling stays off the query port")
-		slow     = flag.Duration("slow", 0, "slow-query threshold: queries at or above it are retained with their trace spans in /stats?slow=1 and GET /traces (0 = default 25ms; negative disables)")
 		logLevel = flag.String("log-level", "info", "minimum log severity: debug, info, warn, or error")
 		backing  = flag.String("backing", "", "directory for disk-backed storage: series and spectrum pages live in files there behind a fixed buffer pool, so the store can exceed RAM (empty = all in memory); the files are scratch storage, not a snapshot — pair with -snapshot for durability")
 		cachePgs = flag.Int("cache-pages", 0, "buffer-pool frames per relation for -backing stores (0 = default 1024; at the default 4 KiB page size 1024 frames cache 4 MiB per relation)")
@@ -86,13 +84,13 @@ func main() {
 	tlog.SetLevel(min)
 	tlog.SetOutput(os.Stderr)
 
-	if err := run(*addr, *dataPath, *snapPath, *length, *k, *space, *cache, *shards, *retain, *pprof, *slow, *backing, *cachePgs); err != nil {
+	if err := run(*addr, *dataPath, *snapPath, *length, *k, *space, *cache, *shards, *retain, *pprof, *backing, *cachePgs); err != nil {
 		fmt.Fprintln(os.Stderr, "tsqd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize, shards, retain int, pprofAddr string, slow time.Duration, backing string, cachePages int) error {
+func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize, shards, retain int, pprofAddr string, backing string, cachePages int) error {
 	db, origin, err := loadDB(dataPath, snapPath, length, k, space, shards, backing, cachePages)
 	if err != nil {
 		return err
@@ -114,7 +112,7 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 	if retain == 0 {
 		retain = -1 // ServerOptions: negative retains none, zero means default
 	}
-	srv := tsq.NewServer(db, tsq.ServerOptions{CacheSize: cacheSize, MonitorRetain: retain, SlowThreshold: slow})
+	srv := tsq.NewServer(db, tsq.ServerOptions{CacheSize: cacheSize, MonitorRetain: retain})
 	tlog.Info("loaded store",
 		"series", srv.Len(), "length", srv.Length(), "origin", origin, "shards", db.Shards(),
 		"disk_backed", db.PoolStats().DiskBacked)
@@ -135,7 +133,6 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 			}
 		}()
 	}
-	go sampleRuntime(baseCtx, 10*time.Second)
 	httpSrv := &http.Server{
 		Addr:              addr,
 		Handler:           server.New(srv),
@@ -232,36 +229,6 @@ func openEmpty(length, k int, space string, shards int, backing string, cachePag
 		Length: length, K: k, Space: sp, Shards: shards,
 		Backing: backing, CachePages: cachePages,
 	})
-}
-
-func init() {
-	telemetry.Describe("tsq_goroutines", "Live goroutines.")
-	telemetry.Describe("tsq_heap_alloc_bytes", "Bytes of allocated heap objects.")
-	telemetry.Describe("tsq_heap_objects", "Allocated heap objects.")
-	telemetry.Describe("tsq_gc_pause_last_seconds", "Most recent GC stop-the-world pause.")
-	telemetry.Describe("tsq_gc_cycles_total", "Completed GC cycles.")
-}
-
-// sampleRuntime periodically feeds process health — goroutine count, heap
-// size, GC activity — into the telemetry registry, so /metrics shows the
-// runtime next to the query metrics without a scrape-time ReadMemStats.
-func sampleRuntime(ctx context.Context, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		telemetry.GaugeOf("tsq_goroutines").Set(float64(runtime.NumGoroutine()))
-		telemetry.GaugeOf("tsq_heap_alloc_bytes").Set(float64(ms.HeapAlloc))
-		telemetry.GaugeOf("tsq_heap_objects").Set(float64(ms.HeapObjects))
-		telemetry.GaugeOf("tsq_gc_pause_last_seconds").Set(float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e9)
-		telemetry.GaugeOf("tsq_gc_cycles_total").Set(float64(ms.NumGC))
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-	}
 }
 
 // saveSnapshot writes the snapshot atomically: temp file, then rename.

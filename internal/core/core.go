@@ -525,8 +525,7 @@ type ExecStats struct {
 	Filter *Prefilter
 	// Spans is the execution's trace tree — named wall-time spans for the
 	// plan → fan-out → merge pipeline, with per-shard children. TRACE
-	// statements, the flight recorder and the server's slow-query log
-	// surface it.
+	// statements and the flight recorder surface it.
 	Spans []Span
 }
 

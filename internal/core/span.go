@@ -13,7 +13,7 @@ import (
 // Span is one timed step of a query execution: a node of the trace tree
 // ExecStats carries through the plan → fan-out → merge → cache-tag
 // pipeline. Spans record durations and nesting only (no absolute
-// offsets), which is all the TRACE surface and the slow-query log need
+// offsets), which is all the TRACE surface and the flight recorder need
 // and keeps recording to two monotonic clock reads per span.
 type Span struct {
 	// Name identifies the step: "plan", "fanout", "shard", "search",
@@ -49,9 +49,6 @@ func init() {
 	telemetry.Describe("tsq_plan_duration_seconds", "Engine execution latency of planned queries.")
 	telemetry.Describe("tsq_plan_cost_error_ratio", "Planner absolute relative candidate-count error |actual-est|/max(est,1) per query kind.")
 	telemetry.Describe("tsq_shard_candidates_total", "Verified candidates per shard across fan-out executions.")
-	telemetry.Describe("tsq_shard_node_accesses_total", "Index node accesses per shard across fan-out executions.")
-	telemetry.Describe("tsq_shard_results_total", "Merged answers contributed per shard across fan-out executions.")
-	telemetry.Describe("tsq_pair_checks_total", "Candidate pair checks per shard across join executions.")
 	telemetry.Describe("tsq_fanout_imbalance_ratio", "Max/mean per-shard candidate counts of multi-shard executions.")
 	telemetry.Describe("tsq_approx_queries_total", "Approximate-tier (APPROX delta > 0) executions by query kind.")
 	telemetry.Describe("tsq_approx_bound_tightness", "Realized mean bound tightness LB/UB of approximate executions (1 = bound closed exactly).")
@@ -82,12 +79,12 @@ func fanSpans(st *ExecStats, fan, merge time.Duration) []Span {
 }
 
 // execMetricCache memoizes the per-kind×strategy plan handles and
-// shardMetricCache the per-shard counters: observeExec runs on every
-// planned execution, and registry lookups (label-key building plus a map
-// read) are too expensive to repeat there.
+// shardMetricCache the per-shard candidate counters: observeExec runs on
+// every planned execution, and registry lookups (label-key building plus
+// a map read) are too expensive to repeat there.
 var (
 	execMetricCache   sync.Map // "kind\x00strategy" -> execMetrics
-	shardMetricCache  sync.Map // shard int -> shardMetrics
+	shardMetricCache  sync.Map // shard int -> *telemetry.Counter
 	approxMetricCache sync.Map // kind string -> approxMetrics
 )
 
@@ -96,13 +93,6 @@ type execMetrics struct {
 	latency   *telemetry.Histogram
 	costError *telemetry.Histogram
 	imbalance *telemetry.Histogram
-}
-
-type shardMetrics struct {
-	candidates   *telemetry.Counter
-	nodeAccesses *telemetry.Counter
-	results      *telemetry.Counter
-	pairChecks   *telemetry.Counter
 }
 
 type approxMetrics struct {
@@ -138,23 +128,18 @@ func execHandles(kind, strat string) execMetrics {
 	return v.(execMetrics)
 }
 
-func shardHandles(shard int) shardMetrics {
+func shardCandidates(shard int) *telemetry.Counter {
 	if v, ok := shardMetricCache.Load(shard); ok {
-		return v.(shardMetrics)
+		return v.(*telemetry.Counter)
 	}
-	lbl := strconv.Itoa(shard)
-	v, _ := shardMetricCache.LoadOrStore(shard, shardMetrics{
-		candidates:   telemetry.Count("tsq_shard_candidates_total", "shard", lbl),
-		nodeAccesses: telemetry.Count("tsq_shard_node_accesses_total", "shard", lbl),
-		results:      telemetry.Count("tsq_shard_results_total", "shard", lbl),
-		pairChecks:   telemetry.Count("tsq_pair_checks_total", "shard", lbl),
-	})
-	return v.(shardMetrics)
+	v, _ := shardMetricCache.LoadOrStore(shard,
+		telemetry.Count("tsq_shard_candidates_total", "shard", strconv.Itoa(shard)))
+	return v.(*telemetry.Counter)
 }
 
 // observeExec reports one planned execution to the process-wide metrics
 // registry: latency and count by kind×strategy, the planner's absolute
-// relative cost error, per-shard provenance counters, and the fan-out's
+// relative cost error, per-shard candidate counts, and the fan-out's
 // candidate imbalance. Called beside every history.Observe so the ring
 // and the scrape surface always agree.
 func observeExec(pl *plan.Plan, st *ExecStats) {
@@ -174,16 +159,9 @@ func observeExec(pl *plan.Plan, st *ExecStats) {
 	if est := pl.Est.Candidates; est > 0 {
 		m.costError.Observe(math.Abs(float64(st.Candidates)-est) / math.Max(est, 1))
 	}
-	join := pl.Kind == "selfjoin" || pl.Kind == "join"
 	maxCand, sumCand := 0, 0
 	for _, sh := range st.Shards {
-		sm := shardHandles(sh.Shard)
-		sm.candidates.Add(int64(sh.Candidates))
-		sm.nodeAccesses.Add(int64(sh.NodeAccesses))
-		sm.results.Add(int64(sh.Results))
-		if join {
-			sm.pairChecks.Add(int64(sh.Candidates))
-		}
+		shardCandidates(sh.Shard).Add(int64(sh.Candidates))
 		sumCand += sh.Candidates
 		if sh.Candidates > maxCand {
 			maxCand = sh.Candidates

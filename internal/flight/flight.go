@@ -59,7 +59,7 @@ const (
 // timing, and span payload. S is the caller's span-tree type.
 type Entry[S any] struct {
 	// ID is the request's correlation ID (see NewID), the join key
-	// against slow-log entries, log lines, and error responses.
+	// against log lines and error responses.
 	ID string
 	// Kind is the query kind ("range", "nn", "selfjoin", ...); Strategy
 	// the resolved execution strategy ("" for unplanned paths).
@@ -76,36 +76,20 @@ type Entry[S any] struct {
 	Spans   S
 }
 
-// Options bounds a Recorder. Zero values select the defaults.
-type Options struct {
-	// RecentN is the most-recent ring depth per {kind, strategy} bucket
-	// (default 8).
-	RecentN int
-	// SlowestN is the slowest-list depth per bucket (default 8).
-	SlowestN int
-	// ErrorN is the global error ring depth (default 64).
-	ErrorN int
-	// MaxBuckets bounds the number of {kind, strategy} buckets (default
-	// 64); observations for new buckets beyond it are dropped (errors
-	// still land in the error ring).
-	MaxBuckets int
-}
-
-func (o Options) withDefaults() Options {
-	if o.RecentN <= 0 {
-		o.RecentN = 8
-	}
-	if o.SlowestN <= 0 {
-		o.SlowestN = 8
-	}
-	if o.ErrorN <= 0 {
-		o.ErrorN = 64
-	}
-	if o.MaxBuckets <= 0 {
-		o.MaxBuckets = 64
-	}
-	return o
-}
+// The recorder's bounds. A recorder holds at most
+// maxBuckets×(recentN+slowestN)+errorN entries whatever the traffic.
+const (
+	// recentN is the most-recent ring depth per {kind, strategy} bucket.
+	recentN = 8
+	// slowestN is the slowest-list depth per bucket.
+	slowestN = 8
+	// errorN is the global error ring depth.
+	errorN = 64
+	// maxBuckets bounds the number of {kind, strategy} buckets;
+	// observations for new buckets beyond it are dropped (errors still
+	// land in the error ring).
+	maxBuckets = 64
+)
 
 // bucket retains one {kind, strategy}'s exemplars: a fixed-size
 // most-recent ring (value assignment into preallocated backing — no
@@ -115,7 +99,7 @@ type bucket[S any] struct {
 	kind, strategy string
 	recent         []Entry[S] // ring, len == cap once warm
 	pos            int        // next ring write position
-	slow           []Entry[S] // sorted by Elapsed desc, len <= SlowestN
+	slow           []Entry[S] // sorted by Elapsed desc, len <= slowestN
 }
 
 // Recorder is the bounded tail-sampling store. All methods are safe for
@@ -123,21 +107,15 @@ type bucket[S any] struct {
 // fixed-size, so the critical section is a few comparisons and value
 // copies).
 type Recorder[S any] struct {
-	opts Options
-
 	mu      sync.Mutex
 	buckets map[string]*bucket[S]
 	errs    []Entry[S] // ring, oldest overwritten
 	errPos  int
-	errN    int
 }
 
-// NewRecorder builds a Recorder with the given bounds.
-func NewRecorder[S any](opts Options) *Recorder[S] {
-	return &Recorder[S]{
-		opts:    opts.withDefaults(),
-		buckets: make(map[string]*bucket[S]),
-	}
+// NewRecorder builds an empty Recorder.
+func NewRecorder[S any]() *Recorder[S] {
+	return &Recorder[S]{buckets: make(map[string]*bucket[S])}
 }
 
 // Observe retains one completed execution: into its {kind, strategy}
@@ -147,25 +125,24 @@ func (r *Recorder[S]) Observe(e Entry[S]) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e.Outcome == OutcomeError {
-		if len(r.errs) < r.opts.ErrorN {
+		if len(r.errs) < errorN {
 			r.errs = append(r.errs, e)
 		} else {
 			r.errs[r.errPos] = e
-			r.errPos = (r.errPos + 1) % r.opts.ErrorN
+			r.errPos = (r.errPos + 1) % errorN
 		}
-		r.errN++
 		return
 	}
 	key := e.Kind + "\x00" + e.Strategy
 	b := r.buckets[key]
 	if b == nil {
-		if len(r.buckets) >= r.opts.MaxBuckets {
+		if len(r.buckets) >= maxBuckets {
 			return
 		}
 		b = &bucket[S]{
 			kind:     e.Kind,
 			strategy: e.Strategy,
-			recent:   make([]Entry[S], 0, r.opts.RecentN),
+			recent:   make([]Entry[S], 0, recentN),
 		}
 		r.buckets[key] = b
 	}
@@ -176,10 +153,10 @@ func (r *Recorder[S]) Observe(e Entry[S]) {
 		b.pos = (b.pos + 1) % cap(b.recent)
 	}
 	// Slowest list: insert in order when it qualifies; the list is tiny
-	// (SlowestN), so a linear pass is the whole cost.
-	if len(b.slow) < r.opts.SlowestN || e.Elapsed > b.slow[len(b.slow)-1].Elapsed {
+	// (slowestN), so a linear pass is the whole cost.
+	if len(b.slow) < slowestN || e.Elapsed > b.slow[len(b.slow)-1].Elapsed {
 		i := sort.Search(len(b.slow), func(i int) bool { return b.slow[i].Elapsed < e.Elapsed })
-		if len(b.slow) < r.opts.SlowestN {
+		if len(b.slow) < slowestN {
 			b.slow = append(b.slow, Entry[S]{})
 		}
 		copy(b.slow[i+1:], b.slow[i:])
@@ -284,12 +261,4 @@ func (r *Recorder[S]) WorstRecent() []Worst {
 		return out[i].Strategy < out[j].Strategy
 	})
 	return out
-}
-
-// ErrorCount reports how many error entries were ever observed (the ring
-// retains the last ErrorN of them).
-func (r *Recorder[S]) ErrorCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.errN
 }

@@ -38,23 +38,29 @@ func entry(id, kind, strategy, outcome string, when time.Time, elapsed time.Dura
 }
 
 func TestRecorderRetainsRecentSlowestAndErrors(t *testing.T) {
-	r := NewRecorder[int](Options{RecentN: 3, SlowestN: 2, ErrorN: 4})
+	r := NewRecorder[int]()
 	base := time.Now()
 
 	// One very slow early entry must survive the recent ring's churn.
 	r.Observe(entry("slow-1", "range", "index", OutcomeOK, base, time.Second))
-	for i := 0; i < 10; i++ {
+	n := recentN + slowestN + 4
+	for i := 0; i < n; i++ {
 		r.Observe(entry(fmt.Sprintf("ok-%d", i), "range", "index", OutcomeOK,
 			base.Add(time.Duration(i+1)*time.Millisecond), time.Duration(i+1)*time.Microsecond))
 	}
 	if _, ok := r.Get("slow-1"); !ok {
 		t.Fatal("slowest entry evicted from slow list")
 	}
-	if _, ok := r.Get("ok-9"); !ok {
-		t.Fatal("most recent entry not retained")
+	// The ring holds the last recentN; the fast entries that made the
+	// slowest list are among them, so the one just before is gone.
+	if _, ok := r.Get(fmt.Sprintf("ok-%d", n-recentN)); !ok {
+		t.Fatal("oldest entry of the recent ring not retained")
 	}
-	if _, ok := r.Get("ok-2"); ok {
+	if _, ok := r.Get(fmt.Sprintf("ok-%d", n-recentN-1)); ok {
 		t.Fatal("old, fast entry should have been evicted")
+	}
+	if got := len(r.Traces(Filter{Kind: "range"})); got != recentN+1 {
+		t.Fatalf("bucket retains %d entries, want the ring's %d plus slow-1", got, recentN)
 	}
 
 	// Errors always retained, in their own ring.
@@ -62,9 +68,6 @@ func TestRecorderRetainsRecentSlowestAndErrors(t *testing.T) {
 	got, ok := r.Get("err-1")
 	if !ok || got.Outcome != OutcomeError {
 		t.Fatalf("error trace not retained: %+v ok=%v", got, ok)
-	}
-	if r.ErrorCount() != 1 {
-		t.Fatalf("ErrorCount = %d, want 1", r.ErrorCount())
 	}
 
 	// Filters narrow by kind and outcome; newest first.
@@ -82,8 +85,34 @@ func TestRecorderRetainsRecentSlowestAndErrors(t *testing.T) {
 	}
 }
 
+// TestRecorderSlowestListBounded checks the slowest list keeps exactly
+// the slowestN slowest of a bucket once the recent ring has moved on.
+func TestRecorderSlowestListBounded(t *testing.T) {
+	r := NewRecorder[int]()
+	base := time.Now()
+	for i := 0; i <= slowestN; i++ {
+		r.Observe(entry(fmt.Sprintf("slow-%d", i), "nn", "index", OutcomeOK,
+			base.Add(time.Duration(i)*time.Millisecond), time.Duration(i+1)*time.Second))
+	}
+	for i := 0; i < recentN; i++ {
+		r.Observe(entry(fmt.Sprintf("fast-%d", i), "nn", "index", OutcomeOK,
+			base.Add(time.Duration(slowestN+1+i)*time.Millisecond), time.Microsecond))
+	}
+	if _, ok := r.Get("slow-0"); ok {
+		t.Fatal("the fastest of slowestN+1 slow entries survived")
+	}
+	for i := 1; i <= slowestN; i++ {
+		if _, ok := r.Get(fmt.Sprintf("slow-%d", i)); !ok {
+			t.Fatalf("slow-%d evicted from the slowest list", i)
+		}
+	}
+	if w := r.WorstRecent(); len(w) != 1 || w[0].ID != fmt.Sprintf("slow-%d", slowestN) {
+		t.Fatalf("WorstRecent = %+v, want slow-%d", w, slowestN)
+	}
+}
+
 func TestRecorderWorstRecent(t *testing.T) {
-	r := NewRecorder[int](Options{})
+	r := NewRecorder[int]()
 	base := time.Now()
 	r.Observe(entry("a", "range", "index", OutcomeOK, base, 5*time.Millisecond))
 	r.Observe(entry("b", "range", "index", OutcomeOK, base.Add(time.Second), time.Millisecond))
@@ -101,42 +130,46 @@ func TestRecorderWorstRecent(t *testing.T) {
 }
 
 func TestRecorderErrorRingBounded(t *testing.T) {
-	r := NewRecorder[int](Options{ErrorN: 3})
+	r := NewRecorder[int]()
 	base := time.Now()
-	for i := 0; i < 7; i++ {
+	n := errorN + 3
+	for i := 0; i < n; i++ {
 		r.Observe(entry(fmt.Sprintf("e%d", i), "range", "", OutcomeError,
 			base.Add(time.Duration(i)*time.Second), time.Millisecond))
 	}
-	if r.ErrorCount() != 7 {
-		t.Fatalf("ErrorCount = %d, want 7", r.ErrorCount())
-	}
 	errs := r.Traces(Filter{Outcome: OutcomeError})
-	if len(errs) != 3 {
-		t.Fatalf("retained %d errors, want 3", len(errs))
+	if len(errs) != errorN {
+		t.Fatalf("retained %d errors, want %d", len(errs), errorN)
 	}
-	if errs[0].ID != "e6" || errs[2].ID != "e4" {
-		t.Fatalf("wrong errors retained: %v %v %v", errs[0].ID, errs[1].ID, errs[2].ID)
+	for i, e := range errs {
+		if want := fmt.Sprintf("e%d", n-1-i); e.ID != want {
+			t.Fatalf("error %d is %s, want %s (newest first, oldest three overwritten)", i, e.ID, want)
+		}
 	}
 }
 
 func TestRecorderBucketCap(t *testing.T) {
-	r := NewRecorder[int](Options{MaxBuckets: 2})
+	r := NewRecorder[int]()
 	base := time.Now()
-	r.Observe(entry("a", "k1", "", OutcomeOK, base, time.Millisecond))
-	r.Observe(entry("b", "k2", "", OutcomeOK, base, time.Millisecond))
-	r.Observe(entry("c", "k3", "", OutcomeOK, base, time.Millisecond)) // over cap: dropped
-	if _, ok := r.Get("c"); ok {
+	for i := 0; i < maxBuckets; i++ {
+		r.Observe(entry(fmt.Sprintf("k%d", i), fmt.Sprintf("k%d", i), "", OutcomeOK, base, time.Millisecond))
+	}
+	r.Observe(entry("over", "over", "", OutcomeOK, base, time.Millisecond)) // over cap: dropped
+	if _, ok := r.Get("over"); ok {
 		t.Fatal("entry beyond bucket cap retained")
 	}
+	if _, ok := r.Get(fmt.Sprintf("k%d", maxBuckets-1)); !ok {
+		t.Fatal("entry of the last bucket under the cap dropped")
+	}
 	// Errors bypass the bucket cap.
-	r.Observe(entry("d", "k4", "", OutcomeError, base, time.Millisecond))
-	if _, ok := r.Get("d"); !ok {
+	r.Observe(entry("err", "over", "", OutcomeError, base, time.Millisecond))
+	if _, ok := r.Get("err"); !ok {
 		t.Fatal("error dropped by bucket cap")
 	}
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder[int](Options{})
+	r := NewRecorder[int]()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -45,8 +45,8 @@ type StatsPayload struct {
 	HeadResolved int  `json:"head_resolved"`
 	Cached       bool `json:"cached"`
 	// RequestID is the execution's correlation ID: the same ID the
-	// response's X-TSQ-Request-ID header, the server's log lines, the
-	// slow-query log, and GET /traces carry for this request.
+	// response's X-TSQ-Request-ID header, the server's log lines and
+	// GET /traces carry for this request.
 	RequestID string `json:"request_id,omitempty"`
 	// Delta is the approximation slack the execution ran under (absent =
 	// exact); Rung the planner's estimated accepting ladder checkpoint;
@@ -492,21 +492,6 @@ type StatsResponse struct {
 	ElapsedUS     float64             `json:"elapsed_us"`
 	UptimeSeconds float64             `json:"uptime_seconds"`
 	Plans         []PlanRecordPayload `json:"plans,omitempty"`
-	// Slow is the retained slow-query log, oldest first; included only
-	// when the request asks for it (GET /stats?slow=1).
-	Slow []SlowQueryPayload `json:"slow,omitempty"`
-}
-
-// SlowQueryPayload is one slow-query log entry on the wire: the query
-// (cache key or statement text), when it finished, its server-side wall
-// time, and its trace spans.
-type SlowQueryPayload struct {
-	Query     string        `json:"query"`
-	When      time.Time     `json:"when"`
-	ElapsedUS float64       `json:"elapsed_us"`
-	Spans     []SpanPayload `json:"spans,omitempty"`
-	// RequestID correlates this entry with GET /traces and the log ring.
-	RequestID string `json:"request_id,omitempty"`
 }
 
 // TracesResponse is GET /traces: the retained execution traces matching

@@ -105,16 +105,6 @@ func (c *Client) StatsWithPlans() (*StatsResponse, error) {
 	return &out, nil
 }
 
-// StatsWithSlow fetches /stats?slow=1: the cumulative counters plus the
-// server's retained slow-query log with trace spans.
-func (c *Client) StatsWithSlow() (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.do(http.MethodGet, "/stats?slow=1", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Traces fetches retained execution traces from /traces. Empty filter
 // fields are omitted; n <= 0 leaves the count at the server's default.
 func (c *Client) Traces(id, kind, strategy, outcome string, n int) (*TracesResponse, error) {

@@ -16,10 +16,10 @@ import (
 // This file is the correlation layer: every request gets an ID at the
 // server boundary (adopted from the caller's X-TSQ-Request-ID header or
 // minted fresh), the same ID is stamped on the response header, the
-// access and error log lines, the query's Stats, its slow-log entry, and
-// its retained flight-recorder trace — so one ID read anywhere resolves
-// to the same execution everywhere else (GET /traces, GET /logs,
-// /stats?slow=1, and the tsq_query_worst_recent_seconds metric labels).
+// access and error log lines, the query's Stats, and its retained
+// flight-recorder trace — so one ID read anywhere resolves to the same
+// execution everywhere else (GET /traces, GET /logs, and the
+// tsq_query_worst_recent_seconds metric labels).
 
 // requestIDHeader carries the correlation ID on the wire: adopted from
 // the request when present and well-formed, always echoed on the

@@ -8,15 +8,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	tsq "repro"
 	"repro/internal/server"
 )
 
-// newCorrelatedFixture serves a sharded DB with a 1ns slow threshold, so
-// every query is slow enough to land in the slow log and be retained by
-// the flight recorder with its span tree.
+// newCorrelatedFixture serves a sharded DB; the flight recorder retains
+// each query with its span tree.
 func newCorrelatedFixture(t *testing.T) (*httptest.Server, *server.Client) {
 	t.Helper()
 	walks := tsq.RandomWalks(40, testLength, 13)
@@ -24,7 +22,7 @@ func newCorrelatedFixture(t *testing.T) (*httptest.Server, *server.Client) {
 	if err := db.InsertAll(walks); err != nil {
 		t.Fatal(err)
 	}
-	srv := tsq.NewServer(db, tsq.ServerOptions{SlowThreshold: time.Nanosecond})
+	srv := tsq.NewServer(db, tsq.ServerOptions{})
 	ts := httptest.NewServer(server.New(srv))
 	t.Cleanup(ts.Close)
 	return ts, server.NewClient(ts.URL)
@@ -79,8 +77,8 @@ func worstRequestIDs(metrics string) []string {
 // TestRequestCorrelationEndToEnd is the PR's acceptance scenario: one
 // query — with TRACE never requested — is resolvable by its request ID
 // everywhere the flight-recorder layer touches: the X-TSQ-Request-ID
-// response header, the response's stats, the slow log behind
-// /stats?slow=1, the JSON log ring behind /logs, the retained trace with
+// response header, the response's stats, the JSON log ring behind
+// /logs, the retained trace with
 // its full span tree behind /traces, and the request_id labels of the
 // tsq_query_worst_recent_seconds metric family.
 func TestRequestCorrelationEndToEnd(t *testing.T) {
@@ -102,24 +100,6 @@ func TestRequestCorrelationEndToEnd(t *testing.T) {
 	}
 	if qr.Stats.RequestID != id {
 		t.Fatalf("stats.request_id = %q, header = %q — want the same ID", qr.Stats.RequestID, id)
-	}
-
-	// The slow log names the same execution by the same ID, spans intact.
-	stats, err := client.StatsWithSlow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, sq := range stats.Slow {
-		if sq.RequestID == id {
-			found = true
-			if len(sq.Spans) == 0 {
-				t.Fatal("slow-log entry for the request has no spans")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("request %s missing from /stats?slow=1 (%d entries)", id, len(stats.Slow))
 	}
 
 	// The access-log line in the ring carries the ID.

@@ -24,8 +24,7 @@ const maxBodyBytes = 64 << 20
 //	GET    /healthz               liveness + store size
 //	GET    /metrics               Prometheus text exposition of the telemetry registry
 //	GET    /stats                 cumulative cost counters (paper's measures);
-//	                              ?plans=1 adds the recent executed-plan ring;
-//	                              ?slow=1 adds the slow-query log with trace spans
+//	                              ?plans=1 adds the recent executed-plan ring
 //	GET    /traces                retained execution traces (tail-sampled: slowest,
 //	                              most recent, and errors) with full span trees;
 //	                              ?id= fetches one by request ID, ?kind=/?strategy=/
@@ -217,18 +216,6 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	var slow []SlowQueryPayload
-	if r.URL.Query().Get("slow") == "1" {
-		for _, q := range h.s.SlowQueries() {
-			slow = append(slow, SlowQueryPayload{
-				Query:     q.Query,
-				When:      q.When,
-				ElapsedUS: float64(q.Elapsed) / float64(time.Microsecond),
-				Spans:     toSpanPayloads(q.Spans),
-				RequestID: q.RequestID,
-			})
-		}
-	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Series:        st.Series,
 		Length:        st.Length,
@@ -248,7 +235,6 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 		ElapsedUS:     float64(st.Elapsed.Microseconds()),
 		UptimeSeconds: st.Uptime.Seconds(),
 		Plans:         plans,
-		Slow:          slow,
 	})
 }
 

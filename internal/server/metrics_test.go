@@ -1,11 +1,11 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	tsq "repro"
 	"repro/internal/server"
@@ -191,34 +191,121 @@ func TestTraceOverHTTP(t *testing.T) {
 	}
 }
 
-// TestStatsSlowOverHTTP checks /stats?slow=1 returns the slow-query log
-// with spans while a plain /stats stays lean.
-func TestStatsSlowOverHTTP(t *testing.T) {
-	c := metricsClient(t, 1, tsq.ServerOptions{SlowThreshold: time.Nanosecond})
+// exposedFamilies is every family /metrics exposes, each with the reader
+// that consumes it: a tsqcli top row, a CI grep of the scrape, or a test.
+// A family nobody reads is code to delete, not a row to add here.
+var exposedFamilies = []struct{ family, reader string }{
+	{"tsq_appends_total", "TestMetricsEndpoint"},
+	{"tsq_approx_bound_tightness", "top: approx queries (tightness)"},
+	{"tsq_approx_queries_total", "top: approx queries; CI scrape grep"},
+	{"tsq_cache_hits_total", "TestMetricsEndpoint"},
+	{"tsq_cache_misses_total", "TestMetricsEndpoint"},
+	{"tsq_fanout_imbalance_ratio", "top: shard imbalance (CI greps it in top -once)"},
+	{"tsq_http_request_duration_seconds", "TestMetricsEndpoint"},
+	{"tsq_monitor_subscribers", "top: monitors row"},
+	{"tsq_plan_cost_error_ratio", "top: planner drift"},
+	{"tsq_plan_duration_seconds", "TestMetricsEndpoint"},
+	{"tsq_plan_executions_total", "TestMetricsEndpoint"},
+	{"tsq_pool_capacity_pages", "top: pool row; CI disk grep"},
+	{"tsq_pool_evictions_total", "top: pool row"},
+	{"tsq_pool_hits_total", "top: pool row"},
+	{"tsq_pool_misses_total", "top: pool row; CI disk grep"},
+	{"tsq_pool_pinned_pages", "top: pool row"},
+	{"tsq_pool_resident_pages", "top: pool row"},
+	{"tsq_queries_total", "top: kind table; CI scrape grep; TestForcedReadsAreObservable"},
+	{"tsq_query_duration_seconds", "top: kind table p50/p95"},
+	{"tsq_query_worst_recent_seconds", "top: worst recent; TestRequestCorrelationEndToEnd"},
+	{"tsq_series", "TestMetricsEndpoint"},
+	{"tsq_shard_candidates_total", "TestMetricsEndpoint"},
+	{"tsq_shards", "TestMetricsEndpoint"},
+	{"tsq_store_disk_backed", "top: pool row; CI disk grep"},
+	{"tsq_watch_dropped_events_total", "top: monitors row"},
+}
 
-	if _, err := c.Query("RANGE SERIES 'W0002' EPS 2 TRANSFORM mavg(20)"); err != nil {
+// hasSample reports whether family has a sample in s: one of its own or,
+// for a histogram, of its _bucket, _sum or _count series.
+func hasSample(s telemetry.Samples, family string) bool {
+	for k := range s {
+		name, _, _ := strings.Cut(k, "{")
+		suffix, ok := strings.CutPrefix(name, family)
+		if ok && (suffix == "" || suffix == "_bucket" || suffix == "_sum" || suffix == "_count") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMetricsFamiliesHaveReaders pins the exposition: after traffic that
+// touches every kept family — range, NN and APPROX reads, an append, a
+// monitor with a watcher — on a 4-shard disk-backed server, the families
+// /metrics declares are exactly exposedFamilies, and each carries a sample.
+func TestMetricsFamiliesHaveReaders(t *testing.T) {
+	walks := tsq.RandomWalks(testCount, testLength, testSeed)
+	db := tsq.MustOpen(tsq.Options{Length: testLength, Shards: 4, Backing: t.TempDir(), CachePages: 8})
+	t.Cleanup(func() { db.Close() })
+	if err := db.InsertAll(walks); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.StatsWithSlow()
+	ts := httptest.NewServer(server.New(tsq.NewServer(db, tsq.ServerOptions{})))
+	t.Cleanup(ts.Close)
+	c := server.NewClient(ts.URL)
+
+	for _, q := range []string{
+		"RANGE SERIES 'W0003' EPS 4 USING INDEX",
+		"NN SERIES 'W0004' K 5",
+		"RANGE SERIES 'W0005' EPS 4 APPROX 1",
+		"NN SERIES 'W0006' K 5 APPROX 1",
+	} {
+		if _, err := c.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if err := c.Append("W0003", []float64{101.5}); err != nil {
+		t.Fatal(err)
+	}
+	mon, err := c.CreateMonitor(server.MonitorRequest{Kind: "range", Series: "W0007", Eps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Slow) == 0 {
-		t.Fatal("/stats?slow=1 returned no slow queries under a 1ns threshold")
-	}
-	e := st.Slow[0]
-	if e.Query == "" || e.ElapsedUS <= 0 || e.When.IsZero() {
-		t.Fatalf("incomplete slow payload: %+v", e)
-	}
-	if len(e.Spans) == 0 {
-		t.Fatal("slow payload lost its spans")
-	}
-
-	plain, err := c.Stats()
+	ws, err := c.Watch(context.Background(), mon.ID, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Slow) != 0 {
-		t.Fatalf("plain /stats carried %d slow entries", len(plain.Slow))
+	defer ws.Close()
+
+	text, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			declared[f[2]] = true
+		}
+	}
+	samples, err := telemetry.ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("unparseable /metrics exposition: %v", err)
+	}
+	want := map[string]bool{}
+	for _, row := range exposedFamilies {
+		want[row.family] = true
+		if !declared[row.family] {
+			t.Errorf("family %s (read by %s) is not exposed", row.family, row.reader)
+		}
+		if !hasSample(samples, row.family) {
+			t.Errorf("family %s (read by %s) has no sample after the traffic", row.family, row.reader)
+		}
+	}
+	for name := range declared {
+		if !want[name] {
+			t.Errorf("/metrics exposes %s, which has no reader in exposedFamilies", name)
+		}
+	}
+	if got := samples[telemetry.Key("tsq_store_disk_backed")]; got != 1 {
+		t.Errorf("tsq_store_disk_backed = %v on a disk-backed store, want 1", got)
+	}
+	if got := samples[telemetry.Key("tsq_monitor_subscribers")]; got != 1 {
+		t.Errorf("tsq_monitor_subscribers = %v with one watcher, want 1", got)
 	}
 }

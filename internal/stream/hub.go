@@ -655,41 +655,6 @@ func (m *Monitor) emitLocked(kind, name string, dist float64) {
 	}
 }
 
-// SubInfo describes one live subscription's buffer for scrape-time
-// gauges: how deep its channel currently is, its capacity, and how many
-// events it has lost.
-type SubInfo struct {
-	Monitor int64
-	Sub     int64
-	Depth   int
-	Cap     int
-	Dropped int64
-}
-
-// SubInfos snapshots every live subscription across all monitors,
-// ordered by (monitor, sub).
-func (h *Hub) SubInfos() []SubInfo {
-	var out []SubInfo
-	for _, m := range h.snapshotMonitors() {
-		m.mu.Lock()
-		for id, s := range m.subs {
-			out = append(out, SubInfo{
-				Monitor: m.ID, Sub: id,
-				Depth: len(s.ch), Cap: cap(s.ch),
-				Dropped: s.dropped.Load(),
-			})
-		}
-		m.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Monitor != out[j].Monitor {
-			return out[i].Monitor < out[j].Monitor
-		}
-		return out[i].Sub < out[j].Sub
-	})
-	return out
-}
-
 // Members returns the current answer set sorted by (distance, name).
 func (m *Monitor) Members() []Member {
 	m.mu.Lock()

@@ -2,7 +2,7 @@
 // counters, gauges, and fixed-bucket histograms, identified by name plus
 // label pairs and exported in the Prometheus text exposition format
 // (version 0.0.4). It exists so every layer of tsq — engine, planner,
-// server, stream hub, runtime sampler — can feed one scrape surface
+// server, stream hub — can feed one scrape surface
 // (GET /metrics on tsqd) without pulling in a client library.
 //
 // Hot paths guard their instrumentation with Enabled(): disabling turns
@@ -309,8 +309,7 @@ func Describe(name, help string) { Default.Describe(name, help) }
 
 // Reset drops every series of the named family, keeping its type and
 // help text. It exists for scrape-time families whose label sets are
-// rebuilt per scrape (per-subscriber gauges, worst-recent exemplar
-// links): without it a departed label set would keep exporting its last
+// rebuilt per scrape (the worst-recent exemplar links): without it a departed label set would keep exporting its last
 // value forever. Handles returned before a Reset keep working but no
 // longer render; callers of such families must re-resolve per scrape.
 func (r *Registry) Reset(name string) {

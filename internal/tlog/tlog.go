@@ -1,8 +1,8 @@
 // Package tlog is a dependency-free leveled JSON logger with a bounded
 // in-memory ring. Every line is one JSON object — timestamp, level,
 // message, then caller-supplied key/value pairs — so log output is
-// machine-greppable and request IDs correlate log lines with traces and
-// slow-log entries. The ring retains the newest records regardless of
+// machine-greppable and request IDs correlate log lines with retained
+// traces. The ring retains the newest records regardless of
 // where (or whether) lines are written, which is what backs tsqd's
 // GET /logs without any file or external collector.
 //

@@ -6,7 +6,6 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,152 +83,11 @@ func TestStatsConcurrentScrapes(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLog exercises the bounded slow-query ring: a threshold of
-// 1ns records everything with its span tree, the ring caps out instead
-// of growing, and a negative threshold disables recording.
-func TestSlowQueryLog(t *testing.T) {
-	const length = 64
-	walks := tsq.RandomWalks(50, length, 5)
-	db := tsq.MustOpen(tsq.Options{Length: length})
-	if err := db.InsertAll(walks); err != nil {
-		t.Fatal(err)
-	}
-	s := tsq.NewServer(db, tsq.ServerOptions{SlowThreshold: time.Nanosecond})
-
-	if _, _, err := s.RangeByName("W0000", 2, tsq.MovingAverage(10)); err != nil {
-		t.Fatal(err)
-	}
-	slow := s.SlowQueries()
-	if len(slow) != 1 {
-		t.Fatalf("got %d slow entries, want 1", len(slow))
-	}
-	e := slow[0]
-	if e.Query == "" || e.Elapsed <= 0 || e.When.IsZero() {
-		t.Fatalf("incomplete slow entry: %+v", e)
-	}
-	if len(e.Spans) == 0 {
-		t.Fatal("slow entry has no spans")
-	}
-	last := e.Spans[len(e.Spans)-1]
-	if last.Name != "cache-tag" {
-		t.Fatalf("last span = %q, want cache-tag", last.Name)
-	}
-
-	// A cache hit must not add a second entry for the same query.
-	if _, _, err := s.RangeByName("W0000", 2, tsq.MovingAverage(10)); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.SlowQueries()); got != 1 {
-		t.Fatalf("cache hit grew the slow log to %d entries", got)
-	}
-
-	// The ring is bounded: many distinct slow queries keep only the most
-	// recent entries, oldest first.
-	for i := 0; i < 50; i++ {
-		stmt := fmt.Sprintf("NN SERIES 'W%04d' K 2 TRANSFORM identity()", i)
-		if _, err := s.Query(stmt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slow = s.SlowQueries()
-	if len(slow) > 40 {
-		t.Fatalf("slow log grew unbounded: %d entries", len(slow))
-	}
-	if !strings.Contains(slow[len(slow)-1].Query, "W0049") {
-		t.Fatalf("newest slow entry is %q, want the last query", slow[len(slow)-1].Query)
-	}
-
-	off := tsq.NewServer(tsq.MustOpen(tsq.Options{Length: length}), tsq.ServerOptions{SlowThreshold: -1})
-	if err := off.Insert("A", walks[0].Values); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := off.RangeByName("A", 2, tsq.Identity()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(off.SlowQueries()); got != 0 {
-		t.Fatalf("disabled slow log recorded %d entries", got)
-	}
-}
-
-// TestSlowLogRingSemantics pins down the ring behavior behind the slow
-// log: entries stay oldest-first, the capacity holds (32, newest win)
-// under both sequential and concurrent writers, and every retained entry
-// carries a correlation request ID even when the caller supplied none.
-func TestSlowLogRingSemantics(t *testing.T) {
-	const length = 64
-	walks := tsq.RandomWalks(8, length, 11)
-	db := tsq.MustOpen(tsq.Options{Length: length})
-	if err := db.InsertAll(walks); err != nil {
-		t.Fatal(err)
-	}
-	s := tsq.NewServer(db, tsq.ServerOptions{SlowThreshold: time.Nanosecond, CacheSize: -1})
-
-	const total = 50
-	for i := 0; i < total; i++ {
-		stmt := fmt.Sprintf("RANGE SERIES 'W%04d' EPS %d.5 TRANSFORM identity()", i%8, i)
-		if _, err := s.Query(stmt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	slow := s.SlowQueries()
-	if len(slow) != 32 {
-		t.Fatalf("ring holds %d entries after %d slow queries, want 32", len(slow), total)
-	}
-	// Oldest first, newest retained: the first 18 queries were evicted.
-	if !strings.Contains(slow[0].Query, "EPS 18.5") {
-		t.Fatalf("oldest retained entry is %q, want the 19th query", slow[0].Query)
-	}
-	if !strings.Contains(slow[len(slow)-1].Query, "EPS 49.5") {
-		t.Fatalf("newest entry is %q, want the last query", slow[len(slow)-1].Query)
-	}
-	ids := map[string]bool{}
-	for i, e := range slow {
-		if e.RequestID == "" {
-			t.Fatalf("entry %d (%q) has no request ID", i, e.Query)
-		}
-		if ids[e.RequestID] {
-			t.Fatalf("request ID %q retained twice", e.RequestID)
-		}
-		ids[e.RequestID] = true
-		if i > 0 && e.When.Before(slow[i-1].When) {
-			t.Fatalf("entries out of order: %v before %v", e.When, slow[i-1].When)
-		}
-	}
-
-	// Concurrent writers never grow the ring past its capacity, and every
-	// retained entry stays complete. Run with -race.
-	s2 := tsq.NewServer(db, tsq.ServerOptions{SlowThreshold: time.Nanosecond, CacheSize: -1})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				stmt := fmt.Sprintf("NN SERIES 'W%04d' K %d TRANSFORM identity()", g, i+1)
-				if _, err := s2.Query(stmt); err != nil {
-					t.Errorf("query: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	slow = s2.SlowQueries()
-	if len(slow) != 32 {
-		t.Fatalf("ring holds %d entries after concurrent writers, want 32", len(slow))
-	}
-	for i, e := range slow {
-		if e.Query == "" || e.Elapsed <= 0 || e.When.IsZero() || e.RequestID == "" {
-			t.Fatalf("incomplete entry %d after concurrent writes: %+v", i, e)
-		}
-	}
-}
-
 // TestTraceRetention exercises the flight recorder at the library layer:
 // executions are retained with their span trees without TRACE being
 // requested, fetchable by the caller's WithRequest ID (or a minted one),
 // cache hits and errors are classified, filters narrow, the worst-recent
-// index resolves, and TraceRetain: -1 disables the whole surface.
+// index resolves, and concurrent readers leave every retained trace whole.
 func TestTraceRetention(t *testing.T) {
 	const length = 64
 	walks := tsq.RandomWalks(40, length, 7)
@@ -258,6 +116,10 @@ func TestTraceRetention(t *testing.T) {
 	}
 	if tr.Elapsed <= 0 || tr.When.IsZero() || tr.Query == "" {
 		t.Fatalf("incomplete trace: %+v", tr)
+	}
+	// A miss files its answer, so its tree ends in the filing step.
+	if last := tr.Spans[len(tr.Spans)-1]; last.Name != "cache-tag" {
+		t.Fatalf("last span of a miss = %q, want cache-tag", last.Name)
 	}
 
 	// A cache hit is retained under its own ID with the cached outcome.
@@ -330,23 +192,45 @@ func TestTraceRetention(t *testing.T) {
 		}
 	}
 
-	// TraceRetain: -1 disables retention without touching the query path.
-	off := tsq.NewServer(db, tsq.ServerOptions{TraceRetain: -1})
-	_, st4, err := off.RangeByName("W0003", 2, tsq.Identity(), tsq.WithRequest("req-off-1"))
-	if err != nil {
-		t.Fatal(err)
+	// Concurrent readers each get their own minted ID, and every trace
+	// the recorder keeps is complete and names one of them. Run with -race.
+	busy := tsq.NewServer(db, tsq.ServerOptions{CacheSize: -1})
+	const readers, reads = 8, 20
+	ids := make([][]string, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				stmt := fmt.Sprintf("NN SERIES 'W%04d' K %d TRANSFORM identity()", g, i+1)
+				out, err := busy.Query(stmt)
+				if err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				ids[g] = append(ids[g], out.Stats.RequestID)
+			}
+		}(g)
 	}
-	if st4.RequestID != "req-off-1" {
-		t.Fatalf("disabled recorder broke ID threading: %+v", st4)
+	wg.Wait()
+	minted := map[string]bool{}
+	for _, gids := range ids {
+		for _, id := range gids {
+			if id == "" || minted[id] {
+				t.Fatalf("request ID %q is empty or was minted twice", id)
+			}
+			minted[id] = true
+		}
 	}
-	if _, ok := off.TraceByID("req-off-1"); ok {
-		t.Fatal("disabled recorder retained a trace")
+	kept := busy.Traces(tsq.TraceFilter{})
+	if len(kept) == 0 || len(kept) > 16*len(busy.WorstTraces()) {
+		t.Fatalf("recorder kept %d traces over %d buckets, want 1..16 a bucket", len(kept), len(busy.WorstTraces()))
 	}
-	if got := off.Traces(tsq.TraceFilter{}); got != nil {
-		t.Fatalf("disabled recorder returned %d traces", len(got))
-	}
-	if got := off.WorstTraces(); got != nil {
-		t.Fatalf("disabled recorder returned %d worst entries", len(got))
+	for i, e := range kept {
+		if !minted[e.RequestID] || e.Query == "" || e.Elapsed <= 0 || e.When.IsZero() || len(e.Spans) == 0 {
+			t.Fatalf("incomplete trace %d after concurrent reads: %+v", i, e)
+		}
 	}
 }
 

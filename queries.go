@@ -54,9 +54,8 @@ type Stats struct {
 	// per-shard timings; a statement's opens with its parse span).
 	Spans []SpanInfo
 	// RequestID is the query's correlation ID, stamped by the Server
-	// layer: the same ID appears in slow-log entries, retained traces
-	// (GET /traces), and log lines, so any one signal resolves to the
-	// others. Empty on direct DB-level executions.
+	// layer: the same ID appears in retained traces (GET /traces) and
+	// log lines, so any one signal resolves to the others. Empty on direct DB-level executions.
 	RequestID string
 	// Delta is the approximation slack the execution ran under (0 =
 	// exact); Rung is the planner's estimated accepting ladder
@@ -169,10 +168,10 @@ func With(s Strategy) QueryOpt {
 }
 
 // WithRequest attaches a correlation ID to a Server query: the ID is
-// stamped into the returned Stats, the slow-query log, the retained
-// flight-recorder trace, and (at the HTTP layer) log lines and error
-// responses. The server boundary adopts a client's X-TSQ-Request-ID
-// header through this option; embedded callers may pass their own.
+// stamped into the returned Stats, the retained flight-recorder trace,
+// and (at the HTTP layer) log lines and error responses. The server
+// boundary adopts a client's X-TSQ-Request-ID header through this
+// option; embedded callers may pass their own.
 // Queries without one get a freshly minted ID. The ID never enters
 // cache keys, so it does not fragment the result cache. Ignored by
 // DB-level queries, which have no observability session.

@@ -75,7 +75,7 @@ type readSpec struct {
 	// bypass marks a progressive stage. All three make the read uncached.
 	explain, trace, bypass bool
 	// text is the statement the read arrived as ("" for a typed call) and
-	// parse what reading it cost; slow-log and trace entries show the text.
+	// parse what reading it cost; retained traces show the text.
 	text  string
 	parse time.Duration
 	// err is why the spec cannot run: run returns it before touching the

@@ -3,7 +3,6 @@ package tsq
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,16 +63,9 @@ type Server struct {
 
 	started time.Time
 
-	// slow is the bounded slow-query log (newest slowLogCap entries),
-	// guarded by slowMu; slowThreshold <= 0 disables it.
-	slowMu        sync.Mutex
-	slow          []SlowQuery
-	slowThreshold time.Duration
-
 	// flight is the tail-sampled trace store: per-{kind,strategy}
 	// slowest-N and most-recent-N executions plus every error, each with
 	// its full span tree, keyed by request ID (see Traces/TraceByID).
-	// Nil disables retention.
 	flight *flight.Recorder[[]SpanInfo]
 
 	queries      atomic.Int64
@@ -95,15 +87,6 @@ type ServerOptions struct {
 	// for watcher reconnect replay. 0 selects the default (256); negative
 	// retains none (reconnecting watchers always get a fresh snapshot).
 	MonitorRetain int
-	// SlowThreshold is the server-side wall time beyond which a query is
-	// retained in the slow-query log (Server.SlowQueries, /stats?slow=1).
-	// 0 selects the default (25ms); negative disables the log.
-	SlowThreshold time.Duration
-	// TraceRetain is the flight recorder's per-{kind,strategy} retention
-	// depth for both the most-recent and the slowest execution traces
-	// (errors are retained separately and always). 0 selects the default
-	// (8); negative disables trace retention entirely.
-	TraceRetain int
 }
 
 // DefaultCacheSize is the result-cache capacity used when
@@ -128,27 +111,13 @@ func NewServer(db *DB, opts ServerOptions) *Server {
 	if retain < 0 {
 		retain = 0
 	}
-	slow := opts.SlowThreshold
-	if slow == 0 {
-		slow = DefaultSlowThreshold
+	return &Server{
+		db:      db,
+		cache:   newResultCache(size),
+		hub:     stream.NewHub(retain),
+		flight:  flight.NewRecorder[[]SpanInfo](),
+		started: time.Now(),
 	}
-	if slow < 0 {
-		slow = 0
-	}
-	s := &Server{
-		db:            db,
-		cache:         newResultCache(size),
-		hub:           stream.NewHub(retain),
-		slowThreshold: slow,
-		started:       time.Now(),
-	}
-	if opts.TraceRetain >= 0 {
-		s.flight = flight.NewRecorder[[]SpanInfo](flight.Options{
-			RecentN:  opts.TraceRetain,
-			SlowestN: opts.TraceRetain,
-		})
-	}
-	return s
 }
 
 // ServerStats is a point-in-time snapshot of a Server's cumulative
@@ -437,8 +406,8 @@ func (s *Server) Series(name string) ([]float64, error) { return s.db.Series(nam
 func (s *Server) WriteTo(w io.Writer) (int64, error) { return s.db.WriteTo(w) }
 
 // readID names one read for readQuery: the cache key, the kind label of its
-// metrics, what the slow log and retained traces show for it, the caller's
-// correlation ID, and whether it skips the cache.
+// metrics, what its retained trace shows for it, the caller's correlation
+// ID, and whether it skips the cache.
 type readID struct {
 	key, kind, label, reqID string
 	uncached                bool
@@ -457,11 +426,10 @@ type readID struct {
 //
 // Every served query also carries a correlation ID (minted here when the
 // caller supplied none via WithRequest): it is stamped on the returned
-// Stats, on any slow-log entry, and on the flight-recorder trace, so one ID
-// resolves to the same execution across /stats?slow=1, /traces, and the
-// server's log lines. The count → observe → slow-log → flight-record
-// epilogue below is the only one: every read of every kind, however it
-// arrived, ends in done.
+// Stats and on the flight-recorder trace, so one ID resolves to the same
+// execution across the response, /traces, and the server's log lines. The
+// count → observe → flight-record epilogue below is the only one: every
+// read of every kind, however it arrived, ends in done.
 func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cachedResult, Stats, error) {
 	s.queries.Add(1)
 	start := time.Now()
@@ -476,9 +444,6 @@ func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cac
 			spans = []SpanInfo{{Name: "cache", Shard: -1, Duration: elapsed}}
 		}
 		observeQuery(id.kind, strategy, outcome, elapsed)
-		if outcome == flight.OutcomeOK {
-			s.slowRecord(id.label, elapsed, spans, id.reqID)
-		}
 		s.flightRecord(id.reqID, id.kind, strategy, outcome, id.label, errMsg, elapsed, spans)
 	}
 	var v0 int64
