@@ -60,6 +60,9 @@ vet:
 	@if grep -nE 'rangeScanFreqInto|nnScanArena|pairDist|observeDrift|PlanDrift' \
 		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
 		echo "one verify step per candidate (shard.verify, recordSum): the per-strategy copies and the plan-drift checkpoints are gone"; exit 1; fi
+	@if grep -nE 'readTSQ3|legacyMagic|appendHistory|readHistory|appendCosts|readCosts|loader\) rebuild|History\) (Export|Import)' \
+		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
+		echo "a snapshot is the store and nothing else: the TSQ3 reader, the rebuild path and the planner trailers are gone"; exit 1; fi
 
 fmt:
 	gofmt -w .

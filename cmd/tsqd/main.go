@@ -67,7 +67,7 @@ func main() {
 		k        = flag.Int("k", 2, "DFT coefficients kept in the index")
 		space    = flag.String("space", "polar", "feature space: polar or rect")
 		cache    = flag.Int("cache", tsq.DefaultCacheSize, "query result cache entries (0 disables)")
-		shards   = flag.Int("shards", 0, "hash-partitioned shards; queries fan out in parallel and writers lock only their shard (0 = a loaded snapshot's count, else 1)")
+		shards   = flag.Int("shards", 0, "hash-partitioned shards; queries fan out in parallel and writers lock only their shard (0 = a loaded snapshot's count, else 1; at most 65535)")
 		retain   = flag.Int("retain", tsq.DefaultMonitorRetain, "events retained per monitor so reconnecting /watch clients can resume gaplessly (0 disables replay)")
 		pprof    = flag.String("pprof", "", "address of a net/http/pprof side listener (e.g. localhost:6060; empty disables) — profiling stays off the query port")
 		logLevel = flag.String("log-level", "info", "minimum log severity: debug, info, warn, or error")
@@ -231,9 +231,12 @@ func openEmpty(length, k int, space string, shards int, backing string, cachePag
 	})
 }
 
-// saveSnapshot writes the snapshot atomically: temp file, then rename.
+// saveSnapshot writes the snapshot atomically and durably: a temp file in
+// the snapshot's directory, synced, renamed over path, then the directory
+// synced so that the rename itself survives a crash.
 func saveSnapshot(srv *tsq.Server, path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
@@ -242,8 +245,20 @@ func saveSnapshot(srv *tsq.Server, path string) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

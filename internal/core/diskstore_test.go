@@ -271,9 +271,9 @@ func TestSnapshotAdoptsTree(t *testing.T) {
 	}
 }
 
-// TestRetiredSnapshotVersions: the series-only TSQ1 and TSQ2 formats are
-// refused at the header, by name, at every requested shard count — no
-// panic and no partial store.
+// TestRetiredSnapshotVersions: the series-only TSQ1 and TSQ2 formats and
+// TSQ3 are refused at the header, by name, at every requested shard count —
+// no panic and no partial store — and a TSQ3 refusal says how to migrate.
 func TestRetiredSnapshotVersions(t *testing.T) {
 	src := newTestEngine(t, 32, 1, Options{})
 	for _, d := range dataset.RandomWalks(8, 32, 5) {
@@ -285,7 +285,7 @@ func TestRetiredSnapshotVersions(t *testing.T) {
 	if _, err := src.WriteTo(&snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, magic := range []string{"TSQ1", "TSQ2"} {
+	for _, magic := range []string{"TSQ1", "TSQ2", "TSQ3"} {
 		for _, c := range []struct {
 			label string
 			raw   []byte
@@ -300,6 +300,9 @@ func TestRetiredSnapshotVersions(t *testing.T) {
 				}
 				if !strings.Contains(err.Error(), magic) {
 					t.Errorf("%s %s at shards=%d: error does not name the version: %v", magic, c.label, shards, err)
+				}
+				if magic == "TSQ3" && !strings.Contains(err.Error(), "save it again") {
+					t.Errorf("%s %s at shards=%d: error does not say how to migrate: %v", magic, c.label, shards, err)
 				}
 			}
 		}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/feature"
 	"repro/internal/geom"
-	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/rtree"
 )
@@ -28,8 +27,8 @@ import (
 //	  payload [size]byte
 //	  crc     uint32      CRC32-C (Castagnoli) of tag, size and payload
 //
-// HEAD and SERS are required; DERV, SLAB, PLNH and CCAL may each be absent,
-// and whatever is present comes in this order:
+// A snapshot is the store and nothing else: HEAD, SERS, DERV and SLAB, all
+// four required, in this order.
 //
 //	HEAD  space uint8 (0 = rect, 1 = polar), k uint16, moments uint8 (0/1),
 //	      length uint32 (series length, >= 4 and > k), shards uint16 (>= 1),
@@ -40,11 +39,13 @@ import (
 //	      frequency relation's record (half.go), adopted verbatim
 //	SLAB  trees uint16, then per tree byteLen uint32 + tree [byteLen]byte
 //	      (rtree binary encoding), one packed tree per shard
-//	PLNH  seq int64, count uint32 (<= plan.DefaultHistorySize), then count
-//	      plan.Record values, fields in order (strings as uint16 length +
-//	      bytes, ints as int64, bools as uint8)
-//	CCAL  the five plan.Costs float64s: scanUnit, nodeUnit, joinScanUnit,
-//	      joinNodeUnit, joinProbeUnit
+//
+// What a store has served is not in its snapshot: the same store writes the
+// same bytes whatever it has planned or executed, and a loaded store prices
+// plans with plan.Calibrated() and starts an empty plan history, as a new
+// store does. Snapshots of builds up to commit 5f712f0 carry two more
+// sections after SLAB, the plan history (PLNH) and the cost constants
+// (CCAL); a reader checks their size and checksum and discards them unread.
 //
 // Shard *assignment* is derived — a pure hash of the series name — so a
 // snapshot can be loaded at any shard count; the recorded count is only the
@@ -53,11 +54,8 @@ import (
 // remapped at write time to dense record positions — exactly the IDs a
 // loader assigns — so a load whose effective shard count matches the slab
 // count validates and adopts each packed tree as-is (no feature extraction,
-// no FFT, no STR sort); at any other shard count the loader still skips
-// extraction and the FFT using DERV and only re-packs the trees; without
-// them it rebuilds everything. PLNH carries the plan history and CCAL the
-// cost constants the store priced plans with, so a reloaded store keeps its
-// drift diagnostics and its index-vs-scan break-even points.
+// no FFT, no STR sort); at any other shard count the loader adopts the DERV
+// points and spectra and only re-packs the trees.
 //
 // A reader streams: each series record goes to its shard's time relation as
 // it is decoded, and each DERV spectrum to its shard's frequency relation,
@@ -72,21 +70,23 @@ import (
 // shard is built when its first record arrives — so a corrupt or hostile
 // header costs an error, not the process.
 //
-// The one legacy format read is TSQ3, the format until PR 25: the same
-// header after its own magic, the same series records, then DERV, SLAB, PLNH
-// and CCAL introduced by their four-byte tags alone — no sizes, no checksums
-// — and DERV spectra of all n coefficients interleaved with their mirrors
-// (0, 1, n-1, 2, n-2, …), which the reader de-interleaves to the stored half
-// on the way in. The series-only TSQ1 and TSQ2 are refused by name.
+// The earlier formats are refused by name: the series-only TSQ1 and TSQ2,
+// and TSQ3, whose sections had no sizes or checksums. A TSQ3 file becomes a
+// TSQ4 one by loading it with a build that still reads it (up to commit
+// 5f712f0) and saving it again.
+
+// MaxShards is the most shards a store may have: HEAD and SLAB record the
+// count in 16 bits.
+const MaxShards = math.MaxUint16
 
 var (
 	snapshotMagic = [4]byte{'T', 'S', 'Q', '4'}
-	legacyMagic   = [4]byte{'T', 'S', 'Q', '3'}
 
 	headTag    = [4]byte{'H', 'E', 'A', 'D'}
 	seriesTag  = [4]byte{'S', 'E', 'R', 'S'}
 	derivedTag = [4]byte{'D', 'E', 'R', 'V'}
 	slabTag    = [4]byte{'S', 'L', 'A', 'B'}
+	// Retired sections: read past, never written.
 	historyTag = [4]byte{'P', 'L', 'N', 'H'}
 	costsTag   = [4]byte{'C', 'C', 'A', 'L'}
 )
@@ -94,7 +94,7 @@ var (
 // castagnoli is the CRC32-C table every section checksum uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// snapshotHeader is the decoded HEAD section (a TSQ3 header).
+// snapshotHeader is the decoded HEAD section.
 type snapshotHeader struct {
 	schema feature.Schema
 	length int
@@ -232,46 +232,6 @@ func densePositions(ids []int64) func(int64) (int64, bool) {
 	}
 }
 
-// appendHistory encodes the PLNH payload, so planner drift diagnostics
-// survive a snapshot round trip.
-func appendHistory(b []byte, h *plan.History) []byte {
-	seq, recs := h.Export()
-	b = binary.LittleEndian.AppendUint64(b, uint64(seq))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(recs)))
-	for _, r := range recs {
-		for _, s := range []string{r.Kind, r.Strategy, r.Method, r.Reason} {
-			s = s[:min(len(s), math.MaxUint16)]
-			b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-			b = append(b, s...)
-		}
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Seq))
-		if r.Forced {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		for _, v := range []int{r.Series, r.Shards} {
-			b = binary.LittleEndian.AppendUint64(b, uint64(v))
-		}
-		for _, v := range []float64{r.EstCandidates, r.EstCost} {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		for _, v := range []int{r.ActualCandidates, r.ActualNodeAccesses, r.Results} {
-			b = binary.LittleEndian.AppendUint64(b, uint64(v))
-		}
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.ElapsedUS))
-	}
-	return b
-}
-
-// appendCosts encodes the CCAL payload.
-func appendCosts(b []byte, c plan.Costs) []byte {
-	for _, v := range []float64{c.ScanUnit, c.NodeUnit, c.JoinScanUnit, c.JoinNodeUnit, c.JoinProbeUnit} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-	}
-	return b
-}
-
 // WriteTo serializes the store's contents as a TSQ4 snapshot: the shard
 // count, every series in global insertion order — so a snapshot round-trip
 // reproduces the exact ID assignment — plus the DERV and SLAB derived
@@ -327,8 +287,6 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 		}
 	})
 	sw.frame(slabTag, slab)
-	sw.frame(historyTag, appendHistory(nil, s.history))
-	sw.frame(costsTag, appendCosts(nil, s.tracker.Costs()))
 	if sw.err == nil {
 		sw.err = sw.bw.Flush()
 	}
@@ -359,10 +317,6 @@ func (d *decoder) full(p []byte) {
 func (d *decoder) u8() uint8   { d.full(d.b[:1]); return d.b[0] }
 func (d *decoder) u16() uint16 { d.full(d.b[:2]); return binary.LittleEndian.Uint16(d.b[:]) }
 func (d *decoder) u32() uint32 { d.full(d.b[:4]); return binary.LittleEndian.Uint32(d.b[:]) }
-func (d *decoder) u64() uint64 { d.full(d.b[:8]); return binary.LittleEndian.Uint64(d.b[:]) }
-func (d *decoder) f64() float64 {
-	return math.Float64frombits(d.u64())
-}
 
 // readChunk is how far ahead of the bytes that have arrived a read may
 // allocate.
@@ -468,61 +422,6 @@ func readSlab(d *decoder) ([]*rtree.Tree, error) {
 	return trees, nil
 }
 
-// readHistory decodes the plan-history records. A count beyond the ring
-// every store keeps is refused before anything is sized by it.
-func readHistory(d *decoder) (int64, []plan.Record, error) {
-	seq, count := int64(d.u64()), d.u32()
-	if d.err != nil {
-		return 0, nil, d.err
-	}
-	if count > plan.DefaultHistorySize {
-		return 0, nil, fmt.Errorf("%d history records, more than the %d a store keeps", count, plan.DefaultHistorySize)
-	}
-	recs := make([]plan.Record, count)
-	var buf []byte
-	for i := range recs {
-		r := &recs[i]
-		for _, dst := range []*string{&r.Kind, &r.Strategy, &r.Method, &r.Reason} {
-			buf = d.appendN(buf[:0], int(d.u16()))
-			*dst = string(buf)
-		}
-		r.Seq = int64(d.u64())
-		r.Forced = d.u8() == 1
-		r.Series, r.Shards = int(d.u64()), int(d.u64())
-		r.EstCandidates, r.EstCost = d.f64(), d.f64()
-		r.ActualCandidates, r.ActualNodeAccesses, r.Results = int(d.u64()), int(d.u64()), int(d.u64())
-		r.ElapsedUS = d.f64()
-		if d.err != nil {
-			return 0, nil, fmt.Errorf("reading history record %d: %w", i, d.err)
-		}
-	}
-	return seq, recs, nil
-}
-
-// readCosts decodes the cost constants, refusing any that could not have
-// been measured.
-func readCosts(d *decoder) (plan.Costs, error) {
-	var vals [5]float64
-	for i := range vals {
-		vals[i] = d.f64()
-	}
-	if d.err != nil {
-		return plan.Costs{}, d.err
-	}
-	for _, v := range vals {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return plan.Costs{}, fmt.Errorf("invalid cost constant %g", v)
-		}
-	}
-	return plan.Costs{
-		ScanUnit:      vals[0],
-		NodeUnit:      vals[1],
-		JoinScanUnit:  vals[2],
-		JoinNodeUnit:  vals[3],
-		JoinProbeUnit: vals[4],
-	}, nil
-}
-
 // loader builds a store while a snapshot is read. Each series record goes
 // to its shard's time relation as it arrives, and each DERV spectrum to its
 // shard's frequency relation; what stays in memory is the names and the
@@ -535,24 +434,15 @@ type loader struct {
 	want int // the caller's shard count; 0 takes the snapshot's
 	h    snapshotHeader
 	// shards is the store's partition, a shard nil until a record hashes to
-	// it; names are the series in record (ID) order.
+	// it; names are the series in record (ID) order; trees is SLAB.
 	shards []*shard
 	names  []string
-	// haveDerived is set once DERV has entered every record; trees is
-	// SLAB.
-	haveDerived bool
-	trees       []*rtree.Tree
-	seq         int64
-	history     []plan.Record
-	haveHist    bool
-	costs       plan.Costs
-	haveCosts   bool
+	trees  []*rtree.Tree
 	// blocks carves the records a memory relation adopts as its pages;
 	// scratch holds one on its way into a disk relation's page run, and
-	// name, point and wide are one record's name, feature point and TSQ3
-	// full spectrum as read.
-	blocks                     records
-	scratch, name, point, wide []byte
+	// name and point are one record's name and feature point as read.
+	blocks               records
+	scratch, name, point []byte
 }
 
 // sectionBody is one section a snapshot may carry and the decoder of its
@@ -568,22 +458,21 @@ func (l *loader) bodies() []sectionBody {
 	return []sectionBody{
 		{headTag, true, l.head},
 		{seriesTag, true, l.series},
-		{derivedTag, false, func(d *decoder) error { return l.derived(d, false) }},
-		{slabTag, false, func(d *decoder) (err error) {
+		{derivedTag, true, l.derived},
+		{slabTag, true, func(d *decoder) (err error) {
 			l.trees, err = readSlab(d)
 			return err
 		}},
-		{historyTag, false, func(d *decoder) (err error) {
-			l.seq, l.history, err = readHistory(d)
-			l.haveHist = err == nil
-			return err
-		}},
-		{costsTag, false, func(d *decoder) (err error) {
-			l.costs, err = readCosts(d)
-			l.haveCosts = err == nil
-			return err
-		}},
+		{historyTag, false, discard},
+		{costsTag, false, discard},
 	}
+}
+
+// discard reads a retired section's payload through, so that its size and
+// checksum are checked, and keeps none of it.
+func discard(d *decoder) error {
+	_, err := io.Copy(io.Discard, d.r)
+	return err
 }
 
 // head decodes the header and settles the shard count: the caller's, else
@@ -627,16 +516,6 @@ func (l *loader) read(d *decoder, rel *relation.Relation, size, left int) []byte
 		return l.scratch
 	}
 	return l.blocks.next(d, size, left)
-}
-
-// alloc is read's memory for a record built rather than read (a TSQ3
-// spectrum, a rebuilt one), once bytes enough to bound size have arrived.
-func (l *loader) alloc(rel *relation.Relation, size, left int) []byte {
-	if rel.DiskBacked() {
-		l.scratch = slices.Grow(l.scratch[:0], size)[:size]
-		return l.scratch
-	}
-	return l.blocks.take(size, left)
 }
 
 // series routes each series record to its shard's time relation. When all
@@ -683,11 +562,8 @@ func (l *loader) series(d *decoder) error {
 }
 
 // derived routes each DERV record to its series' shard: the spectrum to the
-// frequency relation, the feature point to the record directory. A TSQ3
-// (legacy) record holds all n coefficients interleaved with their mirrors;
-// stored coefficient f sits at position 2f-1 there (position 0 for f = 0),
-// and the rest are dropped.
-func (l *loader) derived(d *decoder, legacy bool) error {
+// frequency relation, the feature point to the record directory.
+func (l *loader) derived(d *decoder) error {
 	dims, size := l.h.schema.Dims(), 16*halfLen(l.h.length)
 	coords := make([]float64, len(l.names)*dims)
 	for i, name := range l.names {
@@ -697,19 +573,7 @@ func (l *loader) derived(d *decoder, legacy bool) error {
 		for j := range p {
 			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(l.point[8*j:]))
 		}
-		var rec []byte
-		if legacy {
-			l.wide = d.appendN(l.wide[:0], 16*l.h.length)
-			if d.err == nil {
-				rec = l.alloc(sh.freqRel, size, len(l.names)-i)
-				copy(rec, l.wide[:16])
-				for at := 16; at < size; at += 16 {
-					copy(rec[at:at+16], l.wide[2*at-16:])
-				}
-			}
-		} else {
-			rec = l.read(d, sh.freqRel, size, len(l.names)-i)
-		}
+		rec := l.read(d, sh.freqRel, size, len(l.names)-i)
 		if d.err != nil {
 			return fmt.Errorf("reading derived record %d: %w", i, d.err)
 		}
@@ -720,7 +584,6 @@ func (l *loader) derived(d *decoder, legacy bool) error {
 			return err
 		}
 	}
-	l.haveDerived = true
 	return nil
 }
 
@@ -738,39 +601,10 @@ func enter(sh *shard, id int64, name string, p geom.Point) error {
 	return nil
 }
 
-// rebuild derives each record of a snapshot without DERV from the window
-// just stored, read back in order — the derivation an insert runs.
-func (l *loader) rebuild() error {
-	size, left := 16*halfLen(l.h.length), len(l.names)
-	for _, sh := range l.shards {
-		var err error
-		if serr := sh.timeRel.Scan(func(id int64, vals []float64) bool {
-			var (
-				p   geom.Point
-				rec []byte
-			)
-			name := l.names[id]
-			if p, rec, err = sh.derive(name, vals, l.alloc(sh.freqRel, size, left)[:0]); err == nil {
-				if err = sh.freqRel.InsertOwned(id, rec); err == nil {
-					err = enter(sh, id, name, p)
-				}
-			}
-			left--
-			return err == nil
-		}); serr != nil {
-			return serr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // finish turns a load whose every section has been read and checked into a
-// store: the shards no series hashed to are built, a snapshot without DERV
-// derives its records, every page run is written, each shard adopts its
-// packed tree (or STR-packs its points), and the catalog takes the names.
+// store: the shards no series hashed to are built, every page run is
+// written, each shard adopts its packed tree (or STR-packs its points), and
+// the catalog takes the names.
 func (l *loader) finish() (*Store, error) {
 	for si, sh := range l.shards {
 		if sh != nil {
@@ -782,11 +616,6 @@ func (l *loader) finish() (*Store, error) {
 		}
 		l.shards[si] = sh
 	}
-	if !l.haveDerived {
-		if err := l.rebuild(); err != nil {
-			return nil, err
-		}
-	}
 	for _, sh := range l.shards {
 		if _, err := sh.freqRel.EndRun(); err != nil {
 			return nil, err
@@ -794,7 +623,7 @@ func (l *loader) finish() (*Store, error) {
 	}
 	// The packed trees partition records exactly as the writing store did;
 	// they are adoptable only when this load partitions the same way.
-	adopt := l.haveDerived && len(l.trees) == len(l.shards)
+	adopt := len(l.trees) == len(l.shards)
 	errs := make([]error, len(l.shards))
 	each(len(l.shards), func(si int) {
 		sh := l.shards[si]
@@ -817,12 +646,6 @@ func (l *loader) finish() (*Store, error) {
 	}
 	s := newStore(l.h.length, l.shards)
 	s.catalog(l.names)
-	if l.haveHist {
-		s.history.Import(l.seq, l.history)
-	}
-	if l.haveCosts {
-		s.tracker.SetCosts(l.costs)
-	}
 	return s, nil
 }
 
@@ -839,10 +662,10 @@ func (c *checksummed) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readTSQ4 reads the sections following a TSQ4 magic into the load. Every
+// readSections reads the sections following the magic into the load. Every
 // section's payload is decoded, found to fill exactly its framed size and
 // checked against its checksum before the next is read.
-func readTSQ4(br *bufio.Reader, l *loader) error {
+func readSections(br *bufio.Reader, l *loader) error {
 	bodies := l.bodies()
 	next := 0
 	for {
@@ -894,71 +717,22 @@ func readTSQ4(br *bufio.Reader, l *loader) error {
 	return nil
 }
 
-// readTSQ3 reads what follows a TSQ3 magic into the load: header, series
-// records, then the optional DERV and SLAB sections and PLNH and CCAL
-// trailers, each announced by its tag alone. A clean EOF after the derived
-// sections or the history trailer ends the snapshot.
-func readTSQ3(br *bufio.Reader, l *loader) error {
-	d := &decoder{r: br}
-	if err := l.head(d); err != nil {
-		return fmt.Errorf("core: reading snapshot header: %w", err)
-	}
-	if err := l.series(d); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	announced := func(tag [4]byte) bool {
-		b, err := br.Peek(4)
-		if err != nil || [4]byte(b) != tag {
-			return false
-		}
-		br.Discard(4)
-		return true
-	}
-	if announced(derivedTag) {
-		if err := l.derived(d, true); err != nil {
-			return fmt.Errorf("core: snapshot section DERV: %w", err)
-		}
-	}
-	if announced(slabTag) {
-		var err error
-		if l.trees, err = readSlab(d); err != nil {
-			return fmt.Errorf("core: snapshot section SLAB: %w", err)
-		}
-	}
-	for _, trailer := range l.bodies()[4:] { // PLNH, then CCAL
-		var tag [4]byte
-		if _, err := io.ReadFull(br, tag[:]); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("core: reading snapshot trailer: %w", err)
-		}
-		if tag != trailer.tag {
-			return fmt.Errorf("core: unexpected snapshot trailer (magic %q)", tag[:])
-		}
-		if err := trailer.read(d); err != nil {
-			return fmt.Errorf("core: snapshot section %s: %w", tag[:], err)
-		}
-	}
-	return nil
-}
-
 // ReadEngine deserializes a snapshot into a fresh store. shards selects the
 // partitioning of the loaded store: 0 honors the count recorded in the
-// snapshot (up to one shard per stored series), n >= 1 forces an n-way
-// store — re-sharding is always possible because partition assignment is a
-// pure hash of the series name. The opts' Schema is ignored (the snapshot
-// records its own) but storage options apply to every shard.
+// snapshot (up to one shard per stored series), 1 <= n <= MaxShards forces
+// an n-way store — re-sharding is always possible because partition
+// assignment is a pure hash of the series name. The opts' Schema is ignored
+// (the snapshot records its own) but storage options apply to every shard.
 //
 // The records stream into the shards' relations as they are read — a
 // disk-backed load holds none of them in memory and writes its pages in
-// runs — and derived state loads by the cheapest sound path the snapshot
-// allows: a snapshot whose slab count matches the effective shard count
-// validates and adopts the packed trees as-is (no extraction, no FFT, no
-// STR sort — cold start is O(bytes read)); one loaded at a different shard
-// count adopts the DERV points and spectra and only re-packs the trees; one
-// without the derived sections derives every record from its stored window
-// and bulk-loads the trees. A load that fails leaves nothing behind: no
-// store, no scratch file, no shard directory.
+// runs — and the index loads by one of two paths: at the slab's shard count
+// each packed tree is validated and adopted as-is (no extraction, no FFT, no
+// STR sort — cold start is O(bytes read)); at any other count the DERV
+// points and spectra are adopted and only the trees are re-packed. The
+// loaded store starts as a new one does: calibrated cost constants and an
+// empty plan history. A load that fails leaves nothing behind: no store, no
+// scratch file, no shard directory.
 func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
 	s, err := readStore(r, opts, shards)
 	if err != nil {
@@ -968,8 +742,8 @@ func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
 }
 
 func readStore(r io.Reader, opts Options, shards int) (*Store, error) {
-	if shards < 0 {
-		return nil, fmt.Errorf("core: shard count %d must be >= 0", shards)
+	if shards < 0 || shards > MaxShards {
+		return nil, fmt.Errorf("core: shard count %d is not in [0, %d]", shards, MaxShards)
 	}
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [4]byte
@@ -980,11 +754,11 @@ func readStore(r io.Reader, opts Options, shards int) (*Store, error) {
 	var err error
 	switch magic {
 	case snapshotMagic:
-		err = readTSQ4(br, l)
-	case legacyMagic:
-		err = readTSQ3(br, l)
+		err = readSections(br, l)
+	case [4]byte{'T', 'S', 'Q', '3'}:
+		err = errors.New("core: TSQ3 snapshots are no longer read (this build reads TSQ4): load the file with a build up to commit 5f712f0 and save it again")
 	case [4]byte{'T', 'S', 'Q', '1'}, [4]byte{'T', 'S', 'Q', '2'}:
-		err = fmt.Errorf("core: %s snapshots are no longer supported (this build reads TSQ4 and TSQ3)", magic[:])
+		err = fmt.Errorf("core: %s snapshots are no longer supported (this build reads TSQ4)", magic[:])
 	default:
 		err = fmt.Errorf("core: not a tsq snapshot (magic %q)", magic[:])
 	}

@@ -1,15 +1,29 @@
 package core
 
-// The snapshot reader's gates: every load path of both formats answers like
-// the store that wrote the file, a flipped byte in any TSQ4 section is an
-// error naming that section, no header can size an allocation, and no input
-// panics the reader.
+// The snapshot reader's gates: every load path answers like the store that
+// wrote the file, a snapshot holds the store and nothing it has served, a
+// flipped byte in any section is an error naming that section, no header
+// can size an allocation, and no input panics the reader.
 //
 // The TSQ3 fixtures under testdata/ were written by the last build that
-// wrote the format (commit 2aa875b, the parent of PR 25), and
-// tsq3-answers.json holds that build's answers to compatAnswers on them. To
-// regenerate, check out 2aa875b, add compatAnswers below and this test to
-// internal/core, and run `go test ./internal/core -run TestGenTSQ3 -count=1`:
+// wrote the format (commit 2aa875b), and tsq3-answers.json holds that
+// build's answers to compatAnswers on them; they stay as the golden answers
+// and as TSQ3 files the reader must refuse. The TSQ4 fixtures are the same
+// stores loaded and saved again by the last build that read TSQ3 (commit
+// 5f712f0), so they carry the retired PLNH and CCAL sections as every
+// snapshot of that build does:
+//
+//	for _, shards := range []int{1, 4} {
+//		raw, _ := os.ReadFile(fmt.Sprintf("testdata/tsq3-shards%d.snap", shards))
+//		e, _ := ReadEngine(bytes.NewReader(raw), Options{}, 0)
+//		f, _ := os.Create(fmt.Sprintf("testdata/tsq4-shards%d.snap", shards))
+//		e.WriteTo(f)
+//		f.Close()
+//	}
+//
+// The TSQ3 fixtures themselves were generated at 2aa875b with compatAnswers
+// below and this test in internal/core, by
+// `go test ./internal/core -run TestGenTSQ3 -count=1`:
 //
 //	func TestGenTSQ3(t *testing.T) {
 //		data := dataset.RandomWalks(30, 32, 25)
@@ -58,8 +72,8 @@ type compatAnswer struct {
 }
 
 // compatAnswers runs one query of every kind against a store of length-32
-// series and reports the answers by name: what a store loaded from the TSQ3
-// fixtures must answer like the store that wrote them.
+// series and reports the answers by name: what a store loaded from the
+// fixtures must answer like the store that first wrote them.
 func compatAnswers(t *testing.T, e Engine) map[string][]compatAnswer {
 	t.Helper()
 	const length = 32
@@ -212,36 +226,56 @@ func diskAnswersLikeMemory(t *testing.T, mem, disk Engine, length int) {
 	allKindsParity(t, mem, disk, length)
 }
 
-// TestSnapshotCompatVersions is the snapshot load-path gate. The legacy
-// TSQ3 fixtures — written at one shard and at four, and the first one cut
-// short before its derived sections — load at shard counts 0 (the recorded
-// one), 1 and 4 (adopting the packed trees where the counts match,
-// re-sharding from DERV where they do not, rebuilding without it) and answer
-// within 1e-12 of the build that wrote them; written back, they are TSQ4 and
-// load at 1 and 4 the same way. TSQ4 snapshots of this build, at one shard,
-// at four and bare, load at 0, 1 and 4 and answer identically to the store
-// that wrote them. Every load runs onto disk too, and answers bit for bit
-// like the memory load, before and after a Compact.
+// refusedEverywhere requires every raw snapshot to be refused at the given
+// shard count, into memory and onto disk, by an error naming what, and a
+// refused disk load to leave its backing directory as it found it.
+func refusedEverywhere(t *testing.T, what string, shards int, raws ...[]byte) {
+	t.Helper()
+	for i, raw := range raws {
+		for _, opts := range []Options{{}, {Backing: t.TempDir()}} {
+			eng, err := ReadEngine(bytes.NewReader(raw), opts, shards)
+			if err == nil {
+				eng.Close()
+				t.Errorf("snapshot %d loaded (backing %q)", i, opts.Backing)
+				continue
+			}
+			if !strings.Contains(err.Error(), what) {
+				t.Errorf("snapshot %d is refused without naming %s: %v", i, what, err)
+			}
+			if opts.Backing != "" {
+				if left := listDir(t, opts.Backing); len(left) != 0 {
+					t.Errorf("snapshot %d's refusal leaves %v in the backing directory", i, left)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotCompatVersions is the snapshot load-path gate. The TSQ4
+// fixtures — the TSQ3 fixtures' stores as the last build that read TSQ3
+// saved them, at one shard and at four, retired PLNH and CCAL sections
+// included — load at shard counts 0 (the recorded one), 1 and 4 (adopting
+// the packed trees where the counts match, re-packing them from DERV where
+// they do not) and answer within 1e-12 of the build that first wrote them;
+// written back, they load at 1 and 4 the same way. Snapshots of this build,
+// at one shard and at four, load at 0, 1 and 4 and answer identically to
+// the store that wrote them. Every load runs onto disk too, and answers bit
+// for bit like the memory load, before and after a Compact. A snapshot cut
+// after its series — the fixture or this build's — is refused, naming DERV,
+// and the TSQ3 fixtures, whole or cut after their series, naming TSQ3.
 func TestSnapshotCompatVersions(t *testing.T) {
 	var golden map[string][]compatAnswer
 	if err := json.Unmarshal(readTestdata(t, "tsq3-answers.json"), &golden); err != nil {
 		t.Fatal(err)
 	}
-	tsq3 := readTestdata(t, "tsq3-shards1.snap")
-	// The series records end where DERV begins: a header, then 30 records of
-	// a two-byte length, a five-byte name and 32 values.
-	bare3 := tsq3[:18+30*(2+5+8*32)]
-	if !bytes.HasPrefix(tsq3[len(bare3):], derivedTag[:]) {
-		t.Fatal("the TSQ3 fixture's series records do not end where DERV begins")
-	}
+	fixture := readTestdata(t, "tsq4-shards1.snap")
 	for _, fx := range []struct {
 		label    string
 		raw      []byte
 		recorded int
 	}{
-		{"tsq3-shards1", tsq3, 1},
-		{"tsq3-shards4", readTestdata(t, "tsq3-shards4.snap"), 4},
-		{"tsq3-bare", bare3, 1},
+		{"tsq4-shards1", fixture, 1},
+		{"tsq4-shards4", readTestdata(t, "tsq4-shards4.snap"), 4},
 	} {
 		for _, shards := range []int{0, 1, 4} {
 			t.Run(fmt.Sprintf("%s/load-shards=%d", fx.label, shards), func(t *testing.T) {
@@ -258,7 +292,7 @@ func TestSnapshotCompatVersions(t *testing.T) {
 						t.Fatal(err)
 					}
 					t.Cleanup(func() { back.Close() })
-					answersWithin(t, fmt.Sprintf("rewritten as TSQ4, loaded at %d shards", to), compatAnswers(t, back), golden, 1e-12)
+					answersWithin(t, fmt.Sprintf("written back, loaded at %d shards", to), compatAnswers(t, back), golden, 1e-12)
 				}
 				diskAnswersLikeMemory(t, got, disk, 32)
 			})
@@ -285,14 +319,37 @@ func TestSnapshotCompatVersions(t *testing.T) {
 	}
 	srcDB := build(t, 1)
 	one := writeSnapshot(t, srcDB)
+
+	tsq3 := readTestdata(t, "tsq3-shards1.snap")
+	// The TSQ3 series records end where DERV begins: a header, then 30
+	// records of a two-byte length, a five-byte name and 32 values.
+	bare3 := tsq3[:18+30*(2+5+8*32)]
+	if !bytes.HasPrefix(tsq3[len(bare3):], derivedTag[:]) {
+		t.Fatal("the TSQ3 fixture's series records do not end where DERV begins")
+	}
+	for _, fx := range []struct {
+		label, what string
+		raws        [][]byte
+	}{
+		{"tsq3-shards1", "TSQ3", [][]byte{tsq3}},
+		{"tsq3-shards4", "TSQ3", [][]byte{readTestdata(t, "tsq3-shards4.snap")}},
+		{"tsq3-bare", "TSQ3", [][]byte{bare3}},
+		{"tsq4-bare", "DERV", [][]byte{bareTSQ4(t, fixture), bareTSQ4(t, one)}},
+	} {
+		for _, shards := range []int{0, 1, 4} {
+			t.Run(fmt.Sprintf("%s/load-shards=%d", fx.label, shards), func(t *testing.T) {
+				refusedEverywhere(t, fx.what, shards, fx.raws...)
+			})
+		}
+	}
+
 	for _, fx := range []struct {
 		label    string
 		raw      []byte
 		recorded int
 	}{
-		{"tsq4-shards1", one, 1},
-		{"tsq4-shards4", writeSnapshot(t, build(t, 4)), 4},
-		{"tsq4-bare", bareTSQ4(t, one), 1},
+		{"built-shards1", one, 1},
+		{"built-shards4", writeSnapshot(t, build(t, 4)), 4},
 	} {
 		for _, shards := range []int{0, 1, 4} {
 			t.Run(fmt.Sprintf("%s/load-shards=%d", fx.label, shards), func(t *testing.T) {
@@ -308,8 +365,120 @@ func TestSnapshotCompatVersions(t *testing.T) {
 	}
 }
 
-// smallSnapshotStore is a store with something in every section: series,
-// derived data, packed trees at the given width, plan history and costs.
+// TestSnapshotIsTheStore: a snapshot holds what the store stores and
+// nothing it has served. Two stores given the same writes write the same
+// bytes, though one of them has also planned and run range, NN and join
+// reads, auto and forced. A churned store that has served reads, written,
+// loaded at its recorded shard count, read and written again, writes the
+// same bytes again, at one shard and at four, loaded into memory and onto
+// disk. The loaded store prices plans with the calibrated constants and
+// starts with an empty plan history, as a new store does.
+func TestSnapshotIsTheStore(t *testing.T) {
+	const length = 32
+	data := dataset.RandomWalks(120, length, 53)
+	names, values := make([]string, len(data)), make([][]float64, len(data))
+	for i, d := range data {
+		names[i], values[i] = d.Name, d.Values
+	}
+	// churn gives e a bulk load, inserts, deletes and appends.
+	churn := func(t *testing.T, e Engine) {
+		t.Helper()
+		if err := e.InsertBulk(names[:80], values[:80]); err != nil {
+			t.Fatal(err)
+		}
+		for i := 80; i < len(names); i++ {
+			if _, err := e.Insert(names[i], values[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < len(names); i += 7 {
+			if !e.Delete(names[i]) {
+				t.Fatalf("delete %s: missing", names[i])
+			}
+		}
+		for i := 1; i < len(names); i += 5 {
+			if i%7 == 0 {
+				continue
+			}
+			if _, err := e.Append(names[i], []float64{float64(i), 1.5, -2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// serve plans and runs reads of every kind on e, auto and forced.
+	serve := func(t *testing.T, e Engine) {
+		t.Helper()
+		mavg := transform.MovingAverage(length, 5)
+		q := queryValues(length, 3)
+		for _, want := range []plan.Strategy{plan.Auto, plan.Index, plan.ScanFreq, plan.ScanTime} {
+			if _, _, err := forcedRange(e, RangeQuery{Values: q, Eps: 5, Transform: mavg, BothSides: true}, want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, want := range []plan.Strategy{plan.Auto, plan.Index, plan.ScanFreq} {
+			if _, _, err := forcedNN(e, NNQuery{Values: q, K: 4, Transform: mavg}, want); err != nil {
+				t.Fatal(err)
+			}
+			jq := JoinQuery{Eps: 2, Left: mavg, Right: mavg}
+			pl, err := e.PlanJoin(jq, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := e.ExecJoin(jq, pl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(e.PlanHistory()) == 0 {
+			t.Fatal("the reads left no plan history")
+		}
+	}
+
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d/served-or-not", shards), func(t *testing.T) {
+			idle, busy := newTestEngine(t, length, shards, Options{}), newTestEngine(t, length, shards, Options{})
+			churn(t, idle)
+			churn(t, busy)
+			serve(t, busy)
+			if a, b := writeSnapshot(t, idle), writeSnapshot(t, busy); !bytes.Equal(a, b) {
+				t.Fatalf("the store that served reads writes %d bytes, its idle twin %d, and they differ", len(b), len(a))
+			}
+		})
+		for _, disk := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/disk=%t/load-and-rewrite", shards, disk), func(t *testing.T) {
+				src := newTestEngine(t, length, shards, Options{})
+				churn(t, src)
+				serve(t, src)
+				storeOf(src).tracker.SetCosts(plan.Costs{ScanUnit: 0.3, NodeUnit: 1.7, JoinScanUnit: 0.2, JoinNodeUnit: 2.9, JoinProbeUnit: 0.6})
+				first := writeSnapshot(t, src)
+				var opts Options
+				if disk {
+					opts.Backing = t.TempDir()
+				}
+				got, err := ReadEngine(bytes.NewReader(first), opts, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { got.Close() })
+				if got.Shards() != shards || got.Len() != src.Len() {
+					t.Fatalf("loaded %d series over %d shards, wrote %d over %d", got.Len(), got.Shards(), src.Len(), shards)
+				}
+				if have := storeOf(got).tracker.Costs(); have != plan.Calibrated() {
+					t.Errorf("the loaded store prices plans with %+v, not the calibrated %+v", have, plan.Calibrated())
+				}
+				if h := got.PlanHistory(); len(h) != 0 {
+					t.Errorf("the loaded store starts with %d plan records, not none", len(h))
+				}
+				serve(t, got)
+				if again := writeSnapshot(t, got); !bytes.Equal(first, again) {
+					t.Fatalf("written, loaded, read and written again: %d bytes, first %d, and they differ", len(again), len(first))
+				}
+			})
+		}
+	}
+}
+
+// smallSnapshotStore is a store with something in every section — series,
+// derived data, packed trees at the given width — that has served a read.
 func smallSnapshotStore(t testing.TB, shards, count, length int) Engine {
 	t.Helper()
 	s, err := NewStore(length, shards, Options{})
@@ -337,14 +506,23 @@ func smallSnapshotStore(t testing.TB, shards, count, length int) Engine {
 }
 
 // TestSnapshotChecksumNamesTheSection: one flipped byte in the payload of
-// any TSQ4 section — header, series, DERV, SLAB, PLNH, CCAL — or in a
-// section's checksum is refused, and so is a snapshot cut where a section's
-// payload begins or one byte before its end; the error names the section.
-// Snapshots written at one shard and at four load into memory and onto disk,
-// and a disk load that fails leaves its backing directory as it found it.
+// any section — header, series, DERV, SLAB, and a checked-in fixture's
+// retired PLNH and CCAL — or in a section's checksum is refused, and so is
+// a snapshot cut where a section's payload begins or one byte before its
+// end; the error names the section. Snapshots written at one shard and at
+// four, and the fixture, load into memory and onto disk, and a disk load
+// that fails leaves its backing directory as it found it.
 func TestSnapshotChecksumNamesTheSection(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		snap := writeSnapshot(t, smallSnapshotStore(t, shards, 24, 32))
+	for _, c := range []struct {
+		label string
+		snap  []byte
+		tags  string
+	}{
+		{"shards=1", writeSnapshot(t, smallSnapshotStore(t, 1, 24, 32)), "HEAD SERS DERV SLAB"},
+		{"shards=4", writeSnapshot(t, smallSnapshotStore(t, 4, 24, 32)), "HEAD SERS DERV SLAB"},
+		{"tsq4-shards1.snap", readTestdata(t, "tsq4-shards1.snap"), "HEAD SERS DERV SLAB PLNH CCAL"},
+	} {
+		snap := c.snap
 		var tags []string
 		for _, sec := range sectionsOf(t, snap) {
 			tags = append(tags, sec.tag)
@@ -353,7 +531,7 @@ func TestSnapshotChecksumNamesTheSection(t *testing.T) {
 				bad[off] ^= 0x20
 				return bad
 			}
-			for _, c := range []struct {
+			for _, bad := range []struct {
 				what string
 				raw  []byte
 			}{
@@ -363,12 +541,12 @@ func TestSnapshotChecksumNamesTheSection(t *testing.T) {
 				{"a cut one byte before the end", snap[:sec.end-1]},
 			} {
 				for _, disk := range []bool{false, true} {
-					label := fmt.Sprintf("shards=%d %s: %s (disk %t)", shards, sec.tag, c.what, disk)
+					label := fmt.Sprintf("%s %s: %s (disk %t)", c.label, sec.tag, bad.what, disk)
 					opts := Options{}
 					if disk {
 						opts.Backing = t.TempDir()
 					}
-					eng, err := ReadEngine(bytes.NewReader(c.raw), opts, 0)
+					eng, err := ReadEngine(bytes.NewReader(bad.raw), opts, 0)
 					if err == nil {
 						eng.Close()
 						t.Errorf("%s loaded", label)
@@ -385,16 +563,27 @@ func TestSnapshotChecksumNamesTheSection(t *testing.T) {
 				}
 			}
 		}
-		if got := strings.Join(tags, " "); got != "HEAD SERS DERV SLAB PLNH CCAL" {
-			t.Fatalf("the snapshot's sections are %s", got)
+		if got := strings.Join(tags, " "); got != c.tags {
+			t.Fatalf("%s: the snapshot's sections are %s, want %s", c.label, got, c.tags)
+		}
+		for _, disk := range []bool{false, true} {
+			opts := Options{}
+			if disk {
+				opts.Backing = t.TempDir()
+			}
+			eng, err := ReadEngine(bytes.NewReader(snap), opts, 0)
+			if err != nil {
+				t.Fatalf("%s (disk %t): %v", c.label, disk, err)
+			}
+			eng.Close()
 		}
 	}
 }
 
 // TestSnapshotHeaderCannotSizeAnAllocation: crafted headers and section
-// frames that promise billions of series, gigabyte records or more history
-// than any store keeps — checksums valid where the format has them — each
-// load to an error, and what the attempt allocates stays under 64 MiB.
+// frames that promise billions of series, gigabyte records or trees, or a
+// retired section of exabytes — checksums valid — each load to an error,
+// and what the attempt allocates stays under 64 MiB.
 func TestSnapshotHeaderCannotSizeAnAllocation(t *testing.T) {
 	le := binary.LittleEndian
 	header := func(k uint16, length uint32, shards uint16, count uint32) []byte {
@@ -410,30 +599,29 @@ func TestSnapshotHeaderCannotSizeAnAllocation(t *testing.T) {
 		b = append(b, payload...)
 		return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	}
-	tsq3 := func(h []byte, rest ...byte) []byte { return append(append([]byte("TSQ3"), h...), rest...) }
 	tsq4 := func(frames ...[]byte) []byte { return bytes.Join(append([][]byte{[]byte("TSQ4")}, frames...), nil) }
-	empty := header(2, 64, 1, 0)
+	head := func(k uint16, length uint32, shards uint16, count uint32) []byte {
+		return frame("HEAD", 14, header(k, length, shards, count))
+	}
+	empty := [][]byte{head(2, 64, 1, 0), frame("SERS", 0, nil), frame("DERV", 0, nil)}
 	for _, c := range []struct {
 		label string
 		raw   []byte
 	}{
-		{"TSQ3 count 2^31 of length 2^31", tsq3(header(2, 1<<31, 1, 1<<31))},
-		{"TSQ3 count 2^32-1", tsq3(header(2, 64, 1, math.MaxUint32), 5, 0, 'W', '0', '0', '0', '0')},
-		{"TSQ3 length 2^32-1", tsq3(header(2, math.MaxUint32, 1, 1), 1, 0, 'W')},
-		{"TSQ3 length 3", tsq3(header(2, 3, 1, 1))},
-		{"TSQ3 K the length cannot hold", tsq3(header(64, 64, 1, 1))},
-		{"TSQ3 K 0", tsq3(header(0, 64, 1, 1))},
-		{"TSQ3 zero shards", tsq3(header(2, 64, 0, 1))},
-		{"TSQ3 history count 2^32-1", tsq3(empty, append([]byte("PLNH\x01\x00\x00\x00\x00\x00\x00\x00"), 0xff, 0xff, 0xff, 0xff)...)},
-		{"TSQ3 tree of 2^32-1 bytes", tsq3(empty, append([]byte("SLAB\x01\x00"), 0xff, 0xff, 0xff, 0xff, 'R', 'T', 'S', '1')...)},
-		{"TSQ4 count and length 2^31", tsq4(frame("HEAD", 14, header(2, 1<<31, 1, 1<<31)), frame("SERS", 1<<62, nil))},
-		{"TSQ4 series section of 2^63-1 bytes", tsq4(frame("HEAD", 14, header(2, 64, 1, 1<<20)), frame("SERS", math.MaxInt64, nil))},
-		{"TSQ4 section of 2^64-1 bytes", tsq4(frame("HEAD", math.MaxUint64, nil))},
-		{"TSQ4 length 3", tsq4(frame("HEAD", 14, header(2, 3, 1, 0)))},
-		{"TSQ4 history count 2^32-1", tsq4(frame("HEAD", 14, empty), frame("SERS", 0, nil),
-			frame("PLNH", 12, append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff)))},
-		{"TSQ4 2^20 series in an empty section", tsq4(frame("HEAD", 14, header(2, 64, 1, 1<<20)), frame("SERS", 0, nil))},
-		{"TSQ4 65,535 shards over an empty SERS", tsq4(frame("HEAD", 14, header(2, 64, math.MaxUint16, math.MaxUint32)), frame("SERS", 0, nil))},
+		{"count and length 2^31", tsq4(head(2, 1<<31, 1, 1<<31), frame("SERS", 1<<62, nil))},
+		{"count 2^32-1 with a name", tsq4(head(2, 64, 1, math.MaxUint32), frame("SERS", 1<<62, []byte{5, 0, 'W', '0', '0', '0', '0'}))},
+		{"series section of 2^63-1 bytes", tsq4(head(2, 64, 1, 1<<20), frame("SERS", math.MaxInt64, nil))},
+		{"section of 2^64-1 bytes", tsq4(frame("HEAD", math.MaxUint64, nil))},
+		{"length 2^32-1", tsq4(head(2, math.MaxUint32, 1, 1), frame("SERS", 1<<62, []byte{1, 0, 'W'}))},
+		{"length 3", tsq4(head(2, 3, 1, 0))},
+		{"K the length cannot hold", tsq4(head(64, 64, 1, 1))},
+		{"K 0", tsq4(head(0, 64, 1, 1))},
+		{"zero shards", tsq4(head(2, 64, 0, 1))},
+		{"2^20 series in an empty section", tsq4(head(2, 64, 1, 1<<20), frame("SERS", 0, nil))},
+		{"65,535 shards over an empty SERS", tsq4(head(2, 64, math.MaxUint16, math.MaxUint32), frame("SERS", 0, nil))},
+		{"tree of 2^32-1 bytes", tsq4(append(empty, frame("SLAB", 10, []byte{1, 0, 0xff, 0xff, 0xff, 0xff, 'R', 'T', 'S', '1'}))...)},
+		{"retired PLNH of 2^62 bytes and 2^32-1 records", tsq4(append(empty, frame("SLAB", 2, []byte{0, 0}),
+			frame("PLNH", 1<<62, append(make([]byte, 8), 0xff, 0xff, 0xff, 0xff)))...)},
 	} {
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -453,14 +641,16 @@ func TestSnapshotHeaderCannotSizeAnAllocation(t *testing.T) {
 // FuzzReadSnapshot: whatever the bytes, the reader returns a store or an
 // error — never a panic — into memory and onto disk alike, and the backing
 // directory of a disk load is empty again once the load has failed or its
-// store has been closed. Seeded with TSQ4 snapshots at one shard, at four
-// and bare, and the TSQ3 fixture.
+// store has been closed. Seeded with this build's snapshots at one shard,
+// at four and bare, the TSQ3 fixture and the TSQ4 fixture with its retired
+// sections.
 func FuzzReadSnapshot(f *testing.F) {
 	one := writeSnapshot(f, smallSnapshotStore(f, 1, 6, 8))
 	f.Add(one)
 	f.Add(writeSnapshot(f, smallSnapshotStore(f, 4, 6, 8)))
 	f.Add(bareTSQ4(f, one))
 	f.Add(readTestdata(f, "tsq3-shards1.snap"))
+	f.Add(readTestdata(f, "tsq4-shards1.snap"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()
 		for _, opts := range []Options{{}, {Backing: dir}} {

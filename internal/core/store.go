@@ -105,10 +105,11 @@ func (s *Store) Engine() Engine {
 }
 
 // NewStore creates an empty store of n hash-partitioned shards for series
-// of the given length. n must be >= 1; every shard gets the same Options.
+// of the given length. 1 <= n <= MaxShards (a snapshot records the count in
+// 16 bits); every shard gets the same Options.
 func NewStore(length, n int, opts Options) (*Store, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: shard count %d must be >= 1", n)
+	if n < 1 || n > MaxShards {
+		return nil, fmt.Errorf("core: shard count %d is not in [1, %d]", n, MaxShards)
 	}
 	shards := make([]*shard, n)
 	for i := range shards {

@@ -760,47 +760,6 @@ func (h *History) Recent() []Record {
 	return out
 }
 
-// Export returns the ring's persistent state: the sequence counter and
-// the retained records, oldest first. The pair round-trips through
-// Import, which is how snapshots carry planner drift across restarts.
-func (h *History) Export() (seq int64, recs []Record) {
-	if h == nil {
-		return 0, nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.full {
-		recs = make([]Record, h.next)
-		copy(recs, h.buf[:h.next])
-		return h.seq, recs
-	}
-	recs = make([]Record, 0, len(h.buf))
-	recs = append(recs, h.buf[h.next:]...)
-	recs = append(recs, h.buf[:h.next]...)
-	return h.seq, recs
-}
-
-// Import replaces the ring's contents with a previously Exported state.
-// Records beyond the ring's capacity keep only the newest, matching what
-// the ring would have retained had it observed them live.
-func (h *History) Import(seq int64, recs []Record) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if n := len(h.buf); len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
-	for i := range h.buf {
-		h.buf[i] = Record{}
-	}
-	copy(h.buf, recs)
-	h.next = len(recs) % len(h.buf)
-	h.full = len(recs) == len(h.buf)
-	h.seq = seq
-}
-
 // AllShards returns the canonical shard-target list [0, n).
 func AllShards(n int) []int {
 	out := make([]int, n)

@@ -24,10 +24,12 @@ func (db *DB) InsertBulk(batch []NamedSeries) error {
 // schema and raw series plus the derived state — the stored half of every
 // spectrum, feature points, and each shard's packed R*-tree, serialized
 // byte-for-byte — in sections that each carry their byte length and a
-// CRC32-C, checked before anything in them is used. Loading a TSQ4 snapshot
-// at the same shard count validates and adopts the trees directly, so cold
-// start costs one sequential read instead of a full rebuild (no extraction,
-// no FFT, no STR sort). It returns the number of bytes written.
+// CRC32-C, checked before anything in them is used. What the DB has served
+// (its plan history, its cost constants) is not written, so the same store
+// writes the same bytes. Loading a TSQ4 snapshot at the same shard count
+// validates and adopts the trees directly, so cold start costs one
+// sequential read instead of a full rebuild (no extraction, no FFT, no STR
+// sort). It returns the number of bytes written.
 func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	return db.eng.WriteTo(w)
 }
@@ -36,16 +38,18 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 // indexes (or, when re-sharded, reusing its precomputed spectra and feature
 // points and only re-packing the trees). The snapshot records its own
 // feature schema and shard count; storage options of the returned DB take
-// defaults. TSQ3 snapshots, written before PR 25, still load (their full
-// spectra are cut to the stored half on the way in); the retired
-// series-only TSQ1/TSQ2 formats are refused by name.
+// defaults. A snapshot holds the store and nothing it has served: the
+// loaded DB plans with freshly calibrated cost constants and an empty plan
+// history, as a new one does. The earlier TSQ1, TSQ2 and TSQ3 formats are
+// refused by name; a TSQ3 file is migrated by loading it with a build that
+// still reads it and saving it again.
 func ReadFrom(r io.Reader) (*DB, error) {
 	return ReadFromShards(r, 0)
 }
 
 // ReadFromShards is ReadFrom with an explicit shard count: 0 honors the
-// count recorded in the snapshot, any n >= 1 re-partitions the store to n
-// shards on load — always possible, because shard assignment is a pure hash
+// count recorded in the snapshot, any n from 1 to 65,535 (the most a
+// snapshot records) re-partitions the store to n shards on load — always possible, because shard assignment is a pure hash
 // of the series name, so the snapshot format carries no per-shard layout
 // the target count must match (though only a matching count can adopt the
 // packed trees as-is).

@@ -130,6 +130,30 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestShardLimitAtOpen: a DB may have no more shards than a snapshot can
+// record, so Open and ReadFromShards refuse one more at the start instead of
+// handing out a store whose snapshot no build could load.
+func TestShardLimitAtOpen(t *testing.T) {
+	const over = math.MaxUint16 + 1
+	if db, err := tsq.Open(tsq.Options{Length: 16, Shards: over}); err == nil {
+		db.Close()
+		t.Fatalf("Open made a DB of %d shards", over)
+	}
+	src := tsq.MustOpen(tsq.Options{Length: 16})
+	defer src.Close()
+	if err := src.InsertAll(tsq.RandomWalks(3, 16, 5)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := src.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := tsq.ReadFromShards(&buf, over); err == nil {
+		db.Close()
+		t.Fatalf("ReadFromShards loaded a DB of %d shards", over)
+	}
+}
+
 // TestEngineAccessor: the engine a DB hands out says by its type how
 // many partitions it has — a *core.DB, whose Index() is the one shard's
 // k-index over every stored series, iff there is exactly one — whether the

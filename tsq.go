@@ -136,7 +136,7 @@ type Options struct {
 	// identical at every shard count, and so is the concurrency contract
 	// (writes lock only the owning shard). 0 selects 1: the same store with
 	// a single partition, whose share of every fan-out runs inline on the
-	// caller's goroutine.
+	// caller's goroutine. At most 65,535, the most a snapshot records.
 	Shards int
 }
 
