@@ -13,10 +13,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Allocation-regression gate: warm planned range/NN executions through the
-# Into entry points must allocate nothing, and a write's derivation no more
-# than its point and its record (fails CI otherwise).
+# Into entry points must allocate nothing, a write's derivation no more
+# than its point and its record, and a bulk load no more than 3.5 objects a
+# window (fails CI otherwise).
 alloc-gate:
-	$(GO) test -run 'TestHotPathZeroAlloc|TestArenaSafetyRace|TestDeriveAllocs' -count=1 -v ./internal/core
+	$(GO) test -run 'TestHotPathZeroAlloc|TestArenaSafetyRace|TestDeriveAllocs|TestInsertBulkAllocs' -count=1 -v ./internal/core
 
 # Build, vet and test the benchmark harness the repository is judged by,
 # then run it end to end at smoke size. benchmark/ is a module of its own,

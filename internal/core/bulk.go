@@ -15,16 +15,17 @@ import (
 // right) before any shard loads: the index is built with STR bulk loading
 // instead of one-at-a-time insertion — for the larger experimental relations
 // (12,000 sequences in Figures 9/11) an order of magnitude faster to build,
-// and better packed (see the bulk-load ablation). points and specs are what
-// derive gave for each series: feature points and encoded half-spectrum
-// records, the records owned from here on (a memory relation adopts them as
-// its pages). A disk-backed shard writes both relations' pages in runs. STR
-// packs the index on a goroutine of its own while the records go in, and the
-// index's leaf prefixes are filled from the heads once both are done.
-func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, points []geom.Point, specs [][]byte) error {
+// and better packed (see the bulk-load ablation). points, specs and times
+// are what deriveBulk gave for each series: feature points, encoded
+// half-spectrum records and encoded windows, the records owned from here on
+// (a memory relation adopts them as its pages). A disk-backed shard writes
+// both relations' pages in runs. STR packs the index on a goroutine of its
+// own while the records go in, and the index's leaf prefixes are filled from
+// the heads once both are done.
+func (sh *shard) loadBulk(names []string, ids []int64, points []geom.Point, specs, times [][]byte) error {
 	packed := make(chan error, 1)
 	go func() { packed <- sh.idx.BulkLoad(points, ids) }()
-	err := sh.storeBulk(names, values, ids, points, specs)
+	err := sh.storeBulk(names, ids, points, specs, times)
 	if perr := <-packed; perr != nil {
 		return perr
 	}
@@ -37,7 +38,7 @@ func (sh *shard) loadBulk(names []string, values [][]float64, ids []int64, point
 
 // storeBulk stores a bulk load's records in both relations' page runs and
 // enters them in the record directory.
-func (sh *shard) storeBulk(names []string, values [][]float64, ids []int64, points []geom.Point, specs [][]byte) error {
+func (sh *shard) storeBulk(names []string, ids []int64, points []geom.Point, specs, times [][]byte) error {
 	// The record count is known: size the per-record tables once, not by
 	// doubling inside the loop.
 	sh.timeRel.Reserve(len(names))
@@ -47,7 +48,7 @@ func (sh *shard) storeBulk(names []string, values [][]float64, ids []int64, poin
 	sh.timeRel.StartRun(nil)
 	sh.freqRel.StartRun(nil)
 	for i, name := range names {
-		err := sh.timeRel.Insert(ids[i], values[i])
+		err := sh.timeRel.InsertOwned(ids[i], times[i])
 		if err == nil {
 			err = sh.freqRel.InsertOwned(ids[i], specs[i])
 		}

@@ -263,15 +263,16 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	sw.put(snapshotMagic[:])
 	sw.frame(headTag, appendHeader(nil, s.Schema(), s.length, len(s.shards), len(entries)))
 	sw.section(seriesTag, seriesSize, func() {
+		var rec []byte // a series record is its time relation record, as stored
 		for i, e := range entries {
-			vals, err := e.sh.timeRel.Get(e.id)
-			if err != nil {
+			var err error
+			if rec, err = e.sh.timeRel.AppendRecord(rec[:0], e.id); err != nil {
 				sw.fail(err)
 				return
 			}
 			sw.u16(uint16(len(names[i])))
 			sw.put([]byte(names[i]))
-			sw.floats(vals)
+			sw.put(rec)
 		}
 	})
 	sw.section(derivedTag, len(entries)*(8*dims+16*h), func() {

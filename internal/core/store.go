@@ -16,6 +16,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/plan"
+	"repro/internal/relation"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/transform"
@@ -390,7 +391,7 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 		}
 		seen[name] = true
 	}
-	points, specs, err := s.deriveBulk(names[:bad], values[:bad])
+	points, specs, times, err := s.deriveBulk(names[:bad], values[:bad])
 	if err != nil {
 		return err
 	}
@@ -400,24 +401,24 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 	// part is one shard's slice of the batch.
 	type part struct {
 		names  []string
-		values [][]float64
 		ids    []int64
 		points []geom.Point
 		specs  [][]byte
+		times  [][]byte
 	}
 	parts := make([]part, len(s.shards))
 	for i, name := range names {
 		p := &parts[s.ShardOf(name)]
 		p.names = append(p.names, name)
-		p.values = append(p.values, values[i])
 		p.ids = append(p.ids, int64(i))
 		p.points = append(p.points, points[i])
 		p.specs = append(p.specs, specs[i])
+		p.times = append(p.times, times[i])
 	}
 	errs := make([]error, len(s.shards))
 	each(len(s.shards), func(si int) {
 		p := parts[si]
-		errs[si] = s.shards[si].loadBulk(p.names, p.values, p.ids, p.points, p.specs)
+		errs[si] = s.shards[si].loadBulk(p.names, p.ids, p.points, p.specs, p.times)
 	})
 	if err := errors.Join(errs...); err != nil {
 		// A page write failed: empty every shard, leaving the store as fresh
@@ -434,36 +435,39 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 }
 
 // deriveBulk derives a batch's points and records — the dominant cost of a
-// bulk load, run once per series: the points and records ride along to the
-// shard loads. It runs on min(GOMAXPROCS, n/256) workers, each over a
-// contiguous range of the batch with its own deriver and carving its records
-// from blocks of its own, which the frequency relations then own. A worker
-// stops at its first error; the lowest range's is the first in batch order.
-func (s *Store) deriveBulk(names []string, values [][]float64) ([]geom.Point, [][]byte, error) {
-	n, schema, size := len(names), s.shards[0].schema, 16*halfLen(s.length)
-	points, specs := make([]geom.Point, n), make([][]byte, n)
+// bulk load, run once per series: the points and both relations' records
+// (the encoded window and its half spectrum) ride along to the shard loads.
+// It runs on min(GOMAXPROCS, n/256) workers, each over a contiguous range of
+// the batch with its own deriver and carving its records from blocks of its
+// own, which the relations then own. A worker stops at its first error; the
+// lowest range's is the first in batch order.
+func (s *Store) deriveBulk(names []string, values [][]float64) (points []geom.Point, specs, times [][]byte, err error) {
+	n, schema := len(names), s.shards[0].schema
+	specSize, timeSize := 16*halfLen(s.length), 8*s.length
+	points, specs, times = make([]geom.Point, n), make([][]byte, n), make([][]byte, n)
 	workers := max(1, min(runtime.GOMAXPROCS(0), n/256))
 	errs := make([]error, workers)
 	each(workers, func(w int) {
 		var (
-			dv     deriver
-			blocks records
+			dv                     deriver
+			specBlocks, timeBlocks records
 		)
 		for i, end := w*n/workers, (w+1)*n/workers; i < end; i++ {
-			p, rec, err := dv.derive(schema, names[i], values[i], blocks.take(size, end-i)[:0])
+			p, rec, err := dv.derive(schema, names[i], values[i], specBlocks.take(specSize, end-i)[:0])
 			if err != nil {
 				errs[w] = err
 				return
 			}
 			points[i], specs[i] = p, rec
+			times[i] = relation.AppendFloats(timeBlocks.take(timeSize, end-i)[:0], values[i])
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
-	return points, specs, nil
+	return points, specs, times, nil
 }
 
 // catalog enters a bulk load's series — the names in ID order, each stored

@@ -12,25 +12,23 @@ import (
 	"sync"
 )
 
-// WriteCSV emits series one per row: name,v1,v2,...,vn. It refuses a name
-// ReadCSV would not give back: empty, holding a comma or a newline, starting
-// with '#' (the row would read back as a comment) or with white space at
-// either end (it would read back trimmed).
+// WriteCSV emits series one per row: name,v1,v2,...,vn, each value as %g
+// writes it (the shortest decimal that reads back as the same bits). It
+// refuses a name ReadCSV would not give back: empty, holding a comma or a
+// newline, starting with '#' (the row would read back as a comment) or with
+// white space at either end (it would read back trimmed).
 func WriteCSV(w io.Writer, series []Series) error {
 	bw := bufio.NewWriter(w)
+	var row []byte
 	for _, s := range series {
 		if err := writableName(s.Name); err != nil {
 			return err
 		}
-		if _, err := bw.WriteString(s.Name); err != nil {
-			return err
-		}
+		row = append(row[:0], s.Name...)
 		for _, v := range s.Values {
-			if _, err := fmt.Fprintf(bw, ",%g", v); err != nil {
-				return err
-			}
+			row = strconv.AppendFloat(append(row, ','), v, 'g', -1, 64)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		if _, err := bw.Write(append(row, '\n')); err != nil {
 			return err
 		}
 	}
@@ -152,7 +150,10 @@ func (b *block) parse() {
 }
 
 // parseRow parses line number lineNo; ok is false for a blank line or a
-// comment. A row allocates its name and its values and nothing else.
+// comment. A row allocates its name and its values and nothing else. A
+// field parseDecimal takes is read in one pass; any other goes to
+// strconv.ParseFloat trimmed, so every field gives ParseFloat's value bits
+// or its error.
 func parseRow(raw []byte, lineNo int) (s Series, ok bool, err error) {
 	line := bytes.TrimSpace(raw)
 	if len(line) == 0 || line[0] == '#' {
@@ -163,19 +164,69 @@ func parseRow(raw []byte, lineNo int) (s Series, ok bool, err error) {
 		return Series{}, false, fmt.Errorf("dataset: line %d: need a name and at least one value", lineNo)
 	}
 	vals := make([]float64, bytes.Count(line[comma:], []byte{','}))
-	rest := line[comma+1:]
+	p := comma + 1
 	for i := range vals {
-		field := rest
-		if j := bytes.IndexByte(rest, ','); j >= 0 {
-			field, rest = rest[:j], rest[j+1:]
-		}
-		v, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
-		if err != nil {
-			return Series{}, false, fmt.Errorf("dataset: line %d field %d: %v", lineNo, i+2, err)
+		v, end, ok := parseDecimal(line, p)
+		if !ok {
+			end = len(line)
+			if j := bytes.IndexByte(line[p:], ','); j >= 0 {
+				end = p + j
+			}
+			if v, err = strconv.ParseFloat(string(bytes.TrimSpace(line[p:end])), 64); err != nil {
+				return Series{}, false, fmt.Errorf("dataset: line %d field %d: %v", lineNo, i+2, err)
+			}
 		}
 		vals[i] = v
+		p = end + 1
 	}
 	return Series{Name: string(bytes.TrimSpace(line[:comma])), Values: vals}, true, nil
+}
+
+// pow10 holds 10^0 … 10^22: every power of ten a float64 holds exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseDecimal reads the field at line[p:] when it is [+-]?digits[.digits],
+// with at least one digit, ending at a comma or at the end of the line, and
+// its digits, the point ignored, are an integer m ≤ 2^53 with k ≤ 22 of them
+// after the point. Then float64(m) and 10^k are exact and the division
+// rounds once, so v = m / 10^k is the correctly rounded value, the bits
+// strconv.ParseFloat gives (Clinger's exact case). end is the index of the
+// comma ending the field, or len(line). Any other field, white space and
+// exponents included, gives ok false and is left to ParseFloat.
+func parseDecimal(line []byte, p int) (v float64, end int, ok bool) {
+	i, neg := p, false
+	if i < len(line) && (line[i] == '-' || line[i] == '+') {
+		neg, i = line[i] == '-', i+1
+	}
+	var m uint64
+	digits, point := 0, -1 // point: digits before the '.', -1 without one
+	for ; i < len(line) && line[i] != ','; i++ {
+		switch c := line[i]; {
+		case c-'0' < 10:
+			// m ≤ 2^53 before the step, so m·10 + 9 does not overflow.
+			if m = m*10 + uint64(c-'0'); m > 1<<53 {
+				return 0, 0, false
+			}
+			digits++
+		case c == '.' && point < 0:
+			point = digits
+		default:
+			return 0, 0, false
+		}
+	}
+	k := 0
+	if point >= 0 {
+		k = digits - point
+	}
+	if digits == 0 || k >= len(pow10) {
+		return 0, 0, false
+	}
+	v = float64(m) / pow10[k]
+	if neg {
+		v = -v
+	}
+	return v, i, true
 }
 
 // cutter reads the input a block of whole lines at a time.

@@ -119,9 +119,9 @@ func TestDirectoryAgainstMap(t *testing.T) {
 					case 0:
 						op, err = "Insert", r.Insert(id, vec)
 					case 1:
-						op, err = "InsertRaw", r.InsertRaw(id, encodeFloats(vec))
+						op, err = "InsertRaw", r.InsertRaw(id, AppendFloats(nil, vec))
 					default:
-						op, err = "InsertOwned", r.InsertOwned(id, encodeFloats(vec))
+						op, err = "InsertOwned", r.InsertOwned(id, AppendFloats(nil, vec))
 					}
 					want[id], order = vec, append(order, id)
 				case k < 7:
@@ -139,7 +139,7 @@ func TestDirectoryAgainstMap(t *testing.T) {
 					id := order[rng.Intn(len(order))]
 					op = "duplicate insert"
 					for _, e := range []error{
-						r.Insert(id, record(3)), r.InsertRaw(id, encodeFloats(record(3))), r.InsertOwned(id, encodeFloats(record(3))),
+						r.Insert(id, record(3)), r.InsertRaw(id, AppendFloats(nil, record(3))), r.InsertOwned(id, AppendFloats(nil, record(3))),
 					} {
 						if e == nil {
 							t.Fatalf("%s disk=%t step %d: duplicate id %d accepted", pattern, disk, step, id)

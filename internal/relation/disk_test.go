@@ -3,6 +3,7 @@ package relation
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -98,21 +99,22 @@ func TestDiskRelationParity(t *testing.T) {
 			t.Fatalf("resident %d > capacity %d with nothing pinned", info.Resident, info.Capacity)
 		}
 	}
-	// Scan parity (also exercises ReadInto reuse under the pool).
-	var memSum, diskSum float64
-	mem.Scan(func(_ int64, vec []float64) bool {
-		for _, v := range vec {
-			memSum += v
+	// Get parity after the churn: the same ids in the same insertion order,
+	// and every record reads back from the pool as from memory.
+	if !slices.Equal(mem.IDs(), disk.IDs()) {
+		t.Fatalf("ids: disk %v, memory %v", disk.IDs(), mem.IDs())
+	}
+	for _, id := range mem.IDs() {
+		want, err := mem.Get(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	disk.Scan(func(_ int64, vec []float64) bool {
-		for _, v := range vec {
-			diskSum += v
+		got, err := disk.Get(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if memSum != diskSum {
-		t.Fatalf("scan checksum mismatch: mem %v disk %v", memSum, diskSum)
+		if !slices.Equal(got, want) {
+			t.Fatalf("id %d: disk Get %v, memory Get %v", id, got, want)
+		}
 	}
 }

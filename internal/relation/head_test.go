@@ -71,9 +71,9 @@ func TestHeadFollowsPages(t *testing.T) {
 			case !stored && step%3 == 0:
 				err = r.Insert(id, vec)
 			case !stored && step%3 == 1:
-				err = r.InsertRaw(id, encodeFloats(vec))
+				err = r.InsertRaw(id, AppendFloats(nil, vec))
 			case !stored:
-				err = r.InsertOwned(id, encodeFloats(vec))
+				err = r.InsertOwned(id, AppendFloats(nil, vec))
 			case rng.Intn(2) == 0:
 				// Same size: the pages are overwritten in place.
 				vec = vec[:0]

@@ -267,11 +267,11 @@ func (r *Relation) ResetStats() { r.file.ResetStats() }
 
 // Insert stores vec under id. Inserting a duplicate ID is an error.
 func (r *Relation) Insert(id int64, vec []float64) error {
-	return r.InsertRaw(id, encodeFloats(vec))
+	return r.InsertRaw(id, AppendFloats(nil, vec))
 }
 
 // InsertRaw stores an already-encoded record — the exact byte layout
-// encodeFloats produces (little-endian float64s) — under id without
+// AppendFloats produces (little-endian float64s) — under id without
 // re-encoding. A snapshot load uses it to copy records from the snapshot
 // straight into a disk relation's pages: the SERS and DERV sections share
 // the record layout, so adopting a snapshot never round-trips bytes through
@@ -357,7 +357,7 @@ func (r *Relation) unwind() {
 // (exactly like Delete). Either way the record keeps its slot, and the
 // slot's location and head are rewritten in the same call.
 func (r *Relation) Replace(id int64, vec []float64) error {
-	return r.ReplaceRaw(id, encodeFloats(vec))
+	return r.ReplaceRaw(id, AppendFloats(nil, vec))
 }
 
 // ReplaceRaw is Replace with an already-encoded record (see InsertRaw).
@@ -425,24 +425,26 @@ func (r *Relation) DiskBacked() bool { return r.disk != nil }
 
 // Get fetches the record stored under id, charging page reads.
 func (r *Relation) Get(id int64) ([]float64, error) {
+	data, err := r.AppendRecord(nil, id)
+	if err != nil {
+		return nil, err
+	}
+	return decodeFloats(data)
+}
+
+// AppendRecord appends the encoded record stored under id — the bytes
+// InsertRaw took — to dst, charging page reads. A snapshot write copies
+// records through one buffer with it, the layout unchanged.
+func (r *Relation) AppendRecord(dst []byte, id int64) ([]byte, error) {
 	slot, ok := r.dir.get(id)
 	if !ok {
 		return nil, fmt.Errorf("relation: id %d not found", id)
 	}
 	loc := r.locs[slot]
-	var (
-		data []byte
-		err  error
-	)
 	if r.pool != nil {
-		data, err = r.pool.Read(loc.firstPage, loc.pageCount)
-	} else {
-		data, err = r.mem.Read(loc.firstPage, loc.pageCount)
+		return r.pool.ReadInto(loc.firstPage, loc.pageCount, dst)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return decodeFloats(data)
+	return r.mem.ReadInto(loc.firstPage, loc.pageCount, dst)
 }
 
 // IDs returns the stored IDs in insertion order. The caller must not
@@ -540,41 +542,16 @@ func (c *Cursor) float() float64 {
 	return v
 }
 
-// Scan iterates the relation in insertion order (the sequential access
-// pattern of the paper's scan baselines), decoding each record and charging
-// its page reads. Returning false stops the scan. The raw page bytes are
-// staged through one reused buffer across records; each callback still
-// receives a freshly decoded vector it may retain.
-func (r *Relation) Scan(fn func(id int64, vec []float64) bool) error {
-	var data []byte
-	for slot, id := range r.ids {
-		loc := r.locs[slot]
-		var err error
-		if r.pool != nil {
-			data, err = r.pool.ReadInto(loc.firstPage, loc.pageCount, data[:0])
-		} else {
-			data, err = r.mem.ReadInto(loc.firstPage, loc.pageCount, data[:0])
-		}
-		if err != nil {
-			return err
-		}
-		vec, err := decodeFloats(data)
-		if err != nil {
-			return err
-		}
-		if !fn(id, vec) {
-			return nil
-		}
-	}
-	return nil
-}
-
-func encodeFloats(vec []float64) []byte {
-	out := make([]byte, 8*len(vec))
+// AppendFloats appends vec to dst as a float record — little-endian
+// float64s, the one definition of that layout — for InsertRaw, InsertOwned
+// or ReplaceRaw, in memory of the caller's choosing.
+func AppendFloats(dst []byte, vec []float64) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, 8*len(vec))[:off+8*len(vec)]
 	for i, v := range vec {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(dst[off+8*i:], math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
 func decodeFloats(data []byte) ([]float64, error) {

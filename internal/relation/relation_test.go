@@ -60,38 +60,6 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
-func TestScanOrderAndEarlyStop(t *testing.T) {
-	r := New(0)
-	for i := int64(0); i < 10; i++ {
-		r.Insert(i*7, []float64{float64(i)})
-	}
-	var seen []int64
-	r.Scan(func(id int64, vec []float64) bool {
-		seen = append(seen, id)
-		return len(seen) < 4
-	})
-	if len(seen) != 4 {
-		t.Fatalf("early stop scanned %d", len(seen))
-	}
-	for i, id := range seen {
-		if id != int64(i*7) {
-			t.Fatalf("scan order broken: %v", seen)
-		}
-	}
-}
-
-func TestScanCountsPageReads(t *testing.T) {
-	r := New(64)
-	for i := int64(0); i < 5; i++ {
-		r.Insert(i, make([]float64, 32)) // 256 bytes = 4 pages each
-	}
-	r.ResetStats()
-	r.Scan(func(int64, []float64) bool { return true })
-	if got := r.Stats().Reads; got != 20 {
-		t.Fatalf("scan read %d pages, want 20", got)
-	}
-}
-
 // TestComplexRoundTrip: a record AppendComplex builds reads back through Get
 // and DecodeComplex as the same values, AppendComplex appends to what dst
 // holds, and ReplaceRaw overwrites a record in place.
