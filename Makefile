@@ -64,6 +64,9 @@ vet:
 	@if grep -nE 'readTSQ3|legacyMagic|appendHistory|readHistory|appendCosts|readCosts|loader\) rebuild|History\) (Export|Import)' \
 		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
 		echo "a snapshot is the store and nothing else: the TSQ3 reader, the rebuild path and the planner trailers are gone"; exit 1; fi
+	@if grep -nE 'PlanHistory|plan\.History|plan\.Record\b|PlanRecord|StatsWithPlans|plans=1' \
+		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
+		echo "planner drift is EXPLAIN per query and tsq_plan_cost_error_ratio per kind: the executed-plan ring is gone"; exit 1; fi
 
 fmt:
 	gofmt -w .

@@ -4,15 +4,14 @@
 // standard input (one statement per line). Subcommands against a remote
 // server: `append` slides series windows forward, `watch` follows a
 // standing query's enter/leave events, `stats` prints the server's
-// counters (`stats -plans` adds the recent executed-plan ring with
-// estimated-vs-actual cost and per-kind error percentiles), `metrics`
-// scrapes and validates the /metrics Prometheus exposition, `traces` fetches
-// retained execution traces from the server's flight recorder (by
-// request ID, kind, strategy, or outcome — span trees included even
-// when TRACE was never requested), and `top` renders a refreshing
-// console dashboard (per-kind qps and latency percentiles, cache hit
-// rate, planner drift, approximate-tier traffic, shard imbalance,
-// streaming health; `top -once` prints one snapshot and exits). A TRACE
+// counters, `metrics` scrapes and validates the /metrics Prometheus
+// exposition, `traces` fetches retained execution traces from the
+// server's flight recorder (by request ID, kind, strategy, or outcome —
+// span trees included even when TRACE was never requested), and `top`
+// renders a refreshing console dashboard (per-kind qps and latency
+// percentiles, cache hit rate, planner drift, approximate-tier traffic,
+// shard imbalance, streaming health; `top -once` prints one snapshot and
+// exits). A TRACE
 // statement prefix prints the execution's span tree with per-shard
 // timings. -progressive streams RANGE/NN statements in two stages: the
 // bounded approximate answer first, then the exact refinement.
@@ -33,7 +32,7 @@
 //	tsqcli -remote http://localhost:8080 append -ticks ticks.csv -rate 500   # paced soak replay
 //	tsqcli -remote http://localhost:8080 watch -kind range -series W0007 -eps 2 -transform "mavg(20)"
 //	tsqcli -remote http://localhost:8080 watch -kind nn -series W0007 -k 5
-//	tsqcli -remote http://localhost:8080 stats -plans
+//	tsqcli -remote http://localhost:8080 stats
 //	tsqcli -remote http://localhost:8080 metrics
 //	tsqcli -remote http://localhost:8080 traces -outcome error
 //	tsqcli -remote http://localhost:8080 traces -id 6fe2a1b3-1x
@@ -62,10 +61,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -208,31 +205,18 @@ func runAppend(remote string, args []string) error {
 	return nil
 }
 
-// runStats prints a tsqd server's cumulative counters; -plans adds the
-// engine's recent executed-plan ring with estimated-vs-actual cost plus
-// the per-kind cost-error percentile history (one p50/p95 checkpoint per
-// 16 executed plans), so planner drift and mispredictions — and whether
-// they are getting better or worse over time — are visible from the
-// command line.
+// runStats prints a tsqd server's cumulative counters. Planner drift is
+// `top`'s row (tsq_plan_cost_error_ratio per kind) and EXPLAIN's
+// estimated-vs-actual lines for one query.
 func runStats(remote string, args []string) error {
 	if remote == "" {
 		return fmt.Errorf("stats requires -remote")
 	}
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-	plans := fs.Bool("plans", false, "print the recent executed plans (est vs actual) with per-kind cost-error percentiles")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	client := server.NewClient(remote)
-	var (
-		st  *server.StatsResponse
-		err error
-	)
-	if *plans {
-		st, err = client.StatsWithPlans()
-	} else {
-		st, err = client.Stats()
-	}
+	st, err := server.NewClient(remote).Stats()
 	if err != nil {
 		return err
 	}
@@ -244,32 +228,6 @@ func runStats(remote string, args []string) error {
 		st.CacheLen, st.CacheCap, st.CacheHits, st.CacheMisses)
 	fmt.Printf("cost: %d node accesses, %d pages, %d verified, %.1f ms\n",
 		st.NodeAccesses, st.PageReads, st.Candidates, st.ElapsedUS/1000)
-	if *plans {
-		if len(st.Plans) == 0 {
-			fmt.Println("no executed plans recorded yet")
-			return nil
-		}
-		fmt.Printf("last %d executed plan(s):\n", len(st.Plans))
-		for _, p := range st.Plans {
-			method := ""
-			if p.Method != "" {
-				method = " method " + p.Method
-			}
-			forced := ""
-			if p.Forced {
-				forced = " (forced)"
-			}
-			drift := "-"
-			if p.EstCandidates > 0 {
-				drift = fmt.Sprintf("%.2fx", float64(p.ActualCandidates)/p.EstCandidates)
-			}
-			fmt.Printf("  #%-4d %-8s via %-8s%s%s  est %.1f cand (cost %.1f) -> actual %d cand, %d nodes, %d results, %.2f ms, drift %s\n",
-				p.Seq, p.Kind, p.Strategy, method, forced,
-				p.EstCandidates, p.EstCost, p.ActualCandidates, p.ActualNodeAccesses,
-				p.Results, p.ElapsedUS/1000, drift)
-		}
-		printCostErrors(st.Plans)
-	}
 	return nil
 }
 
@@ -291,44 +249,6 @@ func runMetrics(remote string) error {
 	fmt.Print(text)
 	fmt.Fprintf(os.Stderr, "tsqcli: exposition OK, %d samples\n", len(samples))
 	return nil
-}
-
-// printCostErrors summarizes the planner's estimate quality per query
-// kind from the executed-plan ring: the p50/p95 of the absolute relative
-// candidate-count error |actual - est| / max(est, 1).
-func printCostErrors(plans []server.PlanRecordPayload) {
-	byKind := make(map[string][]float64)
-	for _, p := range plans {
-		e := math.Abs(float64(p.ActualCandidates)-p.EstCandidates) / math.Max(p.EstCandidates, 1)
-		byKind[p.Kind] = append(byKind[p.Kind], e)
-	}
-	kinds := make([]string, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	fmt.Println("planner cost error |actual-est|/max(est,1) per kind:")
-	for _, k := range kinds {
-		errs := byKind[k]
-		sort.Float64s(errs)
-		fmt.Printf("  %-8s p50 %.2f  p95 %.2f  (n=%d)\n",
-			k, percentile(errs, 0.50), percentile(errs, 0.95), len(errs))
-	}
-}
-
-// percentile returns the nearest-rank q-quantile of sorted values.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // headNote annotates a search/scan span with what it resolved in the

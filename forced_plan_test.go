@@ -2,8 +2,10 @@ package tsq_test
 
 // A forced strategy is a forced plan: a typed read that names its strategy
 // goes down the same path as a statement or UseAuto, so it reports its
-// strategy, lands in the plan history, carries a span tree and is counted
-// under its strategy — at shards 1 and 4.
+// strategy, carries a span tree, lands in the flight recorder and is
+// counted under its strategy — at shards 1 and 4. That the plan is marked
+// forced is checked where EXPLAIN shows it (internal/server/explain_test.go,
+// internal/core/plan_test.go).
 
 import (
 	"fmt"
@@ -17,13 +19,6 @@ import (
 func TestForcedReadsAreObservable(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		s := tsq.NewServer(parityDB(t, shards), tsq.ServerOptions{CacheSize: -1})
-		lastPlan := func() tsq.PlanRecord {
-			plans := s.Stats().Plans
-			if len(plans) == 0 {
-				t.Fatalf("shards-%d: the plan history is empty", shards)
-			}
-			return plans[len(plans)-1]
-		}
 		for _, tc := range []struct {
 			use      tsq.Strategy
 			rangeRan string
@@ -41,10 +36,6 @@ func TestForcedReadsAreObservable(t *testing.T) {
 				}
 				counted := telemetry.Count("tsq_queries_total", "kind", kind, "strategy", want, "outcome", "ok")
 				before := counted.Value()
-				seq := int64(0)
-				if plans := s.Stats().Plans; len(plans) > 0 {
-					seq = plans[len(plans)-1].Seq
-				}
 				reqID := "req-" + name
 				var (
 					m   []tsq.Match
@@ -64,9 +55,6 @@ func TestForcedReadsAreObservable(t *testing.T) {
 				}
 				if len(st.Spans) == 0 {
 					t.Errorf("%s: no spans with telemetry on", name)
-				}
-				if rec := lastPlan(); rec.Seq == seq || rec.Kind != kind || rec.Strategy != want || !rec.Forced {
-					t.Errorf("%s: the plan history's last record is %+v, want this forced %s execution", name, rec, want)
 				}
 				if tr, ok := s.TraceByID(reqID); !ok || tr.Strategy != want || len(tr.Spans) == 0 {
 					t.Errorf("%s: flight recorder kept %+v (found %t), want a %s trace with spans", name, tr, ok, want)

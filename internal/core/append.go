@@ -67,7 +67,7 @@ func (sh *shard) overwrite(id int64, window []float64) (geom.Point, error) {
 func (sh *shard) appendPoints(name string, points []float64) (int64, geom.Point, error) {
 	id, ok := sh.byName[name]
 	if !ok {
-		return 0, nil, fmt.Errorf("core: unknown series %q", name)
+		return 0, nil, fmt.Errorf("core: %w %q", ErrUnknownSeries, name)
 	}
 	if len(points) == 0 {
 		return 0, nil, fmt.Errorf("core: append to %q carries no points", name)

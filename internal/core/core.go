@@ -43,6 +43,15 @@ import (
 	"repro/internal/rtree"
 )
 
+// ErrUnknownSeries and ErrDuplicateSeries are the causes of an operation
+// that names a series the store does not hold, or one it already holds.
+// Every error that reports one wraps it, so a caller tells them apart with
+// errors.Is and not by the message, which quotes the caller's name.
+var (
+	ErrUnknownSeries   = errors.New("unknown series")
+	ErrDuplicateSeries = errors.New("duplicate series name")
+)
+
 // Options configures a Store; every shard gets the same.
 type Options struct {
 	// Schema is the feature layout; the zero value selects the paper's
@@ -72,8 +81,8 @@ type Options struct {
 // shard is one partition of a Store: a k-index, the two paged relations and
 // the record directory over a hash-assigned subset of the series, behind its
 // own lock. It is the storage unit — everything Algorithm 2 touches for one
-// partition — and nothing above that: plans, planner feedback, history and the
-// global ID space belong to the Store. Methods assume the caller holds mu in
+// partition — and nothing above that: plans, planner feedback and the global
+// ID space belong to the Store. Methods assume the caller holds mu in
 // the mode the operation needs.
 type shard struct {
 	mu      sync.RWMutex
@@ -303,7 +312,7 @@ func (sh *shard) validateInsert(name string, values []float64) error {
 		return fmt.Errorf("core: empty series name")
 	}
 	if _, dup := sh.byName[name]; dup {
-		return fmt.Errorf("core: duplicate series name %q", name)
+		return fmt.Errorf("core: %w %q", ErrDuplicateSeries, name)
 	}
 	if len(values) != sh.length {
 		return fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values), sh.length)

@@ -85,7 +85,7 @@ type Engine interface {
 	// and ExecRangeInto/ExecNNInto run it, reusing the plan's precomputed
 	// transforms and spectra and (across shards) recording per-shard
 	// provenance in ExecStats.Shards. Timing, ordering, page accounting,
-	// planner feedback, plan history and telemetry happen there and nowhere
+	// planner feedback and telemetry happen there and nowhere
 	// else, so a forced strategy is observable exactly as a chosen one is.
 	// Answers append to dst (pass a [:0] slice to reuse its backing array);
 	// on a one-shard store a warm call whose dst has capacity allocates
@@ -107,10 +107,6 @@ type Engine interface {
 	PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error)
 	ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, error)
 	JoinPrefilter(q JoinQuery) (*JoinPrefilter, error)
-	// PlanHistory returns the recent executed plans (oldest first): every
-	// planned range/NN/join execution records its estimated-vs-actual
-	// cost, so drift and mispredictions stay observable behind /stats.
-	PlanHistory() []plan.Record
 
 	// Result orderings are deterministic: (distance, ID) for range/NN/
 	// subsequence answers, (A, B) for join pairs. SelfJoin is the one

@@ -101,7 +101,6 @@ func soloStore(sh *shard) *Store {
 		length:  sh.length,
 		shards:  []*shard{sh},
 		tracker: plan.NewTracker(),
-		history: plan.NewHistory(0),
 		owner:   make(map[int64]int),
 		idPos:   make(map[int64]int),
 	}

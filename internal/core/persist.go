@@ -42,10 +42,10 @@ import (
 //
 // What a store has served is not in its snapshot: the same store writes the
 // same bytes whatever it has planned or executed, and a loaded store prices
-// plans with plan.Calibrated() and starts an empty plan history, as a new
-// store does. Snapshots of builds up to commit 5f712f0 carry two more
-// sections after SLAB, the plan history (PLNH) and the cost constants
-// (CCAL); a reader checks their size and checksum and discards them unread.
+// plans with plan.Calibrated() and a cold planner, as a new store does.
+// Snapshots of builds up to commit 5f712f0 carry two more sections after
+// SLAB, the plan history (PLNH) and the cost constants (CCAL); a reader
+// checks their size and checksum and discards them unread.
 //
 // Shard *assignment* is derived — a pure hash of the series name — so a
 // snapshot can be loaded at any shard count; the recorded count is only the
@@ -596,7 +596,7 @@ func enter(sh *shard, id int64, name string, p geom.Point) error {
 		return fmt.Errorf("core: empty series name at position %d", id)
 	}
 	if _, dup := sh.byName[name]; dup {
-		return fmt.Errorf("core: duplicate series name %q", name)
+		return fmt.Errorf("core: %w %q", ErrDuplicateSeries, name)
 	}
 	sh.addRecord(id, name, p)
 	return nil
@@ -731,8 +731,8 @@ func readSections(br *bufio.Reader, l *loader) error {
 // each packed tree is validated and adopted as-is (no extraction, no FFT, no
 // STR sort — cold start is O(bytes read)); at any other count the DERV
 // points and spectra are adopted and only the trees are re-packed. The
-// loaded store starts as a new one does: calibrated cost constants and an
-// empty plan history. A load that fails leaves nothing behind: no store, no
+// loaded store starts as a new one does: calibrated cost constants and a
+// cold planner. A load that fails leaves nothing behind: no store, no
 // scratch file, no shard directory.
 func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {
 	s, err := readStore(r, opts, shards)

@@ -124,7 +124,7 @@ func (s *Store) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error) 
 // measured selectivity back to the planner after indexed executions. On a
 // one-shard store this is the engine's zero-allocation hot path: the whole
 // execution — batch index traversal, page-view verification, sorting,
-// planner feedback, history, metrics bookkeeping — runs inside a pooled
+// planner feedback, metrics bookkeeping — runs inside a pooled
 // arena on the caller's goroutine (inline), so a warm index or
 // frequency-scan call whose dst has capacity allocates nothing. Across
 // shards the fan-out's per-shard buffers allocate (parallel workers need
@@ -169,7 +169,6 @@ func (s *Store) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Resu
 	}
 	observeApprox(s.tracker, pl, &st, series)
 	s.maybeExploreRange(q, pl, rp, series)
-	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
 	finishExec(pl, &st)
 	return dst, st, nil
 }
@@ -346,7 +345,6 @@ func (s *Store) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, Ex
 		cand, nodes := s.probe(func(sh *shard, ar *execArena) (int, int) { return sh.countNear(rp, ar, kth) })
 		s.tracker.ObserveNN(cand, nodes, series)
 	}
-	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
 	finishExec(pl, &st)
 	return dst, st, nil
 }
@@ -480,8 +478,8 @@ func (s *Store) PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error) {
 // out across all shards — index probes partitioned by owning shard, scans
 // striding workers over the pinned catalog — recording per-shard provenance
 // in the merged ExecStats, feeding measured candidate counts back to the
-// join calibrator after indexed executions and recording the executed plan
-// in the store's history ring.
+// join calibrator after indexed executions and reporting the executed plan
+// to the metrics registry.
 func (s *Store) ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, error) {
 	jp, ok := pl.Internal.(*joinPlan)
 	if !ok || jp == nil {
@@ -516,13 +514,9 @@ func (s *Store) ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, err
 		s.tracker.ObserveJoin(pl.Est.Candidates, st.Candidates, st.NodeAccesses, s.Len())
 	}
 	s.maybeExploreJoin(pl, jp)
-	s.history.Observe(pl, st.Candidates, st.NodeAccesses, st.Results, st.Elapsed)
 	finishExec(pl, &st)
 	return out, st, nil
 }
 
 // PlannerStats exposes the store's planner feedback (diagnostics, tests).
 func (s *Store) PlannerStats() plan.Snapshot { return s.tracker.Stats() }
-
-// PlanHistory returns the store's recent executed plans, oldest first.
-func (s *Store) PlanHistory() []plan.Record { return s.history.Recent() }

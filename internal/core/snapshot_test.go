@@ -372,7 +372,7 @@ func TestSnapshotCompatVersions(t *testing.T) {
 // loaded at its recorded shard count, read and written again, writes the
 // same bytes again, at one shard and at four, loaded into memory and onto
 // disk. The loaded store prices plans with the calibrated constants and
-// starts with an empty plan history, as a new store does.
+// starts with a cold planner (no feedback samples), as a new store does.
 func TestSnapshotIsTheStore(t *testing.T) {
 	const length = 32
 	data := dataset.RandomWalks(120, length, 53)
@@ -428,8 +428,8 @@ func TestSnapshotIsTheStore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if len(e.PlanHistory()) == 0 {
-			t.Fatal("the reads left no plan history")
+		if ps := storeOf(e).PlannerStats(); ps.RangeSamples == 0 || ps.NNSamples == 0 || ps.JoinSamples == 0 {
+			t.Fatalf("the reads left the planner without feedback: %+v", ps)
 		}
 	}
 
@@ -465,8 +465,8 @@ func TestSnapshotIsTheStore(t *testing.T) {
 				if have := storeOf(got).tracker.Costs(); have != plan.Calibrated() {
 					t.Errorf("the loaded store prices plans with %+v, not the calibrated %+v", have, plan.Calibrated())
 				}
-				if h := got.PlanHistory(); len(h) != 0 {
-					t.Errorf("the loaded store starts with %d plan records, not none", len(h))
+				if ps := storeOf(got).PlannerStats(); ps.RangeSamples+ps.NNSamples+ps.JoinSamples != 0 {
+					t.Errorf("the loaded store starts with planner feedback %+v, not a cold planner", ps)
 				}
 				serve(t, got)
 				if again := writeSnapshot(t, got); !bytes.Equal(first, again) {

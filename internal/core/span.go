@@ -56,7 +56,7 @@ func init() {
 
 // finishExec stamps a completed planned execution with its resolved
 // strategy, then reports it to the metrics registry. Every Exec* calls it
-// last, beside history.Observe.
+// last.
 func finishExec(pl *plan.Plan, st *ExecStats) {
 	st.Strategy = pl.Strategy.String()
 	observeExec(pl, st)
@@ -140,8 +140,8 @@ func shardCandidates(shard int) *telemetry.Counter {
 // observeExec reports one planned execution to the process-wide metrics
 // registry: latency and count by kind×strategy, the planner's absolute
 // relative cost error, per-shard candidate counts, and the fan-out's
-// candidate imbalance. Called beside every history.Observe so the ring
-// and the scrape surface always agree.
+// candidate imbalance. tsq_plan_cost_error_ratio is the planner's drift
+// record for the population; EXPLAIN shows it for one query.
 func observeExec(pl *plan.Plan, st *ExecStats) {
 	if !telemetry.Enabled() {
 		return

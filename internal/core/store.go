@@ -50,11 +50,8 @@ type Store struct {
 	length int
 	shards []*shard
 
-	// tracker feeds merged execution feedback to the query planner;
-	// history keeps the recent executed plans for est-vs-actual
-	// diagnostics.
+	// tracker feeds merged execution feedback to the query planner.
 	tracker *plan.Tracker
-	history *plan.History
 	// exploreTick counts unforced scan-routed range executions; every
 	// exploreEvery-th one runs a count-only index probe so the range
 	// calibration keeps learning while scans win (see maybeExploreRange).
@@ -139,7 +136,6 @@ func newStore(length int, shards []*shard) *Store {
 		length:  length,
 		shards:  shards,
 		tracker: plan.NewTracker(),
-		history: plan.NewHistory(0),
 		owner:   make(map[int64]int),
 		idPos:   make(map[int64]int),
 	}
@@ -381,7 +377,7 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 		case name == "":
 			badErr = fmt.Errorf("core: empty series name at position %d", i)
 		case seen[name]:
-			badErr = fmt.Errorf("core: duplicate series name %q", name)
+			badErr = fmt.Errorf("core: %w %q", ErrDuplicateSeries, name)
 		case len(values[i]) != s.length:
 			badErr = fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values[i]), s.length)
 		}
@@ -498,7 +494,7 @@ func (s *Store) Update(name string, values []float64) (Committed, error) {
 	defer sh.mu.Unlock()
 	id, ok := sh.byName[name]
 	if !ok {
-		return Committed{}, fmt.Errorf("core: unknown series %q", name)
+		return Committed{}, fmt.Errorf("core: %w %q", ErrUnknownSeries, name)
 	}
 	if len(values) != s.length {
 		return Committed{}, fmt.Errorf("core: series %q has length %d, DB expects %d", name, len(values), s.length)

@@ -185,8 +185,8 @@ func AblationPartialPrune(cfg Config) (AblationResult, error) {
 	cfg = cfg.withDefaults()
 	const length, count = 128, 1000
 	walks := dataset.RandomWalks(count, length, cfg.Seed)
-	mk := func(disable bool) (*core.DB, error) {
-		db, err := core.NewDB(length, core.Options{DisablePartialPrune: disable})
+	mk := func(disable bool) (*core.Store, error) {
+		db, err := core.NewStore(length, 1, core.Options{DisablePartialPrune: disable})
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +255,7 @@ func AblationK(ks []int, cfg Config) ([]KTradeoffRow, error) {
 	out := make([]KTradeoffRow, 0, len(ks))
 	for _, k := range ks {
 		sc := feature.Schema{Space: feature.Polar, K: k, Moments: true}
-		db, err := core.NewDB(length, core.Options{Schema: sc})
+		db, err := core.NewStore(length, 1, core.Options{Schema: sc})
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +378,7 @@ func AblationBufferPool(cfg Config) (AblationResult, error) {
 			return 0, err
 		}
 		defer os.RemoveAll(dir)
-		db, err := core.NewDB(128, core.Options{Backing: dir, CachePages: cachePages})
+		db, err := core.NewStore(128, 1, core.Options{Backing: dir, CachePages: cachePages})
 		if err != nil {
 			return 0, err
 		}

@@ -54,9 +54,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// buildDB loads the given series into a fresh engine DB.
-func buildDB(seriesList []dataset.Series, length int) (*core.DB, error) {
-	db, err := core.NewDB(length, core.Options{})
+// buildDB loads the given series into a fresh one-shard store.
+func buildDB(seriesList []dataset.Series, length int) (*core.Store, error) {
+	db, err := core.NewStore(length, 1, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func buildDB(seriesList []dataset.Series, length int) (*core.DB, error) {
 // forcedRange runs a range query under a forced strategy — the figures set
 // index against scan as two plans for one query, executed through the one
 // entry point so both sides carry identical bookkeeping.
-func forcedRange(db *core.DB, q core.RangeQuery, want plan.Strategy) ([]core.Result, core.ExecStats, error) {
+func forcedRange(db *core.Store, q core.RangeQuery, want plan.Strategy) ([]core.Result, core.ExecStats, error) {
 	pl, err := db.PlanRange(q, want)
 	if err != nil {
 		return nil, core.ExecStats{}, err

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -656,108 +655,6 @@ func (t *Tracker) Stats() Snapshot {
 		JoinCalibration: t.joinCalibration,
 		JoinNodeFrac:    t.joinNodeFrac,
 	}
-}
-
-// Record is one executed plan, kept in a store's history ring so
-// estimated-vs-actual drift and mispredictions stay visible after the
-// query returns (EXPLAIN shows one query; the ring shows the recent
-// population).
-type Record struct {
-	// Seq increases by one per recorded execution on a store.
-	Seq int64
-	// Kind, Strategy, Method, Forced, and Reason echo the executed plan.
-	Kind     string
-	Strategy string
-	Method   string
-	Forced   bool
-	Reason   string
-	// Series and Shards are the store size and fan-out width at planning.
-	Series int
-	Shards int
-	// EstCandidates and EstCost are the planner's predictions for the
-	// chosen strategy; ActualCandidates and ActualNodeAccesses are what
-	// the execution measured.
-	EstCandidates      float64
-	EstCost            float64
-	ActualCandidates   int
-	ActualNodeAccesses int
-	Results            int
-	ElapsedUS          float64
-}
-
-// DefaultHistorySize is the executed-plan ring capacity.
-const DefaultHistorySize = 64
-
-// History is a fixed-capacity ring of executed plans. One History lives
-// on each store next to its Tracker; all methods are safe for concurrent
-// use.
-type History struct {
-	mu   sync.Mutex
-	seq  int64
-	buf  []Record
-	next int
-	full bool
-}
-
-// NewHistory returns an empty ring holding up to n records (n <= 0
-// selects DefaultHistorySize).
-func NewHistory(n int) *History {
-	if n <= 0 {
-		n = DefaultHistorySize
-	}
-	return &History{buf: make([]Record, n)}
-}
-
-// Observe appends one executed plan with its measured cost.
-func (h *History) Observe(pl *Plan, candidates, nodes, results int, elapsed time.Duration) {
-	if h == nil || pl == nil {
-		return
-	}
-	cost := pl.Est.ScanCost
-	if pl.Strategy == Index {
-		cost = pl.Est.IndexCost
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seq++
-	h.buf[h.next] = Record{
-		Seq:                h.seq,
-		Kind:               pl.Kind,
-		Strategy:           pl.Strategy.String(),
-		Method:             pl.Method,
-		Forced:             pl.Forced,
-		Reason:             pl.Reason,
-		Series:             pl.Est.Series,
-		Shards:             len(pl.Shards),
-		EstCandidates:      pl.Est.Candidates,
-		EstCost:            cost,
-		ActualCandidates:   candidates,
-		ActualNodeAccesses: nodes,
-		Results:            results,
-		ElapsedUS:          float64(elapsed) / float64(time.Microsecond),
-	}
-	h.next = (h.next + 1) % len(h.buf)
-	if h.next == 0 {
-		h.full = true
-	}
-}
-
-// Recent returns the retained records, oldest first.
-func (h *History) Recent() []Record {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.full {
-		out := make([]Record, h.next)
-		copy(out, h.buf[:h.next])
-		return out
-	}
-	out := make([]Record, 0, len(h.buf))
-	out = append(out, h.buf[h.next:]...)
-	out = append(out, h.buf[:h.next]...)
-	return out
 }
 
 // AllShards returns the canonical shard-target list [0, n).

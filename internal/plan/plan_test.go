@@ -225,26 +225,3 @@ func TestTrackerJoinFeedbackFlipsChoice(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
-
-func TestHistoryRing(t *testing.T) {
-	h := NewHistory(4)
-	for i := 0; i < 6; i++ {
-		h.Observe(&Plan{Kind: "range", Strategy: Index, Est: Estimate{Candidates: float64(i)}}, i, i, i, 0)
-	}
-	recs := h.Recent()
-	if len(recs) != 4 {
-		t.Fatalf("ring holds %d records, want 4", len(recs))
-	}
-	if recs[0].Seq != 3 || recs[3].Seq != 6 {
-		t.Fatalf("ring order wrong: first seq %d, last seq %d", recs[0].Seq, recs[3].Seq)
-	}
-	if recs[3].ActualCandidates != 5 || recs[3].EstCandidates != 5 {
-		t.Fatalf("last record = %+v", recs[3])
-	}
-	// Nil-safety.
-	var nh *History
-	nh.Observe(nil, 0, 0, 0, 0)
-	if nh.Recent() != nil {
-		t.Fatal("nil history should be empty")
-	}
-}

@@ -110,7 +110,7 @@ type QueryResponse struct {
 	Pairs   []PairPayload  `json:"pairs,omitempty"`
 	Stats   StatsPayload   `json:"stats"`
 	// Explain carries the execution plan of EXPLAIN-prefixed statements.
-	Explain *ExplainPayload `json:"explain,omitempty"`
+	Explain *tsq.ExplainInfo `json:"explain,omitempty"`
 	// Trace carries the execution's span tree of TRACE-prefixed
 	// statements.
 	Trace *TracePayload `json:"trace,omitempty"`
@@ -187,134 +187,6 @@ func fromTracePayload(t *TracePayload) *tsq.TraceInfo {
 		Total: time.Duration(t.TotalUS * float64(time.Microsecond)),
 		Spans: fromSpanPayloads(t.Spans),
 	}
-}
-
-// ExplainPayload is an execution plan on the wire: the planner's choice
-// and reasoning, the Lemma 1 search rectangle, the shard fan-out, and
-// estimated vs actual cost.
-type ExplainPayload struct {
-	Kind               string             `json:"kind"`
-	Strategy           string             `json:"strategy"`
-	Method             string             `json:"method,omitempty"`
-	Forced             bool               `json:"forced,omitempty"`
-	Reason             string             `json:"reason"`
-	Filter             string             `json:"filter,omitempty"`
-	Transform          string             `json:"transform,omitempty"`
-	Series             int                `json:"series"`
-	Shards             []int              `json:"shards,omitempty"`
-	Selectivity        float64            `json:"selectivity,omitempty"`
-	EstCandidates      float64            `json:"est_candidates,omitempty"`
-	EstNodeAccesses    float64            `json:"est_node_accesses,omitempty"`
-	EstIndexCost       float64            `json:"est_index_cost,omitempty"`
-	EstScanCost        float64            `json:"est_scan_cost,omitempty"`
-	RectLo             []float64          `json:"rect_lo,omitempty"`
-	RectHi             []float64          `json:"rect_hi,omitempty"`
-	ActualCandidates   int                `json:"actual_candidates"`
-	ActualNodeAccesses int                `json:"actual_node_accesses"`
-	ActualHeadResolved int                `json:"actual_head_resolved"`
-	PerShard           []ShardExecPayload `json:"per_shard,omitempty"`
-	// Approximate-plan fields (APPROX delta > 0): the guaranteed
-	// (1+delta) error bound, the feature-ladder rung verification starts
-	// bound checks at, the planner's estimated verification speedup, and
-	// the tightness EWMA the rung was tuned from. Absent on exact plans.
-	ApproxDelta      float64 `json:"approx_delta,omitempty"`
-	ApproxRung       int     `json:"approx_rung,omitempty"`
-	ApproxEstSpeedup float64 `json:"approx_est_speedup,omitempty"`
-	ApproxTightness  float64 `json:"approx_tightness,omitempty"`
-}
-
-// ShardExecPayload is one shard's share of a fan-out execution.
-type ShardExecPayload struct {
-	Shard        int   `json:"shard"`
-	NodeAccesses int   `json:"node_accesses"`
-	PageReads    int64 `json:"page_reads"`
-	Candidates   int   `json:"candidates"`
-	HeadResolved int   `json:"head_resolved"`
-	Results      int   `json:"results"`
-}
-
-func toExplainPayload(e *tsq.ExplainInfo) *ExplainPayload {
-	if e == nil {
-		return nil
-	}
-	out := &ExplainPayload{
-		Kind:               e.Kind,
-		Strategy:           e.Strategy,
-		Method:             e.Method,
-		Forced:             e.Forced,
-		Reason:             e.Reason,
-		Filter:             e.Filter,
-		Transform:          e.Transform,
-		Series:             e.Series,
-		Shards:             e.Shards,
-		Selectivity:        e.Selectivity,
-		EstCandidates:      e.EstCandidates,
-		EstNodeAccesses:    e.EstNodeAccesses,
-		EstIndexCost:       e.EstIndexCost,
-		EstScanCost:        e.EstScanCost,
-		RectLo:             e.RectLo,
-		RectHi:             e.RectHi,
-		ActualCandidates:   e.ActualCandidates,
-		ActualNodeAccesses: e.ActualNodeAccesses,
-		ActualHeadResolved: e.ActualHeadResolved,
-		ApproxDelta:        e.ApproxDelta,
-		ApproxRung:         e.ApproxRung,
-		ApproxEstSpeedup:   e.ApproxEstSpeedup,
-		ApproxTightness:    e.ApproxTightness,
-	}
-	for _, sh := range e.PerShard {
-		out.PerShard = append(out.PerShard, ShardExecPayload{
-			Shard:        sh.Shard,
-			NodeAccesses: sh.NodeAccesses,
-			PageReads:    sh.PageReads,
-			Candidates:   sh.Candidates,
-			HeadResolved: sh.HeadResolved,
-			Results:      sh.Results,
-		})
-	}
-	return out
-}
-
-func fromExplainPayload(e *ExplainPayload) *tsq.ExplainInfo {
-	if e == nil {
-		return nil
-	}
-	out := &tsq.ExplainInfo{
-		Kind:               e.Kind,
-		Strategy:           e.Strategy,
-		Method:             e.Method,
-		Forced:             e.Forced,
-		Reason:             e.Reason,
-		Filter:             e.Filter,
-		Transform:          e.Transform,
-		Series:             e.Series,
-		Shards:             e.Shards,
-		Selectivity:        e.Selectivity,
-		EstCandidates:      e.EstCandidates,
-		EstNodeAccesses:    e.EstNodeAccesses,
-		EstIndexCost:       e.EstIndexCost,
-		EstScanCost:        e.EstScanCost,
-		RectLo:             e.RectLo,
-		RectHi:             e.RectHi,
-		ActualCandidates:   e.ActualCandidates,
-		ActualNodeAccesses: e.ActualNodeAccesses,
-		ActualHeadResolved: e.ActualHeadResolved,
-		ApproxDelta:        e.ApproxDelta,
-		ApproxRung:         e.ApproxRung,
-		ApproxEstSpeedup:   e.ApproxEstSpeedup,
-		ApproxTightness:    e.ApproxTightness,
-	}
-	for _, sh := range e.PerShard {
-		out.PerShard = append(out.PerShard, tsq.ShardExecInfo{
-			Shard:        sh.Shard,
-			NodeAccesses: sh.NodeAccesses,
-			PageReads:    sh.PageReads,
-			Candidates:   sh.Candidates,
-			HeadResolved: sh.HeadResolved,
-			Results:      sh.Results,
-		})
-	}
-	return out
 }
 
 // RangeRequest asks for all series within Eps of the query under the
@@ -470,28 +342,25 @@ type HealthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// StatsResponse reports the server's cumulative counters. Plans — the
-// engine's recent executed-plan ring, oldest first — is included only
-// when the request asks for it (GET /stats?plans=1).
+// StatsResponse reports the server's cumulative counters.
 type StatsResponse struct {
-	Series        int                 `json:"series"`
-	Length        int                 `json:"length"`
-	Shards        int                 `json:"shards"`
-	Queries       int64               `json:"queries"`
-	Writes        int64               `json:"writes"`
-	Appends       int64               `json:"appends"`
-	Monitors      int                 `json:"monitors"`
-	CacheHits     int64               `json:"cache_hits"`
-	CacheMisses   int64               `json:"cache_misses"`
-	CacheLen      int                 `json:"cache_len"`
-	CacheCap      int                 `json:"cache_cap"`
-	NodeAccesses  int64               `json:"node_accesses"`
-	PageReads     int64               `json:"page_reads"`
-	Candidates    int64               `json:"candidates"`
-	HeadResolved  int64               `json:"head_resolved"`
-	ElapsedUS     float64             `json:"elapsed_us"`
-	UptimeSeconds float64             `json:"uptime_seconds"`
-	Plans         []PlanRecordPayload `json:"plans,omitempty"`
+	Series        int     `json:"series"`
+	Length        int     `json:"length"`
+	Shards        int     `json:"shards"`
+	Queries       int64   `json:"queries"`
+	Writes        int64   `json:"writes"`
+	Appends       int64   `json:"appends"`
+	Monitors      int     `json:"monitors"`
+	CacheHits     int64   `json:"cache_hits"`
+	CacheMisses   int64   `json:"cache_misses"`
+	CacheLen      int     `json:"cache_len"`
+	CacheCap      int     `json:"cache_cap"`
+	NodeAccesses  int64   `json:"node_accesses"`
+	PageReads     int64   `json:"page_reads"`
+	Candidates    int64   `json:"candidates"`
+	HeadResolved  int64   `json:"head_resolved"`
+	ElapsedUS     float64 `json:"elapsed_us"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
 // TracesResponse is GET /traces: the retained execution traces matching
@@ -526,25 +395,6 @@ type WorstTracePayload struct {
 	RequestID string    `json:"request_id"`
 	ElapsedUS float64   `json:"elapsed_us"`
 	When      time.Time `json:"when"`
-}
-
-// PlanRecordPayload is one executed plan from the engine's history ring
-// on the wire.
-type PlanRecordPayload struct {
-	Seq                int64   `json:"seq"`
-	Kind               string  `json:"kind"`
-	Strategy           string  `json:"strategy"`
-	Method             string  `json:"method,omitempty"`
-	Forced             bool    `json:"forced,omitempty"`
-	Reason             string  `json:"reason"`
-	Series             int     `json:"series"`
-	Shards             int     `json:"shards"`
-	EstCandidates      float64 `json:"est_candidates"`
-	EstCost            float64 `json:"est_cost"`
-	ActualCandidates   int     `json:"actual_candidates"`
-	ActualNodeAccesses int     `json:"actual_node_accesses"`
-	Results            int     `json:"results"`
-	ElapsedUS          float64 `json:"elapsed_us"`
 }
 
 // ProgressiveStagePayload is one SSE delivery of POST /query/progressive:

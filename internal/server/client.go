@@ -95,16 +95,6 @@ func (c *Client) Stats() (*StatsResponse, error) {
 	return &out, nil
 }
 
-// StatsWithPlans fetches /stats?plans=1: the cumulative counters plus the
-// engine's recent executed-plan ring (estimated vs actual cost per plan).
-func (c *Client) StatsWithPlans() (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.do(http.MethodGet, "/stats?plans=1", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Traces fetches retained execution traces from /traces. Empty filter
 // fields are omitted; n <= 0 leaves the count at the server's default.
 func (c *Client) Traces(id, kind, strategy, outcome string, n int) (*TracesResponse, error) {
@@ -275,7 +265,7 @@ func (c *Client) QueryOutput(q string) (*tsq.Output, error) {
 func OutputFromResponse(resp *QueryResponse) *tsq.Output {
 	out := &tsq.Output{
 		Kind:    resp.Kind,
-		Explain: fromExplainPayload(resp.Explain),
+		Explain: resp.Explain,
 		Trace:   fromTracePayload(resp.Trace),
 		Stats: tsq.Stats{
 			Elapsed:        time.Duration(resp.Stats.ElapsedUS * float64(time.Microsecond)),

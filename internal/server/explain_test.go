@@ -121,40 +121,6 @@ func TestExplainJoinRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsPlansRing: executed plans (joins included) show up behind
-// /stats?plans=1 with estimated-vs-actual cost, and the plain /stats
-// stays light.
-func TestStatsPlansRing(t *testing.T) {
-	fx := newFixture(t)
-	if _, err := fx.client.QueryOutput("RANGE SERIES 'W0007' EPS 2 TRANSFORM mavg(20)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fx.client.QueryOutput("SELFJOIN EPS 1.5 TRANSFORM mavg(20) USING AUTO"); err != nil {
-		t.Fatal(err)
-	}
-	light, err := fx.client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(light.Plans) != 0 {
-		t.Fatalf("plain /stats carried %d plans, want none", len(light.Plans))
-	}
-	st, err := fx.client.StatsWithPlans()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[string]bool{}
-	for _, p := range st.Plans {
-		kinds[p.Kind] = true
-		if p.Strategy == "" || p.Seq == 0 {
-			t.Fatalf("malformed plan record: %+v", p)
-		}
-	}
-	if !kinds["range"] || !kinds["selfjoin"] {
-		t.Fatalf("plan ring kinds = %v, want range and selfjoin", kinds)
-	}
-}
-
 // TestExplainNotCached: EXPLAIN statements bypass the result cache, so
 // repeated EXPLAINs keep reporting live actuals.
 func TestExplainNotCached(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	tsq "repro"
+	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/tlog"
 )
@@ -23,8 +24,7 @@ const maxBodyBytes = 64 << 20
 //
 //	GET    /healthz               liveness + store size
 //	GET    /metrics               Prometheus text exposition of the telemetry registry
-//	GET    /stats                 cumulative cost counters (paper's measures);
-//	                              ?plans=1 adds the recent executed-plan ring
+//	GET    /stats                 cumulative cost counters (paper's measures)
 //	GET    /traces                retained execution traces (tail-sampled: slowest,
 //	                              most recent, and errors) with full span trees;
 //	                              ?id= fetches one by request ID, ?kind=/?strategy=/
@@ -151,11 +151,10 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 // missing series are 404, duplicate names 409, anything else (malformed
 // transforms, bad parameters) 400.
 func writeEngineError(w http.ResponseWriter, r *http.Request, err error) {
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "unknown series"):
+	case errors.Is(err, core.ErrUnknownSeries):
 		writeError(w, r, http.StatusNotFound, err)
-	case strings.Contains(msg, "duplicate series"):
+	case errors.Is(err, core.ErrDuplicateSeries):
 		writeError(w, r, http.StatusConflict, err)
 	default:
 		writeError(w, r, http.StatusBadRequest, err)
@@ -194,28 +193,6 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	st := h.s.Stats()
-	var plans []PlanRecordPayload
-	if r.URL.Query().Get("plans") == "1" {
-		plans = make([]PlanRecordPayload, len(st.Plans))
-		for i, p := range st.Plans {
-			plans[i] = PlanRecordPayload{
-				Seq:                p.Seq,
-				Kind:               p.Kind,
-				Strategy:           p.Strategy,
-				Method:             p.Method,
-				Forced:             p.Forced,
-				Reason:             p.Reason,
-				Series:             p.Series,
-				Shards:             p.Shards,
-				EstCandidates:      p.EstCandidates,
-				EstCost:            p.EstCost,
-				ActualCandidates:   p.ActualCandidates,
-				ActualNodeAccesses: p.ActualNodeAccesses,
-				Results:            p.Results,
-				ElapsedUS:          p.ElapsedUS,
-			}
-		}
-	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Series:        st.Series,
 		Length:        st.Length,
@@ -234,7 +211,6 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 		HeadResolved:  st.HeadResolved,
 		ElapsedUS:     float64(st.Elapsed.Microseconds()),
 		UptimeSeconds: st.Uptime.Seconds(),
-		Plans:         plans,
 	})
 }
 
@@ -330,7 +306,7 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := toQueryResponse(out.Kind, out.Matches, out.Pairs, out.Stats)
-	resp.Explain = toExplainPayload(out.Explain)
+	resp.Explain = out.Explain
 	resp.Trace = toTracePayload(out.Trace)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -365,7 +341,7 @@ func (h *handler) progressive(w http.ResponseWriter, r *http.Request) {
 		}
 		out := stage.Output
 		resp := toQueryResponse(out.Kind, out.Matches, out.Pairs, out.Stats)
-		resp.Explain = toExplainPayload(out.Explain)
+		resp.Explain = out.Explain
 		resp.Trace = toTracePayload(out.Trace)
 		event := "approx"
 		if stage.Final {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -427,6 +428,47 @@ func TestErrorStatuses(t *testing.T) {
 				t.Fatalf("error body missing: decode err %v, message %q", err, e.Error)
 			}
 		})
+	}
+}
+
+// TestStatusFollowsTheCause: the status of a failed write or read is its
+// cause, not a phrase in its message, which quotes the caller's name: a
+// second insert of a series named "unknown series" is a 409 and a fetch of
+// a missing "duplicate series" a 404, as for any other name. The message
+// itself is unchanged.
+func TestStatusFollowsTheCause(t *testing.T) {
+	fx := newFixture(t)
+	values, _ := json.Marshal(fx.walks[0].Values)
+	do := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, fx.ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e server.ErrorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	for _, name := range []string{"unknown series", "W-dup"} {
+		body := fmt.Sprintf(`{"name": %q, "values": %s}`, name, values)
+		if got, msg := do("POST", "/series", body); got != http.StatusCreated {
+			t.Fatalf("first insert of %q: HTTP %d (%s), want 201", name, got, msg)
+		}
+		got, msg := do("POST", "/series", body)
+		if want := fmt.Sprintf("core: duplicate series name %q", name); got != http.StatusConflict || msg != want {
+			t.Errorf("second insert of %q: HTTP %d %q, want 409 %q", name, got, msg, want)
+		}
+	}
+	for _, name := range []string{"duplicate series", "NOPE"} {
+		got, msg := do("GET", "/series/"+url.PathEscape(name), "")
+		if want := fmt.Sprintf("tsq: unknown series %q", name); got != http.StatusNotFound || msg != want {
+			t.Errorf("fetch of missing %q: HTTP %d %q, want 404 %q", name, got, msg, want)
+		}
 	}
 }
 

@@ -40,74 +40,74 @@ type TraceInfo struct {
 	Spans []SpanInfo
 }
 
-// ExplainInfo is the rendered execution plan of one EXPLAIN statement.
+// ExplainInfo is the rendered execution plan of one EXPLAIN statement. Its
+// JSON encoding is the "explain" object of an HTTP query response.
 type ExplainInfo struct {
 	// Kind is the planned query kind ("range", "nn", "selfjoin", "join").
-	Kind string
+	Kind string `json:"kind"`
 	// Strategy is the resolved execution strategy ("index", "scan",
-	// "scantime"); Forced reports the caller pinned it (USING clause,
-	// moment bounds make the planner pin without Forced). Reason is the
-	// planner's justification.
-	Strategy string
-	Forced   bool
-	Reason   string
+	// "scantime"). Method is the paper's Table 1 method letter of a join
+	// plan ("a", "b", "d", or "c/d" when the identity action makes c and d
+	// coincide); empty for range/NN plans. Forced reports the caller pinned
+	// the strategy (USING clause; moment bounds make the planner pin
+	// without Forced). Reason is the planner's justification.
+	Strategy string `json:"strategy"`
+	Method   string `json:"method,omitempty"`
+	Forced   bool   `json:"forced,omitempty"`
+	Reason   string `json:"reason"`
 	// Filter names the Lemma 1 filter radius of the plan's index path:
 	// "eps/√2 (conjugate symmetry)" when every indexed coefficient counts
 	// twice under the transformation, else "eps (asymmetric transform)" or
 	// "eps (2K ≥ n)". It is why two look-alike statements can touch
 	// different candidate counts. Empty when the plan has no index path.
-	Filter string
-	// Method is the paper's Table 1 method letter of a join plan ("a",
-	// "b", "d", or "c/d" when the identity action makes c and d
-	// coincide); empty for range/NN plans.
-	Method string
+	Filter string `json:"filter,omitempty"`
 	// Transform is the canonical transformation pipeline.
-	Transform string
+	Transform string `json:"transform,omitempty"`
 	// Series is the store size at planning; Shards the fan-out targets.
-	Series int
-	Shards []int
+	Series int   `json:"series"`
+	Shards []int `json:"shards,omitempty"`
 	// Selectivity, EstCandidates, EstNodeAccesses, EstIndexCost, and
 	// EstScanCost are the planner's cost model outputs (zero for plans
 	// with no index-vs-scan freedom).
-	Selectivity     float64
-	EstCandidates   float64
-	EstNodeAccesses float64
-	EstIndexCost    float64
-	EstScanCost     float64
+	Selectivity     float64 `json:"selectivity,omitempty"`
+	EstCandidates   float64 `json:"est_candidates,omitempty"`
+	EstNodeAccesses float64 `json:"est_node_accesses,omitempty"`
+	EstIndexCost    float64 `json:"est_index_cost,omitempty"`
+	EstScanCost     float64 `json:"est_scan_cost,omitempty"`
 	// RectLo/RectHi are the corners of the feature-space search rectangle
 	// (nil when the query kind carries none, e.g. NN).
-	RectLo []float64
-	RectHi []float64
+	RectLo []float64 `json:"rect_lo,omitempty"`
+	RectHi []float64 `json:"rect_hi,omitempty"`
 	// ActualCandidates and ActualNodeAccesses echo the execution's
 	// measured cost — EXPLAIN's "estimated vs actual" — and
 	// ActualHeadResolved how many of the candidates were decided in the
 	// resident spectrum heads, without a page.
-	ActualCandidates   int
-	ActualNodeAccesses int
-	ActualHeadResolved int
+	ActualCandidates   int `json:"actual_candidates"`
+	ActualNodeAccesses int `json:"actual_node_accesses"`
+	ActualHeadResolved int `json:"actual_head_resolved"`
+	// PerShard is the fan-out's per-shard provenance (nil on a one-shard
+	// store).
+	PerShard []ShardExecInfo `json:"per_shard,omitempty"`
 	// ApproxDelta, ApproxRung, ApproxEstSpeedup, and ApproxTightness
 	// describe an approximate plan (APPROX delta > 0): the guaranteed
 	// (1+delta) error bound, the feature-ladder rung verification starts
 	// bound checks at, the planner's estimated verification speedup, and
 	// the EWMA of realized bound tightness the rung was tuned from (0 =
 	// no feedback yet). All zero on exact plans.
-	ApproxDelta      float64
-	ApproxRung       int
-	ApproxEstSpeedup float64
-	ApproxTightness  float64
-	// PerShard is the fan-out's per-shard provenance (nil on a one-shard
-	// store).
-	PerShard []ShardExecInfo
+	ApproxDelta      float64 `json:"approx_delta,omitempty"`
+	ApproxRung       int     `json:"approx_rung,omitempty"`
+	ApproxEstSpeedup float64 `json:"approx_est_speedup,omitempty"`
+	ApproxTightness  float64 `json:"approx_tightness,omitempty"`
 }
 
 // ShardExecInfo is one shard's share of a fan-out execution.
 type ShardExecInfo struct {
-	Shard        int
-	NodeAccesses int
-	PageReads    int64
-	Candidates   int
-	HeadResolved int
-	Results      int
+	Shard        int   `json:"shard"`
+	NodeAccesses int   `json:"node_accesses"`
+	PageReads    int64 `json:"page_reads"`
+	Candidates   int   `json:"candidates"`
+	HeadResolved int   `json:"head_resolved"`
+	Results      int   `json:"results"`
 }
 
 func explainFrom(pl *plan.Plan, st core.ExecStats) *ExplainInfo {
@@ -117,10 +117,10 @@ func explainFrom(pl *plan.Plan, st core.ExecStats) *ExplainInfo {
 	out := &ExplainInfo{
 		Kind:               pl.Kind,
 		Strategy:           pl.Strategy.String(),
+		Method:             pl.Method,
 		Forced:             pl.Forced,
 		Reason:             pl.Reason,
 		Filter:             pl.Filter,
-		Method:             pl.Method,
 		Transform:          pl.Transform,
 		Series:             pl.Est.Series,
 		Shards:             append([]int(nil), pl.Shards...),

@@ -25,7 +25,7 @@ func (db *DB) InsertBulk(batch []NamedSeries) error {
 // spectrum, feature points, and each shard's packed R*-tree, serialized
 // byte-for-byte — in sections that each carry their byte length and a
 // CRC32-C, checked before anything in them is used. What the DB has served
-// (its plan history, its cost constants) is not written, so the same store
+// (its planner feedback, its cost constants) is not written, so the same store
 // writes the same bytes. Loading a TSQ4 snapshot at the same shard count
 // validates and adopts the trees directly, so cold start costs one
 // sequential read instead of a full rebuild (no extraction, no FFT, no STR

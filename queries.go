@@ -126,7 +126,7 @@ func fromExec(st core.ExecStats, lead ...SpanInfo) Stats {
 
 // Strategy selects the execution plan for Range and NN queries. Naming one
 // forces the plan, it does not bypass it: a forced read is planned, traced,
-// recorded in the plan history and fed back to the planner like any other.
+// counted in tsq_queries_total and fed back to the planner like any other.
 type Strategy int
 
 const (

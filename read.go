@@ -231,7 +231,7 @@ func (db *DB) source(sp readSpec) (values []float64, prep *core.QueryPrep, tr tr
 	}
 	id, ok := db.eng.IDByName(sp.name)
 	if !ok {
-		return nil, nil, tr, 0, fmt.Errorf("tsq: unknown series %q", sp.name)
+		return nil, nil, tr, 0, fmt.Errorf("tsq: %w %q", core.ErrUnknownSeries, sp.name)
 	}
 	if values, err = db.eng.Series(id); err != nil {
 		return nil, nil, tr, 0, err

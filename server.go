@@ -147,31 +147,7 @@ type ServerStats struct {
 	HeadResolved int64
 	Elapsed      time.Duration
 
-	// Plans is the engine's recent executed-plan ring (oldest first):
-	// every planned range/NN/join execution with its estimated-vs-actual
-	// cost, so planner drift and mispredictions stay visible behind
-	// /stats.
-	Plans []PlanRecord
-
 	Uptime time.Duration
-}
-
-// PlanRecord is one executed plan from the engine's history ring.
-type PlanRecord struct {
-	Seq                int64
-	Kind               string
-	Strategy           string
-	Method             string
-	Forced             bool
-	Reason             string
-	Series             int
-	Shards             int
-	EstCandidates      float64
-	EstCost            float64
-	ActualCandidates   int
-	ActualNodeAccesses int
-	Results            int
-	ElapsedUS          float64
 }
 
 // Stats returns the Server's cumulative counters. It takes no shard lock —
@@ -199,35 +175,8 @@ func (s *Server) Stats() ServerStats {
 		Candidates:   s.candidates.Load(),
 		HeadResolved: s.headResolved.Load(),
 		Elapsed:      time.Duration(s.elapsed.Load()),
-		Plans:        s.planHistory(),
 		Uptime:       time.Since(s.started),
 	}
-}
-
-// planHistory converts the engine's executed-plan ring to the public
-// record type.
-func (s *Server) planHistory() []PlanRecord {
-	recs := s.db.eng.PlanHistory()
-	out := make([]PlanRecord, len(recs))
-	for i, r := range recs {
-		out[i] = PlanRecord{
-			Seq:                r.Seq,
-			Kind:               r.Kind,
-			Strategy:           r.Strategy,
-			Method:             r.Method,
-			Forced:             r.Forced,
-			Reason:             r.Reason,
-			Series:             r.Series,
-			Shards:             r.Shards,
-			EstCandidates:      r.EstCandidates,
-			EstCost:            r.EstCost,
-			ActualCandidates:   r.ActualCandidates,
-			ActualNodeAccesses: r.ActualNodeAccesses,
-			Results:            r.Results,
-			ElapsedUS:          r.ElapsedUS,
-		}
-	}
-	return out
 }
 
 func (s *Server) record(st Stats) {

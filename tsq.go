@@ -212,7 +212,7 @@ func (db *DB) Names() []string {
 func (db *DB) Series(name string) ([]float64, error) {
 	id, ok := db.eng.IDByName(name)
 	if !ok {
-		return nil, fmt.Errorf("tsq: unknown series %q", name)
+		return nil, fmt.Errorf("tsq: %w %q", core.ErrUnknownSeries, name)
 	}
 	return db.eng.Series(id)
 }
