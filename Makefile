@@ -67,6 +67,11 @@ vet:
 	@if grep -nE 'PlanHistory|plan\.History|plan\.Record\b|PlanRecord|StatsWithPlans|plans=1' \
 		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
 		echo "planner drift is EXPLAIN per query and tsq_plan_cost_error_ratio per kind: the executed-plan ring is gone"; exit 1; fi
+	@if [ -e internal/tlog ]; then \
+		echo "internal/tlog is back: tsqd logs through log/slog"; exit 1; fi
+	@if grep -nE 'internal/tlog|tlog\.|/logs|\) Logs\(' \
+		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
+		echo "a request is recorded by its trace, its histogram and, when it fails, one slog line: the access line, the log ring and GET /logs are gone"; exit 1; fi
 
 fmt:
 	gofmt -w .

@@ -1,15 +1,16 @@
 // Benchmarks regenerating the paper's evaluation, one benchmark (pair) per
-// figure and table — see DESIGN.md's per-experiment index. The two curves
-// of each figure appear as sibling sub-benchmarks so `go test -bench=.`
-// output reads like the paper's plots:
+// figure and table — internal/experiments' package doc indexes them. The
+// two curves of each figure appear as sibling sub-benchmarks so
+// `go test -bench=.` output reads like the paper's plots:
 //
 //	Figure 8/9:  IndexWithTransform vs IndexPlain  (identity transformation)
 //	Figure 10/11: Index vs SeqScan                 (moving-average transformation)
 //	Figure 12:   Index vs SeqScan at growing answer-set sizes
 //	Table 1:     join methods a, b, c, d
 //
-// plus the ablation benchmarks DESIGN.md commits to. Fixtures are built
-// once per (count, length) and reused across benchmarks.
+// plus ablation benchmarks of the design's own choices. Fixtures are
+// one-shard stores built once per (count, length) and reused across
+// benchmarks.
 package tsq_test
 
 import (
@@ -21,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/feature"
+	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/rtree"
@@ -32,10 +34,10 @@ import (
 
 var (
 	fixtureMu sync.Mutex
-	fixtures  = map[string]*core.DB{}
+	fixtures  = map[string]*core.Store{}
 )
 
-func walkDB(b *testing.B, count, length int) *core.DB {
+func walkDB(b *testing.B, count, length int) *core.Store {
 	b.Helper()
 	key := fmt.Sprintf("walks/%d/%d", count, length)
 	fixtureMu.Lock()
@@ -43,7 +45,7 @@ func walkDB(b *testing.B, count, length int) *core.DB {
 	if db, ok := fixtures[key]; ok {
 		return db
 	}
-	db, err := core.NewDB(length, core.Options{})
+	db, err := core.NewStore(length, 1, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func walkDB(b *testing.B, count, length int) *core.DB {
 	return db
 }
 
-func stockDB(b *testing.B) (*core.DB, *dataset.StockEnsemble) {
+func stockDB(b *testing.B) (*core.Store, *dataset.StockEnsemble) {
 	b.Helper()
 	key := "stock"
 	fixtureMu.Lock()
@@ -65,7 +67,7 @@ func stockDB(b *testing.B) (*core.DB, *dataset.StockEnsemble) {
 		return db, stockEns
 	}
 	stockEns = dataset.DefaultStockEnsemble(1997)
-	db, err := core.NewDB(128, core.Options{})
+	db, err := core.NewStore(128, 1, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func stockDB(b *testing.B) (*core.DB, *dataset.StockEnsemble) {
 
 var stockEns *dataset.StockEnsemble
 
-func queryValues(b *testing.B, db *core.DB, i int) []float64 {
+func queryValues(b *testing.B, db *core.Store, i int) []float64 {
 	b.Helper()
 	ids := db.IDs()
 	vals, err := db.Series(ids[(i*37)%len(ids)])
@@ -92,7 +94,7 @@ func queryValues(b *testing.B, db *core.DB, i int) []float64 {
 
 // forcedRange runs a range query under a forced strategy: the figures set
 // index against scan as two plans for one query.
-func forcedRange(db *core.DB, q core.RangeQuery, want plan.Strategy) ([]core.Result, core.ExecStats, error) {
+func forcedRange(db *core.Store, q core.RangeQuery, want plan.Strategy) ([]core.Result, core.ExecStats, error) {
 	pl, err := db.PlanRange(q, want)
 	if err != nil {
 		return nil, core.ExecStats{}, err
@@ -304,7 +306,7 @@ func BenchmarkTable1_MethodD_IndexTransform(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md section 5).
+// Ablations.
 
 // BenchmarkAblationMaterializedIndex compares Algorithm 2's on-the-fly
 // transformed traversal against searching a pre-materialized transformed
@@ -312,39 +314,49 @@ func BenchmarkTable1_MethodD_IndexTransform(b *testing.B) {
 // the fly costs no disk and little time, so one index serves many
 // transformations.
 func BenchmarkAblationMaterializedIndex(b *testing.B) {
-	db := walkDB(b, 2000, 128)
-	sc := db.Schema()
+	sc := feature.DefaultSchema
+	walks := dataset.RandomWalks(2000, 128, 1997)
+	ix, err := index.New(sc, rtree.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j, w := range walks {
+		if err := ix.InsertSeries(int64(j), w.Values); err != nil {
+			b.Fatal(err)
+		}
+	}
 	mavg := transform.MovingAverage(128, 20)
 	m, err := sc.Map(mavg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	idm := transform.IdentityMap(sc.Dims(), sc.Angular())
+	query := func(i int) geom.Point {
+		q, _ := sc.Extract(walks[(i*37)%len(walks)].Values)
+		return m.ApplyPoint(q)
+	}
 
 	var scr index.Scratch
 	var ids []int64
 	b.Run("on-the-fly", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			q, _ := sc.Extract(queryValues(b, db, i))
-			ids, _ = db.Index().RangeIDs(m.ApplyPoint(q), 1, m, feature.MomentBounds{}, true, &scr, ids[:0])
+			ids, _ = ix.RangeIDs(query(i), 1, m, feature.MomentBounds{}, true, &scr, ids[:0])
 		}
 	})
 	b.Run("materialize-then-search", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mat := db.Index().Materialize(m) // paid per transformation change
-			q, _ := sc.Extract(queryValues(b, db, i))
-			ids, _ = mat.RangeIDs(m.ApplyPoint(q), 1, idm, feature.MomentBounds{}, true, &scr, ids[:0])
+			mat := ix.Materialize(m) // paid per transformation change
+			ids, _ = mat.RangeIDs(query(i), 1, idm, feature.MomentBounds{}, true, &scr, ids[:0])
 		}
 	})
 	b.Run("search-premat", func(b *testing.B) {
-		mat := db.Index().Materialize(m)
+		mat := ix.Materialize(m)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q, _ := sc.Extract(queryValues(b, db, i))
-			ids, _ = mat.RangeIDs(m.ApplyPoint(q), 1, idm, feature.MomentBounds{}, true, &scr, ids[:0])
+			ids, _ = mat.RangeIDs(query(i), 1, idm, feature.MomentBounds{}, true, &scr, ids[:0])
 		}
 	})
 }
@@ -375,8 +387,8 @@ func BenchmarkAblationEarlyAbandon(b *testing.B) {
 // BenchmarkAblationPartialPrune measures the k-coefficient pruning of
 // index candidates before record fetches.
 func BenchmarkAblationPartialPrune(b *testing.B) {
-	mkDB := func(disable bool) *core.DB {
-		db, err := core.NewDB(128, core.Options{DisablePartialPrune: disable})
+	mkDB := func(disable bool) *core.Store {
+		db, err := core.NewStore(128, 1, core.Options{DisablePartialPrune: disable})
 		if err != nil {
 			b.Fatal(err)
 		}

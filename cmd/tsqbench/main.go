@@ -8,15 +8,15 @@
 //	tsqbench                  # everything at paper scale
 //	tsqbench -fig 8           # a single figure (8, 9, 10, 11, 12)
 //	tsqbench -table 1         # Table 1
-//	tsqbench -ablations      # the ablation studies from DESIGN.md
+//	tsqbench -ablations       # the ablation studies of internal/experiments
 //	tsqbench -quick           # reduced sizes for a fast smoke run
 //	tsqbench -queries 50      # repetitions per timing point
 //
 // Timing columns report both measured wall time on the in-memory
 // substrate and "modeled" time that charges a fixed cost per simulated
-// page read (see EXPERIMENTS.md); the paper's wall-clock shapes for the
-// scan-vs-index comparisons were disk-bound and correspond to the modeled
-// column.
+// page read (experiments.PageCostMs); the paper's wall-clock shapes for
+// the scan-vs-index comparisons were disk-bound and correspond to the
+// modeled column.
 //
 // Page columns are modeled page reads, not the engine's PageReads alone.
 // The engine's own page counts dropped for every method when verification

@@ -11,12 +11,13 @@
 // net/http/pprof on a side listener, which is where the runtime (heap,
 // goroutines, GC) is looked at, off the query port.
 //
-// Logging is structured: every line is one JSON object on stderr,
-// leveled by -log-level, and request lines carry the request's
-// correlation ID (X-TSQ-Request-ID). The newest lines are also kept in
-// memory and served from GET /logs. GET /traces serves the flight
-// recorder: each {kind, strategy}'s slowest and most recent executions
-// and every error, with their span trees.
+// Logging goes through log/slog's JSON handler on stderr, one object a
+// line: the lifecycle (loaded store, listening, shutting down, snapshot
+// saved) and one "request failed" line for each failed request, carrying
+// the correlation ID (X-TSQ-Request-ID) its error body names. A request
+// that succeeds writes no line. GET /traces serves the flight recorder:
+// each {kind, strategy}'s slowest and most recent executions and every
+// error, with their span trees.
 //
 // Usage:
 //
@@ -27,7 +28,6 @@
 //	tsqd -data walks.csv -retain 1024        # deeper /watch replay buffer
 //	tsqd -data big.csv -backing /var/tsq -cache-pages 2048  # larger-than-RAM store
 //	tsqd -data walks.csv -pprof localhost:6060  # profiling side listener
-//	tsqd -data walks.csv -log-level debug    # verbose JSON logs
 //
 //	curl localhost:8080/healthz
 //	curl -X POST localhost:8080/query \
@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only by the -pprof side listener
@@ -55,7 +56,6 @@ import (
 
 	tsq "repro"
 	"repro/internal/server"
-	"repro/internal/tlog"
 )
 
 func main() {
@@ -70,19 +70,12 @@ func main() {
 		shards   = flag.Int("shards", 0, "hash-partitioned shards; queries fan out in parallel and writers lock only their shard (0 = a loaded snapshot's count, else 1; at most 65535)")
 		retain   = flag.Int("retain", tsq.DefaultMonitorRetain, "events retained per monitor so reconnecting /watch clients can resume gaplessly (0 disables replay)")
 		pprof    = flag.String("pprof", "", "address of a net/http/pprof side listener (e.g. localhost:6060; empty disables) — profiling stays off the query port")
-		logLevel = flag.String("log-level", "info", "minimum log severity: debug, info, warn, or error")
 		backing  = flag.String("backing", "", "directory for disk-backed storage: series and spectrum pages live in files there behind a fixed buffer pool, so the store can exceed RAM (empty = all in memory); the files are scratch storage, not a snapshot — pair with -snapshot for durability")
 		cachePgs = flag.Int("cache-pages", 0, "buffer-pool frames per relation for -backing stores (0 = default 1024; at the default 4 KiB page size 1024 frames cache 4 MiB per relation)")
 	)
 	flag.Parse()
 
-	min, err := tlog.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tsqd:", err)
-		os.Exit(1)
-	}
-	tlog.SetLevel(min)
-	tlog.SetOutput(os.Stderr)
+	slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 
 	if err := run(*addr, *dataPath, *snapPath, *length, *k, *space, *cache, *shards, *retain, *pprof, *backing, *cachePgs); err != nil {
 		fmt.Fprintln(os.Stderr, "tsqd:", err)
@@ -113,7 +106,7 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 		retain = -1 // ServerOptions: negative retains none, zero means default
 	}
 	srv := tsq.NewServer(db, tsq.ServerOptions{CacheSize: cacheSize, MonitorRetain: retain})
-	tlog.Info("loaded store",
+	slog.Info("loaded store",
 		"series", srv.Len(), "length", srv.Length(), "origin", origin, "shards", db.Shards(),
 		"disk_backed", db.PoolStats().DiskBacked)
 
@@ -125,11 +118,11 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 
 	if pprofAddr != "" {
 		go func() {
-			tlog.Info("pprof listening", "addr", pprofAddr)
+			slog.Info("pprof listening", "addr", pprofAddr)
 			// The blank net/http/pprof import registered /debug/pprof on
 			// the default mux; the main API handler below uses its own.
 			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				tlog.Error("pprof listener failed", "err", err)
+				slog.Error("pprof listener failed", "err", err)
 			}
 		}()
 	}
@@ -145,7 +138,7 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 
 	errc := make(chan error, 1)
 	go func() {
-		tlog.Info("listening", "addr", addr)
+		slog.Info("listening", "addr", addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -155,18 +148,18 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 	case <-ctx.Done():
 	}
 
-	tlog.Info("shutting down")
+	slog.Info("shutting down")
 	closeStreams() // end /watch subscribers so Shutdown can drain
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		tlog.Error("shutdown failed", "err", err)
+		slog.Error("shutdown failed", "err", err)
 	}
 	if snapPath != "" {
 		if err := saveSnapshot(srv, snapPath); err != nil {
 			return fmt.Errorf("saving snapshot: %w", err)
 		}
-		tlog.Info("snapshot saved", "path", snapPath)
+		slog.Info("snapshot saved", "path", snapPath)
 	}
 	return nil
 }

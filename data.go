@@ -28,8 +28,8 @@ func RandomWalks(count, length int, seed int64) []NamedSeries {
 // StockEnsemble generates the stock-like data set substituting for the
 // paper's 1067x128 stock relation: twelve pairs similar under the 20-day
 // moving average at threshold StockEnsembleEps, three of which are similar
-// even without it, plus four opposite-movement pairs. See DESIGN.md for
-// the substitution rationale.
+// even without it, plus four opposite-movement pairs (dataset.StockLike
+// documents how they are planted).
 func StockEnsemble(seed int64) []NamedSeries {
 	return convert(dataset.DefaultStockEnsemble(seed).Series)
 }

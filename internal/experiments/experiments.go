@@ -9,9 +9,9 @@
 //	Figure 12 — query time vs answer-set size on the stock-like relation
 //	Table 1   — the spatial self-join under T_mavg20, methods (a)-(d)
 //
-// plus the ablation studies DESIGN.md commits to. The harness produces
-// plain data rows; cmd/tsqbench renders them as text tables, and
-// bench_test.go exposes each experiment as a Go benchmark.
+// plus ablation studies of the design's own choices (ablations.go). The
+// harness produces plain data rows; cmd/tsqbench renders them as text
+// tables, and bench_test.go exposes each experiment as a Go benchmark.
 //
 // Absolute milliseconds differ from the 1997 hardware, of course; the
 // assertions worth making — and the ones the accompanying tests make —
@@ -97,7 +97,7 @@ func msPerQuery(queries int, fn func(i int) error) (float64, error) {
 // PageCostMs * pages alongside raw wall time, because on an in-memory
 // substrate the scan baselines pay no I/O at all and the paper's
 // wall-clock comparisons (Figures 10-12, Table 1's index-vs-scan gap)
-// were I/O-shaped. See EXPERIMENTS.md for the calibration.
+// were I/O-shaped.
 const PageCostMs = 0.05
 
 // headsPerPage is how many resident spectrum heads (relation.HeadCoeffs

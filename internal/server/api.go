@@ -408,8 +408,9 @@ type ProgressiveStagePayload struct {
 }
 
 // ErrorResponse carries an error message, stamped with the failing
-// request's correlation ID so the matching log line (GET /logs) and any
-// retained error trace (GET /traces?outcome=error) are findable.
+// request's correlation ID so the matching "request failed" line on the
+// server's stderr and any retained error trace (GET /traces?outcome=error)
+// are findable.
 type ErrorResponse struct {
 	Error     string `json:"error"`
 	RequestID string `json:"request_id,omitempty"`

@@ -125,44 +125,6 @@ func (c *Client) Traces(id, kind, strategy, outcome string, n int) (*TracesRespo
 	return &out, nil
 }
 
-// Logs fetches the server's in-memory log ring from /logs as raw NDJSON
-// (one JSON log line per row, oldest first). n <= 0 fetches everything;
-// level filters to that severity and above ("" keeps all).
-func (c *Client) Logs(n int, level string) (string, error) {
-	q := url.Values{}
-	if n > 0 {
-		q.Set("n", strconv.Itoa(n))
-	}
-	if level != "" {
-		q.Set("level", level)
-	}
-	path := "/logs"
-	if len(q) > 0 {
-		path += "?" + q.Encode()
-	}
-	req, err := http.NewRequest(http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return "", err
-	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode >= 400 {
-		return "", fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	return string(raw), nil
-}
-
 // Metrics fetches the raw Prometheus text exposition from /metrics.
 func (c *Client) Metrics() (string, error) {
 	req, err := http.NewRequest(http.MethodGet, c.BaseURL+"/metrics", nil)

@@ -3,23 +3,21 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	tsq "repro"
 	"repro/internal/flight"
-	"repro/internal/tlog"
 )
 
 // This file is the correlation layer: every request gets an ID at the
 // server boundary (adopted from the caller's X-TSQ-Request-ID header or
 // minted fresh), the same ID is stamped on the response header, the
-// access and error log lines, the query's Stats, and its retained
-// flight-recorder trace — so one ID read anywhere resolves to the same
-// execution everywhere else (GET /traces, GET /logs, and the
-// tsq_query_worst_recent_seconds metric labels).
+// query's Stats, its retained flight-recorder trace and, when the request
+// fails, its error body and its "request failed" line on stderr — so one
+// ID read anywhere resolves to the same execution everywhere else
+// (GET /traces and the tsq_query_worst_recent_seconds metric labels).
 
 // requestIDHeader carries the correlation ID on the wire: adopted from
 // the request when present and well-formed, always echoed on the
@@ -60,26 +58,6 @@ func validRequestID(id string) bool {
 		}
 	}
 	return true
-}
-
-// statusWriter captures the response status for the access log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(b)
 }
 
 // traces serves GET /traces: the flight recorder's retained execution
@@ -129,33 +107,4 @@ func (h *handler) traces(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// logs serves GET /logs: the newest lines of the in-memory log ring as
-// NDJSON, oldest first. ?n= bounds the count from the newest end; ?level=
-// filters to that severity and above.
-func (h *handler) logs(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad n %q (want a positive integer)", s))
-			return
-		}
-		n = v
-	}
-	min := tlog.LevelDebug
-	if s := r.URL.Query().Get("level"); s != "" {
-		v, err := tlog.ParseLevel(s)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		min = v
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, rec := range tlog.Default.Records(n, min) {
-		io.WriteString(w, rec.Line)
-		io.WriteString(w, "\n")
-	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	tsq "repro"
@@ -56,6 +58,53 @@ func postRaw(t *testing.T, ts *httptest.Server, path string, body any, hdr map[s
 	return resp, raw
 }
 
+// syncBuffer is a log destination the handler goroutines write to while
+// the test reads it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// captureLog makes a JSON slog handler over a buffer the default logger
+// for the rest of the test, as tsqd's is over stderr.
+func captureLog(t *testing.T) *syncBuffer {
+	t.Helper()
+	buf := &syncBuffer{}
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(buf, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+	return buf
+}
+
+// logLines decodes every line of a captured log.
+func logLines(t *testing.T, log string) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		if line == "" {
+			continue
+		}
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("log line is not one JSON object: %q: %v", line, err)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
 // worstRequestIDs extracts the request_id label values of the
 // tsq_query_worst_recent_seconds family from a /metrics exposition.
 func worstRequestIDs(metrics string) []string {
@@ -74,13 +123,11 @@ func worstRequestIDs(metrics string) []string {
 	return ids
 }
 
-// TestRequestCorrelationEndToEnd is the PR's acceptance scenario: one
-// query — with TRACE never requested — is resolvable by its request ID
-// everywhere the flight-recorder layer touches: the X-TSQ-Request-ID
-// response header, the response's stats, the JSON log ring behind
-// /logs, the retained trace with
-// its full span tree behind /traces, and the request_id labels of the
-// tsq_query_worst_recent_seconds metric family.
+// TestRequestCorrelationEndToEnd: one query — with TRACE never requested
+// — is resolvable by its request ID everywhere the flight-recorder layer
+// touches: the X-TSQ-Request-ID response header, the response's stats,
+// the retained trace with its full span tree behind /traces, and the
+// request_id labels of the tsq_query_worst_recent_seconds metric family.
 func TestRequestCorrelationEndToEnd(t *testing.T) {
 	ts, client := newCorrelatedFixture(t)
 
@@ -100,15 +147,6 @@ func TestRequestCorrelationEndToEnd(t *testing.T) {
 	}
 	if qr.Stats.RequestID != id {
 		t.Fatalf("stats.request_id = %q, header = %q — want the same ID", qr.Stats.RequestID, id)
-	}
-
-	// The access-log line in the ring carries the ID.
-	logs, err := client.Logs(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(logs, id) {
-		t.Fatalf("request %s missing from /logs:\n%s", id, logs)
 	}
 
 	// The retained trace is fetchable by ID with its full span tree —
@@ -209,10 +247,12 @@ func TestRequestIDAdoption(t *testing.T) {
 }
 
 // TestErrorRequestCorrelation checks the error path: a failing query's
-// JSON error body carries the request ID, and the execution is retained
-// by the flight recorder as an error trace.
+// JSON error body carries the request ID, the execution is retained by
+// the flight recorder as an error trace, and the one "request failed" log
+// line carries the same ID.
 func TestErrorRequestCorrelation(t *testing.T) {
 	ts, client := newCorrelatedFixture(t)
+	log := captureLog(t)
 
 	resp, raw := postRaw(t, ts, "/query", server.QueryRequest{
 		Q: "RANGE SERIES 'NOPE' EPS 2 TRANSFORM identity()",
@@ -250,11 +290,56 @@ func TestErrorRequestCorrelation(t *testing.T) {
 	}
 
 	// The error log line carries the same ID.
-	logs, err := client.Logs(0, "error")
+	lines := logLines(t, log.String())
+	if len(lines) != 1 {
+		t.Fatalf("%d log lines for one failed request, want 1:\n%s", len(lines), log.String())
+	}
+	l := lines[0]
+	if l["msg"] != "request failed" || l["level"] != "ERROR" || l["request_id"] != id ||
+		l["path"] != "/query" || l["status"] != float64(resp.StatusCode) || l["err"] != e.Error {
+		t.Fatalf("log line %v, want a request failed line for %s with the error body's text", l, id)
+	}
+}
+
+// TestSuccessWritesNoLogLine: a request that succeeds, read or write,
+// writes no log line — the flight recorder and the per-route histogram
+// are its record — while a failed one writes exactly its "request failed"
+// line, so the capture is live.
+func TestSuccessWritesNoLogLine(t *testing.T) {
+	ts, client := newCorrelatedFixture(t)
+	log := captureLog(t)
+
+	if _, err := client.Health(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Metrics(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Traces("", "", "", "", 0); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := client.Series("W0001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(logs, id) {
-		t.Fatalf("failed request %s missing from /logs?level=error:\n%s", id, logs)
+	if err := client.Update("W0002", vals); err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string]any{
+		"/query/range": server.RangeRequest{Series: "W0003", Eps: 2.5, Transform: "mavg(20)"},
+		"/query":       server.QueryRequest{Q: "NN SERIES 'W0004' K 3"},
+	} {
+		if resp, raw := postRaw(t, ts, path, body, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: HTTP %d: %s", path, resp.StatusCode, raw)
+		}
+	}
+	if got := log.String(); got != "" {
+		t.Fatalf("successful requests logged:\n%s", got)
+	}
+
+	resp, _ := postRaw(t, ts, "/query", server.QueryRequest{Q: "FROB"}, nil)
+	lines := logLines(t, log.String())
+	if len(lines) != 1 || lines[0]["request_id"] != resp.Header.Get("X-TSQ-Request-ID") {
+		t.Fatalf("failed request wrote %d lines, want its one request failed line:\n%s", len(lines), log.String())
 	}
 }

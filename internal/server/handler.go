@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"time"
@@ -11,7 +13,6 @@ import (
 	tsq "repro"
 	"repro/internal/core"
 	"repro/internal/telemetry"
-	"repro/internal/tlog"
 )
 
 // maxBodyBytes bounds request bodies; the largest legitimate payload is a
@@ -29,7 +30,6 @@ const maxBodyBytes = 64 << 20
 //	                              most recent, and errors) with full span trees;
 //	                              ?id= fetches one by request ID, ?kind=/?strategy=/
 //	                              ?outcome=/?n= filter
-//	GET    /logs                  in-memory log ring as NDJSON; ?n= and ?level= filter
 //	GET    /series                stored names
 //	POST   /series                insert one {"name": ..., "values": [...]}
 //	POST   /series/batch          insert many [{"name": ..., "values": [...]}, ...]
@@ -60,7 +60,6 @@ func New(s *tsq.Server) http.Handler {
 	handle("GET /metrics", h.metrics)
 	handle("GET /stats", h.stats)
 	handle("GET /traces", h.traces)
-	handle("GET /logs", h.logs)
 	handle("GET /series", h.names)
 	handle("POST /series", h.insert)
 	handle("POST /series/batch", h.insertBatch)
@@ -71,15 +70,15 @@ func New(s *tsq.Server) http.Handler {
 	handle("POST /monitors", h.createMonitor)
 	handle("GET /monitors", h.listMonitors)
 	handle("DELETE /monitors/{id}", h.removeMonitor)
-	// Long-lived SSE: a duration histogram would only record hangups, and
-	// the statusWriter wrapper would hide http.Flusher — so /watch gets
-	// only the request-ID stamp, not the timing wrapper.
+	// Long-lived SSE: a duration histogram would only record hangups, so
+	// /watch gets only the request-ID stamp, not the timing wrapper.
 	mux.HandleFunc("GET /watch", func(w http.ResponseWriter, r *http.Request) {
 		r, _ = withRequestID(w, r)
 		h.watch(w, r)
 	})
-	// Progressive queries stream two SSE stages; like /watch, the timing
-	// wrapper would hide http.Flusher, so they get only the ID stamp.
+	// Progressive queries stream two SSE stages; like /watch, their
+	// duration is the client's pace as much as the server's, so they get
+	// only the ID stamp and stay out of the histogram.
 	mux.HandleFunc("POST /query/progressive", func(w http.ResponseWriter, r *http.Request) {
 		r, _ = withRequestID(w, r)
 		h.progressive(w, r)
@@ -95,31 +94,18 @@ func New(s *tsq.Server) http.Handler {
 
 // timed wraps a handler with the correlation boundary: it adopts or mints
 // the request ID (echoed on the response header and readable downstream
-// via requestID), observes the per-route request-duration histogram, and
-// emits one request-ID-stamped access line per request. The route label
-// is the registered mux pattern, not the raw URL, so /series/{name} stays
-// one series regardless of path cardinality.
+// via requestID) and observes the per-route request-duration histogram.
+// The route label is the registered mux pattern, not the raw URL, so
+// /series/{name} stays one series regardless of path cardinality.
 func timed(route string, fn http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		r, id := withRequestID(w, r)
-		sw := &statusWriter{ResponseWriter: w}
-		fn(sw, r)
-		elapsed := time.Since(start)
+		r, _ = withRequestID(w, r)
+		fn(w, r)
 		if telemetry.Enabled() {
 			telemetry.HistogramOf("tsq_http_request_duration_seconds", telemetry.LatencyBuckets,
-				"route", route).Observe(elapsed.Seconds())
+				"route", route).Observe(time.Since(start).Seconds())
 		}
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		tlog.Info("request",
-			"method", r.Method,
-			"route", route,
-			"status", status,
-			"duration_ms", float64(elapsed)/float64(time.Millisecond),
-			"request_id", id)
 	}
 }
 
@@ -134,11 +120,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError sends a JSON error response stamped with the request's
-// correlation ID and emits the matching error log line, so a failing
-// request is findable in /logs by the ID the client received.
+// correlation ID and logs the matching "request failed" line, so a failing
+// request is findable on the server's stderr by the ID the client
+// received. It is the only line a request writes.
 func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	id := requestID(r)
-	tlog.Error("request failed",
+	slog.Error("request failed",
 		"method", r.Method,
 		"path", r.URL.Path,
 		"status", status,
@@ -167,7 +154,9 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
-	if dec.More() {
+	// Only white space may follow the value: More reports false before a
+	// stray closing bracket, Token reports it.
+	if _, err := dec.Token(); err != io.EOF {
 		writeError(w, r, http.StatusBadRequest, errors.New("bad request body: trailing data"))
 		return false
 	}

@@ -408,6 +408,9 @@ func TestErrorStatuses(t *testing.T) {
 		{"empty subsequence", "POST", "/query/subsequence", `{"eps": 1}`, http.StatusBadRequest},
 		{"unknown series fetch", "GET", "/series/NOPE", "", http.StatusNotFound},
 		{"trailing data", "POST", "/query", `{"q": "x"} {"q": "y"}`, http.StatusBadRequest},
+		{"stray closing brace", "POST", "/query", `{"q": "RANGE SERIES 'W0001' EPS 1"}}`, http.StatusBadRequest},
+		{"stray closing bracket", "POST", "/query", `{"q": "RANGE SERIES 'W0001' EPS 1"}]`, http.StatusBadRequest},
+		{"trailing garbage", "POST", "/query", `{"q": "RANGE SERIES 'W0001' EPS 1"} x`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

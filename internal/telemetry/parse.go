@@ -16,6 +16,20 @@ import (
 // returning the metric name, its labels (nil when bare), and the sample
 // value. Comment and blank lines are the caller's to skip.
 func ParseLine(line string) (name string, labels map[string]string, value float64, err error) {
+	name, flat, value, err := parseSample(line)
+	if err != nil || flat == nil {
+		return name, nil, value, err
+	}
+	labels = make(map[string]string, len(flat)/2)
+	for i := 0; i < len(flat); i += 2 {
+		labels[flat[i]] = flat[i+1]
+	}
+	return name, labels, value, nil
+}
+
+// parseSample is ParseLine with the labels as flattened k,v pairs in
+// their written order.
+func parseSample(line string) (name string, labels []string, value float64, err error) {
 	rest := line
 	if i := strings.IndexByte(rest, '{'); i >= 0 {
 		name = rest[:i]
@@ -35,7 +49,7 @@ func ParseLine(line string) (name string, labels map[string]string, value float6
 		}
 		name, rest = fields[0], fields[1]
 	}
-	if name == "" || !validMetricName(name) {
+	if !validMetricName(name) {
 		return "", nil, 0, fmt.Errorf("telemetry: bad metric name in %q", line)
 	}
 	v, err := parseValue(strings.TrimSpace(rest))
@@ -57,6 +71,7 @@ func parseValue(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
+// validMetricName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*.
 func validMetricName(s string) bool {
 	for i, c := range s {
 		ok := c == '_' || c == ':' ||
@@ -66,17 +81,33 @@ func validMetricName(s string) bool {
 			return false
 		}
 	}
-	return true
+	return s != ""
 }
 
-func parseLabels(s string) (map[string]string, error) {
-	out := make(map[string]string)
+// validLabelName reports whether s matches [a-zA-Z_][a-zA-Z0-9_]*.
+func validLabelName(s string) bool {
+	return validMetricName(s) && !strings.Contains(s, ":")
+}
+
+// parseLabels parses the inside of a label set into flattened k,v pairs:
+// valid, distinct names, each pair followed by a comma or the end (a
+// trailing comma is allowed).
+func parseLabels(s string) ([]string, error) {
+	out := []string{}
 	for len(s) > 0 {
 		eq := strings.IndexByte(s, '=')
 		if eq < 0 || len(s) < eq+2 || s[eq+1] != '"' {
 			return nil, fmt.Errorf("telemetry: malformed labels %q", s)
 		}
 		key := s[:eq]
+		if !validLabelName(key) {
+			return nil, fmt.Errorf("telemetry: bad label name %q", key)
+		}
+		for i := 0; i < len(out); i += 2 {
+			if out[i] == key {
+				return nil, fmt.Errorf("telemetry: duplicate label %q", key)
+			}
+		}
 		rest := s[eq+2:]
 		var b strings.Builder
 		i := 0
@@ -100,8 +131,11 @@ func parseLabels(s string) (map[string]string, error) {
 		if i == len(rest) {
 			return nil, fmt.Errorf("telemetry: unterminated label value in %q", s)
 		}
-		out[key] = b.String()
+		out = append(out, key, b.String())
 		s = rest[i+1:]
+		if s != "" && s[0] != ',' {
+			return nil, fmt.Errorf("telemetry: want ',' between labels, have %q", s)
+		}
 		s = strings.TrimPrefix(s, ",")
 	}
 	return out, nil
@@ -166,15 +200,11 @@ func ParseText(r io.Reader) (Samples, error) {
 			}
 			continue
 		}
-		name, labels, v, err := ParseLine(line)
+		name, labels, v, err := parseSample(line)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: line %d: %v", lineNo, err)
 		}
-		flat := make([]string, 0, 2*len(labels))
-		for k, val := range labels {
-			flat = append(flat, k, val)
-		}
-		out[Key(name, flat...)] = v
+		out[Key(name, labels...)] = v
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -225,8 +225,8 @@ func (db *DB) Delete(name string) bool {
 }
 
 // Engine exposes the underlying query engine for advanced use (experiment
-// harnesses, ablations). Its dynamic type is *core.DB iff the store has one
-// shard. Most callers should use the DB methods.
+// harnesses, ablations). Its dynamic type is core's one-shard DB handle
+// iff the store has one shard. Most callers should use the DB methods.
 func (db *DB) Engine() core.Engine { return db.eng }
 
 // Shards returns the number of hash partitions the store runs with.
