@@ -72,6 +72,11 @@ vet:
 	@if grep -nE 'internal/tlog|tlog\.|/logs|\) Logs\(' \
 		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
 		echo "a request is recorded by its trace, its histogram and, when it fails, one slog line: the access line, the log ring and GET /logs are gone"; exit 1; fi
+	@if [ -e internal/plan/calibrate.go ]; then \
+		echo "internal/plan/calibrate.go is back: the planner prices with its constants"; exit 1; fi
+	@if grep -nE 'Calibrat(e|ed)\(|SetCosts|DefaultCosts|rawProbeRatios|timePrimitives|raceEnabled|plan\.Costs' \
+		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
+		echo "the planner prices with its constants: the calibration probe, its per-store cost slot and the race-build branch are gone"; exit 1; fi
 
 fmt:
 	gofmt -w .

@@ -21,8 +21,8 @@ import (
 // runTraces fetches retained execution traces — the tail-sampled
 // slowest/most-recent/error set the server keeps per {kind, strategy} —
 // and prints them with their span trees. -id fetches one trace by the
-// request ID found in a response, an error response, a log line, or a
-// tsq_query_worst_recent_seconds label.
+// request ID found in a response, an error response, a failed request's
+// log line, or a tsq_query_worst_recent_seconds label.
 func runTraces(remote string, args []string) error {
 	if remote == "" {
 		return fmt.Errorf("traces requires -remote")

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/plan"
 )
 
 // listDir lists everything under dir, directories included, as paths
@@ -60,7 +59,6 @@ func walks(count, length int, seed int64) ([]string, [][]float64) {
 // loads the smaller store and checks no bound.
 func TestDiskAdoptHoldsNoRecords(t *testing.T) {
 	const length = 256
-	plan.Calibrated() // once per process, and not the load's cost
 	counts := []int{4000, 20000}
 	if raceEnabled {
 		counts = counts[:1]

@@ -318,12 +318,11 @@ func TestNNExplorationReturnsToIndex(t *testing.T) {
 			// on eng it would return AUTO to the index without any probe.
 			twin := planTestEngine(t, shards, 600)
 			tracker := storeOf(eng).tracker
-			// The shipped prices, not this machine's calibration: the index
-			// wins while 0.25*candFrac + nodeFrac < 0.25. What a run of
-			// wide NN queries leaves behind is just past that; this store's
-			// own traversals verify about a third of it over a thirteenth
-			// of its nodes, well inside.
-			tracker.SetCosts(plan.DefaultCosts())
+			// At the planner's prices the index wins while
+			// 0.25*candFrac + nodeFrac < 0.25. What a run of wide NN queries
+			// leaves behind is just past that; this store's own traversals
+			// verify about a third of it over a thirteenth of its nodes,
+			// well inside.
 			tracker.ObserveNN(eng.Len()/2, eng.Len()*13/100, eng.Len())
 			query := func(i int) NNQuery {
 				return NNQuery{Values: mustSeries(t, eng, fmt.Sprintf("S%04d", i)), K: 5, Transform: transform.Identity(32)}

@@ -371,8 +371,8 @@ func TestSnapshotCompatVersions(t *testing.T) {
 // reads, auto and forced. A churned store that has served reads, written,
 // loaded at its recorded shard count, read and written again, writes the
 // same bytes again, at one shard and at four, loaded into memory and onto
-// disk. The loaded store prices plans with the calibrated constants and
-// starts with a cold planner (no feedback samples), as a new store does.
+// disk. The loaded store starts with a cold planner (no feedback
+// samples), as a new store does.
 func TestSnapshotIsTheStore(t *testing.T) {
 	const length = 32
 	data := dataset.RandomWalks(120, length, 53)
@@ -448,7 +448,6 @@ func TestSnapshotIsTheStore(t *testing.T) {
 				src := newTestEngine(t, length, shards, Options{})
 				churn(t, src)
 				serve(t, src)
-				storeOf(src).tracker.SetCosts(plan.Costs{ScanUnit: 0.3, NodeUnit: 1.7, JoinScanUnit: 0.2, JoinNodeUnit: 2.9, JoinProbeUnit: 0.6})
 				first := writeSnapshot(t, src)
 				var opts Options
 				if disk {
@@ -461,9 +460,6 @@ func TestSnapshotIsTheStore(t *testing.T) {
 				t.Cleanup(func() { got.Close() })
 				if got.Shards() != shards || got.Len() != src.Len() {
 					t.Fatalf("loaded %d series over %d shards, wrote %d over %d", got.Len(), got.Shards(), src.Len(), shards)
-				}
-				if have := storeOf(got).tracker.Costs(); have != plan.Calibrated() {
-					t.Errorf("the loaded store prices plans with %+v, not the calibrated %+v", have, plan.Calibrated())
 				}
 				if ps := storeOf(got).PlannerStats(); ps.RangeSamples+ps.NNSamples+ps.JoinSamples != 0 {
 					t.Errorf("the loaded store starts with planner feedback %+v, not a cold planner", ps)

@@ -132,17 +132,13 @@ func shardOptions(opts Options, i int) Options {
 
 // newStore assembles an empty catalog around built shards.
 func newStore(length int, shards []*shard) *Store {
-	s := &Store{
+	return &Store{
 		length:  length,
 		shards:  shards,
 		tracker: plan.NewTracker(),
 		owner:   make(map[int64]int),
 		idPos:   make(map[int64]int),
 	}
-	// Price plans with machine-measured cost constants (one calibration
-	// per process; see plan.Calibrate).
-	s.tracker.SetCosts(plan.Calibrated())
-	return s
 }
 
 // closeShards releases the built shards of a store that is not returned.

@@ -59,7 +59,7 @@ const (
 // timing, and span payload. S is the caller's span-tree type.
 type Entry[S any] struct {
 	// ID is the request's correlation ID (see NewID), the join key
-	// against log lines and error responses.
+	// against responses and a failed request's log line.
 	ID string
 	// Kind is the query kind ("range", "nn", "selfjoin", ...); Strategy
 	// the resolved execution strategy ("" for unplanned paths).

@@ -100,20 +100,17 @@ func (bp *BufferPool) ResetStats() {
 	bp.evictions.Store(0)
 }
 
-// page returns the cached contents of page i, faulting it in on a miss.
-// With pin set the frame's pin count is raised and the caller must release
-// it.
-func (bp *BufferPool) page(i int, pin bool) ([]byte, error) {
+// page returns the cached contents of page i, faulting it in on a miss,
+// and raises the frame's pin count: the caller must release it.
+func (bp *BufferPool) page(i int) ([]byte, error) {
 	if i < 0 || i >= bp.backing.NumPages() {
 		return nil, fmt.Errorf("pagefile: page %d out of range of %d pages", i, bp.backing.NumPages())
 	}
 	bp.mu.Lock()
 	if f, ok := bp.frames[i]; ok {
 		f.ref = true
-		if pin {
-			f.pin++
-			bp.pinned++
-		}
+		f.pin++
+		bp.pinned++
 		buf := f.buf // read under the lock: a fault may recycle the frame
 		bp.mu.Unlock()
 		bp.hits.Add(1)
@@ -133,11 +130,8 @@ func (bp *BufferPool) page(i int, pin bool) ([]byte, error) {
 	f.buf = buf
 	f.page = i
 	f.ref = true
-	f.pin = 0
-	if pin {
-		f.pin = 1
-		bp.pinned++
-	}
+	f.pin = 1
+	bp.pinned++
 	bp.frames[i] = f
 	bp.mu.Unlock()
 	bp.misses.Add(1)
@@ -222,22 +216,9 @@ func (bp *BufferPool) retireLocked(f *frame) {
 	}
 }
 
-// Page returns a read-only view of one page through the pool without
-// pinning it: the buffer is only guaranteed until the next pool operation;
-// prefer ViewInto + Release for held reads.
-func (bp *BufferPool) Page(i int) ([]byte, error) {
-	return bp.page(i, false)
-}
-
-// View returns read-only views of a record's pages through the pool,
-// charging physical reads only for misses. The pages are pinned until
-// Release(firstPage, pageCount).
-func (bp *BufferPool) View(firstPage, pageCount int) ([][]byte, error) {
-	return bp.ViewInto(firstPage, pageCount, nil)
-}
-
-// ViewInto is View appending the page views to buf (pass buf[:0] to reuse
-// its backing array), so steady-state readers allocate nothing. Every
+// ViewInto appends read-only views of a record's pages through the pool
+// to buf (pass buf[:0] to reuse its backing array, so steady-state readers
+// allocate nothing), charging physical reads only for misses. Every
 // returned page is pinned; the caller must call Release(firstPage,
 // pageCount) when done with the views.
 func (bp *BufferPool) ViewInto(firstPage, pageCount int, buf [][]byte) ([][]byte, error) {
@@ -245,7 +226,7 @@ func (bp *BufferPool) ViewInto(firstPage, pageCount int, buf [][]byte) ([][]byte
 		return nil, fmt.Errorf("pagefile: view [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, bp.backing.NumPages())
 	}
 	for i := 0; i < pageCount; i++ {
-		pg, err := bp.page(firstPage+i, true)
+		pg, err := bp.page(firstPage + i)
 		if err != nil {
 			// Unpin the prefix already pinned.
 			for j := 0; j < i; j++ {
@@ -266,21 +247,16 @@ func (bp *BufferPool) Release(firstPage, pageCount int) {
 	}
 }
 
-// Read returns the concatenated contents of a record's pages through the
-// pool (copying, like File.Read).
-func (bp *BufferPool) Read(firstPage, pageCount int) ([]byte, error) {
-	return bp.ReadInto(firstPage, pageCount, nil)
-}
-
-// ReadInto is Read appending the record bytes to buf (pass buf[:0] to
-// reuse its backing array). Pages are pinned only for the duration of the
-// copy, so the result is safe to hold indefinitely.
+// ReadInto appends the concatenated contents of a record's pages through
+// the pool to buf (copying, like File.ReadInto; pass buf[:0] to reuse its
+// backing array). Pages are pinned only for the duration of the copy, so
+// the result is safe to hold indefinitely.
 func (bp *BufferPool) ReadInto(firstPage, pageCount int, buf []byte) ([]byte, error) {
 	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > bp.backing.NumPages() {
 		return nil, fmt.Errorf("pagefile: read [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, bp.backing.NumPages())
 	}
 	for i := firstPage; i < firstPage+pageCount; i++ {
-		pg, err := bp.page(i, true)
+		pg, err := bp.page(i)
 		if err != nil {
 			return nil, err
 		}

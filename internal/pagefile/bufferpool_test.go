@@ -23,9 +23,10 @@ func TestBufferPoolHitsAndMisses(t *testing.T) {
 	f.ResetStats()
 	bp, _ := NewBufferPool(f, 10)
 
-	if _, err := bp.View(first, count); err != nil {
+	if _, err := bp.ViewInto(first, count, nil); err != nil {
 		t.Fatal(err)
 	}
+	bp.Release(first, count)
 	h, m := bp.HitsMisses()
 	if h != 0 || m != 3 {
 		t.Fatalf("cold read: hits=%d misses=%d", h, m)
@@ -34,9 +35,10 @@ func TestBufferPoolHitsAndMisses(t *testing.T) {
 		t.Fatalf("physical reads = %d, want 3", f.Stats().Reads)
 	}
 	// Second read hits entirely.
-	if _, err := bp.View(first, count); err != nil {
+	if _, err := bp.ViewInto(first, count, nil); err != nil {
 		t.Fatal(err)
 	}
+	bp.Release(first, count)
 	h, m = bp.HitsMisses()
 	if h != 3 || m != 3 {
 		t.Fatalf("warm read: hits=%d misses=%d", h, m)
@@ -56,22 +58,25 @@ func TestBufferPoolEviction(t *testing.T) {
 	bp, _ := NewBufferPool(f, 2) // holds 2 of 5 pages
 	// Touch pages 0, 1, 2: page 0 evicted.
 	for i := 0; i < 3; i++ {
-		if _, err := bp.Page(locs[i][0]); err != nil {
+		if _, err := bp.ViewInto(locs[i][0], 1, nil); err != nil {
 			t.Fatal(err)
 		}
+		bp.Release(locs[i][0], 1)
 	}
 	f.ResetStats()
-	if _, err := bp.Page(locs[0][0]); err != nil { // must miss again
+	if _, err := bp.ViewInto(locs[0][0], 1, nil); err != nil { // must miss again
 		t.Fatal(err)
 	}
+	bp.Release(locs[0][0], 1)
 	if f.Stats().Reads != 1 {
 		t.Fatalf("evicted page re-read should be physical, reads=%d", f.Stats().Reads)
 	}
 	// Most recent (page 2) still cached.
 	f.ResetStats()
-	if _, err := bp.Page(locs[2][0]); err != nil {
+	if _, err := bp.ViewInto(locs[2][0], 1, nil); err != nil {
 		t.Fatal(err)
 	}
+	bp.Release(locs[2][0], 1)
 	if f.Stats().Reads != 0 {
 		t.Fatalf("MRU page should hit, reads=%d", f.Stats().Reads)
 	}
@@ -82,7 +87,7 @@ func TestBufferPoolReadMatchesFile(t *testing.T) {
 	data := []byte("hello across several pages!")
 	first, count := f.Append(data)
 	bp, _ := NewBufferPool(f, 4)
-	got, err := bp.Read(first, count)
+	got, err := bp.ReadInto(first, count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +100,13 @@ func TestBufferPoolBounds(t *testing.T) {
 	f := New(8)
 	f.Append([]byte("x"))
 	bp, _ := NewBufferPool(f, 2)
-	if _, err := bp.Page(-1); err == nil {
+	if _, err := bp.ViewInto(-1, 1, nil); err == nil {
 		t.Error("negative page should fail")
 	}
-	if _, err := bp.Page(9); err == nil {
+	if _, err := bp.ViewInto(9, 1, nil); err == nil {
 		t.Error("out-of-range page should fail")
 	}
-	if _, err := bp.View(0, 5); err == nil {
+	if _, err := bp.ViewInto(0, 5, nil); err == nil {
 		t.Error("out-of-range view should fail")
 	}
 }
@@ -120,11 +125,13 @@ func TestBufferPoolConcurrentReads(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				pg, err := bp.Page(firsts[(i*7+w)%len(firsts)])
-				if err != nil || len(pg) != 8 {
+				p := firsts[(i*7+w)%len(firsts)]
+				pg, err := bp.ViewInto(p, 1, nil)
+				if err != nil || len(pg[0]) != 8 {
 					t.Errorf("concurrent page read failed: %v", err)
 					return
 				}
+				bp.Release(p, 1)
 			}
 		}(w)
 	}

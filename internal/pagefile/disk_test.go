@@ -52,7 +52,7 @@ func TestDiskFileRoundTrip(t *testing.T) {
 		t.Fatalf("NewBufferPool: %v", err)
 	}
 	for i, n := range sizes {
-		got, err := pool.Read(locs[i].first, locs[i].count)
+		got, err := pool.ReadInto(locs[i].first, locs[i].count, nil)
 		if err != nil {
 			t.Fatalf("Read record %d: %v", i, err)
 		}
@@ -74,7 +74,7 @@ func TestDiskFileOverwriteWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the cache, then overwrite through the pool.
-	if _, err := pool.Read(first, count); err != nil {
+	if _, err := pool.ReadInto(first, count, nil); err != nil {
 		t.Fatal(err)
 	}
 	repl := record(9, 80)
@@ -82,7 +82,7 @@ func TestDiskFileOverwriteWriteThrough(t *testing.T) {
 		t.Fatalf("Overwrite: %v", err)
 	}
 	hits0, _ := pool.HitsMisses()
-	got, err := pool.Read(first, count)
+	got, err := pool.ReadInto(first, count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDiskFileOverwriteWriteThrough(t *testing.T) {
 	}
 	// And the backing itself must hold the new bytes (fresh pool = all misses).
 	pool2, _ := NewBufferPool(d, 8)
-	got2, err := pool2.Read(first, count)
+	got2, err := pool2.ReadInto(first, count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDiskPoolEvictionBounded(t *testing.T) {
 	// Three sequential sweeps over 64 pages through an 8-page pool.
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < pages; i++ {
-			got, err := pool.Read(i, 1)
+			got, err := pool.ReadInto(i, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestDiskPoolPinnedViewsSurviveEviction(t *testing.T) {
 	// Churn every other page through the tiny pool.
 	for pass := 0; pass < 2; pass++ {
 		for i := 3; i < pages; i++ {
-			if _, err := pool.Read(i, 1); err != nil {
+			if _, err := pool.ReadInto(i, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -189,7 +189,7 @@ func TestDiskPoolPinnedViewsSurviveEviction(t *testing.T) {
 	// Once released the pages are evictable again and residency shrinks
 	// back under capacity on further churn.
 	for i := 3; i < pages; i++ {
-		if _, err := pool.Read(i, 1); err != nil {
+		if _, err := pool.ReadInto(i, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -377,7 +377,7 @@ func TestDiskFileRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range recs {
-		if got, err := pool.Read(r.first, r.count); err != nil || !bytes.Equal(got, r.data) {
+		if got, err := pool.ReadInto(r.first, r.count, nil); err != nil || !bytes.Equal(got, r.data) {
 			t.Fatalf("record %d (%d bytes) reads back wrong after the run (err %v)", i, len(r.data), err)
 		}
 	}

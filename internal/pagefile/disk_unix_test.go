@@ -48,7 +48,7 @@ func TestDiskFileFailedAppendLeavesNoPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := pool.Read(first, count); err != nil || !bytes.Equal(got, record(3, 200)) {
+	if got, err := pool.ReadInto(first, count, nil); err != nil || !bytes.Equal(got, record(3, 200)) {
 		t.Fatalf("the record after the failure reads back wrong (err %v)", err)
 	}
 }

@@ -215,17 +215,13 @@ func (f *File) Overwrite(firstPage, pageCount int, data []byte) error {
 	return nil
 }
 
-// View returns direct references to the pages of a record (no copying),
-// charging one read per page. The caller must treat the returned slices as
-// read-only. This models what the original system did: compute distances
-// straight off the buffer-pool page, so that early-abandoned comparisons
-// skip not just arithmetic but also record deserialization.
-func (f *File) View(firstPage, pageCount int) ([][]byte, error) {
-	return f.ViewInto(firstPage, pageCount, nil)
-}
-
-// ViewInto is View appending the page views to buf (pass buf[:0] to reuse
-// its backing array), so steady-state readers allocate nothing.
+// ViewInto appends direct references to the pages of a record (no
+// copying) to buf (pass buf[:0] to reuse its backing array, so
+// steady-state readers allocate nothing), charging one read per page. The
+// caller must treat the returned slices as read-only. This models what the
+// original system did: compute distances straight off the buffer-pool
+// page, so that early-abandoned comparisons skip not just arithmetic but
+// also record deserialization.
 func (f *File) ViewInto(firstPage, pageCount int, buf [][]byte) ([][]byte, error) {
 	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > len(f.pages) {
 		return nil, fmt.Errorf("pagefile: view [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, len(f.pages))
@@ -237,15 +233,10 @@ func (f *File) ViewInto(firstPage, pageCount int, buf [][]byte) ([][]byte, error
 	return buf, nil
 }
 
-// Read returns the concatenated contents of pageCount pages starting at
-// firstPage, charging one read per page.
-func (f *File) Read(firstPage, pageCount int) ([]byte, error) {
-	return f.ReadInto(firstPage, pageCount, nil)
-}
-
-// ReadInto is Read appending the record bytes to buf (pass buf[:0] to
-// reuse its backing array), so looping readers allocate nothing once the
-// buffer has grown.
+// ReadInto appends the concatenated contents of pageCount pages starting
+// at firstPage to buf (pass buf[:0] to reuse its backing array, so looping
+// readers allocate nothing once the buffer has grown), charging one read
+// per page.
 func (f *File) ReadInto(firstPage, pageCount int, buf []byte) ([]byte, error) {
 	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > len(f.pages) {
 		return nil, fmt.Errorf("pagefile: read [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, len(f.pages))

@@ -22,7 +22,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	if first != 0 || count != 1 {
 		t.Fatalf("Append = %d, %d", first, count)
 	}
-	got, err := f.Read(first, count)
+	got, err := f.ReadInto(first, count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestSpannedRecord(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("pageCount = %d, want 3", count)
 	}
-	got, err := f.Read(first, count)
+	got, err := f.ReadInto(first, count, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestMultipleRecords(t *testing.T) {
 	f := New(8)
 	a, ac := f.Append([]byte("aaaa"))
 	b, bc := f.Append([]byte("bbbbbbbbbb")) // spans 2
-	got, _ := f.Read(a, ac)
+	got, _ := f.ReadInto(a, ac, nil)
 	if string(got) != "aaaa" {
 		t.Fatalf("a = %q", got)
 	}
-	got, _ = f.Read(b, bc)
+	got, _ = f.ReadInto(b, bc, nil)
 	if string(got) != "bbbbbbbbbb" {
 		t.Fatalf("b = %q", got)
 	}
@@ -73,7 +73,7 @@ func TestEmptyRecord(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("empty record should take one page slot, got %d", count)
 	}
-	got, err := f.Read(first, count)
+	got, err := f.ReadInto(first, count, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty record read = %q, %v", got, err)
 	}
@@ -83,8 +83,8 @@ func TestReadOutOfRange(t *testing.T) {
 	f := New(8)
 	f.Append([]byte("x"))
 	for _, tc := range [][2]int{{-1, 1}, {0, 0}, {0, 2}, {5, 1}} {
-		if _, err := f.Read(tc[0], tc[1]); err == nil {
-			t.Errorf("Read(%d, %d) should fail", tc[0], tc[1])
+		if _, err := f.ReadInto(tc[0], tc[1], nil); err == nil {
+			t.Errorf("ReadInto(%d, %d) should fail", tc[0], tc[1])
 		}
 	}
 }
@@ -92,7 +92,7 @@ func TestReadOutOfRange(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	f := New(8)
 	first, count := f.Append([]byte("abc"))
-	f.Read(first, count)
+	f.ReadInto(first, count, nil)
 	f.ResetStats()
 	if s := f.Stats(); s.Reads != 0 || s.Writes != 0 {
 		t.Fatalf("stats after reset = %+v", s)

@@ -146,6 +146,9 @@ type Estimate struct {
 // distance computations within a few coefficients, so a scanned series
 // costs a fraction of a full verification; an index node access costs
 // about one verification (a capacity-M rectangle pass over the node).
+// They are fixed: every process, machine and build prices a given store
+// and query alike; only the Tracker's feedback from the store's own
+// executed reads moves an estimate.
 const (
 	// scanUnit is the cost of one early-abandoned scan check.
 	scanUnit = 0.25
@@ -178,39 +181,6 @@ const (
 	// answer density).
 	joinVisitExp = 1.0 / 3.0
 )
-
-// Costs is the planner's cost model: the prices of its primitive
-// operations in units of one full candidate verification. The constants
-// above are the hand-measured defaults; Calibrate re-measures the ratios
-// on the running machine (cache sizes, SIMD width, and allocator behavior
-// all move them) and SetCosts installs the result on a store's Tracker,
-// so every Choose* decision prices strategies with machine-true numbers.
-type Costs struct {
-	// ScanUnit is the cost of one early-abandoned scan check.
-	ScanUnit float64
-	// NodeUnit is the cost of one index node access.
-	NodeUnit float64
-	// JoinScanUnit is the cost of one early-abandoned pair check inside
-	// the nested scan join.
-	JoinScanUnit float64
-	// JoinNodeUnit is the cost of one node access during a join probe.
-	JoinNodeUnit float64
-	// JoinProbeUnit is the per-probe fixed overhead of the
-	// index-nested-loop join.
-	JoinProbeUnit float64
-}
-
-// DefaultCosts returns the hand-measured cost constants the model shipped
-// with — the planner's behavior when no calibration has run.
-func DefaultCosts() Costs {
-	return Costs{
-		ScanUnit:      scanUnit,
-		NodeUnit:      nodeUnit,
-		JoinScanUnit:  joinScanUnit,
-		JoinNodeUnit:  joinNodeUnit,
-		JoinProbeUnit: joinProbeUnit,
-	}
-}
 
 // Input is what the planner knows about one range-shaped query before
 // executing it.
@@ -299,9 +269,8 @@ func Choose(in Input, t *Tracker) (Strategy, Estimate, string) {
 	// Both strategies verify (approximately) the true answers in full; the
 	// index additionally pays node accesses for its candidate set, the
 	// scan pays a cheap early-abandoned check for every stored series.
-	c := t.Costs()
-	est.IndexCost = c.NodeUnit*est.NodeAccesses + est.Candidates
-	est.ScanCost = c.ScanUnit*n + (1-c.ScanUnit)*est.Candidates
+	est.IndexCost = nodeUnit*est.NodeAccesses + est.Candidates
+	est.ScanCost = scanUnit*n + (1-scanUnit)*est.Candidates
 	if est.IndexCost <= est.ScanCost {
 		return Index, est, fmt.Sprintf(
 			"index: est %.1f candidates + %.1f nodes (cost %.1f) <= scan cost %.1f over %d series",
@@ -335,11 +304,10 @@ func ChooseNN(series int, delta float64, t *Tracker) (Strategy, Estimate, string
 			}
 		}
 		if ok {
-			c := t.Costs()
 			est.Candidates = candFrac * n
 			est.NodeAccesses = nodeFrac * n
-			est.IndexCost = c.NodeUnit*est.NodeAccesses + est.Candidates
-			est.ScanCost = c.ScanUnit*n + (1-c.ScanUnit)*est.Candidates
+			est.IndexCost = nodeUnit*est.NodeAccesses + est.Candidates
+			est.ScanCost = scanUnit*n + (1-scanUnit)*est.Candidates
 			if est.IndexCost > est.ScanCost {
 				return ScanFreq, est, fmt.Sprintf(
 					"scan: %s verifies %.0f%% of the store (cost %.1f > scan %.1f)",
@@ -443,9 +411,8 @@ func ChooseJoin(in JoinInput, t *Tracker) (Strategy, Estimate, string) {
 	// early-abandoned check per pair, completed to a full verification
 	// for the pairs that survive. Scan (a) is the same quadratic loop
 	// with every check completed.
-	c := t.Costs()
-	est.IndexCost = c.JoinProbeUnit*n + c.JoinNodeUnit*est.NodeAccesses + est.Candidates
-	est.ScanCost = c.JoinScanUnit*pairs + (1-c.JoinScanUnit)*est.Candidates
+	est.IndexCost = joinProbeUnit*n + joinNodeUnit*est.NodeAccesses + est.Candidates
+	est.ScanCost = joinScanUnit*pairs + (1-joinScanUnit)*est.Candidates
 	naiveCost := pairs
 	if est.IndexCost <= est.ScanCost {
 		return Index, est, fmt.Sprintf(
@@ -493,41 +460,11 @@ type Tracker struct {
 	apxNNTerms      float64
 	apxNNCandFrac   float64
 	apxNNNodeFrac   float64
-
-	// costs are the cost-model constants this store prices strategies
-	// with: DefaultCosts until SetCosts installs a calibrated set.
-	costs Costs
 }
 
-// NewTracker returns an empty tracker (calibration 1 until fed, default
-// cost constants until SetCosts).
+// NewTracker returns an empty tracker (calibration 1 until fed).
 func NewTracker() *Tracker {
-	return &Tracker{calibration: 1, joinCalibration: 1, costs: DefaultCosts()}
-}
-
-// SetCosts installs cost-model constants (normally Calibrated()); they
-// apply to every subsequent Choose* decision made against this tracker.
-func (t *Tracker) SetCosts(c Costs) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.costs = c
-	t.mu.Unlock()
-}
-
-// Costs returns the cost-model constants in effect. A zero-value Tracker
-// (not built by NewTracker) prices with the defaults.
-func (t *Tracker) Costs() Costs {
-	if t == nil {
-		return DefaultCosts()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.costs == (Costs{}) {
-		return DefaultCosts()
-	}
-	return t.costs
+	return &Tracker{calibration: 1, joinCalibration: 1}
 }
 
 // ObserveRange feeds one indexed range execution back: the planner's

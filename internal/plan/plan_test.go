@@ -225,3 +225,60 @@ func TestTrackerJoinFeedbackFlipsChoice(t *testing.T) {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 }
+
+// breakEvenCases straddle the break-even between index and scan where the
+// cost constants put it: a range query on 1,000 series selecting 80 % of
+// them goes to the index (cost 3 + 40 + 800 = 843 against
+// 0.25·1000 + 0.75·800 = 850) and one selecting 85 % to the scan (895.5
+// against 887.5); a self join of 5,000 series goes to the index at
+// selectivity 0.011 and to the scan at 0.0125.
+var breakEvenCases = []struct {
+	join            bool
+	at              float64 // percent selected for a range, selectivity for a join
+	want            Strategy
+	index, scanCost float64
+}{
+	{false, 80, Index, 843, 850},
+	{false, 85, ScanFreq, 895.5, 887.5},
+	{true, 0.011, Index, 1238467.5226423289, 1249874.975},
+	{true, 0.0125, ScanFreq, 1281417.3542015974, 1266934.0625},
+}
+
+// chooseBreakEven plans one of breakEvenCases with the tracker tr.
+func chooseBreakEven(i int, tr *Tracker) (Strategy, Estimate, string) {
+	c := breakEvenCases[i]
+	if c.join {
+		return ChooseJoin(JoinInput{Series: 5000, Height: 3, LeafCap: 40, Selectivity: c.at}, tr)
+	}
+	return Choose(Input{Series: 1000, Height: 3, LeafCap: 40, Rect: rect(0, c.at), Bounds: rect(0, 100)}, tr)
+}
+
+// TestSetCostsDrivesChoice: the cost constants set where the index-vs-scan
+// break-even sits, and a new tracker plans on either side of it as they
+// price the two strategies.
+func TestSetCostsDrivesChoice(t *testing.T) {
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
+	for i, c := range breakEvenCases {
+		s, est, reason := chooseBreakEven(i, NewTracker())
+		if s != c.want || !near(est.IndexCost, c.index) || !near(est.ScanCost, c.scanCost) {
+			t.Errorf("case %d (join %v at %g): %v at index %g / scan %g (%s), want %v at %g / %g",
+				i, c.join, c.at, s, est.IndexCost, est.ScanCost, reason, c.want, c.index, c.scanCost)
+		}
+	}
+}
+
+// TestCostsZeroValueTracker: a zero-value Tracker and a nil Tracker both
+// price with the constants, so they plan every break-even case exactly as
+// a new tracker does.
+func TestCostsZeroValueTracker(t *testing.T) {
+	for name, tr := range map[string]*Tracker{"nil": nil, "zero-value": {}} {
+		for i := range breakEvenCases {
+			s, est, reason := chooseBreakEven(i, tr)
+			ws, west, wreason := chooseBreakEven(i, NewTracker())
+			if s != ws || est != west || reason != wreason {
+				t.Errorf("%s tracker, case %d: %v %+v (%s), new tracker %v %+v (%s)",
+					name, i, s, est, reason, ws, west, wreason)
+			}
+		}
+	}
+}

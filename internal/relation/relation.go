@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/pagefile"
 )
@@ -386,16 +385,6 @@ func (r *Relation) ReplaceRaw(id int64, data []byte) error {
 	return nil
 }
 
-// PoolStats returns buffer-pool hits and misses, or zeros with ok=false if
-// no pool is attached.
-func (r *Relation) PoolStats() (hits, misses int64, ok bool) {
-	if r.pool == nil {
-		return 0, 0, false
-	}
-	h, m := r.pool.HitsMisses()
-	return h, m, true
-}
-
 // PoolInfo is a point-in-time snapshot of a relation's buffer pool.
 type PoolInfo struct {
 	Hits, Misses, Evictions int64
@@ -590,13 +579,4 @@ func DecodeComplex(vec []float64) ([]complex128, error) {
 		out[i] = complex(vec[2*i], vec[2*i+1])
 	}
 	return out, nil
-}
-
-// SortedIDs returns the stored IDs in ascending order (useful for
-// deterministic join result comparison).
-func (r *Relation) SortedIDs() []int64 {
-	out := make([]int64, len(r.ids))
-	copy(out, r.ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

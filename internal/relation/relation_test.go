@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dft"
@@ -129,16 +130,21 @@ func TestHalfSpectrumFrontsEnergy(t *testing.T) {
 	}
 }
 
+// TestSortedIDs: IDs lists the stored ids in insertion order, and sorted
+// they are the ids inserted.
 func TestSortedIDs(t *testing.T) {
 	r := New(0)
 	for _, id := range []int64{5, 1, 9, 3} {
 		r.Insert(id, []float64{0})
 	}
-	got := r.SortedIDs()
+	if got := r.IDs(); !slices.Equal(got, []int64{5, 1, 9, 3}) {
+		t.Fatalf("IDs = %v, want insertion order", got)
+	}
+	got := slices.Sorted(slices.Values(r.IDs()))
 	want := []int64{1, 3, 5, 9}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("SortedIDs = %v", got)
+			t.Fatalf("sorted IDs = %v", got)
 		}
 	}
 }

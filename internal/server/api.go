@@ -45,8 +45,9 @@ type StatsPayload struct {
 	HeadResolved int  `json:"head_resolved"`
 	Cached       bool `json:"cached"`
 	// RequestID is the execution's correlation ID: the same ID the
-	// response's X-TSQ-Request-ID header, the server's log lines and
-	// GET /traces carry for this request.
+	// response's X-TSQ-Request-ID header and GET /traces carry for this
+	// request. Only a failed request also writes it to the server's
+	// "request failed" stderr line.
 	RequestID string `json:"request_id,omitempty"`
 	// Delta is the approximation slack the execution ran under (absent =
 	// exact); Rung the planner's estimated accepting ladder checkpoint;

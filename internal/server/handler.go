@@ -346,20 +346,21 @@ func (h *handler) progressive(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func parseUsing(using string) ([]tsq.QueryOpt, error) {
+// parseUsing maps a request's Using value onto the library's strategy
+// vocabulary. Empty means auto: the planner chooses per query, and answers
+// are identical under every strategy, so auto is the service default.
+func parseUsing(using string) (tsq.Strategy, error) {
 	switch strings.ToLower(using) {
 	case "", "auto":
-		// The planner chooses per query; answers are identical under every
-		// strategy, so auto is the service default.
-		return []tsq.QueryOpt{tsq.With(tsq.UseAuto)}, nil
+		return tsq.UseAuto, nil
 	case "index":
-		return []tsq.QueryOpt{tsq.With(tsq.UseIndex)}, nil
+		return tsq.UseIndex, nil
 	case "scan":
-		return []tsq.QueryOpt{tsq.With(tsq.UseScan)}, nil
+		return tsq.UseScan, nil
 	case "scantime":
-		return []tsq.QueryOpt{tsq.With(tsq.UseScanTime)}, nil
+		return tsq.UseScanTime, nil
 	default:
-		return nil, fmt.Errorf("unknown strategy %q (want auto, index, scan, or scantime)", using)
+		return 0, fmt.Errorf("unknown strategy %q (want auto, index, scan, or scantime)", using)
 	}
 }
 
@@ -373,11 +374,12 @@ func (h *handler) rangeQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := parseUsing(req.Using)
+	strategy, err := parseUsing(req.Using)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	opts := []tsq.QueryOpt{tsq.With(strategy)}
 	if req.Both {
 		opts = append(opts, tsq.TransformBoth())
 	}
@@ -424,11 +426,12 @@ func (h *handler) nnQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := parseUsing(req.Using)
+	strategy, err := parseUsing(req.Using)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
+	opts := []tsq.QueryOpt{tsq.With(strategy)}
 	if req.Both {
 		opts = append(opts, tsq.TransformBoth())
 	}
@@ -478,23 +481,6 @@ func parseJoinMethod(m string) (tsq.JoinMethod, error) {
 	}
 }
 
-// parseJoinUsing maps a join Using value onto the library's strategy
-// request vocabulary for the planned join path.
-func parseJoinUsing(using string) (tsq.Strategy, error) {
-	switch strings.ToLower(using) {
-	case "", "auto":
-		return tsq.UseAuto, nil
-	case "index":
-		return tsq.UseIndex, nil
-	case "scan":
-		return tsq.UseScan, nil
-	case "scantime":
-		return tsq.UseScanTime, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want auto, index, scan, or scantime)", using)
-	}
-}
-
 func (h *handler) selfJoin(w http.ResponseWriter, r *http.Request) {
 	var req SelfJoinRequest
 	if !decodeJSON(w, r, &req) {
@@ -524,7 +510,7 @@ func (h *handler) selfJoin(w http.ResponseWriter, r *http.Request) {
 	default:
 		// Planned: the planner chooses the method (or Using forces the
 		// mechanism); each qualifying pair is reported once.
-		strategy, serr := parseJoinUsing(req.Using)
+		strategy, serr := parseUsing(req.Using)
 		if serr != nil {
 			writeError(w, r, http.StatusBadRequest, serr)
 			return
@@ -553,7 +539,7 @@ func (h *handler) join(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	strategy, err := parseJoinUsing(req.Using)
+	strategy, err := parseUsing(req.Using)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return

@@ -39,10 +39,9 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 // points and only re-packing the trees). The snapshot records its own
 // feature schema and shard count; storage options of the returned DB take
 // defaults. A snapshot holds the store and nothing it has served: the
-// loaded DB plans with freshly calibrated cost constants and an empty plan
-// history, as a new one does. The earlier TSQ1, TSQ2 and TSQ3 formats are
-// refused by name; a TSQ3 file is migrated by loading it with a build that
-// still reads it and saving it again.
+// loaded DB starts with a cold planner, as a new one does. The earlier
+// TSQ1, TSQ2 and TSQ3 formats are refused by name; a TSQ3 file is migrated
+// by loading it with a build that still reads it and saving it again.
 func ReadFrom(r io.Reader) (*DB, error) {
 	return ReadFromShards(r, 0)
 }

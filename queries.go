@@ -54,8 +54,9 @@ type Stats struct {
 	// per-shard timings; a statement's opens with its parse span).
 	Spans []SpanInfo
 	// RequestID is the query's correlation ID, stamped by the Server
-	// layer: the same ID appears in retained traces (GET /traces) and
-	// log lines, so any one signal resolves to the others. Empty on direct DB-level executions.
+	// layer: the same ID is in the response and its retained trace
+	// (GET /traces); only a failed request also writes it to the
+	// "request failed" stderr line. Empty on direct DB-level executions.
 	RequestID string
 	// Delta is the approximation slack the execution ran under (0 =
 	// exact); Rung is the planner's estimated accepting ladder
@@ -168,8 +169,9 @@ func With(s Strategy) QueryOpt {
 }
 
 // WithRequest attaches a correlation ID to a Server query: the ID is
-// stamped into the returned Stats, the retained flight-recorder trace,
-// and (at the HTTP layer) log lines and error responses. The server
+// stamped into the returned Stats and the retained flight-recorder trace
+// (GET /traces), and at the HTTP layer into the response; only a failed
+// request also writes it to the "request failed" stderr line. The server
 // boundary adopts a client's X-TSQ-Request-ID header through this
 // option; embedded callers may pass their own.
 // Queries without one get a freshly minted ID. The ID never enters

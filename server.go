@@ -376,7 +376,8 @@ type readID struct {
 // Every served query also carries a correlation ID (minted here when the
 // caller supplied none via WithRequest): it is stamped on the returned
 // Stats and on the flight-recorder trace, so one ID resolves to the same
-// execution across the response, /traces, and the server's log lines. The
+// execution across the response, its Stats and /traces; only a failed
+// request also writes it to the "request failed" stderr line. The
 // count → observe → flight-record epilogue below is the only one: every
 // read of every kind, however it arrived, ends in done.
 func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cachedResult, Stats, error) {
