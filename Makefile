@@ -77,6 +77,11 @@ vet:
 	@if grep -nE 'Calibrat(e|ed)\(|SetCosts|DefaultCosts|rawProbeRatios|timePrimitives|raceEnabled|plan\.Costs' \
 		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
 		echo "the planner prices with its constants: the calibration probe, its per-store cost slot and the race-build branch are gone"; exit 1; fi
+	@if grep -nE 'ChooseNN|ObserveNN|nnModel|exploreNN|ObserveApprox|approxModel|nnApproxModel|approxRung|defaultRung|rung0|ApproxTightness|EstSpeedup' \
+		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
+		echo "AUTO NN is the index walk and an APPROX plan carries only its delta: the NN and approximate-tier models, their probe and their estimates are gone"; exit 1; fi
+	$(GO) test -count=1 -run 'TestPlannedNNParity|TestApproxPlanIsHistoryFree|TestExplainWireGolden' . ./internal/core ./internal/server
+	$(GO) test -race -count=1 -run 'TestPlannedNNParity|TestApproxPlanIsHistoryFree|TestExplainWireGolden' . ./internal/core ./internal/server
 
 fmt:
 	gofmt -w .

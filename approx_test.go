@@ -8,11 +8,16 @@ package tsq_test
 // bounds, NN answers are within (1+delta) of the true k-th distances.
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	tsq "repro"
+	"repro/internal/core"
+	"repro/internal/plan"
+	"repro/internal/transform"
 )
 
 // boundSlack absorbs the float jitter between the frequency-domain
@@ -122,12 +127,108 @@ func TestApproxZeroParity(t *testing.T) {
 						shards, stmt, exact.Stats.Candidates, zero.Stats.Candidates, ceiling)
 				}
 			}
-			if zero.Stats.Delta != 0 || zero.Stats.EarlyAccepts != 0 || zero.Stats.Rung != 0 {
+			if zero.Stats.Delta != 0 || zero.Stats.EarlyAccepts != 0 {
 				t.Fatalf("shards-%d %q: APPROX 0 took the approximate path: %+v",
 					shards, stmt, zero.Stats)
 			}
 		}
 	}
+}
+
+// TestApproxPlanIsHistoryFree: an APPROX plan carries its delta and
+// nothing learned from earlier reads. After a store has served forced
+// index, scan and scantime APPROX range and NN reads, the approximate tier
+// of its next APPROX range and NN plan — the plan's own, and every
+// approx_* field of its EXPLAIN object — is a cold twin's, at shards 1
+// and 4. The range estimate is left out: forced index reads still move
+// the range calibration. The time-domain scan answers exactly whatever
+// delta its statement carries, and says so.
+func TestApproxPlanIsHistoryFree(t *testing.T) {
+	const (
+		rangeStmt = "RANGE SERIES 'W0005' EPS 3 APPROX 0.1"
+		nnStmt    = "NN SERIES 'W0006' K 9 TRANSFORM mavg(10) APPROX 0.1"
+	)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			busy, cold := parityDB(t, shards), parityDB(t, shards)
+			for i := 0; i < 4; i++ {
+				for _, using := range []string{"INDEX", "SCAN", "SCANTIME"} {
+					for _, stmt := range []string{rangeStmt, nnStmt} {
+						out, err := busy.Query(stmt + " USING " + using)
+						if err != nil || len(out.Matches) == 0 {
+							t.Fatalf("%s USING %s: %d answers, err %v", stmt, using, len(out.Matches), err)
+						}
+						if stmt == rangeStmt && using == "SCANTIME" && (out.Stats.Delta != 0 || out.Stats.Strategy != "scantime") {
+							t.Fatalf("scantime reported delta %g under strategy %q", out.Stats.Delta, out.Stats.Strategy)
+						}
+					}
+				}
+			}
+
+			plans := func(db *tsq.DB) (rng, nn *plan.Plan) {
+				t.Helper()
+				rv, err := db.Series("W0005")
+				if err != nil {
+					t.Fatal(err)
+				}
+				nv, err := db.Series("W0006")
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng, err = db.Engine().PlanRange(core.RangeQuery{Values: rv, Eps: 3, Transform: transform.Identity(parityLength), Delta: 0.1}, plan.Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nn, err = db.Engine().PlanNN(core.NNQuery{Values: nv, K: 9, Transform: transform.MovingAverage(parityLength, 10), Delta: 0.1}, plan.Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rng, nn
+			}
+			gotRange, gotNN := plans(busy)
+			wantRange, wantNN := plans(cold)
+			for _, c := range []struct {
+				kind      string
+				got, want *plan.Plan
+			}{{"range", gotRange, wantRange}, {"nn", gotNN, wantNN}} {
+				if c.got.Approx == nil || !reflect.DeepEqual(c.got.Approx, c.want.Approx) {
+					t.Errorf("%s: the served store's approximate tier is %+v, its cold twin's %+v", c.kind, c.got.Approx, c.want.Approx)
+				}
+			}
+
+			for _, stmt := range []string{rangeStmt, nnStmt} {
+				got, want := explainApprox(t, busy, stmt), explainApprox(t, cold, stmt)
+				if len(want) == 0 || !reflect.DeepEqual(got, want) {
+					t.Errorf("EXPLAIN %s: the served store's approx fields are %v, its cold twin's %v", stmt, got, want)
+				}
+			}
+		})
+	}
+}
+
+// explainApprox runs EXPLAIN stmt on db and returns the approx_* fields of
+// its explain object, as they go on the wire.
+func explainApprox(t *testing.T, db *tsq.DB, stmt string) map[string]any {
+	t.Helper()
+	out, err := db.Query("EXPLAIN " + stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(out.Explain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	approx := map[string]any{}
+	for k, v := range fields {
+		if strings.HasPrefix(k, "approx_") {
+			approx[k] = v
+		}
+	}
+	return approx
 }
 
 // TestApproxNNBoundSoundness: for every rank i, the approximate NN's

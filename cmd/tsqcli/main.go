@@ -451,12 +451,7 @@ func printExplain(w io.Writer, e *tsq.ExplainInfo) {
 	fmt.Fprintf(w, "  actual:    %d candidates, %d node accesses; %d resolved in the head, %d records opened\n",
 		e.ActualCandidates, e.ActualNodeAccesses, e.ActualHeadResolved, e.ActualCandidates-e.ActualHeadResolved)
 	if e.ApproxDelta > 0 {
-		tight := "no bound feedback yet"
-		if e.ApproxTightness > 0 {
-			tight = fmt.Sprintf("tightness EWMA %.2f", e.ApproxTightness)
-		}
-		fmt.Fprintf(w, "  approx:    guaranteed within (1+%g)x, ladder rung %d, est speedup %.1fx (%s)\n",
-			e.ApproxDelta, e.ApproxRung, e.ApproxEstSpeedup, tight)
+		fmt.Fprintf(w, "  approx:    guaranteed within (1+%g)x\n", e.ApproxDelta)
 	}
 	for _, sh := range e.PerShard {
 		fmt.Fprintf(w, "    shard %d: %d candidates (%d resolved in the head), %d nodes, %d pages, %d results\n",
@@ -524,7 +519,7 @@ func printOutput(out *tsq.Output, maxRows int) {
 	}
 	approx := ""
 	if out.Stats.Delta > 0 {
-		approx = fmt.Sprintf(", approx delta=%g rung=%d early=%d", out.Stats.Delta, out.Stats.Rung, out.Stats.EarlyAccepts)
+		approx = fmt.Sprintf(", approx delta=%g early=%d", out.Stats.Delta, out.Stats.EarlyAccepts)
 		if out.Stats.BoundTightness > 0 {
 			approx += fmt.Sprintf(" tightness=%.2f", out.Stats.BoundTightness)
 		}

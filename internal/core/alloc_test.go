@@ -147,9 +147,9 @@ func testHotPathZeroAlloc(t *testing.T, opts Options) {
 	}
 
 	// Under a transformation the index applies the map to leaf points as a
-	// complex multiplication, the factors formed per query in scratch; and
-	// an unforced scan-routed NN runs the count-only exploration probe every
-	// exploreEvery-th time. Both must be allocation-free too.
+	// complex multiplication, the factors formed per query in scratch: that
+	// must be allocation-free too, and so must an unforced plan of either
+	// strategy.
 	nqT := NNQuery{Values: data[5], K: 8, Transform: transform.MovingAverage(64, 5), BothSides: true}
 	for _, strat := range []plan.Strategy{plan.Index, plan.ScanFreq} {
 		pl, err := db.PlanNN(nqT, plan.Auto)

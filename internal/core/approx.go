@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/plan"
 	"repro/internal/relation"
 )
 
@@ -63,7 +62,6 @@ func (p *rangePlan) initApprox(n int) {
 	if p.q.WarpFactor >= 2 || len(p.Q) == 0 {
 		return
 	}
-	p.rung0 = defaultRung(len(p.Q))
 	p.energy = float64(n)
 	// One backward pass, recording only at ladder checkpoint positions
 	// (power-of-two suffix starts): the verification walk never reads the
@@ -89,10 +87,9 @@ func (p *rangePlan) initApprox(n int) {
 // its log2). Checkpoints cost a handful of flops, so the ladder always
 // starts low and doubles: a workload whose residual energy collapses
 // early (smooth or band-limited series) certifies at the earliest rung
-// its bound allows, instead of walking to the planner's historical
-// estimate — which would be self-fulfilling, since an accept at rung r
-// observes exactly r terms and can never reveal that a smaller rung
-// sufficed.
+// its bound allows. Starting from a rung learned from past accepts would
+// be self-fulfilling: an accept at rung r observes exactly r terms and
+// can never reveal that a smaller rung sufficed.
 const (
 	ladderStart = 8
 	ladderShift = 3
@@ -102,23 +99,6 @@ const (
 // stats for positions ladderStart << ord < n, so 40 ordinals cover any
 // representable store length.
 const ladderRungs = 40
-
-// defaultRung is the cold estimate of the accepting rung: length/8
-// rounded up to a power of two, at least 8 — the planner overrides it
-// from measured resolve depths (plan.AttachApprox). The estimate feeds
-// EXPLAIN's projected speedup and the reported Rung stat; the ladder
-// itself always starts at ladderStart.
-func defaultRung(n int) int {
-	target := float64(n) / 8
-	r := 8
-	for float64(r) < target && r < n {
-		r <<= 1
-	}
-	if r > n {
-		r = n
-	}
-	return r
-}
 
 // verifyFreqApprox is the approximate tier's verification of one stored
 // record: it opens the record like verifyFreq and runs the ladder walk over
@@ -259,24 +239,5 @@ func stampPlan(p *rangePlan, st *ExecStats) {
 	st.Filter = p.Prefilter
 	if p.approx() {
 		st.Delta = p.q.Delta
-		st.Rung = p.rung0
 	}
-}
-
-// observeApprox feeds one approximate execution's realized behavior back
-// to the planner: mean bound tightness, verified terms per candidate, and
-// the traversal's candidate/node counts.
-func observeApprox(tr *plan.Tracker, pl *plan.Plan, st *ExecStats, series int) {
-	if pl.Approx == nil {
-		return
-	}
-	tight := 1.0
-	if st.EarlyAccepts > 0 {
-		tight = st.BoundTightSum / float64(st.EarlyAccepts)
-	}
-	terms := 0.0
-	if st.Candidates > 0 {
-		terms = float64(st.DistanceTerms) / float64(st.Candidates)
-	}
-	tr.ObserveApprox(pl.Kind, tight, terms, st.Candidates, st.NodeAccesses, series)
 }

@@ -26,7 +26,6 @@ type execArena struct {
 	k     []twin // the execution's verification kernel (rangePlan.kernelInto)
 	top   topK
 	nv    nnVisit
-	nc    nearCounter
 	lt    leafTest // the indexed read's leaf prefix test
 	// st is the execution's stats accumulator. It lives in the arena
 	// because the NN visitor (also arena-held) keeps a pointer to it — a

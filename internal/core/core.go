@@ -514,11 +514,8 @@ type ExecStats struct {
 	// SubsequenceScan, which run no plan.
 	Strategy string
 	// Delta echoes the approximate tier's guaranteed relative error
-	// bound; 0 on exact executions. Rung is the planner's estimated
-	// accepting ladder rung in stored coefficients (0 when the
-	// execution verified exactly, e.g. warped approximate queries).
+	// bound; 0 on exact executions.
 	Delta float64
-	Rung  int
 	// EarlyAccepts counts candidates the approximate tier resolved at a
 	// ladder checkpoint without a full-spectrum walk; BoundTightSum
 	// accumulates their bound tightness LB/UB in (0, 1] (divide by

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/feature"
@@ -69,28 +68,20 @@ func buildRangePlan(q RangeQuery, p *rangePlan, want plan.Strategy, in plan.Inpu
 		pl.Strategy = plan.Index
 		pl.Reason = "index: moment-bounded query (scan baselines ignore mean/std bounds)"
 	}
-	attachApprox(pl, p, q.Delta, tr)
+	attachApprox(pl, q.Delta)
 	return pl
 }
 
-// attachApprox prices the approximate tier on a built plan and installs
-// the planner-selected first ladder rung on the engine-side
-// precomputation (planRange seeds a cold default; the planner refines it
-// from measured resolve depths). The time-domain scan has no approximate
+// attachApprox states the approximate tier of a built plan: its delta,
+// also at the end of its reason. The time-domain scan has no approximate
 // tier — it answers exactly whatever delta the query carries — so its plan
-// prices none and its executions teach that model nothing.
-func attachApprox(pl *plan.Plan, p *rangePlan, delta float64, tr *plan.Tracker) {
+// carries none.
+func attachApprox(pl *plan.Plan, delta float64) {
 	if delta <= 0 || pl.Strategy == plan.ScanTime {
 		return
 	}
-	length := 0
-	if p.energy > 0 {
-		length = len(p.Q)
-	}
-	plan.AttachApprox(pl, delta, length, tr)
-	if pl.Approx != nil && pl.Approx.Rung > 0 {
-		p.rung0 = pl.Approx.Rung
-	}
+	pl.Approx = &plan.ApproxInfo{Delta: delta}
+	pl.Reason += fmt.Sprintf("; approx delta=%g", delta)
 }
 
 // PlanRange validates a range query and builds its execution plan — one
@@ -167,7 +158,6 @@ func (s *Store) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Resu
 	if feedRange(q, pl) {
 		s.tracker.ObserveRange(pl.Est.Candidates, st.Candidates, st.NodeAccesses, series)
 	}
-	observeApprox(s.tracker, pl, &st, series)
 	s.maybeExploreRange(q, pl, rp, series)
 	finishExec(pl, &st)
 	return dst, st, nil
@@ -193,24 +183,6 @@ func (s *Store) fanRange(pl *plan.Plan, rp *rangePlan, dst []Result) ([]Result, 
 	return dst, st, err
 }
 
-// probe sums a count-only index probe over every shard, one after the
-// other on the caller's goroutine, each under its shared lock: what the
-// planner's exploration measures the index with. It is bookkeeping beside
-// a read, not the read — it takes no second core and allocates nothing —
-// and its costs stay out of the query's ExecStats.
-func (s *Store) probe(count func(sh *shard, ar *execArena) (candidates, nodes int)) (candidates, nodes int) {
-	ar := getArena()
-	defer putArena(ar)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		c, n := count(sh, ar)
-		sh.mu.RUnlock()
-		candidates += c
-		nodes += n
-	}
-	return candidates, nodes
-}
-
 // exploreEvery is the sampling period of the planner's range exploration
 // probes: every exploreEvery-th unforced scan-routed range execution
 // re-measures the index side with a count-only traversal.
@@ -222,7 +194,10 @@ const exploreEvery = 16
 // cheaper again (store shrinkage, eps drift, calibration overshoot); the
 // probe runs every shard's batch traversal without verification — node
 // accesses and a candidate count only — and feeds the sums to the range
-// calibrator.
+// calibrator. It is bookkeeping beside a read, not the read: the shards
+// are probed one after the other on the caller's goroutine, each under
+// its shared lock, allocating nothing, and the costs stay out of the
+// query's ExecStats.
 func (s *Store) maybeExploreRange(q RangeQuery, pl *plan.Plan, rp *rangePlan, series int) {
 	if pl.Strategy != plan.ScanFreq || pl.Forced || q.Moments != (feature.MomentBounds{}) {
 		return
@@ -230,11 +205,17 @@ func (s *Store) maybeExploreRange(q RangeQuery, pl *plan.Plan, rp *rangePlan, se
 	if s.exploreTick.Add(1)%exploreEvery != 0 {
 		return
 	}
-	cand, nodes := s.probe(func(sh *shard, ar *execArena) (int, int) {
+	ar := getArena()
+	defer putArena(ar)
+	cand, nodes := 0, 0
+	for _, sh := range s.shards {
+		sh.mu.RLock()
 		ids, searchStats := sh.idx.RangeIDs(rp.qp, rp.mw.filterRadius(rp.q.Eps), rp.m, rp.q.Moments, !sh.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
+		sh.mu.RUnlock()
 		ar.ids = ids
-		return len(ids), searchStats.NodesVisited
-	})
+		cand += len(ids)
+		nodes += searchStats.NodesVisited
+	}
 	s.tracker.ObserveRange(pl.Est.Candidates, cand, nodes, series)
 }
 
@@ -247,42 +228,47 @@ func feedRange(q RangeQuery, pl *plan.Plan) bool {
 	return pl.Strategy == plan.Index && q.Moments == (feature.MomentBounds{})
 }
 
-// PlanNN validates a nearest-neighbor query and builds its plan. NN
-// queries carry no threshold at planning time, so the decision comes from
-// measured NN feedback (index is the cold default).
+// PlanNN validates a nearest-neighbor query and builds its plan: the
+// index walk unless the caller forces the scan (see buildNNPlan).
 func (s *Store) PlanNN(q NNQuery, want plan.Strategy) (*plan.Plan, error) {
 	p, err := s.shards[0].planNN(q)
 	if err != nil {
 		return nil, err
 	}
-	return buildNNPlan(q, p, want, s.Len(), s.tracker, plan.AllShards(len(s.shards))), nil
+	return buildNNPlan(q, p, want, s.Len(), plan.AllShards(len(s.shards))), nil
 }
 
-// buildNNPlan resolves the strategy for a validated NN query. There is no
-// time-domain NN baseline: a plan.ScanTime request — USING SCANTIME in the
-// language, UseScanTime in the library — selects the frequency scan.
-func buildNNPlan(q NNQuery, p *rangePlan, want plan.Strategy, series int, tr *plan.Tracker, shards []int) *plan.Plan {
+// nnReason is why an NN plan walks the index.
+const nnReason = "index: branch-and-bound walk verifies a subset of the scan's candidates"
+
+// buildNNPlan resolves the strategy for a validated NN query: the index,
+// whatever the store has served. The frequency scan hands every stored id
+// to the same visitor the walk hands a subset of, in best-first order and
+// behind the leaf prefix test, so at the planner's own prices the scan can
+// save at most the nodes the walk visits. There is no time-domain NN
+// baseline: a plan.ScanTime request — USING SCANTIME in the language,
+// UseScanTime in the library — selects the frequency scan.
+func buildNNPlan(q NNQuery, p *rangePlan, want plan.Strategy, series int, shards []int) *plan.Plan {
 	if want == plan.ScanTime {
 		want = plan.ScanFreq
 	}
-	choice, est, reason := plan.ChooseNN(series, q.Delta, tr)
 	pl := &plan.Plan{
 		Kind:      "nn",
 		Transform: q.Transform.String(),
 		K:         q.K,
-		Strategy:  choice,
-		Reason:    reason,
+		Strategy:  plan.Index,
+		Reason:    nnReason,
 		Filter:    p.mw.why,
 		Shards:    shards,
-		Est:       est,
+		Est:       plan.Estimate{Series: series},
 		Internal:  p,
 	}
 	if want != plan.Auto {
 		pl.Forced = true
 		pl.Strategy = want
-		pl.Reason = "forced " + want.String() + " by caller; planner would pick " + choice.String() + " (" + reason + ")"
+		pl.Reason = "forced " + want.String() + " by caller; planner would pick index (" + nnReason + ")"
 	}
-	attachApprox(pl, p, q.Delta, tr)
+	attachApprox(pl, q.Delta)
 	return pl
 }
 
@@ -331,20 +317,6 @@ func (s *Store) ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, Ex
 	if err != nil {
 		return nil, st, err
 	}
-	series := s.Len()
-	// Approximate runs feed their own model: the relaxed traversal's
-	// shrunken candidate counts would corrupt the exact NN estimate.
-	if pl.Strategy == plan.Index && pl.Approx == nil {
-		s.tracker.ObserveNN(st.Candidates, st.NodeAccesses, series)
-	}
-	observeApprox(s.tracker, pl, &st, series)
-	if exploreNN(pl, &s.exploreNNTick, dst) {
-		// Each shard counts against the global k-th distance, which is the
-		// bound the fan-out's shared top-k converges to.
-		kth := dst[len(dst)-1].Dist
-		cand, nodes := s.probe(func(sh *shard, ar *execArena) (int, int) { return sh.countNear(rp, ar, kth) })
-		s.tracker.ObserveNN(cand, nodes, series)
-	}
 	finishExec(pl, &st)
 	return dst, st, nil
 }
@@ -368,58 +340,6 @@ func (s *Store) fanNN(pl *plan.Plan, rp *rangePlan, k int, dst []Result) ([]Resu
 		return len(dst)
 	})
 	return dst, st, err
-}
-
-// exploreNN reports whether a finished NN execution should probe the
-// index: the NN analogue of maybeExploreRange. Only indexed NN runs feed
-// tracker.ObserveNN, so once the measured candidate fraction crosses the
-// scan crossover, AUTO would route every later NN to the scan and never
-// measure the index again (benchmark/README, "Surprises" 1). Every
-// exploreEvery-th unforced, exact, scan-routed NN with an answer therefore
-// reports what the index would have done (countNear).
-func exploreNN(pl *plan.Plan, tick *atomic.Uint64, answer []Result) bool {
-	if pl.Strategy == plan.Index || pl.Forced || pl.Approx != nil || len(answer) == 0 {
-		return false
-	}
-	return tick.Add(1)%exploreEvery == 0
-}
-
-// nearCounter is the FlatNNVisitor of a count-only NN traversal: it counts
-// the items whose k-coefficient lower bound is within a known k-th
-// distance. Arena-held, so handing it to the traversal never allocates.
-type nearCounter struct {
-	// bound is the plan's stopLine at the k-th distance: where nnVisit
-	// stops once its k-set holds the final answer.
-	bound float64
-	n     int
-}
-
-func (c *nearCounter) NearBound() float64 { return c.bound }
-
-func (c *nearCounter) VisitNear(_ int64, partialDistSq float64) bool {
-	if partialDistSq > c.bound {
-		return false
-	}
-	c.n++
-	return true
-}
-
-// countNear measures what an indexed run of an answered NN plan costs this
-// shard without verifying anything: the nodes it would visit, and a floor
-// under the candidates it would verify. A traversal told the final k-th
-// distance counts the items within its stop line. The indexed run verifies
-// every one of them — each lies in a leaf whose lower bound is no larger, and
-// is checked against a k-th best no better than the final one — plus the few
-// items of leaves it expanded while its k-th best was still looser (about 4 %
-// more on family walks, TestNNCandidatesNearTheCount). It visits exactly the
-// probe's nodes: every node within the final stop line, and when it pops the
-// first one past it, the leaves holding the answer lay nearer, were expanded,
-// and the k-th best is final. Like the range probe, the cost stays out of
-// the query's ExecStats: planner bookkeeping, not answer work.
-func (sh *shard) countNear(rp *rangePlan, ar *execArena, kth float64) (candidates, nodes int) {
-	ar.nc = nearCounter{bound: rp.stopLine(kth)}
-	searchStats := sh.idx.NearestIDs(rp.qp, rp.m, &ar.sc, &ar.nc)
-	return ar.nc.n, searchStats.NodesVisited
 }
 
 // featureBounds returns the union of every shard index's MBR plus the

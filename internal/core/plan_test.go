@@ -111,34 +111,49 @@ func TestPlannerChoosesByRegime(t *testing.T) {
 	}
 }
 
-// TestPlannedNNParityAndFeedback checks NN plan parity and that executing
-// planned queries feeds the tracker.
-func TestPlannedNNParityAndFeedback(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		eng := planTestEngine(t, shards, 120)
-		q := NNQuery{Values: mustSeries(t, eng, "S0002"), K: 7, Transform: transform.Identity(32)}
-		pl, err := eng.PlanNN(q, plan.Auto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := eng.ExecNNInto(q, pl, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if storeOf(eng).PlannerStats().NNSamples == 0 {
-			t.Fatalf("shards=%d: planned NN execution left no feedback", shards)
-		}
-		want, _, err := forcedNN(eng, q, plan.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantScan, _, err := forcedNN(eng, q, plan.ScanFreq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, wantScan) {
-			t.Fatalf("shards=%d: planned NN diverges", shards)
-		}
+// TestPlannedNNParity: every AUTO NN plan walks the index, whatever the
+// store has served, and answers as the forced index and the forced scan do
+// — at shards 1 and 4. The wide reads go first: each verifies the whole
+// store through the index, which is what once pushed a learned NN model
+// past the scan crossover and held AUTO on the scan.
+func TestPlannedNNParity(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			eng := planTestEngine(t, shards, 120)
+			id := transform.Identity(32)
+			check := func(q NNQuery) {
+				t.Helper()
+				pl, err := eng.PlanNN(q, plan.Auto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pl.Strategy != plan.Index || pl.Forced {
+					t.Fatalf("K=%d: AUTO NN planned %v (forced %v): %s", q.K, pl.Strategy, pl.Forced, pl.Reason)
+				}
+				got, _, err := eng.ExecNNInto(q, pl, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := forcedNN(eng, q, plan.Index)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantScan, _, err := forcedNN(eng, q, plan.ScanFreq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != q.K || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, wantScan) {
+					t.Fatalf("K=%d: planned NN diverges\n got  %v\n idx  %v\n scan %v", q.K, got, want, wantScan)
+				}
+			}
+			for i := 0; i < 32; i++ {
+				check(NNQuery{Values: mustSeries(t, eng, fmt.Sprintf("S%04d", i)), K: eng.Len(), Transform: id})
+			}
+			for i, k := range []int{1, 7, 20} {
+				check(NNQuery{Values: mustSeries(t, eng, fmt.Sprintf("S%04d", 40+i)), K: k, Transform: id})
+				check(NNQuery{Values: queryValues(32, int64(i)), K: k, Transform: transform.MovingAverage(32, 5), BothSides: true})
+			}
+		})
 	}
 }
 
@@ -303,86 +318,17 @@ func TestJoinExplorationProbe(t *testing.T) {
 	}
 }
 
-// TestNNExplorationReturnsToIndex: only indexed NN runs feed the NN model,
-// so a tracker pushed past the scan crossover used to route every later NN
-// under AUTO to the scan for good. Every exploreEvery-th scan-routed NN now
-// reports what the index would have done, and on a store where the
-// branch-and-bound verifies a few percent of the series AUTO is back on the
-// index within two probes — at shards 1 and 4.
-func TestNNExplorationReturnsToIndex(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			eng := planTestEngine(t, shards, 600)
-			// The indexed reference answers come from a twin store: a forced
-			// index read feeds the NN model like any indexed execution, and
-			// on eng it would return AUTO to the index without any probe.
-			twin := planTestEngine(t, shards, 600)
-			tracker := storeOf(eng).tracker
-			// At the planner's prices the index wins while
-			// 0.25*candFrac + nodeFrac < 0.25. What a run of wide NN queries
-			// leaves behind is just past that; this store's own traversals
-			// verify about a third of it over a thirteenth of its nodes,
-			// well inside.
-			tracker.ObserveNN(eng.Len()/2, eng.Len()*13/100, eng.Len())
-			query := func(i int) NNQuery {
-				return NNQuery{Values: mustSeries(t, eng, fmt.Sprintf("S%04d", i)), K: 5, Transform: transform.Identity(32)}
-			}
-			returned := 0
-			for i := 1; i <= 2*exploreEvery && returned == 0; i++ {
-				q := query(i)
-				pl, err := eng.PlanNN(q, plan.Auto)
-				if err != nil {
-					t.Fatal(err)
-				}
-				switch {
-				case pl.Strategy == plan.Index:
-					returned = i
-				case i == 1 && pl.Strategy != plan.ScanFreq:
-					t.Fatalf("first plan is %v: the tracker was not pushed past the crossover", pl.Strategy)
-				}
-				got, _, err := eng.ExecNNInto(q, pl, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want, _, err := forcedNN(twin, q, plan.Index); err != nil || !reflect.DeepEqual(got, want) {
-					t.Fatalf("query %d under %v: answers diverge from the index (%v)", i, pl.Strategy, err)
-				}
-			}
-			if returned == 0 {
-				t.Fatalf("AUTO still scans after %d NN queries (model %+v)", 2*exploreEvery, storeOf(eng).PlannerStats())
-			}
-			t.Logf("AUTO back on the index at query %d", returned)
-
-			// Forced scans never probe: the caller pinned the strategy.
-			before := storeOf(eng).PlannerStats().NNSamples
-			for i := 1; i <= 2*exploreEvery; i++ {
-				q := query(i)
-				pl, err := eng.PlanNN(q, plan.ScanFreq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := eng.ExecNNInto(q, pl, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := storeOf(eng).PlannerStats().NNSamples; got != before {
-				t.Fatalf("forced scans fed %d NN samples", got-before)
-			}
-		})
-	}
-}
-
-// TestCountNearIsTheIndexedRun pins the probe's claim: a traversal told the
-// final k-th distance visits exactly the nodes of the indexed run that found
-// it, and counts no more candidates than that run verified. The probe is a
-// floor, not an exact count, since the run verifies a leaf's items when it
-// expands the leaf, against a k-th best the leaves still queued may yet
-// tighten. That holds only while the probe stops where the run stops —
+// TestCountNearIsTheIndexedRun pins the floor reference: a traversal told
+// the final k-th distance visits exactly the nodes of the indexed run that
+// found it, and counts no more candidates than that run verified. The count
+// is a floor, not an exact count, since the run verifies a leaf's items when
+// it expands the leaf, against a k-th best the leaves still queued may yet
+// tighten. That holds only while the count stops where the run stops —
 // countNear takes its bound from the plan's stopLine, so it carries the same
 // mirror weight (the first three queries run at w = 2, the warped one at
-// w = 1) and hands the walk the same push bound; a probe still counting
+// w = 1) and hands the walk the same push bound; a count still taken
 // against kth^2 would report the 1997 filter's candidates, about half as
-// many again, and mis-steer the planner.
+// many again.
 func TestCountNearIsTheIndexedRun(t *testing.T) {
 	db := planTestEngine(t, 1, 600).(*DB)
 	tr := transform.MovingAverage(32, 5)
@@ -405,37 +351,6 @@ func TestCountNearIsTheIndexedRun(t *testing.T) {
 		putArena(ar)
 		if cand > st.Candidates || nodes != st.NodeAccesses {
 			t.Fatalf("query %d: probe counts %d candidates, %d nodes; the indexed run verified %d over %d", i, cand, nodes, st.Candidates, st.NodeAccesses)
-		}
-	}
-}
-
-// TestScanTimeTeachesTheApproxModelNothing: the time-domain scan answers
-// exactly whatever APPROX delta its plan priced, so after it runs under the
-// shared bookkeeping the approximate tier's model must price the next plan
-// exactly as a store that never ran it does.
-func TestScanTimeTeachesTheApproxModelNothing(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		eng, cold := planTestEngine(t, shards, 120), planTestEngine(t, shards, 120)
-		q := RangeQuery{Values: mustSeries(t, eng, "S0005"), Eps: 3, Transform: transform.Identity(32), Delta: 0.1}
-		for i := 0; i < 4; i++ {
-			res, st, err := forcedRange(eng, q, plan.ScanTime)
-			if err != nil || len(res) == 0 {
-				t.Fatalf("shards=%d: %d answers, err %v", shards, len(res), err)
-			}
-			if st.Delta != 0 || st.Strategy != "scantime" {
-				t.Fatalf("shards=%d: scantime reported delta %g under strategy %q", shards, st.Delta, st.Strategy)
-			}
-		}
-		got, err := eng.PlanRange(q, plan.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := cold.PlanRange(q, plan.Index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Approx == nil || !reflect.DeepEqual(got.Approx, want.Approx) {
-			t.Fatalf("shards=%d: approximate pricing moved after exact scans:\n got  %+v\n cold %+v", shards, got.Approx, want.Approx)
 		}
 	}
 }

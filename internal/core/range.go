@@ -144,18 +144,14 @@ type rangePlan struct {
 	// Approximate-tier precomputation (Delta > 0; see approx.go). relax
 	// is (1+Delta) and relaxSq its square — relaxSq is 1 on exact plans
 	// so the NN traversal test multiplies through as an IEEE identity.
-	// rung0 is the planner's estimate of the accepting ladder rung (the
-	// cold default is overridden from measured resolve depths) — it
-	// feeds EXPLAIN and the Rung stat; the ladder itself starts at
-	// ladderStart. sufA2[ord] and sufBQ2[ord] are the *squared* suffix
-	// max |a| and suffix norm of (b - Q) from checkpoint position
-	// ladderStart<<ord on, twins included (recorded only at checkpoints —
-	// the walk reads them nowhere else); energy bounds the full spectrum's
+	// sufA2[ord] and sufBQ2[ord] are the *squared* suffix max |a| and
+	// suffix norm of (b - Q) from checkpoint position ladderStart<<ord
+	// on, twins included (recorded only at checkpoints — the walk reads
+	// them nowhere else); energy bounds the full spectrum's
 	// total energy (n, by the unitary transform on normal forms) and
 	// doubles as the "frequency ladder available" flag.
 	relax   float64
 	relaxSq float64
-	rung0   int
 	sufA2   [ladderRungs]float64
 	sufBQ2  [ladderRungs]float64
 	energy  float64

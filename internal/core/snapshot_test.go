@@ -428,7 +428,7 @@ func TestSnapshotIsTheStore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if ps := storeOf(e).PlannerStats(); ps.RangeSamples == 0 || ps.NNSamples == 0 || ps.JoinSamples == 0 {
+		if ps := storeOf(e).PlannerStats(); ps.RangeSamples == 0 || ps.JoinSamples == 0 {
 			t.Fatalf("the reads left the planner without feedback: %+v", ps)
 		}
 	}
@@ -461,7 +461,7 @@ func TestSnapshotIsTheStore(t *testing.T) {
 				if got.Shards() != shards || got.Len() != src.Len() {
 					t.Fatalf("loaded %d series over %d shards, wrote %d over %d", got.Len(), got.Shards(), src.Len(), shards)
 				}
-				if ps := storeOf(got).PlannerStats(); ps.RangeSamples+ps.NNSamples+ps.JoinSamples != 0 {
+				if ps := storeOf(got).PlannerStats(); ps.RangeSamples+ps.JoinSamples != 0 {
 					t.Errorf("the loaded store starts with planner feedback %+v, not a cold planner", ps)
 				}
 				serve(t, got)

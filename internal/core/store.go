@@ -56,10 +56,9 @@ type Store struct {
 	// exploreEvery-th one runs a count-only index probe so the range
 	// calibration keeps learning while scans win (see maybeExploreRange).
 	// joinExploreTick is the same counter for scan-routed joins (see
-	// maybeExploreJoin), exploreNNTick for scan-routed NN (see exploreNN).
+	// maybeExploreJoin).
 	exploreTick     atomic.Uint64
 	joinExploreTick atomic.Uint64
-	exploreNNTick   atomic.Uint64
 
 	// catalog: global ID space. Lock order is shard lock(s) first, then mu.
 	mu     sync.RWMutex
@@ -680,7 +679,6 @@ func (st *ExecStats) add(p *ExecStats) {
 	st.EarlyAccepts += p.EarlyAccepts
 	st.BoundTightSum += p.BoundTightSum
 	st.Delta = max(st.Delta, p.Delta)
-	st.Rung = max(st.Rung, p.Rung)
 	if p.Filter != nil {
 		st.Filter = p.Filter // one plan fans out to every shard
 	}

@@ -111,9 +111,8 @@ type Plan struct {
 	// Est is the planner's cost estimate, to compare against the actual
 	// ExecStats after execution (EXPLAIN's "estimated vs actual").
 	Est Estimate
-	// Approx is the approximate tier of the plan — guaranteed error
-	// bound, first verification ladder rung, estimated speedup — or nil
-	// for exact queries. See AttachApprox.
+	// Approx is the approximate tier of the plan — its guaranteed error
+	// bound — or nil for exact queries.
 	Approx *ApproxInfo
 
 	// Internal is the engine's opaque execution payload (precomputed query
@@ -281,46 +280,6 @@ func Choose(in Input, t *Tracker) (Strategy, Estimate, string) {
 		sel, est.IndexCost, est.ScanCost, in.Series)
 }
 
-// ChooseNN resolves index-vs-scan for a nearest-neighbor query. NN queries
-// carry no threshold at planning time, so there is no rectangle to price;
-// the decision comes from measured NN feedback — the branch-and-bound's
-// observed candidate and node fractions — with the index as the cold
-// default (the paper's setting; the traversal self-terminates at the k-th
-// best bound). delta > 0 is the approximate tier's quality knob: when the
-// relaxed traversal has its own feedback, the index is priced with the
-// approximate candidate/node fractions instead of the exact ones, so AUTO
-// can flip back to the index for queries that tolerate bounded error even
-// where exact NN routes to the scan.
-func ChooseNN(series int, delta float64, t *Tracker) (Strategy, Estimate, string) {
-	est := Estimate{Series: series}
-	n := float64(series)
-	if t != nil {
-		candFrac, nodeFrac, ok := t.nnModel()
-		model := "measured NN traversal"
-		if delta > 0 {
-			if aCand, aNode, aok := t.nnApproxModel(); aok {
-				candFrac, nodeFrac, ok = aCand, aNode, true
-				model = fmt.Sprintf("measured approx(%g) traversal", delta)
-			}
-		}
-		if ok {
-			est.Candidates = candFrac * n
-			est.NodeAccesses = nodeFrac * n
-			est.IndexCost = nodeUnit*est.NodeAccesses + est.Candidates
-			est.ScanCost = scanUnit*n + (1-scanUnit)*est.Candidates
-			if est.IndexCost > est.ScanCost {
-				return ScanFreq, est, fmt.Sprintf(
-					"scan: %s verifies %.0f%% of the store (cost %.1f > scan %.1f)",
-					model, 100*candFrac, est.IndexCost, est.ScanCost)
-			}
-			return Index, est, fmt.Sprintf(
-				"index: %s cost %.1f <= scan cost %.1f over %d series",
-				model, est.IndexCost, est.ScanCost, series)
-		}
-	}
-	return Index, est, "index: branch-and-bound default (no NN feedback yet)"
-}
-
 // JoinInput is what the planner knows about an all-pairs join before
 // executing it. The paper's Table 1 compares four self-join methods whose
 // winner flips with store size and eps: the nested scans (a, b) pay a
@@ -429,7 +388,9 @@ const ewmaAlpha = 0.2
 
 // Tracker accumulates per-store execution feedback for the planner: an
 // EWMA calibration of the geometric selectivity estimate (observed over
-// predicted candidates) and EWMA node/candidate fractions. One Tracker
+// predicted candidates) and EWMA node fractions, for the range and join
+// prices Choose and ChooseJoin compare. NN plans take no feedback: they
+// always walk the index (see core's buildNNPlan). One Tracker
 // lives on each core.Store (the store as a whole, never a shard); all
 // methods are safe for concurrent use.
 type Tracker struct {
@@ -439,27 +400,9 @@ type Tracker struct {
 	calibration  float64 // EWMA of observed/predicted candidate ratio
 	nodeFrac     float64 // EWMA of NodeAccesses / Series (indexed ranges)
 
-	nnSamples  int
-	nnCandFrac float64 // EWMA of Candidates / Series (indexed NN)
-	nnNodeFrac float64 // EWMA of NodeAccesses / Series (indexed NN)
-
 	joinSamples     int
 	joinCalibration float64 // EWMA of observed/predicted candidate-pair ratio
 	joinNodeFrac    float64 // EWMA of NodeAccesses / Series^2 (indexed joins)
-
-	// Approximate-tier feedback (see ObserveApprox): realized bound
-	// tightness, verified terms per candidate (the ladder rung signal),
-	// and the relaxed NN traversal's candidate/node shrink. Kept apart
-	// from the exact models so approximate executions never pollute
-	// exact cost estimates.
-	apxRangeSamples int
-	apxRangeTight   float64
-	apxRangeTerms   float64
-	apxNNSamples    int
-	apxNNTight      float64
-	apxNNTerms      float64
-	apxNNCandFrac   float64
-	apxNNNodeFrac   float64
 }
 
 // NewTracker returns an empty tracker (calibration 1 until fed).
@@ -485,19 +428,6 @@ func (t *Tracker) ObserveRange(predicted float64, candidates, nodes, series int)
 	}
 	t.nodeFrac = ewma(t.nodeFrac, float64(nodes)/n, t.rangeSamples)
 	t.rangeSamples++
-}
-
-// ObserveNN feeds one indexed NN execution back.
-func (t *Tracker) ObserveNN(candidates, nodes, series int) {
-	if t == nil || series <= 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := float64(series)
-	t.nnCandFrac = ewma(t.nnCandFrac, float64(candidates)/n, t.nnSamples)
-	t.nnNodeFrac = ewma(t.nnNodeFrac, float64(nodes)/n, t.nnSamples)
-	t.nnSamples++
 }
 
 // ObserveJoin feeds one indexed join execution back: the planner's
@@ -549,26 +479,11 @@ func (t *Tracker) rangeModel() (calibration, nodeFrac float64, ok bool) {
 	return t.calibration, t.nodeFrac, true
 }
 
-func (t *Tracker) nnModel() (candFrac, nodeFrac float64, ok bool) {
-	if t == nil {
-		return 0, 0, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.nnSamples == 0 {
-		return 0, 0, false
-	}
-	return t.nnCandFrac, t.nnNodeFrac, true
-}
-
 // Snapshot is a point-in-time view of a tracker for diagnostics.
 type Snapshot struct {
 	RangeSamples    int
 	Calibration     float64
 	NodeFrac        float64
-	NNSamples       int
-	NNCandFrac      float64
-	NNNodeFrac      float64
 	JoinSamples     int
 	JoinCalibration float64
 	JoinNodeFrac    float64
@@ -585,9 +500,6 @@ func (t *Tracker) Stats() Snapshot {
 		RangeSamples:    t.rangeSamples,
 		Calibration:     t.calibration,
 		NodeFrac:        t.nodeFrac,
-		NNSamples:       t.nnSamples,
-		NNCandFrac:      t.nnCandFrac,
-		NNNodeFrac:      t.nnNodeFrac,
 		JoinSamples:     t.joinSamples,
 		JoinCalibration: t.joinCalibration,
 		JoinNodeFrac:    t.joinNodeFrac,

@@ -122,24 +122,9 @@ func TestTrackerCalibration(t *testing.T) {
 	}
 }
 
-func TestTrackerFeedbackFlipsNNChoice(t *testing.T) {
-	tr := NewTracker()
-	if s, _, _ := ChooseNN(1000, 0, tr); s != Index {
-		t.Fatalf("cold NN strategy = %v, want Index", s)
-	}
-	// NN traversals that verify nearly the whole store should flip to scan.
-	for i := 0; i < 30; i++ {
-		tr.ObserveNN(950, 60, 1000)
-	}
-	if s, _, reason := ChooseNN(1000, 0, tr); s != ScanFreq {
-		t.Fatalf("fed NN strategy = %v (%s), want ScanFreq", s, reason)
-	}
-}
-
 func TestTrackerNilSafe(t *testing.T) {
 	var tr *Tracker
 	tr.ObserveRange(1, 1, 1, 1)
-	tr.ObserveNN(1, 1, 1)
 	if s := tr.Stats(); s.Calibration != 1 {
 		t.Fatalf("nil tracker snapshot = %+v", s)
 	}

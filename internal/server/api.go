@@ -50,12 +50,11 @@ type StatsPayload struct {
 	// "request failed" stderr line.
 	RequestID string `json:"request_id,omitempty"`
 	// Delta is the approximation slack the execution ran under (absent =
-	// exact); Rung the planner's estimated accepting ladder checkpoint;
-	// EarlyAccepts the candidates accepted from the truncated bound
-	// without a full verification walk; BoundTightness their mean
-	// realized lower/upper bound ratio.
+	// exact); EarlyAccepts the candidates accepted from the truncated
+	// bound without a full verification walk; BoundTightness their mean
+	// realized lower/upper bound ratio. All three report what the read
+	// did.
 	Delta          float64 `json:"delta,omitempty"`
-	Rung           int     `json:"rung,omitempty"`
 	EarlyAccepts   int     `json:"early_accepts,omitempty"`
 	BoundTightness float64 `json:"bound_tightness,omitempty"`
 }
@@ -70,7 +69,6 @@ func toStatsPayload(st tsq.Stats) StatsPayload {
 		Cached:         st.Cached,
 		RequestID:      st.RequestID,
 		Delta:          st.Delta,
-		Rung:           st.Rung,
 		EarlyAccepts:   st.EarlyAccepts,
 		BoundTightness: st.BoundTightness,
 	}

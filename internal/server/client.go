@@ -238,7 +238,6 @@ func OutputFromResponse(resp *QueryResponse) *tsq.Output {
 			Cached:         resp.Stats.Cached,
 			RequestID:      resp.Stats.RequestID,
 			Delta:          resp.Stats.Delta,
-			Rung:           resp.Stats.Rung,
 			EarlyAccepts:   resp.Stats.EarlyAccepts,
 			BoundTightness: resp.Stats.BoundTightness,
 		},

@@ -88,16 +88,10 @@ type ExplainInfo struct {
 	// PerShard is the fan-out's per-shard provenance (nil on a one-shard
 	// store).
 	PerShard []ShardExecInfo `json:"per_shard,omitempty"`
-	// ApproxDelta, ApproxRung, ApproxEstSpeedup, and ApproxTightness
-	// describe an approximate plan (APPROX delta > 0): the guaranteed
-	// (1+delta) error bound, the feature-ladder rung verification starts
-	// bound checks at, the planner's estimated verification speedup, and
-	// the EWMA of realized bound tightness the rung was tuned from (0 =
-	// no feedback yet). All zero on exact plans.
-	ApproxDelta      float64 `json:"approx_delta,omitempty"`
-	ApproxRung       int     `json:"approx_rung,omitempty"`
-	ApproxEstSpeedup float64 `json:"approx_est_speedup,omitempty"`
-	ApproxTightness  float64 `json:"approx_tightness,omitempty"`
+	// ApproxDelta is an approximate plan's guaranteed (1+delta) error
+	// bound (APPROX delta > 0); zero on exact plans. What the tier did —
+	// its early accepts and their bound tightness — is in the read's Stats.
+	ApproxDelta float64 `json:"approx_delta,omitempty"`
 }
 
 // ShardExecInfo is one shard's share of a fan-out execution.
@@ -135,9 +129,6 @@ func explainFrom(pl *plan.Plan, st core.ExecStats) *ExplainInfo {
 	}
 	if pl.Approx != nil {
 		out.ApproxDelta = pl.Approx.Delta
-		out.ApproxRung = pl.Approx.Rung
-		out.ApproxEstSpeedup = pl.Approx.EstSpeedup
-		out.ApproxTightness = pl.Approx.Tightness
 	}
 	if pl.Rect.Dims() > 0 {
 		out.RectLo = append([]float64(nil), pl.Rect.Lo...)

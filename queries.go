@@ -59,13 +59,12 @@ type Stats struct {
 	// "request failed" stderr line. Empty on direct DB-level executions.
 	RequestID string
 	// Delta is the approximation slack the execution ran under (0 =
-	// exact); Rung is the planner's estimated accepting ladder
-	// checkpoint. EarlyAccepts counts candidates accepted from the
+	// exact). EarlyAccepts counts candidates accepted from the
 	// truncated bound without a full verification walk, and
 	// BoundTightness is their mean realized lower/upper bound ratio
-	// (1 = the bound closed exactly; 0 when no early accepts happened).
+	// (1 = the bound closed exactly; 0 when no early accepts happened):
+	// what the approximate tier did, not what a model expected of it.
 	Delta          float64
-	Rung           int
 	EarlyAccepts   int
 	BoundTightness float64
 }
@@ -116,7 +115,6 @@ func fromExec(st core.ExecStats, lead ...SpanInfo) Stats {
 		Strategy:     st.Strategy,
 		Spans:        append(lead, spansFrom(st.Spans)...),
 		Delta:        st.Delta,
-		Rung:         st.Rung,
 		EarlyAccepts: st.EarlyAccepts,
 	}
 	if st.EarlyAccepts > 0 {
