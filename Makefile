@@ -49,37 +49,11 @@ vet:
 	@n=$$(awk '/^func /{fn=$$0} /hub\.(Notify|RefreshAll)/{print fn}' $$(ls *.go | grep -v _test.go) | sort -u | wc -l); \
 		if [ "$$n" -ne 1 ]; then \
 			echo "$$n root-package functions notify the monitor hub: every write ends in Server.commit, and only there"; exit 1; fi
-	@if grep -n 'cacheGuard\|writeLog\b\|namedEvent\|notifyWrite\|seriesCount\|BufferPoolPages\|AttachPool' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "a retired piece of the write path is back (see ARCHITECTURE, Write path)"; exit 1; fi
-	@if grep -n 'EnergyOrder\|InversePermutation\|relation\.Permute\|sh\.perm' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "the frequency relation stores the half spectrum in natural order: the permutation machinery is gone"; exit 1; fi
-	@if grep -nE 'FirstK|CoefficientReal|NormalFormCoeffs|halfSpectrum|encodeSpectrum|queryFeaturePoint' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "a series is derived by one real-input transform (feature.Schema.Derive): the direct sums and the second FFT are gone"; exit 1; fi
-	@if grep -nE 'rangeScanFreqInto|nnScanArena|pairDist|observeDrift|PlanDrift' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "one verify step per candidate (shard.verify, recordSum): the per-strategy copies and the plan-drift checkpoints are gone"; exit 1; fi
-	@if grep -nE 'readTSQ3|legacyMagic|appendHistory|readHistory|appendCosts|readCosts|loader\) rebuild|History\) (Export|Import)' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "a snapshot is the store and nothing else: the TSQ3 reader, the rebuild path and the planner trailers are gone"; exit 1; fi
-	@if grep -nE 'PlanHistory|plan\.History|plan\.Record\b|PlanRecord|StatsWithPlans|plans=1' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "planner drift is EXPLAIN per query and tsq_plan_cost_error_ratio per kind: the executed-plan ring is gone"; exit 1; fi
 	@if [ -e internal/tlog ]; then \
 		echo "internal/tlog is back: tsqd logs through log/slog"; exit 1; fi
-	@if grep -nE 'internal/tlog|tlog\.|/logs|\) Logs\(' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "a request is recorded by its trace, its histogram and, when it fails, one slog line: the access line, the log ring and GET /logs are gone"; exit 1; fi
 	@if [ -e internal/plan/calibrate.go ]; then \
 		echo "internal/plan/calibrate.go is back: the planner prices with its constants"; exit 1; fi
-	@if grep -nE 'Calibrat(e|ed)\(|SetCosts|DefaultCosts|rawProbeRatios|timePrimitives|raceEnabled|plan\.Costs' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "the planner prices with its constants: the calibration probe, its per-store cost slot and the race-build branch are gone"; exit 1; fi
-	@if grep -nE 'ChooseNN|ObserveNN|nnModel|exploreNN|ObserveApprox|approxModel|nnApproxModel|approxRung|defaultRung|rung0|ApproxTightness|EstSpeedup' \
-		$$(git ls-files '*.go' | grep -v '_test\.go$$'); then \
-		echo "AUTO NN is the index walk and an APPROX plan carries only its delta: the NN and approximate-tier models, their probe and their estimates are gone"; exit 1; fi
+	$(GO) test -count=1 -run TestRetiredIdentifiersStayGone .
 	$(GO) test -count=1 -run 'TestPlannedNNParity|TestApproxPlanIsHistoryFree|TestExplainWireGolden' . ./internal/core ./internal/server
 	$(GO) test -race -count=1 -run 'TestPlannedNNParity|TestApproxPlanIsHistoryFree|TestExplainWireGolden' . ./internal/core ./internal/server
 

@@ -83,6 +83,7 @@ func unsharedNNCandidates(t *testing.T, sharded *tsq.DB, name string, k int, tr 
 func TestApproxZeroParity(t *testing.T) {
 	reverseMavg := tsq.Reverse().Then(tsq.MovingAverage(10))
 	for _, shards := range []int{1, 4} {
+		db := parityDB(t, shards)
 		for _, c := range []struct {
 			stmt string
 			// NN statements name their query again for the unshared bound.
@@ -97,15 +98,11 @@ func TestApproxZeroParity(t *testing.T) {
 			{stmt: "NN SERIES 'W0042' K 25 TRANSFORM reverse() | mavg(10)", nnName: "W0042", nnK: 25, nnT: reverseMavg},
 		} {
 			stmt := c.stmt
-			// Fresh identical stores for each side: executed queries feed
-			// the planner's EWMAs, so running both on one store would let
-			// feedback — not approximation — change the second plan.
-			exactDB := parityDB(t, shards)
-			exact, err := exactDB.Query(stmt)
+			exact, err := db.Query(stmt)
 			if err != nil {
 				t.Fatalf("shards-%d %q: %v", shards, stmt, err)
 			}
-			zero, err := parityDB(t, shards).Query(stmt + " APPROX 0")
+			zero, err := db.Query(stmt + " APPROX 0")
 			if err != nil {
 				t.Fatalf("shards-%d %q APPROX 0: %v", shards, stmt, err)
 			}
@@ -121,7 +118,7 @@ func TestApproxZeroParity(t *testing.T) {
 						zero.Stats.NodeAccesses, exact.Stats.NodeAccesses)
 				}
 			} else {
-				ceiling := unsharedNNCandidates(t, exactDB, c.nnName, c.nnK, c.nnT)
+				ceiling := unsharedNNCandidates(t, db, c.nnName, c.nnK, c.nnT)
 				if exact.Stats.Candidates > ceiling || zero.Stats.Candidates > ceiling {
 					t.Fatalf("shards-%d %q: verified %d (exact) / %d (APPROX 0) candidates, more than the %d of unshared per-shard bounds",
 						shards, stmt, exact.Stats.Candidates, zero.Stats.Candidates, ceiling)
@@ -140,8 +137,8 @@ func TestApproxZeroParity(t *testing.T) {
 // index, scan and scantime APPROX range and NN reads, the approximate tier
 // of its next APPROX range and NN plan — the plan's own, and every
 // approx_* field of its EXPLAIN object — is a cold twin's, at shards 1
-// and 4. The range estimate is left out: forced index reads still move
-// the range calibration. The time-domain scan answers exactly whatever
+// and 4 (TestRangePlanIsHistoryFree covers the rest of a range plan). The
+// time-domain scan answers exactly whatever
 // delta its statement carries, and says so.
 func TestApproxPlanIsHistoryFree(t *testing.T) {
 	const (

@@ -168,8 +168,8 @@ func testHotPathZeroAlloc(t *testing.T, opts Options) {
 		})
 	}
 
-	// An unforced auto plan additionally runs the planner feedback and the
-	// scan-side exploration probe — those must be allocation-free too.
+	// An unforced auto plan runs through the same entry point and must be
+	// allocation-free too.
 	pl, err := db.PlanRange(rq, plan.Auto)
 	if err != nil {
 		t.Fatal(err)

@@ -81,8 +81,8 @@ type Options struct {
 // shard is one partition of a Store: a k-index, the two paged relations and
 // the record directory over a hash-assigned subset of the series, behind its
 // own lock. It is the storage unit — everything Algorithm 2 touches for one
-// partition — and nothing above that: plans, planner feedback and the global
-// ID space belong to the Store. Methods assume the caller holds mu in
+// partition — and nothing above that: plans and the global ID space belong
+// to the Store. Methods assume the caller holds mu in
 // the mode the operation needs.
 type shard struct {
 	mu      sync.RWMutex

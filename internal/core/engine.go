@@ -84,9 +84,9 @@ type Engine interface {
 	// plan.Auto, recording the caller's choice as a forced plan otherwise —
 	// and ExecRangeInto/ExecNNInto run it, reusing the plan's precomputed
 	// transforms and spectra and (across shards) recording per-shard
-	// provenance in ExecStats.Shards. Timing, ordering, page accounting,
-	// planner feedback and telemetry happen there and nowhere
-	// else, so a forced strategy is observable exactly as a chosen one is.
+	// provenance in ExecStats.Shards. Timing, ordering, page accounting
+	// and telemetry happen there and nowhere else, so a forced strategy is
+	// observable exactly as a chosen one is.
 	// Answers append to dst (pass a [:0] slice to reuse its backing array);
 	// on a one-shard store a warm call whose dst has capacity allocates
 	// nothing. Plans are engine-specific: execute a plan only on the engine
@@ -96,9 +96,9 @@ type Engine interface {
 	ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error)
 	ExecNNInto(q NNQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error)
 	// PlanJoin/ExecJoin are the planned all-pairs path: the planner prices
-	// the paper's four Table 1 join methods (store cardinality, sampled
-	// eps selectivity against the transformed store extent, measured join
-	// feedback) and the execution fans the chosen method out with
+	// the paper's four Table 1 join methods (store cardinality and the
+	// candidates and nodes of sampled count-only index probes) and the
+	// execution fans the chosen method out with
 	// per-shard provenance. Planned self joins report each unordered pair
 	// once (A < B); two-sided joins report ordered pairs. The
 	// method-pinned SelfJoin below keeps the paper's exact Table 1

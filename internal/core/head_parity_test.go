@@ -93,16 +93,15 @@ type headStore struct {
 
 func (hs *headStore) dbs() []*shard { return shardsOf(hs.eng) }
 
-// soloStore views one shard as a one-shard store of its own, with a cold
-// planner: the reference walks compare shard by shard, where the work
-// counters are a function of the query alone. Read-only.
+// soloStore views one shard as a one-shard store of its own: the reference
+// walks compare shard by shard, where the work counters are a function of
+// the query alone. Read-only.
 func soloStore(sh *shard) *Store {
 	s := &Store{
-		length:  sh.length,
-		shards:  []*shard{sh},
-		tracker: plan.NewTracker(),
-		owner:   make(map[int64]int),
-		idPos:   make(map[int64]int),
+		length: sh.length,
+		shards: []*shard{sh},
+		owner:  make(map[int64]int),
+		idPos:  make(map[int64]int),
 	}
 	for _, id := range sh.ids {
 		s.register(id, 0)

@@ -321,47 +321,56 @@ func applyBounds(b geom.Rect, m transform.AffineMap) geom.Rect {
 	return m.ApplyRect(b)
 }
 
-// joinSampleCap bounds the stored series sampled as probes when
-// estimating a join's per-probe selectivity.
+// joinSampleCap bounds the stored series sampled as probes when a join
+// is planned.
 const joinSampleCap = 8
 
-// joinSelectivity estimates the average fraction of stored feature points
-// falling in one probe's eps search rectangle: up to joinSampleCap stored
-// series, evenly spaced over the sorted ID list, become probes; each is
-// transformed through the right-side action and priced with the planner's
-// geometric model against the left-transformed store extent — the same
-// rectangle-vs-extent comparison the index traversal performs.
-func joinSelectivity(ids []int64, point func(int64) (geom.Point, bool), schema feature.Schema, jp *joinPlan, bounds geom.Rect, series int) float64 {
-	if len(ids) == 0 {
-		return 0
+// sampleJoin measures what the index-nested-loop join of jp would verify
+// and visit: up to joinSampleCap stored series, evenly spaced over the live
+// set in ID order, pose their right-transformed feature points to every
+// shard's index as count-only range probes, and the counts are scaled to
+// one probe per stored series. Self joins verify each unordered pair once,
+// so their candidate count halves. The probes run under every shard's
+// shared lock when the join is planned and stay out of its ExecStats.
+func (s *Store) sampleJoin(jp *joinPlan) plan.JoinInput {
+	entries := s.pinAll()
+	defer s.runlockAll()
+	n := len(entries)
+	in := plan.JoinInput{Series: n}
+	if n < 2 {
+		return in
 	}
-	step := len(ids) / joinSampleCap
-	if step < 1 {
-		step = 1
-	}
-	sum, cnt := 0.0, 0
-	angular := schema.Angular()
-	for i := 0; i < len(ids) && cnt < joinSampleCap; i += step {
-		p, ok := point(ids[i])
-		if !ok {
-			continue
-		}
-		tq := p
+	step := max(1, n/joinSampleCap)
+	cand, nodes, probes := 0, 0, 0
+	var (
+		sc  index.Scratch
+		buf []int64
+	)
+	for i := 0; i < n && probes < joinSampleCap; i += step {
+		qid := entries[i].id
+		tq := entries[i].sh.rec(qid).point
 		if !jp.rm.Identity() {
-			tq = jp.rm.ApplyPoint(p)
+			tq = jp.rm.ApplyPoint(tq)
 		}
-		sum += plan.Selectivity(plan.Input{
-			Series:  series,
-			Rect:    schema.SearchRect(tq, jp.radius, feature.MomentBounds{}),
-			Bounds:  bounds,
-			Angular: angular,
-		})
-		cnt++
+		for _, target := range s.shards {
+			cands, searchStats := target.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune, &sc, buf[:0])
+			buf = cands
+			nodes += searchStats.NodesVisited
+			for _, id := range cands {
+				if id != qid {
+					cand++
+				}
+			}
+		}
+		probes++
 	}
-	if cnt == 0 {
-		return 1
+	scale := float64(n) / float64(probes)
+	in.Candidates = float64(cand) * scale
+	if !jp.q.TwoSided {
+		in.Candidates /= 2
 	}
-	return sum / float64(cnt)
+	in.NodeAccesses = float64(nodes) * scale
+	return in
 }
 
 // buildJoinPlan resolves the join method for a validated planned join.
@@ -369,8 +378,8 @@ func joinSelectivity(ids []int64, point func(int64) (geom.Point, bool), schema f
 // cost; anything else forces the corresponding mechanism (answers are
 // identical under every choice — canonical once-per-pair self joins,
 // ordered-pair two-sided joins).
-func buildJoinPlan(q JoinQuery, jp *joinPlan, want plan.Strategy, in plan.JoinInput, tr *plan.Tracker, shards []int) *plan.Plan {
-	choice, est, reason := plan.ChooseJoin(in, tr)
+func buildJoinPlan(q JoinQuery, jp *joinPlan, want plan.Strategy, in plan.JoinInput, shards []int) *plan.Plan {
+	choice, est, reason := plan.ChooseJoin(in)
 	kind, tstr := "selfjoin", q.Left.String()
 	if q.TwoSided {
 		kind, tstr = "join", q.Left.String()+" / "+q.Right.String()
@@ -424,64 +433,4 @@ func scanOnlyJoinPlan(q JoinQuery, jp *joinPlan, want plan.Strategy, series int,
 		pl.Method = plan.JoinMethodLetter(want, false)
 	}
 	return pl, nil
-}
-
-// joinExploreEvery is the sampling period of the planner's join
-// exploration probes: every joinExploreEvery-th unforced scan-routed join
-// re-measures the index side with sampled count-only probes.
-const joinExploreEvery = 8
-
-// maybeExploreJoin occasionally probes the index after scan-routed joins.
-// Like maybeExploreRange, this keeps the join calibration learning while
-// scans win the pricing: up to joinSampleCap stored series (evenly spaced
-// over the live set) pose their transformed feature points to every shard's
-// index as count-only range probes, and the scaled candidate and node counts
-// feed the join calibrator. Probe costs stay out of the join's ExecStats
-// — planner bookkeeping, not answer work.
-func (s *Store) maybeExploreJoin(pl *plan.Plan, jp *joinPlan) {
-	if pl.Strategy == plan.Index || pl.Forced || jp.mapErr != nil {
-		return
-	}
-	if s.joinExploreTick.Add(1)%joinExploreEvery != 0 {
-		return
-	}
-	entries := s.pinAll()
-	defer s.runlockAll()
-	n := len(entries)
-	if n < 2 {
-		return
-	}
-	step := max(1, n/joinSampleCap)
-	cand, nodes, probes := 0, 0, 0
-	var (
-		sc  index.Scratch
-		buf []int64
-	)
-	for i := 0; i < n && probes < joinSampleCap; i += step {
-		qid := entries[i].id
-		tq := entries[i].sh.rec(qid).point
-		if !jp.rm.Identity() {
-			tq = jp.rm.ApplyPoint(tq)
-		}
-		for _, target := range s.shards {
-			cands, searchStats := target.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune, &sc, buf[:0])
-			buf = cands
-			nodes += searchStats.NodesVisited
-			for _, id := range cands {
-				if id != qid {
-					cand++
-				}
-			}
-		}
-		probes++
-	}
-	// Scale the sample to a full index-nested-loop run: n probes instead
-	// of `probes`. Self joins verify each unordered pair once, so their
-	// candidate count halves.
-	scale := float64(n) / float64(probes)
-	scaledCand := float64(cand) * scale
-	if !jp.q.TwoSided {
-		scaledCand /= 2
-	}
-	s.tracker.ObserveJoin(pl.Est.Candidates, int(scaledCand), int(float64(nodes)*scale), n)
 }

@@ -41,8 +41,7 @@ import (
 //	      (rtree binary encoding), one packed tree per shard
 //
 // What a store has served is not in its snapshot: the same store writes the
-// same bytes whatever it has planned or executed, and a loaded store starts
-// with a cold planner, as a new store does.
+// same bytes whatever it has planned or executed.
 // Snapshots of builds up to commit 5f712f0 carry two more sections after
 // SLAB, the plan history (PLNH) and the cost constants (CCAL); a reader
 // checks their size and checksum and discards them unread.
@@ -730,8 +729,7 @@ func readSections(br *bufio.Reader, l *loader) error {
 // runs — and the index loads by one of two paths: at the slab's shard count
 // each packed tree is validated and adopted as-is (no extraction, no FFT, no
 // STR sort — cold start is O(bytes read)); at any other count the DERV
-// points and spectra are adopted and only the trees are re-packed. The
-// loaded store starts as a new one does, with a cold planner. A load that
+// points and spectra are adopted and only the trees are re-packed. A load that
 // fails leaves nothing behind: no store, no scratch file, no shard
 // directory.
 func ReadEngine(r io.Reader, opts Options, shards int) (Engine, error) {

@@ -15,12 +15,13 @@ import (
 // precomputed transforms and spectra so planning is paid once per query, not
 // once per strategy probe or shard.
 //
-// The planner compares the query's Lemma 1 search rectangle against the
+// A range plan compares the query's Lemma 1 search rectangle against the
 // store's feature-space extent (the union of the shards' k-index root MBRs,
 // mapped through the query transformation — the exact space the traversal
-// intersects in) and calibrates the geometric estimate with an EWMA of
-// measured candidate counts fed back after every indexed execution, forced
-// or chosen. See package plan for the cost model.
+// intersects in). A join plan counts what a few sampled count-only index
+// probes select and visit. Neither reads what earlier queries measured, so
+// a plan depends only on the store and the query. See package plan for the
+// cost model.
 
 // ShardExec is one shard's share of a fan-out execution — the per-shard
 // provenance the merge step records so EXPLAIN can show where cost and
@@ -45,8 +46,8 @@ type ShardExec struct {
 // bounded queries pin the index even under Auto — the scan baselines
 // deliberately ignore mean/std bounds, so the strategies are not
 // answer-equivalent there.
-func buildRangePlan(q RangeQuery, p *rangePlan, want plan.Strategy, in plan.Input, tr *plan.Tracker, shards []int, kind string) *plan.Plan {
-	choice, est, reason := plan.Choose(in, tr)
+func buildRangePlan(q RangeQuery, p *rangePlan, want plan.Strategy, in plan.Input, shards []int, kind string) *plan.Plan {
+	choice, est, reason := plan.Choose(in)
 	pl := &plan.Plan{
 		Kind:      kind,
 		Transform: q.Transform.String(),
@@ -87,10 +88,10 @@ func attachApprox(pl *plan.Plan, delta float64) {
 // PlanRange validates a range query and builds its execution plan — one
 // plan for the whole store (the preprocessing depends only on the shared
 // schema and length), priced against the union of the shards' feature-space
-// extents and the store's own execution feedback; want plan.Auto defers the
-// index-vs-scan choice to the planner. The returned plan carries this
-// store's precomputed query spectrum and transformation coefficients —
-// execute it on the same store with ExecRangeInto.
+// extents; want plan.Auto defers the index-vs-scan choice to the planner.
+// The returned plan carries this store's precomputed query spectrum and
+// transformation coefficients — execute it on the same store with
+// ExecRangeInto.
 func (s *Store) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error) {
 	p, err := s.shards[0].planRange(q)
 	if err != nil {
@@ -105,21 +106,19 @@ func (s *Store) PlanRange(q RangeQuery, want plan.Strategy) (*plan.Plan, error) 
 		Rect:    s.Schema().SearchRect(p.qp, p.mw.filterRadius(q.Eps), q.Moments),
 		Bounds:  applyBounds(bounds, p.m),
 	}
-	return buildRangePlan(q, p, want, in, s.tracker, plan.AllShards(len(s.shards)), "range"), nil
+	return buildRangePlan(q, p, want, in, plan.AllShards(len(s.shards)), "range"), nil
 }
 
 // ExecRangeInto executes a plan built by PlanRange — whatever strategy it
 // resolved or was forced to — fanned out to every shard, appending the
-// merged answers to dst (pass a [:0] slice to reuse its backing array),
-// recording per-shard provenance in the merged ExecStats and feeding
-// measured selectivity back to the planner after indexed executions. On a
-// one-shard store this is the engine's zero-allocation hot path: the whole
+// merged answers to dst (pass a [:0] slice to reuse its backing array) and
+// recording per-shard provenance in the merged ExecStats. On a one-shard
+// store this is the engine's zero-allocation hot path: the whole
 // execution — batch index traversal, page-view verification, sorting,
-// planner feedback, metrics bookkeeping — runs inside a pooled
-// arena on the caller's goroutine (inline), so a warm index or
-// frequency-scan call whose dst has capacity allocates nothing. Across
-// shards the fan-out's per-shard buffers allocate (parallel workers need
-// private slices).
+// metrics bookkeeping — runs inside a pooled arena on the caller's
+// goroutine (inline), so a warm index or frequency-scan call whose dst has
+// capacity allocates nothing. Across shards the fan-out's per-shard buffers
+// allocate (parallel workers need private slices).
 func (s *Store) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Result, ExecStats, error) {
 	rp, ok := pl.Internal.(*rangePlan)
 	if !ok || rp == nil {
@@ -154,11 +153,6 @@ func (s *Store) ExecRangeInto(q RangeQuery, pl *plan.Plan, dst []Result) ([]Resu
 	if err != nil {
 		return nil, st, err
 	}
-	series := s.Len()
-	if feedRange(q, pl) {
-		s.tracker.ObserveRange(pl.Est.Candidates, st.Candidates, st.NodeAccesses, series)
-	}
-	s.maybeExploreRange(q, pl, rp, series)
 	finishExec(pl, &st)
 	return dst, st, nil
 }
@@ -181,51 +175,6 @@ func (s *Store) fanRange(pl *plan.Plan, rp *rangePlan, dst []Result) ([]Result, 
 		return len(dst)
 	})
 	return dst, st, err
-}
-
-// exploreEvery is the sampling period of the planner's range exploration
-// probes: every exploreEvery-th unforced scan-routed range execution
-// re-measures the index side with a count-only traversal.
-const exploreEvery = 16
-
-// maybeExploreRange occasionally probes the index on scan-routed range
-// queries. Scan executions produce no index feedback, so a planner that
-// settles on scans would otherwise never notice the index becoming
-// cheaper again (store shrinkage, eps drift, calibration overshoot); the
-// probe runs every shard's batch traversal without verification — node
-// accesses and a candidate count only — and feeds the sums to the range
-// calibrator. It is bookkeeping beside a read, not the read: the shards
-// are probed one after the other on the caller's goroutine, each under
-// its shared lock, allocating nothing, and the costs stay out of the
-// query's ExecStats.
-func (s *Store) maybeExploreRange(q RangeQuery, pl *plan.Plan, rp *rangePlan, series int) {
-	if pl.Strategy != plan.ScanFreq || pl.Forced || q.Moments != (feature.MomentBounds{}) {
-		return
-	}
-	if s.exploreTick.Add(1)%exploreEvery != 0 {
-		return
-	}
-	ar := getArena()
-	defer putArena(ar)
-	cand, nodes := 0, 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		ids, searchStats := sh.idx.RangeIDs(rp.qp, rp.mw.filterRadius(rp.q.Eps), rp.m, rp.q.Moments, !sh.opts.DisablePartialPrune, &ar.sc, ar.ids[:0])
-		sh.mu.RUnlock()
-		ar.ids = ids
-		cand += len(ids)
-		nodes += searchStats.NodesVisited
-	}
-	s.tracker.ObserveRange(pl.Est.Candidates, cand, nodes, series)
-}
-
-// feedRange reports whether an execution's measured costs may calibrate
-// the planner: indexed runs only, and never moment-bounded queries — the
-// moment bounds shrink the rectangle in ways the selectivity estimate
-// does not model, so their candidate counts would drag the calibration
-// toward zero and mislead every later unbounded query.
-func feedRange(q RangeQuery, pl *plan.Plan) bool {
-	return pl.Strategy == plan.Index && q.Moments == (feature.MomentBounds{})
 }
 
 // PlanNN validates a nearest-neighbor query and builds its plan: the
@@ -369,9 +318,9 @@ func (s *Store) featureBounds() (geom.Rect, int) {
 // PlanJoin validates an all-pairs query and builds its execution plan — one
 // plan for the whole store (the preprocessing depends only on the shared
 // schema and length) — pricing the paper's Table 1 methods from store
-// cardinality, sampled eps selectivity against the union of the shards'
-// transformed extents, and measured join feedback; want plan.Auto defers the
-// method choice to the planner.
+// cardinality and the candidates and nodes that sampled count-only index
+// probes measure (see sampleJoin); want plan.Auto defers the method choice
+// to the planner.
 func (s *Store) PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error) {
 	jp, err := s.shards[0].planJoin(q)
 	if err != nil {
@@ -380,26 +329,17 @@ func (s *Store) PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error) {
 	if jp.mapErr != nil {
 		return scanOnlyJoinPlan(q, jp, want, s.Len(), plan.AllShards(len(s.shards)))
 	}
-	bounds, height := s.featureBounds()
-	bounds = applyBounds(bounds, jp.lm)
-	sel := joinSelectivity(s.IDs(), s.FeaturePoint, s.Schema(), jp, bounds, s.Len())
-	in := plan.JoinInput{
-		Series:      s.Len(),
-		Height:      height,
-		LeafCap:     s.shards[0].opts.RTree.MaxEntries,
-		Selectivity: sel,
-		TwoSided:    q.TwoSided,
-		Identity:    jp.lm.Identity() && jp.rm.Identity(),
-	}
-	return buildJoinPlan(q, jp, want, in, s.tracker, plan.AllShards(len(s.shards))), nil
+	in := s.sampleJoin(jp)
+	in.TwoSided = q.TwoSided
+	in.Identity = jp.lm.Identity() && jp.rm.Identity()
+	return buildJoinPlan(q, jp, want, in, plan.AllShards(len(s.shards))), nil
 }
 
 // ExecJoin executes a plan built by PlanJoin with the planned method fanned
 // out across all shards — index probes partitioned by owning shard, scans
 // striding workers over the pinned catalog — recording per-shard provenance
-// in the merged ExecStats, feeding measured candidate counts back to the
-// join calibrator after indexed executions and reporting the executed plan
-// to the metrics registry.
+// in the merged ExecStats and reporting the executed plan to the metrics
+// registry.
 func (s *Store) ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, error) {
 	jp, ok := pl.Internal.(*joinPlan)
 	if !ok || jp == nil {
@@ -430,13 +370,6 @@ func (s *Store) ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, err
 	if err != nil {
 		return nil, st, err
 	}
-	if pl.Strategy == plan.Index {
-		s.tracker.ObserveJoin(pl.Est.Candidates, st.Candidates, st.NodeAccesses, s.Len())
-	}
-	s.maybeExploreJoin(pl, jp)
 	finishExec(pl, &st)
 	return out, st, nil
 }
-
-// PlannerStats exposes the store's planner feedback (diagnostics, tests).
-func (s *Store) PlannerStats() plan.Snapshot { return s.tracker.Stats() }

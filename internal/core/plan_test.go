@@ -212,112 +212,6 @@ func TestShardProvenance(t *testing.T) {
 	}
 }
 
-// TestRangeExplorationProbe: scan-routed range reads leave no index
-// feedback by themselves, so every exploreEvery-th unforced one runs a
-// count-only index probe that feeds the range calibrator — at every shard
-// count (before the one store, a sharded one never probed: once AUTO settled
-// on scans there it stopped re-measuring the index for good). The probe is
-// planner bookkeeping: none of its cost shows in the read's ExecStats.
-func TestRangeExplorationProbe(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			eng := planTestEngine(t, shards, 600)
-			rq := RangeQuery{Values: queryValues(32, 3), Eps: 500, Transform: transform.Identity(32)}
-			pl, err := eng.PlanRange(rq, plan.Auto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pl.Strategy != plan.ScanFreq || pl.Forced {
-				t.Fatalf("a range query wider than the store planned %v (forced %v), not an unforced scan", pl.Strategy, pl.Forced)
-			}
-			before := storeOf(eng).PlannerStats().RangeSamples
-			var first ExecStats
-			for i := 1; i <= exploreEvery; i++ {
-				_, st, err := eng.ExecRangeInto(rq, pl, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i == 1 {
-					first = st
-				}
-				// Read exploreEvery is the one that probed.
-				if st.NodeAccesses != 0 || st.Candidates != first.Candidates || st.DistanceTerms != first.DistanceTerms || st.PageReads != first.PageReads {
-					t.Fatalf("read %d: stats %+v differ from the first scan's %+v: probe cost leaked into the read", i, st, first)
-				}
-			}
-			if got := storeOf(eng).PlannerStats().RangeSamples; got != before+1 {
-				t.Fatalf("%d unforced scan-routed reads moved RangeSamples %d -> %d, want one probe", exploreEvery, before, got)
-			}
-
-			// Forced scans never probe: the caller pinned the strategy.
-			fpl, err := eng.PlanRange(rq, plan.ScanFreq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 2*exploreEvery; i++ {
-				if _, _, err := eng.ExecRangeInto(rq, fpl, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := storeOf(eng).PlannerStats().RangeSamples; got != before+1 {
-				t.Fatalf("forced scans fed range samples: %d, want %d", got, before+1)
-			}
-		})
-	}
-}
-
-// TestJoinExplorationProbe: scan-routed joins leave no index feedback by
-// themselves, so every joinExploreEvery-th unforced one must run sampled
-// index probes that feed the join calibrator — at every shard count, and
-// outside the join's own ExecStats.
-func TestJoinExplorationProbe(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			eng := planTestEngine(t, shards, 60)
-			jq := JoinQuery{Eps: 500, Left: transform.Identity(32), Right: transform.Identity(32)}
-			pl, err := eng.PlanJoin(jq, plan.Auto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pl.Strategy != plan.ScanFreq {
-				t.Skipf("wide join planned %v, not scan; probe not reachable", pl.Strategy)
-			}
-			var first ExecStats
-			for i := 1; i <= joinExploreEvery; i++ {
-				_, st, err := eng.ExecJoin(jq, pl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i == 1 {
-					first = st
-				}
-				if st.NodeAccesses != 0 || st.Candidates != first.Candidates || st.DistanceTerms != first.DistanceTerms {
-					t.Fatalf("join %d: stats %+v differ from the first scan join's %+v: probe cost leaked into the join", i, st, first)
-				}
-			}
-			if got := storeOf(eng).PlannerStats().JoinSamples; got != 1 {
-				t.Fatalf("%d scan joins left %d join samples, want the one exploration probe", joinExploreEvery, got)
-			}
-
-			// Forced scans never probe: the caller pinned the strategy, so the
-			// planner is not being asked to reconsider.
-			eng2 := planTestEngine(t, shards, 60)
-			fpl, err := eng2.PlanJoin(jq, plan.ScanFreq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 2*joinExploreEvery; i++ {
-				if _, _, err := eng2.ExecJoin(jq, fpl); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := storeOf(eng2).PlannerStats().JoinSamples; got != 0 {
-				t.Fatalf("forced scan joins fed %d join samples, want 0", got)
-			}
-		})
-	}
-}
-
 // TestCountNearIsTheIndexedRun pins the floor reference: a traversal told
 // the final k-th distance visits exactly the nodes of the indexed run that
 // found it, and counts no more candidates than that run verified. The count

@@ -56,6 +56,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -371,8 +372,8 @@ func TestSnapshotCompatVersions(t *testing.T) {
 // reads, auto and forced. A churned store that has served reads, written,
 // loaded at its recorded shard count, read and written again, writes the
 // same bytes again, at one shard and at four, loaded into memory and onto
-// disk. The loaded store starts with a cold planner (no feedback
-// samples), as a new store does.
+// disk. The loaded store plans a range read and a self join as the store
+// that wrote it does.
 func TestSnapshotIsTheStore(t *testing.T) {
 	const length = 32
 	data := dataset.RandomWalks(120, length, 53)
@@ -428,9 +429,25 @@ func TestSnapshotIsTheStore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if ps := storeOf(e).PlannerStats(); ps.RangeSamples == 0 || ps.JoinSamples == 0 {
-			t.Fatalf("the reads left the planner without feedback: %+v", ps)
+	}
+	// plans is what EXPLAIN shows of e's AUTO plans for a fixed range read
+	// and a fixed self join, less the engine's execution payload.
+	plans := func(t *testing.T, e Engine) []plan.Plan {
+		t.Helper()
+		mavg := transform.MovingAverage(length, 5)
+		rp, err := e.PlanRange(RangeQuery{Values: queryValues(length, 3), Eps: 5, Transform: mavg, BothSides: true}, plan.Auto)
+		if err != nil {
+			t.Fatal(err)
 		}
+		jp, err := e.PlanJoin(JoinQuery{Eps: 2, Left: mavg, Right: mavg}, plan.Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []plan.Plan{*rp, *jp}
+		for i := range out {
+			out[i].Internal = nil
+		}
+		return out
 	}
 
 	for _, shards := range []int{1, 4} {
@@ -461,8 +478,8 @@ func TestSnapshotIsTheStore(t *testing.T) {
 				if got.Shards() != shards || got.Len() != src.Len() {
 					t.Fatalf("loaded %d series over %d shards, wrote %d over %d", got.Len(), got.Shards(), src.Len(), shards)
 				}
-				if ps := storeOf(got).PlannerStats(); ps.RangeSamples+ps.JoinSamples != 0 {
-					t.Errorf("the loaded store starts with planner feedback %+v, not a cold planner", ps)
+				if a, b := plans(t, src), plans(t, got); !reflect.DeepEqual(a, b) {
+					t.Errorf("the loaded store plans\n %+v\nthe store that wrote it\n %+v", b, a)
 				}
 				serve(t, got)
 				if again := writeSnapshot(t, got); !bytes.Equal(first, again) {

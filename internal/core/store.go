@@ -9,13 +9,11 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/feature"
 	"repro/internal/geom"
 	"repro/internal/index"
-	"repro/internal/plan"
 	"repro/internal/relation"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -49,16 +47,6 @@ import (
 type Store struct {
 	length int
 	shards []*shard
-
-	// tracker feeds merged execution feedback to the query planner.
-	tracker *plan.Tracker
-	// exploreTick counts unforced scan-routed range executions; every
-	// exploreEvery-th one runs a count-only index probe so the range
-	// calibration keeps learning while scans win (see maybeExploreRange).
-	// joinExploreTick is the same counter for scan-routed joins (see
-	// maybeExploreJoin).
-	exploreTick     atomic.Uint64
-	joinExploreTick atomic.Uint64
 
 	// catalog: global ID space. Lock order is shard lock(s) first, then mu.
 	mu     sync.RWMutex
@@ -132,11 +120,10 @@ func shardOptions(opts Options, i int) Options {
 // newStore assembles an empty catalog around built shards.
 func newStore(length int, shards []*shard) *Store {
 	return &Store{
-		length:  length,
-		shards:  shards,
-		tracker: plan.NewTracker(),
-		owner:   make(map[int64]int),
-		idPos:   make(map[int64]int),
+		length: length,
+		shards: shards,
+		owner:  make(map[int64]int),
+		idPos:  make(map[int64]int),
 	}
 }
 

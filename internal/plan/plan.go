@@ -12,10 +12,12 @@
 // wins when most of the store would be verified anyway (the index then
 // pays its node accesses on top of the same verification work). Following
 // the Lernaean Hydra evaluations (Echihabi et al. 2020), the planner
-// answers "index or scan?" per query from measured per-store statistics
-// rather than a global default: a geometric selectivity estimate from the
-// query rectangle against the store's (transformed) feature-space extent,
-// calibrated by an EWMA of observed candidate counts.
+// answers "index or scan?" per query from the store's own statistics
+// rather than a global default: a range read from a geometric selectivity
+// estimate of the query rectangle against the store's (transformed)
+// feature-space extent, a join from count-only index probes of a few
+// stored series. A plan depends only on the store and the query, never on
+// the reads that ran before it.
 //
 // Every strategy answers queries byte-identically (both are exact; answers
 // carry deterministic orderings), so the planner only ever trades cost —
@@ -27,7 +29,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -127,10 +128,11 @@ type Estimate struct {
 	// Series is the store size the estimate was computed against.
 	Series int
 	// Selectivity is the estimated fraction of stored series whose feature
-	// points fall in the search rectangle.
+	// points fall in the search rectangle; for a join, the fraction of all
+	// pairs that are candidates.
 	Selectivity float64
-	// Candidates is the estimated number of series reaching exact
-	// verification under the index strategy.
+	// Candidates is the estimated number of series (for a join, pairs)
+	// reaching exact verification under the index strategy.
 	Candidates float64
 	// NodeAccesses is the estimated index nodes visited.
 	NodeAccesses float64
@@ -146,8 +148,7 @@ type Estimate struct {
 // costs a fraction of a full verification; an index node access costs
 // about one verification (a capacity-M rectangle pass over the node).
 // They are fixed: every process, machine and build prices a given store
-// and query alike; only the Tracker's feedback from the store's own
-// executed reads moves an estimate.
+// and query alike.
 const (
 	// scanUnit is the cost of one early-abandoned scan check.
 	scanUnit = 0.25
@@ -171,14 +172,6 @@ const (
 	// index-nested-loop join: one spectrum fetch and the transformed
 	// query setup per stored series.
 	joinProbeUnit = 3.0
-	// joinVisitExp models the node-visit fraction of one probe as
-	// (leafShare^e + selectivity^e) with e = 1/3 — the effective
-	// dimensionality of the K=2 polar coefficient space (two magnitude
-	// dimensions plus partially-selective angles). Few fat leaves are
-	// visited almost entirely regardless of eps; result selectivity alone
-	// badly underestimates node touching (node MBRs are much wider than
-	// answer density).
-	joinVisitExp = 1.0 / 3.0
 )
 
 // Input is what the planner knows about one range-shaped query before
@@ -238,33 +231,23 @@ func Selectivity(in Input) float64 {
 
 // Choose resolves the index-vs-scan decision for a range-shaped query and
 // returns the estimate both strategies were priced under plus the
-// human-readable reason. t may be nil (cold store: calibration 1).
-func Choose(in Input, t *Tracker) (Strategy, Estimate, string) {
+// human-readable reason.
+func Choose(in Input) (Strategy, Estimate, string) {
 	n := float64(in.Series)
 	est := Estimate{Series: in.Series}
 	if in.Series == 0 {
 		return Index, est, "empty store: trivial traversal"
 	}
 	sel := Selectivity(in)
-	cal := 1.0
-	var nodeFrac float64
-	haveFeedback := false
-	if t != nil {
-		cal, nodeFrac, haveFeedback = t.rangeModel()
-	}
 	est.Selectivity = sel
-	est.Candidates = math.Min(n, sel*cal*n)
-	if haveFeedback {
-		est.NodeAccesses = nodeFrac * n
-	} else {
-		// Cold model: the traversal opens the root path plus roughly one
-		// leaf per LeafCap candidates, with interior fan-in overhead.
-		leaf := float64(in.LeafCap)
-		if leaf <= 0 {
-			leaf = 40
-		}
-		est.NodeAccesses = float64(in.Height) + 2*est.Candidates/leaf
+	est.Candidates = sel * n
+	// The traversal opens the root path plus roughly one leaf per LeafCap
+	// candidates, with interior fan-in overhead.
+	leaf := float64(in.LeafCap)
+	if leaf <= 0 {
+		leaf = 40
 	}
+	est.NodeAccesses = float64(in.Height) + 2*est.Candidates/leaf
 	// Both strategies verify (approximately) the true answers in full; the
 	// index additionally pays node accesses for its candidate set, the
 	// scan pays a cheap early-abandoned check for every stored series.
@@ -290,13 +273,11 @@ func Choose(in Input, t *Tracker) (Strategy, Estimate, string) {
 type JoinInput struct {
 	// Series is the live store size.
 	Series int
-	// Height is the index height (levels) and LeafCap its node capacity.
-	Height  int
-	LeafCap int
-	// Selectivity is the estimated fraction of stored feature points
-	// falling in an average probe's eps search rectangle, sampled by the
-	// engine from stored series against the transformed store extent.
-	Selectivity float64
+	// Candidates and NodeAccesses are what the index-nested-loop join
+	// would verify and visit, measured by the engine: count-only index
+	// probes of a few stored series, scaled to one probe per series.
+	Candidates   float64
+	NodeAccesses float64
 	// TwoSided marks the generalized Section 4 join (ordered pairs, both
 	// orientations verified per unordered pair); self joins verify each
 	// unordered pair once.
@@ -327,14 +308,14 @@ func JoinMethodLetter(s Strategy, identity bool) string {
 }
 
 // ChooseJoin resolves the join method for an all-pairs query, pricing the
-// paper's four Table 1 methods from the store size, the sampled eps
-// selectivity, and the tracker's measured join feedback. All candidate
-// strategies answer the planned join identically (each qualifying pair
-// reported once for self joins, each ordered pair once for two-sided
-// joins), so — as with range queries — the planner only ever trades cost.
-// Method a (the naive scan) is priced for EXPLAIN but never wins: it does
-// strictly more work than the early-abandoning scan on every input.
-func ChooseJoin(in JoinInput, t *Tracker) (Strategy, Estimate, string) {
+// paper's four Table 1 methods from the store size and the engine's
+// measured candidate and node counts. All candidate strategies answer the
+// planned join identically (each qualifying pair reported once for self
+// joins, each ordered pair once for two-sided joins), so — as with range
+// queries — the planner only ever trades cost. Method a (the naive scan)
+// is priced for EXPLAIN but never wins: it does strictly more work than
+// the early-abandoning scan on every input.
+func ChooseJoin(in JoinInput) (Strategy, Estimate, string) {
 	n := float64(in.Series)
 	est := Estimate{Series: in.Series}
 	if in.Series < 2 {
@@ -344,27 +325,9 @@ func ChooseJoin(in JoinInput, t *Tracker) (Strategy, Estimate, string) {
 	if in.TwoSided {
 		pairs = n * (n - 1)
 	}
-	sel := in.Selectivity
-	cal := 1.0
-	var nodeFrac float64
-	haveFeedback := false
-	if t != nil {
-		cal, nodeFrac, haveFeedback = t.joinModel()
-	}
-	est.Selectivity = sel
-	est.Candidates = math.Min(pairs, sel*cal*pairs)
-	if haveFeedback {
-		est.NodeAccesses = nodeFrac * n * n
-	} else {
-		// Cold model: each probe opens the root path plus a visit
-		// fraction of the ~2n/LeafCap index nodes (see joinVisitExp).
-		leaf := float64(in.LeafCap)
-		if leaf <= 0 {
-			leaf = 40
-		}
-		visitFrac := math.Min(1, math.Pow(leaf/n, joinVisitExp)+math.Pow(sel, joinVisitExp))
-		est.NodeAccesses = n * (float64(in.Height) + visitFrac*2*n/leaf)
-	}
+	est.Candidates = math.Min(pairs, in.Candidates)
+	est.Selectivity = est.Candidates / pairs
+	est.NodeAccesses = in.NodeAccesses
 	// Index: per-probe setup plus node accesses for n rectangle searches
 	// plus one verification per selected candidate pair. Scan (b): one
 	// early-abandoned check per pair, completed to a full verification
@@ -380,130 +343,7 @@ func ChooseJoin(in JoinInput, t *Tracker) (Strategy, Estimate, string) {
 	}
 	return ScanFreq, est, fmt.Sprintf(
 		"scan method b: selectivity %.3f makes index cost %.0f exceed scan cost %.0f (naive a: %.0f) over %d series",
-		sel, est.IndexCost, est.ScanCost, naiveCost, in.Series)
-}
-
-// ewmaAlpha weights recent executions; ~the last 2/alpha queries dominate.
-const ewmaAlpha = 0.2
-
-// Tracker accumulates per-store execution feedback for the planner: an
-// EWMA calibration of the geometric selectivity estimate (observed over
-// predicted candidates) and EWMA node fractions, for the range and join
-// prices Choose and ChooseJoin compare. NN plans take no feedback: they
-// always walk the index (see core's buildNNPlan). One Tracker
-// lives on each core.Store (the store as a whole, never a shard); all
-// methods are safe for concurrent use.
-type Tracker struct {
-	mu sync.Mutex
-
-	rangeSamples int
-	calibration  float64 // EWMA of observed/predicted candidate ratio
-	nodeFrac     float64 // EWMA of NodeAccesses / Series (indexed ranges)
-
-	joinSamples     int
-	joinCalibration float64 // EWMA of observed/predicted candidate-pair ratio
-	joinNodeFrac    float64 // EWMA of NodeAccesses / Series^2 (indexed joins)
-}
-
-// NewTracker returns an empty tracker (calibration 1 until fed).
-func NewTracker() *Tracker {
-	return &Tracker{calibration: 1, joinCalibration: 1}
-}
-
-// ObserveRange feeds one indexed range execution back: the planner's
-// predicted candidate count and the measured candidates and node accesses.
-func (t *Tracker) ObserveRange(predicted float64, candidates, nodes, series int) {
-	if t == nil || series <= 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := float64(series)
-	if predicted >= 1 {
-		ratio := float64(candidates) / predicted
-		// Bound single-sample influence: a wildly mispredicted query nudges
-		// the calibration, it does not take it over.
-		ratio = math.Min(ratio, 16)
-		t.calibration = ewma(t.calibration, ratio, t.rangeSamples)
-	}
-	t.nodeFrac = ewma(t.nodeFrac, float64(nodes)/n, t.rangeSamples)
-	t.rangeSamples++
-}
-
-// ObserveJoin feeds one indexed join execution back: the planner's
-// predicted candidate-pair count and the measured verified candidates and
-// total node accesses across all probes.
-func (t *Tracker) ObserveJoin(predicted float64, candidates, nodes, series int) {
-	if t == nil || series <= 1 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := float64(series)
-	if predicted >= 1 {
-		ratio := math.Min(float64(candidates)/predicted, 16)
-		t.joinCalibration = ewma(t.joinCalibration, ratio, t.joinSamples)
-	}
-	t.joinNodeFrac = ewma(t.joinNodeFrac, float64(nodes)/(n*n), t.joinSamples)
-	t.joinSamples++
-}
-
-func (t *Tracker) joinModel() (calibration, nodeFrac float64, ok bool) {
-	if t == nil {
-		return 1, 0, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.joinSamples == 0 {
-		return 1, 0, false
-	}
-	return t.joinCalibration, t.joinNodeFrac, true
-}
-
-func ewma(prev, x float64, samples int) float64 {
-	if samples == 0 {
-		return x
-	}
-	return (1-ewmaAlpha)*prev + ewmaAlpha*x
-}
-
-func (t *Tracker) rangeModel() (calibration, nodeFrac float64, ok bool) {
-	if t == nil {
-		return 1, 0, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.rangeSamples == 0 {
-		return 1, 0, false
-	}
-	return t.calibration, t.nodeFrac, true
-}
-
-// Snapshot is a point-in-time view of a tracker for diagnostics.
-type Snapshot struct {
-	RangeSamples    int
-	Calibration     float64
-	NodeFrac        float64
-	JoinSamples     int
-	JoinCalibration float64
-	JoinNodeFrac    float64
-}
-
-// Stats returns the tracker's current state.
-func (t *Tracker) Stats() Snapshot {
-	if t == nil {
-		return Snapshot{Calibration: 1, JoinCalibration: 1}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return Snapshot{
-		RangeSamples:    t.rangeSamples,
-		Calibration:     t.calibration,
-		NodeFrac:        t.nodeFrac,
-		JoinSamples:     t.joinSamples,
-		JoinCalibration: t.joinCalibration,
-		JoinNodeFrac:    t.joinNodeFrac,
-	}
+		est.Selectivity, est.IndexCost, est.ScanCost, naiveCost, in.Series)
 }
 
 // AllShards returns the canonical shard-target list [0, n).

@@ -74,7 +74,7 @@ func TestChooseLowSelectivityPicksIndex(t *testing.T) {
 		Rect:    rect(0, 0.1, 0, 0.1),
 		Bounds:  rect(0, 100, 0, 100),
 	}
-	s, est, reason := Choose(in, nil)
+	s, est, reason := Choose(in)
 	if s != Index {
 		t.Fatalf("strategy = %v (%s), want Index", s, reason)
 	}
@@ -91,7 +91,7 @@ func TestChooseHighSelectivityPicksScan(t *testing.T) {
 		Rect:    rect(-1000, 1000, -1000, 1000),
 		Bounds:  rect(0, 100, 0, 100),
 	}
-	s, est, reason := Choose(in, nil)
+	s, est, reason := Choose(in)
 	if s != ScanFreq {
 		t.Fatalf("strategy = %v (%s), want ScanFreq", s, reason)
 	}
@@ -103,36 +103,6 @@ func TestChooseHighSelectivityPicksScan(t *testing.T) {
 	}
 }
 
-func TestTrackerCalibration(t *testing.T) {
-	tr := NewTracker()
-	// The geometric estimate consistently overpredicts 4x; the calibration
-	// should converge toward 0.25.
-	for i := 0; i < 50; i++ {
-		tr.ObserveRange(400, 100, 12, 1000)
-	}
-	cal, nodeFrac, ok := tr.rangeModel()
-	if !ok {
-		t.Fatal("tracker reports no feedback after 50 samples")
-	}
-	if math.Abs(cal-0.25) > 0.01 {
-		t.Fatalf("calibration = %g, want ~0.25", cal)
-	}
-	if math.Abs(nodeFrac-0.012) > 0.001 {
-		t.Fatalf("nodeFrac = %g, want ~0.012", nodeFrac)
-	}
-}
-
-func TestTrackerNilSafe(t *testing.T) {
-	var tr *Tracker
-	tr.ObserveRange(1, 1, 1, 1)
-	if s := tr.Stats(); s.Calibration != 1 {
-		t.Fatalf("nil tracker snapshot = %+v", s)
-	}
-	if s, _, _ := Choose(Input{Series: 1000, Rect: rect(0, 0.01), Bounds: rect(0, 1)}, tr); s != Index {
-		t.Fatalf("nil tracker choice = %v", s)
-	}
-}
-
 func TestAllShards(t *testing.T) {
 	got := AllShards(3)
 	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
@@ -141,10 +111,10 @@ func TestAllShards(t *testing.T) {
 }
 
 func TestChooseJoinByRegime(t *testing.T) {
-	// Selective eps on a large store: n rectangle probes beat the
-	// quadratic scan.
-	in := JoinInput{Series: 5000, Height: 3, LeafCap: 40, Selectivity: 0.0001}
-	s, est, reason := ChooseJoin(in, nil)
+	// Selective eps on a large store: n rectangle probes that visit a
+	// fraction of the tree beat the quadratic scan.
+	in := JoinInput{Series: 5000, Candidates: 1250, NodeAccesses: 325_000}
+	s, est, reason := ChooseJoin(in)
 	if s != Index {
 		t.Fatalf("selective large join chose %v (%s)", s, reason)
 	}
@@ -155,26 +125,29 @@ func TestChooseJoinByRegime(t *testing.T) {
 		t.Fatalf("reason %q does not name the Table 1 method", reason)
 	}
 	// Small store: the per-probe overhead dominates; the scan's cheap
-	// quadratic loop wins even at the same selectivity.
-	small := in
-	small.Series = 200
-	if s, _, reason = ChooseJoin(small, nil); s != ScanFreq {
+	// quadratic loop wins even with almost no candidates.
+	small := JoinInput{Series: 200, Candidates: 2, NodeAccesses: 1000}
+	if s, _, reason = ChooseJoin(small); s != ScanFreq {
 		t.Fatalf("selective small join chose %v (%s)", s, reason)
 	}
-	// Exhaustive eps: every probe rectangle covers the store; the
-	// early-abandoning scan wins at any size.
-	in.Selectivity = 1
-	if s, _, reason = ChooseJoin(in, nil); s != ScanFreq {
+	// Exhaustive eps: every probe selects the whole store and visits every
+	// node; the early-abandoning scan wins at any size. The estimate never
+	// counts more candidates than there are pairs.
+	wide := JoinInput{Series: 5000, Candidates: 2e7, NodeAccesses: 1_250_000}
+	s, est, reason = ChooseJoin(wide)
+	if s != ScanFreq {
 		t.Fatalf("exhaustive join chose %v (%s)", s, reason)
 	}
+	if pairs := 5000.0 * 4999 / 2; est.Candidates != pairs || est.Selectivity != 1 {
+		t.Fatalf("exhaustive join estimated %g candidates (selectivity %g), want all %g pairs", est.Candidates, est.Selectivity, pairs)
+	}
 	// Identity action: the method letter reports c/d coincide.
-	in.Selectivity = 0.0001
 	in.Identity = true
-	if _, _, reason = ChooseJoin(in, nil); !strings.Contains(reason, "c/d") {
+	if _, _, reason = ChooseJoin(in); !strings.Contains(reason, "c/d") {
 		t.Fatalf("identity join reason %q does not mention c/d", reason)
 	}
 	// Tiny stores are trivial.
-	if s, _, _ = ChooseJoin(JoinInput{Series: 1}, nil); s != Index {
+	if s, _, _ = ChooseJoin(JoinInput{Series: 1}); s != Index {
 		t.Fatal("singleton store should be trivial")
 	}
 }
@@ -191,79 +164,46 @@ func TestJoinMethodLetter(t *testing.T) {
 	}
 }
 
-func TestTrackerJoinFeedbackFlipsChoice(t *testing.T) {
-	tr := NewTracker()
-	in := JoinInput{Series: 6000, Height: 3, LeafCap: 40, Selectivity: 0.001}
-	if s, _, _ := ChooseJoin(in, tr); s != Index {
-		t.Fatal("cold choice should be index on a large selective join")
-	}
-	// Measured executions show the traversal visiting half of n^2 nodes:
-	// the index is not actually cheap here.
-	for i := 0; i < 30; i++ {
-		tr.ObserveJoin(18000, 18000, 18_000_000, 6000)
-	}
-	if s, _, reason := ChooseJoin(in, tr); s != ScanFreq {
-		t.Fatalf("fed-back choice = %v (%s), want scan", s, reason)
-	}
-	snap := tr.Stats()
-	if snap.JoinSamples != 30 || snap.JoinCalibration <= 0 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
 // breakEvenCases straddle the break-even between index and scan where the
 // cost constants put it: a range query on 1,000 series selecting 80 % of
 // them goes to the index (cost 3 + 40 + 800 = 843 against
 // 0.25·1000 + 0.75·800 = 850) and one selecting 85 % to the scan (895.5
-// against 887.5); a self join of 5,000 series goes to the index at
-// selectivity 0.011 and to the scan at 0.0125.
+// against 887.5); a self join of 5,000 series whose probes measure 100,000
+// candidate pairs goes to the index at 540,000 node accesses
+// (3·5000 + 2·540,000 + 100,000 = 1,195,000 against
+// 0.09·12,497,500 + 0.91·100,000 = 1,215,775) and to the scan at 560,000
+// (1,235,000).
 var breakEvenCases = []struct {
 	join            bool
-	at              float64 // percent selected for a range, selectivity for a join
+	at              float64 // percent selected for a range, node accesses for a join
 	want            Strategy
 	index, scanCost float64
 }{
 	{false, 80, Index, 843, 850},
 	{false, 85, ScanFreq, 895.5, 887.5},
-	{true, 0.011, Index, 1238467.5226423289, 1249874.975},
-	{true, 0.0125, ScanFreq, 1281417.3542015974, 1266934.0625},
+	{true, 540_000, Index, 1_195_000, 1_215_775},
+	{true, 560_000, ScanFreq, 1_235_000, 1_215_775},
 }
 
-// chooseBreakEven plans one of breakEvenCases with the tracker tr.
-func chooseBreakEven(i int, tr *Tracker) (Strategy, Estimate, string) {
+// chooseBreakEven plans one of breakEvenCases.
+func chooseBreakEven(i int) (Strategy, Estimate, string) {
 	c := breakEvenCases[i]
 	if c.join {
-		return ChooseJoin(JoinInput{Series: 5000, Height: 3, LeafCap: 40, Selectivity: c.at}, tr)
+		return ChooseJoin(JoinInput{Series: 5000, Candidates: 100_000, NodeAccesses: c.at})
 	}
-	return Choose(Input{Series: 1000, Height: 3, LeafCap: 40, Rect: rect(0, c.at), Bounds: rect(0, 100)}, tr)
+	return Choose(Input{Series: 1000, Height: 3, LeafCap: 40, Rect: rect(0, c.at), Bounds: rect(0, 100)})
 }
 
 // TestSetCostsDrivesChoice: the cost constants set where the index-vs-scan
-// break-even sits, and a new tracker plans on either side of it as they
+// break-even sits, and the planner plans on either side of it as they
 // price the two strategies.
 func TestSetCostsDrivesChoice(t *testing.T) {
 	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
 	for i, c := range breakEvenCases {
-		s, est, reason := chooseBreakEven(i, NewTracker())
+		s, est, reason := chooseBreakEven(i)
 		if s != c.want || !near(est.IndexCost, c.index) || !near(est.ScanCost, c.scanCost) {
 			t.Errorf("case %d (join %v at %g): %v at index %g / scan %g (%s), want %v at %g / %g",
 				i, c.join, c.at, s, est.IndexCost, est.ScanCost, reason, c.want, c.index, c.scanCost)
-		}
-	}
-}
-
-// TestCostsZeroValueTracker: a zero-value Tracker and a nil Tracker both
-// price with the constants, so they plan every break-even case exactly as
-// a new tracker does.
-func TestCostsZeroValueTracker(t *testing.T) {
-	for name, tr := range map[string]*Tracker{"nil": nil, "zero-value": {}} {
-		for i := range breakEvenCases {
-			s, est, reason := chooseBreakEven(i, tr)
-			ws, west, wreason := chooseBreakEven(i, NewTracker())
-			if s != ws || est != west || reason != wreason {
-				t.Errorf("%s tracker, case %d: %v %+v (%s), new tracker %v %+v (%s)",
-					name, i, s, est, reason, ws, west, wreason)
-			}
 		}
 	}
 }

@@ -208,9 +208,16 @@ func TestLanguageJoinDefaultsToPlanner(t *testing.T) {
 // per query — on a small store the quadratic scan's cheap pair checks
 // beat the per-probe index overhead at any eps, while a large store at a
 // selective eps flips to the index-nested-loop (and an exhaustive eps
-// flips it back to the scan).
+// flips it back to the scan). The small store has 100 series: at 180 the
+// index-nested-loop already times level with the scan at eps 0.5.
 func TestJoinPlannerAdapts(t *testing.T) {
-	small := parityDB(t, 1)
+	small, err := tsq.Open(tsq.Options{Length: parityLength, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := small.InsertBulk(tsq.RandomWalks(100, parityLength, paritySeed)); err != nil {
+		t.Fatal(err)
+	}
 	lowSmall, err := small.Query("EXPLAIN SELFJOIN EPS 0.5 TRANSFORM mavg(10)")
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,8 @@ func (db *DB) InsertBulk(batch []NamedSeries) error {
 // schema and raw series plus the derived state — the stored half of every
 // spectrum, feature points, and each shard's packed R*-tree, serialized
 // byte-for-byte — in sections that each carry their byte length and a
-// CRC32-C, checked before anything in them is used. What the DB has served
-// (its planner feedback, its cost constants) is not written, so the same store
-// writes the same bytes. Loading a TSQ4 snapshot at the same shard count
+// CRC32-C, checked before anything in them is used. Nothing the DB has
+// served is written, so the same store writes the same bytes. Loading a TSQ4 snapshot at the same shard count
 // validates and adopts the trees directly, so cold start costs one
 // sequential read instead of a full rebuild (no extraction, no FFT, no STR
 // sort). It returns the number of bytes written.
@@ -38,8 +37,9 @@ func (db *DB) WriteTo(w io.Writer) (int64, error) {
 // indexes (or, when re-sharded, reusing its precomputed spectra and feature
 // points and only re-packing the trees). The snapshot records its own
 // feature schema and shard count; storage options of the returned DB take
-// defaults. A snapshot holds the store and nothing it has served: the
-// loaded DB starts with a cold planner, as a new one does. The earlier
+// defaults. A snapshot holds the store and nothing it has served: at the
+// recorded shard count the loaded DB plans every query as the DB that
+// wrote it does. The earlier
 // TSQ1, TSQ2 and TSQ3 formats are refused by name; a TSQ3 file is migrated
 // by loading it with a build that still reads it and saving it again.
 func ReadFrom(r io.Reader) (*DB, error) {

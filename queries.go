@@ -281,8 +281,8 @@ const (
 	// reported twice).
 	JoinIndexTransform
 	// JoinAuto lets the query planner choose among the Table 1 methods per
-	// join from store cardinality, sampled eps selectivity, and measured
-	// join feedback. Planned joins answer canonically — each qualifying
+	// join from store cardinality and the counts of sampled count-only
+	// index probes. Planned joins answer canonically — each qualifying
 	// unordered pair reported once with A < B — so every strategy the
 	// planner may choose returns byte-identical pairs; the method-pinned
 	// constants above keep the paper's exact per-method accounting
