@@ -45,8 +45,10 @@ func unsharedNNCandidates(t *testing.T, sharded *tsq.DB, name string, k int, tr 
 	all := tsq.RandomWalks(parityCount, parityLength, paritySeed)
 	parts := make([][]tsq.NamedSeries, sharded.Shards())
 	var query []float64
+	// Routing a name is the store's own business, not the engine's.
+	store := sharded.Engine().(interface{ ShardOf(string) int })
 	for _, s := range all {
-		si := sharded.Engine().ShardOf(s.Name)
+		si := store.ShardOf(s.Name)
 		parts[si] = append(parts[si], s)
 		if s.Name == name {
 			query = s.Values

@@ -23,15 +23,14 @@ const (
 )
 
 // writeEvent describes one committed write: what happened, to which series,
-// in which shard, and where its feature point landed — for a put, the
-// core.Committed the engine returned under the shard's write lock. Cached
-// entries carry an affected predicate over these events (Lemma 1 rectangle
-// tests plus membership and shard tags), so a write evicts only the entries
-// it could actually have changed.
+// and where its feature point landed — for a put, the core.Committed the
+// engine returned under the shard's write lock. Cached entries carry an
+// affected predicate over these events (Lemma 1 rectangle tests plus
+// membership), so a write evicts only the entries it could actually have
+// changed.
 type writeEvent struct {
 	kind  writeKind
 	name  string
-	shard int
 	point geom.Point
 }
 
@@ -48,11 +47,6 @@ type cachedResult struct {
 	// affected decides whether one committed put or delete could change this
 	// result; nil means the entry goes on any write.
 	affected func(writeEvent) bool
-	// shards is the entry's dependency tag: every shard a cached member or
-	// the query series lives in (sorted). The affected predicate consults
-	// it for member-removal writes; nil means untagged (depends on the
-	// whole store).
-	shards []int
 }
 
 // touches reports whether a committed write could have changed r.

@@ -19,8 +19,6 @@ type Committed struct {
 	// ID is the series' internal ID: fresh for an Insert, unchanged by an
 	// Update or an Append.
 	ID int64
-	// Shard is the partition the series lives in.
-	Shard int
 	// Point is the feature point the index now holds for it (a copy the
 	// caller may keep).
 	Point geom.Point

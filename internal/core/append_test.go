@@ -353,8 +353,8 @@ func TestUpdateInPlace(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if p, _ := eng.FeaturePoint(c.ID); c.ID != int64(i) || c.Shard != eng.ShardOf(names[i]) || !reflect.DeepEqual(c.Point, p) {
-						t.Fatalf("update of %s committed %+v; it is id %d in shard %d at %v", names[i], c, i, eng.ShardOf(names[i]), p)
+					if p, _ := pointOf(eng, c.ID); c.ID != int64(i) || !reflect.DeepEqual(c.Point, p) {
+						t.Fatalf("update of %s committed %+v; it is id %d at %v", names[i], c, i, p)
 					}
 				}
 				if after := pages(); !reflect.DeepEqual(after, before) {
@@ -368,14 +368,13 @@ func TestUpdateInPlace(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					p, _ := eng.FeaturePoint(id)
 					prep, _ := eng.QueryPrep(id)
-					rv, err := shardsOf(eng)[eng.ShardOf(name)].freqRel.View(id)
+					rv, err := ownerOf(eng, name).freqRel.View(id)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var out []uint64
-					for _, v := range [][]float64{w, p} {
+					for _, v := range [][]float64{w, prep.Point} {
 						for _, x := range v {
 							out = append(out, math.Float64bits(x))
 						}
@@ -541,7 +540,7 @@ func TestPrefilterSound(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range res {
-				p, ok := db.FeaturePoint(r.ID)
+				p, ok := pointOf(db, r.ID)
 				if !ok {
 					t.Fatalf("no feature point for %s", r.Name)
 				}
@@ -680,7 +679,7 @@ func TestAppendEqualsInsert(t *testing.T) {
 				}
 
 				head := func(e Engine, name string, id int64) []complex128 {
-					rv, err := shardsOf(e)[e.ShardOf(name)].freqRel.View(id)
+					rv, err := ownerOf(e, name).freqRel.View(id)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -696,8 +695,8 @@ func TestAppendEqualsInsert(t *testing.T) {
 					if !reflect.DeepEqual(bits(a), bits(f)) || !reflect.DeepEqual(bits(a), bits(final[name])) {
 						t.Fatalf("%s: window differs:\n appended %v\n fresh    %v", name, a, f)
 					}
-					ap, _ := appended.FeaturePoint(id)
-					fp, _ := fresh.FeaturePoint(id)
+					ap, _ := pointOf(appended, id)
+					fp, _ := pointOf(fresh, id)
 					if !reflect.DeepEqual(bits(ap), bits(fp)) {
 						t.Fatalf("%s: feature point differs:\n appended %v\n fresh    %v", name, ap, fp)
 					}

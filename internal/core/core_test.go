@@ -110,7 +110,7 @@ func TestInsertValidation(t *testing.T) {
 	if !ok || db.Name(id) != "a" {
 		t.Fatal("name lookup broken")
 	}
-	if _, ok := db.FeaturePoint(id); !ok {
+	if _, ok := db.QueryPrep(id); !ok {
 		t.Fatal("feature point missing")
 	}
 	got, err := db.Series(id)

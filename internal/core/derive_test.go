@@ -29,8 +29,8 @@ func (hs *headStore) checkPointsAreStoredHalves(t *testing.T, phase string) {
 		if !ok {
 			t.Fatalf("%s %s: %s not stored", hs.label, phase, name)
 		}
-		p, _ := hs.eng.FeaturePoint(id)
-		spec := pageOnlySpectrum(t, shardsOf(hs.eng)[hs.eng.ShardOf(name)], id)
+		p, _ := pointOf(hs.eng, id)
+		spec := pageOnlySpectrum(t, ownerOf(hs.eng, name), id)
 		want := schema.Point(series.Mean(window), series.Std(window), spec[1:schema.K+1])
 		for d := range want {
 			if math.Float64bits(p[d]) != math.Float64bits(want[d]) {

@@ -62,21 +62,14 @@ func (hs *headStore) checkRecords(t *testing.T, n int, retired map[int64]bool) {
 			t.Fatalf("%s: %s (id %d) serves another record's spectrum", hs.label, name, id)
 		}
 		// So is the feature point, appended to or not.
-		p, _ := hs.eng.FeaturePoint(id)
 		want, err := schema.Extract(window)
-		if err != nil || !reflect.DeepEqual([]float64(p), prep.Point) {
-			t.Fatalf("%s: %s (id %d) feature point disagrees with its own prep (%v)", hs.label, name, id, err)
-		}
-		if !reflect.DeepEqual(p, want) {
-			t.Fatalf("%s: %s (id %d) is indexed at %v, its window extracts to %v", hs.label, name, id, p, want)
+		if err != nil || !reflect.DeepEqual(prep.Point, []float64(want)) {
+			t.Fatalf("%s: %s (id %d) is indexed at %v, its window extracts to %v (%v)", hs.label, name, id, prep.Point, want, err)
 		}
 	}
 	for id := range retired {
 		if name := hs.eng.Name(id); name != "" {
 			t.Fatalf("%s: retired id %d still named %q", hs.label, id, name)
-		}
-		if _, ok := hs.eng.FeaturePoint(id); ok {
-			t.Fatalf("%s: retired id %d still has a feature point", hs.label, id)
 		}
 		if _, ok := hs.eng.QueryPrep(id); ok {
 			t.Fatalf("%s: retired id %d still has stored-record artifacts", hs.label, id)
@@ -127,7 +120,7 @@ func (hs *headStore) churnChecked(t *testing.T, n int, rng *rand.Rand, steps int
 		out := make(map[string]place, len(hs.live))
 		for name := range hs.live {
 			id, _ := hs.eng.IDByName(name)
-			slot, _ := shardsOf(hs.eng)[hs.eng.ShardOf(name)].freqRel.Slot(id)
+			slot, _ := ownerOf(hs.eng, name).freqRel.Slot(id)
 			out[name] = place{id, slot}
 		}
 		return out

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 	"repro/internal/plan"
 	"repro/internal/transform"
 )
@@ -308,72 +307,6 @@ func TestRetiredSnapshotVersions(t *testing.T) {
 		}
 		if db, err := ReadFrom(bytes.NewReader([]byte(magic)), Options{}); err == nil || db != nil {
 			t.Errorf("%s: ReadFrom loaded (%v, %v)", magic, db, err)
-		}
-	}
-}
-
-// TestJoinPrefilterRetag is the regression test for unbounded absorb
-// growth: repeated misses dilate the prefilter's extent monotonically,
-// and Retag must shed that growth by re-anchoring to the store's live
-// feature bounds.
-func TestJoinPrefilterRetag(t *testing.T) {
-	const length = 32
-	db := newTestEngine(t, length, 1, Options{}).(*DB)
-	for _, d := range dataset.RandomWalks(60, length, 41) {
-		if _, err := db.Insert(d.Name, d.Values); err != nil {
-			t.Fatal(err)
-		}
-	}
-	id := transform.Identity(length)
-	jp, err := db.JoinPrefilter(JoinQuery{Eps: 1.0, Left: id, Right: id})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jp.Absorbed() != 0 {
-		t.Fatalf("fresh prefilter reports %d absorbed misses", jp.Absorbed())
-	}
-
-	// A far-away outlier misses and is absorbed into the extent.
-	dims := db.Schema().Dims()
-	outlier := make(geom.Point, dims)
-	for i := range outlier {
-		outlier[i] = 1e6
-	}
-	if jp.Hit(outlier) {
-		t.Fatal("extreme outlier should miss the prefilter")
-	}
-	if jp.Absorbed() != 1 {
-		t.Fatalf("after one miss, Absorbed() = %d", jp.Absorbed())
-	}
-	// The absorbed outlier has grown the extent: a nearby point now hits
-	// even though no stored series is anywhere near it.
-	near := outlier.Clone()
-	near[0] += 0.5
-	if !jp.Hit(near) {
-		t.Fatal("point near an absorbed outlier should hit the grown extent")
-	}
-
-	// Retag re-anchors to the live store bounds, shedding the growth.
-	jp.Retag(db.FeatureBounds())
-	if jp.Absorbed() != 0 {
-		t.Fatalf("after Retag, Absorbed() = %d", jp.Absorbed())
-	}
-	if jp.Hit(near) {
-		t.Fatal("retagged extent should have shed the absorbed outlier")
-	}
-	if jp.Absorbed() != 1 {
-		t.Fatalf("the post-Retag miss should absorb again, Absorbed() = %d", jp.Absorbed())
-	}
-
-	// A point inside the live extent still hits after Retag — re-anchoring
-	// must not under-approximate the store.
-	for _, sid := range db.IDs()[:10] {
-		p, ok := db.FeaturePoint(sid)
-		if !ok {
-			t.Fatalf("no feature point for id %d", sid)
-		}
-		if !jp.Hit(p) {
-			t.Fatalf("stored series %d escaped the retagged extent", sid)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"repro/internal/feature"
-	"repro/internal/geom"
 	"repro/internal/plan"
 	"repro/internal/transform"
 )
@@ -24,12 +23,9 @@ type Engine interface {
 	Len() int
 	Length() int
 	Schema() feature.Schema
-	// Shards reports the partition count; ShardOf maps a series name to its
-	// hash-assigned partition. Together
-	// they give every consumer — plans, per-shard provenance, the server's
-	// dependency-tagged cache — one shard vocabulary.
+	// Shards reports the partition count: the shard vocabulary of plans and
+	// of per-shard provenance.
 	Shards() int
-	ShardOf(name string) int
 
 	// Catalog access. IDs are unique across the whole store (global across
 	// shards) and assigned in insertion order. Names returns a consistent
@@ -38,14 +34,13 @@ type Engine interface {
 	Name(id int64) string
 	IDByName(name string) (int64, bool)
 	Series(id int64) ([]float64, error)
-	FeaturePoint(id int64) (geom.Point, bool)
 	// QueryPrep snapshots a stored series' planning artifacts (indexed
 	// feature point + stored spectrum) so by-name queries plan without
 	// recomputing them from raw values.
 	QueryPrep(id int64) (*QueryPrep, bool)
 
 	// Writes. Insert, Update and Append each report the one thing the layers
-	// above need of a single-series write: the Committed (id, shard, indexed
+	// above need of a single-series write: the Committed (id and indexed
 	// feature point), taken under the shard's write lock. Update and Append
 	// are the same in-place overwrite — same ID, same slot, no storage
 	// growth — the latter after sliding the stored window forward; all three
@@ -62,16 +57,13 @@ type Engine interface {
 	// be used afterwards.
 	Close() error
 
-	// Storage observability. PoolStats aggregates buffer-pool counters
-	// across the store's relations (and shards); FeatureBounds returns the
-	// feature-space MBR of the live series — what JoinPrefilter.Retag
-	// re-anchors cached join geometry to.
+	// Storage observability: buffer-pool counters aggregated across the
+	// store's relations (and shards).
 	PoolStats() PoolStats
-	FeatureBounds() geom.Rect
 
 	// Standing-query support: exact single-series verification and the
-	// Lemma 1 rectangle prefilter, used by monitors and by the server's
-	// append-aware cache invalidation.
+	// Lemma 1 rectangle prefilter, used by monitors. (A cached answer keeps
+	// the Prefilter of the plan that produced it.)
 	CheckWithin(name string, q RangeQuery) (dist float64, within bool, err error)
 	PlanPrefilter(q RangeQuery) (*Prefilter, error)
 
@@ -80,7 +72,7 @@ type Engine interface {
 
 	// Plan-first execution: the one path a range or NN read takes. PlanRange/
 	// PlanNN build a first-class plan.Plan — resolving the index-vs-scan
-	// decision per query from maintained store statistics when asked for
+	// decision per query from the store's size and extent when asked for
 	// plan.Auto, recording the caller's choice as a forced plan otherwise —
 	// and ExecRangeInto/ExecNNInto run it, reusing the plan's precomputed
 	// transforms and spectra and (across shards) recording per-shard
@@ -102,11 +94,9 @@ type Engine interface {
 	// per-shard provenance. Planned self joins report each unordered pair
 	// once (A < B); two-sided joins report ordered pairs. The
 	// method-pinned SelfJoin below keeps the paper's exact Table 1
-	// accounting instead. JoinPrefilter builds the dependency geometry the
-	// server's cache uses to invalidate join results selectively.
+	// accounting instead.
 	PlanJoin(q JoinQuery, want plan.Strategy) (*plan.Plan, error)
 	ExecJoin(q JoinQuery, pl *plan.Plan) ([]JoinPair, ExecStats, error)
-	JoinPrefilter(q JoinQuery) (*JoinPrefilter, error)
 
 	// Result orderings are deterministic: (distance, ID) for range/NN/
 	// subsequence answers, (A, B) for join pairs. SelfJoin is the one

@@ -226,7 +226,7 @@ func TestAccessorsAndEmptyQueries(t *testing.T) {
 	if _, err := db.Series(99); err == nil {
 		t.Error("missing series should fail")
 	}
-	if _, ok := db.FeaturePoint(99); ok {
+	if _, ok := db.QueryPrep(99); ok {
 		t.Error("missing feature point should be absent")
 	}
 	if name := db.Name(99); name != "" {

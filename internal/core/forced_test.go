@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/geom"
 	"repro/internal/plan"
 	"repro/internal/transform"
 )
@@ -16,6 +17,21 @@ func storeOf(e Engine) *Store {
 }
 
 func shardsOf(e Engine) []*shard { return storeOf(e).shards }
+
+// ownerOf is the partition a series name hashes to.
+func ownerOf(e Engine, name string) *shard {
+	s := storeOf(e)
+	return s.shards[s.ShardOf(name)]
+}
+
+// pointOf is the feature point the index holds for a stored id.
+func pointOf(e Engine, id int64) (geom.Point, bool) {
+	prep, ok := e.QueryPrep(id)
+	if !ok {
+		return nil, false
+	}
+	return prep.Point, true
+}
 
 func (db *DB) only() *shard { return db.shards[0] }
 

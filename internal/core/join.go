@@ -193,125 +193,6 @@ func (sh *shard) validateJoin(eps float64, t transform.T) error {
 	return nil
 }
 
-// JoinPrefilter is the dependency geometry of a cached join answer: the
-// join's transformed store extents at caching time, against which a
-// committed write's feature point is tested. A new or moved series could
-// change the join only if some stored series lies within eps of it in the
-// full spectra, which by Lemma 1 requires the stored side's transformed
-// extent to intersect the eps search rectangle around the written point —
-// a miss soundly proves the cached answer unchanged. Retained points are
-// absorbed into the extents, so two consecutive far-away writes that are
-// close to each other still evict.
-//
-// Hit mutates the extents and must be externally serialized (the server
-// calls it under its cache-invalidation lock).
-type JoinPrefilter struct {
-	schema   feature.Schema
-	angular  []bool
-	lm, rm   transform.AffineMap
-	radius   float64 // the join's filter radius (joinPlan.radius)
-	twoSided bool
-	lB, rB   geom.Rect // left-/right-transformed store extents
-	// absorbed counts the write points folded into the extents since the
-	// prefilter was built or last retagged. Each absorption can only grow
-	// the extents, so a long-lived entry under scattered writes drifts
-	// toward hitting on everything; the server watches this counter and
-	// calls Retag to re-anchor the geometry to the store's real bounds.
-	absorbed int
-}
-
-func newJoinPrefilter(schema feature.Schema, jp *joinPlan, bounds geom.Rect) *JoinPrefilter {
-	return &JoinPrefilter{
-		schema:   schema,
-		angular:  schema.Angular(),
-		lm:       jp.lm,
-		rm:       jp.rm,
-		radius:   jp.radius,
-		twoSided: jp.q.TwoSided,
-		lB:       applyBounds(bounds, jp.lm).Clone(),
-		rB:       applyBounds(bounds, jp.rm).Clone(),
-	}
-}
-
-// JoinPrefilter builds the cached-join invalidation geometry across all
-// shards (the union of the shard extents).
-func (s *Store) JoinPrefilter(q JoinQuery) (*JoinPrefilter, error) {
-	jp, err := s.shards[0].planJoin(q)
-	if err != nil {
-		return nil, err
-	}
-	if jp.mapErr != nil {
-		return nil, jp.mapErr
-	}
-	bounds, _ := s.featureBounds()
-	return newJoinPrefilter(s.Schema(), jp, bounds), nil
-}
-
-// Hit reports whether a series committed at feature point pt could pair
-// with any series inside the tracked extents. On a miss the point is
-// absorbed into the extents — the written series is now part of the
-// store the cached answer must be defended against.
-func (p *JoinPrefilter) Hit(pt geom.Point) bool {
-	rp := pt
-	if !p.rm.Identity() {
-		rp = p.rm.ApplyPoint(pt)
-	}
-	// The written series on the probe (right) side against stored
-	// left-side points.
-	if p.rectHit(rp, p.lB) {
-		return true
-	}
-	lp := rp
-	if p.twoSided {
-		lp = pt
-		if !p.lm.Identity() {
-			lp = p.lm.ApplyPoint(pt)
-		}
-		// And on the left side against stored right-side points.
-		if p.rectHit(lp, p.rB) {
-			return true
-		}
-	}
-	absorb(&p.lB, lp)
-	absorb(&p.rB, rp)
-	p.absorbed++
-	return false
-}
-
-// Absorbed returns the number of write points folded into the extents
-// since construction or the last Retag.
-func (p *JoinPrefilter) Absorbed() int { return p.absorbed }
-
-// Retag re-anchors the extents to the store's current feature bounds
-// (Engine.FeatureBounds), discarding the absorbed write points. The
-// absorbed points are live series by the time Retag runs, so the store's
-// own MBR covers them — the swap is sound and strictly tighter than the
-// accumulated union, which never shrinks on deletes or re-anchors on
-// updates. Like Hit, Retag mutates the extents and must be externally
-// serialized.
-func (p *JoinPrefilter) Retag(bounds geom.Rect) {
-	p.lB = applyBounds(bounds, p.lm).Clone()
-	p.rB = applyBounds(bounds, p.rm).Clone()
-	p.absorbed = 0
-}
-
-func (p *JoinPrefilter) rectHit(q geom.Point, bounds geom.Rect) bool {
-	if bounds.Dims() == 0 {
-		return false // empty store: nothing to pair with
-	}
-	rect := p.schema.SearchRect(q, p.radius, feature.MomentBounds{})
-	return geom.IntersectsMixed(rect, bounds, p.angular)
-}
-
-// absorb grows a (possibly empty) extent to cover p.
-func absorb(b *geom.Rect, p geom.Point) {
-	if b.Dims() == 0 {
-		*b = geom.Rect{Lo: p.Clone(), Hi: p.Clone()}
-		return
-	}
-	b.UnionInPlace(geom.PointRect(p))
-}
-
 // applyBounds maps a store's feature-space MBR through an affine index
 // action (the zero rect of an empty store passes through).
 func applyBounds(b geom.Rect, m transform.AffineMap) geom.Rect {

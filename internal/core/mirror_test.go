@@ -388,7 +388,7 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 	if eps > 0 {
 		// How tight is the bound here? The neighbour's indexed partial
 		// distance against eps^2.
-		np, _ := eng.FeaturePoint(mustID(t, eng, neighbour))
+		np, _ := pointOf(eng, mustID(t, eng, neighbour))
 		p, err := planRangeOn(eng, rq)
 		if err != nil {
 			t.Fatal(err)

@@ -164,16 +164,8 @@ func (s *Store) PoolStats() PoolStats {
 	return out
 }
 
-// FeatureBounds returns the union of every shard's feature-space MBR.
-func (s *Store) FeatureBounds() geom.Rect {
-	b, _ := s.featureBounds()
-	return b
-}
-
-// ShardOf returns the hash-assigned shard index of a series name (whether
-// or not the name is currently stored — partition assignment is a pure
-// hash, which is what lets the server tag cached results with shard sets
-// without consulting the catalog).
+// ShardOf returns the hash-assigned shard index of a series name, whether
+// or not the name is currently stored: partition assignment is a pure hash.
 func (s *Store) ShardOf(name string) int { return shardOf(name, len(s.shards)) }
 
 // shardOf is the partition of a name among n shards: FNV-1a of its bytes,
@@ -267,19 +259,6 @@ func (s *Store) Series(id int64) ([]float64, error) {
 	return sh.timeRel.Get(id)
 }
 
-// FeaturePoint returns the indexed feature point stored under a global ID.
-func (s *Store) FeaturePoint(id int64) (geom.Point, bool) {
-	sh := s.rlockOwner(id)
-	if sh == nil {
-		return nil, false
-	}
-	defer sh.mu.RUnlock()
-	if r := sh.rec(id); r != nil {
-		return r.point, true
-	}
-	return nil, false
-}
-
 // QueryPrep assembles the stored-record planning artifacts of a global ID
 // from its owning shard; see shard.queryPrep.
 func (s *Store) QueryPrep(id int64) (*QueryPrep, bool) {
@@ -330,7 +309,7 @@ func (s *Store) Insert(name string, values []float64) (Committed, error) {
 		return Committed{}, err
 	}
 	s.register(id, si)
-	return Committed{ID: id, Shard: si, Point: p.Clone()}, nil
+	return Committed{ID: id, Point: p.Clone()}, nil
 }
 
 // InsertBulk loads a batch into an empty store, bulk-loading every shard's
@@ -470,8 +449,7 @@ func (s *Store) catalog(names []string) {
 // A rejected replacement — wrong length, a non-finite value — leaves the
 // stored series untouched.
 func (s *Store) Update(name string, values []float64) (Committed, error) {
-	si := s.ShardOf(name)
-	sh := s.shards[si]
+	sh := s.shards[s.ShardOf(name)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	id, ok := sh.byName[name]
@@ -485,7 +463,7 @@ func (s *Store) Update(name string, values []float64) (Committed, error) {
 	if err != nil {
 		return Committed{}, err
 	}
-	return Committed{ID: id, Shard: si, Point: p.Clone()}, nil
+	return Committed{ID: id, Point: p.Clone()}, nil
 }
 
 // Append slides a series' window forward in its owning shard — shift, then
@@ -493,15 +471,14 @@ func (s *Store) Update(name string, values []float64) (Committed, error) {
 // catalog: the global ID is stable, so a writer to one shard never takes
 // another shard's lock or the catalog mutex.
 func (s *Store) Append(name string, points []float64) (Committed, error) {
-	si := s.ShardOf(name)
-	sh := s.shards[si]
+	sh := s.shards[s.ShardOf(name)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	id, p, err := sh.appendPoints(name, points)
 	if err != nil {
 		return Committed{}, err
 	}
-	return Committed{ID: id, Shard: si, Point: p.Clone()}, nil
+	return Committed{ID: id, Point: p.Clone()}, nil
 }
 
 // Delete removes a series by name, taking only its shard's exclusive

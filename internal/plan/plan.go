@@ -106,8 +106,7 @@ type Plan struct {
 	// are unknown or absent at planning time).
 	Rect geom.Rect
 	// Shards lists the shard targets of the fan-out (always every shard
-	// today; recorded so the merge's per-shard provenance and the cache's
-	// dependency tags share one vocabulary).
+	// today; EXPLAIN prints it beside the merge's per-shard provenance).
 	Shards []int
 	// Est is the planner's cost estimate, to compare against the actual
 	// ExecStats after execution (EXPLAIN's "estimated vs actual").

@@ -198,9 +198,9 @@ func (s *Server) WorstTraces() []WorstTrace {
 }
 
 // withCacheTag appends the server-side "cache-tag" span — the time spent
-// building/checking the entry's dependency tag and landing it in the
-// cache — to a copy of the execution's span slice, so the cached entry's
-// own spans stay untouched.
+// checking the entry's invalidation predicate against the write log and
+// landing it in the cache — to a copy of the execution's span slice, so
+// the cached entry's own spans stay untouched.
 func withCacheTag(st Stats, d time.Duration) Stats {
 	spans := make([]SpanInfo, 0, len(st.Spans)+1)
 	spans = append(spans, st.Spans...)

@@ -1,11 +1,15 @@
 package tsq_test
 
 import (
+	"errors"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,6 +50,17 @@ var retiredCode = []retired{
 		reason: "a bulk load's time records are encoded on the derive workers: the serial per-window encode of Relation.Insert is gone from the bulk path"},
 	{pattern: `plan\.Tracker|NewTracker|ObserveRange|ObserveJoin|rangeModel|joinModel|ewmaAlpha|PlannerStats|exploreTick|exploreEvery|maybeExplore|feedRange|joinSelectivity|joinVisitExp`,
 		reason: "a plan depends only on the store and the query: the planner's EWMA tracker and its exploration probes are gone"},
+	{pattern: `JoinPrefilter|joinRetagEvery|FeatureBounds|FeaturePoint|memberTags|inShards`,
+		reason: "a cached answer is proved unaffected by its members and its own Lemma 1 rectangle: the join's store-extent prefilter, the shard tags and the engine's point and extent accessors are gone"},
+	{pattern: `ShardOf`, paths: sources("."),
+		reason: "the server tags no cached answer with shards: routing a name is the store's business, not the engine's"},
+}
+
+// sources lists the non-test Go files of the package in dir, relative to
+// the module root.
+func sources(dir string) []string {
+	all, _ := filepath.Glob(filepath.Join(filepath.FromSlash(dir), "*.go"))
+	return slices.DeleteFunc(all, func(path string) bool { return strings.HasSuffix(path, "_test.go") })
 }
 
 // TestRetiredIdentifiersStayGone: no non-test Go file, benchmark/
@@ -80,6 +95,99 @@ func TestRetiredIdentifiersStayGone(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStructureGates: the shape the code keeps, in checks no retired
+// identifier expresses.
+func TestStructureGates(t *testing.T) {
+	// internal/query is syntax only: the root package compiles a statement
+	// to the typed call. An import of anything under repro would be the
+	// second evaluator growing back.
+	t.Run("query imports the standard library only", func(t *testing.T) {
+		for _, path := range packageSources(t, "internal/query") {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range f.Imports {
+				if imp, _ := strconv.Unquote(spec.Path.Value); imp == "repro" || strings.HasPrefix(imp, "repro/") {
+					t.Errorf("%s imports %s: internal/query is syntax only, it must import the standard library only", path, imp)
+				}
+			}
+		}
+	})
+	// There is one store (core.Store, a slice of shards) and it implements
+	// Engine once. A second method of any of these names in internal/core
+	// would be the second store growing back.
+	t.Run("core implements Engine once", func(t *testing.T) {
+		methods := []string{"ExecRangeInto", "ExecNNInto", "ExecJoin", "SelfJoin", "WriteTo", "Update", "Append"}
+		re := regexp.MustCompile(`^func \(.*\) (` + strings.Join(methods, "|") + `)\(`)
+		declared := map[string]int{}
+		for _, path := range packageSources(t, "internal/core") {
+			for _, line := range sourceLines(t, path) {
+				if m := re.FindStringSubmatch(line); m != nil {
+					declared[m[1]]++
+				}
+			}
+		}
+		for _, m := range methods {
+			if declared[m] != 1 {
+				t.Errorf("internal/core declares %d methods named %s: there is one store, and it implements Engine once", declared[m], m)
+			}
+		}
+	})
+	// One write path: every tsq.Server write ends in commit, the only
+	// function that notifies the monitor hub.
+	t.Run("one function notifies the hub", func(t *testing.T) {
+		re := regexp.MustCompile(`hub\.(Notify|RefreshAll)`)
+		callers := map[string]bool{}
+		for _, path := range packageSources(t, ".") {
+			fn := ""
+			for _, line := range sourceLines(t, path) {
+				if strings.HasPrefix(line, "func ") {
+					fn = line
+				}
+				if re.MatchString(line) {
+					callers[fn] = true
+				}
+			}
+		}
+		if len(callers) != 1 {
+			t.Errorf("%d root-package functions notify the monitor hub: every write ends in Server.commit, and only there", len(callers))
+		}
+	})
+	// Deleted packages and files stay deleted.
+	t.Run("retired paths are absent", func(t *testing.T) {
+		for path, reason := range map[string]string{
+			"internal/lru":               "the result cache is one type, resultCache in the root package",
+			"internal/tlog":              "tsqd logs through log/slog",
+			"internal/plan/calibrate.go": "the planner prices with its constants",
+		} {
+			if _, err := os.Stat(filepath.FromSlash(path)); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("%s is back (%v): %s", path, err, reason)
+			}
+		}
+	})
+}
+
+// packageSources is sources, and fails the test when dir has none.
+func packageSources(t *testing.T, dir string) []string {
+	t.Helper()
+	out := sources(dir)
+	if len(out) == 0 {
+		t.Fatalf("no Go sources in %s", dir)
+	}
+	return out
+}
+
+// sourceLines reads a file's lines.
+func sourceLines(t *testing.T, path string) []string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(b), "\n")
 }
 
 // literals returns the literal prefix of each top-level alternative of

@@ -33,16 +33,13 @@ import (
 //
 // The cache is dependency-tagged. Every cached range or NN answer carries
 // an invalidation predicate built from its own plan geometry — the
-// query's Lemma 1 search rectangle, its membership set, and the shard set
-// those members live in — and every single-series write (insert, update,
-// delete, append) is checked against it: an entry survives when the
-// written series is not the query series, is not among the cached
-// matches, and (for writes that leave a feature point) the committed point
-// misses the rectangle; a delete in a shard outside the entry's tag set
-// is dismissed by the tag alone. Cached join answers carry the analogous
-// proof over the whole store: the written point is tested against the
-// join's transformed store extent expanded by eps (see joinAffected).
-// Only barriers (large batch inserts, bulk loads, compaction) still purge
+// query's Lemma 1 search rectangle and its membership set — and every
+// single-series write (insert, update, delete, append) is checked against
+// it: an entry survives when the written series is not the query series,
+// is not among the cached matches, and (for writes that leave a feature
+// point) the committed point misses the rectangle. A cached join answer
+// survives only the delete of a series in none of its pairs (see
+// joinAffected). Only barriers (large batch inserts, bulk loads, compaction) still purge
 // everything — batches of at most smallBatchThreshold series
 // emit per-name events instead (see InsertAll). Subsequence entries carry
 // no predicate and are evicted on any write. A
@@ -57,9 +54,9 @@ type Server struct {
 	hub   *stream.Hub // standing-query monitors (tsqlive)
 
 	// testHookAfterCompute, when set, runs between a cache-miss
-	// computation and its filing — test instrumentation for the
-	// write-overlap window.
-	testHookAfterCompute func()
+	// computation and its filing, on the computed result — test
+	// instrumentation for the write-overlap window and for what is filed.
+	testHookAfterCompute func(cachedResult)
 
 	started time.Time
 
@@ -214,7 +211,7 @@ func (s *Server) commit(evs ...writeEvent) {
 
 // put is the event of a committed insert, update or append.
 func put(name string, c core.Committed) writeEvent {
-	return writeEvent{kind: writePut, name: name, shard: c.Shard, point: c.Point}
+	return writeEvent{kind: writePut, name: name, point: c.Point}
 }
 
 // Insert stores a named series. See DB.Insert. The cache is invalidated
@@ -314,14 +311,14 @@ func (s *Server) Append(name string, points []float64) error {
 }
 
 // Delete removes a series by name, reporting whether it was present.
-// Cached entries whose answers the deleted series did not appear in —
-// checked through their shard tags first — survive.
+// Cached entries whose answers the deleted series did not appear in
+// survive.
 func (s *Server) Delete(name string) bool {
 	if !s.db.Delete(name) {
 		return false
 	}
 	s.writes.Add(1)
-	s.commit(writeEvent{kind: writeDelete, name: name, shard: s.db.eng.ShardOf(name)})
+	s.commit(writeEvent{kind: writeDelete, name: name})
 	return true
 }
 
@@ -420,7 +417,7 @@ func (s *Server) readQuery(id readID, compute func() (cachedResult, error)) (cac
 		return cachedResult{}, Stats{}, err
 	}
 	if s.testHookAfterCompute != nil {
-		s.testHookAfterCompute()
+		s.testHookAfterCompute(r)
 	}
 	st := r.stats
 	if !id.uncached {
@@ -467,7 +464,7 @@ func (s *Server) read(sp readSpec) (*Output, error) {
 		explain = res.explain
 		out := cachedResult{matches: res.matches, pairs: res.pairs, stats: res.stats}
 		if s.caching() && !sp.uncached() {
-			out.affected, out.shards = s.affectedFor(sp, res)
+			out.affected = affectedFor(sp, res)
 		}
 		return out, nil
 	})
@@ -503,9 +500,8 @@ func (s *Server) NNByName(name string, k int, t Transform, opts ...QueryOpt) ([]
 }
 
 // SelfJoin runs DB.SelfJoin with result caching.
-// Cached join entries are dependency-tagged with the join's transformed
-// store extent: single-series writes provably out of eps reach of every
-// stored series retain them (see joinAffected).
+// A cached join entry survives only the delete of a series in none of its
+// pairs (see joinAffected).
 // Join and subsequence methods accept QueryOpts for the cross-cutting
 // options only (WithRequest); strategy/moment options are meaningless
 // here and ignored.

@@ -1,7 +1,7 @@
 package tsq
 
 // Internal-package tests for the dependency-tagged result cache: write
-// events, shard tags, and the write-log replay that keeps the cache warm
+// events, membership and Lemma 1 rectangles, and the write-log replay that keeps the cache warm
 // under append bursts (the "skip the unconditional version starvation"
 // fix — a naive skip of the version bump would be unsound for in-flight
 // queries the append *does* affect, so the bump stays and provably
@@ -97,7 +97,7 @@ func TestAppendBurstDoesNotStarveCache(t *testing.T) {
 
 func testAppendBurstDoesNotStarveCache(t *testing.T, s *Server) {
 	// Irrelevant overlap: mid-compute, append to a far-away outlier.
-	s.testHookAfterCompute = func() {
+	s.testHookAfterCompute = func(cachedResult) {
 		s.testHookAfterCompute = nil // fire once
 		if err := s.Append("Z00", []float64{123.5, -321}); err != nil {
 			t.Error(err)
@@ -118,7 +118,7 @@ func testAppendBurstDoesNotStarveCache(t *testing.T, s *Server) {
 	}
 
 	// Affecting overlap: mid-compute, append to the query series itself.
-	s.testHookAfterCompute = func() {
+	s.testHookAfterCompute = func(cachedResult) {
 		s.testHookAfterCompute = nil
 		if err := s.Append("C01", []float64{4}); err != nil {
 			t.Error(err)
@@ -143,7 +143,7 @@ func testAppendBurstDoesNotStarveCache(t *testing.T, s *Server) {
 }
 
 // TestTaggedCacheSurvivesUnrelatedWrites: inserts and deletes that the
-// entry's rectangle, membership, and shard tags prove irrelevant retain
+// entry's rectangle and membership prove irrelevant retain
 // the entry; related writes evict it.
 func TestTaggedCacheSurvivesUnrelatedWrites(t *testing.T) {
 	bothShardCounts(t, testTaggedCacheSurvivesUnrelatedWrites)
@@ -231,8 +231,7 @@ func TestInsertIntoRectangleEvicts(t *testing.T) {
 
 // twoCycle builds a series whose normal-form energy sits in X_2 — a
 // dimension where the fixture's store (cluster in X_1, outliers in X_8)
-// has essentially zero extent, so its feature point lies provably outside
-// the store's eps-expanded extent.
+// has essentially zero extent, so it pairs with no stored series.
 func twoCycle(amp float64, phase float64) []float64 {
 	vals := make([]float64, 32)
 	for j := range vals {
@@ -241,67 +240,59 @@ func twoCycle(amp float64, phase float64) []float64 {
 	return vals
 }
 
-// TestJoinCacheSelective: cached join answers carry the whole-store
-// dependency geometry — a write provably out of eps reach of every
-// stored series retains the entry, a delete of an unpaired series
-// retains it, and writes that could form or break a pair evict it
-// (including a pair between two successively retained far-away inserts,
-// which the absorbed extent catches).
+// TestJoinCacheSelective: a cached join answer depends on every stored
+// series, so every put evicts it — an insert, an update, an append and a
+// small batch, each of a series far from every other — while a delete
+// keeps it unless the deleted series is in one of its pairs.
 func TestJoinCacheSelective(t *testing.T) {
 	s := cacheFixture(t)
-	join := func() (int, bool) {
+	join := func() ([]Pair, bool) {
 		p, st, err := s.SelfJoin(0.5, Identity(), JoinAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(p), st.Cached
+		return p, st.Cached
 	}
-	nPairs, _ := join()
-	if nPairs == 0 {
+	warm := func() []Pair {
+		t.Helper()
+		join()
+		pairs, cached := join()
+		if !cached {
+			t.Fatal("repeat join missed the cache")
+		}
+		return pairs
+	}
+	if pairs := warm(); len(pairs) == 0 {
 		t.Fatal("fixture cluster produced no join pairs")
 	}
-	if _, cached := join(); !cached {
-		t.Fatal("repeat join missed the cache")
-	}
-
-	// Insert far outside every stored series' eps reach: retained.
-	if err := s.Insert("F00", twoCycle(20, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, cached := join(); !cached {
-		t.Fatal("unreachable insert evicted the cached join")
-	}
-	// A second insert close to the first: the absorbed extent must catch
-	// the new pair (F00, F01) even though both are far from the original
-	// store.
-	if err := s.Insert("F01", twoCycle(20, 0.001)); err != nil {
-		t.Fatal(err)
-	}
-	if _, cached := join(); cached {
-		t.Fatal("insert pairing with a retained far-away series kept the cached join")
-	}
-
-	// Re-warm with one unpaired far-away singleton in the store; deleting
-	// it retains the entry, deleting a paired member evicts it.
-	s.Delete("F00")
-	s.Delete("F01")
-	if err := s.Insert("F02", twoCycle(20, 1.5)); err != nil {
-		t.Fatal(err)
-	}
-	pairs, _, err := s.SelfJoin(0.5, Identity(), JoinAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pairs {
-		if p.A == "F02" || p.B == "F02" {
-			t.Fatal("fixture assumption broken: F02 joined a pair")
+	for _, put := range []struct {
+		what  string
+		write func() error
+	}{
+		{"far-away insert", func() error { return s.Insert("F00", twoCycle(20, 0)) }},
+		{"update", func() error { return s.Update("F00", twoCycle(20, 0.25)) }},
+		{"append", func() error { return s.Append("F00", []float64{3, -3}) }},
+		{"small batch", func() error { return s.InsertAll([]NamedSeries{{Name: "F01", Values: twoCycle(20, 0.5)}}) }},
+	} {
+		warm()
+		if err := put.write(); err != nil {
+			t.Fatal(err)
+		}
+		if _, cached := join(); cached {
+			t.Fatalf("a %s kept the cached join", put.what)
 		}
 	}
-	if _, cached := join(); !cached {
-		t.Fatal("warming join missed")
+
+	// A delete of a series in no pair keeps the entry; a delete of a
+	// paired one evicts it.
+	pairs := warm()
+	for _, p := range pairs {
+		if p.A == "F01" || p.B == "F01" {
+			t.Fatal("fixture assumption broken: F01 joined a pair")
+		}
 	}
-	if !s.Delete("F02") {
-		t.Fatal("F02 vanished")
+	if !s.Delete("F01") {
+		t.Fatal("F01 vanished")
 	}
 	if _, cached := join(); !cached {
 		t.Fatal("unpaired delete evicted the cached join")
@@ -371,27 +362,6 @@ func TestSmallBatchInsertAllSelective(t *testing.T) {
 	}
 }
 
-// TestEntryShardTags: cached entries carry the shard set their answers
-// live in.
-func TestEntryShardTags(t *testing.T) {
-	s := cacheFixture(t)
-	if _, _, err := s.RangeByName("C00", 0.5, Identity()); err != nil {
-		t.Fatal(err)
-	}
-	var tagged []int
-	for _, e := range s.cache.entries {
-		tagged = e.result.shards
-	}
-	if len(tagged) == 0 {
-		t.Fatal("cached entry carries no shard tags")
-	}
-	for _, sh := range tagged {
-		if sh < 0 || sh >= s.Shards() {
-			t.Fatalf("tag %d outside shard range", sh)
-		}
-	}
-}
-
 // TestCacheOffBuildsNoPredicate: a server opened without a cache must not
 // pay for filing answers it can never store — no invalidation predicate is
 // built (building one plans the query a second time) and raw query vectors
@@ -404,13 +374,19 @@ func TestCacheOffBuildsNoPredicate(t *testing.T) {
 		t.Fatalf("caching(): off %t, on %t", off.caching(), on.caching())
 	}
 
-	// Building a range or NN predicate asks the engine which shard each
-	// member lives in; building a join's asks it for a JoinPrefilter. Neither
-	// happens anywhere else on the read path, so counting them counts
-	// predicates built.
+	// Every computed answer passes the compute hook on its way to filing,
+	// carrying the predicate its read built, if any. No read may build a
+	// stand-alone prefilter either way.
 	for name, s := range map[string]*Server{"on": on, "off": off} {
 		pc := &planCounter{Engine: s.db.eng}
 		s.db.eng = pc
+		var computed, predicates int
+		s.testHookAfterCompute = func(r cachedResult) {
+			computed++
+			if r.affected != nil {
+				predicates++
+			}
+		}
 		if _, _, err := s.RangeByName("C00", 0.5, Identity()); err != nil {
 			t.Fatal(err)
 		}
@@ -421,10 +397,11 @@ func TestCacheOffBuildsNoPredicate(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.db.eng = pc.Engine
-		built := map[string]bool{"on": true, "off": false}[name]
-		if (pc.shardLookups > 0) != built || (pc.joinPrefilters > 0) != built || pc.prefilters != 0 {
-			t.Fatalf("cache %s: %d member-shard lookups, %d join prefilters, %d stand-alone prefilters; predicates built should be %t",
-				name, pc.shardLookups, pc.joinPrefilters, pc.prefilters, built)
+		s.testHookAfterCompute = nil
+		want := map[string]int{"on": 3, "off": 0}[name]
+		if computed != 3 || predicates != want || pc.prefilters != 0 {
+			t.Fatalf("cache %s: %d reads computed, %d predicates built (want %d), %d stand-alone prefilters",
+				name, computed, predicates, want, pc.prefilters)
 		}
 	}
 	q := clusterSeries(0.0002)
@@ -471,18 +448,7 @@ func TestCacheOffBuildsNoPredicate(t *testing.T) {
 // prefilter builder the server used to call for each answer it filed.
 type planCounter struct {
 	core.Engine
-	plans, prefilters            int
-	shardLookups, joinPrefilters int
-}
-
-func (c *planCounter) ShardOf(name string) int {
-	c.shardLookups++
-	return c.Engine.ShardOf(name)
-}
-
-func (c *planCounter) JoinPrefilter(q core.JoinQuery) (*core.JoinPrefilter, error) {
-	c.joinPrefilters++
-	return c.Engine.JoinPrefilter(q)
+	plans, prefilters int
 }
 
 func (c *planCounter) PlanRange(q core.RangeQuery, want plan.Strategy) (*plan.Plan, error) {

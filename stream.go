@@ -2,13 +2,11 @@ package tsq
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/feature"
 	"repro/internal/geom"
-	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -52,11 +50,10 @@ import (
 // the result cache selectively: a cached range or NN answer survives when
 // the appended series is not the query series, is not among the cached
 // matches, and its new feature point misses the query's search rectangle —
-// the Lemma 1 test proving the answer unchanged. A cached join answer
-// survives when the appended series joins no pair and its new point misses
-// the join's eps-expanded store extent (see joinAffected). A query-language
-// statement is filed as the typed call it compiles to, so it survives the
-// same writes; subsequence entries are always evicted. Like every write an
+// the Lemma 1 test proving the answer unchanged. A cached join answer is
+// evicted by every append (see joinAffected). A query-language statement
+// is filed as the typed call it compiles to, so it survives the same
+// writes; subsequence entries are always evicted. Like every write an
 // append bumps the cache's write version, so a query racing it can never
 // file a stale answer (see resultCache).
 
@@ -68,28 +65,6 @@ func (db *DB) Append(name string, points []float64) error {
 	return err
 }
 
-// memberTags collects a cached answer's membership map and shard tags:
-// every shard a member (or the query series) lives in. The shard set is
-// the entry's dependency tag — a delete in an untagged shard cannot name
-// a member, so the entry provably survives it without even a map lookup.
-func (s *Server) memberTags(queryName string, matches []Match) (map[string]bool, []int) {
-	members := make(map[string]bool, len(matches))
-	shardSet := make(map[int]bool, 4)
-	for _, m := range matches {
-		members[m.Name] = true
-		shardSet[s.db.eng.ShardOf(m.Name)] = true
-	}
-	if queryName != "" {
-		shardSet[s.db.eng.ShardOf(queryName)] = true
-	}
-	shards := make([]int, 0, len(shardSet))
-	for sh := range shardSet {
-		shards = append(shards, sh)
-	}
-	sort.Ints(shards)
-	return members, shards
-}
-
 // affectedPredicate is the shared core of the range and NN invalidation
 // predicates: an entry is affected by a write when the written series is
 // the query series or a cached member (it may leave or move), or when its
@@ -97,34 +72,30 @@ func (s *Server) memberTags(queryName string, matches []Match) (map[string]bool,
 // threshold eps (it may enter — Lemma 1's no-false-dismissals geometry,
 // the same test the index filter runs). Deletes carry no point and decide
 // on membership alone: a deleted non-member cannot change the answer.
-func affectedPredicate(queryName string, members map[string]bool, memberShards []int, pf *core.Prefilter, eps float64) func(writeEvent) bool {
-	inShards := make(map[int]bool, len(memberShards))
-	for _, sh := range memberShards {
-		inShards[sh] = true
+func affectedPredicate(queryName string, matches []Match, pf *core.Prefilter, eps float64) func(writeEvent) bool {
+	in := make(map[string]bool, len(matches))
+	for _, m := range matches {
+		in[m.Name] = true
 	}
 	return func(ev writeEvent) bool {
-		if ev.name == queryName {
+		if ev.name == queryName || in[ev.name] {
 			return true
 		}
-		if ev.kind == writeDelete {
-			// The shard tag first: no member lives in an untagged shard.
-			return inShards[ev.shard] && members[ev.name]
-		}
-		return members[ev.name] || pf.Hit(ev.point, eps)
+		return ev.kind != writeDelete && pf.Hit(ev.point, eps)
 	}
 }
 
-// affectedFor builds a filed answer's invalidation predicate and shard tags,
-// as the spec's kind names them, from the Lemma 1 filter of the plan that
-// ran. A nil predicate means "cannot prove anything — always invalidate".
-func (s *Server) affectedFor(sp readSpec, res result) (func(writeEvent) bool, []int) {
+// affectedFor builds a filed answer's invalidation predicate, as the spec's
+// kind names it, from the Lemma 1 filter of the plan that ran. A nil
+// predicate means "cannot prove anything — always invalidate".
+func affectedFor(sp readSpec, res result) func(writeEvent) bool {
 	switch sp.kind {
 	case readRange:
-		return s.rangeAffected(sp, res.filter, res.matches)
+		return rangeAffected(sp, res.filter, res.matches)
 	case readNN:
-		return s.nnAffected(sp, res.filter, res.matches)
+		return nnAffected(sp, res.filter, res.matches)
 	default:
-		return s.joinAffected(sp, res.pairs)
+		return joinAffected(res.pairs)
 	}
 }
 
@@ -133,9 +104,9 @@ func (s *Server) affectedFor(sp readSpec, res result) (func(writeEvent) bool, []
 // the cached matches, was deleted while a member, or lands its new feature
 // point inside the search rectangle of the plan that produced the answer
 // (in which case it may have entered it).
-func (s *Server) rangeAffected(sp readSpec, pf *core.Prefilter, matches []Match) (func(writeEvent) bool, []int) {
+func rangeAffected(sp readSpec, pf *core.Prefilter, matches []Match) func(writeEvent) bool {
 	if pf == nil {
-		return nil, nil
+		return nil
 	}
 	// Scan strategies verify every series without consulting the index,
 	// so their answers ignore moment bounds; widen the prefilter to
@@ -146,73 +117,34 @@ func (s *Server) rangeAffected(sp readSpec, pf *core.Prefilter, matches []Match)
 	if sp.opts.strategy != UseIndex {
 		pf = pf.Unbounded()
 	}
-	members, shards := s.memberTags(sp.name, matches)
-	return affectedPredicate(sp.name, members, shards, pf, sp.eps), shards
+	return affectedPredicate(sp.name, matches, pf, sp.eps)
 }
 
 // nnAffected is the NN analogue: the search rectangle's threshold is the
 // cached k-th best distance — a new point outside it provably cannot
 // displace any cached neighbor. (NN plans carry no moment bounds.)
-func (s *Server) nnAffected(sp readSpec, pf *core.Prefilter, matches []Match) (func(writeEvent) bool, []int) {
+func nnAffected(sp readSpec, pf *core.Prefilter, matches []Match) func(writeEvent) bool {
 	if pf == nil || len(matches) < sp.k {
-		return nil, nil // unfilled answer: any write may enter
+		return nil // unfilled answer: any write may enter
 	}
-	kth := matches[len(matches)-1].Distance
-	members, shards := s.memberTags(sp.name, matches)
-	return affectedPredicate(sp.name, members, shards, pf, kth), shards
+	return affectedPredicate(sp.name, matches, pf, matches[len(matches)-1].Distance)
 }
 
 // joinAffected is the invalidation predicate of a join answer. A join
-// depends on every stored series, so the entry's shard tag is the whole
-// shard set and deletes decide on pair membership alone (a deleted series
-// in no pair removed nothing). For writes that commit a feature point, the
-// engine's JoinPrefilter tests the point against the join's transformed
-// store extent expanded by eps (Lemma 1 both ways): a miss proves no
-// stored series can pair with the written one, and the missed point is
-// absorbed into the extent so a later nearby write still evicts.
-// Absorbing only ever grows the extent, so a long run of misses from an
-// outlier-heavy write stream would dilate it toward "everything hits";
-// after joinRetagEvery absorbed misses the prefilter re-anchors to the
-// live store's feature bounds, shedding the accumulated growth. Nothing
-// can be proved for, e.g., an index-unsafe transformation with no affine
-// action.
-func (s *Server) joinAffected(sp readSpec, pairs []Pair) (func(writeEvent) bool, []int) {
-	// Method c ignores the transformation, so its dependency geometry is
-	// the identity join's.
-	if sp.method == JoinIndexPlain {
-		sp.t = Identity()
-	}
-	jq, err := s.db.joinQuery(sp)
-	if err != nil {
-		return nil, nil
-	}
-	jp, err := s.db.eng.JoinPrefilter(jq)
-	if err != nil {
-		return nil, nil
-	}
-	members := make(map[string]bool, 2*len(pairs))
+// depends on every stored series, so a put — a series now sits somewhere
+// new — always evicts it. A delete removes only the pairs the deleted
+// series was in, so a delete of a series in no pair leaves the answer as
+// it was.
+func joinAffected(pairs []Pair) func(writeEvent) bool {
+	in := make(map[string]bool, 2*len(pairs))
 	for _, p := range pairs {
-		members[p.A] = true
-		members[p.B] = true
+		in[p.A] = true
+		in[p.B] = true
 	}
 	return func(ev writeEvent) bool {
-		if members[ev.name] {
-			return true
-		}
-		if ev.kind == writeDelete {
-			return false
-		}
-		hit := jp.Hit(ev.point)
-		if !hit && jp.Absorbed() >= joinRetagEvery {
-			jp.Retag(s.db.eng.FeatureBounds())
-		}
-		return hit
-	}, plan.AllShards(s.db.Shards())
+		return ev.kind != writeDelete || in[ev.name]
+	}
 }
-
-// joinRetagEvery is how many absorbed prefilter misses a cached join
-// entry tolerates before its extent re-anchors to the live store bounds.
-const joinRetagEvery = 32
 
 // MonitorEvent is one membership change of a monitored query.
 type MonitorEvent struct {
