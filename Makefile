@@ -39,8 +39,7 @@ vet:
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -count=1 -run 'TestRetiredIdentifiersStayGone|TestStructureGates' .
-	$(GO) test -count=1 -run 'TestPlannedNNParity|TestApproxPlanIsHistoryFree|TestExplainWireGolden' . ./internal/core ./internal/server
-	$(GO) test -race -count=1 -run 'TestPlannedNNParity|TestApproxPlanIsHistoryFree|TestExplainWireGolden' . ./internal/core ./internal/server
+	$(GO) test -count=1 -run 'TestExplainWireGolden|TestSetCostsDrivesChoice|TestPlannedNNParity|TestApprox' . ./internal/core ./internal/server ./internal/plan
 
 fmt:
 	gofmt -w .

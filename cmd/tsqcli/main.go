@@ -14,7 +14,8 @@
 // exits). A TRACE
 // statement prefix prints the execution's span tree with per-shard
 // timings. -progressive streams RANGE/NN statements in two stages: the
-// bounded approximate answer first, then the exact refinement.
+// approximate answer (APPROX delta, exact distances) first, then the exact
+// refinement.
 //
 // Usage:
 //
@@ -80,7 +81,7 @@ func main() {
 		k        = flag.Int("k", 2, "DFT coefficients kept in the index (embedded mode)")
 		space    = flag.String("space", "polar", "feature space: polar or rect (embedded mode)")
 		maxRows  = flag.Int("maxrows", 20, "result rows to print")
-		prog     = flag.Bool("progressive", false, "stream RANGE/NN statements in two stages: bounded approximate answer first, then the exact refinement")
+		prog     = flag.Bool("progressive", false, "stream RANGE/NN statements in two stages: approximate answer first, then the exact refinement")
 	)
 	flag.Parse()
 
@@ -489,12 +490,12 @@ func execute(exec executor, src string, maxRows int) error {
 }
 
 // executeProgressive runs one statement through a progressive runner,
-// printing each stage as it arrives: the bounded approximate answer
-// first, then the exact refinement.
+// printing each stage as it arrives: the approximate answer first, then
+// the exact refinement.
 func executeProgressive(run progressor, src string, maxRows int) error {
 	return run(src, func(stage tsq.ProgressiveStage) error {
 		if d := stage.Output.Stats.Delta; d > 0 {
-			fmt.Printf("-- %s stage: every distance guaranteed within (1+%g)x of the true value\n",
+			fmt.Printf("-- %s stage: rank i within (1+%g)x of the exact i-th distance\n",
 				stage.Phase, d)
 		} else {
 			fmt.Printf("-- %s stage\n", stage.Phase)
@@ -519,10 +520,7 @@ func printOutput(out *tsq.Output, maxRows int) {
 	}
 	approx := ""
 	if out.Stats.Delta > 0 {
-		approx = fmt.Sprintf(", approx delta=%g early=%d", out.Stats.Delta, out.Stats.EarlyAccepts)
-		if out.Stats.BoundTightness > 0 {
-			approx += fmt.Sprintf(" tightness=%.2f", out.Stats.BoundTightness)
-		}
+		approx = fmt.Sprintf(", approx delta=%g", out.Stats.Delta)
 	}
 	switch out.Kind {
 	case "SELFJOIN":
@@ -545,11 +543,7 @@ func printOutput(out *tsq.Output, maxRows int) {
 				fmt.Printf("  ... %d more\n", len(out.Matches)-maxRows)
 				break
 			}
-			if m.Bound > 0 {
-				fmt.Printf("  %-10s D=%.4f (true distance <= %.4f)\n", m.Name, m.Distance, m.Bound)
-			} else {
-				fmt.Printf("  %-10s D=%.4f\n", m.Name, m.Distance)
-			}
+			fmt.Printf("  %-10s D=%.4f\n", m.Name, m.Distance)
 		}
 	}
 }

@@ -272,18 +272,11 @@ func renderFrame(w io.Writer, remote string, cur, prev *snapshot) {
 		fmt.Fprintf(w, "planner drift |actual-est|/max(est,1): %s\n", strings.Join(driftParts, "  "))
 	}
 
-	// Approximate tier: APPROX executions and realized bound tightness
-	// (mean LB/UB of early-accepted candidates; 1.0 = bounds met exactly).
+	// Approximate tier: APPROX executions by kind.
 	apxCount := make(map[string]float64)
-	tightSum, tightCount := make(map[string]float64), make(map[string]float64)
 	for _, row := range cur.rows {
-		switch row.name {
-		case "tsq_approx_queries_total":
+		if row.name == "tsq_approx_queries_total" {
 			apxCount[row.labels["kind"]] += cur.delta(prev, row)
-		case "tsq_approx_bound_tightness_sum":
-			tightSum[row.labels["kind"]] += cur.delta(prev, row)
-		case "tsq_approx_bound_tightness_count":
-			tightCount[row.labels["kind"]] += cur.delta(prev, row)
 		}
 	}
 	akinds := make([]string, 0, len(apxCount))
@@ -296,11 +289,7 @@ func renderFrame(w io.Writer, remote string, cur, prev *snapshot) {
 		if apxCount[k] <= 0 {
 			continue
 		}
-		part := fmt.Sprintf("%s %.0f", k, apxCount[k])
-		if tightCount[k] > 0 {
-			part += fmt.Sprintf(" (tightness %.2f)", tightSum[k]/tightCount[k])
-		}
-		apxParts = append(apxParts, part)
+		apxParts = append(apxParts, fmt.Sprintf("%s %.0f", k, apxCount[k]))
 	}
 	if len(apxParts) > 0 {
 		fmt.Fprintf(w, "approx queries: %s\n", strings.Join(apxParts, "  "))

@@ -516,12 +516,6 @@ type ExecStats struct {
 	// Delta echoes the approximate tier's guaranteed relative error
 	// bound; 0 on exact executions.
 	Delta float64
-	// EarlyAccepts counts candidates the approximate tier resolved at a
-	// ladder checkpoint without a full-spectrum walk; BoundTightSum
-	// accumulates their bound tightness LB/UB in (0, 1] (divide by
-	// EarlyAccepts for the mean; 1 = the bound closed exactly).
-	EarlyAccepts  int
-	BoundTightSum float64
 	// Filter is the Lemma 1 geometry of the range/NN plan that ran — query
 	// feature point, index action, mirror weight — whatever strategy
 	// executed it: the test a later write must pass to be able to change
@@ -540,18 +534,8 @@ type Result struct {
 	ID   int64
 	Name string
 	// Dist is the Euclidean distance between the (transformed) normal form
-	// of the stored series and the normal form of the query. On
-	// approximate executions an early-accepted range answer reports its
-	// lower bound here and an early-accepted NN answer its upper bound
-	// (the value the k-best ordering and the (1+delta) guarantee hold
-	// for).
+	// of the stored series and the normal form of the query.
 	Dist float64
-	// Bound is the approximate tier's upper bound on the true distance:
-	// the true distance lies in [Dist, Bound] for range answers and at
-	// most Bound for NN answers (where Dist == Bound at early accepts).
-	// 0 on exact executions; equal to Dist when an approximate execution
-	// verified the candidate in full.
-	Bound float64
 }
 
 // verifyFreq computes whether the kernel's distance is within eps — D(A*X+B,

@@ -179,18 +179,11 @@ func pageOnlySpectrum(t *testing.T, db *shard, id int64) []complex128 {
 	return out
 }
 
-// refVerify is verifyFreq / verifyFreqApprox over a page-only view: the
-// same kernel, so the same twin terms (a stored coefficient's and its
-// mirror's) in the same order.
-func refVerify(t *testing.T, db *shard, p *rangePlan, k []twin, id int64, eps float64, nnMode bool, st *ExecStats) (within bool, dist, bound float64) {
+// refVerify is verifyFreq over a page-only view: the same kernel, so the
+// same twin terms (a stored coefficient's and its mirror's) in the same
+// order.
+func refVerify(t *testing.T, db *shard, k []twin, id int64, eps float64, st *ExecStats) (within bool, dist float64) {
 	t.Helper()
-	if p != nil && p.approx() {
-		within, dist, bound, err := db.ladderWalk(p, k, st, nil, nil, pageOnlyView(t, db, id), eps, nnMode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return within, dist, bound
-	}
 	x := pageOnlySpectrum(t, db, id)
 	limit := eps * eps
 	var sum float64
@@ -198,19 +191,11 @@ func refVerify(t *testing.T, db *shard, p *rangePlan, k []twin, id int64, eps fl
 		sum += k[f].term(x[f])
 		if sum > limit {
 			st.DistanceTerms += int64(f + 1)
-			return false, 0, 0
+			return false, 0
 		}
 	}
 	st.DistanceTerms += int64(len(k))
-	return true, math.Sqrt(sum), 0
-}
-
-func refResult(db *shard, p *rangePlan, id int64, dist, bound float64) Result {
-	r := Result{ID: id, Name: db.name(id), Dist: dist}
-	if p.approx() {
-		r.Bound = bound
-	}
-	return r
+	return true, math.Sqrt(sum)
 }
 
 // refRange is rangeIndexedInto / rangeScanFreqInto over page-only views.
@@ -229,10 +214,7 @@ func refRange(t *testing.T, db *shard, q RangeQuery, scan bool) ([]Result, ExecS
 		// transformation), and the filter is not what this suite varies.
 		// The leaf prefix test is the engine's own (leafTest): it reads the
 		// leaf's copy of the head, which checkHeads holds to the pages.
-		var far rtree.PrefixTest
-		if !p.approx() {
-			far = &leafTest{k: p.kernelInto(nil), limit: q.Eps * q.Eps, st: &st}
-		}
+		far := &leafTest{k: p.kernelInto(nil), limit: q.Eps * q.Eps, st: &st}
 		found, search := db.idx.RangeIDsTested(p.qp, p.mw.filterRadius(q.Eps), p.m, q.Moments, !db.opts.DisablePartialPrune, far, &sc, nil)
 		ids, st.NodeAccesses = found, search.NodesVisited
 	}
@@ -240,8 +222,8 @@ func refRange(t *testing.T, db *shard, q RangeQuery, scan bool) ([]Result, ExecS
 	k := p.kernelInto(nil)
 	for _, id := range ids {
 		st.Candidates++
-		if within, dist, bound := refVerify(t, db, p, k, id, q.Eps, false, &st); within {
-			out = append(out, refResult(db, p, id, dist, bound))
+		if within, dist := refVerify(t, db, k, id, q.Eps, &st); within {
+			out = append(out, Result{ID: id, Name: db.name(id), Dist: dist})
 		}
 	}
 	sortResults(out)
@@ -266,12 +248,7 @@ func (v *refNNVisit) NearBound() float64 {
 	return v.p.stopLine(v.best.threshold())
 }
 
-func (v *refNNVisit) FarPrefix(pre []complex128) int {
-	if v.lt == nil {
-		return 0
-	}
-	return v.lt.FarPrefix(pre)
-}
+func (v *refNNVisit) FarPrefix(pre []complex128) int { return v.lt.FarPrefix(pre) }
 
 func (v *refNNVisit) VisitFar(items, terms int) { v.lt.VisitFar(items, terms) }
 
@@ -281,8 +258,8 @@ func (v *refNNVisit) VisitNear(id int64, partialDistSq float64) bool {
 		return true
 	}
 	v.st.Candidates++
-	if within, dist, bound := refVerify(v.t, v.db, v.p, v.k, id, eps, true, v.st); within {
-		v.best.offer(refResult(v.db, v.p, id, dist, bound))
+	if within, dist := refVerify(v.t, v.db, v.k, id, eps, v.st); within {
+		v.best.offer(Result{ID: id, Name: v.db.name(id), Dist: dist})
 	}
 	return true
 }
@@ -299,14 +276,12 @@ func refNN(t *testing.T, db *shard, q NNQuery, scan bool) ([]Result, ExecStats) 
 	if scan {
 		for _, id := range db.ids {
 			st.Candidates++
-			if within, dist, bound := refVerify(t, db, p, v.k, id, v.best.threshold(), true, &st); within {
-				v.best.offer(refResult(db, p, id, dist, bound))
+			if within, dist := refVerify(t, db, v.k, id, v.best.threshold(), &st); within {
+				v.best.offer(Result{ID: id, Name: db.name(id), Dist: dist})
 			}
 		}
 	} else {
-		if !p.approx() {
-			v.lt = &leafTest{k: v.k, best: v.best, st: &st}
-		}
+		v.lt = &leafTest{k: v.k, best: v.best, st: &st}
 		var sc index.Scratch
 		st.NodeAccesses = db.idx.NearestIDs(p.qp, p.m, &sc, v).NodesVisited
 	}
@@ -385,7 +360,7 @@ func refJoin(t *testing.T, db *shard, jq JoinQuery, scan, selfOnce bool) ([]Join
 				continue
 			}
 			st.Candidates++
-			if within, dist, _ := refVerify(t, db, nil, k, id, jq.Eps, false, &st); within {
+			if within, dist := refVerify(t, db, k, id, jq.Eps, &st); within {
 				if jq.TwoSided {
 					out = append(out, JoinPair{A: id, B: qid, Dist: dist})
 				} else {
@@ -404,11 +379,10 @@ func refJoin(t *testing.T, db *shard, jq JoinQuery, scan, selfOnce bool) ([]Join
 func sameWork(t *testing.T, label string, got, want ExecStats) {
 	t.Helper()
 	if got.Candidates != want.Candidates || got.NodeAccesses != want.NodeAccesses ||
-		got.DistanceTerms != want.DistanceTerms || got.EarlyAccepts != want.EarlyAccepts ||
-		got.LeafResolved != want.LeafResolved {
-		t.Errorf("%s: work differs from the page-only reference walk:\n got candidates %d nodes %d terms %d early accepts %d leaf %d\nwant candidates %d nodes %d terms %d early accepts %d leaf %d",
-			label, got.Candidates, got.NodeAccesses, got.DistanceTerms, got.EarlyAccepts, got.LeafResolved,
-			want.Candidates, want.NodeAccesses, want.DistanceTerms, want.EarlyAccepts, want.LeafResolved)
+		got.DistanceTerms != want.DistanceTerms || got.LeafResolved != want.LeafResolved {
+		t.Errorf("%s: work differs from the page-only reference walk:\n got candidates %d nodes %d terms %d leaf %d\nwant candidates %d nodes %d terms %d leaf %d",
+			label, got.Candidates, got.NodeAccesses, got.DistanceTerms, got.LeafResolved,
+			want.Candidates, want.NodeAccesses, want.DistanceTerms, want.LeafResolved)
 	}
 	if got.HeadResolved < 0 || got.HeadResolved > got.Candidates || got.LeafResolved > got.HeadResolved {
 		t.Errorf("%s: %d of %d candidates resolved in the head, %d in the leaf", label, got.HeadResolved, got.Candidates, got.LeafResolved)
@@ -566,10 +540,8 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 					t.Errorf("%s %s: missed %s at brute-force distance %.9f <= eps %.9f", label, r.name, h.name, h.dist, eps)
 				case h.dist > (1+sp.delta)*eps+headSlack && ok:
 					t.Errorf("%s %s: returned %s at brute-force distance %.9f > (1+%g)*eps %.9f", label, r.name, h.name, h.dist, sp.delta, eps)
-				case ok && sp.delta == 0 && math.Abs(m.Dist-h.dist) > headSlack:
+				case ok && math.Abs(m.Dist-h.dist) > headSlack:
 					t.Errorf("%s %s: %s at distance %.9f, brute force %.9f", label, r.name, h.name, m.Dist, h.dist)
-				case ok && sp.delta > 0 && (m.Dist > h.dist+headSlack || m.Bound < h.dist-headSlack):
-					t.Errorf("%s %s: %s bounds [%.9f, %.9f] miss brute force %.9f", label, r.name, h.name, m.Dist, m.Bound, h.dist)
 				}
 			}
 		}

@@ -184,3 +184,50 @@ func TestLeafTestIndexEqualsScan(t *testing.T) {
 		}
 	}
 }
+
+// TestApproxReadsAskTheLeafTest: an approximate read runs the exact read's
+// leaf prefix test — its APPROX range answers are the exact read's, IDs and
+// distance bits — and an indexed APPROX NN and an indexed APPROX range read
+// each resolve candidates in the leaf, at one shard and at four.
+func TestApproxReadsAskTheLeafTest(t *testing.T) {
+	const n, count, reads, seed, delta = 64, 800, 12, 20261019, 0.1
+	t.Logf("seed %d", seed)
+	names, values := familyWalks(count, n, seed)
+	id := transform.Identity(n)
+	for _, shards := range []int{1, 4} {
+		eng := newTestEngine(t, n, shards, Options{})
+		if err := eng.InsertBulk(names, values); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed + int64(shards)))
+		nnLeaf, rangeLeaf := 0, 0
+		for i := 0; i < reads; i++ {
+			q := append([]float64(nil), values[rng.Intn(count)]...)
+			for j := range q {
+				q[j] += rng.NormFloat64() * 0.2
+			}
+			nn, nst, err := forcedNN(eng, NNQuery{Values: q, K: 10, Transform: id, Delta: delta}, plan.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nnLeaf += nst.LeafResolved
+			rq := RangeQuery{Values: q, Eps: (nn[5].Dist + nn[6].Dist) / 2, Transform: id}
+			exact, _, err := forcedRange(eng, rq, plan.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rq.Delta = delta
+			apx, rst, err := forcedRange(eng, rq, plan.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(apx, exact) || rst.Delta != delta {
+				t.Fatalf("shards=%d range read %d: APPROX %g answers %v (delta %g), the exact read %v", shards, i, delta, apx, rst.Delta, exact)
+			}
+			rangeLeaf += rst.LeafResolved
+		}
+		if nnLeaf == 0 || rangeLeaf == 0 {
+			t.Fatalf("shards=%d: APPROX reads resolved %d NN and %d range candidates in a leaf, want both > 0", shards, nnLeaf, rangeLeaf)
+		}
+	}
+}

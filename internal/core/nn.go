@@ -20,10 +20,11 @@ type NNQuery struct {
 	WarpFactor int
 	BothSides  bool
 	// Delta is the approximate tier's guaranteed relative error bound
-	// (APPROX delta): 0 answers exactly; delta > 0 relaxes the
-	// branch-and-bound's continue test and lets verification stop at a
-	// ladder rung, guaranteeing every reported i-th distance is within
-	// (1+Delta) of the exact i-th. See approx.go.
+	// (APPROX delta): 0 answers exactly; delta > 0 shrinks the walk's stop
+	// line by (1+Delta) (rangePlan.stopLine), so a candidate is skipped
+	// only if its distance exceeds the k-th best so far over (1+Delta).
+	// Every candidate still verifies exactly, so each reported distance is
+	// exact and the i-th is within (1+Delta) of the exact i-th.
 	Delta float64
 	// Prep carries the stored-record planning artifacts when the query
 	// series is itself a stored series; see RangeQuery.Prep.
@@ -166,7 +167,7 @@ type nnVisit struct {
 	best *topK
 	ar   *execArena
 	st   *ExecStats
-	lt   *leafTest // nil on warped and approximate plans
+	lt   *leafTest // nil on warped plans
 	err  error
 }
 
@@ -189,12 +190,11 @@ func (v *nnVisit) NearBound() float64 {
 	return v.p.stopLine(v.best.threshold())
 }
 
-// VisitNear verifies one item (verify, under the NN accept rule). It
-// returns false only on error: the walk hands over an item only while it is
-// within NearBound, and one that is not by the time it arrives — a sibling
-// shard tightened the shared k-th best in between — is simply not a
-// candidate. The scan hands over every stored id at partial distance 0,
-// which is within any stop line.
+// VisitNear verifies one item (verify). It returns false only on error:
+// the walk hands over an item only while it is within NearBound, and one
+// that is not by the time it arrives — a sibling shard tightened the shared
+// k-th best in between — is simply not a candidate. The scan hands over
+// every stored id at partial distance 0, which is within any stop line.
 func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 	// eps is the shared k-th-best distance: it bounds both the decision
 	// to verify and the early abandoning inside verification.
@@ -203,7 +203,7 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 		return true
 	}
 	v.st.Candidates++
-	r, within, err := v.sh.verify(v.p, v.ar, v.st, id, eps, true)
+	r, within, err := v.sh.verify(v.p, v.ar, v.st, id, eps)
 	if err != nil {
 		v.err = err
 		return false
@@ -236,7 +236,7 @@ func (v *nnVisit) VisitNear(id int64, partialDistSq float64) bool {
 // a few more than the items within the final k-th distance (countNear); the
 // nodes are the same. Steady state it allocates nothing.
 func (sh *shard) nnIndexedArena(p *rangePlan, best *topK, ar *execArena, st *ExecStats) {
-	if p.q.WarpFactor < 2 && !p.approx() {
+	if p.q.WarpFactor < 2 {
 		ar.lt = leafTest{k: ar.k, best: best, st: st}
 		ar.nv.lt = &ar.lt
 	}

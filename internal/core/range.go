@@ -47,13 +47,10 @@ type RangeQuery struct {
 	// difference between the two curves is only a constant").
 	ForceTransform bool
 	// Delta is the approximate tier's guaranteed relative error bound
-	// (APPROX delta): 0 answers exactly through the unchanged exact
-	// path; delta > 0 lets verification stop at a ladder rung once the
-	// residual-energy upper bound proves the answer within
-	// (1+Delta)*Eps. Approximate answers are a superset of the exact
-	// answer set — nothing within Eps is ever dropped — and every
-	// member's true distance is at most (1+Delta)*Eps, carried per
-	// result as Result.Bound. See approx.go.
+	// (APPROX delta). A range read answers exactly whatever Delta it
+	// carries: the exact answer set is already a superset of itself whose
+	// members all lie within (1+Delta)*Eps. NN reads relax their stop line
+	// by it (see NNQuery.Delta).
 	Delta float64
 	// Prep, when set, carries the stored-record planning artifacts of a
 	// query that is itself a stored series (the by-name entry points and
@@ -141,20 +138,10 @@ type rangePlan struct {
 	// kernel from it into its arena (kernelInto).
 	qn []float64
 	Q  []complex128
-	// Approximate-tier precomputation (Delta > 0; see approx.go). relax
-	// is (1+Delta) and relaxSq its square — relaxSq is 1 on exact plans
-	// so the NN traversal test multiplies through as an IEEE identity.
-	// sufA2[ord] and sufBQ2[ord] are the *squared* suffix max |a| and
-	// suffix norm of (b - Q) from checkpoint position ladderStart<<ord
-	// on, twins included (recorded only at checkpoints — the walk reads
-	// them nowhere else); energy bounds the full spectrum's
-	// total energy (n, by the unitary transform on normal forms) and
-	// doubles as the "frequency ladder available" flag.
-	relax   float64
-	relaxSq float64
-	sufA2   [ladderRungs]float64
-	sufBQ2  [ladderRungs]float64
-	energy  float64
+	// relax is the approximate tier's (1+Delta), 1 on an exact plan: it
+	// shrinks the NN stop line (stopLine), so the exact plan's test
+	// divides through by it as an IEEE identity.
+	relax float64
 }
 
 // stopLine is where an NN traversal of this plan stops at k-th best
@@ -175,7 +162,7 @@ func (sh *shard) planRange(q RangeQuery) (*rangePlan, error) {
 	if err := sh.validateRange(q); err != nil {
 		return nil, err
 	}
-	p := &rangePlan{q: q, relax: 1, relaxSq: 1}
+	p := &rangePlan{q: q, relax: 1 + q.Delta}
 	prep, err := sh.prepOf(q)
 	if err != nil {
 		return nil, err
@@ -188,15 +175,9 @@ func (sh *shard) planRange(q RangeQuery) (*rangePlan, error) {
 	}
 	if q.WarpFactor >= 2 {
 		p.qn = series.NormalForm(q.Values)
-		if q.Delta > 0 {
-			p.initApprox(sh.length)
-		}
 		return p, nil
 	}
 	p.Q = prep.Spectrum
-	if q.Delta > 0 {
-		p.initApprox(sh.length)
-	}
 	return p, nil
 }
 
@@ -235,47 +216,37 @@ func (sh *shard) verifyWarp(p *rangePlan, st *ExecStats, id int64, eps float64) 
 // verify is the post-processing step of Algorithm 2 for one candidate,
 // whichever strategy found it: an exact, early-abandoning distance within
 // eps over the stored record — in the time domain for a warped plan
-// (verifyWarp), down the approximate tier's ladder for an approximate one
-// (verifyFreqApprox, under the NN accept rule when nn is set), over the
-// stored spectrum through the arena's kernel otherwise (verifyFreq). It is
-// the one place a range or NN read chooses among them, and the one place it
-// sets Result.Bound: exactly when the plan is approximate.
-func (sh *shard) verify(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64, nn bool) (Result, bool, error) {
+// (verifyWarp), over the stored spectrum through the arena's kernel
+// otherwise (verifyFreq). It is the one place a range or NN read chooses
+// between them.
+func (sh *shard) verify(p *rangePlan, ar *execArena, st *ExecStats, id int64, eps float64) (Result, bool, error) {
 	var (
-		within      bool
-		dist, bound float64
-		err         error
+		within bool
+		dist   float64
+		err    error
 	)
-	switch {
-	case p.q.WarpFactor >= 2:
+	if p.q.WarpFactor >= 2 {
 		within, dist, err = sh.verifyWarp(p, st, id, eps)
-		bound = dist
-	case p.approx():
-		within, dist, bound, err = sh.verifyFreqApprox(p, ar, st, id, eps, nn)
-	default:
+	} else {
 		within, dist, err = sh.verifyFreq(st, &ar.pages, id, ar.k, eps)
 	}
 	if err != nil || !within {
 		return Result{}, false, err
 	}
-	r := Result{ID: id, Name: sh.name(id), Dist: dist}
-	if p.approx() {
-		r.Bound = bound
-	}
-	return r, true, nil
+	return Result{ID: id, Name: sh.name(id), Dist: dist}, true, nil
 }
 
 // rangeIDs is the search phase of the paper's Algorithm 2 against this
 // shard: the index traversal, applying the transformation to every
 // rectangle on the fly (the preprocessing phase is the rangePlan), over the
-// index's flat-slab batch traversal into arena scratch. On an exact
+// index's flat-slab batch traversal into arena scratch. On a
 // frequency-domain plan the leaf prefix test (leafTest) resolves the
 // candidates verification would dismiss within their first stored
 // coefficients before their IDs are collected. Steady state it allocates
 // nothing.
 func (sh *shard) rangeIDs(p *rangePlan, ar *execArena, st *ExecStats) []int64 {
 	var far rtree.PrefixTest
-	if p.q.WarpFactor < 2 && !p.approx() {
+	if p.q.WarpFactor < 2 {
 		ar.lt = leafTest{k: ar.k, limit: p.q.Eps * p.q.Eps, st: st}
 		far = &ar.lt
 	}
@@ -343,7 +314,7 @@ func (sh *shard) runRange(strategy plan.Strategy, p *rangePlan, ar *execArena, s
 	stampPlan(p, st)
 	st.Candidates += len(ids)
 	for _, id := range ids {
-		r, within, err := sh.verify(p, ar, st, id, p.q.Eps, false)
+		r, within, err := sh.verify(p, ar, st, id, p.q.Eps)
 		if err != nil {
 			return dst, err
 		}
@@ -352,4 +323,13 @@ func (sh *shard) runRange(strategy plan.Strategy, p *rangePlan, ar *execArena, s
 		}
 	}
 	return dst, nil
+}
+
+// stampPlan stamps an execution's stats with what its plan decided: the
+// Lemma 1 geometry it filtered with and the approximate tier's delta (0 on
+// an exact plan). runRange and runNN call it once per run, whichever
+// candidate list the run verifies.
+func stampPlan(p *rangePlan, st *ExecStats) {
+	st.Filter = p.Prefilter
+	st.Delta = p.q.Delta
 }

@@ -51,7 +51,6 @@ func init() {
 	telemetry.Describe("tsq_shard_candidates_total", "Verified candidates per shard across fan-out executions.")
 	telemetry.Describe("tsq_fanout_imbalance_ratio", "Max/mean per-shard candidate counts of multi-shard executions.")
 	telemetry.Describe("tsq_approx_queries_total", "Approximate-tier (APPROX delta > 0) executions by query kind.")
-	telemetry.Describe("tsq_approx_bound_tightness", "Realized mean bound tightness LB/UB of approximate executions (1 = bound closed exactly).")
 }
 
 // finishExec stamps a completed planned execution with its resolved
@@ -78,14 +77,15 @@ func fanSpans(st *ExecStats, fan, merge time.Duration) []Span {
 	return []Span{span("fanout", fan, children...), span("merge", merge)}
 }
 
-// execMetricCache memoizes the per-kind×strategy plan handles and
-// shardMetricCache the per-shard candidate counters: observeExec runs on
+// execMetricCache memoizes the per-kind×strategy plan handles,
+// shardMetricCache the per-shard candidate counters and approxMetricCache
+// the per-kind approximate-read counters: observeExec runs on
 // every planned execution, and registry lookups (label-key building plus
 // a map read) are too expensive to repeat there.
 var (
 	execMetricCache   sync.Map // "kind\x00strategy" -> execMetrics
 	shardMetricCache  sync.Map // shard int -> *telemetry.Counter
-	approxMetricCache sync.Map // kind string -> approxMetrics
+	approxMetricCache sync.Map // kind string -> *telemetry.Counter
 )
 
 type execMetrics struct {
@@ -95,20 +95,12 @@ type execMetrics struct {
 	imbalance *telemetry.Histogram
 }
 
-type approxMetrics struct {
-	count     *telemetry.Counter
-	tightness *telemetry.Histogram
-}
-
-func approxHandles(kind string) approxMetrics {
+func approxCount(kind string) *telemetry.Counter {
 	if v, ok := approxMetricCache.Load(kind); ok {
-		return v.(approxMetrics)
+		return v.(*telemetry.Counter)
 	}
-	v, _ := approxMetricCache.LoadOrStore(kind, approxMetrics{
-		count:     telemetry.Count("tsq_approx_queries_total", "kind", kind),
-		tightness: telemetry.HistogramOf("tsq_approx_bound_tightness", telemetry.RatioBuckets, "kind", kind),
-	})
-	return v.(approxMetrics)
+	v, _ := approxMetricCache.LoadOrStore(kind, telemetry.Count("tsq_approx_queries_total", "kind", kind))
+	return v.(*telemetry.Counter)
 }
 
 func execHandles(kind, strat string) execMetrics {
@@ -150,11 +142,7 @@ func observeExec(pl *plan.Plan, st *ExecStats) {
 	m.count.Inc()
 	m.latency.Observe(st.Elapsed.Seconds())
 	if pl.Approx != nil {
-		am := approxHandles(pl.Kind)
-		am.count.Inc()
-		if st.EarlyAccepts > 0 {
-			am.tightness.Observe(st.BoundTightSum / float64(st.EarlyAccepts))
-		}
+		approxCount(pl.Kind).Inc()
 	}
 	if est := pl.Est.Candidates; est > 0 {
 		m.costError.Observe(math.Abs(float64(st.Candidates)-est) / math.Max(est, 1))

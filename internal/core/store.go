@@ -640,8 +640,6 @@ func (st *ExecStats) add(p *ExecStats) {
 	st.HeadResolved += p.HeadResolved
 	st.LeafResolved += p.LeafResolved
 	st.DistanceTerms += p.DistanceTerms
-	st.EarlyAccepts += p.EarlyAccepts
-	st.BoundTightSum += p.BoundTightSum
 	st.Delta = max(st.Delta, p.Delta)
 	if p.Filter != nil {
 		st.Filter = p.Filter // one plan fans out to every shard

@@ -45,19 +45,6 @@ func RandomWalk(r *rand.Rand, length int) []float64 {
 	return s
 }
 
-// RandomWalkGaussian is the variant with Gaussian steps (sigma chosen so
-// the step variance matches the uniform [-4, 4] steps).
-func RandomWalkGaussian(r *rand.Rand, length int) []float64 {
-	const sigma = 2.3094 // sqrt(16/3), variance of U[-4,4]
-	s := make([]float64, length)
-	v := 20 + r.Float64()*79
-	for i := range s {
-		s[i] = v
-		v += r.NormFloat64() * sigma
-	}
-	return s
-}
-
 // HarmonicTwin returns base plus c*cos(2*pi*t/n + phi), with c chosen so
 // the twin keeps base's standard deviation: the two normal forms then
 // differ on DFT coefficients 1 and n-1 alone, which makes the twin the

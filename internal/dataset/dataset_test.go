@@ -28,26 +28,6 @@ func TestRandomWalkShape(t *testing.T) {
 	}
 }
 
-func TestRandomWalkGaussianStepVariance(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	var sum, sumSq float64
-	count := 0
-	for trial := 0; trial < 50; trial++ {
-		s := RandomWalkGaussian(r, 200)
-		for i := 1; i < len(s); i++ {
-			d := s[i] - s[i-1]
-			sum += d
-			sumSq += d * d
-			count++
-		}
-	}
-	mean := sum / float64(count)
-	variance := sumSq/float64(count) - mean*mean
-	if math.Abs(variance-16.0/3) > 0.5 {
-		t.Fatalf("step variance %v, want ~%v", variance, 16.0/3)
-	}
-}
-
 func TestRandomWalksDeterministic(t *testing.T) {
 	a := RandomWalks(5, 32, 42)
 	b := RandomWalks(5, 32, 42)

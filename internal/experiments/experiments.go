@@ -135,8 +135,10 @@ type TimingPoint struct {
 	// A and B are the two curves' mean query times in milliseconds; their
 	// meaning depends on the figure (see each function's doc comment).
 	A, B float64
-	// NodesA and NodesB are mean index node accesses where applicable.
+	// NodesA and NodesB are mean index node accesses where applicable,
+	// CandsA and CandsB mean verified candidates.
 	NodesA, NodesB float64
+	CandsA, CandsB float64
 	// PagesA and PagesB are mean modeled page reads per query (see
 	// modeledPages).
 	PagesA, PagesB float64
@@ -197,7 +199,7 @@ func rangeIdentityComparison(length, count int, cfg Config) (TimingPoint, error)
 	}
 	ident := transform.Identity(length)
 
-	var nodesWith, nodesPlain int
+	var nodesWith, nodesPlain, candsWith, candsPlain int
 	msWith, err := msPerQuery(cfg.Queries, func(i int) error {
 		vals, err := db.Series(pick[i])
 		if err != nil {
@@ -207,6 +209,7 @@ func rangeIdentityComparison(length, count int, cfg Config) (TimingPoint, error)
 			Values: vals, Eps: cfg.Eps, Transform: ident, ForceTransform: true,
 		}, plan.Index)
 		nodesWith += st.NodeAccesses
+		candsWith += st.Candidates
 		return err
 	})
 	if err != nil {
@@ -221,6 +224,7 @@ func rangeIdentityComparison(length, count int, cfg Config) (TimingPoint, error)
 			Values: vals, Eps: cfg.Eps, Transform: ident,
 		}, plan.Index)
 		nodesPlain += st.NodeAccesses
+		candsPlain += st.Candidates
 		return err
 	})
 	if err != nil {
@@ -230,6 +234,7 @@ func rangeIdentityComparison(length, count int, cfg Config) (TimingPoint, error)
 	return TimingPoint{
 		A: msWith, B: msPlain,
 		NodesA: float64(nodesWith) / q, NodesB: float64(nodesPlain) / q,
+		CandsA: float64(candsWith) / q, CandsB: float64(candsPlain) / q,
 	}, nil
 }
 

@@ -10,19 +10,36 @@ import (
 
 var testCfg = Config{Queries: 5, Seed: 1997, Eps: 1.0}
 
+// TestFigure8Shape judges each curve's time by its minimum over three runs
+// of Figure8: a mean of five wall-clock queries is one scheduler or
+// collector pause away from any bound.
 func TestFigure8Shape(t *testing.T) {
-	pts, err := Figure8([]int{64, 128}, 200, testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points: %d", len(pts))
+	var pts []TimingPoint
+	for run := 0; run < 3; run++ {
+		got, err := Figure8([]int{64, 128}, 200, testCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("points: %d", len(got))
+		}
+		if pts == nil {
+			pts = got
+			continue
+		}
+		for i, p := range got {
+			pts[i].A, pts[i].B = min(pts[i].A, p.A), min(pts[i].B, p.B)
+		}
 	}
 	for _, p := range pts {
 		// The paper's headline: identical disk (node) accesses whether or
-		// not a transformation rides the traversal.
+		// not a transformation rides the traversal — and the same
+		// candidates verified.
 		if p.NodesA != p.NodesB {
 			t.Fatalf("length %g: node accesses differ: %v vs %v", p.X, p.NodesA, p.NodesB)
+		}
+		if p.CandsA != p.CandsB {
+			t.Fatalf("length %g: candidates differ: %v vs %v", p.X, p.CandsA, p.CandsB)
 		}
 		if p.A <= 0 || p.B <= 0 {
 			t.Fatalf("length %g: non-positive timing", p.X)

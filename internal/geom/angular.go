@@ -73,28 +73,6 @@ func AngularIntervalContains(lo, hi, x float64) bool {
 	return rel <= w
 }
 
-// IntersectsMixed reports whether rectangles a and b overlap where the
-// dimensions flagged in angular are circle-valued (tested modulo 2*pi) and
-// the rest are ordinary linear dimensions. Used by the transformed-index
-// traversal in the polar feature space.
-func IntersectsMixed(a, b Rect, angular []bool) bool {
-	if a.Dims() != b.Dims() {
-		return false
-	}
-	for i := range a.Lo {
-		if i < len(angular) && angular[i] {
-			if !AngularIntervalsOverlap(a.Lo[i], a.Hi[i], b.Lo[i], b.Hi[i]) {
-				return false
-			}
-			continue
-		}
-		if a.Hi[i] < b.Lo[i] || b.Hi[i] < a.Lo[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ContainsPointMixed reports whether rectangle r contains point p where the
 // dimensions flagged in angular are circle-valued.
 func ContainsPointMixed(r Rect, p Point, angular []bool) bool {

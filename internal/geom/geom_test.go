@@ -416,27 +416,6 @@ func TestAngularIntervalContains(t *testing.T) {
 	}
 }
 
-func TestIntersectsMixed(t *testing.T) {
-	p := math.Pi
-	angular := []bool{false, true}
-	// Dim 0 linear, dim 1 angular.
-	a := Rect{Lo: pt(0, p-0.2), Hi: pt(1, p+0.2)}
-	b := Rect{Lo: pt(0.5, -p), Hi: pt(2, -p+0.1)} // angularly adjacent across seam
-	if !IntersectsMixed(a, b, angular) {
-		t.Error("expected angular overlap across seam")
-	}
-	if a.Intersects(b) {
-		t.Error("plain Intersects should miss the seam overlap (documents why IntersectsMixed exists)")
-	}
-	c := Rect{Lo: pt(5, -p), Hi: pt(6, -p+0.1)} // linear dim disjoint
-	if IntersectsMixed(a, c, angular) {
-		t.Error("linear disjointness must still apply")
-	}
-	if IntersectsMixed(a, Rect{Lo: pt(0), Hi: pt(1)}, angular) {
-		t.Error("dimension mismatch should be false")
-	}
-}
-
 func TestContainsPointMixed(t *testing.T) {
 	p := math.Pi
 	angular := []bool{false, true}

@@ -278,7 +278,7 @@ func (p *parser) parseTail(stmt *Statement) error {
 			approxSet = true
 		case keywordIs(t, "CONFIDENCE"):
 			// Sugar for APPROX (1-c): "WITHIN 2.5 CONFIDENCE 0.9" reads as
-			// "within eps at 90% tightness", i.e. delta = 0.1.
+			// "within eps at 90% confidence", i.e. delta = 0.1.
 			if stmt.Kind == StmtSelfJoin || stmt.Kind == StmtJoin {
 				return fmt.Errorf("query: CONFIDENCE applies to RANGE and NN only (at %d)", t.pos)
 			}

@@ -128,9 +128,9 @@ func transformSlab(srcLo, srcHi, dstLo, dstHi []float64, count, dims int, C, D [
 	}
 }
 
-// flatOverlaps mirrors geom.IntersectsMixed over slab views: linear
+// flatOverlaps is the rectangle overlap test over slab views: linear
 // interval intersection everywhere except the angular dimensions, which
-// wrap modulo 2*pi.
+// wrap modulo 2*pi, so boxes adjacent across the ±pi seam overlap.
 func flatOverlaps(lo, hi, qlo, qhi []float64, dims int, angular []bool) bool {
 	if angular == nil {
 		for j := 0; j < dims; j++ {

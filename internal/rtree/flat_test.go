@@ -61,6 +61,25 @@ func (c *collectFlat) VisitFlat(id int64, tlo, thi, cart []float64, _ []complex1
 	return true
 }
 
+// TestFlatOverlapsAcrossTheSeam: with dimension 1 angular, boxes that meet
+// across the ±pi seam overlap, the same boxes read as plain intervals do
+// not, and a disjoint linear dimension still separates them.
+func TestFlatOverlapsAcrossTheSeam(t *testing.T) {
+	p := math.Pi
+	angular := []bool{false, true}
+	lo, hi := []float64{0, p - 0.2}, []float64{1, p + 0.2}
+	seamLo, seamHi := []float64{0.5, -p}, []float64{2, -p + 0.1}
+	if !flatOverlaps(lo, hi, seamLo, seamHi, 2, angular) {
+		t.Error("boxes adjacent across the seam should overlap")
+	}
+	if flatOverlaps(lo, hi, seamLo, seamHi, 2, nil) {
+		t.Error("read as linear intervals, the seam boxes should not overlap")
+	}
+	if flatOverlaps(lo, hi, []float64{5, -p}, []float64{6, -p + 0.1}, 2, angular) {
+		t.Error("a disjoint linear dimension must still separate the boxes")
+	}
+}
+
 // TestFlatRangeParity: the range traversal under a map emits exactly the
 // points whose image lies in the query box, each once, and hands the
 // visitor that image — c*x + d, to the bit.

@@ -263,19 +263,6 @@ func euclideanDistSq(x, y []float64) float64 {
 	return s
 }
 
-// CityBlockDistance returns the L1 distance between equal-length series
-// (mentioned by the paper as an alternative base distance).
-func CityBlockDistance(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("series: distance length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i := range x {
-		s += math.Abs(x[i] - y[i])
-	}
-	return s
-}
-
 // EuclideanWithin reports whether the Euclidean distance between x and y is
 // at most eps, abandoning the accumulation as soon as the partial sum
 // exceeds eps^2. This is the optimization the paper applies to its

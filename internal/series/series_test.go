@@ -293,15 +293,11 @@ func TestDistances(t *testing.T) {
 	if d := EuclideanDistance(x, y); d != 5 {
 		t.Fatalf("Euclidean = %v", d)
 	}
-	if d := CityBlockDistance(x, y); d != 7 {
-		t.Fatalf("CityBlock = %v", d)
-	}
 }
 
 func TestDistancePanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { EuclideanDistance([]float64{1}, []float64{1, 2}) },
-		func() { CityBlockDistance([]float64{1}, []float64{1, 2}) },
 		func() { EuclideanWithin([]float64{1}, []float64{1, 2}, 1) },
 		func() { MinSubsequenceDistance([]float64{1}, []float64{1, 2}) },
 		func() { MinSubsequenceDistance([]float64{1}, nil) },

@@ -50,37 +50,27 @@ type StatsPayload struct {
 	// "request failed" stderr line.
 	RequestID string `json:"request_id,omitempty"`
 	// Delta is the approximation slack the execution ran under (absent =
-	// exact); EarlyAccepts the candidates accepted from the truncated
-	// bound without a full verification walk; BoundTightness their mean
-	// realized lower/upper bound ratio. All three report what the read
-	// did.
-	Delta          float64 `json:"delta,omitempty"`
-	EarlyAccepts   int     `json:"early_accepts,omitempty"`
-	BoundTightness float64 `json:"bound_tightness,omitempty"`
+	// exact).
+	Delta float64 `json:"delta,omitempty"`
 }
 
 func toStatsPayload(st tsq.Stats) StatsPayload {
 	return StatsPayload{
-		ElapsedUS:      float64(st.Elapsed) / float64(time.Microsecond),
-		NodeAccesses:   st.NodeAccesses,
-		PageReads:      st.PageReads,
-		Candidates:     st.Candidates,
-		HeadResolved:   st.HeadResolved,
-		Cached:         st.Cached,
-		RequestID:      st.RequestID,
-		Delta:          st.Delta,
-		EarlyAccepts:   st.EarlyAccepts,
-		BoundTightness: st.BoundTightness,
+		ElapsedUS:    float64(st.Elapsed) / float64(time.Microsecond),
+		NodeAccesses: st.NodeAccesses,
+		PageReads:    st.PageReads,
+		Candidates:   st.Candidates,
+		HeadResolved: st.HeadResolved,
+		Cached:       st.Cached,
+		RequestID:    st.RequestID,
+		Delta:        st.Delta,
 	}
 }
 
-// MatchPayload is one range/NN answer on the wire. Bound is the
-// certified distance upper bound of an approximate answer (the true
-// distance lies in [distance, bound]); absent on exact executions.
+// MatchPayload is one range/NN answer on the wire.
 type MatchPayload struct {
 	Name     string  `json:"name"`
 	Distance float64 `json:"distance"`
-	Bound    float64 `json:"bound,omitempty"`
 }
 
 // PairPayload is one join answer on the wire.
@@ -203,7 +193,7 @@ type RangeRequest struct {
 	Using     string      `json:"using,omitempty"`
 	Mean      *[2]float64 `json:"mean,omitempty"`
 	Std       *[2]float64 `json:"std,omitempty"`
-	// Delta > 0 runs the query approximately with a certified (1+delta)
+	// Delta > 0 runs the query approximately with a guaranteed (1+delta)
 	// error bound (the APPROX clause of the query language).
 	Delta float64 `json:"delta,omitempty"`
 }
@@ -216,7 +206,7 @@ type NNRequest struct {
 	Transform string    `json:"transform,omitempty"`
 	Both      bool      `json:"both,omitempty"`
 	Using     string    `json:"using,omitempty"`
-	// Delta > 0 runs the query approximately with a certified (1+delta)
+	// Delta > 0 runs the query approximately with a guaranteed (1+delta)
 	// error bound (the APPROX clause of the query language).
 	Delta float64 `json:"delta,omitempty"`
 }
@@ -397,9 +387,9 @@ type WorstTracePayload struct {
 }
 
 // ProgressiveStagePayload is one SSE delivery of POST /query/progressive:
-// the approximate stage ("approx" event, every match carrying its
-// certified error bound) followed by the exact refinement ("final"
-// event).
+// the approximate stage ("approx" event, exact distances whose i-th is
+// within (1+delta) of the exact i-th) followed by the exact refinement
+// ("final" event).
 type ProgressiveStagePayload struct {
 	Phase  string        `json:"phase"`
 	Final  bool          `json:"final,omitempty"`

@@ -230,21 +230,19 @@ func OutputFromResponse(resp *QueryResponse) *tsq.Output {
 		Explain: resp.Explain,
 		Trace:   fromTracePayload(resp.Trace),
 		Stats: tsq.Stats{
-			Elapsed:        time.Duration(resp.Stats.ElapsedUS * float64(time.Microsecond)),
-			NodeAccesses:   resp.Stats.NodeAccesses,
-			PageReads:      resp.Stats.PageReads,
-			Candidates:     resp.Stats.Candidates,
-			HeadResolved:   resp.Stats.HeadResolved,
-			Cached:         resp.Stats.Cached,
-			RequestID:      resp.Stats.RequestID,
-			Delta:          resp.Stats.Delta,
-			EarlyAccepts:   resp.Stats.EarlyAccepts,
-			BoundTightness: resp.Stats.BoundTightness,
+			Elapsed:      time.Duration(resp.Stats.ElapsedUS * float64(time.Microsecond)),
+			NodeAccesses: resp.Stats.NodeAccesses,
+			PageReads:    resp.Stats.PageReads,
+			Candidates:   resp.Stats.Candidates,
+			HeadResolved: resp.Stats.HeadResolved,
+			Cached:       resp.Stats.Cached,
+			RequestID:    resp.Stats.RequestID,
+			Delta:        resp.Stats.Delta,
 		},
 	}
 	out.Matches = make([]tsq.Match, len(resp.Matches))
 	for i, m := range resp.Matches {
-		out.Matches[i] = tsq.Match{Name: m.Name, Distance: m.Distance, Bound: m.Bound}
+		out.Matches[i] = tsq.Match{Name: m.Name, Distance: m.Distance}
 	}
 	out.Pairs = make([]tsq.Pair, len(resp.Pairs))
 	for i, p := range resp.Pairs {

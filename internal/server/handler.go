@@ -271,7 +271,7 @@ func toQueryResponse(kind string, matches []tsq.Match, pairs []tsq.Pair, st tsq.
 	resp := &QueryResponse{Kind: kind, Stats: toStatsPayload(st)}
 	resp.Matches = make([]MatchPayload, len(matches))
 	for i, m := range matches {
-		resp.Matches[i] = MatchPayload{Name: m.Name, Distance: m.Distance, Bound: m.Bound}
+		resp.Matches[i] = MatchPayload{Name: m.Name, Distance: m.Distance}
 	}
 	resp.Pairs = make([]PairPayload, len(pairs))
 	for i, p := range pairs {

@@ -196,7 +196,6 @@ func TestTraceOverHTTP(t *testing.T) {
 // A family nobody reads is code to delete, not a row to add here.
 var exposedFamilies = []struct{ family, reader string }{
 	{"tsq_appends_total", "TestMetricsEndpoint"},
-	{"tsq_approx_bound_tightness", "top: approx queries (tightness)"},
 	{"tsq_approx_queries_total", "top: approx queries; CI scrape grep"},
 	{"tsq_cache_hits_total", "TestMetricsEndpoint"},
 	{"tsq_cache_misses_total", "TestMetricsEndpoint"},

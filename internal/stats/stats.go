@@ -1,13 +1,11 @@
 // Package stats provides the small measurement and reporting utilities the
 // experiment harness uses to regenerate the paper's figures and tables:
-// wall-clock timers, aggregate summaries, and fixed-width text rendering of
-// result tables and figure series.
+// wall-clock timers and fixed-width text rendering of result tables and
+// figure series.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -22,48 +20,6 @@ func StartTimer() *Timer { return &Timer{start: time.Now()} }
 
 // Elapsed returns the time since the timer started.
 func (t *Timer) Elapsed() time.Duration { return time.Since(t.start) }
-
-// Summary aggregates a sample of float64 observations.
-type Summary struct {
-	Count          int
-	Mean, Min, Max float64
-	Median         float64
-	StdDev         float64
-}
-
-// Summarize computes a Summary. An empty sample yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{Count: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var sq float64
-	for _, x := range xs {
-		d := x - s.Mean
-		sq += d * d
-	}
-	s.StdDev = math.Sqrt(sq / float64(len(xs)))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
 
 // Table renders aligned text tables for experiment output.
 type Table struct {

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -11,27 +10,6 @@ func TestTimer(t *testing.T) {
 	tm := StartTimer()
 	if tm.Elapsed() < 0 {
 		t.Fatal("negative elapsed")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.Count != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
-		t.Fatalf("summary: %+v", s)
-	}
-	if math.Abs(s.StdDev-2) > 1e-12 {
-		t.Fatalf("stddev: %v", s.StdDev)
-	}
-	if s.Median != 4.5 {
-		t.Fatalf("median: %v", s.Median)
-	}
-	odd := Summarize([]float64{3, 1, 2})
-	if odd.Median != 2 {
-		t.Fatalf("odd median: %v", odd.Median)
-	}
-	empty := Summarize(nil)
-	if empty.Count != 0 {
-		t.Fatalf("empty summary: %+v", empty)
 	}
 }
 

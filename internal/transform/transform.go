@@ -73,20 +73,6 @@ func (t T) Apply(x []complex128) []complex128 {
 	return out
 }
 
-// ApplyPrefix maps only the first len(x) coefficients of the transformation
-// over x, for use with truncated (k-index) feature vectors. It panics if x
-// is longer than the transformation.
-func (t T) ApplyPrefix(x []complex128) []complex128 {
-	if len(x) > len(t.A) {
-		panic(fmt.Sprintf("transform: prefix length %d exceeds transformation length %d", len(x), len(t.A)))
-	}
-	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = t.A[i]*x[i] + t.B[i]
-	}
-	return out
-}
-
 // ApplyTime applies the transformation to a time-domain series: transform
 // to the frequency domain, apply, transform back, and take real parts.
 // This realizes the paper's reading of T(s) via the convolution-

@@ -60,20 +60,6 @@ func TestApplyPanicsOnMismatch(t *testing.T) {
 	Identity(3).Apply([]complex128{1})
 }
 
-func TestApplyPrefix(t *testing.T) {
-	tr := Scale(8, 2)
-	got := tr.ApplyPrefix([]complex128{1, 2i})
-	if got[0] != 2 || got[1] != 4i {
-		t.Fatalf("ApplyPrefix = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ApplyPrefix longer than transformation did not panic")
-		}
-	}()
-	tr.ApplyPrefix(make([]complex128, 9))
-}
-
 func TestMovingAverageApplyTimeMatchesDirect(t *testing.T) {
 	// T_mavg applied in the frequency domain must reproduce the circular
 	// moving average in the time domain (Section 3.2's derivation via the

@@ -89,8 +89,7 @@ type ExplainInfo struct {
 	// store).
 	PerShard []ShardExecInfo `json:"per_shard,omitempty"`
 	// ApproxDelta is an approximate plan's guaranteed (1+delta) error
-	// bound (APPROX delta > 0); zero on exact plans. What the tier did —
-	// its early accepts and their bound tightness — is in the read's Stats.
+	// bound (APPROX delta > 0); zero on exact plans.
 	ApproxDelta float64 `json:"approx_delta,omitempty"`
 }
 
@@ -261,9 +260,9 @@ func compile(stmt *query.Statement) (readSpec, error) {
 const DefaultProgressiveDelta = 0.1
 
 // ProgressiveStage is one delivery of a progressive query execution: the
-// approximate stage arrives first (Phase "approximate", every Match
-// carrying its certified error bound), then the exact refinement (Phase
-// "exact", Final true).
+// approximate stage arrives first (Phase "approximate", exact distances
+// whose i-th is within (1+delta) of the exact i-th), then the exact
+// refinement (Phase "exact", Final true).
 type ProgressiveStage struct {
 	Phase  string
 	Output *Output

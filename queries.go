@@ -15,11 +15,6 @@ import (
 type Match struct {
 	Name     string
 	Distance float64
-	// Bound is the certified distance upper bound of an approximate answer
-	// (APPROX delta > 0): the true distance lies in [Distance, Bound] for
-	// range answers and is at most Bound for NN answers, with
-	// Bound <= (1+delta) * exact. Zero on exact executions.
-	Bound float64
 }
 
 // Pair is one all-pairs (join) answer.
@@ -59,14 +54,8 @@ type Stats struct {
 	// "request failed" stderr line. Empty on direct DB-level executions.
 	RequestID string
 	// Delta is the approximation slack the execution ran under (0 =
-	// exact). EarlyAccepts counts candidates accepted from the
-	// truncated bound without a full verification walk, and
-	// BoundTightness is their mean realized lower/upper bound ratio
-	// (1 = the bound closed exactly; 0 when no early accepts happened):
-	// what the approximate tier did, not what a model expected of it.
-	Delta          float64
-	EarlyAccepts   int
-	BoundTightness float64
+	// exact). Every reported distance is exact whatever the delta.
+	Delta float64
 }
 
 // SpanInfo is one timed step of a query execution's trace tree.
@@ -106,7 +95,7 @@ func spansFrom(spans []core.Span) []SpanInfo {
 // fromExec renders an execution's cost; lead is what ran before the engine
 // (parse, plan) and opens the span tree.
 func fromExec(st core.ExecStats, lead ...SpanInfo) Stats {
-	out := Stats{
+	return Stats{
 		Elapsed:      st.Elapsed,
 		NodeAccesses: st.NodeAccesses,
 		PageReads:    st.PageReads,
@@ -115,12 +104,7 @@ func fromExec(st core.ExecStats, lead ...SpanInfo) Stats {
 		Strategy:     st.Strategy,
 		Spans:        append(lead, spansFrom(st.Spans)...),
 		Delta:        st.Delta,
-		EarlyAccepts: st.EarlyAccepts,
 	}
-	if st.EarlyAccepts > 0 {
-		out.BoundTightness = st.BoundTightSum / float64(st.EarlyAccepts)
-	}
-	return out
 }
 
 // Strategy selects the execution plan for Range and NN queries. Naming one
@@ -180,14 +164,11 @@ func WithRequest(id string) QueryOpt {
 }
 
 // WithApprox runs the query approximately with a guaranteed (1+delta)
-// error bound: range answers are a superset of the exact answer set and
-// every reported Match carries Distance <= true distance <= Bound with
-// Bound <= (1+delta)*eps; NN answers report each rank within a (1+delta)
-// factor of the exact k-th distance. delta 0 (or a negative value,
-// clamped) runs the exact path byte-identically. The engine trades the
-// slack for latency by early-accepting candidates from Lemma 1's
-// truncated-coefficient bounds instead of completing every verification
-// walk.
+// error bound: NN answers report each rank's exact distance, within a
+// (1+delta) factor of the exact k-th distance; range answers are the exact
+// answer set. delta 0 (or a negative value, clamped) runs the exact path
+// byte-identically. The engine trades the slack for latency by shrinking
+// the NN walk's stop line by (1+delta), so it verifies fewer candidates.
 func WithApprox(delta float64) QueryOpt {
 	return func(o *queryOpts) {
 		if delta > 0 {
@@ -231,7 +212,7 @@ func StdRange(lo, hi float64) QueryOpt {
 func toMatches(res []core.Result) []Match {
 	out := make([]Match, len(res))
 	for i, r := range res {
-		out[i] = Match{Name: r.Name, Distance: r.Dist, Bound: r.Bound}
+		out[i] = Match{Name: r.Name, Distance: r.Dist}
 	}
 	return out
 }

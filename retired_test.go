@@ -54,6 +54,12 @@ var retiredCode = []retired{
 		reason: "a cached answer is proved unaffected by its members and its own Lemma 1 rectangle: the join's store-extent prefilter, the shard tags and the engine's point and extent accessors are gone"},
 	{pattern: `ShardOf`, paths: sources("."),
 		reason: "the server tags no cached answer with shards: routing a name is the store's business, not the engine's"},
+	{pattern: `verifyFreqApprox|ladderWalk|initApprox|ladderRungs|relaxSq|sufA2|EarlyAccepts|BoundTight|tsq_approx_bound_tightness`,
+		reason: "an APPROX read verifies exactly and keeps the leaf prefix test: the residual-energy ladder, its early accepts and their tightness are gone"},
+	{pattern: `\bBound\b`,
+		reason: "every reported distance is exact: the per-answer upper bound (Match.Bound, Result.Bound, MatchPayload.Bound) is gone"},
+	{pattern: `IntersectsMixed|CityBlockDistance|RandomWalkGaussian|Summarize|stats\.Summary|ApplyPrefix`,
+		reason: "helpers no program called: the mixed-geometry overlap (rtree.flatOverlaps is the live test), the L1 distance, the Gaussian walk, the sample summary and the prefix transform are gone"},
 }
 
 // sources lists the non-test Go files of the package in dir, relative to
