@@ -10,7 +10,6 @@ package tsq_test
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,6 +17,7 @@ import (
 	tsq "repro"
 	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
@@ -233,27 +233,29 @@ func explainApprox(t *testing.T, db *tsq.DB, stmt string) map[string]any {
 
 // TestApproxNNBoundSoundness: for every rank i, the approximate NN's
 // reported distance is within (1+delta) of the true i-th nearest distance,
-// and it is the reported series' own exact distance.
+// and it is the reported series' own exact distance (testkit.CheckApproxNN
+// against the time-domain oracle).
 func TestApproxNNBoundSoundness(t *testing.T) {
+	n := parityLength
 	for _, shards := range []int{1, 4} {
 		for _, seed := range []int64{paritySeed, 7} {
 			db := approxDB(t, shards, seed)
-			query, err := db.Series("W0042")
-			if err != nil {
-				t.Fatal(err)
+			walks := tsq.RandomWalks(parityCount, parityLength, seed)
+			values, pos := make([][]float64, len(walks)), make(map[string]int, len(walks))
+			for i, w := range walks {
+				values[i], pos[w.Name] = w.Values, i
 			}
-			for _, tr := range []string{"", " TRANSFORM mavg(10)", " TRANSFORM reverse() | mavg(10)"} {
-				exact, err := db.Query("NN SERIES 'W0042' K 10" + tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec, _ := strings.CutPrefix(tr, " TRANSFORM ")
-				xf, err := tsq.ParseTransform(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for _, c := range []struct {
+				tr string
+				op testkit.Op
+			}{
+				{"", testkit.Identity(n)},
+				{" TRANSFORM mavg(10)", testkit.Mavg(n, 10)},
+				{" TRANSFORM reverse() | mavg(10)", testkit.Reverse(n).Then(testkit.Mavg(n, 10))},
+			} {
+				ranked := testkit.Rank(values, values[pos["W0042"]], c.op, false)
 				for _, delta := range []float64{0.05, 0.1, 0.25} {
-					stmt := fmt.Sprintf("NN SERIES 'W0042' K 10%s APPROX %g", tr, delta)
+					stmt := fmt.Sprintf("NN SERIES 'W0042' K 10%s APPROX %g", c.tr, delta)
 					apx, err := db.Query(stmt)
 					if err != nil {
 						t.Fatalf("shards-%d seed-%d %q: %v", shards, seed, stmt, err)
@@ -261,41 +263,20 @@ func TestApproxNNBoundSoundness(t *testing.T) {
 					if apx.Stats.Delta != delta {
 						t.Fatalf("%q: stats report delta %g", stmt, apx.Stats.Delta)
 					}
-					if len(apx.Matches) != len(exact.Matches) {
-						t.Fatalf("shards-%d seed-%d %q: %d answers, exact has %d",
-							shards, seed, stmt, len(apx.Matches), len(exact.Matches))
-					}
+					got := make([]testkit.Hit, len(apx.Matches))
 					for i, m := range apx.Matches {
-						limit := (1+delta)*exact.Matches[i].Distance + boundSlack
-						if m.Distance > limit {
-							t.Fatalf("shards-%d seed-%d %q: rank %d reported %.9f > (1+%g)*%.9f",
-								shards, seed, stmt, i, m.Distance, delta, exact.Matches[i].Distance)
+						got[i] = testkit.Hit{I: -1, Dist: m.Distance}
+						if p, ok := pos[m.Name]; ok {
+							got[i].I = p
 						}
-						if d := oneSidedDistance(t, db, m.Name, query, xf); math.Abs(m.Distance-d) > boundSlack {
-							t.Fatalf("shards-%d seed-%d %q: rank %d %s reported %.9f, its distance is %.9f",
-								shards, seed, stmt, i, m.Name, m.Distance, d)
-						}
+					}
+					if err := testkit.CheckApproxNN(ranked, got, 10, delta, boundSlack); err != nil {
+						t.Fatalf("shards-%d seed-%d %q: %v", shards, seed, stmt, err)
 					}
 				}
 			}
 		}
 	}
-}
-
-// oneSidedDistance is D(T(nf(x)), nf(q)) for the stored series name,
-// computed in the time domain: the measure a one-sided statement answers
-// over (tsq.Distance applies T to both sides).
-func oneSidedDistance(t *testing.T, db *tsq.DB, name string, q []float64, tr tsq.Transform) float64 {
-	t.Helper()
-	x, err := db.Series(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := tr.Apply(tsq.NormalForm(x))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tsq.EuclideanDistance(tx, tsq.NormalForm(q))
 }
 
 // TestApproxRangeBoundSoundness: an approximate range read answers exactly

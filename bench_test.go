@@ -385,32 +385,38 @@ func BenchmarkAblationEarlyAbandon(b *testing.B) {
 }
 
 // BenchmarkAblationPartialPrune measures the k-coefficient pruning of
-// index candidates before record fetches.
+// index candidates on a bare k-index, the paper's filter at eps (the store
+// always prunes).
 func BenchmarkAblationPartialPrune(b *testing.B) {
-	mkDB := func(disable bool) *core.Store {
-		db, err := core.NewStore(128, 1, core.Options{DisablePartialPrune: disable})
-		if err != nil {
+	sc := feature.DefaultSchema
+	walks := dataset.RandomWalks(1000, 128, 1997)
+	ix, err := index.New(sc, rtree.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j, w := range walks {
+		if err := ix.InsertSeries(int64(j), w.Values); err != nil {
 			b.Fatal(err)
 		}
-		for _, s := range dataset.RandomWalks(1000, 128, 1997) {
-			if _, err := db.Insert(s.Name, s.Values); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return db
 	}
-	mavg := transform.MovingAverage(128, 20)
+	m, err := sc.Map(transform.MovingAverage(128, 20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	query := func(i int) geom.Point {
+		q, _ := sc.Extract(walks[(i*37)%len(walks)].Values)
+		return m.ApplyPoint(q)
+	}
+	var scr index.Scratch
+	var ids []int64
 	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{{"prune-on", false}, {"prune-off", true}} {
-		db := mkDB(tc.disable)
+		name  string
+		prune bool
+	}{{"prune-on", true}, {"prune-off", false}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				forcedRange(db, core.RangeQuery{
-					Values: queryValues(b, db, i), Eps: 2, Transform: mavg, BothSides: true,
-				}, plan.Index)
+				ids, _ = ix.RangeIDs(query(i), 2, m, feature.MomentBounds{}, tc.prune, &scr, ids[:0])
 			}
 		})
 	}

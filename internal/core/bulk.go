@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/geom"
@@ -71,12 +72,15 @@ func endRuns(timeRel, freqRel *relation.Relation) error {
 }
 
 // adoptTree validates a decoded packed tree against the load — structural
-// invariants (index.Adopt) plus exact leaf-ID membership — and installs it
-// as the shard's k-index, its leaf prefixes filled from the records'
-// resident heads (the snapshot carries none). The fill is the membership
-// check: it looks every leaf ID up in the frequency relation, which holds
-// exactly the load's records, so with the counts equal an ID it cannot find
-// or meets twice is the only way the sets can differ.
+// invariants (index.Adopt), exact leaf-ID membership and every leaf
+// rectangle — and installs it as the shard's k-index, its leaf prefixes
+// filled from the records' resident heads (the snapshot carries none). The
+// fill is the membership check: it looks every leaf ID up in the frequency
+// relation, which holds exactly the load's records, so with the counts
+// equal an ID it cannot find or meets twice is the only way the sets can
+// differ. A leaf rectangle must then be its record's DERV point, bit for
+// bit: a SLAB that places a record elsewhere would dismiss it from every
+// search that its true point would reach.
 func (sh *shard) adoptTree(tree *rtree.Tree, ids []int64) error {
 	if tree.Len() != len(ids) || sh.freqRel.Len() != len(ids) {
 		return fmt.Errorf("core: adopted tree holds %d items, load has %d series", tree.Len(), len(ids))
@@ -99,6 +103,31 @@ func (sh *shard) adoptTree(tree *rtree.Tree, ids []int64) error {
 	if bad >= 0 {
 		return fmt.Errorf("core: adopted tree stores id %d, which the load does not hold once", bad)
 	}
+	var off geom.Rect
+	tree.All(func(it rtree.Item) bool {
+		if !samePoint(it.Rect, sh.rec(it.ID).point) {
+			bad, off = it.ID, it.Rect.Clone()
+			return false
+		}
+		return true
+	})
+	if bad >= 0 {
+		return fmt.Errorf("core: SLAB places id %d at %v, not at its DERV point %v", bad, off, sh.rec(bad).point)
+	}
 	sh.idx = ix
 	return nil
+}
+
+// samePoint reports whether r is the point p, bit for bit.
+func samePoint(r geom.Rect, p geom.Point) bool {
+	if len(r.Lo) != len(p) || len(r.Hi) != len(p) {
+		return false
+	}
+	for i, v := range p {
+		b := math.Float64bits(v)
+		if math.Float64bits(r.Lo[i]) != b || math.Float64bits(r.Hi[i]) != b {
+			return false
+		}
+	}
+	return true
 }

@@ -7,19 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"repro/internal/dataset"
 )
-
-// bulkBatch is count random walks of length n as InsertBulk takes them.
-func bulkBatch(count, n int, seed int64) ([]string, [][]float64) {
-	walks := dataset.RandomWalks(count, n, seed)
-	names, values := make([]string, count), make([][]float64, count)
-	for i, w := range walks {
-		names[i], values[i] = w.Name, w.Values
-	}
-	return names, values
-}
 
 // TestBulkLoadSameAtEveryWorkerCount: a bulk load derives on as many
 // workers as GOMAXPROCS allows and packs the index beside the page runs,
@@ -29,7 +17,7 @@ func bulkBatch(count, n int, seed int64) ([]string, [][]float64) {
 // workers encode the time records the relations then own.
 func TestBulkLoadSameAtEveryWorkerCount(t *testing.T) {
 	const count, n = 1500, 64 // 1500/256 = 5 ranges at GOMAXPROCS 4
-	names, values := bulkBatch(count, n, 11)
+	names, values := walks(count, n, 11)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, shards := range []int{1, 4} {
 		var want []byte
@@ -94,7 +82,7 @@ func TestInsertBulkAllocs(t *testing.T) {
 		t.Skip("instrumentation allocates")
 	}
 	const count, n = 4096, 256
-	names, values := bulkBatch(count, n, 13)
+	names, values := walks(count, n, 13)
 	a := testing.AllocsPerRun(5, func() {
 		s, err := NewStore(n, 1, Options{})
 		if err != nil {
@@ -118,7 +106,7 @@ func TestInsertBulkAllocs(t *testing.T) {
 func TestInsertBulkFirstErrorInBatchOrder(t *testing.T) {
 	const count, n = 1100, 32 // 1100/256 = 4 ranges at GOMAXPROCS 4
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	names, values := bulkBatch(count, n, 12)
+	names, values := walks(count, n, 12)
 	faults := []struct {
 		kind  string
 		apply func(names []string, values [][]float64, at int)

@@ -61,10 +61,6 @@ type Options struct {
 	PageSize int
 	// RTree carries node capacity options for the index.
 	RTree rtree.Options
-	// DisablePartialPrune turns off the k-coefficient distance pruning of
-	// index candidates (ablation; Lemma 1 soundness is unaffected either
-	// way, only the number of verified candidates changes).
-	DisablePartialPrune bool
 	// Backing, when non-empty, stores the relations in disk-backed page
 	// files under this directory instead of in memory: pages fault in
 	// through a buffer pool on demand, so the store can exceed RAM. The

@@ -1,17 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/dft"
 	"repro/internal/feature"
 	"repro/internal/plan"
 	"repro/internal/rtree"
 	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
@@ -50,22 +51,42 @@ func name(i int) string {
 	return "S" + string(rune('A'+i/26/26%26)) + string(rune('A'+i/26%26)) + string(rune('A'+i%26))
 }
 
-// bruteRange is the oracle: exact transformed normal-form distances.
-func bruteRange(data [][]float64, q []float64, eps float64, tr transform.T, warp int) map[int]float64 {
-	out := map[int]float64{}
-	qn := series.NormalForm(q)
-	for i, x := range data {
-		var d float64
-		if warp >= 2 {
-			d = series.EuclideanDistance(series.Warp(series.NormalForm(x), warp), qn)
-		} else {
-			X := dft.TransformReal(series.NormalForm(x))
-			Q := dft.TransformReal(qn)
-			d = dft.Distance(tr.Apply(X), Q)
+// hitsOf is res as the oracle's hits. A result's position is pos[its
+// name], or -1 for a name pos lacks; with no pos it is the result's ID, as
+// in a store filled in order (newTestDB).
+func hitsOf(res []Result, pos map[string]int) []testkit.Hit {
+	out := make([]testkit.Hit, len(res))
+	for i, r := range res {
+		out[i] = testkit.Hit{I: int(r.ID), Dist: r.Dist}
+		if pos != nil {
+			p, ok := pos[r.Name]
+			if !ok {
+				p = -1
+			}
+			out[i].I = p
 		}
-		if d <= eps {
-			out[i] = d
+	}
+	return out
+}
+
+// pairsOf is a join's pairs as the oracle's, by the positions of their
+// names, or with no pos by their IDs (a store filled in order).
+func pairsOf(e Engine, pairs []JoinPair, pos map[string]int) []testkit.Pair {
+	out := make([]testkit.Pair, len(pairs))
+	for i, p := range pairs {
+		out[i] = testkit.Pair{A: int(p.A), B: int(p.B), Dist: p.Dist}
+		if pos != nil {
+			out[i].A, out[i].B = pos[e.Name(p.A)], pos[e.Name(p.B)]
 		}
+	}
+	return out
+}
+
+// positions maps each name to its position.
+func positions(names []string) map[string]int {
+	out := make(map[string]int, len(names))
+	for i, name := range names {
+		out[name] = i
 	}
 	return out
 }
@@ -139,53 +160,26 @@ func TestRangeValidation(t *testing.T) {
 func TestRangeAllMethodsAgreeWithOracle(t *testing.T) {
 	db, data := newTestDB(t, 150, 2, Options{})
 	r := rand.New(rand.NewSource(3))
-	transforms := []transform.T{
-		transform.Identity(testLen),
-		transform.MovingAverage(testLen, 5),
-		transform.MovingAverage(testLen, 20),
-		transform.Reverse(testLen),
-	}
+	ops := []testkit.Op{testkit.Identity(testLen), testkit.Mavg(testLen, 5), testkit.Mavg(testLen, 20), testkit.Reverse(testLen)}
 	for trial := 0; trial < 6; trial++ {
-		qi := r.Intn(len(data))
-		q := data[qi]
-		for _, tr := range transforms {
+		q := data[r.Intn(len(data))]
+		for _, op := range ops {
+			ranked := testkit.Rank(data, q, op, false)
 			for _, eps := range []float64{0.5, 2.0, 8.0} {
-				rq := RangeQuery{Values: q, Eps: eps, Transform: tr}
-				want := bruteRange(data, q, eps, tr, 0)
-
-				idxRes, idxSt, err := forcedRange(db, rq, plan.Index)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scanRes, _, err := forcedRange(db, rq, plan.ScanFreq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				timeRes, _, err := forcedRange(db, rq, plan.ScanTime)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for label, res := range map[string][]Result{"indexed": idxRes, "scanFreq": scanRes, "scanTime": timeRes} {
-					if len(res) != len(want) {
-						t.Fatalf("%s %s eps=%g: %d results, oracle %d", label, tr, eps, len(res), len(want))
+				rq := RangeQuery{Values: q, Eps: eps, Transform: op.T}
+				for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq, plan.ScanTime} {
+					res, st, err := forcedRange(db, rq, want)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, rr := range res {
-						wd, ok := want[int(rr.ID)]
-						if !ok {
-							t.Fatalf("%s %s: unexpected result %d", label, tr, rr.ID)
-						}
-						if math.Abs(rr.Dist-wd) > 1e-6 {
-							t.Fatalf("%s %s: distance %v != oracle %v", label, tr, rr.Dist, wd)
-						}
+					if err := testkit.CheckRange(ranked, hitsOf(res, nil), eps, 0, 1e-6); err != nil {
+						t.Fatalf("%s %s eps=%g: %v", want, op.Label, eps, err)
 					}
-				}
-				if idxSt.NodeAccesses == 0 {
-					t.Fatal("indexed query reported zero node accesses")
-				}
-				// Results sorted by distance.
-				for i := 1; i < len(idxRes); i++ {
-					if idxRes[i].Dist < idxRes[i-1].Dist {
-						t.Fatal("results not sorted")
+					if !slices.IsSortedFunc(res, func(a, b Result) int { return cmp.Compare(a.Dist, b.Dist) }) {
+						t.Fatalf("%s: results not sorted by distance", want)
+					}
+					if want == plan.Index && st.NodeAccesses == 0 {
+						t.Fatal("indexed query reported zero node accesses")
 					}
 				}
 			}
@@ -247,39 +241,23 @@ func TestRangeWithWarp(t *testing.T) {
 	for i := range q {
 		q[i] += r.NormFloat64() * 0.05
 	}
-	rq := RangeQuery{
-		Values:     q,
-		Eps:        0.5,
-		Transform:  transform.Warp(testLen, 2),
-		WarpFactor: 2,
+	warp := testkit.Warp(testLen, 2)
+	rq := RangeQuery{Values: q, Eps: 0.5, Transform: warp.T, WarpFactor: 2}
+	ranked := testkit.Rank(stored, q, warp, false)
+	if ranked[0].I != 7 || ranked[0].Dist > rq.Eps {
+		t.Fatalf("the planted series is not the query's nearest within eps: %v", ranked[:2])
 	}
-	res, st, err := forcedRange(db, rq, plan.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, rr := range res {
-		if rr.ID == 7 {
-			found = true
+	for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+		res, st, err := forcedRange(db, rq, want)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("warped query missed the planted series; got %v", res)
-	}
-	want := bruteRange(stored, q, rq.Eps, rq.Transform, 2)
-	if len(res) != len(want) {
-		t.Fatalf("warp: %d results, oracle %d", len(res), len(want))
-	}
-	if st.Candidates == db.Len() {
-		t.Fatal("warp query did not filter at all")
-	}
-	// Scan agrees.
-	scanRes, _, err := forcedRange(db, rq, plan.ScanFreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scanRes) != len(want) {
-		t.Fatalf("warp scan: %d results, oracle %d", len(scanRes), len(want))
+		if err := testkit.CheckRange(ranked, hitsOf(res, nil), rq.Eps, 0, 1e-6); err != nil {
+			t.Fatalf("warp %s: %v", want, err)
+		}
+		if want == plan.Index && st.Candidates == db.Len() {
+			t.Fatal("warp query did not filter at all")
+		}
 	}
 }
 
@@ -314,48 +292,23 @@ func TestRangeMomentBounds(t *testing.T) {
 func TestNNAgreesWithBruteForce(t *testing.T) {
 	db, data := newTestDB(t, 200, 7, Options{})
 	r := rand.New(rand.NewSource(8))
-	transforms := []transform.T{
-		transform.Identity(testLen),
-		transform.MovingAverage(testLen, 10),
-	}
+	ops := []testkit.Op{testkit.Identity(testLen), testkit.Mavg(testLen, 10)}
 	for trial := 0; trial < 4; trial++ {
 		q := dataset.RandomWalk(r, testLen)
-		for _, tr := range transforms {
+		for _, op := range ops {
+			all := testkit.Rank(data, q, op, false)
 			for _, k := range []int{1, 5, 12} {
-				nq := NNQuery{Values: q, K: k, Transform: tr}
-				idxRes, idxSt, err := forcedNN(db, nq, plan.Index)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scanRes, _, err := forcedNN(db, nq, plan.ScanFreq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Oracle.
-				type od struct {
-					id int
-					d  float64
-				}
-				all := make([]od, len(data))
-				for i, x := range data {
-					X := dft.TransformReal(series.NormalForm(x))
-					Q := dft.TransformReal(series.NormalForm(q))
-					all[i] = od{i, dft.Distance(tr.Apply(X), Q)}
-				}
-				sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-				if len(idxRes) != k || len(scanRes) != k {
-					t.Fatalf("k=%d: got %d / %d results", k, len(idxRes), len(scanRes))
-				}
-				for i := 0; i < k; i++ {
-					if math.Abs(idxRes[i].Dist-all[i].d) > 1e-6 {
-						t.Fatalf("%s k=%d rank %d: indexed %v != oracle %v", tr, k, i, idxRes[i].Dist, all[i].d)
+				for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+					res, st, err := forcedNN(db, NNQuery{Values: q, K: k, Transform: op.T}, want)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if math.Abs(scanRes[i].Dist-all[i].d) > 1e-6 {
-						t.Fatalf("%s k=%d rank %d: scan %v != oracle %v", tr, k, i, scanRes[i].Dist, all[i].d)
+					if err := testkit.CheckApproxNN(all, hitsOf(res, nil), k, 0, 1e-6); err != nil {
+						t.Fatalf("%s %s k=%d: %v", want, op.Label, k, err)
 					}
-				}
-				if idxSt.Candidates >= len(data) {
-					t.Fatalf("NN verified every record (%d) — no pruning", idxSt.Candidates)
+					if want == plan.Index && st.Candidates >= len(data) {
+						t.Fatalf("NN verified every record (%d) — no pruning", st.Candidates)
+					}
 				}
 			}
 		}
@@ -407,13 +360,15 @@ func TestSelfJoinMethodsTable1Semantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range ens.Series {
+	names, values := make([]string, len(ens.Series)), make([][]float64, len(ens.Series))
+	for i, s := range ens.Series {
 		if _, err := db.Insert(s.Name, s.Values); err != nil {
 			t.Fatal(err)
 		}
+		names[i], values[i] = s.Name, s.Values
 	}
-	tr := transform.MovingAverage(joinLen, 20)
-	eps := ens.Epsilon
+	mavg := testkit.Mavg(joinLen, 20)
+	tr, eps := mavg.T, ens.Epsilon
 
 	resA, stA, err := db.SelfJoin(eps, tr, JoinScanNaive)
 	if err != nil {
@@ -442,33 +397,12 @@ func TestSelfJoinMethodsTable1Semantics(t *testing.T) {
 	if len(resC) != 2*len(ens.RawPairs) {
 		t.Fatalf("method c found %d, want %d (raw pairs only, twice)", len(resC), 2*len(ens.RawPairs))
 	}
-	// a and b find identical pair sets.
-	key := func(p JoinPair) [2]int64 {
-		if p.A > p.B {
-			return [2]int64{p.B, p.A}
-		}
-		return [2]int64{p.A, p.B}
-	}
-	setA := map[[2]int64]bool{}
-	for _, p := range resA {
-		setA[key(p)] = true
-	}
-	for _, p := range resB {
-		if !setA[key(p)] {
-			t.Fatalf("method b found pair %v that a did not", p)
-		}
-	}
-	// d covers the same unordered pairs as a.
-	setD := map[[2]int64]bool{}
-	for _, p := range resD {
-		setD[key(p)] = true
-	}
-	if len(setD) != wantPairs {
-		t.Fatalf("method d covers %d unordered pairs, want %d", len(setD), wantPairs)
-	}
-	for k := range setA {
-		if !setD[k] {
-			t.Fatalf("method d missed pair %v", k)
+	// a, b and d report every pair the oracle finds within eps, and none
+	// in the same orientation twice.
+	ranked, pos := testkit.SelfJoin(values, mavg), positions(names)
+	for m, res := range map[string][]JoinPair{"a": resA, "b": resB, "d": resD} {
+		if err := testkit.CheckJoin(ranked, pairsOf(db, res, pos), eps, 1e-6); err != nil {
+			t.Fatalf("method %s: %v", m, err)
 		}
 	}
 	// Early abandoning must do strictly less distance work.
@@ -532,26 +466,5 @@ func TestJoinTwoSidedFindsReversedPairs(t *testing.T) {
 		if !found[[2]int64{a, b}] && !found[[2]int64{b, a}] {
 			t.Fatalf("two-sided join missed reversed pair %v; found %v", pp, pairs)
 		}
-	}
-}
-
-func TestDisablePartialPruneStillExact(t *testing.T) {
-	db1, data := newTestDB(t, 120, 14, Options{})
-	db2, _ := newTestDB(t, 120, 14, Options{DisablePartialPrune: true})
-	q := data[3]
-	rq := RangeQuery{Values: q, Eps: 1.5, Transform: transform.MovingAverage(testLen, 5)}
-	r1, s1, err := forcedRange(db1, rq, plan.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, s2, err := forcedRange(db2, rq, plan.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) != len(r2) {
-		t.Fatalf("prune on/off changed results: %d vs %d", len(r1), len(r2))
-	}
-	if s2.Candidates < s1.Candidates {
-		t.Fatalf("disabling pruning should not reduce candidates (%d vs %d)", s2.Candidates, s1.Candidates)
 	}
 }

@@ -26,12 +26,8 @@ func TestDeleteRemovesFromAllQueryPaths(t *testing.T) {
 	}
 	q := data[0]
 	rq := RangeQuery{Values: q, Eps: 1000, Transform: transform.Identity(testLen)}
-	for name, run := range map[string]func(RangeQuery) ([]Result, ExecStats, error){
-		"indexed":  pinRange(db, plan.Index),
-		"scanFreq": pinRange(db, plan.ScanFreq),
-		"scanTime": pinRange(db, plan.ScanTime),
-	} {
-		res, _, err := run(rq)
+	for _, name := range []plan.Strategy{plan.Index, plan.ScanFreq, plan.ScanTime} {
+		res, _, err := forcedRange(db, rq, name)
 		if err != nil {
 			t.Fatal(err)
 		}

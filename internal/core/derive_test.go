@@ -55,7 +55,7 @@ func TestPointIsStoredHalf(t *testing.T) {
 					// Three quarters bulk-loaded, the rest inserted one at a time.
 					hs := newHeadStore(t, label, shards, opts, n, dataset.RandomWalks(count, n, seed))
 					hs.checkPointsAreStoredHalves(t, "after load")
-					names := hs.names()
+					names, _ := hs.live.Sorted()
 					for i, name := range names[:8] {
 						vals := dataset.RandomWalk(rng, n)
 						if _, err := hs.eng.Update(name, vals); err != nil {
@@ -84,7 +84,6 @@ func TestPointIsStoredHalf(t *testing.T) {
 // position, leaves every shard empty, and a valid batch loads after it.
 func TestInsertBulkRefusesNonFinite(t *testing.T) {
 	const n, count = 32, 12
-	walks := dataset.RandomWalks(count, n, 5)
 	for _, shards := range []int{1, 4} {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			for _, pos := range []int{0, n / 2, n - 1} {
@@ -93,13 +92,10 @@ func TestInsertBulkRefusesNonFinite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				names := make([]string, count)
-				values := make([][]float64, count)
-				for i, w := range walks {
-					names[i], values[i] = w.Name, w.Values
-				}
+				names, values := walks(count, n, 5)
 				victim := count - 3
-				poisoned := append([]float64(nil), values[victim]...)
+				valid := values[victim]
+				poisoned := append([]float64(nil), valid...)
 				poisoned[pos] = bad
 				values[victim] = poisoned
 				err = s.InsertBulk(names, values)
@@ -120,7 +116,7 @@ func TestInsertBulkRefusesNonFinite(t *testing.T) {
 						t.Fatalf("%s: shard %d populated by a refused batch", label, si)
 					}
 				}
-				values[victim] = walks[victim].Values
+				values[victim] = valid
 				if err := s.InsertBulk(names, values); err != nil {
 					t.Fatalf("%s: valid batch after the refusal: %v", label, err)
 				}
@@ -180,12 +176,7 @@ func BenchmarkDerive(b *testing.B) {
 // length 256 into one shard: the set-up the benchmark's CSV-loading
 // workloads time.
 func BenchmarkInsertBulk(b *testing.B) {
-	walks := dataset.RandomWalks(20000, 256, 1)
-	names := make([]string, len(walks))
-	values := make([][]float64, len(walks))
-	for i, w := range walks {
-		names[i], values[i] = w.Name, w.Values
-	}
+	names, values := walks(20000, 256, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/dft"
 	"repro/internal/plan"
 	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
@@ -142,13 +143,13 @@ func (hs *headStore) churnChecked(t *testing.T, n int, rng *rand.Rand, steps int
 		if step%5 != 0 {
 			continue
 		}
-		names := hs.names()
+		names, _ := hs.live.Sorted()
 		name := names[rng.Intn(len(names))]
 		id := before[name].id
 		prep, _ := hs.eng.QueryPrep(id)
 		q := NNQuery{Values: hs.live[name], K: 1, Transform: transform.Identity(n), Prep: prep}
-		for _, run := range []func(NNQuery) ([]Result, ExecStats, error){pinNN(hs.eng, plan.Index), pinNN(hs.eng, plan.ScanFreq)} {
-			got, _, err := run(q)
+		for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+			got, _, err := forcedNN(hs.eng, q, want)
 			if err != nil || len(got) != 1 || got[0].ID != id || got[0].Name != name || got[0].Dist > 1e-9 {
 				t.Fatalf("%s: %s (id %d) does not find itself: %v (%v)", hs.label, name, id, got, err)
 			}
@@ -189,9 +190,9 @@ func TestRecordDirectory(t *testing.T) {
 					{"tsq4 same shards", shards},
 					{"tsq4 resharded", other},
 				} {
-					ld := hs.reload(t, c.label, hs.eng.WriteTo, c.shards, opts)
+					ld := hs.reload(t, c.label, c.shards, opts)
 					// The loaded store gets a mirror of its own to churn.
-					ld.live = make(map[string][]float64, len(hs.live))
+					ld.live = make(testkit.Live, len(hs.live))
 					for name, w := range hs.live {
 						ld.live[name] = w
 					}

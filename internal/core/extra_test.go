@@ -1,15 +1,13 @@
 package core
 
 import (
-	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/dft"
 	"repro/internal/plan"
 	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
@@ -19,30 +17,15 @@ func TestNNBothSidesMatchesOracle(t *testing.T) {
 	db, data := newTestDB(t, 150, 21, Options{})
 	r := rand.New(rand.NewSource(22))
 	q := dataset.RandomWalk(r, testLen)
-	tr := transform.MovingAverage(testLen, 10)
-
-	res, _, err := forcedNN(db, NNQuery{Values: q, K: 7, Transform: tr, BothSides: true}, plan.Index)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, _, err := forcedNN(db, NNQuery{Values: q, K: 7, Transform: tr, BothSides: true}, plan.ScanFreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	Q := tr.Apply(dft.TransformReal(series.NormalForm(q)))
-	dists := make([]float64, len(data))
-	for i, x := range data {
-		X := tr.Apply(dft.TransformReal(series.NormalForm(x)))
-		dists[i] = dft.Distance(X, Q)
-	}
-	sort.Float64s(dists)
-	for i := 0; i < 7; i++ {
-		if math.Abs(res[i].Dist-dists[i]) > 1e-6 {
-			t.Fatalf("indexed rank %d: %v != oracle %v", i, res[i].Dist, dists[i])
+	op := testkit.Mavg(testLen, 10)
+	ranked := testkit.Rank(data, q, op, true)
+	for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+		res, _, err := forcedNN(db, NNQuery{Values: q, K: 7, Transform: op.T, BothSides: true}, want)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if math.Abs(scan[i].Dist-dists[i]) > 1e-6 {
-			t.Fatalf("scan rank %d: %v != oracle %v", i, scan[i].Dist, dists[i])
+		if err := testkit.CheckApproxNN(ranked, hitsOf(res, nil), 7, 0, 1e-6); err != nil {
+			t.Fatalf("%s: %v", want, err)
 		}
 	}
 }
@@ -52,37 +35,19 @@ func TestNNBothSidesMatchesOracle(t *testing.T) {
 func TestRangeBothSidesMatchesOracle(t *testing.T) {
 	db, data := newTestDB(t, 120, 23, Options{})
 	q := data[4]
-	tr := transform.MovingAverage(testLen, 20)
-	eps := 1.0
-
-	Q := tr.Apply(dft.TransformReal(series.NormalForm(q)))
-	want := map[int]bool{}
-	for i, x := range data {
-		X := tr.Apply(dft.TransformReal(series.NormalForm(x)))
-		if dft.Distance(X, Q) <= eps {
-			want[i] = true
-		}
+	op, eps := testkit.Mavg(testLen, 20), 1.0
+	ranked := testkit.Rank(data, q, op, true)
+	if ranked[1].Dist > eps {
+		t.Fatalf("test setup: expected planted neighbors, the second nearest is at %v", ranked[1].Dist)
 	}
-	if len(want) < 2 {
-		t.Fatalf("test setup: expected planted neighbors, got %d", len(want))
-	}
-	rq := RangeQuery{Values: q, Eps: eps, Transform: tr, BothSides: true}
-	for name, run := range map[string]func(RangeQuery) ([]Result, ExecStats, error){
-		"indexed":  pinRange(db, plan.Index),
-		"scanFreq": pinRange(db, plan.ScanFreq),
-		"scanTime": pinRange(db, plan.ScanTime),
-	} {
-		res, _, err := run(rq)
+	rq := RangeQuery{Values: q, Eps: eps, Transform: op.T, BothSides: true}
+	for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq, plan.ScanTime} {
+		res, _, err := forcedRange(db, rq, want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != len(want) {
-			t.Fatalf("%s: %d results, oracle %d", name, len(res), len(want))
-		}
-		for _, rr := range res {
-			if !want[int(rr.ID)] {
-				t.Fatalf("%s: unexpected result %d", name, rr.ID)
-			}
+		if err := testkit.CheckRange(ranked, hitsOf(res, nil), eps, 0, 1e-6); err != nil {
+			t.Fatalf("%s: %v", want, err)
 		}
 	}
 }
@@ -100,20 +65,15 @@ func TestBothSidesIncompatibleWithWarp(t *testing.T) {
 
 func TestRangeScanTimeWarp(t *testing.T) {
 	db, data := newTestDB(t, 50, 25, Options{})
-	q := series.Warp(data[3], 2)
-	rq := RangeQuery{Values: q, Eps: 0.1, Transform: transform.Warp(testLen, 2), WarpFactor: 2}
+	q, warp := series.Warp(data[3], 2), testkit.Warp(testLen, 2)
+	rq := RangeQuery{Values: q, Eps: 0.1, Transform: warp.T, WarpFactor: 2}
 	res, st, err := forcedRange(db, rq, plan.ScanTime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, rr := range res {
-		if rr.ID == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("time-domain warp scan missed the source series: %v", res)
+	// The source series is at distance 0.
+	if err := testkit.CheckRange(testkit.Rank(data, q, warp, false), hitsOf(res, nil), rq.Eps, 0, 1e-6); err != nil || len(res) == 0 {
+		t.Fatalf("time-domain warp scan: %v (answers %v)", err, res)
 	}
 	if st.DistanceTerms == 0 || st.PageReads == 0 {
 		t.Fatalf("stats not populated: %+v", st)
@@ -174,27 +134,24 @@ func TestJoinTwoSidedValidation(t *testing.T) {
 }
 
 func TestJoinTwoSidedIdentityMatchesSelfJoinD(t *testing.T) {
-	db, _ := newTestDB(t, 60, 29, Options{})
-	tr := transform.MovingAverage(testLen, 10)
-	d, _, err := db.SelfJoin(1.2, tr, JoinIndexTransform)
+	db, data := newTestDB(t, 60, 29, Options{})
+	mavg := testkit.Mavg(testLen, 10)
+	d, _, err := db.SelfJoin(1.2, mavg.T, JoinIndexTransform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, _, err := forcedJoinTwoSided(db, 1.2, tr, tr)
+	two, _, err := forcedJoinTwoSided(db, 1.2, mavg.T, mavg.T)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(d) != len(two) {
 		t.Fatalf("SelfJoin(d) found %d, JoinTwoSided(T, T) found %d", len(d), len(two))
 	}
-	key := func(p JoinPair) [2]int64 { return [2]int64{p.A, p.B} }
-	set := map[[2]int64]bool{}
-	for _, p := range d {
-		set[key(p)] = true
-	}
-	for _, p := range two {
-		if !set[key(p)] {
-			t.Fatalf("pair %v missing from method d", p)
+	// Both report every ordered pair within eps, IDs being positions here.
+	ranked := testkit.Join(data, mavg, mavg)
+	for label, pairs := range map[string][]JoinPair{"method d": d, "two-sided": two} {
+		if err := testkit.CheckJoin(ranked, pairsOf(db, pairs, nil), 1.2, 1e-6); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
 }

@@ -64,13 +64,3 @@ func forcedJoinTwoSided(e Engine, eps float64, left, right transform.T) ([]JoinP
 	}
 	return e.ExecJoin(q, pl)
 }
-
-// pinRange and pinNN bind a forced strategy to an engine, for tables of
-// strategies.
-func pinRange(e Engine, want plan.Strategy) func(RangeQuery) ([]Result, ExecStats, error) {
-	return func(q RangeQuery) ([]Result, ExecStats, error) { return forcedRange(e, q, want) }
-}
-
-func pinNN(e Engine, want plan.Strategy) func(NNQuery) ([]Result, ExecStats, error) {
-	return func(q NNQuery) ([]Result, ExecStats, error) { return forcedNN(e, q, want) }
-}

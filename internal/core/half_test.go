@@ -6,21 +6,19 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/dft"
 	"repro/internal/plan"
-	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
-// halfCase is one transformation the half-spectrum parity suite runs: the
-// engine's form, and whether a query is mapped through it too.
+// halfCase is one transformation the half-spectrum parity suite runs, in
+// the oracle's two forms, and whether a query is mapped through it too.
 type halfCase struct {
 	label string
-	tr    transform.T
+	op    testkit.Op
 	both  bool
 }
 
@@ -41,28 +39,14 @@ func halfCases(t *testing.T, n int) []halfCase {
 	if n > 4 && lopsided.A[n-1] == cmplx.Conj(lopsided.A[1]) {
 		t.Fatal("the lopsided stretch has a conjugate twin")
 	}
+	// The lopsided stretch is no real operation: the oracle measures the
+	// complex series its spectrum describes, over the full n coefficients.
 	return []halfCase{
-		{"identity", transform.Identity(n), false},
-		{"mavg BOTH", transform.MovingAverage(n, min(7, n)), true},
-		{"scale", transform.Scale(n, -1.5), false},
-		{"lopsided", lopsided, false},
+		{"identity", testkit.Identity(n), false},
+		{"mavg BOTH", testkit.Mavg(n, min(7, n)), true},
+		{"scale", testkit.Scale(n, -1.5), false},
+		{"lopsided", testkit.Spectral(lopsided), false},
 	}
-}
-
-// timeImage is the brute force's view of T(nf(x)): the full n-coefficient
-// spectrum, the transformation applied to every coefficient, and the
-// inverse DFT back to the time domain — complex there when T is lopsided.
-func timeImage(tr transform.T, x []float64) []complex128 {
-	return dft.Inverse(tr.Apply(dft.TransformReal(series.NormalForm(x))))
-}
-
-func complexDist(a, b []complex128) float64 {
-	var sum float64
-	for i := range a {
-		d := a[i] - b[i]
-		sum += real(d)*real(d) + imag(d)*imag(d)
-	}
-	return math.Sqrt(sum)
 }
 
 // TestHalfSpectrumParity: a store that keeps ⌊n/2⌋+1 coefficients of every
@@ -138,22 +122,16 @@ func checkHalfReads(t *testing.T, eng Engine, c halfCase, names []string, values
 	for i := range q {
 		q[i] += rng.NormFloat64() * 0.1
 	}
-	tq := dft.ToComplex(series.NormalForm(q))
-	if c.both {
-		tq = timeImage(c.tr, q)
-	}
-	brute := map[string]float64{}
+	ranked := testkit.Rank(values, q, c.op, c.both)
 	var sorted []float64
-	for i, x := range values {
-		d := complexDist(timeImage(c.tr, x), tq)
-		brute[names[i]] = d
-		sorted = append(sorted, d)
+	for _, h := range ranked {
+		sorted = append(sorted, h.Dist)
 	}
-	sort.Float64s(sorted)
 	eps, want := cut(sorted, 6)
+	pos := positions(names)
 	label := fmt.Sprintf("%s subject %s", c.label, names[subject])
 
-	rq := RangeQuery{Values: q, Eps: eps, Transform: c.tr, BothSides: c.both}
+	rq := RangeQuery{Values: q, Eps: eps, Transform: c.op.T, BothSides: c.both}
 	idx, _, err := forcedRange(eng, rq, plan.Index)
 	if err != nil {
 		t.Fatalf("%s range: %v", label, err)
@@ -165,27 +143,23 @@ func checkHalfReads(t *testing.T, eng Engine, c halfCase, names []string, values
 	if !reflect.DeepEqual(idx, scan) {
 		t.Errorf("%s: range index answers\n %v\nscan\n %v", label, idx, scan)
 	}
-	if len(idx) != want {
-		t.Errorf("%s: range answers %d series, brute force %d", label, len(idx), want)
-	}
-	for _, r := range idx {
-		if d := brute[r.Name]; d > eps || math.Abs(r.Dist-d) > tol {
-			t.Errorf("%s: range answer %s at %.12f, brute force %.12f (eps %.12f)", label, r.Name, r.Dist, d, eps)
-		}
+	if err := testkit.CheckRange(ranked, hitsOf(idx, pos), eps, 0, tol); err != nil || len(idx) != want {
+		t.Errorf("%s: range answers %d series, brute force %d: %v", label, len(idx), want, err)
 	}
 
 	// The monitors' check, series by series.
-	for _, name := range names {
+	for _, h := range ranked {
+		name := names[h.I]
 		dist, within, err := eng.CheckWithin(name, rq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := brute[name]; within != (d <= eps) || (within && math.Abs(dist-d) > tol) {
+		if d := h.Dist; within != (d <= eps) || (within && math.Abs(dist-d) > tol) {
 			t.Errorf("%s: CheckWithin(%s) = %.12f, %t; brute force %.12f at eps %.12f", label, name, dist, within, d, eps)
 		}
 	}
 
-	nq := NNQuery{Values: q, K: 5, Transform: c.tr, BothSides: c.both}
+	nq := NNQuery{Values: q, K: 5, Transform: c.op.T, BothSides: c.both}
 	nnIdx, _, err := forcedNN(eng, nq, plan.Index)
 	if err != nil {
 		t.Fatalf("%s nn: %v", label, err)
@@ -197,46 +171,28 @@ func checkHalfReads(t *testing.T, eng Engine, c halfCase, names []string, values
 	if !reflect.DeepEqual(nnIdx, nnScan) {
 		t.Errorf("%s: NN index answers\n %v\nscan\n %v", label, nnIdx, nnScan)
 	}
-	for i, r := range nnIdx {
-		// By distance, not name: ties may rank either way.
-		if math.Abs(r.Dist-sorted[i]) > tol || math.Abs(brute[r.Name]-sorted[i]) > tol {
-			t.Errorf("%s: NN rank %d is %s at %.12f, brute force ranks %.12f there", label, i, r.Name, r.Dist, sorted[i])
-		}
+	// By distance, not name: ties may rank either way.
+	if err := testkit.CheckApproxNN(ranked, hitsOf(nnIdx, pos), nq.K, 0, tol); err != nil {
+		t.Errorf("%s: NN: %v", label, err)
 	}
 }
 
 func checkHalfJoins(t *testing.T, eng Engine, c halfCase, names []string, values [][]float64, tol float64) {
 	t.Helper()
-	mavg := transform.MovingAverage(eng.Length(), min(3, eng.Length()))
+	mavg := testkit.Mavg(eng.Length(), min(3, eng.Length()))
 	for _, jc := range []struct {
-		kind string
-		q    JoinQuery
-		k    int
+		kind  string
+		q     JoinQuery
+		k     int
+		pairs []testkit.Pair
 	}{
-		{"selfjoin", JoinQuery{Left: c.tr, Right: c.tr}, 8},
-		{"join", JoinQuery{Left: c.tr, Right: mavg, TwoSided: true}, 6},
+		{"selfjoin", JoinQuery{Left: c.op.T, Right: c.op.T}, 8, testkit.SelfJoin(values, c.op)},
+		{"join", JoinQuery{Left: c.op.T, Right: mavg.T, TwoSided: true}, 6, testkit.Join(values, c.op, mavg)},
 	} {
-		images := func(tr transform.T) [][]complex128 {
-			out := make([][]complex128, len(values))
-			for i, x := range values {
-				out[i] = timeImage(tr, x)
-			}
-			return out
-		}
-		left, right := images(jc.q.Left), images(jc.q.Right)
-		brute := map[[2]string]float64{}
 		var sorted []float64
-		for i := range values {
-			for j := range values {
-				if i == j || (!jc.q.TwoSided && j < i) {
-					continue
-				}
-				d := complexDist(left[i], right[j])
-				brute[[2]string{names[i], names[j]}] = d
-				sorted = append(sorted, d)
-			}
+		for _, p := range jc.pairs {
+			sorted = append(sorted, p.Dist)
 		}
-		sort.Float64s(sorted)
 		var want int
 		jc.q.Eps, want = cut(sorted, jc.k)
 		label := fmt.Sprintf("%s %s", c.label, jc.kind)
@@ -257,17 +213,12 @@ func checkHalfJoins(t *testing.T, eng Engine, c halfCase, names []string, values
 			continue
 		}
 		for i := range idx {
-			a, b := eng.Name(idx[i].A), eng.Name(idx[i].B)
 			if idx[i].A != scan[i].A || idx[i].B != scan[i].B || math.Abs(idx[i].Dist-scan[i].Dist) > tol {
 				t.Errorf("%s: pair %d is %+v by the index, %+v by the scan", label, i, idx[i], scan[i])
 			}
-			key := [2]string{a, b}
-			if !jc.q.TwoSided && a > b {
-				key = [2]string{b, a}
-			}
-			if d, ok := brute[key]; !ok || d > jc.q.Eps || math.Abs(idx[i].Dist-d) > tol {
-				t.Errorf("%s: pair (%s, %s) at %.12f, brute force %.12f (eps %.12f)", label, a, b, idx[i].Dist, d, jc.q.Eps)
-			}
+		}
+		if err := testkit.CheckJoin(jc.pairs, pairsOf(eng, idx, positions(names)), jc.q.Eps, tol); err != nil {
+			t.Errorf("%s: %v", label, err)
 		}
 	}
 }

@@ -25,11 +25,10 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -39,6 +38,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/rtree"
 	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
@@ -46,39 +46,25 @@ import (
 // and the time-domain brute force.
 const headSlack = 1e-6
 
-// headSpec is one transformation under test: its spectral form for the
-// engine and a pure time-domain implementation for the brute force.
+// headSpec is one transformation under test, in the oracle's two forms.
 type headSpec struct {
 	label   string
-	tr      transform.T
-	time    func(nf []float64) []float64
+	op      testkit.Op
 	both    bool
 	moments bool
 	delta   float64
 }
 
-func headSpecs(t *testing.T, n int) []headSpec {
-	t.Helper()
-	w := 5
-	if w > n/2 {
-		w = n / 2
-	}
-	ident := func(x []float64) []float64 { return x }
-	mavgT := func(x []float64) []float64 { return series.MovingAverageCircular(x, w) }
-	revMavgT := func(x []float64) []float64 { return series.MovingAverageCircular(series.Negate(x), w) }
-	mavg := transform.MovingAverage(n, w)
-	revMavg, err := transform.Reverse(n).Compose(mavg)
-	if err != nil {
-		t.Fatal(err)
-	}
+func headSpecs(n int) []headSpec {
+	ident, mavg := testkit.Identity(n), testkit.Mavg(n, min(5, n/2))
 	return []headSpec{
-		{label: "identity", tr: transform.Identity(n), time: ident},
-		{label: "mavg", tr: mavg, time: mavgT},
-		{label: "reverse|mavg", tr: revMavg, time: revMavgT},
-		{label: "mavg BOTH", tr: mavg, time: mavgT, both: true},
-		{label: "identity moments", tr: transform.Identity(n), time: ident, moments: true},
-		{label: "identity APPROX 0.1", tr: transform.Identity(n), time: ident, delta: 0.1},
-		{label: "mavg BOTH APPROX 0.25", tr: mavg, time: mavgT, both: true, delta: 0.25},
+		{label: "identity", op: ident},
+		{label: "mavg", op: mavg},
+		{label: "reverse|mavg", op: testkit.Reverse(n).Then(mavg)},
+		{label: "mavg BOTH", op: mavg, both: true},
+		{label: "identity moments", op: ident, moments: true},
+		{label: "identity APPROX 0.1", op: ident, delta: 0.1},
+		{label: "mavg BOTH APPROX 0.25", op: mavg, both: true, delta: 0.25},
 	}
 }
 
@@ -87,8 +73,16 @@ func headSpecs(t *testing.T, n int) []headSpec {
 type headStore struct {
 	label string
 	eng   Engine
-	live  map[string][]float64
+	live  testkit.Live
 	fresh int // names handed to churn's inserts
+}
+
+// churn runs the seeded churn script on the store, keeping live in step.
+func (hs *headStore) churn(t *testing.T, n int, rng *rand.Rand, steps int) {
+	t.Helper()
+	c := testkit.Churn[Committed]{N: n, Rand: rng, Live: hs.live, Fresh: hs.fresh}
+	c.Run(t, hs.eng, steps)
+	hs.fresh = c.Fresh
 }
 
 func (hs *headStore) dbs() []*shard { return shardsOf(hs.eng) }
@@ -107,45 +101,6 @@ func soloStore(sh *shard) *Store {
 		s.register(id, 0)
 	}
 	return s
-}
-
-func (hs *headStore) names() []string {
-	out := make([]string, 0, len(hs.live))
-	for name := range hs.live {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// bruteDist is D(T(nf(x)), nf(q)) — or D(T(nf(x)), T(nf(q))) two-sided —
-// computed entirely in the time domain.
-func bruteDist(sp headSpec, x, q []float64) float64 {
-	qn := series.NormalForm(q)
-	if sp.both {
-		qn = sp.time(qn)
-	}
-	return series.EuclideanDistance(sp.time(series.NormalForm(x)), qn)
-}
-
-type bruteHit struct {
-	name string
-	dist float64
-}
-
-// bruteAll ranks every live series by its brute-force distance to q.
-func (hs *headStore) bruteAll(sp headSpec, q []float64) []bruteHit {
-	out := make([]bruteHit, 0, len(hs.live))
-	for name, x := range hs.live {
-		out = append(out, bruteHit{name, bruteDist(sp, x, q)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].dist != out[j].dist {
-			return out[i].dist < out[j].dist
-		}
-		return out[i].name < out[j].name
-	})
-	return out
 }
 
 // ---- the reference walk: every term from the page ----
@@ -215,7 +170,7 @@ func refRange(t *testing.T, db *shard, q RangeQuery, scan bool) ([]Result, ExecS
 		// The leaf prefix test is the engine's own (leafTest): it reads the
 		// leaf's copy of the head, which checkHeads holds to the pages.
 		far := &leafTest{k: p.kernelInto(nil), limit: q.Eps * q.Eps, st: &st}
-		found, search := db.idx.RangeIDsTested(p.qp, p.mw.filterRadius(q.Eps), p.m, q.Moments, !db.opts.DisablePartialPrune, far, &sc, nil)
+		found, search := db.idx.RangeIDsTested(p.qp, p.mw.filterRadius(q.Eps), p.m, q.Moments, true, far, &sc, nil)
 		ids, st.NodeAccesses = found, search.NodesVisited
 	}
 	var out []Result
@@ -353,7 +308,7 @@ func refJoin(t *testing.T, db *shard, jq JoinQuery, scan, selfOnce bool) ([]Join
 		}
 		k := kernel(nil, jq.Left, jq.Right, X)
 		var sc index.Scratch
-		cands, search := db.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !db.opts.DisablePartialPrune, &sc, nil)
+		cands, search := db.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, true, &sc, nil)
 		st.NodeAccesses += search.NodesVisited
 		for _, id := range cands {
 			if id == qid || (selfOnce && id < qid) {
@@ -462,9 +417,10 @@ func (hs *headStore) checkLeafPrefixes(t *testing.T, si int, db *shard) {
 // engine, the reference walk on each shard's DB.
 func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 	t.Helper()
-	names := hs.names()
+	names, values := hs.live.Sorted()
+	pos := positions(names)
 	const k = 5
-	for _, sp := range headSpecs(t, n) {
+	for _, sp := range headSpecs(n) {
 		// The query is a stored series — by name, through the stored-record
 		// fast path — or a perturbed copy of one as a raw vector.
 		subject := names[rng.Intn(len(names))]
@@ -478,102 +434,50 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 				q[i] += rng.NormFloat64() * 0.2
 			}
 		}
-		ranked := hs.bruteAll(sp, q)
+		ranked := testkit.Rank(values, q, sp.op, sp.both)
 		// A threshold between the 6th and 7th nearest, so no answer sits on
 		// the boundary.
-		cut := 6
-		if cut >= len(ranked) {
-			cut = len(ranked) - 1
-		}
-		eps := (ranked[cut-1].dist + ranked[cut].dist) / 2
+		cut := min(6, len(ranked)-1)
+		eps := (ranked[cut-1].Dist + ranked[cut].Dist) / 2
 		label := fmt.Sprintf("%s n=%d %q subject %s", hs.label, n, sp.label, subject)
 
-		rq := RangeQuery{Values: q, Eps: eps, Transform: sp.tr, BothSides: sp.both, Delta: sp.delta, Prep: prep}
-		var inBounds func(x []float64) bool
+		rq := RangeQuery{Values: q, Eps: eps, Transform: sp.op.T, BothSides: sp.both, Delta: sp.delta, Prep: prep}
+		// Only series inside the moment bounds may answer a range read.
+		inBounds := ranked
 		if sp.moments {
 			// Bounds around the subject's own moments, wide enough to keep
 			// some neighbours and narrow enough to drop others.
 			m, s := series.Mean(hs.live[subject]), series.Std(hs.live[subject])
 			rq.Moments = feature.MomentBounds{MeanLo: m - 15, MeanHi: m + 15, StdLo: s / 2, StdHi: s * 2}
-			inBounds = func(x []float64) bool {
-				xm, xs := series.Mean(x), series.Std(x)
-				return xm >= m-15 && xm <= m+15 && xs >= s/2 && xs <= s*2
-			}
+			inBounds = slices.DeleteFunc(slices.Clone(ranked), func(h testkit.Hit) bool {
+				xm, xs := series.Mean(values[h.I]), series.Std(values[h.I])
+				return xm < m-15 || xm > m+15 || xs < s/2 || xs > s*2
+			})
 		}
-		nq := NNQuery{Values: q, K: k, Transform: sp.tr, BothSides: sp.both, Delta: sp.delta, Prep: prep}
+		nq := NNQuery{Values: q, K: k, Transform: sp.op.T, BothSides: sp.both, Delta: sp.delta, Prep: prep}
 
 		// Brute force, whole engine.
-		type rangeRun struct {
-			name string
-			run  func(RangeQuery) ([]Result, ExecStats, error)
+		strategies := []plan.Strategy{plan.Index, plan.ScanFreq, plan.Auto}
+		ranges := strategies
+		if sp.moments {
+			ranges = strategies[:1] // the scans ignore moment bounds by design
 		}
-		runs := []rangeRun{{"range index", pinRange(hs.eng, plan.Index)}}
-		if !sp.moments { // the scans ignore moment bounds by design
-			runs = append(runs, rangeRun{"range scan", pinRange(hs.eng, plan.ScanFreq)},
-				rangeRun{"range auto", func(q RangeQuery) ([]Result, ExecStats, error) {
-					pl, err := hs.eng.PlanRange(q, plan.Auto)
-					if err != nil {
-						return nil, ExecStats{}, err
-					}
-					return hs.eng.ExecRangeInto(q, pl, nil)
-				}})
-		}
-		for _, r := range runs {
-			res, _, err := r.run(rq)
+		for _, want := range ranges {
+			res, _, err := forcedRange(hs.eng, rq, want)
 			if err != nil {
-				t.Fatalf("%s %s: %v", label, r.name, err)
+				t.Fatalf("%s range %s: %v", label, want, err)
 			}
-			got := map[string]Result{}
-			for _, m := range res {
-				got[m.Name] = m
-			}
-			for _, h := range ranked {
-				if inBounds != nil && !inBounds(hs.live[h.name]) {
-					if _, ok := got[h.name]; ok {
-						t.Errorf("%s %s: %s is outside the moment bounds", label, r.name, h.name)
-					}
-					continue
-				}
-				m, ok := got[h.name]
-				switch {
-				case h.dist <= eps && !ok:
-					t.Errorf("%s %s: missed %s at brute-force distance %.9f <= eps %.9f", label, r.name, h.name, h.dist, eps)
-				case h.dist > (1+sp.delta)*eps+headSlack && ok:
-					t.Errorf("%s %s: returned %s at brute-force distance %.9f > (1+%g)*eps %.9f", label, r.name, h.name, h.dist, sp.delta, eps)
-				case ok && math.Abs(m.Dist-h.dist) > headSlack:
-					t.Errorf("%s %s: %s at distance %.9f, brute force %.9f", label, r.name, h.name, m.Dist, h.dist)
-				}
+			if err := testkit.CheckRange(inBounds, hitsOf(res, pos), eps, sp.delta, headSlack); err != nil {
+				t.Errorf("%s range %s: %v", label, want, err)
 			}
 		}
-		for _, r := range []struct {
-			name string
-			run  func(NNQuery) ([]Result, ExecStats, error)
-		}{
-			{"nn index", pinNN(hs.eng, plan.Index)},
-			{"nn scan", pinNN(hs.eng, plan.ScanFreq)},
-			{"nn auto", func(q NNQuery) ([]Result, ExecStats, error) {
-				pl, err := hs.eng.PlanNN(q, plan.Auto)
-				if err != nil {
-					return nil, ExecStats{}, err
-				}
-				return hs.eng.ExecNNInto(q, pl, nil)
-			}},
-		} {
-			res, _, err := r.run(nq)
+		for _, want := range strategies {
+			res, _, err := forcedNN(hs.eng, nq, want)
 			if err != nil {
-				t.Fatalf("%s %s: %v", label, r.name, err)
+				t.Fatalf("%s nn %s: %v", label, want, err)
 			}
-			if want := min(k, len(ranked)); len(res) != want {
-				t.Fatalf("%s %s: %d neighbours, want %d", label, r.name, len(res), want)
-			}
-			for i, m := range res {
-				exact := ranked[i].dist
-				if sp.delta == 0 && (m.Name != ranked[i].name || math.Abs(m.Dist-exact) > headSlack) {
-					t.Errorf("%s %s: rank %d is %s at %.9f, brute force %s at %.9f", label, r.name, i, m.Name, m.Dist, ranked[i].name, exact)
-				}
-				if m.Dist > (1+sp.delta)*exact+headSlack {
-					t.Errorf("%s %s: rank %d reported %.9f > (1+%g) * %.9f", label, r.name, i, m.Dist, sp.delta, exact)
-				}
+			if err := testkit.CheckApproxNN(ranked, hitsOf(res, pos), k, sp.delta, headSlack); err != nil {
+				t.Errorf("%s nn %s: %v", label, want, err)
 			}
 		}
 
@@ -587,15 +491,10 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 			shLabel := fmt.Sprintf("%s shard %d", label, si)
 			sq := rq
 			sq.Prep = nil // a stored-record plan belongs to the store that built it
-			for _, scan := range []bool{false, true} {
-				if scan && sp.moments {
-					continue
-				}
-				run, kind := pinRange(solo, plan.Index), "range index"
-				if scan {
-					run, kind = pinRange(solo, plan.ScanFreq), "range scan"
-				}
-				got, gotSt, err := run(sq)
+			// The reference walks index or scan; they have no auto.
+			for _, want := range ranges[:min(2, len(ranges))] {
+				scan, kind := want == plan.ScanFreq, "range "+want.String()
+				got, gotSt, err := forcedRange(solo, sq, want)
 				if err != nil {
 					t.Fatalf("%s %s: %v", shLabel, kind, err)
 				}
@@ -611,12 +510,9 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 			}
 			snq := nq
 			snq.Prep = nil
-			for _, scan := range []bool{false, true} {
-				run, kind := pinNN(solo, plan.Index), "nn index"
-				if scan {
-					run, kind = pinNN(solo, plan.ScanFreq), "nn scan"
-				}
-				got, gotSt, err := run(snq)
+			for _, want := range strategies[:2] {
+				scan, kind := want == plan.ScanFreq, "nn "+want.String()
+				got, gotSt, err := forcedNN(solo, snq, want)
 				if err != nil {
 					t.Fatalf("%s %s: %v", shLabel, kind, err)
 				}
@@ -635,83 +531,36 @@ func (hs *headStore) checkQueries(t *testing.T, n int, rng *rand.Rand) {
 // reference walk.
 func (hs *headStore) checkJoins(t *testing.T, n int) {
 	t.Helper()
-	specs := headSpecs(t, n)
-	mavg, revMavg := specs[1], specs[2]
-	names := hs.names()
+	specs := headSpecs(n)
+	mavg, revMavg := specs[1].op, specs[2].op
+	names, values := hs.live.Sorted()
 	label := fmt.Sprintf("%s n=%d", hs.label, n)
 
 	// Self join under mavg: a threshold between the 8th and 9th closest
 	// pair.
-	type pair struct {
-		a, b string
-		d    float64
-	}
-	var all []pair
-	for i, a := range names {
-		ta := mavg.time(series.NormalForm(hs.live[a]))
-		for _, b := range names[i+1:] {
-			all = append(all, pair{a, b, series.EuclideanDistance(ta, mavg.time(series.NormalForm(hs.live[b])))})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-	eps := (all[7].d + all[8].d) / 2
-	want := map[[2]string]float64{}
-	for _, p := range all[:8] {
-		want[[2]string{p.a, p.b}] = p.d
-	}
+	all := testkit.SelfJoin(values, mavg)
+	eps := (all[7].Dist + all[8].Dist) / 2
+	pos := positions(names)
 	for _, m := range []JoinMethod{JoinScanEarlyAbandon, JoinIndexTransform} {
-		pairs, _, err := hs.eng.SelfJoin(eps, mavg.tr, m)
+		pairs, _, err := hs.eng.SelfJoin(eps, mavg.T, m)
 		if err != nil {
 			t.Fatalf("%s selfjoin %s: %v", label, m, err)
 		}
-		got := map[[2]string]float64{}
-		for _, p := range pairs {
-			a, b := hs.eng.Name(p.A), hs.eng.Name(p.B)
-			if a > b {
-				a, b = b, a
-			}
-			got[[2]string{a, b}] = p.Dist
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s selfjoin %s: %d distinct pairs, brute force %d", label, m, len(got), len(want))
-		}
-		for key, d := range want {
-			if g, ok := got[key]; !ok || math.Abs(g-d) > headSlack {
-				t.Errorf("%s selfjoin %s: pair %v at %.9f, brute force %.9f (found %t)", label, m, key, g, d, ok)
-			}
+		if err := testkit.CheckJoin(all, pairsOf(hs.eng, pairs, pos), eps, headSlack); err != nil {
+			t.Errorf("%s selfjoin %s: %v", label, m, err)
 		}
 	}
 
 	// Two-sided join D(reverse|mavg x, mavg y): the ordered pairs within a
 	// threshold between the 6th and 7th closest.
-	var ordered []pair
-	for _, a := range names {
-		ta := revMavg.time(series.NormalForm(hs.live[a]))
-		for _, b := range names {
-			if a != b {
-				ordered = append(ordered, pair{a, b, series.EuclideanDistance(ta, mavg.time(series.NormalForm(hs.live[b])))})
-			}
-		}
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].d < ordered[j].d })
-	eps2 := (ordered[5].d + ordered[6].d) / 2
-	pairs, _, err := forcedJoinTwoSided(hs.eng, eps2, revMavg.tr, mavg.tr)
+	ordered := testkit.Join(values, revMavg, mavg)
+	eps2 := (ordered[5].Dist + ordered[6].Dist) / 2
+	pairs, _, err := forcedJoinTwoSided(hs.eng, eps2, revMavg.T, mavg.T)
 	if err != nil {
 		t.Fatalf("%s join2: %v", label, err)
 	}
-	if len(pairs) != 6 {
-		t.Errorf("%s join2: %d pairs, brute force 6", label, len(pairs))
-	}
-	for _, w := range ordered[:6] {
-		found := false
-		for _, p := range pairs {
-			if hs.eng.Name(p.A) == w.a && hs.eng.Name(p.B) == w.b && math.Abs(p.Dist-w.d) <= headSlack {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s join2: missing (%s, %s) at %.9f", label, w.a, w.b, w.d)
-		}
+	if err := testkit.CheckJoin(ordered, pairsOf(hs.eng, pairs, pos), eps2, headSlack); err != nil {
+		t.Errorf("%s join2: %v", label, err)
 	}
 
 	for si, db := range hs.dbs() {
@@ -726,17 +575,17 @@ func (hs *headStore) checkJoins(t *testing.T, n int) {
 			scan bool
 			run  func() ([]JoinPair, ExecStats, error)
 		}{
-			{"selfjoin scan", selfJoinQuery(eps, mavg.tr), true, func() ([]JoinPair, ExecStats, error) {
-				return solo.SelfJoin(eps, mavg.tr, JoinScanEarlyAbandon)
+			{"selfjoin scan", selfJoinQuery(eps, mavg.T), true, func() ([]JoinPair, ExecStats, error) {
+				return solo.SelfJoin(eps, mavg.T, JoinScanEarlyAbandon)
 			}},
-			{"selfjoin index", selfJoinQuery(eps, mavg.tr), false, func() ([]JoinPair, ExecStats, error) {
-				return solo.SelfJoin(eps, mavg.tr, JoinIndexTransform)
+			{"selfjoin index", selfJoinQuery(eps, mavg.T), false, func() ([]JoinPair, ExecStats, error) {
+				return solo.SelfJoin(eps, mavg.T, JoinIndexTransform)
 			}},
-			{"join2 index", JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}, false, func() ([]JoinPair, ExecStats, error) {
-				return forcedJoinTwoSided(solo, eps2, revMavg.tr, mavg.tr)
+			{"join2 index", JoinQuery{Eps: eps2, Left: revMavg.T, Right: mavg.T, TwoSided: true}, false, func() ([]JoinPair, ExecStats, error) {
+				return forcedJoinTwoSided(solo, eps2, revMavg.T, mavg.T)
 			}},
-			{"join2 scan", JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}, true, func() ([]JoinPair, ExecStats, error) {
-				jq := JoinQuery{Eps: eps2, Left: revMavg.tr, Right: mavg.tr, TwoSided: true}
+			{"join2 scan", JoinQuery{Eps: eps2, Left: revMavg.T, Right: mavg.T, TwoSided: true}, true, func() ([]JoinPair, ExecStats, error) {
+				jq := JoinQuery{Eps: eps2, Left: revMavg.T, Right: mavg.T, TwoSided: true}
 				pl, err := solo.PlanJoin(jq, plan.ScanFreq)
 				if err != nil {
 					return nil, ExecStats{}, err
@@ -783,12 +632,15 @@ func headOptions(t *testing.T, disk bool, count, n int) Options {
 
 func newHeadStore(t *testing.T, label string, shards int, opts Options, n int, data []dataset.Series) *headStore {
 	t.Helper()
-	hs := &headStore{label: label, eng: newTestEngine(t, n, shards, opts), live: map[string][]float64{}}
+	hs := &headStore{label: label, eng: newTestEngine(t, n, shards, opts), live: testkit.Live{}}
 	// Three quarters arrive as one bulk load, the rest one at a time.
 	bulk := len(data) * 3 / 4
 	names, values := make([]string, bulk), make([][]float64, bulk)
-	for i, d := range data[:bulk] {
-		names[i], values[i] = d.Name, d.Values
+	for i, d := range data {
+		hs.live[d.Name] = append([]float64(nil), d.Values...)
+		if i < bulk {
+			names[i], values[i] = d.Name, d.Values
+		}
 	}
 	if err := hs.eng.InsertBulk(names, values); err != nil {
 		t.Fatal(err)
@@ -798,61 +650,15 @@ func newHeadStore(t *testing.T, label string, shards int, opts Options, n int, d
 			t.Fatal(err)
 		}
 	}
-	for _, d := range data {
-		hs.live[d.Name] = append([]float64(nil), d.Values...)
-	}
 	return hs
 }
 
-// churn applies a random interleaving of appends, deletes, updates and
-// inserts, keeping the mirror in step.
-func (hs *headStore) churn(t *testing.T, n int, rng *rand.Rand, steps int) {
-	t.Helper()
-	for step := 0; step < steps; step++ {
-		names := hs.names()
-		name := names[rng.Intn(len(names))]
-		switch op := rng.Intn(10); {
-		case op < 6: // append 1..5 points
-			pts := make([]float64, 1+rng.Intn(5))
-			last := hs.live[name][n-1]
-			for i := range pts {
-				last += rng.Float64()*8 - 4
-				pts[i] = last
-			}
-			if _, err := hs.eng.Append(name, pts); err != nil {
-				t.Fatal(err)
-			}
-			w := append(hs.live[name], pts...)
-			hs.live[name] = append([]float64(nil), w[len(w)-n:]...)
-		case op < 7 && len(names) > 24:
-			if !hs.eng.Delete(name) {
-				t.Fatalf("delete %s: not stored", name)
-			}
-			delete(hs.live, name)
-		case op < 9:
-			vals := dataset.RandomWalk(rng, n)
-			if _, err := hs.eng.Update(name, vals); err != nil {
-				t.Fatal(err)
-			}
-			hs.live[name] = vals
-		default:
-			hs.fresh++
-			nn := fmt.Sprintf("N%d-%04d", n, hs.fresh)
-			vals := dataset.RandomWalk(rng, n)
-			if _, err := hs.eng.Insert(nn, vals); err != nil {
-				t.Fatal(err)
-			}
-			hs.live[nn] = vals
-		}
-	}
-}
-
-// reload writes the store with the given writer and loads the bytes at the
-// given shard count, with the same storage options.
-func (hs *headStore) reload(t *testing.T, label string, write func(io.Writer) (int64, error), shards int, opts Options) *headStore {
+// reload writes the store's snapshot and loads it at the given shard count,
+// with the same storage options.
+func (hs *headStore) reload(t *testing.T, label string, shards int, opts Options) *headStore {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := write(&buf); err != nil {
+	if _, err := hs.eng.WriteTo(&buf); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	if opts.Backing != "" {
@@ -907,8 +713,8 @@ func TestHeadParity(t *testing.T) {
 
 					other := 5 - shards // 1 <-> 4
 					for _, ld := range []*headStore{
-						hs.reload(t, "tsq4 same shards", hs.eng.WriteTo, shards, opts),
-						hs.reload(t, "tsq4 resharded", hs.eng.WriteTo, other, opts),
+						hs.reload(t, "tsq4 same shards", shards, opts),
+						hs.reload(t, "tsq4 resharded", other, opts),
 					} {
 						ld.check(t, n, rng)
 					}

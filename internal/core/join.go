@@ -234,7 +234,7 @@ func (s *Store) sampleJoin(jp *joinPlan) plan.JoinInput {
 			tq = jp.rm.ApplyPoint(tq)
 		}
 		for _, target := range s.shards {
-			cands, searchStats := target.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune, &sc, buf[:0])
+			cands, searchStats := target.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, true, &sc, buf[:0])
 			buf = cands
 			nodes += searchStats.NodesVisited
 			for _, id := range cands {

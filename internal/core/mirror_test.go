@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -19,82 +18,41 @@ import (
 	"repro/internal/index"
 	"repro/internal/plan"
 	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
 // mirrorSeed seeds the randomized suites below; it is printed for replay.
 const mirrorSeed = 20260927
 
-// timeOp is one transformation in both of its forms: the spectral (a, b)
-// the engine applies, and the same operation written directly on the time
-// series, which is what the bound is checked against.
-type timeOp struct {
-	label string
-	tr    transform.T
-	time  func(x []float64) []float64
-}
-
-// circularWeighted is out_i = sum_j w_j * x_{(i-j) mod n}: a weighted moving
-// average as a plain loop (series.MovingAverageCircular with weights).
-func circularWeighted(x, w []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	for i := range out {
-		for j, wj := range w {
-			out[i] += wj * x[((i-j)%n+n)%n]
-		}
-	}
-	return out
-}
-
 // randomTimeOp draws one of the real time-domain operations.
-func randomTimeOp(rng *rand.Rand, n int) timeOp {
+func randomTimeOp(rng *rand.Rand, n int) testkit.Op {
 	switch rng.Intn(6) {
 	case 0:
-		return timeOp{"identity", transform.Identity(n), func(x []float64) []float64 { return x }}
+		return testkit.Identity(n)
 	case 1:
-		l := 1 + rng.Intn(n)
-		return timeOp{fmt.Sprintf("mavg(%d)", l), transform.MovingAverage(n, l),
-			func(x []float64) []float64 { return series.MovingAverageCircular(x, l) }}
+		return testkit.Mavg(n, 1+rng.Intn(n))
 	case 2:
 		w := make([]float64, 1+rng.Intn(n))
 		for i := range w {
 			w[i] = rng.NormFloat64()
 		}
-		return timeOp{fmt.Sprintf("wmavg(%d)", len(w)), transform.WeightedMovingAverage(n, w),
-			func(x []float64) []float64 { return circularWeighted(x, w) }}
+		return testkit.WeightedMavg(n, w)
 	case 3:
-		return timeOp{"reverse", transform.Reverse(n), series.Negate}
+		return testkit.Reverse(n)
 	case 4:
-		c := rng.NormFloat64() * 3 // either sign
-		return timeOp{fmt.Sprintf("scale(%.3g)", c), transform.Scale(n, c),
-			func(x []float64) []float64 { return series.Scale(x, c) }}
+		return testkit.Scale(n, rng.NormFloat64()*3) // either sign
 	default:
-		c := rng.NormFloat64() * 5
-		return timeOp{fmt.Sprintf("shift(%.3g)", c), transform.Shift(n, c),
-			func(x []float64) []float64 {
-				out := make([]float64, len(x))
-				for i, v := range x {
-					out[i] = v + c
-				}
-				return out
-			}}
+		return testkit.Shift(n, rng.NormFloat64()*5)
 	}
 }
 
 // randomPipeline composes one to three random operations, spectra and
 // time-domain forms alike.
-func randomPipeline(t *testing.T, rng *rand.Rand, n int) timeOp {
-	t.Helper()
+func randomPipeline(rng *rand.Rand, n int) testkit.Op {
 	op := randomTimeOp(rng, n)
 	for extra := rng.Intn(3); extra > 0; extra-- {
-		next := randomTimeOp(rng, n)
-		tr, err := op.tr.Compose(next.tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := op.time
-		op = timeOp{next.label + "∘" + op.label, tr, func(x []float64) []float64 { return next.time(first(x)) }}
+		op = op.Then(randomTimeOp(rng, n))
 	}
 	return op
 }
@@ -133,7 +91,7 @@ func TestMirrorBoundNeverExceedsDistance(t *testing.T) {
 	for _, n := range []int{4, 5, 8, 9, 64, 256} {
 		for k := 1; k <= 3; k++ {
 			for trial := 0; trial < 60; trial++ {
-				op := randomPipeline(t, rng, n)
+				op := randomPipeline(rng, n)
 				both := trial%2 == 1
 				x, q := randomSeries(rng, n), randomSeries(rng, n)
 				if trial%5 == 0 {
@@ -145,19 +103,19 @@ func TestMirrorBoundNeverExceedsDistance(t *testing.T) {
 				}
 				target := q
 				if both {
-					target = op.time(q)
+					target = op.Time(q)
 				}
-				label := fmt.Sprintf("n=%d K=%d %s both=%t", n, k, op.label, both)
-				dist := series.EuclideanDistance(op.time(x), target)
+				label := fmt.Sprintf("n=%d K=%d %s both=%t", n, k, op.Label, both)
+				dist := series.EuclideanDistance(op.Time(x), target)
 				X, Q := dft.TransformReal(x), dft.TransformReal(target)
 
-				mw := mirrorWeight(k, n, op.tr)
-				if lhs, rhs := mw.w*indexedSum(op.tr, X, Q, k), dist*dist*(1+1e-12); lhs > rhs {
+				mw := mirrorWeight(k, n, op.T)
+				if lhs, rhs := mw.w*indexedSum(op.T, X, Q, k), dist*dist*(1+1e-12); lhs > rhs {
 					t.Fatalf("%s: w*sum = %v (w = %v) exceeds D^2 = %v", label, lhs, mw.w, rhs)
 				}
 				// What the engine does with the weight: a record at distance
 				// exactly eps must clear the filter.
-				if r := mw.filterRadius(dist); indexedSum(op.tr, X, Q, k) > r*r {
+				if r := mw.filterRadius(dist); indexedSum(op.T, X, Q, k) > r*r {
 					t.Fatalf("%s: a record at distance %v falls outside filter radius %v", label, dist, r)
 				}
 				// And the weight is not given away: every real operation with
@@ -285,8 +243,7 @@ func boundaryData(rng *rand.Rand) (names []string, values [][]float64) {
 // boundarySpec is one transformation of the boundary suite.
 type boundarySpec struct {
 	label string
-	tr    transform.T
-	time  func([]float64) []float64
+	op    testkit.Op
 	both  bool
 }
 
@@ -313,13 +270,10 @@ func TestMirrorBoundaryParity(t *testing.T) {
 func boundarySuite(t *testing.T, fill func(t *testing.T, eng Engine, names []string, values [][]float64)) {
 	t.Logf("seed %d", mirrorSeed)
 	names, values := boundaryData(rand.New(rand.NewSource(mirrorSeed)))
-	byName := make(map[string][]float64, len(names))
-	for i, name := range names {
-		byName[name] = values[i]
-	}
+	pos := positions(names)
 	specs := []boundarySpec{
-		{"identity", transform.Identity(boundaryLen), func(x []float64) []float64 { return x }, false},
-		{"mavg BOTH", transform.MovingAverage(boundaryLen, 5), func(x []float64) []float64 { return series.MovingAverageCircular(x, 5) }, true},
+		{"identity", testkit.Identity(boundaryLen), false},
+		{"mavg BOTH", testkit.Mavg(boundaryLen, 5), true},
 	}
 	for _, shards := range []int{1, 4} {
 		for _, disk := range []bool{false, true} {
@@ -333,7 +287,7 @@ func boundarySuite(t *testing.T, fill func(t *testing.T, eng Engine, names []str
 				tight := 0
 				for _, sp := range specs {
 					for si, subject := range names {
-						tight += boundarySubject(t, eng, sp, byName, names, si, subject)
+						tight += boundarySubject(t, eng, sp, values, pos, si, subject)
 					}
 				}
 				// Forty walks per transformation put their twin on the boundary.
@@ -348,35 +302,28 @@ func boundarySuite(t *testing.T, fill func(t *testing.T, eng Engine, names []str
 // boundarySubject runs the boundary checks for one subject and reports
 // whether its range boundary was a tight one (2 * partial within 1e-9 of the
 // full squared distance).
-func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[string][]float64, names []string, si int, subject string) (tight int) {
+func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, values [][]float64, pos map[string]int, si int, subject string) (tight int) {
 	t.Helper()
 	label := fmt.Sprintf("%q subject %s", sp.label, subject)
-	q := byName[subject]
+	q := values[pos[subject]]
 	id, _ := eng.IDByName(subject)
 	var prep *QueryPrep
 	if si%2 == 0 { // by name, through the stored-record fast path, or raw
 		prep, _ = eng.QueryPrep(id)
 	}
-	rq := RangeQuery{Values: q, Transform: sp.tr, BothSides: sp.both, Prep: prep}
+	rq := RangeQuery{Values: q, Transform: sp.op.T, BothSides: sp.both, Prep: prep}
 
-	// Brute force, in the time domain.
-	qn := series.NormalForm(q)
-	if sp.both {
-		qn = sp.time(qn)
-	}
-	brute := make(map[string]float64, len(names))
-	for _, name := range names {
-		brute[name] = series.EuclideanDistance(sp.time(series.NormalForm(byName[name])), qn)
-	}
+	ranked := testkit.Rank(values, q, sp.op, sp.both) // brute force, in the time domain
 
 	// The neighbour on the boundary: the subject's own twin where it has
 	// one, otherwise whichever neighbour ranks (si mod 9)+2 in a scan.
-	all, _, err := forcedNN(eng, NNQuery{Values: q, K: len(names), Transform: sp.tr, BothSides: sp.both, Prep: prep}, plan.ScanFreq)
+	all, _, err := forcedNN(eng, NNQuery{Values: q, K: len(values), Transform: sp.op.T, BothSides: sp.both, Prep: prep}, plan.ScanFreq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	neighbour := all[si%9+2].Name
-	if twin := "T" + subject[1:]; subject[0] == 'W' && si%2 == 1 && byName[twin] != nil {
+	twin := "T" + subject[1:]
+	if _, ok := pos[twin]; ok && subject[0] == 'W' && si%2 == 1 {
 		neighbour = twin
 	}
 	rq.Eps = math.Inf(1)
@@ -389,7 +336,7 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 		// How tight is the bound here? The neighbour's indexed partial
 		// distance against eps^2.
 		np, _ := pointOf(eng, mustID(t, eng, neighbour))
-		p, err := planRangeOn(eng, rq)
+		p, err := shardsOf(eng)[0].planRange(rq) // every shard plans alike
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,17 +367,8 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 		t.Fatalf("%s eps=%v (the distance to %s): index answers\n %v\nscan answers\n %v", label, eps, neighbour, idx, scan)
 	}
 	// The brute force decides everyone who is not on the boundary.
-	in := make(map[string]bool, len(idx))
-	for _, r := range idx {
-		in[r.Name] = true
-		if d := brute[r.Name]; d > eps+1e-9*(1+eps) {
-			t.Fatalf("%s eps=%v: answer %s is at brute-force distance %v", label, eps, r.Name, d)
-		}
-	}
-	for name, d := range brute {
-		if d < eps-1e-9*(1+eps) && !in[name] {
-			t.Fatalf("%s eps=%v: %s at brute-force distance %v is missing", label, eps, name, d)
-		}
+	if err := testkit.CheckRange(ranked, hitsOf(idx, pos), eps, 0, 1e-9*(1+eps)); err != nil {
+		t.Fatalf("%s eps=%v: %v", label, eps, err)
 	}
 
 	// NN with an exact tie across the cut: every copy ties with its
@@ -446,7 +384,7 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 	if k == 0 {
 		t.Fatalf("%s: no tie in the ranking", label)
 	}
-	nq := NNQuery{Values: q, K: k, Transform: sp.tr, BothSides: sp.both, Prep: prep}
+	nq := NNQuery{Values: q, K: k, Transform: sp.op.T, BothSides: sp.both, Prep: prep}
 	nnIdx, _, err := forcedNN(eng, nq, plan.Index)
 	if err != nil {
 		t.Fatal(err)
@@ -454,10 +392,8 @@ func boundarySubject(t *testing.T, eng Engine, sp boundarySpec, byName map[strin
 	if want := all[:k]; fmt.Sprint(nnIdx) != fmt.Sprint(want) {
 		t.Fatalf("%s k=%d (tie at %v): index answers\n %v\nscan ranks\n %v", label, k, all[k].Dist, nnIdx, want)
 	}
-	for i, r := range nnIdx {
-		if d := brute[r.Name]; math.Abs(d-r.Dist) > 1e-9*(1+d) {
-			t.Fatalf("%s k=%d: neighbour %d %s at %v, brute force says %v", label, k, i, r.Name, r.Dist, d)
-		}
+	if err := testkit.CheckApproxNN(ranked, hitsOf(nnIdx, pos), k, 0, 1e-9*(1+all[k].Dist)); err != nil {
+		t.Fatalf("%s k=%d: %v", label, k, err)
 	}
 	return tight
 }
@@ -469,12 +405,6 @@ func mustID(t *testing.T, eng Engine, name string) int64 {
 		t.Fatalf("no series %s", name)
 	}
 	return id
-}
-
-// planRangeOn plans q the way eng's executions do (the plan depends only on
-// the schema and the length, which every shard shares).
-func planRangeOn(eng Engine, q RangeQuery) (*rangePlan, error) {
-	return shardsOf(eng)[0].planRange(q)
 }
 
 // ---- w = 1 is the paper's filter ----
@@ -558,19 +488,9 @@ func TestMirrorWeightOneIsThePapersFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		brute := bruteRange(pr.vals, nq.Values, math.Inf(1), nq.Transform, 0)
-		want := make([]int, 0, len(brute))
-		for id := range brute {
-			want = append(want, id)
-		}
-		sort.Slice(want, func(i, j int) bool {
-			a, b := want[i], want[j]
-			return brute[a] < brute[b] || brute[a] == brute[b] && a < b
-		})
-		for i, r := range got {
-			if d := brute[want[i]]; r.ID != int64(want[i]) || math.Abs(r.Dist-d) > 1e-9*(1+d) {
-				t.Fatalf("%s NN rank %d: %s at %v; brute force has S%03d at %v", pr.label, i, r.Name, r.Dist, want[i], d)
-			}
+		ranked := testkit.Rank(pr.vals, nq.Values, testkit.Spectral(nq.Transform), false)
+		if err := testkit.CheckApproxNN(ranked, hitsOf(got, nil), nq.K, 0, 1e-9*(1+ranked[nq.K].Dist)); err != nil {
+			t.Fatalf("%s NN: %v", pr.label, err)
 		}
 		np, err := sh.planNN(nq)
 		if err != nil {

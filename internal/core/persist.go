@@ -53,7 +53,9 @@ import (
 // remapped at write time to dense record positions — exactly the IDs a
 // loader assigns — so a load whose effective shard count matches the slab
 // count validates and adopts each packed tree as-is (no feature extraction,
-// no FFT, no STR sort); at any other shard count the loader adopts the DERV
+// no FFT, no STR sort; its structure, its leaf IDs and every leaf rectangle
+// are checked, the rectangle bit for bit against its record's DERV point);
+// at any other shard count the loader adopts the DERV
 // points and spectra and only re-packs the trees.
 //
 // A reader streams: each series record goes to its shard's time relation as

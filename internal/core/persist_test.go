@@ -193,11 +193,7 @@ func TestReadFromErrors(t *testing.T) {
 // and checksums of 16 bytes each, an empty history's 12 and five costs'
 // 40), and the same 77,044 after it has served reads.
 func TestSnapshotLengthOneShard(t *testing.T) {
-	data := dataset.RandomWalks(64, 64, 7)
-	names, values := make([]string, len(data)), make([][]float64, len(data))
-	for i, d := range data {
-		names[i], values[i] = d.Name, d.Values
-	}
+	names, values := walks(64, 64, 7)
 	eng := newTestEngine(t, 64, 1, Options{})
 	if err := eng.InsertBulk(names, values); err != nil {
 		t.Fatal(err)

@@ -250,7 +250,7 @@ func (sh *shard) rangeIDs(p *rangePlan, ar *execArena, st *ExecStats) []int64 {
 		ar.lt = leafTest{k: ar.k, limit: p.q.Eps * p.q.Eps, st: st}
 		far = &ar.lt
 	}
-	ids, searchStats := sh.idx.RangeIDsTested(p.qp, p.mw.filterRadius(p.q.Eps), p.m, p.q.Moments, !sh.opts.DisablePartialPrune, far, &ar.sc, ar.ids[:0])
+	ids, searchStats := sh.idx.RangeIDsTested(p.qp, p.mw.filterRadius(p.q.Eps), p.m, p.q.Moments, true, far, &ar.sc, ar.ids[:0])
 	ar.ids, ar.lt = ids, leafTest{}
 	st.NodeAccesses += searchStats.NodesVisited
 	return ids

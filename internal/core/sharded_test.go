@@ -146,19 +146,12 @@ func TestShardedParityAllQueryKinds(t *testing.T) {
 		{"range/force-transform", RangeQuery{Values: q, Eps: 8, Transform: id, ForceTransform: true}},
 	}
 	for _, c := range rangeCases {
-		rq := c.rq
-		checkParity(t, c.label+"/indexed", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := forcedRange(e, rq, plan.Index)
-			return r, err
-		})
-		checkParity(t, c.label+"/scanfreq", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := forcedRange(e, rq, plan.ScanFreq)
-			return r, err
-		})
-		checkParity(t, c.label+"/scantime", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := forcedRange(e, rq, plan.ScanTime)
-			return r, err
-		})
+		for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq, plan.ScanTime} {
+			checkParity(t, c.label+"/"+want.String(), db, shs, func(e Engine) ([]Result, error) {
+				r, _, err := forcedRange(e, c.rq, want)
+				return r, err
+			})
+		}
 	}
 
 	nnCases := []struct {
@@ -173,19 +166,15 @@ func TestShardedParityAllQueryKinds(t *testing.T) {
 		{"nn/k-over-size", NNQuery{Values: q, K: count * 2, Transform: id}},
 	}
 	for _, c := range nnCases {
-		nq := c.nq
-		checkParity(t, c.label+"/indexed", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := forcedNN(e, nq, plan.Index)
-			return r, err
-		})
-		checkParity(t, c.label+"/scan", db, shs, func(e Engine) ([]Result, error) {
-			r, _, err := forcedNN(e, nq, plan.ScanFreq)
-			return r, err
-		})
+		for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+			checkParity(t, c.label+"/"+want.String(), db, shs, func(e Engine) ([]Result, error) {
+				r, _, err := forcedNN(e, c.nq, want)
+				return r, err
+			})
+		}
 	}
 
 	for _, m := range []JoinMethod{JoinScanNaive, JoinScanEarlyAbandon, JoinIndexPlain, JoinIndexTransform} {
-		m := m
 		checkParity(t, fmt.Sprintf("selfjoin/%s", m), db, shs, func(e Engine) ([]JoinPair, error) {
 			p, _, err := e.SelfJoin(3.5, mavg, m)
 			return p, err
@@ -210,12 +199,7 @@ func TestShardedParityBulkLoad(t *testing.T) {
 		count  = 90
 		length = 32
 	)
-	data := dataset.RandomWalks(count, length, 5)
-	names := make([]string, count)
-	values := make([][]float64, count)
-	for i, d := range data {
-		names[i], values[i] = d.Name, d.Values
-	}
+	names, values := walks(count, length, 5)
 	db, err := NewDB(length, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -362,16 +346,11 @@ func TestShardedNNSharedBound(t *testing.T) {
 		count  = 400
 		length = 64
 	)
-	data := dataset.RandomWalks(count, length, 21)
 	s, err := NewStore(length, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, count)
-	values := make([][]float64, count)
-	for i, d := range data {
-		names[i], values[i] = d.Name, d.Values
-	}
+	names, values := walks(count, length, 21)
 	if err := s.InsertBulk(names, values); err != nil {
 		t.Fatal(err)
 	}

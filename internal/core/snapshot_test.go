@@ -376,11 +376,7 @@ func TestSnapshotCompatVersions(t *testing.T) {
 // that wrote it does.
 func TestSnapshotIsTheStore(t *testing.T) {
 	const length = 32
-	data := dataset.RandomWalks(120, length, 53)
-	names, values := make([]string, len(data)), make([][]float64, len(data))
-	for i, d := range data {
-		names[i], values[i] = d.Name, d.Values
-	}
+	names, values := walks(120, length, 53)
 	// churn gives e a bulk load, inserts, deletes and appends.
 	churn := func(t *testing.T, e Engine) {
 		t.Helper()
@@ -499,11 +495,7 @@ func smallSnapshotStore(t testing.TB, shards, count, length int) Engine {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	data := dataset.RandomWalks(count, length, 41)
-	names, values := make([]string, len(data)), make([][]float64, len(data))
-	for i, d := range data {
-		names[i], values[i] = d.Name, d.Values
-	}
+	names, values := walks(count, length, 41)
 	if err := s.InsertBulk(names, values); err != nil {
 		t.Fatal(err)
 	}
@@ -589,6 +581,47 @@ func TestSnapshotChecksumNamesTheSection(t *testing.T) {
 				t.Fatalf("%s (disk %t): %v", c.label, disk, err)
 			}
 			eng.Close()
+		}
+	}
+}
+
+// TestSnapshotSlabMatchesDerv: a SLAB frame with a valid checksum but
+// taken from another store — the same 200 walks, except that series 5 is
+// another walk — spliced after this store's HEAD, SERS and DERV, is refused
+// by name. Adopted, its tree would file W0005 under the other walk's point,
+// and an indexed range read of W0005's own values at eps 0.01 would dismiss
+// it while a scan finds it.
+func TestSnapshotSlabMatchesDerv(t *testing.T) {
+	const count, length = 200, 64
+	last := func(b []byte) snapSection { secs := sectionsOf(t, b); return secs[len(secs)-1] }
+	names, values := walks(count, length, 7)
+	other := append([][]float64(nil), values...)
+	other[5] = dataset.RandomWalks(count, length, 8)[5].Values
+	for _, shards := range []int{1, 4} {
+		write := func(values [][]float64) []byte {
+			eng := newTestEngine(t, length, shards, Options{})
+			if err := eng.InsertBulk(names, values); err != nil {
+				t.Fatal(err)
+			}
+			return writeSnapshot(t, eng)
+		}
+		a, b := write(values), write(other)
+		sa, sb := last(a), last(b)
+		if sa.tag != "SLAB" || sb.tag != "SLAB" {
+			t.Fatalf("the snapshots end in %s and %s, not SLAB", sa.tag, sb.tag)
+		}
+		spliced := append(bytes.Clone(a[:sa.at]), b[sb.at:]...)
+
+		eng, err := ReadEngine(bytes.NewReader(spliced), Options{}, 0)
+		if err == nil {
+			q := RangeQuery{Values: values[5], Eps: 0.01, Transform: transform.Identity(length)}
+			idx, _, _ := forcedRange(eng, q, plan.Index)
+			scan, _, _ := forcedRange(eng, q, plan.ScanFreq)
+			eng.Close()
+			t.Fatalf("shards=%d: a spliced SLAB loaded; W0005 at eps 0.01 answers %d series by index, %d by scan", shards, len(idx), len(scan))
+		}
+		if !strings.Contains(err.Error(), "SLAB") {
+			t.Fatalf("shards=%d: the spliced SLAB fails without naming the section: %v", shards, err)
 		}
 	}
 }

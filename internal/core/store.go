@@ -971,7 +971,7 @@ func (s *Store) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecStats
 			// Candidates x verify as D(L x, R x_probe).
 			k = kernel(k, jp.q.Left, jp.q.Right, QX)
 			for _, target := range s.shards {
-				cands, searchStats := target.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, !target.opts.DisablePartialPrune, &sc, buf[:0])
+				cands, searchStats := target.idx.RangeIDs(tq, jp.radius, jp.lm, feature.MomentBounds{}, true, &sc, buf[:0])
 				buf = cands
 				out.st.NodeAccesses += searchStats.NodesVisited
 				for _, id := range cands {

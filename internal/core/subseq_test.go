@@ -1,11 +1,13 @@
 package core
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/plan"
 	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
@@ -32,11 +34,8 @@ func TestSubsequenceScanFindsPlantedWindow(t *testing.T) {
 	if st.Candidates != db.Len() {
 		t.Fatalf("scan visited %d of %d", st.Candidates, db.Len())
 	}
-	// Results sorted by distance.
-	for i := 1; i < len(res); i++ {
-		if res[i].Dist < res[i-1].Dist {
-			t.Fatal("results not sorted")
-		}
+	if !slices.IsSortedFunc(res, func(a, b SubseqResult) int { return cmp.Compare(a.Dist, b.Dist) }) {
+		t.Fatal("results not sorted")
 	}
 }
 
@@ -48,23 +47,12 @@ func TestSubsequenceScanMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[int64]float64{}
-	for _, r := range res {
-		got[r.ID] = r.Dist
+	got := make([]testkit.Hit, len(res))
+	for i, r := range res {
+		got[i] = testkit.Hit{I: int(r.ID), Dist: r.Dist}
 	}
-	for i, s := range data {
-		want := series.MinSubsequenceDistance(s, q)
-		if want <= eps {
-			d, ok := got[int64(i)]
-			if !ok {
-				t.Fatalf("series %d missing (oracle dist %v)", i, want)
-			}
-			if math.Abs(d-want) > 1e-9 {
-				t.Fatalf("series %d: dist %v, oracle %v", i, d, want)
-			}
-		} else if _, ok := got[int64(i)]; ok {
-			t.Fatalf("series %d should not match (oracle dist %v)", i, want)
-		}
+	if err := testkit.CheckRange(testkit.Subsequence(data, q), got, eps, 0, 1e-9); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -79,16 +79,3 @@ func Spectrum(m []float64) []complex128 {
 	fft(out)
 	return out
 }
-
-// Multiply returns the element-wise product of two equal-length complex
-// vectors (the paper's "*" operator in T(X) = A*X + B).
-func Multiply(a, b []complex128) []complex128 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("dft: multiply length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]complex128, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
-	}
-	return out
-}

@@ -372,32 +372,10 @@ func TestSpectrumEmpty(t *testing.T) {
 	}
 }
 
-func TestMultiply(t *testing.T) {
-	a := []complex128{1 + 1i, 2}
-	b := []complex128{3, 4i}
-	got := Multiply(a, b)
-	want := []complex128{3 + 3i, 8i}
-	if !vecApproxEq(got, want, eps) {
-		t.Fatalf("Multiply = %v, want %v", got, want)
-	}
-}
-
-func TestMultiplyLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Multiply with mismatched lengths did not panic")
-		}
-	}()
-	Multiply([]complex128{1}, []complex128{1, 2})
-}
-
 func TestEnergy(t *testing.T) {
 	x := []complex128{3 + 4i, 1}
 	if got := Energy(x); !approxEq(got, 26, eps) {
 		t.Fatalf("Energy = %v, want 26", got)
-	}
-	if got := EnergyReal([]float64{3, 4}); !approxEq(got, 25, eps) {
-		t.Fatalf("EnergyReal = %v, want 25", got)
 	}
 	if got := Energy(nil); got != 0 {
 		t.Fatalf("Energy(nil) = %v, want 0", got)
@@ -410,9 +388,6 @@ func TestDistance(t *testing.T) {
 	if got := Distance(x, y); !approxEq(got, 5, eps) {
 		t.Fatalf("Distance = %v, want 5", got)
 	}
-	if got := DistanceReal([]float64{0, 0}, []float64{3, 4}); !approxEq(got, 5, eps) {
-		t.Fatalf("DistanceReal = %v, want 5", got)
-	}
 }
 
 func TestDistanceMismatchPanics(t *testing.T) {
@@ -424,20 +399,12 @@ func TestDistanceMismatchPanics(t *testing.T) {
 	Distance([]complex128{1}, []complex128{1, 2})
 }
 
-func TestDistanceRealMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DistanceReal with mismatched lengths did not panic")
-		}
-	}()
-	DistanceReal([]float64{1}, []float64{1, 2})
-}
-
 func TestPaperExample11Distance(t *testing.T) {
-	// Example 1.1: D(s1, s2) = 11.92 (paper reports 2 decimal places).
+	// Example 1.1: D(s1, s2) = 11.92 (paper reports 2 decimal places),
+	// measured between the unitary spectra (Parseval).
 	s1 := []float64{36, 38, 40, 38, 42, 38, 36, 36, 37, 38, 39, 38, 40, 38, 37}
 	s2 := []float64{40, 37, 37, 42, 41, 35, 40, 35, 34, 42, 38, 35, 45, 36, 34}
-	d := DistanceReal(s1, s2)
+	d := Distance(TransformReal(s1), TransformReal(s2))
 	if math.Abs(d-11.92) > 0.01 {
 		t.Fatalf("Example 1.1 distance = %v, paper reports 11.92", d)
 	}

@@ -15,15 +15,6 @@ func Energy(x []complex128) float64 {
 	return e
 }
 
-// EnergyReal returns the energy of a real signal.
-func EnergyReal(x []float64) float64 {
-	var e float64
-	for _, v := range x {
-		e += v * v
-	}
-	return e
-}
-
 // Distance returns the Euclidean distance between two equal-length complex
 // vectors: D(x, y) = sqrt(E(x-y)). By Parseval's relation (Equation 8) this
 // is identical whether computed on time-domain signals or their unitary
@@ -37,20 +28,6 @@ func Distance(x, y []complex128) float64 {
 		dr := real(x[i]) - real(y[i])
 		di := imag(x[i]) - imag(y[i])
 		e += dr*dr + di*di
-	}
-	return math.Sqrt(e)
-}
-
-// DistanceReal returns the Euclidean distance between two equal-length real
-// vectors.
-func DistanceReal(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("dft: distance length mismatch %d vs %d", len(x), len(y)))
-	}
-	var e float64
-	for i := range x {
-		d := x[i] - y[i]
-		e += d * d
 	}
 	return math.Sqrt(e)
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
@@ -47,16 +47,6 @@ func TestCartesianBlockDistances(t *testing.T) {
 	for i := range data {
 		data[i] = randomWalk(rng, n)
 	}
-	chain := func(ts ...transform.T) transform.T {
-		out := ts[0]
-		for _, u := range ts[1:] {
-			var err error
-			if out, err = out.Compose(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out
-	}
 	for _, sc := range []feature.Schema{
 		{Space: feature.Polar, K: 2, Moments: true},
 		{Space: feature.Polar, K: 3, Moments: false},
@@ -67,12 +57,13 @@ func TestCartesianBlockDistances(t *testing.T) {
 			points[i], _ = sc.Extract(s)
 		}
 		for trial := 0; trial < 40; trial++ {
-			mavg := transform.MovingAverage(n, 2+rng.Intn(18))
-			scale := transform.Scale(n, (0.2+3*rng.Float64())*float64(1-2*rng.Intn(2)))
-			tr := []transform.T{
-				transform.Identity(n), mavg, transform.Reverse(n), scale,
-				chain(transform.Reverse(n), mavg), chain(mavg, scale), chain(mavg, mavg, transform.Reverse(n)),
+			mavg := testkit.Mavg(n, 2+rng.Intn(18))
+			scale := testkit.Scale(n, (0.2+3*rng.Float64())*float64(1-2*rng.Intn(2)))
+			op := []testkit.Op{
+				testkit.Identity(n), mavg, testkit.Reverse(n), scale,
+				testkit.Reverse(n).Then(mavg), mavg.Then(scale), mavg.Then(mavg).Then(testkit.Reverse(n)),
 			}[trial%7]
+			tr := op.T
 			both := trial%2 == 1
 			m, err := sc.Map(tr)
 			if err != nil {
@@ -83,12 +74,12 @@ func TestCartesianBlockDistances(t *testing.T) {
 				q[i] += rng.NormFloat64()
 			}
 			qp, _ := sc.Extract(q)
-			qn := series.NormalForm(q)
-			if both {
-				qn = tr.ApplyTime(qn)
-				if !m.Identity() {
-					qp = m.ApplyPoint(qp)
-				}
+			if both && !m.Identity() {
+				qp = m.ApplyPoint(qp)
+			}
+			full := make([]float64, count)
+			for _, h := range testkit.Rank(data, q, op, both) {
+				full[h.I] = h.Dist * h.Dist
 			}
 			var scr Scratch
 			got := allNear{dists: map[int64]float64{}}
@@ -112,8 +103,7 @@ func TestCartesianBlockDistances(t *testing.T) {
 				if math.Abs(d-want) > 1e-12*mag {
 					t.Fatalf("%v %s both=%t id %d: block distance %v, from the mapped point %v (magnitudes %v)", sc, tr, both, id, d, want, mag)
 				}
-				full := series.EuclideanDistance(tr.ApplyTime(series.NormalForm(data[id])), qn)
-				if full *= full; d > full+1e-12*(mag+full) {
+				if full := full[id]; d > full+1e-12*(mag+full) {
 					t.Fatalf("%v %s both=%t id %d: partial distance %v exceeds the full distance %v: a false dismissal", sc, tr, both, id, d, full)
 				}
 			}

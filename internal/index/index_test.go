@@ -7,11 +7,11 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/dft"
 	"repro/internal/feature"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/series"
+	"repro/internal/testkit"
 	"repro/internal/transform"
 )
 
@@ -23,14 +23,6 @@ func randomWalk(r *rand.Rand, n int) []float64 {
 		s[i] = v
 	}
 	return s
-}
-
-// fullNFDistance is the exact Euclidean distance between normal forms under
-// transformation t applied to x's spectrum (the paper's D(T(X), Q)).
-func fullNFDistance(t transform.T, x, q []float64) float64 {
-	X := dft.TransformReal(series.NormalForm(x))
-	Q := dft.TransformReal(series.NormalForm(q))
-	return dft.Distance(t.Apply(X), Q)
 }
 
 // coeffDistSq is the squared complex-plane distance between the coefficient
@@ -115,41 +107,41 @@ func TestRangeNoFalseDismissalsLemma1(t *testing.T) {
 		data[100+i] = dup
 	}
 
-	type caseT struct {
+	// warp2 maps an n-point spectrum onto the first n coefficients of a
+	// 2n-point one; against an n-point query it is a spectrum only.
+	cases := []struct {
 		name string
 		sc   feature.Schema
-		tr   transform.T
-	}
-	cases := []caseT{
-		{"polar identity", feature.Schema{Space: feature.Polar, K: 2, Moments: true}, transform.Identity(n)},
-		{"polar mavg5", feature.Schema{Space: feature.Polar, K: 2, Moments: true}, transform.MovingAverage(n, 5)},
-		{"polar mavg20", feature.Schema{Space: feature.Polar, K: 3, Moments: true}, transform.MovingAverage(n, 20)},
-		{"polar reverse", feature.Schema{Space: feature.Polar, K: 2, Moments: true}, transform.Reverse(n)},
-		{"polar warp2", feature.Schema{Space: feature.Polar, K: 2, Moments: true}, transform.Warp(n, 2)},
-		{"rect identity", feature.Schema{Space: feature.Rect, K: 2, Moments: true}, transform.Identity(n)},
-		{"rect reverse", feature.Schema{Space: feature.Rect, K: 3, Moments: true}, transform.Reverse(n)},
-		{"rect scale", feature.Schema{Space: feature.Rect, K: 2, Moments: true}, transform.Scale(n, 1.7)},
+		op   testkit.Op
+	}{
+		{"polar identity", feature.Schema{Space: feature.Polar, K: 2, Moments: true}, testkit.Identity(n)},
+		{"polar mavg5", feature.Schema{Space: feature.Polar, K: 2, Moments: true}, testkit.Mavg(n, 5)},
+		{"polar mavg20", feature.Schema{Space: feature.Polar, K: 3, Moments: true}, testkit.Mavg(n, 20)},
+		{"polar reverse", feature.Schema{Space: feature.Polar, K: 2, Moments: true}, testkit.Reverse(n)},
+		{"polar warp2", feature.Schema{Space: feature.Polar, K: 2, Moments: true}, testkit.Spectral(transform.Warp(n, 2))},
+		{"rect identity", feature.Schema{Space: feature.Rect, K: 2, Moments: true}, testkit.Identity(n)},
+		{"rect reverse", feature.Schema{Space: feature.Rect, K: 3, Moments: true}, testkit.Reverse(n)},
+		{"rect scale", feature.Schema{Space: feature.Rect, K: 2, Moments: true}, testkit.Scale(n, 1.7)},
 	}
 	for _, tc := range cases {
 		ix := buildIndex(t, tc.sc, data)
-		m, err := tc.sc.Map(tc.tr)
+		m, err := tc.sc.Map(tc.op.T)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for trial := 0; trial < 5; trial++ {
 			q := data[r.Intn(len(data))]
 			qp, _ := tc.sc.Extract(q)
+			ranked := testkit.Rank(data, q, tc.op, false)
 			for _, eps := range []float64{0.3, 1.0, 5.0} {
 				cands, _ := rangeIDs(ix, qp, eps, m, feature.MomentBounds{}, true)
 				got := map[int64]bool{}
 				for _, id := range cands {
 					got[id] = true
 				}
-				for i, x := range data {
-					if fullNFDistance(tc.tr, x, q) <= eps {
-						if !got[int64(i)] {
-							t.Fatalf("%s eps=%g: false dismissal of series %d", tc.name, eps, i)
-						}
+				for _, h := range ranked {
+					if h.Dist <= eps && !got[int64(h.I)] {
+						t.Fatalf("%s eps=%g: false dismissal of series %d", tc.name, eps, h.I)
 					}
 				}
 			}

@@ -170,35 +170,6 @@ func MovingAverageSliding(s []float64, l int) []float64 {
 	return out
 }
 
-// WeightedMovingAverageCircular returns the circular moving average of s
-// under arbitrary window weights w (paper Section 3.2: "the weights
-// w_1...w_m are not necessarily equal" — trend-prediction averages weight
-// recent days more). The result is Conv(s, mask) where mask places w at the
-// front of an n-length vector:
-//
-//	out_i = sum_{j=0}^{len(w)-1} w_j * s_{(i-j) mod n}
-//
-// WeightedMovingAverageCircular panics if w is empty or longer than s.
-func WeightedMovingAverageCircular(s []float64, w []float64) []float64 {
-	n := len(s)
-	if len(w) < 1 || len(w) > n {
-		panic(fmt.Sprintf("series: weight window %d out of range [1,%d]", len(w), n))
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var sum float64
-		for j, wj := range w {
-			idx := i - j
-			if idx < 0 {
-				idx += n
-			}
-			sum += wj * s[idx]
-		}
-		out[i] = sum
-	}
-	return out
-}
-
 // MovingAverageMask returns the length-n convolution mask of the l-day
 // moving average (paper Equation 11): l leading entries of 1/l followed by
 // zeros. Conv(s, MovingAverageMask(len(s), l)) == MovingAverageCircular(s, l).

@@ -162,8 +162,6 @@ func TestMovingAveragePanics(t *testing.T) {
 		func() { MovingAverageSliding([]float64{1, 2}, 3) },
 		func() { MovingAverageMask(3, 0) },
 		func() { MovingAverageMask(3, 4) },
-		func() { WeightedMovingAverageCircular([]float64{1}, nil) },
-		func() { WeightedMovingAverageCircular([]float64{1}, []float64{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -206,31 +204,6 @@ func TestSlidingVsCircularAgreeAwayFromSeam(t *testing.T) {
 		if math.Abs(circ[j+l-1]-slid[j]) > 1e-9 {
 			t.Fatalf("alignment mismatch at %d: %v vs %v", j, circ[j+l-1], slid[j])
 		}
-	}
-}
-
-func TestWeightedMovingAverageEqualWeightsMatchesPlain(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	s := make([]float64, 40)
-	for i := range s {
-		s[i] = r.NormFloat64()
-	}
-	w := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
-	got := WeightedMovingAverageCircular(s, w)
-	want := MovingAverageCircular(s, 3)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("weighted(equal) != plain at %d", i)
-		}
-	}
-}
-
-func TestWeightedMovingAverageTrendWeights(t *testing.T) {
-	// Heavier weight on the most recent day: out_i leans toward s_i.
-	s := []float64{0, 0, 0, 10}
-	got := WeightedMovingAverageCircular(s, []float64{0.7, 0.2, 0.1})
-	if math.Abs(got[3]-7) > 1e-12 {
-		t.Fatalf("weighted MA at last day = %v, want 7", got[3])
 	}
 }
 

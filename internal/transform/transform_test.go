@@ -88,7 +88,13 @@ func TestWeightedMovingAverageApplyTime(t *testing.T) {
 	s := randomSeries(r, n)
 	w := []float64{0.5, 0.3, 0.2}
 	got := WeightedMovingAverage(n, w).ApplyTime(s)
-	want := series.WeightedMovingAverageCircular(s, w)
+	// want_i = sum_j w_j * s_{(i-j) mod n}, the weighted circular average.
+	want := make([]float64, n)
+	for i := range want {
+		for j, wj := range w {
+			want[i] += wj * s[(i-j+n)%n]
+		}
+	}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-8 {
 			t.Fatalf("i=%d: %v != %v", i, got[i], want[i])

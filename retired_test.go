@@ -60,6 +60,10 @@ var retiredCode = []retired{
 		reason: "every reported distance is exact: the per-answer upper bound (Match.Bound, Result.Bound, MatchPayload.Bound) is gone"},
 	{pattern: `IntersectsMixed|CityBlockDistance|RandomWalkGaussian|Summarize|stats\.Summary|ApplyPrefix`,
 		reason: "helpers no program called: the mixed-geometry overlap (rtree.flatOverlaps is the live test), the L1 distance, the Gaussian walk, the sample summary and the prefix transform are gone"},
+	{pattern: `DisablePartialPrune`,
+		reason: "the store always prunes: the partial-prune switch is gone, and AblationPartialPrune counts both settings on a bare k-index"},
+	{pattern: `dft\.(Multiply|EnergyReal|DistanceReal)\b|func (Multiply|EnergyReal|DistanceReal)\(|WeightedMovingAverageCircular`,
+		reason: "helpers no program called: the element-wise product, the real-signal energy and distance and the weighted circular average are gone"},
 }
 
 // sources lists the non-test Go files of the package in dir, relative to
@@ -106,22 +110,35 @@ func TestRetiredIdentifiersStayGone(t *testing.T) {
 // TestStructureGates: the shape the code keeps, in checks no retired
 // identifier expresses.
 func TestStructureGates(t *testing.T) {
+	// Two packages import only what their job allows from this module.
 	// internal/query is syntax only: the root package compiles a statement
-	// to the typed call. An import of anything under repro would be the
-	// second evaluator growing back.
-	t.Run("query imports the standard library only", func(t *testing.T) {
-		for _, path := range packageSources(t, "internal/query") {
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, spec := range f.Imports {
-				if imp, _ := strconv.Unquote(spec.Path.Value); imp == "repro" || strings.HasPrefix(imp, "repro/") {
-					t.Errorf("%s imports %s: internal/query is syntax only, it must import the standard library only", path, imp)
+	// to the typed call, and an import of anything under repro would be the
+	// second evaluator growing back. internal/testkit is the tests'
+	// time-domain oracle: it may import the series, their transforms and
+	// the data generators, and nothing of the filter it judges, since an
+	// oracle that shares the filter's code shares its bugs.
+	for _, c := range []struct {
+		name, dir string
+		allowed   []string
+	}{
+		{"query imports the standard library only", "internal/query", nil},
+		{"testkit imports no filter code", "internal/testkit", []string{"repro/internal/series", "repro/internal/dft", "repro/internal/transform", "repro/internal/dataset"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, path := range packageSources(t, c.dir) {
+				f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, spec := range f.Imports {
+					imp, _ := strconv.Unquote(spec.Path.Value)
+					if (imp == "repro" || strings.HasPrefix(imp, "repro/")) && !slices.Contains(c.allowed, imp) {
+						t.Errorf("%s imports %s: %s may import only %v from this module", path, imp, c.dir, c.allowed)
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 	// There is one store (core.Store, a slice of shards) and it implements
 	// Engine once. A second method of any of these names in internal/core
 	// would be the second store growing back.
