@@ -275,6 +275,35 @@ func TestApproxNNBoundSoundness(t *testing.T) {
 					}
 				}
 			}
+
+			// Near ties: every series whose exact K-th and (K+1)-th nearest
+			// lie within (1+delta) of each other, as a query. The stop line
+			// is then close to a candidate, so a walk relaxed past (1+delta)
+			// stops before a true neighbour and reports a farther one.
+			const k, delta = 5, 0.25
+			tied := 0
+			for i, w := range walks {
+				ranked := testkit.Rank(values, values[i], testkit.Identity(n), false)
+				if ranked[k].Dist > (1+delta)*ranked[k-1].Dist {
+					continue
+				}
+				tied++
+				stmt := fmt.Sprintf("NN SERIES '%s' K %d APPROX %g", w.Name, k, delta)
+				apx, err := db.Query(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]testkit.Hit, len(apx.Matches))
+				for j, m := range apx.Matches {
+					got[j] = testkit.Hit{I: pos[m.Name], Dist: m.Distance}
+				}
+				if err := testkit.CheckApproxNN(ranked, got, k, delta, boundSlack); err != nil {
+					t.Fatalf("shards-%d seed-%d %q: %v", shards, seed, stmt, err)
+				}
+			}
+			if tied == 0 {
+				t.Fatalf("shards-%d seed-%d: no series has near-tied %dth and %dth neighbours", shards, seed, k, k+1)
+			}
 		}
 	}
 }

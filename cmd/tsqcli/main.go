@@ -59,6 +59,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -74,72 +75,102 @@ import (
 )
 
 func main() {
-	var (
-		dataPath = flag.String("data", "", "CSV file of series: name,v1,v2,...")
-		remote   = flag.String("remote", "", "base URL of a tsqd server (e.g. http://localhost:8080); queries run server-side")
-		queryStr = flag.String("query", "", "single statement to execute (default: interactive)")
-		k        = flag.Int("k", 2, "DFT coefficients kept in the index (embedded mode)")
-		space    = flag.String("space", "polar", "feature space: polar or rect (embedded mode)")
-		maxRows  = flag.Int("maxrows", 20, "result rows to print")
-		prog     = flag.Bool("progressive", false, "stream RANGE/NN statements in two stages: approximate answer first, then the exact refinement")
-	)
-	flag.Parse()
-
-	if args := flag.Args(); len(args) > 0 {
-		var err error
-		switch args[0] {
-		case "append":
-			err = runAppend(*remote, args[1:])
-		case "watch":
-			err = runWatch(*remote, args[1:])
-		case "stats":
-			err = runStats(*remote, args[1:])
-		case "metrics":
-			err = runMetrics(*remote)
-		case "traces":
-			err = runTraces(*remote, args[1:])
-		case "top":
-			err = runTop(*remote, args[1:])
-		default:
-			err = fmt.Errorf("unknown subcommand %q (want append, watch, stats, metrics, traces, or top)", args[0])
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tsqcli:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *dataPath == "" && *remote == "" {
-		fmt.Fprintln(os.Stderr, "tsqcli: -data or -remote is required")
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var usage usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
 		os.Exit(2)
-	}
-	var err error
-	if *remote != "" {
-		err = runRemote(*remote, *dataPath, *queryStr, *maxRows, *prog)
-	} else {
-		err = runEmbedded(*dataPath, *queryStr, *k, *space, *maxRows, *prog)
-	}
-	if err != nil {
+	default:
 		fmt.Fprintln(os.Stderr, "tsqcli:", err)
 		os.Exit(1)
 	}
 }
 
-// runAppend sends appends to a tsqd server: either one series with
+// usageError is a command line run refused and has already reported on
+// stderr; main exits 2 for it, as the flag package does.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// run is the whole command: it parses args, runs the statement or the
+// subcommand they name, and writes what it prints to stdout and its
+// diagnostics to stderr. Without -query it reads statements from os.Stdin.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tsqcli", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dataPath = fs.String("data", "", "CSV file of series: name,v1,v2,...")
+		remote   = fs.String("remote", "", "base URL of a tsqd server (e.g. http://localhost:8080); queries run server-side")
+		queryStr = fs.String("query", "", "single statement to execute (default: interactive)")
+		k        = fs.Int("k", 2, "DFT coefficients kept in the index (embedded mode)")
+		space    = fs.String("space", "polar", "feature space: polar or rect (embedded mode)")
+		maxRows  = fs.Int("maxrows", 20, "result rows to print")
+		prog     = fs.Bool("progressive", false, "stream RANGE/NN statements in two stages: approximate answer first, then the exact refinement")
+	)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+
+	if args := fs.Args(); len(args) > 0 {
+		c := &cli{remote: *remote, stdout: stdout, stderr: stderr}
+		var sub func(args []string) error
+		switch args[0] {
+		case "append":
+			sub = c.append
+		case "watch":
+			sub = c.watch
+		case "stats":
+			sub = c.stats
+		case "metrics":
+			sub = c.metrics
+		case "traces":
+			sub = c.traces
+		case "top":
+			sub = c.top
+		default:
+			return fmt.Errorf("unknown subcommand %q (want append, watch, stats, metrics, traces, or top)", args[0])
+		}
+		if c.remote == "" {
+			return fmt.Errorf("%s requires -remote", args[0])
+		}
+		return sub(args[1:])
+	}
+
+	if *dataPath == "" && *remote == "" {
+		fmt.Fprintln(stderr, "tsqcli: -data or -remote is required")
+		return usageError{errors.New("-data or -remote is required")}
+	}
+	if *remote != "" {
+		return runRemote(stdout, *remote, *dataPath, *queryStr, *maxRows, *prog)
+	}
+	return runEmbedded(stdout, *dataPath, *queryStr, *k, *space, *maxRows, *prog)
+}
+
+// cli runs the subcommands against a tsqd server.
+type cli struct {
+	remote         string
+	stdout, stderr io.Writer
+}
+
+// flags is a subcommand's flag set, reporting to stderr.
+func (c *cli) flags(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
+	return fs
+}
+
+// append sends appends to a tsqd server: either one series with
 // inline values, or a whole tick stream from a CSV file (replayed in
 // order, batched per series per step run).
-func runAppend(remote string, args []string) error {
-	if remote == "" {
-		return fmt.Errorf("append requires -remote")
-	}
-	fs := flag.NewFlagSet("append", flag.ContinueOnError)
+func (c *cli) append(args []string) error {
+	fs := c.flags("append")
 	ticksPath := fs.String("ticks", "", "CSV tick stream to replay: name,step,value")
 	rate := fs.Float64("rate", 0, "pace -ticks replay to this many ticks/sec (0 = full speed) for realistic soak demos")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	client := server.NewClient(remote)
+	client := server.NewClient(c.remote)
 	if *ticksPath != "" {
 		if fs.NArg() > 0 {
 			return fmt.Errorf("append takes -ticks or inline values, not both")
@@ -179,10 +210,10 @@ func runAppend(remote string, args []string) error {
 		}
 		elapsed := time.Since(start)
 		if *rate > 0 {
-			fmt.Printf("appended %d ticks from %s (%d requests, %.1f ticks/sec over %s)\n",
+			fmt.Fprintf(c.stdout, "appended %d ticks from %s (%d requests, %.1f ticks/sec over %s)\n",
 				sent, *ticksPath, requests, float64(sent)/elapsed.Seconds(), elapsed.Round(time.Millisecond))
 		} else {
-			fmt.Printf("appended %d ticks from %s (%d requests)\n", sent, *ticksPath, requests)
+			fmt.Fprintf(c.stdout, "appended %d ticks from %s (%d requests)\n", sent, *ticksPath, requests)
 		}
 		return nil
 	}
@@ -202,44 +233,37 @@ func runAppend(remote string, args []string) error {
 	if err := client.Append(name, values); err != nil {
 		return err
 	}
-	fmt.Printf("appended %d point(s) to %s\n", len(values), name)
+	fmt.Fprintf(c.stdout, "appended %d point(s) to %s\n", len(values), name)
 	return nil
 }
 
-// runStats prints a tsqd server's cumulative counters. Planner drift is
+// stats prints a tsqd server's cumulative counters. Planner drift is
 // `top`'s row (tsq_plan_cost_error_ratio per kind) and EXPLAIN's
 // estimated-vs-actual lines for one query.
-func runStats(remote string, args []string) error {
-	if remote == "" {
-		return fmt.Errorf("stats requires -remote")
-	}
-	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
+func (c *cli) stats(args []string) error {
+	if err := c.flags("stats").Parse(args); err != nil {
 		return err
 	}
-	st, err := server.NewClient(remote).Stats()
+	st, err := server.NewClient(c.remote).Stats()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("series %d (length %d, %d shard(s)), uptime %.0fs\n",
+	fmt.Fprintf(c.stdout, "series %d (length %d, %d shard(s)), uptime %.0fs\n",
 		st.Series, st.Length, st.Shards, st.UptimeSeconds)
-	fmt.Printf("queries %d, writes %d, appends %d, monitors %d\n",
+	fmt.Fprintf(c.stdout, "queries %d, writes %d, appends %d, monitors %d\n",
 		st.Queries, st.Writes, st.Appends, st.Monitors)
-	fmt.Printf("cache %d/%d entries, %d hits / %d misses\n",
+	fmt.Fprintf(c.stdout, "cache %d/%d entries, %d hits / %d misses\n",
 		st.CacheLen, st.CacheCap, st.CacheHits, st.CacheMisses)
-	fmt.Printf("cost: %d node accesses, %d pages, %d verified, %.1f ms\n",
+	fmt.Fprintf(c.stdout, "cost: %d node accesses, %d pages, %d verified, %.1f ms\n",
 		st.NodeAccesses, st.PageReads, st.Candidates, st.ElapsedUS/1000)
 	return nil
 }
 
-// runMetrics fetches a tsqd server's /metrics exposition, validates it
-// with the strict parser, and prints it verbatim — so CI (and curl-less
-// humans) can both scrape and syntax-check in one command.
-func runMetrics(remote string) error {
-	if remote == "" {
-		return fmt.Errorf("metrics requires -remote")
-	}
-	text, err := server.NewClient(remote).Metrics()
+// metrics fetches a tsqd server's /metrics exposition, validates it
+// with the strict parser, and prints it verbatim: a scrape and a syntax
+// check in one command. It takes no arguments.
+func (c *cli) metrics([]string) error {
+	text, err := server.NewClient(c.remote).Metrics()
 	if err != nil {
 		return err
 	}
@@ -247,8 +271,8 @@ func runMetrics(remote string) error {
 	if err != nil {
 		return fmt.Errorf("invalid exposition: %w", err)
 	}
-	fmt.Print(text)
-	fmt.Fprintf(os.Stderr, "tsqcli: exposition OK, %d samples\n", len(samples))
+	fmt.Fprint(c.stdout, text)
+	fmt.Fprintf(c.stderr, "tsqcli: exposition OK, %d samples\n", len(samples))
 	return nil
 }
 
@@ -261,25 +285,23 @@ func headNote(span string, headResolved int) string {
 	return fmt.Sprintf("  (%d candidates resolved in the head)", headResolved)
 }
 
-// printSpanPayloads renders a wire-format span tree, indented by depth.
-func printSpanPayloads(spans []server.SpanPayload, depth int) {
+// printSpans renders a span tree, indented by depth.
+func printSpans(w io.Writer, spans []tsq.SpanInfo, depth int) {
 	for _, sp := range spans {
 		name := sp.Name
 		if sp.Name == "shard" {
 			name = fmt.Sprintf("shard %d", sp.Shard)
 		}
-		fmt.Printf("%*s%-12s %8.3f ms%s\n", 2*depth, "", name, sp.DurationUS/1000, headNote(sp.Name, sp.HeadResolved))
-		printSpanPayloads(sp.Children, depth+1)
+		fmt.Fprintf(w, "%*s%-12s %8.3f ms%s\n", 2*depth, "", name,
+			float64(sp.Duration)/float64(time.Millisecond), headNote(sp.Name, sp.HeadResolved))
+		printSpans(w, sp.Children, depth+1)
 	}
 }
 
-// runWatch registers (or attaches to) a monitor and prints its events
+// watch registers (or attaches to) a monitor and prints its events
 // until interrupted.
-func runWatch(remote string, args []string) error {
-	if remote == "" {
-		return fmt.Errorf("watch requires -remote")
-	}
-	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
+func (c *cli) watch(args []string) error {
+	fs := c.flags("watch")
 	var (
 		kind      = fs.String("kind", "range", "monitor kind: range or nn")
 		series    = fs.String("series", "", "stored series to use as the query")
@@ -292,7 +314,7 @@ func runWatch(remote string, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	client := server.NewClient(remote)
+	client := server.NewClient(c.remote)
 	id := *monitor
 	if id == 0 {
 		if *series == "" {
@@ -306,7 +328,7 @@ func runWatch(remote string, args []string) error {
 			return err
 		}
 		id = resp.ID
-		fmt.Printf("monitor %d registered (%s), %d initial member(s)\n", id, *kind, len(resp.Members))
+		fmt.Fprintf(c.stdout, "monitor %d registered (%s), %d initial member(s)\n", id, *kind, len(resp.Members))
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -316,13 +338,13 @@ func runWatch(remote string, args []string) error {
 	}
 	defer ws.Close()
 	for _, m := range ws.Members {
-		fmt.Printf("  member %-10s D=%.4f\n", m.Name, m.Distance)
+		fmt.Fprintf(c.stdout, "  member %-10s D=%.4f\n", m.Name, m.Distance)
 	}
 	for ev := range ws.Events {
 		if ev.Kind == "enter" {
-			fmt.Printf("  enter  %-10s D=%.4f  (seq %d)\n", ev.Name, ev.Distance, ev.Seq)
+			fmt.Fprintf(c.stdout, "  enter  %-10s D=%.4f  (seq %d)\n", ev.Name, ev.Distance, ev.Seq)
 		} else {
-			fmt.Printf("  leave  %-10s           (seq %d)\n", ev.Name, ev.Seq)
+			fmt.Fprintf(c.stdout, "  leave  %-10s           (seq %d)\n", ev.Name, ev.Seq)
 		}
 	}
 	if err := ws.Err(); err != nil && ctx.Err() == nil {
@@ -338,7 +360,7 @@ type executor func(src string) (*tsq.Output, error)
 // embedded (DB.QueryProgressive) or remote (Client.QueryProgressive).
 type progressor func(src string, emit func(tsq.ProgressiveStage) error) error
 
-func runEmbedded(dataPath, queryStr string, k int, space string, maxRows int, progressive bool) error {
+func runEmbedded(w io.Writer, dataPath, queryStr string, k int, space string, maxRows int, progressive bool) error {
 	batch, err := tsq.ReadCSVFile(dataPath)
 	if err != nil {
 		return err
@@ -355,16 +377,16 @@ func runEmbedded(dataPath, queryStr string, k int, space string, maxRows int, pr
 	if err := db.InsertAll(batch); err != nil {
 		return err
 	}
-	fmt.Printf("loaded %d series of length %d from %s (%s space, K=%d)\n",
+	fmt.Fprintf(w, "loaded %d series of length %d from %s (%s space, K=%d)\n",
 		db.Len(), db.Length(), dataPath, space, k)
-	run := func(src string) error { return execute(db.Query, src, maxRows) }
+	run := func(src string) error { return execute(w, db.Query, src, maxRows) }
 	if progressive {
-		run = func(src string) error { return executeProgressive(db.QueryProgressive, src, maxRows) }
+		run = func(src string) error { return executeProgressive(w, db.QueryProgressive, src, maxRows) }
 	}
-	return loop(run, queryStr)
+	return loop(w, run, queryStr)
 }
 
-func runRemote(remote, dataPath, queryStr string, maxRows int, progressive bool) error {
+func runRemote(w io.Writer, remote, dataPath, queryStr string, maxRows int, progressive bool) error {
 	client := server.NewClient(remote)
 	if dataPath != "" {
 		batch, err := tsq.ReadCSVFile(dataPath)
@@ -375,16 +397,16 @@ func runRemote(remote, dataPath, queryStr string, maxRows int, progressive bool)
 		if err != nil {
 			return fmt.Errorf("uploading %s: %w", dataPath, err)
 		}
-		fmt.Printf("uploaded %d series from %s (server now holds %d)\n",
+		fmt.Fprintf(w, "uploaded %d series from %s (server now holds %d)\n",
 			len(batch), dataPath, total)
 	}
 	health, err := client.Health()
 	if err != nil {
 		return fmt.Errorf("connecting to %s: %w", remote, err)
 	}
-	fmt.Printf("connected to %s: %d series of length %d\n",
+	fmt.Fprintf(w, "connected to %s: %d series of length %d\n",
 		remote, health.Series, health.Length)
-	run := func(src string) error { return execute(client.QueryOutput, src, maxRows) }
+	run := func(src string) error { return execute(w, client.QueryOutput, src, maxRows) }
 	if progressive {
 		prog := func(src string, emit func(tsq.ProgressiveStage) error) error {
 			ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -397,26 +419,28 @@ func runRemote(remote, dataPath, queryStr string, maxRows int, progressive bool)
 				})
 			})
 		}
-		run = func(src string) error { return executeProgressive(prog, src, maxRows) }
+		run = func(src string) error { return executeProgressive(w, prog, src, maxRows) }
 	}
-	return loop(run, queryStr)
+	return loop(w, run, queryStr)
 }
 
-func loop(run func(src string) error, queryStr string) error {
+// loop runs queryStr, or without one each line of standard input until a
+// blank line, quit or exit, prompting on w.
+func loop(w io.Writer, run func(src string) error, queryStr string) error {
 	if queryStr != "" {
 		return run(queryStr)
 	}
 	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("tsq> ")
+	fmt.Fprint(w, "tsq> ")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.EqualFold(line, "quit") || strings.EqualFold(line, "exit") {
 			break
 		}
 		if err := run(line); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(w, "error:", err)
 		}
-		fmt.Print("tsq> ")
+		fmt.Fprint(w, "tsq> ")
 	}
 	return sc.Err()
 }
@@ -460,59 +484,40 @@ func printExplain(w io.Writer, e *tsq.ExplainInfo) {
 	}
 }
 
-// printTrace renders a TRACE statement's span tree: the plan, fan-out
-// (with per-shard wall times), merge, and cache-tag steps, indented by
-// nesting depth.
-func printTrace(tr *tsq.TraceInfo) {
-	fmt.Printf("trace: %.3f ms total\n", float64(tr.Total.Microseconds())/1000)
-	var walk func(spans []tsq.SpanInfo, depth int)
-	walk = func(spans []tsq.SpanInfo, depth int) {
-		for _, sp := range spans {
-			name := sp.Name
-			if sp.Name == "shard" {
-				name = fmt.Sprintf("shard %d", sp.Shard)
-			}
-			fmt.Printf("%*s%-12s %8.3f ms%s\n", 2*depth, "", name,
-				float64(sp.Duration.Microseconds())/1000, headNote(sp.Name, sp.HeadResolved))
-			walk(sp.Children, depth+1)
-		}
-	}
-	walk(tr.Spans, 1)
-}
-
-func execute(exec executor, src string, maxRows int) error {
+func execute(w io.Writer, exec executor, src string, maxRows int) error {
 	out, err := exec(src)
 	if err != nil {
 		return err
 	}
-	printOutput(out, maxRows)
+	printOutput(w, out, maxRows)
 	return nil
 }
 
 // executeProgressive runs one statement through a progressive runner,
 // printing each stage as it arrives: the approximate answer first, then
 // the exact refinement.
-func executeProgressive(run progressor, src string, maxRows int) error {
+func executeProgressive(w io.Writer, run progressor, src string, maxRows int) error {
 	return run(src, func(stage tsq.ProgressiveStage) error {
 		if d := stage.Output.Stats.Delta; d > 0 {
-			fmt.Printf("-- %s stage: rank i within (1+%g)x of the exact i-th distance\n",
+			fmt.Fprintf(w, "-- %s stage: rank i within (1+%g)x of the exact i-th distance\n",
 				stage.Phase, d)
 		} else {
-			fmt.Printf("-- %s stage\n", stage.Phase)
+			fmt.Fprintf(w, "-- %s stage\n", stage.Phase)
 		}
-		printOutput(stage.Output, maxRows)
+		printOutput(w, stage.Output, maxRows)
 		return nil
 	})
 }
 
 // printOutput renders one statement's result — plan, trace, cost
 // summary, and rows.
-func printOutput(out *tsq.Output, maxRows int) {
+func printOutput(w io.Writer, out *tsq.Output, maxRows int) {
 	if out.Explain != nil {
-		printExplain(os.Stdout, out.Explain)
+		printExplain(w, out.Explain)
 	}
 	if out.Trace != nil {
-		printTrace(out.Trace)
+		fmt.Fprintf(w, "trace: %.3f ms total\n", float64(out.Trace.Total)/float64(time.Millisecond))
+		printSpans(w, out.Trace.Spans, 1)
 	}
 	cached := ""
 	if out.Stats.Cached {
@@ -524,26 +529,26 @@ func printOutput(out *tsq.Output, maxRows int) {
 	}
 	switch out.Kind {
 	case "SELFJOIN":
-		fmt.Printf("%d pairs (%.3f ms, %d node accesses, %d pages%s)\n",
+		fmt.Fprintf(w, "%d pairs (%.3f ms, %d node accesses, %d pages%s)\n",
 			len(out.Pairs), float64(out.Stats.Elapsed.Microseconds())/1000,
 			out.Stats.NodeAccesses, out.Stats.PageReads, cached)
 		for i, p := range out.Pairs {
 			if i == maxRows {
-				fmt.Printf("  ... %d more\n", len(out.Pairs)-maxRows)
+				fmt.Fprintf(w, "  ... %d more\n", len(out.Pairs)-maxRows)
 				break
 			}
-			fmt.Printf("  %-10s %-10s D=%.4f\n", p.A, p.B, p.Distance)
+			fmt.Fprintf(w, "  %-10s %-10s D=%.4f\n", p.A, p.B, p.Distance)
 		}
 	default:
-		fmt.Printf("%d matches (%.3f ms, %d node accesses, %d pages, %d verified%s%s)\n",
+		fmt.Fprintf(w, "%d matches (%.3f ms, %d node accesses, %d pages, %d verified%s%s)\n",
 			len(out.Matches), float64(out.Stats.Elapsed.Microseconds())/1000,
 			out.Stats.NodeAccesses, out.Stats.PageReads, out.Stats.Candidates, cached, approx)
 		for i, m := range out.Matches {
 			if i == maxRows {
-				fmt.Printf("  ... %d more\n", len(out.Matches)-maxRows)
+				fmt.Fprintf(w, "  ... %d more\n", len(out.Matches)-maxRows)
 				break
 			}
-			fmt.Printf("  %-10s D=%.4f\n", m.Name, m.Distance)
+			fmt.Fprintf(w, "  %-10s D=%.4f\n", m.Name, m.Distance)
 		}
 	}
 }

@@ -1,15 +1,14 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"time"
 
+	tsq "repro"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -18,16 +17,13 @@ import (
 // refreshing console dashboard fed by /metrics and /stats, and `traces`,
 // the command-line view of the server's flight recorder (GET /traces).
 
-// runTraces fetches retained execution traces — the tail-sampled
+// traces fetches retained execution traces — the tail-sampled
 // slowest/most-recent/error set the server keeps per {kind, strategy} —
 // and prints them with their span trees. -id fetches one trace by the
 // request ID found in a response, an error response, a failed request's
 // log line, or a tsq_query_worst_recent_seconds label.
-func runTraces(remote string, args []string) error {
-	if remote == "" {
-		return fmt.Errorf("traces requires -remote")
-	}
-	fs := flag.NewFlagSet("traces", flag.ContinueOnError)
+func (c *cli) traces(args []string) error {
+	fs := c.flags("traces")
 	var (
 		id       = fs.String("id", "", "fetch one trace by request ID")
 		kind     = fs.String("kind", "", "filter by query kind (range, nn, join, ...)")
@@ -39,37 +35,42 @@ func runTraces(remote string, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	client := server.NewClient(remote)
-	resp, err := client.Traces(*id, *kind, *strategy, *outcome, *n)
+	resp, err := server.NewClient(c.remote).Traces(*id, *kind, *strategy, *outcome, *n)
 	if err != nil {
 		return err
 	}
 	if *id == "" && len(resp.Worst) > 0 {
-		fmt.Println("worst recent per {kind, strategy}:")
+		fmt.Fprintln(c.stdout, "worst recent per {kind, strategy}:")
 		for _, w := range resp.Worst {
-			fmt.Printf("  %-8s via %-8s %8.2f ms  id %s\n",
+			fmt.Fprintf(c.stdout, "  %-8s via %-8s %8.2f ms  id %s\n",
 				w.Kind, w.Strategy, w.ElapsedUS/1000, w.RequestID)
 		}
 	}
 	if len(resp.Traces) == 0 {
-		fmt.Println("no retained traces match")
+		fmt.Fprintln(c.stdout, "no retained traces match")
 		return nil
 	}
-	fmt.Printf("%d retained trace(s), newest first:\n", len(resp.Traces))
+	fmt.Fprintf(c.stdout, "%d retained trace(s), newest first:\n", len(resp.Traces))
 	for _, t := range resp.Traces {
 		errs := ""
 		if t.Err != "" {
 			errs = "  error: " + t.Err
 		}
-		fmt.Printf("  %s  %-8s via %-8s %-6s %8.2f ms  id %s%s\n",
+		fmt.Fprintf(c.stdout, "  %s  %-8s via %-8s %-6s %8.2f ms  id %s%s\n",
 			t.When.Format("15:04:05"), t.Kind, t.Strategy, t.Outcome,
 			t.ElapsedUS/1000, t.RequestID, errs)
-		fmt.Printf("    query: %s\n", t.Query)
+		fmt.Fprintf(c.stdout, "    query: %s\n", t.Query)
 		if !*noSpans {
-			printSpanPayloads(t.Spans, 2)
+			printSpans(c.stdout, wireSpans(t.Spans), 2)
 		}
 	}
 	return nil
+}
+
+// wireSpans decodes a retained trace's span tree with the client's own
+// decoder of a TRACE response's spans.
+func wireSpans(spans []server.SpanPayload) []tsq.SpanInfo {
+	return server.OutputFromResponse(&server.QueryResponse{Trace: &server.TracePayload{Spans: spans}}).Trace.Spans
 }
 
 // sampleRow is one parsed /metrics sample with its labels intact.
@@ -376,16 +377,13 @@ func renderFrame(w io.Writer, remote string, cur, prev *snapshot) {
 	}
 }
 
-// runTop polls /metrics and /stats, rendering a refreshing dashboard:
+// top polls /metrics and /stats, rendering a refreshing dashboard:
 // per-kind qps and latency percentiles, cache hit rate, planner drift,
 // shard imbalance, streaming health, and the worst recent executions
 // with their trace IDs. -once prints a single cumulative snapshot and
-// exits (scriptable; used by CI).
-func runTop(remote string, args []string) error {
-	if remote == "" {
-		return fmt.Errorf("top requires -remote")
-	}
-	fs := flag.NewFlagSet("top", flag.ContinueOnError)
+// exits.
+func (c *cli) top(args []string) error {
+	fs := c.flags("top")
 	var (
 		once     = fs.Bool("once", false, "print one cumulative snapshot and exit")
 		interval = fs.Duration("interval", 2*time.Second, "refresh interval")
@@ -393,13 +391,13 @@ func runTop(remote string, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	client := server.NewClient(remote)
+	client := server.NewClient(c.remote)
 	cur, err := takeSnapshot(client)
 	if err != nil {
 		return err
 	}
 	if *once {
-		renderFrame(os.Stdout, remote, cur, nil)
+		renderFrame(c.stdout, c.remote, cur, nil)
 		return nil
 	}
 	if *interval <= 0 {
@@ -407,17 +405,17 @@ func runTop(remote string, args []string) error {
 	}
 	// First frame is cumulative; subsequent frames show per-interval
 	// rates from counter deltas.
-	fmt.Print("\x1b[2J\x1b[H")
-	renderFrame(os.Stdout, remote, cur, nil)
+	fmt.Fprint(c.stdout, "\x1b[2J\x1b[H")
+	renderFrame(c.stdout, c.remote, cur, nil)
 	for {
 		time.Sleep(*interval)
 		next, err := takeSnapshot(client)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tsqcli top:", err)
+			fmt.Fprintln(c.stderr, "tsqcli top:", err)
 			continue
 		}
-		fmt.Print("\x1b[2J\x1b[H")
-		renderFrame(os.Stdout, remote, next, cur)
+		fmt.Fprint(c.stdout, "\x1b[2J\x1b[H")
+		renderFrame(c.stdout, c.remote, next, cur)
 		cur = next
 	}
 }

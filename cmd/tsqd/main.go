@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -59,32 +60,51 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		dataPath = flag.String("data", "", "CSV file of series to load: name,v1,v2,...")
-		snapPath = flag.String("snapshot", "", "binary snapshot to load at startup (if present) and write at shutdown")
-		length   = flag.Int("length", 0, "series length when starting with an empty DB (no -data, no snapshot)")
-		k        = flag.Int("k", 2, "DFT coefficients kept in the index")
-		space    = flag.String("space", "polar", "feature space: polar or rect")
-		cache    = flag.Int("cache", tsq.DefaultCacheSize, "query result cache entries (0 disables)")
-		shards   = flag.Int("shards", 0, "hash-partitioned shards; queries fan out in parallel and writers lock only their shard (0 = a loaded snapshot's count, else 1; at most 65535)")
-		retain   = flag.Int("retain", tsq.DefaultMonitorRetain, "events retained per monitor so reconnecting /watch clients can resume gaplessly (0 disables replay)")
-		pprof    = flag.String("pprof", "", "address of a net/http/pprof side listener (e.g. localhost:6060; empty disables) — profiling stays off the query port")
-		backing  = flag.String("backing", "", "directory for disk-backed storage: series and spectrum pages live in files there behind a fixed buffer pool, so the store can exceed RAM (empty = all in memory); the files are scratch storage, not a snapshot — pair with -snapshot for durability")
-		cachePgs = flag.Int("cache-pages", 0, "buffer-pool frames per relation for -backing stores (0 = default 1024; at the default 4 KiB page size 1024 frames cache 4 MiB per relation)")
-	)
-	flag.Parse()
-
 	slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 
-	if err := run(*addr, *dataPath, *snapPath, *length, *k, *space, *cache, *shards, *retain, *pprof, *backing, *cachePgs); err != nil {
+	err := run(os.Args[1:], os.Stderr)
+	var usage usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "tsqd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize, shards, retain int, pprofAddr string, backing string, cachePages int) error {
-	db, origin, err := loadDB(dataPath, snapPath, length, k, space, shards, backing, cachePages)
+// usageError is a command line run refused and has already reported on
+// stderr; main exits 2 for it, as the flag package does.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+// run parses args, loads the store and serves it until SIGINT or SIGTERM,
+// then saves the snapshot if -snapshot was given. Flag errors and usage go
+// to stderr; everything else is logged through slog's default logger.
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tsqd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", ":8080", "listen address")
+		dataPath = fs.String("data", "", "CSV file of series to load: name,v1,v2,...")
+		snapPath = fs.String("snapshot", "", "binary snapshot to load at startup (if present) and write at shutdown")
+		length   = fs.Int("length", 0, "series length when starting with an empty DB (no -data, no snapshot)")
+		k        = fs.Int("k", 2, "DFT coefficients kept in the index")
+		space    = fs.String("space", "polar", "feature space: polar or rect")
+		cache    = fs.Int("cache", tsq.DefaultCacheSize, "query result cache entries (0 disables)")
+		shards   = fs.Int("shards", 0, "hash-partitioned shards; queries fan out in parallel and writers lock only their shard (0 = a loaded snapshot's count, else 1; at most 65535)")
+		retain   = fs.Int("retain", tsq.DefaultMonitorRetain, "events retained per monitor so reconnecting /watch clients can resume gaplessly (0 disables replay)")
+		pprof    = fs.String("pprof", "", "address of a net/http/pprof side listener (e.g. localhost:6060; empty disables) — profiling stays off the query port")
+		backing  = fs.String("backing", "", "directory for disk-backed storage: series and spectrum pages live in files there behind a fixed buffer pool, so the store can exceed RAM (empty = all in memory); the files are scratch storage, not a snapshot — pair with -snapshot for durability")
+		cachePgs = fs.Int("cache-pages", 0, "buffer-pool frames per relation for -backing stores (0 = default 1024; at the default 4 KiB page size 1024 frames cache 4 MiB per relation)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+
+	db, origin, err := loadDB(*dataPath, *snapPath, *length, *k, *space, *shards, *backing, *cachePgs)
 	if err != nil {
 		return err
 	}
@@ -99,13 +119,14 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 	// twice the store or to twice the store plus its input then depended on
 	// where in the load the last cycle happened to start.
 	runtime.GC()
-	if cacheSize == 0 {
-		cacheSize = -1 // ServerOptions: negative disables, zero means default
+	opts := tsq.ServerOptions{CacheSize: *cache, MonitorRetain: *retain}
+	if opts.CacheSize == 0 {
+		opts.CacheSize = -1 // ServerOptions: negative disables, zero means default
 	}
-	if retain == 0 {
-		retain = -1 // ServerOptions: negative retains none, zero means default
+	if opts.MonitorRetain == 0 {
+		opts.MonitorRetain = -1 // ServerOptions: negative retains none, zero means default
 	}
-	srv := tsq.NewServer(db, tsq.ServerOptions{CacheSize: cacheSize, MonitorRetain: retain})
+	srv := tsq.NewServer(db, opts)
 	slog.Info("loaded store",
 		"series", srv.Len(), "length", srv.Length(), "origin", origin, "shards", db.Shards(),
 		"disk_backed", db.PoolStats().DiskBacked)
@@ -116,7 +137,7 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 	baseCtx, closeStreams := context.WithCancel(context.Background())
 	defer closeStreams()
 
-	if pprofAddr != "" {
+	if pprofAddr := *pprof; pprofAddr != "" {
 		go func() {
 			slog.Info("pprof listening", "addr", pprofAddr)
 			// The blank net/http/pprof import registered /debug/pprof on
@@ -127,7 +148,7 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 		}()
 	}
 	httpSrv := &http.Server{
-		Addr:              addr,
+		Addr:              *addr,
 		Handler:           server.New(srv),
 		ReadHeaderTimeout: 10 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return baseCtx },
@@ -138,7 +159,7 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 
 	errc := make(chan error, 1)
 	go func() {
-		slog.Info("listening", "addr", addr)
+		slog.Info("listening", "addr", *addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -155,11 +176,11 @@ func run(addr, dataPath, snapPath string, length, k int, space string, cacheSize
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		slog.Error("shutdown failed", "err", err)
 	}
-	if snapPath != "" {
-		if err := saveSnapshot(srv, snapPath); err != nil {
+	if *snapPath != "" {
+		if err := saveSnapshot(srv, *snapPath); err != nil {
 			return fmt.Errorf("saving snapshot: %w", err)
 		}
-		slog.Info("snapshot saved", "path", snapPath)
+		slog.Info("snapshot saved", "path", *snapPath)
 	}
 	return nil
 }

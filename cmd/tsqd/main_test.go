@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -103,5 +104,23 @@ func TestFailedSaveKeepsTheOldSnapshot(t *testing.T) {
 	}
 	if names := namesIn(t, dir); !slices.Equal(names, []string{filepath.Base(path)}) {
 		t.Fatalf("the directory holds %v after the failed save", names)
+	}
+}
+
+// TestRemovedFlagsAreUndefined: a setting that is gone is refused, not
+// silently ignored. The spectrum refresh went when an append became an
+// exact update, the slow-query threshold when the flight recorder behind
+// /traces became the one record of slow reads, and the log level when a
+// request that succeeds stopped logging.
+func TestRemovedFlagsAreUndefined(t *testing.T) {
+	for _, args := range [][]string{
+		{"-refresh", "4"},
+		{"-slow", "1us"},
+		{"-log-level", "debug"},
+	} {
+		err := run(append(args, "-data", "walks.csv"), io.Discard)
+		if want := "flag provided but not defined: " + args[0]; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run(%q) returned %v, want %q", args, err, want)
+		}
 	}
 }

@@ -33,7 +33,7 @@ func TestSigtermWithClientsAttached(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, "", snap, 0, 2, "polar", tsq.DefaultCacheSize, 0, tsq.DefaultMonitorRetain, "", "", 0)
+		done <- run([]string{"-addr", addr, "-snapshot", snap}, io.Discard)
 	}()
 	c := &server.Client{BaseURL: "http://" + addr}
 	// Once /healthz answers, run has registered for SIGTERM: the signal

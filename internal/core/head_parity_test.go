@@ -551,16 +551,25 @@ func (hs *headStore) checkJoins(t *testing.T, n int) {
 		}
 	}
 
-	// Two-sided join D(reverse|mavg x, mavg y): the ordered pairs within a
-	// threshold between the 6th and 7th closest.
-	ordered := testkit.Join(values, revMavg, mavg)
-	eps2 := (ordered[5].Dist + ordered[6].Dist) / 2
-	pairs, _, err := forcedJoinTwoSided(hs.eng, eps2, revMavg.T, mavg.T)
-	if err != nil {
-		t.Fatalf("%s join2: %v", label, err)
-	}
-	if err := testkit.CheckJoin(ordered, pairsOf(hs.eng, pairs, pos), eps2, headSlack); err != nil {
-		t.Errorf("%s join2: %v", label, err)
+	// Two-sided joins, the ordered pairs within a threshold between the 6th
+	// and 7th closest. D(reverse|mavg x, mavg y) = ‖−Mx − My‖ is symmetric
+	// in (x, y); D(mavg x, y) is not, so a pair reported the wrong way
+	// round is caught.
+	twoSided := []struct {
+		label       string
+		left, right testkit.Op
+		eps         float64
+	}{{label: "join2", left: revMavg, right: mavg}, {label: "join2 mavg|identity", left: mavg, right: specs[0].op}}
+	for i, j := range twoSided {
+		ordered := testkit.Join(values, j.left, j.right)
+		twoSided[i].eps = (ordered[5].Dist + ordered[6].Dist) / 2
+		pairs, _, err := forcedJoinTwoSided(hs.eng, twoSided[i].eps, j.left.T, j.right.T)
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, j.label, err)
+		}
+		if err := testkit.CheckJoin(ordered, pairsOf(hs.eng, pairs, pos), twoSided[i].eps, headSlack); err != nil {
+			t.Errorf("%s %s: %v", label, j.label, err)
+		}
 	}
 
 	for si, db := range hs.dbs() {
@@ -569,30 +578,33 @@ func (hs *headStore) checkJoins(t *testing.T, n int) {
 		}
 		solo := soloStore(db)
 		shLabel := fmt.Sprintf("%s shard %d", label, si)
-		for _, c := range []struct {
+		type joinCase struct {
 			kind string
 			jq   JoinQuery
 			scan bool
 			run  func() ([]JoinPair, ExecStats, error)
-		}{
+		}
+		cases := []joinCase{
 			{"selfjoin scan", selfJoinQuery(eps, mavg.T), true, func() ([]JoinPair, ExecStats, error) {
 				return solo.SelfJoin(eps, mavg.T, JoinScanEarlyAbandon)
 			}},
 			{"selfjoin index", selfJoinQuery(eps, mavg.T), false, func() ([]JoinPair, ExecStats, error) {
 				return solo.SelfJoin(eps, mavg.T, JoinIndexTransform)
 			}},
-			{"join2 index", JoinQuery{Eps: eps2, Left: revMavg.T, Right: mavg.T, TwoSided: true}, false, func() ([]JoinPair, ExecStats, error) {
-				return forcedJoinTwoSided(solo, eps2, revMavg.T, mavg.T)
-			}},
-			{"join2 scan", JoinQuery{Eps: eps2, Left: revMavg.T, Right: mavg.T, TwoSided: true}, true, func() ([]JoinPair, ExecStats, error) {
-				jq := JoinQuery{Eps: eps2, Left: revMavg.T, Right: mavg.T, TwoSided: true}
-				pl, err := solo.PlanJoin(jq, plan.ScanFreq)
-				if err != nil {
-					return nil, ExecStats{}, err
-				}
-				return solo.ExecJoin(jq, pl)
-			}},
-		} {
+		}
+		for _, j := range twoSided {
+			jq := JoinQuery{Eps: j.eps, Left: j.left.T, Right: j.right.T, TwoSided: true}
+			for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+				cases = append(cases, joinCase{j.label + " " + want.String(), jq, want == plan.ScanFreq, func() ([]JoinPair, ExecStats, error) {
+					pl, err := solo.PlanJoin(jq, want)
+					if err != nil {
+						return nil, ExecStats{}, err
+					}
+					return solo.ExecJoin(jq, pl)
+				}})
+			}
+		}
+		for _, c := range cases {
 			got, gotSt, err := c.run()
 			if err != nil {
 				t.Fatalf("%s %s: %v", shLabel, c.kind, err)

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/plan"
@@ -229,5 +230,44 @@ func TestApproxReadsAskTheLeafTest(t *testing.T) {
 		if nnLeaf == 0 || rangeLeaf == 0 {
 			t.Fatalf("shards=%d: APPROX reads resolved %d NN and %d range candidates in a leaf, want both > 0", shards, nnLeaf, rangeLeaf)
 		}
+	}
+}
+
+// TestLeafTestReadsOnlyItsPrefix: the leaf prefix test reads at most the
+// relation.LeafCoeffs coefficients its entry carries. A leaf's prefix
+// columns lie end to end, so one coefficient more would be the next
+// entry's X_0; two guards keep it out, and each is checked here. The tree
+// hands every entry's prefix out capped at its width, and FarPrefix reads
+// no further than the slice's length whatever room it has past it: every
+// leaf entry's prefix, with a far coefficient in a spare slot, is not
+// called far against a limit its own terms reach exactly — a ninth term
+// would decide the dismissal — under every leaf kernel.
+func TestLeafTestReadsOnlyItsPrefix(t *testing.T) {
+	const n, count, seed = 64, 160, 20261020
+	t.Logf("seed %d", seed)
+	names, values := familyWalks(count, n, seed)
+	eng := newTestEngine(t, n, 1, Options{})
+	if err := eng.InsertBulk(names, values); err != nil {
+		t.Fatal(err)
+	}
+	sh := shardsOf(eng)[0]
+	for label, kc := range leafKernels(t, n) {
+		p, err := sh.planRange(RangeQuery{Values: values[0], Eps: 1, Transform: kc.tr, BothSides: kc.both})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := p.kernelInto(nil)
+		sh.idx.Tree().All(func(it rtree.Item) bool {
+			if len(it.Pre) != relation.LeafCoeffs || cap(it.Pre) != relation.LeafCoeffs {
+				t.Fatalf("id %d: the tree hands out a prefix of length %d and capacity %d, want both %d", it.ID, len(it.Pre), cap(it.Pre), relation.LeafCoeffs)
+			}
+			pre := append(slices.Clone(it.Pre), 1e6)[:relation.LeafCoeffs]
+			_, sum := headSum(k, pre, math.Inf(1))
+			lt := leafTest{k: k, limit: sum, st: &ExecStats{}}
+			if terms := lt.FarPrefix(pre); terms != 0 {
+				t.Fatalf("%s: id %d: the prefix test called far a prefix whose %d terms sum to its limit, after %d terms", label, it.ID, relation.LeafCoeffs, terms)
+			}
+			return true
+		})
 	}
 }

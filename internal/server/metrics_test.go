@@ -192,32 +192,32 @@ func TestTraceOverHTTP(t *testing.T) {
 }
 
 // exposedFamilies is every family /metrics exposes, each with the reader
-// that consumes it: a tsqcli top row, a CI grep of the scrape, or a test.
+// that consumes it: a tsqcli top row or a test.
 // A family nobody reads is code to delete, not a row to add here.
 var exposedFamilies = []struct{ family, reader string }{
 	{"tsq_appends_total", "TestMetricsEndpoint"},
-	{"tsq_approx_queries_total", "top: approx queries; CI scrape grep"},
+	{"tsq_approx_queries_total", "top: approx queries; TestCommandsAgainstAServer"},
 	{"tsq_cache_hits_total", "TestMetricsEndpoint"},
 	{"tsq_cache_misses_total", "TestMetricsEndpoint"},
-	{"tsq_fanout_imbalance_ratio", "top: shard imbalance (CI greps it in top -once)"},
+	{"tsq_fanout_imbalance_ratio", "top: shard imbalance; TestTopPrintsShardImbalance"},
 	{"tsq_http_request_duration_seconds", "TestMetricsEndpoint"},
 	{"tsq_monitor_subscribers", "top: monitors row"},
 	{"tsq_plan_cost_error_ratio", "top: planner drift"},
 	{"tsq_plan_duration_seconds", "TestMetricsEndpoint"},
 	{"tsq_plan_executions_total", "TestMetricsEndpoint"},
-	{"tsq_pool_capacity_pages", "top: pool row; CI disk grep"},
+	{"tsq_pool_capacity_pages", "top: pool row; TestCommandsAgainstAServer"},
 	{"tsq_pool_evictions_total", "top: pool row"},
 	{"tsq_pool_hits_total", "top: pool row"},
-	{"tsq_pool_misses_total", "top: pool row; CI disk grep"},
+	{"tsq_pool_misses_total", "top: pool row; TestCommandsAgainstAServer"},
 	{"tsq_pool_pinned_pages", "top: pool row"},
 	{"tsq_pool_resident_pages", "top: pool row"},
-	{"tsq_queries_total", "top: kind table; CI scrape grep; TestForcedReadsAreObservable"},
+	{"tsq_queries_total", "top: kind table; TestCommandsAgainstAServer; TestForcedReadsAreObservable"},
 	{"tsq_query_duration_seconds", "top: kind table p50/p95"},
 	{"tsq_query_worst_recent_seconds", "top: worst recent; TestRequestCorrelationEndToEnd"},
 	{"tsq_series", "TestMetricsEndpoint"},
 	{"tsq_shard_candidates_total", "TestMetricsEndpoint"},
 	{"tsq_shards", "TestMetricsEndpoint"},
-	{"tsq_store_disk_backed", "top: pool row; CI disk grep"},
+	{"tsq_store_disk_backed", "top: pool row; this test"},
 	{"tsq_watch_dropped_events_total", "top: monitors row"},
 }
 
