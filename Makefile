@@ -34,8 +34,11 @@ bench-check:
 bench-metrics-overhead:
 	TSQ_BENCH_OVERHEAD=1 $(GO) test -run TestMetricsOverhead -count=1 -v .
 
+# The second vet compiles the !unix files (the heap page memory and the
+# O_EXCL lock), which no build on this platform does.
 vet:
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 

@@ -94,7 +94,8 @@ func TestCommandsAgainstAServer(t *testing.T) {
 			same: query("RANGE SERIES 'W0009' EPS 2 USING SCAN")},
 		{name: "trace", url: mem,
 			args: query("TRACE RANGE SERIES 'W0007' EPS 2 TRANSFORM mavg(20)"),
-			want: []string{`(?m)^trace: \d+\.\d{3} ms total$`, `(?m)^  fanout +\d+\.\d{3} ms$`, `(?m)^    shard [0-3] +\d+\.\d{3} ms$`}},
+			want: []string{`(?m)^trace: \d+\.\d{3} ms total$`, `(?m)^  fanout +\d+\.\d{3} ms$`,
+				`(?m)^    shard [0-3] +\d+\.\d{3} ms  \(\d+ candidates resolved in the head\)$`}},
 		{name: "trace: scan join", url: mem,
 			args: query("TRACE SELFJOIN EPS 1 USING SCAN"),
 			want: []string{`(?m)^  scan +\d+\.\d{3} ms  \(\d+ candidates resolved in the head\)$`, `(?m)^\d+ pairs \(`}},
@@ -109,7 +110,7 @@ func TestCommandsAgainstAServer(t *testing.T) {
 			want: []string{`(?m)^tsq_queries_total\{.*\} [1-9]`, `(?m)^tsq_approx_queries_total\{kind="nn"\} [1-9]`}},
 		{name: "traces", url: mem,
 			args: []string{"traces"},
-			want: []string{`(?m)^\d+ retained trace\(s\), newest first:$`, `(?m)^    query: .*W0007`, `(?m)^      shard [0-3] +\d+\.\d{3} ms$`,
+			want: []string{`(?m)^\d+ retained trace\(s\), newest first:$`, `(?m)^    query: .*W0007`, `(?m)^      shard [0-3] +\d+\.\d{3} ms  \(\d+ candidates resolved in the head\)$`,
 				`(?m)^    scan +\d+\.\d{3} ms  \(\d+ candidates resolved in the head\)$`}},
 		{name: "top", url: mem,
 			args: []string{"top", "-once"},

@@ -276,10 +276,10 @@ func (c *cli) metrics([]string) error {
 	return nil
 }
 
-// headNote annotates a search/scan span with what it resolved in the
-// spectrum heads.
+// headNote annotates a search, scan or shard span with what it resolved in
+// the spectrum heads.
 func headNote(span string, headResolved int) string {
-	if span != "search" && span != "scan" {
+	if span != "search" && span != "scan" && span != "shard" {
 		return ""
 	}
 	return fmt.Sprintf("  (%d candidates resolved in the head)", headResolved)

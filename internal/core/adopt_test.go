@@ -50,8 +50,10 @@ func walks(count, length int, seed int64) ([]string, [][]float64) {
 // (128 bytes a series) — at most half the
 // snapshot's bytes, at 4,000 and 20,000 series of 256 values and at one and
 // four shards (holding every record before storing it, the load allocated
-// 1.39 times the snapshot). A memory-backed load's records become its pages,
-// so it allocates about the snapshot's size and more; the test logs both.
+// 1.39 times the snapshot). A memory-backed load reads its records straight
+// into its page memory, which is mapped outside the Go heap, so it is held
+// to the same half (its records on the heap, it allocated about 1.25
+// times the snapshot).
 // The write that made the snapshot copies each series record as stored
 // through one buffer, so it allocates at most a quarter of the snapshot's
 // bytes (0.09 at 20,000 series; decoding each record and encoding it again
@@ -122,8 +124,8 @@ func TestDiskAdoptHoldsNoRecords(t *testing.T) {
 				eng.Close()
 				ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(fi.Size())
 				t.Logf("%d x %d, %d shards, disk %t: the load allocated %.2f x the snapshot's %d bytes", count, length, shards, disk, ratio, fi.Size())
-				if disk && !raceEnabled && ratio > 0.5 {
-					t.Errorf("%d x %d at %d shards: a disk adopt allocated %.2f x the snapshot, want <= 0.5", count, length, shards, ratio)
+				if !raceEnabled && ratio > 0.5 {
+					t.Errorf("%d x %d at %d shards, disk %t: an adopt allocated %.2f x the snapshot, want <= 0.5", count, length, shards, disk, ratio)
 				}
 			}
 		}

@@ -11,22 +11,27 @@ import (
 	"repro/internal/rtree"
 )
 
-// loadBulk fills an empty shard with its partition of a bulk load, which
-// the store has validated as a whole (names present and unique, lengths
-// right) before any shard loads: the index is built with STR bulk loading
-// instead of one-at-a-time insertion — for the larger experimental relations
-// (12,000 sequences in Figures 9/11) an order of magnitude faster to build,
-// and better packed (see the bulk-load ablation). points, specs and times
-// are what deriveBulk gave for each series: feature points, encoded
-// half-spectrum records and encoded windows, the records owned from here on
-// (a memory relation adopts them as its pages). A disk-backed shard writes
+// loadBulk fills an empty shard with its partition of a bulk load — the
+// series at batch positions at — which the store has validated as a whole
+// (names present and unique, lengths right) before any shard loads: the
+// index is built with STR bulk loading instead of one-at-a-time insertion —
+// for the larger experimental relations (12,000 sequences in Figures 9/11)
+// an order of magnitude faster to build, and better packed (see the
+// bulk-load ablation). points, specs and times are what deriveBulk gave for
+// each series of the batch: feature points, encoded half-spectrum records
+// and encoded windows, the records carved from this shard's relations (a
+// memory relation adopts them as its pages). A disk-backed shard writes
 // both relations' pages in runs. STR packs the index on a goroutine of its
 // own while the records go in, and the index's leaf prefixes are filled from
 // the heads once both are done.
-func (sh *shard) loadBulk(names []string, ids []int64, points []geom.Point, specs, times [][]byte) error {
+func (sh *shard) loadBulk(names []string, at []int, points []geom.Point, specs, times [][]byte) error {
+	ids, pts := make([]int64, len(at)), make([]geom.Point, len(at))
+	for j, i := range at {
+		ids[j], pts[j] = int64(i), points[i]
+	}
 	packed := make(chan error, 1)
-	go func() { packed <- sh.idx.BulkLoad(points, ids) }()
-	err := sh.storeBulk(names, ids, points, specs, times)
+	go func() { packed <- sh.idx.BulkLoad(pts, ids) }()
+	err := sh.storeBulk(names, at, points, specs, times)
 	if perr := <-packed; perr != nil {
 		return perr
 	}
@@ -38,26 +43,24 @@ func (sh *shard) loadBulk(names []string, ids []int64, points []geom.Point, spec
 }
 
 // storeBulk stores a bulk load's records in both relations' page runs and
-// enters them in the record directory.
-func (sh *shard) storeBulk(names []string, ids []int64, points []geom.Point, specs, times [][]byte) error {
-	// The record count is known: size the per-record tables once, not by
-	// doubling inside the loop.
-	sh.timeRel.Reserve(len(names))
-	sh.freqRel.Reserve(len(names))
-	sh.recs = slices.Grow(sh.recs, len(names))
-	sh.ids = slices.Grow(sh.ids, len(names))
+// enters them in the record directory. The relations' tables were sized
+// when the records were carved.
+func (sh *shard) storeBulk(names []string, at []int, points []geom.Point, specs, times [][]byte) error {
+	sh.recs = slices.Grow(sh.recs, len(at))
+	sh.ids = slices.Grow(sh.ids, len(at))
 	sh.timeRel.StartRun(nil)
 	sh.freqRel.StartRun(nil)
-	for i, name := range names {
-		err := sh.timeRel.InsertOwned(ids[i], times[i])
+	for _, i := range at {
+		id := int64(i)
+		err := sh.timeRel.InsertOwned(id, times[i])
 		if err == nil {
-			err = sh.freqRel.InsertOwned(ids[i], specs[i])
+			err = sh.freqRel.InsertOwned(id, specs[i])
 		}
 		if err != nil {
 			endRuns(sh.timeRel, sh.freqRel)
 			return err
 		}
-		sh.addRecord(ids[i], name, points[i])
+		sh.addRecord(id, names[i], points[i])
 	}
 	return endRuns(sh.timeRel, sh.freqRel)
 }

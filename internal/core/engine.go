@@ -52,9 +52,9 @@ type Engine interface {
 	Append(name string, points []float64) (Committed, error)
 	Delete(name string) bool
 	Compact() (pagesReclaimed int, err error)
-	// Close releases backing storage (the scratch page files of a
-	// disk-backed store; a no-op for memory stores). The engine must not
-	// be used afterwards.
+	// Close releases backing storage: the page memory of a memory store,
+	// the scratch page files of a disk-backed one. Every read after it
+	// returns ErrClosed.
 	Close() error
 
 	// Storage observability: buffer-pool counters aggregated across the

@@ -214,7 +214,10 @@ const joinSampleCap = 8
 // so their candidate count halves. The probes run under every shard's
 // shared lock when the join is planned and stay out of its ExecStats.
 func (s *Store) sampleJoin(jp *joinPlan) plan.JoinInput {
-	entries := s.pinAll()
+	entries, err := s.pinAll()
+	if err != nil {
+		return plan.JoinInput{}
+	}
 	defer s.runlockAll()
 	n := len(entries)
 	in := plan.JoinInput{Series: n}

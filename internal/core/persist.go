@@ -67,8 +67,9 @@ import (
 // every section has passed its size and checksum checks, and on any error
 // the partly built store is closed and every file and directory it created
 // is removed. No count or length in the file sizes an allocation — buffers
-// grow with the bytes that actually arrive (decoder.appendN, records), and a
-// shard is built when its first record arrives — so a corrupt or hostile
+// and page memory grow with the bytes that actually arrive (decoder.appendN,
+// Relation.Carve, a frequency relation reserving what its series took), and
+// a shard is built when its first record arrives — so a corrupt or hostile
 // header costs an error, not the process.
 //
 // The earlier formats are refused by name: the series-only TSQ1 and TSQ2,
@@ -241,7 +242,10 @@ func densePositions(ids []int64) func(int64) (int64, bool) {
 // shared mode for the duration: the snapshot is a consistent cut of the
 // whole store. It returns the number of bytes written.
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	entries := s.pinAll()
+	entries, err := s.pinAll()
+	if err != nil {
+		return 0, err
+	}
 	defer s.runlockAll()
 
 	dims, h := s.Schema().Dims(), halfLen(s.length)
@@ -340,33 +344,6 @@ func (d *decoder) appendN(dst []byte, n int) []byte {
 	return dst
 }
 
-// records carves fixed-size records out of blocks of about readChunk bytes,
-// each allocated only when the last is used up: a large section is read
-// into place with no copy and no doubling, and never more than one block
-// ahead of the bytes that have arrived.
-type records struct{ free []byte }
-
-// take returns an unread size-byte record (size <= readChunk); left is how
-// many records, this one included, the section still promises.
-func (rs *records) take(size, left int) []byte {
-	if len(rs.free) < size {
-		rs.free = make([]byte, max(1, min(left, readChunk/size))*size)
-	}
-	rec := rs.free[:size:size]
-	rs.free = rs.free[size:]
-	return rec
-}
-
-// next reads a size-byte record.
-func (rs *records) next(d *decoder, size, left int) []byte {
-	if size > readChunk {
-		return d.appendN(nil, size)
-	}
-	rec := rs.take(size, left)
-	d.full(rec)
-	return rec
-}
-
 // readHeader decodes the header fields and refuses, before anything is
 // sized by them, a length or K no store can hold.
 func readHeader(d *decoder) (snapshotHeader, error) {
@@ -440,10 +417,9 @@ type loader struct {
 	shards []*shard
 	names  []string
 	trees  []*rtree.Tree
-	// blocks carves the records a memory relation adopts as its pages;
-	// scratch holds one on its way into a disk relation's page run, and
-	// name and point are one record's name and feature point as read.
-	blocks               records
+	// scratch holds a record on its way into a disk relation's page run
+	// (or one too large to carve), and name and point are one record's name
+	// and feature point as read.
 	scratch, name, point []byte
 }
 
@@ -508,16 +484,27 @@ func (l *loader) shard(si int) (*shard, error) {
 	return sh, nil
 }
 
-// read reads the next size-byte record for rel off d: into a block a memory
-// relation adopts as its pages, or into scratch, which a disk relation
-// copies into its page run. left is how many records the section still
-// promises, this one included.
-func (l *loader) read(d *decoder, rel *relation.Relation, size, left int) []byte {
-	if rel.DiskBacked() {
-		l.scratch = d.appendN(l.scratch[:0], size)
-		return l.scratch
+// store reads the next size-byte record off d and stores it in rel under
+// id: straight into a memory relation's own page memory (Carve), where it
+// is adopted in place, or through scratch, which a disk relation copies
+// into its page run. A record larger than readChunk goes through scratch
+// into either, scratch growing as its bytes arrive: no length a file states
+// sizes memory ahead of them. A failed read leaves its error in d.err.
+func (l *loader) store(d *decoder, rel *relation.Relation, id int64, size int) error {
+	if rel.DiskBacked() || size > readChunk {
+		if l.scratch = d.appendN(l.scratch[:0], size); d.err != nil {
+			return d.err
+		}
+		return rel.InsertRaw(id, l.scratch)
 	}
-	return l.blocks.next(d, size, left)
+	rec, err := rel.Carve(size)
+	if err != nil {
+		return err
+	}
+	if d.full(rec); d.err != nil {
+		return d.err
+	}
+	return rel.InsertOwned(id, rec)
 }
 
 // series routes each series record to its shard's time relation. When all
@@ -536,11 +523,9 @@ func (l *loader) series(d *decoder) error {
 		if err != nil {
 			return err
 		}
-		rec := l.read(d, sh.timeRel, size, l.h.count-i)
-		if d.err != nil {
+		if err := l.store(d, sh.timeRel, int64(i), size); d.err != nil {
 			return fmt.Errorf("reading series %d: %w", i, d.err)
-		}
-		if err := sh.timeRel.InsertOwned(int64(i), rec); err != nil {
+		} else if err != nil {
 			return err
 		}
 		l.names = append(l.names, name)
@@ -555,7 +540,7 @@ func (l *loader) series(d *decoder) error {
 		}
 		sh.freqRel.StartRun(buf)
 		n := sh.timeRel.Len()
-		sh.freqRel.Reserve(n)
+		sh.freqRel.Reserve(n, 16*halfLen(l.h.length))
 		sh.recs = slices.Grow(sh.recs, n)
 		sh.ids = slices.Grow(sh.ids, n)
 		sh.byName = make(map[string]int64, n)
@@ -575,11 +560,9 @@ func (l *loader) derived(d *decoder) error {
 		for j := range p {
 			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(l.point[8*j:]))
 		}
-		rec := l.read(d, sh.freqRel, size, len(l.names)-i)
-		if d.err != nil {
+		if err := l.store(d, sh.freqRel, int64(i), size); d.err != nil {
 			return fmt.Errorf("reading derived record %d: %w", i, d.err)
-		}
-		if err := sh.freqRel.InsertOwned(int64(i), rec); err != nil {
+		} else if err != nil {
 			return err
 		}
 		if err := enter(sh, int64(i), name, p); err != nil {

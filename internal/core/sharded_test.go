@@ -465,3 +465,39 @@ func hammerStore(t *testing.T, shards int) {
 		t.Fatalf("implausible store size %d", s.Len())
 	}
 }
+
+// TestShardSpansCarryHeadCounts: a four-shard read's shard spans carry
+// each shard's head-resolved candidates, and they sum to the read's
+// ExecStats.HeadResolved — for a range and an NN read, by index and by
+// scan — so a trace shows per shard what the spectrum heads decided.
+func TestShardSpansCarryHeadCounts(t *testing.T) {
+	e, values := closeStore(t, closeCase{shards: 4}, 400)
+	id := transform.Identity(testLen)
+	for _, want := range []plan.Strategy{plan.Index, plan.ScanFreq} {
+		_, rst, err := forcedRange(e, RangeQuery{Values: values[7], Eps: 4, Transform: id}, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, nst, err := forcedNN(e, NNQuery{Values: values[7], K: 10, Transform: id}, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, st := range map[string]ExecStats{"range": rst, "nn": nst} {
+			if st.HeadResolved == 0 {
+				t.Fatalf("%s %s resolved nothing in the heads", want, kind)
+			}
+			sum, shards := 0, 0
+			for _, sp := range st.Spans {
+				for _, ch := range sp.Children {
+					if ch.Name == "shard" {
+						sum += ch.HeadResolved
+						shards++
+					}
+				}
+			}
+			if shards != 4 || sum != st.HeadResolved {
+				t.Errorf("%s %s: %d shard spans resolved %d in the heads, the read %d", want, kind, shards, sum, st.HeadResolved)
+			}
+		}
+	}
+}

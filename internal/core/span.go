@@ -23,8 +23,9 @@ type Span struct {
 	Shard int
 	// Duration is the span's wall time.
 	Duration time.Duration
-	// HeadResolved is set on "search" and "scan" spans: the candidates the
-	// step verified without opening their pages (ExecStats.HeadResolved).
+	// HeadResolved is set on "search", "scan" and "shard" spans: the
+	// candidates the step verified without opening their pages
+	// (ExecStats.HeadResolved; a shard span's is ShardExec.HeadResolved).
 	HeadResolved int
 	// Children are the nested steps, in execution order.
 	Children []Span
@@ -40,8 +41,8 @@ func workSpan(name string, d time.Duration, st *ExecStats) Span {
 	return Span{Name: name, Shard: -1, Duration: d, HeadResolved: st.HeadResolved}
 }
 
-func shardSpan(shard int, d time.Duration) Span {
-	return Span{Name: "shard", Shard: shard, Duration: d}
+func shardSpan(sh ShardExec) Span {
+	return Span{Name: "shard", Shard: sh.Shard, Duration: sh.Elapsed, HeadResolved: sh.HeadResolved}
 }
 
 func init() {
@@ -72,7 +73,7 @@ func fanSpans(st *ExecStats, fan, merge time.Duration) []Span {
 	}
 	children := make([]Span, len(st.Shards))
 	for i, sh := range st.Shards {
-		children[i] = shardSpan(sh.Shard, sh.Elapsed)
+		children[i] = shardSpan(sh)
 	}
 	return []Span{span("fanout", fan, children...), span("merge", merge)}
 }

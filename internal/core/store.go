@@ -54,6 +54,21 @@ type Store struct {
 	ids    []int64       // live ids, arbitrary order (swap-delete)
 	idPos  map[int64]int // id -> position in ids
 	nextID int64
+	// closed is set by Close under every shard's exclusive lock, so a
+	// reader holding any one shard's lock reads it safely (live).
+	closed bool
+}
+
+// ErrClosed is what every read of a closed store returns.
+var ErrClosed = errors.New("core: store is closed")
+
+// live refuses a read of a closed store. The caller holds at least one
+// shard's lock.
+func (s *Store) live() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return nil
 }
 
 // DB is a Store that proves by its type it has exactly one partition, and
@@ -136,12 +151,18 @@ func closeShards(shards []*shard) {
 	}
 }
 
-// Close releases every shard's backing storage, removing the disk scratch
-// files and the shard directories the store created. The store must not be
-// used afterwards.
+// Close releases every shard's backing storage: it unmaps the page memory
+// of a memory store and removes the disk scratch files and the shard
+// directories the store created. It waits for the reads in flight, and
+// every read after it returns ErrClosed. Closing a closed store does
+// nothing.
 func (s *Store) Close() error {
 	s.lockAll()
 	defer s.unlockAll()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
 	var err error
 	for _, sh := range s.shards {
 		if cerr := sh.close(); err == nil {
@@ -207,7 +228,10 @@ func (s *Store) IDs() []int64 {
 // consistent snapshot: a delete racing the listing can neither blank an
 // entry nor tear the list (per-ID lookups over a changing catalog could).
 func (s *Store) Names() []string {
-	entries := s.pinAll()
+	entries, err := s.pinAll()
+	if err != nil {
+		return nil
+	}
 	defer s.runlockAll()
 	out := make([]string, len(entries))
 	for i, e := range entries {
@@ -217,22 +241,28 @@ func (s *Store) Names() []string {
 }
 
 // rlockOwner returns the shard a live global ID is stored in, holding its
-// shared lock (the caller releases it), or nil when the ID is not stored.
-func (s *Store) rlockOwner(id int64) *shard {
+// shared lock (the caller releases it); the error is ErrClosed, or that the
+// ID is not stored.
+func (s *Store) rlockOwner(id int64) (*shard, error) {
 	s.mu.RLock()
 	si, ok := s.owner[id]
 	s.mu.RUnlock()
 	if !ok {
-		return nil
+		return nil, fmt.Errorf("core: id %d not found", id)
 	}
-	s.shards[si].mu.RLock()
-	return s.shards[si]
+	sh := s.shards[si]
+	sh.mu.RLock()
+	if err := s.live(); err != nil {
+		sh.mu.RUnlock()
+		return nil, err
+	}
+	return sh, nil
 }
 
 // Name returns the name stored under a global ID ("" if absent).
 func (s *Store) Name(id int64) string {
-	sh := s.rlockOwner(id)
-	if sh == nil {
+	sh, err := s.rlockOwner(id)
+	if err != nil {
 		return ""
 	}
 	defer sh.mu.RUnlock()
@@ -251,19 +281,20 @@ func (s *Store) IDByName(name string) (int64, bool) {
 // Series fetches the raw values stored under a global ID (charges page
 // reads).
 func (s *Store) Series(id int64) ([]float64, error) {
-	sh := s.rlockOwner(id)
-	if sh == nil {
-		return nil, fmt.Errorf("core: id %d not found", id)
+	sh, err := s.rlockOwner(id)
+	if err != nil {
+		return nil, err
 	}
 	defer sh.mu.RUnlock()
 	return sh.timeRel.Get(id)
 }
 
 // QueryPrep assembles the stored-record planning artifacts of a global ID
-// from its owning shard; see shard.queryPrep.
+// from its owning shard; see shard.queryPrep. ok is false for an ID not
+// stored, and for any ID of a closed store.
 func (s *Store) QueryPrep(id int64) (*QueryPrep, bool) {
-	sh := s.rlockOwner(id)
-	if sh == nil {
+	sh, err := s.rlockOwner(id)
+	if err != nil {
 		return nil, false
 	}
 	defer sh.mu.RUnlock()
@@ -348,38 +379,28 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 		}
 		seen[name] = true
 	}
-	points, specs, times, err := s.deriveBulk(names[:bad], values[:bad])
+	// Each series' records are carved out of its own shard's relations and
+	// derived in place; a failure after the carving empties every shard, so
+	// no page memory outlives the call that took it.
+	parts := s.partition(names[:bad])
+	specs, times, err := s.carve(parts)
+	var points []geom.Point
+	if err == nil {
+		points, err = s.deriveBulk(names[:bad], values[:bad], specs, times)
+	}
+	if err == nil {
+		err = badErr
+	}
+	if err == nil {
+		errs := make([]error, len(s.shards))
+		each(len(s.shards), func(si int) {
+			p := parts[si]
+			errs[si] = s.shards[si].loadBulk(names, p, points, specs, times)
+		})
+		err = errors.Join(errs...)
+	}
 	if err != nil {
-		return err
-	}
-	if badErr != nil {
-		return badErr
-	}
-	// part is one shard's slice of the batch.
-	type part struct {
-		names  []string
-		ids    []int64
-		points []geom.Point
-		specs  [][]byte
-		times  [][]byte
-	}
-	parts := make([]part, len(s.shards))
-	for i, name := range names {
-		p := &parts[s.ShardOf(name)]
-		p.names = append(p.names, name)
-		p.ids = append(p.ids, int64(i))
-		p.points = append(p.points, points[i])
-		p.specs = append(p.specs, specs[i])
-		p.times = append(p.times, times[i])
-	}
-	errs := make([]error, len(s.shards))
-	each(len(s.shards), func(si int) {
-		p := parts[si]
-		errs[si] = s.shards[si].loadBulk(p.names, p.ids, p.points, p.specs, p.times)
-	})
-	if err := errors.Join(errs...); err != nil {
-		// A page write failed: empty every shard, leaving the store as fresh
-		// as the call found it.
+		// Empty every shard, leaving the store as fresh as the call found it.
 		for _, sh := range s.shards {
 			if rerr := sh.reset(); rerr != nil {
 				err = errors.Join(err, rerr)
@@ -391,40 +412,90 @@ func (s *Store) InsertBulk(names []string, values [][]float64) error {
 	return nil
 }
 
-// deriveBulk derives a batch's points and records — the dominant cost of a
-// bulk load, run once per series: the points and both relations' records
-// (the encoded window and its half spectrum) ride along to the shard loads.
-// It runs on min(GOMAXPROCS, n/256) workers, each over a contiguous range of
-// the batch with its own deriver and carving its records from blocks of its
-// own, which the relations then own. A worker stops at its first error; the
-// lowest range's is the first in batch order.
-func (s *Store) deriveBulk(names []string, values [][]float64) (points []geom.Point, specs, times [][]byte, err error) {
-	n, schema := len(names), s.shards[0].schema
+// partition lists, shard by shard, the batch positions of the series each
+// shard stores.
+func (s *Store) partition(names []string) [][]int {
+	parts := make([][]int, len(s.shards))
+	for i, name := range names {
+		si := s.ShardOf(name)
+		parts[si] = append(parts[si], i)
+	}
+	return parts
+}
+
+// carve cuts every series' two records, by batch position, out of its
+// shard's relations: a shard's records back to back in one reserved chunk
+// of each memory relation's page memory, which the relation adopts in
+// place, or in one heap block for each disk relation, which its page runs
+// copy from. deriveBulk then writes them where they lie.
+func (s *Store) carve(parts [][]int) (specs, times [][]byte, err error) {
+	n := 0
+	for _, at := range parts {
+		n += len(at)
+	}
+	specs, times = make([][]byte, n), make([][]byte, n)
 	specSize, timeSize := 16*halfLen(s.length), 8*s.length
-	points, specs, times = make([]geom.Point, n), make([][]byte, n), make([][]byte, n)
+	for si, at := range parts {
+		sh := s.shards[si]
+		if err := carveFor(sh.freqRel, at, specSize, specs); err != nil {
+			return nil, nil, err
+		}
+		if err := carveFor(sh.timeRel, at, timeSize, times); err != nil {
+			return nil, nil, err
+		}
+	}
+	return specs, times, nil
+}
+
+// carveFor carves the records at the batch positions at for rel (see carve).
+func carveFor(rel *relation.Relation, at []int, size int, recs [][]byte) error {
+	rel.Reserve(len(at), size)
+	if rel.DiskBacked() {
+		block := make([]byte, len(at)*size)
+		for j, i := range at {
+			recs[i] = block[j*size : (j+1)*size : (j+1)*size]
+		}
+		return nil
+	}
+	for _, i := range at {
+		rec, err := rel.Carve(size)
+		if err != nil {
+			return err
+		}
+		recs[i] = rec
+	}
+	return nil
+}
+
+// deriveBulk derives a batch's points and records — the dominant cost of a
+// bulk load, run once per series — into the records carve cut for it: each
+// series' half spectrum into specs[i] and its encoded window into
+// times[i]. It runs on min(GOMAXPROCS, n/256) workers, each over a
+// contiguous range of the batch with its own deriver. A worker stops at its
+// first error; the lowest range's is the first in batch order.
+func (s *Store) deriveBulk(names []string, values [][]float64, specs, times [][]byte) ([]geom.Point, error) {
+	n, schema := len(names), s.shards[0].schema
+	points := make([]geom.Point, n)
 	workers := max(1, min(runtime.GOMAXPROCS(0), n/256))
 	errs := make([]error, workers)
 	each(workers, func(w int) {
-		var (
-			dv                     deriver
-			specBlocks, timeBlocks records
-		)
+		var dv deriver
 		for i, end := w*n/workers, (w+1)*n/workers; i < end; i++ {
-			p, rec, err := dv.derive(schema, names[i], values[i], specBlocks.take(specSize, end-i)[:0])
+			p, rec, err := dv.derive(schema, names[i], values[i], specs[i][:0])
 			if err != nil {
 				errs[w] = err
 				return
 			}
 			points[i], specs[i] = p, rec
-			times[i] = relation.AppendFloats(timeBlocks.take(timeSize, end-i)[:0], values[i])
+			times[i] = relation.AppendFloats(times[i][:0], values[i])
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
-	return points, specs, times, nil
+	return points, nil
 }
 
 // catalog enters a bulk load's series — the names in ID order, each stored
@@ -536,6 +607,9 @@ func (s *Store) CheckWithin(name string, q RangeQuery) (float64, bool, error) {
 	sh := s.shards[s.ShardOf(name)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
+	if err := s.live(); err != nil {
+		return 0, false, err
+	}
 	return sh.checkWithin(name, q)
 }
 
@@ -586,6 +660,17 @@ func (s *Store) runlockAll() {
 	}
 }
 
+// rlockLive is rlockAll for a read: on a closed store it takes no lock
+// and returns ErrClosed.
+func (s *Store) rlockLive() error {
+	s.rlockAll()
+	if err := s.live(); err != nil {
+		s.runlockAll()
+		return err
+	}
+	return nil
+}
+
 // each runs fn(0) … fn(n-1), n >= 1, and waits for all of them: fn(0) on
 // the calling goroutine, the rest concurrently. With n == 1 — a one-shard
 // store — nothing is spawned.
@@ -611,7 +696,9 @@ func (s *Store) fanOut(fn func(si int, sh *shard) error) error {
 		sh := s.shards[si]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		errs[si] = fn(si, sh)
+		if errs[si] = s.live(); errs[si] == nil {
+			errs[si] = fn(si, sh)
+		}
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -716,7 +803,10 @@ func (s *Store) inline(st *ExecStats, trace bool, run func(sh *shard) error, mer
 	sh := s.shards[0]
 	sh.mu.RLock()
 	reads0 := sh.pageReads()
-	err := run(sh)
+	err := s.live()
+	if err == nil {
+		err = run(sh)
+	}
 	st.PageReads = sh.pageReads() - reads0
 	sh.mu.RUnlock()
 	searchD := time.Since(start)
@@ -778,9 +868,12 @@ type entry struct {
 
 // pinAll takes every shard's shared lock and snapshots the catalog in
 // ascending global-ID (insertion) order. The caller must runlockAll when
-// done.
-func (s *Store) pinAll() []entry {
-	s.rlockAll()
+// done, unless the store is closed: then pinAll releases the locks itself
+// and returns ErrClosed.
+func (s *Store) pinAll() ([]entry, error) {
+	if err := s.rlockLive(); err != nil {
+		return nil, err
+	}
 	s.mu.RLock()
 	out := make([]entry, 0, len(s.ids))
 	for _, id := range s.ids {
@@ -789,7 +882,7 @@ func (s *Store) pinAll() []entry {
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	return out, nil
 }
 
 // SelfJoin finds all pairs (x, y) of distinct stored series with
@@ -847,7 +940,10 @@ func (s *Store) SelfJoin(eps float64, t transform.T, method JoinMethod) ([]JoinP
 // to the outer row's owning shard in the per-shard provenance.
 func (s *Store) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, ExecStats, error) {
 	timer := stats.StartTimer()
-	entries := s.pinAll()
+	entries, err := s.pinAll()
+	if err != nil {
+		return nil, ExecStats{}, err
+	}
 	defer s.runlockAll()
 	reads0 := s.pageReadsLocked()
 
@@ -935,7 +1031,9 @@ func (s *Store) joinScanFan(jp *joinPlan, earlyAbandon bool) ([]JoinPair, ExecSt
 // twice-reporting methods c/d: the planned self join's canonical accounting.
 func (s *Store) joinIndexFan(jp *joinPlan, selfOnce bool) ([]JoinPair, ExecStats, error) {
 	timer := stats.StartTimer()
-	s.rlockAll()
+	if err := s.rlockLive(); err != nil {
+		return nil, ExecStats{}, err
+	}
 	defer s.runlockAll()
 	reads0 := s.pageReadsLocked()
 

@@ -60,8 +60,8 @@ func (sh *shard) compact() (pagesReclaimed int, err error) {
 	ids := append([]int64(nil), sh.ids...)
 	points := make([]geom.Point, len(ids))
 	recs := make([]record, len(ids))
-	newTime.Reserve(len(ids))
-	newFreq.Reserve(len(ids))
+	newTime.Reserve(len(ids), 8*sh.length)
+	newFreq.Reserve(len(ids), 16*halfLen(sh.length))
 	for i, id := range ids {
 		vals, err := sh.timeRel.Get(id)
 		if err != nil {

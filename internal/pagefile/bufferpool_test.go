@@ -19,7 +19,7 @@ func TestNewBufferPoolValidation(t *testing.T) {
 
 func TestBufferPoolHitsAndMisses(t *testing.T) {
 	f := New(8)
-	first, count := f.Append(bytes.Repeat([]byte{7}, 24)) // 3 pages
+	first, count, _ := f.AppendPages(bytes.Repeat([]byte{7}, 24)) // 3 pages
 	f.ResetStats()
 	bp, _ := NewBufferPool(f, 10)
 
@@ -52,7 +52,7 @@ func TestBufferPoolEviction(t *testing.T) {
 	f := New(8)
 	var locs [][2]int
 	for i := 0; i < 5; i++ {
-		first, count := f.Append([]byte{byte(i), 0, 0, 0, 0, 0, 0, 0})
+		first, count, _ := f.AppendPages([]byte{byte(i), 0, 0, 0, 0, 0, 0, 0})
 		locs = append(locs, [2]int{first, count})
 	}
 	bp, _ := NewBufferPool(f, 2) // holds 2 of 5 pages
@@ -85,7 +85,7 @@ func TestBufferPoolEviction(t *testing.T) {
 func TestBufferPoolReadMatchesFile(t *testing.T) {
 	f := New(8)
 	data := []byte("hello across several pages!")
-	first, count := f.Append(data)
+	first, count, _ := f.AppendPages(data)
 	bp, _ := NewBufferPool(f, 4)
 	got, err := bp.ReadInto(first, count, nil)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestBufferPoolReadMatchesFile(t *testing.T) {
 
 func TestBufferPoolBounds(t *testing.T) {
 	f := New(8)
-	f.Append([]byte("x"))
+	f.AppendPages([]byte("x"))
 	bp, _ := NewBufferPool(f, 2)
 	if _, err := bp.ViewInto(-1, 1, nil); err == nil {
 		t.Error("negative page should fail")
@@ -115,7 +115,7 @@ func TestBufferPoolConcurrentReads(t *testing.T) {
 	f := New(8)
 	var firsts []int
 	for i := 0; i < 20; i++ {
-		first, _ := f.Append(bytes.Repeat([]byte{byte(i)}, 8))
+		first, _, _ := f.AppendPages(bytes.Repeat([]byte{byte(i)}, 8))
 		firsts = append(firsts, first)
 	}
 	bp, _ := NewBufferPool(f, 5)

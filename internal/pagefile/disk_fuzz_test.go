@@ -67,7 +67,7 @@ func FuzzDiskFile(f *testing.F) {
 				if err != nil {
 					t.Fatalf("append of %d bytes: %v", n, err)
 				}
-				of, oc := oracle.Append(data)
+				of, oc, _ := oracle.AppendPages(data)
 				if first != of || count != oc {
 					t.Fatalf("append of %d bytes took [%d, +%d), the oracle [%d, +%d)", n, first, count, of, oc)
 				}

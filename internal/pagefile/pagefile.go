@@ -18,6 +18,7 @@ package pagefile
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -59,22 +60,26 @@ type Backing interface {
 }
 
 // File is an append-only in-memory collection of fixed-size pages. Reads
-// (including zero-copy views) are safe to perform concurrently; writes
-// require external synchronization, like the structures above it.
+// (including zero-copy views) are safe to perform concurrently; writes and
+// Close require external synchronization, like the structures above it.
+//
+// The page bytes live outside the Go heap, in chunks the File maps (mem)
+// and unmaps when it is closed, or when it is dropped unclosed and
+// collected: pointer-free bytes the collector would otherwise count as live
+// heap, and pace its next cycle by. No page is ever handed out beyond a
+// read that holds the File: views are read in place under the caller's
+// lock and everything else is copied out.
 type File struct {
 	pageSize int
 	pages    [][]byte
-	slab     []byte // arena the next page buffers are carved from
+	mem      *chunks
+	closed   bool
 	reads    atomic.Int64
 	writes   atomic.Int64
 }
 
-// slabPages is how many pages' worth of buffer one arena allocation
-// holds. Carving page buffers out of shared slabs instead of allocating
-// each page separately keeps a bulk load from creating one GC object per
-// page — at 2,000 series × 3 pages that is thousands of small objects
-// whose allocation and sweep cost shows up directly in cold-start time.
-const slabPages = 64
+// ErrClosed reports a read or write of a File after its Close.
+var ErrClosed = errors.New("pagefile: file is closed")
 
 var _ Backing = (*File)(nil)
 
@@ -83,7 +88,9 @@ func New(pageSize int) *File {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &File{pageSize: pageSize}
+	f := &File{pageSize: pageSize, mem: new(chunks)}
+	runtime.AddCleanup(f, (*chunks).release, f.mem)
+	return f
 }
 
 // PageSize returns the page size in bytes.
@@ -106,77 +113,92 @@ func (f *File) ResetStats() {
 	f.writes.Store(0)
 }
 
-// Append writes data across as many fresh pages as needed and returns the
-// index of the first page and the number of pages used.
-func (f *File) Append(data []byte) (firstPage, pageCount int) {
+// Close unmaps the file's page memory. Every read and write after it
+// returns ErrClosed. The caller must hold off every reader first: a page
+// view still in use would point at memory that is gone. Closing a closed
+// File does nothing.
+func (f *File) Close() error {
+	f.closed = true
+	f.pages = nil
+	f.mem.release()
+	return nil
+}
+
+// AppendPages writes data across as many fresh pages as needed and returns
+// the index of the first page and the number of pages used. It fails, and
+// appends nothing, on a closed file or when no page memory can be mapped.
+func (f *File) AppendPages(data []byte) (firstPage, pageCount int, err error) {
+	if f.closed {
+		return 0, 0, ErrClosed
+	}
+	firstPage = len(f.pages)
 	if len(data) == 0 {
 		// Zero-length records still occupy a slot on one page.
-		f.pages = append(f.pages, make([]byte, 0, f.pageSize))
+		f.pages = append(f.pages, []byte{})
 		f.writes.Add(1)
-		return len(f.pages) - 1, 1
+		return firstPage, 1, nil
 	}
-	firstPage = len(f.pages)
 	for off := 0; off < len(data); off += f.pageSize {
-		end := off + f.pageSize
-		if end > len(data) {
-			end = len(data)
+		end := min(off+f.pageSize, len(data))
+		page, err := f.mem.carve(end - off)
+		if err != nil {
+			f.pages = f.pages[:firstPage]
+			return 0, 0, err
 		}
-		page := f.alloc(end - off)
 		copy(page, data[off:end])
 		f.pages = append(f.pages, page)
-		f.writes.Add(1)
-		pageCount++
 	}
-	return firstPage, pageCount
+	pageCount = len(f.pages) - firstPage
+	f.writes.Add(int64(pageCount))
+	return firstPage, pageCount, nil
 }
 
-// alloc carves an n-byte page buffer out of the current slab, starting a
-// fresh slab when the remainder is too small (the sliver left behind is
-// abandoned to the garbage collector with the rest of the slab once its
-// pages die, e.g. after Compact swaps in a new file).
-func (f *File) alloc(n int) []byte {
-	if len(f.slab) < n {
-		f.slab = make([]byte, slabPages*f.pageSize)
-	}
-	b := f.slab[:n:n]
-	f.slab = f.slab[n:]
-	return b
+// Reserve asks that the next n bytes that Carve and AppendPages take come
+// from one chunk, mapping it now, n bytes large, unless the current chunk
+// has them left. A bulk write that knows its size reserves it, so it is
+// neither split across chunks nor leaves one partly used. It is a hint: if
+// the mapping fails, the writes that follow map as they go and report it.
+func (f *File) Reserve(n int) {
+	_ = f.mem.reserve(n, n) // a failure is reported by the write that needs the bytes
 }
 
-// AppendOwned adopts data as page payloads without copying: the record is
-// sliced in place into page-size chunks that become the file's pages, so
-// a bulk load whose input buffer already has the record layout (a
-// snapshot read) skips both the page allocation and the copy. Ownership
-// of data's memory transfers to the file — the caller must not touch it
-// again (in-place Overwrite mutates it). Like Delete'd records, the
-// memory is only reclaimed wholesale when compaction rewrites the file.
-func (f *File) AppendOwned(data []byte) (firstPage, pageCount int) {
-	if len(data) == 0 {
-		return f.Append(data)
+// Carve returns n bytes of the file's page memory, zeroed and not yet a
+// page, for the record an AppendOwned will store: a bulk load writes each
+// record in place, where its pages will be. Chunks grow with the file:
+// each as large as all before it, from 64 KiB to 32 MiB.
+func (f *File) Carve(n int) ([]byte, error) {
+	if f.closed {
+		return nil, ErrClosed
+	}
+	return f.mem.carve(n)
+}
+
+// AppendOwned stores data, which Carve returned, as page payloads without
+// copying: the record is sliced in place into page-size chunks that become
+// the file's pages. The caller must not touch data again (in-place
+// Overwrite mutates it). Like Delete'd records, the memory is only
+// reclaimed wholesale, when compaction rewrites the file and closes the
+// old one.
+func (f *File) AppendOwned(data []byte) (firstPage, pageCount int, err error) {
+	if f.closed || len(data) == 0 {
+		return f.AppendPages(data)
 	}
 	firstPage = len(f.pages)
 	for off := 0; off < len(data); off += f.pageSize {
-		end := off + f.pageSize
-		if end > len(data) {
-			end = len(data)
-		}
+		end := min(off+f.pageSize, len(data))
 		f.pages = append(f.pages, data[off:end:end])
-		f.writes.Add(1)
-		pageCount++
 	}
-	return firstPage, pageCount
-}
-
-// AppendPages is Append behind the Backing surface (memory appends cannot
-// fail).
-func (f *File) AppendPages(data []byte) (firstPage, pageCount int, err error) {
-	firstPage, pageCount = f.Append(data)
+	pageCount = len(f.pages) - firstPage
+	f.writes.Add(int64(pageCount))
 	return firstPage, pageCount, nil
 }
 
 // ReadPage returns the live buffer of page i, charging one read. dst is
 // ignored.
 func (f *File) ReadPage(i int, dst []byte) ([]byte, error) {
+	if f.closed {
+		return nil, ErrClosed
+	}
 	if i < 0 || i >= len(f.pages) {
 		return nil, fmt.Errorf("pagefile: page %d out of range of %d pages", i, len(f.pages))
 	}
@@ -197,6 +219,9 @@ var ErrSizeMismatch = errors.New("pagefile: overwrite size mismatch")
 // synchronization against concurrent readers: the page slices are mutated
 // directly, so any view handed out earlier observes the new contents.
 func (f *File) Overwrite(firstPage, pageCount int, data []byte) error {
+	if f.closed {
+		return ErrClosed
+	}
 	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > len(f.pages) {
 		return fmt.Errorf("pagefile: overwrite [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, len(f.pages))
 	}
@@ -218,11 +243,16 @@ func (f *File) Overwrite(firstPage, pageCount int, data []byte) error {
 // ViewInto appends direct references to the pages of a record (no
 // copying) to buf (pass buf[:0] to reuse its backing array, so
 // steady-state readers allocate nothing), charging one read per page. The
-// caller must treat the returned slices as read-only. This models what the
+// caller must treat the returned slices as read-only and drop them before
+// the next write to the file or its Close: they are the file's page
+// memory, not copies. This models what the
 // original system did: compute distances straight off the buffer-pool
 // page, so that early-abandoned comparisons skip not just arithmetic but
 // also record deserialization.
 func (f *File) ViewInto(firstPage, pageCount int, buf [][]byte) ([][]byte, error) {
+	if f.closed {
+		return nil, ErrClosed
+	}
 	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > len(f.pages) {
 		return nil, fmt.Errorf("pagefile: view [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, len(f.pages))
 	}
@@ -238,6 +268,9 @@ func (f *File) ViewInto(firstPage, pageCount int, buf [][]byte) ([][]byte, error
 // readers allocate nothing once the buffer has grown), charging one read
 // per page.
 func (f *File) ReadInto(firstPage, pageCount int, buf []byte) ([]byte, error) {
+	if f.closed {
+		return nil, ErrClosed
+	}
 	if firstPage < 0 || pageCount < 1 || firstPage+pageCount > len(f.pages) {
 		return nil, fmt.Errorf("pagefile: read [%d, %d) out of range of %d pages", firstPage, firstPage+pageCount, len(f.pages))
 	}

@@ -82,8 +82,9 @@ type location struct {
 // Complex spectra are stored as interleaved (real, imaginary) floats: a
 // record built by AppendComplex, read back by DecodeComplex.
 //
-// A relation is either memory-backed (New — every page resident, views
-// are stable references) or disk-backed (NewDisk — pages fault in through
+// A relation is either memory-backed (New — every page resident, outside
+// the Go heap, and views are stable references to it until Close) or
+// disk-backed (NewDisk — pages fault in through
 // a mandatory buffer pool, so the file's read counter reports physical I/O,
 // pool misses, and views are pinned frames that the reader must give back
 // with ReleaseView). The access surface is identical; only the
@@ -162,16 +163,27 @@ func (r *Relation) KeepHeads() {
 }
 
 // Reserve sizes the per-record tables for n further records, so a bulk
-// load of known size grows none of them by doubling inside its loop. (The
-// directory and the head slab grow a fixed-size page or chunk at a time
-// and need no reservation.)
-func (r *Relation) Reserve(n int) {
+// load of known size grows none of them by doubling inside its loop, and
+// has a memory relation map the pages of n records of size bytes each as
+// one chunk, which the Carve and Insert calls that follow take them from.
+// (The directory and the head slab grow a fixed-size page or chunk at a
+// time and need no reservation.)
+func (r *Relation) Reserve(n, size int) {
 	r.ids = slices.Grow(r.ids, n)
 	r.locs = slices.Grow(r.locs, n)
 	if r.keepHeads {
 		r.headLens = slices.Grow(r.headLens, n)
 	}
+	if r.mem != nil {
+		r.mem.Reserve(n * size)
+	}
 }
+
+// Carve returns size bytes of a memory relation's own page memory for the
+// record an InsertOwned will store, which adopts it in place. A disk
+// relation has no page memory: its records are copied into the page file
+// from memory of the caller's.
+func (r *Relation) Carve(size int) ([]byte, error) { return r.mem.Carve(size) }
 
 // head returns the filled part of a slot's slab entry.
 func (r *Relation) head(slot int32) []complex128 {
@@ -239,14 +251,15 @@ func complexOf(data []byte, i int) complex128 {
 		math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:])))
 }
 
-// Close releases the backing storage (removing the scratch file of a disk
-// relation). The relation must not be used afterwards. No-op for memory
-// relations.
+// Close releases the backing storage: it unmaps a memory relation's pages
+// and removes a disk relation's scratch file. The relation must not be
+// used afterwards; a page read of a closed memory relation returns
+// pagefile.ErrClosed. No reader may hold a page view across it.
 func (r *Relation) Close() error {
 	if r.disk != nil {
 		return r.disk.Close()
 	}
-	return nil
+	return r.mem.Close()
 }
 
 // Len returns the number of stored records.
@@ -288,11 +301,11 @@ func (r *Relation) InsertRaw(id int64, data []byte) error {
 	return nil
 }
 
-// InsertOwned is InsertRaw transferring ownership of data's memory to the
-// relation: a memory-backed relation adopts the bytes as its pages in
-// place (no page allocation, no copy), a disk-backed one copies them into
-// its page file (its open run, in a bulk write). The caller must not read
-// or write data afterwards.
+// InsertOwned is InsertRaw for a record written into memory that Carve
+// returned: a memory-backed relation adopts the bytes as its pages in
+// place (no copy). A disk-backed one copies them, from wherever they are,
+// into its page file (its open run, in a bulk write). The caller must not
+// read or write data afterwards.
 func (r *Relation) InsertOwned(id int64, data []byte) error {
 	if r.mem == nil {
 		return r.InsertRaw(id, data)
@@ -300,7 +313,10 @@ func (r *Relation) InsertOwned(id int64, data []byte) error {
 	if err := r.admit(id, data); err != nil {
 		return err
 	}
-	first, count := r.mem.AppendOwned(data)
+	first, count, err := r.mem.AppendOwned(data)
+	if err != nil {
+		return err
+	}
 	r.enter(id, first, count, data)
 	return nil
 }

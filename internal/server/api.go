@@ -118,8 +118,8 @@ type SpanPayload struct {
 	// Shard is the shard index of per-shard spans; -1 otherwise.
 	Shard      int     `json:"shard"`
 	DurationUS float64 `json:"duration_us"`
-	// HeadResolved, on "search" and "scan" spans, is the candidates the
-	// step verified without opening their pages.
+	// HeadResolved, on "search", "scan" and "shard" spans, is the
+	// candidates the step verified without opening their pages.
 	HeadResolved int           `json:"head_resolved,omitempty"`
 	Children     []SpanPayload `json:"children,omitempty"`
 }

@@ -68,8 +68,8 @@ type SpanInfo struct {
 	Shard int
 	// Duration is the span's wall time.
 	Duration time.Duration
-	// HeadResolved, on "search" and "scan" spans, is the candidates the
-	// step verified without opening their pages.
+	// HeadResolved, on "search", "scan" and "shard" spans, is the
+	// candidates the step verified without opening their pages.
 	HeadResolved int
 	// Children are the nested steps, in execution order.
 	Children []SpanInfo

@@ -242,9 +242,9 @@ func (db *DB) Compact() (int, error) {
 	return db.eng.Compact()
 }
 
-// Close releases backing storage — the scratch page files of a
-// disk-backed store; a no-op for memory stores. The DB must not be used
-// afterwards.
+// Close releases backing storage — the page memory of a memory store, the
+// scratch page files of a disk-backed one. It waits for the reads in
+// flight, and every read after it fails.
 func (db *DB) Close() error { return db.eng.Close() }
 
 // PoolStats aggregates buffer-pool counters across the store's relations
